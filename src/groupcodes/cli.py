@@ -3,9 +3,10 @@
 Subcommands: analyze, dual, decompose, check, duality-check, oracle.
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a property fails or a verification mismatches, 2 for usage or input
-errors.  Reports are byte-stable for fixed input and flags; positions are
-printed in both the internal convention (0-based, half-open) and the
-classical one (1-based, closed).
+errors and for limits hit (enumeration bounds, a window that has not
+stabilized at its margin).  Reports are byte-stable for fixed input and
+flags; positions are printed in both the internal convention (0-based,
+half-open) and the classical one (1-based, closed).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .codes import BlockCode, invariant_factors_of_code
 from .control import control_profile, order_profile
 from .convolutional import (
     ConvolutionalCode,
+    MarginError,
     dual_convolutional,
     strong_controllability_index,
     verify_window_duality,
@@ -474,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OracleBoundExceeded) as exc:
+    except (ValueError, OracleBoundExceeded, MarginError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -118,14 +118,25 @@ class BlockCode:
     def coset_representative(self, word: Sequence[int]) -> tuple[int, ...]:
         return coset_reduce(self.basis, word)
 
+    def pivots(self) -> tuple[tuple[int, int], ...]:
+        """(pivot column, pivot order) of each basis row.
+
+        Coefficients below the pivot orders reach every codeword exactly
+        once; the rows with pivot at or after a column span the codewords
+        vanishing before it.
+        """
+        moduli = self.basis.moduli
+        out = []
+        for row in self.basis.rows:
+            j = next(i for i, e in enumerate(row) if e)
+            out.append((j, moduli[j] // math.gcd(moduli[j], row[j])))
+        return tuple(out)
+
     def words(self) -> Iterator[tuple[int, ...]]:
         """All codewords, deterministically ordered by basis coefficients."""
         moduli = self.basis.moduli
         rows = self.basis.rows
-        orders = []
-        for row in rows:
-            j = next(i for i, e in enumerate(row) if e)
-            orders.append(moduli[j] // math.gcd(moduli[j], row[j]))
+        orders = [order for _, order in self.pivots()]
         for coeffs in itertools.product(*[range(o) for o in orders]):
             word = [0] * len(moduli)
             for c, row in zip(coeffs, rows):

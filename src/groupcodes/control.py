@@ -14,6 +14,7 @@ separate; no identification of n(l) with L_k + k is asserted anywhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -127,6 +128,16 @@ class Chunk:
     stop: int
 
 
+def _combine(
+    coeffs: Sequence[int], rows: Sequence[Sequence[int]], moduli: Sequence[int]
+) -> tuple[int, ...]:
+    """sum_i coeffs[i] * rows[i], reduced column by column."""
+    return tuple(
+        sum(q * row[j] for q, row in zip(coeffs, rows)) % m
+        for j, m in enumerate(moduli)
+    )
+
+
 def _window_solution(
     code: BlockCode, inner: BlockCode, position: int, target_symbol: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
@@ -147,11 +158,7 @@ def _window_solution(
     )
     if coeffs is None:
         return None
-    moduli = code.space.flat_moduli
-    particular = tuple(
-        sum(c * row[j] for c, row in zip(coeffs, rows)) % moduli[j]
-        for j in range(len(moduli))
-    )
+    particular = _combine(coeffs, rows, code.space.flat_moduli)
     # Reduce by the stabilizer of the position; the stabilizer vanishes on
     # the pinned symbol, so the reduction cannot disturb it.
     stabilizer = window_internal(inner, position + 1, code.space.horizon)
@@ -228,9 +235,11 @@ def order_profile(code: BlockCode, enumeration_bound: int = 1 << 16) -> OrderPro
     A codeword c splits at (l, n) when c = c1 + c2 with c1 in the code
     supported in [0, n), c2 in the code supported in [l, N), and the order
     of c1 at most the order of the truncation c|[0, n) in the ambient
-    product.  The split search solves congruences over the window-supported
-    subgroups; the quantifier over codewords enumerates the code, so codes
-    larger than ``enumeration_bound`` are rejected.
+    product.  At n = N the split c1 = c always works, so only n < N is
+    searched.  The split search solves congruences over the window-supported
+    subgroups; the quantifier over codewords runs over |proj_[0,n) C|
+    classes (see ``_order_split_everywhere``), but codes larger than
+    ``enumeration_bound`` are still rejected.
     """
     N = code.space.horizon
     if code.cardinality > enumeration_bound:
@@ -241,32 +250,40 @@ def order_profile(code: BlockCode, enumeration_bound: int = 1 << 16) -> OrderPro
     moduli = code.space.flat_moduli
     exponent = lcm(*moduli) if moduli else 1
     divisors = _divisors(exponent)
-    words = list(code.words())
     bounds = []
     for l in range(N + 1):
         suffix = window_internal(code, l, N)
-        n = l
-        while True:
+        for n in range(l, N):
             prefix = window_internal(code, 0, n)
-            if _order_split_everywhere(code, words, prefix, suffix, n, divisors):
+            if _order_split_everywhere(code, prefix, suffix, n, divisors):
                 bounds.append(n)
                 break
-            n += 1
-            if n > N:
-                raise AssertionError("order split must succeed at n = N")
+        else:
+            bounds.append(N)
     return OrderProfile(tuple(bounds))
 
 
 def _order_split_everywhere(
     code: BlockCode,
-    words: list[tuple[int, ...]],
     prefix: BlockCode,
     suffix: BlockCode,
     n: int,
     divisors: list[int],
 ) -> bool:
+    """Whether every codeword order-splits at (l, n), suffix = C ∩ [l, N).
+
+    Whether c splits depends only on its class modulo K = C ∩ [n, N): for
+    k in K, c + k has the same truncation c|[0, n), and k lies in the
+    suffix because l <= n.  The Howell rows of C with pivots before the
+    cut enumerate C / K once each, with coefficients below their pivot
+    orders (as in ``BlockCode.words``), so only those classes are tested.
+    Splits are additive: each row is split once and every class takes the
+    same combination of the row splits.  The admissible c1 form the coset
+    c1 + (prefix ∩ suffix), and one of them has order dividing t exactly
+    when t * c1 lies in t * (prefix ∩ suffix).
+    """
     moduli = code.space.flat_moduli
-    sl = code.space.flat_slice(0, n) if n > 0 else slice(0, 0)
+    cut = code.space.offsets()[n]
     both = intersect(prefix, suffix)
     scaled_meets = {
         t: howell_form(scale_rows(both.basis, t)) for t in divisors
@@ -275,21 +292,24 @@ def _order_split_everywhere(
     n_prefix = len(prefix.basis.rows)
     exponent = lcm(*moduli) if moduli else 1
     unknowns = tuple(exponent for _ in gens)
-    for c in words:
-        # Particular split c = c1 + c2 with c1 from the prefix block.
+    heads, head_splits, orders = [], [], []
+    for row, (pivot, order) in zip(code.basis.rows, code.pivots()):
+        if pivot >= cut:
+            break
         coeffs = (
-            solve_homomorphism(gens, unknowns, moduli, c) if gens else None
+            solve_homomorphism(gens, unknowns, moduli, row) if gens else None
         )
         if coeffs is None:
-            if any(c):
-                return False
-            continue
-        c1 = tuple(
-            sum(q * row[j] for q, row in zip(coeffs[:n_prefix], prefix.basis.rows))
-            % moduli[j]
-            for j in range(len(moduli))
+            # The row is itself a codeword without any split.
+            return False
+        heads.append(row[:cut])
+        head_splits.append(_combine(coeffs[:n_prefix], prefix.basis.rows, moduli))
+        orders.append(order)
+    for coeffs in itertools.product(*[range(o) for o in orders]):
+        c1 = _combine(coeffs, head_splits, moduli)
+        order_bound = _truncation_order(
+            _combine(coeffs, heads, moduli[:cut]), moduli, slice(0, cut)
         )
-        order_bound = _truncation_order(c, moduli, sl)
         ok = False
         for t in divisors:
             if t > order_bound:

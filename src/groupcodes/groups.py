@@ -79,8 +79,8 @@ class FiniteAbelianGroup:
             yield GroupElement(self, residues)
 
     def primes(self) -> list[int]:
-        """The primes dividing the group order."""
-        return prime_factors(self.cardinality)
+        """The primes dividing the group order, factored modulus by modulus."""
+        return sorted({p for m in self.moduli for p in prime_factors(m)})
 
     def __str__(self) -> str:
         if not self.moduli:

@@ -192,7 +192,10 @@ def _howell_cached(rows: tuple[Vector, ...], moduli: Vector) -> tuple[Vector, ..
         return ()
     embedded = [_embed(r, moduli, L) for r in rows]
     basis = _howell_single(embedded, L, len(moduli))
-    return tuple(_unembed(r, moduli, L) for r in basis)
+    canon = tuple(_unembed(r, moduli, L) for r in basis)
+    # Most calls re-canonicalize a Howell form; handing back the input tuple
+    # keeps one copy of those rows in the cache instead of two.
+    return rows if canon == rows else canon
 
 
 def howell_form(matrix: ResidueMatrix) -> ResidueMatrix:

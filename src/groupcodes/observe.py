@@ -89,27 +89,28 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     The per-position lengths start from the uniform index and are then
     shrunk greedily left to right while the intersection of consistency
     sets still equals the code, so decreasing any entry strictly enlarges
-    the intersection.
+    the intersection.  While position k is tried, the positions before it
+    are fixed and the ones after it still sit at the index, so each trial
+    meets the consistency set at k with one precomputed meet of the rest.
     """
     N = code.space.horizon
     index = 0
     while observable_supercode(code, index) != code:
         index += 1
 
-    def meets_at(lengths: list[int]) -> BlockCode:
-        result = ambient_code(code.space)
-        for k, lk in enumerate(lengths):
-            result = intersect(result, consistency_set(code, k, lk))
-        return result
-
+    # after[k] (k >= 1) meets the consistency sets at positions k..N-1.
+    after = [ambient_code(code.space)] * (N + 1)
+    for k in range(N - 1, 0, -1):
+        after[k] = intersect(after[k + 1], consistency_set(code, k, index))
+    before = ambient_code(code.space)
     lengths = [index] * N
     for k in range(N):
+        rest = intersect(before, after[k + 1])
         while lengths[k] > 0:
-            trial = list(lengths)
-            trial[k] -= 1
-            if meets_at(trial) != code:
+            if intersect(rest, consistency_set(code, k, lengths[k] - 1)) != code:
                 break
-            lengths = trial
+            lengths[k] -= 1
+        before = intersect(before, consistency_set(code, k, lengths[k]))
     return ObserveProfile(tuple(lengths), index)
 
 

@@ -24,8 +24,7 @@ from .codes import (
     window_projection,
     zero_code,
 )
-from .control import order_profile
-from .groups import FiniteAbelianGroup, primary_decomposition, prime_factors
+from .groups import FiniteAbelianGroup, primary_decomposition
 from .linalg import (
     annihilator_rows,
     coset_reduce,
@@ -329,17 +328,16 @@ def cyclic_product_decomposition(
     The code splits through the primary decomposition of the symbols; inside
     each p-part, generators of maximal order realizable in the smallest
     prefix window are peeled off as direct factors via splitting characters.
-    The result always passes ``verify_decomposition``; on the (unexpected)
-    failure of the greedy strategy an exhaustive search below the
-    enumeration bound is attempted before giving up.
+    The peel always succeeds: in a finite abelian p-group an element of
+    maximal order generates a direct summand (Fuchs, *Infinite Abelian
+    Groups* I, §27), and the splitting character of ``_peel_complement``
+    exhibits the complement.  ``enumeration_bound`` only caps the windows
+    searched word by word for the lexicographically least generator; larger
+    windows take a generator from a cyclic basis.  The result is checked by
+    ``verify_decomposition``, and a failure raises DecompositionError.
     """
-    # Precondition per contract: the order profile must exist with finite
-    # margins, which at finite horizon it always does; computing it keeps
-    # the contract honest.
-    order_profile(code)
-    primes = prime_factors(code.cardinality)
     gens: list[DecompositionGenerator] = []
-    for p in sorted(primes):
+    for p in FiniteAbelianGroup(code.space.flat_moduli).primes():
         component, comps = _component_code(code, p)
         current = component
         while current.cardinality > 1:
@@ -360,69 +358,9 @@ def cyclic_product_decomposition(
             current = _peel_complement(current, word, order)
     decomposition = Decomposition(code.space, tuple(gens))
     ok, cert = verify_decomposition(code, decomposition)
-    if ok:
-        return decomposition
-    fallback = _exhaustive_decomposition(code, enumeration_bound)
-    if fallback is not None:
-        return fallback
-    raise DecompositionError(
-        f"greedy decomposition failed ({cert.failed_condition}) and "
-        f"exhaustive search found no certificate"
-    )
-
-
-def _exhaustive_decomposition(
-    code: BlockCode, enumeration_bound: int
-) -> Optional[Decomposition]:
-    """Bounded search for a cyclic direct decomposition, smallest windows
-    first.  A safety net behind the greedy construction."""
-    if code.cardinality > enumeration_bound:
-        return None
-    moduli = code.space.flat_moduli
-    words = sorted(
-        (w for w in code.words() if any(w)),
-        key=lambda w: (_support_window(w, code.space)[1], w),
-    )
-
-    def search(
-        chosen: list[tuple[int, ...]], accumulated: BlockCode, remaining: int
-    ) -> Optional[list[tuple[int, ...]]]:
-        if remaining == 1:
-            return list(chosen)
-        for w in words:
-            order = _word_order(w, moduli)
-            if remaining % order:
-                continue
-            cyc = code_from_generators(code.space, [w])
-            if intersect(accumulated, cyc).cardinality != 1:
-                continue
-            result = search(
-                chosen + [w], join(accumulated, cyc), remaining // order
-            )
-            if result is not None:
-                return result
-        return None
-
-    found = search([], zero_code(code.space), code.cardinality)
-    if found is None:
-        return None
-    gens = []
-    for w in found:
-        start, stop = _support_window(w, code.space)
-        order = _word_order(w, moduli)
-        prime_list = prime_factors(order)
-        gens.append(
-            DecompositionGenerator(
-                word=w,
-                start=start,
-                stop=stop,
-                order=order,
-                prime=prime_list[0] if len(prime_list) == 1 else None,
-            )
-        )
-    decomposition = Decomposition(code.space, tuple(gens))
-    ok, _ = verify_decomposition(code, decomposition)
-    return decomposition if ok else None
+    if not ok:
+        raise DecompositionError(f"verification failed: {cert.failed_condition}")
+    return decomposition
 
 
 def is_subdirect_product(code: BlockCode, decomposition: Decomposition) -> bool:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -113,6 +114,59 @@ class TestDecompose:
         assert [g["order"] for g in data["generators"]] == [2, 2]
 
 
+def z4_spec_of_size(rng, n, free):
+    """A Z/4 block spec at horizon n spanning 4**free words.
+
+    Echelon rows with unit pivots, each of order 4, mixed by a
+    unitriangular transform so the spec hides the echelon shape.
+    """
+    pivots = sorted(rng.sample(range(n), free))
+    rows = [
+        [0] * p + [1] + [rng.randrange(4) for _ in range(p + 1, n)]
+        for p in pivots
+    ]
+    gens = [list(r) for r in rows]
+    for i in range(free):
+        for j in range(i + 1, free):
+            c = rng.randrange(4)
+            gens[i] = [(a + c * b) % 4 for a, b in zip(gens[i], rows[j])]
+    lines = ["kind: block", "symbols: " + " ".join(["[4]"] * n)]
+    lines += ["generator: " + " ".join(map(str, g)) for g in gens]
+    return "\n".join(lines) + "\n"
+
+
+class TestDecomposeScale:
+    def test_above_order_profile_bound(self, tmp_path):
+        # 2**18 words: above the enumeration bound of the order profile,
+        # which decomposition does not need.
+        spec = tmp_path / "big.spec"
+        spec.write_text(z4_spec_of_size(random.Random(18), 10, 9), encoding="utf-8")
+        code, out, _ = run_cli("decompose", str(spec))
+        assert code == 0
+        assert "order product 262144 vs cardinality 262144" in out
+        assert "  verdict: valid" in out
+        code, _, err = run_cli("analyze", str(spec))
+        assert code == 2
+        assert "exceed the bound 65536" in err
+
+    def test_huge_coprime_moduli(self, tmp_path):
+        # Primes come from each modulus; factoring their product by trial
+        # division would take about 10**9 steps.
+        spec = tmp_path / "huge.spec"
+        spec.write_text(
+            "kind: block\n"
+            "symbols: [1000000007,998244353] [1000000007,998244353]\n"
+            "generator: 1,1 0,2\n"
+            "generator: 0,5 3,0\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli("decompose", str(spec))
+        assert code == 0
+        assert "prime 1000000007" in out
+        assert "prime 998244353" in out
+        assert "  verdict: valid" in out
+
+
 class TestCheck:
     def test_weak_controllable_failure_exits_one(self, constant_spec):
         code, out, _ = run_cli("check", constant_spec, "--property", "weak-controllable")
@@ -186,6 +240,20 @@ class TestErrors:
         code, _, err = run_cli("analyze", str(bad))
         assert code == 2
         assert "out of range" in err
+
+    def test_margin_error_is_limit_error(self, tmp_path):
+        # Z/4 kernel check whose window has not stabilized at margin 3.
+        spec = tmp_path / "margin.spec"
+        spec.write_text(
+            "kind: convolutional\nsymbol: [4]\nform: kernel\ntap: 3 0 2\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli("analyze", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: window not stabilized at margin 3; retry with a larger one\n"
+        )
 
     def test_console_entry_point(self, even_weight_spec):
         proc = subprocess.run(

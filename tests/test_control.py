@@ -9,7 +9,13 @@ from math import gcd, lcm
 
 import pytest
 
-from groupcodes.codes import SequenceSpace, code_from_generators, zero_code
+from groupcodes.codes import (
+    BlockCode,
+    SequenceSpace,
+    code_from_generators,
+    window_internal,
+    zero_code,
+)
 from groupcodes.control import (
     ProfileInsufficientError,
     chunk_decompose,
@@ -265,6 +271,31 @@ class TestOrderProfile:
                 sp, [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
             )
             assert order_profile(code).bounds == brute_order_profile(code)
+
+    def test_mixed_moduli_without_enumeration(self, monkeypatch):
+        # Symbols Z/2+Z/4, Z/6 and Z/12; every code has some cut n whose
+        # tail K = C meet [n, N) is a proper nontrivial subgroup, so the
+        # transversal of K is neither the whole code nor one class.
+        rng = random.Random(97)
+        codes = []
+        while len(codes) < 12:
+            symbols = [(2, 4), (6,), (12,)]
+            sp = space(*[rng.choice(symbols) for _ in range(rng.randint(2, 3))])
+            gens = [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
+            code = code_from_generators(sp, gens)
+            tails = [
+                window_internal(code, n, sp.horizon).cardinality
+                for n in range(1, sp.horizon)
+            ]
+            if code.cardinality <= 48 and any(1 < t < code.cardinality for t in tails):
+                codes.append((code, brute_order_profile(code)))
+
+        def no_enumeration(self):
+            raise AssertionError("order_profile enumerated the code")
+
+        monkeypatch.setattr(BlockCode, "words", no_enumeration)
+        for code, expected in codes:
+            assert order_profile(code).bounds == expected
 
     def test_at_least_plain_split_bound(self):
         # Dropping the order condition can only shrink the minimal window.

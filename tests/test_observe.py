@@ -122,6 +122,36 @@ class TestObserveProfile:
             assert result == code
 
 
+def reference_observe_lengths(code, index):
+    """The greedy of observe_profile, recomputing the full meet per trial."""
+    from groupcodes.codes import intersect
+
+    def meets_at(lengths):
+        result = ambient_code(code.space)
+        for k, lk in enumerate(lengths):
+            result = intersect(result, consistency_set(code, k, lk))
+        return result
+
+    lengths = [index] * code.space.horizon
+    for k in range(len(lengths)):
+        while lengths[k] > 0:
+            trial = list(lengths)
+            trial[k] -= 1
+            if meets_at(trial) != code:
+                break
+            lengths = trial
+    return tuple(lengths)
+
+
+def test_greedy_matches_full_recomputation(exhaustive_corpus, random_corpus):
+    for code in exhaustive_corpus + random_corpus[:100]:
+        profile = observe_profile(code)
+        assert observable_supercode(code, profile.index) == code
+        if profile.index:
+            assert observable_supercode(code, profile.index - 1) != code
+        assert profile.lengths == reference_observe_lengths(code, profile.index)
+
+
 class TestDualityReport:
     def test_even_weight_golden(self, even_weight):
         report = check_control_observe_duality(even_weight)
