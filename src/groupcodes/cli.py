@@ -43,8 +43,6 @@ from .structure import (
     DecompositionError,
     coprime_rectangular,
     cyclic_product_decomposition,
-    is_subdirect_product,
-    verify_decomposition,
 )
 
 PROPERTIES = (
@@ -193,7 +191,8 @@ def _cmd_decompose(args) -> int:
     except DecompositionError as exc:
         print(f"decomposition failed: {exc}")
         return 1
-    ok, cert = verify_decomposition(code, decomposition)
+    # A verified decomposition recombines to the code: subdirect = verified.
+    cert = decomposition.certificate
     data = {
         "generators": [
             {
@@ -207,8 +206,8 @@ def _cmd_decompose(args) -> int:
         ],
         "order_product": decomposition.order_product,
         "cardinality": code.cardinality,
-        "verified": ok,
-        "subdirect": is_subdirect_product(code, decomposition),
+        "verified": cert.ok,
+        "subdirect": cert.ok,
     }
     if args.format == "json":
         print(json.dumps(data, sort_keys=True, indent=2))
@@ -227,7 +226,7 @@ def _cmd_decompose(args) -> int:
         lines.extend("  " + ln for ln in cert.render().splitlines())
         lines.append(f"subdirect: {'yes' if data['subdirect'] else 'no'}")
         print("\n".join(lines))
-    return 0 if ok else 1
+    return 0 if cert.ok else 1
 
 
 def _check_block(code: BlockCode, prop: str, level: Optional[int]) -> tuple[bool, str]:
@@ -254,10 +253,7 @@ def _check_block(code: BlockCode, prop: str, level: Optional[int]) -> tuple[bool
         return True, "coordinatewise product verified"
     if prop == "subdirect":
         decomposition = cyclic_product_decomposition(code)
-        return (
-            is_subdirect_product(code, decomposition),
-            "factors recombine to the code",
-        )
+        return decomposition.certificate.ok, "factors recombine to the code"
     if prop == "weak-controllable":
         return True, "finite horizon: every block code is its finite-support part"
     raise SpecError(f"property {prop!r} not available for block codes", field="property")
@@ -417,7 +413,7 @@ def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool]]:
     )
     try:
         decomposition = cyclic_product_decomposition(code)
-        ok_main, _ = verify_decomposition(code, decomposition)
+        ok_main = decomposition.certificate.ok
         pairs = [(g.word, g.order) for g in decomposition.generators]
         ok_brute = brute("verify_decomposition", code, pairs, bound=bound)
         checks.append(("decomposition verification", ok_main and ok_brute))

@@ -25,6 +25,7 @@ from .linalg import (
     smith_invariants,
     span_cardinality,
     stack,
+    vector_order,
 )
 
 __all__ = [
@@ -97,7 +98,11 @@ class SequenceSpace:
 
 @dataclass(frozen=True)
 class BlockCode:
-    """A subgroup of a sequence space with a canonical generator matrix."""
+    """A subgroup of a sequence space with a canonical generator matrix.
+
+    Any generating matrix may be passed; the code stores its Howell form, so
+    two codes are equal exactly when they are the same subgroup.
+    """
 
     space: SequenceSpace
     basis: ResidueMatrix
@@ -105,8 +110,7 @@ class BlockCode:
     def __post_init__(self) -> None:
         if self.basis.moduli != self.space.flat_moduli:
             raise ValueError("basis moduli do not match the space")
-        if howell_form(self.basis) != self.basis:
-            raise ValueError("basis not in canonical form")
+        object.__setattr__(self, "basis", howell_form(self.basis))
 
     @property
     def cardinality(self) -> int:
@@ -129,7 +133,7 @@ class BlockCode:
         out = []
         for row in self.basis.rows:
             j = next(i for i, e in enumerate(row) if e)
-            out.append((j, moduli[j] // math.gcd(moduli[j], row[j])))
+            out.append((j, vector_order(row[j : j + 1], moduli[j : j + 1])))
         return tuple(out)
 
     def words(self) -> Iterator[tuple[int, ...]]:
@@ -158,15 +162,7 @@ def code_from_generators(
     space: SequenceSpace, generators: Iterable[Sequence[int]]
 ) -> BlockCode:
     """The subgroup spanned by flat generator words, canonicalized."""
-    moduli = space.flat_moduli
-    rows = []
-    for gen in generators:
-        if len(gen) != len(moduli):
-            raise ValueError(
-                f"generator width {len(gen)} != {len(moduli)} flat coordinates"
-            )
-        rows.append(tuple(int(e) for e in gen))
-    return BlockCode(space, howell_form(residue_matrix(rows, moduli)))
+    return BlockCode(space, residue_matrix(generators, space.flat_moduli))
 
 
 def zero_code(space: SequenceSpace) -> BlockCode:
@@ -183,7 +179,7 @@ def intersect(a: BlockCode, b: BlockCode) -> BlockCode:
     """Exact intersection, computed through annihilators."""
     if a.space != b.space:
         raise ValueError("codes live in different spaces")
-    return BlockCode(a.space, howell_form(intersect_rows(a.basis, b.basis)))
+    return BlockCode(a.space, intersect_rows(a.basis, b.basis))
 
 
 def join(a: BlockCode, b: BlockCode) -> BlockCode:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .codes import BlockCode, intersect, join, window_internal
@@ -26,6 +26,7 @@ from .linalg import (
     howell_form,
     scale_rows,
     solve_homomorphism,
+    vector_order,
 )
 
 __all__ = [
@@ -181,9 +182,9 @@ def chunk_decompose(
     if len(lengths) != N:
         raise ValueError("profile length must match the horizon")
     moduli = code.space.flat_moduli
-    residual = tuple(int(e) % m for e, m in zip(word, moduli))
-    if len(residual) != len(moduli):
+    if len(word) != len(moduli):
         raise ValueError("word width mismatch")
+    residual = tuple(int(e) % m for e, m in zip(word, moduli))
     if not code.contains(residual):
         raise ValueError("word is not a codeword")
     offsets = code.space.offsets()
@@ -217,11 +218,6 @@ def chunk_decompose(
             (a - b) % m for a, b, m in zip(residual, chunk_word, moduli)
         )
     return chunks
-
-
-def _truncation_order(word: Sequence[int], moduli: Sequence[int], sl: slice) -> int:
-    orders = [m // gcd(m, e) for e, m in zip(word[sl], moduli[sl])]
-    return lcm(*orders) if orders else 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -307,9 +303,7 @@ def _order_split_everywhere(
         orders.append(order)
     for coeffs in itertools.product(*[range(o) for o in orders]):
         c1 = _combine(coeffs, head_splits, moduli)
-        order_bound = _truncation_order(
-            _combine(coeffs, heads, moduli[:cut]), moduli, slice(0, cut)
-        )
+        order_bound = vector_order(_combine(coeffs, heads, moduli[:cut]), moduli[:cut])
         ok = False
         for t in divisors:
             if t > order_bound:

@@ -20,7 +20,6 @@ from .linalg import (
     ResidueMatrix,
     annihilator_rows,
     contains_vector,
-    howell_form,
     quotient_invariants,
 )
 
@@ -164,5 +163,4 @@ def dual_block_code(code: BlockCode) -> BlockCode:
     the dual code lives over the same symbol moduli; the construction is an
     inclusion-reversing involution.
     """
-    rows = annihilator_rows(code.basis)
-    return BlockCode(code.space, howell_form(rows))
+    return BlockCode(code.space, annihilator_rows(code.basis))

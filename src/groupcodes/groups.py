@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Sequence
 
-from .linalg import ResidueMatrix, howell_form, residue_matrix
+from .linalg import ResidueMatrix, howell_form, residue_matrix, vector_order
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -136,8 +136,7 @@ class GroupElement:
 
 def element_order(g: GroupElement) -> int:
     """Least n >= 1 with n*g = 0; equals lcm_j(m_j / gcd(m_j, g_j))."""
-    orders = [m // gcd(m, e) for e, m in zip(g.residues, g.group.moduli)]
-    return lcm(*orders) if orders else 1
+    return vector_order(g.residues, g.group.moduli)
 
 
 @dataclass(frozen=True)

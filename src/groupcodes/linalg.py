@@ -31,6 +31,7 @@ __all__ = [
     "contains_vector",
     "coset_reduce",
     "spans_equal",
+    "vector_order",
     "scale_rows",
     "stack",
     "solve_congruence_system",
@@ -51,7 +52,9 @@ class ResidueMatrix:
     """Rows over ``Z/m_1 x ... x Z/m_n`` with per-column moduli ``m_j >= 1``.
 
     Entries satisfy ``0 <= rows[i][j] < moduli[j]``.  Instances are immutable;
-    all operations return new matrices.
+    all operations return new matrices.  A direct call checks every entry;
+    the matrices this module builds itself hold reduced entries by
+    construction and skip the checks (see ``_trusted``).
     """
 
     moduli: Vector
@@ -75,16 +78,31 @@ class ResidueMatrix:
         return not self.rows
 
 
+def _trusted(moduli: Vector, rows: tuple[Vector, ...]) -> ResidueMatrix:
+    """A ResidueMatrix whose entries are reduced by construction.
+
+    Skips ``__post_init__``: every caller has reduced each entry into
+    ``[0, moduli[j])`` already, so the checks would only repeat that work.
+    """
+    matrix = object.__new__(ResidueMatrix)
+    object.__setattr__(matrix, "moduli", moduli)
+    object.__setattr__(matrix, "rows", rows)
+    return matrix
+
+
+def _reduced(vector: Sequence[int], moduli: Vector) -> Vector:
+    """``vector`` reduced modulo ``moduli``; the widths must agree."""
+    if len(vector) != len(moduli):
+        raise ValueError(f"width {len(vector)} != {len(moduli)} columns")
+    return tuple(int(e) % m for e, m in zip(vector, moduli))
+
+
 def residue_matrix(rows: Iterable[Sequence[int]], moduli: Sequence[int]) -> ResidueMatrix:
     """Build a ResidueMatrix, reducing entries modulo the column moduli."""
     mods = tuple(int(m) for m in moduli)
-    normalized = tuple(
-        tuple(int(e) % m for e, m in zip(row, mods)) for row in rows
-    )
-    for row in normalized:
-        if len(row) != len(mods):
-            raise ValueError(f"row width {len(row)} != {len(mods)} columns")
-    return ResidueMatrix(mods, normalized)
+    if any(m < 1 for m in mods):
+        raise ValueError(f"moduli must be >= 1, got {mods}")
+    return _trusted(mods, tuple(_reduced(row, mods) for row in rows))
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -206,11 +224,16 @@ def howell_form(matrix: ResidueMatrix) -> ResidueMatrix:
     and the Howell property: every span element whose first k coordinates
     vanish lies in the span of the rows with pivot column >= k.
     """
-    return ResidueMatrix(matrix.moduli, _howell_cached(matrix.rows, matrix.moduli))
+    return _trusted(matrix.moduli, _howell_cached(matrix.rows, matrix.moduli))
 
 
-def _pivot_order(entry: int, modulus: int) -> int:
-    return modulus // gcd(modulus, entry)
+def vector_order(vector: Sequence[int], moduli: Sequence[int]) -> int:
+    """Additive order of a residue vector: lcm_j of m_j / gcd(m_j, v_j).
+
+    ``vector`` and ``moduli`` have the same length; the empty vector has
+    order 1.
+    """
+    return lcm(*(m // gcd(m, e) for e, m in zip(vector, moduli)))
 
 
 def span_cardinality(matrix: ResidueMatrix) -> int:
@@ -219,7 +242,7 @@ def span_cardinality(matrix: ResidueMatrix) -> int:
     total = 1
     for row in canon.rows:
         j = _first_nonzero(row)
-        total *= _pivot_order(row[j], canon.moduli[j])
+        total *= vector_order(row[j : j + 1], canon.moduli[j : j + 1])
     return total
 
 
@@ -256,8 +279,7 @@ def _reduce_vector(
 def coset_reduce(matrix: ResidueMatrix, vector: Sequence[int]) -> Vector:
     """Canonical representative of ``vector + span(matrix)``."""
     canon = howell_form(matrix)
-    vec = tuple(int(e) % m for e, m in zip(vector, canon.moduli))
-    remainder, _ = _reduce_vector(canon, vec)
+    remainder, _ = _reduce_vector(canon, _reduced(vector, canon.moduli))
     return remainder
 
 
@@ -280,7 +302,7 @@ def scale_rows(matrix: ResidueMatrix, scalar: int) -> ResidueMatrix:
 def stack(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
     if a.moduli != b.moduli:
         raise ValueError("column moduli mismatch")
-    return howell_form(ResidueMatrix(a.moduli, a.rows + b.rows))
+    return howell_form(_trusted(a.moduli, a.rows + b.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +316,39 @@ def stack(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _graph(
+    images: Sequence[Sequence[int]],
+    unknown_moduli: Sequence[int],
+    image_moduli: Sequence[int],
+) -> ResidueMatrix:
+    """Howell form of the graph rows ``[f(e_j) | e_j]`` over image + unknowns."""
+    unknowns = tuple(int(m) for m in unknown_moduli)
+    imgmods = tuple(int(m) for m in image_moduli)
+    rows = tuple(
+        _reduced(images[j], imgmods)
+        + tuple(1 % u if k == j else 0 for k, u in enumerate(unknowns))
+        for j in range(len(unknowns))
+    )
+    return howell_form(_trusted(imgmods + unknowns, rows))
+
+
+def _graph_kernel(graph: ResidueMatrix, head: int) -> ResidueMatrix:
+    """Kernel of f read off its graph's Howell form (``head`` image columns)."""
+    rows = tuple(row[head:] for row in graph.rows if not any(row[:head]))
+    return howell_form(_trusted(graph.moduli[head:], rows))
+
+
+def _graph_solve(
+    graph: ResidueMatrix, head: int, target: Sequence[int]
+) -> Optional[Vector]:
+    """A particular x with f(x) = target, read off f's graph, or None."""
+    augmented = _reduced(target, graph.moduli[:head]) + (0,) * (graph.width - head)
+    remainder, _ = _reduce_vector(graph, augmented, stop=head)
+    if any(remainder[:head]):
+        return None
+    return tuple((-e) % m for e, m in zip(remainder[head:], graph.moduli[head:]))
+
+
 def homomorphism_kernel(
     images: Sequence[Sequence[int]],
     unknown_moduli: Sequence[int],
@@ -304,23 +359,10 @@ def homomorphism_kernel(
     ``images[j]`` is the image of the j-th unit over ``image_moduli``; the
     map must be well defined, i.e. ``unknown_moduli[j] * images[j] == 0``.
     """
-    unknowns = tuple(int(m) for m in unknown_moduli)
-    imgmods = tuple(int(m) for m in image_moduli)
-    for m, img in zip(unknowns, images):
-        if any((m * e) % w for e, w in zip(img, imgmods)):
+    for m, img in zip(unknown_moduli, images):
+        if any((int(m) * int(e)) % int(w) for e, w in zip(img, image_moduli)):
             raise ValueError("map not well defined on Z/%d" % m)
-    graph = residue_matrix(
-        [
-            tuple(int(e) % w for e, w in zip(images[j], imgmods))
-            + tuple(1 if k == j else 0 for k in range(len(unknowns)))
-            for j in range(len(unknowns))
-        ],
-        imgmods + unknowns,
-    )
-    canon = howell_form(graph)
-    head = len(imgmods)
-    kernel_rows = [row[head:] for row in canon.rows if not any(row[:head])]
-    return howell_form(residue_matrix(kernel_rows, unknowns))
+    return _graph_kernel(_graph(images, unknown_moduli, image_moduli), len(image_moduli))
 
 
 def solve_homomorphism(
@@ -330,27 +372,10 @@ def solve_homomorphism(
     target: Sequence[int],
 ) -> Optional[Vector]:
     """A particular ``x`` with ``sum_j x_j * images[j] = target``, or None."""
-    unknowns = tuple(int(m) for m in unknown_moduli)
-    imgmods = tuple(int(m) for m in image_moduli)
-    if len(target) != len(imgmods):
+    if len(target) != len(image_moduli):
         raise ValueError("target length mismatch")
-    graph = residue_matrix(
-        [
-            tuple(int(e) % w for e, w in zip(images[j], imgmods))
-            + tuple(1 if k == j else 0 for k in range(len(unknowns)))
-            for j in range(len(unknowns))
-        ],
-        imgmods + unknowns,
-    )
-    canon = howell_form(graph)
-    head = len(imgmods)
-    augmented = tuple(int(e) % w for e, w in zip(target, imgmods)) + tuple(
-        0 for _ in unknowns
-    )
-    remainder, _ = _reduce_vector(canon, augmented, stop=head)
-    if any(remainder[:head]):
-        return None
-    return tuple((-e) % m for e, m in zip(remainder[head:], unknowns))
+    graph = _graph(images, unknown_moduli, image_moduli)
+    return _graph_solve(graph, len(image_moduli), target)
 
 
 @dataclass(frozen=True)
@@ -378,12 +403,11 @@ def solve_congruence_system(
             return None
         return CongruenceSolution((), residue_matrix([], ()))
     exponent = lcm(*matrix.moduli)
-    unknowns = tuple(exponent for _ in matrix.rows)
-    particular = solve_homomorphism(matrix.rows, unknowns, matrix.moduli, target)
+    graph = _graph(matrix.rows, tuple(exponent for _ in matrix.rows), matrix.moduli)
+    particular = _graph_solve(graph, matrix.width, target)
     if particular is None:
         return None
-    kernel = homomorphism_kernel(matrix.rows, unknowns, matrix.moduli)
-    return CongruenceSolution(particular, kernel)
+    return CongruenceSolution(particular, _graph_kernel(graph, matrix.width))
 
 
 def annihilator_rows(matrix: ResidueMatrix) -> ResidueMatrix:
@@ -584,7 +608,7 @@ def quotient_invariants(
     if not gens:
         return ()
     moduli = canon.moduli
-    den = [tuple(int(e) % m for e, m in zip(row, moduli)) for row in denominator_rows]
+    den = [_reduced(row, moduli) for row in denominator_rows]
     exponent = lcm(*moduli)
     k = len(gens)
     combined = gens + den

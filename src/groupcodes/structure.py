@@ -10,7 +10,7 @@ verification is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -29,11 +29,11 @@ from .linalg import (
     annihilator_rows,
     coset_reduce,
     homomorphism_kernel,
-    howell_form,
     residue_matrix,
     smith_invariants,
     solve_homomorphism,
     subgroup_basis,
+    vector_order,
 )
 
 __all__ = [
@@ -65,10 +65,15 @@ class DecompositionGenerator:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A list of cyclic generators certifying weak rectangularity."""
+    """A list of cyclic generators certifying weak rectangularity.
+
+    Decompositions built by this module carry the certificate of the
+    ``verify_decomposition`` run that accepted them.
+    """
 
     space: SequenceSpace
     generators: tuple[DecompositionGenerator, ...]
+    certificate: Optional[VerificationCertificate] = field(default=None, compare=False)
 
     @property
     def order_product(self) -> int:
@@ -107,11 +112,6 @@ class VerificationCertificate:
         return "\n".join(lines)
 
 
-def _word_order(word: Sequence[int], moduli: Sequence[int]) -> int:
-    orders = [m // gcd(m, e) for e, m in zip(word, moduli)]
-    return lcm(*orders) if orders else 1
-
-
 def _support_window(word: Sequence[int], space: SequenceSpace) -> tuple[int, int]:
     offs = space.offsets()
     touched = [
@@ -143,7 +143,7 @@ def verify_decomposition(
             support_ok = False  # zero generators carry no information
         elif not (g.start <= lo and hi <= g.stop):
             support_ok = False
-        if _word_order(g.word, moduli) != g.order:
+        if vector_order(g.word, moduli) != g.order:
             support_ok = False
     directness = []
     accumulated = zero_code(code.space)
@@ -176,10 +176,10 @@ def verify_decomposition(
 def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
     """Rectangular decomposition when symbol orders are pairwise coprime.
 
-    Returns the per-coordinate decomposition with the product verified to
-    equal the code, or None when the coprimality hypothesis fails.  The
-    verification is unconditional: a product mismatch under the hypothesis
-    would be a bug, not a soft failure.
+    Returns the per-coordinate decomposition, verified (so its factors
+    recombine to the code), or None when the coprimality hypothesis fails.
+    The verification is unconditional: a failure under the hypothesis would
+    be a bug, not a soft failure.
     """
     sp = code.space
     orders = [g.cardinality for g in sp.symbols]
@@ -188,7 +188,6 @@ def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
             if gcd(orders[i], orders[j]) != 1:
                 return None
     gens: list[DecompositionGenerator] = []
-    product = zero_code(sp)
     width = len(sp.flat_moduli)
     for i in range(sp.horizon):
         proj = window_projection(code, i, i + 1)
@@ -205,19 +204,16 @@ def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
                     prime=None,
                 )
             )
-        embedded = [
-            list(g.word) for g in gens if g.start == i
-        ]
-        product = join(product, code_from_generators(sp, embedded))
-    if product != code:
-        raise DecompositionError(
-            "coprime coordinate projections do not recombine to the code"
-        )
-    decomposition = Decomposition(sp, tuple(gens))
-    ok, cert = verify_decomposition(code, decomposition)
+    return _verified(code, gens)
+
+
+def _verified(code: BlockCode, gens: list[DecompositionGenerator]) -> Decomposition:
+    """The decomposition of ``code`` into ``gens`` with its certificate;
+    raises DecompositionError when verification fails."""
+    ok, cert = verify_decomposition(code, Decomposition(code.space, tuple(gens)))
     if not ok:
         raise DecompositionError(f"verification failed: {cert.failed_condition}")
-    return decomposition
+    return Decomposition(code.space, tuple(gens), cert)
 
 
 def _component_code(code: BlockCode, prime: int) -> tuple[BlockCode, list]:
@@ -278,7 +274,7 @@ def _max_order_in_smallest_window(
         if inner.cardinality <= enumeration_bound:
             moduli = current.space.flat_moduli
             candidates = sorted(
-                w for w in inner.words() if _word_order(w, moduli) == exponent
+                w for w in inner.words() if vector_order(w, moduli) == exponent
             )
             return candidates[0], exponent
         basis = subgroup_basis(inner.basis)
@@ -304,8 +300,7 @@ def _peel_complement(
     moduli = current.space.flat_moduli
     L = lcm(*moduli)
     for prefix in range(1, len(moduli) + 1):
-        truncated = [m // gcd(m, e) for e, m in zip(word[:prefix], moduli[:prefix])]
-        if (lcm(*truncated) if truncated else 1) != order:
+        if vector_order(word[:prefix], moduli[:prefix]) != order:
             continue
         images = [[(e * (L // m)) % L] for e, m in zip(word[:prefix], moduli[:prefix])]
         target = (L // order,)
@@ -316,7 +311,7 @@ def _peel_complement(
         chi_head = coset_reduce(kernel, chi_head)
         chi = tuple(chi_head) + tuple(0 for _ in moduli[prefix:])
         chi_perp = annihilator_rows(residue_matrix([chi], moduli))
-        return intersect(current, BlockCode(current.space, howell_form(chi_perp)))
+        return intersect(current, BlockCode(current.space, chi_perp))
     raise DecompositionError("no splitting character; order below exponent")
 
 
@@ -334,7 +329,8 @@ def cyclic_product_decomposition(
     exhibits the complement.  ``enumeration_bound`` only caps the windows
     searched word by word for the lexicographically least generator; larger
     windows take a generator from a cyclic basis.  The result is checked by
-    ``verify_decomposition``, and a failure raises DecompositionError.
+    ``verify_decomposition`` and carries its certificate; a failure raises
+    DecompositionError.
     """
     gens: list[DecompositionGenerator] = []
     for p in FiniteAbelianGroup(code.space.flat_moduli).primes():
@@ -356,11 +352,7 @@ def cyclic_product_decomposition(
                 )
             )
             current = _peel_complement(current, word, order)
-    decomposition = Decomposition(code.space, tuple(gens))
-    ok, cert = verify_decomposition(code, decomposition)
-    if not ok:
-        raise DecompositionError(f"verification failed: {cert.failed_condition}")
-    return decomposition
+    return _verified(code, gens)
 
 
 def is_subdirect_product(code: BlockCode, decomposition: Decomposition) -> bool:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from groupcodes.codes import (
+    BlockCode,
     SequenceSpace,
     ambient_code,
     code_from_generators,
@@ -16,6 +17,7 @@ from groupcodes.codes import (
     zero_code,
 )
 from groupcodes.groups import FiniteAbelianGroup
+from groupcodes.linalg import howell_form, residue_matrix
 
 
 
@@ -196,3 +198,29 @@ class TestInvariantFactors:
 
     def test_zero_code(self):
         assert invariant_factors_of_code(zero_code(binary_space(2))) == ()
+
+
+class TestCanonicalByConstruction:
+    def test_non_canonical_basis_is_canonicalized(self):
+        sp = space((4,), (2,), (4,))
+        rows = [(1, 1, 2), (3, 1, 0), (2, 0, 2)]
+        basis = residue_matrix(rows, sp.flat_moduli)
+        assert howell_form(basis) != basis
+        code = BlockCode(sp, basis)
+        assert code == code_from_generators(sp, rows)
+        assert code.basis == howell_form(basis)
+
+    def test_moduli_mismatch_still_rejected(self):
+        with pytest.raises(ValueError):
+            BlockCode(space((2,), (2,)), residue_matrix([(1, 1)], (2, 4)))
+
+
+class TestWidthChecks:
+    @pytest.mark.parametrize("generators", [[(1, 1, 1)], [(1, 1, 0), (0, 1, 1)]])
+    def test_contains_rejects_wrong_width(self, generators):
+        code = code_from_generators(space((2,), (2,), (2,)), generators)
+        for word in [(0,), (1, 1, 0, 1)]:
+            with pytest.raises(ValueError):
+                code.contains(word)
+            with pytest.raises(ValueError):
+                code.coset_representative(word)

@@ -189,6 +189,12 @@ class TestChunkDecompose:
         with pytest.raises(ValueError):
             chunk_decompose(repetition, (1, 0, 0), profile)
 
+    def test_rejects_wrong_width(self, even_weight):
+        profile = control_profile(even_weight)
+        for word in [(1, 1, 0, 1), (1, 1)]:
+            with pytest.raises(ValueError):
+                chunk_decompose(even_weight, word, profile)
+
     def test_insufficient_profile_reports_position(self, repetition):
         with pytest.raises(ProfileInsufficientError) as info:
             chunk_decompose(repetition, (1, 1, 1), (0, 0, 0))

@@ -1,0 +1,93 @@
+"""Golden CLI reports: every report on the demo specs, byte for byte.
+
+`tests/golden/index.json` maps each case name to its argument list (the
+spec is named by file name, relative to `demos/specs`), its exit code and
+its stderr; `tests/golden/<name>.out` holds its stdout.  Regenerate both
+with `PYTHONPATH=src python tests/test_golden_cli.py` only when a report
+is meant to change, and review the diff.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from groupcodes.cli import main
+
+SPECS = Path(__file__).resolve().parents[1] / "demos" / "specs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+BLOCK_PROPERTIES = (
+    ("weak-controllable",),
+    ("l-controllable", "--level", "1"),
+    ("observable",),
+    ("rectangular",),
+    ("subdirect",),
+)
+CONVOLUTIONAL_PROPERTIES = (
+    ("weak-controllable",),
+    ("l-controllable", "--level", "1"),
+    ("observable",),
+)
+
+
+def golden_cases():
+    """(name, argv) for every report; argv[1] is a spec file name."""
+    for spec in sorted(SPECS.glob("*.spec")):
+        block = "kind: block" in spec.read_text(encoding="utf-8")
+        stem, name = spec.stem, spec.name
+        yield f"{stem}.analyze", ["analyze", name]
+        yield f"{stem}.analyze-json", ["analyze", name, "--format", "json"]
+        yield f"{stem}.dual", ["dual", name]
+        if block:
+            yield f"{stem}.decompose", ["decompose", name]
+            yield f"{stem}.decompose-json", ["decompose", name, "--format", "json"]
+        yield f"{stem}.duality-check", ["duality-check", name]
+        for prop in BLOCK_PROPERTIES if block else CONVOLUTIONAL_PROPERTIES:
+            yield f"{stem}.check-{prop[0]}", ["check", name, "--property", *prop]
+
+
+def run_case(argv):
+    argv = [argv[0], str(SPECS / argv[1]), *argv[2:]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _index():
+    return json.loads((GOLDEN / "index.json").read_text(encoding="utf-8"))
+
+
+CASES = list(golden_cases())
+
+
+def test_golden_index_covers_every_case():
+    assert sorted(_index()) == sorted(name for name, _ in CASES)
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_golden_report(name, argv):
+    expected = _index()[name]
+    assert expected["argv"] == argv
+    code, out, err = run_case(argv)
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+    assert (code, err) == (expected["exit"], expected["stderr"])
+
+
+def write_goldens():
+    GOLDEN.mkdir(exist_ok=True)
+    index = {}
+    for name, argv in CASES:
+        code, out, err = run_case(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+        index[name] = {"argv": argv, "exit": code, "stderr": err}
+    (GOLDEN / "index.json").write_text(
+        json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    write_goldens()

@@ -17,6 +17,7 @@ from groupcodes.linalg import (
     annihilator_rows,
     contains_vector,
     coset_reduce,
+    homomorphism_kernel,
     howell_form,
     integer_smith_diagonal,
     intersect_rows,
@@ -26,7 +27,9 @@ from groupcodes.linalg import (
     solve_congruence_system,
     span_cardinality,
     spans_equal,
+    stack,
     subgroup_basis,
+    vector_order,
 )
 
 
@@ -328,3 +331,85 @@ class TestQuotientInvariants:
         full = residue_matrix([(1, 0, 0), (0, 1, 0), (0, 0, 1)], moduli)
         even = [(1, 1, 0), (0, 1, 1)]
         assert quotient_invariants(full, even) == (2,)
+
+
+MIXED_MODULI = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=4)
+
+
+def _rows_over(data, moduli, max_rows=4):
+    return data.draw(
+        st.lists(
+            st.tuples(*[st.integers(-2 * m, 2 * m) for m in moduli]),
+            max_size=max_rows,
+        )
+    )
+
+
+class TestTrustedResults:
+    """Matrices the library builds itself skip validation; each must still
+    satisfy every check a direct ``ResidueMatrix(...)`` call makes."""
+
+    @staticmethod
+    def assert_valid(m):
+        assert ResidueMatrix(m.moduli, m.rows) == m
+
+    @given(st.data(), MIXED_MODULI)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_results_pass_validation(self, data, moduli):
+        moduli = tuple(moduli)
+        a = residue_matrix(_rows_over(data, moduli), moduli)
+        b = residue_matrix(_rows_over(data, moduli), moduli)
+        exponent = lcm(*moduli)
+        results = [
+            a,
+            howell_form(a),
+            stack(a, b),
+            annihilator_rows(a),
+            intersect_rows(a, b),
+            homomorphism_kernel(a.rows, tuple(exponent for _ in a.rows), moduli),
+        ]
+        solution = solve_congruence_system(a, (0,) * len(moduli))
+        results.append(solution.kernel)
+        for m in results:
+            self.assert_valid(m)
+
+    def test_residue_matrix_reduces_every_entry(self):
+        m = residue_matrix([(-1, 9, 13)], (4, 3, 1))
+        assert m.rows == ((3, 0, 0),)
+        self.assert_valid(m)
+
+    def test_residue_matrix_rejects_bad_moduli(self):
+        with pytest.raises(ValueError):
+            residue_matrix([], (2, 0))
+
+
+class TestWidthChecks:
+    def test_residue_matrix_rejects_long_row(self):
+        with pytest.raises(ValueError):
+            residue_matrix([(1, 2, 3)], (4, 4))
+
+    def test_residue_matrix_rejects_short_row(self):
+        with pytest.raises(ValueError):
+            residue_matrix([(1,)], (4, 4))
+
+    def test_coset_reduce_rejects_wrong_width(self):
+        m = residue_matrix([(1, 1, 0)], (2, 2, 2))
+        for vector in [(0,), (1, 1, 0, 1)]:
+            with pytest.raises(ValueError):
+                coset_reduce(m, vector)
+            with pytest.raises(ValueError):
+                contains_vector(m, vector)
+
+    def test_quotient_rejects_wrong_width_denominator(self):
+        m = residue_matrix([(1, 0), (0, 1)], (4, 4))
+        with pytest.raises(ValueError):
+            quotient_invariants(m, [(2, 0, 1)])
+
+
+class TestVectorOrder:
+    def test_mixed_moduli(self):
+        assert vector_order((2, 3), (4, 9)) == 6
+        assert vector_order((0, 0), (4, 9)) == 1
+
+    def test_empty_vector(self):
+        assert vector_order((), ()) == 1

@@ -228,3 +228,31 @@ class TestSubdirectProduct:
             )
             decomposition = cyclic_product_decomposition(code)
             assert is_subdirect_product(code, decomposition)
+
+
+class TestCertificateKept:
+    def test_decomposition_carries_its_certificate(self):
+        rng = random.Random(29)
+        for _ in range(10):
+            sp = space(*[(rng.choice([2, 4, 6]),) for _ in range(3)])
+            code = code_from_generators(
+                sp,
+                [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)],
+            )
+            decomposition = cyclic_product_decomposition(code)
+            ok, cert = verify_decomposition(code, decomposition)
+            assert decomposition.certificate == cert
+            assert decomposition.certificate.ok and ok
+            assert is_subdirect_product(code, decomposition)
+
+    def test_coprime_rectangular_carries_its_certificate(self):
+        code = code_from_generators(space((2,), (3,)), [(1, 1)])
+        decomposition = coprime_rectangular(code)
+        assert decomposition.certificate.ok
+        assert is_subdirect_product(code, decomposition)
+
+    def test_certificate_not_part_of_equality(self, even_weight):
+        decomposition = cyclic_product_decomposition(even_weight)
+        bare = Decomposition(decomposition.space, decomposition.generators)
+        assert bare.certificate is None
+        assert bare == decomposition
