@@ -88,7 +88,8 @@ def _analyze_block(code: BlockCode) -> dict:
 
 
 def _analyze_convolutional(conv: ConvolutionalCode) -> dict:
-    weak = weak_controllability(conv)
+    # The strong verdict carries the weak one: it is "not-controllable",
+    # with the weak witness, exactly when weak controllability fails.
     strong = strong_controllability_index(conv)
     windows = {}
     for n in range(1, min(conv.analysis_horizon, 6) + 1):
@@ -101,8 +102,8 @@ def _analyze_convolutional(conv: ConvolutionalCode) -> dict:
         "memory": conv.memory,
         "analysis_horizon": conv.analysis_horizon,
         "window_orders": windows,
-        "weakly_controllable": weak.holds,
-        "weak_witness": weak.witness,
+        "weakly_controllable": strong.status != "not-controllable",
+        "weak_witness": strong.witness,
         "strong_status": strong.status,
         "strong_index": strong.index,
     }

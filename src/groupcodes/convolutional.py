@@ -20,20 +20,15 @@ justifies gating the strong index by the weak verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
-from .codes import (
-    BlockCode,
-    SequenceSpace,
-    code_from_generators,
-    window_internal,
-    window_projection,
-)
+from .codes import BlockCode, SequenceSpace, window_internal, window_projection
 from .control import control_profile
 from .duality import dual_block_code
 from .groups import FiniteAbelianGroup
-from .linalg import homomorphism_kernel
+from .linalg import annihilator_rows, residue_matrix
+
+T = TypeVar("T")
 
 __all__ = [
     "ConvolutionalCode",
@@ -108,65 +103,58 @@ class ConvolutionalCode:
         return SequenceSpace(tuple(self.symbol for _ in range(n)))
 
 
-def _shift_restrictions(conv: ConvolutionalCode, n: int) -> list[list[int]]:
-    """Restrictions to [0, n) of all shifted taps, boundary cuts included."""
+def _shifts(conv: ConvolutionalCode, n: int, cut: bool) -> list[list[int]]:
+    """The shifted taps on [0, n): every shift, cut at the boundary, when
+    ``cut`` is set, otherwise only the shifts lying entirely inside."""
     width = len(conv.symbol.moduli)
     rows = []
     for tap in conv.taps:
-        for s in range(n):
+        flat = [e for step in tap for e in step]
+        for s in range(n if cut else n - len(tap) + 1):
             row = [0] * (n * width)
-            touched = False
-            for t, step in enumerate(tap):
-                if s + t >= n:
-                    break
-                for c, e in enumerate(step):
-                    row[(s + t) * width + c] = e
-                    touched = touched or bool(e)
-            if touched:
-                rows.append(row)
+            piece = flat[: (n - s) * width]
+            row[s * width : s * width + len(piece)] = piece
+            rows.append(row)
     return rows
 
 
-def _check_solutions(
-    conv: ConvolutionalCode, n: int, truncate_at: Optional[int]
-) -> BlockCode:
-    """Solutions on [0, n) of the shifted checks.
+def _window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
+    """The shift rows on [0, n): their span in image form, their annihilator
+    in kernel form.
 
-    With ``truncate_at`` None only fully contained checks are imposed; with
-    ``truncate_at = n`` every check overlapping the window is imposed with
-    zeros assumed beyond, which is exactly membership of the zero-extended
-    word in the kernel code.
+    A word satisfies the check h at shift k exactly when it pairs to zero
+    with the row of h shifted by k, so the kernel code on [0, n) is the
+    annihilator of the image code's shift rows (Pontryagin duality).  With
+    ``cut`` the kernel rows impose every check overlapping the window with
+    zeros assumed beyond it, which is membership of the zero extension.
     """
     space = conv.window_space(n)
-    moduli = space.flat_moduli
-    width = len(conv.symbol.moduli)
-    L = lcm(*conv.symbol.moduli)
-    constraints = []
-    for tap in conv.taps:
-        max_shift = n - len(tap) if truncate_at is None else n - 1
-        for k in range(0, max_shift + 1):
-            constraints.append((tap, k))
-    if not constraints:
-        units = [
-            [1 if i == j else 0 for i in range(len(moduli))]
-            for j in range(len(moduli))
-        ]
-        return code_from_generators(space, units)
-    images = []
-    for j in range(len(moduli)):
-        time, coord = divmod(j, width)
-        img = []
-        for tap, k in constraints:
-            t = time - k
-            if 0 <= t < len(tap):
-                img.append((tap[t][coord] * (L // conv.symbol.moduli[coord])) % L)
-            else:
-                img.append(0)
-        images.append(img)
-    kernel = homomorphism_kernel(
-        images, moduli, tuple(L for _ in constraints)
-    )
-    return BlockCode(space, kernel)
+    rows = residue_matrix(_shifts(conv, n, cut), space.flat_moduli)
+    return BlockCode(space, rows if conv.form == "image" else annihilator_rows(rows))
+
+
+def _restrict(code: BlockCode, n: int) -> BlockCode:
+    return window_projection(code, 0, n) if n < code.space.horizon else code
+
+
+def _stabilize(
+    evaluate: Callable[[int], T], n: int, margins: range, failed: Optional[int] = None
+) -> T:
+    """The "agree twice" rule: evaluate at lengths n + k for k in
+    ``margins`` and return the first value equal to the one before it.
+
+    Every window that needs an infinite tail, and the strong index, stops
+    by this rule; it is a heuristic, not a theorem.  Running out of margins
+    raises MarginError naming ``failed``, by default the next margin past
+    the range.
+    """
+    previous = None
+    for k in margins:
+        current = evaluate(n + k)
+        if current == previous:
+            return current
+        previous = current
+    raise MarginError(margins[-1] + margins.step if failed is None else failed)
 
 
 def window_code(
@@ -182,20 +170,12 @@ def window_code(
     if n < 1:
         raise ValueError("window length must be at least 1")
     if conv.form == "image":
-        return code_from_generators(conv.window_space(n), _shift_restrictions(conv, n))
+        return _window(conv, n, cut=True)
     margin = conv.memory if margin is None else margin
     if margin < conv.memory:
         raise ValueError("margin must be at least the memory")
-    first = _project_solutions(conv, n, margin)
-    second = _project_solutions(conv, n, margin + conv.memory)
-    if first != second:
-        raise MarginError(margin)
-    return first
-
-
-def _project_solutions(conv: ConvolutionalCode, n: int, margin: int) -> BlockCode:
-    extended = _check_solutions(conv, n + margin, truncate_at=None)
-    return window_projection(extended, 0, n)
+    margins = range(margin, margin + conv.memory + 1, conv.memory)
+    return _stabilize(lambda M: _restrict(_window(conv, M, cut=False), n), n, margins, margin)
 
 
 def zero_extension_window(
@@ -211,20 +191,14 @@ def zero_extension_window(
     if n < 1:
         raise ValueError("window length must be at least 1")
     if conv.form == "kernel":
-        return _check_solutions(conv, n, truncate_at=n)
+        return _window(conv, n, cut=True)
     margin = conv.memory if margin is None else margin
-    cap = n + max(8 * conv.memory, margin + 4 * conv.memory)
-    previous = None
-    M = n + margin
-    while M <= cap:
-        fcs = local_window(conv, M)
-        inner = window_internal(fcs, 0, n)
-        projected = window_projection(inner, 0, n) if n < M else inner
-        if previous is not None and projected == previous:
-            return projected
-        previous = projected
-        M += conv.memory
-    raise MarginError(M - n)
+    cap = max(8 * conv.memory, margin + 4 * conv.memory)
+    return _stabilize(
+        lambda M: _restrict(window_internal(local_window(conv, M), 0, n), n),
+        n,
+        range(margin, cap + 1, conv.memory),
+    )
 
 
 def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
@@ -236,18 +210,7 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     """
     if n < 1:
         raise ValueError("window length must be at least 1")
-    if conv.form == "kernel":
-        return _check_solutions(conv, n, truncate_at=None)
-    width = len(conv.symbol.moduli)
-    rows = []
-    for tap in conv.taps:
-        for s in range(0, n - len(tap) + 1):
-            row = [0] * (n * width)
-            for t, step in enumerate(tap):
-                for c, e in enumerate(step):
-                    row[(s + t) * width + c] = e
-            rows.append(row)
-    return code_from_generators(conv.window_space(n), rows)
+    return _window(conv, n, cut=False)
 
 
 @dataclass(frozen=True)
@@ -298,17 +261,8 @@ def _finite_support_projection(conv: ConvolutionalCode, n: int) -> BlockCode:
     if conv.form == "image":
         # Projections of shift combinations are spans of cut restrictions.
         return window_code(conv, n)
-    previous = None
-    K = n
-    cap = n + 8 * conv.memory
-    while K <= cap:
-        zero_ext = zero_extension_window(conv, K)
-        projected = window_projection(zero_ext, 0, n) if n < K else zero_ext
-        if previous is not None and projected == previous:
-            return projected
-        previous = projected
-        K += conv.memory
-    raise MarginError(K - n)
+    margins = range(0, 8 * conv.memory + 1, conv.memory)
+    return _stabilize(lambda K: _restrict(zero_extension_window(conv, K), n), n, margins)
 
 
 @dataclass(frozen=True)
@@ -352,16 +306,12 @@ def strong_controllability_index(
         return StrongControllabilityVerdict(
             status="not-controllable", index=None, horizon=N, witness=weak.witness
         )
-    start = min(max(2 * conv.memory, 2), N)
-    previous = None
-    for n in range(start, N + 1):
-        idx = control_profile(local_window(conv, n)).index
-        if previous is not None and idx == previous:
-            return StrongControllabilityVerdict(
-                status="stabilized", index=idx, horizon=N
-            )
-        previous = idx
-    return StrongControllabilityVerdict(status="unknown-beyond-horizon", index=None, horizon=N)
+    lengths = range(min(max(2 * conv.memory, 2), N), N + 1)
+    try:
+        index = _stabilize(lambda n: control_profile(local_window(conv, n)).index, 0, lengths)
+    except MarginError:
+        return StrongControllabilityVerdict(status="unknown-beyond-horizon", index=None, horizon=N)
+    return StrongControllabilityVerdict(status="stabilized", index=index, horizon=N)
 
 
 def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:

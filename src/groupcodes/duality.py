@@ -102,6 +102,8 @@ def pairing(x: GroupElement, chi: Character | GroupElement) -> QmodZ:
 
 def word_pairing(x: Sequence[int], chi: Sequence[int], moduli: Sequence[int]) -> QmodZ:
     """Pairing of flat residue vectors over explicit moduli."""
+    if not len(x) == len(chi) == len(moduli):
+        raise ValueError("pairing vectors and moduli differ in length")
     total = Fraction(0)
     for a, b, m in zip(x, chi, moduli):
         total += Fraction(int(a) * int(b), m)

@@ -96,6 +96,8 @@ class GroupElement:
     residues: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if len(self.residues) != len(self.group.moduli):
+            raise ValueError("residue vector length mismatch")
         if any(not 0 <= e < m for e, m in zip(self.residues, self.group.moduli)):
             raise ValueError("residue out of range")
 

@@ -82,6 +82,14 @@ def observable_supercode(code: BlockCode, L: int) -> BlockCode:
     return result
 
 
+def _observe_index(code: BlockCode) -> int:
+    """Minimal uniform window L whose observable supercode is the code."""
+    index = 0
+    while observable_supercode(code, index) != code:
+        index += 1
+    return index
+
+
 def observe_profile(code: BlockCode) -> ObserveProfile:
     """Minimal uniform window with supercode equal to the code, plus
     per-position minima.
@@ -94,9 +102,7 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     meets the consistency set at k with one precomputed meet of the rest.
     """
     N = code.space.horizon
-    index = 0
-    while observable_supercode(code, index) != code:
-        index += 1
+    index = _observe_index(code)
 
     # after[k] (k >= 1) meets the consistency sets at positions k..N-1.
     after = [ambient_code(code.space)] * (N + 1)
@@ -220,14 +226,12 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
             window_checks.append(WindowDualityCheck(a, b, inner_dual == pulled))
     chain_ok = True
     for k in range(N):
+        reach = [reachable_set(code, k, L) for L in range(N + 1)]
+        cons = [consistency_set(dual, k, L) for L in range(N + 1)]
         for L in range(N):
-            if not reachable_set(code, k, L).is_subcode_of(
-                reachable_set(code, k, L + 1)
-            ):
+            if not reach[L].is_subcode_of(reach[L + 1]):
                 chain_ok = False
-            if not consistency_set(dual, k, L + 1).is_subcode_of(
-                consistency_set(dual, k, L)
-            ):
+            if not cons[L + 1].is_subcode_of(cons[L]):
                 chain_ok = False
     matched = []
     for L in range(N):
@@ -246,7 +250,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         chain_ok=chain_ok,
         matched_checks=tuple(matched),
         control_index=control_profile(code).index,
-        dual_observe_index=observe_profile(dual).index,
-        observe_index=observe_profile(code).index,
+        dual_observe_index=_observe_index(dual),
+        observe_index=_observe_index(code),
         dual_control_index=control_profile(dual).index,
     )

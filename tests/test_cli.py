@@ -54,6 +54,24 @@ class TestAnalyze:
         assert "weakly controllable: no (witness window 1)" in out
         assert "not-controllable" in out
 
+    def test_weak_verdict_computed_once(self, monkeypatch):
+        # The weak verdict is read from the strong one, not recomputed.
+        import groupcodes.cli
+        import groupcodes.convolutional as conv_module
+
+        calls = []
+        weak = conv_module.weak_controllability
+
+        def counted(conv):
+            calls.append(conv)
+            return weak(conv)
+
+        monkeypatch.setattr(conv_module, "weak_controllability", counted)
+        monkeypatch.setattr(groupcodes.cli, "weak_controllability", counted)
+        code, _, _ = run_cli("analyze", str(SPECS / "z4_burst_kernel.spec"))
+        assert code == 0
+        assert len(calls) == 1
+
     def test_deterministic_output(self):
         for spec in sorted(SPECS.glob("*.spec")):
             first = run_cli("analyze", str(spec))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from groupcodes.codes import window_projection
 from groupcodes.control import reachable_set
 from groupcodes.convolutional import (
     ConvolutionalCode,
+    MarginError,
     dual_convolutional,
     local_window,
     strong_controllability_index,
@@ -221,3 +223,71 @@ class TestEquivalenceChain:
             strong = strong_controllability_index(conv)
             assert strong.status != "unknown-beyond-horizon", conv
             assert weak.holds == strong.is_finite, conv
+
+
+def _checks_hold(conv, word, cut):
+    """Brute force: every check overlapping the word (``cut``) or lying
+    inside it pairs to zero with the word, read with zeros beyond its end,
+    summed as exact fractions."""
+    moduli = conv.symbol.moduli
+    n = len(word)
+    for tap in conv.taps:
+        for k in range(n if cut else n - len(tap) + 1):
+            total = Fraction(0)
+            for t, step in enumerate(tap):
+                if k + t < n:
+                    for a, b, m in zip(word[k + t], step, moduli):
+                        total += Fraction(a * b, m)
+            if total.denominator != 1:
+                return False
+    return True
+
+
+def _brute_window(conv, n, cut):
+    symbols = list(itertools.product(*[range(m) for m in conv.symbol.moduli]))
+    return {
+        tuple(e for step in word for e in step)
+        for word in itertools.product(symbols, repeat=n)
+        if _checks_hold(conv, word, cut)
+    }
+
+
+def _two_step_kernel_codes():
+    for symbol in (Z2, Z4, V4):
+        steps = list(itertools.product(*[range(m) for m in symbol.moduli]))
+        for tap in itertools.product(steps, repeat=2):
+            if any(map(any, tap)):
+                yield kernel(symbol, tap)
+
+
+KERNEL_CASES = [(conv, n) for conv in _two_step_kernel_codes() for n in (1, 2, 3)]
+
+
+class TestKernelWindowsBruteForce:
+    """Kernel windows against an enumeration that pairs words with every
+    shifted check directly, independent of the annihilator computation."""
+
+    @pytest.mark.parametrize(
+        "conv,n",
+        KERNEL_CASES,
+        ids=[f"{c.symbol.moduli}-{c.taps}-n{n}" for c, n in KERNEL_CASES],
+    )
+    def test_windows_match_enumeration(self, conv, n):
+        zero_extension = set(zero_extension_window(conv, n).words())
+        assert zero_extension == _brute_window(conv, n, cut=True)
+        assert set(local_window(conv, n).words()) == _brute_window(conv, n, cut=False)
+
+
+class TestMarginRecovery:
+    # The Z/4 check (1, 0, 2) forces every symbol to zero, but its window
+    # only settles once the margin leaves room for two chained checks.
+    CONV = kernel(Z4, ((1,), (0,), (2,)))
+
+    def test_default_margin_raises(self):
+        with pytest.raises(MarginError) as info:
+            window_code(self.CONV, 3)
+        assert info.value.margin == 3
+
+    def test_larger_margin_returns_window(self):
+        for n in range(1, 5):
+            assert window_code(self.CONV, n, margin=6).cardinality == 1

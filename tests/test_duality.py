@@ -13,6 +13,7 @@ from groupcodes.duality import (
     dual_block_code,
     pairing,
     quotient_duality_check,
+    word_pairing,
 )
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import (
@@ -66,6 +67,14 @@ class TestPairing:
                     pairing(x, Character(chi)).is_zero() for chi in G.elements()
                 )
                 assert trivial == x.is_zero()
+
+    @pytest.mark.parametrize(
+        "x,chi,moduli",
+        [((1, 1, 1), (1, 1), (2, 2)), ((1, 1), (1, 1), (2, 2, 2)), ((1,), (1, 1), (2, 2))],
+    )
+    def test_word_pairing_rejects_wrong_width(self, x, chi, moduli):
+        with pytest.raises(ValueError):
+            word_pairing(x, chi, moduli)
 
 
 class TestAnnihilator:

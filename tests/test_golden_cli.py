@@ -1,8 +1,10 @@
-"""Golden CLI reports: every report on the demo specs, byte for byte.
+"""Golden CLI reports: every report on the demo specs and on the extra
+convolutional specs in `tests/golden/specs`, byte for byte.
 
 `tests/golden/index.json` maps each case name to its argument list (the
-spec is named by file name, relative to `demos/specs`), its exit code and
-its stderr; `tests/golden/<name>.out` holds its stdout.  Regenerate both
+spec is named by file name, looked up in `demos/specs` and then in
+`tests/golden/specs`), its exit code and its stderr;
+`tests/golden/<name>.out` holds its stdout.  Regenerate both
 with `PYTHONPATH=src python tests/test_golden_cli.py` only when a report
 is meant to change, and review the diff.
 """
@@ -16,8 +18,9 @@ import pytest
 
 from groupcodes.cli import main
 
-SPECS = Path(__file__).resolve().parents[1] / "demos" / "specs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SPEC_DIRS = (Path(__file__).resolve().parents[1] / "demos" / "specs", GOLDEN / "specs")
+SPECS = {spec.name: spec for d in reversed(SPEC_DIRS) for spec in d.glob("*.spec")}
 
 BLOCK_PROPERTIES = (
     ("weak-controllable",),
@@ -35,7 +38,7 @@ CONVOLUTIONAL_PROPERTIES = (
 
 def golden_cases():
     """(name, argv) for every report; argv[1] is a spec file name."""
-    for spec in sorted(SPECS.glob("*.spec")):
+    for spec in sorted(SPECS.values()):
         block = "kind: block" in spec.read_text(encoding="utf-8")
         stem, name = spec.stem, spec.name
         yield f"{stem}.analyze", ["analyze", name]
@@ -50,7 +53,7 @@ def golden_cases():
 
 
 def run_case(argv):
-    argv = [argv[0], str(SPECS / argv[1]), *argv[2:]]
+    argv = [argv[0], str(SPECS[argv[1]]), *argv[2:]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)

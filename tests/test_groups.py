@@ -6,6 +6,7 @@ import pytest
 
 from groupcodes.groups import (
     FiniteAbelianGroup,
+    GroupElement,
     element_order,
     height,
     primary_decomposition,
@@ -169,3 +170,10 @@ class TestSocle:
                 comp = primary_decomposition(G)[p].group
                 _, dim = socle(comp, p)
                 assert dim == len([f for f in factors if f % p == 0])
+
+
+class TestWidthChecks:
+    @pytest.mark.parametrize("residues", [(1,), (1, 2, 0)])
+    def test_element_rejects_wrong_width(self, residues):
+        with pytest.raises(ValueError):
+            GroupElement(FiniteAbelianGroup((2, 4)), residues)
