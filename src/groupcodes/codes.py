@@ -19,8 +19,10 @@ from .linalg import (
     ResidueMatrix,
     contains_vector,
     coset_reduce,
+    head_kernel,
     howell_form,
     intersect_rows,
+    projection_graph,
     residue_matrix,
     smith_invariants,
     span_cardinality,
@@ -176,7 +178,7 @@ def ambient_code(space: SequenceSpace) -> BlockCode:
 
 
 def intersect(a: BlockCode, b: BlockCode) -> BlockCode:
-    """Exact intersection, computed through annihilators."""
+    """Exact intersection (``linalg.intersect_rows``)."""
     if a.space != b.space:
         raise ValueError("codes live in different spaces")
     return BlockCode(a.space, intersect_rows(a.basis, b.basis))
@@ -201,28 +203,15 @@ def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
 def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
     """Subgroup of codewords supported inside [a, b), in the same space.
 
-    Computed by reordering the complement coordinates first and reading the
-    Howell rows whose leading entries fall inside the window; the Howell
-    property makes those rows span exactly the internally supported part.
+    These are the codewords vanishing on every coordinate outside the
+    window: the tails of the projection graph onto those coordinates whose
+    head vanishes, read off one Howell form.
     """
     code.space.check_window(a, b)
-    moduli = code.basis.moduli
     sl = code.space.flat_slice(a, b)
-    inside = list(range(sl.start, sl.stop))
-    outside = [j for j in range(len(moduli)) if j not in inside]
-    perm = outside + inside
-    permuted = residue_matrix(
-        [[row[j] for j in perm] for row in code.basis.rows],
-        tuple(moduli[j] for j in perm),
-    )
-    canon = howell_form(permuted)
-    head = len(outside)
-    kept = [row for row in canon.rows if not any(row[:head])]
-    inverse = {pos: j for j, pos in enumerate(perm)}
-    restored = [
-        [row[inverse[j]] for j in range(len(moduli))] for row in kept
-    ]
-    return code_from_generators(code.space, restored)
+    outside = [j for j in range(code.basis.width) if not sl.start <= j < sl.stop]
+    graph = projection_graph(code.basis, outside)
+    return BlockCode(code.space, head_kernel(graph, len(outside)))
 
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:

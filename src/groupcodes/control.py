@@ -23,9 +23,12 @@ from .codes import BlockCode, intersect, join, window_internal
 from .linalg import (
     contains_vector,
     coset_reduce,
+    head_kernel,
+    head_solve,
+    homomorphism_graph,
     howell_form,
+    projection_graph,
     scale_rows,
-    solve_homomorphism,
     vector_order,
 )
 
@@ -144,26 +147,17 @@ def _window_solution(
 ) -> Optional[tuple[int, ...]]:
     """A word of ``inner`` matching ``target_symbol`` at ``position``.
 
-    Picks the canonical representative: the particular solution reduced by
-    the subgroup of ``inner`` vanishing at the position.
+    Picks the canonical representative: a particular word reduced by the
+    subgroup of ``inner`` vanishing at the position.  Both come from the
+    graph of the projection of ``inner`` onto the position's coordinates.
     """
     sl = code.space.flat_slice(position, position + 1)
-    symbol_moduli = code.space.flat_moduli[sl]
-    rows = inner.basis.rows
-    if not rows:
+    columns = range(sl.start, sl.stop)
+    graph = projection_graph(inner.basis, columns)
+    particular = head_solve(graph, len(columns), target_symbol)
+    if particular is None:
         return None
-    exponent = lcm(*inner.basis.moduli)
-    images = [row[sl] for row in rows]
-    coeffs = solve_homomorphism(
-        images, tuple(exponent for _ in rows), symbol_moduli, target_symbol
-    )
-    if coeffs is None:
-        return None
-    particular = _combine(coeffs, rows, code.space.flat_moduli)
-    # Reduce by the stabilizer of the position; the stabilizer vanishes on
-    # the pinned symbol, so the reduction cannot disturb it.
-    stabilizer = window_internal(inner, position + 1, code.space.horizon)
-    return coset_reduce(stabilizer.basis, particular)
+    return coset_reduce(head_kernel(graph, len(columns)), particular)
 
 
 def chunk_decompose(
@@ -284,17 +278,15 @@ def _order_split_everywhere(
     scaled_meets = {
         t: howell_form(scale_rows(both.basis, t)) for t in divisors
     }
-    gens = list(prefix.basis.rows) + list(suffix.basis.rows)
+    gens = prefix.basis.rows + suffix.basis.rows
     n_prefix = len(prefix.basis.rows)
     exponent = lcm(*moduli) if moduli else 1
-    unknowns = tuple(exponent for _ in gens)
+    graph = homomorphism_graph(gens, tuple(exponent for _ in gens), moduli)
     heads, head_splits, orders = [], [], []
     for row, (pivot, order) in zip(code.basis.rows, code.pivots()):
         if pivot >= cut:
             break
-        coeffs = (
-            solve_homomorphism(gens, unknowns, moduli, row) if gens else None
-        )
+        coeffs = head_solve(graph, len(moduli), row)
         if coeffs is None:
             # The row is itself a codeword without any split.
             return False

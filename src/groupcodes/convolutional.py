@@ -236,12 +236,14 @@ class WeakControllabilityVerdict:
 def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     """Compare each window of the code against its finite-support part.
 
-    Image codes are spanned by finite-support words, so their windows agree
-    by construction.  For kernel codes the finite-support part is computed
-    as the stabilized projection of the zero-extension windows; the first
-    window where it falls short of the code window is the witness.
+    Image codes are spanned by finite-support words and hold by
+    construction, with no window built.  For kernel codes the finite-support
+    part is the stabilized projection of the zero-extension windows; the
+    first window where it falls short of the code window is the witness.
     """
     N = conv.analysis_horizon
+    if conv.form == "image":
+        return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, N + 1):
         full = window_code(conv, n)
         inner = _finite_support_projection(conv, n)
@@ -257,10 +259,7 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
 
 
 def _finite_support_projection(conv: ConvolutionalCode, n: int) -> BlockCode:
-    """Stabilized projection to [0, n) of the finite-support codewords."""
-    if conv.form == "image":
-        # Projections of shift combinations are spans of cut restrictions.
-        return window_code(conv, n)
+    """Stabilized projection to [0, n) of a kernel code's finite support."""
     margins = range(0, 8 * conv.memory + 1, conv.memory)
     return _stabilize(lambda K: _restrict(zero_extension_window(conv, K), n), n, margins)
 
@@ -349,11 +348,13 @@ def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     The closure is taken in the full product: its internally supported
     window is the annihilator of the finite-support projection of the dual
     code, while the code's own finite-support window is the annihilator of
-    the dual's full window.  Kernel codes are closed and always pass; for
-    image codes the comparison detects finite-support limits that are not
-    finite shift combinations.
+    the dual's full window.  Kernel codes pass at once: both sides are the
+    annihilator of the same cut shift rows.  For image codes the comparison
+    detects finite-support limits that are not finite shift combinations.
     """
     N = conv.analysis_horizon
+    if conv.form == "kernel":
+        return WeakControllabilityVerdict(holds=True, horizon=N)
     dual = dual_convolutional(conv)
     for n in range(1, N + 1):
         finite_part = zero_extension_window(conv, n)

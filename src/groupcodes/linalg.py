@@ -37,6 +37,10 @@ __all__ = [
     "solve_congruence_system",
     "CongruenceSolution",
     "annihilator_rows",
+    "head_kernel",
+    "head_solve",
+    "projection_graph",
+    "homomorphism_graph",
     "homomorphism_kernel",
     "solve_homomorphism",
     "intersect_rows",
@@ -201,7 +205,7 @@ def _unembed(row: Sequence[int], moduli: Vector, L: int) -> Vector:
     return tuple(e // (L // m) for e, m in zip(row, moduli))
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=1 << 12)
 def _howell_cached(rows: tuple[Vector, ...], moduli: Vector) -> tuple[Vector, ...]:
     if not moduli:
         return ()
@@ -306,22 +310,61 @@ def stack(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism kernels and solving via the graph trick.
+# The vanishing-block read.  By the Howell property, the rows of a Howell
+# form whose first ``head`` entries vanish span exactly the span elements
+# that vanish there (Storjohann & Mulders, ESA 1998).  Every kernel-shaped
+# result is that read on a suitable block matrix:
 #
-# For a homomorphism f from ⊕ Z/u_j (unknowns) to ⊕ Z/w_i (image), the span
-# of the rows [f(e_j) | e_j] is the graph {(f(x), x)}.  In its Howell form,
-# the rows whose image block vanishes span exactly {(0, x) : f(x) = 0}, and
-# clearing the image block of (target | 0) decides solvability of f(x) =
-# target while reading off a particular solution.
+# * kernel of f: the graph rows [f(e_j) | e_j] span {(f(x), x)}, and the
+#   rows with vanishing image block span {(0, x) : f(x) = 0};
+# * A ∩ B (Zassenhaus): the rows [a | a] and [b | 0] span {(x + y, x)}, and
+#   x + y = 0 leaves x in both spans;
+# * span elements vanishing on some columns: the projection graph, the rows
+#   [row on those columns | row].
+#
+# Clearing the head of (target | 0) by the same Howell form decides whether
+# some (target | t) lies in the span, reading off t.
 # ---------------------------------------------------------------------------
 
 
-def _graph(
+def head_kernel(matrix: ResidueMatrix, head: int) -> ResidueMatrix:
+    """Howell basis of {t : (0 | t) in span(matrix)}, the head ``head`` wide.
+
+    The tails of the vanishing-head Howell rows already form the canonical
+    basis: pivots, their normalization and the reduction above them and the
+    Howell property all carry over to the tail columns.
+    """
+    canon = howell_form(matrix)
+    rows = tuple(row[head:] for row in canon.rows if not any(row[:head]))
+    return _trusted(canon.moduli[head:], rows)
+
+
+def head_solve(
+    matrix: ResidueMatrix, head: int, target: Sequence[int]
+) -> Optional[Vector]:
+    """A tail t with (target | t) in span(matrix), or None."""
+    canon = howell_form(matrix)
+    augmented = _reduced(target, canon.moduli[:head]) + (0,) * (canon.width - head)
+    remainder, _ = _reduce_vector(canon, augmented, stop=head)
+    if any(remainder[:head]):
+        return None
+    return tuple((-e) % m for e, m in zip(remainder[head:], canon.moduli[head:]))
+
+
+def projection_graph(matrix: ResidueMatrix, columns: Sequence[int]) -> ResidueMatrix:
+    """The rows ``[row restricted to columns | row]``: the graph of the
+    projection of the span onto ``columns``, projected columns first."""
+    head = tuple(matrix.moduli[j] for j in columns)
+    rows = tuple(tuple(row[j] for j in columns) + row for row in matrix.rows)
+    return _trusted(head + matrix.moduli, rows)
+
+
+def homomorphism_graph(
     images: Sequence[Sequence[int]],
     unknown_moduli: Sequence[int],
     image_moduli: Sequence[int],
 ) -> ResidueMatrix:
-    """Howell form of the graph rows ``[f(e_j) | e_j]`` over image + unknowns."""
+    """The graph rows ``[f(e_j) | e_j]`` of f, image columns first."""
     unknowns = tuple(int(m) for m in unknown_moduli)
     imgmods = tuple(int(m) for m in image_moduli)
     rows = tuple(
@@ -329,24 +372,7 @@ def _graph(
         + tuple(1 % u if k == j else 0 for k, u in enumerate(unknowns))
         for j in range(len(unknowns))
     )
-    return howell_form(_trusted(imgmods + unknowns, rows))
-
-
-def _graph_kernel(graph: ResidueMatrix, head: int) -> ResidueMatrix:
-    """Kernel of f read off its graph's Howell form (``head`` image columns)."""
-    rows = tuple(row[head:] for row in graph.rows if not any(row[:head]))
-    return howell_form(_trusted(graph.moduli[head:], rows))
-
-
-def _graph_solve(
-    graph: ResidueMatrix, head: int, target: Sequence[int]
-) -> Optional[Vector]:
-    """A particular x with f(x) = target, read off f's graph, or None."""
-    augmented = _reduced(target, graph.moduli[:head]) + (0,) * (graph.width - head)
-    remainder, _ = _reduce_vector(graph, augmented, stop=head)
-    if any(remainder[:head]):
-        return None
-    return tuple((-e) % m for e, m in zip(remainder[head:], graph.moduli[head:]))
+    return _trusted(imgmods + unknowns, rows)
 
 
 def homomorphism_kernel(
@@ -362,7 +388,8 @@ def homomorphism_kernel(
     for m, img in zip(unknown_moduli, images):
         if any((int(m) * int(e)) % int(w) for e, w in zip(img, image_moduli)):
             raise ValueError("map not well defined on Z/%d" % m)
-    return _graph_kernel(_graph(images, unknown_moduli, image_moduli), len(image_moduli))
+    graph = homomorphism_graph(images, unknown_moduli, image_moduli)
+    return head_kernel(graph, len(image_moduli))
 
 
 def solve_homomorphism(
@@ -374,8 +401,8 @@ def solve_homomorphism(
     """A particular ``x`` with ``sum_j x_j * images[j] = target``, or None."""
     if len(target) != len(image_moduli):
         raise ValueError("target length mismatch")
-    graph = _graph(images, unknown_moduli, image_moduli)
-    return _graph_solve(graph, len(image_moduli), target)
+    graph = homomorphism_graph(images, unknown_moduli, image_moduli)
+    return head_solve(graph, len(image_moduli), target)
 
 
 @dataclass(frozen=True)
@@ -398,16 +425,14 @@ def solve_congruence_system(
     """
     if len(target) != matrix.width:
         raise ValueError("right-hand side length mismatch")
-    if not matrix.rows:
-        if any(int(e) % m for e, m in zip(target, matrix.moduli)):
-            return None
-        return CongruenceSolution((), residue_matrix([], ()))
     exponent = lcm(*matrix.moduli)
-    graph = _graph(matrix.rows, tuple(exponent for _ in matrix.rows), matrix.moduli)
-    particular = _graph_solve(graph, matrix.width, target)
+    graph = homomorphism_graph(
+        matrix.rows, tuple(exponent for _ in matrix.rows), matrix.moduli
+    )
+    particular = head_solve(graph, matrix.width, target)
     if particular is None:
         return None
-    return CongruenceSolution(particular, _graph_kernel(graph, matrix.width))
+    return CongruenceSolution(particular, head_kernel(graph, matrix.width))
 
 
 def annihilator_rows(matrix: ResidueMatrix) -> ResidueMatrix:
@@ -416,34 +441,27 @@ def annihilator_rows(matrix: ResidueMatrix) -> ResidueMatrix:
     The pairing of x and chi over moduli m is ``sum_j x_j chi_j / m_j`` taken
     modulo 1; chi annihilates the span iff every generator pairs to zero,
     which over the common denominator ``L`` reads
-    ``sum_j g_j (L/m_j) chi_j = 0 (mod L)`` per generator ``g``.
+    ``sum_j g_j (L/m_j) chi_j = 0 (mod L)`` per generator ``g``: the kernel
+    of the map sending the j-th unit to the column ``(g_j (L/m_j))_g``.
     """
     moduli = matrix.moduli
-    if not moduli:
-        return residue_matrix([], ())
     L = lcm(*moduli)
-    if not matrix.rows or L == 1:
-        # Annihilator of the zero subgroup: the whole dual group.
-        units = [
-            [1 if k == j else 0 for k in range(len(moduli))]
-            for j, m in enumerate(moduli)
-            if m > 1
-        ]
-        return howell_form(residue_matrix(units, moduli))
     images = [
         [(row[j] * (L // moduli[j])) % L for row in matrix.rows]
         for j in range(len(moduli))
     ]
-    image_moduli = tuple(L for _ in matrix.rows)
-    return homomorphism_kernel(images, moduli, image_moduli)
+    # m_j * g_j * (L/m_j) = 0 mod L: the map is well defined by construction.
+    graph = homomorphism_graph(images, moduli, tuple(L for _ in matrix.rows))
+    return head_kernel(graph, len(matrix.rows))
 
 
 def intersect_rows(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
-    """Intersection of two spans, computed as (A-perp + B-perp)-perp."""
+    """Intersection of two spans, read off the Zassenhaus block matrix."""
     if a.moduli != b.moduli:
         raise ValueError("column moduli mismatch")
-    joined = stack(annihilator_rows(a), annihilator_rows(b))
-    return annihilator_rows(joined)
+    zero = (0,) * a.width
+    rows = tuple(row + row for row in a.rows) + tuple(row + zero for row in b.rows)
+    return head_kernel(_trusted(a.moduli + a.moduli, rows), a.width)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +577,23 @@ def _smith_with_left_inverse(
     return diag, uinv
 
 
+def _relation_lattice(
+    gens: Sequence[Vector], extra: Sequence[Vector], moduli: Vector
+) -> list[list[int]]:
+    """Integer relations among ``gens`` modulo span(``extra``), one row per
+    generator: a column per lifted kernel element, restricted to the
+    coefficients of ``gens``, plus exponent times the standard lattice."""
+    exponent = lcm(*moduli)
+    combined = list(gens) + list(extra)
+    # Unknowns over Z/exponent: every image is killed by the exponent, so
+    # the map is well defined by construction.
+    graph = homomorphism_graph(combined, tuple(exponent for _ in combined), moduli)
+    k = len(gens)
+    cols = [row[:k] for row in head_kernel(graph, len(moduli)).rows]
+    cols.extend([exponent if i == j else 0 for i in range(k)] for j in range(k))
+    return [[col[r] for col in cols] for r in range(k)]
+
+
 def subgroup_basis(matrix: ResidueMatrix) -> list[tuple[Vector, int]]:
     """Elements y_i with span(matrix) the internal direct sum of the <y_i>.
 
@@ -566,19 +601,12 @@ def subgroup_basis(matrix: ResidueMatrix) -> list[tuple[Vector, int]]:
     the orders are the invariant factors of the span.
     """
     canon = howell_form(matrix)
-    gens = list(canon.rows)
+    gens = canon.rows
     if not gens:
         return []
     moduli = canon.moduli
-    exponent = lcm(*moduli)
     k = len(gens)
-    unknowns = tuple(exponent for _ in gens)
-    kernel = homomorphism_kernel(gens, unknowns, moduli)
-    # Integer relation lattice: lifts of the kernel mod exponent, plus
-    # exponent times the standard lattice.  Columns generate the lattice.
-    cols: list[list[int]] = [list(row) for row in kernel.rows]
-    cols.extend([exponent if i == j else 0 for i in range(k)] for j in range(k))
-    lattice = [[cols[c][r] for c in range(len(cols))] for r in range(k)]
+    lattice = _relation_lattice(gens, (), moduli)
     diag, uinv = _smith_with_left_inverse(lattice, track=True)
     result: list[tuple[Vector, int]] = []
     for i in range(k):
@@ -604,24 +632,12 @@ def quotient_invariants(
     quotient.
     """
     canon = howell_form(numerator)
-    gens = list(canon.rows)
-    if not gens:
+    if not canon.rows:
         return ()
-    moduli = canon.moduli
-    den = [_reduced(row, moduli) for row in denominator_rows]
-    exponent = lcm(*moduli)
-    k = len(gens)
-    combined = gens + den
-    unknowns = tuple(exponent for _ in combined)
-    kernel = homomorphism_kernel(combined, unknowns, moduli)
-    # Relations among the numerator generators modulo the denominator are the
-    # projections of the combined kernel onto the first k coefficients.
-    cols: list[list[int]] = [list(row[:k]) for row in kernel.rows]
-    cols.extend([exponent if i == j else 0 for i in range(k)] for j in range(k))
-    lattice = [[cols[c][r] for c in range(len(cols))] for r in range(k)]
+    den = [_reduced(row, canon.moduli) for row in denominator_rows]
+    lattice = _relation_lattice(canon.rows, den, canon.moduli)
     diag, _ = _smith_with_left_inverse(lattice, track=False)
-    factors = sorted(d for d in diag if d not in (0, 1))
-    return tuple(factors)
+    return tuple(sorted(d for d in diag if d not in (0, 1)))
 
 
 def smith_invariants(matrix: ResidueMatrix) -> tuple[int, ...]:

@@ -28,10 +28,11 @@ from .groups import FiniteAbelianGroup, primary_decomposition
 from .linalg import (
     annihilator_rows,
     coset_reduce,
-    homomorphism_kernel,
+    head_kernel,
+    head_solve,
+    homomorphism_graph,
     residue_matrix,
     smith_invariants,
-    solve_homomorphism,
     subgroup_basis,
     vector_order,
 )
@@ -303,12 +304,11 @@ def _peel_complement(
         if vector_order(word[:prefix], moduli[:prefix]) != order:
             continue
         images = [[(e * (L // m)) % L] for e, m in zip(word[:prefix], moduli[:prefix])]
-        target = (L // order,)
-        chi_head = solve_homomorphism(images, moduli[:prefix], (L,), target)
+        graph = homomorphism_graph(images, moduli[:prefix], (L,))
+        chi_head = head_solve(graph, 1, (L // order,))
         if chi_head is None:
             continue
-        kernel = homomorphism_kernel(images, moduli[:prefix], (L,))
-        chi_head = coset_reduce(kernel, chi_head)
+        chi_head = coset_reduce(head_kernel(graph, 1), chi_head)
         chi = tuple(chi_head) + tuple(0 for _ in moduli[prefix:])
         chi_perp = annihilator_rows(residue_matrix([chi], moduli))
         return intersect(current, BlockCode(current.space, chi_perp))

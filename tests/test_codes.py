@@ -169,23 +169,44 @@ class TestWindows:
 
     def test_windows_match_enumeration(self):
         rng = random.Random(67)
+        cases = []
         sp = space((2,), (4,), (2,))
         for _ in range(25):
             code = code_from_generators(
                 sp, [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
             )
-            words = words_of(code)
             a, b = sorted(rng.sample(range(4), 2))
-            if a == b:
-                continue
-            sl = sp.flat_slice(a, b)
-            assert words_of(window_projection(code, a, b)) == {w[sl] for w in words}
-            expected_internal = {
-                w
-                for w in words
-                if all(not e for i, e in enumerate(w) if i < sl.start or i >= sl.stop)
-            }
-            assert words_of(window_internal(code, a, b)) == expected_internal
+            if a != b:
+                cases.append((code, [(a, b)]))
+        # Modulus-1 columns, mixed symbols, zero and full codes, and every
+        # window, the edge windows [0, N) and [a, N) included.
+        for symbols in [
+            ((1,), (2,), (1,)),
+            ((2, 4), (6,)),
+            ((2, 4), (1,), (6,)),
+            ((3,), (9, 3), (1, 2)),
+        ]:
+            sp = space(*symbols)
+            N = sp.horizon
+            windows = [(a, b) for a in range(N + 1) for b in range(a, N + 1)]
+            cases += [(zero_code(sp), windows), (ambient_code(sp), windows)]
+            for k in (1, 2, 2, 3):
+                gens = [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(k)]
+                cases.append((code_from_generators(sp, gens), windows))
+        for code, windows in cases:
+            words = words_of(code)
+            for a, b in windows:
+                sl = code.space.flat_slice(a, b)
+                if a < b:
+                    assert words_of(window_projection(code, a, b)) == {
+                        w[sl] for w in words
+                    }
+                expected_internal = {
+                    w for w in words if not any(w[: sl.start] + w[sl.stop :])
+                }
+                inner = window_internal(code, a, b)
+                assert inner.basis == howell_form(inner.basis)
+                assert words_of(inner) == expected_internal
 
 
 class TestInvariantFactors:

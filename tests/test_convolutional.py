@@ -113,6 +113,13 @@ class TestWeakControllability:
     def test_burst_kernel_code_holds(self):
         assert weak_controllability(kernel(Z4, ((2,), (1,)))).holds
 
+    def test_image_codes_build_no_window(self, monkeypatch):
+        calls = _count_window_calls(monkeypatch)
+        for conv in (ACCUMULATOR, image(Z4, ((1,), (2,))), image(V4, ((1, 0), (0, 1)))):
+            verdict = weak_controllability(conv)
+            assert verdict.holds and verdict.horizon == conv.analysis_horizon
+        assert calls == {"window_code": 0, "zero_extension_window": 0}
+
 
 class TestStrongControllability:
     def test_accumulator_index_one(self):
@@ -201,6 +208,37 @@ class TestDuality:
             assert ctrl.holds == obs.holds
             if not ctrl.holds:
                 assert ctrl.witness == obs.witness
+
+
+    def test_kernel_codes_observe_without_windows(self, monkeypatch):
+        codes = (CONSTANT, kernel(Z4, ((2,), (1,))), kernel(V4, ((1, 0), (0, 1))))
+        # The short-circuit rests on the per-window duality of the image dual:
+        # both sides of the comparison are the annihilator of the same rows.
+        for conv in codes:
+            for n in range(1, conv.analysis_horizon + 1):
+                assert verify_window_duality(dual_convolutional(conv), n)
+        calls = _count_window_calls(monkeypatch)
+        for conv in codes:
+            verdict = weak_observability(conv)
+            assert verdict.holds and verdict.horizon == conv.analysis_horizon
+        assert calls == {"window_code": 0, "zero_extension_window": 0}
+
+
+def _count_window_calls(monkeypatch):
+    """Wrap the window builders the weak verdicts call; return the counts."""
+    import groupcodes.convolutional as module
+
+    calls = {}
+    for name in ("window_code", "zero_extension_window"):
+        original = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestEquivalenceChain:

@@ -17,6 +17,8 @@ from groupcodes.linalg import (
     annihilator_rows,
     contains_vector,
     coset_reduce,
+    head_kernel,
+    head_solve,
     homomorphism_kernel,
     howell_form,
     integer_smith_diagonal,
@@ -279,6 +281,19 @@ class TestAnnihilator:
         assert annihilator_rows(annihilator_rows(mat)) == mat
 
 
+MIXED_MODULI = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=4)
+MIXED_MODULI_WIDE = st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=5)
+
+
+def _rows_over(data, moduli, max_rows=4):
+    return data.draw(
+        st.lists(
+            st.tuples(*[st.integers(-2 * m, 2 * m) for m in moduli]),
+            max_size=max_rows,
+        )
+    )
+
+
 class TestIntersection:
     def test_intersection_matches_enumeration(self):
         rng = random.Random(31)
@@ -293,6 +308,63 @@ class TestIntersection:
                 rows_b, moduli
             )
             assert enumerate_span(meet.rows, moduli) == expected
+        # Modulus-1 columns, mixed symbols, and zero and full spans.
+        for moduli in [(1, 2, 1), (1, 1), (2, 4, 6), (6, 4), (2, 4, 6, 1), (9, 3, 1), (1,)]:
+            width = len(moduli)
+            units = [[int(k == j) for k in range(width)] for j in range(width)]
+            spans = [[], units, [[0] * width]]
+            for _ in range(12):
+                count = rng.randrange(1, 4)
+                spans.append([[rng.randrange(2 * m) for m in moduli] for _ in range(count)])
+            for rows_a in spans:
+                for rows_b in (spans[0], spans[1], rng.choice(spans[3:])):
+                    meet = intersect_rows(
+                        residue_matrix(rows_a, moduli), residue_matrix(rows_b, moduli)
+                    )
+                    assert meet == howell_form(meet)
+                    expected = enumerate_span(rows_a, moduli) & enumerate_span(
+                        rows_b, moduli
+                    )
+                    assert enumerate_span(meet.rows, moduli) == expected
+
+    @given(st.data(), MIXED_MODULI_WIDE)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_meet_is_the_dual_of_the_join_of_annihilators(self, data, moduli):
+        """The former formula (A-perp + B-perp)-perp stays as the reference."""
+        moduli = tuple(moduli)
+        a = residue_matrix(_rows_over(data, moduli), moduli)
+        b = residue_matrix(_rows_over(data, moduli), moduli)
+        meet = intersect_rows(a, b)
+        assert annihilator_rows(meet) == stack(annihilator_rows(a), annihilator_rows(b))
+        assert meet == annihilator_rows(stack(annihilator_rows(a), annihilator_rows(b)))
+
+
+class TestHeadKernel:
+    @given(st.data(), MIXED_MODULI_WIDE, st.integers(0, 5))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_vanishing_head_read(self, data, moduli, head):
+        """The vanishing-head tails are the canonical basis of the kernel,
+        and head_solve finds a tail exactly for the heads of the span."""
+        moduli = tuple(moduli)
+        head = min(head, len(moduli))
+        rows = _rows_over(data, moduli, max_rows=5)
+        mat = residue_matrix(rows, moduli)
+        kernel = head_kernel(mat, head)
+        assert kernel == howell_form(kernel)
+        span = enumerate_span(mat.rows, moduli)
+        expected = {v[head:] for v in span if not any(v[:head])}
+        assert enumerate_span(kernel.rows, moduli[head:]) == expected
+        for v in sorted(span)[:4]:
+            tail = head_solve(mat, head, v[:head])
+            assert tail is not None and v[:head] + tail in span
+        heads = {v[:head] for v in span}
+        missing = next(
+            (h for h in itertools.product(*[range(m) for m in moduli[:head]])
+             if h not in heads),
+            None,
+        )
+        if missing is not None:
+            assert head_solve(mat, head, missing) is None
 
 
 class TestSubgroupBasis:
@@ -333,16 +405,6 @@ class TestQuotientInvariants:
         assert quotient_invariants(full, even) == (2,)
 
 
-MIXED_MODULI = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=4)
-
-
-def _rows_over(data, moduli, max_rows=4):
-    return data.draw(
-        st.lists(
-            st.tuples(*[st.integers(-2 * m, 2 * m) for m in moduli]),
-            max_size=max_rows,
-        )
-    )
 
 
 class TestTrustedResults:
