@@ -253,7 +253,10 @@ def _check_block(code: BlockCode, prop: str, level: Optional[int]) -> tuple[bool
             return False, "symbol orders are not pairwise coprime"
         return True, "coordinatewise product verified"
     if prop == "subdirect":
-        decomposition = cyclic_product_decomposition(code)
+        try:
+            decomposition = cyclic_product_decomposition(code)
+        except DecompositionError as exc:
+            return False, f"decomposition failed: {exc}"
         return decomposition.certificate.ok, "factors recombine to the code"
     if prop == "weak-controllable":
         return True, "finite horizon: every block code is its finite-support part"

@@ -12,17 +12,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
 from .linalg import (
     ResidueMatrix,
+    Vector,
+    _trusted,
     contains_vector,
     coset_reduce,
-    head_kernel,
     howell_form,
     intersect_rows,
-    projection_graph,
     residue_matrix,
     smith_invariants,
     span_cardinality,
@@ -103,7 +104,8 @@ class BlockCode:
     """A subgroup of a sequence space with a canonical generator matrix.
 
     Any generating matrix may be passed; the code stores its Howell form, so
-    two codes are equal exactly when they are the same subgroup.
+    two codes are equal exactly when they are the same subgroup.  Bases that
+    are Howell forms by construction come in through ``from_howell``.
     """
 
     space: SequenceSpace
@@ -113,6 +115,38 @@ class BlockCode:
         if self.basis.moduli != self.space.flat_moduli:
             raise ValueError("basis moduli do not match the space")
         object.__setattr__(self, "basis", howell_form(self.basis))
+
+    @classmethod
+    def from_howell(cls, space: SequenceSpace, rows: Iterable[Vector]) -> "BlockCode":
+        """The code whose basis is ``rows``, already a Howell form over the
+        moduli of ``space``; stored as given, with no second Howell call."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "space", space)
+        object.__setattr__(code, "basis", _trusted(space.flat_moduli, tuple(rows)))
+        return code
+
+    @cached_property
+    def _reversed_howell(self) -> tuple[Vector, ...]:
+        """Howell rows of the code with its columns in reverse order."""
+        rows = tuple(row[::-1] for row in self.basis.rows)
+        return howell_form(_trusted(self.basis.moduli[::-1], rows)).rows
+
+    @cached_property
+    def _prefix_codes(self) -> dict[int, "BlockCode"]:
+        return {}
+
+    def prefix_code(self, b: int) -> "BlockCode":
+        """C ∩ [0, b), built on first use for each b and kept on the code:
+        the rows of the reversed Howell form that vanish from offset(b) on."""
+        self.space.check_window(0, b)
+        if b == self.space.horizon:
+            return self
+        table = self._prefix_codes
+        if b not in table:
+            head = self.basis.width - self.space.offsets()[b]
+            rows = [row[::-1] for row in self._reversed_howell if not any(row[:head])]
+            table[b] = BlockCode(self.space, _trusted(self.basis.moduli, tuple(rows)))
+        return table[b]
 
     @property
     def cardinality(self) -> int:
@@ -154,7 +188,7 @@ class BlockCode:
     def is_subcode_of(self, other: "BlockCode") -> bool:
         if other.space != self.space:
             raise ValueError("codes live in different spaces")
-        return all(other.contains(row) for row in self.basis.rows)
+        return stack(other.basis, self.basis).rows == other.basis.rows
 
     def __str__(self) -> str:
         return f"code of order {self.cardinality} in {self.space}"
@@ -181,14 +215,14 @@ def intersect(a: BlockCode, b: BlockCode) -> BlockCode:
     """Exact intersection (``linalg.intersect_rows``)."""
     if a.space != b.space:
         raise ValueError("codes live in different spaces")
-    return BlockCode(a.space, intersect_rows(a.basis, b.basis))
+    return BlockCode.from_howell(a.space, intersect_rows(a.basis, b.basis).rows)
 
 
 def join(a: BlockCode, b: BlockCode) -> BlockCode:
     """The subgroup generated by both codes."""
     if a.space != b.space:
         raise ValueError("codes live in different spaces")
-    return BlockCode(a.space, stack(a.basis, b.basis))
+    return BlockCode.from_howell(a.space, stack(a.basis, b.basis).rows)
 
 
 def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
@@ -196,22 +230,23 @@ def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
     code.space.check_window(a, b)
     sub = code.space.window(a, b)
     sl = code.space.flat_slice(a, b)
-    rows = [row[sl] for row in code.basis.rows]
-    return code_from_generators(sub, rows)
+    rows = tuple(row[sl] for row in code.basis.rows)
+    return BlockCode(sub, _trusted(sub.flat_moduli, rows))
 
 
 def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
     """Subgroup of codewords supported inside [a, b), in the same space.
 
-    These are the codewords vanishing on every coordinate outside the
-    window: the tails of the projection graph onto those coordinates whose
-    head vanishes, read off one Howell form.
+    These are the words of the prefix code C ∩ [0, b) that vanish before a.
+    The prefix code is a Howell form, so by the Howell property its rows
+    with pivot at or after ``offset(a)`` are their canonical basis; for
+    b = N the prefix code is C itself and no Howell form is computed.
     """
     code.space.check_window(a, b)
-    sl = code.space.flat_slice(a, b)
-    outside = [j for j in range(code.basis.width) if not sl.start <= j < sl.stop]
-    graph = projection_graph(code.basis, outside)
-    return BlockCode(code.space, head_kernel(graph, len(outside)))
+    prefix = code.prefix_code(b)
+    start = code.space.offsets()[a]
+    rows = tuple(row for row in prefix.basis.rows if not any(row[:start]))
+    return BlockCode.from_howell(code.space, rows)
 
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .codes import BlockCode, intersect, join, window_internal
+from .groups import prime_factors
 from .linalg import (
     contains_vector,
     coset_reduce,
@@ -215,8 +216,12 @@ def chunk_decompose(
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Ascending divisors of n, built from its prime factorization."""
+    out = [1]
+    for p in prime_factors(n):
+        powers = [p**e for e in range(n.bit_length()) if n % p**e == 0]
+        out = [d * q for d in out for q in powers]
+    return sorted(out)
 
 
 def order_profile(code: BlockCode, enumeration_bound: int = 1 << 16) -> OrderProfile:

@@ -130,7 +130,9 @@ def _window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
     """
     space = conv.window_space(n)
     rows = residue_matrix(_shifts(conv, n, cut), space.flat_moduli)
-    return BlockCode(space, rows if conv.form == "image" else annihilator_rows(rows))
+    if conv.form == "image":
+        return BlockCode(space, rows)
+    return BlockCode.from_howell(space, annihilator_rows(rows).rows)
 
 
 def _restrict(code: BlockCode, n: int) -> BlockCode:

@@ -165,4 +165,4 @@ def dual_block_code(code: BlockCode) -> BlockCode:
     the dual code lives over the same symbol moduli; the construction is an
     inclusion-reversing involution.
     """
-    return BlockCode(code.space, annihilator_rows(code.basis))
+    return BlockCode.from_howell(code.space, annihilator_rows(code.basis).rows)

@@ -12,16 +12,16 @@ block scale because the code is contained in every consistency set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .codes import (
     BlockCode,
     ambient_code,
-    code_from_generators,
     intersect,
     window_internal,
     window_projection,
 )
-from .control import control_profile, controllable_subcode, reachable_set
+from .control import control_profile, reachable_set
 from .duality import dual_block_code
 from .linalg import smith_invariants
 
@@ -51,7 +51,9 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
 
     The preimage of the window projection of the code; a supergroup of the
     code in the same ambient space.  The closed window is clipped to the
-    horizon.
+    horizon.  Its Howell basis is written directly: the projection's Howell
+    rows padded with zeros between unit rows for the coordinates outside the
+    window (modulus above 1); the blocks share no column.
     """
     N = code.space.horizon
     if not 0 <= k < N or L < 0:
@@ -61,15 +63,16 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     sl = code.space.flat_slice(k, b)
     moduli = code.space.flat_moduli
     width = len(moduli)
-    rows = []
-    for row in proj.basis.rows:
-        padded = [0] * width
-        padded[sl] = list(row)
-        rows.append(padded)
-    for j in range(width):
-        if j < sl.start or j >= sl.stop:
-            rows.append([1 if i == j else 0 for i in range(width)])
-    return code_from_generators(code.space, rows)
+
+    def units(columns):
+        nontrivial = [j for j in columns if moduli[j] > 1]
+        return [(0,) * j + (1,) + (0,) * (width - 1 - j) for j in nontrivial]
+
+    before, after = (0,) * sl.start, (0,) * (width - sl.stop)
+    rows = units(range(sl.start))
+    rows += [before + row + after for row in proj.basis.rows]
+    rows += units(range(sl.stop, width))
+    return BlockCode.from_howell(code.space, rows)
 
 
 def observable_supercode(code: BlockCode, L: int) -> BlockCode:
@@ -215,28 +218,38 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     - for every gap L, the dual of the gap-L controllable subcode equals the
       window-L observable supercode of the dual code, and their invariant
       factors agree.
+
+    All three read one table each of the reachable sets C_k(L) and of the
+    dual's consistency sets on [k, k+L], L = 0..N (entries repeat once the
+    window reaches the horizon), as do the control index of the code and
+    the observe index of the dual.  The other two indices are computed
+    independently, so ``indices_match`` stays evidence.
     """
     dual = dual_block_code(code)
     N = code.space.horizon
+    reach, cons = [], []
+    for k in range(N):
+        reach_k = [reachable_set(code, k, L) for L in range(N - k)]
+        reach.append(reach_k + [code] * (k + 1))
+        cons_k = [consistency_set(dual, k, L) for L in range(N - k)]
+        cons.append(cons_k + cons_k[-1:] * (k + 1))
     window_checks = []
     for a in range(N):
         for b in range(a + 1, N + 1):
             inner_dual = dual_block_code(window_internal(code, a, b))
-            pulled = consistency_set(dual, a, b - 1 - a)
+            pulled = cons[a][b - 1 - a]
             window_checks.append(WindowDualityCheck(a, b, inner_dual == pulled))
-    chain_ok = True
-    for k in range(N):
-        reach = [reachable_set(code, k, L) for L in range(N + 1)]
-        cons = [consistency_set(dual, k, L) for L in range(N + 1)]
-        for L in range(N):
-            if not reach[L].is_subcode_of(reach[L + 1]):
-                chain_ok = False
-            if not cons[L + 1].is_subcode_of(cons[L]):
-                chain_ok = False
-    matched = []
+    chain_ok = all(
+        reach[k][L].is_subcode_of(reach[k][L + 1])
+        and cons[k][L + 1].is_subcode_of(cons[k][L])
+        for k in range(N)
+        for L in range(N)
+    )
+    matched, supercodes = [], []
     for L in range(N):
-        sub_dual = dual_block_code(controllable_subcode(code, L))
-        sup = observable_supercode(dual, L)
+        sub_dual = dual_block_code(reduce(intersect, (r[L] for r in reach), code))
+        sup = reduce(intersect, (c[L] for c in cons), ambient_code(code.space))
+        supercodes.append(sup)
         matched.append(
             MatchedParameterCheck(
                 gap=L,
@@ -249,8 +262,8 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         window_checks=tuple(window_checks),
         chain_ok=chain_ok,
         matched_checks=tuple(matched),
-        control_index=control_profile(code).index,
-        dual_observe_index=_observe_index(dual),
+        control_index=max(r.index(code) for r in reach),
+        dual_observe_index=supercodes.index(dual),
         observe_index=_observe_index(code),
         dual_control_index=control_profile(dual).index,
     )

@@ -311,7 +311,7 @@ def _peel_complement(
         chi_head = coset_reduce(head_kernel(graph, 1), chi_head)
         chi = tuple(chi_head) + tuple(0 for _ in moduli[prefix:])
         chi_perp = annihilator_rows(residue_matrix([chi], moduli))
-        return intersect(current, BlockCode(current.space, chi_perp))
+        return intersect(current, BlockCode.from_howell(current.space, chi_perp.rows))
     raise DecompositionError("no splitting character; order below exponent")
 
 

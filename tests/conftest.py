@@ -9,6 +9,7 @@ import pytest
 from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
+    ambient_code,
     code_from_generators,
     join,
     zero_code,
@@ -77,6 +78,29 @@ def random_block_code(rng: random.Random, max_code=64, max_ambient=2048):
 def random_corpus():
     rng = random.Random(20260809)
     return [random_block_code(rng) for _ in range(300)]
+
+
+# Mixed moduli with modulus-1 columns.
+MIXED_SYMBOLS = (
+    ((1,), (2,), (1,)),
+    ((2, 4), (1,), (6,)),
+    ((3,), (9, 3), (1, 2)),
+    ((4,), (1, 2), (4,), (2,)),
+)
+
+
+@pytest.fixture(scope="session")
+def mixed_corpus():
+    """Zero, ambient and four random codes over each mixed-moduli space."""
+    rng = random.Random(71)
+    corpus = []
+    for symbols in MIXED_SYMBOLS:
+        space = space_of(*symbols)
+        corpus += [zero_code(space), ambient_code(space)]
+        for k in (1, 2, 2, 3):
+            gens = [[rng.randrange(m) for m in space.flat_moduli] for _ in range(k)]
+            corpus.append(code_from_generators(space, gens))
+    return corpus
 
 
 def convolutional_corpus():

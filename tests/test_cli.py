@@ -184,6 +184,22 @@ class TestDecomposeScale:
         assert "prime 998244353" in out
         assert "  verdict: valid" in out
 
+    def test_analyze_with_huge_prime_exponent(self, tmp_path):
+        # The order profile's divisors of the exponent 2 * 1000000007 come
+        # from its prime factors; trying every integer up to it would hang.
+        spec = tmp_path / "huge_prime.spec"
+        spec.write_text(
+            "kind: block\nsymbols: [2] [1000000007]\ngenerator: 1 0\n", encoding="utf-8"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcodes.cli", "analyze", str(spec)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "cardinality: 2" in proc.stdout
+
 
 class TestCheck:
     def test_weak_controllable_failure_exits_one(self, constant_spec):
@@ -214,6 +230,25 @@ class TestCheck:
     def test_subdirect(self, even_weight_spec):
         code, _, _ = run_cli("check", even_weight_spec, "--property", "subdirect")
         assert code == 0
+
+    def test_subdirect_decomposition_failure_exits_one(
+        self, even_weight_spec, monkeypatch
+    ):
+        # A failed decomposition is a failed property, as in `decompose`.
+        import groupcodes.cli
+        from groupcodes.structure import DecompositionError
+
+        def failing(code):
+            raise DecompositionError("no splitting character; order below exponent")
+
+        monkeypatch.setattr(groupcodes.cli, "cyclic_product_decomposition", failing)
+        code, out, err = run_cli("check", even_weight_spec, "--property", "subdirect")
+        assert code == 1
+        assert out == (
+            "property subdirect: fails\n"
+            "decomposition failed: no splitting character; order below exponent\n"
+        )
+        assert err == ""
 
     def test_missing_level_is_usage_error(self, even_weight_spec):
         code, _, err = run_cli(

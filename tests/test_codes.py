@@ -16,8 +16,9 @@ from groupcodes.codes import (
     window_projection,
     zero_code,
 )
+import groupcodes.codes as codes_module
 from groupcodes.groups import FiniteAbelianGroup
-from groupcodes.linalg import howell_form, residue_matrix
+from groupcodes.linalg import head_kernel, howell_form, projection_graph, residue_matrix
 
 
 
@@ -245,3 +246,62 @@ class TestWidthChecks:
                 code.contains(word)
             with pytest.raises(ValueError):
                 code.coset_representative(word)
+
+
+def reference_window_internal(code, a, b):
+    """The codewords supported in [a, b): the vanishing-head read of the
+    projection graph onto the coordinates outside the window."""
+    sl = code.space.flat_slice(a, b)
+    outside = [j for j in range(code.basis.width) if not sl.start <= j < sl.stop]
+    graph = projection_graph(code.basis, outside)
+    return BlockCode(code.space, head_kernel(graph, len(outside)))
+
+
+class TestWindowTable:
+    def test_window_internal_matches_projection_graph(self, mixed_corpus):
+        for code in mixed_corpus:
+            N = code.space.horizon
+            for a in range(N + 1):
+                for b in range(a, N + 1):
+                    inner = window_internal(code, a, b)
+                    assert inner.basis == reference_window_internal(code, a, b).basis
+                    assert inner.basis == howell_form(inner.basis)
+
+    def test_prefix_codes_are_built_once_and_on_demand(self, monkeypatch):
+        sp = space((4,), (2,), (4,), (4,))
+        code = code_from_generators(sp, [(1, 1, 2, 3), (2, 0, 1, 1), (0, 1, 3, 0)])
+        windows = [(2, 4), (1, 3), (0, 3), (2, 3), (0, 2)]
+        expected = {w: reference_window_internal(code, *w) for w in windows}
+        calls = []
+        canonical = codes_module.howell_form
+
+        def counted(matrix):
+            calls.append(matrix)
+            return canonical(matrix)
+
+        monkeypatch.setattr(codes_module, "howell_form", counted)
+        got = {}
+        # [a, N) reads the rows of the code itself.
+        got[2, 4] = window_internal(code, 2, 4)
+        assert not calls
+        # One reversed Howell form, then one Howell form per prefix length.
+        got[1, 3] = window_internal(code, 1, 3)
+        assert len(calls) == 2
+        got[0, 3] = window_internal(code, 0, 3)
+        assert code.prefix_code(3) is code.prefix_code(3)
+        got[2, 3] = window_internal(code, 2, 3)
+        assert len(calls) == 2
+        got[0, 2] = window_internal(code, 0, 2)
+        assert len(calls) == 3
+        assert got == expected
+
+    def test_is_subcode_of_matches_rowwise_containment(self, mixed_corpus):
+        by_space = {}
+        for code in mixed_corpus:
+            by_space.setdefault(code.space, []).append(code)
+        for group in by_space.values():
+            group += [window_internal(c, 1, c.space.horizon) for c in group]
+            for a in group:
+                for b in group:
+                    expected = all(b.contains(row) for row in a.basis.rows)
+                    assert a.is_subcode_of(b) == expected

@@ -1,5 +1,5 @@
 """Golden CLI reports: every report on the demo specs and on the extra
-convolutional specs in `tests/golden/specs`, byte for byte.
+convolutional and Z/4 band specs in `tests/golden/specs`, byte for byte.
 
 `tests/golden/index.json` maps each case name to its argument list (the
 spec is named by file name, looked up in `demos/specs` and then in
@@ -48,6 +48,9 @@ def golden_cases():
             yield f"{stem}.decompose", ["decompose", name]
             yield f"{stem}.decompose-json", ["decompose", name, "--format", "json"]
         yield f"{stem}.duality-check", ["duality-check", name]
+        if block:
+            json_argv = ["duality-check", name, "--format", "json"]
+            yield f"{stem}.duality-check-json", json_argv
         for prop in BLOCK_PROPERTIES if block else CONVOLUTIONAL_PROPERTIES:
             yield f"{stem}.check-{prop[0]}", ["check", name, "--property", *prop]
 

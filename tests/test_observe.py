@@ -1,17 +1,27 @@
 """Tests for consistency sets, observability and duality reports."""
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from groupcodes.codes import SequenceSpace, ambient_code, code_from_generators
+from groupcodes.codes import (
+    SequenceSpace,
+    ambient_code,
+    code_from_generators,
+    window_projection,
+)
+from groupcodes.duality import dual_block_code
 from groupcodes.groups import FiniteAbelianGroup
+from groupcodes.linalg import howell_form, residue_matrix
 from groupcodes.observe import (
     check_control_observe_duality,
     consistency_set,
     observable_supercode,
     observe_profile,
 )
+from groupcodes.specfmt import parse_spec
 
 
 def space(*symbol_moduli):
@@ -75,6 +85,29 @@ class TestConsistencySet:
                 for L in range(sp.horizon + 1):
                     got = set(consistency_set(code, k, L).words())
                     assert got == brute_consistency(code, k, L)
+
+
+def test_consistency_set_matches_howell_form_of_generators(mixed_corpus):
+    # The canonical basis written directly equals the Howell form of the
+    # generator set: the padded projection rows and every outside unit row.
+    for code in mixed_corpus:
+        N = code.space.horizon
+        moduli = code.space.flat_moduli
+        width = len(moduli)
+        for k in range(N):
+            for L in range(N + 1):
+                sl = code.space.flat_slice(k, min(k + L + 1, N))
+                rows = [
+                    (0,) * sl.start + row + (0,) * (width - sl.stop)
+                    for row in window_projection(code, k, min(k + L + 1, N)).basis.rows
+                ]
+                rows += [
+                    [int(i == j) for i in range(width)]
+                    for j in range(width)
+                    if not sl.start <= j < sl.stop
+                ]
+                expected = howell_form(residue_matrix(rows, moduli))
+                assert consistency_set(code, k, L).basis == expected
 
 
 class TestObservableSupercode:
@@ -187,3 +220,29 @@ class TestDualityReport:
         text = check_control_observe_duality(repetition).render()
         assert "0-based" in text
         assert "1-based" in text
+
+
+BAND_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
+
+
+@pytest.mark.parametrize("spec", ["z4_band8_code.spec", "z4_band10_dual.spec"])
+def test_duality_check_builds_each_dual_consistency_set_once(spec, monkeypatch):
+    # The window, chain and matched checks and the dual observe index all
+    # read one table of dual consistency sets.
+    import groupcodes.observe as observe_module
+
+    code = parse_spec((BAND_SPECS / spec).read_text(encoding="utf-8")).to_block_code()
+    dual = dual_block_code(code)
+    assert dual != code
+    calls = Counter()
+    build = observe_module.consistency_set
+
+    def counted(c, k, L):
+        if c == dual:
+            calls[k, L] += 1
+        return build(c, k, L)
+
+    monkeypatch.setattr(observe_module, "consistency_set", counted)
+    assert check_control_observe_duality(code).ok
+    assert calls
+    assert max(calls.values()) == 1
