@@ -3,10 +3,10 @@
 Subcommands: analyze, dual, decompose, check, duality-check, oracle.
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a property fails or a verification mismatches, 2 for usage or input
-errors and for limits hit (enumeration bounds, a window that has not
-stabilized at its margin).  Reports are byte-stable for fixed input and
-flags; positions are printed in both the internal convention (0-based,
-half-open) and the classical one (1-based, closed).
+errors and for limits hit (an ``oracle`` run above its bound, a window
+that has not stabilized at its margin).  Reports are byte-stable for fixed
+input and flags; positions are printed in both the internal convention
+(0-based, half-open) and the classical one (1-based, closed).
 """
 
 from __future__ import annotations
@@ -270,9 +270,9 @@ def _check_convolutional(
         verdict = weak_controllability(conv)
         return verdict.holds, verdict.render()
     if prop == "l-controllable":
-        verdict = strong_controllability_index(conv)
         if level is None:
             raise SpecError("l-controllable needs --level", field="level")
+        verdict = strong_controllability_index(conv)
         if not verdict.is_finite:
             return False, verdict.render()
         return verdict.index <= level, verdict.render()

@@ -59,7 +59,7 @@ class SequenceSpace:
     def horizon(self) -> int:
         return len(self.symbols)
 
-    @property
+    @cached_property
     def flat_moduli(self) -> tuple[int, ...]:
         return tuple(m for g in self.symbols for m in g.moduli)
 
@@ -69,10 +69,11 @@ class SequenceSpace:
 
     def offsets(self) -> tuple[int, ...]:
         """Start offset of each index in the flat coordinate vector."""
-        out = [0]
-        for g in self.symbols:
-            out.append(out[-1] + len(g.moduli))
-        return tuple(out)
+        return self._offsets
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate((len(g.moduli) for g in self.symbols), initial=0))
 
     def window(self, a: int, b: int) -> "SequenceSpace":
         self.check_window(a, b)

@@ -14,7 +14,6 @@ separate; no identification of n(l) with L_k + k is asserted anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
@@ -22,15 +21,13 @@ from typing import Optional, Sequence
 from .codes import BlockCode, intersect, join, window_internal
 from .groups import prime_factors
 from .linalg import (
+    _trusted,
     contains_vector,
     coset_reduce,
     head_kernel,
     head_solve,
-    homomorphism_graph,
-    howell_form,
     projection_graph,
     scale_rows,
-    vector_order,
 )
 
 __all__ = [
@@ -133,16 +130,6 @@ class Chunk:
     stop: int
 
 
-def _combine(
-    coeffs: Sequence[int], rows: Sequence[Sequence[int]], moduli: Sequence[int]
-) -> tuple[int, ...]:
-    """sum_i coeffs[i] * rows[i], reduced column by column."""
-    return tuple(
-        sum(q * row[j] for q, row in zip(coeffs, rows)) % m
-        for j, m in enumerate(moduli)
-    )
-
-
 def _window_solution(
     code: BlockCode, inner: BlockCode, position: int, target_symbol: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
@@ -224,33 +211,27 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def order_profile(code: BlockCode, enumeration_bound: int = 1 << 16) -> OrderProfile:
+def order_profile(code: BlockCode) -> OrderProfile:
     """Minimal n(l) such that every codeword order-splits at prefix length l.
 
     A codeword c splits at (l, n) when c = c1 + c2 with c1 in the code
     supported in [0, n), c2 in the code supported in [l, N), and the order
     of c1 at most the order of the truncation c|[0, n) in the ambient
     product.  At n = N the split c1 = c always works, so only n < N is
-    searched.  The split search solves congruences over the window-supported
-    subgroups; the quantifier over codewords runs over |proj_[0,n) C|
-    classes (see ``_order_split_everywhere``), but codes larger than
-    ``enumeration_bound`` are still rejected.
+    searched.  Each (l, n) is decided by linear algebra over the level
+    subgroups of the code (see ``_order_split_everywhere``); no codeword is
+    enumerated, so the code may be of any size.
     """
     N = code.space.horizon
-    if code.cardinality > enumeration_bound:
-        raise ValueError(
-            f"order profile needs code enumeration; {code.cardinality} words "
-            f"exceed the bound {enumeration_bound}"
-        )
     moduli = code.space.flat_moduli
-    exponent = lcm(*moduli) if moduli else 1
-    divisors = _divisors(exponent)
+    exponent = lcm(*moduli)
+    levels = [t for t in _divisors(exponent) if 1 < t < exponent]
     bounds = []
     for l in range(N + 1):
         suffix = window_internal(code, l, N)
         for n in range(l, N):
             prefix = window_internal(code, 0, n)
-            if _order_split_everywhere(code, prefix, suffix, n, divisors):
+            if _order_split_everywhere(code, prefix, suffix, n, levels):
                 bounds.append(n)
                 break
         else:
@@ -263,52 +244,53 @@ def _order_split_everywhere(
     prefix: BlockCode,
     suffix: BlockCode,
     n: int,
-    divisors: list[int],
+    levels: list[int],
 ) -> bool:
     """Whether every codeword order-splits at (l, n), suffix = C ∩ [l, N).
 
-    Whether c splits depends only on its class modulo K = C ∩ [n, N): for
-    k in K, c + k has the same truncation c|[0, n), and k lies in the
-    suffix because l <= n.  The Howell rows of C with pivots before the
-    cut enumerate C / K once each, with coefficients below their pivot
-    orders (as in ``BlockCode.words``), so only those classes are tested.
-    Splits are additive: each row is split once and every class takes the
-    same combination of the row splits.  The admissible c1 form the coset
-    c1 + (prefix ∩ suffix), and one of them has order dividing t exactly
-    when t * c1 lies in t * (prefix ∩ suffix).
+    Let P = prefix, S = suffix and M = P ∩ S.  Rows with pivot at or after
+    the cut lie in C ∩ [n, N) ⊆ S, so C = P + S when each earlier Howell
+    row r splits as r = φ(r) + s with φ(r) in P and s in S.  Splits of one
+    word differ by elements of M, so φ extends to a homomorphism C → P / M
+    whose cosets φ(c) + M hold the prefix parts of c.
+
+    The order condition asks for a prefix part of order at most
+    ord(c|[0, n)) for every c.  That is the same as one of order dividing
+    ord(c|[0, n)): the p-component u·c of c is a codeword, and the p-part
+    u·x of a prefix part x of u·c of order at most ord(u·c|[0, n)) is
+    again one (u is idempotent modulo the exponent), of order dividing
+    that p-power; the sum over p of these p-parts is a prefix part of c.
+    A prefix part of order dividing t exists exactly when t·φ(c) lies in
+    t·M, and c lies in O_t = {c : t·c|[0, n) = 0} exactly when
+    ord(c|[0, n)) divides t.  So the condition reads t·φ(O_t) ⊆ t·M for
+    every divisor t of the exponent.  It holds at t = 1, where O_1 is
+    C ∩ [n, N), and at t = exponent; at each other level t, t·φ(O_t) is the
+    head kernel of the rows [t·r|[0, n) | t·φ(r)].  One Howell form gives
+    φ and M: the rows [p | p] and [s | 0] span {(x + y, x) : x in P, y in S}.
     """
     moduli = code.space.flat_moduli
+    width = len(moduli)
     cut = code.space.offsets()[n]
-    both = intersect(prefix, suffix)
-    scaled_meets = {
-        t: howell_form(scale_rows(both.basis, t)) for t in divisors
-    }
-    gens = prefix.basis.rows + suffix.basis.rows
-    n_prefix = len(prefix.basis.rows)
-    exponent = lcm(*moduli) if moduli else 1
-    graph = homomorphism_graph(gens, tuple(exponent for _ in gens), moduli)
-    heads, head_splits, orders = [], [], []
-    for row, (pivot, order) in zip(code.basis.rows, code.pivots()):
+    zero = (0,) * width
+    graph = _trusted(
+        moduli + moduli,
+        tuple(row + row for row in prefix.basis.rows)
+        + tuple(row + zero for row in suffix.basis.rows),
+    )
+    split_rows = []
+    for row, (pivot, _) in zip(code.basis.rows, code.pivots()):
         if pivot >= cut:
             break
-        coeffs = head_solve(graph, len(moduli), row)
-        if coeffs is None:
+        split = head_solve(graph, width, row)
+        if split is None:
             # The row is itself a codeword without any split.
             return False
-        heads.append(row[:cut])
-        head_splits.append(_combine(coeffs[:n_prefix], prefix.basis.rows, moduli))
-        orders.append(order)
-    for coeffs in itertools.product(*[range(o) for o in orders]):
-        c1 = _combine(coeffs, head_splits, moduli)
-        order_bound = vector_order(_combine(coeffs, heads, moduli[:cut]), moduli[:cut])
-        ok = False
-        for t in divisors:
-            if t > order_bound:
-                break
-            scaled_c1 = tuple((t * e) % m for e, m in zip(c1, moduli))
-            if contains_vector(scaled_meets[t], scaled_c1):
-                ok = True
-                break
-        if not ok:
+        split_rows.append(row[:cut] + split)
+    split_graph = _trusted(moduli[:cut] + moduli, tuple(split_rows))
+    meet = head_kernel(graph, width)
+    for t in levels:
+        level = head_kernel(scale_rows(split_graph, t), cut)
+        scaled_meet = scale_rows(meet, t)
+        if not all(contains_vector(scaled_meet, row) for row in level.rows):
             return False
     return True

@@ -364,12 +364,12 @@ def homomorphism_graph(
     unknown_moduli: Sequence[int],
     image_moduli: Sequence[int],
 ) -> ResidueMatrix:
-    """The graph rows ``[f(e_j) | e_j]`` of f, image columns first."""
+    """The graph rows ``[f(e_j) | e_j]`` of f, image columns first; each
+    ``images[j]`` must be reduced modulo ``image_moduli`` already."""
     unknowns = tuple(int(m) for m in unknown_moduli)
     imgmods = tuple(int(m) for m in image_moduli)
     rows = tuple(
-        _reduced(images[j], imgmods)
-        + tuple(1 % u if k == j else 0 for k, u in enumerate(unknowns))
+        tuple(images[j]) + tuple(1 % u if k == j else 0 for k, u in enumerate(unknowns))
         for j in range(len(unknowns))
     )
     return _trusted(imgmods + unknowns, rows)
@@ -385,11 +385,13 @@ def homomorphism_kernel(
     ``images[j]`` is the image of the j-th unit over ``image_moduli``; the
     map must be well defined, i.e. ``unknown_moduli[j] * images[j] == 0``.
     """
+    imgmods = tuple(int(m) for m in image_moduli)
+    images = [_reduced(img, imgmods) for img in images]
     for m, img in zip(unknown_moduli, images):
-        if any((int(m) * int(e)) % int(w) for e, w in zip(img, image_moduli)):
+        if any((int(m) * e) % w for e, w in zip(img, imgmods)):
             raise ValueError("map not well defined on Z/%d" % m)
-    graph = homomorphism_graph(images, unknown_moduli, image_moduli)
-    return head_kernel(graph, len(image_moduli))
+    graph = homomorphism_graph(images, unknown_moduli, imgmods)
+    return head_kernel(graph, len(imgmods))
 
 
 def solve_homomorphism(
@@ -401,8 +403,10 @@ def solve_homomorphism(
     """A particular ``x`` with ``sum_j x_j * images[j] = target``, or None."""
     if len(target) != len(image_moduli):
         raise ValueError("target length mismatch")
-    graph = homomorphism_graph(images, unknown_moduli, image_moduli)
-    return head_solve(graph, len(image_moduli), target)
+    imgmods = tuple(int(m) for m in image_moduli)
+    images = [_reduced(img, imgmods) for img in images]
+    graph = homomorphism_graph(images, unknown_moduli, imgmods)
+    return head_solve(graph, len(imgmods), target)
 
 
 @dataclass(frozen=True)

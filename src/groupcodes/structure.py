@@ -32,7 +32,6 @@ from .linalg import (
     head_solve,
     homomorphism_graph,
     residue_matrix,
-    smith_invariants,
     subgroup_basis,
     vector_order,
 )
@@ -259,28 +258,43 @@ def _embed_component_word(
     return tuple(out)
 
 
+def _exponent(code: BlockCode) -> int:
+    return lcm(*(vector_order(row, code.basis.moduli) for row in code.basis.rows))
+
+
 def _max_order_in_smallest_window(
-    current: BlockCode, enumeration_bound: int
+    current: BlockCode, p: int
 ) -> tuple[tuple[int, ...], int]:
     """The target generator: maximal order, realizable in the smallest
-    prefix window, lexicographically least among candidates."""
-    factors = smith_invariants(current.basis)
-    exponent = factors[-1]
-    N = current.space.horizon
-    for n in range(1, N + 1):
+    prefix window, lexicographically least among candidates.
+
+    ``current`` is a p-group of exponent p^e.  The window's words are the
+    combinations of its Howell rows with coefficients below the pivot
+    orders, and a column that is no row's pivot is fixed by earlier rows.
+    So descend: at each pivot take the least value that keeps a word of
+    order p^e reachable, i.e. p^(e-1)·y nonzero or some later row not
+    killed by p^(e-1).
+    """
+    exponent = _exponent(current)
+    for n in range(1, current.space.horizon + 1):
         inner = window_internal(current, 0, n)
-        inner_factors = smith_invariants(inner.basis)
-        if not inner_factors or inner_factors[-1] != exponent:
-            continue
-        if inner.cardinality <= enumeration_bound:
-            moduli = current.space.flat_moduli
-            candidates = sorted(
-                w for w in inner.words() if vector_order(w, moduli) == exponent
-            )
-            return candidates[0], exponent
-        basis = subgroup_basis(inner.basis)
-        return basis[-1][0], exponent
-    raise AssertionError("the full window always realizes the exponent")
+        if _exponent(inner) == exponent:  # at the latest when inner is current
+            break
+    moduli = current.space.flat_moduli
+    below = exponent // p
+    rows = inner.basis.rows
+    word = (0,) * len(moduli)
+    for i, (row, (j, order)) in enumerate(zip(rows, inner.pivots())):
+        later = any((below * e) % m for r in rows[i + 1 :] for e, m in zip(r, moduli))
+        # Pivot values ascend through word[j] + row[j]·Z; at most every p-th
+        # value leaves no word of order p^e, so the first or second is kept.
+        for value in range(word[j] % row[j], moduli[j], row[j]):
+            a = (value - word[j]) // row[j] % order
+            y = tuple((w + a * e) % m for w, e, m in zip(word, row, moduli))
+            if later or any((below * e) % m for e, m in zip(y, moduli)):
+                word = y
+                break
+    return word, exponent
 
 
 def _peel_complement(
@@ -315,9 +329,7 @@ def _peel_complement(
     raise DecompositionError("no splitting character; order below exponent")
 
 
-def cyclic_product_decomposition(
-    code: BlockCode, enumeration_bound: int = 4096
-) -> Decomposition:
+def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
     """Weakly rectangular decomposition through the primary parts.
 
     The code splits through the primary decomposition of the symbols; inside
@@ -326,20 +338,18 @@ def cyclic_product_decomposition(
     The peel always succeeds: in a finite abelian p-group an element of
     maximal order generates a direct summand (Fuchs, *Infinite Abelian
     Groups* I, §27), and the splitting character of ``_peel_complement``
-    exhibits the complement.  ``enumeration_bound`` only caps the windows
-    searched word by word for the lexicographically least generator; larger
-    windows take a generator from a cyclic basis.  The result is checked by
-    ``verify_decomposition`` and carries its certificate; a failure raises
-    DecompositionError.
+    exhibits the complement.  Each generator is the lexicographically least
+    word of maximal order in its window, found by descent over the Howell
+    rows of the window, so no codeword is enumerated.  The result is
+    checked by ``verify_decomposition`` and carries its certificate; a
+    failure raises DecompositionError.
     """
     gens: list[DecompositionGenerator] = []
     for p in FiniteAbelianGroup(code.space.flat_moduli).primes():
         component, comps = _component_code(code, p)
         current = component
         while current.cardinality > 1:
-            word, order = _max_order_in_smallest_window(
-                current, enumeration_bound
-            )
+            word, order = _max_order_in_smallest_window(current, p)
             embedded = _embed_component_word(word, code, comps)
             start, stop = _support_window(embedded, code.space)
             gens.append(

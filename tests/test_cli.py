@@ -155,17 +155,51 @@ def z4_spec_of_size(rng, n, free):
 
 class TestDecomposeScale:
     def test_above_order_profile_bound(self, tmp_path):
-        # 2**18 words: above the enumeration bound of the order profile,
-        # which decomposition does not need.
+        # 2**18 words: more than the 2**16 the order profile once enumerated.
         spec = tmp_path / "big.spec"
         spec.write_text(z4_spec_of_size(random.Random(18), 10, 9), encoding="utf-8")
         code, out, _ = run_cli("decompose", str(spec))
         assert code == 0
         assert "order product 262144 vs cardinality 262144" in out
         assert "  verdict: valid" in out
-        code, _, err = run_cli("analyze", str(spec))
-        assert code == 2
-        assert "exceed the bound 65536" in err
+        code, out, err = run_cli("analyze", str(spec))
+        assert code == 0
+        assert "cardinality: 262144" in out
+        assert err == ""
+
+    def test_analyze_above_old_bound_matches_transversal(self, tmp_path):
+        # Three Z/4 rows on four positions plus all of (Z/4)**9 at the last:
+        # 2**24 words, yet only the first rows' classes reach the reference.
+        # The margin 3 at l = 1 comes from the order condition; splitting
+        # alone needs n(1) = 2.
+        from groupcodes.codes import SequenceSpace, code_from_generators
+        from groupcodes.groups import FiniteAbelianGroup
+
+        from .test_control import transversal_order_profile
+
+        rows = [
+            [2, 3, 3, 2, 3, 1, 3, 0, 3, 2, 1, 1, 0],
+            [2, 2, 2, 1, 2, 0, 1, 2, 0, 1, 0, 3, 3],
+            [2, 1, 2, 2, 2, 3, 0, 2, 3, 3, 1, 2, 0],
+        ]
+        rows += [[0] * 4 + [int(k == j) for k in range(9)] for j in range(9)]
+        lines = ["kind: block", "symbols: [4] [4] [4] [4] [" + ",".join(["4"] * 9) + "]"]
+        lines += [
+            "generator: " + " ".join(map(str, r[:4])) + " " + ",".join(map(str, r[4:]))
+            for r in rows
+        ]
+        spec = tmp_path / "big.spec"
+        spec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli("analyze", str(spec), "--format", "json")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["cardinality"] == 1 << 24
+        assert data["order_uniform_margin"] == 3
+        space = SequenceSpace(
+            tuple(FiniteAbelianGroup(m) for m in [(4,)] * 4 + [(4,) * 9])
+        )
+        reference = transversal_order_profile(code_from_generators(space, rows))
+        assert tuple(data["order_bounds"]) == reference == (0, 4, 4, 4, 4, 5)
 
     def test_huge_coprime_moduli(self, tmp_path):
         # Primes come from each modulus; factoring their product by trial
@@ -256,6 +290,21 @@ class TestCheck:
         )
         assert code == 2
         assert "level" in err
+
+    def test_missing_level_checked_before_strong_index(
+        self, constant_spec, monkeypatch
+    ):
+        import groupcodes.cli
+
+        calls = []
+        monkeypatch.setattr(
+            groupcodes.cli, "strong_controllability_index", calls.append
+        )
+        code, out, err = run_cli("check", constant_spec, "--property", "l-controllable")
+        assert code == 2
+        assert out == ""
+        assert err == "error: field 'level': l-controllable needs --level\n"
+        assert calls == []
 
 
 class TestDualityCheck:

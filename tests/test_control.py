@@ -4,15 +4,20 @@ Brute-force references below transcribe the definitions as loops over
 enumerated codewords, independently of the Howell machinery.
 """
 
+import itertools
 import random
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
     code_from_generators,
+    intersect,
+    join,
     window_internal,
     zero_code,
 )
@@ -25,6 +30,14 @@ from groupcodes.control import (
     reachable_set,
 )
 from groupcodes.groups import FiniteAbelianGroup
+from groupcodes.linalg import (
+    contains_vector,
+    head_solve,
+    homomorphism_graph,
+    scale_rows,
+    vector_order,
+)
+from groupcodes.oracle import brute
 
 
 def space(*symbol_moduli):
@@ -252,6 +265,92 @@ def brute_order_profile(code):
     return tuple(bounds)
 
 
+def transversal_order_profile(code):
+    """The order profile by one test per coset of C ∩ [n, N).
+
+    Whether c splits at (l, n) depends only on c modulo C ∩ [n, N).  The
+    Howell rows of C with pivot before the cut, with coefficients below
+    their pivot orders, reach each coset once; each row is split once and
+    every class takes the same combination of the row splits.  The class
+    splits when, for some divisor t of the exponent up to the order of its
+    truncation, t times its prefix part lies in t·(P ∩ S).
+    """
+    sp = code.space
+    N = sp.horizon
+    moduli = sp.flat_moduli
+    exponent = lcm(*moduli)
+    divisors = [t for t in range(1, exponent + 1) if exponent % t == 0]
+
+    def combine(coeffs, rows, mods):
+        return tuple(
+            sum(q * row[j] for q, row in zip(coeffs, rows)) % m
+            for j, m in enumerate(mods)
+        )
+
+    def splits_everywhere(prefix, suffix, n):
+        cut = sp.offsets()[n]
+        both = intersect(prefix, suffix)
+        gens = prefix.basis.rows + suffix.basis.rows
+        graph = homomorphism_graph(gens, tuple(exponent for _ in gens), moduli)
+        heads, head_splits, orders = [], [], []
+        for row, (pivot, order) in zip(code.basis.rows, code.pivots()):
+            if pivot >= cut:
+                break
+            coeffs = head_solve(graph, len(moduli), row)
+            if coeffs is None:
+                return False
+            heads.append(row[:cut])
+            head_splits.append(
+                combine(coeffs[: len(prefix.basis.rows)], prefix.basis.rows, moduli)
+            )
+            orders.append(order)
+        for coeffs in itertools.product(*[range(o) for o in orders]):
+            c1 = combine(coeffs, head_splits, moduli)
+            bound = vector_order(combine(coeffs, heads, moduli[:cut]), moduli[:cut])
+            if not any(
+                contains_vector(
+                    scale_rows(both.basis, t),
+                    tuple((t * e) % m for e, m in zip(c1, moduli)),
+                )
+                for t in divisors
+                if t <= bound
+            ):
+                return False
+        return True
+
+    bounds = []
+    for l in range(N + 1):
+        suffix = window_internal(code, l, N)
+        bounds.append(
+            next(
+                (
+                    n
+                    for n in range(l, N)
+                    if splits_everywhere(window_internal(code, 0, n), suffix, n)
+                ),
+                N,
+            )
+        )
+    return tuple(bounds)
+
+
+def plain_split_bounds(code):
+    """Least n(l) with C = C ∩ [0, n) + C ∩ [l, N): the order profile
+    without its order condition."""
+    N = code.space.horizon
+    bounds = []
+    for l in range(N + 1):
+        n = l
+        suffix = window_internal(code, l, N)
+        while join(window_internal(code, 0, n), suffix) != code:
+            n += 1
+        bounds.append(n)
+    return tuple(bounds)
+
+
+MIXED_PRIME_SYMBOLS = ((6,), (12,), (2, 3), (9, 2), (4, 3), (10,), (2, 6), (36,))
+
+
 class TestOrderProfile:
     def test_rectangular_code(self):
         sp = binary_space(2)
@@ -280,8 +379,8 @@ class TestOrderProfile:
 
     def test_mixed_moduli_without_enumeration(self, monkeypatch):
         # Symbols Z/2+Z/4, Z/6 and Z/12; every code has some cut n whose
-        # tail K = C meet [n, N) is a proper nontrivial subgroup, so the
-        # transversal of K is neither the whole code nor one class.
+        # tail K = C meet [n, N) is a proper nontrivial subgroup, so that
+        # cut has both words with a nonzero head and nonzero words in K.
         rng = random.Random(97)
         codes = []
         while len(codes) < 12:
@@ -303,10 +402,30 @@ class TestOrderProfile:
         for code, expected in codes:
             assert order_profile(code).bounds == expected
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_oracle_on_mixed_primes(self, data):
+        symbols = data.draw(
+            st.lists(st.sampled_from(MIXED_PRIME_SYMBOLS), min_size=2, max_size=3)
+        )
+        sp = space(*symbols)
+        gens = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(0, m - 1) for m in sp.flat_moduli]),
+                min_size=1,
+                max_size=2,
+            )
+        )
+        code = code_from_generators(sp, gens)
+        assume(code.cardinality <= 72)
+        assert order_profile(code).bounds == brute("order_profile", code)
+
+    def test_matches_transversal(self, random_corpus):
+        for code in random_corpus[:100]:
+            assert order_profile(code).bounds == transversal_order_profile(code)
+
     def test_at_least_plain_split_bound(self):
         # Dropping the order condition can only shrink the minimal window.
-        from groupcodes.codes import join, window_internal
-
         rng = random.Random(89)
         for _ in range(15):
             sp = space(*[(rng.choice([2, 4, 3]),) for _ in range(rng.randint(2, 3))])
@@ -314,12 +433,25 @@ class TestOrderProfile:
                 sp, [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
             )
             bounds = order_profile(code).bounds
-            for l in range(sp.horizon + 1):
-                n = l
-                while True:
-                    prefix = window_internal(code, 0, n)
-                    suffix = window_internal(code, l, sp.horizon)
-                    if join(prefix, suffix) == code:
-                        break
-                    n += 1
-                assert bounds[l] >= n
+            assert all(b >= n for b, n in zip(bounds, plain_split_bounds(code)))
+
+    def test_order_condition_binds_on_mixed_primes(self):
+        # Codes whose order condition, not the split, decides some n(l).
+        # Random codes rarely have one; symbol orders that divide each
+        # other along the horizon make them common.
+        rng = random.Random(101)
+        found = 0
+        for _ in range(2000):
+            moduli = [rng.choice([2, 3, 6])]
+            moduli += [moduli[0] * rng.choice([1, 2, 3])]
+            moduli += [moduli[1] * rng.choice([1, 2, 3])]
+            sp = space(*[(m,) for m in moduli])
+            gens = [[rng.randrange(m) for m in moduli] for _ in range(2)]
+            code = code_from_generators(sp, gens)
+            if lcm(*moduli) % 6 or code.cardinality > 72:
+                continue
+            bounds = order_profile(code).bounds
+            if bounds != plain_split_bounds(code):
+                assert bounds == brute("order_profile", code)
+                found += 1
+        assert found >= 10

@@ -27,6 +27,7 @@ from groupcodes.linalg import (
     residue_matrix,
     smith_invariants,
     solve_congruence_system,
+    solve_homomorphism,
     span_cardinality,
     spans_equal,
     stack,
@@ -461,6 +462,13 @@ class TestWidthChecks:
                 coset_reduce(m, vector)
             with pytest.raises(ValueError):
                 contains_vector(m, vector)
+
+    def test_homomorphism_rejects_wrong_width_image(self):
+        for images in ([(1, 0), (1,)], [(1, 0), (1, 0, 1)]):
+            with pytest.raises(ValueError):
+                homomorphism_kernel(images, (4, 4), (4, 4))
+            with pytest.raises(ValueError):
+                solve_homomorphism(images, (4, 4), (4, 4), (1, 0))
 
     def test_quotient_rejects_wrong_width_denominator(self):
         m = residue_matrix([(1, 0), (0, 1)], (4, 4))

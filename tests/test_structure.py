@@ -4,11 +4,20 @@ import random
 
 import pytest
 
-from groupcodes.codes import SequenceSpace, code_from_generators, zero_code
+from groupcodes.codes import (
+    BlockCode,
+    SequenceSpace,
+    code_from_generators,
+    window_internal,
+    zero_code,
+)
 from groupcodes.groups import FiniteAbelianGroup
+from groupcodes.linalg import vector_order
 from groupcodes.structure import (
     Decomposition,
     DecompositionGenerator,
+    _max_order_in_smallest_window,
+    _peel_complement,
     coprime_rectangular,
     cyclic_product_decomposition,
     is_subdirect_product,
@@ -162,6 +171,57 @@ class TestCyclicProductDecomposition:
             )
             factors = tuple(sorted(d for d in diag if d > 1))
             assert factors == tuple(sorted(invariant_factors_of_code(code)))
+
+
+def least_max_order_word(current):
+    """The first prefix window holding a word of the code's largest order,
+    and its least such word, by enumerating the window."""
+    moduli = current.space.flat_moduli
+    exponent = max(vector_order(w, moduli) for w in current.words())
+    for n in range(1, current.space.horizon + 1):
+        inner = window_internal(current, 0, n)
+        candidates = [w for w in inner.words() if vector_order(w, moduli) == exponent]
+        if candidates:
+            return min(candidates), exponent
+
+
+class TestGeneratorChoice:
+    def test_least_max_order_word_of_each_window(self):
+        # Every window the peeling visits, over p-primary symbols.
+        rng = random.Random(127)
+        palettes = {2: [(2,), (4,), (8,), (2, 4)], 3: [(3,), (9,), (3, 3)]}
+        windows = 0
+        for _ in range(80):
+            p = rng.choice([2, 3])
+            sp = space(*[rng.choice(palettes[p]) for _ in range(rng.randint(2, 4))])
+            gens = [
+                [rng.randrange(m) for m in sp.flat_moduli]
+                for _ in range(rng.randint(1, 3))
+            ]
+            current = code_from_generators(sp, gens)
+            while current.cardinality > 1:
+                word, order = _max_order_in_smallest_window(current, p)
+                assert (word, order) == least_max_order_word(current)
+                current = _peel_complement(current, word, order)
+                windows += 1
+        assert windows >= 100
+
+    def test_decomposition_enumerates_nothing(self, monkeypatch):
+        rng = random.Random(131)
+        codes = []
+        for _ in range(10):
+            sp = space(*[(rng.choice([2, 4, 6, 9]),) for _ in range(3)])
+            gens = [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
+            codes.append(code_from_generators(sp, gens))
+
+        def no_enumeration(self):
+            raise AssertionError("the decomposition enumerated a code")
+
+        monkeypatch.setattr(BlockCode, "words", no_enumeration)
+        for code in codes:
+            decomposition = cyclic_product_decomposition(code)
+            assert decomposition.certificate.ok
+            assert decomposition.order_product == code.cardinality
 
 
 class TestVerifyDecomposition:
