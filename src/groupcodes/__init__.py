@@ -28,7 +28,6 @@ from .control import (
 )
 from .convolutional import (
     ConvolutionalCode,
-    MarginError,
     StrongControllabilityVerdict,
     WeakControllabilityVerdict,
     dual_convolutional,

@@ -3,15 +3,16 @@
 Subcommands: analyze, dual, decompose, check, duality-check, oracle.
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a property fails or a verification mismatches, 2 for usage or input
-errors and for limits hit (an ``oracle`` run above its bound, a window
-that has not stabilized at its margin).  Reports are byte-stable for fixed
-input and flags; positions are printed in both the internal convention
-(0-based, half-open) and the classical one (1-based, closed).
+errors and for an ``oracle`` run above its bound.  Reports are byte-stable
+for fixed input and flags; positions are printed in both the internal
+convention (0-based, half-open) and the classical one (1-based, closed).
+The parser is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -20,7 +21,6 @@ from .codes import BlockCode, invariant_factors_of_code
 from .control import control_profile, order_profile
 from .convolutional import (
     ConvolutionalCode,
-    MarginError,
     dual_convolutional,
     strong_controllability_index,
     verify_window_duality,
@@ -426,6 +426,7 @@ def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool]]:
     return checks
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupcodes",
@@ -469,14 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OracleBoundExceeded, MarginError) as exc:
+    except (ValueError, OracleBoundExceeded) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

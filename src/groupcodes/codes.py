@@ -227,11 +227,17 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
 
 
 def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
-    """Image of the code under deleting all coordinates outside [a, b)."""
+    """Image of the code under deleting all coordinates outside [a, b).
+
+    A prefix (a = 0) needs no Howell call: the nonzero truncated Howell
+    rows keep pivots and reductions, and the Howell property carries over
+    (a prefix vanishing before a column lifts to a codeword that does)."""
     code.space.check_window(a, b)
     sub = code.space.window(a, b)
     sl = code.space.flat_slice(a, b)
     rows = tuple(row[sl] for row in code.basis.rows)
+    if a == 0:
+        return BlockCode.from_howell(sub, (row for row in rows if any(row)))
     return BlockCode(sub, _trusted(sub.flat_moduli, rows))
 
 

@@ -3,10 +3,10 @@
 A convolutional code is given either by image taps (generators whose shifts
 span the code) or by kernel taps (checks h with sum_t pairing(w_{k+t}, h_t)
 = 0 at every shift k).  The time axis is one-sided; windows [0, n) of the
-code and of its finite-support part are computed exactly, with an explicit
-margin-stabilization procedure where an infinite tail would otherwise be
-needed.  Verdicts never claim more than the analysis horizon supports: a
-search that exhausts the horizon reports "unknown", not a theorem.
+code and of its finite-support part are computed exactly, those that need
+an infinite tail from one window of proved length (``_settled_window``).
+Only the strong-index search is heuristic; a search that exhausts the
+horizon reports "unknown", not a theorem.
 
 One-sided boundary effects are real: the closure of the shift span of the
 single binary tap (1, 1) is the full product, because every prefix can be
@@ -20,7 +20,8 @@ justifies gating the strong index by the weak verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 from .codes import BlockCode, SequenceSpace, window_internal, window_projection
 from .control import control_profile
@@ -28,11 +29,8 @@ from .duality import dual_block_code
 from .groups import FiniteAbelianGroup
 from .linalg import annihilator_rows, residue_matrix
 
-T = TypeVar("T")
-
 __all__ = [
     "ConvolutionalCode",
-    "MarginError",
     "WeakControllabilityVerdict",
     "StrongControllabilityVerdict",
     "window_code",
@@ -44,16 +42,6 @@ __all__ = [
     "weak_observability",
     "verify_window_duality",
 ]
-
-
-class MarginError(RuntimeError):
-    """Raised when a window computation has not stabilized at the margin."""
-
-    def __init__(self, margin: int):
-        self.margin = margin
-        super().__init__(
-            f"window not stabilized at margin {margin}; retry with a larger one"
-        )
 
 
 def _normalize_tap(tap: Sequence[Sequence[int]], symbol: FiniteAbelianGroup):
@@ -99,8 +87,16 @@ class ConvolutionalCode:
     def analysis_horizon(self) -> int:
         return self.horizon if self.horizon is not None else 8 * self.memory
 
-    def window_space(self, n: int) -> SequenceSpace:
-        return SequenceSpace(tuple(self.symbol for _ in range(n)))
+    @cached_property
+    def _settled(self) -> dict[tuple, tuple[int, BlockCode]]:
+        return {}  # chain -> settle step and long window (_settled_window)
+
+    @cached_property
+    def _dual(self) -> "ConvolutionalCode":
+        form = "kernel" if self.form == "image" else "image"
+        dual = ConvolutionalCode(self.symbol, form, self.taps, self.horizon)
+        dual.__dict__["_dual"] = self  # the dual's dual is this code
+        return dual
 
 
 def _shifts(conv: ConvolutionalCode, n: int, cut: bool) -> list[list[int]]:
@@ -111,10 +107,7 @@ def _shifts(conv: ConvolutionalCode, n: int, cut: bool) -> list[list[int]]:
     for tap in conv.taps:
         flat = [e for step in tap for e in step]
         for s in range(n if cut else n - len(tap) + 1):
-            row = [0] * (n * width)
-            piece = flat[: (n - s) * width]
-            row[s * width : s * width + len(piece)] = piece
-            rows.append(row)
+            rows.append(([0] * (s * width) + flat + [0] * (n * width))[: n * width])
     return rows
 
 
@@ -128,79 +121,11 @@ def _window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
     ``cut`` the kernel rows impose every check overlapping the window with
     zeros assumed beyond it, which is membership of the zero extension.
     """
-    space = conv.window_space(n)
+    space = SequenceSpace((conv.symbol,) * n)
     rows = residue_matrix(_shifts(conv, n, cut), space.flat_moduli)
     if conv.form == "image":
         return BlockCode(space, rows)
     return BlockCode.from_howell(space, annihilator_rows(rows).rows)
-
-
-def _restrict(code: BlockCode, n: int) -> BlockCode:
-    return window_projection(code, 0, n) if n < code.space.horizon else code
-
-
-def _stabilize(
-    evaluate: Callable[[int], T], n: int, margins: range, failed: Optional[int] = None
-) -> T:
-    """The "agree twice" rule: evaluate at lengths n + k for k in
-    ``margins`` and return the first value equal to the one before it.
-
-    Every window that needs an infinite tail, and the strong index, stops
-    by this rule; it is a heuristic, not a theorem.  Running out of margins
-    raises MarginError naming ``failed``, by default the next margin past
-    the range.
-    """
-    previous = None
-    for k in margins:
-        current = evaluate(n + k)
-        if current == previous:
-            return current
-        previous = current
-    raise MarginError(margins[-1] + margins.step if failed is None else failed)
-
-
-def window_code(
-    conv: ConvolutionalCode, n: int, margin: Optional[int] = None
-) -> BlockCode:
-    """The window [0, n) of the code: exact image of the projection.
-
-    Image form: span of all shift restrictions, boundary cuts included.
-    Kernel form: solutions on the extended horizon n + margin projected back
-    to [0, n); the projections for margin and margin + memory must agree,
-    otherwise MarginError asks the caller to retry with more room.
-    """
-    if n < 1:
-        raise ValueError("window length must be at least 1")
-    if conv.form == "image":
-        return _window(conv, n, cut=True)
-    margin = conv.memory if margin is None else margin
-    if margin < conv.memory:
-        raise ValueError("margin must be at least the memory")
-    margins = range(margin, margin + conv.memory + 1, conv.memory)
-    return _stabilize(lambda M: _restrict(_window(conv, M, cut=False), n), n, margins, margin)
-
-
-def zero_extension_window(
-    conv: ConvolutionalCode, n: int, margin: Optional[int] = None
-) -> BlockCode:
-    """Words on [0, n) whose zero extension is a finite-support codeword.
-
-    Kernel form is exact: the zero extension satisfies every check iff the
-    truncated checks hold.  Image form grows the horizon until the set of
-    fully contained shift combinations vanishing on [n, horizon) stabilizes
-    twice in a row.
-    """
-    if n < 1:
-        raise ValueError("window length must be at least 1")
-    if conv.form == "kernel":
-        return _window(conv, n, cut=True)
-    margin = conv.memory if margin is None else margin
-    cap = max(8 * conv.memory, margin + 4 * conv.memory)
-    return _stabilize(
-        lambda M: _restrict(window_internal(local_window(conv, M), 0, n), n),
-        n,
-        range(margin, cap + 1, conv.memory),
-    )
 
 
 def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
@@ -213,6 +138,102 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     if n < 1:
         raise ValueError("window length must be at least 1")
     return _window(conv, n, cut=False)
+
+
+# The chains of ``_settled_window``: (window builder, past), past = 1 for the
+# image zero extension, whose read keeps the words supported in [0, n) and
+# so needs s symbols past n.  The finite support is the kernel one (for an
+# image code it is the code window itself, settled at j* = 0).
+_CODE = (local_window, 0)
+_FINITE_SUPPORT = (partial(_window, cut=True), 0)
+_ZERO_EXTENSION = (local_window, 1)
+
+
+def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
+    """The window [0, n) of a chain, read off a window of settled length.
+
+    Let s = max(memory - 1, 1).  A check spans at most s + 1 symbols, so on
+    [0, L + 1), L >= s, it lies in [0, s + 1) or in [1, L + 1): each chain
+    X_j = read(build(s + j), s) obeys X_{j+1} = F(X_j) for a monotone F on
+    the subgroups of G^s.  Code: S_j = proj_[0,s) local_window(s + j);
+    x is in S_{j+1} iff some a puts (x, a) in local_window(s + 1) and
+    (x_1..x_{s-1}, a) in S_j; S_1 <= S_0.  Finite support: R_j, the states
+    reaching the zero tail in j symbols; the same F, R_0 <= R_1.  Image
+    zero extension: P_j, the [0, s) parts of the shift combinations in
+    [0, s + j) vanishing on [s, s + j); splitting off the shift-0
+    coefficients c, P_{j+1} = {c.taps + (0, p_0..p_{s-2}) : p in P_j,
+    c.taps + p_{s-1} = 0 at s}, P_0 <= P_1.  So the first repeat X_{j*+1} = X_{j*} fixes X_j for every
+    j >= j*, and j* <= s * Omega(|G|): a strict step moves |X_j| by a prime.
+
+    Reads: a word on [0, n) is in proj_[0,n) local_window(L), L >= max(n, s),
+    iff it meets the checks inside [0, n) and its last s symbols (for n < s,
+    a state it prefixes) lie in S_{L-max(n,s)}; S_{j*} = F(S_{j*}) extends
+    forever, so L >= max(n, s) + j* gives the code window, and R likewise
+    the finite support.  An image combination vanishing from n on is its
+    shifts starting before n, ending before n + s, plus the rest, whose
+    [n, n + s) part cancels theirs and lies in P_{L-n-s} shifted by n; so
+    L >= n + s + j* gives the zero-extension window.
+    """
+    build, past = chain
+    s = max(conv.memory - 1, 1)
+
+    def read(window: BlockCode, b: int) -> BlockCode:
+        return window_projection(window_internal(window, 0, b) if past else window, 0, b)
+
+    if chain not in conv._settled:
+        step, states = 0, read(build(conv, s), s)
+        while (following := read(build(conv, s + step + 1), s)) != states:
+            step, states = step + 1, following
+        length = max(conv.analysis_horizon, s) + step + past * s
+        conv._settled[chain] = step, build(conv, length)
+    step, window = conv._settled[chain]
+    length = max(n, s) + step + past * s
+    if length > window.space.horizon:
+        window = build(conv, length)
+    return read(window, n)
+
+
+def _stabilize(evaluate: Callable[[int], int], lengths: range) -> Optional[int]:
+    """The "agree twice" rule: evaluate at each length in turn and return
+    the first value equal to the one before it, or None when the lengths
+    run out.  It is a heuristic, not a theorem; only the strong index
+    stops by it."""
+    previous = None
+    for n in lengths:
+        current = evaluate(n)
+        if current == previous:
+            return current
+        previous = current
+    return None
+
+
+def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
+    """The window [0, n) of the code: exact image of the projection.
+
+    Image form: span of all shift restrictions, boundary cuts included.
+    Kernel form: the prefix of the local window at the settled length of
+    its chain (``_settled_window``).
+    """
+    if n < 1:
+        raise ValueError("window length must be at least 1")
+    if conv.form == "image":
+        return _window(conv, n, cut=True)
+    return _settled_window(conv, _CODE, n)
+
+
+def zero_extension_window(conv: ConvolutionalCode, n: int) -> BlockCode:
+    """Words on [0, n) whose zero extension is a finite-support codeword.
+
+    Kernel form is exact: the zero extension satisfies every check iff the
+    truncated checks hold.  Image form: the fully contained shift
+    combinations vanishing from n on, read at the settled length of the
+    zero-extension chain (``_settled_window``).
+    """
+    if n < 1:
+        raise ValueError("window length must be at least 1")
+    if conv.form == "kernel":
+        return _window(conv, n, cut=True)
+    return _settled_window(conv, _ZERO_EXTENSION, n)
 
 
 @dataclass(frozen=True)
@@ -240,7 +261,7 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
 
     Image codes are spanned by finite-support words and hold by
     construction, with no window built.  For kernel codes the finite-support
-    part is the stabilized projection of the zero-extension windows; the
+    part is the settled projection of the zero-extension windows; the
     first window where it falls short of the code window is the witness.
     """
     N = conv.analysis_horizon
@@ -248,7 +269,7 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
         return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, N + 1):
         full = window_code(conv, n)
-        inner = _finite_support_projection(conv, n)
+        inner = _settled_window(conv, _FINITE_SUPPORT, n)
         if full != inner:
             return WeakControllabilityVerdict(
                 holds=False,
@@ -258,12 +279,6 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
                 finite_support_order=inner.cardinality,
             )
     return WeakControllabilityVerdict(holds=True, horizon=N)
-
-
-def _finite_support_projection(conv: ConvolutionalCode, n: int) -> BlockCode:
-    """Stabilized projection to [0, n) of a kernel code's finite support."""
-    margins = range(0, 8 * conv.memory + 1, conv.memory)
-    return _stabilize(lambda K: _restrict(zero_extension_window(conv, K), n), n, margins)
 
 
 @dataclass(frozen=True)
@@ -293,7 +308,7 @@ class StrongControllabilityVerdict:
 def strong_controllability_index(
     conv: ConvolutionalCode,
 ) -> StrongControllabilityVerdict:
-    """Effective search for the controller memory on stabilized windows.
+    """Effective search for the controller memory on the local windows.
 
     Weak failure settles the question through the equivalence chain for
     closed time-invariant codes.  Otherwise the blockwise control index of
@@ -308,11 +323,9 @@ def strong_controllability_index(
             status="not-controllable", index=None, horizon=N, witness=weak.witness
         )
     lengths = range(min(max(2 * conv.memory, 2), N), N + 1)
-    try:
-        index = _stabilize(lambda n: control_profile(local_window(conv, n)).index, 0, lengths)
-    except MarginError:
-        return StrongControllabilityVerdict(status="unknown-beyond-horizon", index=None, horizon=N)
-    return StrongControllabilityVerdict(status="stabilized", index=index, horizon=N)
+    index = _stabilize(lambda n: control_profile(local_window(conv, n)).index, lengths)
+    status = "unknown-beyond-horizon" if index is None else "stabilized"
+    return StrongControllabilityVerdict(status=status, index=index, horizon=N)
 
 
 def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:
@@ -322,25 +335,17 @@ def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:
     sum_t pairing(w_{k+t}, h_t) with increasing time), the annihilator of
     the shift span of taps T is exactly the kernel code with checks T, so
     the swap needs no time reversal; dual window identities are verified by
-    ``verify_window_duality``.
+    ``verify_window_duality``.  Code and dual are kept on each other, so
+    both keep their settled windows.
     """
-    return ConvolutionalCode(
-        symbol=conv.symbol,
-        form="kernel" if conv.form == "image" else "image",
-        taps=conv.taps,
-        horizon=conv.horizon,
-    )
+    return conv._dual
 
 
-def verify_window_duality(
-    conv: ConvolutionalCode, n: int, margin: Optional[int] = None
-) -> bool:
+def verify_window_duality(conv: ConvolutionalCode, n: int) -> bool:
     """Exact per-window duality: the annihilator of the window of the code
     equals the zero-extension window of the dual code."""
     dual = dual_convolutional(conv)
-    lhs = dual_block_code(window_code(conv, n, margin))
-    rhs = zero_extension_window(dual, n, margin)
-    return lhs == rhs
+    return dual_block_code(window_code(conv, n)) == zero_extension_window(dual, n)
 
 
 def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
@@ -360,7 +365,7 @@ def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     dual = dual_convolutional(conv)
     for n in range(1, N + 1):
         finite_part = zero_extension_window(conv, n)
-        closure_part = dual_block_code(_finite_support_projection(dual, n))
+        closure_part = dual_block_code(_settled_window(dual, _FINITE_SUPPORT, n))
         if finite_part != closure_part:
             return WeakControllabilityVerdict(
                 holds=False,

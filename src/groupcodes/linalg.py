@@ -365,8 +365,11 @@ def homomorphism_graph(
     image_moduli: Sequence[int],
 ) -> ResidueMatrix:
     """The graph rows ``[f(e_j) | e_j]`` of f, image columns first; each
-    ``images[j]`` must be reduced modulo ``image_moduli`` already."""
+    ``images[j]`` must be reduced modulo ``image_moduli`` already, and there
+    is one image per unknown."""
     unknowns = tuple(int(m) for m in unknown_moduli)
+    if len(images) != len(unknowns):
+        raise ValueError(f"{len(images)} images for {len(unknowns)} unknowns")
     imgmods = tuple(int(m) for m in image_moduli)
     rows = tuple(
         tuple(images[j]) + tuple(1 % u if k == j else 0 for k, u in enumerate(unknowns))

@@ -343,19 +343,19 @@ class TestErrors:
         assert code == 2
         assert "out of range" in err
 
-    def test_margin_error_is_limit_error(self, tmp_path):
-        # Z/4 kernel check whose window has not stabilized at margin 3.
-        spec = tmp_path / "margin.spec"
+    def test_z4_102_kernel_analyzes(self, tmp_path):
+        # Z/4 kernel check (3, 0, 2): every window is zero.  The old margin
+        # loop gave up on it with exit 2.
+        spec = tmp_path / "z4_302.spec"
         spec.write_text(
             "kind: convolutional\nsymbol: [4]\nform: kernel\ntap: 3 0 2\n",
             encoding="utf-8",
         )
-        code, out, err = run_cli("analyze", str(spec))
-        assert code == 2
-        assert out == ""
-        assert err == (
-            "error: window not stabilized at margin 3; retry with a larger one\n"
-        )
+        code, out, err = run_cli("analyze", str(spec), "--format", "json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["window_orders"] == {str(n): 1 for n in range(1, 7)}
+        assert data["weakly_controllable"]
 
     def test_console_entry_point(self, even_weight_spec):
         proc = subprocess.run(
@@ -365,3 +365,38 @@ class TestErrors:
         )
         assert proc.returncode == 0
         assert "groupcodes analyze report" in proc.stdout
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_single_runs(self, even_weight_spec, constant_spec):
+        import groupcodes.cli
+
+        cases = [
+            ("analyze", even_weight_spec),
+            ("check", constant_spec, "--property", "l-controllable", "--level", "1"),
+            ("analyze", constant_spec, "--format", "json"),
+            ("check", even_weight_spec, "--property", "bogus"),
+            ("dual", even_weight_spec),
+            ("check", constant_spec, "--property", "l-controllable"),
+            ("duality-check", constant_spec),
+        ]
+
+        def run_caught(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:  # argparse errors exit by raising
+                    code = ("exit", exc.code)
+            return code, out.getvalue(), err.getvalue()
+
+        alone = {}
+        for argv in cases:
+            groupcodes.cli.build_parser.cache_clear()
+            alone[argv] = run_caught(argv)
+        assert alone[cases[3]][0] == ("exit", 2)
+        assert "invalid choice" in alone[cases[3]][2]
+        parser = groupcodes.cli.build_parser()
+        for argv in cases * 2 + cases[::-1]:
+            assert run_caught(argv) == alone[argv]
+        assert groupcodes.cli.build_parser() is parser

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcodes.codes import (
     BlockCode,
@@ -294,6 +296,22 @@ class TestWindowTable:
         got[0, 2] = window_internal(code, 0, 2)
         assert len(calls) == 3
         assert got == expected
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_prefix_projection_truncates_howell_rows(self, mixed_corpus, data):
+        # Joined with extra generators, so the rows vary beyond the corpus.
+        code = data.draw(st.sampled_from(mixed_corpus))
+        moduli = code.space.flat_moduli
+        extra = data.draw(
+            st.lists(st.tuples(*[st.integers(0, m - 1) for m in moduli]), max_size=2)
+        )
+        code = join(code, code_from_generators(code.space, extra))
+        for b in range(1, code.space.horizon + 1):
+            sub = code.space.window(0, b)
+            cut = code.space.flat_slice(0, b).stop
+            truncated = residue_matrix([row[:cut] for row in code.basis.rows], sub.flat_moduli)
+            assert window_projection(code, 0, b).basis == howell_form(truncated)
 
     def test_is_subcode_of_matches_rowwise_containment(self, mixed_corpus):
         by_space = {}

@@ -5,12 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupcodes.codes import window_projection
+from groupcodes.codes import window_internal, window_projection
 from groupcodes.control import reachable_set
 from groupcodes.convolutional import (
     ConvolutionalCode,
-    MarginError,
+    _CODE,
+    _FINITE_SUPPORT,
+    _ZERO_EXTENSION,
+    _settled_window,
     dual_convolutional,
     local_window,
     strong_controllability_index,
@@ -68,9 +73,22 @@ class TestWindowCode:
                 larger = window_code(conv, n + 1)
                 assert window_projection(larger, 0, n) == window_code(conv, n)
 
-    def test_margin_must_cover_memory(self):
-        with pytest.raises(ValueError):
-            window_code(CONSTANT, 3, margin=0)
+    def test_window_length_must_be_positive(self):
+        for conv in (CONSTANT, ACCUMULATOR):
+            with pytest.raises(ValueError):
+                window_code(conv, 0)
+            with pytest.raises(ValueError):
+                zero_extension_window(conv, 0)
+
+    def test_windows_beyond_the_horizon_are_built_fresh(self):
+        conv = kernel(Z4, ((1,), (0,), (2,)), horizon=2)
+        assert [window_code(conv, n).cardinality for n in (1, 2, 5, 9)] == [1] * 4
+        conv = image(Z2, ((1,), (1,)), horizon=2)
+        for n in (1, 2, 5):
+            expected = window_projection(
+                window_internal(local_window(conv, n + 10), 0, n), 0, n
+            )
+            assert zero_extension_window(conv, n) == expected
 
 
 class TestZeroExtensionWindow:
@@ -316,16 +334,234 @@ class TestKernelWindowsBruteForce:
         assert set(local_window(conv, n).words()) == _brute_window(conv, n, cut=False)
 
 
-class TestMarginRecovery:
-    # The Z/4 check (1, 0, 2) forces every symbol to zero, but its window
-    # only settles once the margin leaves room for two chained checks.
-    CONV = kernel(Z4, ((1,), (0,), (2,)))
 
-    def test_default_margin_raises(self):
-        with pytest.raises(MarginError) as info:
-            window_code(self.CONV, 3)
-        assert info.value.margin == 3
 
-    def test_larger_margin_returns_window(self):
-        for n in range(1, 5):
-            assert window_code(self.CONV, n, margin=6).cardinality == 1
+class TestSettledWindows:
+    # The Z/4 checks (a, b, 2) with a a unit and b even force every symbol
+    # to zero: all symbols are even, and then a * w_k = 0.  The old "agree
+    # twice" margin loop gave up on them.
+    CODES = [kernel(Z4, ((a,), (b,), (2,))) for a in (1, 3) for b in (0, 2)]
+
+    def test_every_window_is_zero(self):
+        for conv in self.CODES:
+            for n in range(1, 7):
+                assert window_code(conv, n).cardinality == 1
+                assert _settled_window(conv, _FINITE_SUPPORT, n).cardinality == 1
+            assert weak_controllability(conv).holds
+
+    def test_one_long_window_per_chain(self, monkeypatch):
+        import groupcodes.convolutional as module
+
+        built = []
+        original = module._window
+
+        def counted(conv, n, cut):
+            built.append((n, cut))
+            return original(conv, n, cut)
+
+        monkeypatch.setattr(module, "_window", counted)
+        conv = kernel(Z4, ((1,), (0,), (2,)))
+        window_code(conv, 1)
+        step, window = conv._settled[_CODE]
+        s, N = 2, conv.analysis_horizon
+        # The chain windows s, ..., s + step + 1, then one long window.
+        assert built == [(s + j, False) for j in range(step + 2)] + [(N + step, False)]
+        assert window.space.horizon == N + step
+        built.clear()
+        for n in range(2, N + 1):
+            window_code(conv, n)
+        assert built == []
+
+
+def _omega(n):
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count
+
+
+SETTLE_SYMBOLS = (Z2, Z4, V4, FiniteAbelianGroup((8,)), FiniteAbelianGroup((6,)))
+
+
+class TestSettleStep:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_first_repeat_is_a_fixed_point_within_the_bound(self, data):
+        symbol = data.draw(st.sampled_from(SETTLE_SYMBOLS))
+        form = data.draw(st.sampled_from(("image", "kernel")))
+        step_strategy = st.tuples(*[st.integers(0, m - 1) for m in symbol.moduli])
+        taps = data.draw(
+            st.lists(
+                st.lists(step_strategy, min_size=1, max_size=4).map(tuple),
+                min_size=1,
+                max_size=2,
+            )
+        )
+        conv = ConvolutionalCode(symbol, form, tuple(taps), horizon=1)
+        s = max(conv.memory - 1, 1)
+        chains = (_ZERO_EXTENSION,) if form == "image" else (_CODE, _FINITE_SUPPORT)
+        for chain in chains:
+            _settled_window(conv, chain, 1)
+            step, _ = conv._settled[chain]
+            assert step <= s * _omega(symbol.cardinality)
+            build, past = chain
+
+            def states(j):
+                window = build(conv, s + j)
+                return window_projection(window_internal(window, 0, s) if past else window, 0, s)
+
+            for j in range(step + 1, step + 4):
+                assert states(j) == states(step)
+
+
+def _symbols(conv):
+    return list(itertools.product(*[range(m) for m in conv.symbol.moduli]))
+
+
+def _add(x, y, moduli):
+    return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+
+def _pairs_to_zero(word, tap, moduli):
+    total = Fraction(0)
+    for symbol, step in zip(word, tap):
+        for a, b, m in zip(symbol, step, moduli):
+            total += Fraction(a * b, m)
+    return total.denominator == 1
+
+
+def _closure(start, keep):
+    """Iterate ``keep`` from ``start`` until it no longer changes."""
+    current = set(start)
+    while (following := keep(current)) != current:
+        current = following
+    return current
+
+
+def _kernel_state_graph(conv, s):
+    """States are words on s symbols; x -> (x_1, ..., x_{s-1}, a) when
+    (x, a) satisfies every check at shift 0."""
+    moduli = conv.symbol.moduli
+    states = list(itertools.product(_symbols(conv), repeat=s))
+    return {
+        x: [
+            x[1:] + (a,)
+            for a in _symbols(conv)
+            if all(_pairs_to_zero(x + (a,), tap, moduli) for tap in conv.taps)
+        ]
+        for x in states
+    }
+
+
+def _kernel_words(graph, alive, s, n):
+    """Flat words on [0, n) whose states form a path inside ``alive``."""
+    if n <= s:
+        words = {x[:n] for x in alive}
+    else:
+        words = set(alive)
+        for _ in range(n - s):
+            words = {w + (y[-1],) for w in words for y in graph[w[-s:]] if y in alive}
+    return {tuple(e for symbol in w for e in symbol) for w in words}
+
+
+def _image_state_graph(conv, s):
+    """States are the pending contributions on the next s symbols; a shift
+    combination v of the taps (v in G^(s+1)) started now outputs x_0 + v_0
+    and leaves (x_1, ..., x_{s-1}, 0) + (v_1, ..., v_s) pending."""
+    moduli = conv.symbol.moduli
+    zero = tuple(0 for _ in moduli)
+    padded = [tuple(tap) + (zero,) * (s + 1 - len(tap)) for tap in conv.taps]
+
+    def add_words(v, w):
+        return tuple(_add(a, b, moduli) for a, b in zip(v, w))
+
+    span = _closure(
+        {(zero,) * (s + 1)},
+        lambda current: current | {add_words(v, g) for v in current for g in padded},
+    )
+    states = list(itertools.product(_symbols(conv), repeat=s))
+    return {
+        x: [
+            (_add(x[0], v[0], moduli), add_words(x[1:] + (zero,), v[1:]))
+            for v in span
+        ]
+        for x in states
+    }
+
+
+def _image_words(graph, start, ends, n):
+    """Flat outputs on [0, n) of the paths from ``start`` ending in ``ends``."""
+    paths = {(start, ())}
+    for _ in range(n):
+        paths = {(y, w + (u,)) for x, w in paths for u, y in graph[x]}
+    return {tuple(e for u in w for e in u) for y, w in paths if y in ends}
+
+
+def _state_graph_windows(conv, horizon):
+    """Window, finite-support projection and zero-extension window on
+    [0, n) for n = 1..horizon, read off the state graph on G^s."""
+    s = max(conv.memory - 1, 1)
+    zero_state = tuple(tuple(0 for _ in conv.symbol.moduli) for _ in range(s))
+    out = {}
+    if conv.form == "kernel":
+        graph = _kernel_state_graph(conv, s)
+        infinite = _closure(
+            graph, lambda alive: {x for x in alive if any(y in alive for y in graph[x])}
+        )
+        reach_zero = _closure(
+            {zero_state},
+            lambda reach: reach | {x for x in graph if any(y in reach for y in graph[x])},
+        )
+        for n in range(1, horizon + 1):
+            out[n] = (
+                _kernel_words(graph, infinite, s, n),
+                _kernel_words(graph, reach_zero, s, n),
+                None,
+            )
+        return out
+    graph = _image_state_graph(conv, s)
+    zero_output = tuple(0 for _ in conv.symbol.moduli)
+    reach_zero = _closure(
+        {zero_state},
+        lambda reach: reach
+        | {x for x in graph if any(u == zero_output and y in reach for u, y in graph[x])},
+    )
+    for n in range(1, horizon + 1):
+        everything = _image_words(graph, zero_state, graph.keys(), n)
+        out[n] = (everything, everything, _image_words(graph, zero_state, reach_zero, n))
+    return out
+
+
+def _three_step_codes():
+    # Horizon 4: the windows n = 1..4 are read up to the edge of the one
+    # long window each chain keeps.
+    for symbol in (Z2, Z4):
+        steps = list(itertools.product(*[range(m) for m in symbol.moduli]))
+        for tap in itertools.product(steps, repeat=3):
+            if any(map(any, tap)):
+                yield image(symbol, tap, horizon=4)
+                yield kernel(symbol, tap, horizon=4)
+
+
+THREE_STEP_CODES = list(_three_step_codes())
+
+
+class TestStateGraphTwin:
+    """The settled windows against a state graph on G^s built without any
+    linear algebra: prune the states with no infinite forward path (the
+    code) or that cannot reach zero (its finite support), and read the
+    words of the paths."""
+
+    @pytest.mark.parametrize(
+        "conv",
+        THREE_STEP_CODES,
+        ids=[f"{c.form}-{c.symbol.moduli}-{c.taps}" for c in THREE_STEP_CODES],
+    )
+    def test_windows_match_state_graph(self, conv):
+        for n, (full, finite, zero_extension) in _state_graph_windows(conv, 4).items():
+            assert set(window_code(conv, n).words()) == full
+            assert set(_settled_window(conv, _FINITE_SUPPORT, n).words()) == finite
+            if zero_extension is not None:
+                assert set(zero_extension_window(conv, n).words()) == zero_extension

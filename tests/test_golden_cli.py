@@ -4,13 +4,16 @@ convolutional and Z/4 band specs in `tests/golden/specs`, byte for byte.
 `tests/golden/index.json` maps each case name to its argument list (the
 spec is named by file name, looked up in `demos/specs` and then in
 `tests/golden/specs`), its exit code and its stderr;
-`tests/golden/<name>.out` holds its stdout.  Regenerate both
-with `PYTHONPATH=src python tests/test_golden_cli.py` only when a report
-is meant to change, and review the diff.
+`tests/golden/<name>.out` holds its stdout.  Regenerate them with
+`PYTHONPATH=src python tests/test_golden_cli.py [NAME...]` only when a
+report is meant to change, and review the diff.  With names, only those
+cases are rewritten, and nothing is written if any other case's report
+would change (those cases are listed on stderr).
 """
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -83,17 +86,44 @@ def test_golden_report(name, argv):
     assert (code, err) == (expected["exit"], expected["stderr"])
 
 
-def write_goldens():
+def _golden_of(argv, result):
+    code, out, err = result
+    return {"argv": argv, "exit": code, "stderr": err}, out
+
+
+def _stored(name):
+    path = GOLDEN / f"{name}.out"
+    if not path.exists() or name not in _index():
+        return None
+    return _index()[name], path.read_bytes().decode("utf-8")
+
+
+def write_goldens(names=()):
+    """Rewrite the goldens of ``names``, or of every case when none are
+    named.  With names given, nothing is written if the report of any
+    other case differs from its golden; those cases are listed instead."""
+    known = {name for name, _ in CASES}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        print("unknown cases: " + " ".join(unknown), file=sys.stderr)
+        return 2
+    selected = set(names) or known
+    fresh = {name: _golden_of(argv, run_case(argv)) for name, argv in CASES}
+    changed = [name for name in sorted(known - selected) if fresh[name] != _stored(name)]
+    if changed:
+        print("other cases would change; nothing written:", file=sys.stderr)
+        print("\n".join(changed), file=sys.stderr)
+        return 1
     GOLDEN.mkdir(exist_ok=True)
-    index = {}
-    for name, argv in CASES:
-        code, out, err = run_case(argv)
+    index = _index() if (GOLDEN / "index.json").exists() else {}
+    for name in sorted(selected):
+        index[name], out = fresh[name]
         (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
-        index[name] = {"argv": argv, "exit": code, "stderr": err}
     (GOLDEN / "index.json").write_text(
         json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+    return 0
 
 
 if __name__ == "__main__":
-    write_goldens()
+    raise SystemExit(write_goldens(sys.argv[1:]))

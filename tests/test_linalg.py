@@ -470,6 +470,15 @@ class TestWidthChecks:
             with pytest.raises(ValueError):
                 solve_homomorphism(images, (4, 4), (4, 4), (1, 0))
 
+    def test_homomorphism_needs_one_image_per_unknown(self):
+        # Too few images used to raise IndexError; too many dropped the
+        # extra ones silently.
+        for images in ([(1,)], [(1,), (2,), (3,)]):
+            with pytest.raises(ValueError, match="unknowns"):
+                homomorphism_kernel(images, (4, 4), (4,))
+            with pytest.raises(ValueError, match="unknowns"):
+                solve_homomorphism(images, (4, 4), (4,), (1,))
+
     def test_quotient_rejects_wrong_width_denominator(self):
         m = residue_matrix([(1, 0), (0, 1)], (4, 4))
         with pytest.raises(ValueError):
