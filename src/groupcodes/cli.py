@@ -6,7 +6,6 @@ Exit codes: 0 when the command succeeds and any checked property holds,
 errors and for an ``oracle`` run above its bound.  Reports are byte-stable
 for fixed input and flags; positions are printed in both the internal
 convention (0-based, half-open) and the classical one (1-based, closed).
-The parser is built once per process and reused by every ``main`` call.
 """
 
 from __future__ import annotations

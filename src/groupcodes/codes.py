@@ -227,11 +227,9 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
 
 
 def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
-    """Image of the code under deleting all coordinates outside [a, b).
-
-    A prefix (a = 0) needs no Howell call: the nonzero truncated Howell
-    rows keep pivots and reductions, and the Howell property carries over
-    (a prefix vanishing before a column lifts to a codeword that does)."""
+    """Image of the code under deleting all coordinates outside [a, b).  A
+    prefix (a = 0) truncates the Howell rows, a Howell form again: a prefix
+    vanishing before a column lifts to a codeword that does."""
     code.space.check_window(a, b)
     sub = code.space.window(a, b)
     sl = code.space.flat_slice(a, b)

@@ -20,7 +20,7 @@ justifies gating the strong index by the weak verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .codes import BlockCode, SequenceSpace, window_internal, window_projection
@@ -140,13 +140,12 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     return _window(conv, n, cut=False)
 
 
-# The chains of ``_settled_window``: (window builder, past), past = 1 for the
-# image zero extension, whose read keeps the words supported in [0, n) and
-# so needs s symbols past n.  The finite support is the kernel one (for an
-# image code it is the code window itself, settled at j* = 0).
-_CODE = (local_window, 0)
-_FINITE_SUPPORT = (partial(_window, cut=True), 0)
-_ZERO_EXTENSION = (local_window, 1)
+# Chains of ``_settled_window``: (window builder, past); past = 1 when the
+# read keeps the words supported in [0, n), which needs s symbols past n.
+# The finite support of an image code is its window, settled at j* = 0.
+_CODE = (lambda conv, n: _window(conv, n, cut=False), 0)
+_FINITE_SUPPORT = (lambda conv, n: _window(conv, n, cut=True), 0)
+_ZERO_EXTENSION = (_CODE[0], 1)
 
 
 def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
@@ -162,8 +161,9 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
     zero extension: P_j, the [0, s) parts of the shift combinations in
     [0, s + j) vanishing on [s, s + j); splitting off the shift-0
     coefficients c, P_{j+1} = {c.taps + (0, p_0..p_{s-2}) : p in P_j,
-    c.taps + p_{s-1} = 0 at s}, P_0 <= P_1.  So the first repeat X_{j*+1} = X_{j*} fixes X_j for every
-    j >= j*, and j* <= s * Omega(|G|): a strict step moves |X_j| by a prime.
+    c.taps + p_{s-1} = 0 at s}, P_0 <= P_1.  So the first repeat
+    X_{j*+1} = X_{j*} fixes X_j for every j >= j*, and j* <= s * Omega(|G|):
+    a strict step moves |X_j| by a prime.
 
     Reads: a word on [0, n) is in proj_[0,n) local_window(L), L >= max(n, s),
     iff it meets the checks inside [0, n) and its last s symbols (for n < s,
@@ -177,8 +177,8 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
     build, past = chain
     s = max(conv.memory - 1, 1)
 
-    def read(window: BlockCode, b: int) -> BlockCode:
-        return window_projection(window_internal(window, 0, b) if past else window, 0, b)
+    def read(w: BlockCode, b: int) -> BlockCode:
+        return window_projection(window_internal(w, 0, b) if past else w, 0, b)
 
     if chain not in conv._settled:
         step, states = 0, read(build(conv, s), s)
@@ -194,10 +194,8 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
 
 
 def _stabilize(evaluate: Callable[[int], int], lengths: range) -> Optional[int]:
-    """The "agree twice" rule: evaluate at each length in turn and return
-    the first value equal to the one before it, or None when the lengths
-    run out.  It is a heuristic, not a theorem; only the strong index
-    stops by it."""
+    """The "agree twice" rule: the first value over ``lengths`` equal to the
+    one before it, or None.  A heuristic; only the strong index uses it."""
     previous = None
     for n in lengths:
         current = evaluate(n)
@@ -211,8 +209,7 @@ def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
     """The window [0, n) of the code: exact image of the projection.
 
     Image form: span of all shift restrictions, boundary cuts included.
-    Kernel form: the prefix of the local window at the settled length of
-    its chain (``_settled_window``).
+    Kernel form: read off its settled chain (``_settled_window``).
     """
     if n < 1:
         raise ValueError("window length must be at least 1")
@@ -225,9 +222,8 @@ def zero_extension_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     """Words on [0, n) whose zero extension is a finite-support codeword.
 
     Kernel form is exact: the zero extension satisfies every check iff the
-    truncated checks hold.  Image form: the fully contained shift
-    combinations vanishing from n on, read at the settled length of the
-    zero-extension chain (``_settled_window``).
+    truncated checks hold.  Image form: the shift combinations vanishing
+    from n on, read off their settled chain (``_settled_window``).
     """
     if n < 1:
         raise ValueError("window length must be at least 1")
@@ -335,8 +331,8 @@ def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:
     sum_t pairing(w_{k+t}, h_t) with increasing time), the annihilator of
     the shift span of taps T is exactly the kernel code with checks T, so
     the swap needs no time reversal; dual window identities are verified by
-    ``verify_window_duality``.  Code and dual are kept on each other, so
-    both keep their settled windows.
+    ``verify_window_duality``.  Code and dual keep each other (and so
+    their settled windows).
     """
     return conv._dual
 

@@ -404,8 +404,6 @@ def solve_homomorphism(
     target: Sequence[int],
 ) -> Optional[Vector]:
     """A particular ``x`` with ``sum_j x_j * images[j] = target``, or None."""
-    if len(target) != len(image_moduli):
-        raise ValueError("target length mismatch")
     imgmods = tuple(int(m) for m in image_moduli)
     images = [_reduced(img, imgmods) for img in images]
     graph = homomorphism_graph(images, unknown_moduli, imgmods)
@@ -430,8 +428,6 @@ def solve_congruence_system(
     reported over that modulus.  Returns None when ``b`` is not in the row
     span.
     """
-    if len(target) != matrix.width:
-        raise ValueError("right-hand side length mismatch")
     exponent = lcm(*matrix.moduli)
     graph = homomorphism_graph(
         matrix.rows, tuple(exponent for _ in matrix.rows), matrix.moduli

@@ -410,7 +410,8 @@ class TestSettleStep:
 
             def states(j):
                 window = build(conv, s + j)
-                return window_projection(window_internal(window, 0, s) if past else window, 0, s)
+                supported = window_internal(window, 0, s) if past else window
+                return window_projection(supported, 0, s)
 
             for j in range(step + 1, step + 4):
                 assert states(j) == states(step)

@@ -479,6 +479,10 @@ class TestWidthChecks:
             with pytest.raises(ValueError, match="unknowns"):
                 solve_homomorphism(images, (4, 4), (4,), (1,))
 
+    def test_solve_homomorphism_rejects_wrong_width_target(self):
+        with pytest.raises(ValueError):
+            solve_homomorphism([(1,), (2,)], (4, 4), (4,), (1, 0))
+
     def test_quotient_rejects_wrong_width_denominator(self):
         m = residue_matrix([(1, 0), (0, 1)], (4, 4))
         with pytest.raises(ValueError):
