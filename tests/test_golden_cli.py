@@ -86,18 +86,6 @@ def test_golden_report(name, argv):
     assert (code, err) == (expected["exit"], expected["stderr"])
 
 
-def _golden_of(argv, result):
-    code, out, err = result
-    return {"argv": argv, "exit": code, "stderr": err}, out
-
-
-def _stored(name):
-    path = GOLDEN / f"{name}.out"
-    if not path.exists() or name not in _index():
-        return None
-    return _index()[name], path.read_bytes().decode("utf-8")
-
-
 def write_goldens(names=()):
     """Rewrite the goldens of ``names``, or of every case when none are
     named.  With names given, nothing is written if the report of any
@@ -108,17 +96,25 @@ def write_goldens(names=()):
         print("unknown cases: " + " ".join(unknown), file=sys.stderr)
         return 2
     selected = set(names) or known
-    fresh = {name: _golden_of(argv, run_case(argv)) for name, argv in CASES}
-    changed = [name for name in sorted(known - selected) if fresh[name] != _stored(name)]
+    index = _index() if (GOLDEN / "index.json").exists() else {}
+    fresh = {}
+    for name, argv in CASES:
+        code, out, err = run_case(argv)
+        fresh[name] = {"argv": argv, "exit": code, "stderr": err}, out.encode("utf-8")
+
+    def stored(name):
+        path = GOLDEN / f"{name}.out"
+        return (index.get(name), path.read_bytes() if path.exists() else None)
+
+    changed = [name for name in sorted(known - selected) if fresh[name] != stored(name)]
     if changed:
         print("other cases would change; nothing written:", file=sys.stderr)
         print("\n".join(changed), file=sys.stderr)
         return 1
     GOLDEN.mkdir(exist_ok=True)
-    index = _index() if (GOLDEN / "index.json").exists() else {}
     for name in sorted(selected):
         index[name], out = fresh[name]
-        (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+        (GOLDEN / f"{name}.out").write_bytes(out)
     (GOLDEN / "index.json").write_text(
         json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
