@@ -64,6 +64,8 @@ def _load(path: str) -> CodeSpecDocument:
             return parse_spec(handle.read())
     except FileNotFoundError:
         raise SpecError(f"no such file: {path}")
+    except OSError as exc:  # a directory, no permission, a read failure
+        raise SpecError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _analyze_block(code: BlockCode) -> dict:

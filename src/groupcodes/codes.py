@@ -19,16 +19,16 @@ from .groups import FiniteAbelianGroup
 from .linalg import (
     ResidueMatrix,
     Vector,
+    _reduce_vector,
     _trusted,
+    annihilator_rows,
     contains_vector,
     coset_reduce,
     howell_form,
     intersect_rows,
     residue_matrix,
     smith_invariants,
-    span_cardinality,
     stack,
-    vector_order,
 )
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
     "join",
     "window_projection",
     "window_internal",
+    "window_annihilator",
+    "window_order",
     "invariant_factors_of_code",
 ]
 
@@ -136,6 +138,10 @@ class BlockCode:
     def _prefix_codes(self) -> dict[int, "BlockCode"]:
         return {}
 
+    @cached_property
+    def _window_annihilators(self) -> dict[tuple[int, int], "BlockCode"]:
+        return {}
+
     def prefix_code(self, b: int) -> "BlockCode":
         """C ∩ [0, b), built on first use for each b and kept on the code:
         the rows of the reversed Howell form that vanish from offset(b) on."""
@@ -151,7 +157,7 @@ class BlockCode:
 
     @property
     def cardinality(self) -> int:
-        return span_cardinality(self.basis)
+        return math.prod(order for _, order in self.pivots())
 
     def contains(self, word: Sequence[int]) -> bool:
         return contains_vector(self.basis, word)
@@ -164,13 +170,18 @@ class BlockCode:
 
         Coefficients below the pivot orders reach every codeword exactly
         once; the rows with pivot at or after a column span the codewords
-        vanishing before it.
+        vanishing before it.  Computed once per code.
         """
+        return self._pivots
+
+    @cached_property
+    def _pivots(self) -> tuple[tuple[int, int], ...]:
         moduli = self.basis.moduli
         out = []
         for row in self.basis.rows:
             j = next(i for i, e in enumerate(row) if e)
-            out.append((j, vector_order(row[j : j + 1], moduli[j : j + 1])))
+            # A normalized Howell pivot divides its modulus.
+            out.append((j, moduli[j] // row[j]))
         return tuple(out)
 
     def words(self) -> Iterator[tuple[int, ...]]:
@@ -187,9 +198,13 @@ class BlockCode:
             yield tuple(word)
 
     def is_subcode_of(self, other: "BlockCode") -> bool:
+        """Each row of ``self`` reduces to zero against the Howell rows of
+        ``other`` (the Howell property makes that membership)."""
         if other.space != self.space:
             raise ValueError("codes live in different spaces")
-        return stack(other.basis, self.basis).rows == other.basis.rows
+        if self.basis.rows == other.basis.rows:
+            return True
+        return not any(any(_reduce_vector(other.basis, row)) for row in self.basis.rows)
 
     def __str__(self) -> str:
         return f"code of order {self.cardinality} in {self.space}"
@@ -239,6 +254,21 @@ def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
     return BlockCode(sub, _trusted(sub.flat_moduli, rows))
 
 
+def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:
+    """The local dual of ``window_projection(code, a, b)``, padded with
+    zeros (a Howell form still): the annihilator of the projection's
+    preimage.  It equals C-perp ∩ [a, b) but is built from the projection
+    alone, with no window table.  Kept on the code per window."""
+    table = code._window_annihilators
+    if (a, b) not in table:
+        local = annihilator_rows(window_projection(code, a, b).basis)
+        sl = code.space.flat_slice(a, b)
+        before, after = (0,) * sl.start, (0,) * (code.basis.width - sl.stop)
+        rows = (before + row + after for row in local.rows)
+        table[a, b] = BlockCode.from_howell(code.space, rows)
+    return table[a, b]
+
+
 def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
     """Subgroup of codewords supported inside [a, b), in the same space.
 
@@ -252,6 +282,15 @@ def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
     start = code.space.offsets()[a]
     rows = tuple(row for row in prefix.basis.rows if not any(row[:start]))
     return BlockCode.from_howell(code.space, rows)
+
+
+def window_order(code: BlockCode, a: int, b: int) -> int:
+    """|C ∩ [a, b)|, read off the window table with no code built: the
+    product of the pivot orders of the prefix code's rows with pivot at or
+    after ``offset(a)`` (the rows ``window_internal`` keeps)."""
+    code.space.check_window(a, b)
+    start = code.space.offsets()[a]
+    return math.prod(order for j, order in code.prefix_code(b).pivots() if j >= start)
 
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
-from .codes import BlockCode, intersect, join, window_internal
+from .codes import BlockCode, join, window_internal, window_order
 from .groups import prime_factors
 from .linalg import (
     _trusted,
@@ -98,11 +98,20 @@ def reachable_set(code: BlockCode, k: int, L: int) -> BlockCode:
 
 
 def control_profile(code: BlockCode) -> ControlProfile:
-    """Minimal L at each position with reachable_set(code, k, L) = code."""
+    """Minimal L at each position with reachable_set(code, k, L) = code.
+
+    C_k(L) = Z_k + (C ∩ [0, k+L)) lies in C, and the two summands meet in
+    C ∩ [k, k+L), so C_k(L) = C exactly when
+    |Z_k| · |C ∩ [0, k+L)| = |C| · |C ∩ [k, k+L)|.  Every order is read
+    off the window table (``window_order``); no reachable set is built.
+    At k + L = N both sides are |Z_k| · |C|, so the search stops there.
+    """
+    total = code.cardinality
     lengths = []
     for k in range(code.space.horizon):
+        suffix = window_order(code, k, code.space.horizon)
         L = 0
-        while reachable_set(code, k, L) != code:
+        while suffix * window_order(code, 0, k + L) != total * window_order(code, k, k + L):
             L += 1
         lengths.append(L)
     return ControlProfile(tuple(lengths))
@@ -113,12 +122,19 @@ def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
 
     Equals the sum of the window-supported subgroups of width L+1; the
     containment of each window subgroup in every C_k(L) gives one direction
-    and greedy peeling of leading coordinates gives the other.
+    and greedy peeling of leading coordinates gives the other.  Built as
+    that sum: one Howell form of the stacked rows of the windows
+    C ∩ [k, k+L+1) read off the window table.
     """
-    result = code
-    for k in range(code.space.horizon):
-        result = intersect(result, reachable_set(code, k, L))
-    return result
+    if L < 0:
+        raise ValueError(f"bad gap length L={L}")
+    N = code.space.horizon
+    rows = tuple(
+        row
+        for k in range(N)
+        for row in window_internal(code, k, min(k + L + 1, N)).basis.rows
+    )
+    return BlockCode(code.space, _trusted(code.basis.moduli, rows))
 
 
 @dataclass(frozen=True)

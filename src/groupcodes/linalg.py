@@ -8,10 +8,9 @@ the Howell property (any span element with a zero prefix lies in the span of
 the later rows) is what makes membership tests, coset reduction and kernel
 computations by block elimination correct.
 
-Mixed per-column moduli are handled by embedding column ``j`` into ``Z/L``
-(``L`` the lcm of all moduli) via scaling by ``L/m_j``; the scaling is an
-injective homomorphism, so canonical forms computed over the single ring
-``Z/L`` map back uniquely.
+Mixed per-column moduli are handled in residue coordinates: column ``j``
+is reduced modulo its own ``m_j``, and every row operation is an integer
+combination, so no column is mapped into a common ring.
 """
 
 from __future__ import annotations
@@ -120,101 +119,85 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _unit_scaling_to_divisor(a: int, L: int) -> tuple[int, int]:
-    """Return (u, d) with u a unit mod L, d = gcd(a, L) and u*a = d mod L."""
-    d = gcd(a, L)
-    cof = L // d
-    if cof == 1:
-        return 1, d
-    u = pow((a // d) % cof, -1, cof)
-    # Lift to a unit modulo L: u is invertible mod L/d already.
-    while gcd(u, L) != 1:
-        u += cof
-    return u % L, d
-
-
-def _first_nonzero(row: Sequence[int]) -> int:
-    for j, e in enumerate(row):
-        if e:
+def _first_nonzero(row: Sequence[int], start: int = 0) -> int:
+    for j in range(start, len(row)):
+        if row[j]:
             return j
     return -1
 
 
-def _howell_single(rows: Iterable[Sequence[int]], L: int, width: int) -> list[list[int]]:
-    """Howell canonical basis of the span of ``rows`` inside ``(Z/L)^width``."""
+def _howell_single(rows: Iterable[Vector], moduli: Vector) -> list[Vector]:
+    """Howell canonical basis of the span of reduced ``rows`` over ``moduli``.
+
+    Works in residue coordinates: every row operation is reduced modulo each
+    column's own modulus.  Rows that share a pivot column j vanish before j,
+    so each operation touches only the columns from j on.
+    """
+    L = lcm(*moduli) if moduli else 1
     if L == 1:
         return []
     pivots: dict[int, list[int]] = {}
-    stack: list[list[int]] = []
-    for row in rows:
-        v = [e % L for e in row]
-        if any(v):
-            stack.append(v)
+    stack = [list(row) for row in rows if any(row)]
 
-    def push_annihilator(row: list[int], pivot_value: int) -> None:
-        c = L // gcd(L, pivot_value)
-        w = [(c * e) % L for e in row]
-        if any(w):
-            stack.append(w)
+    def push_annihilator(row: list[int], j: int) -> None:
+        # c = ord(row[j]) clears the pivot; c * row vanishes when c = L.
+        c = moduli[j] // gcd(moduli[j], row[j])
+        if c != L:
+            w = [0] * (j + 1) + [(c * e) % m for e, m in zip(row[j + 1 :], moduli[j + 1 :])]
+            if any(w):
+                stack.append(w)
 
     while stack:
         v = stack.pop()
         j = _first_nonzero(v)
         while j >= 0:
-            if j not in pivots:
+            r = pivots.get(j)
+            if r is None:
                 pivots[j] = v
-                push_annihilator(v, v[j])
+                push_annihilator(v, j)
                 break
-            r = pivots[j]
             a, b = r[j], v[j]
+            mods = moduli[j:]
             if b % a == 0:
                 q = b // a
-                v = [(x - q * y) % L for x, y in zip(v, r)]
+                v[j:] = [(x - q * y) % m for x, y, m in zip(v[j:], r[j:], mods)]
             else:
                 g, s, t = _egcd(a, b)
                 # [[s, t], [-b/g, a/g]] has determinant 1: span preserved.
-                new_r = [(s * x + t * y) % L for x, y in zip(r, v)]
-                v = [(-(b // g) * x + (a // g) * y) % L for x, y in zip(r, v)]
+                ag, bg = a // g, b // g
+                new_r = r[:j] + [(s * x + t * y) % m for x, y, m in zip(r[j:], v[j:], mods)]
+                v[j:] = [(ag * y - bg * x) % m for x, y, m in zip(r[j:], v[j:], mods)]
                 pivots[j] = new_r
-                push_annihilator(new_r, g)
-            j = _first_nonzero(v)
+                push_annihilator(new_r, j)
+            j = _first_nonzero(v, j)
 
-    # Normalize pivots to divisors of L and reduce entries above each pivot.
+    # Scale each pivot p to the divisor d = gcd(p, m_j) by u = (p/d)^-1
+    # modulo c = m_j/d, then reduce above each pivot.  u need not be a unit
+    # of the other columns: it is prime to c, and c·row (its pivot cleared)
+    # lies in the span of the later rows, so u·row and c·row span row.
     order = sorted(pivots)
     basis = []
     for j in order:
-        row = pivots[j]
-        u, d = _unit_scaling_to_divisor(row[j], L)
-        basis.append([(u * e) % L for e in row])
+        row, m = pivots[j], moduli[j]
+        d = gcd(row[j], m)
+        u = pow(row[j] // d, -1, m // d)
+        if u != 1:
+            row[j:] = [(u * e) % mm for e, mm in zip(row[j:], moduli[j:])]
+        basis.append(row)
     for idx, j in enumerate(order):
-        d = basis[idx][j]
+        pivot_row = basis[idx]
+        d, tail = pivot_row[j], pivot_row[j:]
         for above in range(idx):
             q = basis[above][j] // d
             if q:
-                basis[above] = [
-                    (x - q * y) % L for x, y in zip(basis[above], basis[idx])
-                ]
-    return basis
-
-
-def _embed(row: Sequence[int], moduli: Vector, L: int) -> list[int]:
-    return [(e * (L // m)) % L for e, m in zip(row, moduli)]
-
-
-def _unembed(row: Sequence[int], moduli: Vector, L: int) -> Vector:
-    return tuple(e // (L // m) for e, m in zip(row, moduli))
+                row = basis[above]
+                row[j:] = [(x - q * y) % m for x, y, m in zip(row[j:], tail, moduli[j:])]
+    return [tuple(row) for row in basis]
 
 
 @lru_cache(maxsize=1 << 12)
 def _howell_cached(rows: tuple[Vector, ...], moduli: Vector) -> tuple[Vector, ...]:
-    if not moduli:
-        return ()
-    L = lcm(*moduli)
-    if L == 1:
-        return ()
-    embedded = [_embed(r, moduli, L) for r in rows]
-    basis = _howell_single(embedded, L, len(moduli))
-    canon = tuple(_unembed(r, moduli, L) for r in basis)
+    canon = tuple(_howell_single(rows, moduli))
     # Most calls re-canonicalize a Howell form; handing back the input tuple
     # keeps one copy of those rows in the cache instead of two.
     return rows if canon == rows else canon
@@ -241,50 +224,43 @@ def vector_order(vector: Sequence[int], moduli: Sequence[int]) -> int:
 
 
 def span_cardinality(matrix: ResidueMatrix) -> int:
-    """Number of elements in the row span."""
+    """Number of elements in the row span: the product of the Howell pivot
+    orders m_j / d (each normalized pivot d divides its modulus m_j)."""
     canon = howell_form(matrix)
     total = 1
     for row in canon.rows:
         j = _first_nonzero(row)
-        total *= vector_order(row[j : j + 1], canon.moduli[j : j + 1])
+        total *= canon.moduli[j] // row[j]
     return total
 
 
 def _reduce_vector(
     canon: ResidueMatrix, vector: Sequence[int], stop: Optional[int] = None
-) -> tuple[Vector, Vector]:
-    """Clear pivot-column entries of ``vector`` (up to column ``stop``).
+) -> Vector:
+    """Clear the pivot-column entries of reduced ``vector`` (up to column
+    ``stop``), in residue coordinates.
 
-    Returns (remainder, coefficients): remainder = vector - sum(c_i * row_i)
-    with each touched pivot column reduced into ``[0, pivot)``.  By the
-    Howell property the remainder is the canonical coset representative once
-    ``stop`` covers all columns.
+    Returns vector - sum(c_i * row_i) with each touched pivot column reduced
+    into ``[0, pivot)``.  By the Howell property this is the canonical coset
+    representative once ``stop`` covers all columns.
     """
     moduli = canon.moduli
-    L = lcm(*moduli) if moduli else 1
-    v = list(_embed(vector, moduli, L)) if L > 1 else [0] * len(moduli)
-    coeffs = [0] * len(canon.rows)
+    v = list(vector)
     limit = len(moduli) if stop is None else stop
-    embedded_rows = [_embed(r, moduli, L) for r in canon.rows] if L > 1 else []
-    for idx, row in enumerate(embedded_rows):
+    for row in canon.rows:
         j = _first_nonzero(row)
         if j >= limit:
             break
-        d = row[j]
-        q = v[j] // d
+        q = v[j] // row[j]
         if q:
-            v = [(x - q * y) % L for x, y in zip(v, row)]
-            coeffs[idx] = q
-    if L == 1:
-        return tuple(0 for _ in moduli), tuple(coeffs)
-    return _unembed(v, moduli, L), tuple(coeffs)
+            v[j:] = [(x - q * y) % m for x, y, m in zip(v[j:], row[j:], moduli[j:])]
+    return tuple(v)
 
 
 def coset_reduce(matrix: ResidueMatrix, vector: Sequence[int]) -> Vector:
     """Canonical representative of ``vector + span(matrix)``."""
     canon = howell_form(matrix)
-    remainder, _ = _reduce_vector(canon, _reduced(vector, canon.moduli))
-    return remainder
+    return _reduce_vector(canon, _reduced(vector, canon.moduli))
 
 
 def contains_vector(matrix: ResidueMatrix, vector: Sequence[int]) -> bool:
@@ -345,7 +321,7 @@ def head_solve(
     """A tail t with (target | t) in span(matrix), or None."""
     canon = howell_form(matrix)
     augmented = _reduced(target, canon.moduli[:head]) + (0,) * (canon.width - head)
-    remainder, _ = _reduce_vector(canon, augmented, stop=head)
+    remainder = _reduce_vector(canon, augmented, stop=head)
     if any(remainder[:head]):
         return None
     return tuple((-e) % m for e, m in zip(remainder[head:], canon.moduli[head:]))

@@ -336,6 +336,14 @@ class TestErrors:
         assert code == 2
         assert "no such file" in err
 
+    def test_directory_is_usage_error(self, tmp_path):
+        # Reading a directory raises IsADirectoryError, an OSError other
+        # than FileNotFoundError; it exits 2 with an error line.
+        code, out, err = run_cli("analyze", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read ")
+        assert "Traceback" not in err
+
     def test_bad_document(self, tmp_path):
         bad = tmp_path / "bad.spec"
         bad.write_text("kind: block\nsymbols: [2]\ngenerator: 7\n", encoding="utf-8")

@@ -20,7 +20,13 @@ from groupcodes.codes import (
 )
 import groupcodes.codes as codes_module
 from groupcodes.groups import FiniteAbelianGroup
-from groupcodes.linalg import head_kernel, howell_form, projection_graph, residue_matrix
+from groupcodes.linalg import (
+    head_kernel,
+    howell_form,
+    projection_graph,
+    residue_matrix,
+    vector_order,
+)
 
 
 
@@ -312,6 +318,28 @@ class TestWindowTable:
             cut = code.space.flat_slice(0, b).stop
             truncated = residue_matrix([row[:cut] for row in code.basis.rows], sub.flat_moduli)
             assert window_projection(code, 0, b).basis == howell_form(truncated)
+
+    def test_is_subcode_of_matches_stacked_howell_form(self, mixed_corpus):
+        # Reference: B contains A exactly when stacking A's rows under B's
+        # leaves B's Howell form unchanged.
+        by_space = {}
+        for code in mixed_corpus:
+            by_space.setdefault(code.space, []).append(code)
+        for group in by_space.values():
+            group += [window_internal(c, 0, c.space.horizon - 1) for c in group]
+            for a in group:
+                for b in group:
+                    stacked = howell_form(
+                        residue_matrix(b.basis.rows + a.basis.rows, b.basis.moduli)
+                    )
+                    assert a.is_subcode_of(b) == (stacked.rows == b.basis.rows)
+
+    def test_cardinality_is_product_of_pivot_orders(self, mixed_corpus):
+        for code in mixed_corpus:
+            assert code.cardinality == len(set(code.words()))
+            for (j, order), row in zip(code.pivots(), code.basis.rows):
+                assert order == vector_order(row[j : j + 1], code.basis.moduli[j : j + 1])
+                assert not any(row[:j]) and row[j]
 
     def test_is_subcode_of_matches_rowwise_containment(self, mixed_corpus):
         by_space = {}

@@ -19,6 +19,7 @@ from groupcodes.codes import (
     intersect,
     join,
     window_internal,
+    window_order,
     zero_code,
 )
 from groupcodes.control import (
@@ -455,3 +456,50 @@ class TestOrderProfile:
                 assert bounds == brute("order_profile", code)
                 found += 1
         assert found >= 10
+
+
+def reference_control_lengths(code):
+    """The control profile by its definition: grow L until the reachable
+    set C_k(L) is the whole code."""
+    lengths = []
+    for k in range(code.space.horizon):
+        L = 0
+        while reachable_set(code, k, L) != code:
+            L += 1
+        lengths.append(L)
+    return tuple(lengths)
+
+
+def reference_controllable_subcode(code, L):
+    """The meet of the reachable sets C_k(L) over every position."""
+    result = code
+    for k in range(code.space.horizon):
+        result = intersect(result, reachable_set(code, k, L))
+    return result
+
+
+class TestTableReads:
+    """Orders and window sums read off the window table, on mixed moduli
+    with modulus-1 columns, against the subgroups they count."""
+
+    def test_control_profile_matches_reachable_sets(self, mixed_corpus, random_corpus):
+        for code in mixed_corpus + random_corpus[:60]:
+            assert control_profile(code).lengths == reference_control_lengths(code)
+
+    def test_controllable_subcode_is_meet_of_reachable_sets(self, mixed_corpus):
+        for code in mixed_corpus:
+            for L in range(code.space.horizon + 1):
+                expected = reference_controllable_subcode(code, L)
+                assert controllable_subcode(code, L) == expected
+
+    def test_controllable_subcode_rejects_negative_gap(self, mixed_corpus):
+        with pytest.raises(ValueError):
+            controllable_subcode(mixed_corpus[0], -1)
+
+    def test_window_order_is_window_cardinality(self, mixed_corpus):
+        for code in mixed_corpus:
+            N = code.space.horizon
+            for a in range(N + 1):
+                for b in range(a, N + 1):
+                    inner = window_internal(code, a, b)
+                    assert window_order(code, a, b) == len(set(inner.words()))

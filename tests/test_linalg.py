@@ -408,6 +408,97 @@ class TestQuotientInvariants:
 
 
 
+def embedded_howell(rows, moduli):
+    """The Howell kernel over one ring: embed column j into Z/L (L the lcm
+    of the moduli) by scaling by L/m_j, take the Howell form over Z/L with
+    pivots scaled by units of Z/L, and map the rows back.  The reference
+    for ``howell_form``, which works in residue coordinates."""
+    L = lcm(*moduli) if moduli else 1
+    if L == 1:
+        return ()
+
+    def first_nonzero(row):
+        return next((j for j, e in enumerate(row) if e), -1)
+
+    def egcd(a, b):
+        s0, s1, t0, t1 = 1, 0, 0, 1
+        while b:
+            q, r = divmod(a, b)
+            a, b = b, r
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        return a, s0, t0
+
+    def push_annihilator(row, pivot_value):
+        c = L // gcd(L, pivot_value)
+        w = [(c * e) % L for e in row]
+        if any(w):
+            stack.append(w)
+
+    pivots = {}
+    stack = [v for v in ([(e * (L // m)) % L for e, m in zip(r, moduli)] for r in rows) if any(v)]
+    while stack:
+        v = stack.pop()
+        j = first_nonzero(v)
+        while j >= 0:
+            if j not in pivots:
+                pivots[j] = v
+                push_annihilator(v, v[j])
+                break
+            r = pivots[j]
+            a, b = r[j], v[j]
+            if b % a == 0:
+                v = [(x - (b // a) * y) % L for x, y in zip(v, r)]
+            else:
+                g, s, t = egcd(a, b)
+                new_r = [(s * x + t * y) % L for x, y in zip(r, v)]
+                v = [(-(b // g) * x + (a // g) * y) % L for x, y in zip(r, v)]
+                pivots[j] = new_r
+                push_annihilator(new_r, g)
+            j = first_nonzero(v)
+    order = sorted(pivots)
+    basis = []
+    for j in order:
+        row = pivots[j]
+        d = gcd(row[j], L)
+        cof = L // d
+        u = 1 if cof == 1 else pow((row[j] // d) % cof, -1, cof)
+        while gcd(u, L) != 1:
+            u += cof
+        basis.append([(u * e) % L for e in row])
+    for idx, j in enumerate(order):
+        d = basis[idx][j]
+        for above in range(idx):
+            q = basis[above][j] // d
+            if q:
+                basis[above] = [(x - q * y) % L for x, y in zip(basis[above], basis[idx])]
+    return tuple(tuple(e // (L // m) for e, m in zip(row, moduli)) for row in basis)
+
+
+class TestResidueCoordinates:
+    """The Howell kernel in residue coordinates against the embedded one."""
+
+    @given(st.data(), MIXED_MODULI, st.integers(0, 4))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_howell_form_equals_embedded_kernel(self, data, moduli, at):
+        # At least one modulus-1 column, anywhere in the row.
+        moduli = tuple(moduli[:at]) + (1,) + tuple(moduli[at:])
+        rows = residue_matrix(_rows_over(data, moduli, max_rows=5), moduli)
+        canon = howell_form(rows)
+        assert canon.rows == embedded_howell(rows.rows, moduli)
+        for vector in _rows_over(data, moduli, max_rows=2):
+            reduced = residue_matrix([vector], moduli).rows[0]
+            expected = embedded_howell(rows.rows + (reduced,), moduli) == canon.rows
+            assert contains_vector(rows, vector) == expected
+
+    def test_pivot_scaling_keeps_the_span(self):
+        # The pivot 6 of Z/9 scales to 3 by u = 2, which is not a unit of
+        # Z/4; the row 3·(6, 1) = (0, 3) in the span restores the Z/4 part.
+        rows = residue_matrix([(6, 1)], (9, 4))
+        assert howell_form(rows).rows == embedded_howell(rows.rows, (9, 4))
+        assert span_cardinality(rows) == len(enumerate_span(rows.rows, (9, 4)))
+
+
 class TestTrustedResults:
     """Matrices the library builds itself skip validation; each must still
     satisfy every check a direct ``ResidueMatrix(...)`` call makes."""

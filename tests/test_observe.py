@@ -10,6 +10,8 @@ from groupcodes.codes import (
     SequenceSpace,
     ambient_code,
     code_from_generators,
+    window_annihilator,
+    window_internal,
     window_projection,
 )
 from groupcodes.duality import dual_block_code
@@ -155,22 +157,24 @@ class TestObserveProfile:
             assert result == code
 
 
-def reference_observe_lengths(code, index):
-    """The greedy of observe_profile, recomputing the full meet per trial."""
+def reference_meet(code, lengths):
+    """The meet of the consistency sets on [k, k + lengths[k]]."""
     from groupcodes.codes import intersect
 
-    def meets_at(lengths):
-        result = ambient_code(code.space)
-        for k, lk in enumerate(lengths):
-            result = intersect(result, consistency_set(code, k, lk))
-        return result
+    result = ambient_code(code.space)
+    for k, lk in enumerate(lengths):
+        result = intersect(result, consistency_set(code, k, lk))
+    return result
 
+
+def reference_observe_lengths(code, index):
+    """The greedy of observe_profile, recomputing the full meet per trial."""
     lengths = [index] * code.space.horizon
     for k in range(len(lengths)):
         while lengths[k] > 0:
             trial = list(lengths)
             trial[k] -= 1
-            if meets_at(trial) != code:
+            if reference_meet(code, trial) != code:
                 break
             lengths = trial
     return tuple(lengths)
@@ -246,3 +250,54 @@ def test_duality_check_builds_each_dual_consistency_set_once(spec, monkeypatch):
     assert check_control_observe_duality(code).ok
     assert calls
     assert max(calls.values()) == 1
+
+
+class TestCountedObservability:
+    """Sums of annihilators tested by their order, on mixed moduli with
+    modulus-1 columns, against the consistency-set meets they decide."""
+
+    def test_supercode_is_meet_of_consistency_sets(self, mixed_corpus):
+        for code in mixed_corpus:
+            N = code.space.horizon
+            for L in range(N + 1):
+                assert observable_supercode(code, L) == reference_meet(code, [L] * N)
+
+    def test_observe_profile_matches_meets(self, mixed_corpus):
+        for code in mixed_corpus:
+            index = 0
+            while reference_meet(code, [index] * code.space.horizon) != code:
+                index += 1
+            profile = observe_profile(code)
+            assert profile.index == index
+            assert profile.lengths == reference_observe_lengths(code, index)
+
+    def test_window_annihilator_is_consistency_set_annihilator(self, mixed_corpus):
+        for code in mixed_corpus:
+            dual = dual_block_code(code)
+            N = code.space.horizon
+            for a in range(N):
+                for b in range(a + 1, N + 1):
+                    ann = window_annihilator(code, a, b)
+                    assert ann == dual_block_code(consistency_set(code, a, b - 1 - a))
+                    assert ann == window_internal(dual, a, b)
+
+
+@pytest.mark.parametrize("spec", ["z4_band10_code.spec", "z4_band10_dual.spec"])
+def test_duality_check_intersects_nothing(spec, monkeypatch):
+    # Every identity of the report is decided by orders and pairings; no
+    # Zassenhaus meet is built.
+    import groupcodes.codes as codes_module
+    import groupcodes.linalg as linalg_module
+    from groupcodes.cli import main
+
+    calls = Counter()
+    meet = linalg_module.intersect_rows
+
+    def counted(a, b):
+        calls["intersect_rows"] += 1
+        return meet(a, b)
+
+    monkeypatch.setattr(linalg_module, "intersect_rows", counted)
+    monkeypatch.setattr(codes_module, "intersect_rows", counted)
+    assert main(["duality-check", str(BAND_SPECS / spec)]) == 0
+    assert calls["intersect_rows"] == 0
