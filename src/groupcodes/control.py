@@ -21,12 +21,11 @@ from typing import Optional, Sequence
 from .codes import BlockCode, join, window_internal, window_order
 from .groups import prime_factors
 from .linalg import (
+    _reduce_vector,
     _trusted,
     contains_vector,
-    coset_reduce,
     head_kernel,
     head_solve,
-    projection_graph,
     scale_rows,
 )
 
@@ -151,17 +150,21 @@ def _window_solution(
 ) -> Optional[tuple[int, ...]]:
     """A word of ``inner`` matching ``target_symbol`` at ``position``.
 
-    Picks the canonical representative: a particular word reduced by the
-    subgroup of ``inner`` vanishing at the position.  Both come from the
-    graph of the projection of ``inner`` onto the position's coordinates.
+    ``inner`` vanishes before the position, so its Howell rows without
+    those columns are a Howell form still: ``head_solve`` on them gives a
+    particular word.  Its rows with pivot after the position span the words
+    vanishing there; reducing by them picks the canonical representative.
     """
     sl = code.space.flat_slice(position, position + 1)
-    columns = range(sl.start, sl.stop)
-    graph = projection_graph(inner.basis, columns)
-    particular = head_solve(graph, len(columns), target_symbol)
-    if particular is None:
+    moduli = code.space.flat_moduli
+    rows = inner.basis.rows
+    tail = _trusted(moduli[sl.start :], tuple(row[sl.start :] for row in rows))
+    rest = head_solve(tail, sl.stop - sl.start, target_symbol)
+    if rest is None:
         return None
-    return coset_reduce(head_kernel(graph, len(columns)), particular)
+    word = (0,) * sl.start + tuple(target_symbol) + rest
+    later = tuple(row for row, (j, _) in zip(rows, inner.pivots()) if j >= sl.stop)
+    return _reduce_vector(_trusted(moduli, later), word)
 
 
 def chunk_decompose(

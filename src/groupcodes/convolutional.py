@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .codes import BlockCode, SequenceSpace, window_internal, window_projection
 from .control import control_profile
@@ -193,18 +193,6 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
     return read(window, n)
 
 
-def _stabilize(evaluate: Callable[[int], int], lengths: range) -> Optional[int]:
-    """The "agree twice" rule: the first value over ``lengths`` equal to the
-    one before it, or None.  A heuristic; only the strong index uses it."""
-    previous = None
-    for n in lengths:
-        current = evaluate(n)
-        if current == previous:
-            return current
-        previous = current
-    return None
-
-
 def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
     """The window [0, n) of the code: exact image of the projection.
 
@@ -318,8 +306,13 @@ def strong_controllability_index(
         return StrongControllabilityVerdict(
             status="not-controllable", index=None, horizon=N, witness=weak.witness
         )
-    lengths = range(min(max(2 * conv.memory, 2), N), N + 1)
-    index = _stabilize(lambda n: control_profile(local_window(conv, n)).index, lengths)
+    index = previous = None  # "agree twice": the first repeated index
+    for n in range(min(max(2 * conv.memory, 2), N), N + 1):
+        current = control_profile(local_window(conv, n)).index
+        if current == previous:
+            index = current
+            break
+        previous = current
     status = "unknown-beyond-horizon" if index is None else "stabilized"
     return StrongControllabilityVerdict(status=status, index=index, horizon=N)
 

@@ -38,7 +38,6 @@ __all__ = [
     "annihilator_rows",
     "head_kernel",
     "head_solve",
-    "projection_graph",
     "homomorphism_graph",
     "homomorphism_kernel",
     "solve_homomorphism",
@@ -294,9 +293,7 @@ def stack(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
 # * kernel of f: the graph rows [f(e_j) | e_j] span {(f(x), x)}, and the
 #   rows with vanishing image block span {(0, x) : f(x) = 0};
 # * A ∩ B (Zassenhaus): the rows [a | a] and [b | 0] span {(x + y, x)}, and
-#   x + y = 0 leaves x in both spans;
-# * span elements vanishing on some columns: the projection graph, the rows
-#   [row on those columns | row].
+#   x + y = 0 leaves x in both spans.
 #
 # Clearing the head of (target | 0) by the same Howell form decides whether
 # some (target | t) lies in the span, reading off t.
@@ -325,14 +322,6 @@ def head_solve(
     if any(remainder[:head]):
         return None
     return tuple((-e) % m for e, m in zip(remainder[head:], canon.moduli[head:]))
-
-
-def projection_graph(matrix: ResidueMatrix, columns: Sequence[int]) -> ResidueMatrix:
-    """The rows ``[row restricted to columns | row]``: the graph of the
-    projection of the span onto ``columns``, projected columns first."""
-    head = tuple(matrix.moduli[j] for j in columns)
-    rows = tuple(tuple(row[j] for j in columns) + row for row in matrix.rows)
-    return _trusted(head + matrix.moduli, rows)
 
 
 def homomorphism_graph(

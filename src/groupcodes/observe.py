@@ -25,7 +25,7 @@ from .codes import (
     window_projection,
     zero_code,
 )
-from .control import control_profile, controllable_subcode, reachable_set
+from .control import control_profile, controllable_subcode
 from .duality import dual_block_code
 from .linalg import _trusted, smith_invariants
 
@@ -262,20 +262,20 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     The code's side of each identity is read off its window table (internal
     parts, ``controllable_subcode``, ``control_profile``); the dual's side
     is built from the dual's window projections (``consistency_set``,
-    ``observable_supercode``) without that table.  The chains read one
-    table each of the reachable sets C_k(L) and of the dual's consistency
-    sets on [k, k+L], L = 0..N (entries repeat once the window reaches the
-    horizon).  The control indices come from ``control_profile`` of the
-    code and of the dual, the observe index of the code from its own
-    annihilator sums and that of the dual from the matched supercodes, so
-    ``indices_match`` stays evidence.
+    ``observable_supercode``) without that table.  The reach chain is the
+    nesting of the prefix codes: C_k(L) = Z_k + C ∩ [0, k+L), so
+    C ∩ [0, b) ⊆ C ∩ [0, b+1) for every b gives C_k(L) ⊆ C_k(L+1).  The
+    other chain reads one table of the dual's consistency sets on [k, k+L],
+    L = 0..N (entries repeat once the window reaches the horizon).  The
+    control indices come from ``control_profile`` of the code and of the
+    dual, the observe index of the code from its own annihilator sums and
+    that of the dual from the matched supercodes, so ``indices_match``
+    stays evidence.
     """
     dual = dual_block_code(code)
     N = code.space.horizon
-    reach, cons = [], []
+    cons = []
     for k in range(N):
-        reach_k = [reachable_set(code, k, L) for L in range(N - k)]
-        reach.append(reach_k + [code] * (k + 1))
         cons_k = [consistency_set(dual, k, L) for L in range(N - k)]
         cons.append(cons_k + cons_k[-1:] * (k + 1))
     total = code.space.cardinality
@@ -292,10 +292,9 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
             )
             window_checks.append(WindowDualityCheck(a, b, ok))
     chain_ok = all(
-        reach[k][L].is_subcode_of(reach[k][L + 1])
-        and cons[k][L + 1].is_subcode_of(cons[k][L])
-        for k in range(N)
-        for L in range(N)
+        code.prefix_code(b).is_subcode_of(code.prefix_code(b + 1)) for b in range(N)
+    ) and all(
+        cons[k][L + 1].is_subcode_of(cons[k][L]) for k in range(N) for L in range(N)
     )
     matched, supercodes, factors = [], [], {}
 

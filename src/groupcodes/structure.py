@@ -18,7 +18,6 @@ from .codes import (
     BlockCode,
     SequenceSpace,
     code_from_generators,
-    intersect,
     join,
     window_internal,
     window_projection,
@@ -26,12 +25,11 @@ from .codes import (
 )
 from .groups import FiniteAbelianGroup, primary_decomposition
 from .linalg import (
-    annihilator_rows,
+    _trusted,
     coset_reduce,
     head_kernel,
     head_solve,
     homomorphism_graph,
-    residue_matrix,
     subgroup_basis,
     vector_order,
 )
@@ -129,10 +127,14 @@ def verify_decomposition(
 ) -> tuple[bool, VerificationCertificate]:
     """Check membership, supports, internal directness and cardinality.
 
-    Directness is established by the iterated intersection tests
-    <y_1..y_j> meet <y_{j+1}> = 0, which together are equivalent to the
-    implication that a vanishing sum forces every summand to vanish.
+    Directness is established step by step: <y_1..y_j> meets <y_{j+1}>
+    trivially exactly when |<y_1..y_{j+1}>| = |<y_1..y_j>| · ord(y_{j+1}),
+    read off the joins built anyway.  Together the steps are equivalent to
+    the implication that a vanishing sum forces every summand to vanish.
+    The decomposition must live in the code's space.
     """
+    if decomposition.space != code.space:
+        raise ValueError("decomposition and code live in different spaces")
     moduli = code.space.flat_moduli
     gens = decomposition.generators
     membership_ok = all(code.contains(g.word) for g in gens)
@@ -147,12 +149,12 @@ def verify_decomposition(
             support_ok = False
     directness = []
     accumulated = zero_code(code.space)
-    for j in range(len(gens) - 1):
-        accumulated = join(
-            accumulated, code_from_generators(code.space, [gens[j].word])
-        )
-        nxt = code_from_generators(code.space, [gens[j + 1].word])
-        directness.append(intersect(accumulated, nxt).cardinality == 1)
+    for j, g in enumerate(gens):
+        joined = join(accumulated, code_from_generators(code.space, [g.word]))
+        if j:
+            order = vector_order(g.word, moduli)
+            directness.append(joined.cardinality == accumulated.cardinality * order)
+        accumulated = joined
     cardinality_ok = decomposition.order_product == code.cardinality
     failed = None
     if not membership_ok:
@@ -310,7 +312,8 @@ def _peel_complement(
     support to the shortest prefix on which the generator already realizes
     its full order and reducing within the solution coset; pinning early
     coordinates pushes the complement rightward, matching the left-to-right
-    peeling of the construction.
+    peeling of the construction.  The complement is the vanishing-head read
+    of the rows [chi(r) | r] over the Howell rows r of ``current``.
     """
     moduli = current.space.flat_moduli
     L = lcm(*moduli)
@@ -322,10 +325,15 @@ def _peel_complement(
         chi_head = head_solve(graph, 1, (L // order,))
         if chi_head is None:
             continue
-        chi_head = coset_reduce(head_kernel(graph, 1), chi_head)
-        chi = tuple(chi_head) + tuple(0 for _ in moduli[prefix:])
-        chi_perp = annihilator_rows(residue_matrix([chi], moduli))
-        return intersect(current, BlockCode.from_howell(current.space, chi_perp.rows))
+        chi = coset_reduce(head_kernel(graph, 1), chi_head)
+        # chi vanishes beyond the prefix, where zip stops.
+        weights = [c * (L // m) for c, m in zip(chi, moduli)]
+        rows = tuple(
+            (sum(e * w for e, w in zip(row, weights)) % L,) + row
+            for row in current.basis.rows
+        )
+        kernel = head_kernel(_trusted((L,) + moduli, rows), 1)
+        return BlockCode.from_howell(current.space, kernel.rows)
     raise DecompositionError("no splitting character; order below exponent")
 
 
@@ -372,8 +380,10 @@ def is_subdirect_product(code: BlockCode, decomposition: Decomposition) -> bool:
     defining intersection condition collapses to the recombination equality
     checked here; a verified decomposition therefore always passes, and that
     collapse is a structural fact of the finite setting rather than a
-    coincidence.
+    coincidence.  The decomposition must live in the code's space.
     """
+    if decomposition.space != code.space:
+        raise ValueError("decomposition and code live in different spaces")
     total = zero_code(code.space)
     for g in decomposition.generators:
         total = join(total, code_from_generators(code.space, [g.word]))

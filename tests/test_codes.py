@@ -21,9 +21,9 @@ from groupcodes.codes import (
 import groupcodes.codes as codes_module
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import (
+    ResidueMatrix,
     head_kernel,
     howell_form,
-    projection_graph,
     residue_matrix,
     vector_order,
 )
@@ -261,7 +261,9 @@ def reference_window_internal(code, a, b):
     projection graph onto the coordinates outside the window."""
     sl = code.space.flat_slice(a, b)
     outside = [j for j in range(code.basis.width) if not sl.start <= j < sl.stop]
-    graph = projection_graph(code.basis, outside)
+    head = tuple(code.basis.moduli[j] for j in outside)
+    rows = tuple(tuple(row[j] for j in outside) + row for row in code.basis.rows)
+    graph = ResidueMatrix(head + code.basis.moduli, rows)
     return BlockCode(code.space, head_kernel(graph, len(outside)))
 
 

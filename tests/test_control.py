@@ -24,6 +24,7 @@ from groupcodes.codes import (
 )
 from groupcodes.control import (
     ProfileInsufficientError,
+    _window_solution,
     chunk_decompose,
     control_profile,
     controllable_subcode,
@@ -32,7 +33,10 @@ from groupcodes.control import (
 )
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import (
+    ResidueMatrix,
     contains_vector,
+    coset_reduce,
+    head_kernel,
     head_solve,
     homomorphism_graph,
     scale_rows,
@@ -478,6 +482,19 @@ def reference_controllable_subcode(code, L):
     return result
 
 
+def reference_window_solution(code, inner, position, target):
+    """The chunk by the projection graph [row at the position | row] of
+    ``inner``: a particular word, reduced by the words vanishing there."""
+    sl = code.space.flat_slice(position, position + 1)
+    head = code.basis.moduli[sl]
+    rows = tuple(row[sl] + row for row in inner.basis.rows)
+    graph = ResidueMatrix(head + inner.basis.moduli, rows)
+    particular = head_solve(graph, len(head), target)
+    if particular is None:
+        return None
+    return coset_reduce(head_kernel(graph, len(head)), particular)
+
+
 class TestTableReads:
     """Orders and window sums read off the window table, on mixed moduli
     with modulus-1 columns, against the subgroups they count."""
@@ -491,6 +508,17 @@ class TestTableReads:
             for L in range(code.space.horizon + 1):
                 expected = reference_controllable_subcode(code, L)
                 assert controllable_subcode(code, L) == expected
+
+    def test_window_solution_matches_projection_graph(self, mixed_corpus):
+        for code in mixed_corpus:
+            N = code.space.horizon
+            for k in range(N):
+                symbols = itertools.product(*map(range, code.space.symbols[k].moduli))
+                for target in symbols:
+                    for stop in range(k + 1, N + 1):
+                        inner = window_internal(code, k, stop)
+                        expected = reference_window_solution(code, inner, k, target)
+                        assert _window_solution(code, inner, k, target) == expected
 
     def test_controllable_subcode_rejects_negative_gap(self, mixed_corpus):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Golden CLI reports: every report on the demo specs and on the extra
-convolutional and Z/4 band specs in `tests/golden/specs`, byte for byte.
+convolutional and Z/4 band specs in `tests/golden/specs`, byte for byte,
+and the output of each `demos/*.py` script.
 
 `tests/golden/index.json` maps each case name to its argument list (the
 spec is named by file name, looked up in `demos/specs` and then in
-`tests/golden/specs`), its exit code and its stderr;
-`tests/golden/<name>.out` holds its stdout.  Regenerate them with
+`tests/golden/specs`; a demo case names its script, which runs in a
+subprocess), its exit code and its stderr; `tests/golden/<name>.out`
+holds its stdout.  Regenerate them with
 `PYTHONPATH=src python tests/test_golden_cli.py [NAME...]` only when a
 report is meant to change, and review the diff.  With names, only those
 cases are rewritten, and nothing is written if any other case's report
@@ -13,6 +15,8 @@ would change (those cases are listed on stderr).
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,8 +25,9 @@ import pytest
 
 from groupcodes.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-SPEC_DIRS = (Path(__file__).resolve().parents[1] / "demos" / "specs", GOLDEN / "specs")
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+SPEC_DIRS = (ROOT / "demos" / "specs", GOLDEN / "specs")
 SPECS = {spec.name: spec for d in reversed(SPEC_DIRS) for spec in d.glob("*.spec")}
 
 BLOCK_PROPERTIES = (
@@ -40,7 +45,8 @@ CONVOLUTIONAL_PROPERTIES = (
 
 
 def golden_cases():
-    """(name, argv) for every report; argv[1] is a spec file name."""
+    """(name, argv) for every report; argv[1] is a spec file name, except
+    in a demo case, whose argv is its script alone."""
     for spec in sorted(SPECS.values()):
         block = "kind: block" in spec.read_text(encoding="utf-8")
         stem, name = spec.stem, spec.name
@@ -56,9 +62,15 @@ def golden_cases():
             yield f"{stem}.duality-check-json", json_argv
         for prop in BLOCK_PROPERTIES if block else CONVOLUTIONAL_PROPERTIES:
             yield f"{stem}.check-{prop[0]}", ["check", name, "--property", *prop]
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        yield f"demo.{demo.stem}", [f"demos/{demo.name}"]
 
 
 def run_case(argv):
+    if argv[0].startswith("demos/"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
+        done = subprocess.run([sys.executable, argv[0]], cwd=ROOT, env=env, capture_output=True)
+        return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
     argv = [argv[0], str(SPECS[argv[1]]), *argv[2:]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

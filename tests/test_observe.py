@@ -301,3 +301,52 @@ def test_duality_check_intersects_nothing(spec, monkeypatch):
     monkeypatch.setattr(codes_module, "intersect_rows", counted)
     assert main(["duality-check", str(BAND_SPECS / spec)]) == 0
     assert calls["intersect_rows"] == 0
+
+
+@pytest.mark.parametrize("spec", ["z4_band10_code.spec", "z4_band10_dual.spec"])
+def test_duality_check_builds_no_reachable_set(spec, monkeypatch):
+    # The reach chain reads the nesting of the prefix codes: no reachable
+    # set C_k(L) is built and nothing is joined.
+    import groupcodes.codes as codes_module
+    import groupcodes.control as control_module
+    import groupcodes.observe as observe_module
+    from groupcodes.cli import main
+
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (codes_module, control_module, observe_module):
+        for name in ("join", "reachable_set"):
+            if hasattr(module, name):
+                count(module, name)
+    assert main(["duality-check", str(BAND_SPECS / spec)]) == 0
+    assert calls["reachable_set"] == 0
+    assert calls["join"] == 0
+
+
+def test_broken_prefix_nesting_fails_the_chain(monkeypatch, capsys):
+    # Serving C itself as C ∩ [0, 1) breaks the nesting C ∩ [0, 1) ⊆
+    # C ∩ [0, 2); the reach chain reports it.
+    from groupcodes.cli import main
+    from groupcodes.codes import BlockCode
+
+    path = BAND_SPECS / "z4_band8_code.spec"
+    code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
+    assert check_control_observe_duality(code).chain_ok
+    assert not code.is_subcode_of(code.prefix_code(2))
+    prefix_code = BlockCode.prefix_code
+    monkeypatch.setattr(
+        BlockCode, "prefix_code", lambda self, b: self if b == 1 else prefix_code(self, b)
+    )
+    assert not check_control_observe_duality(code).chain_ok
+    capsys.readouterr()
+    assert main(["duality-check", str(path)]) == 1
+    assert "reachability chains monotone: NO" in capsys.readouterr().out

@@ -1,28 +1,44 @@
 """Tests for rectangularity and cyclic product decompositions."""
 
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
     code_from_generators,
+    intersect,
+    join,
     window_internal,
     zero_code,
 )
 from groupcodes.groups import FiniteAbelianGroup
-from groupcodes.linalg import vector_order
+from groupcodes.linalg import (
+    annihilator_rows,
+    coset_reduce,
+    head_kernel,
+    head_solve,
+    homomorphism_graph,
+    residue_matrix,
+    vector_order,
+)
 from groupcodes.structure import (
     Decomposition,
     DecompositionGenerator,
     _max_order_in_smallest_window,
     _peel_complement,
+    _support_window,
     coprime_rectangular,
     cyclic_product_decomposition,
     is_subdirect_product,
     verify_decomposition,
 )
+
+from .test_golden_cli import SPECS
 
 
 def space(*symbol_moduli):
@@ -316,3 +332,127 @@ class TestCertificateKept:
         bare = Decomposition(decomposition.space, decomposition.generators)
         assert bare.certificate is None
         assert bare == decomposition
+
+
+def meet_directness(code, words):
+    """The directness tuple by Zassenhaus meets: <y_1..y_j> meets <y_{j+1}>
+    trivially, one entry per generator after the first."""
+    out = []
+    accumulated = zero_code(code.space)
+    for j in range(len(words) - 1):
+        accumulated = join(accumulated, code_from_generators(code.space, [words[j]]))
+        nxt = code_from_generators(code.space, [words[j + 1]])
+        out.append(intersect(accumulated, nxt).cardinality == 1)
+    return tuple(out)
+
+
+def meet_peel_complement(current, word, order):
+    """The complement as the meet of ``current`` with the annihilator of
+    the same canonical splitting character."""
+    moduli = current.space.flat_moduli
+    L = lcm(*moduli)
+    for prefix in range(1, len(moduli) + 1):
+        if vector_order(word[:prefix], moduli[:prefix]) != order:
+            continue
+        images = [[(e * (L // m)) % L] for e, m in zip(word[:prefix], moduli[:prefix])]
+        graph = homomorphism_graph(images, moduli[:prefix], (L,))
+        chi_head = head_solve(graph, 1, (L // order,))
+        if chi_head is None:
+            continue
+        chi_head = coset_reduce(head_kernel(graph, 1), chi_head)
+        chi = tuple(chi_head) + tuple(0 for _ in moduli[prefix:])
+        chi_perp = annihilator_rows(residue_matrix([chi], moduli))
+        return intersect(current, BlockCode.from_howell(current.space, chi_perp.rows))
+    raise AssertionError("no splitting character")
+
+
+def decomposition_of(space, words):
+    moduli = space.flat_moduli
+    return Decomposition(
+        space,
+        tuple(
+            DecompositionGenerator(w, *_support_window(w, space), vector_order(w, moduli), None)
+            for w in words
+        ),
+    )
+
+
+class TestDirectnessByCounting:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_zassenhaus_meets(self, mixed_corpus, data):
+        code = data.draw(st.sampled_from(mixed_corpus))
+        moduli = code.space.flat_moduli
+        words = data.draw(st.lists(st.sampled_from(list(code.words())), min_size=1, max_size=4))
+        # Repeated and dependent generators: c·y_i + y_j for earlier ones.
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(words) - 1))
+            j = data.draw(st.integers(0, len(words) - 1))
+            c = data.draw(st.integers(0, 3))
+            words.append(tuple((c * a + b) % m for a, b, m in zip(words[i], words[j], moduli)))
+        _, cert = verify_decomposition(code, decomposition_of(code.space, words))
+        assert cert.directness_ok == meet_directness(code, words)
+
+    def test_space_mismatch_raises(self):
+        # The same flat word over [2] [2] and over the horizon-1 space [2,2].
+        two = space((2,), (2,))
+        one = space((2, 2))
+        decomposition = Decomposition(two, (DecompositionGenerator((1, 1), 0, 2, 2, 2),))
+        code = code_from_generators(one, [(1, 1)])
+        with pytest.raises(ValueError):
+            verify_decomposition(code, decomposition)
+        with pytest.raises(ValueError):
+            is_subdirect_product(code, decomposition)
+
+
+class TestPeelComplementByKernel:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_meet_with_annihilator(self, data):
+        p = data.draw(st.sampled_from([2, 3]))
+        palette = {2: [(2,), (4,), (8,), (2, 4)], 3: [(3,), (9,), (3, 3)]}[p]
+        sp = space(*data.draw(st.lists(st.sampled_from(palette), min_size=1, max_size=4)))
+        gens = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(0, m - 1) for m in sp.flat_moduli]),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        current = code_from_generators(sp, gens)
+        while current.cardinality > 1:
+            word, order = _max_order_in_smallest_window(current, p)
+            complement = _peel_complement(current, word, order)
+            assert complement.basis == meet_peel_complement(current, word, order).basis
+            cyclic = code_from_generators(sp, [word])
+            assert complement.cardinality * order == current.cardinality
+            assert join(complement, cyclic) == current
+            current = complement
+
+
+BLOCK_SPECS = sorted(
+    name for name, path in SPECS.items() if "kind: block" in path.read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS)
+def test_decompose_intersects_nothing(spec, monkeypatch):
+    # Directness is counted on the joins and the peel complement is one
+    # kernel read; no Zassenhaus meet is built.
+    import groupcodes.codes as codes_module
+    import groupcodes.linalg as linalg_module
+    from groupcodes.cli import main
+
+    calls = []
+    meet = linalg_module.intersect_rows
+
+    def counted(a, b):
+        calls.append(1)
+        return meet(a, b)
+
+    monkeypatch.setattr(linalg_module, "intersect_rows", counted)
+    monkeypatch.setattr(codes_module, "intersect_rows", counted)
+    path = str(SPECS[spec])
+    assert main(["decompose", path]) == 0
+    assert main(["check", path, "--property", "subdirect"]) == 0
+    assert calls == []
