@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .codes import BlockCode, invariant_factors_of_code
 from .control import control_profile, order_profile
 from .convolutional import (
+    REPORT_WINDOWS,
     ConvolutionalCode,
     dual_convolutional,
     strong_controllability_index,
@@ -93,7 +94,7 @@ def _analyze_convolutional(conv: ConvolutionalCode) -> dict:
     # with the weak witness, exactly when weak controllability fails.
     strong = strong_controllability_index(conv)
     windows = {}
-    for n in range(1, min(conv.analysis_horizon, 6) + 1):
+    for n in range(1, min(conv.analysis_horizon, REPORT_WINDOWS) + 1):
         windows[str(n)] = window_code(conv, n).cardinality
     return {
         "kind": "convolutional",
@@ -330,12 +331,20 @@ def _cmd_duality_check(args) -> int:
         return 0 if report.ok else 1
     conv = doc.to_convolutional()
     results = []
-    for n in range(1, min(conv.analysis_horizon, 6) + 1):
+    for n in range(1, min(conv.analysis_horizon, REPORT_WINDOWS) + 1):
         results.append((n, verify_window_duality(conv, n)))
     ctrl = weak_controllability(conv)
     obs = weak_observability(dual_convolutional(conv))
     verdict_match = ctrl.holds == obs.holds
     ok = verdict_match and all(good for _, good in results)
+    if args.format == "json":
+        data = {
+            "ok": ok,
+            "verdict_match": verdict_match,
+            "windows": [{"n": n, "ok": good} for n, good in results],
+        }
+        print(json.dumps(data, sort_keys=True, indent=2))
+        return 0 if ok else 1
     lines = ["convolutional duality report"]
     for n, good in results:
         lines.append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .codes import BlockCode
@@ -108,6 +108,18 @@ def word_pairing(x: Sequence[int], chi: Sequence[int], moduli: Sequence[int]) ->
     for a, b, m in zip(x, chi, moduli):
         total += Fraction(int(a) * int(b), m)
     return QmodZ.of(total)
+
+
+def pairs_to_zero(
+    xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]], moduli: Sequence[int]
+) -> bool:
+    """Whether every x pairs to zero with every y: sum_j x_j y_j / m_j = 0
+    modulo 1, read over the common denominator lcm(m_j)."""
+    L = lcm(*moduli)
+    weighted = [[e * (L // m) for e, m in zip(x, moduli)] for x in xs]
+    return all(
+        sum(a * b for a, b in zip(x, y)) % L == 0 for y in ys if any(y) for x in weighted
+    )
 
 
 def annihilator(subgroup: ResidueMatrix) -> ResidueMatrix:

@@ -14,7 +14,6 @@ the sum of their annihilators, so "the supercode is the code" reads
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
 from .codes import (
@@ -26,7 +25,7 @@ from .codes import (
     zero_code,
 )
 from .control import control_profile, controllable_subcode
-from .duality import dual_block_code
+from .duality import dual_block_code, pairs_to_zero
 from .linalg import _trusted, smith_invariants
 
 __all__ = [
@@ -145,18 +144,6 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
             lengths[k] -= 1
         before = join(before, ann(k, lengths[k]))
     return ObserveProfile(tuple(lengths), index)
-
-
-def _pairs_to_zero(
-    xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]], moduli: Sequence[int]
-) -> bool:
-    """Whether every x pairs to zero with every y: sum_j x_j y_j / m_j = 0
-    modulo 1, read over the common denominator lcm(m_j)."""
-    L = lcm(*moduli)
-    weighted = [[e * (L // m) for e, m in zip(x, moduli)] for x in xs]
-    return all(
-        sum(a * b for a, b in zip(x, y)) % L == 0 for y in ys if any(y) for x in weighted
-    )
 
 
 @dataclass(frozen=True)
@@ -285,7 +272,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
             inner = window_internal(code, a, b)
             pulled = cons[a][b - 1 - a]
             sl = code.space.flat_slice(a, b)
-            ok = inner.cardinality * pulled.cardinality == total and _pairs_to_zero(
+            ok = inner.cardinality * pulled.cardinality == total and pairs_to_zero(
                 [row[sl] for row in inner.basis.rows],
                 [row[sl] for row in pulled.basis.rows],
                 code.space.flat_moduli[sl],

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from groupcodes.codes import window_internal, window_projection
 from groupcodes.control import reachable_set
 from groupcodes.convolutional import (
+    REPORT_WINDOWS,
     ConvolutionalCode,
+    WeakControllabilityVerdict,
     _CODE,
     _FINITE_SUPPORT,
     _ZERO_EXTENSION,
+    _is_annihilator,
     _settled_window,
     dual_convolutional,
     local_window,
@@ -25,6 +28,7 @@ from groupcodes.convolutional import (
     window_code,
     zero_extension_window,
 )
+from groupcodes.duality import dual_block_code
 from groupcodes.groups import FiniteAbelianGroup
 
 Z2 = FiniteAbelianGroup((2,))
@@ -205,6 +209,14 @@ class TestDuality:
             assert verify_window_duality(conv, n)
             assert verify_window_duality(dual, n)
 
+    def test_annihilator_test_pairs_as_well_as_counts(self):
+        # <(1,0)> and <(0,1)> in Z/2 x Z/2 are each other's annihilators;
+        # <(1,0)> has the complementary order to itself but pairs to 1/2.
+        first = window_code(image(V4, ((1, 0),)), 1)
+        second = window_code(image(V4, ((0, 1),)), 1)
+        assert _is_annihilator(first, second) and _is_annihilator(second, first)
+        assert not _is_annihilator(first, first)
+
     def test_involution(self):
         assert dual_convolutional(dual_convolutional(ACCUMULATOR)) == ACCUMULATOR
 
@@ -360,17 +372,28 @@ class TestSettledWindows:
             return original(conv, n, cut)
 
         monkeypatch.setattr(module, "_window", counted)
-        conv = kernel(Z4, ((1,), (0,), (2,)))
-        window_code(conv, 1)
-        step, window = conv._settled[_CODE]
-        s, N = 2, conv.analysis_horizon
-        # The chain windows s, ..., s + step + 1, then one long window.
-        assert built == [(s + j, False) for j in range(step + 2)] + [(N + step, False)]
-        assert window.space.horizon == N + step
-        built.clear()
-        for n in range(2, N + 1):
-            window_code(conv, n)
-        assert built == []
+        # The second code has s = 4 above its horizon 2.
+        for conv in (
+            kernel(Z4, ((1,), (0,), (2,))),
+            kernel(Z2, ((1,), (0,), (0,), (0,), (1,)), horizon=2),
+        ):
+            built.clear()
+            window_code(conv, 1)
+            step, window = conv._settled[_CODE]
+            s, N = max(conv.memory - 1, 1), conv.analysis_horizon
+            # The chain windows s, ..., s + step + 1, then one long window
+            # sized to the reads: the report windows and the weak verdicts'
+            # n <= s.
+            reads = max(s, min(N, REPORT_WINDOWS))
+            chain = [(s + j, False) for j in range(step + 2)]
+            assert built == chain + [(reads + step, False)]
+            assert window.space.horizon == reads + step
+            built.clear()
+            for n in range(2, reads + 1):
+                window_code(conv, n)
+            assert built == []
+            window_code(conv, reads + 1)  # a longer read builds its own window
+            assert built == [(reads + 1 + step, False)]
 
 
 def _omega(n):
@@ -566,3 +589,102 @@ class TestStateGraphTwin:
             assert set(_settled_window(conv, _FINITE_SUPPORT, n).words()) == finite
             if zero_extension is not None:
                 assert set(zero_extension_window(conv, n).words()) == zero_extension
+
+
+def _reference_weak_verdicts(conv):
+    """The weak verdicts as computed before they stopped at window s: every
+    window n <= N, compared as subgroups through ``dual_block_code``."""
+    N = conv.analysis_horizon
+    holds = WeakControllabilityVerdict(holds=True, horizon=N)
+    dual = dual_convolutional(conv)
+    for n in range(1, N + 1):
+        if conv.form == "kernel":
+            full = window_code(conv, n)
+            inner = _settled_window(conv, _FINITE_SUPPORT, n)
+        else:
+            full = dual_block_code(_settled_window(dual, _FINITE_SUPPORT, n))
+            inner = zero_extension_window(conv, n)
+        if full != inner:
+            failed = WeakControllabilityVerdict(
+                False, N, n, full.cardinality, inner.cardinality
+            )
+            return (failed, holds) if conv.form == "kernel" else (holds, failed)
+    return holds, holds
+
+
+TWIN_SYMBOLS = (
+    Z2,
+    Z4,
+    FiniteAbelianGroup((8,)),
+    V4,
+    FiniteAbelianGroup((2, 4)),
+    FiniteAbelianGroup((6,)),
+    FiniteAbelianGroup((9,)),
+)
+
+
+@st.composite
+def _random_codes(draw):
+    """Codes of memory 1-4 with 1-2 taps, leading zero steps included."""
+    symbol = draw(st.sampled_from(TWIN_SYMBOLS))
+    step = st.tuples(*[st.integers(0, m - 1) for m in symbol.moduli])
+    zero = tuple(0 for _ in symbol.moduli)
+    taps = []
+    for _ in range(draw(st.integers(1, 2))):
+        length = draw(st.integers(1, 4))
+        lead = draw(st.integers(0, length - 1))
+        taps.append((zero,) * lead + tuple(draw(step) for _ in range(length - lead)))
+    form = draw(st.sampled_from(("image", "kernel")))
+    horizon = draw(st.sampled_from((None, None, None, 1, 2)))
+    return ConvolutionalCode(symbol, form, tuple(taps), horizon)
+
+
+class TestWeakVerdictTwin:
+    """The weak verdicts, which stop at window s and count, against the
+    full-horizon loop through ``dual_block_code``."""
+
+    @given(_random_codes())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_verdicts_match_the_full_horizon_loop(self, conv):
+        ctrl, obs = _reference_weak_verdicts(conv)
+        assert weak_controllability(conv) == ctrl
+        assert weak_observability(conv) == obs
+        dual = dual_convolutional(conv)
+        for n in range(1, min(conv.analysis_horizon, REPORT_WINDOWS) + 1):
+            annihilator = dual_block_code(window_code(conv, n))
+            assert verify_window_duality(conv, n) == (annihilator == zero_extension_window(dual, n))
+
+    def test_no_window_past_s_and_no_dual(self, monkeypatch):
+        import groupcodes.convolutional as module
+        import groupcodes.duality as duality
+
+        reads, duals = [], []
+        for name in ("window_code", "zero_extension_window", "_settled_window"):
+            original = getattr(module, name)
+
+            def counted(conv, *args, _original=original):
+                reads.append((args[-1], max(conv.memory - 1, 1)))
+                return _original(conv, *args)
+
+            monkeypatch.setattr(module, name, counted)
+        for owner in (module, duality):
+            if hasattr(owner, "dual_block_code"):
+                original = owner.dual_block_code
+                monkeypatch.setattr(
+                    owner,
+                    "dual_block_code",
+                    lambda code, _original=original: duals.append(code) or _original(code),
+                )
+        codes = [
+            CONSTANT,
+            kernel(Z4, ((2,), (1,))),
+            kernel(Z4, ((1,), (0,), (2,))),
+            kernel(V4, ((1, 0), (0, 1))),
+            kernel(FiniteAbelianGroup((8,)), ((2,), (0,), (1,))),
+        ]
+        verdicts = []
+        for conv in codes + [dual_convolutional(c) for c in codes]:
+            verdicts += [weak_controllability(conv), weak_observability(conv)]
+        assert any(not v.holds for v in verdicts) and any(v.holds for v in verdicts)
+        assert reads and all(n <= s for n, s in reads)
+        assert duals == []

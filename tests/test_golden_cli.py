@@ -57,9 +57,7 @@ def golden_cases():
             yield f"{stem}.decompose", ["decompose", name]
             yield f"{stem}.decompose-json", ["decompose", name, "--format", "json"]
         yield f"{stem}.duality-check", ["duality-check", name]
-        if block:
-            json_argv = ["duality-check", name, "--format", "json"]
-            yield f"{stem}.duality-check-json", json_argv
+        yield f"{stem}.duality-check-json", ["duality-check", name, "--format", "json"]
         for prop in BLOCK_PROPERTIES if block else CONVOLUTIONAL_PROPERTIES:
             yield f"{stem}.check-{prop[0]}", ["check", name, "--property", *prop]
     for demo in sorted((ROOT / "demos").glob("*.py")):
