@@ -287,6 +287,8 @@ def _check_convolutional(
 
 
 def _cmd_check(args) -> int:
+    if args.level is not None and args.level < 0:
+        raise SpecError(f"level must be at least 0, got {args.level}", field="level")
     doc = _load(args.spec)
     if doc.kind == "block":
         holds, detail = _check_block(doc.to_block_code(), args.property, args.level)

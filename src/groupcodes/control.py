@@ -240,6 +240,11 @@ def order_profile(code: BlockCode) -> OrderProfile:
     searched.  Each (l, n) is decided by linear algebra over the level
     subgroups of the code (see ``_order_split_everywhere``); no codeword is
     enumerated, so the code may be of any size.
+
+    The order split needs the plain one, C = P + S with P = C ∩ [0, n) and
+    S = C ∩ [l, N).  As P ∩ S = C ∩ [l, n) and P + S ⊆ C, it holds exactly
+    when |P|·|S| = |C|·|C ∩ [l, n)|: three window orders decide it, and
+    the split graph is built only where it holds.
     """
     N = code.space.horizon
     moduli = code.space.flat_moduli
@@ -249,6 +254,9 @@ def order_profile(code: BlockCode) -> OrderProfile:
     for l in range(N + 1):
         suffix = window_internal(code, l, N)
         for n in range(l, N):
+            sizes = window_order(code, 0, n) * suffix.cardinality
+            if sizes != code.cardinality * window_order(code, l, n):
+                continue
             prefix = window_internal(code, 0, n)
             if _order_split_everywhere(code, prefix, suffix, n, levels):
                 bounds.append(n)

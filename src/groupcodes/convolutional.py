@@ -3,8 +3,8 @@
 A convolutional code is given either by image taps (generators whose shifts
 span the code) or by kernel taps (checks h with sum_t pairing(w_{k+t}, h_t)
 = 0 at every shift k).  The time axis is one-sided; windows [0, n) of the
-code and of its finite-support part are computed exactly, those that need
-an infinite tail from one window of proved length (``_settled_window``).
+code and of its finite-support part are exact: cut windows are reads of one
+window per code, those that need an infinite tail of one of proved length.
 The weak verdicts stop at a proved window; only the strong-index search is
 heuristic, and past its horizon it reports "unknown", not a theorem.
 
@@ -45,10 +45,9 @@ __all__ = [
 
 
 def _normalize_tap(tap: Sequence[Sequence[int]], symbol: FiniteAbelianGroup):
+    if any(len(step) != len(symbol.moduli) for step in tap):
+        raise ValueError("tap step width does not match the symbol group")
     steps = [tuple(int(e) % m for e, m in zip(step, symbol.moduli)) for step in tap]
-    for step in tap:
-        if len(step) != len(symbol.moduli):
-            raise ValueError("tap step width does not match the symbol group")
     while steps and not any(steps[-1]):
         steps.pop()
     return tuple(steps)
@@ -90,6 +89,10 @@ class ConvolutionalCode:
         return {}  # chain -> settle step and long window (_settled_window)
 
     @cached_property
+    def _cut(self) -> list[BlockCode]:
+        return []  # the one cut window, regrown by a longer read (_cut_window)
+
+    @cached_property
     def _dual(self) -> "ConvolutionalCode":
         form = "kernel" if self.form == "image" else "image"
         dual = ConvolutionalCode(self.symbol, form, self.taps, self.horizon)
@@ -97,32 +100,21 @@ class ConvolutionalCode:
         return dual
 
 
-def _shifts(conv: ConvolutionalCode, n: int, cut: bool) -> list[list[int]]:
-    """The shifted taps on [0, n): every shift, cut at the boundary, when
-    ``cut`` is set, otherwise only the shifts lying entirely inside."""
-    width = len(conv.symbol.moduli)
-    rows = []
-    for tap in conv.taps:
-        flat = [e for step in tap for e in step]
-        for s in range(n if cut else n - len(tap) + 1):
-            rows.append(([0] * (s * width) + flat + [0] * (n * width))[: n * width])
-    return rows
-
-
 def _window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
-    """The shift rows on [0, n): their span in image form, their annihilator
-    in kernel form.
+    """The shifts of the taps on [0, n), all cut at the boundary or only those
+    inside (``local_window``): their span, or in kernel form their annihilator.
 
     A word satisfies the check h at shift k exactly when it pairs to zero
     with the row of h shifted by k, so the kernel code on [0, n) is the
-    annihilator of the image code's shift rows (Pontryagin duality).  With
-    ``cut`` the kernel rows impose every check overlapping the window with
-    zeros assumed beyond it, which is membership of the zero extension.
+    annihilator of the image code's shift rows (Pontryagin duality).
     """
-    if n < 1:
-        raise ValueError("window length must be at least 1")
-    space = SequenceSpace((conv.symbol,) * n)
-    rows = residue_matrix(_shifts(conv, n, cut), space.flat_moduli)
+    space, width = SequenceSpace((conv.symbol,) * n), len(conv.symbol.moduli)
+    shifts = []
+    for tap in conv.taps:
+        flat = [e for step in tap for e in step]
+        for s in range(n if cut else n - len(tap) + 1):
+            shifts.append(([0] * (s * width) + flat + [0] * (n * width))[: n * width])
+    rows = residue_matrix(shifts, space.flat_moduli)
     if conv.form == "image":
         return BlockCode(space, rows)
     return BlockCode.from_howell(space, annihilator_rows(rows).rows)
@@ -138,15 +130,25 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     return _window(conv, n, cut=False)
 
 
+# Reports (``cli``) read n = 1..min(horizon, REPORT_WINDOWS); kept windows cover them.
+REPORT_WINDOWS = 6
+
+
+def _cut_window(conv: ConvolutionalCode, n: int) -> BlockCode:
+    """``_window(conv, n, cut=True)``, read off the cut window kept on the code."""
+    kept = conv._cut
+    if not kept or kept[0].space.horizon < n:
+        first = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
+        kept[:] = [_window(conv, max(n, first), cut=True)]
+    window = kept[0] if conv.form == "image" else window_internal(kept[0], 0, n)
+    return window_projection(window, 0, n)
+
+
 # Chains of ``_settled_window``: (window builder, past); past = 1 when the
 # read keeps the words supported in [0, n), which needs s symbols past n.
-# The finite support of an image code is its window, settled at j* = 0.
-_CODE = (lambda conv, n: _window(conv, n, cut=False), 0)
-_FINITE_SUPPORT = (lambda conv, n: _window(conv, n, cut=True), 0)
-_ZERO_EXTENSION = (_CODE[0], 1)
-# Reports (``cli``) read the windows n = 1..min(horizon, REPORT_WINDOWS).  Each
-# chain's long window covers these and the weak verdicts' n <= s.
-REPORT_WINDOWS = 6
+_CODE = (local_window, 0)
+_FINITE_SUPPORT = (_cut_window, 0)
+_ZERO_EXTENSION = (local_window, 1)
 
 
 def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
@@ -175,8 +177,6 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
     [n, n + s) part cancels theirs and lies in P_{L-n-s} shifted by n; so
     L >= n + s + j* gives the zero-extension window.
     """
-    if n < 1:
-        raise ValueError("window length must be at least 1")
     build, past = chain
     s = conv.state_length
 
@@ -199,23 +199,24 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
 def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
     """The window [0, n) of the code: exact image of the projection.
 
-    Image form: span of all shift restrictions, boundary cuts included.
-    Kernel form: read off its settled chain (``_settled_window``).
+    Image form: span of all shift restrictions, boundary cuts included, read
+    off the cut window (the shifts from n on vanish on [0, n)).  Kernel form:
+    read off its settled chain (``_settled_window``).
     """
     if conv.form == "image":
-        return _window(conv, n, cut=True)
+        return _cut_window(conv, n)
     return _settled_window(conv, _CODE, n)
 
 
 def zero_extension_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     """Words on [0, n) whose zero extension is a finite-support codeword.
 
-    Kernel form is exact: the zero extension satisfies every check iff the
-    truncated checks hold.  Image form: the shift combinations vanishing
-    from n on, read off their settled chain (``_settled_window``).
+    Kernel form: exact, read off the cut window, since a zero extension meets
+    the checks at shifts k >= n trivially.  Image form: the shift combinations
+    vanishing from n on, read off their settled chain (``_settled_window``).
     """
     if conv.form == "kernel":
-        return _window(conv, n, cut=True)
+        return _cut_window(conv, n)
     return _settled_window(conv, _ZERO_EXTENSION, n)
 
 
@@ -320,12 +321,11 @@ def strong_controllability_index(
 def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:
     """The dual code: image and kernel forms swap, taps unchanged.
 
-    Under the pairing convention used here (checks read
-    sum_t pairing(w_{k+t}, h_t) with increasing time), the annihilator of
-    the shift span of taps T is exactly the kernel code with checks T, so
-    the swap needs no time reversal; dual window identities are verified by
-    ``verify_window_duality``.  Code and dual keep each other (and so
-    their settled windows).
+    Under the pairing convention here (checks read sum_t pairing(w_{k+t}, h_t)
+    with increasing time), the annihilator of the shift span of taps T is
+    exactly the kernel code with checks T, so the swap needs no time reversal;
+    dual window identities are verified by ``verify_window_duality``.  Code
+    and dual keep each other (and so their settled and cut windows).
     """
     return conv._dual
 

@@ -306,6 +306,15 @@ class TestCheck:
         assert err == "error: field 'level': l-controllable needs --level\n"
         assert calls == []
 
+    @pytest.mark.parametrize("prop", ["l-controllable", "observable"])
+    @pytest.mark.parametrize("spec", ["z4_band8_code.spec", "z4_12_kernel.spec"])
+    def test_negative_level_is_usage_error(self, spec, prop):
+        path = str(Path(__file__).resolve().parent / "golden" / "specs" / spec)
+        code, out, err = run_cli("check", path, "--property", prop, "--level", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: field 'level': level must be at least 0, got -1\n"
+
 
 class TestDualityCheck:
     def test_block_report_passes(self, even_weight_spec):

@@ -24,6 +24,8 @@ from groupcodes.codes import (
 )
 from groupcodes.control import (
     ProfileInsufficientError,
+    _divisors,
+    _order_split_everywhere,
     _window_solution,
     chunk_decompose,
     control_profile,
@@ -353,6 +355,25 @@ def plain_split_bounds(code):
     return tuple(bounds)
 
 
+def graph_order_bounds(code):
+    """The order profile with every (l, n) decided by the split graph alone,
+    with no count first: the route ``order_profile`` took before it counted."""
+    N = code.space.horizon
+    exponent = lcm(*code.space.flat_moduli)
+    levels = [t for t in _divisors(exponent) if 1 < t < exponent]
+    bounds = []
+    for l in range(N + 1):
+        suffix = window_internal(code, l, N)
+        for n in range(l, N):
+            prefix = window_internal(code, 0, n)
+            if _order_split_everywhere(code, prefix, suffix, n, levels):
+                break
+        else:
+            n = N
+        bounds.append(n)
+    return tuple(bounds)
+
+
 MIXED_PRIME_SYMBOLS = ((6,), (12,), (2, 3), (9, 2), (4, 3), (10,), (2, 6), (36,))
 
 
@@ -424,6 +445,42 @@ class TestOrderProfile:
         code = code_from_generators(sp, gens)
         assume(code.cardinality <= 72)
         assert order_profile(code).bounds == brute("order_profile", code)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_counted_split_matches_the_split_graph(self, mixed_corpus, data):
+        # A corpus code, or a random code over one of the corpus spaces.
+        code = data.draw(st.sampled_from(mixed_corpus))
+        gens = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(0, m - 1) for m in code.space.flat_moduli]),
+                max_size=3,
+            )
+        )
+        if gens:
+            code = code_from_generators(code.space, gens)
+        assert order_profile(code).bounds == graph_order_bounds(code)
+
+    def test_failed_plain_split_builds_no_graph(self, mixed_corpus, monkeypatch):
+        import groupcodes.control as control
+
+        calls, failed = [], 0
+        original = control._order_split_everywhere
+
+        def counted(code, prefix, suffix, n, levels):
+            calls.append(join(prefix, suffix) == code)
+            return original(code, prefix, suffix, n, levels)
+
+        monkeypatch.setattr(control, "_order_split_everywhere", counted)
+        for code in mixed_corpus:
+            N = code.space.horizon
+            for l in range(N + 1):
+                suffix = window_internal(code, l, N)
+                failed += sum(
+                    join(window_internal(code, 0, n), suffix) != code for n in range(l, N)
+                )
+            order_profile(code)
+        assert failed and calls and all(calls)
 
     def test_matches_transversal(self, random_corpus):
         for code in random_corpus[:100]:

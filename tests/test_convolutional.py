@@ -19,6 +19,7 @@ from groupcodes.convolutional import (
     _ZERO_EXTENSION,
     _is_annihilator,
     _settled_window,
+    _window,
     dual_convolutional,
     local_window,
     strong_controllability_index,
@@ -688,3 +689,80 @@ class TestWeakVerdictTwin:
         assert any(not v.holds for v in verdicts) and any(v.holds for v in verdicts)
         assert reads and all(n <= s for n, s in reads)
         assert duals == []
+
+
+# The finite-support chain as built before cut windows were kept: every
+# settle step and long window a direct ``_window(conv, n, cut=True)`` call.
+_DIRECT_FINITE_SUPPORT = (lambda conv, n: _window(conv, n, cut=True), 0)
+
+
+def _fresh(conv):
+    """An equal code with none of the windows ``conv`` keeps."""
+    return ConvolutionalCode(conv.symbol, conv.form, conv.taps, conv.horizon)
+
+
+class TestCutWindowReads:
+    """Every cut read, taken off the one kept cut window, against a direct
+    build, in read orders that make the kept window grow."""
+
+    LONGEST = 9
+
+    @given(_random_codes(), st.sampled_from(("short-first", "long-first", "interleaved")))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_reads_match_direct_builds(self, conv, order):
+        lengths = list(range(1, self.LONGEST + 1))
+        if order == "long-first":
+            lengths.reverse()
+        elif order == "interleaved":
+            lengths = [3, 1, 7, 2, 9, 4, 6, 5, 8]
+        reference = _fresh(conv)
+        for n in lengths:
+            direct = _window(conv, n, cut=True)
+            if conv.form == "image":
+                assert window_code(conv, n) == direct
+            else:
+                assert zero_extension_window(conv, n) == direct
+            finite = _settled_window(conv, _FINITE_SUPPORT, n)
+            assert finite == _settled_window(reference, _DIRECT_FINITE_SUPPORT, n)
+
+    def test_reads_up_to_the_built_length_build_once(self, monkeypatch):
+        import groupcodes.convolutional as module
+
+        built = []
+        original = module._window
+
+        def counted(conv, n, cut):
+            built.append((n, cut))
+            return original(conv, n, cut)
+
+        monkeypatch.setattr(module, "_window", counted)
+        codes = [
+            image(Z4, ((1,), (2,))),
+            kernel(Z4, ((1,), (0,), (2,))),
+            kernel(V4, ((0, 0), (1, 0), (0, 1))),  # settles at j* = 1
+            kernel(FiniteAbelianGroup((8,)), ((2,), (0,), (1,))),  # j* = 4
+            kernel(Z2, ((1,), (0,), (0,), (0,), (1,)), horizon=2),
+        ]
+        for conv in codes:
+            s, N = conv.state_length, conv.analysis_horizon
+            first = max(min(N, REPORT_WINDOWS), s + 1)
+            read = window_code if conv.form == "image" else zero_extension_window
+            built.clear()
+            for n in range(1, first + 1):
+                read(conv, n)
+            assert built == [(first, True)]
+            built.clear()
+            read(conv, first + 2)  # a longer read rebuilds the window once
+            for n in range(1, first + 3):
+                read(conv, n)
+            assert built == [(first + 2, True)]
+            if conv.form == "kernel":
+                built.clear()
+                conv = _fresh(conv)
+                for n in range(1, s + 1):
+                    _settled_window(conv, _FINITE_SUPPORT, n)
+                    zero_extension_window(conv, n)
+                # Only a read past the kept length rebuilds the cut window.
+                cut = [length for length, cut in built if cut]
+                assert cut[0] == first and cut == sorted(set(cut))
+                assert conv._cut[0].space.horizon == cut[-1]

@@ -60,6 +60,8 @@ def golden_cases():
         yield f"{stem}.duality-check-json", ["duality-check", name, "--format", "json"]
         for prop in BLOCK_PROPERTIES if block else CONVOLUTIONAL_PROPERTIES:
             yield f"{stem}.check-{prop[0]}", ["check", name, "--property", *prop]
+        if not block:
+            yield f"{stem}.oracle", ["oracle", name]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         yield f"demo.{demo.stem}", [f"demos/{demo.name}"]
 
