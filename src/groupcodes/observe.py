@@ -26,7 +26,7 @@ from .codes import (
 )
 from .control import control_profile, controllable_subcode
 from .duality import dual_block_code, pairs_to_zero
-from .linalg import _trusted, smith_invariants
+from .linalg import _reduce_vector, _trusted, smith_invariants
 
 __all__ = [
     "ObserveProfile",
@@ -238,76 +238,108 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     rather than by building a subgroup only to compare it (X = Y-perp
     exactly when X and Y pair to zero and |X| · |Y| = |G|):
     - for every window [a, b), the dual of the internally supported part of
-      the code equals the consistency set of the dual code on that window:
-      the part pairs to zero with the set and their orders multiply to |G|;
+      the code equals the consistency set of the dual code on that window;
     - the reachable sets grow with L while the dual consistency sets shrink;
     - for every gap L, the dual of the gap-L controllable subcode equals the
       window-L observable supercode of the dual code, and their invariant
-      factors agree (computed once per distinct subgroup, so once when
-      the two are equal).
+      factors agree (computed once per distinct subgroup).
+
+    The consistency set of the dual D on [a, b) is the preimage of
+    P = proj_[a,b) D, so its order is |G| · |P| / |G_[a,b)| and its Howell
+    rows restricted to [a, b) are those of P (the unit rows outside the
+    window vanish on it).  The window check therefore reads
+    |C ∩ [a, b)| · |P| = |G_[a,b)| and pairs the internal part's window
+    columns with P's rows; no consistency set is built.  Of the two
+    chains, the reach chain is the nesting of the prefix codes:
+    C_k(L) = Z_k + C ∩ [0, k+L), so C ∩ [0, b) ⊆ C ∩ [0, b+1) gives
+    C_k(L) ⊆ C_k(L+1).  The consistency set on [k, b+1) lies in the one on
+    [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D:
+    each Howell row of the first, cut, reduces to zero against the second.
+    Once the window reaches the horizon the sets repeat, so there is
+    nothing more to test.
+
+    Each matched side is built only until it reaches its top.  The
+    subcodes cs_L = ``controllable_subcode(code, L)`` are sums of the
+    windows C ∩ [k, k+L+1), which grow with L, so cs_L ⊆ cs_{L+1} ⊆ C.
+    The annihilator sums S_L = ``_annihilator_sum(dual, [L] * N)`` grow
+    too: a character on [k, b) annihilating proj_[k,b) D, extended by
+    zero, annihilates proj_[k,b+1) D.  So S_L ⊆ S_{L+1} ⊆ T, where
+    T = ``window_annihilator(dual, 0, N)`` is the term of S_{N-1} at
+    k = 0, and S_{N-1} = T.  A nondecreasing chain under its top that
+    meets the top stays there: once the Howell rows of cs_L equal those of
+    C (or those of S_L equal T's) the side is the same subgroup for every
+    larger L, and its dual and invariant factors are reused.  T is built
+    from the dual alone and the test compares rows, so stopping does not
+    assume that the dual of the dual is C.
 
     The code's side of each identity is read off its window table (internal
     parts, ``controllable_subcode``, ``control_profile``); the dual's side
-    is built from the dual's window projections (``consistency_set``,
-    ``observable_supercode``) without that table.  The reach chain is the
-    nesting of the prefix codes: C_k(L) = Z_k + C ∩ [0, k+L), so
-    C ∩ [0, b) ⊆ C ∩ [0, b+1) for every b gives C_k(L) ⊆ C_k(L+1).  The
-    other chain reads one table of the dual's consistency sets on [k, k+L],
-    L = 0..N (entries repeat once the window reaches the horizon).  The
-    control indices come from ``control_profile`` of the code and of the
-    dual, the observe index of the code from its own annihilator sums and
-    that of the dual from the matched supercodes, so ``indices_match``
-    stays evidence.
+    is built from the dual's window projections (``window_projection``,
+    ``_annihilator_sum``) without that table.  The control indices come
+    from ``control_profile`` of the code and of the dual, the observe index
+    of the code from its own annihilator sums and that of the dual from the
+    first matched supercode equal to the dual, so ``indices_match`` stays
+    evidence.
     """
     dual = dual_block_code(code)
     N = code.space.horizon
-    cons = []
-    for k in range(N):
-        cons_k = [consistency_set(dual, k, L) for L in range(N - k)]
-        cons.append(cons_k + cons_k[-1:] * (k + 1))
-    total = code.space.cardinality
+    moduli = code.space.flat_moduli
+    offsets = code.space.offsets()
+    proj = {
+        (a, b): window_projection(dual, a, b) for a in range(N) for b in range(a + 1, N + 1)
+    }
     window_checks = []
-    for a in range(N):
-        for b in range(a + 1, N + 1):
-            inner = window_internal(code, a, b)
-            pulled = cons[a][b - 1 - a]
-            sl = code.space.flat_slice(a, b)
-            ok = inner.cardinality * pulled.cardinality == total and pairs_to_zero(
-                [row[sl] for row in inner.basis.rows],
-                [row[sl] for row in pulled.basis.rows],
-                code.space.flat_moduli[sl],
-            )
-            window_checks.append(WindowDualityCheck(a, b, ok))
+    for (a, b), local in proj.items():
+        inner = window_internal(code, a, b)
+        sl = code.space.flat_slice(a, b)
+        ok = inner.cardinality * local.cardinality == local.space.cardinality and pairs_to_zero(
+            [row[sl] for row in inner.basis.rows], local.basis.rows, moduli[sl]
+        )
+        window_checks.append(WindowDualityCheck(a, b, ok))
     chain_ok = all(
         code.prefix_code(b).is_subcode_of(code.prefix_code(b + 1)) for b in range(N)
-    ) and all(
-        cons[k][L + 1].is_subcode_of(cons[k][L]) for k in range(N) for L in range(N)
+    ) and not any(
+        any(_reduce_vector(proj[k, b].basis, row[: offsets[b] - offsets[k]]))
+        for k in range(N)
+        for b in range(k + 1, N)
+        for row in proj[k, b + 1].basis.rows
     )
-    matched, supercodes, factors = [], [], {}
+
+    def duals_to_top(side, top: BlockCode, top_dual: BlockCode | None = None) -> list:
+        # The duals of side(L), L = 0..N-1, built until side(L) is top (whose
+        # dual is top_dual when it is already known).
+        duals = []
+        for L in range(N):
+            x = side(L)
+            if x.basis.rows == top.basis.rows:
+                return duals + [dual_block_code(x) if top_dual is None else top_dual] * (N - L)
+            duals.append(dual_block_code(x))
+        return duals
+
+    sub_duals = duals_to_top(lambda L: controllable_subcode(code, L), code, dual)
+    supercodes = duals_to_top(
+        lambda L: _annihilator_sum(dual, [L] * N), window_annihilator(dual, 0, N)
+    )
+    factors = {}
 
     def factors_of(c: BlockCode) -> tuple[int, ...]:
-        # Once L reaches the control index every subcode is C, so the same
-        # subgroups recur; their invariant factors are computed once.
         if c.basis.rows not in factors:
             factors[c.basis.rows] = smith_invariants(c.basis)
         return factors[c.basis.rows]
 
-    for L in range(N):
-        sub_dual = dual_block_code(controllable_subcode(code, L))
-        sup = observable_supercode(dual, L)
-        supercodes.append(sup)
-        matched.append(
-            MatchedParameterCheck(
-                gap=L,
-                subcode_dual_factors=factors_of(sub_dual),
-                supercode_factors=factors_of(sup),
-                equal_as_sets=sub_dual == sup,
-            )
+    matched = tuple(
+        MatchedParameterCheck(
+            gap=L,
+            subcode_dual_factors=factors_of(sub_dual),
+            supercode_factors=factors_of(sup),
+            equal_as_sets=sub_dual == sup,
         )
+        for L, (sub_dual, sup) in enumerate(zip(sub_duals, supercodes))
+    )
     return DualityReport(
         window_checks=tuple(window_checks),
         chain_ok=chain_ok,
-        matched_checks=tuple(matched),
+        matched_checks=matched,
         control_index=control_profile(code).index,
         dual_observe_index=supercodes.index(dual),
         observe_index=_observe_index(code),

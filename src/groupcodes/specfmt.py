@@ -17,9 +17,10 @@ A convolutional code:
 
 Symbols are bracketed lists of cyclic moduli; per-index residue vectors are
 comma separated inside an index and whitespace separated across indices.
-Comments start with '#'.  Parsing reports the offending line for syntax
-errors, the field for schema errors, and the exact position for residues
-out of range.
+Comments start with '#'.  ``generator`` and ``tap`` lines may repeat; every
+other key is given at most once, and ``horizon`` only in a convolutional
+document.  Parsing reports the offending line for syntax errors, the field
+for schema errors, and the exact position for residues out of range.
 """
 
 from __future__ import annotations
@@ -147,10 +148,12 @@ def parse_spec(text: str) -> CodeSpecDocument:
     fields = {}
     for lineno, key, value in entries:
         fields.setdefault(key, []).append((lineno, value))
-    known = {"kind", "symbols", "generator", "symbol", "form", "tap", "horizon"}
-    for key in fields:
-        if key not in known:
-            raise SpecError("unknown key", fields[key][0][0], key)
+    single = {"kind", "symbols", "symbol", "form", "horizon"}
+    for key, given in fields.items():
+        if key not in single | {"generator", "tap"}:
+            raise SpecError("unknown key", given[0][0], key)
+        if key in single and len(given) > 1:
+            raise SpecError(f"repeated; first given on line {given[0][0]}", given[1][0], key)
     if "kind" not in fields:
         raise SpecError("missing 'kind'", field="kind")
     kind_line, kind = fields["kind"][0]
@@ -158,7 +161,7 @@ def parse_spec(text: str) -> CodeSpecDocument:
         raise SpecError(f"kind must be block or convolutional, got {kind!r}", kind_line, "kind")
 
     if kind == "block":
-        for forbidden in ("symbol", "form", "tap"):
+        for forbidden in ("symbol", "form", "tap", "horizon"):
             if forbidden in fields:
                 raise SpecError(
                     "not valid in a block document", fields[forbidden][0][0], forbidden

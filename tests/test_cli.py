@@ -338,8 +338,36 @@ class TestOracle:
         code, out, _ = run_cli("oracle", constant_spec)
         assert code == 0
 
+    def test_negative_oracle_bound_is_usage_error(self, even_weight_spec):
+        code, out, err = run_cli("oracle", even_weight_spec, "--bound", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: field 'bound': bound must be at least 0, got -1\n"
+        code, out, err = run_cli("oracle", even_weight_spec, "--bound", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: span exceeds the oracle bound 0\n"
+
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                "kind: block\nsymbols: [2] [2]\nsymbols: [2]\ngenerator: 1 1\n",
+                "error: line 3: field 'symbols': repeated; first given on line 2\n",
+            ),
+            (
+                "kind: block\nsymbols: [2] [2]\nhorizon: 3\n",
+                "error: line 3: field 'horizon': not valid in a block document\n",
+            ),
+        ],
+        ids=["repeated-symbols", "block-horizon"],
+    )
+    def test_ignored_key_is_usage_error(self, tmp_path, text, error):
+        path = tmp_path / "code.spec"
+        path.write_text(text, encoding="utf-8")
+        for command in ("analyze", "duality-check"):
+            assert run_cli(command, str(path)) == (2, "", error)
+
     def test_missing_file(self):
         code, _, err = run_cli("analyze", "no_such_file.spec")
         assert code == 2

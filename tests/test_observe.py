@@ -227,29 +227,181 @@ class TestDualityReport:
 
 
 BAND_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
+BAND_SPEC_PATHS = sorted(BAND_SPECS.glob("*band*.spec"))
+
+
+def band_code(name):
+    return parse_spec((BAND_SPECS / name).read_text(encoding="utf-8")).to_block_code()
+
+
+def reference_duality_report(code):
+    """The duality report built without stopping or projection reads: every
+    gap L, the dual's consistency sets, and the chains by ``is_subcode_of``."""
+    from groupcodes.control import control_profile, controllable_subcode
+    from groupcodes.duality import pairs_to_zero
+    from groupcodes.linalg import smith_invariants
+    from groupcodes.observe import (
+        DualityReport,
+        MatchedParameterCheck,
+        WindowDualityCheck,
+    )
+
+    dual = dual_block_code(code)
+    N = code.space.horizon
+    cons = [[consistency_set(dual, k, L) for L in range(N + 1)] for k in range(N)]
+    windows = []
+    for a in range(N):
+        for b in range(a + 1, N + 1):
+            inner, pulled = window_internal(code, a, b), cons[a][b - 1 - a]
+            sl = code.space.flat_slice(a, b)
+            ok = inner.cardinality * pulled.cardinality == code.space.cardinality
+            ok = ok and pairs_to_zero(
+                [row[sl] for row in inner.basis.rows],
+                [row[sl] for row in pulled.basis.rows],
+                code.space.flat_moduli[sl],
+            )
+            windows.append(WindowDualityCheck(a, b, ok))
+    chain_ok = all(
+        code.prefix_code(b).is_subcode_of(code.prefix_code(b + 1)) for b in range(N)
+    ) and all(cons[k][L + 1].is_subcode_of(cons[k][L]) for k in range(N) for L in range(N))
+    matched, supercodes = [], []
+    for L in range(N):
+        sub_dual = dual_block_code(controllable_subcode(code, L))
+        sup = observable_supercode(dual, L)
+        supercodes.append(sup)
+        matched.append(
+            MatchedParameterCheck(
+                L, smith_invariants(sub_dual.basis), smith_invariants(sup.basis), sub_dual == sup
+            )
+        )
+    return DualityReport(
+        window_checks=tuple(windows),
+        chain_ok=chain_ok,
+        matched_checks=tuple(matched),
+        control_index=control_profile(code).index,
+        dual_observe_index=supercodes.index(dual),
+        observe_index=observe_profile(code).index,
+        dual_control_index=control_profile(dual).index,
+    )
+
+
+class TestDualityReportTwin:
+    """The report against the reference built at every gap from the dual's
+    consistency sets, field by field."""
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for code in mixed_corpus:
+            assert check_control_observe_duality(code) == reference_duality_report(code)
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            assert check_control_observe_duality(code) == reference_duality_report(code)
+
+    @pytest.mark.parametrize("path", BAND_SPEC_PATHS, ids=lambda p: p.stem)
+    def test_band_specs(self, path):
+        code = band_code(path.name)
+        assert check_control_observe_duality(code) == reference_duality_report(code)
+
+
+def _first_top(side, top, N):
+    return next(L for L in range(N) if side(L).basis.rows == top.basis.rows)
 
 
 @pytest.mark.parametrize("spec", ["z4_band8_code.spec", "z4_band10_dual.spec"])
-def test_duality_check_builds_each_dual_consistency_set_once(spec, monkeypatch):
-    # The window, chain and matched checks and the dual observe index all
-    # read one table of dual consistency sets.
+def test_duality_check_stops_each_matched_side_at_its_top(spec, monkeypatch):
+    # The window and chain checks read the dual's window projections and
+    # build no consistency set; each matched side is built up to the first
+    # gap where it reaches its top and no further.
     import groupcodes.observe as observe_module
+    from groupcodes.control import controllable_subcode
 
-    code = parse_spec((BAND_SPECS / spec).read_text(encoding="utf-8")).to_block_code()
+    code = band_code(spec)
     dual = dual_block_code(code)
     assert dual != code
+    N = code.space.horizon
+    sums = observe_module._annihilator_sum
+    sub_top = _first_top(lambda L: controllable_subcode(code, L), code, N)
+    sum_top = _first_top(lambda L: sums(dual, [L] * N), window_annihilator(dual, 0, N), N)
+    assert max(sub_top, sum_top) < N - 1
     calls = Counter()
-    build = observe_module.consistency_set
 
-    def counted(c, k, L):
-        if c == dual:
-            calls[k, L] += 1
-        return build(c, k, L)
+    def count(name, original, key=lambda *args: True):
+        def counted(*args):
+            if key(*args):
+                calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(observe_module, "consistency_set", counted)
+        monkeypatch.setattr(observe_module, name, counted)
+
+    count("consistency_set", observe_module.consistency_set)
+    count("controllable_subcode", observe_module.controllable_subcode)
+    count("_annihilator_sum", sums, key=lambda c, lengths: c == dual)
     assert check_control_observe_duality(code).ok
-    assert calls
-    assert max(calls.values()) == 1
+    assert calls["consistency_set"] == 0
+    assert calls["controllable_subcode"] <= sub_top + 1
+    assert calls["_annihilator_sum"] <= sum_top + 1
+
+
+def test_wrong_dual_projection_fails_its_window(monkeypatch):
+    # Serving a proper subgroup or a proper supergroup of one window
+    # projection of the dual breaks that window's check or the chain; a
+    # proper subgroup with a longer window after it breaks the chain too.
+    import groupcodes.observe as observe_module
+
+    code = band_code("mixed_band8.spec")
+    dual = dual_block_code(code)
+    N = code.space.horizon
+    project = observe_module.window_projection
+    served = 0
+    for a in range(N):
+        for b in range(a + 1, N + 1):
+            right = project(dual, a, b)
+            smaller = code_from_generators(right.space, right.basis.rows[:-1])
+            for wrong in (smaller, ambient_code(right.space)):
+                if wrong == right:
+                    continue
+                served += 1
+                monkeypatch.setattr(
+                    observe_module,
+                    "window_projection",
+                    lambda c, i, j: wrong if (c, i, j) == (dual, a, b) else project(c, i, j),
+                )
+                report = check_control_observe_duality(code)
+                verdicts = {(w.start, w.stop): w.ok for w in report.window_checks}
+                assert not verdicts.pop((a, b)) or not report.chain_ok
+                assert all(verdicts.values())
+                assert not report.ok
+                if wrong is smaller and b < N:
+                    # The projection on [a, b + 1), cut to [a, b), is the
+                    # right one, which the smaller one does not contain.
+                    assert not report.chain_ok
+    assert served > N * (N + 1) // 2
+
+
+def test_wrong_annihilator_sum_before_the_stop_mismatches(monkeypatch):
+    # A wrong sum at a gap before the supercode side reaches its top, the
+    # zero sum or the top itself served early, shows as a mismatch there.
+    import groupcodes.observe as observe_module
+    from groupcodes.codes import zero_code
+
+    code = band_code("z4_band8_dual.spec")
+    dual = dual_block_code(code)
+    N = code.space.horizon
+    sums = observe_module._annihilator_sum
+    top = window_annihilator(dual, 0, N)
+    stop = _first_top(lambda L: sums(dual, [L] * N), top, N)
+    assert stop > 1
+    for gap in range(stop):
+        for wrong in (zero_code(code.space), top):
+            monkeypatch.setattr(
+                observe_module,
+                "_annihilator_sum",
+                lambda c, lengths: wrong if c == dual and lengths[0] == gap else sums(c, lengths),
+            )
+            report = check_control_observe_duality(code)
+            assert not report.matched_checks[gap].ok
+            assert "MISMATCH" in report.render()
+            assert not report.ok
 
 
 class TestCountedObservability:

@@ -84,6 +84,34 @@ class TestParse:
             parse_spec(text)
         assert info.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("kind: block\nkind: block\nsymbols: [2]\n", "kind"),
+            (EVEN_WEIGHT.replace("generator: 0 1 1", "symbols: [2] [2]"), "symbols"),
+            (CONSTANT.replace("tap: 1 1", "symbol: [4]"), "symbol"),
+            (CONSTANT.replace("tap: 1 1", "form: kernel"), "form"),
+            (CONSTANT.replace("tap: 1 1", "horizon: 4\nhorizon: 5"), "horizon"),
+        ],
+        ids=["kind", "symbols", "symbol", "form", "horizon"],
+    )
+    def test_repeated_single_valued_key(self, text, key):
+        # The second line is refused, not silently dropped.
+        second = [i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key + ":")]
+        with pytest.raises(SpecError) as info:
+            parse_spec(text)
+        assert (info.value.line, info.value.field) == (second[1], key)
+        assert f"first given on line {second[0]}" in str(info.value)
+
+    def test_repeated_generators_and_taps_are_kept(self):
+        assert len(parse_spec(EVEN_WEIGHT).generators) == 2
+        assert len(parse_spec(CONSTANT + "tap: 1 0 1\n").taps) == 2
+
+    def test_horizon_in_block_document(self):
+        with pytest.raises(SpecError) as info:
+            parse_spec("kind: block\nsymbols: [2] [2]\nhorizon: 3\n")
+        assert (info.value.line, info.value.field) == (3, "horizon")
+
 
 class TestEmit:
     def test_round_trip_identity(self):
