@@ -363,10 +363,10 @@ def _cmd_duality_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.bound is not None and args.bound < 0:
-        raise SpecError(f"bound must be at least 0, got {args.bound}", field="bound")
-    doc = _load(args.spec)
     bound = args.bound if args.bound is not None else oracle_bound()
+    if bound < 0:
+        raise SpecError(f"bound must be at least 0, got {bound}", field="bound")
+    doc = _load(args.spec)
     if doc.kind == "block":
         code = doc.to_block_code()
         codes = [("code", code)]

@@ -135,20 +135,11 @@ REPORT_WINDOWS = 6
 
 
 def _cut_window(conv: ConvolutionalCode, n: int) -> BlockCode:
-    """``_window(conv, n, cut=True)``, read off the cut window kept on the code.
-
-    Every read is a prefix read, so any longer window serves it exactly; a
-    read past the kept window regrows it to at least twice its length, so
-    reads that creep forward one symbol at a time rebuild it only
-    logarithmically often.
-    """
+    """``_window(conv, n, cut=True)``, read off the cut window kept on the code."""
     kept = conv._cut
     if not kept or kept[0].space.horizon < n:
-        if kept:
-            length = 2 * kept[0].space.horizon
-        else:
-            length = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
-        kept[:] = [_window(conv, max(n, length), cut=True)]
+        first = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
+        kept[:] = [_window(conv, max(n, first), cut=True)]
     window = kept[0] if conv.form == "image" else window_internal(kept[0], 0, n)
     return window_projection(window, 0, n)
 

@@ -346,6 +346,12 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err == "error: span exceeds the oracle bound 0\n"
 
+    def test_negative_environment_bound_is_usage_error(self, even_weight_spec, monkeypatch):
+        monkeypatch.setenv("GROUPCODES_ORACLE_BOUND", "-1")
+        code, out, err = run_cli("oracle", even_weight_spec)
+        assert (code, out) == (2, "")
+        assert err == "error: field 'bound': bound must be at least 0, got -1\n"
+
 
 class TestErrors:
     @pytest.mark.parametrize(
