@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
-from .codes import BlockCode, invariant_factors_of_code
+from .codes import BlockCode, invariant_factors_of_code, window_order
 from .control import control_profile, order_profile
 from .convolutional import (
     REPORT_WINDOWS,
@@ -30,7 +31,7 @@ from .convolutional import (
 )
 from .duality import dual_block_code
 from .observe import check_control_observe_duality, observe_profile
-from .oracle import OracleBoundExceeded, brute, oracle_bound
+from .oracle import DEFAULT_BOUND, OracleBoundExceeded, brute
 from .specfmt import (
     CodeSpecDocument,
     SpecError,
@@ -39,11 +40,7 @@ from .specfmt import (
     emit_spec,
     parse_spec,
 )
-from .structure import (
-    DecompositionError,
-    coprime_rectangular,
-    cyclic_product_decomposition,
-)
+from .structure import DecompositionError, cyclic_product_decomposition
 
 PROPERTIES = (
     "weak-controllable",
@@ -250,10 +247,13 @@ def _check_block(code: BlockCode, prop: str, level: Optional[int]) -> tuple[bool
             f"observe index {profile.index} vs requested level {level}",
         )
     if prop == "rectangular":
-        decomposition = coprime_rectangular(code)
-        if decomposition is None:
-            return False, "symbol orders are not pairwise coprime"
-        return True, "coordinatewise product verified"
+        # The single-position windows C ∩ [i, i+1) sum directly inside C, so
+        # C is their product exactly when their orders multiply to |C|.
+        N, order = code.space.horizon, code.cardinality
+        windows = math.prod(window_order(code, i, i + 1) for i in range(N))
+        if windows == order:
+            return True, "coordinatewise product verified"
+        return False, f"|C| = {order} but the single-position windows multiply to {windows}"
     if prop == "subdirect":
         try:
             decomposition = cyclic_product_decomposition(code)
@@ -363,9 +363,8 @@ def _cmd_duality_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    bound = args.bound if args.bound is not None else oracle_bound()
-    if bound < 0:
-        raise SpecError(f"bound must be at least 0, got {bound}", field="bound")
+    if args.bound < 0:
+        raise SpecError(f"bound must be at least 0, got {args.bound}", field="bound")
     doc = _load(args.spec)
     if doc.kind == "block":
         code = doc.to_block_code()
@@ -380,7 +379,7 @@ def _cmd_oracle(args) -> int:
     lines = ["oracle cross-check report"]
     for label, code in codes:
         try:
-            checks = _oracle_checks(code, bound)
+            checks = _oracle_checks(code, args.bound)
         except OracleBoundExceeded as exc:
             raise SpecError(str(exc))
         for name, ok in checks:
@@ -477,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="cross-check against brute force")
     p.add_argument("spec")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     p.set_defaults(fn=_cmd_oracle)
 
     return parser

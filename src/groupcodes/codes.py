@@ -91,6 +91,12 @@ class SequenceSpace:
         offs = self.offsets()
         return slice(offs[a], offs[b])
 
+    def support(self, word: Sequence[int]) -> tuple[int, int]:
+        """The least window [lo, hi) outside which a flat word vanishes;
+        (0, 0) for the zero word."""
+        touched = [i for i, piece in enumerate(self.split(word)) if any(piece)]
+        return (touched[0], touched[-1] + 1) if touched else (0, 0)
+
     def split(self, word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Per-index residue vectors of a flat word."""
         offs = self.offsets()

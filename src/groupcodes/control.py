@@ -188,18 +188,10 @@ def chunk_decompose(
     residual = tuple(int(e) % m for e, m in zip(word, moduli))
     if not code.contains(residual):
         raise ValueError("word is not a codeword")
-    offsets = code.space.offsets()
-
-    def first_nonzero_position(w: Sequence[int]) -> int:
-        for idx in range(N):
-            if any(w[offsets[idx] : offsets[idx + 1]]):
-                return idx
-        return -1
-
     chunks: list[Chunk] = []
     while True:
-        k = first_nonzero_position(residual)
-        if k < 0:
+        k, hi = code.space.support(residual)
+        if k == hi:
             break
         bound = N if k + 1 >= N else min(k + 1 + lengths[k + 1], N)
         sl = code.space.flat_slice(k, k + 1)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .codes import BlockCode, SequenceSpace, window_internal, window_projection
 from .control import control_profile
-from .duality import pairs_to_zero
+from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
 from .linalg import annihilator_rows, residue_matrix
 
@@ -330,16 +330,13 @@ def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:
     return conv._dual
 
 
-def _is_annihilator(x: BlockCode, y: BlockCode) -> bool:
-    """Whether x = y-perp: they pair to zero and |x| * |y| = |G|^n."""
-    counted = x.cardinality * y.cardinality == x.space.cardinality
-    return counted and pairs_to_zero(x.basis.rows, y.basis.rows, x.space.flat_moduli)
-
-
 def verify_window_duality(conv: ConvolutionalCode, n: int) -> bool:
     """Exact per-window duality, by pairing and counting: the annihilator of
     the window of the code equals the zero-extension window of the dual."""
-    return _is_annihilator(window_code(conv, n), zero_extension_window(conv._dual, n))
+    x, y = window_code(conv, n), zero_extension_window(conv._dual, n)
+    return is_annihilator(
+        x.basis.rows, x.cardinality, y.basis.rows, y.cardinality, x.basis.moduli
+    )
 
 
 def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
@@ -359,7 +356,13 @@ def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     for n in range(1, min(N, conv.state_length) + 1):
         finite = zero_extension_window(conv, n)
         dual_part = _settled_window(conv._dual, _FINITE_SUPPORT, n)
-        if not _is_annihilator(finite, dual_part):
+        if not is_annihilator(
+            finite.basis.rows,
+            finite.cardinality,
+            dual_part.basis.rows,
+            dual_part.cardinality,
+            finite.basis.moduli,
+        ):
             closure = finite.space.cardinality // dual_part.cardinality
             return WeakControllabilityVerdict(False, N, n, closure, finite.cardinality)
     return WeakControllabilityVerdict(holds=True, horizon=N)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .codes import BlockCode
@@ -100,16 +100,6 @@ def pairing(x: GroupElement, chi: Character | GroupElement) -> QmodZ:
     return QmodZ.of(total)
 
 
-def word_pairing(x: Sequence[int], chi: Sequence[int], moduli: Sequence[int]) -> QmodZ:
-    """Pairing of flat residue vectors over explicit moduli."""
-    if not len(x) == len(chi) == len(moduli):
-        raise ValueError("pairing vectors and moduli differ in length")
-    total = Fraction(0)
-    for a, b, m in zip(x, chi, moduli):
-        total += Fraction(int(a) * int(b), m)
-    return QmodZ.of(total)
-
-
 def pairs_to_zero(
     xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]], moduli: Sequence[int]
 ) -> bool:
@@ -120,6 +110,20 @@ def pairs_to_zero(
     return all(
         sum(a * b for a, b in zip(x, y)) % L == 0 for y in ys if any(y) for x in weighted
     )
+
+
+def is_annihilator(
+    x_rows: Sequence[Sequence[int]],
+    x_order: int,
+    y_rows: Sequence[Sequence[int]],
+    y_order: int,
+    moduli: Sequence[int],
+) -> bool:
+    """Whether X = Y-perp, for X and Y of orders ``x_order`` and ``y_order``
+    spanned by ``x_rows`` and ``y_rows``: pairing to zero puts X inside
+    Y-perp, which has order |G| / |Y|, so |X| · |Y| = |G| makes them equal."""
+    counted = x_order * y_order == prod(moduli)
+    return counted and pairs_to_zero(x_rows, y_rows, moduli)
 
 
 def annihilator(subgroup: ResidueMatrix) -> ResidueMatrix:

@@ -20,6 +20,7 @@ __all__ = [
     "PrimaryComponent",
     "element_order",
     "primary_decomposition",
+    "primary_part",
     "height",
     "socle",
     "prime_factors",
@@ -141,6 +142,17 @@ def element_order(g: GroupElement) -> int:
     return vector_order(g.residues, g.group.moduli)
 
 
+def primary_part(m: int, p: int) -> tuple[int, int]:
+    """The p-part q of m and its CRT multiplier u: u = 1 mod q and
+    u = 0 mod m/q, so e -> e mod q and e -> e·u mod m project Z/m onto Z/q
+    and embed it back.  u = 0 when q = 1."""
+    q = 1
+    while m % (q * p) == 0:
+        q *= p
+    rest = m // q
+    return q, (rest * pow(rest, -1, q) % m if q > 1 else 0)
+
+
 @dataclass(frozen=True)
 class PrimaryComponent:
     """One primary part (G)_p with its projection and embedding maps."""
@@ -148,21 +160,18 @@ class PrimaryComponent:
     prime: int
     group: FiniteAbelianGroup
     parent: FiniteAbelianGroup
-    # Per coordinate: (p-power part q, cofactor, CRT multiplier for embedding).
-    _crt: tuple[tuple[int, int, int], ...] = field(repr=False)
+    # Per coordinate: the ``primary_part`` pair (q, u).
+    _crt: tuple[tuple[int, int], ...] = field(repr=False)
 
     def project(self, g: GroupElement) -> GroupElement:
         if g.group != self.parent:
             raise ValueError("element not in the parent group")
-        return self.group.element([e % q for e, (q, _, _) in zip(g.residues, self._crt)])
+        return self.group.element([e % q for e, (q, _) in zip(g.residues, self._crt)])
 
     def embed(self, c: GroupElement) -> GroupElement:
         if c.group != self.group:
             raise ValueError("element not in the component group")
-        out = []
-        for e, (q, cof, mult), m in zip(c.residues, self._crt, self.parent.moduli):
-            out.append((e * mult) % m if q > 1 else 0)
-        return self.parent.element(out)
+        return self.parent.element([e * u for e, (_, u) in zip(c.residues, self._crt)])
 
 
 def primary_decomposition(G: FiniteAbelianGroup) -> dict[int, PrimaryComponent]:
@@ -173,27 +182,12 @@ def primary_decomposition(G: FiniteAbelianGroup) -> dict[int, PrimaryComponent]:
     """
     components: dict[int, PrimaryComponent] = {}
     for p in G.primes():
-        crt = []
-        comp_moduli = []
-        for m in G.moduli:
-            q = 1
-            rest = m
-            while rest % p == 0:
-                q *= p
-                rest //= p
-            comp_moduli.append(q)
-            if q == 1:
-                crt.append((1, m, 0))
-            else:
-                # CRT multiplier: 1 mod q, 0 mod cofactor.
-                cof = rest
-                mult = cof * pow(cof, -1, q) if q > 1 else 0
-                crt.append((q, cof, mult % m if m > 1 else 0))
+        crt = tuple(primary_part(m, p) for m in G.moduli)
         components[p] = PrimaryComponent(
             prime=p,
-            group=FiniteAbelianGroup(tuple(comp_moduli)),
+            group=FiniteAbelianGroup(tuple(q for q, _ in crt)),
             parent=G,
-            _crt=tuple(crt),
+            _crt=crt,
         )
     return components
 

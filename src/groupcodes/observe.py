@@ -25,7 +25,7 @@ from .codes import (
     zero_code,
 )
 from .control import control_profile, controllable_subcode
-from .duality import dual_block_code, pairs_to_zero
+from .duality import dual_block_code, is_annihilator
 from .linalg import _reduce_vector, _trusted, smith_invariants
 
 __all__ = [
@@ -292,8 +292,12 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     for (a, b), local in proj.items():
         inner = window_internal(code, a, b)
         sl = code.space.flat_slice(a, b)
-        ok = inner.cardinality * local.cardinality == local.space.cardinality and pairs_to_zero(
-            [row[sl] for row in inner.basis.rows], local.basis.rows, moduli[sl]
+        ok = is_annihilator(
+            [row[sl] for row in inner.basis.rows],
+            inner.cardinality,
+            local.basis.rows,
+            local.cardinality,
+            moduli[sl],
         )
         window_checks.append(WindowDualityCheck(a, b, ok))
     chain_ok = all(

@@ -5,28 +5,24 @@ over enumerated elements.  The only machinery shared with the main path is
 element arithmetic; no canonical forms are used, so agreement between the
 two implementations is meaningful evidence.
 
-The enumeration bound defaults to 2**20 and can be overridden with the
-GROUPCODES_ORACLE_BOUND environment variable.
+The enumeration bound defaults to ``DEFAULT_BOUND`` = 2**20; every entry
+point takes ``bound=`` to change it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional
+from typing import Callable
 
 from .codes import BlockCode
 
-__all__ = ["EnumeratedCode", "enumerate_code", "brute", "oracle_bound"]
+__all__ = ["EnumeratedCode", "enumerate_code", "brute", "DEFAULT_BOUND"]
 
-
-def oracle_bound() -> int:
-    value = os.environ.get("GROUPCODES_ORACLE_BOUND")
-    return int(value) if value else 1 << 20
+DEFAULT_BOUND = 1 << 20
 
 
 class OracleBoundExceeded(RuntimeError):
@@ -64,9 +60,8 @@ def _closure(generators, moduli, bound):
     return tuple(sorted(seen))
 
 
-def enumerate_code(code: BlockCode, bound: Optional[int] = None) -> EnumeratedCode:
+def enumerate_code(code: BlockCode, bound: int = DEFAULT_BOUND) -> EnumeratedCode:
     """Exact element list of a block code via generator closure."""
-    bound = oracle_bound() if bound is None else bound
     moduli = code.space.flat_moduli
     words = _closure(code.basis.rows, moduli, bound)
     return EnumeratedCode(moduli, words, code.space.offsets())
@@ -294,13 +289,12 @@ _register("verify_decomposition")(brute_verify_decomposition)
 _register("smith_invariants")(brute_smith_invariants)
 
 
-def brute(predicate: str, code: BlockCode, *args, bound: Optional[int] = None):
+def brute(predicate: str, code: BlockCode, *args, bound: int = DEFAULT_BOUND):
     """Dispatch a named predicate against the enumerated code."""
     if predicate not in _PREDICATES:
         raise ValueError(
             f"unknown predicate {predicate!r}; choose from {sorted(_PREDICATES)}"
         )
-    bound = oracle_bound() if bound is None else bound
     enum = enumerate_code(code, bound)
     fn = _PREDICATES[predicate]
     if predicate in ("consistency_set", "observable_supercode"):

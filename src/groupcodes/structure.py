@@ -18,12 +18,10 @@ from .codes import (
     BlockCode,
     SequenceSpace,
     code_from_generators,
-    join,
     window_internal,
     window_projection,
-    zero_code,
 )
-from .groups import FiniteAbelianGroup, primary_decomposition
+from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
     _trusted,
     coset_reduce,
@@ -110,18 +108,6 @@ class VerificationCertificate:
         return "\n".join(lines)
 
 
-def _support_window(word: Sequence[int], space: SequenceSpace) -> tuple[int, int]:
-    offs = space.offsets()
-    touched = [
-        i
-        for i in range(space.horizon)
-        if any(word[offs[i] : offs[i + 1]])
-    ]
-    if not touched:
-        return (0, 0)
-    return (touched[0], touched[-1] + 1)
-
-
 def verify_decomposition(
     code: BlockCode, decomposition: Decomposition
 ) -> tuple[bool, VerificationCertificate]:
@@ -129,8 +115,9 @@ def verify_decomposition(
 
     Directness is established step by step: <y_1..y_j> meets <y_{j+1}>
     trivially exactly when |<y_1..y_{j+1}>| = |<y_1..y_j>| · ord(y_{j+1}),
-    read off the joins built anyway.  Together the steps are equivalent to
-    the implication that a vanishing sum forces every summand to vanish.
+    read off the spans built anyway, each one Howell form of the last
+    span's rows with y_{j+1} appended.  Together the steps are equivalent
+    to the implication that a vanishing sum forces every summand to vanish.
     The decomposition must live in the code's space.
     """
     if decomposition.space != code.space:
@@ -140,7 +127,7 @@ def verify_decomposition(
     membership_ok = all(code.contains(g.word) for g in gens)
     support_ok = True
     for g in gens:
-        lo, hi = _support_window(g.word, code.space)
+        lo, hi = code.space.support(g.word)
         if lo == hi:
             support_ok = False  # zero generators carry no information
         elif not (g.start <= lo and hi <= g.stop):
@@ -148,13 +135,12 @@ def verify_decomposition(
         if vector_order(g.word, moduli) != g.order:
             support_ok = False
     directness = []
-    accumulated = zero_code(code.space)
+    rows, before = (), 1
     for j, g in enumerate(gens):
-        joined = join(accumulated, code_from_generators(code.space, [g.word]))
+        spanned = code_from_generators(code.space, rows + (g.word,))
         if j:
-            order = vector_order(g.word, moduli)
-            directness.append(joined.cardinality == accumulated.cardinality * order)
-        accumulated = joined
+            directness.append(spanned.cardinality == before * vector_order(g.word, moduli))
+        rows, before = spanned.basis.rows, spanned.cardinality
     cardinality_ok = decomposition.order_product == code.cardinality
     failed = None
     if not membership_ok:
@@ -218,46 +204,15 @@ def _verified(code: BlockCode, gens: list[DecompositionGenerator]) -> Decomposit
     return Decomposition(code.space, tuple(gens), cert)
 
 
-def _component_code(code: BlockCode, prime: int) -> tuple[BlockCode, list]:
-    """Project the code into the p-primary ambient, with embedding data."""
-    sp = code.space
-    comps = [primary_decomposition(g).get(prime) for g in sp.symbols]
-    comp_symbols = []
-    for g, comp in zip(sp.symbols, comps):
-        if comp is None:
-            comp_symbols.append(FiniteAbelianGroup(tuple(1 for _ in g.moduli)))
-        else:
-            comp_symbols.append(comp.group)
-    comp_space = SequenceSpace(tuple(comp_symbols))
-    offs = sp.offsets()
-    rows = []
-    for row in code.basis.rows:
-        projected = []
-        for i, g in enumerate(sp.symbols):
-            piece = row[offs[i] : offs[i + 1]]
-            comp = comps[i]
-            if comp is None:
-                projected.extend(0 for _ in piece)
-            else:
-                projected.extend(comp.project(g.element(piece)).residues)
-        rows.append(projected)
-    return code_from_generators(comp_space, rows), comps
-
-
-def _embed_component_word(
-    word: Sequence[int], code: BlockCode, comps: list
-) -> tuple[int, ...]:
-    sp = code.space
-    offs = sp.offsets()
-    out = []
-    for i, g in enumerate(sp.symbols):
-        piece = word[offs[i] : offs[i + 1]]
-        comp = comps[i]
-        if comp is None:
-            out.extend(0 for _ in piece)
-        else:
-            out.extend(comp.embed(comp.group.element(piece)).residues)
-    return tuple(out)
+def _primary_code(code: BlockCode, p: int) -> tuple[BlockCode, list[tuple[int, int]]]:
+    """The code's p-primary part over the p-parts of its symbols, with the
+    ``primary_part`` pair (q, u) of each column: a row enters as e mod q
+    and a component word leaves as e·u mod m, column by column."""
+    columns = [primary_part(m, p) for m in code.space.flat_moduli]
+    symbols = code.space.split([q for q, _ in columns])
+    part = SequenceSpace(tuple(FiniteAbelianGroup(qs) for qs in symbols))
+    rows = ([e % q for e, (q, _) in zip(row, columns)] for row in code.basis.rows)
+    return code_from_generators(part, rows), columns
 
 
 def _exponent(code: BlockCode) -> int:
@@ -340,9 +295,10 @@ def _peel_complement(
 def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
     """Weakly rectangular decomposition through the primary parts.
 
-    The code splits through the primary decomposition of the symbols; inside
-    each p-part, generators of maximal order realizable in the smallest
-    prefix window are peeled off as direct factors via splitting characters.
+    The code splits into primary parts column by column (``_primary_code``);
+    inside each p-part, generators of maximal order realizable in the
+    smallest prefix window are peeled off as direct factors via splitting
+    characters, and each is embedded back as e·u mod m per column.
     The peel always succeeds: in a finite abelian p-group an element of
     maximal order generates a direct summand (Fuchs, *Infinite Abelian
     Groups* I, §27), and the splitting character of ``_peel_complement``
@@ -353,13 +309,13 @@ def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
     failure raises DecompositionError.
     """
     gens: list[DecompositionGenerator] = []
-    for p in FiniteAbelianGroup(code.space.flat_moduli).primes():
-        component, comps = _component_code(code, p)
-        current = component
+    moduli = code.space.flat_moduli
+    for p in FiniteAbelianGroup(moduli).primes():
+        current, columns = _primary_code(code, p)
         while current.cardinality > 1:
             word, order = _max_order_in_smallest_window(current, p)
-            embedded = _embed_component_word(word, code, comps)
-            start, stop = _support_window(embedded, code.space)
+            embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
+            start, stop = code.space.support(embedded)
             gens.append(
                 DecompositionGenerator(
                     word=embedded,
@@ -384,7 +340,5 @@ def is_subdirect_product(code: BlockCode, decomposition: Decomposition) -> bool:
     """
     if decomposition.space != code.space:
         raise ValueError("decomposition and code live in different spaces")
-    total = zero_code(code.space)
-    for g in decomposition.generators:
-        total = join(total, code_from_generators(code.space, [g.word]))
-    return total == code
+    words = [g.word for g in decomposition.generators]
+    return code_from_generators(code.space, words) == code

@@ -261,6 +261,47 @@ class TestCheck:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "symbols: [2] [2]\ngenerator: 1 0\ngenerator: 0 1\n",
+            "symbols: [4] [2]\ngenerator: 2 0\n",
+        ],
+        ids=["full-z2-z2", "z4-z2-order-two"],
+    )
+    def test_rectangular_with_shared_primes(self, tmp_path, text):
+        path = tmp_path / "code.spec"
+        path.write_text("kind: block\n" + text, encoding="utf-8")
+        code, out, err = run_cli("check", str(path), "--property", "rectangular")
+        assert (code, err) == (0, "")
+        assert out == "property rectangular: holds\ncoordinatewise product verified\n"
+
+    def test_rectangular_matches_product_of_projections(self, exhaustive_corpus, tmp_path):
+        # Brute force: C is a product of symbol subgroups exactly when it is
+        # the product of its per-position projections.  A failure names the
+        # product of the single-position windows, counted word by word.
+        from groupcodes.specfmt import document_from_block_code, emit_spec
+
+        path = tmp_path / "code.spec"
+        verdicts = set()
+        for c in exhaustive_corpus:
+            words = [c.space.split(w) for w in c.words()]
+            projections, windows = 1, 1
+            for i in range(c.space.horizon):
+                projections *= len({w[i] for w in words})
+                windows *= sum(not any(any(s) for j, s in enumerate(w) if j != i) for w in words)
+            rectangular = projections == c.cardinality
+            path.write_text(emit_spec(document_from_block_code(c)), encoding="utf-8")
+            code, out, err = run_cli("check", str(path), "--property", "rectangular")
+            assert (code, err) == (0 if rectangular else 1, "")
+            if not rectangular:
+                assert out.splitlines()[1] == (
+                    f"|C| = {c.cardinality} but the single-position windows "
+                    f"multiply to {windows}"
+                )
+            verdicts.add(rectangular)
+        assert verdicts == {True, False}
+
     def test_subdirect(self, even_weight_spec):
         code, _, _ = run_cli("check", even_weight_spec, "--property", "subdirect")
         assert code == 0
@@ -345,12 +386,6 @@ class TestOracle:
         code, out, err = run_cli("oracle", even_weight_spec, "--bound", "0")
         assert (code, out) == (2, "")
         assert err == "error: span exceeds the oracle bound 0\n"
-
-    def test_negative_environment_bound_is_usage_error(self, even_weight_spec, monkeypatch):
-        monkeypatch.setenv("GROUPCODES_ORACLE_BOUND", "-1")
-        code, out, err = run_cli("oracle", even_weight_spec)
-        assert (code, out) == (2, "")
-        assert err == "error: field 'bound': bound must be at least 0, got -1\n"
 
 
 class TestErrors:

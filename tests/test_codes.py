@@ -78,6 +78,22 @@ class TestConstruction:
         assert not a.contains((1, 0, 0))
 
 
+class TestSupport:
+    @pytest.mark.parametrize(
+        "word, window",
+        [
+            ((0, 0, 0, 0, 0), (0, 0)),
+            ((1, 0, 0, 0, 0), (0, 1)),
+            ((0, 0, 1, 0, 0), (1, 2)),
+            ((0, 1, 0, 0, 3), (1, 4)),
+        ],
+    )
+    def test_least_window_outside_which_the_word_vanishes(self, word, window):
+        # Position 1 holds columns 1 and 2; position 2 is a modulus-1 column.
+        sp = space((2,), (2, 4), (1,), (4,))
+        assert sp.support(word) == window
+
+
 class TestLattice:
     def test_distinct_lines_intersect_trivially(self):
         sp = binary_space(2)

@@ -11,9 +11,9 @@ from groupcodes.duality import (
     QmodZ,
     annihilator,
     dual_block_code,
+    is_annihilator,
     pairing,
     quotient_duality_check,
-    word_pairing,
 )
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import (
@@ -68,14 +68,6 @@ class TestPairing:
                 )
                 assert trivial == x.is_zero()
 
-    @pytest.mark.parametrize(
-        "x,chi,moduli",
-        [((1, 1, 1), (1, 1), (2, 2)), ((1, 1), (1, 1), (2, 2, 2)), ((1,), (1, 1), (2, 2))],
-    )
-    def test_word_pairing_rejects_wrong_width(self, x, chi, moduli):
-        with pytest.raises(ValueError):
-            word_pairing(x, chi, moduli)
-
 
 class TestAnnihilator:
     def test_zero_subgroup(self):
@@ -103,6 +95,22 @@ class TestAnnihilator:
             ann = annihilator(H)
             assert span_cardinality(H) * span_cardinality(ann) == total
             assert annihilator(ann) == H
+
+    def test_is_annihilator_matches_equality(self):
+        # X = Y-perp by counting and pairing, against the annihilator built.
+        rng = random.Random(43)
+        verdicts = set()
+        for _ in range(200):
+            moduli = tuple(rng.choice([2, 3, 4, 6, 8]) for _ in range(rng.randint(1, 3)))
+            X, Y = random_subgroup(rng, moduli), random_subgroup(rng, moduli)
+            if rng.random() < 0.3:
+                X = annihilator(Y)
+            got = is_annihilator(
+                X.rows, span_cardinality(X), Y.rows, span_cardinality(Y), moduli
+            )
+            assert got == (X == annihilator(Y))
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestQuotientDuality:

@@ -16,7 +16,13 @@ from groupcodes.codes import (
     window_internal,
     zero_code,
 )
-from groupcodes.groups import FiniteAbelianGroup
+from groupcodes.groups import (
+    FiniteAbelianGroup,
+    GroupElement,
+    prime_factors,
+    primary_decomposition,
+    primary_part,
+)
 from groupcodes.linalg import (
     annihilator_rows,
     coset_reduce,
@@ -31,7 +37,7 @@ from groupcodes.structure import (
     DecompositionGenerator,
     _max_order_in_smallest_window,
     _peel_complement,
-    _support_window,
+    _primary_code,
     coprime_rectangular,
     cyclic_product_decomposition,
     is_subdirect_product,
@@ -294,6 +300,13 @@ class TestSubdirectProduct:
         z = zero_code(binary_space(2))
         assert is_subdirect_product(z, Decomposition(z.space, ()))
 
+    def test_same_order_other_subgroup_fails(self, even_weight):
+        # <100, 010> has the order of the even-weight code but is not it,
+        # and <110> is a proper subgroup of it.
+        for words in ([(1, 0, 0), (0, 1, 0)], [(1, 1, 0)]):
+            decomposition = decomposition_of(even_weight.space, words)
+            assert not is_subdirect_product(even_weight, decomposition)
+
     def test_verified_decompositions_always_pass(self):
         rng = random.Random(113)
         for _ in range(10):
@@ -371,7 +384,7 @@ def decomposition_of(space, words):
     return Decomposition(
         space,
         tuple(
-            DecompositionGenerator(w, *_support_window(w, space), vector_order(w, moduli), None)
+            DecompositionGenerator(w, *space.support(w), vector_order(w, moduli), None)
             for w in words
         ),
     )
@@ -456,3 +469,110 @@ def test_decompose_intersects_nothing(spec, monkeypatch):
     assert main(["decompose", path]) == 0
     assert main(["check", path, "--property", "subdirect"]) == 0
     assert calls == []
+
+
+def reference_primary_code(code, p):
+    """The p-primary part through ``PrimaryComponent.project``, one symbol
+    at a time, with the per-symbol components that embed words back."""
+    sp = code.space
+    comps = [primary_decomposition(g).get(p) for g in sp.symbols]
+    symbols = tuple(
+        FiniteAbelianGroup((1,) * len(g.moduli)) if comp is None else comp.group
+        for g, comp in zip(sp.symbols, comps)
+    )
+    rows = []
+    for row in code.basis.rows:
+        projected = []
+        for g, comp, piece in zip(sp.symbols, comps, sp.split(row)):
+            if comp is None:
+                projected.extend(0 for _ in piece)
+            else:
+                projected.extend(comp.project(g.element(piece)).residues)
+        rows.append(projected)
+    return code_from_generators(SequenceSpace(symbols), rows), comps
+
+
+def reference_embed(word, part_space, comps, space):
+    """A component word embedded through ``PrimaryComponent.embed``."""
+    out = []
+    for g, comp, piece in zip(space.symbols, comps, part_space.split(word)):
+        if comp is None:
+            out.extend(0 for _ in piece)
+        else:
+            out.extend(comp.embed(comp.group.element(piece)).residues)
+    return tuple(out)
+
+
+def twin_corpus(mixed_corpus):
+    """``mixed_corpus`` and random codes over Z/12, Z/6 and Z/9 symbols."""
+    rng = random.Random(1213)
+    extra = []
+    for symbols in (((12,), (6,), (9,)), ((12, 2), (1,), (3, 9)), ((12,), (1,), (12,))):
+        sp = space(*symbols)
+        for k in (1, 2, 3):
+            gens = [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(k)]
+            extra.append(code_from_generators(sp, gens))
+    return list(mixed_corpus) + extra
+
+
+class TestPrimaryColumns:
+    def test_primary_part_by_brute_force(self):
+        for m in range(1, 201):
+            for p in prime_factors(m) + [211]:
+                q = max(p**k for k in range(m.bit_length()) if m % p**k == 0)
+                units = [u for u in range(m) if u % q == 1 % q and u % (m // q) == 0]
+                assert primary_part(m, p) == (q, units[0] if q > 1 else 0), (m, p)
+
+    def test_matches_per_symbol_projection_and_embedding(self, mixed_corpus):
+        moduli_seen = set()
+        for code in twin_corpus(mixed_corpus):
+            moduli = code.space.flat_moduli
+            moduli_seen.update(moduli)
+            words = iter(g.word for g in cyclic_product_decomposition(code).generators)
+            for p in FiniteAbelianGroup(moduli).primes():
+                part, columns = _primary_code(code, p)
+                reference, comps = reference_primary_code(code, p)
+                assert part == reference
+                for word in part.words():
+                    embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
+                    assert embedded == reference_embed(word, part.space, comps, code.space)
+                # The peeled generators, embedded the old way.
+                current = reference
+                while current.cardinality > 1:
+                    word, order = _max_order_in_smallest_window(current, p)
+                    assert next(words) == reference_embed(word, part.space, comps, code.space)
+                    current = _peel_complement(current, word, order)
+            assert next(words, None) is None
+        assert {1, 6, 9, 12} <= moduli_seen
+
+    def test_decomposition_builds_no_group_element(self, mixed_corpus, monkeypatch):
+        built = []
+        check = GroupElement.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(GroupElement, "__post_init__", counted)
+        for code in mixed_corpus:
+            assert cyclic_product_decomposition(code).certificate.ok
+        assert built == []
+
+    def test_recombination_makes_no_join(self, mixed_corpus, monkeypatch):
+        import groupcodes.codes as codes_module
+        import groupcodes.structure as structure_module
+
+        calls = []
+        join_codes = codes_module.join
+
+        def counted(a, b):
+            calls.append(1)
+            return join_codes(a, b)
+
+        monkeypatch.setattr(codes_module, "join", counted)
+        monkeypatch.setattr(structure_module, "join", counted, raising=False)
+        for code in mixed_corpus:
+            decomposition = cyclic_product_decomposition(code)
+            assert verify_decomposition(code, decomposition)[0]
+            assert is_subdirect_product(code, decomposition)
+        assert calls == []
