@@ -43,6 +43,7 @@ __all__ = [
     "window_internal",
     "window_annihilator",
     "window_order",
+    "annihilator_order",
     "invariant_factors_of_code",
 ]
 
@@ -145,7 +146,11 @@ class BlockCode:
         return {}
 
     @cached_property
-    def _window_annihilators(self) -> dict[tuple[int, int], "BlockCode"]:
+    def _suffix_projections(self) -> dict[int, "BlockCode"]:
+        return {}
+
+    @cached_property
+    def _prefix_annihilators(self) -> dict[int, "BlockCode"]:
         return {}
 
     def prefix_code(self, b: int) -> "BlockCode":
@@ -159,6 +164,37 @@ class BlockCode:
             head = self.basis.width - self.space.offsets()[b]
             rows = [row[::-1] for row in self._reversed_howell if not any(row[:head])]
             table[b] = BlockCode(self.space, _trusted(self.basis.moduli, tuple(rows)))
+        return table[b]
+
+    def suffix_projection(self, a: int) -> "BlockCode":
+        """proj_[a,N) C in the space of [a, N), built on first use for each
+        a and kept on the code: one Howell form of the cut rows per start."""
+        self.space.check_window(a, self.space.horizon)
+        if a == 0:
+            return self
+        table = self._suffix_projections
+        if a not in table:
+            sub = self.space.window(a, self.space.horizon)
+            start = self.space.offsets()[a]
+            rows = tuple(row[start:] for row in self.basis.rows)
+            table[a] = BlockCode(sub, _trusted(sub.flat_moduli, rows))
+        return table[a]
+
+    def prefix_annihilator(self, b: int) -> "BlockCode":
+        """C-perp ∩ [0, b), built on first use for each b and kept on the
+        code: the local dual of the prefix projection (a truncation, so no
+        projection Howell form), padded with zeros after offset(b).  A
+        character supported in [0, b) annihilates C exactly when its window
+        part annihilates proj_[0,b) C."""
+        self.space.check_window(0, b)
+        table = self._prefix_annihilators
+        if b not in table:
+            rows: tuple[Vector, ...] = ()
+            if b > 0:
+                local = annihilator_rows(window_projection(self, 0, b).basis)
+                after = (0,) * (self.basis.width - self.space.offsets()[b])
+                rows = tuple(row + after for row in local.rows)
+            table[b] = BlockCode.from_howell(self.space, rows)
         return table[b]
 
     @property
@@ -248,31 +284,35 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
 
 
 def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
-    """Image of the code under deleting all coordinates outside [a, b).  A
-    prefix (a = 0) truncates the Howell rows, a Howell form again: a prefix
-    vanishing before a column lifts to a codeword that does."""
+    """Image of the code under deleting all coordinates outside [a, b).
+
+    The Howell rows of the suffix projection proj_[a,N) C (C itself for
+    a = 0), cut to [a, b), with zero rows dropped: a Howell form again, as
+    a word of the window vanishing before a column lifts to a word of the
+    suffix projection that does.  So each start costs one Howell form,
+    shared by all its ends.
+    """
     code.space.check_window(a, b)
     sub = code.space.window(a, b)
-    sl = code.space.flat_slice(a, b)
-    rows = tuple(row[sl] for row in code.basis.rows)
-    if a == 0:
-        return BlockCode.from_howell(sub, (row for row in rows if any(row)))
-    return BlockCode(sub, _trusted(sub.flat_moduli, rows))
+    cut = code.space.offsets()[b] - code.space.offsets()[a]
+    rows = (row[:cut] for row in code.suffix_projection(a).basis.rows)
+    return BlockCode.from_howell(sub, (row for row in rows if any(row)))
 
 
 def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:
-    """The local dual of ``window_projection(code, a, b)``, padded with
-    zeros (a Howell form still): the annihilator of the projection's
-    preimage.  It equals C-perp ∩ [a, b) but is built from the projection
-    alone, with no window table.  Kept on the code per window."""
-    table = code._window_annihilators
-    if (a, b) not in table:
-        local = annihilator_rows(window_projection(code, a, b).basis)
-        sl = code.space.flat_slice(a, b)
-        before, after = (0,) * sl.start, (0,) * (code.basis.width - sl.stop)
-        rows = (before + row + after for row in local.rows)
-        table[a, b] = BlockCode.from_howell(code.space, rows)
-    return table[a, b]
+    """C-perp ∩ [a, b): the characters of the code's space that vanish
+    outside [a, b) and annihilate C, equivalently the local dual of
+    ``window_projection(code, a, b)`` padded with zeros.
+
+    These are the words of ``prefix_annihilator(b)`` = C-perp ∩ [0, b) that
+    vanish before a.  That is a Howell form, so by the Howell property its
+    rows with pivot at or after ``offset(a)`` are their canonical basis, as
+    ``window_internal`` reads the prefix codes; each end costs one kernel.
+    """
+    code.space.check_window(a, b)
+    start = code.space.offsets()[a]
+    rows = code.prefix_annihilator(b).basis.rows
+    return BlockCode.from_howell(code.space, (row for row in rows if not any(row[:start])))
 
 
 def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
@@ -290,13 +330,26 @@ def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
     return BlockCode.from_howell(code.space, rows)
 
 
+def _order_after(code: BlockCode, start: int) -> int:
+    """Order of the subgroup of codewords vanishing before flat column
+    ``start``: by the Howell property, the product of the pivot orders of
+    the rows with pivot at or after it."""
+    return math.prod(order for j, order in code.pivots() if j >= start)
+
+
 def window_order(code: BlockCode, a: int, b: int) -> int:
     """|C ∩ [a, b)|, read off the window table with no code built: the
-    product of the pivot orders of the prefix code's rows with pivot at or
-    after ``offset(a)`` (the rows ``window_internal`` keeps)."""
+    order of the prefix code's rows with pivot at or after ``offset(a)``
+    (the rows ``window_internal`` keeps)."""
     code.space.check_window(a, b)
-    start = code.space.offsets()[a]
-    return math.prod(order for j, order in code.prefix_code(b).pivots() if j >= start)
+    return _order_after(code.prefix_code(b), code.space.offsets()[a])
+
+
+def annihilator_order(code: BlockCode, a: int, b: int) -> int:
+    """|C-perp ∩ [a, b)|, read off the annihilator table with no code built
+    (the rows ``window_annihilator`` keeps)."""
+    code.space.check_window(a, b)
+    return _order_after(code.prefix_annihilator(b), code.space.offsets()[a])
 
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:

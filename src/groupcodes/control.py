@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .codes import BlockCode, join, window_internal, window_order
 from .groups import prime_factors
@@ -96,24 +96,35 @@ def reachable_set(code: BlockCode, k: int, L: int) -> BlockCode:
     return join(suffix_supported, prefix_supported)
 
 
-def control_profile(code: BlockCode) -> ControlProfile:
-    """Minimal L at each position with reachable_set(code, k, L) = code.
+def _gap_lengths(horizon: int, order: Callable[[int, int], int]) -> tuple[int, ...]:
+    """Minimal L at each position k with C_k(L) = C, for the code whose
+    window orders |C ∩ [a, b)| ``order`` reads.
 
     C_k(L) = Z_k + (C ∩ [0, k+L)) lies in C, and the two summands meet in
     C ∩ [k, k+L), so C_k(L) = C exactly when
-    |Z_k| · |C ∩ [0, k+L)| = |C| · |C ∩ [k, k+L)|.  Every order is read
-    off the window table (``window_order``); no reachable set is built.
-    At k + L = N both sides are |Z_k| · |C|, so the search stops there.
+    |Z_k| · |C ∩ [0, k+L)| = |C| · |C ∩ [k, k+L)|.  At k + L = N both
+    sides are |Z_k| · |C|, so the search stops there.
     """
-    total = code.cardinality
+    total = order(0, horizon)
     lengths = []
-    for k in range(code.space.horizon):
-        suffix = window_order(code, k, code.space.horizon)
+    for k in range(horizon):
+        suffix = order(k, horizon)
         L = 0
-        while suffix * window_order(code, 0, k + L) != total * window_order(code, k, k + L):
+        while suffix * order(0, k + L) != total * order(k, k + L):
             L += 1
         lengths.append(L)
-    return ControlProfile(tuple(lengths))
+    return tuple(lengths)
+
+
+def control_profile(code: BlockCode) -> ControlProfile:
+    """Minimal L at each position with reachable_set(code, k, L) = code.
+
+    Decided by counting (``_gap_lengths``): every order is read off the
+    window table (``window_order``); no reachable set is built.
+    """
+    return ControlProfile(
+        _gap_lengths(code.space.horizon, lambda a, b: window_order(code, a, b))
+    )
 
 
 def controllable_subcode(code: BlockCode, L: int) -> BlockCode:

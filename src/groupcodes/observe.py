@@ -18,13 +18,14 @@ from typing import Sequence
 
 from .codes import (
     BlockCode,
+    annihilator_order,
     join,
     window_annihilator,
     window_internal,
     window_projection,
     zero_code,
 )
-from .control import control_profile, controllable_subcode
+from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import dual_block_code, is_annihilator
 from .linalg import _reduce_vector, _trusted, smith_invariants
 
@@ -103,13 +104,19 @@ def observable_supercode(code: BlockCode, L: int) -> BlockCode:
 def _observe_index(code: BlockCode) -> int:
     """Minimal uniform window L whose observable supercode is the code.
 
-    Each annihilator lies in C-perp, so their sum is C-perp exactly when it
-    has |G| / |C| elements.  At L = N - 1 the first window is the whole
-    horizon and its annihilator is C-perp, so the search ends there.
+    Write D = C-perp.  The supercode at L is C exactly when the sum of the
+    annihilators of its consistency sets is D; those annihilators are the
+    windows D ∩ [k, k+L+1), clipped to the horizon, and their sum is
+    ``controllable_subcode(D, L)``, the meet over k of the reachable sets
+    D_k(L).  Each D_k(L) lies in D and grows with L (the reach chain of
+    ``check_control_observe_duality``), so the meet is D exactly when
+    L >= L_k(D) at every k: the index is the control index of D.  It is
+    counted as ``control_profile`` counts it (``_gap_lengths``), on the
+    orders |D ∩ [a, b)| read off the code's annihilator table; no sum and
+    no dual code is built.
     """
-    target = code.space.cardinality // code.cardinality
     N = code.space.horizon
-    return next(L for L in range(N) if _annihilator_sum(code, [L] * N).cardinality == target)
+    return max(_gap_lengths(N, lambda a, b: annihilator_order(code, a, b)))
 
 
 def observe_profile(code: BlockCode) -> ObserveProfile:
@@ -256,7 +263,10 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D:
     each Howell row of the first, cut, reduces to zero against the second.
     Once the window reaches the horizon the sets repeat, so there is
-    nothing more to test.
+    nothing more to test.  Both chains hold by construction: the prefix
+    codes are reads of one reversed Howell form, and every projection
+    proj_[k,b) D is a cut of the one suffix Howell form proj_[k,N) D
+    (``window_projection``).  The checks stay, as evidence on those tables.
 
     Each matched side is built only until it reaches its top.  The
     subcodes cs_L = ``controllable_subcode(code, L)`` are sums of the
@@ -274,12 +284,14 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
 
     The code's side of each identity is read off its window table (internal
     parts, ``controllable_subcode``, ``control_profile``); the dual's side
-    is built from the dual's window projections (``window_projection``,
-    ``_annihilator_sum``) without that table.  The control indices come
-    from ``control_profile`` of the code and of the dual, the observe index
-    of the code from its own annihilator sums and that of the dual from the
-    first matched supercode equal to the dual, so ``indices_match`` stays
-    evidence.
+    is read off the dual's suffix projections and annihilator table
+    (``window_projection``, ``_annihilator_sum``), not off its prefix
+    codes.  The control indices come from ``control_profile`` of the code
+    and of the dual (the dual's reversed-Howell prefix codes).  The observe
+    index of the code is counted on the kernels of the code's own prefix
+    projections (``_observe_index``), and that of the dual is the first
+    matched supercode equal to the dual.  So each side of
+    ``indices_match`` is a separate computation, and it stays evidence.
     """
     dual = dual_block_code(code)
     N = code.space.horizon

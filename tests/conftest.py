@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from groupcodes.codes import (
 )
 from groupcodes.convolutional import ConvolutionalCode
 from groupcodes.groups import FiniteAbelianGroup
+from groupcodes.specfmt import parse_spec
 
 
 def space_of(*symbol_moduli):
@@ -101,6 +103,14 @@ def mixed_corpus():
             gens = [[rng.randrange(m) for m in space.flat_moduli] for _ in range(k)]
             corpus.append(code_from_generators(space, gens))
     return corpus
+
+
+BAND_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
+BAND_SPEC_PATHS = sorted(BAND_SPECS.glob("*band*.spec"))
+
+
+def band_code(name):
+    return parse_spec((BAND_SPECS / name).read_text(encoding="utf-8")).to_block_code()
 
 
 def convolutional_corpus():

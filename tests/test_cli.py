@@ -387,6 +387,23 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err == "error: span exceeds the oracle bound 0\n"
 
+    def test_checks_above_the_bound_are_reported_skipped(self, even_weight_spec):
+        # The ambient space has 8 words; the checks that enumerate it say
+        # so instead of vanishing, and a skip does not change the verdict.
+        code, out, err = run_cli("oracle", even_weight_spec, "--bound", "4")
+        assert (code, err) == (0, "")
+        skipped = "skipped (ambient 8 exceeds the oracle bound 4)"
+        assert out.splitlines() == [
+            "oracle cross-check report",
+            "code :: reachable sets: agree",
+            f"code :: consistency sets: {skipped}",
+            f"code :: annihilator: {skipped}",
+            "code :: order profile: agree",
+            "code :: invariant factors: agree",
+            "code :: decomposition verification: agree",
+            "verdict: pass",
+        ]
+
 
 class TestErrors:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for sequence spaces and block code lattice operations."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
     ambient_code,
+    annihilator_order,
     code_from_generators,
     intersect,
     invariant_factors_of_code,
     join,
+    window_annihilator,
     window_internal,
     window_projection,
     zero_code,
@@ -22,12 +25,14 @@ import groupcodes.codes as codes_module
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import (
     ResidueMatrix,
+    annihilator_rows,
     head_kernel,
     howell_form,
     residue_matrix,
     vector_order,
 )
 
+from .conftest import BAND_SPEC_PATHS, band_code
 
 
 def space(*symbol_moduli):
@@ -369,3 +374,102 @@ class TestWindowTable:
                 for b in group:
                     expected = all(b.contains(row) for row in a.basis.rows)
                     assert a.is_subcode_of(b) == expected
+
+
+def reference_window_projection(code, a, b):
+    """One Howell form of the code's rows sliced to [a, b)."""
+    sub = code.space.window(a, b)
+    sl = code.space.flat_slice(a, b)
+    return BlockCode(sub, residue_matrix([row[sl] for row in code.basis.rows], sub.flat_moduli))
+
+
+def reference_window_annihilator(code, a, b):
+    """The local dual of the window's own projection, padded with zeros."""
+    local = annihilator_rows(reference_window_projection(code, a, b).basis)
+    sl = code.space.flat_slice(a, b)
+    before, after = (0,) * sl.start, (0,) * (code.basis.width - sl.stop)
+    return BlockCode.from_howell(code.space, (before + row + after for row in local.rows))
+
+
+@st.composite
+def mixed_codes(draw):
+    """Codes over 1-5 symbols of 1-2 components each, modulus 1 included."""
+    moduli = st.sampled_from((1, 2, 3, 4, 6, 8, 9))
+    symbols = draw(
+        st.lists(st.lists(moduli, min_size=1, max_size=2).map(tuple), min_size=1, max_size=5)
+    )
+    sp = space(*symbols)
+    word = st.tuples(*[st.integers(0, m - 1) for m in sp.flat_moduli])
+    return code_from_generators(sp, draw(st.lists(word, max_size=3)))
+
+
+def assert_window_tables_match_reference(code):
+    N = code.space.horizon
+    for a in range(N):
+        for b in range(a + 1, N + 1):
+            proj = window_projection(code, a, b)
+            assert proj.basis.rows == reference_window_projection(code, a, b).basis.rows
+            ann = window_annihilator(code, a, b)
+            assert ann.basis.rows == reference_window_annihilator(code, a, b).basis.rows
+            assert annihilator_order(code, a, b) == ann.cardinality
+
+
+class TestWindowTablesTwin:
+    """Projections cut from one suffix Howell form per start, annihilators
+    read off one kernel per end, against the per-window route, row for row."""
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for code in mixed_corpus:
+            assert_window_tables_match_reference(code)
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            assert_window_tables_match_reference(code)
+
+    @pytest.mark.parametrize("path", BAND_SPEC_PATHS, ids=lambda p: p.stem)
+    def test_band_specs(self, path):
+        assert_window_tables_match_reference(band_code(path.name))
+
+    @given(mixed_codes())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_mixed_moduli(self, code):
+        assert_window_tables_match_reference(code)
+
+
+class TestWindowTableBuilds:
+    """Reading every window of an N = 10 band code builds one kernel per end
+    and one projection Howell form per start after the first."""
+
+    def test_one_kernel_per_end(self, monkeypatch):
+        code = band_code("z4_band10_code.spec")
+        N = code.space.horizon
+        assert N == 10
+        calls = Counter()
+        kernel = codes_module.annihilator_rows
+
+        def counted(matrix):
+            calls["annihilator_rows"] += 1
+            return kernel(matrix)
+
+        monkeypatch.setattr(codes_module, "annihilator_rows", counted)
+        for a in range(N):
+            for b in range(a + 1, N + 1):
+                window_annihilator(code, a, b)
+        assert calls["annihilator_rows"] <= N
+
+    def test_one_howell_form_per_start(self, monkeypatch):
+        code = band_code("z4_band10_code.spec")
+        N = code.space.horizon
+        assert N == 10
+        calls = Counter()
+        canonical = codes_module.howell_form
+
+        def counted(matrix):
+            calls["howell_form"] += 1
+            return canonical(matrix)
+
+        monkeypatch.setattr(codes_module, "howell_form", counted)
+        for a in range(1, N):
+            for b in range(a + 1, N + 1):
+                window_projection(code, a, b)
+        assert calls["howell_form"] <= N - 1

@@ -2,9 +2,9 @@
 
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from groupcodes.codes import (
     SequenceSpace,
@@ -14,16 +14,21 @@ from groupcodes.codes import (
     window_internal,
     window_projection,
 )
+from groupcodes.control import control_profile
 from groupcodes.duality import dual_block_code
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import howell_form, residue_matrix
 from groupcodes.observe import (
+    _observe_index,
     check_control_observe_duality,
     consistency_set,
     observable_supercode,
     observe_profile,
 )
 from groupcodes.specfmt import parse_spec
+
+from .conftest import BAND_SPEC_PATHS, BAND_SPECS, band_code
+from .test_codes import mixed_codes, reference_window_annihilator
 
 
 def space(*symbol_moduli):
@@ -226,14 +231,6 @@ class TestDualityReport:
         assert "1-based" in text
 
 
-BAND_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
-BAND_SPEC_PATHS = sorted(BAND_SPECS.glob("*band*.spec"))
-
-
-def band_code(name):
-    return parse_spec((BAND_SPECS / name).read_text(encoding="utf-8")).to_block_code()
-
-
 def reference_duality_report(code):
     """The duality report built without stopping or projection reads: every
     gap L, the dual's consistency sets, and the chains by ``is_subcode_of``."""
@@ -432,6 +429,75 @@ class TestCountedObservability:
                     ann = window_annihilator(code, a, b)
                     assert ann == dual_block_code(consistency_set(code, a, b - 1 - a))
                     assert ann == window_internal(dual, a, b)
+
+
+def reference_observe_index(code):
+    """The annihilator-sum search: the least uniform L at which the sum of
+    the per-window annihilators on [k, k+L] has |C-perp| elements."""
+    N = code.space.horizon
+    target = code.space.cardinality // code.cardinality
+
+    def total(L):
+        rows = [
+            row
+            for k in range(N)
+            for row in reference_window_annihilator(code, k, min(k + L + 1, N)).basis.rows
+        ]
+        return code_from_generators(code.space, rows).cardinality
+
+    return next(L for L in range(N) if total(L) == target)
+
+
+def assert_observe_index_identity(code):
+    index = _observe_index(code)
+    assert index == reference_observe_index(code)
+    assert index == control_profile(dual_block_code(code)).index
+
+
+class TestObserveIndexIdentity:
+    """The observe index counted on the annihilator table equals the
+    annihilator-sum search and the control index of the dual."""
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for code in mixed_corpus:
+            assert_observe_index_identity(code)
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            assert_observe_index_identity(code)
+
+    @pytest.mark.parametrize("path", BAND_SPEC_PATHS, ids=lambda p: p.stem)
+    def test_band_specs(self, path):
+        assert_observe_index_identity(band_code(path.name))
+
+    @given(mixed_codes())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_mixed_moduli(self, code):
+        assert_observe_index_identity(code)
+
+
+def test_wrong_annihilator_prefix_breaks_indices_match(monkeypatch):
+    # The observe index of the code is counted on the code's own table and
+    # the control index of the dual on the dual's prefix codes: serving a
+    # wrong C-perp ∩ [0, 3) moves the first and not the second.
+    from groupcodes.codes import BlockCode, zero_code
+
+    code = band_code("z4_band10_code.spec")
+    right = check_control_observe_duality(code)
+    assert right.indices_match
+    assert code.prefix_annihilator(3) != zero_code(code.space)
+    prefix_annihilator = BlockCode.prefix_annihilator
+    monkeypatch.setattr(
+        BlockCode,
+        "prefix_annihilator",
+        lambda self, b: zero_code(self.space)
+        if (self, b) == (code, 3)
+        else prefix_annihilator(self, b),
+    )
+    wrong = check_control_observe_duality(code)
+    assert wrong.observe_index != right.observe_index
+    assert wrong.dual_control_index == right.dual_control_index
+    assert not wrong.indices_match
 
 
 @pytest.mark.parametrize("spec", ["z4_band10_code.spec", "z4_band10_dual.spec"])
