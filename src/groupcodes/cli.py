@@ -31,7 +31,7 @@ from .convolutional import (
 )
 from .duality import dual_block_code
 from .observe import check_control_observe_duality, observe_profile
-from .oracle import DEFAULT_BOUND, OracleBoundExceeded, brute
+from .oracle import DEFAULT_BOUND, OracleBoundExceeded, brute, check_bound
 from .specfmt import (
     CodeSpecDocument,
     SpecError,
@@ -378,11 +378,7 @@ def _cmd_oracle(args) -> int:
     all_ok = True
     lines = ["oracle cross-check report"]
     for label, code in codes:
-        try:
-            checks = _oracle_checks(code, args.bound)
-        except OracleBoundExceeded as exc:
-            raise SpecError(str(exc))
-        for name, ok in checks:
+        for name, ok in _oracle_checks(code, args.bound):
             if ok is None:
                 ambient = code.space.cardinality
                 outcome = f"skipped (ambient {ambient} exceeds the oracle bound {args.bound})"
@@ -396,11 +392,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool | None]]:
-    """(name, agrees) per check; None for a check over the whole ambient
-    space, skipped when that space exceeds the bound."""
+    """(name, agrees) per check, after refusing a code above the bound;
+    None for a check over the whole ambient space, skipped above it."""
     from .control import reachable_set
     from .observe import consistency_set
 
+    check_bound(code, bound)
     N = code.space.horizon
     checks = []
     ok = True

@@ -15,11 +15,10 @@ separate; no identification of n(l) with L_k + k is asserted anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .codes import BlockCode, join, window_internal, window_order
-from .groups import prime_factors
+from .groups import FiniteAbelianGroup
 from .linalg import (
     _reduce_vector,
     _trusted,
@@ -207,30 +206,17 @@ def chunk_decompose(
         bound = N if k + 1 >= N else min(k + 1 + lengths[k + 1], N)
         sl = code.space.flat_slice(k, k + 1)
         target = residual[sl]
-        found = None
         for stop in range(k + 1, bound + 1):
-            inner = window_internal(code, k, stop)
-            candidate = _window_solution(code, inner, k, target)
-            if candidate is not None:
-                found = (candidate, stop)
+            chunk_word = _window_solution(code, window_internal(code, k, stop), k, target)
+            if chunk_word is not None:
                 break
-        if found is None:
+        else:
             raise ProfileInsufficientError(k)
-        chunk_word, stop = found
         chunks.append(Chunk(chunk_word, k, stop))
         residual = tuple(
             (a - b) % m for a, b, m in zip(residual, chunk_word, moduli)
         )
     return chunks
-
-
-def _divisors(n: int) -> list[int]:
-    """Ascending divisors of n, built from its prime factorization."""
-    out = [1]
-    for p in prime_factors(n):
-        powers = [p**e for e in range(n.bit_length()) if n % p**e == 0]
-        out = [d * q for d in out for q in powers]
-    return sorted(out)
 
 
 def order_profile(code: BlockCode) -> OrderProfile:
@@ -246,13 +232,18 @@ def order_profile(code: BlockCode) -> OrderProfile:
 
     The order split needs the plain one, C = P + S with P = C ∩ [0, n) and
     S = C ∩ [l, N).  As P ∩ S = C ∩ [l, n) and P + S ⊆ C, it holds exactly
-    when |P|·|S| = |C|·|C ∩ [l, n)|: three window orders decide it, and
-    the split graph is built only where it holds.
+    when |P|·|S| = |C|·|C ∩ [l, n)|: three window orders decide it.  The
+    split graph is built only where it holds and the exponent has a level
+    to test (``_order_split_everywhere``).
     """
     N = code.space.horizon
-    moduli = code.space.flat_moduli
-    exponent = lcm(*moduli)
-    levels = [t for t in _divisors(exponent) if 1 < t < exponent]
+    group = FiniteAbelianGroup(code.space.flat_moduli)
+    exponent, levels = group.exponent, []
+    for p in group.primes():
+        q = p
+        while exponent % (q * p) == 0:
+            levels.append(q)
+            q *= p
     bounds = []
     for l in range(N + 1):
         suffix = window_internal(code, l, N)
@@ -260,8 +251,9 @@ def order_profile(code: BlockCode) -> OrderProfile:
             sizes = window_order(code, 0, n) * suffix.cardinality
             if sizes != code.cardinality * window_order(code, l, n):
                 continue
-            prefix = window_internal(code, 0, n)
-            if _order_split_everywhere(code, prefix, suffix, n, levels):
+            if not levels or _order_split_everywhere(
+                code, window_internal(code, 0, n), suffix, n, levels
+            ):
                 bounds.append(n)
                 break
         else:
@@ -293,10 +285,17 @@ def _order_split_everywhere(
     A prefix part of order dividing t exists exactly when t·φ(c) lies in
     t·M, and c lies in O_t = {c : t·c|[0, n) = 0} exactly when
     ord(c|[0, n)) divides t.  So the condition reads t·φ(O_t) ⊆ t·M for
-    every divisor t of the exponent.  It holds at t = 1, where O_1 is
-    C ∩ [n, N), and at t = exponent; at each other level t, t·φ(O_t) is the
-    head kernel of the rows [t·r|[0, n) | t·φ(r)].  One Howell form gives
-    φ and M: the rows [p | p] and [s | 0] span {(x + y, x) : x in P, y in S}.
+    every divisor t of the exponent; at each t, t·φ(O_t) is the head
+    kernel of the rows [t·r|[0, n) | t·φ(r)].  One Howell form gives φ and
+    M: the rows [p | p] and [s | 0] span {(x + y, x) : x in P, y in S}.
+
+    Only the levels t = p^a, 1 <= a < v_p(exponent), are tested.  φ
+    commutes with the CRT idempotents, so condition(t) splits over the
+    p-components C_p.  On C_p, t / p^(a_p) is a unit for t = ∏ p^(a_p), so
+    condition(t) there is condition(p^(a_p)); and condition(p^a) holds on
+    C_q, q ≠ p, where p^a is a unit and O_(p^a) ∩ C_q lies in S.  Levels
+    a = 0 and a = v_p hold on C_p trivially (O_1 = C ∩ [n, N); p^(v_p)
+    kills C_p).  So a squarefree exponent needs no level.
     """
     moduli = code.space.flat_moduli
     width = len(moduli)

@@ -13,17 +13,16 @@ the sum of their annihilators, so "the supercode is the code" reads
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .codes import (
     BlockCode,
     annihilator_order,
-    join,
     window_annihilator,
     window_internal,
     window_projection,
-    zero_code,
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import dual_block_code, is_annihilator
@@ -69,8 +68,7 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     width = len(moduli)
 
     def units(columns):
-        nontrivial = [j for j in columns if moduli[j] > 1]
-        return [(0,) * j + (1,) + (0,) * (width - 1 - j) for j in nontrivial]
+        return [(0,) * j + (1,) + (0,) * (width - 1 - j) for j in columns if moduli[j] > 1]
 
     before, after = (0,) * sl.start, (0,) * (width - sl.stop)
     rows = units(range(sl.start))
@@ -123,33 +121,32 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     """Minimal uniform window with supercode equal to the code, plus
     per-position minima.
 
-    The per-position lengths start from the uniform index and are then
-    shrunk greedily left to right while the intersection of consistency
-    sets still equals the code, so decreasing any entry strictly enlarges
-    the intersection.  The intersection equals the code exactly when the
-    sum of the annihilators has |C-perp| elements (see ``_observe_index``).
-    While position k is tried, the positions before it are fixed and the
-    ones after it still sit at the index, so each trial adds the
-    annihilator at k to one precomputed sum of the rest.
+    The lengths start from the uniform index and are shrunk greedily left
+    to right while the meet of the consistency sets is still the code,
+    that is while the windows W_j = D ∩ [j, b_j), b_j = min(j + L_j + 1, N),
+    sum to D = C-perp (``_observe_index``).  With B_k = max_{j<=k} b_j, a
+    window with b_j < B_j lies in an earlier one, so raising each end to
+    B_j keeps the sum; peeling the raised windows from the left (their
+    ends never decrease) shows they sum to D exactly when, at every k,
+    |D ∩ [k, B_k)| · |D ∩ [k+1, N)| = |D ∩ [k, N)| · |D ∩ [k+1, B_k)|.
+    That condition grows with B_k and reads no other end.  While k is
+    tried, the later positions sit at the index, where their conditions
+    already hold, so the least length at k is the least L whose end
+    max(B_{k-1}, min(k + L + 1, N)) meets the condition at k.  Each order
+    is read once, off the annihilator table; no sum is built.
     """
     N = code.space.horizon
     index = _observe_index(code)
-    target = code.space.cardinality // code.cardinality
+    order = functools.cache(lambda a, b: annihilator_order(code, a, b))
 
-    def ann(k: int, L: int) -> BlockCode:
-        return window_annihilator(code, k, min(k + L + 1, N))
+    def holds(k: int, end: int) -> bool:
+        return order(k, end) * order(k + 1, N) == order(k, N) * order(k + 1, end)
 
-    # after[k] sums the annihilators at positions k..N-1.
-    after = [zero_code(code.space)] * (N + 1)
-    for k in range(N - 1, 0, -1):
-        after[k] = join(after[k + 1], ann(k, index))
-    before = zero_code(code.space)
-    lengths = [index] * N
+    lengths, end = [], 0
     for k in range(N):
-        rest = join(before, after[k + 1])
-        while lengths[k] > 0 and join(rest, ann(k, lengths[k] - 1)).cardinality == target:
-            lengths[k] -= 1
-        before = join(before, ann(k, lengths[k]))
+        L = next(L for L in range(index + 1) if holds(k, max(end, min(k + L + 1, N))))
+        lengths.append(L)
+        end = max(end, min(k + L + 1, N))
     return ObserveProfile(tuple(lengths), index)
 
 
@@ -289,12 +286,13 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     codes.  The control indices come from ``control_profile`` of the code
     and of the dual (the dual's reversed-Howell prefix codes).  The observe
     index of the code is counted on the kernels of the code's own prefix
-    projections (``_observe_index``), and that of the dual is the first
-    matched supercode equal to the dual.  So each side of
-    ``indices_match`` is a separate computation, and it stays evidence.
+    projections (``_observe_index``; the dual is the last of them), and
+    that of the dual is the first matched supercode equal to the dual.  So
+    each side of ``indices_match`` is a separate computation, and it stays
+    evidence.
     """
-    dual = dual_block_code(code)
     N = code.space.horizon
+    dual = code.prefix_annihilator(N)
     moduli = code.space.flat_moduli
     offsets = code.space.offsets()
     proj = {

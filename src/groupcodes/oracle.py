@@ -20,7 +20,7 @@ from typing import Callable
 
 from .codes import BlockCode
 
-__all__ = ["EnumeratedCode", "enumerate_code", "brute", "DEFAULT_BOUND"]
+__all__ = ["EnumeratedCode", "enumerate_code", "check_bound", "brute", "DEFAULT_BOUND"]
 
 DEFAULT_BOUND = 1 << 20
 
@@ -58,6 +58,12 @@ def _closure(generators, moduli, bound):
                 seen.add(nxt)
                 frontier.append(nxt)
     return tuple(sorted(seen))
+
+
+def check_bound(code: BlockCode, bound: int) -> None:
+    """Refuse, before listing a word, what ``enumerate_code`` refuses."""
+    if code.cardinality > max(bound, 1):
+        raise OracleBoundExceeded(f"span exceeds the oracle bound {bound}")
 
 
 def enumerate_code(code: BlockCode, bound: int = DEFAULT_BOUND) -> EnumeratedCode:

@@ -13,6 +13,7 @@ import pytest
 from groupcodes.cli import main
 
 SPECS = Path(__file__).resolve().parents[1] / "demos" / "specs"
+HUGE_COPRIME = Path(__file__).resolve().parent / "golden" / "specs" / "huge_coprime.spec"
 
 
 def run_cli(*argv):
@@ -234,6 +235,18 @@ class TestDecomposeScale:
         assert proc.returncode == 0
         assert "cardinality: 2" in proc.stdout
 
+    def test_analyze_with_huge_coprime_moduli(self):
+        # The order profile takes its primes modulus by modulus; factoring
+        # the exponent 1000000007 * 998244353 by trial division would hang.
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcodes.cli", "analyze", str(HUGE_COPRIME)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "order-split bounds n(l), l = 0..N: [0, 1, 2]" in proc.stdout
+
 
 class TestCheck:
     def test_weak_controllable_failure_exits_one(self, constant_spec):
@@ -386,6 +399,26 @@ class TestOracle:
         code, out, err = run_cli("oracle", even_weight_spec, "--bound", "0")
         assert (code, out) == (2, "")
         assert err == "error: span exceeds the oracle bound 0\n"
+
+    def test_code_above_the_bound_is_refused_before_enumeration(self):
+        # |C| is about 10**36: enumerating any set of its words exhausts
+        # memory.  Under a 1.5 GB address-space cap and a timeout, a
+        # regression fails here instead of taking the machine's memory.
+        import resource
+
+        def cap():
+            limit = 1536 << 20
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcodes.cli", "oracle", str(HUGE_COPRIME)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: span exceeds the oracle bound 1048576\n"
 
     def test_checks_above_the_bound_are_reported_skipped(self, even_weight_spec):
         # The ambient space has 8 words; the checks that enumerate it say

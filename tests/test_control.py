@@ -6,10 +6,11 @@ enumerated codewords, independently of the Howell machinery.
 
 import itertools
 import random
+from collections import Counter
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcodes.codes import (
@@ -24,7 +25,6 @@ from groupcodes.codes import (
 )
 from groupcodes.control import (
     ProfileInsufficientError,
-    _divisors,
     _order_split_everywhere,
     _window_solution,
     chunk_decompose,
@@ -357,10 +357,12 @@ def plain_split_bounds(code):
 
 def graph_order_bounds(code):
     """The order profile with every (l, n) decided by the split graph alone,
-    with no count first: the route ``order_profile`` took before it counted."""
+    with no count first, at every divisor level 1 < t < exponent: the route
+    ``order_profile`` took before it counted and kept only the prime-power
+    levels."""
     N = code.space.horizon
     exponent = lcm(*code.space.flat_moduli)
-    levels = [t for t in _divisors(exponent) if 1 < t < exponent]
+    levels = [t for t in range(2, exponent) if exponent % t == 0]
     bounds = []
     for l in range(N + 1):
         suffix = window_internal(code, l, N)
@@ -375,6 +377,8 @@ def graph_order_bounds(code):
 
 
 MIXED_PRIME_SYMBOLS = ((6,), (12,), (2, 3), (9, 2), (4, 3), (10,), (2, 6), (36,))
+# Composite exponents, where the order condition has prime-power levels.
+PRIME_POWER_SYMBOLS = ((8,), (9,), (24,), (36,), (72,), (27,))
 
 
 class TestOrderProfile:
@@ -429,10 +433,16 @@ class TestOrderProfile:
             assert order_profile(code).bounds == expected
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     def test_matches_oracle_on_mixed_primes(self, data):
+        # Against the all-divisor split graph always, and against the
+        # oracle where the code is small enough to enumerate.
         symbols = data.draw(
-            st.lists(st.sampled_from(MIXED_PRIME_SYMBOLS), min_size=2, max_size=3)
+            st.lists(
+                st.sampled_from(MIXED_PRIME_SYMBOLS + PRIME_POWER_SYMBOLS),
+                min_size=2,
+                max_size=3,
+            )
         )
         sp = space(*symbols)
         gens = data.draw(
@@ -443,8 +453,10 @@ class TestOrderProfile:
             )
         )
         code = code_from_generators(sp, gens)
-        assume(code.cardinality <= 72)
-        assert order_profile(code).bounds == brute("order_profile", code)
+        bounds = order_profile(code).bounds
+        assert bounds == graph_order_bounds(code)
+        if code.cardinality <= 400:
+            assert bounds == brute("order_profile", code)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -481,6 +493,59 @@ class TestOrderProfile:
                 )
             order_profile(code)
         assert failed and calls and all(calls)
+
+    def test_levels_are_the_prime_powers_below_the_exponent(self, monkeypatch):
+        # Z/360 = Z/8 + Z/9 + Z/5: levels 2, 4 and 3 out of 22 proper
+        # divisors.
+        import groupcodes.control as control
+
+        seen = []
+        original = control._order_split_everywhere
+
+        def recorded(code, prefix, suffix, n, levels):
+            seen.append(tuple(levels))
+            return original(code, prefix, suffix, n, levels)
+
+        monkeypatch.setattr(control, "_order_split_everywhere", recorded)
+        code = code_from_generators(space((360,), (360,)), [(1, 2), (0, 12)])
+        assert order_profile(code).bounds == graph_order_bounds(code)
+        assert seen and set(seen) == {(2, 4, 3)}
+
+    def test_higher_prime_power_level_binds(self):
+        # Over Z/2, Z/4, Z/16, Z/16 the split at (l, n) = (1, 3) passes the
+        # level 2 and fails at 4 and at 8, so the levels above p decide n(1).
+        sp = space((2,), (4,), (16,), (16,))
+        code = code_from_generators(sp, [(1, 0, 9, 0), (0, 1, 9, 12)])
+        prefix, suffix = window_internal(code, 0, 3), window_internal(code, 1, 4)
+        assert _order_split_everywhere(code, prefix, suffix, 3, [2])
+        assert not _order_split_everywhere(code, prefix, suffix, 3, [4])
+        assert not _order_split_everywhere(code, prefix, suffix, 3, [8])
+        assert order_profile(code).bounds == brute("order_profile", code) == (0, 4, 4, 4, 4)
+
+    def test_squarefree_exponent_builds_no_level_kernel(self, monkeypatch):
+        # With no level to test the counted plain split is the answer: no
+        # split graph, no kernel, same bounds as the all-divisor route.
+        import groupcodes.control as control
+
+        calls = Counter()
+        for name in ("head_kernel", "scale_rows", "head_solve"):
+            original = getattr(control, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(control, name, counted)
+        sp = space((6,), (2, 3), (30,))
+        rng = random.Random(7)
+        codes = []
+        for _ in range(20):
+            gens = [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
+            codes.append(code_from_generators(sp, gens))
+        bounds = [order_profile(code).bounds for code in codes]
+        assert calls == Counter()
+        monkeypatch.undo()
+        assert bounds == [graph_order_bounds(code) for code in codes]
 
     def test_matches_transversal(self, random_corpus):
         for code in random_corpus[:100]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from groupcodes.codes import (
+    BlockCode,
     SequenceSpace,
     ambient_code,
     code_from_generators,
@@ -192,6 +193,63 @@ def test_greedy_matches_full_recomputation(exhaustive_corpus, random_corpus):
         if profile.index:
             assert observable_supercode(code, profile.index - 1) != code
         assert profile.lengths == reference_observe_lengths(code, profile.index)
+
+
+@given(mixed_codes())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_counted_greedy_matches_full_recomputation(code):
+    profile = observe_profile(code)
+    assert profile.lengths == reference_observe_lengths(code, profile.index)
+
+
+def test_observe_profile_counts_on_the_annihilator_table(mixed_corpus, monkeypatch):
+    # No sum is joined, and the only kernels are those of the prefix
+    # annihilators C-perp ∩ [0, b), at most one per end b.
+    import groupcodes.codes as codes_module
+    import groupcodes.control as control_module
+    import groupcodes.linalg as linalg_module
+    import groupcodes.observe as observe_module
+
+    calls = Counter()
+    for module in (codes_module, control_module, linalg_module, observe_module):
+        for name in ("join", "stack", "head_kernel"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    codes = [BlockCode(c.space, c.basis) for c in mixed_corpus]
+    codes += [band_code(path.name) for path in BAND_SPEC_PATHS]
+    for code in codes:
+        calls.clear()
+        observe_profile(code)
+        assert calls["join"] == calls["stack"] == 0
+        assert calls["head_kernel"] <= code.space.horizon
+
+
+@pytest.mark.parametrize("spec", ["z4_band10_code.spec", "mixed_band8.spec"])
+def test_duality_check_makes_two_kernels_of_the_code(spec, monkeypatch):
+    # The dual is the code's prefix annihilator at the horizon, which the
+    # observe index reads too; the other kernel of C's rows is the dual of
+    # the supercode side's top.
+    import groupcodes.codes as codes_module
+    import groupcodes.duality as duality_module
+
+    code = band_code(spec)
+    kernels = Counter()
+    original = codes_module.annihilator_rows
+
+    def counted(matrix):
+        kernels[matrix.rows] += 1
+        return original(matrix)
+
+    monkeypatch.setattr(codes_module, "annihilator_rows", counted)
+    monkeypatch.setattr(duality_module, "annihilator_rows", counted)
+    assert check_control_observe_duality(code).ok
+    assert kernels[code.basis.rows] == 2
 
 
 class TestDualityReport:
