@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
@@ -48,6 +47,22 @@ __all__ = [
 ]
 
 
+class _cached:
+    """``functools.cached_property`` without its lock: a non-data descriptor
+    storing into ``obj.__dict__``, where reads and pre-seeded entries win."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.fn(obj))
+
+
 @dataclass(frozen=True)
 class SequenceSpace:
     """A product of symbol groups over time indices 0..N-1."""
@@ -62,7 +77,7 @@ class SequenceSpace:
     def horizon(self) -> int:
         return len(self.symbols)
 
-    @cached_property
+    @_cached
     def flat_moduli(self) -> tuple[int, ...]:
         return tuple(m for g in self.symbols for m in g.moduli)
 
@@ -74,7 +89,7 @@ class SequenceSpace:
         """Start offset of each index in the flat coordinate vector."""
         return self._offsets
 
-    @cached_property
+    @_cached
     def _offsets(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate((len(g.moduli) for g in self.symbols), initial=0))
 
@@ -135,21 +150,21 @@ class BlockCode:
         object.__setattr__(code, "basis", _trusted(space.flat_moduli, tuple(rows)))
         return code
 
-    @cached_property
+    @_cached
     def _reversed_howell(self) -> tuple[Vector, ...]:
         """Howell rows of the code with its columns in reverse order."""
         rows = tuple(row[::-1] for row in self.basis.rows)
         return howell_form(_trusted(self.basis.moduli[::-1], rows)).rows
 
-    @cached_property
+    @_cached
     def _prefix_codes(self) -> dict[int, "BlockCode"]:
         return {}
 
-    @cached_property
+    @_cached
     def _suffix_projections(self) -> dict[int, "BlockCode"]:
         return {}
 
-    @cached_property
+    @_cached
     def _prefix_annihilators(self) -> dict[int, "BlockCode"]:
         return {}
 
@@ -216,7 +231,7 @@ class BlockCode:
         """
         return self._pivots
 
-    @cached_property
+    @_cached
     def _pivots(self) -> tuple[tuple[int, int], ...]:
         moduli = self.basis.moduli
         out = []
@@ -330,26 +345,27 @@ def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
     return BlockCode.from_howell(code.space, rows)
 
 
-def _order_after(code: BlockCode, start: int) -> int:
-    """Order of the subgroup of codewords vanishing before flat column
-    ``start``: by the Howell property, the product of the pivot orders of
-    the rows with pivot at or after it."""
-    return math.prod(order for j, order in code.pivots() if j >= start)
-
-
 def window_order(code: BlockCode, a: int, b: int) -> int:
-    """|C ∩ [a, b)|, read off the window table with no code built: the
-    order of the prefix code's rows with pivot at or after ``offset(a)``
-    (the rows ``window_internal`` keeps)."""
+    """|C ∩ [a, b)|, read off the window table with no code built: by the
+    Howell property, the product of the pivot orders of the prefix code's
+    rows with pivot at or after ``offset(a)`` (the rows ``window_internal``
+    keeps)."""
     code.space.check_window(a, b)
-    return _order_after(code.prefix_code(b), code.space.offsets()[a])
+    start = code.space.offsets()[a]
+    return math.prod(order for j, order in code.prefix_code(b).pivots() if j >= start)
 
 
 def annihilator_order(code: BlockCode, a: int, b: int) -> int:
-    """|C-perp ∩ [a, b)|, read off the annihilator table with no code built
-    (the rows ``window_annihilator`` keeps)."""
+    """|C-perp ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| (a character on [a, b)
+    kills C iff it kills the projection; |X-perp| = |G| / |X|), no kernel
+    built: |proj| is the product of the pivot orders of proj_[a,N) C's rows
+    with pivot before the cut (those ``window_projection`` keeps); 1 if a = b."""
     code.space.check_window(a, b)
-    return _order_after(code.prefix_annihilator(b), code.space.offsets()[a])
+    if a == b:
+        return 1
+    offs = code.space.offsets()
+    kept = (o for j, o in code.suffix_projection(a).pivots() if j < offs[b] - offs[a])
+    return math.prod(code.space.flat_moduli[offs[a] : offs[b]]) // math.prod(kept)
 
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:

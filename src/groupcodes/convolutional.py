@@ -20,14 +20,13 @@ justifies gating the strong index by the weak verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
-from .codes import BlockCode, SequenceSpace, window_internal, window_projection
+from .codes import BlockCode, SequenceSpace, _cached, window_internal, window_projection
 from .control import control_profile
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
-from .linalg import annihilator_rows, residue_matrix
+from .linalg import _trusted, annihilator_rows
 
 __all__ = [
     "ConvolutionalCode",
@@ -72,7 +71,7 @@ class ConvolutionalCode:
         taps = (_normalize_tap(tap, self.symbol) for tap in self.taps)
         object.__setattr__(self, "taps", tuple(sorted(t for t in taps if t)))
 
-    @property
+    @_cached
     def memory(self) -> int:
         return max((len(t) for t in self.taps), default=1)
 
@@ -80,19 +79,19 @@ class ConvolutionalCode:
     def analysis_horizon(self) -> int:
         return self.horizon if self.horizon is not None else 8 * self.memory
 
-    @property
+    @_cached
     def state_length(self) -> int:  # s: a state is a word on s symbols
         return max(self.memory - 1, 1)
 
-    @cached_property
+    @_cached
     def _settled(self) -> dict[tuple, tuple[int, BlockCode]]:
         return {}  # chain -> settle step and long window (_settled_window)
 
-    @cached_property
+    @_cached
     def _cut(self) -> list[BlockCode]:
         return []  # the one cut window, regrown by a longer read (_cut_window)
 
-    @cached_property
+    @_cached
     def _dual(self) -> "ConvolutionalCode":
         form = "kernel" if self.form == "image" else "image"
         dual = ConvolutionalCode(self.symbol, form, self.taps, self.horizon)
@@ -109,12 +108,12 @@ def _window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
     annihilator of the image code's shift rows (Pontryagin duality).
     """
     space, width = SequenceSpace((conv.symbol,) * n), len(conv.symbol.moduli)
-    shifts = []
-    for tap in conv.taps:
-        flat = [e for step in tap for e in step]
+    shifts, size = [], n * width
+    for tap in conv.taps:  # reduced by ``_normalize_tap``; shifts add zeros
+        flat = tuple(e for step in tap for e in step)
         for s in range(n if cut else n - len(tap) + 1):
-            shifts.append(([0] * (s * width) + flat + [0] * (n * width))[: n * width])
-    rows = residue_matrix(shifts, space.flat_moduli)
+            shifts.append(((0,) * (s * width) + flat + (0,) * size)[:size])
+    rows = _trusted(space.flat_moduli, tuple(shifts))
     if conv.form == "image":
         return BlockCode(space, rows)
     return BlockCode.from_howell(space, annihilator_rows(rows).rows)

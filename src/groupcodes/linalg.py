@@ -335,10 +335,10 @@ def homomorphism_graph(
     unknowns = tuple(int(m) for m in unknown_moduli)
     if len(images) != len(unknowns):
         raise ValueError(f"{len(images)} images for {len(unknowns)} unknowns")
-    imgmods = tuple(int(m) for m in image_moduli)
+    imgmods, n = tuple(int(m) for m in image_moduli), len(unknowns)
     rows = tuple(
-        tuple(images[j]) + tuple(1 % u if k == j else 0 for k, u in enumerate(unknowns))
-        for j in range(len(unknowns))
+        tuple(images[j]) + (0,) * j + (1 % u,) + (0,) * (n - j - 1)
+        for j, u in enumerate(unknowns)
     )
     return _trusted(imgmods + unknowns, rows)
 
@@ -414,11 +414,11 @@ def annihilator_rows(matrix: ResidueMatrix) -> ResidueMatrix:
     """
     moduli = matrix.moduli
     L = lcm(*moduli)
+    columns = zip(*matrix.rows) if matrix.rows else [()] * len(moduli)
+    # g_j (L/m_j) < L, kept as g_j if m_j = L; m_j g_j (L/m_j) = 0 mod L.
     images = [
-        [(row[j] * (L // moduli[j])) % L for row in matrix.rows]
-        for j in range(len(moduli))
+        col if m == L else tuple(g * (L // m) for g in col) for col, m in zip(columns, moduli)
     ]
-    # m_j * g_j * (L/m_j) = 0 mod L: the map is well defined by construction.
     graph = homomorphism_graph(images, moduli, tuple(L for _ in matrix.rows))
     return head_kernel(graph, len(matrix.rows))
 

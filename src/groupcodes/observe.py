@@ -110,8 +110,9 @@ def _observe_index(code: BlockCode) -> int:
     ``check_control_observe_duality``), so the meet is D exactly when
     L >= L_k(D) at every k: the index is the control index of D.  It is
     counted as ``control_profile`` counts it (``_gap_lengths``), on the
-    orders |D ∩ [a, b)| read off the code's annihilator table; no sum and
-    no dual code is built.
+    orders |D ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| read off the code's
+    suffix projections (``annihilator_order``); no sum, dual or kernel is
+    built.
     """
     N = code.space.horizon
     return max(_gap_lengths(N, lambda a, b: annihilator_order(code, a, b)))
@@ -133,7 +134,7 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     tried, the later positions sit at the index, where their conditions
     already hold, so the least length at k is the least L whose end
     max(B_{k-1}, min(k + L + 1, N)) meets the condition at k.  Each order
-    is read once, off the annihilator table; no sum is built.
+    is read once, off the suffix projections; no sum or kernel is built.
     """
     N = code.space.horizon
     index = _observe_index(code)
@@ -285,11 +286,10 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     (``window_projection``, ``_annihilator_sum``), not off its prefix
     codes.  The control indices come from ``control_profile`` of the code
     and of the dual (the dual's reversed-Howell prefix codes).  The observe
-    index of the code is counted on the kernels of the code's own prefix
-    projections (``_observe_index``; the dual is the last of them), and
-    that of the dual is the first matched supercode equal to the dual.  So
-    each side of ``indices_match`` is a separate computation, and it stays
-    evidence.
+    index of the code is counted on the code's own suffix projections
+    (``_observe_index``), with no kernel, and that of the dual is the
+    first matched supercode equal to the dual.  So each side of
+    ``indices_match`` is a separate computation, and it stays evidence.
     """
     N = code.space.horizon
     dual = code.prefix_annihilator(N)

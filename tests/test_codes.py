@@ -473,3 +473,47 @@ class TestWindowTableBuilds:
             for b in range(a + 1, N + 1):
                 window_projection(code, a, b)
         assert calls["howell_form"] <= N - 1
+
+
+class TestCachedDescriptor:
+    """``codes._cached``: computed once per instance into ``__dict__``."""
+
+    def test_computes_once_per_instance(self):
+        calls = Counter()
+
+        class Holder:
+            @codes_module._cached
+            def value(self):
+                calls[id(self)] += 1
+                return len(calls)
+
+        first, second = Holder(), Holder()
+        assert first.value == first.value == 1
+        assert second.value == second.value == 2
+        assert calls == Counter({id(first): 1, id(second): 1})
+        assert first.__dict__ == {"value": 1}
+
+    def test_class_access_returns_the_descriptor(self):
+        descriptor = BlockCode.__dict__["_pivots"]
+        assert isinstance(descriptor, codes_module._cached)
+        assert BlockCode._pivots is descriptor
+        assert descriptor.name == "_pivots"
+        assert not hasattr(descriptor, "__set__")
+
+    def test_preseeded_entry_is_returned_untouched(self):
+        code = code_from_generators(space((4,), (4,)), [(1, 2)])
+        seeded = ((7, 7),)
+        code.__dict__["_pivots"] = seeded
+        assert code._pivots is seeded
+        assert code.__dict__["_pivots"] is seeded
+
+    def test_dataclass_equality_and_hash_unchanged(self):
+        sp = space((2,), (4,), (2, 2))
+        a = code_from_generators(sp, [(1, 2, 1, 0), (0, 1, 0, 1)])
+        b = code_from_generators(sp, [(1, 2, 1, 0), (0, 1, 0, 1)])
+        before = hash(a)
+        a.pivots(), a.prefix_code(1), a.suffix_projection(1), sp.flat_moduli
+        assert set(a.__dict__) > {"space", "basis"}
+        assert a == b and hash(a) == hash(b) == before
+        assert SequenceSpace(sp.symbols) == sp
+        assert hash(SequenceSpace(sp.symbols)) == hash(sp)

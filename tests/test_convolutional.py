@@ -771,3 +771,68 @@ class TestCutWindowReads:
                 cut = [length for length, cut in built if cut]
                 assert cut[0] == first and cut == sorted(set(cut))
                 assert conv._cut[0].space.horizon == cut[-1]
+
+
+def _residue_matrix_window(conv, n, cut):
+    """``_window`` as it was built before its shift rows were trusted: every
+    entry re-reduced by ``residue_matrix``."""
+    from groupcodes.codes import BlockCode, SequenceSpace
+    from groupcodes.linalg import annihilator_rows, residue_matrix
+
+    space, width = SequenceSpace((conv.symbol,) * n), len(conv.symbol.moduli)
+    shifts = []
+    for tap in conv.taps:
+        flat = [e for step in tap for e in step]
+        for s in range(n if cut else n - len(tap) + 1):
+            shifts.append(([0] * (s * width) + flat + [0] * (n * width))[: n * width])
+    rows = residue_matrix(shifts, space.flat_moduli)
+    if conv.form == "image":
+        return BlockCode(space, rows)
+    return BlockCode.from_howell(space, annihilator_rows(rows).rows)
+
+
+def _one_tap_corpus():
+    """Every one-tap code over Z/2, Z/4, Z/2 x Z/2 and Z/8 with 1-3 steps,
+    in image and kernel form (trailing zero steps stripped, so each once)."""
+    codes = set()
+    for symbol in (Z2, Z4, V4, FiniteAbelianGroup((8,))):
+        steps = list(itertools.product(*[range(m) for m in symbol.moduli]))
+        for length in (1, 2, 3):
+            for tap in itertools.product(steps, repeat=length):
+                if any(map(any, tap)):
+                    codes.add(image(symbol, tap))
+                    codes.add(kernel(symbol, tap))
+    return sorted(codes, key=repr)
+
+
+class TestTrustedShiftRows:
+    """The shift rows are reduced by ``_normalize_tap`` and padded with
+    zeros, so ``_window`` wraps them without a second reduction."""
+
+    def test_window_builds_no_residue_matrix(self, monkeypatch):
+        import groupcodes.convolutional as module
+        import groupcodes.linalg as linalg_module
+
+        calls = []
+        original = linalg_module.residue_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg_module, "residue_matrix", counted)
+        monkeypatch.setattr(module, "residue_matrix", counted, raising=False)
+        for conv in (ACCUMULATOR, CONSTANT, kernel(V4, ((1, 0), (0, 1)), ((1, 1),))):
+            for n in range(1, 6):
+                for cut in (False, True):
+                    _window(conv, n, cut)
+        assert calls == []
+
+    def test_matches_the_residue_matrix_build(self):
+        for conv in _one_tap_corpus():
+            for n in range(1, 10):
+                for cut in (False, True):
+                    trusted = _window(conv, n, cut)
+                    assert trusted.basis == _residue_matrix_window(conv, n, cut).basis, (
+                        conv, n, cut,
+                    )

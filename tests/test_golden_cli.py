@@ -11,6 +11,11 @@ holds its stdout.  Regenerate them with
 report is meant to change, and review the diff.  With names, only those
 cases are rewritten, and nothing is written if any other case's report
 would change (those cases are listed on stderr).
+
+`PYTHONPATH=src python tests/test_golden_cli.py --check` writes nothing: it
+lists every case whose report differs from its golden on stderr and exits
+1 if there is one.  The module imports without pytest, so the check runs
+on any installed interpreter.
 """
 
 import io
@@ -20,8 +25,6 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-
-import pytest
 
 from groupcodes.cli import main
 
@@ -89,13 +92,43 @@ def test_golden_index_covers_every_case():
     assert sorted(_index()) == sorted(name for name, _ in CASES)
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def pytest_generate_tests(metafunc):
+    if metafunc.function is test_golden_report:
+        metafunc.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+
+
 def test_golden_report(name, argv):
     expected = _index()[name]
     assert expected["argv"] == argv
     code, out, err = run_case(argv)
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
     assert (code, err) == (expected["exit"], expected["stderr"])
+
+
+def _fresh_reports():
+    """(index entry, stdout bytes) of every case, run now."""
+    fresh = {}
+    for name, argv in CASES:
+        code, out, err = run_case(argv)
+        fresh[name] = {"argv": argv, "exit": code, "stderr": err}, out.encode("utf-8")
+    return fresh
+
+
+def _stored(index, name):
+    path = GOLDEN / f"{name}.out"
+    return (index.get(name), path.read_bytes() if path.exists() else None)
+
+
+def check_goldens():
+    """List on stderr every case whose report differs from its golden;
+    1 if there is one, else 0.  Nothing is written."""
+    index = _index()
+    fresh = _fresh_reports()
+    changed = [name for name in sorted(fresh) if fresh[name] != _stored(index, name)]
+    print(f"{len(fresh) - len(changed)} of {len(fresh)} cases match", file=sys.stderr)
+    if changed:
+        print("\n".join(changed), file=sys.stderr)
+    return 1 if changed else 0
 
 
 def write_goldens(names=()):
@@ -109,16 +142,8 @@ def write_goldens(names=()):
         return 2
     selected = set(names) or known
     index = _index() if (GOLDEN / "index.json").exists() else {}
-    fresh = {}
-    for name, argv in CASES:
-        code, out, err = run_case(argv)
-        fresh[name] = {"argv": argv, "exit": code, "stderr": err}, out.encode("utf-8")
-
-    def stored(name):
-        path = GOLDEN / f"{name}.out"
-        return (index.get(name), path.read_bytes() if path.exists() else None)
-
-    changed = [name for name in sorted(known - selected) if fresh[name] != stored(name)]
+    fresh = _fresh_reports()
+    changed = [name for name in sorted(known - selected) if fresh[name] != _stored(index, name)]
     if changed:
         print("other cases would change; nothing written:", file=sys.stderr)
         print("\n".join(changed), file=sys.stderr)
@@ -134,4 +159,6 @@ def write_goldens(names=()):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        raise SystemExit(check_goldens())
     raise SystemExit(write_goldens(sys.argv[1:]))

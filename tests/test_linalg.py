@@ -19,6 +19,7 @@ from groupcodes.linalg import (
     coset_reduce,
     head_kernel,
     head_solve,
+    homomorphism_graph,
     homomorphism_kernel,
     howell_form,
     integer_smith_diagonal,
@@ -34,6 +35,7 @@ from groupcodes.linalg import (
     subgroup_basis,
     vector_order,
 )
+from groupcodes.oracle import EnumeratedCode, brute_annihilator
 
 
 def enumerate_span(rows, moduli):
@@ -284,6 +286,7 @@ class TestAnnihilator:
 
 MIXED_MODULI = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=4)
 MIXED_MODULI_WIDE = st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=5)
+MIXED_MODULI_SMALL = st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=1, max_size=4)
 
 
 def _rows_over(data, moduli, max_rows=4):
@@ -293,6 +296,59 @@ def _rows_over(data, moduli, max_rows=4):
             max_size=max_rows,
         )
     )
+
+
+class TestKernelGraphRewrites:
+    """``annihilator_rows`` (columns by ``zip``, only the columns with
+    m_j < L scaled) and ``homomorphism_graph`` (unit blocks by padding)
+    against the oracle's brute-force annihilator and an enumerated kernel."""
+
+    def brute(self, rows, moduli):
+        words = tuple(enumerate_span(rows, moduli))
+        enum = EnumeratedCode(tuple(moduli), words, (0, len(moduli)))
+        return set(brute_annihilator(enum, 1 << 12))
+
+    @pytest.mark.parametrize(
+        "moduli,rows",
+        [
+            ((2, 2, 2), []),  # no rows: the whole ambient
+            ((4, 1, 6), []),
+            ((1, 1), []),
+            ((1, 4, 1, 2), [(0, 3, 0, 1)]),  # modulus-1 columns
+            ((1,), [(0,)]),
+            ((2, 4, 3), [(1, 2, 2), (0, 1, 1)]),  # m_j < L for every j
+            ((4, 2, 4), [(2, 1, 3), (1, 0, 2)]),  # m_j < L for one column
+            ((4, 4, 4), [(1, 2, 3)]),  # a single row, uniform moduli
+            ((6, 9, 1, 2), [(5, 4, 0, 1)]),
+        ],
+    )
+    def test_matches_brute_annihilator(self, moduli, rows):
+        ann = annihilator_rows(residue_matrix(rows, moduli))
+        assert ann == howell_form(ann)
+        assert enumerate_span(ann.rows, moduli) == self.brute(rows, moduli)
+
+    @given(st.data(), MIXED_MODULI_SMALL)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_matrices_match_brute_annihilator(self, data, moduli):
+        mat = residue_matrix(_rows_over(data, moduli, max_rows=3), moduli)
+        ann = annihilator_rows(mat)
+        assert enumerate_span(ann.rows, moduli) == self.brute(mat.rows, moduli)
+
+    def test_graph_unit_block_with_modulus_one_unknowns(self):
+        # An unknown over Z/1 maps to zero, and its unit entry is 1 % 1 = 0.
+        images = [(0, 0), (2, 0), (0, 0)]
+        graph = homomorphism_graph(images, (1, 4, 1), (4, 4))
+        assert graph.moduli == (4, 4, 1, 4, 1)
+        assert graph.rows == ((0, 0, 0, 0, 0), (2, 0, 0, 1, 0), (0, 0, 0, 0, 0))
+        kernel = homomorphism_kernel(images, (1, 4, 1), (4, 4))
+        expected = {
+            x
+            for x in itertools.product(range(1), range(4), range(1))
+            if all(sum(c * img[i] for c, img in zip(x, images)) % 4 == 0 for i in range(2))
+        }
+        assert enumerate_span(kernel.rows, (1, 4, 1)) == expected == {(0, 0, 0), (0, 2, 0)}
+        assert homomorphism_kernel([(0,), (2,)], (1, 2), (4,)).rows == ()
+        assert homomorphism_kernel([(0,), (0,)], (1, 2), (4,)).rows == ((0, 1),)
 
 
 class TestIntersection:

@@ -1,7 +1,9 @@
 """Tests for consistency sets, observability and duality reports."""
 
+import io
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -202,9 +204,9 @@ def test_counted_greedy_matches_full_recomputation(code):
     assert profile.lengths == reference_observe_lengths(code, profile.index)
 
 
-def test_observe_profile_counts_on_the_annihilator_table(mixed_corpus, monkeypatch):
-    # No sum is joined, and the only kernels are those of the prefix
-    # annihilators C-perp ∩ [0, b), at most one per end b.
+def test_observe_profile_counts_on_the_suffix_projections(mixed_corpus, monkeypatch):
+    # No sum is joined and no kernel is built: each |C-perp ∩ [a, b)| is
+    # |G_[a,b)| / |proj_[a,b) C|, read off the suffix projections.
     import groupcodes.codes as codes_module
     import groupcodes.control as control_module
     import groupcodes.linalg as linalg_module
@@ -226,15 +228,36 @@ def test_observe_profile_counts_on_the_annihilator_table(mixed_corpus, monkeypat
     for code in codes:
         calls.clear()
         observe_profile(code)
-        assert calls["join"] == calls["stack"] == 0
-        assert calls["head_kernel"] <= code.space.horizon
+        assert calls["join"] == calls["stack"] == calls["head_kernel"] == 0
+
+
+@pytest.mark.parametrize("spec", ["z4_band10_code.spec", "mixed_band8.spec"])
+def test_block_analyze_builds_no_annihilator(spec, monkeypatch):
+    import groupcodes.codes as codes_module
+    import groupcodes.duality as duality_module
+    import groupcodes.linalg as linalg_module
+    from groupcodes.cli import main
+
+    calls = Counter()
+    original = linalg_module.annihilator_rows
+
+    def counted(matrix):
+        calls["annihilator_rows"] += 1
+        return original(matrix)
+
+    for module in (codes_module, duality_module, linalg_module):
+        monkeypatch.setattr(module, "annihilator_rows", counted)
+    path = next(p for p in BAND_SPEC_PATHS if p.name == spec)
+    with redirect_stdout(io.StringIO()):
+        assert main(["analyze", str(path)]) == 0
+    assert calls["annihilator_rows"] == 0
 
 
 @pytest.mark.parametrize("spec", ["z4_band10_code.spec", "mixed_band8.spec"])
 def test_duality_check_makes_two_kernels_of_the_code(spec, monkeypatch):
-    # The dual is the code's prefix annihilator at the horizon, which the
-    # observe index reads too; the other kernel of C's rows is the dual of
-    # the supercode side's top.
+    # The dual is the code's prefix annihilator at the horizon; the other
+    # kernel of C's rows is the dual of the supercode side's top.  The
+    # observe index builds none: it reads the code's suffix projections.
     import groupcodes.codes as codes_module
     import groupcodes.duality as duality_module
 
@@ -534,23 +557,23 @@ class TestObserveIndexIdentity:
         assert_observe_index_identity(code)
 
 
-def test_wrong_annihilator_prefix_breaks_indices_match(monkeypatch):
-    # The observe index of the code is counted on the code's own table and
-    # the control index of the dual on the dual's prefix codes: serving a
-    # wrong C-perp ∩ [0, 3) moves the first and not the second.
+def test_wrong_suffix_projection_breaks_indices_match(monkeypatch):
+    # The observe index of the code is counted on the code's own suffix
+    # projections and the control index of the dual on the dual's prefix
+    # codes: serving a wrong proj_[3,N) C moves the first and not the second.
     from groupcodes.codes import BlockCode, zero_code
 
     code = band_code("z4_band10_code.spec")
     right = check_control_observe_duality(code)
     assert right.indices_match
-    assert code.prefix_annihilator(3) != zero_code(code.space)
-    prefix_annihilator = BlockCode.prefix_annihilator
+    assert code.suffix_projection(3) != zero_code(code.suffix_projection(3).space)
+    suffix_projection = BlockCode.suffix_projection
     monkeypatch.setattr(
         BlockCode,
-        "prefix_annihilator",
-        lambda self, b: zero_code(self.space)
-        if (self, b) == (code, 3)
-        else prefix_annihilator(self, b),
+        "suffix_projection",
+        lambda self, a: zero_code(self.space.window(3, self.space.horizon))
+        if (self, a) == (code, 3)
+        else suffix_projection(self, a),
     )
     wrong = check_control_observe_duality(code)
     assert wrong.observe_index != right.observe_index
