@@ -10,7 +10,8 @@ Index conventions are 0-based with half-open windows [a, b) throughout.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -73,7 +74,7 @@ class SequenceSpace:
         if not self.symbols:
             raise ValueError("a sequence space needs at least one index")
 
-    @property
+    @_cached
     def horizon(self) -> int:
         return len(self.symbols)
 
@@ -81,9 +82,15 @@ class SequenceSpace:
     def flat_moduli(self) -> tuple[int, ...]:
         return tuple(m for g in self.symbols for m in g.moduli)
 
+    @_cached
+    def _moduli_products(self) -> tuple[int, ...]:
+        """Running products of the flat moduli from 1: |G_[a,b)| is
+        ``p[offsets[b]] // p[offsets[a]]``."""
+        return tuple(itertools.accumulate(self.flat_moduli, operator.mul, initial=1))
+
     @property
     def cardinality(self) -> int:
-        return math.prod(self.flat_moduli)
+        return self._moduli_products[-1]
 
     def offsets(self) -> tuple[int, ...]:
         """Start offset of each index in the flat coordinate vector."""
@@ -169,13 +176,14 @@ class BlockCode:
         return {}
 
     def prefix_code(self, b: int) -> "BlockCode":
-        """C ∩ [0, b), built on first use for each b and kept on the code:
-        the rows of the reversed Howell form that vanish from offset(b) on."""
-        self.space.check_window(0, b)
+        """C ∩ [0, b), built on first use for each b (which is checked then)
+        and kept on the code: the rows of the reversed Howell form that
+        vanish from offset(b) on."""
         if b == self.space.horizon:
             return self
         table = self._prefix_codes
         if b not in table:
+            self.space.check_window(0, b)
             head = self.basis.width - self.space.offsets()[b]
             rows = [row[::-1] for row in self._reversed_howell if not any(row[:head])]
             table[b] = BlockCode(self.space, _trusted(self.basis.moduli, tuple(rows)))
@@ -183,8 +191,8 @@ class BlockCode:
 
     def suffix_projection(self, a: int) -> "BlockCode":
         """proj_[a,N) C in the space of [a, N), built on first use for each
-        a and kept on the code: one Howell form of the cut rows per start."""
-        self.space.check_window(a, self.space.horizon)
+        a (which is checked then) and kept on the code: one Howell form of
+        the cut rows per start."""
         if a == 0:
             return self
         table = self._suffix_projections
@@ -196,25 +204,27 @@ class BlockCode:
         return table[a]
 
     def prefix_annihilator(self, b: int) -> "BlockCode":
-        """C-perp ∩ [0, b), built on first use for each b and kept on the
-        code: the local dual of the prefix projection (a truncation, so no
-        projection Howell form), padded with zeros after offset(b).  A
-        character supported in [0, b) annihilates C exactly when its window
-        part annihilates proj_[0,b) C."""
-        self.space.check_window(0, b)
+        """C-perp ∩ [0, b), built on first use for each b (which is checked
+        then) and kept on the code: the local dual of the prefix projection
+        (a cut, so no projection Howell form), padded with zeros after
+        offset(b).  A character supported in [0, b) annihilates C exactly
+        when its window part annihilates proj_[0,b) C."""
         table = self._prefix_annihilators
         if b not in table:
+            self.space.check_window(0, b)
             rows: tuple[Vector, ...] = ()
             if b > 0:
-                local = annihilator_rows(window_projection(self, 0, b).basis)
-                after = (0,) * (self.basis.width - self.space.offsets()[b])
+                cut = self.space.offsets()[b]
+                prefix = _trusted(self.basis.moduli[:cut], _projection(self, 0, b)[0])
+                local = annihilator_rows(prefix)
+                after = (0,) * (self.basis.width - cut)
                 rows = tuple(row + after for row in local.rows)
             table[b] = BlockCode.from_howell(self.space, rows)
         return table[b]
 
     @property
     def cardinality(self) -> int:
-        return math.prod(order for _, order in self.pivots())
+        return self._pivot_products[-1]
 
     def contains(self, word: Sequence[int]) -> bool:
         return contains_vector(self.basis, word)
@@ -240,6 +250,21 @@ class BlockCode:
             # A normalized Howell pivot divides its modulus.
             out.append((j, moduli[j] // row[j]))
         return tuple(out)
+
+    @_cached
+    def _pivot_columns(self) -> tuple[int, ...]:
+        return tuple(j for j, _ in self.pivots())
+
+    @_cached
+    def _pivot_products(self) -> tuple[int, ...]:
+        """Running products of the pivot orders from 1: the first i rows
+        span a subgroup of order ``p[i]``, the rows from i on one of order
+        ``p[-1] // p[i]`` (pivot columns strictly increase)."""
+        return tuple(itertools.accumulate((o for _, o in self.pivots()), operator.mul, initial=1))
+
+    def _rows_before(self, column: int) -> int:
+        """The number of basis rows with pivot before ``column``."""
+        return bisect_left(self._pivot_columns, column)
 
     def words(self) -> Iterator[tuple[int, ...]]:
         """All codewords, deterministically ordered by basis coefficients."""
@@ -298,74 +323,98 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
     return BlockCode.from_howell(a.space, stack(a.basis, b.basis).rows)
 
 
-def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
-    """Image of the code under deleting all coordinates outside [a, b).
+# The window readers.  Each reads the rows and order of one window off a
+# table entry of the code, with no code built and no window checked: their
+# callers pass windows of the code's horizon.  A Howell form's pivot
+# columns strictly increase, so the rows with pivot at or after a column
+# are a suffix of its rows and, by the Howell property, the canonical
+# basis of the words vanishing before that column.
 
-    The Howell rows of the suffix projection proj_[a,N) C (C itself for
-    a = 0), cut to [a, b), with zero rows dropped: a Howell form again, as
-    a word of the window vanishing before a column lifts to a word of the
-    suffix projection that does.  So each start costs one Howell form,
-    shared by all its ends.
-    """
-    code.space.check_window(a, b)
+
+def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
+    """Howell rows and order of C ∩ [a, b): the words of the prefix code
+    C ∩ [0, b) that vanish before a, spanned by its rows with pivot at or
+    after ``offset(a)``; the order is the product of their pivot orders."""
+    prefix = code.prefix_code(b)
+    i = prefix._rows_before(code.space.offsets()[a])
+    products = prefix._pivot_products
+    return prefix.basis.rows[i:], products[-1] // products[i]
+
+
+def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
+    """Howell rows and order of proj_[a,b) C, in the coordinates of [a, b):
+    the rows of the suffix projection proj_[a,N) C (C itself for a = 0)
+    with pivot before the cut, cut to [a, b).  The other rows vanish on
+    the window.  The cut rows are a Howell form again, as a word of the
+    window vanishing before a column lifts to a word of the suffix
+    projection that does; each keeps its pivot and pivot order."""
+    offsets = code.space.offsets()
+    cut = offsets[b] - offsets[a]
+    suffix = code.suffix_projection(a)
+    i = suffix._rows_before(cut)
+    return tuple(row[:cut] for row in suffix.basis.rows[:i]), suffix._pivot_products[i]
+
+
+def _annihilator(code: BlockCode, a: int, b: int) -> tuple[Vector, ...]:
+    """Howell rows of C-perp ∩ [a, b): the characters of
+    ``prefix_annihilator(b)`` = C-perp ∩ [0, b) that vanish before a,
+    spanned by its rows with pivot at or after ``offset(a)``."""
+    prefix = code.prefix_annihilator(b)
+    return prefix.basis.rows[prefix._rows_before(code.space.offsets()[a]) :]
+
+
+def _annihilator_order(code: BlockCode, a: int, b: int) -> int:
+    """|C-perp ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| with no kernel built
+    (a character on [a, b) kills C iff it kills the projection, and
+    |X-perp| = |G| / |X|); 1 if a = b."""
+    if a == b:
+        return 1
+    offsets = code.space.offsets()
+    suffix = code.suffix_projection(a)
+    kept = suffix._pivot_products[suffix._rows_before(offsets[b] - offsets[a])]
+    products = code.space._moduli_products
+    return products[offsets[b]] // products[offsets[a]] // kept
+
+
+def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
+    """Image of the code under deleting all coordinates outside [a, b): the
+    rows of ``_projection``, so each start costs one Howell form, shared by
+    all its ends.  For b = N it is the suffix projection itself (the code
+    itself for a = 0), with nothing copied."""
+    if b == code.space.horizon:
+        return code.suffix_projection(a)
     sub = code.space.window(a, b)
-    cut = code.space.offsets()[b] - code.space.offsets()[a]
-    rows = (row[:cut] for row in code.suffix_projection(a).basis.rows)
-    return BlockCode.from_howell(sub, (row for row in rows if any(row)))
+    return BlockCode.from_howell(sub, _projection(code, a, b)[0])
 
 
 def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:
     """C-perp ∩ [a, b): the characters of the code's space that vanish
     outside [a, b) and annihilate C, equivalently the local dual of
-    ``window_projection(code, a, b)`` padded with zeros.
-
-    These are the words of ``prefix_annihilator(b)`` = C-perp ∩ [0, b) that
-    vanish before a.  That is a Howell form, so by the Howell property its
-    rows with pivot at or after ``offset(a)`` are their canonical basis, as
-    ``window_internal`` reads the prefix codes; each end costs one kernel.
-    """
+    ``window_projection(code, a, b)`` padded with zeros: the rows of
+    ``_annihilator``, so each end costs one kernel."""
     code.space.check_window(a, b)
-    start = code.space.offsets()[a]
-    rows = code.prefix_annihilator(b).basis.rows
-    return BlockCode.from_howell(code.space, (row for row in rows if not any(row[:start])))
+    return BlockCode.from_howell(code.space, _annihilator(code, a, b))
 
 
 def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
-    """Subgroup of codewords supported inside [a, b), in the same space.
-
-    These are the words of the prefix code C ∩ [0, b) that vanish before a.
-    The prefix code is a Howell form, so by the Howell property its rows
-    with pivot at or after ``offset(a)`` are their canonical basis; for
-    b = N the prefix code is C itself and no Howell form is computed.
-    """
+    """Subgroup of codewords supported inside [a, b), in the same space:
+    the rows of ``_internal``; for b = N they are C's own rows, and no
+    Howell form is computed."""
     code.space.check_window(a, b)
-    prefix = code.prefix_code(b)
-    start = code.space.offsets()[a]
-    rows = tuple(row for row in prefix.basis.rows if not any(row[:start]))
-    return BlockCode.from_howell(code.space, rows)
+    return BlockCode.from_howell(code.space, _internal(code, a, b)[0])
 
 
 def window_order(code: BlockCode, a: int, b: int) -> int:
-    """|C ∩ [a, b)|, read off the window table with no code built: by the
-    Howell property, the product of the pivot orders of the prefix code's
-    rows with pivot at or after ``offset(a)`` (the rows ``window_internal``
-    keeps)."""
+    """|C ∩ [a, b)|, looked up in the window table with no code built."""
     code.space.check_window(a, b)
-    start = code.space.offsets()[a]
-    return math.prod(order for j, order in code.prefix_code(b).pivots() if j >= start)
+    return _internal(code, a, b)[1]
 
 
 def annihilator_order(code: BlockCode, a: int, b: int) -> int:
-    """|C-perp ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| (a character on [a, b)
-    kills C iff it kills the projection; |X-perp| = |G| / |X|), no kernel
-    built: |proj| is the product of the pivot orders of proj_[a,N) C's rows
-    with pivot before the cut (those ``window_projection`` keeps); 1 if a = b."""
+    """|C-perp ∩ [a, b)|, looked up in the suffix projections with no
+    kernel built (``_annihilator_order``)."""
     code.space.check_window(a, b)
-    if a == b:
-        return 1
-    offs = code.space.offsets()
-    kept = (o for j, o in code.suffix_projection(a).pivots() if j < offs[b] - offs[a])
-    return math.prod(code.space.flat_moduli[offs[a] : offs[b]]) // math.prod(kept)
+    return _annihilator_order(code, a, b)
 
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .codes import BlockCode, join, window_internal, window_order
+from .codes import BlockCode, _internal, join, window_internal
 from .groups import FiniteAbelianGroup
 from .linalg import (
     _reduce_vector,
@@ -118,12 +118,10 @@ def _gap_lengths(horizon: int, order: Callable[[int, int], int]) -> tuple[int, .
 def control_profile(code: BlockCode) -> ControlProfile:
     """Minimal L at each position with reachable_set(code, k, L) = code.
 
-    Decided by counting (``_gap_lengths``): every order is read off the
-    window table (``window_order``); no reachable set is built.
+    Decided by counting (``_gap_lengths``): every order is looked up in
+    the window table (``codes._internal``); no reachable set is built.
     """
-    return ControlProfile(
-        _gap_lengths(code.space.horizon, lambda a, b: window_order(code, a, b))
-    )
+    return ControlProfile(_gap_lengths(code.space.horizon, lambda a, b: _internal(code, a, b)[1]))
 
 
 def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
@@ -132,17 +130,14 @@ def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
     Equals the sum of the window-supported subgroups of width L+1; the
     containment of each window subgroup in every C_k(L) gives one direction
     and greedy peeling of leading coordinates gives the other.  Built as
-    that sum: one Howell form of the stacked rows of the windows
-    C ∩ [k, k+L+1) read off the window table.
+    that sum: one Howell form of the stacked Howell rows of the windows
+    C ∩ [k, k+L+1), each read off the prefix code of its end
+    (``codes._internal``); no window code is built.
     """
     if L < 0:
         raise ValueError(f"bad gap length L={L}")
     N = code.space.horizon
-    rows = tuple(
-        row
-        for k in range(N)
-        for row in window_internal(code, k, min(k + L + 1, N)).basis.rows
-    )
+    rows = tuple(row for k in range(N) for row in _internal(code, k, min(k + L + 1, N))[0])
     return BlockCode(code.space, _trusted(code.basis.moduli, rows))
 
 
@@ -248,11 +243,11 @@ def order_profile(code: BlockCode) -> OrderProfile:
     for l in range(N + 1):
         suffix = window_internal(code, l, N)
         for n in range(l, N):
-            sizes = window_order(code, 0, n) * suffix.cardinality
-            if sizes != code.cardinality * window_order(code, l, n):
+            sizes = _internal(code, 0, n)[1] * suffix.cardinality
+            if sizes != code.cardinality * _internal(code, l, n)[1]:
                 continue
             if not levels or _order_split_everywhere(
-                code, window_internal(code, 0, n), suffix, n, levels
+                code, code.prefix_code(n), suffix, n, levels
             ):
                 bounds.append(n)
                 break

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .codes import BlockCode, SequenceSpace, _cached, window_internal, window_projection
+from .codes import BlockCode, SequenceSpace, _cached, window_projection
 from .control import control_profile
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
@@ -139,7 +139,7 @@ def _cut_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     if not kept or kept[0].space.horizon < n:
         first = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
         kept[:] = [_window(conv, max(n, first), cut=True)]
-    window = kept[0] if conv.form == "image" else window_internal(kept[0], 0, n)
+    window = kept[0] if conv.form == "image" else kept[0].prefix_code(n)
     return window_projection(window, 0, n)
 
 
@@ -180,7 +180,7 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
     s = conv.state_length
 
     def read(w: BlockCode, b: int) -> BlockCode:
-        return window_projection(window_internal(w, 0, b) if past else w, 0, b)
+        return window_projection(w.prefix_code(b) if past else w, 0, b)
 
     if chain not in conv._settled:
         step, states = 0, read(build(conv, s), s)

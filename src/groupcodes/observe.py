@@ -19,10 +19,10 @@ from typing import Sequence
 
 from .codes import (
     BlockCode,
-    annihilator_order,
-    window_annihilator,
-    window_internal,
-    window_projection,
+    _annihilator,
+    _annihilator_order,
+    _internal,
+    _projection,
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import dual_block_code, is_annihilator
@@ -62,7 +62,6 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     if not 0 <= k < N or L < 0:
         raise ValueError(f"bad consistency parameters k={k}, L={L}")
     b = min(k + L + 1, N)
-    proj = window_projection(code, k, b)
     sl = code.space.flat_slice(k, b)
     moduli = code.space.flat_moduli
     width = len(moduli)
@@ -72,21 +71,21 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
 
     before, after = (0,) * sl.start, (0,) * (width - sl.stop)
     rows = units(range(sl.start))
-    rows += [before + row + after for row in proj.basis.rows]
+    rows += [before + row + after for row in _projection(code, k, b)[0]]
     rows += units(range(sl.stop, width))
     return BlockCode.from_howell(code.space, rows)
 
 
 def _annihilator_sum(code: BlockCode, lengths: Sequence[int]) -> BlockCode:
     """The annihilator of the meet of the consistency sets on [k, k+L_k]:
-    the sum of their annihilators (``window_annihilator``, since a
-    character kills the preimage of a window projection exactly when it
-    vanishes outside the window and annihilates the projection)."""
+    the sum of their annihilators C-perp ∩ [k, k+L_k+1), clipped to the
+    horizon (a character kills the preimage of a window projection exactly
+    when it vanishes outside the window and annihilates the projection).
+    One Howell form of their rows, each read off the prefix annihilator
+    of its end (``codes._annihilator``); no window code is built."""
     N = code.space.horizon
     rows = tuple(
-        row
-        for k, L in enumerate(lengths)
-        for row in window_annihilator(code, k, min(k + L + 1, N)).basis.rows
+        row for k, L in enumerate(lengths) for row in _annihilator(code, k, min(k + L + 1, N))
     )
     return BlockCode(code.space, _trusted(code.basis.moduli, rows))
 
@@ -111,11 +110,10 @@ def _observe_index(code: BlockCode) -> int:
     L >= L_k(D) at every k: the index is the control index of D.  It is
     counted as ``control_profile`` counts it (``_gap_lengths``), on the
     orders |D ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| read off the code's
-    suffix projections (``annihilator_order``); no sum, dual or kernel is
-    built.
+    suffix projections (``codes._annihilator_order``); no sum, dual or
+    kernel is built.
     """
-    N = code.space.horizon
-    return max(_gap_lengths(N, lambda a, b: annihilator_order(code, a, b)))
+    return max(_gap_lengths(code.space.horizon, functools.partial(_annihilator_order, code)))
 
 
 def observe_profile(code: BlockCode) -> ObserveProfile:
@@ -138,7 +136,7 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     """
     N = code.space.horizon
     index = _observe_index(code)
-    order = functools.cache(lambda a, b: annihilator_order(code, a, b))
+    order = functools.cache(functools.partial(_annihilator_order, code))
 
     def holds(k: int, end: int) -> bool:
         return order(k, end) * order(k + 1, N) == order(k, N) * order(k + 1, end)
@@ -259,12 +257,18 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     C_k(L) = Z_k + C ∩ [0, k+L), so C ∩ [0, b) ⊆ C ∩ [0, b+1) gives
     C_k(L) ⊆ C_k(L+1).  The consistency set on [k, b+1) lies in the one on
     [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D:
-    each Howell row of the first, cut, reduces to zero against the second.
-    Once the window reaches the horizon the sets repeat, so there is
-    nothing more to test.  Both chains hold by construction: the prefix
+    each Howell row of the first, cut, is zero, is a Howell row of the
+    second or reduces to zero against them.  Once the window reaches the
+    horizon the sets repeat, so there is nothing more to test.  Both chains hold by construction: the prefix
     codes are reads of one reversed Howell form, and every projection
-    proj_[k,b) D is a cut of the one suffix Howell form proj_[k,N) D
-    (``window_projection``).  The checks stay, as evidence on those tables.
+    proj_[k,b) D is a cut of the one suffix Howell form proj_[k,N) D.
+    The checks stay, as evidence on those tables.
+
+    Every window is read as rows and an order straight off a table entry
+    (``codes._internal`` off C's prefix codes, ``codes._projection`` off
+    D's suffix projections), so the O(N^2) window and chain checks build no
+    code and no space, and each order is a lookup of running pivot-order
+    products.  Only the table entries themselves, O(N) of them, are codes.
 
     Each matched side is built only until it reaches its top.  The
     subcodes cs_L = ``controllable_subcode(code, L)`` are sums of the
@@ -272,20 +276,20 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     The annihilator sums S_L = ``_annihilator_sum(dual, [L] * N)`` grow
     too: a character on [k, b) annihilating proj_[k,b) D, extended by
     zero, annihilates proj_[k,b+1) D.  So S_L ⊆ S_{L+1} ⊆ T, where
-    T = ``window_annihilator(dual, 0, N)`` is the term of S_{N-1} at
-    k = 0, and S_{N-1} = T.  A nondecreasing chain under its top that
-    meets the top stays there: once the Howell rows of cs_L equal those of
-    C (or those of S_L equal T's) the side is the same subgroup for every
-    larger L, and its dual and invariant factors are reused.  T is built
+    T = ``dual.prefix_annihilator(N)`` = D-perp ∩ [0, N) is the term of
+    S_{N-1} at k = 0, and S_{N-1} = T.  A nondecreasing chain under its
+    top that meets the top stays there: once the Howell rows of cs_L equal
+    those of C (or those of S_L equal T's) the side is the same subgroup
+    for every larger L, and its dual and invariant factors are reused.  T is built
     from the dual alone and the test compares rows, so stopping does not
     assume that the dual of the dual is C.
 
     The code's side of each identity is read off its window table (internal
     parts, ``controllable_subcode``, ``control_profile``); the dual's side
     is read off the dual's suffix projections and annihilator table
-    (``window_projection``, ``_annihilator_sum``), not off its prefix
-    codes.  The control indices come from ``control_profile`` of the code
-    and of the dual (the dual's reversed-Howell prefix codes).  The observe
+    (``_projection``, ``_annihilator_sum``), not off its prefix codes.
+    The control indices come from ``control_profile`` of the code and of
+    the dual (the dual's reversed-Howell prefix codes).  The observe
     index of the code is counted on the code's own suffix projections
     (``_observe_index``), with no kernel, and that of the dual is the
     first matched supercode equal to the dual.  So each side of
@@ -295,29 +299,26 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     dual = code.prefix_annihilator(N)
     moduli = code.space.flat_moduli
     offsets = code.space.offsets()
-    proj = {
-        (a, b): window_projection(dual, a, b) for a in range(N) for b in range(a + 1, N + 1)
-    }
+    proj = {(a, b): _projection(dual, a, b) for a in range(N) for b in range(a + 1, N + 1)}
     window_checks = []
-    for (a, b), local in proj.items():
-        inner = window_internal(code, a, b)
-        sl = code.space.flat_slice(a, b)
-        ok = is_annihilator(
-            [row[sl] for row in inner.basis.rows],
-            inner.cardinality,
-            local.basis.rows,
-            local.cardinality,
-            moduli[sl],
-        )
+    for (a, b), (rows, order) in proj.items():
+        inner, inner_order = _internal(code, a, b)
+        lo, hi = offsets[a], offsets[b]
+        ok = is_annihilator([row[lo:hi] for row in inner], inner_order, rows, order, moduli[lo:hi])
         window_checks.append(WindowDualityCheck(a, b, ok))
+
+    def nested(k: int, b: int) -> bool:
+        # proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D: each cut row
+        # is zero, is a Howell row of proj_[k,b) D or reduces to zero by them.
+        width = offsets[b] - offsets[k]
+        outer = _trusted(moduli[offsets[k] : offsets[b]], proj[k, b][0])
+        known = {*outer.rows, (0,) * width}
+        cuts = (row[:width] for row in proj[k, b + 1][0])
+        return all(cut in known or not any(_reduce_vector(outer, cut)) for cut in cuts)
+
     chain_ok = all(
         code.prefix_code(b).is_subcode_of(code.prefix_code(b + 1)) for b in range(N)
-    ) and not any(
-        any(_reduce_vector(proj[k, b].basis, row[: offsets[b] - offsets[k]]))
-        for k in range(N)
-        for b in range(k + 1, N)
-        for row in proj[k, b + 1].basis.rows
-    )
+    ) and all(nested(k, b) for k in range(N) for b in range(k + 1, N))
 
     def duals_to_top(side, top: BlockCode, top_dual: BlockCode | None = None) -> list:
         # The duals of side(L), L = 0..N-1, built until side(L) is top (whose
@@ -332,7 +333,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
 
     sub_duals = duals_to_top(lambda L: controllable_subcode(code, L), code, dual)
     supercodes = duals_to_top(
-        lambda L: _annihilator_sum(dual, [L] * N), window_annihilator(dual, 0, N)
+        lambda L: _annihilator_sum(dual, [L] * N), dual.prefix_annihilator(N)
     )
     factors = {}
 

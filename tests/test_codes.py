@@ -18,6 +18,7 @@ from groupcodes.codes import (
     join,
     window_annihilator,
     window_internal,
+    window_order,
     window_projection,
     zero_code,
 )
@@ -434,6 +435,63 @@ class TestWindowTablesTwin:
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_mixed_moduli(self, code):
         assert_window_tables_match_reference(code)
+
+
+class TestWindowBoundary:
+    """Windows are checked where they enter the library: the public window
+    functions and the table methods; the readers behind them check none."""
+
+    WINDOW_FUNCTIONS = (
+        window_projection,
+        window_internal,
+        window_annihilator,
+        window_order,
+        annihilator_order,
+    )
+
+    @pytest.mark.parametrize("read", WINDOW_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_bad_windows_raise(self, read):
+        code = band_code("mixed_band8.spec")
+        N = code.space.horizon
+        for a, b in [(-1, 2), (-1, N), (3, 2), (N, N - 1), (0, N + 1), (2, N + 1)]:
+            # Twice: a rejected window leaves nothing in a table.
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    read(code, a, b)
+
+    def test_bad_table_indices_raise(self):
+        code = band_code("mixed_band8.spec")
+        N = code.space.horizon
+        for method, bad in [
+            (code.prefix_code, (-1, N + 1)),
+            (code.prefix_annihilator, (-1, N + 1)),
+            (code.suffix_projection, (-1, N, N + 1)),
+        ]:
+            for index in bad + bad:
+                with pytest.raises(ValueError):
+                    method(index)
+
+    def test_empty_window_annihilator_is_the_zero_code(self, mixed_corpus):
+        for code in mixed_corpus + [band_code("z4_band10_code.spec")]:
+            for a in range(code.space.horizon + 1):
+                assert window_annihilator(code, a, a) == zero_code(code.space)
+
+    def test_readers_check_no_window(self, monkeypatch):
+        # A duality report reads its O(N^2) windows unchecked; only the
+        # table misses check theirs, O(N) of them.
+        from groupcodes.observe import check_control_observe_duality
+
+        code = band_code("z4_band10_code.spec")
+        calls = Counter()
+        check = SequenceSpace.check_window
+
+        def counted(self, a, b):
+            calls["check_window"] += 1
+            return check(self, a, b)
+
+        monkeypatch.setattr(SequenceSpace, "check_window", counted)
+        assert check_control_observe_duality(code).ok
+        assert calls["check_window"] <= 5 * code.space.horizon
 
 
 class TestWindowTableBuilds:

@@ -772,6 +772,33 @@ class TestCutWindowReads:
                 assert cut[0] == first and cut == sorted(set(cut))
                 assert conv._cut[0].space.horizon == cut[-1]
 
+    @pytest.mark.parametrize(
+        "spec", ["two_tap_kernel.spec", "z2x2_kernel.spec", "z4_12_kernel.spec"]
+    )
+    def test_kernel_analyze_makes_no_whole_horizon_copy(self, spec, monkeypatch):
+        # A read onto a window's whole horizon is the window itself.
+        import io
+        from contextlib import redirect_stdout
+
+        import groupcodes.convolutional as module
+        from groupcodes.cli import main
+
+        from .conftest import BAND_SPECS
+
+        project = module.window_projection
+        whole = []
+
+        def recorded(code, a, b):
+            projected = project(code, a, b)
+            if (a, b) == (0, code.space.horizon):
+                whole.append(projected is code)
+            return projected
+
+        monkeypatch.setattr(module, "window_projection", recorded)
+        with redirect_stdout(io.StringIO()):
+            assert main(["analyze", str(BAND_SPECS / spec)]) == 0
+        assert whole and all(whole)
+
 
 def _residue_matrix_window(conv, n, cut):
     """``_window`` as it was built before its shift rows were trusted: every

@@ -2,6 +2,7 @@
 
 import io
 import random
+import sys
 from collections import Counter
 from contextlib import redirect_stdout
 
@@ -31,7 +32,12 @@ from groupcodes.observe import (
 from groupcodes.specfmt import parse_spec
 
 from .conftest import BAND_SPEC_PATHS, BAND_SPECS, band_code
-from .test_codes import mixed_codes, reference_window_annihilator
+from .test_codes import (
+    mixed_codes,
+    reference_window_annihilator,
+    reference_window_internal,
+    reference_window_projection,
+)
 
 
 def space(*symbol_moduli):
@@ -381,6 +387,125 @@ class TestDualityReportTwin:
         assert check_control_observe_duality(code) == reference_duality_report(code)
 
 
+def per_window_reference(code):
+    """Window verdicts, chain verdict and the two sums at every gap, each
+    window built as its own ``BlockCode``: internal parts from the
+    projection graph, projections of the dual as Howell forms of its sliced
+    rows, the dual's window annihilators as local duals of those."""
+    from groupcodes.duality import is_annihilator
+    from groupcodes.observe import WindowDualityCheck
+
+    dual = dual_block_code(code)
+    N = code.space.horizon
+    proj = {
+        (a, b): reference_window_projection(dual, a, b)
+        for a in range(N)
+        for b in range(a + 1, N + 1)
+    }
+    windows = []
+    for (a, b), local in proj.items():
+        inner = reference_window_internal(code, a, b)
+        sl = code.space.flat_slice(a, b)
+        ok = is_annihilator(
+            [row[sl] for row in inner.basis.rows],
+            inner.cardinality,
+            local.basis.rows,
+            local.cardinality,
+            code.space.flat_moduli[sl],
+        )
+        windows.append(WindowDualityCheck(a, b, ok))
+    prefixes = [reference_window_internal(code, 0, b) for b in range(N + 1)]
+    chain_ok = all(prefixes[b].is_subcode_of(prefixes[b + 1]) for b in range(N)) and all(
+        code_from_generators(
+            proj[k, b].space, [row[: proj[k, b].basis.width] for row in proj[k, b + 1].basis.rows]
+        ).is_subcode_of(proj[k, b])
+        for k in range(N)
+        for b in range(k + 1, N)
+    )
+
+    def window_sum(window, c, L):
+        rows = [row for k in range(N) for row in window(c, k, min(k + L + 1, N)).basis.rows]
+        return code_from_generators(c.space, rows)
+
+    subcodes = [window_sum(reference_window_internal, code, L) for L in range(N)]
+    sums = [window_sum(reference_window_annihilator, dual, L) for L in range(N)]
+    return tuple(windows), chain_ok, subcodes, sums
+
+
+def assert_report_matches_per_window_reference(code):
+    import groupcodes.observe as observe_module
+    from groupcodes.control import controllable_subcode
+
+    report = check_control_observe_duality(code)
+    windows, chain_ok, subcodes, sums = per_window_reference(code)
+    assert report.window_checks == windows
+    assert report.chain_ok == chain_ok
+    dual = code.prefix_annihilator(code.space.horizon)
+    for L, (subcode, total) in enumerate(zip(subcodes, sums)):
+        assert controllable_subcode(code, L) == subcode
+        assert observe_module._annihilator_sum(dual, [L] * code.space.horizon) == total
+
+
+class TestRowReadsTwin:
+    """The report's window and chain verdicts and both sums, read as rows
+    off the window tables, against a route building every window as a
+    code of its own."""
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for code in mixed_corpus:
+            assert_report_matches_per_window_reference(code)
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            assert_report_matches_per_window_reference(code)
+
+    @pytest.mark.parametrize("path", BAND_SPEC_PATHS, ids=lambda p: p.stem)
+    def test_band_specs(self, path):
+        assert_report_matches_per_window_reference(band_code(path.name))
+
+    @given(mixed_codes())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_mixed_moduli(self, code):
+        assert_report_matches_per_window_reference(code)
+
+
+def test_duality_check_builds_linearly_many_codes(monkeypatch):
+    # Windows are read as rows: one report builds the table entries, the
+    # matched sides and their duals, O(N) codes, and none per window.  The
+    # Howell forms are those of the tables and the matched sides.
+    import groupcodes.linalg as linalg_module
+    from groupcodes.cli import main
+
+    calls = Counter()
+    post_init, from_howell = BlockCode.__post_init__, BlockCode.from_howell.__func__
+    canonical = linalg_module.howell_form
+
+    def counted_init(self):
+        calls["codes"] += 1
+        post_init(self)
+
+    def counted_from_howell(cls, space, rows):
+        calls["codes"] += 1
+        return from_howell(cls, space, rows)
+
+    def counted_howell(matrix):
+        calls["howell_form"] += 1
+        return canonical(matrix)
+
+    monkeypatch.setattr(BlockCode, "__post_init__", counted_init)
+    monkeypatch.setattr(BlockCode, "from_howell", classmethod(counted_from_howell))
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:
+            monkeypatch.setattr(module, "howell_form", counted_howell)
+    path = BAND_SPECS / "z4_band10_code.spec"
+    with redirect_stdout(io.StringIO()):
+        assert main(["duality-check", str(path)]) == 0
+    N = 10
+    assert calls["codes"] <= 8 * N
+    assert calls["howell_form"] == 67
+
+
 def _first_top(side, top, N):
     return next(L for L in range(N) if side(L).basis.rows == top.basis.rows)
 
@@ -424,16 +549,17 @@ def test_wrong_dual_projection_fails_its_window(monkeypatch):
     # Serving a proper subgroup or a proper supergroup of one window
     # projection of the dual breaks that window's check or the chain; a
     # proper subgroup with a longer window after it breaks the chain too.
+    # The wrong rows and order enter through the per-window reader.
     import groupcodes.observe as observe_module
 
     code = band_code("mixed_band8.spec")
     dual = dual_block_code(code)
     N = code.space.horizon
-    project = observe_module.window_projection
+    project = observe_module._projection
     served = 0
     for a in range(N):
         for b in range(a + 1, N + 1):
-            right = project(dual, a, b)
+            right = code_from_generators(code.space.window(a, b), project(dual, a, b)[0])
             smaller = code_from_generators(right.space, right.basis.rows[:-1])
             for wrong in (smaller, ambient_code(right.space)):
                 if wrong == right:
@@ -441,8 +567,10 @@ def test_wrong_dual_projection_fails_its_window(monkeypatch):
                 served += 1
                 monkeypatch.setattr(
                     observe_module,
-                    "window_projection",
-                    lambda c, i, j: wrong if (c, i, j) == (dual, a, b) else project(c, i, j),
+                    "_projection",
+                    lambda c, i, j: (wrong.basis.rows, wrong.cardinality)
+                    if (c, i, j) == (dual, a, b)
+                    else project(c, i, j),
                 )
                 report = check_control_observe_duality(code)
                 verdicts = {(w.start, w.stop): w.ok for w in report.window_checks}
@@ -454,6 +582,40 @@ def test_wrong_dual_projection_fails_its_window(monkeypatch):
                     # right one, which the smaller one does not contain.
                     assert not report.chain_ok
     assert served > N * (N + 1) // 2
+
+
+def test_dropped_internal_row_fails_exactly_its_window(monkeypatch):
+    # Serving C ∩ [a, b) without its first Howell row, whose pivot column
+    # no other row has, shrinks the internal part: that window's count
+    # fails, and no other window, chain or matched check notices.
+    import groupcodes.observe as observe_module
+
+    code = band_code("z4_band8_code.spec")
+    N = code.space.horizon
+    internal = observe_module._internal
+    served = 0
+    for a in range(N):
+        for b in range(a + 1, N + 1):
+            rows, order = internal(code, a, b)
+            if not rows:
+                continue
+            kept = rows[1:]
+            smaller = code_from_generators(code.space, kept).cardinality
+            assert smaller < order
+            served += 1
+            monkeypatch.setattr(
+                observe_module,
+                "_internal",
+                lambda c, i, j: (kept, smaller) if (c, i, j) == (code, a, b) else internal(c, i, j),
+            )
+            report = check_control_observe_duality(code)
+            verdicts = {(w.start, w.stop): w.ok for w in report.window_checks}
+            assert not verdicts.pop((a, b))
+            assert all(verdicts.values())
+            assert report.chain_ok
+            assert all(m.ok for m in report.matched_checks)
+            assert not report.ok
+    assert served > N
 
 
 def test_wrong_annihilator_sum_before_the_stop_mismatches(monkeypatch):
