@@ -22,6 +22,7 @@ from .control import control_profile, order_profile
 from .convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
+    _code_window,
     dual_convolutional,
     strong_controllability_index,
     verify_window_duality,
@@ -92,7 +93,7 @@ def _analyze_convolutional(conv: ConvolutionalCode) -> dict:
     strong = strong_controllability_index(conv)
     windows = {}
     for n in range(1, min(conv.analysis_horizon, REPORT_WINDOWS) + 1):
-        windows[str(n)] = window_code(conv, n).cardinality
+        windows[str(n)] = _code_window(conv, n)[1]
     return {
         "kind": "convolutional",
         "symbol": list(conv.symbol.moduli),

@@ -103,15 +103,33 @@ def _gap_lengths(horizon: int, order: Callable[[int, int], int]) -> tuple[int, .
     C ∩ [k, k+L), so C_k(L) = C exactly when
     |Z_k| · |C ∩ [0, k+L)| = |C| · |C ∩ [k, k+L)|.  At k + L = N both
     sides are |Z_k| · |C|, so the search stops there.
+
+    The search at k + 1 starts at max(L_k - 1, 0), not at 0.  This is
+    exact: Z_{k+1} lies in Z_k, so
+    C_{k+1}(L') = Z_{k+1} + C ∩ [0, k+1+L') ⊆ Z_k + C ∩ [0, k+L'+1) = C_k(L'+1),
+    and C_{k+1}(L') = C forces C_k(L'+1) = C, that is L_{k+1} >= L_k - 1;
+    as C_k(L) grows with L, the first L passing from there is the least.
+    So the window end e = k + L never moves back, and each prefix order
+    |C ∩ [0, e)| is read once.  |C ∩ [k, k)| = 1 and |C ∩ [0, 0)| = 1,
+    and at e = N the orders are |C| and |Z_k|: none of these is read.
+    L_0 = 0 (Z_0 = C), so one call reads at most 4N - 3 orders: |C|, the
+    N - 1 suffixes |Z_k|, at most N - 1 prefixes, and one window per try
+    at k >= 1, of which N - 1 pass and at most N - 1 fail (a failure moves
+    e up by one; e jumps from 0 to 1 at k = 1 and stops at N).
     """
     total = order(0, horizon)
-    lengths = []
+    lengths, end, prefix = [], 0, 1  # prefix = |C ∩ [0, end)|
     for k in range(horizon):
-        suffix = order(k, horizon)
-        L = 0
-        while suffix * order(0, k + L) != total * order(k, k + L):
-            L += 1
-        lengths.append(L)
+        suffix = order(k, horizon) if k else total
+        if end < k:
+            end, prefix = k, order(0, k)
+        while True:
+            inner = 1 if end == k else suffix if end == horizon else order(k, end)
+            if suffix * prefix == total * inner:
+                break
+            end += 1
+            prefix = total if end == horizon else order(0, end)
+        lengths.append(end - k)
     return tuple(lengths)
 
 

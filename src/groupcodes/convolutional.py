@@ -5,6 +5,7 @@ span the code) or by kernel taps (checks h with sum_t pairing(w_{k+t}, h_t)
 = 0 at every shift k).  The time axis is one-sided; windows [0, n) of the
 code and of its finite-support part are exact: cut windows are reads of one
 window per code, those that need an infinite tail of one of proved length.
+A read gives the window's Howell rows and order, with no code built.
 The weak verdicts stop at a proved window; only the strong-index search is
 heuristic, and past its horizon it reports "unknown", not a theorem.
 
@@ -22,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .codes import BlockCode, SequenceSpace, _cached, window_projection
+from .codes import BlockCode, SequenceSpace, _cached, _projection
 from .control import control_profile
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
-from .linalg import _trusted, annihilator_rows
+from .linalg import Vector, _trusted, annihilator_rows
 
 __all__ = [
     "ConvolutionalCode",
@@ -84,12 +85,18 @@ class ConvolutionalCode:
         return max(self.memory - 1, 1)
 
     @_cached
+    def _reads(self) -> int:  # the long windows serve reads n <= this
+        return max(self.state_length, min(self.analysis_horizon, REPORT_WINDOWS))
+
+    @_cached
     def _settled(self) -> dict[tuple, tuple[int, BlockCode]]:
         return {}  # chain -> settle step and long window (_settled_window)
 
     @_cached
     def _cut(self) -> list[BlockCode]:
-        return []  # the one cut window, regrown by a longer read (_cut_window)
+        # The one cut window, rebuilt by a longer read (_cut_code); every cut
+        # read takes its rows and order off it, or off its prefix codes.
+        return []
 
     @_cached
     def _dual(self) -> "ConvolutionalCode":
@@ -132,26 +139,41 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
 # Reports (``cli``) read n = 1..min(horizon, REPORT_WINDOWS); kept windows cover them.
 REPORT_WINDOWS = 6
 
+# A window of a code read off a kept window: its Howell rows and its order.
+Window = tuple[tuple[Vector, ...], int]
 
-def _cut_window(conv: ConvolutionalCode, n: int) -> BlockCode:
-    """``_window(conv, n, cut=True)``, read off the cut window kept on the code."""
+
+def _cut_code(conv: ConvolutionalCode, length: int) -> BlockCode:
+    """A code whose windows [0, n), n <= ``length``, are those of
+    ``_window(conv, length, cut=True)``, taken from the cut window kept on
+    the code (rebuilt at ``length`` when shorter): the kept window itself in
+    image form, as the shifts from ``length`` on vanish on [0, length); in
+    kernel form its words vanishing from ``length`` on (a table entry of
+    the kept window), as a zero extension meets the checks at shifts
+    k >= ``length`` trivially."""
     kept = conv._cut
-    if not kept or kept[0].space.horizon < n:
+    if not kept or kept[0].space.horizon < length:
         first = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
-        kept[:] = [_window(conv, max(n, first), cut=True)]
-    window = kept[0] if conv.form == "image" else kept[0].prefix_code(n)
-    return window_projection(window, 0, n)
+        kept[:] = [_window(conv, max(length, first), cut=True)]
+    return kept[0] if conv.form == "image" else kept[0].prefix_code(length)
+
+
+def _cut_window(conv: ConvolutionalCode, n: int) -> Window:
+    """``_window(conv, n, cut=True)`` as rows and order, read off the kept
+    cut window (``_cut_code``)."""
+    return _projection(_cut_code(conv, n), 0, n)
 
 
 # Chains of ``_settled_window``: (window builder, past); past = 1 when the
 # read keeps the words supported in [0, n), which needs s symbols past n.
 _CODE = (local_window, 0)
-_FINITE_SUPPORT = (_cut_window, 0)
+_FINITE_SUPPORT = (_cut_code, 0)
 _ZERO_EXTENSION = (local_window, 1)
 
 
-def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
-    """The window [0, n) of a chain, read off a window of settled length.
+def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> Window:
+    """The window [0, n) of a chain, as rows and order, read off a window of
+    settled length.
 
     Let s = max(memory - 1, 1).  A check spans at most s + 1 symbols, so on
     [0, L + 1), L >= s, it lies in [0, s + 1) or in [1, L + 1): each chain
@@ -165,7 +187,8 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
     coefficients c, P_{j+1} = {c.taps + (0, p_0..p_{s-2}) : p in P_j,
     c.taps + p_{s-1} = 0 at s}, P_0 <= P_1.  So the first repeat
     X_{j*+1} = X_{j*} fixes X_j for every j >= j*, and j* <= s * Omega(|G|):
-    a strict step moves |X_j| by a prime.
+    a strict step moves |X_j| by a prime.  Each step compares the Howell
+    rows of X_j on G^s, which are equal exactly when the subgroups are.
 
     Reads: a word on [0, n) is in proj_[0,n) local_window(L), L >= max(n, s),
     iff it meets the checks inside [0, n) and its last s symbols (for n < s,
@@ -174,49 +197,74 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> BlockCode:
     the finite support.  An image combination vanishing from n on is its
     shifts starting before n, ending before n + s, plus the rest, whose
     [n, n + s) part cancels theirs and lies in P_{L-n-s} shifted by n; so
-    L >= n + s + j* gives the zero-extension window.
+    L >= n + s + j* gives the zero-extension window.  The long window kept
+    per chain has L = reads + j* + past * s, reads = max(s, min(N,
+    REPORT_WINDOWS)), so it serves every n <= reads; a longer read builds
+    its own.  A read is ``codes._projection`` of the window (of its words
+    supported in [0, n) when past = 1): no code is built for it.  The
+    finite-support chain reads the kept cut window itself (``_cut_code``).
     """
     build, past = chain
     s = conv.state_length
 
-    def read(w: BlockCode, b: int) -> BlockCode:
-        return window_projection(w.prefix_code(b) if past else w, 0, b)
+    def read(w: BlockCode, b: int) -> Window:
+        return _projection(w.prefix_code(b) if past else w, 0, b)
 
     if chain not in conv._settled:
-        step, states = 0, read(build(conv, s), s)
-        while (following := read(build(conv, s + step + 1), s)) != states:
+        step, states = 0, read(build(conv, s), s)[0]
+        while (following := read(build(conv, s + step + 1), s)[0]) != states:
             step, states = step + 1, following
-        reads = max(s, min(conv.analysis_horizon, REPORT_WINDOWS))
-        conv._settled[chain] = step, build(conv, reads + step + past * s)
+        conv._settled[chain] = step, build(conv, conv._reads + step + past * s)
     step, window = conv._settled[chain]
-    length = max(n, s) + step + past * s
-    if length > window.space.horizon:
-        window = build(conv, length)
+    if n > conv._reads:
+        window = build(conv, n + step + past * s)
     return read(window, n)
 
 
-def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
-    """The window [0, n) of the code: exact image of the projection.
-
-    Image form: span of all shift restrictions, boundary cuts included, read
-    off the cut window (the shifts from n on vanish on [0, n)).  Kernel form:
-    read off its settled chain (``_settled_window``).
-    """
+def _code_window(conv: ConvolutionalCode, n: int) -> Window:
+    """The window [0, n) of the code: read off the cut window in image form
+    (the shifts from n on vanish on [0, n)), off its settled chain in
+    kernel form."""
     if conv.form == "image":
         return _cut_window(conv, n)
     return _settled_window(conv, _CODE, n)
 
 
-def zero_extension_window(conv: ConvolutionalCode, n: int) -> BlockCode:
-    """Words on [0, n) whose zero extension is a finite-support codeword.
-
-    Kernel form: exact, read off the cut window, since a zero extension meets
-    the checks at shifts k >= n trivially.  Image form: the shift combinations
-    vanishing from n on, read off their settled chain (``_settled_window``).
-    """
+def _zero_extension_window(conv: ConvolutionalCode, n: int) -> Window:
+    """The words on [0, n) whose zero extension is a finite-support
+    codeword: read off the cut window in kernel form (a zero extension meets
+    the checks at shifts k >= n trivially), off the settled chain of the
+    shift combinations vanishing from n on in image form."""
     if conv.form == "kernel":
         return _cut_window(conv, n)
     return _settled_window(conv, _ZERO_EXTENSION, n)
+
+
+def _block_window(conv: ConvolutionalCode, n: int, read) -> BlockCode:
+    """The rows a reader gives for [0, n), as a code on [0, n); the space
+    refuses n < 1 before anything is read."""
+    space = SequenceSpace((conv.symbol,) * n)
+    return BlockCode.from_howell(space, read(conv, n)[0])
+
+
+def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
+    """The window [0, n) of the code: exact image of the projection.
+
+    Image form: span of all shift restrictions, boundary cuts included.
+    Kernel form: the words on [0, n) that extend to codewords.  A thin
+    wrapper: the rows are those the analyses read (``_code_window``), off
+    the kept cut window or the settled chain, wrapped in a code on [0, n).
+    """
+    return _block_window(conv, n, _code_window)
+
+
+def zero_extension_window(conv: ConvolutionalCode, n: int) -> BlockCode:
+    """Words on [0, n) whose zero extension is a finite-support codeword.
+
+    A thin wrapper: the rows are those the analyses read
+    (``_zero_extension_window``), wrapped in a code on [0, n).
+    """
+    return _block_window(conv, n, _zero_extension_window)
 
 
 @dataclass(frozen=True)
@@ -258,8 +306,8 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     if conv.form == "image":
         return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, min(N, conv.state_length) + 1):
-        full = window_code(conv, n).cardinality
-        inner = _settled_window(conv, _FINITE_SUPPORT, n).cardinality
+        full = _code_window(conv, n)[1]
+        inner = _settled_window(conv, _FINITE_SUPPORT, n)[1]
         if full != inner:
             return WeakControllabilityVerdict(False, N, n, full, inner)
     return WeakControllabilityVerdict(holds=True, horizon=N)
@@ -331,11 +379,11 @@ def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:
 
 def verify_window_duality(conv: ConvolutionalCode, n: int) -> bool:
     """Exact per-window duality, by pairing and counting: the annihilator of
-    the window of the code equals the zero-extension window of the dual."""
-    x, y = window_code(conv, n), zero_extension_window(conv._dual, n)
-    return is_annihilator(
-        x.basis.rows, x.cardinality, y.basis.rows, y.cardinality, x.basis.moduli
-    )
+    the window of the code equals the zero-extension window of the dual.
+    Both are read as rows and orders (``_code_window``,
+    ``_zero_extension_window``) and paired over the moduli of G^n."""
+    (x, x_order), (y, y_order) = _code_window(conv, n), _zero_extension_window(conv._dual, n)
+    return is_annihilator(x, x_order, y, y_order, conv.symbol.moduli * n)
 
 
 def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
@@ -353,15 +401,11 @@ def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     if conv.form == "kernel":
         return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, min(N, conv.state_length) + 1):
-        finite = zero_extension_window(conv, n)
-        dual_part = _settled_window(conv._dual, _FINITE_SUPPORT, n)
+        finite, finite_order = _zero_extension_window(conv, n)
+        dual_part, dual_order = _settled_window(conv._dual, _FINITE_SUPPORT, n)
         if not is_annihilator(
-            finite.basis.rows,
-            finite.cardinality,
-            dual_part.basis.rows,
-            dual_part.cardinality,
-            finite.basis.moduli,
+            finite, finite_order, dual_part, dual_order, conv.symbol.moduli * n
         ):
-            closure = finite.space.cardinality // dual_part.cardinality
-            return WeakControllabilityVerdict(False, N, n, closure, finite.cardinality)
+            closure = conv.symbol.cardinality**n // dual_order
+            return WeakControllabilityVerdict(False, N, n, closure, finite_order)
     return WeakControllabilityVerdict(holds=True, horizon=N)

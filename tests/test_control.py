@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
+    _annihilator_order,
+    _internal,
     code_from_generators,
     intersect,
     join,
@@ -25,6 +27,7 @@ from groupcodes.codes import (
 )
 from groupcodes.control import (
     ProfileInsufficientError,
+    _gap_lengths,
     _order_split_everywhere,
     _window_solution,
     chunk_decompose,
@@ -45,6 +48,9 @@ from groupcodes.linalg import (
     vector_order,
 )
 from groupcodes.oracle import brute
+
+from .conftest import BAND_SPEC_PATHS, band_code
+from .test_codes import mixed_codes
 
 
 def space(*symbol_moduli):
@@ -653,3 +659,91 @@ class TestTableReads:
                 for b in range(a, N + 1):
                     inner = window_internal(code, a, b)
                     assert window_order(code, a, b) == len(set(inner.words()))
+
+
+def full_gap_lengths(horizon, order):
+    """``_gap_lengths`` as it searched before the two-pointer: every
+    position from L = 0, every order read again."""
+    total = order(0, horizon)
+    lengths = []
+    for k in range(horizon):
+        suffix = order(k, horizon)
+        L = 0
+        while suffix * order(0, k + L) != total * order(k, k + L):
+            L += 1
+        lengths.append(L)
+    return tuple(lengths)
+
+
+@st.composite
+def banded_codes(draw):
+    """Codes over 1-10 symbols spanned by words on short random windows, so
+    that the gap lengths rise and fall along the horizon."""
+    symbol = draw(st.sampled_from(((2,), (4,), (2, 2), (3,), (8,))))
+    N = draw(st.integers(1, 10))
+    sp = space(*[symbol] * N)
+    width = len(symbol)
+    gens = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(st.integers(0, N - 1))
+        b = draw(st.integers(a + 1, min(N, a + 4)))
+        word = [0] * (N * width)
+        for i in range(a * width, b * width):
+            word[i] = draw(st.integers(0, symbol[i % width] - 1))
+        gens.append(word)
+    return code_from_generators(sp, gens)
+
+
+def _both_orders(code):
+    """The window orders of C and of C-perp, as the counts read them."""
+    return (
+        lambda a, b: _internal(code, a, b)[1],
+        lambda a, b: _annihilator_order(code, a, b),
+    )
+
+
+def _counted(order):
+    reads = []
+
+    def read(a, b):
+        reads.append((a, b))
+        return order(a, b)
+
+    return read, reads
+
+
+class TestGapLengthsTwoPointer:
+    """The gap lengths, searched from max(L_{k-1} - 1, 0) with each prefix
+    order read once, against the search from 0 at every position."""
+
+    @given(st.one_of(mixed_codes(), banded_codes()))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_full_search(self, code):
+        N = code.space.horizon
+        for order in _both_orders(code):
+            assert _gap_lengths(N, order) == full_gap_lengths(N, order)
+
+    def test_one_call_reads_at_most_4n_minus_3(self, exhaustive_corpus, random_corpus):
+        # The bound of the docstring; a constant profile L >= 1 takes four
+        # reads at each inner position (|Z_k|, a failing and a passing
+        # window, one new prefix), so 3N is not a bound.
+        bands = [band_code(path.name) for path in BAND_SPEC_PATHS]
+        total = horizons = 0
+        for code in exhaustive_corpus + random_corpus + bands:
+            N = code.space.horizon
+            for order in _both_orders(code):
+                read, reads = _counted(order)
+                _gap_lengths(N, read)
+                assert len(reads) <= 4 * N - 3, (code, reads)
+                total, horizons = total + len(reads), horizons + N
+        # On average far fewer; the full search reads about 5.4 per position.
+        assert total <= 3 * horizons
+
+    def test_prefix_orders_are_read_once(self):
+        for path in BAND_SPEC_PATHS:
+            code = band_code(path.name)
+            for order in _both_orders(code):
+                read, reads = _counted(order)
+                _gap_lengths(code.space.horizon, read)
+                prefixes = [b for a, b in reads if a == 0]
+                assert len(prefixes) == len(set(prefixes))

@@ -1,6 +1,7 @@
 """Tests for time-invariant window systems and their verdicts."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcodes.codes import window_internal, window_projection
+from groupcodes.codes import BlockCode, SequenceSpace, window_internal, window_projection
 from groupcodes.control import reachable_set
 from groupcodes.convolutional import (
     REPORT_WINDOWS,
@@ -17,8 +18,10 @@ from groupcodes.convolutional import (
     _CODE,
     _FINITE_SUPPORT,
     _ZERO_EXTENSION,
+    _code_window,
     _settled_window,
     _window,
+    _zero_extension_window,
     dual_convolutional,
     local_window,
     strong_controllability_index,
@@ -46,6 +49,12 @@ def kernel(symbol, *taps, horizon=None):
 
 ACCUMULATOR = image(Z2, ((1,), (1,)))  # single binary tap (1, 1)
 CONSTANT = kernel(Z2, ((1,), (1,)))  # single binary check (1, 1)
+
+
+def finite_support_window(conv, n):
+    """The finite-support window [0, n) the weak verdicts read, as a code."""
+    rows, _ = _settled_window(conv, _FINITE_SUPPORT, n)
+    return BlockCode.from_howell(SequenceSpace((conv.symbol,) * n), rows)
 
 
 class TestWindowCode:
@@ -140,7 +149,7 @@ class TestWeakControllability:
         for conv in (ACCUMULATOR, image(Z4, ((1,), (2,))), image(V4, ((1, 0), (0, 1)))):
             verdict = weak_controllability(conv)
             assert verdict.holds and verdict.horizon == conv.analysis_horizon
-        assert calls == {"window_code": 0, "zero_extension_window": 0}
+        assert calls and not any(calls.values())
 
 
 class TestStrongControllability:
@@ -257,15 +266,15 @@ class TestDuality:
         for conv in codes:
             verdict = weak_observability(conv)
             assert verdict.holds and verdict.horizon == conv.analysis_horizon
-        assert calls == {"window_code": 0, "zero_extension_window": 0}
+        assert calls and not any(calls.values())
 
 
 def _count_window_calls(monkeypatch):
-    """Wrap the window builders the weak verdicts call; return the counts."""
+    """Wrap the window readers the weak verdicts call; return the counts."""
     import groupcodes.convolutional as module
 
     calls = {}
-    for name in ("window_code", "zero_extension_window"):
+    for name in ("_code_window", "_zero_extension_window", "_settled_window", "_cut_window"):
         original = getattr(module, name)
         calls[name] = 0
 
@@ -364,7 +373,7 @@ class TestSettledWindows:
         for conv in self.CODES:
             for n in range(1, 7):
                 assert window_code(conv, n).cardinality == 1
-                assert _settled_window(conv, _FINITE_SUPPORT, n).cardinality == 1
+                assert finite_support_window(conv, n).cardinality == 1
             assert weak_controllability(conv).holds
 
     def test_one_long_window_per_chain(self, monkeypatch):
@@ -592,7 +601,7 @@ class TestStateGraphTwin:
     def test_windows_match_state_graph(self, conv):
         for n, (full, finite, zero_extension) in _state_graph_windows(conv, 4).items():
             assert set(window_code(conv, n).words()) == full
-            assert set(_settled_window(conv, _FINITE_SUPPORT, n).words()) == finite
+            assert set(finite_support_window(conv, n).words()) == finite
             if zero_extension is not None:
                 assert set(zero_extension_window(conv, n).words()) == zero_extension
 
@@ -606,9 +615,9 @@ def _reference_weak_verdicts(conv):
     for n in range(1, N + 1):
         if conv.form == "kernel":
             full = window_code(conv, n)
-            inner = _settled_window(conv, _FINITE_SUPPORT, n)
+            inner = finite_support_window(conv, n)
         else:
-            full = dual_block_code(_settled_window(dual, _FINITE_SUPPORT, n))
+            full = dual_block_code(finite_support_window(dual, n))
             inner = zero_extension_window(conv, n)
         if full != inner:
             failed = WeakControllabilityVerdict(
@@ -665,7 +674,7 @@ class TestWeakVerdictTwin:
         import groupcodes.duality as duality
 
         reads, duals = [], []
-        for name in ("window_code", "zero_extension_window", "_settled_window"):
+        for name in ("_code_window", "_zero_extension_window", "_settled_window", "_cut_window"):
             original = getattr(module, name)
 
             def counted(conv, *args, _original=original):
@@ -776,7 +785,8 @@ class TestCutWindowReads:
         "spec", ["two_tap_kernel.spec", "z2x2_kernel.spec", "z4_12_kernel.spec"]
     )
     def test_kernel_analyze_makes_no_whole_horizon_copy(self, spec, monkeypatch):
-        # A read onto a window's whole horizon is the window itself.
+        # A read onto a window's whole horizon hands back the window's own
+        # rows, with no code built and no row copied.
         import io
         from contextlib import redirect_stdout
 
@@ -785,16 +795,18 @@ class TestCutWindowReads:
 
         from .conftest import BAND_SPECS
 
-        project = module.window_projection
+        project = module._projection
         whole = []
 
         def recorded(code, a, b):
-            projected = project(code, a, b)
+            rows, order = project(code, a, b)
             if (a, b) == (0, code.space.horizon):
-                whole.append(projected is code)
-            return projected
+                own = code.basis.rows
+                whole.append(len(rows) == len(own) and all(map(operator.is_, rows, own)))
+                whole.append(order == code.cardinality)
+            return rows, order
 
-        monkeypatch.setattr(module, "window_projection", recorded)
+        monkeypatch.setattr(module, "_projection", recorded)
         with redirect_stdout(io.StringIO()):
             assert main(["analyze", str(BAND_SPECS / spec)]) == 0
         assert whole and all(whole)
@@ -863,3 +875,105 @@ class TestTrustedShiftRows:
                     assert trusted.basis == _residue_matrix_window(conv, n, cut).basis, (
                         conv, n, cut,
                     )
+
+
+def _parent_style_windows(conv, horizon):
+    """The code, zero-extension and finite-support windows [0, n), n <=
+    ``horizon``, as the window path computed them before it read rows off
+    kept windows: every read builds its window with ``_window`` and cuts it
+    with ``window_projection`` (after ``window_internal`` when it keeps the
+    words supported in [0, n)), each chain's settle step found once by the
+    same loop on G^s."""
+    s = conv.state_length
+    local = lambda length: _window(conv, length, cut=False)  # noqa: E731
+    cut = lambda length: _window(conv, length, cut=True)  # noqa: E731
+
+    def read(window, b, past):
+        return window_projection(window_internal(window, 0, b) if past else window, 0, b)
+
+    def settled(build, past):
+        step, states = 0, read(build(s), s, past)
+        while (following := read(build(s + step + 1), s, past)) != states:
+            step, states = step + 1, following
+        return lambda n: read(build(max(n, s) + step + past * s), n, past)
+
+    cut_read = lambda n: read(cut(n), n, 0)  # noqa: E731
+    code = cut_read if conv.form == "image" else settled(local, 0)
+    zero_extension = cut_read if conv.form == "kernel" else settled(local, 1)
+    finite = settled(cut, 0)
+    for n in range(1, horizon + 1):
+        yield n, tuple(
+            (window.basis.rows, window.cardinality)
+            for window in (code(n), zero_extension(n), finite(n))
+        )
+
+
+ONE_TAP_CORPUS = _one_tap_corpus()
+
+
+class TestReaderTwin:
+    """The readers' (rows, order) against the parent-style route, on every
+    one-tap code over Z/2, Z/4, Z/2 x Z/2 and Z/8 and every n <= 9."""
+
+    LONGEST = 9
+
+    @pytest.mark.parametrize("symbol", [Z2, Z4, V4, FiniteAbelianGroup((8,))], ids=str)
+    def test_reads_match_built_windows(self, symbol):
+        codes = [conv for conv in ONE_TAP_CORPUS if conv.symbol == symbol]
+        assert codes
+        for conv in codes:
+            for n, (code, zero_extension, finite) in _parent_style_windows(conv, self.LONGEST):
+                assert _code_window(conv, n) == code, (conv, n)
+                assert _zero_extension_window(conv, n) == zero_extension, (conv, n)
+                assert _settled_window(conv, _FINITE_SUPPORT, n) == finite, (conv, n)
+
+
+class TestReadBuilds:
+    """The analyses read windows as rows: no window code per read."""
+
+    # howell_form calls of one ``analyze`` and one ``duality-check``, from a
+    # cold Howell cache.  The readers add none.  The gap lengths read no
+    # |C ∩ [0, 0)|, so each of the two control profiles of z4_12_kernel's
+    # strong-index search builds no prefix code C ∩ [0, 0): 49 with the
+    # full search.
+    HOWELL = {"z4_12_kernel.spec": 47, "two_tap_kernel.spec": 26}
+
+    @pytest.mark.parametrize("spec", sorted(HOWELL))
+    def test_reports_build_no_window_code_per_read(self, spec, monkeypatch):
+        import io
+        import sys
+        from contextlib import redirect_stdout
+
+        import groupcodes.convolutional as module
+        from groupcodes.cli import main
+        from groupcodes.linalg import _howell_cached
+
+        from .conftest import BAND_SPECS
+
+        counts = dict.fromkeys(("window_projection", "howell_form", "reads", "spaces"), 0)
+
+        def counting(original, key):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name, owner in list(sys.modules.items()):
+            if name.startswith("groupcodes"):
+                for target in ("window_projection", "howell_form"):
+                    if hasattr(owner, target):
+                        patched = counting(getattr(owner, target), target)
+                        monkeypatch.setattr(owner, target, patched)
+        for reader in ("_settled_window", "_cut_window"):
+            monkeypatch.setattr(module, reader, counting(getattr(module, reader), "reads"))
+        monkeypatch.setattr(
+            SequenceSpace, "__post_init__", counting(SequenceSpace.__post_init__, "spaces")
+        )
+        _howell_cached.cache_clear()
+        for command in ("analyze", "duality-check"):
+            with redirect_stdout(io.StringIO()):
+                assert main([command, str(BAND_SPECS / spec)]) == 0
+        assert counts["window_projection"] == 0
+        assert 0 < counts["spaces"] < counts["reads"]
+        assert counts["howell_form"] == self.HOWELL[spec]

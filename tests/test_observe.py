@@ -472,7 +472,9 @@ class TestRowReadsTwin:
 def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # Windows are read as rows: one report builds the table entries, the
     # matched sides and their duals, O(N) codes, and none per window.  The
-    # Howell forms are those of the tables and the matched sides.
+    # Howell forms are those of the tables and the matched sides.  The gap
+    # lengths read no |C ∩ [0, 0)|, so the control profile builds no
+    # prefix code C ∩ [0, 0): 66 Howell forms (67 with the full search).
     import groupcodes.linalg as linalg_module
     from groupcodes.cli import main
 
@@ -503,7 +505,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
         assert main(["duality-check", str(path)]) == 0
     N = 10
     assert calls["codes"] <= 8 * N
-    assert calls["howell_form"] == 67
+    assert calls["howell_form"] == 66
 
 
 def _first_top(side, top, N):

@@ -1,0 +1,41 @@
+"""Smoke test of `tests/report_digest.py`, the report identity tool."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tests" / "report_digest.py"
+COMMANDS = {"block-codes": 12, "long-horizon": 10, "convolutional": 8}
+
+
+def run_tool(*args):
+    done = subprocess.run(
+        [sys.executable, str(TOOL), *args], cwd=ROOT, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_two_specs_per_workload():
+    lines = run_tool("--limit", "2", "--seeds", "7")
+    rows = [line.split("\t") for line in lines]
+    assert all(len(row) == 4 for row in rows)
+    per_workload = {}
+    for workload, command, digest, count in rows:
+        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+        assert count == "2 specs, seeds 7"
+        per_workload.setdefault(workload, []).append(command)
+    assert {w: len(c) for w, c in per_workload.items()} == COMMANDS
+    assert all(len(set(c)) == len(c) for c in per_workload.values())
+    # The same reports hash the same, whichever workloads are run with them.
+    again = run_tool("--limit", "2", "--seeds", "7", "--workload", "convolutional")
+    assert again == [line for line in lines if line.startswith("convolutional\t")]
+
+
+def test_refuses_an_empty_pool():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--limit", "0"], cwd=ROOT, capture_output=True
+    )
+    assert done.returncode == 2
