@@ -6,6 +6,8 @@ Exit codes: 0 when the command succeeds and any checked property holds,
 errors and for an ``oracle`` run above its bound.  Reports are byte-stable
 for fixed input and flags; positions are printed in both the internal
 convention (0-based, half-open) and the classical one (1-based, closed).
+Each subcommand returns one report, which ``_emit`` prints and maps to
+exit 0 or 1; ``main`` turns an error into exit 2.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import math
 import sys
 from typing import Optional, Sequence
 
+from . import oracle
 from .codes import BlockCode, invariant_factors_of_code, window_order
-from .control import control_profile, order_profile
+from .control import control_profile, order_profile, reachable_set
 from .convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
@@ -31,8 +34,8 @@ from .convolutional import (
     window_code,
 )
 from .duality import dual_block_code
-from .observe import check_control_observe_duality, observe_profile
-from .oracle import DEFAULT_BOUND, OracleBoundExceeded, brute, check_bound
+from .observe import check_control_observe_duality, consistency_set, observe_profile
+from .oracle import DEFAULT_BOUND, OracleBoundExceeded
 from .specfmt import (
     CodeSpecDocument,
     SpecError,
@@ -42,6 +45,10 @@ from .specfmt import (
     parse_spec,
 )
 from .structure import DecompositionError, cyclic_product_decomposition
+
+# A subcommand's report: its JSON form (None for a text-only report), its
+# text, and whether it holds (exit 0, else 1).
+Report = tuple[Optional[dict], str, bool]
 
 PROPERTIES = (
     "weak-controllable",
@@ -151,38 +158,27 @@ def _render_analysis(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> Report:
     doc = _load(args.spec)
     data = (
         _analyze_block(doc.to_block_code())
         if doc.kind == "block"
         else _analyze_convolutional(doc.to_convolutional())
     )
-    if args.format == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        sys.stdout.write(_render_analysis(data))
-    return 0
+    return data, _render_analysis(data), True
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> Report:
     doc = _load(args.spec)
     if doc.kind == "block":
         dual_doc = document_from_block_code(dual_block_code(doc.to_block_code()))
     else:
         dual_doc = document_from_convolutional(dual_convolutional(doc.to_convolutional()))
-    if args.format == "json":
-        payload = {
-            "kind": dual_doc.kind,
-            "document": emit_spec(dual_doc),
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        sys.stdout.write(emit_spec(dual_doc))
-    return 0
+    text = emit_spec(dual_doc)
+    return {"kind": dual_doc.kind, "document": text}, text, True
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> Report:
     doc = _load(args.spec)
     if doc.kind != "block":
         raise SpecError("decompose expects a block code document", field="kind")
@@ -190,8 +186,7 @@ def _cmd_decompose(args) -> int:
     try:
         decomposition = cyclic_product_decomposition(code)
     except DecompositionError as exc:
-        print(f"decomposition failed: {exc}")
-        return 1
+        return None, f"decomposition failed: {exc}\n", False
     # A verified decomposition recombines to the code: subdirect = verified.
     cert = decomposition.certificate
     data = {
@@ -210,30 +205,24 @@ def _cmd_decompose(args) -> int:
         "verified": cert.ok,
         "subdirect": cert.ok,
     }
-    if args.format == "json":
-        print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        lines = ["groupcodes decomposition report"]
-        for i, g in enumerate(data["generators"], start=1):
-            lines.append(
-                f"y_{i} = {g['word']} on window [{g['window'][0]},{g['window'][1]}) "
-                f"(1-based closed {g['window_1based_closed']}), order {g['order']}"
-                + (f", prime {g['prime']}" if g["prime"] is not None else "")
-            )
+    lines = ["groupcodes decomposition report"]
+    for i, g in enumerate(data["generators"], start=1):
         lines.append(
-            f"order product {data['order_product']} vs cardinality {data['cardinality']}"
+            f"y_{i} = {g['word']} on window [{g['window'][0]},{g['window'][1]}) "
+            f"(1-based closed {g['window_1based_closed']}), order {g['order']}"
+            + (f", prime {g['prime']}" if g["prime"] is not None else "")
         )
-        lines.append("certificate:")
-        lines.extend("  " + ln for ln in cert.render().splitlines())
-        lines.append(f"subdirect: {'yes' if data['subdirect'] else 'no'}")
-        print("\n".join(lines))
-    return 0 if cert.ok else 1
+    lines.append(
+        f"order product {data['order_product']} vs cardinality {data['cardinality']}"
+    )
+    lines.append("certificate:")
+    lines.extend("  " + ln for ln in cert.render().splitlines())
+    lines.append(f"subdirect: {'yes' if data['subdirect'] else 'no'}")
+    return data, "\n".join(lines) + "\n", cert.ok
 
 
 def _check_block(code: BlockCode, prop: str, level: Optional[int]) -> tuple[bool, str]:
     if prop == "l-controllable":
-        if level is None:
-            raise SpecError("l-controllable needs --level", field="level")
         profile = control_profile(code)
         return (
             profile.is_l_controllable(level),
@@ -273,8 +262,6 @@ def _check_convolutional(
         verdict = weak_controllability(conv)
         return verdict.holds, verdict.render()
     if prop == "l-controllable":
-        if level is None:
-            raise SpecError("l-controllable needs --level", field="level")
         verdict = strong_controllability_index(conv)
         if not verdict.is_finite:
             return False, verdict.render()
@@ -287,51 +274,46 @@ def _check_convolutional(
     )
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Report:
     if args.level is not None and args.level < 0:
         raise SpecError(f"level must be at least 0, got {args.level}", field="level")
     doc = _load(args.spec)
-    if doc.kind == "block":
-        holds, detail = _check_block(doc.to_block_code(), args.property, args.level)
-    else:
-        holds, detail = _check_convolutional(
-            doc.to_convolutional(), args.property, args.level
-        )
-    print(f"property {args.property}: {'holds' if holds else 'fails'}")
-    print(detail)
-    return 0 if holds else 1
+    block = doc.kind == "block"
+    code = doc.to_block_code() if block else doc.to_convolutional()
+    if args.property == "l-controllable" and args.level is None:
+        raise SpecError("l-controllable needs --level", field="level")
+    check = _check_block if block else _check_convolutional
+    holds, detail = check(code, args.property, args.level)
+    verdict = "holds" if holds else "fails"
+    return None, f"property {args.property}: {verdict}\n{detail}\n", holds
 
 
-def _cmd_duality_check(args) -> int:
+def _cmd_duality_check(args) -> Report:
     doc = _load(args.spec)
     if doc.kind == "block":
         report = check_control_observe_duality(doc.to_block_code())
-        if args.format == "json":
-            data = {
-                "ok": report.ok,
-                "control_index": report.control_index,
-                "dual_observe_index": report.dual_observe_index,
-                "observe_index": report.observe_index,
-                "dual_control_index": report.dual_control_index,
-                "indices_match": report.indices_match,
-                "windows": [
-                    {"start": w.start, "stop": w.stop, "ok": w.ok}
-                    for w in report.window_checks
-                ],
-                "matched": [
-                    {
-                        "gap": m.gap,
-                        "subcode_dual_factors": list(m.subcode_dual_factors),
-                        "supercode_factors": list(m.supercode_factors),
-                        "ok": m.ok,
-                    }
-                    for m in report.matched_checks
-                ],
-            }
-            print(json.dumps(data, sort_keys=True, indent=2))
-        else:
-            print(report.render())
-        return 0 if report.ok else 1
+        data = {
+            "ok": report.ok,
+            "control_index": report.control_index,
+            "dual_observe_index": report.dual_observe_index,
+            "observe_index": report.observe_index,
+            "dual_control_index": report.dual_control_index,
+            "indices_match": report.indices_match,
+            "windows": [
+                {"start": w.start, "stop": w.stop, "ok": w.ok}
+                for w in report.window_checks
+            ],
+            "matched": [
+                {
+                    "gap": m.gap,
+                    "subcode_dual_factors": list(m.subcode_dual_factors),
+                    "supercode_factors": list(m.supercode_factors),
+                    "ok": m.ok,
+                }
+                for m in report.matched_checks
+            ],
+        }
+        return data, report.render() + "\n", report.ok
     conv = doc.to_convolutional()
     results = []
     for n in range(1, min(conv.analysis_horizon, REPORT_WINDOWS) + 1):
@@ -340,14 +322,11 @@ def _cmd_duality_check(args) -> int:
     obs = weak_observability(dual_convolutional(conv))
     verdict_match = ctrl.holds == obs.holds
     ok = verdict_match and all(good for _, good in results)
-    if args.format == "json":
-        data = {
-            "ok": ok,
-            "verdict_match": verdict_match,
-            "windows": [{"n": n, "ok": good} for n, good in results],
-        }
-        print(json.dumps(data, sort_keys=True, indent=2))
-        return 0 if ok else 1
+    data = {
+        "ok": ok,
+        "verdict_match": verdict_match,
+        "windows": [{"n": n, "ok": good} for n, good in results],
+    }
     lines = ["convolutional duality report"]
     for n, good in results:
         lines.append(
@@ -359,11 +338,10 @@ def _cmd_duality_check(args) -> int:
         f"{'match' if verdict_match else 'MISMATCH'}"
     )
     lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
-    print("\n".join(lines))
-    return 0 if ok else 1
+    return data, "\n".join(lines) + "\n", ok
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> Report:
     if args.bound < 0:
         raise SpecError(f"bound must be at least 0, got {args.bound}", field="bound")
     doc = _load(args.spec)
@@ -388,62 +366,67 @@ def _cmd_oracle(args) -> int:
                 outcome = "agree" if ok else "DISAGREE"
             lines.append(f"{label} :: {name}: {outcome}")
     lines.append(f"verdict: {'pass' if all_ok else 'FAIL'}")
-    print("\n".join(lines))
-    return 0 if all_ok else 1
+    return None, "\n".join(lines) + "\n", all_ok
 
 
 def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool | None]]:
     """(name, agrees) per check, after refusing a code above the bound;
-    None for a check over the whole ambient space, skipped above it."""
-    from .control import reachable_set
-    from .observe import consistency_set
-
-    check_bound(code, bound)
+    None for a check over the whole ambient space, skipped above it.  The
+    code is enumerated once, and every brute-force twin reads that list."""
+    oracle.check_bound(code, bound)
+    enum = oracle.enumerate_code(code, bound)
     N = code.space.horizon
-    checks = []
-    ok = True
-    for k in range(N):
-        for L in range(N - k + 1):
-            got = set(reachable_set(code, k, L).words())
-            if got != set(brute("reachable_set", code, k, L, bound=bound)):
-                ok = False
-    checks.append(("reachable sets", ok))
-    ok = True
-    ambient = code.space.cardinality
-    if ambient <= bound:
-        for k in range(N):
-            for L in range(N + 1):
-                got = set(consistency_set(code, k, L).words())
-                if got != set(brute("consistency_set", code, k, L, bound=bound)):
-                    ok = False
-        checks.append(("consistency sets", ok))
-        dual_words = set(dual_block_code(code).words())
-        checks.append(
-            ("annihilator", dual_words == set(brute("annihilator", code, bound=bound)))
+    reachable = all(
+        set(reachable_set(code, k, L).words())
+        == set(oracle.brute_reachable_set(enum, k, L))
+        for k in range(N)
+        for L in range(N - k + 1)
+    )
+    checks = [("reachable sets", reachable)]
+    if code.space.cardinality <= bound:
+        consistent = all(
+            set(consistency_set(code, k, L).words())
+            == set(oracle.brute_consistency_set(enum, k, L, bound))
+            for k in range(N)
+            for L in range(N + 1)
         )
+        dual_words = set(dual_block_code(code).words())
+        annihilator = dual_words == set(oracle.brute_annihilator(enum, bound))
+        checks += [("consistency sets", consistent), ("annihilator", annihilator)]
     else:
         checks += [("consistency sets", None), ("annihilator", None)]
-    checks.append(
-        (
-            "order profile",
-            order_profile(code).bounds == brute("order_profile", code, bound=bound),
-        )
-    )
-    checks.append(
-        (
-            "invariant factors",
-            invariant_factors_of_code(code) == brute("smith_invariants", code, bound=bound),
-        )
-    )
+    order = order_profile(code).bounds == oracle.brute_order_profile(enum)
+    factors = invariant_factors_of_code(code) == oracle.brute_smith_invariants(enum)
+    checks += [("order profile", order), ("invariant factors", factors)]
     try:
         decomposition = cyclic_product_decomposition(code)
         ok_main = decomposition.certificate.ok
         pairs = [(g.word, g.order) for g in decomposition.generators]
-        ok_brute = brute("verify_decomposition", code, pairs, bound=bound)
+        ok_brute = oracle.brute_verify_decomposition(enum, pairs)
         checks.append(("decomposition verification", ok_main and ok_brute))
     except DecompositionError:
         checks.append(("decomposition verification", False))
     return checks
+
+
+# name: (handler, help, --format choices with the default first)
+TEXT_JSON = ("text", "json")
+COMMANDS = {
+    "analyze": (_cmd_analyze, "cardinality, factors and profiles", TEXT_JSON),
+    "dual": (_cmd_dual, "emit the dual code document", ("spec", "json")),
+    "decompose": (_cmd_decompose, "cyclic product decomposition", TEXT_JSON),
+    "check": (_cmd_check, "named property verdicts", ()),
+    "duality-check": (_cmd_duality_check, "control/observe duality report", TEXT_JSON),
+    "oracle": (_cmd_oracle, "cross-check against brute force", ()),
+}
+# The options a subcommand takes besides its spec and --format.
+EXTRAS = {
+    "check": (
+        ("--property", {"required": True, "choices": PROPERTIES}),
+        ("--level", {"type": int, "default": None}),
+    ),
+    "oracle": (("--bound", {"type": int, "default": DEFAULT_BOUND}),),
+}
 
 
 @functools.cache
@@ -454,45 +437,35 @@ def build_parser() -> argparse.ArgumentParser:
         "finite abelian groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="cardinality, factors and profiles")
-    p.add_argument("spec")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("dual", help="emit the dual code document")
-    p.add_argument("spec")
-    p.add_argument("--format", choices=("spec", "json"), default="spec")
-    p.set_defaults(fn=_cmd_dual)
-
-    p = sub.add_parser("decompose", help="cyclic product decomposition")
-    p.add_argument("spec")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("check", help="named property verdicts")
-    p.add_argument("spec")
-    p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--level", type=int, default=None)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("duality-check", help="control/observe duality report")
-    p.add_argument("spec")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_duality_check)
-
-    p = sub.add_parser("oracle", help="cross-check against brute force")
-    p.add_argument("spec")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
-    p.set_defaults(fn=_cmd_oracle)
-
+    for name, (fn, help_text, formats) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("spec")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        for flag, options in EXTRAS.get(name, ()):
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
+
+
+def _emit(args, data: Optional[dict], text: str, ok: bool) -> int:
+    """Print one report and map whether it holds to exit 0 or 1.
+
+    ``data`` is the JSON form, printed under ``--format json``; a report
+    without one (``check``, ``oracle``, a failed decomposition) prints its
+    text under every format.
+    """
+    if data is not None and args.format == "json":
+        print(json.dumps(data, sort_keys=True, indent=2))
+    else:
+        sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _emit(args, *args.fn(args))
     except (ValueError, OracleBoundExceeded) as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,8 +8,10 @@ module.
 
 Two parametrizations of controllability coexist: the per-position gap
 lengths L_k measured here, and the per-prefix order-split bounds n(l) of
-the order profile.  They are interdefinable at finite horizon but are kept
-separate; no identification of n(l) with L_k + k is asserted anywhere.
+the order profile.  Both are reported.  The plain split under n(l), with
+no order condition, is C_l(n - l) = C, so it holds exactly from
+n = l + L_l on, and ``order_profile`` starts its search there; n(l) can
+still exceed l + L_l where the order condition fails.
 """
 
 from __future__ import annotations
@@ -244,10 +246,11 @@ def order_profile(code: BlockCode) -> OrderProfile:
     enumerated, so the code may be of any size.
 
     The order split needs the plain one, C = P + S with P = C ∩ [0, n) and
-    S = C ∩ [l, N).  As P ∩ S = C ∩ [l, n) and P + S ⊆ C, it holds exactly
-    when |P|·|S| = |C|·|C ∩ [l, n)|: three window orders decide it.  The
-    split graph is built only where it holds and the exponent has a level
-    to test (``_order_split_everywhere``).
+    S = C ∩ [l, N).  That is C_l(n - l) = Z_l + C ∩ [0, n) = C, which
+    holds exactly when n - l >= L_l (``control_profile``), so the search at
+    l < N starts at n = l + L_l; at l = N only n = N is left.  The split
+    graph is built only where the exponent has a level to test
+    (``_order_split_everywhere``).
     """
     N = code.space.horizon
     group = FiniteAbelianGroup(code.space.flat_moduli)
@@ -257,20 +260,17 @@ def order_profile(code: BlockCode) -> OrderProfile:
         while exponent % (q * p) == 0:
             levels.append(q)
             q *= p
+    lengths = control_profile(code).lengths
     bounds = []
     for l in range(N + 1):
-        suffix = window_internal(code, l, N)
-        for n in range(l, N):
-            sizes = _internal(code, 0, n)[1] * suffix.cardinality
-            if sizes != code.cardinality * _internal(code, l, n)[1]:
-                continue
-            if not levels or _order_split_everywhere(
+        n = l + lengths[l] if l < N else N
+        if levels and n < N:
+            suffix = window_internal(code, l, N)
+            while n < N and not _order_split_everywhere(
                 code, code.prefix_code(n), suffix, n, levels
             ):
-                bounds.append(n)
-                break
-        else:
-            bounds.append(N)
+                n += 1
+        bounds.append(n)
     return OrderProfile(tuple(bounds))
 
 

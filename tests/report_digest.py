@@ -51,6 +51,7 @@ BLOCK = (
     ("duality-check", "--format", "json"),
     *CHECKS,
     ("check", "--property", "rectangular"),
+    ("check", "--property", "subdirect"),
 )
 # (command words before the spec path, then after it) per workload.
 COMMANDS = {
@@ -60,9 +61,13 @@ COMMANDS = {
         ("analyze",),
         ("analyze", "--format", "json"),
         ("dual",),
+        ("dual", "--format", "json"),
         ("duality-check",),
         ("duality-check", "--format", "json"),
         *CHECKS,
+        # Block-only commands: each report is one exit-2 error line.
+        ("decompose",),
+        ("check", "--property", "rectangular"),
     ),
 }
 

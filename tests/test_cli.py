@@ -438,6 +438,122 @@ class TestOracle:
         ]
 
 
+    @pytest.mark.parametrize("spec, codes", [("even_weight.spec", 1), ("constant_kernel.spec", 4)])
+    def test_each_code_is_enumerated_once(self, spec, codes, monkeypatch):
+        # One generator closure per code, shared by every brute-force check,
+        # not one per window.
+        import groupcodes.oracle
+
+        enumerate_code = groupcodes.oracle.enumerate_code
+        calls = []
+
+        def counted(code, bound=groupcodes.oracle.DEFAULT_BOUND):
+            calls.append(code)
+            return enumerate_code(code, bound)
+
+        monkeypatch.setattr(groupcodes.oracle, "enumerate_code", counted)
+        code, out, err = run_cli("oracle", str(SPECS / spec))
+        assert (code, err) == (0, "")
+        labels = {line.split(" :: ")[0] for line in out.splitlines() if " :: " in line}
+        assert len(calls) == len(labels) == codes
+        assert len({id(c) for c in calls}) == codes
+
+
+class TestExitContract:
+    """Every input error exits 2 with nothing on stdout and one ``error:``
+    line on stderr, whichever subcommand meets it."""
+
+    COMMANDS = [
+        ("analyze",),
+        ("dual",),
+        ("decompose",),
+        ("check", "--property", "observable"),
+        ("duality-check",),
+        ("oracle",),
+    ]
+
+    @staticmethod
+    def assert_error(argv, message=None):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith("\n")
+        assert err.count("\n") == 1
+        if message is not None:
+            assert err == f"error: {message}\n"
+        return err
+
+    def test_every_subcommand_is_swept(self):
+        import groupcodes.cli
+
+        assert [c[0] for c in self.COMMANDS] == list(groupcodes.cli.COMMANDS)
+
+    @pytest.mark.parametrize("source", ["missing", "directory", "malformed"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_unreadable_input(self, command, source, tmp_path):
+        # A directory raises IsADirectoryError, an OSError other than
+        # FileNotFoundError; it still exits 2 with one error line.
+        if source == "missing":
+            path, message = tmp_path / "no_such.spec", "error: no such file: "
+        elif source == "directory":
+            path, message = tmp_path, "error: cannot read "
+        else:
+            path, message = tmp_path / "bad.spec", "error: line 3: "
+            path.write_text("kind: block\nsymbols: [2]\ngenerator: 7\n", encoding="utf-8")
+        err = self.assert_error([command[0], str(path), *command[1:]])
+        assert err.startswith(message)
+        if source == "malformed":
+            assert "out of range" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["decompose"],
+                "field 'kind': decompose expects a block code document",
+            ),
+            (
+                ["decompose", "--format", "json"],
+                "field 'kind': decompose expects a block code document",
+            ),
+            (
+                ["check", "--property", "rectangular"],
+                "field 'property': property 'rectangular' not available "
+                "for convolutional codes",
+            ),
+            (
+                ["check", "--property", "subdirect"],
+                "field 'property': property 'subdirect' not available "
+                "for convolutional codes",
+            ),
+        ],
+        ids=["decompose", "decompose-json", "rectangular", "subdirect"],
+    )
+    def test_block_only_commands_on_a_convolutional_spec(self, constant_spec, argv, message):
+        self.assert_error([argv[0], constant_spec, *argv[1:]], message)
+
+    @pytest.mark.parametrize("spec", ["even_weight.spec", "constant_kernel.spec"])
+    def test_l_controllable_needs_a_level(self, spec):
+        argv = ["check", str(SPECS / spec), "--property", "l-controllable"]
+        self.assert_error(argv, "field 'level': l-controllable needs --level")
+
+    @pytest.mark.parametrize("fmt", [(), ("--format", "text"), ("--format", "json")])
+    def test_failed_decomposition_is_one_text_line(self, even_weight_spec, monkeypatch, fmt):
+        # A decomposition that fails has no JSON form: its one line prints
+        # as text under every format, and it exits 1.
+        import groupcodes.cli
+        from groupcodes.structure import DecompositionError
+
+        def failing(code):
+            raise DecompositionError("no splitting character; order below exponent")
+
+        monkeypatch.setattr(groupcodes.cli, "cyclic_product_decomposition", failing)
+        assert run_cli("decompose", even_weight_spec, *fmt) == (
+            1,
+            "decomposition failed: no splitting character; order below exponent\n",
+            "",
+        )
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "text, error",
@@ -458,26 +574,6 @@ class TestErrors:
         path.write_text(text, encoding="utf-8")
         for command in ("analyze", "duality-check"):
             assert run_cli(command, str(path)) == (2, "", error)
-
-    def test_missing_file(self):
-        code, _, err = run_cli("analyze", "no_such_file.spec")
-        assert code == 2
-        assert "no such file" in err
-
-    def test_directory_is_usage_error(self, tmp_path):
-        # Reading a directory raises IsADirectoryError, an OSError other
-        # than FileNotFoundError; it exits 2 with an error line.
-        code, out, err = run_cli("analyze", str(tmp_path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: cannot read ")
-        assert "Traceback" not in err
-
-    def test_bad_document(self, tmp_path):
-        bad = tmp_path / "bad.spec"
-        bad.write_text("kind: block\nsymbols: [2]\ngenerator: 7\n", encoding="utf-8")
-        code, _, err = run_cli("analyze", str(bad))
-        assert code == 2
-        assert "out of range" in err
 
     def test_z4_102_kernel_analyzes(self, tmp_path):
         # Z/4 kernel check (3, 0, 2): every window is zero.  The old margin

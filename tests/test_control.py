@@ -747,3 +747,19 @@ class TestGapLengthsTwoPointer:
                 _gap_lengths(code.space.horizon, read)
                 prefixes = [b for a, b in reads if a == 0]
                 assert len(prefixes) == len(set(prefixes))
+
+
+class TestPlainSplitFromGapLengths:
+    """The plain split C = C ∩ [0, n) + C ∩ [l, N), where ``order_profile``
+    starts its search, against the gap lengths of ``control_profile``."""
+
+    @given(st.one_of(mixed_codes(), banded_codes()))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_split_holds_exactly_from_l_plus_gap_length(self, code):
+        N = code.space.horizon
+        lengths = control_profile(code).lengths
+        for l in range(N):
+            suffix = window_internal(code, l, N)
+            for n in range(l, N + 1):
+                splits = join(window_internal(code, 0, n), suffix) == code
+                assert splits == (n >= l + lengths[l]), (l, n)
