@@ -11,6 +11,16 @@ computations by block elimination correct.
 Mixed per-column moduli are handled in residue coordinates: column ``j``
 is reduced modulo its own ``m_j``, and every row operation is an integer
 combination, so no column is mapped into a common ring.
+
+The Howell kernel has two paths, chosen in ``_howell_cached`` from the
+moduli alone.  When every modulus is a power of 2 up to 8 (1 included),
+``_howell_packed`` holds each row as one int with one byte per column,
+column 0 most significant, and eliminates with shifts, one multiply and a
+mask per row operation.  A byte holds the 2K + 1 = 7 bits that x + c·y
+needs for x, y < 2^K = 8 and c <= 2^K, so no field carries into the next.
+Every other moduli tuple, odd, mixed-prime or a power of 2 above 8, goes
+through ``_howell_single``, which is also the reference the packed kernel
+is tested against.  The Howell form is unique, so both give the same rows.
 """
 
 from __future__ import annotations
@@ -194,9 +204,109 @@ def _howell_single(rows: Iterable[Vector], moduli: Vector) -> list[Vector]:
     return [tuple(row) for row in basis]
 
 
+# The largest modulus the packed kernel takes: 2^K with K = 3, so a field
+# of 2K + 1 = 7 bits fits in one byte.
+_PACKED_TOP = 8
+
+
+@lru_cache(maxsize=1 << 8)
+def _packed_layout(moduli: Vector) -> Optional[tuple[int, int, int]]:
+    """(width, mask, top modulus) of the packed kernel over ``moduli``, or
+    None when some modulus is not a power of 2 up to ``_PACKED_TOP``.  The
+    mask holds m_j - 1 in column j's byte, column 0 most significant."""
+    if not all(m & (m - 1) == 0 and m <= _PACKED_TOP for m in moduli):
+        return None
+    mask = int.from_bytes(bytes(m - 1 for m in moduli), "big")
+    return len(moduli), mask, max(moduli, default=1)
+
+
+def _howell_packed(rows: Iterable[Vector], layout: tuple[int, int, int]) -> list[Vector]:
+    """``_howell_single`` for moduli that are all powers of 2 up to 8, on
+    rows packed into one int each (``_packed_layout``).
+
+    Column j is the byte 8(n - 1 - j) bits up, so a row's pivot column is
+    read off its ``bit_length``, and a row vanishing before column j holds
+    its entry there as ``row >> shift``.  Every field stays reduced between
+    steps, and x + c·y with x, y < 2^K and c <= 2^K is below 2^(2K) < 2^8,
+    so ``(x + c*y) & mask`` is a row operation with each column reduced
+    modulo its own m_j | 2^K, and no field carries into the next.  Every
+    odd x has x·x = 1 modulo 8, hence modulo every m_j: each odd unit is
+    its own inverse.  The result is the unique Howell form, so it equals
+    ``_howell_single``'s output row for row.
+    """
+    width, mask, top = layout
+    stack = [v for v in (int.from_bytes(bytes(row), "big") for row in rows) if v]
+    pivots: dict[int, int] = {}  # bytes from the pivot column on -> row
+    if top == 2:
+        # Over GF(2) (and Z/1 columns) a step is an xor, every pivot is 1
+        # and 2·row vanishes, so no annihilator row is pushed.
+        for v in stack:
+            while v:
+                k = (v.bit_length() + 7) >> 3
+                r = pivots.get(k)
+                if r is None:
+                    pivots[k] = v
+                    break
+                v ^= r
+    else:
+        while stack:
+            v = stack.pop()
+            while v:
+                k = (v.bit_length() + 7) >> 3
+                shift = 8 * k - 8
+                r = pivots.get(k)
+                b = v >> shift
+                low_b = b & -b
+                if r is not None:
+                    a = r >> shift
+                    low_a = a & -a
+                    if low_a <= low_b:
+                        # Clear b by q·r, q = (b / 2^v(a))·(a / 2^v(a))^-1.
+                        q = (b // low_a) * (a // low_a) & (top - 1)
+                        v = (v + (top - q) * r) & mask
+                        continue
+                # v becomes the pivot: a new column, or an entry of lower
+                # 2-adic valuation, which divides the other's.  Its
+                # annihilator row (m_j / 2^v(b))·v clears the pivot.
+                pivots[k] = v
+                c = (((mask >> shift) & 0xFF) + 1) // low_b
+                if c != top:
+                    w = (c * v) & mask
+                    if w:
+                        stack.append(w)
+                if r is None:
+                    break
+                q = (a // low_b) * (b // low_b) & (top - 1)
+                v = (r + (top - q) * v) & mask
+    # Scale each pivot p = 2^v·u to 2^v by u (its own inverse), then reduce
+    # the entries above each pivot into [0, pivot), as in _howell_single.
+    basis: list[int] = []
+    for k in sorted(pivots, reverse=True):
+        row, shift = pivots[k], 8 * k - 8
+        p = row >> shift
+        low = p & -p
+        if p != low:
+            row = ((p // low) * row) & mask
+        for above, prior in enumerate(basis):
+            q = ((prior >> shift) & 0xFF) // low
+            if q:
+                basis[above] = (prior + (top - q) * row) & mask
+        basis.append(row)
+    return [tuple(row.to_bytes(width, "big")) for row in basis]
+
+
+def _howell_kernel(rows: tuple[Vector, ...], moduli: Vector) -> list[Vector]:
+    """The packed kernel when every modulus is a power of 2 up to 8, the
+    residue-coordinate kernel otherwise; both give the same Howell form."""
+    layout = _packed_layout(moduli)
+    if layout is None:
+        return _howell_single(rows, moduli)
+    return _howell_packed(rows, layout)
+
+
 @lru_cache(maxsize=1 << 12)
 def _howell_cached(rows: tuple[Vector, ...], moduli: Vector) -> tuple[Vector, ...]:
-    canon = tuple(_howell_single(rows, moduli))
+    canon = tuple(_howell_kernel(rows, moduli))
     # Most calls re-canonicalize a Howell form; handing back the input tuple
     # keeps one copy of those rows in the cache instead of two.
     return rows if canon == rows else canon

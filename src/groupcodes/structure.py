@@ -10,6 +10,7 @@ verification is not.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -23,6 +24,7 @@ from .codes import (
 )
 from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
+    _first_nonzero,
     _trusted,
     coset_reduce,
     head_kernel,
@@ -219,6 +221,27 @@ def _exponent(code: BlockCode) -> int:
     return lcm(*(vector_order(row, code.basis.moduli) for row in code.basis.rows))
 
 
+def _smallest_full_prefix(current: BlockCode, exponent: int) -> int:
+    """The least n with C ∩ [0, n) of exponent ``exponent``, that of C.
+
+    C ∩ [0, n) is spanned by the rows of the column-reversed Howell form
+    that vanish from offset(n) on, so its exponent is the lcm of their
+    orders.  Their reversed pivots strictly increase, so their last nonzero
+    columns strictly decrease: walking the rows from the end adds them in
+    the order of the n at which they enter, and no prefix code is built.
+    """
+    if current.space.horizon == 1:
+        return 1
+    reversed_moduli = current.space.flat_moduli[::-1]
+    reached = 1
+    for row in reversed(current._reversed_howell):
+        reached = lcm(reached, vector_order(row, reversed_moduli))
+        if reached == exponent:  # at the latest at the first row
+            break
+    last = len(reversed_moduli) - 1 - _first_nonzero(row)
+    return bisect_right(current.space.offsets(), last)
+
+
 def _max_order_in_smallest_window(
     current: BlockCode, p: int
 ) -> tuple[tuple[int, ...], int]:
@@ -233,10 +256,7 @@ def _max_order_in_smallest_window(
     killed by p^(e-1).
     """
     exponent = _exponent(current)
-    for n in range(1, current.space.horizon + 1):
-        inner = window_internal(current, 0, n)
-        if _exponent(inner) == exponent:  # at the latest when inner is current
-            break
+    inner = window_internal(current, 0, _smallest_full_prefix(current, exponent))
     moduli = current.space.flat_moduli
     below = exponent // p
     rows = inner.basis.rows

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 from groupcodes.linalg import (
     ResidueMatrix,
+    _howell_packed,
+    _howell_single,
+    _packed_layout,
     annihilator_rows,
     contains_vector,
     coset_reduce,
@@ -643,3 +646,111 @@ class TestVectorOrder:
 
     def test_empty_vector(self):
         assert vector_order((), ()) == 1
+
+
+def packed(rows, moduli):
+    return _howell_packed(rows, _packed_layout(moduli))
+
+
+def two_power_matrices(max_width=24, max_rows=24, moduli=(1, 2, 4, 8)):
+    """Rows over columns whose moduli are drawn from ``moduli``."""
+
+    @st.composite
+    def draw(draw):
+        mods = tuple(draw(st.lists(st.sampled_from(moduli), max_size=max_width)))
+        row = st.tuples(*(st.integers(0, m - 1) for m in mods))
+        return draw(st.lists(row, max_size=max_rows)), mods
+
+    return draw()
+
+
+class TestPackedKernel:
+    """``_howell_packed`` against the reference twin ``_howell_single``."""
+
+    def test_exhaustive_small_matrices(self):
+        # Every sequence of at most two rows over every choice of at most
+        # three column moduli from {1, 2, 4, 8} with at most 64 vectors
+        # (zero rows, duplicate rows, width 0 and the empty matrix
+        # included); over the larger width-3 groups, every row alone and
+        # doubled.
+        checked = 0
+        for width in range(4):
+            for moduli in itertools.product((1, 2, 4, 8), repeat=width):
+                vectors = list(itertools.product(*(range(m) for m in moduli)))
+                matrices = [()] + [(v,) for v in vectors]
+                if len(vectors) <= 64:
+                    matrices += list(itertools.product(vectors, repeat=2))
+                else:
+                    matrices += [(v, v) for v in vectors]
+                for rows in matrices:
+                    assert packed(rows, moduli) == _howell_single(rows, moduli)
+                    checked += 1
+        assert checked == 70129
+
+    @given(two_power_matrices())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_matrices_up_to_24_wide(self, case):
+        rows, moduli = case
+        assert packed(rows, moduli) == _howell_single(rows, moduli)
+
+    @given(two_power_matrices(moduli=(1, 2)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_binary_matrices_up_to_24_wide(self, case):
+        rows, moduli = case
+        assert packed(rows, moduli) == _howell_single(rows, moduli)
+
+    def test_known_forms(self):
+        assert packed([(2, 1)], (4, 4)) == [(2, 1), (0, 2)]
+        assert packed([(3, 5, 0), (6, 2, 1)], (8, 8, 2)) == _howell_single(
+            [(3, 5, 0), (6, 2, 1)], (8, 8, 2)
+        )
+        assert packed([(0, 1), (0, 1)], (1, 2)) == [(0, 1)]
+        assert packed([], ()) == []
+        assert packed([(), ()], ()) == []
+
+    @pytest.mark.parametrize(
+        "moduli, kernel",
+        [
+            ((), "packed"),
+            ((1, 1), "packed"),
+            ((2, 1, 2), "packed"),
+            ((4, 2), "packed"),
+            ((8,), "packed"),
+            ((8, 1, 4, 2), "packed"),
+            ((16,), "reference"),
+            ((8, 16), "reference"),
+            ((3,), "reference"),
+            ((2, 3), "reference"),
+            ((4, 6), "reference"),
+            ((9, 3), "reference"),
+            ((12, 8), "reference"),
+        ],
+    )
+    def test_dispatch_by_moduli(self, moduli, kernel, monkeypatch):
+        import groupcodes.linalg as module
+
+        reached = []
+        for name, label in (("_howell_single", "reference"), ("_howell_packed", "packed")):
+            original = getattr(module, name)
+
+            def spy(*args, _original=original, _label=label):
+                reached.append(_label)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        rows = (tuple(m - 1 for m in moduli), tuple(m // 2 for m in moduli))
+        module._howell_cached.cache_clear()
+        canon = howell_form(residue_matrix(rows, moduli))
+        assert reached == [kernel]
+        assert list(canon.rows) == _howell_single(rows, moduli)
+        assert (_packed_layout(moduli) is not None) == (kernel == "packed")
+
+    def test_one_cache_entry_per_input(self):
+        import groupcodes.linalg as module
+
+        module._howell_cached.cache_clear()
+        for moduli in ((4, 8), (4, 6)):
+            matrix = residue_matrix([(1, 3), (2, 2)], moduli)
+            assert howell_form(matrix) == howell_form(matrix)
+        info = module._howell_cached.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (2, 2, 1 << 12)

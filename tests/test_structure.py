@@ -38,6 +38,7 @@ from groupcodes.structure import (
     _max_order_in_smallest_window,
     _peel_complement,
     _primary_code,
+    _smallest_full_prefix,
     coprime_rectangular,
     cyclic_product_decomposition,
     is_subdirect_product,
@@ -244,6 +245,83 @@ class TestGeneratorChoice:
             decomposition = cyclic_product_decomposition(code)
             assert decomposition.certificate.ok
             assert decomposition.order_product == code.cardinality
+
+
+def exponent_of(code):
+    return lcm(*(vector_order(row, code.basis.moduli) for row in code.basis.rows))
+
+
+def prefix_code_search(current):
+    """The least n with exp(C ∩ [0, n)) = exp(C), by building C ∩ [0, n)
+    for n = 1, 2, ... and reading each one's exponent off its rows."""
+    for n in range(1, current.space.horizon + 1):
+        if exponent_of(window_internal(current, 0, n)) == exponent_of(current):
+            return n
+
+
+class TestSmallestFullPrefix:
+    def test_matches_prefix_code_search(self, exhaustive_corpus):
+        # Every window the peeling visits in every primary part of every
+        # code of the exhaustive corpus: the window is the old search's,
+        # and the search builds at most the chosen window's prefix code,
+        # none when that window is the whole horizon.
+        visits = {"inside": 0, "whole": 0}
+        for code in exhaustive_corpus:
+            for p in FiniteAbelianGroup(code.space.flat_moduli).primes():
+                current, _ = _primary_code(code, p)
+                while current.cardinality > 1:
+                    word, order = _max_order_in_smallest_window(current, p)
+                    built = set(current._prefix_codes)
+                    n = prefix_code_search(current)
+                    assert _smallest_full_prefix(current, order) == n
+                    assert order == exponent_of(current)
+                    assert current.space.support(word)[1] <= n
+                    if n == current.space.horizon:
+                        assert built == set()
+                        visits["whole"] += 1
+                    else:
+                        assert built == {n}
+                        visits["inside"] += 1
+                    current = _peel_complement(current, word, order)
+        assert visits["inside"] > 100 and visits["whole"] > 100
+
+    def test_decomposition_builds_one_prefix_code_per_window(self, monkeypatch):
+        # Over banded 2- and 3-groups of horizon 6 the searched window sits
+        # anywhere; each search builds at most one prefix code.
+        rng = random.Random(1709)
+        built, searches = [], []
+        prefix_code = BlockCode.prefix_code
+        search = _max_order_in_smallest_window
+
+        def counted_prefix(self, b):
+            if b != self.space.horizon and b not in self._prefix_codes:
+                built.append(b)
+            return prefix_code(self, b)
+
+        def counted_search(current, p):
+            before = len(built)
+            out = search(current, p)
+            searches.append(len(built) - before)
+            return out
+
+        import groupcodes.structure as module
+
+        monkeypatch.setattr(BlockCode, "prefix_code", counted_prefix)
+        monkeypatch.setattr(module, "_max_order_in_smallest_window", counted_search)
+        for _ in range(30):
+            p = rng.choice([2, 3])
+            sp = space(*[(p ** rng.randint(1, 3),) for _ in range(6)])
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                start = rng.randrange(6)
+                gens.append(
+                    [rng.randrange(m) if start <= i < start + 2 else 0
+                     for i, m in enumerate(sp.flat_moduli)]
+                )
+            code = code_from_generators(sp, gens)
+            assert cyclic_product_decomposition(code).order_product == code.cardinality
+        assert len(searches) > 30
+        assert max(searches) == 1 and searches.count(0) > 0
 
 
 class TestVerifyDecomposition:
