@@ -12,8 +12,8 @@ Mixed per-column moduli are handled in residue coordinates: column ``j``
 is reduced modulo its own ``m_j``, and every row operation is an integer
 combination, so no column is mapped into a common ring.
 
-The Howell kernel has two paths, chosen in ``_howell_cached`` from the
-moduli alone.  When every modulus is a power of 2 up to 8 (1 included),
+The Howell kernel has two paths, chosen from the moduli alone by
+``_howell_kernel`` under the one Howell cache ``_howell_cached``.  When every modulus is a power of 2 up to 8 (1 included),
 ``_howell_packed`` holds each row as one int with one byte per column,
 column 0 most significant, and eliminates with shifts, one multiply and a
 mask per row operation.  A byte holds the 2K + 1 = 7 bits that x + c·y
@@ -204,18 +204,18 @@ def _howell_single(rows: Iterable[Vector], moduli: Vector) -> list[Vector]:
     return [tuple(row) for row in basis]
 
 
-# The largest modulus the packed kernel takes: 2^K with K = 3, so a field
+# The moduli of the packed kernel: powers of 2 up to 2^K = 8, so a field
 # of 2K + 1 = 7 bits fits in one byte.
-_PACKED_TOP = 8
+_PACKED_MODULI = frozenset((1, 2, 4, 8))
 
 
+# 256 layouts hold every moduli tuple the convolutional and long-horizon
+# pools reach (48 and 20 on seed 7) and most that block codes reuse.
 @lru_cache(maxsize=1 << 8)
-def _packed_layout(moduli: Vector) -> Optional[tuple[int, int, int]]:
-    """(width, mask, top modulus) of the packed kernel over ``moduli``, or
-    None when some modulus is not a power of 2 up to ``_PACKED_TOP``.  The
-    mask holds m_j - 1 in column j's byte, column 0 most significant."""
-    if not all(m & (m - 1) == 0 and m <= _PACKED_TOP for m in moduli):
-        return None
+def _packed_layout(moduli: Vector) -> tuple[int, int, int]:
+    """(width, mask, top modulus) of the packed kernel over ``moduli``, all
+    in ``_PACKED_MODULI``.  The mask holds m_j - 1 in column j's byte,
+    column 0 most significant."""
     mask = int.from_bytes(bytes(m - 1 for m in moduli), "big")
     return len(moduli), mask, max(moduli, default=1)
 
@@ -276,6 +276,7 @@ def _howell_packed(rows: Iterable[Vector], layout: tuple[int, int, int]) -> list
                         stack.append(w)
                 if r is None:
                     break
+                # The old pivot row r goes on, its entry a cleared by v.
                 q = (a // low_b) * (b // low_b) & (top - 1)
                 v = (r + (top - q) * v) & mask
     # Scale each pivot p = 2^v·u to 2^v by u (its own inverse), then reduce
@@ -298,10 +299,9 @@ def _howell_packed(rows: Iterable[Vector], layout: tuple[int, int, int]) -> list
 def _howell_kernel(rows: tuple[Vector, ...], moduli: Vector) -> list[Vector]:
     """The packed kernel when every modulus is a power of 2 up to 8, the
     residue-coordinate kernel otherwise; both give the same Howell form."""
-    layout = _packed_layout(moduli)
-    if layout is None:
-        return _howell_single(rows, moduli)
-    return _howell_packed(rows, layout)
+    if _PACKED_MODULI.issuperset(moduli):
+        return _howell_packed(rows, _packed_layout(moduli))
+    return _howell_single(rows, moduli)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -99,8 +99,10 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
     inputs, specs = recorded_inputs(args.workload, args.seed, args.limit)
     expected = [linalg._howell_single(rows, moduli) for rows, moduli in inputs]
-    layouts = [linalg._packed_layout(moduli) for _, moduli in inputs]
-    packable = [i for i, layout in enumerate(layouts) if layout]
+    packable = [
+        i for i, (_, moduli) in enumerate(inputs) if linalg._PACKED_MODULI.issuperset(moduli)
+    ]
+    layouts = {i: linalg._packed_layout(inputs[i][1]) for i in packable}
     every = range(len(inputs))
     print(
         f"{args.workload} seed {args.seed}: {len(inputs)} Howell inputs from "
