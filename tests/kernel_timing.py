@@ -1,7 +1,7 @@
 """Time the Howell kernels on the inputs one benchmark pool gives them.
 
     PYTHONPATH=src python tests/kernel_timing.py --workload W [--seed 7]
-        [--limit K] [--repeat 3]
+        [--limit K] [--repeat 5]
 
 The pool of workload W and the seed (the specs a 36 s run of
 ``bench/run.py`` generates, or the first K) is run through
@@ -20,7 +20,8 @@ matrix width:
 
 A line gives the kernel, the width bucket, the input count, the number of
 outputs that differ from ``_howell_single``'s and the best of ``--repeat``
-timed passes, in seconds of wall time.
+timed passes, in seconds of CPU time (a shared machine's other load then
+shows less than in wall time).
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[list, 
 def best_time(kernel, inputs: list, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
-        start = time.perf_counter()
+        start = time.process_time()
         for args in inputs:
             kernel(*args)
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
     return best
 
 
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(report_digest.COMMANDS))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--limit", type=int, default=None)
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args(argv)
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be at least 1")
