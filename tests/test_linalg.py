@@ -702,9 +702,6 @@ class TestPackedKernel:
 
     def test_known_forms(self):
         assert packed([(2, 1)], (4, 4)) == [(2, 1), (0, 2)]
-        assert packed([(3, 5, 0), (6, 2, 1)], (8, 8, 2)) == _howell_single(
-            [(3, 5, 0), (6, 2, 1)], (8, 8, 2)
-        )
         assert packed([(0, 1), (0, 1)], (1, 2)) == [(0, 1)]
         assert packed([], ()) == []
         assert packed([(), ()], ()) == []
