@@ -288,6 +288,8 @@ class TestSmallestFullPrefix:
     def test_decomposition_builds_one_prefix_code_per_window(self, monkeypatch):
         # Over banded 2- and 3-groups of horizon 6 the searched window sits
         # anywhere; each search builds at most one prefix code.
+        import groupcodes.structure as module
+
         rng = random.Random(1709)
         built, searches = [], []
         prefix_code = BlockCode.prefix_code
@@ -303,8 +305,6 @@ class TestSmallestFullPrefix:
             out = search(current, p)
             searches.append(len(built) - before)
             return out
-
-        import groupcodes.structure as module
 
         monkeypatch.setattr(BlockCode, "prefix_code", counted_prefix)
         monkeypatch.setattr(module, "_max_order_in_smallest_window", counted_search)
