@@ -58,7 +58,6 @@ from .groups import (
 from .linalg import (
     ResidueMatrix,
     howell_form,
-    integer_smith_diagonal,
     residue_matrix,
     smith_invariants,
     solve_congruence_system,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .codes import BlockCode
@@ -104,12 +105,20 @@ def pairs_to_zero(
     xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]], moduli: Sequence[int]
 ) -> bool:
     """Whether every x pairs to zero with every y: sum_j x_j y_j / m_j = 0
-    modulo 1, read over the common denominator lcm(m_j)."""
+    modulo 1, read over the common denominator L = lcm(m_j) as
+    sum_j x_j (L/m_j) y_j = 0 mod L.
+
+    The weights L/m_j are folded into the x rows once per call, and not at
+    all when every m_j is L; each pair is then one ``map`` of products
+    summed in C.
+    """
+    if not xs or not ys:
+        return True
     L = lcm(*moduli)
-    weighted = [[e * (L // m) for e, m in zip(x, moduli)] for x in xs]
-    return all(
-        sum(a * b for a, b in zip(x, y)) % L == 0 for y in ys if any(y) for x in weighted
-    )
+    if any(m != L for m in moduli):
+        weights = [L // m for m in moduli]
+        xs = [list(map(mul, x, weights)) for x in xs]
+    return not any(sum(map(mul, x, y)) % L for y in ys for x in xs)
 
 
 def is_annihilator(

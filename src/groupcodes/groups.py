@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterator, Sequence
 
-from .linalg import ResidueMatrix, howell_form, residue_matrix, vector_order
+from .linalg import (
+    ResidueMatrix,
+    howell_form,
+    primary_part,
+    prime_factors,
+    residue_matrix,
+    vector_order,
+)
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -25,21 +32,6 @@ __all__ = [
     "socle",
     "prime_factors",
 ]
-
-
-def prime_factors(n: int) -> list[int]:
-    """Ascending list of distinct primes dividing n."""
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
 
 
 def _is_prime(p: int) -> bool:
@@ -140,17 +132,6 @@ class GroupElement:
 def element_order(g: GroupElement) -> int:
     """Least n >= 1 with n*g = 0; equals lcm_j(m_j / gcd(m_j, g_j))."""
     return vector_order(g.residues, g.group.moduli)
-
-
-def primary_part(m: int, p: int) -> tuple[int, int]:
-    """The p-part q of m and its CRT multiplier u: u = 1 mod q and
-    u = 0 mod m/q, so e -> e mod q and e -> e·u mod m project Z/m onto Z/q
-    and embed it back.  u = 0 when q = 1."""
-    q = 1
-    while m % (q * p) == 0:
-        q *= p
-    rest = m // q
-    return q, (rest * pow(rest, -1, q) % m if q > 1 else 0)
 
 
 @dataclass(frozen=True)

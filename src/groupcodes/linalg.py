@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mod
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -55,7 +56,8 @@ __all__ = [
     "smith_invariants",
     "quotient_invariants",
     "subgroup_basis",
-    "integer_smith_diagonal",
+    "prime_factors",
+    "primary_part",
 ]
 
 
@@ -126,6 +128,32 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     return a, s0, t0
+
+
+def prime_factors(n: int) -> list[int]:
+    """Ascending list of distinct primes dividing n."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def primary_part(m: int, p: int) -> tuple[int, int]:
+    """The p-part q of m and its CRT multiplier u: u = 1 mod q and
+    u = 0 mod m/q, so e -> e mod q and e -> e·u mod m project Z/m onto Z/q
+    and embed it back.  u = 0 when q = 1."""
+    q = 1
+    while m % (q * p) == 0:
+        q *= p
+    rest = m // q
+    return q, (rest * pow(rest, -1, q) % m if q > 1 else 0)
 
 
 def _first_nonzero(row: Sequence[int], start: int = 0) -> int:
@@ -332,15 +360,19 @@ def vector_order(vector: Sequence[int], moduli: Sequence[int]) -> int:
     return lcm(*(m // gcd(m, e) for e, m in zip(vector, moduli)))
 
 
-def span_cardinality(matrix: ResidueMatrix) -> int:
-    """Number of elements in the row span: the product of the Howell pivot
-    orders m_j / d (each normalized pivot d divides its modulus m_j)."""
-    canon = howell_form(matrix)
-    total = 1
-    for row in canon.rows:
+def _pivot_orders(rows: Iterable[Vector], moduli: Vector) -> list[int]:
+    """The pivot orders m_j / d of Howell ``rows`` (each normalized pivot d
+    divides its modulus m_j); their span's order is the product."""
+    orders = []
+    for row in rows:
         j = _first_nonzero(row)
-        total *= canon.moduli[j] // row[j]
-    return total
+        orders.append(moduli[j] // row[j])
+    return orders
+
+
+def span_cardinality(matrix: ResidueMatrix) -> int:
+    """Number of elements in the row span, read off the Howell pivots."""
+    return prod(_pivot_orders(howell_form(matrix).rows, matrix.moduli))
 
 
 def _reduce_vector(
@@ -543,20 +575,10 @@ def intersect_rows(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Integer Smith normal form, used to extract cyclic bases of subgroups and
-# invariant factors of quotients.
+# Invariant factors.  ``quotient_invariants`` counts them on Howell forms,
+# prime by prime; the integer Smith normal form remains only where a cyclic
+# basis is wanted (``subgroup_basis``), since that needs the transform.
 # ---------------------------------------------------------------------------
-
-
-def integer_smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Entries are nonnegative with each dividing the next.  For a relation
-    matrix this diagonal presents the cokernel.
-    """
-    mat = [list(map(int, row)) for row in rows]
-    diag, _ = _smith_with_left_inverse(mat, track=False)
-    return diag
 
 
 def _smith_with_left_inverse(
@@ -701,23 +723,116 @@ def subgroup_basis(matrix: ResidueMatrix) -> list[tuple[Vector, int]]:
     return result
 
 
+def _level_counts(
+    rows: Sequence[Vector], den: Sequence[Vector], moduli: Vector, p: int, order: int
+) -> list[int]:
+    """r_i = log_p(|p^i·X_p + D_p| / |p^(i+1)·X_p + D_p|) for i = 0, 1, ...
+    while r_i > 0, with X = span(``rows``) of order ``order`` and D =
+    span(``den``), both over ``moduli``; X_p and D_p are their images in the
+    p-primary part, column j reduced modulo the p-part q_j of m_j (1 when
+    p does not divide m_j).
+
+    Without ``den``, |X_p| is the p-part of ``order``, and p^i·X_p is X_p
+    reduced modulo q_j / p^i (p^i·x -> x mod q/p^i maps p^i·Z/q onto
+    Z/(q/p^i)), so each level is a span over smaller moduli, spanned by the
+    Howell rows of the level before.  With ``den`` every level is a span
+    over the q_j, down to |D_p| when p^i kills X_p.
+    """
+    mods = tuple(primary_part(m, p)[0] for m in moduli)
+
+    def span_order(vectors: Iterable[Vector]) -> tuple[tuple[Vector, ...], int]:
+        # The Howell rows of the nonzero ``vectors`` over ``mods``, and
+        # their span's order; no Howell form when every vector is zero.
+        nonzero = tuple(v for v in vectors if any(v))
+        if not nonzero:
+            return (), 1
+        canon = howell_form(_trusted(mods, nonzero)).rows
+        return canon, prod(_pivot_orders(canon, mods))
+
+    if den:
+        den_p = [tuple(map(mod, v, mods)) for v in den]
+        floor = span_order(den_p)[1]
+        sizes, scale = [], 1
+        while not sizes or sizes[-1] > floor:
+            scaled = [tuple(scale * e % q for e, q in zip(v, mods)) for v in rows]
+            sizes.append(span_order(scaled + den_p)[1])
+            scale *= p
+    else:
+        size = 1
+        while order % p == 0:
+            order //= p
+            size *= p
+        sizes = [size]
+        while size > 1:
+            # One level down: every q_j / p, the first from ``rows``, each
+            # later one from the Howell rows of the level before.
+            mods = tuple(q // p or 1 for q in mods)
+            rows, size = span_order(tuple(map(mod, v, mods)) for v in rows)
+            sizes.append(size)
+    counts = []
+    for big, small in zip(sizes, sizes[1:]):
+        ratio, count = big // small, 0
+        while ratio > 1:
+            ratio //= p
+            count += 1
+        counts.append(count)
+    return counts
+
+
 def quotient_invariants(
     numerator: ResidueMatrix, denominator_rows: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
-    """Invariant factors of (span(numerator) + D) / D, D = span(denominator).
+    """Invariant factors of Q = (span(numerator) + D) / D, D = span(denominator).
 
     Ascending, each dividing the next, all >= 2; empty for a trivial
-    quotient.
+    quotient.  They are counted on Howell forms, with no Smith form:
+
+    * Q is the direct sum of its p-primary parts Q_p over the primes p of
+      |X|, X = span(numerator).  Reducing column j modulo the p-part q_j of
+      m_j (``primary_part``) projects the ambient onto its p-primary part,
+      so Q_p = (X_p + D_p) / D_p for the images X_p and D_p.
+    * If Q_p = Z/p^λ_1 + ... + Z/p^λ_k, then p^i·Q_p = sum of
+      Z/p^max(λ_t - i, 0), so |p^i·Q_p| / |p^(i+1)·Q_p| = p^r_i with
+      r_i = #{t : λ_t > i}, the number of cyclic factors of order above
+      p^i.  As p^i·Q_p = (p^i·X_p + D_p) / D_p, |D_p| cancels:
+      r_i = log_p(|p^i·X_p + D_p| / |p^(i+1)·X_p + D_p|) (``_level_counts``).
+    * The r_i determine the λ_t: λ_t = #{i : r_i > t}, ordered descending.
+      The t-th largest invariant factor is the product over p of p^λ_t.
+
+    Every order is a product of Howell pivot orders; |X| is read off the
+    numerator's own Howell form.
     """
     canon = howell_form(numerator)
     if not canon.rows:
         return ()
-    den = [_reduced(row, canon.moduli) for row in denominator_rows]
-    lattice = _relation_lattice(canon.rows, den, canon.moduli)
-    diag, _ = _smith_with_left_inverse(lattice, track=False)
-    return tuple(sorted(d for d in diag if d not in (0, 1)))
+    moduli = canon.moduli
+    den = [_reduced(row, moduli) for row in denominator_rows]
+    pivot_orders = _pivot_orders(canon.rows, moduli)
+    order = prod(pivot_orders)
+    primes = sorted({p for o in set(pivot_orders) for p in prime_factors(o)})
+    factors: list[int] = []
+    for p in primes:
+        counts = _level_counts(canon.rows, den, moduli, p, order)
+        for t in range(counts[0] if counts else 0):
+            power = p ** sum(1 for r in counts if r > t)
+            if t < len(factors):
+                factors[t] *= power
+            else:
+                factors.append(power)
+    return tuple(reversed(factors))
 
 
 def smith_invariants(matrix: ResidueMatrix) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of the subgroup spanned by the rows."""
+    """Invariant factors d_1 | d_2 | ... of the subgroup X spanned by the rows.
+
+    They are counted, with no Smith form; this is ``quotient_invariants``
+    with D = 0.  For each prime p of |X|, let X_p be X with column j
+    reduced modulo the p-part q_j of m_j.  If X_p = Z/p^λ_1 + ... +
+    Z/p^λ_k, then p^i·X_p = sum of Z/p^max(λ_t - i, 0), so
+    |p^i·X_p| / |p^(i+1)·X_p| = p^r_i with r_i = #{t : λ_t > i}, the
+    number of cyclic factors of order above p^i, and the r_i give the λ_t.
+    |X_p| is the p-part of |X|, read off X's Howell pivots.  p^i·X_p is
+    isomorphic to X_p reduced modulo q_j / p^i, and its order is read off
+    that reduction's Howell form.
+    """
     return quotient_invariants(matrix, [])

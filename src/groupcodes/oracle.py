@@ -188,14 +188,6 @@ def brute_control_profile(enum: EnumeratedCode):
     return tuple(lengths)
 
 
-def brute_observable_supercode(enum: EnumeratedCode, L: int, bound: int):
-    horizon = len(enum.offsets) - 1
-    result = set(_ambient_words(enum.moduli, bound))
-    for k in range(horizon):
-        result &= set(brute_consistency_set(enum, k, L, bound))
-    return tuple(sorted(result))
-
-
 def brute_verify_decomposition(enum: EnumeratedCode, generators) -> bool:
     """Directness and cardinality by counting the closure of the factors."""
     moduli = enum.moduli
@@ -290,7 +282,6 @@ _register("consistency_set")(brute_consistency_set)
 _register("annihilator")(brute_annihilator)
 _register("order_profile")(brute_order_profile)
 _register("control_profile")(brute_control_profile)
-_register("observable_supercode")(brute_observable_supercode)
 _register("verify_decomposition")(brute_verify_decomposition)
 _register("smith_invariants")(brute_smith_invariants)
 
@@ -303,7 +294,7 @@ def brute(predicate: str, code: BlockCode, *args, bound: int = DEFAULT_BOUND):
         )
     enum = enumerate_code(code, bound)
     fn = _PREDICATES[predicate]
-    if predicate in ("consistency_set", "observable_supercode"):
+    if predicate == "consistency_set":
         return fn(enum, *args, bound)
     if predicate == "annihilator":
         return fn(enum, bound)

@@ -1,4 +1,4 @@
-"""Time the Howell kernels on the inputs one benchmark pool gives them.
+"""Time the library's L0 kernels on the inputs one benchmark pool gives them.
 
     PYTHONPATH=src python tests/kernel_timing.py --workload W [--seed 7]
         [--limit K] [--repeat 5]
@@ -7,21 +7,32 @@ The pool of workload W and the seed (the specs a 36 s run of
 ``bench/run.py`` generates, or the first K) is run through
 ``groupcodes.cli.main`` under every command ``tests/report_digest.py``
 runs on it, with the Howell cache cleared first.  Every input that reaches
-the kernel (every cache miss of ``linalg._howell_cached``) is recorded.
-Each kernel is then timed on the recorded inputs it takes, bucketed by
-matrix width:
+the Howell kernel (every cache miss of ``linalg._howell_cached``), every
+call of ``linalg.quotient_invariants`` and every call of
+``duality.pairs_to_zero`` is recorded.  Each kernel is then timed on the
+recorded inputs it takes, bucketed by matrix width:
 
-* ``reference``: ``_howell_single`` on every input;
+* ``reference``: ``_howell_single`` on every Howell input;
 * ``reference-2^k``: ``_howell_single`` on the inputs the packed kernel
   takes (every modulus a power of 2 up to 8);
 * ``packed``: ``_howell_packed`` on those inputs;
 * ``dispatch``: ``_howell_kernel``, which picks one of the two, on every
-  input.
+  Howell input;
+* ``smith``: invariant factors by the integer Smith form
+  (``kernel_references.smith_quotient_invariants``) on every
+  ``quotient_invariants`` input;
+* ``counted``: ``quotient_invariants``, which counts them on Howell forms;
+* ``pair-loop``: the residue-by-residue pairing test
+  (``kernel_references.loop_pairs_to_zero``) on every ``pairs_to_zero``
+  input;
+* ``pair-map``: ``pairs_to_zero``.
 
 A line gives the kernel, the width bucket, the input count, the number of
-outputs that differ from ``_howell_single``'s and the best of ``--repeat``
-timed passes, in seconds of CPU time (a shared machine's other load then
-shows less than in wall time).
+outputs that differ from the reference's (``_howell_single``, ``smith``
+or ``pair-loop``) and the best of ``--repeat`` timed passes, in seconds of
+CPU time (a shared machine's other load then shows less than in wall
+time).  The Howell cache is cleared before each pass, so a kernel that
+reads Howell forms pays for them in every pass.
 """
 
 from __future__ import annotations
@@ -35,9 +46,10 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import kernel_references  # noqa: E402  (the Smith route, the pairing loop)
 import report_digest  # noqa: E402  (the pools, the commands, one report)
 
-from groupcodes import linalg  # noqa: E402
+from groupcodes import duality, linalg  # noqa: E402
 
 # (label, least width, largest width) of each bucket, then of all inputs.
 BUCKETS = (
@@ -51,19 +63,33 @@ BUCKETS = (
 EVERY = ("all", 0, math.inf)
 
 
-def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[list, int]:
-    """Every (rows, moduli) that reached the Howell kernel while the pool
-    ran through the CLI, and the number of specs run."""
-    inputs = []
-    kernel = linalg._howell_kernel
+def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, int]:
+    """The inputs that reached each kernel while the pool ran through the
+    CLI, by kernel ("howell": (rows, moduli), "quotient": (numerator,
+    denominator rows), "pairs": (xs, ys, moduli)), and the number of specs
+    run."""
+    inputs = {"howell": [], "quotient": [], "pairs": []}
+    # (module, name, the inputs it records into) of every wrapped kernel;
+    # ``duality`` calls its own imported ``quotient_invariants``.
+    wrapped = (
+        (linalg, "_howell_kernel", inputs["howell"]),
+        (linalg, "quotient_invariants", inputs["quotient"]),
+        (duality, "quotient_invariants", inputs["quotient"]),
+        (duality, "pairs_to_zero", inputs["pairs"]),
+    )
+    originals = [getattr(module, name) for module, name, _ in wrapped]
 
-    def recording(rows, moduli):
-        inputs.append((rows, moduli))
-        return kernel(rows, moduli)
+    def recording(kernel, record):
+        def record_call(*args):
+            record.append(tuple(tuple(arg) if isinstance(arg, list) else arg for arg in args))
+            return kernel(*args)
+
+        return record_call
 
     specs = report_digest.pool(workload, seed, limit)
     linalg._howell_cached.cache_clear()
-    linalg._howell_kernel = recording
+    for (module, name, record), kernel in zip(wrapped, originals):
+        setattr(module, name, recording(kernel, record))
     try:
         with tempfile.TemporaryDirectory() as work:
             for spec in specs:
@@ -73,18 +99,39 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[list, 
                 for command in report_digest.COMMANDS[workload]:
                     report_digest.report(command, path)
     finally:
-        linalg._howell_kernel = kernel
+        for (module, name, _), kernel in zip(wrapped, originals):
+            setattr(module, name, kernel)
     return inputs, len(specs)
 
 
 def best_time(kernel, inputs: list, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
+        linalg._howell_cached.cache_clear()
         start = time.process_time()
         for args in inputs:
             kernel(*args)
         best = min(best, time.process_time() - start)
     return best
+
+
+def width(args: tuple) -> int:
+    """The matrix width of one recorded input: its numerator's, or the
+    length of its moduli, which come last."""
+    first = args[0]
+    return first.width if isinstance(first, linalg.ResidueMatrix) else len(args[-1])
+
+
+def print_lines(name, kernel, calls, expected, widths, repeat) -> None:
+    """One line per nonempty width bucket, then one for all ``calls``."""
+    for label, low, high in BUCKETS + (EVERY,):
+        picked = [i for i, w in enumerate(widths) if low <= w <= high]
+        if not picked and label != "all":
+            continue
+        chosen = [calls[i] for i in picked]
+        mismatches = sum(kernel(*calls[i]) != expected[i] for i in picked)
+        seconds = best_time(kernel, chosen, repeat)
+        print(f"{name:<14}{label:>7}{len(picked):>8}{mismatches:>12}{seconds:>10.4f}")
 
 
 def main(argv=None) -> int:
@@ -99,33 +146,38 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     inputs, specs = recorded_inputs(args.workload, args.seed, args.limit)
-    expected = [linalg._howell_single(rows, moduli) for rows, moduli in inputs]
+    howell = inputs["howell"]
     packable = [
-        i for i, (_, moduli) in enumerate(inputs) if linalg._PACKED_MODULI.issuperset(moduli)
+        i for i, (_, moduli) in enumerate(howell) if linalg._PACKED_MODULI.issuperset(moduli)
     ]
-    layouts = {i: linalg._packed_layout(inputs[i][1]) for i in packable}
-    every = range(len(inputs))
+    quotients, pairs = inputs["quotient"], inputs["pairs"]
     print(
-        f"{args.workload} seed {args.seed}: {len(inputs)} Howell inputs from "
-        f"{specs} specs, {len(packable)} on the packed path"
+        f"{args.workload} seed {args.seed}: {len(howell)} Howell inputs from "
+        f"{specs} specs, {len(packable)} on the packed path, "
+        f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs"
     )
     print(f"{'kernel':<14}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
-    # (name, kernel, inputs it takes, whether it takes the layout)
+    expected = [linalg._howell_single(*call) for call in howell]
+    two_power = [howell[i] for i in packable]
+    two_power_expected = [expected[i] for i in packable]
+    on_layout = [(rows, linalg._packed_layout(moduli)) for rows, moduli in two_power]
+    smith = [kernel_references.smith_quotient_invariants(*call) for call in quotients]
+    loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
+    # (name, kernel, its calls, the reference output of each, the inputs
+    # the calls were made from)
     kernels = (
-        ("reference", linalg._howell_single, every, False),
-        ("reference-2^k", linalg._howell_single, packable, False),
-        ("packed", linalg._howell_packed, packable, True),
-        ("dispatch", linalg._howell_kernel, every, False),
+        ("reference", linalg._howell_single, howell, expected, howell),
+        ("reference-2^k", linalg._howell_single, two_power, two_power_expected, two_power),
+        ("packed", linalg._howell_packed, on_layout, two_power_expected, two_power),
+        ("dispatch", linalg._howell_kernel, howell, expected, howell),
+        ("smith", kernel_references.smith_quotient_invariants, quotients, smith, quotients),
+        ("counted", linalg.quotient_invariants, quotients, smith, quotients),
+        ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),
+        ("pair-map", duality.pairs_to_zero, pairs, loop, pairs),
     )
-    for name, kernel, chosen, on_layout in kernels:
-        for label, low, high in BUCKETS + (EVERY,):
-            picked = [i for i in chosen if low <= len(inputs[i][1]) <= high]
-            if not picked and label != "all":
-                continue
-            calls = [(inputs[i][0], layouts[i] if on_layout else inputs[i][1]) for i in picked]
-            mismatches = sum(kernel(*call) != expected[i] for call, i in zip(calls, picked))
-            seconds = best_time(kernel, calls, args.repeat)
-            print(f"{name:<14}{label:>7}{len(picked):>8}{mismatches:>12}{seconds:>10.4f}")
+    for name, kernel, calls, outputs, recorded in kernels:
+        widths = [width(args) for args in recorded]
+        print_lines(name, kernel, calls, outputs, widths, args.repeat)
     return 0
 
 

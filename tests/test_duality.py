@@ -13,6 +13,7 @@ from groupcodes.duality import (
     dual_block_code,
     is_annihilator,
     pairing,
+    pairs_to_zero,
     quotient_duality_check,
 )
 from groupcodes.groups import FiniteAbelianGroup
@@ -22,6 +23,7 @@ from groupcodes.linalg import (
     span_cardinality,
 )
 
+from .kernel_references import loop_pairs_to_zero
 from .test_linalg import enumerate_span
 
 
@@ -111,6 +113,66 @@ class TestAnnihilator:
             assert got == (X == annihilator(Y))
             verdicts.add(got)
         assert verdicts == {True, False}
+
+
+def fraction_pairs_to_zero(xs, ys, moduli):
+    """The reference verdict: every pairing(x, y) is 0 in Q/Z."""
+    G = FiniteAbelianGroup(tuple(moduli))
+    return all(pairing(G.element(x), G.element(y)).is_zero() for x in xs for y in ys)
+
+
+class TestPairsToZero:
+    """``pairs_to_zero`` against the residue loop it replaced and against
+    exact pairings in Q/Z."""
+
+    MODULI = (1, 2, 3, 4, 6, 8, 9, 12)
+
+    def twins_agree(self, xs, ys, moduli):
+        got = pairs_to_zero(xs, ys, moduli)
+        assert got == loop_pairs_to_zero(xs, ys, moduli), (xs, ys, moduli)
+        assert got == fraction_pairs_to_zero(xs, ys, moduli), (xs, ys, moduli)
+        return got
+
+    def test_random_rows(self):
+        rng = random.Random(2311)
+        verdicts = set()
+        for _ in range(1500):
+            moduli = tuple(rng.choice(self.MODULI) for _ in range(rng.randint(0, 5)))
+
+            def rows(count):
+                return [tuple(rng.randrange(m) for m in moduli) for _ in range(count)]
+
+            xs, ys = rows(rng.randint(0, 3)), rows(rng.randint(0, 3))
+            if rng.random() < 0.5 and xs:
+                # Bias towards pairs that vanish: y in the annihilator of xs.
+                perp = annihilator(residue_matrix(xs, moduli)).rows
+                ys = [tuple(sum(rng.randrange(3) * r[j] for r in perp) % m
+                            for j, m in enumerate(moduli)) for _ in ys]
+            verdicts.add(self.twins_agree(xs, ys, moduli))
+        assert verdicts == {True, False}
+
+    def test_zero_rows_and_empty_sides(self):
+        moduli = (4, 6)
+        assert self.twins_agree([], [(1, 1)], moduli)
+        assert self.twins_agree([(1, 1)], [], moduli)
+        assert self.twins_agree([], [], ())
+        assert self.twins_agree([(0, 0)], [(1, 5)], moduli)
+        assert self.twins_agree([(3, 2)], [(0, 0)], moduli)
+        assert not self.twins_agree([(0, 0), (1, 0)], [(0, 0), (1, 0)], moduli)
+
+    def test_modulus_one_columns(self):
+        assert self.twins_agree([(0, 1, 0)], [(0, 1, 0)], (1, 2, 1)) is False
+        assert self.twins_agree([(0, 1, 0)], [(0, 0, 0)], (1, 2, 1))
+        assert self.twins_agree([(0,)], [(0,)], (1,))
+
+    def test_mixed_common_denominator(self):
+        # L = 12: (1, 1)·(3, 4) reads 3/4 + 4/6 = 17/12, not 0 mod 1;
+        # (1, 1)·(2, 4) reads 2/4 + 4/6 = 7/6, not 0; (2, 3)·(2, 2) is 1 + 1.
+        assert not self.twins_agree([(1, 1)], [(3, 4)], (4, 6))
+        assert not self.twins_agree([(1, 1)], [(2, 4)], (4, 6))
+        assert self.twins_agree([(2, 3)], [(2, 2)], (4, 6))
+        assert self.twins_agree([(1, 2)], [(3, 3)], (4, 6)) is False
+        assert self.twins_agree([(2, 3), (0, 3)], [(2, 0), (0, 2)], (4, 6))
 
 
 class TestQuotientDuality:

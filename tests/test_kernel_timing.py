@@ -1,4 +1,4 @@
-"""Smoke test of `tests/kernel_timing.py`, the Howell kernel timer."""
+"""Smoke test of `tests/kernel_timing.py`, the L0 kernel timer."""
 
 import subprocess
 import sys
@@ -8,7 +8,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "kernel_timing.py"
-KERNELS = ("reference", "reference-2^k", "packed", "dispatch")
+KERNELS = (
+    "reference", "reference-2^k", "packed", "dispatch",
+    "smith", "counted", "pair-loop", "pair-map",
+)
 
 
 @pytest.mark.parametrize("workload", ["block-codes", "long-horizon", "convolutional"])
@@ -31,3 +34,10 @@ def test_two_specs_no_mismatch(workload):
     assert set(totals) == set(KERNELS)
     assert totals["reference"] == totals["dispatch"] > 0
     assert totals["packed"] == totals["reference-2^k"] <= totals["reference"]
+    assert totals["smith"] == totals["counted"]
+    assert totals["pair-loop"] == totals["pair-map"] > 0
+    # Block reports read invariant factors; convolutional ones do not.
+    assert (totals["counted"] > 0) == (workload != "convolutional")
+    assert head.endswith(
+        f"{totals['smith']} quotient inputs, {totals['pair-map']} pairing inputs"
+    )

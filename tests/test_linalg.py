@@ -26,7 +26,6 @@ from groupcodes.linalg import (
     homomorphism_graph,
     homomorphism_kernel,
     howell_form,
-    integer_smith_diagonal,
     intersect_rows,
     quotient_invariants,
     residue_matrix,
@@ -39,7 +38,9 @@ from groupcodes.linalg import (
     subgroup_basis,
     vector_order,
 )
-from groupcodes.oracle import EnumeratedCode, brute_annihilator
+from groupcodes.oracle import EnumeratedCode, brute_annihilator, brute_smith_invariants
+
+from .kernel_references import integer_smith_diagonal, smith_quotient_invariants
 
 
 def enumerate_span(rows, moduli):
@@ -468,6 +469,94 @@ class TestQuotientInvariants:
 
 
 
+QUOTIENT_MODULI = (1, 2, 3, 4, 6, 8, 9, 12, 16, 27)
+
+
+def quotient_cases(with_denominator):
+    """(rows, moduli, denominator rows) over widths 0-6 of QUOTIENT_MODULI."""
+
+    @st.composite
+    def draw(draw):
+        mods = tuple(draw(st.lists(st.sampled_from(QUOTIENT_MODULI), max_size=6)))
+        row = st.tuples(*(st.integers(0, m - 1) for m in mods))
+        rows = draw(st.lists(row, max_size=5))
+        den = draw(st.lists(row, min_size=1, max_size=3)) if with_denominator else []
+        return rows, mods, den
+
+    return draw()
+
+
+class TestCountedInvariants:
+    """``quotient_invariants`` counts on Howell forms; the Smith route of
+    ``kernel_references`` and the element counts of the oracle are its
+    twins."""
+
+    def test_exhaustive_corpus_against_smith(self, exhaustive_corpus):
+        by_space = {}
+        for code in exhaustive_corpus:
+            by_space.setdefault(code.space, []).append(code)
+        quotients = 0
+        for codes in by_space.values():
+            for code in codes:
+                assert smith_invariants(code.basis) == smith_quotient_invariants(code.basis, [])
+                # Every subgroup of the same ambient as a denominator.
+                for den in codes:
+                    got = quotient_invariants(code.basis, den.basis.rows)
+                    assert got == smith_quotient_invariants(code.basis, den.basis.rows)
+                    quotients += 1
+        assert quotients == sum(len(codes) ** 2 for codes in by_space.values())
+
+    @given(quotient_cases(with_denominator=False))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_subgroups_against_smith(self, case):
+        rows, moduli, _ = case
+        matrix = residue_matrix(rows, moduli)
+        assert smith_invariants(matrix) == smith_quotient_invariants(matrix, [])
+
+    @given(quotient_cases(with_denominator=True))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_quotients_against_smith(self, case):
+        rows, moduli, den = case
+        matrix = residue_matrix(rows, moduli)
+        assert quotient_invariants(matrix, den) == smith_quotient_invariants(matrix, den)
+
+    def test_enumerable_codes_against_oracle(self, exhaustive_corpus, random_corpus, mixed_corpus):
+        from groupcodes.oracle import enumerate_code
+
+        for code in exhaustive_corpus + random_corpus + mixed_corpus:
+            expected = brute_smith_invariants(enumerate_code(code))
+            assert smith_invariants(code.basis) == expected, code.basis
+
+    def test_every_level_of_a_chain(self):
+        # Z/27 + Z/9 + Z/3 over Z/27^3 (r_0, r_1, r_2 = 3, 2, 1), and the
+        # same type with a 2-part (2, 4, 8) folded in over Z/216^3.
+        chain = residue_matrix([(1, 0, 0), (0, 3, 0), (0, 0, 9)], (27, 27, 27))
+        assert smith_invariants(chain) == (3, 9, 27)
+        mixed = residue_matrix([(1, 0, 0), (0, 6, 0), (0, 0, 36)], (216, 216, 216))
+        assert smith_invariants(mixed) == (6, 36, 216)
+        # Quotients that drop one level and that drop everything.
+        assert quotient_invariants(chain, [(9, 0, 0)]) == (3, 9, 9)
+        assert quotient_invariants(chain, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == ()
+
+    def test_modulus_one_and_empty(self):
+        assert smith_invariants(residue_matrix([(0, 1, 0)], (1, 4, 1))) == (4,)
+        assert smith_invariants(residue_matrix([(0,)], (1,))) == ()
+        assert smith_invariants(residue_matrix([], ())) == ()
+        assert quotient_invariants(residue_matrix([(1,)], (1,)), [(0,)]) == ()
+
+    def test_no_smith_form_is_computed(self, monkeypatch):
+        import groupcodes.linalg as module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Smith form computed")
+
+        monkeypatch.setattr(module, "_smith_with_left_inverse", refuse)
+        matrix = residue_matrix([(2, 3, 1), (0, 6, 4)], (4, 9, 12))
+        assert smith_invariants(matrix) == (3, 12)
+        assert quotient_invariants(matrix, [(0, 0, 3)]) == (3, 6)
+        assert quotient_invariants(matrix, [(2, 3, 1)]) == (3,)
+
+
 def embedded_howell(rows, moduli):
     """The Howell kernel over one ring: embed column j into Z/L (L the lcm
     of the moduli) by scaling by L/m_j, take the Howell form over Z/L with
@@ -752,3 +841,38 @@ class TestPackedKernel:
             assert howell_form(matrix) == howell_form(matrix)
         info = module._howell_cached.cache_info()
         assert (info.hits, info.misses, info.maxsize) == (2, 2, 1 << 12)
+
+
+@pytest.mark.parametrize("workload", ["block-codes", "long-horizon"])
+def test_block_reports_compute_no_smith_form(workload, monkeypatch, tmp_path):
+    # analyze, dual and duality-check over a whole benchmark pool read every
+    # invariant factor by counting: the Smith kernel, which only
+    # subgroup_basis needs, is never reached.
+    import groupcodes.linalg as module
+
+    from . import report_digest
+
+    calls = []
+    original = module._smith_with_left_inverse
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_smith_with_left_inverse", spy)
+    quotients = []
+    counted = module.quotient_invariants
+
+    def counting(*args):
+        quotients.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(module, "quotient_invariants", counting)
+    specs = report_digest.pool(workload, 7, None)
+    for spec in specs:
+        path = tmp_path / spec.name
+        path.write_text(spec.text, encoding="utf-8")
+        for command in ("analyze", "dual", "duality-check"):
+            assert report_digest.report((command,), str(path)).startswith(b"(0, ")
+    assert len(specs) > 100 and quotients
+    assert calls == []

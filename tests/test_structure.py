@@ -45,6 +45,7 @@ from groupcodes.structure import (
     verify_decomposition,
 )
 
+from .kernel_references import integer_smith_diagonal
 from .test_golden_cli import SPECS
 
 
@@ -176,7 +177,6 @@ class TestCyclicProductDecomposition:
         # Regrouping the per-prime generator orders by Smith normalization
         # recovers the isomorphism type of the code.
         from groupcodes.codes import invariant_factors_of_code
-        from groupcodes.linalg import integer_smith_diagonal
 
         rng = random.Random(109)
         for _ in range(15):
