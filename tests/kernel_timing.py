@@ -81,7 +81,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
 
     def recording(kernel, record):
         def record_call(*args):
-            record.append(tuple(tuple(arg) if isinstance(arg, list) else arg for arg in args))
+            record.append(args)
             return kernel(*args)
 
         return record_call
