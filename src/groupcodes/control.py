@@ -16,19 +16,14 @@ still exceed l + L_l where the order condition fails.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .codes import BlockCode, _internal, join, window_internal
 from .groups import FiniteAbelianGroup
-from .linalg import (
-    _reduce_vector,
-    _trusted,
-    contains_vector,
-    head_kernel,
-    head_solve,
-    scale_rows,
-)
+from .linalg import _first_nonzero, _reduce_vector, _trusted, head_solve, howell_form
 
 __all__ = [
     "ControlProfile",
@@ -241,16 +236,15 @@ def order_profile(code: BlockCode) -> OrderProfile:
     supported in [0, n), c2 in the code supported in [l, N), and the order
     of c1 at most the order of the truncation c|[0, n) in the ambient
     product.  At n = N the split c1 = c always works, so only n < N is
-    searched.  Each (l, n) is decided by linear algebra over the level
-    subgroups of the code (see ``_order_split_everywhere``); no codeword is
-    enumerated, so the code may be of any size.
-
-    The order split needs the plain one, C = P + S with P = C ∩ [0, n) and
-    S = C ∩ [l, N).  That is C_l(n - l) = Z_l + C ∩ [0, n) = C, which
-    holds exactly when n - l >= L_l (``control_profile``), so the search at
-    l < N starts at n = l + L_l; at l = N only n = N is left.  The split
-    graph is built only where the exponent has a level to test
-    (``_order_split_everywhere``).
+    searched.  With P = C ∩ [0, n), S = C ∩ [l, N), M = C ∩ [l, n) and π
+    the projection onto [0, n), every codeword splits at (l, n) exactly
+    when |P|·|S| = |C|·|M| (the plain split C = P + S) and
+    |t·P|·|π(t·S)| = |t·M|·|π(t·C)| at every level t = p^a with
+    1 <= a < v_p(exponent) (``_order_splits`` has the proof).  So no
+    codeword is enumerated, and the code may be of any size.  The plain
+    split is C_l(n - l) = C, which holds exactly when n - l >= L_l
+    (``control_profile``), so the search at l < N starts at n = l + L_l;
+    at l = N only n = N is left.  A squarefree exponent has no level.
     """
     N = code.space.horizon
     group = FiniteAbelianGroup(code.space.flat_moduli)
@@ -261,78 +255,88 @@ def order_profile(code: BlockCode) -> OrderProfile:
             levels.append(q)
             q *= p
     lengths = control_profile(code).lengths
+    form = functools.cache(functools.partial(_scaled_form, code))
     bounds = []
     for l in range(N + 1):
         n = l + lengths[l] if l < N else N
-        if levels and n < N:
-            suffix = window_internal(code, l, N)
-            while n < N and not _order_split_everywhere(
-                code, code.prefix_code(n), suffix, n, levels
-            ):
+        if levels:
+            while n < N and not _order_splits(code, l, n, levels, form):
                 n += 1
         bounds.append(n)
     return OrderProfile(tuple(bounds))
 
 
-def _order_split_everywhere(
-    code: BlockCode,
-    prefix: BlockCode,
-    suffix: BlockCode,
-    n: int,
-    levels: list[int],
+def _scaled_form(code: BlockCode, a: int, b: int, t: int) -> tuple[list[int], list[int]]:
+    """Pivot columns, counted from offset(a), and running pivot-order
+    products from 1 of the Howell form of t·(C ∩ [a, b)), whose rows
+    (``codes._internal``) are cut to [offset(a), offset(b)) first."""
+    lo, hi = code.space.offsets()[a], code.space.offsets()[b]
+    moduli = code.space.flat_moduli[lo:hi]
+    scaled = (tuple(t * e % m for e, m in zip(r[lo:hi], moduli)) for r in _internal(code, a, b)[0])
+    rows = tuple(row for row in scaled if any(row))
+    columns, products = [], [1]
+    for row in howell_form(_trusted(moduli, rows)).rows if rows else ():
+        j = _first_nonzero(row)
+        columns.append(j)
+        products.append(products[-1] * (moduli[j] // row[j]))
+    return columns, products
+
+
+def _order_splits(
+    code: BlockCode, l: int, n: int, levels: Sequence[int], form: Optional[Callable] = None
 ) -> bool:
-    """Whether every codeword order-splits at (l, n), suffix = C ∩ [l, N).
+    """Whether every codeword order-splits at (l, n), l <= n <= N, decided
+    by counting at ``levels``; ``form`` is ``_scaled_form`` on the code,
+    which ``order_profile`` passes memoized.
 
-    Let P = prefix, S = suffix and M = P ∩ S.  Rows with pivot at or after
-    the cut lie in C ∩ [n, N) ⊆ S, so C = P + S when each earlier Howell
-    row r splits as r = φ(r) + s with φ(r) in P and s in S.  Splits of one
-    word differ by elements of M, so φ extends to a homomorphism C → P / M
-    whose cosets φ(c) + M hold the prefix parts of c.
+    Let P = C ∩ [0, n), S = C ∩ [l, N), M = P ∩ S = C ∩ [l, n) and π the
+    projection onto [0, n).  P + S ⊆ C has order |P|·|S| / |M|, so the
+    plain split C = P + S holds exactly when |P|·|S| = |C|·|M|.
 
-    The order condition asks for a prefix part of order at most
-    ord(c|[0, n)) for every c.  That is the same as one of order dividing
-    ord(c|[0, n)): the p-component u·c of c is a codeword, and the p-part
-    u·x of a prefix part x of u·c of order at most ord(u·c|[0, n)) is
-    again one (u is idempotent modulo the exponent), of order dividing
-    that p-power; the sum over p of these p-parts is a prefix part of c.
-    A prefix part of order dividing t exists exactly when t·φ(c) lies in
-    t·M, and c lies in O_t = {c : t·c|[0, n) = 0} exactly when
-    ord(c|[0, n)) divides t.  So the condition reads t·φ(O_t) ⊆ t·M for
-    every divisor t of the exponent; at each t, t·φ(O_t) is the head
-    kernel of the rows [t·r|[0, n) | t·φ(r)].  One Howell form gives φ and
-    M: the rows [p | p] and [s | 0] span {(x + y, x) : x in P, y in S}.
+    Given it, a prefix part of c is an x in P with c - x in S.  One of
+    order at most ord(π(c)) exists exactly when one of order dividing
+    ord(π(c)) does: the p-component u·c of c is a codeword, and the p-part
+    u·x of a prefix part x of u·c of order at most ord(π(u·c)) is again
+    one (u is idempotent modulo the exponent), of order dividing that
+    p-power; the sum over p of these p-parts is a prefix part of c.  With
+    O_t = {c in C : t·π(c) = 0} and X[t] = {x in X : t·x = 0}, the order
+    condition is O_t ⊆ P[t] + S at every divisor t of the exponent.
+    P[t] ⊆ O_t, so that is |O_t| / |O_t ∩ S| = |P[t]| / |P[t] ∩ S|.
+    O_t and O_t ∩ S are the kernels of c -> π(t·c) on C and on S, P[t] is
+    that of x -> t·x on P, and P[t] ∩ S = M[t]; so |O_t| = |C| / |π(t·C)|,
+    |O_t ∩ S| = |S| / |π(t·S)|, |P[t]| = |P| / |t·P| and
+    |M[t]| = |M| / |t·M|.  Cancelling with |C|·|M| = |P|·|S| leaves
+    |t·P|·|π(t·S)| = |t·M|·|π(t·C)|.  Each order is read off the Howell
+    form of the scaled rows (``_scaled_form``).  The rows of a Howell form
+    with pivot before offset(n), cut there, are a Howell form of its
+    projection with the same pivot orders (as ``codes._projection`` reads
+    them), so t·C and t·S give |π(t·C)| and |π(t·S)| for every n.
 
-    Only the levels t = p^a, 1 <= a < v_p(exponent), are tested.  φ
-    commutes with the CRT idempotents, so condition(t) splits over the
-    p-components C_p.  On C_p, t / p^(a_p) is a unit for t = ∏ p^(a_p), so
-    condition(t) there is condition(p^(a_p)); and condition(p^a) holds on
-    C_q, q ≠ p, where p^a is a unit and O_(p^a) ∩ C_q lies in S.  Levels
-    a = 0 and a = v_p hold on C_p trivially (O_1 = C ∩ [n, N); p^(v_p)
-    kills C_p).  So a squarefree exponent needs no level.
+    With M = 0 the condition holds and nothing is read: an x = π(s) in P,
+    s in S, has s - x in C ∩ [n, N) ⊆ S, so P ∩ π(S) ⊆ M = 0,
+    π(t·C) = t·P + π(t·S) is direct, and |t·M| = 1.
+
+    Only the levels t = p^a, 1 <= a < v_p(exponent), need testing.  Each
+    CRT idempotent maps O_t, P[t] and S into themselves, so the condition
+    at t splits over the p-components C_p.  On C_p, t / p^(a_p) is a unit
+    for t = ∏ p^(a_p), so the condition at t there is the condition at
+    p^(a_p); and the condition at p^a holds on C_q, q ≠ p, where p^a is a
+    unit and O_(p^a) ∩ C_q lies in S.  Levels a = 0 and a = v_p hold on C_p
+    trivially (O_1 = C ∩ [n, N); p^(v_p) kills C_p).  So a squarefree
+    exponent needs no level.
     """
-    moduli = code.space.flat_moduli
-    width = len(moduli)
-    cut = code.space.offsets()[n]
-    zero = (0,) * width
-    graph = _trusted(
-        moduli + moduli,
-        tuple(row + row for row in prefix.basis.rows)
-        + tuple(row + zero for row in suffix.basis.rows),
+    N = code.space.horizon
+    prefix, suffix, meet = (_internal(code, a, b)[1] for a, b in ((0, n), (l, N), (l, n)))
+    if prefix * suffix != code.cardinality * meet:
+        return False
+    form = form or functools.partial(_scaled_form, code)
+    offsets = code.space.offsets()
+
+    def projected(a: int, t: int) -> int:
+        columns, products = form(a, N, t)
+        return products[bisect_left(columns, offsets[n] - offsets[a])]
+
+    return meet == 1 or all(
+        form(0, n, t)[1][-1] * projected(l, t) == form(l, n, t)[1][-1] * projected(0, t)
+        for t in levels
     )
-    split_rows = []
-    for row, (pivot, _) in zip(code.basis.rows, code.pivots()):
-        if pivot >= cut:
-            break
-        split = head_solve(graph, width, row)
-        if split is None:
-            # The row is itself a codeword without any split.
-            return False
-        split_rows.append(row[:cut] + split)
-    split_graph = _trusted(moduli[:cut] + moduli, tuple(split_rows))
-    meet = head_kernel(graph, width)
-    for t in levels:
-        level = head_kernel(scale_rows(split_graph, t), cut)
-        scaled_meet = scale_rows(meet, t)
-        if not all(contains_vector(scaled_meet, row) for row in level.rows):
-            return False
-    return True

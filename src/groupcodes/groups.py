@@ -73,7 +73,7 @@ class FiniteAbelianGroup:
 
     def primes(self) -> list[int]:
         """The primes dividing the group order, factored modulus by modulus."""
-        return sorted({p for m in self.moduli for p in prime_factors(m)})
+        return sorted({p for m in set(self.moduli) for p in prime_factors(m)})
 
     def __str__(self) -> str:
         if not self.moduli:

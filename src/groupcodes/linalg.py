@@ -40,9 +40,7 @@ __all__ = [
     "span_cardinality",
     "contains_vector",
     "coset_reduce",
-    "spans_equal",
     "vector_order",
-    "scale_rows",
     "stack",
     "solve_congruence_system",
     "CongruenceSolution",
@@ -131,7 +129,14 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Ascending list of distinct primes dividing n."""
+    """Ascending list of distinct primes dividing n, each n factored once."""
+    return list(_primes(n))
+
+
+@lru_cache(maxsize=1 << 8)
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct primes of n by trial division, ascending.  Callers
+    factor moduli, so 256 entries hold every one a run meets."""
     primes = []
     d = 2
     while d * d <= n:
@@ -142,7 +147,7 @@ def prime_factors(n: int) -> list[int]:
         d += 1
     if n > 1:
         primes.append(n)
-    return primes
+    return tuple(primes)
 
 
 def primary_part(m: int, p: int) -> tuple[int, int]:
@@ -409,17 +414,6 @@ def contains_vector(matrix: ResidueMatrix, vector: Sequence[int]) -> bool:
     return not any(coset_reduce(matrix, vector))
 
 
-def spans_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:
-    return howell_form(a).rows == howell_form(b).rows
-
-
-def scale_rows(matrix: ResidueMatrix, scalar: int) -> ResidueMatrix:
-    """Generators of ``scalar * span``, which equals the span of scaled rows."""
-    return residue_matrix(
-        [[scalar * e for e in row] for row in matrix.rows], matrix.moduli
-    )
-
-
 def stack(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
     if a.moduli != b.moduli:
         raise ValueError("column moduli mismatch")
@@ -581,9 +575,7 @@ def intersect_rows(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _smith_with_left_inverse(
-    mat: list[list[int]], track: bool = True
-) -> tuple[list[int], list[list[int]]]:
+def _smith_with_left_inverse(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Diagonalize ``mat`` in place by unimodular row and column operations.
 
     Returns (diagonal, Uinv).  Row operations accumulate into a left
@@ -602,11 +594,10 @@ def _smith_with_left_inverse(
             a, b = mat[i][j], mat[k][j]
             mat[i][j] = s * a + t * b
             mat[k][j] = u * a + v * b
-        if track:
-            for r in range(n):
-                a, b = uinv[r][i], uinv[r][k]
-                uinv[r][i] = v * a - u * b
-                uinv[r][k] = -t * a + s * b
+        for r in range(n):
+            a, b = uinv[r][i], uinv[r][k]
+            uinv[r][i] = v * a - u * b
+            uinv[r][k] = -t * a + s * b
 
     def col_combine(j: int, k: int, s: int, t: int, u: int, v: int) -> None:
         for i in range(n):
@@ -629,9 +620,8 @@ def _smith_with_left_inverse(
             if pivot[0] != t:
                 i = pivot[0]
                 mat[t], mat[i] = mat[i], mat[t]
-                if track:
-                    for r in range(n):
-                        uinv[r][t], uinv[r][i] = uinv[r][i], uinv[r][t]
+                for r in range(n):
+                    uinv[r][t], uinv[r][i] = uinv[r][i], uinv[r][t]
             if pivot[1] != t:
                 j = pivot[1]
                 for i in range(n):
@@ -670,26 +660,21 @@ def _smith_with_left_inverse(
         if t < size and mat[t][t] < 0:
             for j in range(m):
                 mat[t][j] = -mat[t][j]
-            if track:
-                for r in range(n):
-                    uinv[r][t] = -uinv[r][t]
+            for r in range(n):
+                uinv[r][t] = -uinv[r][t]
     diag = [mat[i][i] for i in range(size)]
     return diag, uinv
 
 
-def _relation_lattice(
-    gens: Sequence[Vector], extra: Sequence[Vector], moduli: Vector
-) -> list[list[int]]:
-    """Integer relations among ``gens`` modulo span(``extra``), one row per
-    generator: a column per lifted kernel element, restricted to the
-    coefficients of ``gens``, plus exponent times the standard lattice."""
+def _relation_lattice(gens: Sequence[Vector], moduli: Vector) -> list[list[int]]:
+    """Integer relations among ``gens``, one row per generator: a column
+    per lifted kernel element, plus exponent times the standard lattice."""
     exponent = lcm(*moduli)
-    combined = list(gens) + list(extra)
     # Unknowns over Z/exponent: every image is killed by the exponent, so
     # the map is well defined by construction.
-    graph = homomorphism_graph(combined, tuple(exponent for _ in combined), moduli)
+    graph = homomorphism_graph(gens, tuple(exponent for _ in gens), moduli)
     k = len(gens)
-    cols = [row[:k] for row in head_kernel(graph, len(moduli)).rows]
+    cols = list(head_kernel(graph, len(moduli)).rows)
     cols.extend([exponent if i == j else 0 for i in range(k)] for j in range(k))
     return [[col[r] for col in cols] for r in range(k)]
 
@@ -706,8 +691,8 @@ def subgroup_basis(matrix: ResidueMatrix) -> list[tuple[Vector, int]]:
         return []
     moduli = canon.moduli
     k = len(gens)
-    lattice = _relation_lattice(gens, (), moduli)
-    diag, uinv = _smith_with_left_inverse(lattice, track=True)
+    lattice = _relation_lattice(gens, moduli)
+    diag, uinv = _smith_with_left_inverse(lattice)
     result: list[tuple[Vector, int]] = []
     for i in range(k):
         order = diag[i] if i < len(diag) else 0
@@ -807,9 +792,9 @@ def quotient_invariants(
         return ()
     moduli = canon.moduli
     den = [_reduced(row, moduli) for row in denominator_rows]
-    pivot_orders = _pivot_orders(canon.rows, moduli)
-    order = prod(pivot_orders)
-    primes = sorted({p for o in set(pivot_orders) for p in prime_factors(o)})
+    order = prod(_pivot_orders(canon.rows, moduli))
+    # Pivot orders divide their moduli: the primes of |X| are among theirs.
+    primes = sorted({p for m in set(moduli) for p in _primes(m) if order % p == 0})
     factors: list[int] = []
     for p in primes:
         counts = _level_counts(canon.rows, den, moduli, p, order)

@@ -25,8 +25,8 @@ from .codes import (
 from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
     _first_nonzero,
+    _reduce_vector,
     _trusted,
-    coset_reduce,
     head_kernel,
     head_solve,
     homomorphism_graph,
@@ -115,12 +115,14 @@ def verify_decomposition(
 ) -> tuple[bool, VerificationCertificate]:
     """Check membership, supports, internal directness and cardinality.
 
-    Directness is established step by step: <y_1..y_j> meets <y_{j+1}>
-    trivially exactly when |<y_1..y_{j+1}>| = |<y_1..y_j>| · ord(y_{j+1}),
-    read off the spans built anyway, each one Howell form of the last
-    span's rows with y_{j+1} appended.  Together the steps are equivalent
-    to the implication that a vanishing sum forces every summand to vanish.
-    The decomposition must live in the code's space.
+    Directness, the implication that a vanishing sum forces every summand
+    to vanish, holds step by step: <y_1..y_j> meets <y_{j+1}> trivially
+    exactly when |<y_1..y_{j+1}>| = |<y_1..y_j>| · ord(y_{j+1}).  Each
+    step has <= there, so all are equalities exactly when their product
+    |<y_1..y_k>| = ∏ ord(y_i) is: one Howell form of all the words
+    (``_directness``), with the prefix spans built only when it fails, to
+    name the first failing step.  The decomposition must live in the
+    code's space.
     """
     if decomposition.space != code.space:
         raise ValueError("decomposition and code live in different spaces")
@@ -136,13 +138,7 @@ def verify_decomposition(
             support_ok = False
         if vector_order(g.word, moduli) != g.order:
             support_ok = False
-    directness = []
-    rows, before = (), 1
-    for j, g in enumerate(gens):
-        spanned = code_from_generators(code.space, rows + (g.word,))
-        if j:
-            directness.append(spanned.cardinality == before * vector_order(g.word, moduli))
-        rows, before = spanned.basis.rows, spanned.cardinality
+    directness = _directness(code.space, [g.word for g in gens])
     cardinality_ok = decomposition.order_product == code.cardinality
     failed = None
     if not membership_ok:
@@ -156,11 +152,25 @@ def verify_decomposition(
     cert = VerificationCertificate(
         membership_ok=membership_ok,
         support_ok=support_ok,
-        directness_ok=tuple(directness),
+        directness_ok=directness,
         cardinality_ok=cardinality_ok,
         failed_condition=failed,
     )
     return cert.ok, cert
+
+
+def _directness(space: SequenceSpace, words: list[tuple[int, ...]]) -> tuple[bool, ...]:
+    """The directness steps j = 1..k-1: all true when the span of all k
+    words has order ∏ ord(y_i), else read off the span of each prefix."""
+    orders = [vector_order(word, space.flat_moduli) for word in words]
+    steps, rows, before = [], (), 1
+    if len(words) < 2 or code_from_generators(space, words).cardinality == math.prod(orders):
+        return (True,) * (len(words) - 1)
+    for word, order in zip(words, orders):
+        spanned = code_from_generators(space, rows + (word,))
+        steps.append(spanned.cardinality == before * order)
+        rows, before = spanned.basis.rows, spanned.cardinality
+    return tuple(steps[1:])
 
 
 def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
@@ -209,16 +219,15 @@ def _verified(code: BlockCode, gens: list[DecompositionGenerator]) -> Decomposit
 def _primary_code(code: BlockCode, p: int) -> tuple[BlockCode, list[tuple[int, int]]]:
     """The code's p-primary part over the p-parts of its symbols, with the
     ``primary_part`` pair (q, u) of each column: a row enters as e mod q
-    and a component word leaves as e·u mod m, column by column."""
+    and a component word leaves as e·u mod m, column by column.  When
+    every modulus is a power of p (1 included), that is the code itself."""
     columns = [primary_part(m, p) for m in code.space.flat_moduli]
+    if all(q == m for (q, _), m in zip(columns, code.space.flat_moduli)):
+        return code, columns  # every column a power of p: u = 1 (or Z/1)
     symbols = code.space.split([q for q, _ in columns])
     part = SequenceSpace(tuple(FiniteAbelianGroup(qs) for qs in symbols))
     rows = ([e % q for e, (q, _) in zip(row, columns)] for row in code.basis.rows)
     return code_from_generators(part, rows), columns
-
-
-def _exponent(code: BlockCode) -> int:
-    return lcm(*(vector_order(row, code.basis.moduli) for row in code.basis.rows))
 
 
 def _smallest_full_prefix(current: BlockCode, exponent: int) -> int:
@@ -255,7 +264,7 @@ def _max_order_in_smallest_window(
     order p^e reachable, i.e. p^(e-1)·y nonzero or some later row not
     killed by p^(e-1).
     """
-    exponent = _exponent(current)
+    exponent = lcm(*(vector_order(row, current.basis.moduli) for row in current.basis.rows))
     inner = window_internal(current, 0, _smallest_full_prefix(current, exponent))
     moduli = current.space.flat_moduli
     below = exponent // p
@@ -300,7 +309,7 @@ def _peel_complement(
         chi_head = head_solve(graph, 1, (L // order,))
         if chi_head is None:
             continue
-        chi = coset_reduce(head_kernel(graph, 1), chi_head)
+        chi = _reduce_vector(head_kernel(graph, 1), chi_head)
         # chi vanishes beyond the prefix, where zip stops.
         weights = [c * (L // m) for c, m in zip(chi, moduli)]
         rows = tuple(

@@ -2,10 +2,20 @@
 
 * ``integer_smith_diagonal``: the Smith diagonal of an integer matrix.
 * ``smith_quotient_invariants``: invariant factors of a quotient by the
-  integer Smith normal form of its relation lattice, the route
-  ``linalg.quotient_invariants`` took before it counted on Howell forms.
+  integer Smith normal form of its relation lattice
+  (``relation_lattice``), the route ``linalg.quotient_invariants`` took
+  before it counted on Howell forms.
 * ``loop_pairs_to_zero``: the pairing test residue by residue, the loop
   ``duality.pairs_to_zero`` ran before it folded the weights into x.
+* ``order_split_everywhere``: the order split at one (l, n) by a split
+  graph, one ``head_solve`` per code row and one scaled split graph per
+  level, the route ``control.order_profile`` took before it compared span
+  orders (``control._order_splits``); ``scale_rows`` is its helper.
+* ``stepwise_directness``: the directness steps of a decomposition, each
+  read off the span of one more generator prefix, the route
+  ``structure.verify_decomposition`` took on every input before it
+  checked one span of all the generators first.
+* ``spans_equal``: span equality by Howell forms, which no analysis asks.
 """
 
 from __future__ import annotations
@@ -14,7 +24,18 @@ from math import lcm
 from typing import Sequence
 
 from groupcodes import linalg
-from groupcodes.linalg import ResidueMatrix, howell_form
+from groupcodes.codes import BlockCode, SequenceSpace, code_from_generators
+from groupcodes.linalg import (
+    ResidueMatrix,
+    Vector,
+    _trusted,
+    contains_vector,
+    head_kernel,
+    head_solve,
+    howell_form,
+    residue_matrix,
+    vector_order,
+)
 
 
 def integer_smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -24,7 +45,7 @@ def integer_smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     matrix this diagonal presents the cokernel.
     """
     mat = [list(map(int, row)) for row in rows]
-    diag, _ = linalg._smith_with_left_inverse(mat, track=False)
+    diag, _ = linalg._smith_with_left_inverse(mat)
     return diag
 
 
@@ -38,9 +59,25 @@ def smith_quotient_invariants(
     if not canon.rows:
         return ()
     den = [linalg._reduced(row, canon.moduli) for row in denominator_rows]
-    lattice = linalg._relation_lattice(canon.rows, den, canon.moduli)
-    diag, _ = linalg._smith_with_left_inverse(lattice, track=False)
+    lattice = relation_lattice(canon.rows, den, canon.moduli)
+    diag, _ = linalg._smith_with_left_inverse(lattice)
     return tuple(sorted(d for d in diag if d not in (0, 1)))
+
+
+def relation_lattice(
+    gens: Sequence[Vector], extra: Sequence[Vector], moduli: Vector
+) -> list[list[int]]:
+    """Integer relations among ``gens`` modulo span(``extra``), one row per
+    generator: a column per lifted kernel element, restricted to the
+    coefficients of ``gens``, plus exponent times the standard lattice
+    (``linalg._relation_lattice`` with the denominator rows added)."""
+    exponent = lcm(*moduli)
+    combined = list(gens) + list(extra)
+    graph = linalg.homomorphism_graph(combined, tuple(exponent for _ in combined), moduli)
+    k = len(gens)
+    cols = [row[:k] for row in head_kernel(graph, len(moduli)).rows]
+    cols.extend([exponent if i == j else 0 for i in range(k)] for j in range(k))
+    return [[col[r] for col in cols] for r in range(k)]
 
 
 def loop_pairs_to_zero(
@@ -52,3 +89,76 @@ def loop_pairs_to_zero(
     return all(
         sum(a * b for a, b in zip(x, y)) % L == 0 for y in ys if any(y) for x in weighted
     )
+
+
+def scale_rows(matrix: ResidueMatrix, scalar: int) -> ResidueMatrix:
+    """Generators of ``scalar * span``, which equals the span of scaled rows."""
+    return residue_matrix(
+        [[scalar * e for e in row] for row in matrix.rows], matrix.moduli
+    )
+
+
+def order_split_everywhere(
+    code: BlockCode,
+    prefix: BlockCode,
+    suffix: BlockCode,
+    n: int,
+    levels: Sequence[int],
+) -> bool:
+    """Whether every codeword order-splits at (l, n), suffix = C ∩ [l, N).
+
+    Let P = prefix, S = suffix and M = P ∩ S.  Rows with pivot at or after
+    the cut lie in C ∩ [n, N) ⊆ S, so C = P + S when each earlier Howell
+    row r splits as r = φ(r) + s with φ(r) in P and s in S.  Splits of one
+    word differ by elements of M, so φ extends to a homomorphism C → P / M
+    whose cosets φ(c) + M hold the prefix parts of c.  The order condition
+    at t is t·φ(O_t) ⊆ t·M, O_t = {c : t·c|[0, n) = 0}; t·φ(O_t) is the
+    head kernel of the rows [t·r|[0, n) | t·φ(r)].  One Howell form gives
+    φ and M: the rows [p | p] and [s | 0] span {(x + y, x) : x in P,
+    y in S}.
+    """
+    moduli = code.space.flat_moduli
+    width = len(moduli)
+    cut = code.space.offsets()[n]
+    zero = (0,) * width
+    graph = _trusted(
+        moduli + moduli,
+        tuple(row + row for row in prefix.basis.rows)
+        + tuple(row + zero for row in suffix.basis.rows),
+    )
+    split_rows = []
+    for row, (pivot, _) in zip(code.basis.rows, code.pivots()):
+        if pivot >= cut:
+            break
+        split = head_solve(graph, width, row)
+        if split is None:
+            # The row is itself a codeword without any split.
+            return False
+        split_rows.append(row[:cut] + split)
+    split_graph = _trusted(moduli[:cut] + moduli, tuple(split_rows))
+    meet = head_kernel(graph, width)
+    for t in levels:
+        level = head_kernel(scale_rows(split_graph, t), cut)
+        scaled_meet = scale_rows(meet, t)
+        if not all(contains_vector(scaled_meet, row) for row in level.rows):
+            return False
+    return True
+
+
+def stepwise_directness(space: SequenceSpace, words: Sequence[Sequence[int]]) -> tuple[bool, ...]:
+    """Whether <y_1..y_j> meets <y_{j+1}> trivially, for j = 1..k-1, each
+    as |<y_1..y_{j+1}>| = |<y_1..y_j>| · ord(y_{j+1}) on one span per
+    generator prefix."""
+    steps = []
+    rows, before = (), 1
+    for j, word in enumerate(words):
+        spanned = code_from_generators(space, rows + (tuple(word),))
+        if j:
+            steps.append(spanned.cardinality == before * vector_order(word, space.flat_moduli))
+        rows, before = spanned.basis.rows, spanned.cardinality
+    return tuple(steps)
+
+
+def spans_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:
+    """Whether two matrices span the same subgroup: equal Howell forms."""
+    return howell_form(a).rows == howell_form(b).rows

@@ -8,8 +8,9 @@ The pool of workload W and the seed (the specs a 36 s run of
 ``groupcodes.cli.main`` under every command ``tests/report_digest.py``
 runs on it, with the Howell cache cleared first.  Every input that reaches
 the Howell kernel (every cache miss of ``linalg._howell_cached``), every
-call of ``linalg.quotient_invariants`` and every call of
-``duality.pairs_to_zero`` is recorded.  Each kernel is then timed on the
+call of ``linalg.quotient_invariants``, every call of
+``duality.pairs_to_zero`` and every (code, l, n, levels) that
+``control.order_profile`` tests is recorded.  Each kernel is then timed on the
 recorded inputs it takes, bucketed by matrix width:
 
 * ``reference``: ``_howell_single`` on every Howell input;
@@ -25,11 +26,17 @@ recorded inputs it takes, bucketed by matrix width:
 * ``pair-loop``: the residue-by-residue pairing test
   (``kernel_references.loop_pairs_to_zero``) on every ``pairs_to_zero``
   input;
-* ``pair-map``: ``pairs_to_zero``.
+* ``pair-map``: ``pairs_to_zero``;
+* ``order-graph``: the order split by a split graph
+  (``kernel_references.order_split_everywhere``, given the prefix and
+  suffix window codes) on every order split input;
+* ``order-counted``: ``control._order_splits``, which compares span
+  orders; each call builds its own scaled Howell forms, where
+  ``order_profile`` shares them between the (l, n) of one code.
 
 A line gives the kernel, the width bucket, the input count, the number of
-outputs that differ from the reference's (``_howell_single``, ``smith``
-or ``pair-loop``) and the best of ``--repeat`` timed passes, in seconds of
+outputs that differ from the reference's (``_howell_single``, ``smith``,
+``pair-loop`` or ``order-graph``) and the best of ``--repeat`` timed passes, in seconds of
 CPU time (a shared machine's other load then shows less than in wall
 time).  The Howell cache is cleared before each pass, so a kernel that
 reads Howell forms pays for them in every pass.
@@ -49,7 +56,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import kernel_references  # noqa: E402  (the Smith route, the pairing loop)
 import report_digest  # noqa: E402  (the pools, the commands, one report)
 
-from groupcodes import duality, linalg  # noqa: E402
+from groupcodes import control, duality, linalg  # noqa: E402
+from groupcodes.codes import BlockCode, window_internal  # noqa: E402
 
 # (label, least width, largest width) of each bucket, then of all inputs.
 BUCKETS = (
@@ -66,9 +74,10 @@ EVERY = ("all", 0, math.inf)
 def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, int]:
     """The inputs that reached each kernel while the pool ran through the
     CLI, by kernel ("howell": (rows, moduli), "quotient": (numerator,
-    denominator rows), "pairs": (xs, ys, moduli)), and the number of specs
-    run."""
-    inputs = {"howell": [], "quotient": [], "pairs": []}
+    denominator rows), "pairs": (xs, ys, moduli), "order": (code, l, n,
+    levels) and the memoized forms ``order_profile`` passed), and the
+    number of specs run."""
+    inputs = {"howell": [], "quotient": [], "pairs": [], "order": []}
     # (module, name, the inputs it records into) of every wrapped kernel;
     # ``duality`` calls its own imported ``quotient_invariants``.
     wrapped = (
@@ -76,6 +85,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         (linalg, "quotient_invariants", inputs["quotient"]),
         (duality, "quotient_invariants", inputs["quotient"]),
         (duality, "pairs_to_zero", inputs["pairs"]),
+        (control, "_order_splits", inputs["order"]),
     )
     originals = [getattr(module, name) for module, name, _ in wrapped]
 
@@ -116,10 +126,21 @@ def best_time(kernel, inputs: list, repeat: int) -> float:
 
 
 def width(args: tuple) -> int:
-    """The matrix width of one recorded input: its numerator's, or the
-    length of its moduli, which come last."""
+    """The matrix width of one recorded input: its code's or numerator's,
+    or the length of its moduli, which come last."""
     first = args[0]
+    if isinstance(first, BlockCode):
+        return first.basis.width
     return first.width if isinstance(first, linalg.ResidueMatrix) else len(args[-1])
+
+
+def split_graph(code, l, n, levels) -> bool:
+    """The split-graph decision at (l, n), on the window codes that
+    ``order_profile`` passed it before it counted."""
+    N = code.space.horizon
+    return kernel_references.order_split_everywhere(
+        code, window_internal(code, 0, n), window_internal(code, l, N), n, levels
+    )
 
 
 def print_lines(name, kernel, calls, expected, widths, repeat) -> None:
@@ -151,10 +172,12 @@ def main(argv=None) -> int:
         i for i, (_, moduli) in enumerate(howell) if linalg._PACKED_MODULI.issuperset(moduli)
     ]
     quotients, pairs = inputs["quotient"], inputs["pairs"]
+    splits = [call[:4] for call in inputs["order"]]
     print(
         f"{args.workload} seed {args.seed}: {len(howell)} Howell inputs from "
         f"{specs} specs, {len(packable)} on the packed path, "
-        f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs"
+        f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs, "
+        f"{len(splits)} order split inputs"
     )
     print(f"{'kernel':<14}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
     expected = [linalg._howell_single(*call) for call in howell]
@@ -163,6 +186,7 @@ def main(argv=None) -> int:
     on_layout = [(rows, linalg._packed_layout(moduli)) for rows, moduli in two_power]
     smith = [kernel_references.smith_quotient_invariants(*call) for call in quotients]
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
+    graph = [split_graph(*call) for call in splits]
     # (name, kernel, its calls, the reference output of each, the inputs
     # the calls were made from)
     kernels = (
@@ -174,6 +198,8 @@ def main(argv=None) -> int:
         ("counted", linalg.quotient_invariants, quotients, smith, quotients),
         ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),
         ("pair-map", duality.pairs_to_zero, pairs, loop, pairs),
+        ("order-graph", split_graph, splits, graph, splits),
+        ("order-counted", control._order_splits, splits, graph, splits),
     )
     for name, kernel, calls, outputs, recorded in kernels:
         widths = [width(args) for args in recorded]

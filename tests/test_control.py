@@ -28,7 +28,7 @@ from groupcodes.codes import (
 from groupcodes.control import (
     ProfileInsufficientError,
     _gap_lengths,
-    _order_split_everywhere,
+    _order_splits,
     _window_solution,
     chunk_decompose,
     control_profile,
@@ -44,12 +44,12 @@ from groupcodes.linalg import (
     head_kernel,
     head_solve,
     homomorphism_graph,
-    scale_rows,
     vector_order,
 )
 from groupcodes.oracle import brute
 
 from .conftest import BAND_SPEC_PATHS, band_code
+from .kernel_references import order_split_everywhere, scale_rows
 from .test_codes import mixed_codes
 
 
@@ -374,7 +374,7 @@ def graph_order_bounds(code):
         suffix = window_internal(code, l, N)
         for n in range(l, N):
             prefix = window_internal(code, 0, n)
-            if _order_split_everywhere(code, prefix, suffix, n, levels):
+            if order_split_everywhere(code, prefix, suffix, n, levels):
                 break
         else:
             n = N
@@ -483,13 +483,14 @@ class TestOrderProfile:
         import groupcodes.control as control
 
         calls, failed = [], 0
-        original = control._order_split_everywhere
+        original = control._order_splits
 
-        def counted(code, prefix, suffix, n, levels):
-            calls.append(join(prefix, suffix) == code)
-            return original(code, prefix, suffix, n, levels)
+        def counted(code, l, n, levels, form=None):
+            suffix = window_internal(code, l, code.space.horizon)
+            calls.append(join(window_internal(code, 0, n), suffix) == code)
+            return original(code, l, n, levels, form)
 
-        monkeypatch.setattr(control, "_order_split_everywhere", counted)
+        monkeypatch.setattr(control, "_order_splits", counted)
         for code in mixed_corpus:
             N = code.space.horizon
             for l in range(N + 1):
@@ -506,13 +507,13 @@ class TestOrderProfile:
         import groupcodes.control as control
 
         seen = []
-        original = control._order_split_everywhere
+        original = control._order_splits
 
-        def recorded(code, prefix, suffix, n, levels):
+        def recorded(code, l, n, levels, form=None):
             seen.append(tuple(levels))
-            return original(code, prefix, suffix, n, levels)
+            return original(code, l, n, levels, form)
 
-        monkeypatch.setattr(control, "_order_split_everywhere", recorded)
+        monkeypatch.setattr(control, "_order_splits", recorded)
         code = code_from_generators(space((360,), (360,)), [(1, 2), (0, 12)])
         assert order_profile(code).bounds == graph_order_bounds(code)
         assert seen and set(seen) == {(2, 4, 3)}
@@ -523,18 +524,21 @@ class TestOrderProfile:
         sp = space((2,), (4,), (16,), (16,))
         code = code_from_generators(sp, [(1, 0, 9, 0), (0, 1, 9, 12)])
         prefix, suffix = window_internal(code, 0, 3), window_internal(code, 1, 4)
-        assert _order_split_everywhere(code, prefix, suffix, 3, [2])
-        assert not _order_split_everywhere(code, prefix, suffix, 3, [4])
-        assert not _order_split_everywhere(code, prefix, suffix, 3, [8])
+        assert order_split_everywhere(code, prefix, suffix, 3, [2])
+        assert not order_split_everywhere(code, prefix, suffix, 3, [4])
+        assert not order_split_everywhere(code, prefix, suffix, 3, [8])
+        assert _order_splits(code, 1, 3, [2])
+        assert not _order_splits(code, 1, 3, [4])
+        assert not _order_splits(code, 1, 3, [8])
         assert order_profile(code).bounds == brute("order_profile", code) == (0, 4, 4, 4, 4)
 
     def test_squarefree_exponent_builds_no_level_kernel(self, monkeypatch):
         # With no level to test the counted plain split is the answer: no
-        # split graph, no kernel, same bounds as the all-divisor route.
+        # split test, no Howell form, same bounds as the all-divisor route.
         import groupcodes.control as control
 
         calls = Counter()
-        for name in ("head_kernel", "scale_rows", "head_solve"):
+        for name in ("howell_form", "head_solve", "_order_splits", "_scaled_form"):
             original = getattr(control, name)
 
             def counted(*args, _name=name, _original=original):
@@ -588,6 +592,71 @@ class TestOrderProfile:
                 assert bounds == brute("order_profile", code)
                 found += 1
         assert found >= 10
+
+
+def split_decisions(code):
+    """(l, n, t, counted, reference) for every l <= n < N and every level
+    t: None (the plain split alone), then each divisor 1 < t < exponent
+    of the space, the prime powers among them."""
+    N = code.space.horizon
+    exponent = lcm(*code.space.flat_moduli)
+    levels = [None] + [t for t in range(2, exponent) if exponent % t == 0]
+    out = []
+    for l in range(N + 1):
+        suffix = window_internal(code, l, N)
+        for n in range(l, N):
+            prefix = window_internal(code, 0, n)
+            for t in levels:
+                tested = [] if t is None else [t]
+                out.append((
+                    l, n, t,
+                    _order_splits(code, l, n, tested),
+                    order_split_everywhere(code, prefix, suffix, n, tested),
+                ))
+    return out
+
+
+# Symbols over the moduli {2, 3, 4, 8, 9, 12, 16, 27, 36}.
+TWIN_SYMBOLS = ((2,), (3,), (4,), (8,), (9,), (12,), (16,), (27,), (36,), (2, 4), (4, 12))
+
+
+class TestCountedOrderSplit:
+    """The counted decision of ``_order_splits`` against the split-graph
+    route, at one level at a time, for every (l, n)."""
+
+    def test_matches_split_graph_on_corpora(self, exhaustive_corpus, mixed_corpus):
+        outcomes = Counter()
+        for code in exhaustive_corpus + mixed_corpus:
+            for l, n, t, counted, reference in split_decisions(code):
+                assert counted == reference, (code.basis, l, n, t)
+                plain = _order_splits(code, l, n, [])
+                outcomes[t is None, plain, counted] += 1
+        # Both outcomes of the plain split, and levels tested on it.
+        assert outcomes[True, True, True] and outcomes[True, False, False]
+        assert outcomes[False, True, True] and outcomes[False, False, False]
+
+    def test_higher_levels_over_z16(self):
+        # Z/2, Z/4, Z/16, Z/16: the levels 2, 4 and 8 decide differently.
+        sp = space((2,), (4,), (16,), (16,))
+        code = code_from_generators(sp, [(1, 0, 9, 0), (0, 1, 9, 12)])
+        decisions = split_decisions(code)
+        assert all(counted == reference for *_, counted, reference in decisions)
+        at_1_3 = {t: counted for l, n, t, counted, _ in decisions if (l, n) == (1, 3)}
+        assert {t: at_1_3[t] for t in (2, 4, 8)} == {2: True, 4: False, 8: False}
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_split_graph_by_hypothesis(self, data):
+        sp = space(*data.draw(st.lists(st.sampled_from(TWIN_SYMBOLS), min_size=1, max_size=4)))
+        gens = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(0, m - 1) for m in sp.flat_moduli]),
+                max_size=3,
+            )
+        )
+        code = code_from_generators(sp, gens)
+        for l, n, t, counted, reference in split_decisions(code):
+            assert counted == reference, (l, n, t)
 
 
 def reference_control_lengths(code):

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "kernel_timing.py"
 KERNELS = (
     "reference", "reference-2^k", "packed", "dispatch",
-    "smith", "counted", "pair-loop", "pair-map",
+    "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
 )
 
 
@@ -36,8 +36,12 @@ def test_two_specs_no_mismatch(workload):
     assert totals["packed"] == totals["reference-2^k"] <= totals["reference"]
     assert totals["smith"] == totals["counted"]
     assert totals["pair-loop"] == totals["pair-map"] > 0
-    # Block reports read invariant factors; convolutional ones do not.
+    assert totals["order-graph"] == totals["order-counted"]
+    # Block reports read invariant factors and order profiles;
+    # convolutional ones do neither.
     assert (totals["counted"] > 0) == (workload != "convolutional")
+    assert (totals["order-counted"] > 0) == (workload != "convolutional")
     assert head.endswith(
-        f"{totals['smith']} quotient inputs, {totals['pair-map']} pairing inputs"
+        f"{totals['smith']} quotient inputs, {totals['pair-map']} pairing inputs, "
+        f"{totals['order-counted']} order split inputs"
     )

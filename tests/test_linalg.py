@@ -33,14 +33,13 @@ from groupcodes.linalg import (
     solve_congruence_system,
     solve_homomorphism,
     span_cardinality,
-    spans_equal,
     stack,
     subgroup_basis,
     vector_order,
 )
 from groupcodes.oracle import EnumeratedCode, brute_annihilator, brute_smith_invariants
 
-from .kernel_references import integer_smith_diagonal, smith_quotient_invariants
+from .kernel_references import integer_smith_diagonal, smith_quotient_invariants, spans_equal
 
 
 def enumerate_span(rows, moduli):
@@ -873,3 +872,35 @@ def test_block_reports_compute_no_smith_form(workload, monkeypatch, tmp_path):
             assert report_digest.report((command,), str(path)).startswith(b"(0, ")
     assert len(specs) > 100 and quotients
     assert calls == []
+
+
+def test_each_integer_is_factored_once(monkeypatch, tmp_path):
+    # analyze and decompose of huge_coprime.spec and of the whole seed-7
+    # block-codes pool take every prime list from one cache: no integer is
+    # factored twice.
+    import functools
+    from collections import Counter
+
+    import groupcodes.linalg as module
+
+    from . import report_digest
+    from .test_cli import HUGE_COPRIME
+
+    factored = Counter()
+    factor = module._primes.__wrapped__
+
+    @functools.lru_cache(maxsize=module._primes.cache_info().maxsize)
+    def counting(n):
+        factored[n] += 1
+        return factor(n)
+
+    monkeypatch.setattr(module, "_primes", counting)
+    paths = [HUGE_COPRIME]
+    for spec in report_digest.pool("block-codes", 7, None):
+        paths.append(tmp_path / spec.name)
+        paths[-1].write_text(spec.text, encoding="utf-8")
+    for path in paths:
+        for command in ("analyze", "decompose"):
+            assert report_digest.report((command,), str(path)).startswith(b"(0, ")
+    assert {1000000007, 998244353} <= set(factored)
+    assert set(factored.values()) == {1}

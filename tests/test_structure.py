@@ -45,7 +45,7 @@ from groupcodes.structure import (
     verify_decomposition,
 )
 
-from .kernel_references import integer_smith_diagonal
+from .kernel_references import integer_smith_diagonal, stepwise_directness
 from .test_golden_cli import SPECS
 
 
@@ -269,6 +269,9 @@ class TestSmallestFullPrefix:
         for code in exhaustive_corpus:
             for p in FiniteAbelianGroup(code.space.flat_moduli).primes():
                 current, _ = _primary_code(code, p)
+                # A primary part may be the corpus code itself, whose
+                # prefix table other tests fill: search a fresh copy.
+                current = BlockCode.from_howell(current.space, current.basis.rows)
                 while current.cardinality > 1:
                     word, order = _max_order_in_smallest_window(current, p)
                     built = set(current._prefix_codes)
@@ -494,6 +497,153 @@ class TestDirectnessByCounting:
             verify_decomposition(code, decomposition)
         with pytest.raises(ValueError):
             is_subdirect_product(code, decomposition)
+
+
+def stepwise_certificate(code, decomposition, monkeypatch):
+    """The certificate ``verify_decomposition`` gives with every directness
+    step read off the span of its own generator prefix."""
+    import groupcodes.structure as module
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_directness", stepwise_directness)
+        return verify_decomposition(code, decomposition)[1]
+
+
+def reordered(decomposition, order):
+    return Decomposition(
+        decomposition.space, tuple(decomposition.generators[i] for i in order)
+    )
+
+
+class TestDirectnessOnOneSpan:
+    """``verify_decomposition`` checks one span of all the generators and
+    builds the prefix spans only when that fails; its certificate equals
+    the step-by-step one."""
+
+    def test_valid_and_reordered_decompositions(self, exhaustive_corpus, mixed_corpus, monkeypatch):
+        rng = random.Random(2311)
+        checked = 0
+        for code in exhaustive_corpus + mixed_corpus:
+            decomposition = cyclic_product_decomposition(code)
+            k = len(decomposition.generators)
+            orders = [list(range(k)), list(range(k))[::-1]]
+            orders.append(rng.sample(range(k), k))
+            for order in orders:
+                candidate = reordered(decomposition, order)
+                _, cert = verify_decomposition(code, candidate)
+                assert cert.ok
+                assert cert == stepwise_certificate(code, candidate, monkeypatch)
+                checked += k > 1
+        assert checked > 100
+
+    def test_repeated_and_dependent_generators(self, exhaustive_corpus, monkeypatch):
+        rng = random.Random(2333)
+        failures = set()
+        for code in exhaustive_corpus:
+            gens = list(cyclic_product_decomposition(code).generators)
+            if not gens:
+                continue
+            moduli = code.space.flat_moduli
+            for _ in range(3):
+                extra = list(gens)
+                i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
+                if rng.random() < 0.5:
+                    extra.insert(rng.randrange(len(extra) + 1), gens[i])  # repeated
+                else:
+                    c = rng.randrange(4)
+                    word = tuple(
+                        (c * a + b) % m for a, b, m in zip(gens[i].word, gens[j].word, moduli)
+                    )
+                    lo, hi = code.space.support(word)
+                    extra.insert(
+                        rng.randrange(len(extra) + 1),
+                        DecompositionGenerator(word, lo, hi, vector_order(word, moduli), None),
+                    )
+                candidate = Decomposition(code.space, tuple(extra))
+                _, cert = verify_decomposition(code, candidate)
+                assert cert == stepwise_certificate(code, candidate, monkeypatch)
+                failures.add(cert.failed_condition)
+        assert any(f and f.startswith("directness") for f in failures)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_arbitrary_word_lists(self, mixed_corpus, data):
+        code = data.draw(st.sampled_from(mixed_corpus))
+        words = data.draw(st.lists(st.sampled_from(list(code.words())), max_size=5))
+        _, cert = verify_decomposition(code, decomposition_of(code.space, words))
+        assert cert.directness_ok == stepwise_directness(code.space, words)
+
+
+def test_block_pool_splits_by_counting_and_verifies_on_one_span(monkeypatch, tmp_path):
+    # analyze and decompose over the whole seed-7 block-codes pool: the
+    # order profile solves and takes kernels nowhere, and each valid
+    # decomposition builds one span of its generators (none with fewer
+    # than two).
+    import sys
+
+    import groupcodes.control as control
+    import groupcodes.linalg as linalg
+    import groupcodes.structure as structure
+
+    from . import report_digest
+
+    inside = {"order_profile": 0, "verify": None}
+    solved = []
+    for name in ("head_solve", "head_kernel"):
+        original = getattr(linalg, name)
+
+        def spied(*args, _name=name, _original=original):
+            if inside["order_profile"]:
+                solved.append(_name)
+            return _original(*args)
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("groupcodes")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spied)
+    profile = control.order_profile
+
+    def traced_profile(code):
+        inside["order_profile"] += 1
+        try:
+            return profile(code)
+        finally:
+            inside["order_profile"] -= 1
+
+    monkeypatch.setattr(control, "order_profile", traced_profile)
+    monkeypatch.setattr(sys.modules["groupcodes.cli"], "order_profile", traced_profile)
+    spans, verified = [], []
+    build = structure.code_from_generators
+
+    def counted_build(space, generators):
+        if inside["verify"] is not None:
+            inside["verify"] += 1
+        return build(space, generators)
+
+    verify = structure.verify_decomposition
+
+    def counted_verify(code, decomposition):
+        inside["verify"] = 0
+        try:
+            ok, cert = verify(code, decomposition)
+        finally:
+            built, inside["verify"] = inside["verify"], None
+        if ok:
+            spans.append((built, len(decomposition.generators)))
+        verified.append(ok)
+        return ok, cert
+
+    monkeypatch.setattr(structure, "code_from_generators", counted_build)
+    monkeypatch.setattr(structure, "verify_decomposition", counted_verify)
+    specs = report_digest.pool("block-codes", 7, None)
+    for spec in specs:
+        path = tmp_path / spec.name
+        path.write_text(spec.text, encoding="utf-8")
+        for command in ("analyze", "decompose"):
+            assert report_digest.report((command,), str(path)).startswith(b"(0, ")
+    assert len(specs) > 100 and all(verified) and len(verified) == len(specs)
+    assert solved == []
+    assert all(built == (1 if k > 1 else 0) for built, k in spans)
+    assert any(k > 1 for _, k in spans)
 
 
 class TestPeelComplementByKernel:
