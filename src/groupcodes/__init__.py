@@ -60,7 +60,6 @@ from .linalg import (
     howell_form,
     residue_matrix,
     smith_invariants,
-    solve_congruence_system,
     span_cardinality,
     subgroup_basis,
 )

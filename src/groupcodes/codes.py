@@ -19,6 +19,8 @@ from .groups import FiniteAbelianGroup
 from .linalg import (
     ResidueMatrix,
     Vector,
+    _first_nonzero,
+    _howell_state,
     _reduce_vector,
     _trusted,
     annihilator_rows,
@@ -164,8 +166,8 @@ class BlockCode:
         return howell_form(_trusted(self.basis.moduli[::-1], rows)).rows
 
     @_cached
-    def _prefix_codes(self) -> dict[int, "BlockCode"]:
-        return {}
+    def _prefixes(self) -> "_PrefixTable":
+        return _PrefixTable(self.space, self._reversed_howell)
 
     @_cached
     def _suffix_projections(self) -> dict[int, "BlockCode"]:
@@ -175,19 +177,22 @@ class BlockCode:
     def _prefix_annihilators(self) -> dict[int, "BlockCode"]:
         return {}
 
+    def _prefix(self, b: int) -> "Entry":
+        """The Howell rows, pivot columns and running pivot-order products
+        of C ∩ [0, b): the code's own for b = N, else entry b of the prefix
+        table (``_PrefixTable.entry``)."""
+        if b == self.space.horizon:
+            return self.basis.rows, self._pivot_columns, self._pivot_products
+        return self._prefixes.entry(b)
+
     def prefix_code(self, b: int) -> "BlockCode":
-        """C ∩ [0, b), built on first use for each b (which is checked then)
-        and kept on the code: the rows of the reversed Howell form that
-        vanish from offset(b) on."""
+        """C ∩ [0, b) as a code, b checked: the code itself for b = N, else
+        entry b of the prefix table wrapped as a code, with no Howell form
+        of its own."""
         if b == self.space.horizon:
             return self
-        table = self._prefix_codes
-        if b not in table:
-            self.space.check_window(0, b)
-            head = self.basis.width - self.space.offsets()[b]
-            rows = [row[::-1] for row in self._reversed_howell if not any(row[:head])]
-            table[b] = BlockCode(self.space, _trusted(self.basis.moduli, tuple(rows)))
-        return table[b]
+        self.space.check_window(0, b)
+        return self._prefixes.prefix_code(b)
 
     def suffix_projection(self, a: int) -> "BlockCode":
         """proj_[a,N) C in the space of [a, N), built on first use for each
@@ -292,6 +297,89 @@ class BlockCode:
         return f"code of order {self.cardinality} in {self.space}"
 
 
+# A Howell form with its pivot columns and the running products of its
+# pivot orders from 1: the rows from i on span a subgroup of order
+# products[-1] // products[i].
+Entry = tuple[tuple[Vector, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _entry(rows: tuple[Vector, ...], moduli: Sequence[int]) -> Entry:
+    """``rows``, a Howell form over ``moduli``, with its pivot columns and
+    running pivot-order products (a normalized pivot divides its modulus)."""
+    columns = tuple(map(_first_nonzero, rows))
+    orders = (moduli[j] // row[j] for j, row in zip(columns, rows))
+    return rows, columns, tuple(itertools.accumulate(orders, operator.mul, initial=1))
+
+
+class _PrefixTable:
+    """The windows C ∩ [0, b) of a subgroup C of ``space``, read off the
+    Howell rows of C with its columns reversed.
+
+    In reversed coordinates a word vanishing from offset(b) on vanishes on
+    the first width - offset(b) columns, so by the Howell property those
+    words are spanned by a suffix of the reversed rows: the rows whose last
+    nonzero column (in the space's own order) lies before offset(b).  As b
+    grows, C ∩ [0, b) takes in the rows whose last nonzero lies in block
+    b - 1.  There are two reads:
+
+    * ``vanishing(b)`` (one-sided): those rows re-reversed and cut to
+      [0, b), with their span's order, a quotient of running products of
+      the reversed pivot orders.  The rows span the window but are no
+      Howell form in its own order; they are one in reversed order, so two
+      reads are equal exactly when the windows are.  No forward form is
+      built.
+    * ``entry(b)`` (two-sided): the Howell rows, pivot columns and running
+      pivot-order products of C ∩ [0, b).  One Howell kernel state takes
+      the rows end by end and finishes a copy after each end, so the table
+      is filled by one sweep; an end that takes in no row shares the entry
+      before it.  The Howell form is canonical, so each entry is
+      ``howell_form`` of the same rows.
+
+    Callers pass ends within the horizon; ``BlockCode.prefix_code`` checks.
+    """
+
+    def __init__(self, space: SequenceSpace, reversed_rows: tuple[Vector, ...]) -> None:
+        self.space, self.reversed_rows = space, reversed_rows
+        moduli = space.flat_moduli[::-1]
+        _, self.columns, self.products = _entry(reversed_rows, moduli)
+        self.entries: list[Entry] = [((), (), (1,))]  # entries[b], filled in order
+        self.state = _howell_state(space.flat_moduli)
+        self.pushed = len(reversed_rows)  # the rows from here on are in the state
+
+    def _head(self, b: int) -> int:
+        """The reversed columns that a word vanishing from offset(b) on
+        vanishes on: width - offset(b)."""
+        offsets = self.space.offsets()
+        return offsets[-1] - offsets[b]
+
+    def vanishing(self, b: int) -> tuple[tuple[Vector, ...], int]:
+        """Spanning rows and order of C ∩ [0, b), cut to [0, b)."""
+        head = self._head(b)
+        i = bisect_left(self.columns, head)
+        rows = tuple(row[head:][::-1] for row in self.reversed_rows[i:])
+        return rows, self.products[-1] // self.products[i]
+
+    def entry(self, b: int) -> Entry:
+        """C ∩ [0, b) as an ``Entry``, filling the table up to b."""
+        entries = self.entries
+        while len(entries) <= b:
+            i = bisect_left(self.columns, self._head(len(entries)))
+            if i < self.pushed:
+                self.state.push(row[::-1] for row in self.reversed_rows[i : self.pushed])
+                self.pushed = i
+                entries.append(_entry(tuple(self.state.finish()), self.space.flat_moduli))
+            else:
+                entries.append(entries[-1])
+        return entries[b]
+
+    def prefix_code(self, b: int) -> BlockCode:
+        """Entry b wrapped as a code, with its pivot columns and products."""
+        rows, columns, products = self.entry(b)
+        code = BlockCode.from_howell(self.space, rows)
+        code.__dict__.update(_pivot_columns=columns, _pivot_products=products)
+        return code
+
+
 def code_from_generators(
     space: SequenceSpace, generators: Iterable[Sequence[int]]
 ) -> BlockCode:
@@ -332,13 +420,12 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
 
 
 def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
-    """Howell rows and order of C ∩ [a, b): the words of the prefix code
+    """Howell rows and order of C ∩ [a, b): the words of the prefix
     C ∩ [0, b) that vanish before a, spanned by its rows with pivot at or
     after ``offset(a)``; the order is the product of their pivot orders."""
-    prefix = code.prefix_code(b)
-    i = prefix._rows_before(code.space.offsets()[a])
-    products = prefix._pivot_products
-    return prefix.basis.rows[i:], products[-1] // products[i]
+    rows, columns, products = code._prefix(b)
+    i = bisect_left(columns, code.space.offsets()[a])
+    return rows[i:], products[-1] // products[i]
 
 
 def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:

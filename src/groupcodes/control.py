@@ -146,7 +146,7 @@ def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
     containment of each window subgroup in every C_k(L) gives one direction
     and greedy peeling of leading coordinates gives the other.  Built as
     that sum: one Howell form of the stacked Howell rows of the windows
-    C ∩ [k, k+L+1), each read off the prefix code of its end
+    C ∩ [k, k+L+1), each read off the prefix-table entry of its end
     (``codes._internal``); no window code is built.
     """
     if L < 0:

@@ -5,7 +5,8 @@ span the code) or by kernel taps (checks h with sum_t pairing(w_{k+t}, h_t)
 = 0 at every shift k).  The time axis is one-sided; windows [0, n) of the
 code and of its finite-support part are exact: cut windows are reads of one
 window per code, those that need an infinite tail of one of proved length.
-A read gives the window's Howell rows and order, with no code built.
+A read gives rows that span the window and the window's exact order, with
+no code built.
 The weak verdicts stop at a proved window; only the strong-index search is
 heuristic, and past its horizon it reports "unknown", not a theorem.
 
@@ -21,13 +22,14 @@ justifies gating the strong index by the weak verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Optional, Sequence, Union
 
-from .codes import BlockCode, SequenceSpace, _cached, _projection
+from .codes import BlockCode, SequenceSpace, _cached, _PrefixTable, _projection
 from .control import control_profile
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
-from .linalg import Vector, _trusted, annihilator_rows
+from .linalg import Vector, _trusted, annihilator_rows, howell_form
 
 __all__ = [
     "ConvolutionalCode",
@@ -89,13 +91,14 @@ class ConvolutionalCode:
         return max(self.state_length, min(self.analysis_horizon, REPORT_WINDOWS))
 
     @_cached
-    def _settled(self) -> dict[tuple, tuple[int, BlockCode]]:
+    def _settled(self) -> dict[tuple, tuple]:
         return {}  # chain -> settle step and long window (_settled_window)
 
     @_cached
-    def _cut(self) -> list[BlockCode]:
-        # The one cut window, rebuilt by a longer read (_cut_code); every cut
-        # read takes its rows and order off it, or off its prefix codes.
+    def _cut(self) -> list:
+        # The one cut window, rebuilt by a longer read (_cut_kept): a code
+        # in image form, its prefix table in kernel form; every cut read
+        # takes its rows and order off it.
         return []
 
     @_cached
@@ -106,6 +109,19 @@ class ConvolutionalCode:
         return dual
 
 
+def _shift_rows(conv: ConvolutionalCode, n: int, cut: bool) -> tuple[Vector, ...]:
+    """The shifts of the taps on [0, n), all cut at the boundary or only
+    those inside, as flat rows over G^n (reduced by ``_normalize_tap``;
+    shifts add zeros)."""
+    width = len(conv.symbol.moduli)
+    shifts, size = [], n * width
+    for tap in conv.taps:
+        flat = tuple(e for step in tap for e in step)
+        for s in range(n if cut else n - len(tap) + 1):
+            shifts.append(((0,) * (s * width) + flat + (0,) * size)[:size])
+    return tuple(shifts)
+
+
 def _window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
     """The shifts of the taps on [0, n), all cut at the boundary or only those
     inside (``local_window``): their span, or in kernel form their annihilator.
@@ -114,16 +130,24 @@ def _window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
     with the row of h shifted by k, so the kernel code on [0, n) is the
     annihilator of the image code's shift rows (Pontryagin duality).
     """
-    space, width = SequenceSpace((conv.symbol,) * n), len(conv.symbol.moduli)
-    shifts, size = [], n * width
-    for tap in conv.taps:  # reduced by ``_normalize_tap``; shifts add zeros
-        flat = tuple(e for step in tap for e in step)
-        for s in range(n if cut else n - len(tap) + 1):
-            shifts.append(((0,) * (s * width) + flat + (0,) * size)[:size])
-    rows = _trusted(space.flat_moduli, tuple(shifts))
+    space = SequenceSpace((conv.symbol,) * n)
+    rows = _trusted(space.flat_moduli, _shift_rows(conv, n, cut))
     if conv.form == "image":
         return BlockCode(space, rows)
     return BlockCode.from_howell(space, annihilator_rows(rows).rows)
+
+
+def _reversed_window(conv: ConvolutionalCode, n: int, cut: bool) -> _PrefixTable:
+    """``_window(conv, n, cut)`` built straight into reversed form, as the
+    prefix table of its column-reversed Howell rows: the Howell form of the
+    reversed shift rows in image form, their annihilator in kernel form.
+    The pairing is a sum over the columns, so the annihilator of the
+    reversed rows is the reversed annihilator."""
+    space = SequenceSpace((conv.symbol,) * n)
+    shifts = tuple(row[::-1] for row in _shift_rows(conv, n, cut))
+    rows = _trusted(space.flat_moduli[::-1], shifts)
+    canon = howell_form(rows) if conv.form == "image" else annihilator_rows(rows)
+    return _PrefixTable(space, canon.rows)
 
 
 def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
@@ -139,36 +163,51 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
 # Reports (``cli``) read n = 1..min(horizon, REPORT_WINDOWS); kept windows cover them.
 REPORT_WINDOWS = 6
 
-# A window of a code read off a kept window: its Howell rows and its order.
+# A window of a code read off a kept window: rows that span it, and its
+# order.  Reads off a code's own rows or a prefix-table entry give its
+# Howell rows; one-sided reads (``_PrefixTable.vanishing``) give rows that
+# are a Howell form in reversed column order.
 Window = tuple[tuple[Vector, ...], int]
+
+
+def _cut_kept(conv: ConvolutionalCode, length: int) -> Union[BlockCode, _PrefixTable]:
+    """The cut window kept on the code, rebuilt at ``length`` when shorter:
+    ``_window(conv, L, cut=True)`` in image form, whose reads are
+    projections; in kernel form its reversed form (``_reversed_window``),
+    whose reads are all of words vanishing from some end on."""
+    kept = conv._cut
+    if not kept or kept[0].space.horizon < length:
+        first = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
+        build = _window if conv.form == "image" else _reversed_window
+        kept[:] = [build(conv, max(length, first), cut=True)]
+    return kept[0]
 
 
 def _cut_code(conv: ConvolutionalCode, length: int) -> BlockCode:
     """A code whose windows [0, n), n <= ``length``, are those of
-    ``_window(conv, length, cut=True)``, taken from the cut window kept on
-    the code (rebuilt at ``length`` when shorter): the kept window itself in
-    image form, as the shifts from ``length`` on vanish on [0, length); in
-    kernel form its words vanishing from ``length`` on (a table entry of
-    the kept window), as a zero extension meets the checks at shifts
+    ``_window(conv, length, cut=True)``: the kept cut window itself in image
+    form, as the shifts from ``length`` on vanish on [0, length); in kernel
+    form entry ``length`` of its prefix table, its words vanishing from
+    ``length`` on, as a zero extension meets the checks at shifts
     k >= ``length`` trivially."""
-    kept = conv._cut
-    if not kept or kept[0].space.horizon < length:
-        first = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
-        kept[:] = [_window(conv, max(length, first), cut=True)]
-    return kept[0] if conv.form == "image" else kept[0].prefix_code(length)
+    kept = _cut_kept(conv, length)
+    return kept if conv.form == "image" else kept.prefix_code(length)
 
 
 def _cut_window(conv: ConvolutionalCode, n: int) -> Window:
     """``_window(conv, n, cut=True)`` as rows and order, read off the kept
-    cut window (``_cut_code``)."""
-    return _projection(_cut_code(conv, n), 0, n)
+    cut window: a projection in image form, a one-sided read (the words
+    vanishing from n on, cut to [0, n)) in kernel form."""
+    kept = _cut_kept(conv, n)
+    return _projection(kept, 0, n) if conv.form == "image" else kept.vanishing(n)
 
 
 # Chains of ``_settled_window``: (window builder, past); past = 1 when the
 # read keeps the words supported in [0, n), which needs s symbols past n.
+# Those windows are only read one-sided, so they are built in reversed form.
 _CODE = (local_window, 0)
 _FINITE_SUPPORT = (_cut_code, 0)
-_ZERO_EXTENSION = (local_window, 1)
+_ZERO_EXTENSION = (partial(_reversed_window, cut=False), 1)
 
 
 def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> Window:
@@ -200,15 +239,18 @@ def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> Window:
     L >= n + s + j* gives the zero-extension window.  The long window kept
     per chain has L = reads + j* + past * s, reads = max(s, min(N,
     REPORT_WINDOWS)), so it serves every n <= reads; a longer read builds
-    its own.  A read is ``codes._projection`` of the window (of its words
-    supported in [0, n) when past = 1): no code is built for it.  The
-    finite-support chain reads the kept cut window itself (``_cut_code``).
+    its own.  A read is ``codes._projection`` of the window, or when
+    past = 1 the one-sided read of its words vanishing from n on
+    (``_PrefixTable.vanishing``): no code is built for it.  One-sided reads
+    are Howell rows in reversed column order, canonical as well, so the
+    settle steps compare them the same way.  The finite-support chain
+    reads the prefix table of the kept cut window (``_cut_code``).
     """
     build, past = chain
     s = conv.state_length
 
-    def read(w: BlockCode, b: int) -> Window:
-        return _projection(w.prefix_code(b) if past else w, 0, b)
+    def read(w, b: int) -> Window:
+        return w.vanishing(b) if past else _projection(w, 0, b)
 
     if chain not in conv._settled:
         step, states = 0, read(build(conv, s), s)[0]
@@ -241,10 +283,10 @@ def _zero_extension_window(conv: ConvolutionalCode, n: int) -> Window:
 
 
 def _block_window(conv: ConvolutionalCode, n: int, read) -> BlockCode:
-    """The rows a reader gives for [0, n), as a code on [0, n); the space
-    refuses n < 1 before anything is read."""
+    """The rows a reader gives for [0, n), canonicalized as a code on
+    [0, n); the space refuses n < 1 before anything is read."""
     space = SequenceSpace((conv.symbol,) * n)
-    return BlockCode.from_howell(space, read(conv, n)[0])
+    return BlockCode(space, _trusted(space.flat_moduli, read(conv, n)[0]))
 
 
 def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
@@ -253,7 +295,8 @@ def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
     Image form: span of all shift restrictions, boundary cuts included.
     Kernel form: the words on [0, n) that extend to codewords.  A thin
     wrapper: the rows are those the analyses read (``_code_window``), off
-    the kept cut window or the settled chain, wrapped in a code on [0, n).
+    the kept cut window or the settled chain, canonicalized as a code on
+    [0, n).
     """
     return _block_window(conv, n, _code_window)
 
@@ -262,7 +305,7 @@ def zero_extension_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     """Words on [0, n) whose zero extension is a finite-support codeword.
 
     A thin wrapper: the rows are those the analyses read
-    (``_zero_extension_window``), wrapped in a code on [0, n).
+    (``_zero_extension_window``), canonicalized as a code on [0, n).
     """
     return _block_window(conv, n, _zero_extension_window)
 

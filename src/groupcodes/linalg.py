@@ -12,15 +12,20 @@ Mixed per-column moduli are handled in residue coordinates: column ``j``
 is reduced modulo its own ``m_j``, and every row operation is an integer
 combination, so no column is mapped into a common ring.
 
-The Howell kernel has two paths, chosen from the moduli alone by
-``_howell_kernel`` under the one Howell cache ``_howell_cached``.  When every modulus is a power of 2 up to 8 (1 included),
-``_howell_packed`` holds each row as one int with one byte per column,
-column 0 most significant, and eliminates with shifts, one multiply and a
-mask per row operation.  A byte holds the 2K + 1 = 7 bits that x + c·y
-needs for x, y < 2^K = 8 and c <= 2^K, so no field carries into the next.
-Every other moduli tuple, odd, mixed-prime or a power of 2 above 8, goes
-through ``_howell_single``, which is also the reference the packed kernel
-is tested against.  The Howell form is unique, so both give the same rows.
+The Howell kernel is a state that takes rows in batches (``push``) and
+gives the Howell form of all rows so far (``finish``), so a caller that
+grows a span row batch by row batch reads each form without starting
+over; ``howell_form`` pushes all rows at once and finishes, under the one
+Howell cache ``_howell_cached``.  ``_howell_state`` picks the state from
+the moduli alone.  When every modulus is a power of 2 up to 8 (1
+included), ``_HowellPacked`` holds each row as one int with one byte per
+column, column 0 most significant, and eliminates with shifts, one
+multiply and a mask per row operation.  A byte holds the 2K + 1 = 7 bits
+that x + c·y needs for x, y < 2^K = 8 and c <= 2^K, so no field carries
+into the next.  Every other moduli tuple, odd, mixed-prime or a power of 2
+above 8, goes through ``_HowellSingle``, which is also the reference the
+packed state is tested against.  The Howell form is unique, so both give
+the same rows.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ __all__ = [
     "coset_reduce",
     "vector_order",
     "stack",
-    "solve_congruence_system",
-    "CongruenceSolution",
     "annihilator_rows",
     "head_kernel",
     "head_solve",
@@ -168,73 +171,90 @@ def _first_nonzero(row: Sequence[int], start: int = 0) -> int:
     return -1
 
 
-def _howell_single(rows: Iterable[Vector], moduli: Vector) -> list[Vector]:
-    """Howell canonical basis of the span of reduced ``rows`` over ``moduli``.
+class _HowellSingle:
+    """A Howell kernel state over ``moduli``, in residue coordinates: rows
+    are pushed in any number of batches, and ``finish`` gives the Howell
+    canonical basis of the span of every row pushed so far.
 
-    Works in residue coordinates: every row operation is reduced modulo each
-    column's own modulus.  Rows that share a pivot column j vanish before j,
-    so each operation touches only the columns from j on.
+    Every row operation is reduced modulo each column's own modulus.  Rows
+    that share a pivot column j vanish before j, so each operation touches
+    only the columns from j on.  Each row that becomes a pivot pushes its
+    annihilator row, so the pivot rows keep the Howell property between
+    pushes, and a later push goes on from them.
     """
-    L = lcm(*moduli) if moduli else 1
-    if L == 1:
-        return []
-    pivots: dict[int, list[int]] = {}
-    stack = [list(row) for row in rows if any(row)]
 
-    def push_annihilator(row: list[int], j: int) -> None:
-        # c = ord(row[j]) clears the pivot; c * row vanishes when c = L.
-        c = moduli[j] // gcd(moduli[j], row[j])
-        if c != L:
-            w = [0] * (j + 1) + [(c * e) % m for e, m in zip(row[j + 1 :], moduli[j + 1 :])]
-            if any(w):
-                stack.append(w)
+    __slots__ = ("moduli", "top", "pivots")
 
-    while stack:
-        v = stack.pop()
-        j = _first_nonzero(v)
-        while j >= 0:
-            r = pivots.get(j)
-            if r is None:
-                pivots[j] = v
-                push_annihilator(v, j)
-                break
-            a, b = r[j], v[j]
-            mods = moduli[j:]
-            if b % a == 0:
-                q = b // a
-                v[j:] = [(x - q * y) % m for x, y, m in zip(v[j:], r[j:], mods)]
-            else:
-                g, s, t = _egcd(a, b)
-                # [[s, t], [-b/g, a/g]] has determinant 1: span preserved.
-                ag, bg = a // g, b // g
-                new_r = r[:j] + [(s * x + t * y) % m for x, y, m in zip(r[j:], v[j:], mods)]
-                v[j:] = [(ag * y - bg * x) % m for x, y, m in zip(r[j:], v[j:], mods)]
-                pivots[j] = new_r
-                push_annihilator(new_r, j)
-            j = _first_nonzero(v, j)
+    def __init__(self, moduli: Vector) -> None:
+        self.moduli = moduli
+        self.top = lcm(*moduli) if moduli else 1
+        self.pivots: dict[int, list[int]] = {}
 
-    # Scale each pivot p to the divisor d = gcd(p, m_j) by u = (p/d)^-1
-    # modulo c = m_j/d, then reduce above each pivot.  u need not be a unit
-    # of the other columns: it is prime to c, and c·row (its pivot cleared)
-    # lies in the span of the later rows, so u·row and c·row span row.
-    order = sorted(pivots)
-    basis = []
-    for j in order:
-        row, m = pivots[j], moduli[j]
-        d = gcd(row[j], m)
-        u = pow(row[j] // d, -1, m // d)
-        if u != 1:
-            row[j:] = [(u * e) % mm for e, mm in zip(row[j:], moduli[j:])]
-        basis.append(row)
-    for idx, j in enumerate(order):
-        pivot_row = basis[idx]
-        d, tail = pivot_row[j], pivot_row[j:]
-        for above in range(idx):
-            q = basis[above][j] // d
-            if q:
-                row = basis[above]
-                row[j:] = [(x - q * y) % m for x, y, m in zip(row[j:], tail, moduli[j:])]
-    return [tuple(row) for row in basis]
+    def push(self, rows: Iterable[Vector]) -> None:
+        """Eliminate reduced ``rows`` into the pivot rows."""
+        moduli, L, pivots = self.moduli, self.top, self.pivots
+        stack = [list(row) for row in rows if any(row)]
+
+        def push_annihilator(row: list[int], j: int) -> None:
+            # c = ord(row[j]) clears the pivot; c * row vanishes when c = L.
+            c = moduli[j] // gcd(moduli[j], row[j])
+            if c != L:
+                w = [0] * (j + 1) + [(c * e) % m for e, m in zip(row[j + 1 :], moduli[j + 1 :])]
+                if any(w):
+                    stack.append(w)
+
+        while stack:
+            v = stack.pop()
+            j = _first_nonzero(v)
+            while j >= 0:
+                r = pivots.get(j)
+                if r is None:
+                    pivots[j] = v
+                    push_annihilator(v, j)
+                    break
+                a, b = r[j], v[j]
+                mods = moduli[j:]
+                if b % a == 0:
+                    q = b // a
+                    v[j:] = [(x - q * y) % m for x, y, m in zip(v[j:], r[j:], mods)]
+                else:
+                    g, s, t = _egcd(a, b)
+                    # [[s, t], [-b/g, a/g]] has determinant 1: span preserved.
+                    ag, bg = a // g, b // g
+                    new_r = r[:j] + [(s * x + t * y) % m for x, y, m in zip(r[j:], v[j:], mods)]
+                    v[j:] = [(ag * y - bg * x) % m for x, y, m in zip(r[j:], v[j:], mods)]
+                    pivots[j] = new_r
+                    push_annihilator(new_r, j)
+                j = _first_nonzero(v, j)
+
+    def finish(self) -> list[Vector]:
+        """The Howell form of the rows pushed so far, from copies of the
+        pivot rows: the state is left as it was, for further pushes.
+
+        Scale each pivot p to the divisor d = gcd(p, m_j) by u = (p/d)^-1
+        modulo c = m_j/d, then reduce above each pivot.  u need not be a unit
+        of the other columns: it is prime to c, and c·row (its pivot cleared)
+        lies in the span of the later rows, so u·row and c·row span row.
+        """
+        moduli, pivots = self.moduli, self.pivots
+        order = sorted(pivots)
+        basis = []
+        for j in order:
+            row, m = pivots[j][:], moduli[j]
+            d = gcd(row[j], m)
+            u = pow(row[j] // d, -1, m // d)
+            if u != 1:
+                row[j:] = [(u * e) % mm for e, mm in zip(row[j:], moduli[j:])]
+            basis.append(row)
+        for idx, j in enumerate(order):
+            pivot_row = basis[idx]
+            d, tail = pivot_row[j], pivot_row[j:]
+            for above in range(idx):
+                q = basis[above][j] // d
+                if q:
+                    row = basis[above]
+                    row[j:] = [(x - q * y) % m for x, y, m in zip(row[j:], tail, moduli[j:])]
+        return [tuple(row) for row in basis]
 
 
 # The moduli of the packed kernel: powers of 2 up to 2^K = 8, so a field
@@ -253,8 +273,8 @@ def _packed_layout(moduli: Vector) -> tuple[int, int, int]:
     return len(moduli), mask, max(moduli, default=1)
 
 
-def _howell_packed(rows: Iterable[Vector], layout: tuple[int, int, int]) -> list[Vector]:
-    """``_howell_single`` for moduli that are all powers of 2 up to 8, on
+class _HowellPacked:
+    """``_HowellSingle`` for moduli that are all powers of 2 up to 8, on
     rows packed into one int each (``_packed_layout``).
 
     Column j is the byte 8(n - 1 - j) bits up, so a row's pivot column is
@@ -265,23 +285,31 @@ def _howell_packed(rows: Iterable[Vector], layout: tuple[int, int, int]) -> list
     modulo its own m_j | 2^K, and no field carries into the next.  Every
     odd x has x·x = 1 modulo 8, hence modulo every m_j: each odd unit is
     its own inverse.  The result is the unique Howell form, so it equals
-    ``_howell_single``'s output row for row.
+    ``_HowellSingle``'s output row for row.
     """
-    width, mask, top = layout
-    stack = [v for v in (int.from_bytes(bytes(row), "big") for row in rows) if v]
-    pivots: dict[int, int] = {}  # bytes from the pivot column on -> row
-    if top == 2:
-        # Over GF(2) (and Z/1 columns) a step is an xor, every pivot is 1
-        # and 2·row vanishes, so no annihilator row is pushed.
-        for v in stack:
-            while v:
-                k = (v.bit_length() + 7) >> 3
-                r = pivots.get(k)
-                if r is None:
-                    pivots[k] = v
-                    break
-                v ^= r
-    else:
+
+    __slots__ = ("width", "mask", "top", "pivots")
+
+    def __init__(self, moduli: Vector) -> None:
+        self.width, self.mask, self.top = _packed_layout(moduli)
+        self.pivots: dict[int, int] = {}  # bytes from the pivot column on -> row
+
+    def push(self, rows: Iterable[Vector]) -> None:
+        """Eliminate reduced ``rows`` into the pivot rows."""
+        mask, top, pivots = self.mask, self.top, self.pivots
+        stack = [v for v in (int.from_bytes(bytes(row), "big") for row in rows) if v]
+        if top == 2:
+            # Over GF(2) (and Z/1 columns) a step is an xor, every pivot is 1
+            # and 2·row vanishes, so no annihilator row is pushed.
+            for v in stack:
+                while v:
+                    k = (v.bit_length() + 7) >> 3
+                    r = pivots.get(k)
+                    if r is None:
+                        pivots[k] = v
+                        break
+                    v ^= r
+            return
         while stack:
             v = stack.pop()
             while v:
@@ -312,29 +340,42 @@ def _howell_packed(rows: Iterable[Vector], layout: tuple[int, int, int]) -> list
                 # The old pivot row r goes on, its entry a cleared by v.
                 q = (a // low_b) * (b // low_b) & (top - 1)
                 v = (r + (top - q) * v) & mask
-    # Scale each pivot p = 2^v·u to 2^v by u (its own inverse), then reduce
-    # the entries above each pivot into [0, pivot), as in _howell_single.
-    basis: list[int] = []
-    for k in sorted(pivots, reverse=True):
-        row, shift = pivots[k], 8 * k - 8
-        p = row >> shift
-        low = p & -p
-        if p != low:
-            row = ((p // low) * row) & mask
-        for above, prior in enumerate(basis):
-            q = ((prior >> shift) & 0xFF) // low
-            if q:
-                basis[above] = (prior + (top - q) * row) & mask
-        basis.append(row)
-    return [tuple(row.to_bytes(width, "big")) for row in basis]
+
+    def finish(self) -> list[Vector]:
+        """The Howell form of the rows pushed so far; the pivot rows are
+        ints, so the state is left as it was.  Scale each pivot p = 2^v·u
+        to 2^v by u (its own inverse), then reduce the entries above each
+        pivot into [0, pivot), as ``_HowellSingle.finish`` does."""
+        mask, top, pivots = self.mask, self.top, self.pivots
+        basis: list[int] = []
+        for k in sorted(pivots, reverse=True):
+            row, shift = pivots[k], 8 * k - 8
+            p = row >> shift
+            low = p & -p
+            if p != low:
+                row = ((p // low) * row) & mask
+            for above, prior in enumerate(basis):
+                q = ((prior >> shift) & 0xFF) // low
+                if q:
+                    basis[above] = (prior + (top - q) * row) & mask
+            basis.append(row)
+        return [tuple(row.to_bytes(self.width, "big")) for row in basis]
+
+
+def _howell_state(moduli: Vector) -> _HowellSingle | _HowellPacked:
+    """An empty Howell kernel state over ``moduli``: the packed kernel when
+    every modulus is a power of 2 up to 8, the residue-coordinate kernel
+    otherwise; both finish with the same Howell form."""
+    if _PACKED_MODULI.issuperset(moduli):
+        return _HowellPacked(moduli)
+    return _HowellSingle(moduli)
 
 
 def _howell_kernel(rows: tuple[Vector, ...], moduli: Vector) -> list[Vector]:
-    """The packed kernel when every modulus is a power of 2 up to 8, the
-    residue-coordinate kernel otherwise; both give the same Howell form."""
-    if _PACKED_MODULI.issuperset(moduli):
-        return _howell_packed(rows, _packed_layout(moduli))
-    return _howell_single(rows, moduli)
+    """The Howell form of ``rows``: push them all into one state, finish."""
+    state = _howell_state(moduli)
+    state.push(rows)
+    return state.finish()
 
 
 @lru_cache(maxsize=1 << 12)
@@ -509,34 +550,6 @@ def solve_homomorphism(
     images = [_reduced(img, imgmods) for img in images]
     graph = homomorphism_graph(images, unknown_moduli, imgmods)
     return head_solve(graph, len(imgmods), target)
-
-
-@dataclass(frozen=True)
-class CongruenceSolution:
-    """One solution of ``y . A = b`` plus a Howell basis of the kernel."""
-
-    particular: Vector
-    kernel: ResidueMatrix
-
-
-def solve_congruence_system(
-    matrix: ResidueMatrix, target: Sequence[int]
-) -> Optional[CongruenceSolution]:
-    """Solve ``y . A = b`` over the column moduli of ``A``.
-
-    The unknowns are integer row coefficients ``y_i``, one per row of ``A``;
-    only their residues modulo the ambient exponent matter, so the kernel is
-    reported over that modulus.  Returns None when ``b`` is not in the row
-    span.
-    """
-    exponent = lcm(*matrix.moduli)
-    graph = homomorphism_graph(
-        matrix.rows, tuple(exponent for _ in matrix.rows), matrix.moduli
-    )
-    particular = head_solve(graph, matrix.width, target)
-    if particular is None:
-        return None
-    return CongruenceSolution(particular, head_kernel(graph, matrix.width))
 
 
 def annihilator_rows(matrix: ResidueMatrix) -> ResidueMatrix:

@@ -253,22 +253,23 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     window vanish on it).  The window check therefore reads
     |C ∩ [a, b)| · |P| = |G_[a,b)| and pairs the internal part's window
     columns with P's rows; no consistency set is built.  Of the two
-    chains, the reach chain is the nesting of the prefix codes:
+    chains, the reach chain is the nesting of the prefix entries:
     C_k(L) = Z_k + C ∩ [0, k+L), so C ∩ [0, b) ⊆ C ∩ [0, b+1) gives
     C_k(L) ⊆ C_k(L+1).  The consistency set on [k, b+1) lies in the one on
     [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D:
     each Howell row of the first, cut, is zero, is a Howell row of the
     second or reduces to zero against them.  Once the window reaches the
     horizon the sets repeat, so there is nothing more to test.  Both chains hold by construction: the prefix
-    codes are reads of one reversed Howell form, and every projection
-    proj_[k,b) D is a cut of the one suffix Howell form proj_[k,N) D.
-    The checks stay, as evidence on those tables.
+    table's entries are one sweep over one reversed Howell form, and every
+    projection proj_[k,b) D is a cut of the one suffix Howell form
+    proj_[k,N) D.  The checks stay, as evidence on those tables.
 
     Every window is read as rows and an order straight off a table entry
-    (``codes._internal`` off C's prefix codes, ``codes._projection`` off
+    (``codes._internal`` off C's prefix table, ``codes._projection`` off
     D's suffix projections), so the O(N^2) window and chain checks build no
     code and no space, and each order is a lookup of running pivot-order
-    products.  Only the table entries themselves, O(N) of them, are codes.
+    products.  Only D's suffix projections and the prefix entries the chain
+    check wraps (``prefix_code``), O(N) of them, are codes.
 
     Each matched side is built only until it reaches its top.  The
     subcodes cs_L = ``controllable_subcode(code, L)`` are sums of the
@@ -287,9 +288,9 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     The code's side of each identity is read off its window table (internal
     parts, ``controllable_subcode``, ``control_profile``); the dual's side
     is read off the dual's suffix projections and annihilator table
-    (``_projection``, ``_annihilator_sum``), not off its prefix codes.
+    (``_projection``, ``_annihilator_sum``), not off its prefix table.
     The control indices come from ``control_profile`` of the code and of
-    the dual (the dual's reversed-Howell prefix codes).  The observe
+    the dual (the dual's own prefix table).  The observe
     index of the code is counted on the code's own suffix projections
     (``_observe_index``), with no kernel, and that of the dual is the
     first matched supercode equal to the dual.  So each side of

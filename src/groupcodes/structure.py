@@ -237,7 +237,7 @@ def _smallest_full_prefix(current: BlockCode, exponent: int) -> int:
     that vanish from offset(n) on, so its exponent is the lcm of their
     orders.  Their reversed pivots strictly increase, so their last nonzero
     columns strictly decrease: walking the rows from the end adds them in
-    the order of the n at which they enter, and no prefix code is built.
+    the order of the n at which they enter, and no prefix entry is filled.
     """
     if current.space.horizon == 1:
         return 1

@@ -16,12 +16,15 @@
   ``structure.verify_decomposition`` took on every input before it
   checked one span of all the generators first.
 * ``spans_equal``: span equality by Howell forms, which no analysis asks.
+* ``solve_congruence_system``: one solution of y · A = b with the kernel,
+  which no analysis asks either.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from groupcodes import linalg
 from groupcodes.codes import BlockCode, SequenceSpace, code_from_generators
@@ -32,6 +35,7 @@ from groupcodes.linalg import (
     contains_vector,
     head_kernel,
     head_solve,
+    homomorphism_graph,
     howell_form,
     residue_matrix,
     vector_order,
@@ -162,3 +166,31 @@ def stepwise_directness(space: SequenceSpace, words: Sequence[Sequence[int]]) ->
 def spans_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:
     """Whether two matrices span the same subgroup: equal Howell forms."""
     return howell_form(a).rows == howell_form(b).rows
+
+
+@dataclass(frozen=True)
+class CongruenceSolution:
+    """One solution of ``y . A = b`` plus a Howell basis of the kernel."""
+
+    particular: Vector
+    kernel: ResidueMatrix
+
+
+def solve_congruence_system(
+    matrix: ResidueMatrix, target: Sequence[int]
+) -> Optional[CongruenceSolution]:
+    """Solve ``y . A = b`` over the column moduli of ``A``.
+
+    The unknowns are integer row coefficients ``y_i``, one per row of ``A``;
+    only their residues modulo the ambient exponent matter, so the kernel is
+    reported over that modulus.  Returns None when ``b`` is not in the row
+    span.
+    """
+    exponent = lcm(*matrix.moduli)
+    graph = homomorphism_graph(
+        matrix.rows, tuple(exponent for _ in matrix.rows), matrix.moduli
+    )
+    particular = head_solve(graph, matrix.width, target)
+    if particular is None:
+        return None
+    return CongruenceSolution(particular, head_kernel(graph, matrix.width))

@@ -9,16 +9,24 @@ The pool of workload W and the seed (the specs a 36 s run of
 runs on it, with the Howell cache cleared first.  Every input that reaches
 the Howell kernel (every cache miss of ``linalg._howell_cached``), every
 call of ``linalg.quotient_invariants``, every call of
-``duality.pairs_to_zero`` and every (code, l, n, levels) that
-``control.order_profile`` tests is recorded.  Each kernel is then timed on the
-recorded inputs it takes, bucketed by matrix width:
+``duality.pairs_to_zero``, every (code, l, n, levels) that
+``control.order_profile`` tests and every prefix table that fills entries
+(``codes._PrefixTable``, with the last end it filled) is recorded.  Each
+kernel is then timed on the recorded inputs it takes, bucketed by matrix
+width:
 
-* ``reference``: ``_howell_single`` on every Howell input;
-* ``reference-2^k``: ``_howell_single`` on the inputs the packed kernel
-  takes (every modulus a power of 2 up to 8);
-* ``packed``: ``_howell_packed`` on those inputs;
+* ``reference``: the ``_HowellSingle`` state, every row pushed at once, on
+  every Howell input;
+* ``reference-2^k``: the same on the inputs the packed kernel takes (every
+  modulus a power of 2 up to 8);
+* ``packed``: the ``_HowellPacked`` state on those inputs;
 * ``dispatch``: ``_howell_kernel``, which picks one of the two, on every
   Howell input;
+* ``prefix-per-end``: every entry of a recorded prefix table by one Howell
+  form per end of the reversed rows vanishing from that end on, the route
+  ``BlockCode.prefix_code`` took before the sweep;
+* ``prefix-sweep``: the same entries filled by one sweep of one Howell
+  state (``_PrefixTable.entry``);
 * ``smith``: invariant factors by the integer Smith form
   (``kernel_references.smith_quotient_invariants``) on every
   ``quotient_invariants`` input;
@@ -35,8 +43,8 @@ recorded inputs it takes, bucketed by matrix width:
   ``order_profile`` shares them between the (l, n) of one code.
 
 A line gives the kernel, the width bucket, the input count, the number of
-outputs that differ from the reference's (``_howell_single``, ``smith``,
-``pair-loop`` or ``order-graph``) and the best of ``--repeat`` timed passes, in seconds of
+outputs that differ from the reference's (``_HowellSingle``, ``smith``,
+``pair-loop``, ``order-graph`` or ``prefix-per-end``) and the best of ``--repeat`` timed passes, in seconds of
 CPU time (a shared machine's other load then shows less than in wall
 time).  The Howell cache is cleared before each pass, so a kernel that
 reads Howell forms pays for them in every pass.
@@ -56,8 +64,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import kernel_references  # noqa: E402  (the Smith route, the pairing loop)
 import report_digest  # noqa: E402  (the pools, the commands, one report)
 
-from groupcodes import control, duality, linalg  # noqa: E402
-from groupcodes.codes import BlockCode, window_internal  # noqa: E402
+from groupcodes import codes, control, duality, linalg  # noqa: E402
+from groupcodes.codes import BlockCode, SequenceSpace, window_internal  # noqa: E402
 
 # (label, least width, largest width) of each bucket, then of all inputs.
 BUCKETS = (
@@ -76,8 +84,16 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     CLI, by kernel ("howell": (rows, moduli), "quotient": (numerator,
     denominator rows), "pairs": (xs, ys, moduli), "order": (code, l, n,
     levels) and the memoized forms ``order_profile`` passed), and the
-    number of specs run."""
+    number of specs run.  "prefix" holds (space, reversed rows, last end)
+    of every prefix table that filled an entry."""
     inputs = {"howell": [], "quotient": [], "pairs": [], "order": []}
+    tables = []
+    table_init = codes._PrefixTable.__init__
+
+    def record_table(table, *args):
+        tables.append(table)
+        table_init(table, *args)
+
     # (module, name, the inputs it records into) of every wrapped kernel;
     # ``duality`` calls its own imported ``quotient_invariants``.
     wrapped = (
@@ -100,6 +116,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     linalg._howell_cached.cache_clear()
     for (module, name, record), kernel in zip(wrapped, originals):
         setattr(module, name, recording(kernel, record))
+    codes._PrefixTable.__init__ = record_table
     try:
         with tempfile.TemporaryDirectory() as work:
             for spec in specs:
@@ -111,7 +128,46 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     finally:
         for (module, name, _), kernel in zip(wrapped, originals):
             setattr(module, name, kernel)
+        codes._PrefixTable.__init__ = table_init
+    inputs["prefix"] = [
+        (table.space, table.reversed_rows, len(table.entries) - 1)
+        for table in tables
+        if len(table.entries) > 1
+    ]
     return inputs, len(specs)
+
+
+def one_shot(state, rows) -> list:
+    """The Howell form of ``rows`` by one ``state``, every row pushed at once."""
+    state.push(rows)
+    return state.finish()
+
+
+def single(rows, moduli) -> list:
+    return one_shot(linalg._HowellSingle(moduli), rows)
+
+
+def packed(rows, moduli) -> list:
+    return one_shot(linalg._HowellPacked(moduli), rows)
+
+
+def prefix_per_end(space, reversed_rows, last) -> list:
+    """Entries 1..``last`` of a prefix table, one Howell form per end."""
+    moduli, offsets = space.flat_moduli, space.offsets()
+    entries = []
+    for b in range(1, last + 1):
+        head = offsets[-1] - offsets[b]
+        rows = tuple(row[::-1] for row in reversed_rows if not any(row[:head]))
+        canon = linalg.howell_form(linalg._trusted(moduli, rows)).rows
+        entries.append(codes._entry(canon, moduli))
+    return entries
+
+
+def prefix_sweep(space, reversed_rows, last) -> list:
+    """Entries 1..``last`` of a prefix table, by its sweep."""
+    table = codes._PrefixTable(space, reversed_rows)
+    table.entry(last)
+    return table.entries[1:]
 
 
 def best_time(kernel, inputs: list, repeat: int) -> float:
@@ -126,11 +182,13 @@ def best_time(kernel, inputs: list, repeat: int) -> float:
 
 
 def width(args: tuple) -> int:
-    """The matrix width of one recorded input: its code's or numerator's,
-    or the length of its moduli, which come last."""
+    """The matrix width of one recorded input: its code's, space's or
+    numerator's, or the length of its moduli, which come last."""
     first = args[0]
     if isinstance(first, BlockCode):
         return first.basis.width
+    if isinstance(first, SequenceSpace):
+        return len(first.flat_moduli)
     return first.width if isinstance(first, linalg.ResidueMatrix) else len(args[-1])
 
 
@@ -173,27 +231,30 @@ def main(argv=None) -> int:
     ]
     quotients, pairs = inputs["quotient"], inputs["pairs"]
     splits = [call[:4] for call in inputs["order"]]
+    prefixes = inputs["prefix"]
     print(
         f"{args.workload} seed {args.seed}: {len(howell)} Howell inputs from "
         f"{specs} specs, {len(packable)} on the packed path, "
         f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs, "
-        f"{len(splits)} order split inputs"
+        f"{len(splits)} order split inputs, {len(prefixes)} prefix tables"
     )
     print(f"{'kernel':<14}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
-    expected = [linalg._howell_single(*call) for call in howell]
+    expected = [single(*call) for call in howell]
     two_power = [howell[i] for i in packable]
     two_power_expected = [expected[i] for i in packable]
-    on_layout = [(rows, linalg._packed_layout(moduli)) for rows, moduli in two_power]
+    per_end = [prefix_per_end(*call) for call in prefixes]
     smith = [kernel_references.smith_quotient_invariants(*call) for call in quotients]
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
     graph = [split_graph(*call) for call in splits]
     # (name, kernel, its calls, the reference output of each, the inputs
     # the calls were made from)
     kernels = (
-        ("reference", linalg._howell_single, howell, expected, howell),
-        ("reference-2^k", linalg._howell_single, two_power, two_power_expected, two_power),
-        ("packed", linalg._howell_packed, on_layout, two_power_expected, two_power),
+        ("reference", single, howell, expected, howell),
+        ("reference-2^k", single, two_power, two_power_expected, two_power),
+        ("packed", packed, two_power, two_power_expected, two_power),
         ("dispatch", linalg._howell_kernel, howell, expected, howell),
+        ("prefix-per-end", prefix_per_end, prefixes, per_end, prefixes),
+        ("prefix-sweep", prefix_sweep, prefixes, per_end, prefixes),
         ("smith", kernel_references.smith_quotient_invariants, quotients, smith, quotients),
         ("counted", linalg.quotient_invariants, quotients, smith, quotients),
         ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),

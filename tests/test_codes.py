@@ -1,5 +1,6 @@
 """Tests for sequence spaces and block code lattice operations."""
 
+import operator
 import random
 from collections import Counter
 
@@ -315,16 +316,18 @@ class TestWindowTable:
         got = {}
         # [a, N) reads the rows of the code itself.
         got[2, 4] = window_internal(code, 2, 4)
-        assert not calls
-        # One reversed Howell form, then one Howell form per prefix length.
+        assert not calls and "_prefixes" not in code.__dict__
+        # One reversed Howell form; the sweep fills the ends up to 3 and
+        # takes no Howell form per end.
         got[1, 3] = window_internal(code, 1, 3)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        entries = code._prefixes.entries
+        assert len(entries) == 4
         got[0, 3] = window_internal(code, 0, 3)
-        assert code.prefix_code(3) is code.prefix_code(3)
+        assert code.prefix_code(3).basis.rows is code.prefix_code(3).basis.rows
         got[2, 3] = window_internal(code, 2, 3)
-        assert len(calls) == 2
         got[0, 2] = window_internal(code, 0, 2)
-        assert len(calls) == 3
+        assert len(calls) == 1 and len(entries) == 4
         assert got == expected
 
     @given(st.data())
@@ -393,9 +396,10 @@ def reference_window_annihilator(code, a, b):
 
 
 @st.composite
-def mixed_codes(draw):
-    """Codes over 1-5 symbols of 1-2 components each, modulus 1 included."""
-    moduli = st.sampled_from((1, 2, 3, 4, 6, 8, 9))
+def mixed_codes(draw, menu=(1, 2, 3, 4, 6, 8, 9)):
+    """Codes over 1-5 symbols of 1-2 components each, their moduli drawn
+    from ``menu`` (modulus 1 included by default)."""
+    moduli = st.sampled_from(menu)
     symbols = draw(
         st.lists(st.lists(moduli, min_size=1, max_size=2).map(tuple), min_size=1, max_size=5)
     )
@@ -435,6 +439,97 @@ class TestWindowTablesTwin:
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_mixed_moduli(self, code):
         assert_window_tables_match_reference(code)
+
+
+def per_end_prefix(code, b):
+    """C ∩ [0, b) as ``prefix_code`` built it before the sweep: one Howell
+    form per end of the reversed Howell rows that vanish from offset(b) on,
+    with its pivot columns and running pivot-order products."""
+    head = code.basis.width - code.space.offsets()[b]
+    rows = [row[::-1] for row in code._reversed_howell if not any(row[:head])]
+    prefix = BlockCode(code.space, ResidueMatrix(code.basis.moduli, tuple(rows)))
+    return prefix.basis.rows, prefix._pivot_columns, prefix._pivot_products
+
+
+def assert_sweep_matches_per_end_forms(code):
+    """Every entry of the prefix table, and every one-sided read, against
+    the per-end Howell form; the ends are read in a shuffled order on a
+    fresh code, so an entry read late was filled by a sweep past it."""
+    code = BlockCode.from_howell(code.space, code.basis.rows)
+    N = code.space.horizon
+    ends = list(range(N + 1))
+    random.Random(N).shuffle(ends)
+    table = code._prefixes
+    for b in ends:
+        rows, columns, products = per_end_prefix(code, b)
+        assert code._prefix(b) == (rows, columns, products), b
+        assert code.prefix_code(b).basis.rows == rows
+        cut = code.space.offsets()[b]
+        one_sided, order = table.vanishing(b)
+        assert order == products[-1]
+        if b:
+            # Spanning rows of the window: their Howell form is the entry's
+            # rows cut to [0, b), and reversed they are a Howell form.
+            moduli = code.basis.moduli[:cut]
+            assert howell_form(ResidueMatrix(moduli, one_sided)).rows == tuple(
+                row[:cut] for row in rows
+            )
+            reverse = ResidueMatrix(moduli[::-1], tuple(row[::-1] for row in one_sided))
+            assert howell_form(reverse).rows == reverse.rows
+        else:
+            assert one_sided == ()
+
+
+class TestPrefixSweep:
+    """The prefix table, filled by one Howell sweep, against the per-end
+    Howell forms it replaced: rows, pivot columns and products."""
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            assert_sweep_matches_per_end_forms(code)
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for code in mixed_corpus:
+            assert_sweep_matches_per_end_forms(code)
+
+    @pytest.mark.parametrize("path", BAND_SPEC_PATHS, ids=lambda p: p.stem)
+    def test_band_specs(self, path):
+        assert_sweep_matches_per_end_forms(band_code(path.name))
+
+    @given(mixed_codes((1, 2, 4, 8)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_packed_moduli(self, code):
+        assert_sweep_matches_per_end_forms(code)
+
+    @given(mixed_codes((3, 5, 6, 9, 12, 27)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_other_moduli(self, code):
+        assert_sweep_matches_per_end_forms(code)
+
+    def test_entries_are_filled_once(self, monkeypatch):
+        # The table keeps one Howell state; every entry up to the end read
+        # is filled by it, once, and no per-end Howell form is taken.
+        code = band_code("z4_band10_code.spec")
+        N = code.space.horizon
+        calls = Counter()
+        canonical = codes_module.howell_form
+
+        def counted(matrix):
+            calls["howell_form"] += 1
+            return canonical(matrix)
+
+        monkeypatch.setattr(codes_module, "howell_form", counted)
+        window_order(code, 2, 5)
+        assert calls["howell_form"] == 1  # the reversed Howell form
+        entries = code._prefixes.entries
+        assert len(entries) == 6
+        filled = list(entries)
+        for a in range(N):
+            for b in range(a, N):
+                window_order(code, a, b)
+        assert calls["howell_form"] == 1
+        assert entries[:6] == filled and len(entries) == N
+        assert all(map(operator.is_, entries[:6], filled))
 
 
 class TestWindowBoundary:

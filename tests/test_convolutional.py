@@ -33,6 +33,7 @@ from groupcodes.convolutional import (
 )
 from groupcodes.duality import dual_block_code, is_annihilator
 from groupcodes.groups import FiniteAbelianGroup
+from groupcodes.linalg import ResidueMatrix, howell_form
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -445,11 +446,19 @@ class TestSettleStep:
             step, _ = conv._settled[chain]
             assert step <= s * _omega(symbol.cardinality)
             build, past = chain
+            space_s = SequenceSpace((symbol,) * s)
 
             def states(j):
-                window = build(conv, s + j)
-                supported = window_internal(window, 0, s) if past else window
-                return window_projection(supported, 0, s)
+                # past = 1 chains build reversed forms: read the forward
+                # window, and check the one-sided read against it.
+                if not past:
+                    return window_projection(build(conv, s + j), 0, s)
+                forward = window_internal(_window(conv, s + j, cut=False), 0, s)
+                rows, order = build(conv, s + j).vanishing(s)
+                read = BlockCode(space_s, ResidueMatrix(space_s.flat_moduli, rows))
+                assert read == window_projection(forward, 0, s)
+                assert order == read.cardinality
+                return read
 
             for j in range(step + 1, step + 4):
                 assert states(j) == states(step)
@@ -743,13 +752,17 @@ class TestCutWindowReads:
         import groupcodes.convolutional as module
 
         built = []
-        original = module._window
 
-        def counted(conv, n, cut):
-            built.append((n, cut))
-            return original(conv, n, cut)
+        def counting(original):
+            def counted(conv, n, cut):
+                built.append((n, cut))
+                return original(conv, n, cut)
 
-        monkeypatch.setattr(module, "_window", counted)
+            return counted
+
+        # Kernel cut windows are built in reversed form.
+        for name in ("_window", "_reversed_window"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
         codes = [
             image(Z4, ((1,), (2,))),
             kernel(Z4, ((1,), (0,), (2,))),
@@ -902,10 +915,20 @@ def _parent_style_windows(conv, horizon):
     zero_extension = cut_read if conv.form == "kernel" else settled(local, 1)
     finite = settled(cut, 0)
     for n in range(1, horizon + 1):
-        yield n, tuple(
-            (window.basis.rows, window.cardinality)
-            for window in (code(n), zero_extension(n), finite(n))
+        z = zero_extension(n)
+        yield n, (
+            (code(n).basis.rows, code(n).cardinality),
+            (_one_sided_rows(z), z.cardinality),
+            (finite(n).basis.rows, finite(n).cardinality),
         )
+
+
+def _one_sided_rows(window):
+    """The rows a one-sided read gives for ``window``: its Howell form with
+    the columns reversed, re-reversed."""
+    moduli = window.basis.moduli[::-1]
+    reverse = ResidueMatrix(moduli, tuple(row[::-1] for row in window.basis.rows))
+    return tuple(row[::-1] for row in howell_form(reverse).rows)
 
 
 ONE_TAP_CORPUS = _one_tap_corpus()
@@ -913,7 +936,10 @@ ONE_TAP_CORPUS = _one_tap_corpus()
 
 class TestReaderTwin:
     """The readers' (rows, order) against the parent-style route, on every
-    one-tap code over Z/2, Z/4, Z/2 x Z/2 and Z/8 and every n <= 9."""
+    one-tap code over Z/2, Z/4, Z/2 x Z/2 and Z/8 and every n <= 9, row
+    for row: Howell rows for the code and finite-support windows, and for
+    the one-sided zero-extension reads the reversed Howell rows of the
+    directly built window, re-reversed."""
 
     LONGEST = 9
 
@@ -932,11 +958,10 @@ class TestReadBuilds:
     """The analyses read windows as rows: no window code per read."""
 
     # howell_form calls of one ``analyze`` and one ``duality-check``, from a
-    # cold Howell cache.  The readers add none.  The gap lengths read no
-    # |C ∩ [0, 0)|, so each of the two control profiles of z4_12_kernel's
-    # strong-index search builds no prefix code C ∩ [0, 0): 49 with the
-    # full search.
-    HOWELL = {"z4_12_kernel.spec": 47, "two_tap_kernel.spec": 26}
+    # cold Howell cache.  The readers add none, and the prefix tables
+    # take one reversed Howell form each and none per end (47 and 26 with
+    # one Howell form per prefix end).
+    HOWELL = {"z4_12_kernel.spec": 21, "two_tap_kernel.spec": 11}
 
     @pytest.mark.parametrize("spec", sorted(HOWELL))
     def test_reports_build_no_window_code_per_read(self, spec, monkeypatch):
@@ -977,3 +1002,52 @@ class TestReadBuilds:
         assert counts["window_projection"] == 0
         assert 0 < counts["spaces"] < counts["reads"]
         assert counts["howell_form"] == self.HOWELL[spec]
+
+
+def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path):
+    # analyze and duality-check over the seed-7 convolutional benchmark
+    # pool, as one pass of the benchmark loop: windows are read as rows off
+    # kept windows and prefix tables, so at most 2,100 codes are
+    # canonicalized (7,992 when each prefix end was a code and one-sided
+    # reads went through forward windows), and filling a prefix table takes
+    # no Howell form.
+    import sys
+
+    from groupcodes.codes import _PrefixTable
+    from groupcodes.linalg import howell_form as canonical
+
+    from . import report_digest
+
+    counts = {"codes": 0, "filling": 0, "howell_while_filling": 0}
+    post_init, entry = BlockCode.__post_init__, _PrefixTable.entry
+
+    def counted_init(self):
+        counts["codes"] += 1
+        post_init(self)
+
+    def filling(self, b):
+        counts["filling"] += 1
+        try:
+            return entry(self, b)
+        finally:
+            counts["filling"] -= 1
+
+    def spied_howell(matrix):
+        counts["howell_while_filling"] += counts["filling"] > 0
+        return canonical(matrix)
+
+    monkeypatch.setattr(BlockCode, "__post_init__", counted_init)
+    monkeypatch.setattr(_PrefixTable, "entry", filling)
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:
+            monkeypatch.setattr(module, "howell_form", spied_howell)
+    specs = report_digest.pool("convolutional", 7, None)
+    for spec in specs:
+        path = tmp_path / spec.name
+        path.write_text(spec.text, encoding="utf-8")
+        for command in ("analyze", "duality-check"):
+            assert report_digest.report((command,), str(path)).startswith(b"(0, ")
+    assert len(specs) == 432
+    assert counts["codes"] <= 2100
+    assert counts["howell_while_filling"] == 0

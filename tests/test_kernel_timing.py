@@ -9,7 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "kernel_timing.py"
 KERNELS = (
-    "reference", "reference-2^k", "packed", "dispatch",
+    "reference", "reference-2^k", "packed", "dispatch", "prefix-per-end", "prefix-sweep",
     "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
 )
 
@@ -37,11 +37,15 @@ def test_two_specs_no_mismatch(workload):
     assert totals["smith"] == totals["counted"]
     assert totals["pair-loop"] == totals["pair-map"] > 0
     assert totals["order-graph"] == totals["order-counted"]
+    # Every workload's reports read windows of block codes or kernel cut
+    # windows off filled prefix tables.
+    assert totals["prefix-per-end"] == totals["prefix-sweep"] > 0
     # Block reports read invariant factors and order profiles;
     # convolutional ones do neither.
     assert (totals["counted"] > 0) == (workload != "convolutional")
     assert (totals["order-counted"] > 0) == (workload != "convolutional")
     assert head.endswith(
         f"{totals['smith']} quotient inputs, {totals['pair-map']} pairing inputs, "
-        f"{totals['order-counted']} order split inputs"
+        f"{totals['order-counted']} order split inputs, "
+        f"{totals['prefix-sweep']} prefix tables"
     )

@@ -4,6 +4,7 @@ Expected values were computed with the brute-force span enumerator below
 (closure under addition), which is independent of the Howell machinery.
 """
 
+import copy
 import itertools
 import random
 from math import gcd, lcm
@@ -15,9 +16,8 @@ from hypothesis import strategies as st
 from groupcodes.linalg import (
     _PACKED_MODULI,
     ResidueMatrix,
-    _howell_packed,
-    _howell_single,
-    _packed_layout,
+    _HowellPacked,
+    _HowellSingle,
     annihilator_rows,
     contains_vector,
     coset_reduce,
@@ -30,7 +30,6 @@ from groupcodes.linalg import (
     quotient_invariants,
     residue_matrix,
     smith_invariants,
-    solve_congruence_system,
     solve_homomorphism,
     span_cardinality,
     stack,
@@ -38,6 +37,8 @@ from groupcodes.linalg import (
     vector_order,
 )
 from groupcodes.oracle import EnumeratedCode, brute_annihilator, brute_smith_invariants
+
+from .kernel_references import solve_congruence_system
 
 from .kernel_references import integer_smith_diagonal, smith_quotient_invariants, spans_equal
 
@@ -734,8 +735,18 @@ class TestVectorOrder:
         assert vector_order((), ()) == 1
 
 
+def one_shot(state, rows):
+    """Push every row into the empty ``state`` at once, then finish."""
+    state.push(rows)
+    return state.finish()
+
+
 def packed(rows, moduli):
-    return _howell_packed(rows, _packed_layout(moduli))
+    return one_shot(_HowellPacked(moduli), rows)
+
+
+def single(rows, moduli):
+    return one_shot(_HowellSingle(moduli), rows)
 
 
 def two_power_matrices(max_width=24, max_rows=24, moduli=(1, 2, 4, 8)):
@@ -751,7 +762,8 @@ def two_power_matrices(max_width=24, max_rows=24, moduli=(1, 2, 4, 8)):
 
 
 class TestPackedKernel:
-    """``_howell_packed`` against the reference twin ``_howell_single``."""
+    """The packed state ``_HowellPacked`` against the reference twin
+    ``_HowellSingle``, each pushed every row at once."""
 
     def test_exhaustive_small_matrices(self):
         # Every sequence of at most two rows over every choice of at most
@@ -769,7 +781,7 @@ class TestPackedKernel:
                 else:
                     matrices += [(v, v) for v in vectors]
                 for rows in matrices:
-                    assert packed(rows, moduli) == _howell_single(rows, moduli)
+                    assert packed(rows, moduli) == single(rows, moduli)
                     checked += 1
         assert checked == 70129
 
@@ -777,13 +789,13 @@ class TestPackedKernel:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_random_matrices_up_to_24_wide(self, case):
         rows, moduli = case
-        assert packed(rows, moduli) == _howell_single(rows, moduli)
+        assert packed(rows, moduli) == single(rows, moduli)
 
     @given(two_power_matrices(moduli=(1, 2)))
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_binary_matrices_up_to_24_wide(self, case):
         rows, moduli = case
-        assert packed(rows, moduli) == _howell_single(rows, moduli)
+        assert packed(rows, moduli) == single(rows, moduli)
 
     def test_known_forms(self):
         assert packed([(2, 1)], (4, 4)) == [(2, 1), (0, 2)]
@@ -813,7 +825,7 @@ class TestPackedKernel:
         import groupcodes.linalg as module
 
         reached = []
-        for name, label in (("_howell_single", "reference"), ("_howell_packed", "packed")):
+        for name, label in (("_HowellSingle", "reference"), ("_HowellPacked", "packed")):
             original = getattr(module, name)
 
             def spy(*args, _original=original, _label=label):
@@ -825,7 +837,7 @@ class TestPackedKernel:
         module._howell_cached.cache_clear()
         canon = howell_form(residue_matrix(rows, moduli))
         assert reached == [kernel]
-        assert list(canon.rows) == _howell_single(rows, moduli)
+        assert list(canon.rows) == single(rows, moduli)
         assert _PACKED_MODULI.issuperset(moduli) == (kernel == "packed")
 
     def test_one_cache_entry_per_input(self):
@@ -837,6 +849,49 @@ class TestPackedKernel:
             assert howell_form(matrix) == howell_form(matrix)
         info = module._howell_cached.cache_info()
         assert (info.hits, info.misses, info.maxsize) == (2, 2, 1 << 12)
+
+
+class TestPushFinish:
+    """A Howell state pushed rows in batches and finished after each batch
+    gives ``howell_form`` of the rows pushed so far, on both kernels, and
+    finishing leaves the state as it was."""
+
+    @staticmethod
+    def check(state, rows, moduli, cuts):
+        bounds = [0, *sorted(cuts), len(rows)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            state.push(rows[lo:hi])
+            before = copy.deepcopy(state.pivots)
+            got = state.finish()
+            assert state.pivots == before
+            assert got == list(howell_form(residue_matrix(rows[:hi], moduli)).rows)
+            assert state.finish() == got
+
+    @given(two_power_matrices(), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_packed_moduli_on_both_kernels(self, case, data):
+        rows, moduli = case
+        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=4))
+        self.check(_HowellPacked(moduli), rows, moduli, cuts)
+        self.check(_HowellSingle(moduli), rows, moduli, cuts)
+
+    @given(
+        st.lists(st.sampled_from([1, 3, 5, 6, 9, 12, 27]), max_size=8).map(tuple),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_other_moduli_on_the_single_kernel(self, moduli, data):
+        row = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+        rows = data.draw(st.lists(row, max_size=10))
+        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=4))
+        self.check(_HowellSingle(moduli), rows, moduli, cuts)
+
+    def test_one_row_at_a_time(self):
+        rng = random.Random(2503)
+        for moduli in ((4, 2, 8, 4), (8, 8, 8), (2, 2, 2, 2, 2), (9, 3, 6), (4, 6, 12)):
+            rows = [tuple(rng.randrange(m) for m in moduli) for _ in range(8)]
+            state = (_HowellPacked if _PACKED_MODULI.issuperset(moduli) else _HowellSingle)(moduli)
+            self.check(state, rows, moduli, range(len(rows)))
 
 
 @pytest.mark.parametrize("workload", ["block-codes", "long-horizon"])

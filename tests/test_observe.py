@@ -472,9 +472,9 @@ class TestRowReadsTwin:
 def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # Windows are read as rows: one report builds the table entries, the
     # matched sides and their duals, O(N) codes, and none per window.  The
-    # Howell forms are those of the tables and the matched sides.  The gap
-    # lengths read no |C ∩ [0, 0)|, so the control profile builds no
-    # prefix code C ∩ [0, 0): 66 Howell forms (67 with the full search).
+    # Howell forms are those of the tables and the matched sides; each
+    # prefix table is one reversed Howell form and one sweep, with no Howell
+    # form per end: 47 (66 with one per end).
     import groupcodes.linalg as linalg_module
     from groupcodes.cli import main
 
@@ -505,7 +505,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
         assert main(["duality-check", str(path)]) == 0
     N = 10
     assert calls["codes"] <= 8 * N
-    assert calls["howell_form"] == 66
+    assert calls["howell_form"] == 47
 
 
 def _first_top(side, top, N):
@@ -796,19 +796,21 @@ def test_duality_check_builds_no_reachable_set(spec, monkeypatch):
 
 
 def test_broken_prefix_nesting_fails_the_chain(monkeypatch, capsys):
-    # Serving C itself as C ∩ [0, 1) breaks the nesting C ∩ [0, 1) ⊆
-    # C ∩ [0, 2); the reach chain reports it.
+    # Serving the prefix table's entry for C itself as that of C ∩ [0, 1)
+    # breaks the nesting C ∩ [0, 1) ⊆ C ∩ [0, 2); the reach chain reports it.
     from groupcodes.cli import main
-    from groupcodes.codes import BlockCode
+    from groupcodes.codes import _PrefixTable
 
     path = BAND_SPECS / "z4_band8_code.spec"
     code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
     assert check_control_observe_duality(code).chain_ok
     assert not code.is_subcode_of(code.prefix_code(2))
-    prefix_code = BlockCode.prefix_code
-    monkeypatch.setattr(
-        BlockCode, "prefix_code", lambda self, b: self if b == 1 else prefix_code(self, b)
-    )
+    entry = _PrefixTable.entry
+
+    def broken(self, b):
+        return entry(self, self.space.horizon if b == 1 else b)
+
+    monkeypatch.setattr(_PrefixTable, "entry", broken)
     assert not check_control_observe_duality(code).chain_ok
     capsys.readouterr()
     assert main(["duality-check", str(path)]) == 1

@@ -263,8 +263,8 @@ class TestSmallestFullPrefix:
     def test_matches_prefix_code_search(self, exhaustive_corpus):
         # Every window the peeling visits in every primary part of every
         # code of the exhaustive corpus: the window is the old search's,
-        # and the search builds at most the chosen window's prefix code,
-        # none when that window is the whole horizon.
+        # and the search fills the prefix table only up to the chosen
+        # window, and builds no table when that window is the whole horizon.
         visits = {"inside": 0, "whole": 0}
         for code in exhaustive_corpus:
             for p in FiniteAbelianGroup(code.space.flat_moduli).primes():
@@ -274,34 +274,39 @@ class TestSmallestFullPrefix:
                 current = BlockCode.from_howell(current.space, current.basis.rows)
                 while current.cardinality > 1:
                     word, order = _max_order_in_smallest_window(current, p)
-                    built = set(current._prefix_codes)
+                    table = current.__dict__.get("_prefixes")
+                    filled = None if table is None else len(table.entries) - 1
                     n = prefix_code_search(current)
                     assert _smallest_full_prefix(current, order) == n
                     assert order == exponent_of(current)
                     assert current.space.support(word)[1] <= n
                     if n == current.space.horizon:
-                        assert built == set()
+                        assert filled is None
                         visits["whole"] += 1
                     else:
-                        assert built == {n}
+                        assert filled == n
                         visits["inside"] += 1
                     current = _peel_complement(current, word, order)
         assert visits["inside"] > 100 and visits["whole"] > 100
 
     def test_decomposition_builds_one_prefix_code_per_window(self, monkeypatch):
         # Over banded 2- and 3-groups of horizon 6 the searched window sits
-        # anywhere; each search builds at most one prefix code.
+        # anywhere; each search fills at most one prefix table, by one sweep
+        # with no Howell form per end.
+        import groupcodes.codes as codes_module
         import groupcodes.structure as module
 
         rng = random.Random(1709)
         built, searches = [], []
-        prefix_code = BlockCode.prefix_code
+        table = codes_module._PrefixTable.__init__
         search = _max_order_in_smallest_window
 
-        def counted_prefix(self, b):
-            if b != self.space.horizon and b not in self._prefix_codes:
-                built.append(b)
-            return prefix_code(self, b)
+        def counted_table(self, *args):
+            built.append(args)
+            table(self, *args)
+
+        def no_howell_form(matrix):
+            raise AssertionError("a Howell form per prefix end")
 
         def counted_search(current, p):
             before = len(built)
@@ -309,7 +314,13 @@ class TestSmallestFullPrefix:
             searches.append(len(built) - before)
             return out
 
-        monkeypatch.setattr(BlockCode, "prefix_code", counted_prefix)
+        def counted_entry(self, b, entry=codes_module._PrefixTable.entry):
+            with monkeypatch.context() as inner:
+                inner.setattr(codes_module, "howell_form", no_howell_form)
+                return entry(self, b)
+
+        monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
+        monkeypatch.setattr(codes_module._PrefixTable, "entry", counted_entry)
         monkeypatch.setattr(module, "_max_order_in_smallest_window", counted_search)
         for _ in range(30):
             p = rng.choice([2, 3])
