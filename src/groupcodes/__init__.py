@@ -61,7 +61,6 @@ from .linalg import (
     residue_matrix,
     smith_invariants,
     span_cardinality,
-    subgroup_basis,
 )
 from .observe import (
     ObserveProfile,

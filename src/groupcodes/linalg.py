@@ -56,7 +56,6 @@ __all__ = [
     "intersect_rows",
     "smith_invariants",
     "quotient_invariants",
-    "subgroup_basis",
     "prime_factors",
     "primary_part",
 ]
@@ -583,142 +582,9 @@ def intersect_rows(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
 
 # ---------------------------------------------------------------------------
 # Invariant factors.  ``quotient_invariants`` counts them on Howell forms,
-# prime by prime; the integer Smith normal form remains only where a cyclic
-# basis is wanted (``subgroup_basis``), since that needs the transform.
+# prime by prime; no Smith form is computed.  A cyclic basis, where one is
+# wanted, is the decomposition of ``structure.cyclic_product_decomposition``.
 # ---------------------------------------------------------------------------
-
-
-def _smith_with_left_inverse(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize ``mat`` in place by unimodular row and column operations.
-
-    Returns (diagonal, Uinv).  Row operations accumulate into a left
-    transform U with U*mat*V diagonal; Uinv tracks U^{-1} columnwise so the
-    caller can recover the adapted basis of the row index lattice.  The
-    diagonal is nonnegative with each entry dividing the next.
-    """
-    n = len(mat)
-    m = len(mat[0]) if mat else 0
-    uinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_combine(i: int, k: int, s: int, t: int, u: int, v: int) -> None:
-        # rows (i,k) <- (s*ri + t*rk, u*ri + v*rk), det(sv - tu) = 1;
-        # Uinv picks up the inverse [[v,-t],[-u,s]] as a column operation.
-        for j in range(m):
-            a, b = mat[i][j], mat[k][j]
-            mat[i][j] = s * a + t * b
-            mat[k][j] = u * a + v * b
-        for r in range(n):
-            a, b = uinv[r][i], uinv[r][k]
-            uinv[r][i] = v * a - u * b
-            uinv[r][k] = -t * a + s * b
-
-    def col_combine(j: int, k: int, s: int, t: int, u: int, v: int) -> None:
-        for i in range(n):
-            a, b = mat[i][j], mat[i][k]
-            mat[i][j] = s * a + t * b
-            mat[i][k] = u * a + v * b
-
-    size = min(n, m)
-    for t in range(size):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    e = abs(mat[i][j])
-                    if e and (best is None or e < best):
-                        best, pivot = e, (i, j)
-            if pivot is None:
-                break
-            if pivot[0] != t:
-                i = pivot[0]
-                mat[t], mat[i] = mat[i], mat[t]
-                for r in range(n):
-                    uinv[r][t], uinv[r][i] = uinv[r][i], uinv[r][t]
-            if pivot[1] != t:
-                j = pivot[1]
-                for i in range(n):
-                    mat[i][t], mat[i][j] = mat[i][j], mat[i][t]
-            for i in range(t + 1, n):
-                if mat[i][t]:
-                    a, b = mat[t][t], mat[i][t]
-                    if b % a == 0:
-                        # Plain subtraction keeps the pivot row fixed.
-                        row_combine(t, i, 1, 0, -(b // a), 1)
-                    else:
-                        g, s, tt = _egcd(a, b)
-                        row_combine(t, i, s, tt, -(b // g), a // g)
-            for j in range(t + 1, m):
-                if mat[t][j]:
-                    a, b = mat[t][t], mat[t][j]
-                    if b % a == 0:
-                        col_combine(t, j, 1, 0, -(b // a), 1)
-                    else:
-                        g, s, tt = _egcd(a, b)
-                        col_combine(t, j, s, tt, -(b // g), a // g)
-            if any(mat[i][t] for i in range(t + 1, n)) or any(
-                mat[t][j] for j in range(t + 1, m)
-            ):
-                continue
-            offender = None
-            for i in range(t + 1, n):
-                if any(mat[i][j] % mat[t][t] for j in range(t + 1, m)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            # Fold the offending row into row t; the next gcd pass strictly
-            # shrinks the pivot, so this terminates.
-            row_combine(t, offender, 1, 1, 0, 1)
-        if t < size and mat[t][t] < 0:
-            for j in range(m):
-                mat[t][j] = -mat[t][j]
-            for r in range(n):
-                uinv[r][t] = -uinv[r][t]
-    diag = [mat[i][i] for i in range(size)]
-    return diag, uinv
-
-
-def _relation_lattice(gens: Sequence[Vector], moduli: Vector) -> list[list[int]]:
-    """Integer relations among ``gens``, one row per generator: a column
-    per lifted kernel element, plus exponent times the standard lattice."""
-    exponent = lcm(*moduli)
-    # Unknowns over Z/exponent: every image is killed by the exponent, so
-    # the map is well defined by construction.
-    graph = homomorphism_graph(gens, tuple(exponent for _ in gens), moduli)
-    k = len(gens)
-    cols = list(head_kernel(graph, len(moduli)).rows)
-    cols.extend([exponent if i == j else 0 for i in range(k)] for j in range(k))
-    return [[col[r] for col in cols] for r in range(k)]
-
-
-def subgroup_basis(matrix: ResidueMatrix) -> list[tuple[Vector, int]]:
-    """Elements y_i with span(matrix) the internal direct sum of the <y_i>.
-
-    Returns (element, order) pairs with orders forming a divisibility chain;
-    the orders are the invariant factors of the span.
-    """
-    canon = howell_form(matrix)
-    gens = canon.rows
-    if not gens:
-        return []
-    moduli = canon.moduli
-    k = len(gens)
-    lattice = _relation_lattice(gens, moduli)
-    diag, uinv = _smith_with_left_inverse(lattice)
-    result: list[tuple[Vector, int]] = []
-    for i in range(k):
-        order = diag[i] if i < len(diag) else 0
-        if order in (0, 1):
-            continue
-        combo = [uinv[j][i] for j in range(k)]
-        element = tuple(
-            sum(c * g[col] for c, g in zip(combo, gens)) % moduli[col]
-            for col in range(len(moduli))
-        )
-        result.append((element, order))
-    result.sort(key=lambda pair: pair[1])
-    return result
 
 
 def _level_counts(
@@ -823,14 +689,7 @@ def quotient_invariants(
 def smith_invariants(matrix: ResidueMatrix) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of the subgroup X spanned by the rows.
 
-    They are counted, with no Smith form; this is ``quotient_invariants``
-    with D = 0.  For each prime p of |X|, let X_p be X with column j
-    reduced modulo the p-part q_j of m_j.  If X_p = Z/p^λ_1 + ... +
-    Z/p^λ_k, then p^i·X_p = sum of Z/p^max(λ_t - i, 0), so
-    |p^i·X_p| / |p^(i+1)·X_p| = p^r_i with r_i = #{t : λ_t > i}, the
-    number of cyclic factors of order above p^i, and the r_i give the λ_t.
-    |X_p| is the p-part of |X|, read off X's Howell pivots.  p^i·X_p is
-    isomorphic to X_p reduced modulo q_j / p^i, and its order is read off
-    that reduction's Howell form.
+    They are counted, with no Smith form: this is ``quotient_invariants``
+    with D = 0, whose docstring gives the proof.
     """
     return quotient_invariants(matrix, [])

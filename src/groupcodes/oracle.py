@@ -266,24 +266,15 @@ def brute_smith_invariants(enum: EnumeratedCode):
     return tuple(sorted(factors))
 
 
-_PREDICATES: dict[str, Callable] = {}
-
-
-def _register(name):
-    def wrap(fn):
-        _PREDICATES[name] = fn
-        return fn
-
-    return wrap
-
-
-_register("reachable_set")(brute_reachable_set)
-_register("consistency_set")(brute_consistency_set)
-_register("annihilator")(brute_annihilator)
-_register("order_profile")(brute_order_profile)
-_register("control_profile")(brute_control_profile)
-_register("verify_decomposition")(brute_verify_decomposition)
-_register("smith_invariants")(brute_smith_invariants)
+_PREDICATES: dict[str, Callable] = {
+    "reachable_set": brute_reachable_set,
+    "consistency_set": brute_consistency_set,
+    "annihilator": brute_annihilator,
+    "order_profile": brute_order_profile,
+    "control_profile": brute_control_profile,
+    "verify_decomposition": brute_verify_decomposition,
+    "smith_invariants": brute_smith_invariants,
+}
 
 
 def brute(predicate: str, code: BlockCode, *args, bound: int = DEFAULT_BOUND):

@@ -30,7 +30,6 @@ from .linalg import (
     head_kernel,
     head_solve,
     homomorphism_graph,
-    subgroup_basis,
     vector_order,
 )
 
@@ -178,6 +177,11 @@ def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
 
     Returns the per-coordinate decomposition, verified (so its factors
     recombine to the code), or None when the coprimality hypothesis fails.
+    The factors of coordinate i are those ``cyclic_product_decomposition``
+    gives its one-symbol projection, padded to the whole horizon, on
+    [i, i + 1) and with no prime, in coordinate order.  So they are primary
+    cyclic factors, as ``decompose`` prints: Z/12 ⊇ <2> gives orders 2 and
+    3, not one factor of order 6.
     The verification is unconditional: a failure under the hypothesis would
     be a bug, not a soft failure.
     """
@@ -192,15 +196,15 @@ def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
     for i in range(sp.horizon):
         proj = window_projection(code, i, i + 1)
         sl = sp.flat_slice(i, i + 1)
-        for word, order in subgroup_basis(proj.basis):
+        for factor in cyclic_product_decomposition(proj).generators:
             padded = [0] * width
-            padded[sl] = list(word)
+            padded[sl] = factor.word
             gens.append(
                 DecompositionGenerator(
                     word=tuple(padded),
                     start=i,
                     stop=i + 1,
-                    order=order,
+                    order=factor.order,
                     prime=None,
                 )
             )

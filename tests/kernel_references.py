@@ -1,6 +1,9 @@
 """Reference twins of library kernels, kept for tests and timing only.
 
-* ``integer_smith_diagonal``: the Smith diagonal of an integer matrix.
+* ``integer_smith_diagonal``: the Smith diagonal of an integer matrix,
+  with no transform; the library computes no Smith form, and
+  ``structure.coprime_rectangular`` takes its cyclic factors from the
+  peeling decomposition instead.
 * ``smith_quotient_invariants``: invariant factors of a quotient by the
   integer Smith normal form of its relation lattice
   (``relation_lattice``), the route ``linalg.quotient_invariants`` took
@@ -45,12 +48,74 @@ from groupcodes.linalg import (
 def integer_smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
-    Entries are nonnegative with each dividing the next.  For a relation
-    matrix this diagonal presents the cokernel.
+    The matrix is diagonalized by unimodular row and column operations,
+    with no transform kept.  Entries are nonnegative with each dividing
+    the next.  For a relation matrix this diagonal presents the cokernel.
     """
     mat = [list(map(int, row)) for row in rows]
-    diag, _ = linalg._smith_with_left_inverse(mat)
-    return diag
+    n = len(mat)
+    m = len(mat[0]) if mat else 0
+
+    def row_combine(i: int, k: int, s: int, t: int, u: int, v: int) -> None:
+        # rows (i, k) <- (s*ri + t*rk, u*ri + v*rk), with sv - tu = 1.
+        for j in range(m):
+            a, b = mat[i][j], mat[k][j]
+            mat[i][j] = s * a + t * b
+            mat[k][j] = u * a + v * b
+
+    def col_combine(j: int, k: int, s: int, t: int, u: int, v: int) -> None:
+        for i in range(n):
+            a, b = mat[i][j], mat[i][k]
+            mat[i][j] = s * a + t * b
+            mat[i][k] = u * a + v * b
+
+    size = min(n, m)
+    for t in range(size):
+        while True:
+            pivot = None
+            best = None
+            for i in range(t, n):
+                for j in range(t, m):
+                    e = abs(mat[i][j])
+                    if e and (best is None or e < best):
+                        best, pivot = e, (i, j)
+            if pivot is None:
+                break
+            i, j = pivot
+            mat[t], mat[i] = mat[i], mat[t]
+            for row in mat:
+                row[t], row[j] = row[j], row[t]
+            for i in range(t + 1, n):
+                if mat[i][t]:
+                    a, b = mat[t][t], mat[i][t]
+                    if b % a == 0:
+                        # Plain subtraction keeps the pivot row fixed.
+                        row_combine(t, i, 1, 0, -(b // a), 1)
+                    else:
+                        g, s, tt = linalg._egcd(a, b)
+                        row_combine(t, i, s, tt, -(b // g), a // g)
+            for j in range(t + 1, m):
+                if mat[t][j]:
+                    a, b = mat[t][t], mat[t][j]
+                    if b % a == 0:
+                        col_combine(t, j, 1, 0, -(b // a), 1)
+                    else:
+                        g, s, tt = linalg._egcd(a, b)
+                        col_combine(t, j, s, tt, -(b // g), a // g)
+            if any(mat[i][t] for i in range(t + 1, n)) or any(
+                mat[t][j] for j in range(t + 1, m)
+            ):
+                continue
+            offender = next(
+                (i for i in range(t + 1, n) if any(mat[i][j] % mat[t][t] for j in range(t + 1, m))),
+                None,
+            )
+            if offender is None:
+                break
+            # Fold the offending row into row t; the next gcd pass strictly
+            # shrinks the pivot, so this terminates.
+            row_combine(t, offender, 1, 1, 0, 1)
+    return [abs(mat[i][i]) for i in range(size)]
 
 
 def smith_quotient_invariants(
@@ -63,8 +128,7 @@ def smith_quotient_invariants(
     if not canon.rows:
         return ()
     den = [linalg._reduced(row, canon.moduli) for row in denominator_rows]
-    lattice = relation_lattice(canon.rows, den, canon.moduli)
-    diag, _ = linalg._smith_with_left_inverse(lattice)
+    diag = integer_smith_diagonal(relation_lattice(canon.rows, den, canon.moduli))
     return tuple(sorted(d for d in diag if d not in (0, 1)))
 
 
@@ -73,8 +137,7 @@ def relation_lattice(
 ) -> list[list[int]]:
     """Integer relations among ``gens`` modulo span(``extra``), one row per
     generator: a column per lifted kernel element, restricted to the
-    coefficients of ``gens``, plus exponent times the standard lattice
-    (``linalg._relation_lattice`` with the denominator rows added)."""
+    coefficients of ``gens``, plus exponent times the standard lattice."""
     exponent = lcm(*moduli)
     combined = list(gens) + list(extra)
     graph = linalg.homomorphism_graph(combined, tuple(exponent for _ in combined), moduli)

@@ -700,6 +700,12 @@ class TestTableReads:
         for code in mixed_corpus + random_corpus[:60]:
             assert control_profile(code).lengths == reference_control_lengths(code)
 
+    def test_control_profile_matches_oracle(self, exhaustive_corpus, random_corpus):
+        # The oracle's control profile grows L until the enumerated
+        # reachable set is the whole code.
+        for code in exhaustive_corpus + random_corpus:
+            assert control_profile(code).lengths == brute("control_profile", code), code.basis
+
     def test_controllable_subcode_is_meet_of_reachable_sets(self, mixed_corpus):
         for code in mixed_corpus:
             for L in range(code.space.horizon + 1):

@@ -1,7 +1,7 @@
 """Tests for rectangularity and cyclic product decompositions."""
 
 import random
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from groupcodes.codes import (
     intersect,
     join,
     window_internal,
+    window_projection,
     zero_code,
 )
 from groupcodes.groups import (
@@ -30,6 +31,7 @@ from groupcodes.linalg import (
     head_solve,
     homomorphism_graph,
     residue_matrix,
+    smith_invariants,
     vector_order,
 )
 from groupcodes.structure import (
@@ -47,6 +49,7 @@ from groupcodes.structure import (
 
 from .kernel_references import integer_smith_diagonal, stepwise_directness
 from .test_golden_cli import SPECS
+from .test_linalg import enumerate_span
 
 
 def space(*symbol_moduli):
@@ -64,8 +67,6 @@ def even_weight():
 
 def brute_direct_sum_size(code, decomposition):
     """|sum of cyclic factors| by closure, for independent verification."""
-    from .test_linalg import enumerate_span
-
     moduli = code.space.flat_moduli
     return len(
         enumerate_span([g.word for g in decomposition.generators], moduli)
@@ -125,6 +126,87 @@ class TestCoprimeRectangular:
             assert decomposition is not None
             assert decomposition.order_product == code.cardinality
             assert brute_direct_sum_size(code, decomposition) == code.cardinality
+
+
+# Criterion 6's palettes plus symbols of composite order, keyed by the
+# primes of the symbol order.
+COPRIME_PALETTES = {
+    (2,): {2}, (4,): {2}, (8,): {2}, (2, 2): {2},
+    (3,): {3}, (9,): {3}, (3, 3): {3},
+    (5,): {5}, (7,): {7},
+    (6,): {2, 3}, (12,): {2, 3}, (35,): {5, 7},
+}
+
+
+def coprime_codes(count, seed):
+    """Random codes over symbols of pairwise coprime orders."""
+    rng = random.Random(seed)
+    palettes = sorted(COPRIME_PALETTES)
+    codes = []
+    while len(codes) < count:
+        picks = rng.sample(palettes, rng.randint(1, 3))
+        primes = [COPRIME_PALETTES[p] for p in picks]
+        if sum(map(len, primes)) != len(set().union(*primes)):
+            continue
+        sp = space(*picks)
+        gens = [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(rng.randint(1, 2))]
+        codes.append(code_from_generators(sp, gens))
+    return codes
+
+
+class TestCoprimeRouteTwin:
+    """The coprime route against the Smith route it replaced: per
+    coordinate, the factor orders regroup (Smith diagonal of their diagonal
+    matrix) to the invariant factors of the coordinate's projection, and
+    the factors are a cyclic basis of that projection."""
+
+    @staticmethod
+    def by_coordinate(code, decomposition):
+        per = {i: [] for i in range(code.space.horizon)}
+        for g in decomposition.generators:
+            per[g.start].append(g)
+        return per
+
+    def test_factor_orders_regroup_to_the_projection_invariants(self):
+        regrouped = 0
+        for code in coprime_codes(120, 2601):
+            decomposition = coprime_rectangular(code)
+            assert decomposition is not None
+            moduli = code.space.flat_moduli
+            starts = [g.start for g in decomposition.generators]
+            assert starts == sorted(starts)
+            for i, gens in self.by_coordinate(code, decomposition).items():
+                proj = window_projection(code, i, i + 1)
+                sl = code.space.flat_slice(i, i + 1)
+                orders = [g.order for g in gens]
+                invariants = smith_invariants(proj.basis)
+                diag = integer_smith_diagonal(
+                    [[o if r == c else 0 for c in range(len(orders))] for r, o in enumerate(orders)]
+                )
+                assert tuple(d for d in diag if d != 1) == invariants
+                for g in gens:
+                    assert code.contains(g.word)
+                    assert vector_order(g.word, moduli) == g.order
+                    assert (g.start, g.stop) == (i, i + 1) and g.prime is None
+                    assert code.space.support(g.word) == (i, i + 1)
+                # Span and directness: the factors, read on coordinate i,
+                # span the projection, of order the product of theirs.
+                words = [g.word[sl] for g in gens]
+                span = enumerate_span(words, proj.space.flat_moduli)
+                assert span == set(proj.words())
+                assert len(span) == prod(orders)
+                # A projection of mixed-prime order has more factors than
+                # invariant factors.
+                regrouped += len(orders) > len(invariants)
+        assert regrouped > 10
+
+    def test_mixed_prime_coordinates_give_primary_factors(self):
+        code = code_from_generators(space((12,), (35,)), [(2, 5)])
+        decomposition = coprime_rectangular(code)
+        per = self.by_coordinate(code, decomposition)
+        assert sorted(g.order for g in per[0]) == [2, 3]
+        assert [g.order for g in per[1]] == [7]
+        assert decomposition.order_product == code.cardinality == 42
 
 
 class TestCyclicProductDecomposition:
