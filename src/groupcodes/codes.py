@@ -174,8 +174,9 @@ class BlockCode:
         return {}
 
     @_cached
-    def _prefix_annihilators(self) -> dict[int, "BlockCode"]:
-        return {}
+    def _local_dual(self) -> "BlockCode":
+        """T = C-perp in the code's own space: one kernel of its Howell rows."""
+        return BlockCode.from_howell(self.space, annihilator_rows(self.basis).rows)
 
     def _prefix(self, b: int) -> "Entry":
         """The Howell rows, pivot columns and running pivot-order products
@@ -209,23 +210,11 @@ class BlockCode:
         return table[a]
 
     def prefix_annihilator(self, b: int) -> "BlockCode":
-        """C-perp ∩ [0, b), built on first use for each b (which is checked
-        then) and kept on the code: the local dual of the prefix projection
-        (a cut, so no projection Howell form), padded with zeros after
-        offset(b).  A character supported in [0, b) annihilates C exactly
-        when its window part annihilates proj_[0,b) C."""
-        table = self._prefix_annihilators
-        if b not in table:
-            self.space.check_window(0, b)
-            rows: tuple[Vector, ...] = ()
-            if b > 0:
-                cut = self.space.offsets()[b]
-                prefix = _trusted(self.basis.moduli[:cut], _projection(self, 0, b)[0])
-                local = annihilator_rows(prefix)
-                after = (0,) * (self.basis.width - cut)
-                rows = tuple(row + after for row in local.rows)
-            table[b] = BlockCode.from_howell(self.space, rows)
-        return table[b]
+        """C-perp ∩ [0, b), b checked: entry b of the prefix table of the
+        local dual T = C-perp (T itself for b = N).  A character supported
+        in [0, b) that annihilates C is a word of T vanishing from b on, so
+        C-perp ∩ [0, b) = T ∩ [0, b); one kernel serves every end."""
+        return self._local_dual.prefix_code(b)
 
     @property
     def cardinality(self) -> int:
@@ -443,11 +432,9 @@ def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], in
 
 
 def _annihilator(code: BlockCode, a: int, b: int) -> tuple[Vector, ...]:
-    """Howell rows of C-perp ∩ [a, b): the characters of
-    ``prefix_annihilator(b)`` = C-perp ∩ [0, b) that vanish before a,
-    spanned by its rows with pivot at or after ``offset(a)``."""
-    prefix = code.prefix_annihilator(b)
-    return prefix.basis.rows[prefix._rows_before(code.space.offsets()[a]) :]
+    """Howell rows of C-perp ∩ [a, b) = T ∩ [a, b), T = C-perp the local
+    dual: ``_internal`` of T, off T's prefix table."""
+    return _internal(code._local_dual, a, b)[0]
 
 
 def _annihilator_order(code: BlockCode, a: int, b: int) -> int:
@@ -477,8 +464,10 @@ def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
 def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:
     """C-perp ∩ [a, b): the characters of the code's space that vanish
     outside [a, b) and annihilate C, equivalently the local dual of
-    ``window_projection(code, a, b)`` padded with zeros: the rows of
-    ``_annihilator``, so each end costs one kernel."""
+    ``window_projection(code, a, b)`` padded with zeros.  They are the
+    words of the local dual T = C-perp supported in [a, b), so the rows
+    are those of ``window_internal(T, a, b)`` (``_annihilator``): one
+    kernel per code, and every window a read of T's prefix table."""
     code.space.check_window(a, b)
     return BlockCode.from_howell(code.space, _annihilator(code, a, b))
 

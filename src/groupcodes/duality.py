@@ -188,6 +188,7 @@ def dual_block_code(code: BlockCode) -> BlockCode:
 
     At finite horizon the dual of a product is the product of the duals, so
     the dual code lives over the same symbol moduli; the construction is an
-    inclusion-reversing involution.
+    inclusion-reversing involution.  It is the code's local dual, one
+    kernel of its Howell rows, kept on the code.
     """
-    return BlockCode.from_howell(code.space, annihilator_rows(code.basis).rows)
+    return code._local_dual

@@ -26,7 +26,7 @@ from .codes import (
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import dual_block_code, is_annihilator
-from .linalg import _reduce_vector, _trusted, smith_invariants
+from .linalg import _trusted, smith_invariants
 
 __all__ = [
     "ObserveProfile",
@@ -81,8 +81,9 @@ def _annihilator_sum(code: BlockCode, lengths: Sequence[int]) -> BlockCode:
     the sum of their annihilators C-perp ∩ [k, k+L_k+1), clipped to the
     horizon (a character kills the preimage of a window projection exactly
     when it vanishes outside the window and annihilates the projection).
-    One Howell form of their rows, each read off the prefix annihilator
-    of its end (``codes._annihilator``); no window code is built."""
+    One Howell form of their rows, each window read off the prefix table
+    of the code's local dual C-perp (``codes._annihilator``); no window
+    code is built."""
     N = code.space.horizon
     rows = tuple(
         row for k, L in enumerate(lengths) for row in _annihilator(code, k, min(k + L + 1, N))
@@ -256,20 +257,23 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     chains, the reach chain is the nesting of the prefix entries:
     C_k(L) = Z_k + C ∩ [0, k+L), so C ∩ [0, b) ⊆ C ∩ [0, b+1) gives
     C_k(L) ⊆ C_k(L+1).  The consistency set on [k, b+1) lies in the one on
-    [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D:
-    each Howell row of the first, cut, is zero, is a Howell row of the
-    second or reduces to zero against them.  Once the window reaches the
-    horizon the sets repeat, so there is nothing more to test.  Both chains hold by construction: the prefix
-    table's entries are one sweep over one reversed Howell form, and every
-    projection proj_[k,b) D is a cut of the one suffix Howell form
-    proj_[k,N) D.  The checks stay, as evidence on those tables.
+    [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D.
+    Both containments read alike: each Howell row of the smaller side is
+    zero, is a Howell row of the larger or reduces to zero against them,
+    at the pivot columns the tables already hold (the prefix entry's, and
+    the first ones of ``suffix_projection(k)``, whose cut rows are those of
+    proj_[k,b) D), with no row rescanned.  Once the window reaches the
+    horizon the sets repeat, so there is nothing more to test.  Both chains
+    hold by construction: the prefix table's entries are one sweep over one
+    reversed Howell form, and every projection proj_[k,b) D is a cut of the
+    one suffix Howell form proj_[k,N) D.  The checks stay, as evidence on
+    those tables and their pivot columns.
 
     Every window is read as rows and an order straight off a table entry
     (``codes._internal`` off C's prefix table, ``codes._projection`` off
     D's suffix projections), so the O(N^2) window and chain checks build no
     code and no space, and each order is a lookup of running pivot-order
-    products.  Only D's suffix projections and the prefix entries the chain
-    check wraps (``prefix_code``), O(N) of them, are codes.
+    products.  Only D's suffix projections, O(N) of them, are codes.
 
     Each matched side is built only until it reaches its top.  The
     subcodes cs_L = ``controllable_subcode(code, L)`` are sums of the
@@ -277,24 +281,28 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     The annihilator sums S_L = ``_annihilator_sum(dual, [L] * N)`` grow
     too: a character on [k, b) annihilating proj_[k,b) D, extended by
     zero, annihilates proj_[k,b+1) D.  So S_L ⊆ S_{L+1} ⊆ T, where
-    T = ``dual.prefix_annihilator(N)`` = D-perp ∩ [0, N) is the term of
-    S_{N-1} at k = 0, and S_{N-1} = T.  A nondecreasing chain under its
-    top that meets the top stays there: once the Howell rows of cs_L equal
-    those of C (or those of S_L equal T's) the side is the same subgroup
-    for every larger L, and its dual and invariant factors are reused.  T is built
-    from the dual alone and the test compares rows, so stopping does not
-    assume that the dual of the dual is C.
+    T = ``dual.prefix_annihilator(N)`` = D-perp, the dual's local dual, is
+    the term of S_{N-1} at k = 0, and S_{N-1} = T.  A nondecreasing chain
+    under its top that meets the top stays there: once the Howell rows of
+    cs_L equal those of C (or those of S_L equal T's) the side is the same
+    subgroup for every larger L, and its dual and invariant factors are
+    reused.  T is built from the dual alone and the test compares rows, so
+    stopping does not assume that the dual of the dual is C.
 
     The code's side of each identity is read off its window table (internal
     parts, ``controllable_subcode``, ``control_profile``); the dual's side
-    is read off the dual's suffix projections and annihilator table
-    (``_projection``, ``_annihilator_sum``), not off its prefix table.
-    The control indices come from ``control_profile`` of the code and of
-    the dual (the dual's own prefix table).  The observe
-    index of the code is counted on the code's own suffix projections
-    (``_observe_index``), with no kernel, and that of the dual is the
-    first matched supercode equal to the dual.  So each side of
-    ``indices_match`` is a separate computation, and it stays evidence.
+    is read off the dual's suffix projections and annihilator windows
+    (``_projection``, ``_annihilator_sum``), not off its prefix table.  The
+    annihilator windows D-perp ∩ [k, b) are read off the prefix table of
+    T alone.  T is one kernel of D's rows and its table is its own, so
+    although T equals C as a set, the supercode side reads none of C's
+    tables and each matched line stays an independent check.  The control
+    indices come from ``control_profile`` of the code and of the dual (the
+    dual's own prefix table).  The observe index of the code is counted on
+    the code's own suffix projections (``_observe_index``), with no kernel,
+    and that of the dual is the first matched supercode equal to the dual.
+    So each side of ``indices_match`` is a separate computation, and it
+    stays evidence.
     """
     N = code.space.horizon
     dual = code.prefix_annihilator(N)
@@ -308,18 +316,40 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         ok = is_annihilator([row[lo:hi] for row in inner], inner_order, rows, order, moduli[lo:hi])
         window_checks.append(WindowDualityCheck(a, b, ok))
 
-    def nested(k: int, b: int) -> bool:
-        # proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D: each cut row
-        # is zero, is a Howell row of proj_[k,b) D or reduces to zero by them.
-        width = offsets[b] - offsets[k]
-        outer = _trusted(moduli[offsets[k] : offsets[b]], proj[k, b][0])
-        known = {*outer.rows, (0,) * width}
-        cuts = (row[:width] for row in proj[k, b + 1][0])
-        return all(cut in known or not any(_reduce_vector(outer, cut)) for cut in cuts)
+    def within(words, rows, columns, lo: int, hi: int) -> bool:
+        # Each word over [lo, hi) is zero, is one of the Howell ``rows`` or
+        # reduces to zero at ``columns``, their pivot columns as a table
+        # holds them.  A step subtracts a whole row, so zero proves
+        # membership even if a broken table serves wrong columns.
+        window, known = moduli[lo:hi], {*rows, (0,) * (hi - lo)}
 
-    chain_ok = all(
-        code.prefix_code(b).is_subcode_of(code.prefix_code(b + 1)) for b in range(N)
-    ) and all(nested(k, b) for k in range(N) for b in range(k + 1, N))
+        def reduces(v) -> bool:
+            for row, j in zip(rows, columns):
+                q = v[j] // row[j] if row[j] else 0
+                if q:
+                    v = [(x - q * y) % m for x, y, m in zip(v, row, window)]
+            return not any(v)
+
+        return all(w in known or reduces(w) for w in words)
+
+    def prefix_nested(b: int) -> bool:
+        # C ∩ [0, b) ⊆ C ∩ [0, b+1), on the prefix entries (shared when
+        # the end takes in no row).
+        inner, outer = code._prefix(b), code._prefix(b + 1)
+        return inner is outer or within(inner[0], outer[0], outer[1], 0, len(moduli))
+
+    def nested(k: int, b: int) -> bool:
+        # proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D, whose rows
+        # are the first rows of proj_[k,N) D, cut, with their pivot columns.
+        width = offsets[b] - offsets[k]
+        cuts = [row[:width] for row in proj[k, b + 1][0]]
+        suffix = dual.suffix_projection(k)
+        columns = suffix._pivot_columns[: suffix._rows_before(width)]
+        return within(cuts, proj[k, b][0], columns, offsets[k], offsets[b])
+
+    chain_ok = all(prefix_nested(b) for b in range(N)) and all(
+        nested(k, b) for k in range(N) for b in range(k + 1, N)
+    )
 
     def duals_to_top(side, top: BlockCode, top_dual: BlockCode | None = None) -> list:
         # The duals of side(L), L = 0..N-1, built until side(L) is top (whose
@@ -357,7 +387,9 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         chain_ok=chain_ok,
         matched_checks=matched,
         control_index=control_profile(code).index,
-        dual_observe_index=supercodes.index(dual),
+        # N if no supercode is the dual, which only a broken table can
+        # cause: the line of gap N - 1 then reads MISMATCH.
+        dual_observe_index=next((L for L, c in enumerate(supercodes) if c == dual), N),
         observe_index=_observe_index(code),
         dual_control_index=control_profile(dual).index,
     )

@@ -18,6 +18,10 @@
   read off the span of one more generator prefix, the route
   ``structure.verify_decomposition`` took on every input before it
   checked one span of all the generators first.
+* ``per_end_prefix_annihilator``: C-perp ∩ [0, b) as the kernel of the
+  prefix projection, padded with zeros, one kernel per end b, the route
+  ``BlockCode.prefix_annihilator`` took before it read the prefix table
+  of the code's one local dual.
 * ``spans_equal``: span equality by Howell forms, which no analysis asks.
 * ``solve_congruence_system``: one solution of y · A = b with the kernel,
   which no analysis asks either.
@@ -30,11 +34,12 @@ from math import lcm
 from typing import Optional, Sequence
 
 from groupcodes import linalg
-from groupcodes.codes import BlockCode, SequenceSpace, code_from_generators
+from groupcodes.codes import BlockCode, SequenceSpace, _projection, code_from_generators
 from groupcodes.linalg import (
     ResidueMatrix,
     Vector,
     _trusted,
+    annihilator_rows,
     contains_vector,
     head_kernel,
     head_solve,
@@ -224,6 +229,19 @@ def stepwise_directness(space: SequenceSpace, words: Sequence[Sequence[int]]) ->
             steps.append(spanned.cardinality == before * vector_order(word, space.flat_moduli))
         rows, before = spanned.basis.rows, spanned.cardinality
     return tuple(steps)
+
+
+def per_end_prefix_annihilator(code: BlockCode, b: int) -> tuple[Vector, ...]:
+    """Howell rows of C-perp ∩ [0, b): the local dual of the prefix
+    projection (a cut of C's rows, so no projection Howell form), padded
+    with zeros after offset(b).  A character supported in [0, b)
+    annihilates C exactly when its window part annihilates proj_[0,b) C."""
+    if b == 0:
+        return ()
+    cut = code.space.offsets()[b]
+    prefix = _trusted(code.basis.moduli[:cut], _projection(code, 0, b)[0])
+    after = (0,) * (code.basis.width - cut)
+    return tuple(row + after for row in annihilator_rows(prefix).rows)
 
 
 def spans_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:

@@ -10,8 +10,10 @@ runs on it, with the Howell cache cleared first.  Every input that reaches
 the Howell kernel (every cache miss of ``linalg._howell_cached``), every
 call of ``linalg.quotient_invariants``, every call of
 ``duality.pairs_to_zero``, every (code, l, n, levels) that
-``control.order_profile`` tests and every prefix table that fills entries
-(``codes._PrefixTable``, with the last end it filled) is recorded.  Each
+``control.order_profile`` tests, every prefix table that fills entries
+(``codes._PrefixTable``, with the last end it filled) and every code whose
+annihilator windows fill entries of its local dual's prefix table (with
+the last end filled) is recorded.  Each
 kernel is then timed on the recorded inputs it takes, bucketed by matrix
 width:
 
@@ -27,6 +29,13 @@ width:
   ``BlockCode.prefix_code`` took before the sweep;
 * ``prefix-sweep``: the same entries filled by one sweep of one Howell
   state (``_PrefixTable.entry``);
+* ``annihilator-per-end``: entries 1..last of a recorded annihilator
+  table, C-perp ∩ [0, b) for each end b, by one kernel per end
+  (``kernel_references.per_end_prefix_annihilator``), the route
+  ``BlockCode.prefix_annihilator`` took before it read the local dual;
+* ``annihilator-table``: the same entries by one kernel of the code's
+  rows, the local dual T = C-perp, and one sweep of T's prefix table
+  (``codes._annihilator``);
 * ``smith``: invariant factors by the integer Smith form
   (``kernel_references.smith_quotient_invariants``) on every
   ``quotient_invariants`` input;
@@ -43,8 +52,9 @@ width:
   ``order_profile`` shares them between the (l, n) of one code.
 
 A line gives the kernel, the width bucket, the input count, the number of
-outputs that differ from the reference's (``_HowellSingle``, ``smith``,
-``pair-loop``, ``order-graph`` or ``prefix-per-end``) and the best of ``--repeat`` timed passes, in seconds of
+outputs that differ from the reference's (``_HowellSingle``,
+``prefix-per-end``, ``annihilator-per-end``, ``smith``, ``pair-loop`` or
+``order-graph``) and the best of ``--repeat`` timed passes, in seconds of
 CPU time (a shared machine's other load then shows less than in wall
 time).  The Howell cache is cleared before each pass, so a kernel that
 reads Howell forms pays for them in every pass.
@@ -85,14 +95,21 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     denominator rows), "pairs": (xs, ys, moduli), "order": (code, l, n,
     levels) and the memoized forms ``order_profile`` passed), and the
     number of specs run.  "prefix" holds (space, reversed rows, last end)
-    of every prefix table that filled an entry."""
+    of every prefix table that filled an entry, "annihilator" (code, last
+    end) of every code whose local dual's prefix table filled one."""
     inputs = {"howell": [], "quotient": [], "pairs": [], "order": []}
-    tables = []
+    tables, dualized = [], []
     table_init = codes._PrefixTable.__init__
+    local_dual = codes.BlockCode.__dict__["_local_dual"]
+    dualize = local_dual.fn
 
     def record_table(table, *args):
         tables.append(table)
         table_init(table, *args)
+
+    def record_dual(code):
+        dualized.append(code)
+        return dualize(code)
 
     # (module, name, the inputs it records into) of every wrapped kernel;
     # ``duality`` calls its own imported ``quotient_invariants``.
@@ -117,6 +134,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     for (module, name, record), kernel in zip(wrapped, originals):
         setattr(module, name, recording(kernel, record))
     codes._PrefixTable.__init__ = record_table
+    local_dual.fn = record_dual
     try:
         with tempfile.TemporaryDirectory() as work:
             for spec in specs:
@@ -129,10 +147,15 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         for (module, name, _), kernel in zip(wrapped, originals):
             setattr(module, name, kernel)
         codes._PrefixTable.__init__ = table_init
+        local_dual.fn = dualize
     inputs["prefix"] = [
         (table.space, table.reversed_rows, len(table.entries) - 1)
         for table in tables
         if len(table.entries) > 1
+    ]
+    filled = ((code, code._local_dual.__dict__.get("_prefixes")) for code in dualized)
+    inputs["annihilator"] = [
+        (code, len(table.entries) - 1) for code, table in filled if table and len(table.entries) > 1
     ]
     return inputs, len(specs)
 
@@ -168,6 +191,19 @@ def prefix_sweep(space, reversed_rows, last) -> list:
     table = codes._PrefixTable(space, reversed_rows)
     table.entry(last)
     return table.entries[1:]
+
+
+def annihilator_per_end(code, last) -> list:
+    """C-perp ∩ [0, b) for b = 1..``last``, one kernel per end."""
+    return [kernel_references.per_end_prefix_annihilator(code, b) for b in range(1, last + 1)]
+
+
+def annihilator_table(code, last) -> list:
+    """The same windows read off the prefix table of the local dual of a
+    fresh copy of the code: one kernel, one reversed Howell form, one
+    sweep."""
+    fresh = BlockCode.from_howell(code.space, code.basis.rows)
+    return [codes._annihilator(fresh, 0, b) for b in range(1, last + 1)]
 
 
 def best_time(kernel, inputs: list, repeat: int) -> float:
@@ -210,7 +246,7 @@ def print_lines(name, kernel, calls, expected, widths, repeat) -> None:
         chosen = [calls[i] for i in picked]
         mismatches = sum(kernel(*calls[i]) != expected[i] for i in picked)
         seconds = best_time(kernel, chosen, repeat)
-        print(f"{name:<14}{label:>7}{len(picked):>8}{mismatches:>12}{seconds:>10.4f}")
+        print(f"{name:<21}{label:>7}{len(picked):>8}{mismatches:>12}{seconds:>10.4f}")
 
 
 def main(argv=None) -> int:
@@ -231,18 +267,20 @@ def main(argv=None) -> int:
     ]
     quotients, pairs = inputs["quotient"], inputs["pairs"]
     splits = [call[:4] for call in inputs["order"]]
-    prefixes = inputs["prefix"]
+    prefixes, annihilators = inputs["prefix"], inputs["annihilator"]
     print(
         f"{args.workload} seed {args.seed}: {len(howell)} Howell inputs from "
         f"{specs} specs, {len(packable)} on the packed path, "
         f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs, "
-        f"{len(splits)} order split inputs, {len(prefixes)} prefix tables"
+        f"{len(splits)} order split inputs, {len(prefixes)} prefix tables, "
+        f"{len(annihilators)} annihilator tables"
     )
-    print(f"{'kernel':<14}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
+    print(f"{'kernel':<21}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
     expected = [single(*call) for call in howell]
     two_power = [howell[i] for i in packable]
     two_power_expected = [expected[i] for i in packable]
     per_end = [prefix_per_end(*call) for call in prefixes]
+    kernel_per_end = [annihilator_per_end(*call) for call in annihilators]
     smith = [kernel_references.smith_quotient_invariants(*call) for call in quotients]
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
     graph = [split_graph(*call) for call in splits]
@@ -255,6 +293,8 @@ def main(argv=None) -> int:
         ("dispatch", linalg._howell_kernel, howell, expected, howell),
         ("prefix-per-end", prefix_per_end, prefixes, per_end, prefixes),
         ("prefix-sweep", prefix_sweep, prefixes, per_end, prefixes),
+        ("annihilator-per-end", annihilator_per_end, annihilators, kernel_per_end, annihilators),
+        ("annihilator-table", annihilator_table, annihilators, kernel_per_end, annihilators),
         ("smith", kernel_references.smith_quotient_invariants, quotients, smith, quotients),
         ("counted", linalg.quotient_invariants, quotients, smith, quotients),
         ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),

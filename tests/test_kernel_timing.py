@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "kernel_timing.py"
 KERNELS = (
     "reference", "reference-2^k", "packed", "dispatch", "prefix-per-end", "prefix-sweep",
+    "annihilator-per-end", "annihilator-table",
     "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
 )
 
@@ -40,12 +41,15 @@ def test_two_specs_no_mismatch(workload):
     # Every workload's reports read windows of block codes or kernel cut
     # windows off filled prefix tables.
     assert totals["prefix-per-end"] == totals["prefix-sweep"] > 0
-    # Block reports read invariant factors and order profiles;
-    # convolutional ones do neither.
+    # Block reports read invariant factors, order profiles and the
+    # duality report's annihilator windows; convolutional ones do none.
+    assert totals["annihilator-per-end"] == totals["annihilator-table"]
     assert (totals["counted"] > 0) == (workload != "convolutional")
     assert (totals["order-counted"] > 0) == (workload != "convolutional")
+    assert (totals["annihilator-table"] > 0) == (workload != "convolutional")
     assert head.endswith(
         f"{totals['smith']} quotient inputs, {totals['pair-map']} pairing inputs, "
         f"{totals['order-counted']} order split inputs, "
-        f"{totals['prefix-sweep']} prefix tables"
+        f"{totals['prefix-sweep']} prefix tables, "
+        f"{totals['annihilator-table']} annihilator tables"
     )

@@ -473,8 +473,9 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # Windows are read as rows: one report builds the table entries, the
     # matched sides and their duals, O(N) codes, and none per window.  The
     # Howell forms are those of the tables and the matched sides; each
-    # prefix table is one reversed Howell form and one sweep, with no Howell
-    # form per end: 47 (66 with one per end).
+    # prefix table, the local duals' included, is one reversed Howell form
+    # and one sweep, with no Howell form per end: 39 (47 with a kernel per
+    # end of the annihilator windows, 66 with a Howell form per prefix).
     import groupcodes.linalg as linalg_module
     from groupcodes.cli import main
 
@@ -505,7 +506,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
         assert main(["duality-check", str(path)]) == 0
     N = 10
     assert calls["codes"] <= 8 * N
-    assert calls["howell_form"] == 47
+    assert calls["howell_form"] == 39
 
 
 def _first_top(side, top, N):
@@ -815,3 +816,70 @@ def test_broken_prefix_nesting_fails_the_chain(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["duality-check", str(path)]) == 1
     assert "reachability chains monotone: NO" in capsys.readouterr().out
+
+
+def test_broken_dual_suffix_projection_fails_the_nesting(monkeypatch, capsys):
+    # Serving proj_[k,N) D with the pivot column of its first row recorded
+    # one symbol late drops that row from proj_[k,b) D, b the end of its
+    # pivot's symbol, while proj_[k,b+1) D, cut, still has it: the nested
+    # chain, read against the recorded pivot columns, reports it, for
+    # every start k.
+    from groupcodes.cli import main
+
+    path = BAND_SPECS / "z4_band10_dual.spec"
+    code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
+    dual = dual_block_code(code)
+    N = code.space.horizon
+    suffix_projection = BlockCode.suffix_projection
+    for k in range(1, N - 1):
+        right = suffix_projection(dual, k)
+        columns = right._pivot_columns
+        assert columns[0] + 1 < right.basis.width
+        broken = BlockCode.from_howell(right.space, right.basis.rows)
+        broken.__dict__["_pivot_columns"] = (columns[0] + 1,) + columns[1:]
+        monkeypatch.setattr(
+            BlockCode,
+            "suffix_projection",
+            lambda self, a, k=k, broken=broken: broken
+            if a == k and self.basis.rows == dual.basis.rows
+            else suffix_projection(self, a),
+        )
+        report = check_control_observe_duality(code)
+        assert not report.chain_ok
+        assert not report.ok
+        capsys.readouterr()
+        assert main(["duality-check", str(path)]) == 1
+        assert "reachability chains monotone: NO" in capsys.readouterr().out
+
+
+def test_dropped_row_of_the_dual_local_dual_mismatches(monkeypatch, capsys):
+    # The supercode side reads only the dual's own local dual (D-perp, the
+    # code as a set, from a kernel of D's rows): without its first row, the
+    # annihilator sums never reach the code and some matched line reads
+    # MISMATCH, though C's own tables are whole.
+    import groupcodes.codes as codes_module
+    from groupcodes.cli import main
+
+    path = BAND_SPECS / "z4_band8_code.spec"
+    code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
+    dual = dual_block_code(code)
+    assert dual != code
+    local_dual = BlockCode.__dict__["_local_dual"].fn
+
+    def broken(self):
+        top = local_dual(self)
+        if self.basis.rows == dual.basis.rows:
+            return BlockCode.from_howell(self.space, top.basis.rows[1:])
+        return top
+
+    descriptor = codes_module._cached(broken)
+    descriptor.__set_name__(BlockCode, "_local_dual")
+    monkeypatch.setattr(BlockCode, "_local_dual", descriptor)
+    report = check_control_observe_duality(code)
+    assert report.chain_ok and all(w.ok for w in report.window_checks)
+    assert not all(m.ok for m in report.matched_checks)
+    assert not report.ok
+    capsys.readouterr()
+    assert main(["duality-check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out and "verdict: FAIL" in out
