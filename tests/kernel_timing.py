@@ -13,9 +13,8 @@ call of ``linalg.quotient_invariants``, every call of
 ``control.order_profile`` tests, every prefix table that fills entries
 (``codes._PrefixTable``, with the last end it filled) and every code whose
 annihilator windows fill entries of its local dual's prefix table (with
-the last end filled) is recorded.  Each
-kernel is then timed on the recorded inputs it takes, bucketed by matrix
-width:
+the last end filled) is recorded.  Each kernel is then timed on the
+recorded inputs it takes, bucketed by matrix width:
 
 * ``reference``: the ``_HowellSingle`` state, every row pushed at once, on
   every Howell input;
