@@ -19,17 +19,16 @@ from .groups import FiniteAbelianGroup
 from .linalg import (
     ResidueMatrix,
     Vector,
+    _counted_invariants,
     _first_nonzero,
     _howell_state,
     _reduce_vector,
+    _reduced,
     _trusted,
     annihilator_rows,
-    contains_vector,
-    coset_reduce,
     howell_form,
     intersect_rows,
     residue_matrix,
-    smith_invariants,
     stack,
 )
 
@@ -221,10 +220,12 @@ class BlockCode:
         return self._pivot_products[-1]
 
     def contains(self, word: Sequence[int]) -> bool:
-        return contains_vector(self.basis, word)
+        return not any(self.coset_representative(word))
 
     def coset_representative(self, word: Sequence[int]) -> tuple[int, ...]:
-        return coset_reduce(self.basis, word)
+        """The canonical representative of word + C, reduced against the
+        code's Howell rows (``linalg.coset_reduce`` on its own basis)."""
+        return _reduce_vector(self.basis, _reduced(word, self.basis.moduli))
 
     def pivots(self) -> tuple[tuple[int, int], ...]:
         """(pivot column, pivot order) of each basis row.
@@ -494,5 +495,6 @@ def annihilator_order(code: BlockCode, a: int, b: int) -> int:
 
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:
-    """Isomorphism type of the code as invariant factors d_1 | d_2 | ..."""
-    return smith_invariants(code.basis)
+    """Isomorphism type of the code as invariant factors d_1 | d_2 | ...,
+    counted on its Howell rows (``linalg.smith_invariants`` on its basis)."""
+    return _counted_invariants(code.basis, ())

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import mod
+from operator import floordiv, mod
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -402,7 +402,7 @@ def vector_order(vector: Sequence[int], moduli: Sequence[int]) -> int:
     ``vector`` and ``moduli`` have the same length; the empty vector has
     order 1.
     """
-    return lcm(*(m // gcd(m, e) for e, m in zip(vector, moduli)))
+    return lcm(*map(floordiv, moduli, map(gcd, moduli, vector)))
 
 
 def _pivot_orders(rows: Iterable[Vector], moduli: Vector) -> list[int]:
@@ -664,9 +664,16 @@ def quotient_invariants(
       The t-th largest invariant factor is the product over p of p^λ_t.
 
     Every order is a product of Howell pivot orders; |X| is read off the
-    numerator's own Howell form.
+    numerator's own Howell form (``_counted_invariants``).
     """
-    canon = howell_form(numerator)
+    return _counted_invariants(howell_form(numerator), denominator_rows)
+
+
+def _counted_invariants(
+    canon: ResidueMatrix, denominator_rows: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """``quotient_invariants`` of a numerator given as its Howell form
+    ``canon``, which a code's basis already is."""
     if not canon.rows:
         return ()
     moduli = canon.moduli

@@ -23,10 +23,11 @@ from .codes import (
     _annihilator_order,
     _internal,
     _projection,
+    invariant_factors_of_code,
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import dual_block_code, is_annihilator
-from .linalg import _trusted, smith_invariants
+from .linalg import _trusted
 
 __all__ = [
     "ObserveProfile",
@@ -370,7 +371,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
 
     def factors_of(c: BlockCode) -> tuple[int, ...]:
         if c.basis.rows not in factors:
-            factors[c.basis.rows] = smith_invariants(c.basis)
+            factors[c.basis.rows] = invariant_factors_of_code(c)
         return factors[c.basis.rows]
 
     matched = tuple(

@@ -13,23 +13,21 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import mod, mul
 from typing import Optional, Sequence
 
-from .codes import (
-    BlockCode,
-    SequenceSpace,
-    code_from_generators,
-    window_internal,
-    window_projection,
-)
+from .codes import BlockCode, SequenceSpace, code_from_generators, window_projection
 from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
+    Vector,
     _first_nonzero,
+    _howell_state,
     _reduce_vector,
     _trusted,
     head_kernel,
     head_solve,
     homomorphism_graph,
+    howell_form,
     vector_order,
 )
 
@@ -199,15 +197,7 @@ def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
         for factor in cyclic_product_decomposition(proj).generators:
             padded = [0] * width
             padded[sl] = factor.word
-            gens.append(
-                DecompositionGenerator(
-                    word=tuple(padded),
-                    start=i,
-                    stop=i + 1,
-                    order=factor.order,
-                    prime=None,
-                )
-            )
+            gens.append(DecompositionGenerator(tuple(padded), i, i + 1, factor.order, None))
     return _verified(code, gens)
 
 
@@ -220,62 +210,68 @@ def _verified(code: BlockCode, gens: list[DecompositionGenerator]) -> Decomposit
     return Decomposition(code.space, tuple(gens), cert)
 
 
-def _primary_code(code: BlockCode, p: int) -> tuple[BlockCode, list[tuple[int, int]]]:
-    """The code's p-primary part over the p-parts of its symbols, with the
-    ``primary_part`` pair (q, u) of each column: a row enters as e mod q
-    and a component word leaves as e·u mod m, column by column.  When
-    every modulus is a power of p (1 included), that is the code itself."""
-    columns = [primary_part(m, p) for m in code.space.flat_moduli]
-    if all(q == m for (q, _), m in zip(columns, code.space.flat_moduli)):
-        return code, columns  # every column a power of p: u = 1 (or Z/1)
-    symbols = code.space.split([q for q, _ in columns])
-    part = SequenceSpace(tuple(FiniteAbelianGroup(qs) for qs in symbols))
-    rows = ([e % q for e, (q, _) in zip(row, columns)] for row in code.basis.rows)
-    return code_from_generators(part, rows), columns
+def _primary_rows(code: BlockCode, p: int) -> tuple[tuple[Vector, ...], list[tuple[int, int]]]:
+    """The column-reversed Howell rows of the code's p-primary part, over
+    the reversed p-parts of its moduli, with the ``primary_part`` pair
+    (q, u) of each column: a row enters as e mod q and a component word
+    leaves as e·u mod m, column by column.  When every modulus is a power
+    of p (1 included), the part is the code itself and its rows are the
+    code's own ``_reversed_howell``."""
+    moduli = code.space.flat_moduli
+    columns = [primary_part(m, p) for m in moduli]
+    if all(q == m for (q, _), m in zip(columns, moduli)):
+        return code._reversed_howell, columns  # every column a power of p: u = 1 (or Z/1)
+    parts = tuple(q for q, _ in reversed(columns))
+    rows = tuple(tuple(map(mod, row[::-1], parts)) for row in code.basis.rows)
+    return howell_form(_trusted(parts, rows)).rows, columns
 
 
-def _smallest_full_prefix(current: BlockCode, exponent: int) -> int:
-    """The least n with C ∩ [0, n) of exponent ``exponent``, that of C.
+def _smallest_full_prefix(
+    rows: tuple[Vector, ...], moduli: Vector, offsets: Sequence[int]
+) -> tuple[int, int]:
+    """(n, exponent): the least n with C ∩ [0, n) of the exponent of C, a
+    p-group given by its column-reversed Howell ``rows`` (``moduli`` and
+    ``offsets`` are those of its space, in their own order).
 
-    C ∩ [0, n) is spanned by the rows of the column-reversed Howell form
-    that vanish from offset(n) on, so its exponent is the lcm of their
-    orders.  Their reversed pivots strictly increase, so their last nonzero
-    columns strictly decrease: walking the rows from the end adds them in
-    the order of the n at which they enter, and no prefix entry is filled.
+    C ∩ [0, n) is spanned by the rows that vanish from offset(n) on.  In
+    a p-group a span's exponent is the largest order of its generators, so
+    the window reaches the exponent once it takes in a row of maximal
+    order.  The reversed pivots strictly increase, so the last such row
+    has the least last nonzero column, and n is the block after it.
     """
-    if current.space.horizon == 1:
-        return 1
-    reversed_moduli = current.space.flat_moduli[::-1]
-    reached = 1
-    for row in reversed(current._reversed_howell):
-        reached = lcm(reached, vector_order(row, reversed_moduli))
-        if reached == exponent:  # at the latest at the first row
-            break
-    last = len(reversed_moduli) - 1 - _first_nonzero(row)
-    return bisect_right(current.space.offsets(), last)
+    reversed_moduli = moduli[::-1]
+    orders = [vector_order(row, reversed_moduli) for row in rows]
+    exponent = max(orders)
+    row = rows[len(orders) - 1 - orders[::-1].index(exponent)]
+    return bisect_right(offsets, len(moduli) - 1 - _first_nonzero(row)), exponent
 
 
 def _max_order_in_smallest_window(
-    current: BlockCode, p: int
+    rows: tuple[Vector, ...], moduli: Vector, offsets: Sequence[int], p: int
 ) -> tuple[tuple[int, ...], int]:
-    """The target generator: maximal order, realizable in the smallest
-    prefix window, lexicographically least among candidates.
+    """The target generator of the p-group C with column-reversed Howell
+    ``rows``: maximal order, realizable in the smallest prefix window
+    (``_smallest_full_prefix``), lexicographically least among candidates.
 
-    ``current`` is a p-group of exponent p^e.  The window's words are the
-    combinations of its Howell rows with coefficients below the pivot
-    orders, and a column that is no row's pivot is fixed by earlier rows.
-    So descend: at each pivot take the least value that keeps a word of
+    The window's forward Howell rows are one push and one finish of the
+    rows that vanish from offset(n) on, re-reversed.  Its words are the
+    combinations of those rows with coefficients below the pivot orders,
+    and a column that is no row's pivot is fixed by earlier rows.  So
+    descend: at each pivot take the least value that keeps a word of
     order p^e reachable, i.e. p^(e-1)·y nonzero or some later row not
     killed by p^(e-1).
     """
-    exponent = lcm(*(vector_order(row, current.basis.moduli) for row in current.basis.rows))
-    inner = window_internal(current, 0, _smallest_full_prefix(current, exponent))
-    moduli = current.space.flat_moduli
+    n, exponent = _smallest_full_prefix(rows, moduli, offsets)
+    head = offsets[-1] - offsets[n]
+    state = _howell_state(moduli)
+    state.push(row[::-1] for row in rows if not any(row[:head]))
+    inner = state.finish()
     below = exponent // p
-    rows = inner.basis.rows
     word = (0,) * len(moduli)
-    for i, (row, (j, order)) in enumerate(zip(rows, inner.pivots())):
-        later = any((below * e) % m for r in rows[i + 1 :] for e, m in zip(r, moduli))
+    for i, row in enumerate(inner):
+        j = _first_nonzero(row)
+        order = moduli[j] // row[j]
+        later = any((below * e) % m for r in inner[i + 1 :] for e, m in zip(r, moduli))
         # Pivot values ascend through word[j] + row[j]·Z; at most every p-th
         # value leaves no word of order p^e, so the first or second is kept.
         for value in range(word[j] % row[j], moduli[j], row[j]):
@@ -288,22 +284,24 @@ def _max_order_in_smallest_window(
 
 
 def _peel_complement(
-    current: BlockCode, word: Sequence[int], order: int
-) -> BlockCode:
-    """An internal complement of <word> in ``current``.
+    rows: tuple[Vector, ...], moduli: Vector, word: Sequence[int], order: int
+) -> tuple[Vector, ...]:
+    """The column-reversed Howell rows of an internal complement of <word>
+    in the group C with column-reversed Howell ``rows`` over ``moduli``.
 
     A character valued in the order-torsion of the circle with value
     1/order on the generator splits the group: the kernel of its
     restriction meets <word> trivially and joins with it to everything.
-    Existence needs the generator order to equal the exponent of
-    ``current``.  The character is made canonical by restricting its
-    support to the shortest prefix on which the generator already realizes
-    its full order and reducing within the solution coset; pinning early
-    coordinates pushes the complement rightward, matching the left-to-right
-    peeling of the construction.  The complement is the vanishing-head read
-    of the rows [chi(r) | r] over the Howell rows r of ``current``.
+    Existence needs the generator order to equal the exponent of C.  The
+    character is made canonical by restricting its support to the shortest
+    prefix on which the generator already realizes its full order and
+    reducing within the solution coset; pinning early coordinates pushes
+    the complement rightward, matching the left-to-right peeling of the
+    construction.  The complement is the vanishing-head read of the rows
+    [chi(r) | r] over the reversed rows r, with chi's weights reversed.
+    The Howell form is canonical in any fixed column order, so its tails
+    are the complement's reversed Howell form: no second kernel.
     """
-    moduli = current.space.flat_moduli
     L = lcm(*moduli)
     for prefix in range(1, len(moduli) + 1):
         if vector_order(word[:prefix], moduli[:prefix]) != order:
@@ -314,24 +312,22 @@ def _peel_complement(
         if chi_head is None:
             continue
         chi = _reduce_vector(head_kernel(graph, 1), chi_head)
-        # chi vanishes beyond the prefix, where zip stops.
-        weights = [c * (L // m) for c, m in zip(chi, moduli)]
-        rows = tuple(
-            (sum(e * w for e, w in zip(row, weights)) % L,) + row
-            for row in current.basis.rows
-        )
-        kernel = head_kernel(_trusted((L,) + moduli, rows), 1)
-        return BlockCode.from_howell(current.space, kernel.rows)
+        # chi vanishes beyond the prefix, so on the first reversed columns.
+        weights = [c * (L // m) for c, m in zip(chi[::-1], moduli[prefix - 1 :: -1])]
+        cut = len(moduli) - prefix
+        reads = tuple((sum(map(mul, row[cut:], weights)) % L,) + row for row in rows)
+        return head_kernel(_trusted((L,) + moduli[::-1], reads), 1).rows
     raise DecompositionError("no splitting character; order below exponent")
 
 
 def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
     """Weakly rectangular decomposition through the primary parts.
 
-    The code splits into primary parts column by column (``_primary_code``);
+    The code splits into primary parts column by column (``_primary_rows``);
     inside each p-part, generators of maximal order realizable in the
     smallest prefix window are peeled off as direct factors via splitting
-    characters, and each is embedded back as e·u mod m per column.
+    characters, and each is embedded back as e·u mod m per column.  Each
+    part is held as column-reversed Howell rows, with no code built.
     The peel always succeeds: in a finite abelian p-group an element of
     maximal order generates a direct summand (Fuchs, *Infinite Abelian
     Groups* I, §27), and the splitting character of ``_peel_complement``
@@ -342,23 +338,15 @@ def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
     failure raises DecompositionError.
     """
     gens: list[DecompositionGenerator] = []
-    moduli = code.space.flat_moduli
+    moduli, offsets = code.space.flat_moduli, code.space.offsets()
     for p in FiniteAbelianGroup(moduli).primes():
-        current, columns = _primary_code(code, p)
-        while current.cardinality > 1:
-            word, order = _max_order_in_smallest_window(current, p)
+        rows, columns = _primary_rows(code, p)
+        parts = tuple(q for q, _ in columns)
+        while rows:
+            word, order = _max_order_in_smallest_window(rows, parts, offsets, p)
             embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
-            start, stop = code.space.support(embedded)
-            gens.append(
-                DecompositionGenerator(
-                    word=embedded,
-                    start=start,
-                    stop=stop,
-                    order=order,
-                    prime=p,
-                )
-            )
-            current = _peel_complement(current, word, order)
+            gens.append(DecompositionGenerator(embedded, *code.space.support(embedded), order, p))
+            rows = _peel_complement(rows, parts, word, order)
     return _verified(code, gens)
 
 

@@ -18,6 +18,14 @@
   read off the span of one more generator prefix, the route
   ``structure.verify_decomposition`` took on every input before it
   checked one span of all the generators first.
+* ``code_peel_decomposition``: the cyclic product decomposition with
+  every peel step on codes, the route
+  ``structure.cyclic_product_decomposition`` took before it kept each
+  primary part as column-reversed Howell rows: the part is built forward
+  (``code_primary_part``), the window search reads the current code's
+  reversed Howell form and fills its prefix table up to the window
+  (``code_max_order_word``), and each complement is a new code
+  (``code_peel_complement``).
 * ``per_end_prefix_annihilator``: C-perp ∩ [0, b) as the kernel of the
   prefix projection, padded with zeros, one kernel per end b, the route
   ``BlockCode.prefix_annihilator`` took before it read the prefix table
@@ -29,15 +37,25 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
-from groupcodes import linalg
-from groupcodes.codes import BlockCode, SequenceSpace, _projection, code_from_generators
+from groupcodes import linalg, structure
+from groupcodes.codes import (
+    BlockCode,
+    SequenceSpace,
+    _projection,
+    code_from_generators,
+    window_internal,
+)
+from groupcodes.groups import FiniteAbelianGroup, primary_part
 from groupcodes.linalg import (
     ResidueMatrix,
     Vector,
+    _first_nonzero,
+    _reduce_vector,
     _trusted,
     annihilator_rows,
     contains_vector,
@@ -48,6 +66,7 @@ from groupcodes.linalg import (
     residue_matrix,
     vector_order,
 )
+from groupcodes.structure import Decomposition, DecompositionGenerator
 
 
 def integer_smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -229,6 +248,95 @@ def stepwise_directness(space: SequenceSpace, words: Sequence[Sequence[int]]) ->
             steps.append(spanned.cardinality == before * vector_order(word, space.flat_moduli))
         rows, before = spanned.basis.rows, spanned.cardinality
     return tuple(steps)
+
+
+def code_primary_part(code: BlockCode, p: int) -> tuple[BlockCode, list[tuple[int, int]]]:
+    """The code's p-primary part as a code over the p-parts of its
+    symbols, with the ``primary_part`` pair (q, u) of each column; the
+    code itself when every modulus is a power of p."""
+    columns = [primary_part(m, p) for m in code.space.flat_moduli]
+    if all(q == m for (q, _), m in zip(columns, code.space.flat_moduli)):
+        return code, columns
+    symbols = code.space.split([q for q, _ in columns])
+    part = SequenceSpace(tuple(FiniteAbelianGroup(qs) for qs in symbols))
+    rows = ([e % q for e, (q, _) in zip(row, columns)] for row in code.basis.rows)
+    return code_from_generators(part, rows), columns
+
+
+def code_smallest_full_prefix(current: BlockCode, exponent: int) -> int:
+    """The least n with C ∩ [0, n) of exponent ``exponent``, that of C,
+    walking the code's column-reversed Howell rows from the end."""
+    if current.space.horizon == 1:
+        return 1
+    reversed_moduli = current.space.flat_moduli[::-1]
+    reached = 1
+    for row in reversed(current._reversed_howell):
+        reached = lcm(reached, vector_order(row, reversed_moduli))
+        if reached == exponent:
+            break
+    last = len(reversed_moduli) - 1 - _first_nonzero(row)
+    return bisect_right(current.space.offsets(), last)
+
+
+def code_max_order_word(current: BlockCode, p: int) -> tuple[tuple[int, ...], int]:
+    """The least word of maximal order in the smallest prefix window of
+    the p-group ``current``, by descent over the window's Howell rows,
+    read off the code's prefix table."""
+    exponent = lcm(*(vector_order(row, current.basis.moduli) for row in current.basis.rows))
+    inner = window_internal(current, 0, code_smallest_full_prefix(current, exponent))
+    moduli = current.space.flat_moduli
+    below = exponent // p
+    rows = inner.basis.rows
+    word = (0,) * len(moduli)
+    for i, (row, (j, order)) in enumerate(zip(rows, inner.pivots())):
+        later = any((below * e) % m for r in rows[i + 1 :] for e, m in zip(r, moduli))
+        for value in range(word[j] % row[j], moduli[j], row[j]):
+            a = (value - word[j]) // row[j] % order
+            y = tuple((w + a * e) % m for w, e, m in zip(word, row, moduli))
+            if later or any((below * e) % m for e, m in zip(y, moduli)):
+                word = y
+                break
+    return word, exponent
+
+
+def code_peel_complement(current: BlockCode, word: Sequence[int], order: int) -> BlockCode:
+    """The complement of <word> in ``current`` as a new code: the
+    vanishing-head read of [chi(r) | r] over the code's forward Howell
+    rows, for the canonical splitting character chi."""
+    moduli = current.space.flat_moduli
+    L = lcm(*moduli)
+    for prefix in range(1, len(moduli) + 1):
+        if vector_order(word[:prefix], moduli[:prefix]) != order:
+            continue
+        images = [[(e * (L // m)) % L] for e, m in zip(word[:prefix], moduli[:prefix])]
+        graph = homomorphism_graph(images, moduli[:prefix], (L,))
+        chi_head = head_solve(graph, 1, (L // order,))
+        if chi_head is None:
+            continue
+        chi = _reduce_vector(head_kernel(graph, 1), chi_head)
+        weights = [c * (L // m) for c, m in zip(chi, moduli)]
+        rows = tuple(
+            (sum(e * w for e, w in zip(row, weights)) % L,) + row for row in current.basis.rows
+        )
+        kernel = head_kernel(_trusted((L,) + moduli, rows), 1)
+        return BlockCode.from_howell(current.space, kernel.rows)
+    raise AssertionError("no splitting character; order below exponent")
+
+
+def code_peel_decomposition(code: BlockCode) -> Decomposition:
+    """The cyclic product decomposition by the complement-code route,
+    verified, with its certificate."""
+    gens = []
+    moduli = code.space.flat_moduli
+    for p in FiniteAbelianGroup(moduli).primes():
+        current, columns = code_primary_part(code, p)
+        while current.cardinality > 1:
+            word, order = code_max_order_word(current, p)
+            embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
+            start, stop = code.space.support(embedded)
+            gens.append(DecompositionGenerator(embedded, start, stop, order, p))
+            current = code_peel_complement(current, word, order)
+    return structure._verified(code, gens)
 
 
 def per_end_prefix_annihilator(code: BlockCode, b: int) -> tuple[Vector, ...]:

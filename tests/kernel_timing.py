@@ -8,12 +8,13 @@ The pool of workload W and the seed (the specs a 36 s run of
 ``groupcodes.cli.main`` under every command ``tests/report_digest.py``
 runs on it, with the Howell cache cleared first.  Every input that reaches
 the Howell kernel (every cache miss of ``linalg._howell_cached``), every
-call of ``linalg.quotient_invariants``, every call of
-``duality.pairs_to_zero``, every (code, l, n, levels) that
+invariant-factor count (``linalg._counted_invariants``, on a Howell form),
+every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
-(``codes._PrefixTable``, with the last end it filled) and every code whose
+(``codes._PrefixTable``, with the last end it filled), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
-the last end filled) is recorded.  Each kernel is then timed on the
+the last end filled) and every code that
+``structure.cyclic_product_decomposition`` decomposes is recorded.  Each kernel is then timed on the
 recorded inputs it takes, bucketed by matrix width:
 
 * ``reference``: the ``_HowellSingle`` state, every row pushed at once, on
@@ -37,8 +38,9 @@ recorded inputs it takes, bucketed by matrix width:
   (``codes._annihilator``);
 * ``smith``: invariant factors by the integer Smith form
   (``kernel_references.smith_quotient_invariants``) on every
-  ``quotient_invariants`` input;
-* ``counted``: ``quotient_invariants``, which counts them on Howell forms;
+  ``_counted_invariants`` input;
+* ``counted``: ``_counted_invariants``, which counts them on the Howell
+  form it is given;
 * ``pair-loop``: the residue-by-residue pairing test
   (``kernel_references.loop_pairs_to_zero``) on every ``pairs_to_zero``
   input;
@@ -48,12 +50,18 @@ recorded inputs it takes, bucketed by matrix width:
   suffix window codes) on every order split input;
 * ``order-counted``: ``control._order_splits``, which compares span
   orders; each call builds its own scaled Howell forms, where
-  ``order_profile`` shares them between the (l, n) of one code.
+  ``order_profile`` shares them between the (l, n) of one code;
+* ``peel-code``: the decomposition with every primary part and peel
+  complement built as a code (``kernel_references.code_peel_decomposition``),
+  on a fresh copy of every decomposed code;
+* ``peel-reversed``: ``cyclic_product_decomposition``, which peels on
+  column-reversed Howell rows, on the same copies; the generators and the
+  certificate are compared.
 
 A line gives the kernel, the width bucket, the input count, the number of
 outputs that differ from the reference's (``_HowellSingle``,
-``prefix-per-end``, ``annihilator-per-end``, ``smith``, ``pair-loop`` or
-``order-graph``) and the best of ``--repeat`` timed passes, in seconds of
+``prefix-per-end``, ``annihilator-per-end``, ``smith``, ``pair-loop``,
+``order-graph`` or ``peel-code``) and the best of ``--repeat`` timed passes, in seconds of
 CPU time (a shared machine's other load then shows less than in wall
 time).  The Howell cache is cleared before each pass, so a kernel that
 reads Howell forms pays for them in every pass.
@@ -73,7 +81,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import kernel_references  # noqa: E402  (the Smith route, the pairing loop)
 import report_digest  # noqa: E402  (the pools, the commands, one report)
 
-from groupcodes import codes, control, duality, linalg  # noqa: E402
+from groupcodes import cli, codes, control, duality, linalg, structure  # noqa: E402
 from groupcodes.codes import BlockCode, SequenceSpace, window_internal  # noqa: E402
 
 # (label, least width, largest width) of each bucket, then of all inputs.
@@ -95,8 +103,9 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     levels) and the memoized forms ``order_profile`` passed), and the
     number of specs run.  "prefix" holds (space, reversed rows, last end)
     of every prefix table that filled an entry, "annihilator" (code, last
-    end) of every code whose local dual's prefix table filled one."""
-    inputs = {"howell": [], "quotient": [], "pairs": [], "order": []}
+    end) of every code whose local dual's prefix table filled one, "peel"
+    (code,) of every decomposed code."""
+    inputs = {"howell": [], "quotient": [], "pairs": [], "order": [], "peel": []}
     tables, dualized = [], []
     table_init = codes._PrefixTable.__init__
     local_dual = codes.BlockCode.__dict__["_local_dual"]
@@ -111,13 +120,15 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         return dualize(code)
 
     # (module, name, the inputs it records into) of every wrapped kernel;
-    # ``duality`` calls its own imported ``quotient_invariants``.
+    # ``codes`` and ``cli`` call their own imported names.
     wrapped = (
         (linalg, "_howell_kernel", inputs["howell"]),
-        (linalg, "quotient_invariants", inputs["quotient"]),
-        (duality, "quotient_invariants", inputs["quotient"]),
+        (linalg, "_counted_invariants", inputs["quotient"]),
+        (codes, "_counted_invariants", inputs["quotient"]),
         (duality, "pairs_to_zero", inputs["pairs"]),
         (control, "_order_splits", inputs["order"]),
+        (structure, "cyclic_product_decomposition", inputs["peel"]),
+        (cli, "cyclic_product_decomposition", inputs["peel"]),
     )
     originals = [getattr(module, name) for module, name, _ in wrapped]
 
@@ -205,6 +216,21 @@ def annihilator_table(code, last) -> list:
     return [codes._annihilator(fresh, 0, b) for b in range(1, last + 1)]
 
 
+def peel_code(code) -> tuple:
+    """Generators and certificate of the complement-code route, on a fresh
+    copy of ``code`` (no reversed Howell form or prefix table kept)."""
+    fresh = BlockCode.from_howell(code.space, code.basis.rows)
+    decomposition = kernel_references.code_peel_decomposition(fresh)
+    return decomposition.generators, decomposition.certificate
+
+
+def peel_reversed(code) -> tuple:
+    """The same by ``cyclic_product_decomposition``, on a fresh copy."""
+    fresh = BlockCode.from_howell(code.space, code.basis.rows)
+    decomposition = structure.cyclic_product_decomposition(fresh)
+    return decomposition.generators, decomposition.certificate
+
+
 def best_time(kernel, inputs: list, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -266,13 +292,13 @@ def main(argv=None) -> int:
     ]
     quotients, pairs = inputs["quotient"], inputs["pairs"]
     splits = [call[:4] for call in inputs["order"]]
-    prefixes, annihilators = inputs["prefix"], inputs["annihilator"]
+    prefixes, annihilators, peels = inputs["prefix"], inputs["annihilator"], inputs["peel"]
     print(
         f"{args.workload} seed {args.seed}: {len(howell)} Howell inputs from "
         f"{specs} specs, {len(packable)} on the packed path, "
         f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs, "
         f"{len(splits)} order split inputs, {len(prefixes)} prefix tables, "
-        f"{len(annihilators)} annihilator tables"
+        f"{len(annihilators)} annihilator tables, {len(peels)} decompositions"
     )
     print(f"{'kernel':<21}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
     expected = [single(*call) for call in howell]
@@ -283,6 +309,7 @@ def main(argv=None) -> int:
     smith = [kernel_references.smith_quotient_invariants(*call) for call in quotients]
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
     graph = [split_graph(*call) for call in splits]
+    by_codes = [peel_code(*call) for call in peels]
     # (name, kernel, its calls, the reference output of each, the inputs
     # the calls were made from)
     kernels = (
@@ -295,11 +322,13 @@ def main(argv=None) -> int:
         ("annihilator-per-end", annihilator_per_end, annihilators, kernel_per_end, annihilators),
         ("annihilator-table", annihilator_table, annihilators, kernel_per_end, annihilators),
         ("smith", kernel_references.smith_quotient_invariants, quotients, smith, quotients),
-        ("counted", linalg.quotient_invariants, quotients, smith, quotients),
+        ("counted", linalg._counted_invariants, quotients, smith, quotients),
         ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),
         ("pair-map", duality.pairs_to_zero, pairs, loop, pairs),
         ("order-graph", split_graph, splits, graph, splits),
         ("order-counted", control._order_splits, splits, graph, splits),
+        ("peel-code", peel_code, peels, by_codes, peels),
+        ("peel-reversed", peel_reversed, peels, by_codes, peels),
     )
     for name, kernel, calls, outputs, recorded in kernels:
         widths = [width(args) for args in recorded]

@@ -12,6 +12,7 @@ KERNELS = (
     "reference", "reference-2^k", "packed", "dispatch", "prefix-per-end", "prefix-sweep",
     "annihilator-per-end", "annihilator-table",
     "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
+    "peel-code", "peel-reversed",
 )
 
 
@@ -47,9 +48,14 @@ def test_two_specs_no_mismatch(workload):
     assert (totals["counted"] > 0) == (workload != "convolutional")
     assert (totals["order-counted"] > 0) == (workload != "convolutional")
     assert (totals["annihilator-table"] > 0) == (workload != "convolutional")
+    # Block reports decompose (``decompose`` and ``check --property
+    # subdirect``); a convolutional ``decompose`` is an exit-2 error.
+    assert totals["peel-code"] == totals["peel-reversed"]
+    assert (totals["peel-reversed"] > 0) == (workload != "convolutional")
     assert head.endswith(
         f"{totals['smith']} quotient inputs, {totals['pair-map']} pairing inputs, "
         f"{totals['order-counted']} order split inputs, "
         f"{totals['prefix-sweep']} prefix tables, "
-        f"{totals['annihilator-table']} annihilator tables"
+        f"{totals['annihilator-table']} annihilator tables, "
+        f"{totals['peel-reversed']} decompositions"
     )

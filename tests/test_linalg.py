@@ -493,6 +493,46 @@ class TestCountedInvariants:
                     got = quotient_invariants(code.basis, den.basis.rows)
                     assert got == smith_quotient_invariants(code.basis, den.basis.rows)
 
+    def test_codes_read_their_own_howell_rows(self, exhaustive_corpus, mixed_corpus, monkeypatch):
+        # invariant_factors_of_code, contains and coset_representative give
+        # what smith_invariants and coset_reduce give on the code's basis,
+        # and take no Howell form of that basis, which already is one.
+        import sys
+
+        from groupcodes.codes import BlockCode, invariant_factors_of_code
+
+        canonical, seen = howell_form, []
+
+        def spied(matrix):
+            seen.append((matrix.moduli, matrix.rows))
+            return canonical(matrix)
+
+        rng = random.Random(2801)
+        cases = []
+        for code in exhaustive_corpus + mixed_corpus:
+            moduli = code.space.flat_moduli
+            words = [tuple(rng.randrange(m) for m in moduli) for _ in range(4)]
+            words += rng.sample(list(code.words()), min(2, code.cardinality))
+            expected = (
+                smith_invariants(code.basis),
+                [coset_reduce(code.basis, w) for w in words],
+                [contains_vector(code.basis, w) for w in words],
+            )
+            cases.append((BlockCode.from_howell(code.space, code.basis.rows), words, expected))
+        for name, bound in list(sys.modules.items()):
+            if name.startswith("groupcodes") and getattr(bound, "howell_form", None) is canonical:
+                monkeypatch.setattr(bound, "howell_form", spied)
+        for code, words, expected in cases:
+            seen.clear()
+            got = (
+                invariant_factors_of_code(code),
+                [code.coset_representative(w) for w in words],
+                [code.contains(w) for w in words],
+            )
+            assert got == expected
+            assert (code.basis.moduli, code.basis.rows) not in seen
+        assert any(any(contained) for _, _, (_, _, contained) in cases)
+
     @given(quotient_cases(with_denominator=False))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_random_subgroups_against_smith(self, case):
@@ -883,19 +923,24 @@ class TestPushFinish:
 def test_block_reports_compute_no_smith_form(workload, monkeypatch, tmp_path):
     # analyze, dual and duality-check over a whole benchmark pool read every
     # invariant factor by counting: no module binds a Smith kernel to reach.
+    # The counting is ``_counted_invariants``, on Howell rows the codes hold.
+    import sys
+
     import groupcodes.linalg as module
 
     from . import report_digest
 
     assert smith_diagonalizers() == []
     quotients = []
-    counted = module.quotient_invariants
+    counted = module._counted_invariants
 
     def counting(*args):
         quotients.append(args)
         return counted(*args)
 
-    monkeypatch.setattr(module, "quotient_invariants", counting)
+    for name, bound in list(sys.modules.items()):
+        if name.startswith("groupcodes") and getattr(bound, "_counted_invariants", None) is counted:
+            monkeypatch.setattr(bound, "_counted_invariants", counting)
     specs = report_digest.pool(workload, 7, None)
     for spec in specs:
         path = tmp_path / spec.name

@@ -474,7 +474,9 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # matched sides and their duals, O(N) codes, and none per window.  The
     # Howell forms are those of the tables and the matched sides; each
     # prefix table, the local duals' included, is one reversed Howell form
-    # and one sweep, with no Howell form per end: 39 (47 with a kernel per
+    # and one sweep, with no Howell form per end, and the invariant factors
+    # of the matched sides are counted on their own Howell rows: 37 (39
+    # with a second Howell form of each side's basis, 47 with a kernel per
     # end of the annihilator windows, 66 with a Howell form per prefix).
     import groupcodes.linalg as linalg_module
     from groupcodes.cli import main
@@ -506,7 +508,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
         assert main(["duality-check", str(path)]) == 0
     N = 10
     assert calls["codes"] <= 8 * N
-    assert calls["howell_form"] == 39
+    assert calls["howell_form"] == 37
 
 
 def _first_top(side, top, N):

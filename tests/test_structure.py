@@ -39,7 +39,7 @@ from groupcodes.structure import (
     DecompositionGenerator,
     _max_order_in_smallest_window,
     _peel_complement,
-    _primary_code,
+    _primary_rows,
     _smallest_full_prefix,
     coprime_rectangular,
     cyclic_product_decomposition,
@@ -47,7 +47,13 @@ from groupcodes.structure import (
     verify_decomposition,
 )
 
-from .kernel_references import integer_smith_diagonal, stepwise_directness
+from .conftest import BAND_SPEC_PATHS, band_code
+from .kernel_references import (
+    code_peel_decomposition,
+    integer_smith_diagonal,
+    stepwise_directness,
+)
+from .test_codes import mixed_codes
 from .test_golden_cli import SPECS
 from .test_linalg import enumerate_span
 
@@ -58,6 +64,21 @@ def space(*symbol_moduli):
 
 def binary_space(n):
     return space(*[(2,)] * n)
+
+
+def forward_code(sp, reversed_rows):
+    """The code of ``sp`` spanned by column-reversed rows, re-reversed."""
+    return code_from_generators(sp, [row[::-1] for row in reversed_rows])
+
+
+def peel_steps(sp, rows, p):
+    """(reversed rows, word, order) of every peel step of the p-group with
+    column-reversed Howell ``rows`` in ``sp``, by the reversed-row helpers."""
+    moduli, offsets = sp.flat_moduli, sp.offsets()
+    while rows:
+        word, order = _max_order_in_smallest_window(rows, moduli, offsets, p)
+        yield rows, word, order
+        rows = _peel_complement(rows, moduli, word, order)
 
 
 @pytest.fixture
@@ -292,7 +313,8 @@ def least_max_order_word(current):
 
 class TestGeneratorChoice:
     def test_least_max_order_word_of_each_window(self):
-        # Every window the peeling visits, over p-primary symbols.
+        # Every window the peeling visits, over p-primary symbols; each
+        # complement's rows are its canonical reversed Howell form.
         rng = random.Random(127)
         palettes = {2: [(2,), (4,), (8,), (2, 4)], 3: [(3,), (9,), (3, 3)]}
         windows = 0
@@ -303,11 +325,11 @@ class TestGeneratorChoice:
                 [rng.randrange(m) for m in sp.flat_moduli]
                 for _ in range(rng.randint(1, 3))
             ]
-            current = code_from_generators(sp, gens)
-            while current.cardinality > 1:
-                word, order = _max_order_in_smallest_window(current, p)
+            start = code_from_generators(sp, gens)
+            for rows, word, order in peel_steps(sp, start._reversed_howell, p):
+                current = forward_code(sp, rows)
+                assert rows == current._reversed_howell
                 assert (word, order) == least_max_order_word(current)
-                current = _peel_complement(current, word, order)
                 windows += 1
         assert windows >= 100
 
@@ -342,68 +364,105 @@ def prefix_code_search(current):
 
 
 class TestSmallestFullPrefix:
-    def test_matches_prefix_code_search(self, exhaustive_corpus):
+    def test_matches_prefix_code_search(self, exhaustive_corpus, monkeypatch):
         # Every window the peeling visits in every primary part of every
         # code of the exhaustive corpus: the window is the old search's,
-        # and the search fills the prefix table only up to the chosen
-        # window, and builds no table when that window is the whole horizon.
+        # read off the reversed rows with no prefix table built.
+        import groupcodes.codes as codes_module
+
+        def no_table(self, *args):
+            raise AssertionError("a prefix table in the window search")
+
         visits = {"inside": 0, "whole": 0}
         for code in exhaustive_corpus:
-            for p in FiniteAbelianGroup(code.space.flat_moduli).primes():
-                current, _ = _primary_code(code, p)
-                # A primary part may be the corpus code itself, whose
-                # prefix table other tests fill: search a fresh copy.
-                current = BlockCode.from_howell(current.space, current.basis.rows)
-                while current.cardinality > 1:
-                    word, order = _max_order_in_smallest_window(current, p)
-                    table = current.__dict__.get("_prefixes")
-                    filled = None if table is None else len(table.entries) - 1
-                    n = prefix_code_search(current)
-                    assert _smallest_full_prefix(current, order) == n
-                    assert order == exponent_of(current)
+            sp, offsets = code.space, code.space.offsets()
+            for p in FiniteAbelianGroup(sp.flat_moduli).primes():
+                rows, columns = _primary_rows(code, p)
+                moduli = tuple(q for q, _ in columns)
+                part = space(*sp.split(moduli))
+                while rows:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(codes_module._PrefixTable, "__init__", no_table)
+                        n, exponent = _smallest_full_prefix(rows, moduli, offsets)
+                        word, order = _max_order_in_smallest_window(rows, moduli, offsets, p)
+                    current = forward_code(part, rows)
+                    assert n == prefix_code_search(current)
+                    assert order == exponent == exponent_of(current)
                     assert current.space.support(word)[1] <= n
-                    if n == current.space.horizon:
-                        assert filled is None
-                        visits["whole"] += 1
-                    else:
-                        assert filled == n
-                        visits["inside"] += 1
-                    current = _peel_complement(current, word, order)
+                    visits["whole" if n == current.space.horizon else "inside"] += 1
+                    rows = _peel_complement(rows, moduli, word, order)
         assert visits["inside"] > 100 and visits["whole"] > 100
 
-    def test_decomposition_builds_one_prefix_code_per_window(self, monkeypatch):
+    def test_each_peel_step_makes_one_complement_kernel_and_one_window_finish(
+        self, monkeypatch
+    ):
         # Over banded 2- and 3-groups of horizon 6 the searched window sits
-        # anywhere; each search fills at most one prefix table, by one sweep
-        # with no Howell form per end.
+        # anywhere.  Each peel step pushes the window's rows into one Howell
+        # state and finishes it once, and reads its complement off one
+        # vanishing-head kernel of [chi(r) | r]; no prefix table and no
+        # code is built before the verification.
         import groupcodes.codes as codes_module
         import groupcodes.structure as module
 
         rng = random.Random(1709)
-        built, searches = [], []
-        table = codes_module._PrefixTable.__init__
-        search = _max_order_in_smallest_window
+        counts = {"steps": 0, "pushes": 0, "finishes": 0, "complements": 0, "codes": 0}
+        graphs = {}  # id -> graph, kept alive so that no id is reused
+        phase = {"verify": False}
 
-        def counted_table(self, *args):
-            built.append(args)
-            table(self, *args)
+        class CountedState:
+            def __init__(self, state):
+                self.state = state
 
-        def no_howell_form(matrix):
-            raise AssertionError("a Howell form per prefix end")
+            def push(self, rows):
+                counts["pushes"] += 1
+                self.state.push(rows)
 
-        def counted_search(current, p):
-            before = len(built)
-            out = search(current, p)
-            searches.append(len(built) - before)
-            return out
+            def finish(self):
+                counts["finishes"] += 1
+                return self.state.finish()
 
-        def counted_entry(self, b, entry=codes_module._PrefixTable.entry):
-            with monkeypatch.context() as inner:
-                inner.setattr(codes_module, "howell_form", no_howell_form)
-                return entry(self, b)
+        def counted_state(moduli, _state=module._howell_state):
+            return CountedState(_state(moduli))
 
-        monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
-        monkeypatch.setattr(codes_module._PrefixTable, "entry", counted_entry)
+        def counted_graph(*args, _graph=module.homomorphism_graph):
+            graph = _graph(*args)
+            graphs[id(graph)] = graph
+            return graph
+
+        def counted_kernel(matrix, head, _kernel=module.head_kernel):
+            if id(matrix) not in graphs:
+                counts["complements"] += 1
+            return _kernel(matrix, head)
+
+        def counted_search(*args, _search=module._max_order_in_smallest_window):
+            counts["steps"] += 1
+            return _search(*args)
+
+        def no_table(self, *args):
+            raise AssertionError("a prefix table in the decomposition")
+
+        def counted_code(*args, _init=BlockCode.__post_init__):
+            counts["codes"] += not phase["verify"]
+            _init(*args)
+
+        def counted_from_howell(cls, *args, _build=BlockCode.from_howell.__func__):
+            counts["codes"] += not phase["verify"]
+            return _build(cls, *args)
+
+        def marked_verify(*args, _verify=module.verify_decomposition):
+            phase["verify"] = True
+            try:
+                return _verify(*args)
+            finally:
+                phase["verify"] = False
+
+        monkeypatch.setattr(module, "_howell_state", counted_state)
+        monkeypatch.setattr(module, "homomorphism_graph", counted_graph)
+        monkeypatch.setattr(module, "head_kernel", counted_kernel)
         monkeypatch.setattr(module, "_max_order_in_smallest_window", counted_search)
+        monkeypatch.setattr(module, "verify_decomposition", marked_verify)
+        monkeypatch.setattr(codes_module._PrefixTable, "__init__", no_table)
+        codes = []
         for _ in range(30):
             p = rng.choice([2, 3])
             sp = space(*[(p ** rng.randint(1, 3),) for _ in range(6)])
@@ -414,10 +473,18 @@ class TestSmallestFullPrefix:
                     [rng.randrange(m) if start <= i < start + 2 else 0
                      for i, m in enumerate(sp.flat_moduli)]
                 )
-            code = code_from_generators(sp, gens)
-            assert cyclic_product_decomposition(code).order_product == code.cardinality
-        assert len(searches) > 30
-        assert max(searches) == 1 and searches.count(0) > 0
+            codes.append(code_from_generators(sp, gens))
+        monkeypatch.setattr(BlockCode, "__post_init__", counted_code)
+        monkeypatch.setattr(BlockCode, "from_howell", classmethod(counted_from_howell))
+        generators = 0
+        for code in codes:
+            decomposition = cyclic_product_decomposition(code)
+            assert decomposition.order_product == code.cardinality
+            generators += len(decomposition.generators)
+        assert counts["steps"] == generators > 30
+        assert counts["pushes"] == counts["finishes"] == counts["steps"]
+        assert counts["complements"] == counts["steps"]
+        assert counts["codes"] == 0
 
 
 class TestVerifyDecomposition:
@@ -739,6 +806,38 @@ def test_block_pool_splits_by_counting_and_verifies_on_one_span(monkeypatch, tmp
     assert any(k > 1 for _, k in spans)
 
 
+def assert_peels_like_codes(code):
+    """The reversed-row peel and the complement-code route give the same
+    generators (word, window, order, prime) and the same certificate."""
+    got, expected = cyclic_product_decomposition(code), code_peel_decomposition(code)
+    assert got.generators == expected.generators
+    assert got.certificate == expected.certificate and got.certificate.ok
+
+
+class TestCodePeelTwin:
+    """``cyclic_product_decomposition`` against
+    ``kernel_references.code_peel_decomposition``, the route that built
+    every primary part and complement as a code."""
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            assert_peels_like_codes(code)
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for code in twin_corpus(mixed_corpus):
+            assert_peels_like_codes(code)
+
+    @pytest.mark.parametrize("path", BAND_SPEC_PATHS, ids=lambda p: p.stem)
+    def test_band_specs(self, path):
+        assert_peels_like_codes(band_code(path.name))
+
+    @pytest.mark.parametrize("menu", [(2, 4, 8), (3, 9, 27), (6, 12, 36)])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_moduli_menus(self, menu, data):
+        assert_peels_like_codes(data.draw(mixed_codes(menu=menu)))
+
+
 class TestPeelComplementByKernel:
     @given(st.data())
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -754,14 +853,18 @@ class TestPeelComplementByKernel:
             )
         )
         current = code_from_generators(sp, gens)
-        while current.cardinality > 1:
-            word, order = _max_order_in_smallest_window(current, p)
-            complement = _peel_complement(current, word, order)
+        rows = current._reversed_howell
+        while rows:
+            word, order = _max_order_in_smallest_window(rows, sp.flat_moduli, sp.offsets(), p)
+            complement_rows = _peel_complement(rows, sp.flat_moduli, word, order)
+            complement = forward_code(sp, complement_rows)
+            # The kernel's tails are the complement's reversed Howell form.
+            assert complement_rows == complement._reversed_howell
             assert complement.basis == meet_peel_complement(current, word, order).basis
             cyclic = code_from_generators(sp, [word])
             assert complement.cardinality * order == current.cardinality
             assert join(complement, cyclic) == current
-            current = complement
+            current, rows = complement, complement_rows
 
 
 BLOCK_SPECS = sorted(
@@ -851,18 +954,17 @@ class TestPrimaryColumns:
             moduli_seen.update(moduli)
             words = iter(g.word for g in cyclic_product_decomposition(code).generators)
             for p in FiniteAbelianGroup(moduli).primes():
-                part, columns = _primary_code(code, p)
+                rows, columns = _primary_rows(code, p)
                 reference, comps = reference_primary_code(code, p)
+                part = forward_code(reference.space, rows)
                 assert part == reference
+                assert rows == reference._reversed_howell
                 for word in part.words():
                     embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
                     assert embedded == reference_embed(word, part.space, comps, code.space)
                 # The peeled generators, embedded the old way.
-                current = reference
-                while current.cardinality > 1:
-                    word, order = _max_order_in_smallest_window(current, p)
+                for _, word, _ in peel_steps(reference.space, rows, p):
                     assert next(words) == reference_embed(word, part.space, comps, code.space)
-                    current = _peel_complement(current, word, order)
             assert next(words, None) is None
         assert {1, 6, 9, 12} <= moduli_seen
 
