@@ -158,6 +158,16 @@ class BlockCode:
         object.__setattr__(code, "basis", _trusted(space.flat_moduli, tuple(rows)))
         return code
 
+    @classmethod
+    def from_reversed_howell(cls, space: SequenceSpace, rows: tuple[Vector, ...]) -> "BlockCode":
+        """The code whose column-reversed Howell rows are ``rows``: the
+        sweep of their prefix table, kept on the code, ends in its forward
+        Howell rows, so no second Howell form is taken."""
+        table = _PrefixTable(space, rows)
+        code = table.prefix_code(space.horizon)
+        code.__dict__.update(_reversed_howell=rows, _prefixes=table)
+        return code
+
     @_cached
     def _reversed_howell(self) -> tuple[Vector, ...]:
         """Howell rows of the code with its columns in reverse order."""

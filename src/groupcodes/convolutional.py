@@ -3,10 +3,14 @@
 A convolutional code is given either by image taps (generators whose shifts
 span the code) or by kernel taps (checks h with sum_t pairing(w_{k+t}, h_t)
 = 0 at every shift k).  The time axis is one-sided; windows [0, n) of the
-code and of its finite-support part are exact: cut windows are reads of one
-window per code, those that need an infinite tail of one of proved length.
-A read gives rows that span the window and the window's exact order, with
-no code built.
+code, of its finite-support part and of its zero extensions are exact.
+One builder makes every window (``_window``): the taps' shifts inside
+[0, n) and a set of terminal rows on its last s symbols, spanned in image
+form and annihilated in kernel form.  The terminal rows are the cut rows,
+none, or a state subgroup settled on (s + 1)-symbol windows by one loop
+(``_settled``), so one window per code and read kind serves every read
+(``_read``).  A read gives rows that span the window and the window's
+exact order, with no code built.
 The weak verdicts stop at a proved window; only the strong-index search is
 heuristic, and past its horizon it reports "unknown", not a theorem.
 
@@ -22,7 +26,6 @@ justifies gating the strong index by the weak verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence, Union
 
 from .codes import BlockCode, SequenceSpace, _cached, _PrefixTable, _projection
@@ -87,199 +90,196 @@ class ConvolutionalCode:
         return max(self.memory - 1, 1)
 
     @_cached
-    def _reads(self) -> int:  # the long windows serve reads n <= this
+    def _reads(self) -> int:  # one window per read kind serves reads n <= this
         return max(self.state_length, min(self.analysis_horizon, REPORT_WINDOWS))
 
     @_cached
-    def _settled(self) -> dict[tuple, tuple]:
-        return {}  # chain -> settle step and long window (_settled_window)
+    def _cut_rows(self) -> tuple[Vector, ...]:
+        # The shifts crossing the end of [0, s), cut there: placed on the
+        # last s symbols of [0, n), n >= s, the shifts crossing its end.
+        return _shift_rows(self, self.state_length, cut=True)
 
     @_cached
-    def _cut(self) -> list:
-        # The one cut window, rebuilt by a longer read (_cut_kept): a code
-        # in image form, its prefix table in kernel form; every cut read
-        # takes its rows and order off it.
-        return []
+    def _chains(self) -> dict[str, tuple]:
+        return {}  # chain -> settle step and settled rows (``_settled``)
+
+    @_cached
+    def _windows(self) -> dict[tuple, Union[BlockCode, _PrefixTable]]:
+        return {}  # (terminal rows, one-sided) -> the window reads take (``_read``)
 
     @_cached
     def _dual(self) -> "ConvolutionalCode":
         form = "kernel" if self.form == "image" else "image"
         dual = ConvolutionalCode(self.symbol, form, self.taps, self.horizon)
-        dual.__dict__["_dual"] = self  # the dual's dual is this code
+        # The dual's dual is this code, and the pair settles its chains once.
+        dual.__dict__.update(_dual=self, _chains=self._chains)
         return dual
 
 
-def _shift_rows(conv: ConvolutionalCode, n: int, cut: bool) -> tuple[Vector, ...]:
-    """The shifts of the taps on [0, n), all cut at the boundary or only
-    those inside, as flat rows over G^n (reduced by ``_normalize_tap``;
-    shifts add zeros)."""
+def _shift_rows(conv: ConvolutionalCode, n: int, cut: bool = False) -> tuple[Vector, ...]:
+    """The shifts of the taps inside [0, n) or, with ``cut``, those that
+    cross its right end, cut there, as flat rows over G^n (reduced by
+    ``_normalize_tap``; shifts add zeros)."""
     width = len(conv.symbol.moduli)
     shifts, size = [], n * width
     for tap in conv.taps:
         flat = tuple(e for step in tap for e in step)
-        for s in range(n if cut else n - len(tap) + 1):
-            shifts.append(((0,) * (s * width) + flat + (0,) * size)[:size])
+        for k in range(max(n - len(tap) + 1, 0), n) if cut else range(n - len(tap) + 1):
+            shifts.append(((0,) * (k * width) + flat + (0,) * size)[:size])
     return tuple(shifts)
 
 
-def _window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
-    """The shifts of the taps on [0, n), all cut at the boundary or only those
-    inside (``local_window``): their span, or in kernel form their annihilator.
+def _window(
+    conv: ConvolutionalCode, n: int, terminal: tuple[Vector, ...], reverse: bool = False
+) -> tuple[Vector, ...]:
+    """The window [0, n) with terminal rows ``terminal``, as Howell rows:
+    the span (image form) or the annihilator (kernel form) of the taps'
+    shifts inside [0, n) and of the rows ``terminal`` over G^s placed on
+    its last s symbols (n >= s when there are any).  With ``reverse`` the
+    rows are those of the window with its columns reversed, as a prefix
+    table takes them for one-sided reads.
 
-    A word satisfies the check h at shift k exactly when it pairs to zero
-    with the row of h shifted by k, so the kernel code on [0, n) is the
-    annihilator of the image code's shift rows (Pontryagin duality).
+    A word meets the check h at shift k exactly when it pairs to zero with
+    the row of h shifted by k, so a kernel window is the annihilator of the
+    rows of the image window (Pontryagin duality): the words meeting the
+    checks inside [0, n) whose last s symbols lie in the annihilator of the
+    terminal rows.  The pairing is a sum over the columns, so the
+    annihilator of the reversed rows is the reversed annihilator.  With no
+    terminal rows this is the local window; with the cut rows
+    (``_cut_rows``) it is the code window in image form and the
+    zero-extension window in kernel form; the other windows end in the
+    settled rows of a chain (``_settled``).
     """
-    space = SequenceSpace((conv.symbol,) * n)
-    rows = _trusted(space.flat_moduli, _shift_rows(conv, n, cut))
-    if conv.form == "image":
-        return BlockCode(space, rows)
-    return BlockCode.from_howell(space, annihilator_rows(rows).rows)
-
-
-def _reversed_window(conv: ConvolutionalCode, n: int, cut: bool) -> _PrefixTable:
-    """``_window(conv, n, cut)`` built straight into reversed form, as the
-    prefix table of its column-reversed Howell rows: the Howell form of the
-    reversed shift rows in image form, their annihilator in kernel form.
-    The pairing is a sum over the columns, so the annihilator of the
-    reversed rows is the reversed annihilator."""
-    space = SequenceSpace((conv.symbol,) * n)
-    shifts = tuple(row[::-1] for row in _shift_rows(conv, n, cut))
-    rows = _trusted(space.flat_moduli[::-1], shifts)
-    canon = howell_form(rows) if conv.form == "image" else annihilator_rows(rows)
-    return _PrefixTable(space, canon.rows)
+    moduli = conv.symbol.moduli * n
+    rows = _shift_rows(conv, n) + tuple((0,) * (len(moduli) - len(row)) + row for row in terminal)
+    if reverse:
+        rows, moduli = tuple(row[::-1] for row in rows), moduli[::-1]
+    matrix = _trusted(moduli, rows)
+    return (howell_form(matrix) if conv.form == "image" else annihilator_rows(matrix)).rows
 
 
 def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     """The tap-local window system: fully contained structure only.
 
     Image form: span of the shifts entirely inside [0, n).  Kernel form:
-    solutions of the checks entirely inside [0, n).  This is the
-    shift-invariant interior the strong-controllability search analyzes.
+    solutions of the checks entirely inside [0, n).  The window with no
+    terminal rows (``_window``).
     """
-    return _window(conv, n, cut=False)
+    return BlockCode.from_howell(SequenceSpace((conv.symbol,) * n), _window(conv, n, ()))
 
 
 # Reports (``cli``) read n = 1..min(horizon, REPORT_WINDOWS); kept windows cover them.
 REPORT_WINDOWS = 6
 
 # A window of a code read off a kept window: rows that span it, and its
-# order.  Reads off a code's own rows or a prefix-table entry give its
-# Howell rows; one-sided reads (``_PrefixTable.vanishing``) give rows that
-# are a Howell form in reversed column order.
+# order.  Projections give its Howell rows; one-sided reads
+# (``_PrefixTable.vanishing``) give rows that are a Howell form in reversed
+# column order.
 Window = tuple[tuple[Vector, ...], int]
 
 
-def _cut_kept(conv: ConvolutionalCode, length: int) -> Union[BlockCode, _PrefixTable]:
-    """The cut window kept on the code, rebuilt at ``length`` when shorter:
-    ``_window(conv, L, cut=True)`` in image form, whose reads are
-    projections; in kernel form its reversed form (``_reversed_window``),
-    whose reads are all of words vanishing from some end on."""
-    kept = conv._cut
-    if not kept or kept[0].space.horizon < length:
-        first = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
-        build = _window if conv.form == "image" else _reversed_window
-        kept[:] = [build(conv, max(length, first), cut=True)]
-    return kept[0]
+def _settled(conv: ConvolutionalCode, chain: str) -> tuple[int, tuple[Vector, ...]]:
+    """(j*, rows of Y*) of the chain ``"local"`` or ``"cut"``: the settle
+    step and the settled state subgroup Y* of G^s, by one loop on windows
+    of s + 1 symbols, run in image form on the code or its dual (the two
+    share their chains).
 
+    Let s = max(memory - 1, 1), so a tap spans at most s + 1 symbols.  For
+    Y <= G^s let F(Y) be the [0, s) parts of the words of the image window
+    [0, s + 1) with terminal rows Y (``_window``) that vanish at s.  From
+    Y_0, the image window [0, s) with no terminal rows ("local") or with
+    the cut rows ("cut"), Y_{j+1} = F(Y_j) is
+      P_j: the [0, s) parts of the combinations of the shifts inside
+           [0, s + j) that vanish on [s, s + j), or
+      Q_j: the same for the shifts starting in [0, s + j), cut at s + j:
+    split such a combination on [0, s + j + 1) into its shifts at 0 and
+    the rest, which moved back one symbol is a combination of the same
+    kind on [0, s + j) with [0, s) part in Y_j.  The shifts inside
+    [1, s + 1) add nothing, as both chains hold the shifts inside [0, s).
+    P_0 <= P_1, Q_1 <= Q_0 and F is monotone, so the first repeat
+    Y_{j*+1} = Y_{j*} fixes Y_j for every j >= j*, and j* <= s * Omega(|G|):
+    a strict step moves |Y_j| by a prime.  Each step compares the Howell
+    rows of Y_j in reversed column order (a one-sided read), which are
+    equal exactly when the subgroups are.  Both chains step by the same F,
+    so a chain that reaches the state the other settled at stops there
+    with no step.
 
-def _cut_code(conv: ConvolutionalCode, length: int) -> BlockCode:
-    """A code whose windows [0, n), n <= ``length``, are those of
-    ``_window(conv, length, cut=True)``: the kept cut window itself in image
-    form, as the shifts from ``length`` on vanish on [0, length); in kernel
-    form entry ``length`` of its prefix table, its words vanishing from
-    ``length`` on, as a zero extension meets the checks at shifts
-    k >= ``length`` trivially."""
-    kept = _cut_kept(conv, length)
-    return kept if conv.form == "image" else kept.prefix_code(length)
-
-
-def _cut_window(conv: ConvolutionalCode, n: int) -> Window:
-    """``_window(conv, n, cut=True)`` as rows and order, read off the kept
-    cut window: a projection in image form, a one-sided read (the words
-    vanishing from n on, cut to [0, n)) in kernel form."""
-    kept = _cut_kept(conv, n)
-    return _projection(kept, 0, n) if conv.form == "image" else kept.vanishing(n)
-
-
-# Chains of ``_settled_window``: (window builder, past); past = 1 when the
-# read keeps the words supported in [0, n), which needs s symbols past n.
-# Those windows are only read one-sided, so they are built in reversed form.
-_CODE = (local_window, 0)
-_FINITE_SUPPORT = (_cut_code, 0)
-_ZERO_EXTENSION = (partial(_reversed_window, cut=False), 1)
-
-
-def _settled_window(conv: ConvolutionalCode, chain: tuple, n: int) -> Window:
-    """The window [0, n) of a chain, as rows and order, read off a window of
-    settled length.
-
-    Let s = max(memory - 1, 1).  A check spans at most s + 1 symbols, so on
-    [0, L + 1), L >= s, it lies in [0, s + 1) or in [1, L + 1): each chain
-    X_j = read(build(s + j), s) obeys X_{j+1} = F(X_j) for a monotone F on
-    the subgroups of G^s.  Code: S_j = proj_[0,s) local_window(s + j);
-    x is in S_{j+1} iff some a puts (x, a) in local_window(s + 1) and
-    (x_1..x_{s-1}, a) in S_j; S_1 <= S_0.  Finite support: R_j, the states
-    reaching the zero tail in j symbols; the same F, R_0 <= R_1.  Image
-    zero extension: P_j, the [0, s) parts of the shift combinations in
-    [0, s + j) vanishing on [s, s + j); splitting off the shift-0
-    coefficients c, P_{j+1} = {c.taps + (0, p_0..p_{s-2}) : p in P_j,
-    c.taps + p_{s-1} = 0 at s}, P_0 <= P_1.  So the first repeat
-    X_{j*+1} = X_{j*} fixes X_j for every j >= j*, and j* <= s * Omega(|G|):
-    a strict step moves |X_j| by a prime.  Each step compares the Howell
-    rows of X_j on G^s, which are equal exactly when the subgroups are.
-
-    Reads: a word on [0, n) is in proj_[0,n) local_window(L), L >= max(n, s),
-    iff it meets the checks inside [0, n) and its last s symbols (for n < s,
-    a state it prefixes) lie in S_{L-max(n,s)}; S_{j*} = F(S_{j*}) extends
-    forever, so L >= max(n, s) + j* gives the code window, and R likewise
-    the finite support.  An image combination vanishing from n on is its
-    shifts starting before n, ending before n + s, plus the rest, whose
-    [n, n + s) part cancels theirs and lies in P_{L-n-s} shifted by n; so
-    L >= n + s + j* gives the zero-extension window.  The long window kept
-    per chain has L = reads + j* + past * s, reads = max(s, min(N,
-    REPORT_WINDOWS)), so it serves every n <= reads; a longer read builds
-    its own.  A read is ``codes._projection`` of the window, or when
-    past = 1 the one-sided read of its words vanishing from n on
-    (``_PrefixTable.vanishing``): no code is built for it.  One-sided reads
-    are Howell rows in reversed column order, canonical as well, so the
-    settle steps compare them the same way.  The finite-support chain
-    reads the prefix table of the kept cut window (``_cut_code``).
+    The annihilator of a projection is the part of the annihilator
+    supported on it, so for the kernel code with these taps P_j is S_j-perp,
+    S_j = proj_[0,s) of its local window [0, s + j), and Q_j is R_j-perp,
+    R_j the states that reach the zero tail in j symbols.  With Y* on the
+    last s symbols of [0, L), L >= s, ``_window`` therefore gives
+      image form, P*: the finite combinations of shifts vanishing from L
+           on (the shifts starting before L - s lie inside [0, L), the
+           rest moved back by L - s vanish from s on), the zero-extension
+           window [0, L);
+      kernel form, P*: the words meeting the checks inside [0, L) whose
+           state S* extends forever, the code window [0, L);
+      kernel form, Q*: those whose state R* reaches the zero tail, the
+           finite-support window [0, L).
     """
-    build, past = chain
-    s = conv.state_length
+    chains = conv._chains
+    if chain not in chains:
+        image = conv if conv.form == "image" else conv._dual
+        s, width = conv.state_length, len(conv.symbol.moduli)
 
-    def read(w, b: int) -> Window:
-        return w.vanishing(b) if past else _projection(w, 0, b)
+        def states(n: int, terminal: tuple[Vector, ...], head: int) -> tuple[Vector, ...]:
+            rows = _window(image, n, terminal, reverse=True)
+            return tuple(row[head:][::-1] for row in rows if not any(row[:head]))
 
-    if chain not in conv._settled:
-        step, states = 0, read(build(conv, s), s)[0]
-        while (following := read(build(conv, s + step + 1), s)[0]) != states:
-            step, states = step + 1, following
-        conv._settled[chain] = step, build(conv, conv._reads + step + past * s)
-    step, window = conv._settled[chain]
-    if n > conv._reads:
-        window = build(conv, n + step + past * s)
-    return read(window, n)
+        fixed = {rows for _, rows in chains.values()}  # F fixes the other chain's Y*
+        step, current = 0, states(s, () if chain == "local" else conv._cut_rows, 0)
+        while current not in fixed and (following := states(s + 1, current, width)) != current:
+            step, current = step + 1, following
+        chains[chain] = step, current
+    return chains[chain]
+
+
+# The read kinds by form: the chain whose settled rows end the window
+# (None: the cut rows) and whether its reads are one-sided.  Image codes
+# are spanned by their finite-support words.
+_KINDS = {
+    "code": {"image": (None, False), "kernel": ("local", False)},
+    "finite support": {"image": (None, False), "kernel": ("cut", False)},
+    "zero extension": {"image": ("local", True), "kernel": (None, True)},
+}
+
+
+def _read(conv: ConvolutionalCode, kind: str, n: int) -> Window:
+    """The window [0, n) of a read kind, as rows and order, read off the
+    one window the code keeps for its terminal rows (``_settled`` gives
+    them; kinds with equal ones, such as the code and finite-support
+    windows of a weakly controllable kernel code, share it): a
+    projection, or in one-sided kinds the words vanishing from n on, cut
+    to [0, n).  The window is built max(n, R) long, R = max(s, min(N,
+    REPORT_WINDOWS)), so it serves every read n <= R; only a longer read
+    (through the public wrappers) builds it again, at its own length.  No
+    code is built for a read."""
+    chain, one_sided = _KINDS[kind][conv.form]
+    terminal = conv._cut_rows if chain is None else _settled(conv, chain)[1]
+    window = conv._windows.get((terminal, one_sided))
+    if window is None or window.space.horizon < n:
+        space = SequenceSpace((conv.symbol,) * max(n, conv._reads))
+        rows = _window(conv, space.horizon, terminal, one_sided)
+        window = _PrefixTable(space, rows) if one_sided else BlockCode.from_howell(space, rows)
+        conv._windows[terminal, one_sided] = window
+    return window.vanishing(n) if one_sided else _projection(window, 0, n)
 
 
 def _code_window(conv: ConvolutionalCode, n: int) -> Window:
-    """The window [0, n) of the code: read off the cut window in image form
-    (the shifts from n on vanish on [0, n)), off its settled chain in
-    kernel form."""
-    if conv.form == "image":
-        return _cut_window(conv, n)
-    return _settled_window(conv, _CODE, n)
+    """The window [0, n) of the code."""
+    return _read(conv, "code", n)
+
+
+def _finite_support_window(conv: ConvolutionalCode, n: int) -> Window:
+    """The projection onto [0, n) of the code's finite-support words."""
+    return _read(conv, "finite support", n)
 
 
 def _zero_extension_window(conv: ConvolutionalCode, n: int) -> Window:
     """The words on [0, n) whose zero extension is a finite-support
-    codeword: read off the cut window in kernel form (a zero extension meets
-    the checks at shifts k >= n trivially), off the settled chain of the
-    shift combinations vanishing from n on in image form."""
-    if conv.form == "kernel":
-        return _cut_window(conv, n)
-    return _settled_window(conv, _ZERO_EXTENSION, n)
+    codeword."""
+    return _read(conv, "zero extension", n)
 
 
 def _block_window(conv: ConvolutionalCode, n: int, read) -> BlockCode:
@@ -294,9 +294,8 @@ def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
 
     Image form: span of all shift restrictions, boundary cuts included.
     Kernel form: the words on [0, n) that extend to codewords.  A thin
-    wrapper: the rows are those the analyses read (``_code_window``), off
-    the kept cut window or the settled chain, canonicalized as a code on
-    [0, n).
+    wrapper: the rows are those the analyses read (``_code_window``),
+    canonicalized as a code on [0, n).
     """
     return _block_window(conv, n, _code_window)
 
@@ -341,7 +340,7 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     s symbols) of local_window(n): dropping the first symbol of a word of
     local_window(n + 1) keeps its tail, so T_{n+1} <= T_n.  The code window
     is {x in local_window(n) : tail in S*} and its finite-support part
-    {x in local_window(n) : tail in R*}, R* <= S* (``_settled_window``), so
+    {x in local_window(n) : tail in R*}, R* <= S* (``_settled``), so
     at n >= s they differ iff some state of T_n in S* is not in R*; that
     state is in T_s, so they differ at n = s too.
     """
@@ -350,7 +349,7 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
         return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, min(N, conv.state_length) + 1):
         full = _code_window(conv, n)[1]
-        inner = _settled_window(conv, _FINITE_SUPPORT, n)[1]
+        inner = _finite_support_window(conv, n)[1]
         if full != inner:
             return WeakControllabilityVerdict(False, N, n, full, inner)
     return WeakControllabilityVerdict(holds=True, horizon=N)
@@ -389,7 +388,9 @@ def strong_controllability_index(
     closed time-invariant codes.  Otherwise the blockwise control index of
     the tap-local window system is computed for growing window lengths and
     accepted once it agrees twice in a row; running out of horizon yields
-    an honest unknown verdict rather than a claim.
+    an honest unknown verdict rather than a claim.  Each window is built in
+    reversed form (``_window``); the sweep of its prefix table ends in its
+    forward Howell rows, so it takes one Howell form.
     """
     weak = weak_controllability(conv)
     N = conv.analysis_horizon
@@ -399,7 +400,8 @@ def strong_controllability_index(
         )
     index = previous = None  # "agree twice": the first repeated index
     for n in range(min(max(2 * conv.memory, 2), N), N + 1):
-        current = control_profile(local_window(conv, n)).index
+        space, rows = SequenceSpace((conv.symbol,) * n), _window(conv, n, (), reverse=True)
+        current = control_profile(BlockCode.from_reversed_howell(space, rows)).index
         if current == previous:
             index = current
             break
@@ -415,7 +417,7 @@ def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:
     with increasing time), the annihilator of the shift span of taps T is
     exactly the kernel code with checks T, so the swap needs no time reversal;
     dual window identities are verified by ``verify_window_duality``.  Code
-    and dual keep each other (and so their settled and cut windows).
+    and dual keep each other, and share their settled chains.
     """
     return conv._dual
 
@@ -445,7 +447,7 @@ def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
         return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, min(N, conv.state_length) + 1):
         finite, finite_order = _zero_extension_window(conv, n)
-        dual_part, dual_order = _settled_window(conv._dual, _FINITE_SUPPORT, n)
+        dual_part, dual_order = _finite_support_window(conv._dual, n)
         if not is_annihilator(
             finite, finite_order, dual_part, dual_order, conv.symbol.moduli * n
         ):

@@ -22,6 +22,7 @@ from .linalg import (
     Vector,
     _first_nonzero,
     _howell_state,
+    _pivot_orders,
     _reduce_vector,
     _trusted,
     head_kernel,
@@ -336,17 +337,26 @@ def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
     rows of the window, so no codeword is enumerated.  The result is
     checked by ``verify_decomposition`` and carries its certificate; a
     failure raises DecompositionError.
+
+    Each peel must leave a complement of order |part| / ord(word), the
+    product of the pivot orders of its rows (one pivot scan per row); one
+    that does not raises DecompositionError, so the loop ends within
+    log2 |C| peels.
     """
     gens: list[DecompositionGenerator] = []
     moduli, offsets = code.space.flat_moduli, code.space.offsets()
     for p in FiniteAbelianGroup(moduli).primes():
         rows, columns = _primary_rows(code, p)
         parts = tuple(q for q, _ in columns)
+        size = math.prod(_pivot_orders(rows, parts[::-1]))
         while rows:
             word, order = _max_order_in_smallest_window(rows, parts, offsets, p)
             embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
             gens.append(DecompositionGenerator(embedded, *code.space.support(embedded), order, p))
             rows = _peel_complement(rows, parts, word, order)
+            size, expected = math.prod(_pivot_orders(rows, parts[::-1])), size // order
+            if size != expected:
+                raise DecompositionError(f"peel left a complement of order {size}, not {expected}")
     return _verified(code, gens)
 
 

@@ -30,6 +30,13 @@
   prefix projection, padded with zeros, one kernel per end b, the route
   ``BlockCode.prefix_annihilator`` took before it read the prefix table
   of the code's one local dual.
+* ``ReferenceWindows``: the windows, settle steps and weak and strong
+  verdicts of a convolutional code by the route
+  ``groupcodes.convolutional`` took before its one window engine: each
+  chain settled on full windows of length s, s + 1, ..., s + j* + 1 and
+  read off one long window j* symbols longer, the code and strong-index
+  windows built tap-local and forward, and one cut window kept per code
+  and rebuilt by a longer read; ``direct_window`` is its builder.
 * ``spans_equal``: span equality by Howell forms, which no analysis asks.
 * ``solve_congruence_system``: one solution of y · A = b with the kernel,
   which no analysis asks either.
@@ -46,10 +53,19 @@ from groupcodes import linalg, structure
 from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
+    _PrefixTable,
     _projection,
     code_from_generators,
     window_internal,
 )
+from groupcodes.control import control_profile
+from groupcodes.convolutional import (
+    REPORT_WINDOWS,
+    ConvolutionalCode,
+    StrongControllabilityVerdict,
+    WeakControllabilityVerdict,
+)
+from groupcodes.duality import is_annihilator
 from groupcodes.groups import FiniteAbelianGroup, primary_part
 from groupcodes.linalg import (
     ResidueMatrix,
@@ -350,6 +366,161 @@ def per_end_prefix_annihilator(code: BlockCode, b: int) -> tuple[Vector, ...]:
     prefix = _trusted(code.basis.moduli[:cut], _projection(code, 0, b)[0])
     after = (0,) * (code.basis.width - cut)
     return tuple(row + after for row in annihilator_rows(prefix).rows)
+
+
+def _all_shift_rows(conv: ConvolutionalCode, n: int, cut: bool) -> tuple[Vector, ...]:
+    """The shifts of the taps on [0, n), all cut at the boundary or only
+    those inside, as flat rows over G^n."""
+    width = len(conv.symbol.moduli)
+    shifts, size = [], n * width
+    for tap in conv.taps:
+        flat = tuple(e for step in tap for e in step)
+        for s in range(n if cut else n - len(tap) + 1):
+            shifts.append(((0,) * (s * width) + flat + (0,) * size)[:size])
+    return tuple(shifts)
+
+
+def direct_window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
+    """The shifts of the taps on [0, n), all cut at the boundary or only
+    those inside: their span, or in kernel form their annihilator."""
+    space = SequenceSpace((conv.symbol,) * n)
+    rows = _trusted(space.flat_moduli, _all_shift_rows(conv, n, cut))
+    if conv.form == "image":
+        return BlockCode(space, rows)
+    return BlockCode.from_howell(space, annihilator_rows(rows).rows)
+
+
+def _reversed_window(conv: ConvolutionalCode, n: int, cut: bool) -> _PrefixTable:
+    """``direct_window(conv, n, cut)`` built straight into reversed form,
+    as the prefix table of its column-reversed Howell rows."""
+    space = SequenceSpace((conv.symbol,) * n)
+    shifts = tuple(row[::-1] for row in _all_shift_rows(conv, n, cut))
+    rows = _trusted(space.flat_moduli[::-1], shifts)
+    canon = howell_form(rows) if conv.form == "image" else annihilator_rows(rows)
+    return _PrefixTable(space, canon.rows)
+
+
+class ReferenceWindows:
+    """One code's windows by the route before the window engine, with the
+    state that route kept on the code (settled chains, the cut window)
+    kept on this object instead, so a new object starts cold.
+
+    Chains, by name, as (window builder, past): each settles at the first
+    repeat of read(build(s + j), s), j = 0, 1, ..., and keeps one long
+    window of length reads + j* + past * s; a read n > reads builds its
+    own.  past = 1 reads the words vanishing from n on.  The finite-support
+    chain reads the kept cut window's prefix table ("finite support"), or
+    direct cut windows ("direct finite support").
+    """
+
+    def __init__(self, conv: ConvolutionalCode) -> None:
+        self.conv, self.settled, self.kept = conv, {}, []
+        self.reads = max(conv.state_length, min(conv.analysis_horizon, REPORT_WINDOWS))
+        self.chains = {
+            "code": (lambda n: direct_window(conv, n, False), 0),
+            "finite support": (self.cut_code, 0),
+            "zero extension": (lambda n: _reversed_window(conv, n, False), 1),
+            "direct finite support": (lambda n: direct_window(conv, n, True), 0),
+        }
+
+    def cut_kept(self, length: int):
+        """The kept cut window, rebuilt at ``length`` when shorter: a code
+        in image form, the prefix table of its reversed form in kernel
+        form."""
+        conv, kept = self.conv, self.kept
+        if not kept or kept[0].space.horizon < length:
+            first = max(min(conv.analysis_horizon, REPORT_WINDOWS), conv.state_length + 1)
+            build = direct_window if conv.form == "image" else _reversed_window
+            kept[:] = [build(conv, max(length, first), True)]
+        return kept[0]
+
+    def cut_code(self, length: int) -> BlockCode:
+        """A code whose windows [0, n), n <= ``length``, are those of the
+        cut window of ``length``."""
+        kept = self.cut_kept(length)
+        return kept if self.conv.form == "image" else kept.prefix_code(length)
+
+    def cut_window(self, n: int):
+        kept = self.cut_kept(n)
+        return _projection(kept, 0, n) if self.conv.form == "image" else kept.vanishing(n)
+
+    def settled_window(self, chain: str, n: int):
+        """The window [0, n) of a chain, as rows and order."""
+        build, past = self.chains[chain]
+        s = self.conv.state_length
+
+        def read(w, b: int):
+            return w.vanishing(b) if past else _projection(w, 0, b)
+
+        if chain not in self.settled:
+            step, states = 0, read(build(s), s)[0]
+            while (following := read(build(s + step + 1), s)[0]) != states:
+                step, states = step + 1, following
+            self.settled[chain] = step, build(self.reads + step + past * s)
+        step, window = self.settled[chain]
+        if n > self.reads:
+            window = build(n + step + past * s)
+        return read(window, n)
+
+    def step(self, chain: str) -> int:
+        """The settle step j* of a chain."""
+        self.settled_window(chain, 1)
+        return self.settled[chain][0]
+
+    def code(self, n: int):
+        if self.conv.form == "image":
+            return self.cut_window(n)
+        return self.settled_window("code", n)
+
+    def zero_extension(self, n: int):
+        if self.conv.form == "kernel":
+            return self.cut_window(n)
+        return self.settled_window("zero extension", n)
+
+    def finite_support(self, n: int):
+        return self.settled_window("finite support", n)
+
+    def weak_controllability(self) -> WeakControllabilityVerdict:
+        conv = self.conv
+        N = conv.analysis_horizon
+        if conv.form == "image":
+            return WeakControllabilityVerdict(holds=True, horizon=N)
+        for n in range(1, min(N, conv.state_length) + 1):
+            full, inner = self.code(n)[1], self.finite_support(n)[1]
+            if full != inner:
+                return WeakControllabilityVerdict(False, N, n, full, inner)
+        return WeakControllabilityVerdict(holds=True, horizon=N)
+
+    def weak_observability(self) -> WeakControllabilityVerdict:
+        conv = self.conv
+        N = conv.analysis_horizon
+        if conv.form == "kernel":
+            return WeakControllabilityVerdict(holds=True, horizon=N)
+        dual = ReferenceWindows(conv._dual)
+        for n in range(1, min(N, conv.state_length) + 1):
+            finite, finite_order = self.zero_extension(n)
+            dual_part, dual_order = dual.finite_support(n)
+            moduli = conv.symbol.moduli * n
+            if not is_annihilator(finite, finite_order, dual_part, dual_order, moduli):
+                closure = conv.symbol.cardinality**n // dual_order
+                return WeakControllabilityVerdict(False, N, n, closure, finite_order)
+        return WeakControllabilityVerdict(holds=True, horizon=N)
+
+    def strong_controllability_index(self) -> StrongControllabilityVerdict:
+        """The agree-twice search on forward tap-local windows."""
+        conv = self.conv
+        weak, N = self.weak_controllability(), conv.analysis_horizon
+        if not weak.holds:
+            return StrongControllabilityVerdict("not-controllable", None, N, weak.witness)
+        index = previous = None
+        for n in range(min(max(2 * conv.memory, 2), N), N + 1):
+            current = control_profile(direct_window(conv, n, False)).index
+            if current == previous:
+                index = current
+                break
+            previous = current
+        status = "unknown-beyond-horizon" if index is None else "stabilized"
+        return StrongControllabilityVerdict(status, index, N)
 
 
 def spans_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:

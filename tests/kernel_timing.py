@@ -13,8 +13,9 @@ every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
 (``codes._PrefixTable``, with the last end it filled), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
-the last end filled) and every code that
-``structure.cyclic_product_decomposition`` decomposes is recorded.  Each kernel is then timed on the
+the last end filled), every code that
+``structure.cyclic_product_decomposition`` decomposes and every distinct
+convolutional code the commands make (duals included) is recorded.  Each kernel is then timed on the
 recorded inputs it takes, bucketed by matrix width:
 
 * ``reference``: the ``_HowellSingle`` state, every row pushed at once, on
@@ -56,13 +57,22 @@ recorded inputs it takes, bucketed by matrix width:
   on a fresh copy of every decomposed code;
 * ``peel-reversed``: ``cyclic_product_decomposition``, which peels on
   column-reversed Howell rows, on the same copies; the generators and the
-  certificate are compared.
+  certificate are compared;
+* ``conv-windows-reference``: the code, zero-extension and finite-support
+  windows [0, n), n <= min(N, 6), as rows and order, and the weak
+  controllability and observability verdicts of a fresh copy of every
+  recorded convolutional code, by the route before the window engine
+  (``kernel_references.ReferenceWindows``: full-window settle steps, long
+  windows, the kept cut window);
+* ``conv-windows-engine``: the same by ``groupcodes.convolutional``, one
+  window per read kind ending in terminal rows settled on
+  (s + 1)-symbol windows.
 
 A line gives the kernel, the width bucket, the input count, the number of
 outputs that differ from the reference's (``_HowellSingle``,
 ``prefix-per-end``, ``annihilator-per-end``, ``smith``, ``pair-loop``,
-``order-graph`` or ``peel-code``) and the best of ``--repeat`` timed passes, in seconds of
-CPU time (a shared machine's other load then shows less than in wall
+``order-graph``, ``peel-code`` or ``conv-windows-reference``) and the
+best of ``--repeat`` timed passes, in seconds of CPU time (a shared machine's other load then shows less than in wall
 time).  The Howell cache is cleared before each pass, so a kernel that
 reads Howell forms pays for them in every pass.
 """
@@ -81,8 +91,9 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import kernel_references  # noqa: E402  (the Smith route, the pairing loop)
 import report_digest  # noqa: E402  (the pools, the commands, one report)
 
-from groupcodes import cli, codes, control, duality, linalg, structure  # noqa: E402
+from groupcodes import cli, codes, control, convolutional, duality, linalg, structure  # noqa: E402
 from groupcodes.codes import BlockCode, SequenceSpace, window_internal  # noqa: E402
+from groupcodes.convolutional import ConvolutionalCode  # noqa: E402
 
 # (label, least width, largest width) of each bucket, then of all inputs.
 BUCKETS = (
@@ -104,10 +115,12 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     number of specs run.  "prefix" holds (space, reversed rows, last end)
     of every prefix table that filled an entry, "annihilator" (code, last
     end) of every code whose local dual's prefix table filled one, "peel"
-    (code,) of every decomposed code."""
+    (code,) of every decomposed code, "conv" (code,) of every distinct
+    convolutional code."""
     inputs = {"howell": [], "quotient": [], "pairs": [], "order": [], "peel": []}
-    tables, dualized = [], []
+    tables, dualized, convs = [], [], []
     table_init = codes._PrefixTable.__init__
+    conv_init = ConvolutionalCode.__post_init__
     local_dual = codes.BlockCode.__dict__["_local_dual"]
     dualize = local_dual.fn
 
@@ -118,6 +131,10 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     def record_dual(code):
         dualized.append(code)
         return dualize(code)
+
+    def record_conv(conv):
+        conv_init(conv)
+        convs.append(conv)
 
     # (module, name, the inputs it records into) of every wrapped kernel;
     # ``codes`` and ``cli`` call their own imported names.
@@ -145,6 +162,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         setattr(module, name, recording(kernel, record))
     codes._PrefixTable.__init__ = record_table
     local_dual.fn = record_dual
+    ConvolutionalCode.__post_init__ = record_conv
     try:
         with tempfile.TemporaryDirectory() as work:
             for spec in specs:
@@ -158,6 +176,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
             setattr(module, name, kernel)
         codes._PrefixTable.__init__ = table_init
         local_dual.fn = dualize
+        ConvolutionalCode.__post_init__ = conv_init
     inputs["prefix"] = [
         (table.space, table.reversed_rows, len(table.entries) - 1)
         for table in tables
@@ -167,6 +186,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     inputs["annihilator"] = [
         (code, len(table.entries) - 1) for code, table in filled if table and len(table.entries) > 1
     ]
+    inputs["conv"] = [(conv,) for conv in dict.fromkeys(convs)]
     return inputs, len(specs)
 
 
@@ -231,6 +251,34 @@ def peel_reversed(code) -> tuple:
     return decomposition.generators, decomposition.certificate
 
 
+def _fresh_conv(conv) -> ConvolutionalCode:
+    return ConvolutionalCode(conv.symbol, conv.form, conv.taps, conv.horizon)
+
+
+def conv_windows_reference(conv) -> tuple:
+    """Every report read of a fresh copy of ``conv`` and its weak verdicts,
+    by the route before the window engine."""
+    ref = kernel_references.ReferenceWindows(_fresh_conv(conv))
+    last = min(conv.analysis_horizon, convolutional.REPORT_WINDOWS)
+    reads = [(ref.code(n), ref.zero_extension(n), ref.finite_support(n)) for n in range(1, last + 1)]
+    return reads, ref.weak_controllability(), ref.weak_observability()
+
+
+def conv_windows_engine(conv) -> tuple:
+    """The same by the window engine."""
+    fresh, engine = _fresh_conv(conv), convolutional
+    last = min(conv.analysis_horizon, engine.REPORT_WINDOWS)
+    reads = [
+        (
+            engine._code_window(fresh, n),
+            engine._zero_extension_window(fresh, n),
+            engine._finite_support_window(fresh, n),
+        )
+        for n in range(1, last + 1)
+    ]
+    return reads, engine.weak_controllability(fresh), engine.weak_observability(fresh)
+
+
 def best_time(kernel, inputs: list, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -244,8 +292,11 @@ def best_time(kernel, inputs: list, repeat: int) -> float:
 
 def width(args: tuple) -> int:
     """The matrix width of one recorded input: its code's, space's or
-    numerator's, or the length of its moduli, which come last."""
+    numerator's, a convolutional code's report windows', or the length of
+    its moduli, which come last."""
     first = args[0]
+    if isinstance(first, ConvolutionalCode):
+        return len(first.symbol.moduli) * first._reads
     if isinstance(first, BlockCode):
         return first.basis.width
     if isinstance(first, SequenceSpace):
@@ -271,7 +322,7 @@ def print_lines(name, kernel, calls, expected, widths, repeat) -> None:
         chosen = [calls[i] for i in picked]
         mismatches = sum(kernel(*calls[i]) != expected[i] for i in picked)
         seconds = best_time(kernel, chosen, repeat)
-        print(f"{name:<21}{label:>7}{len(picked):>8}{mismatches:>12}{seconds:>10.4f}")
+        print(f"{name:<23}{label:>7}{len(picked):>8}{mismatches:>12}{seconds:>10.4f}")
 
 
 def main(argv=None) -> int:
@@ -293,14 +344,16 @@ def main(argv=None) -> int:
     quotients, pairs = inputs["quotient"], inputs["pairs"]
     splits = [call[:4] for call in inputs["order"]]
     prefixes, annihilators, peels = inputs["prefix"], inputs["annihilator"], inputs["peel"]
+    convs = inputs["conv"]
     print(
         f"{args.workload} seed {args.seed}: {len(howell)} Howell inputs from "
         f"{specs} specs, {len(packable)} on the packed path, "
         f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs, "
         f"{len(splits)} order split inputs, {len(prefixes)} prefix tables, "
-        f"{len(annihilators)} annihilator tables, {len(peels)} decompositions"
+        f"{len(annihilators)} annihilator tables, {len(peels)} decompositions, "
+        f"{len(convs)} convolutional codes"
     )
-    print(f"{'kernel':<21}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
+    print(f"{'kernel':<23}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
     expected = [single(*call) for call in howell]
     two_power = [howell[i] for i in packable]
     two_power_expected = [expected[i] for i in packable]
@@ -310,6 +363,7 @@ def main(argv=None) -> int:
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
     graph = [split_graph(*call) for call in splits]
     by_codes = [peel_code(*call) for call in peels]
+    by_reference = [conv_windows_reference(*call) for call in convs]
     # (name, kernel, its calls, the reference output of each, the inputs
     # the calls were made from)
     kernels = (
@@ -329,6 +383,8 @@ def main(argv=None) -> int:
         ("order-counted", control._order_splits, splits, graph, splits),
         ("peel-code", peel_code, peels, by_codes, peels),
         ("peel-reversed", peel_reversed, peels, by_codes, peels),
+        ("conv-windows-reference", conv_windows_reference, convs, by_reference, convs),
+        ("conv-windows-engine", conv_windows_engine, convs, by_reference, convs),
     )
     for name, kernel, calls, outputs, recorded in kernels:
         widths = [width(args) for args in recorded]

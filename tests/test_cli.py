@@ -553,6 +553,26 @@ class TestExitContract:
             "",
         )
 
+    def test_a_stuck_peel_fails_the_decomposition(self, even_weight_spec, monkeypatch):
+        # A peel whose complement does not shrink ends the loop with a
+        # failed decomposition (exit 1), not a hang.
+        import groupcodes.structure
+
+        calls = []
+
+        def stuck(rows, moduli, word, order):
+            calls.append(order)
+            if len(calls) > 50:
+                raise AssertionError("the peel loop kept going")
+            return rows
+
+        monkeypatch.setattr(groupcodes.structure, "_peel_complement", stuck)
+        assert run_cli("decompose", even_weight_spec) == (
+            1,
+            "decomposition failed: peel left a complement of order 4, not 2\n",
+            "",
+        )
+
 
 class TestErrors:
     @pytest.mark.parametrize(

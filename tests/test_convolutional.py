@@ -10,16 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcodes.codes import BlockCode, SequenceSpace, window_internal, window_projection
-from groupcodes.control import reachable_set
+from groupcodes.control import control_profile, reachable_set
 from groupcodes.convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
     WeakControllabilityVerdict,
-    _CODE,
-    _FINITE_SUPPORT,
-    _ZERO_EXTENSION,
     _code_window,
-    _settled_window,
+    _finite_support_window,
+    _settled,
     _window,
     _zero_extension_window,
     dual_convolutional,
@@ -34,6 +32,9 @@ from groupcodes.convolutional import (
 from groupcodes.duality import dual_block_code, is_annihilator
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import ResidueMatrix, howell_form
+from groupcodes.specfmt import parse_spec
+
+from .kernel_references import ReferenceWindows, direct_window
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -54,7 +55,7 @@ CONSTANT = kernel(Z2, ((1,), (1,)))  # single binary check (1, 1)
 
 def finite_support_window(conv, n):
     """The finite-support window [0, n) the weak verdicts read, as a code."""
-    rows, _ = _settled_window(conv, _FINITE_SUPPORT, n)
+    rows, _ = _finite_support_window(conv, n)
     return BlockCode.from_howell(SequenceSpace((conv.symbol,) * n), rows)
 
 
@@ -275,7 +276,7 @@ def _count_window_calls(monkeypatch):
     import groupcodes.convolutional as module
 
     calls = {}
-    for name in ("_code_window", "_zero_extension_window", "_settled_window", "_cut_window"):
+    for name in ("_code_window", "_zero_extension_window", "_finite_support_window", "_window"):
         original = getattr(module, name)
         calls[name] = 0
 
@@ -377,17 +378,8 @@ class TestSettledWindows:
                 assert finite_support_window(conv, n).cardinality == 1
             assert weak_controllability(conv).holds
 
-    def test_one_long_window_per_chain(self, monkeypatch):
-        import groupcodes.convolutional as module
-
-        built = []
-        original = module._window
-
-        def counted(conv, n, cut):
-            built.append((n, cut))
-            return original(conv, n, cut)
-
-        monkeypatch.setattr(module, "_window", counted)
+    def test_one_builder_call_per_settle_step_and_read_kind(self, monkeypatch):
+        built = _record_builds(monkeypatch)
         # The second code has s = 4 above its horizon 2.
         for conv in (
             kernel(Z4, ((1,), (0,), (2,))),
@@ -395,21 +387,42 @@ class TestSettledWindows:
         ):
             built.clear()
             window_code(conv, 1)
-            step, window = conv._settled[_CODE]
+            step, states = conv._chains["local"]
             s, N = max(conv.memory - 1, 1), conv.analysis_horizon
-            # The chain windows s, ..., s + step + 1, then one long window
-            # sized to the reads: the report windows and the weak verdicts'
-            # n <= s.
+            # The chain runs in image form, on the dual: its start on
+            # [0, s), then one (s + 1)-symbol window per step, each ending
+            # in the state before it; then the one window of the read kind,
+            # sized to the reads (the report windows and the weak
+            # verdicts' n <= s) and ending in the settled state.
             reads = max(s, min(N, REPORT_WINDOWS))
-            chain = [(s + j, False) for j in range(step + 2)]
-            assert built == chain + [(reads + step, False)]
-            assert window.space.horizon == reads + step
+            assert [(form, n, reverse) for form, n, _, reverse in built] == (
+                [("image", s, True)] + [("image", s + 1, True)] * (step + 1)
+                + [("kernel", reads, False)]
+            )
+            terminals = [terminal for _, _, terminal, _ in built]
+            assert terminals[0] == () and terminals[-2:] == [states, states]
+            assert len(set(terminals[1:-1])) == step + 1  # a new state per step
             built.clear()
             for n in range(2, reads + 1):
                 window_code(conv, n)
             assert built == []
-            window_code(conv, reads + 1)  # a longer read builds its own window
-            assert built == [(reads + 1 + step, False)]
+            window_code(conv, reads + 1)  # a longer read builds the window again
+            assert built == [("kernel", reads + 1, states, False)]
+
+
+def _record_builds(monkeypatch):
+    """Wrap the window builder; return its calls as (form, length,
+    terminal rows, reversed)."""
+    import groupcodes.convolutional as module
+
+    built, original = [], module._window
+
+    def counted(conv, n, terminal, reverse=False):
+        built.append((conv.form, n, terminal, reverse))
+        return original(conv, n, terminal, reverse)
+
+    monkeypatch.setattr(module, "_window", counted)
+    return built
 
 
 def _omega(n):
@@ -440,28 +453,23 @@ class TestSettleStep:
         )
         conv = ConvolutionalCode(symbol, form, tuple(taps), horizon=1)
         s = max(conv.memory - 1, 1)
-        chains = (_ZERO_EXTENSION,) if form == "image" else (_CODE, _FINITE_SUPPORT)
-        for chain in chains:
-            _settled_window(conv, chain, 1)
-            step, _ = conv._settled[chain]
+        space_s = SequenceSpace((symbol,) * s)
+        image_form = ConvolutionalCode(symbol, "image", conv.taps, horizon=1)
+        for chain, cut in (("local", False), ("cut", True)):
+            step, states = _settled(conv, chain)
             assert step <= s * _omega(symbol.cardinality)
-            build, past = chain
-            space_s = SequenceSpace((symbol,) * s)
+            settled = BlockCode(space_s, ResidueMatrix(space_s.flat_moduli, states))
 
-            def states(j):
-                # past = 1 chains build reversed forms: read the forward
-                # window, and check the one-sided read against it.
-                if not past:
-                    return window_projection(build(conv, s + j), 0, s)
-                forward = window_internal(_window(conv, s + j, cut=False), 0, s)
-                rows, order = build(conv, s + j).vanishing(s)
-                read = BlockCode(space_s, ResidueMatrix(space_s.flat_moduli, rows))
-                assert read == window_projection(forward, 0, s)
-                assert order == read.cardinality
-                return read
+            def full(j):
+                # Y_j off the full image window [0, s + j): the [0, s)
+                # parts of its words that vanish on [s, s + j).
+                window = direct_window(image_form, s + j, cut)
+                return window_projection(window_internal(window, 0, s), 0, s)
 
-            for j in range(step + 1, step + 4):
-                assert states(j) == states(step)
+            for j in range(step, step + 4):
+                assert full(j) == settled
+            if step:
+                assert full(step - 1) != settled
 
 
 def _symbols(conv):
@@ -584,7 +592,7 @@ def _state_graph_windows(conv, horizon):
 
 def _three_step_codes():
     # Horizon 4: the windows n = 1..4 are read up to the edge of the one
-    # long window each chain keeps.
+    # window each read kind keeps.
     for symbol in (Z2, Z4):
         steps = list(itertools.product(*[range(m) for m in symbol.moduli]))
         for tap in itertools.product(steps, repeat=3):
@@ -648,9 +656,9 @@ TWIN_SYMBOLS = (
 
 
 @st.composite
-def _random_codes(draw):
+def _random_codes(draw, symbols=TWIN_SYMBOLS):
     """Codes of memory 1-4 with 1-2 taps, leading zero steps included."""
-    symbol = draw(st.sampled_from(TWIN_SYMBOLS))
+    symbol = draw(st.sampled_from(symbols))
     step = st.tuples(*[st.integers(0, m - 1) for m in symbol.moduli])
     zero = tuple(0 for _ in symbol.moduli)
     taps = []
@@ -683,7 +691,7 @@ class TestWeakVerdictTwin:
         import groupcodes.duality as duality
 
         reads, duals = [], []
-        for name in ("_code_window", "_zero_extension_window", "_settled_window", "_cut_window"):
+        for name in ("_code_window", "_zero_extension_window", "_finite_support_window", "_read"):
             original = getattr(module, name)
 
             def counted(conv, *args, _original=original):
@@ -714,19 +722,14 @@ class TestWeakVerdictTwin:
         assert duals == []
 
 
-# The finite-support chain as built before cut windows were kept: every
-# settle step and long window a direct ``_window(conv, n, cut=True)`` call.
-_DIRECT_FINITE_SUPPORT = (lambda conv, n: _window(conv, n, cut=True), 0)
-
-
 def _fresh(conv):
     """An equal code with none of the windows ``conv`` keeps."""
     return ConvolutionalCode(conv.symbol, conv.form, conv.taps, conv.horizon)
 
 
 class TestCutWindowReads:
-    """Every cut read, taken off the one kept cut window, against a direct
-    build, in read orders that make the kept window grow."""
+    """Every cut read, taken off the one window its read kind keeps,
+    against a direct build, in read orders that make the window grow."""
 
     LONGEST = 9
 
@@ -738,31 +741,20 @@ class TestCutWindowReads:
             lengths.reverse()
         elif order == "interleaved":
             lengths = [3, 1, 7, 2, 9, 4, 6, 5, 8]
-        reference = _fresh(conv)
+        # The finite-support chain as built before cut windows were kept:
+        # every settle step and long window a direct cut window.
+        reference = ReferenceWindows(_fresh(conv))
         for n in lengths:
-            direct = _window(conv, n, cut=True)
+            direct = direct_window(conv, n, cut=True)
             if conv.form == "image":
                 assert window_code(conv, n) == direct
             else:
                 assert zero_extension_window(conv, n) == direct
-            finite = _settled_window(conv, _FINITE_SUPPORT, n)
-            assert finite == _settled_window(reference, _DIRECT_FINITE_SUPPORT, n)
+            finite = _finite_support_window(conv, n)
+            assert finite == reference.settled_window("direct finite support", n)
 
-    def test_reads_up_to_the_built_length_build_once(self, monkeypatch):
-        import groupcodes.convolutional as module
-
-        built = []
-
-        def counting(original):
-            def counted(conv, n, cut):
-                built.append((n, cut))
-                return original(conv, n, cut)
-
-            return counted
-
-        # Kernel cut windows are built in reversed form.
-        for name in ("_window", "_reversed_window"):
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    def test_every_read_kind_builds_one_window(self, monkeypatch):
+        built = _record_builds(monkeypatch)
         codes = [
             image(Z4, ((1,), (2,))),
             kernel(Z4, ((1,), (0,), (2,))),
@@ -770,29 +762,38 @@ class TestCutWindowReads:
             kernel(FiniteAbelianGroup((8,)), ((2,), (0,), (1,))),  # j* = 4
             kernel(Z2, ((1,), (0,), (0,), (0,), (1,)), horizon=2),
         ]
+        readers = (_code_window, _zero_extension_window, _finite_support_window)
         for conv in codes:
             s, N = conv.state_length, conv.analysis_horizon
-            first = max(min(N, REPORT_WINDOWS), s + 1)
+            reads = max(s, min(N, REPORT_WINDOWS))
+            built.clear()
+            for n in range(1, reads + 1):
+                for read in readers:
+                    read(conv, n)
+            # No window is built twice: each settle step ends in a new
+            # state, and the read kinds build one window each at ``reads``,
+            # shared by kinds that end in the same terminal rows (an image
+            # code's finite-support reads are its code reads; a weakly
+            # controllable kernel code settles both chains at one state).
+            assert len(set(built)) == len(built)
+            windows = [(n, rev) for form, n, _, rev in built if (form, n) == (conv.form, reads)]
+            steps = [n for form, n, _, _ in built if (form, n) != (conv.form, reads)]
+            settled = {rows for _, rows in conv._chains.values()}
+            forward = 1 if conv.form == "image" else len(settled)
+            assert sorted(windows) == [(reads, False)] * forward + [(reads, True)]
+            assert set(steps) <= {s, s + 1}
+            # A chain builds its start and one step per state up to Y*, and
+            # no step at a state the other chain settled at.
+            chains = conv._chains.values()
+            assert sum(j + 1 for j, _ in chains) <= len(steps) <= sum(j + 2 for j, _ in chains)
             read = window_code if conv.form == "image" else zero_extension_window
             built.clear()
-            for n in range(1, first + 1):
+            read(conv, reads + 2)  # a longer read builds its window once more
+            for n in range(1, reads + 3):
                 read(conv, n)
-            assert built == [(first, True)]
-            built.clear()
-            read(conv, first + 2)  # a longer read rebuilds the window once
-            for n in range(1, first + 3):
-                read(conv, n)
-            assert built == [(first + 2, True)]
-            if conv.form == "kernel":
-                built.clear()
-                conv = _fresh(conv)
-                for n in range(1, s + 1):
-                    _settled_window(conv, _FINITE_SUPPORT, n)
-                    zero_extension_window(conv, n)
-                # Only a read past the kept length rebuilds the cut window.
-                cut = [length for length, cut in built if cut]
-                assert cut[0] == first and cut == sorted(set(cut))
-                assert conv._cut[0].space.horizon == cut[-1]
+            assert [(n, reverse) for _, n, _, reverse in built] == [
+                (reads + 2, conv.form == "kernel")
+            ]
 
     @pytest.mark.parametrize(
         "spec", ["two_tap_kernel.spec", "z2x2_kernel.spec", "z4_12_kernel.spec"]
@@ -857,6 +858,15 @@ def _one_tap_corpus():
     return sorted(codes, key=repr)
 
 
+def _cut_terminal(conv, n, cut):
+    """The terminal rows that make the builder's window [0, n) the one
+    with all shifts cut at n (``cut``) or only those inside it, or None
+    when there is no such build (n < s)."""
+    if not cut:
+        return ()
+    return conv._cut_rows if n >= conv.state_length else None
+
+
 class TestTrustedShiftRows:
     """The shift rows are reduced by ``_normalize_tap`` and padded with
     zeros, so ``_window`` wraps them without a second reduction."""
@@ -877,29 +887,32 @@ class TestTrustedShiftRows:
         for conv in (ACCUMULATOR, CONSTANT, kernel(V4, ((1, 0), (0, 1)), ((1, 1),))):
             for n in range(1, 6):
                 for cut in (False, True):
-                    _window(conv, n, cut)
+                    for reverse in (False, True):
+                        _window(conv, n, _cut_terminal(conv, n, cut), reverse)
         assert calls == []
 
     def test_matches_the_residue_matrix_build(self):
         for conv in _one_tap_corpus():
             for n in range(1, 10):
                 for cut in (False, True):
-                    trusted = _window(conv, n, cut)
-                    assert trusted.basis == _residue_matrix_window(conv, n, cut).basis, (
-                        conv, n, cut,
-                    )
+                    terminal = _cut_terminal(conv, n, cut)
+                    if terminal is not None:
+                        trusted = _window(conv, n, terminal)
+                        assert trusted == _residue_matrix_window(conv, n, cut).basis.rows, (
+                            conv, n, cut,
+                        )
 
 
 def _parent_style_windows(conv, horizon):
     """The code, zero-extension and finite-support windows [0, n), n <=
     ``horizon``, as the window path computed them before it read rows off
-    kept windows: every read builds its window with ``_window`` and cuts it
+    kept windows: every read builds its window directly and cuts it
     with ``window_projection`` (after ``window_internal`` when it keeps the
     words supported in [0, n)), each chain's settle step found once by the
     same loop on G^s."""
     s = conv.state_length
-    local = lambda length: _window(conv, length, cut=False)  # noqa: E731
-    cut = lambda length: _window(conv, length, cut=True)  # noqa: E731
+    local = lambda length: direct_window(conv, length, cut=False)  # noqa: E731
+    cut = lambda length: direct_window(conv, length, cut=True)  # noqa: E731
 
     def read(window, b, past):
         return window_projection(window_internal(window, 0, b) if past else window, 0, b)
@@ -951,17 +964,128 @@ class TestReaderTwin:
             for n, (code, zero_extension, finite) in _parent_style_windows(conv, self.LONGEST):
                 assert _code_window(conv, n) == code, (conv, n)
                 assert _zero_extension_window(conv, n) == zero_extension, (conv, n)
-                assert _settled_window(conv, _FINITE_SUPPORT, n) == finite, (conv, n)
+                assert _finite_support_window(conv, n) == finite, (conv, n)
+
+
+# Old chain names (``ReferenceWindows``) of the engine's chains by form:
+# the local chain settles a kernel code's windows and an image code's zero
+# extensions, the cut chain a kernel code's finite support.
+_REFERENCE_CHAINS = {
+    "image": {"local": "zero extension"},
+    "kernel": {"local": "code", "cut": "finite support"},
+}
+
+
+def _assert_engine_matches_reference(conv, longest=9):
+    """Every read n <= ``longest`` (rows and order), the settle step of
+    each chain and the weak and strong verdicts of the window engine, on
+    fresh codes, against the route before it."""
+    engine, reference = _fresh(conv), ReferenceWindows(_fresh(conv))
+    for n in range(1, longest + 1):
+        assert _code_window(engine, n) == reference.code(n), (conv, n)
+        assert _zero_extension_window(engine, n) == reference.zero_extension(n), (conv, n)
+        assert _finite_support_window(engine, n) == reference.finite_support(n), (conv, n)
+    for chain, name in _REFERENCE_CHAINS[conv.form].items():
+        assert _settled(engine, chain)[0] == reference.step(name), (conv, chain)
+    fresh = _fresh(conv)
+    assert weak_controllability(fresh) == reference.weak_controllability(), conv
+    assert weak_observability(fresh) == reference.weak_observability(), conv
+    assert strong_controllability_index(fresh) == reference.strong_controllability_index(), conv
+
+
+def _spec_codes():
+    from .conftest import BAND_SPECS
+
+    paths = sorted(BAND_SPECS.glob("*.spec")) + sorted(
+        (BAND_SPECS.parents[2] / "demos" / "specs").glob("*.spec")
+    )
+    docs = (parse_spec(path.read_text(encoding="utf-8")) for path in paths)
+    return [doc.to_convolutional() for doc in docs if doc.kind == "convolutional"]
+
+
+SPEC_CODES = _spec_codes()
+ENGINE_SYMBOLS = (FiniteAbelianGroup((8,)), FiniteAbelianGroup((9,)), FiniteAbelianGroup((2, 4)))
+
+
+class TestEngineTwin:
+    """The one window engine (terminal rows settled on (s + 1)-symbol
+    windows, one window per read kind) against the route it replaced
+    (``kernel_references.ReferenceWindows``: full-window settle steps,
+    long windows j* symbols longer, the kept cut window), read for read."""
+
+    @pytest.mark.parametrize("symbol", [Z2, Z4], ids=str)
+    def test_three_step_codes(self, symbol):
+        codes = [conv for conv in THREE_STEP_CODES if conv.symbol == symbol]
+        assert codes
+        for conv in codes:
+            _assert_engine_matches_reference(conv)
+
+    def test_golden_and_demo_specs(self):
+        assert len(SPEC_CODES) == 11
+        for conv in SPEC_CODES:
+            _assert_engine_matches_reference(conv)
+
+    def test_z8_kernel_settles_its_finite_support_at_four(self):
+        conv = kernel(FiniteAbelianGroup((8,)), ((2,), (0,), (1,)))
+        assert _settled(_fresh(conv), "cut")[0] == 4
+        _assert_engine_matches_reference(conv)
+
+    @given(_random_codes(ENGINE_SYMBOLS))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_codes(self, conv):
+        _assert_engine_matches_reference(conv)
+
+
+class TestStrongIndexWindows:
+    """The strong-index windows are built in reversed form and read
+    forward off the last entry of their prefix table's sweep."""
+
+    def test_reversed_build_is_the_local_window(self):
+        for conv in ONE_TAP_CORPUS[::2]:
+            for n in range(1, 10):
+                space = SequenceSpace((conv.symbol,) * n)
+                built = BlockCode.from_reversed_howell(space, _window(conv, n, (), reverse=True))
+                local = local_window(conv, n)
+                assert built == local, (conv, n)
+                assert control_profile(built).index == control_profile(local).index
+
+    def test_one_howell_form_per_window(self, monkeypatch):
+        import sys
+
+        import groupcodes.convolutional as module
+
+        profiles, forms = [], []
+        control, canonical = module.control_profile, howell_form
+        monkeypatch.setattr(module, "control_profile", lambda c: profiles.append(c) or control(c))
+        for name, owner in list(sys.modules.items()):
+            if name.startswith("groupcodes") and getattr(owner, "howell_form", None) is canonical:
+                monkeypatch.setattr(owner, "howell_form", lambda m: forms.append(m) or canonical(m))
+        for conv in (
+            ACCUMULATOR,
+            image(Z4, ((1,), (2,))),
+            kernel(Z4, ((2,), (1,))),
+            kernel(Z4, ((1,), (2,))),
+            kernel(V4, ((0, 0), (1, 0), (0, 1))),
+        ):
+            weak_controllability(conv)  # its windows are kept on the code
+            profiles.clear(), forms.clear()
+            assert strong_controllability_index(conv).is_finite
+            assert len(forms) == len(profiles) > 0
 
 
 class TestReadBuilds:
     """The analyses read windows as rows: no window code per read."""
 
     # howell_form calls of one ``analyze`` and one ``duality-check``, from a
-    # cold Howell cache.  The readers add none, and the prefix tables
-    # take one reversed Howell form each and none per end (47 and 26 with
-    # one Howell form per prefix end).
-    HOWELL = {"z4_12_kernel.spec": 21, "two_tap_kernel.spec": 11}
+    # cold Howell cache: one per settle step and window built, and one per
+    # strong-index window.  The readers add none, and the prefix tables
+    # take none per end (47 and 26 with one Howell form per prefix end; 21
+    # and 11 with full-window settle steps, long windows and forward
+    # strong-index windows).  The weakly controllable Z/4 kernel settles
+    # both chains at one state and reads both kinds off one window; the
+    # two-tap kernel, which is not weakly controllable, builds a
+    # finite-support window of its own.
+    HOWELL = {"z4_12_kernel.spec": 15, "two_tap_kernel.spec": 13}
 
     @pytest.mark.parametrize("spec", sorted(HOWELL))
     def test_reports_build_no_window_code_per_read(self, spec, monkeypatch):
@@ -990,7 +1114,7 @@ class TestReadBuilds:
                     if hasattr(owner, target):
                         patched = counting(getattr(owner, target), target)
                         monkeypatch.setattr(owner, target, patched)
-        for reader in ("_settled_window", "_cut_window"):
+        for reader in ("_read",):
             monkeypatch.setattr(module, reader, counting(getattr(module, reader), "reads"))
         monkeypatch.setattr(
             SequenceSpace, "__post_init__", counting(SequenceSpace.__post_init__, "spaces")
@@ -1010,27 +1134,42 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
     # kept windows and prefix tables, so at most 2,100 codes are
     # canonicalized (7,992 when each prefix end was a code and one-sided
     # reads went through forward windows), and filling a prefix table takes
-    # no Howell form.
+    # no Howell form.  Every kept window is built at its read length and
+    # never regrown (80 of 1,166 cut windows regrew with the kept cut
+    # window), and every prefix end filled is read (1,592 of 5,778 were
+    # not).
     import sys
 
+    import groupcodes.convolutional as module
     from groupcodes.codes import _PrefixTable
     from groupcodes.linalg import howell_form as canonical
 
     from . import report_digest
 
-    counts = {"codes": 0, "filling": 0, "howell_while_filling": 0}
-    post_init, entry = BlockCode.__post_init__, _PrefixTable.entry
+    counts = {"codes": 0, "filling": 0, "howell_while_filling": 0, "regrown": 0}
+    post_init, entry, table_init = BlockCode.__post_init__, _PrefixTable.entry, _PrefixTable.__init__
+    read, tables = module._read, {}
 
     def counted_init(self):
         counts["codes"] += 1
         post_init(self)
 
+    def recorded_table(self, *args):
+        tables[self] = set()
+        table_init(self, *args)
+
     def filling(self, b):
+        tables[self].add(b)
         counts["filling"] += 1
         try:
             return entry(self, b)
         finally:
             counts["filling"] -= 1
+
+    def kept_at_reads(conv, kind, n):
+        rows = read(conv, kind, n)
+        counts["regrown"] += any(w.space.horizon != conv._reads for w in conv._windows.values())
+        return rows
 
     def spied_howell(matrix):
         counts["howell_while_filling"] += counts["filling"] > 0
@@ -1038,6 +1177,8 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
 
     monkeypatch.setattr(BlockCode, "__post_init__", counted_init)
     monkeypatch.setattr(_PrefixTable, "entry", filling)
+    monkeypatch.setattr(_PrefixTable, "__init__", recorded_table)
+    monkeypatch.setattr(module, "_read", kept_at_reads)
     for module in list(sys.modules.values()):
         name = getattr(module, "__name__", "")
         if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:
@@ -1051,3 +1192,5 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
     assert len(specs) == 432
     assert counts["codes"] <= 2100
     assert counts["howell_while_filling"] == 0
+    assert counts["regrown"] == 0
+    assert tables and all(set(range(1, len(t.entries))) <= ends for t, ends in tables.items())

@@ -12,7 +12,7 @@ KERNELS = (
     "reference", "reference-2^k", "packed", "dispatch", "prefix-per-end", "prefix-sweep",
     "annihilator-per-end", "annihilator-table",
     "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
-    "peel-code", "peel-reversed",
+    "peel-code", "peel-reversed", "conv-windows-reference", "conv-windows-engine",
 )
 
 
@@ -52,10 +52,15 @@ def test_two_specs_no_mismatch(workload):
     # subdirect``); a convolutional ``decompose`` is an exit-2 error.
     assert totals["peel-code"] == totals["peel-reversed"]
     assert (totals["peel-reversed"] > 0) == (workload != "convolutional")
+    # Only convolutional reports make convolutional codes; each is read by
+    # the window engine and by the route before it.
+    assert totals["conv-windows-reference"] == totals["conv-windows-engine"]
+    assert (totals["conv-windows-engine"] > 0) == (workload == "convolutional")
     assert head.endswith(
         f"{totals['smith']} quotient inputs, {totals['pair-map']} pairing inputs, "
         f"{totals['order-counted']} order split inputs, "
         f"{totals['prefix-sweep']} prefix tables, "
         f"{totals['annihilator-table']} annihilator tables, "
-        f"{totals['peel-reversed']} decompositions"
+        f"{totals['peel-reversed']} decompositions, "
+        f"{totals['conv-windows-engine']} convolutional codes"
     )

@@ -36,6 +36,7 @@ from groupcodes.linalg import (
 )
 from groupcodes.structure import (
     Decomposition,
+    DecompositionError,
     DecompositionGenerator,
     _max_order_in_smallest_window,
     _peel_complement,
@@ -275,6 +276,26 @@ class TestCyclicProductDecomposition:
             assert ok, cert.render()
             assert decomposition.order_product == code.cardinality
             assert brute_direct_sum_size(code, decomposition) == code.cardinality
+
+    def test_a_peel_that_does_not_shrink_raises(self, monkeypatch):
+        # A complement that keeps the part's order would spin the peel
+        # loop; the order check turns it into an error.  The stub stops
+        # after 50 calls, so a missing check fails instead of hanging.
+        import groupcodes.structure as module
+
+        calls = []
+
+        def stuck(rows, moduli, word, order):
+            calls.append(order)
+            if len(calls) > 50:
+                raise AssertionError("the peel loop kept going")
+            return rows
+
+        monkeypatch.setattr(module, "_peel_complement", stuck)
+        code = code_from_generators(space((4,), (2,), (9,)), [(1, 1, 3), (2, 0, 1)])
+        with pytest.raises(DecompositionError, match="complement of order"):
+            cyclic_product_decomposition(code)
+        assert len(calls) == 1
 
     def test_generator_orders_refine_invariant_factors(self):
         # Regrouping the per-prime generator orders by Smith normalization
