@@ -17,10 +17,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
 from .linalg import (
+    Entry,
     ResidueMatrix,
     Vector,
     _counted_invariants,
-    _first_nonzero,
+    _entry,
     _howell_state,
     _reduce_vector,
     _reduced,
@@ -187,12 +188,18 @@ class BlockCode:
         """T = C-perp in the code's own space: one kernel of its Howell rows."""
         return BlockCode.from_howell(self.space, annihilator_rows(self.basis).rows)
 
-    def _prefix(self, b: int) -> "Entry":
-        """The Howell rows, pivot columns and running pivot-order products
-        of C ∩ [0, b): the code's own for b = N, else entry b of the prefix
-        table (``_PrefixTable.entry``)."""
+    @_cached
+    def _record(self) -> Entry:
+        """The basis rows, pivot columns and running pivot-order products
+        (``linalg._entry``), found once per code or seeded by the prefix
+        table that built it."""
+        return _entry(self.basis.rows, self.basis.moduli)
+
+    def _prefix(self, b: int) -> Entry:
+        """The record of C ∩ [0, b): the code's own for b = N, else entry
+        b of the prefix table (``_PrefixTable.entry``)."""
         if b == self.space.horizon:
-            return self.basis.rows, self._pivot_columns, self._pivot_products
+            return self._record
         return self._prefixes.entry(b)
 
     def prefix_code(self, b: int) -> "BlockCode":
@@ -227,49 +234,31 @@ class BlockCode:
 
     @property
     def cardinality(self) -> int:
-        return self._pivot_products[-1]
+        return self._record[2][-1]
 
     def contains(self, word: Sequence[int]) -> bool:
         return not any(self.coset_representative(word))
 
     def coset_representative(self, word: Sequence[int]) -> tuple[int, ...]:
         """The canonical representative of word + C, reduced against the
-        code's Howell rows (``linalg.coset_reduce`` on its own basis)."""
-        return _reduce_vector(self.basis, _reduced(word, self.basis.moduli))
+        code's Howell rows at their recorded pivot columns."""
+        rows, columns, _ = self._record
+        moduli = self.basis.moduli
+        return _reduce_vector(rows, columns, moduli, _reduced(word, moduli))
 
     def pivots(self) -> tuple[tuple[int, int], ...]:
-        """(pivot column, pivot order) of each basis row.
+        """(pivot column, pivot order) of each basis row, off the record.
 
         Coefficients below the pivot orders reach every codeword exactly
         once; the rows with pivot at or after a column span the codewords
-        vanishing before it.  Computed once per code.
+        vanishing before it.
         """
-        return self._pivots
-
-    @_cached
-    def _pivots(self) -> tuple[tuple[int, int], ...]:
-        moduli = self.basis.moduli
-        out = []
-        for row in self.basis.rows:
-            j = next(i for i, e in enumerate(row) if e)
-            # A normalized Howell pivot divides its modulus.
-            out.append((j, moduli[j] // row[j]))
-        return tuple(out)
-
-    @_cached
-    def _pivot_columns(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.pivots())
-
-    @_cached
-    def _pivot_products(self) -> tuple[int, ...]:
-        """Running products of the pivot orders from 1: the first i rows
-        span a subgroup of order ``p[i]``, the rows from i on one of order
-        ``p[-1] // p[i]`` (pivot columns strictly increase)."""
-        return tuple(itertools.accumulate((o for _, o in self.pivots()), operator.mul, initial=1))
+        _, columns, products = self._record
+        return tuple(zip(columns, map(operator.floordiv, products[1:], products)))
 
     def _rows_before(self, column: int) -> int:
         """The number of basis rows with pivot before ``column``."""
-        return bisect_left(self._pivot_columns, column)
+        return bisect_left(self._record[1], column)
 
     def words(self) -> Iterator[tuple[int, ...]]:
         """All codewords, deterministically ordered by basis coefficients."""
@@ -289,26 +278,10 @@ class BlockCode:
         ``other`` (the Howell property makes that membership)."""
         if other.space != self.space:
             raise ValueError("codes live in different spaces")
-        if self.basis.rows == other.basis.rows:
-            return True
-        return not any(any(_reduce_vector(other.basis, row)) for row in self.basis.rows)
+        return self.basis.rows == other.basis.rows or all(map(other.contains, self.basis.rows))
 
     def __str__(self) -> str:
         return f"code of order {self.cardinality} in {self.space}"
-
-
-# A Howell form with its pivot columns and the running products of its
-# pivot orders from 1: the rows from i on span a subgroup of order
-# products[-1] // products[i].
-Entry = tuple[tuple[Vector, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def _entry(rows: tuple[Vector, ...], moduli: Sequence[int]) -> Entry:
-    """``rows``, a Howell form over ``moduli``, with its pivot columns and
-    running pivot-order products (a normalized pivot divides its modulus)."""
-    columns = tuple(map(_first_nonzero, rows))
-    orders = (moduli[j] // row[j] for j, row in zip(columns, rows))
-    return rows, columns, tuple(itertools.accumulate(orders, operator.mul, initial=1))
 
 
 class _PrefixTable:
@@ -373,10 +346,10 @@ class _PrefixTable:
         return entries[b]
 
     def prefix_code(self, b: int) -> BlockCode:
-        """Entry b wrapped as a code, with its pivot columns and products."""
-        rows, columns, products = self.entry(b)
-        code = BlockCode.from_howell(self.space, rows)
-        code.__dict__.update(_pivot_columns=columns, _pivot_products=products)
+        """Entry b wrapped as a code, the entry its record."""
+        entry = self.entry(b)
+        code = BlockCode.from_howell(self.space, entry[0])
+        code.__dict__["_record"] = entry
         return code
 
 
@@ -439,7 +412,7 @@ def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], in
     cut = offsets[b] - offsets[a]
     suffix = code.suffix_projection(a)
     i = suffix._rows_before(cut)
-    return tuple(row[:cut] for row in suffix.basis.rows[:i]), suffix._pivot_products[i]
+    return tuple(row[:cut] for row in suffix.basis.rows[:i]), suffix._record[2][i]
 
 
 def _annihilator(code: BlockCode, a: int, b: int) -> tuple[Vector, ...]:
@@ -456,7 +429,7 @@ def _annihilator_order(code: BlockCode, a: int, b: int) -> int:
         return 1
     offsets = code.space.offsets()
     suffix = code.suffix_projection(a)
-    kept = suffix._pivot_products[suffix._rows_before(offsets[b] - offsets[a])]
+    kept = suffix._record[2][suffix._rows_before(offsets[b] - offsets[a])]
     products = code.space._moduli_products
     return products[offsets[b]] // products[offsets[a]] // kept
 
@@ -506,5 +479,6 @@ def annihilator_order(code: BlockCode, a: int, b: int) -> int:
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:
     """Isomorphism type of the code as invariant factors d_1 | d_2 | ...,
-    counted on its Howell rows (``linalg.smith_invariants`` on its basis)."""
-    return _counted_invariants(code.basis, ())
+    counted on its Howell rows and order (``linalg.smith_invariants`` on
+    its basis)."""
+    return _counted_invariants(code.basis, (), code.cardinality)

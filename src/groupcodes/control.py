@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .codes import BlockCode, _internal, join, window_internal
 from .groups import FiniteAbelianGroup
-from .linalg import _first_nonzero, _reduce_vector, _trusted, head_solve, howell_form
+from .linalg import _entry, _reduce_vector, _trusted, head_solve, howell_form
 
 __all__ = [
     "ControlProfile",
@@ -183,8 +183,8 @@ def _window_solution(
     if rest is None:
         return None
     word = (0,) * sl.start + tuple(target_symbol) + rest
-    later = tuple(row for row, (j, _) in zip(rows, inner.pivots()) if j >= sl.stop)
-    return _reduce_vector(_trusted(moduli, later), word)
+    i = inner._rows_before(sl.stop)
+    return _reduce_vector(rows[i:], inner._record[1][i:], moduli, word)
 
 
 def chunk_decompose(
@@ -266,7 +266,9 @@ def order_profile(code: BlockCode) -> OrderProfile:
     return OrderProfile(tuple(bounds))
 
 
-def _scaled_form(code: BlockCode, a: int, b: int, t: int) -> tuple[list[int], list[int]]:
+def _scaled_form(
+    code: BlockCode, a: int, b: int, t: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Pivot columns, counted from offset(a), and running pivot-order
     products from 1 of the Howell form of t·(C ∩ [a, b)), whose rows
     (``codes._internal``) are cut to [offset(a), offset(b)) first."""
@@ -274,12 +276,7 @@ def _scaled_form(code: BlockCode, a: int, b: int, t: int) -> tuple[list[int], li
     moduli = code.space.flat_moduli[lo:hi]
     scaled = (tuple(t * e % m for e, m in zip(r[lo:hi], moduli)) for r in _internal(code, a, b)[0])
     rows = tuple(row for row in scaled if any(row))
-    columns, products = [], [1]
-    for row in howell_form(_trusted(moduli, rows)).rows if rows else ():
-        j = _first_nonzero(row)
-        columns.append(j)
-        products.append(products[-1] * (moduli[j] // row[j]))
-    return columns, products
+    return _entry(howell_form(_trusted(moduli, rows)).rows if rows else (), moduli)[1:]
 
 
 def _order_splits(

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm, prod
-from operator import floordiv, mod
+from itertools import accumulate
+from math import gcd, lcm
+from operator import floordiv, mod, mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -87,9 +88,6 @@ class ResidueMatrix:
     @property
     def width(self) -> int:
         return len(self.moduli)
-
-    def is_zero(self) -> bool:
-        return not self.rows
 
 
 def _trusted(moduli: Vector, rows: tuple[Vector, ...]) -> ResidueMatrix:
@@ -405,48 +403,56 @@ def vector_order(vector: Sequence[int], moduli: Sequence[int]) -> int:
     return lcm(*map(floordiv, moduli, map(gcd, moduli, vector)))
 
 
-def _pivot_orders(rows: Iterable[Vector], moduli: Vector) -> list[int]:
-    """The pivot orders m_j / d of Howell ``rows`` (each normalized pivot d
-    divides its modulus m_j); their span's order is the product."""
-    orders = []
-    for row in rows:
-        j = _first_nonzero(row)
-        orders.append(moduli[j] // row[j])
-    return orders
+# A Howell form with its pivot columns and the running products of its
+# pivot orders from 1: the rows from i on span a subgroup of order
+# products[-1] // products[i].
+Entry = tuple[tuple[Vector, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _entry(rows: tuple[Vector, ...], moduli: Sequence[int]) -> Entry:
+    """``rows``, a Howell form over ``moduli``, with its pivot columns and
+    running pivot-order products (a normalized pivot divides its modulus).
+    The one place a form's pivots are found: its owner keeps the result."""
+    columns = tuple(map(_first_nonzero, rows))
+    orders = (moduli[j] // row[j] for j, row in zip(columns, rows))
+    return rows, columns, tuple(accumulate(orders, mul, initial=1))
 
 
 def span_cardinality(matrix: ResidueMatrix) -> int:
     """Number of elements in the row span, read off the Howell pivots."""
-    return prod(_pivot_orders(howell_form(matrix).rows, matrix.moduli))
+    return _entry(howell_form(matrix).rows, matrix.moduli)[2][-1]
 
 
 def _reduce_vector(
-    canon: ResidueMatrix, vector: Sequence[int], stop: Optional[int] = None
+    rows: Sequence[Vector],
+    columns: Sequence[int],
+    moduli: Sequence[int],
+    vector: Sequence[int],
+    stop: Optional[int] = None,
 ) -> Vector:
-    """Clear the pivot-column entries of reduced ``vector`` (up to column
-    ``stop``), in residue coordinates.
-
-    Returns vector - sum(c_i * row_i) with each touched pivot column reduced
-    into ``[0, pivot)``.  By the Howell property this is the canonical coset
-    representative once ``stop`` covers all columns.
-    """
-    moduli = canon.moduli
+    """Reduce ``vector`` by ``rows`` at their held pivot ``columns``, in
+    order, before column ``stop``.  Each step subtracts a whole row, so the
+    result is ``vector`` minus a combination of the rows whatever
+    ``columns`` holds, and zero proves membership.  For a Howell form and
+    its own columns each pivot entry ends in ``[0, pivot)``: by the Howell
+    property, the canonical coset representative once ``stop`` is past
+    every column."""
     v = list(vector)
     limit = len(moduli) if stop is None else stop
-    for row in canon.rows:
-        j = _first_nonzero(row)
+    for row, j in zip(rows, columns):
         if j >= limit:
             break
-        q = v[j] // row[j]
+        q = v[j] // row[j] if row[j] else 0
         if q:
-            v[j:] = [(x - q * y) % m for x, y, m in zip(v[j:], row[j:], moduli[j:])]
+            v = [(x - q * y) % m for x, y, m in zip(v, row, moduli)]
     return tuple(v)
 
 
 def coset_reduce(matrix: ResidueMatrix, vector: Sequence[int]) -> Vector:
     """Canonical representative of ``vector + span(matrix)``."""
     canon = howell_form(matrix)
-    return _reduce_vector(canon, _reduced(vector, canon.moduli))
+    rows, columns, _ = _entry(canon.rows, canon.moduli)
+    return _reduce_vector(rows, columns, canon.moduli, _reduced(vector, canon.moduli))
 
 
 def contains_vector(matrix: ResidueMatrix, vector: Sequence[int]) -> bool:
@@ -493,8 +499,9 @@ def head_solve(
 ) -> Optional[Vector]:
     """A tail t with (target | t) in span(matrix), or None."""
     canon = howell_form(matrix)
+    rows, columns, _ = _entry(canon.rows, canon.moduli)
     augmented = _reduced(target, canon.moduli[:head]) + (0,) * (canon.width - head)
-    remainder = _reduce_vector(canon, augmented, stop=head)
+    remainder = _reduce_vector(rows, columns, canon.moduli, augmented, stop=head)
     if any(remainder[:head]):
         return None
     return tuple((-e) % m for e, m in zip(remainder[head:], canon.moduli[head:]))
@@ -610,8 +617,8 @@ def _level_counts(
         nonzero = tuple(v for v in vectors if any(v))
         if not nonzero:
             return (), 1
-        canon = howell_form(_trusted(mods, nonzero)).rows
-        return canon, prod(_pivot_orders(canon, mods))
+        canon, _, products = _entry(howell_form(_trusted(mods, nonzero)).rows, mods)
+        return canon, products[-1]
 
     if den:
         den_p = [tuple(map(mod, v, mods)) for v in den]
@@ -666,19 +673,20 @@ def quotient_invariants(
     Every order is a product of Howell pivot orders; |X| is read off the
     numerator's own Howell form (``_counted_invariants``).
     """
-    return _counted_invariants(howell_form(numerator), denominator_rows)
+    canon = howell_form(numerator)
+    return _counted_invariants(canon, denominator_rows, _entry(canon.rows, canon.moduli)[2][-1])
 
 
 def _counted_invariants(
-    canon: ResidueMatrix, denominator_rows: Sequence[Sequence[int]]
+    canon: ResidueMatrix, denominator_rows: Sequence[Sequence[int]], order: int
 ) -> tuple[int, ...]:
     """``quotient_invariants`` of a numerator given as its Howell form
-    ``canon``, which a code's basis already is."""
+    ``canon``, which a code's basis already is, of order ``order``, which
+    its owner already holds."""
     if not canon.rows:
         return ()
     moduli = canon.moduli
     den = [_reduced(row, moduli) for row in denominator_rows]
-    order = prod(_pivot_orders(canon.rows, moduli))
     # Pivot orders divide their moduli: the primes of |X| are among theirs.
     primes = sorted({p for m in set(moduli) for p in _primes(m) if order % p == 0})
     factors: list[int] = []

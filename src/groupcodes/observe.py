@@ -27,7 +27,7 @@ from .codes import (
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import dual_block_code, is_annihilator
-from .linalg import _trusted
+from .linalg import _reduce_vector, _trusted
 
 __all__ = [
     "ObserveProfile",
@@ -320,18 +320,9 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     def within(words, rows, columns, lo: int, hi: int) -> bool:
         # Each word over [lo, hi) is zero, is one of the Howell ``rows`` or
         # reduces to zero at ``columns``, their pivot columns as a table
-        # holds them.  A step subtracts a whole row, so zero proves
-        # membership even if a broken table serves wrong columns.
+        # holds them; zero proves membership even at wrong columns.
         window, known = moduli[lo:hi], {*rows, (0,) * (hi - lo)}
-
-        def reduces(v) -> bool:
-            for row, j in zip(rows, columns):
-                q = v[j] // row[j] if row[j] else 0
-                if q:
-                    v = [(x - q * y) % m for x, y, m in zip(v, row, window)]
-            return not any(v)
-
-        return all(w in known or reduces(w) for w in words)
+        return all(w in known or not any(_reduce_vector(rows, columns, window, w)) for w in words)
 
     def prefix_nested(b: int) -> bool:
         # C ∩ [0, b) ⊆ C ∩ [0, b+1), on the prefix entries (shared when
@@ -345,7 +336,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         width = offsets[b] - offsets[k]
         cuts = [row[:width] for row in proj[k, b + 1][0]]
         suffix = dual.suffix_projection(k)
-        columns = suffix._pivot_columns[: suffix._rows_before(width)]
+        columns = suffix._record[1][: suffix._rows_before(width)]
         return within(cuts, proj[k, b][0], columns, offsets[k], offsets[b])
 
     chain_ok = all(prefix_nested(b) for b in range(N)) and all(

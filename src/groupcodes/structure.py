@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 from .codes import BlockCode, SequenceSpace, code_from_generators, window_projection
 from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
+    Entry,
     Vector,
-    _first_nonzero,
+    _entry,
     _howell_state,
-    _pivot_orders,
     _reduce_vector,
     _trusted,
     head_kernel,
@@ -228,11 +228,12 @@ def _primary_rows(code: BlockCode, p: int) -> tuple[tuple[Vector, ...], list[tup
 
 
 def _smallest_full_prefix(
-    rows: tuple[Vector, ...], moduli: Vector, offsets: Sequence[int]
+    record: Entry, moduli: Vector, offsets: Sequence[int]
 ) -> tuple[int, int]:
     """(n, exponent): the least n with C ∩ [0, n) of the exponent of C, a
-    p-group given by its column-reversed Howell ``rows`` (``moduli`` and
-    ``offsets`` are those of its space, in their own order).
+    p-group given by the record of its column-reversed Howell rows
+    (``moduli`` and ``offsets`` are those of its space, in their own
+    order).
 
     C ∩ [0, n) is spanned by the rows that vanish from offset(n) on.  In
     a p-group a span's exponent is the largest order of its generators, so
@@ -240,19 +241,21 @@ def _smallest_full_prefix(
     order.  The reversed pivots strictly increase, so the last such row
     has the least last nonzero column, and n is the block after it.
     """
+    rows, columns, _ = record
     reversed_moduli = moduli[::-1]
     orders = [vector_order(row, reversed_moduli) for row in rows]
     exponent = max(orders)
-    row = rows[len(orders) - 1 - orders[::-1].index(exponent)]
-    return bisect_right(offsets, len(moduli) - 1 - _first_nonzero(row)), exponent
+    last = columns[len(orders) - 1 - orders[::-1].index(exponent)]
+    return bisect_right(offsets, len(moduli) - 1 - last), exponent
 
 
 def _max_order_in_smallest_window(
-    rows: tuple[Vector, ...], moduli: Vector, offsets: Sequence[int], p: int
+    record: Entry, moduli: Vector, offsets: Sequence[int], p: int
 ) -> tuple[tuple[int, ...], int]:
-    """The target generator of the p-group C with column-reversed Howell
-    ``rows``: maximal order, realizable in the smallest prefix window
-    (``_smallest_full_prefix``), lexicographically least among candidates.
+    """The target generator of the p-group C given by the record of its
+    column-reversed Howell rows: maximal order, realizable in the smallest
+    prefix window (``_smallest_full_prefix``), lexicographically least
+    among candidates.
 
     The window's forward Howell rows are one push and one finish of the
     rows that vanish from offset(n) on, re-reversed.  Its words are the
@@ -262,16 +265,15 @@ def _max_order_in_smallest_window(
     order p^e reachable, i.e. p^(e-1)·y nonzero or some later row not
     killed by p^(e-1).
     """
-    n, exponent = _smallest_full_prefix(rows, moduli, offsets)
+    n, exponent = _smallest_full_prefix(record, moduli, offsets)
     head = offsets[-1] - offsets[n]
     state = _howell_state(moduli)
-    state.push(row[::-1] for row in rows if not any(row[:head]))
-    inner = state.finish()
+    state.push(row[::-1] for row in record[0] if not any(row[:head]))
+    inner, columns, products = _entry(tuple(state.finish()), moduli)
     below = exponent // p
     word = (0,) * len(moduli)
-    for i, row in enumerate(inner):
-        j = _first_nonzero(row)
-        order = moduli[j] // row[j]
+    for i, (row, j) in enumerate(zip(inner, columns)):
+        order = products[i + 1] // products[i]
         later = any((below * e) % m for r in inner[i + 1 :] for e, m in zip(r, moduli))
         # Pivot values ascend through word[j] + row[j]·Z; at most every p-th
         # value leaves no word of order p^e, so the first or second is kept.
@@ -312,7 +314,9 @@ def _peel_complement(
         chi_head = head_solve(graph, 1, (L // order,))
         if chi_head is None:
             continue
-        chi = _reduce_vector(head_kernel(graph, 1), chi_head)
+        kernel = head_kernel(graph, 1)
+        basis, pivots, _ = _entry(kernel.rows, kernel.moduli)
+        chi = _reduce_vector(basis, pivots, kernel.moduli, chi_head)
         # chi vanishes beyond the prefix, so on the first reversed columns.
         weights = [c * (L // m) for c, m in zip(chi[::-1], moduli[prefix - 1 :: -1])]
         cut = len(moduli) - prefix
@@ -339,24 +343,26 @@ def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
     failure raises DecompositionError.
 
     Each peel must leave a complement of order |part| / ord(word), the
-    product of the pivot orders of its rows (one pivot scan per row); one
-    that does not raises DecompositionError, so the loop ends within
-    log2 |C| peels.
+    last running product of its record (``linalg._entry``, one per form,
+    which the next peel reads too); one that does not raises
+    DecompositionError, so the loop ends within log2 |C| peels.
     """
     gens: list[DecompositionGenerator] = []
     moduli, offsets = code.space.flat_moduli, code.space.offsets()
     for p in FiniteAbelianGroup(moduli).primes():
         rows, columns = _primary_rows(code, p)
         parts = tuple(q for q, _ in columns)
-        size = math.prod(_pivot_orders(rows, parts[::-1]))
-        while rows:
-            word, order = _max_order_in_smallest_window(rows, parts, offsets, p)
+        record = _entry(rows, parts[::-1])
+        while record[0]:
+            word, order = _max_order_in_smallest_window(record, parts, offsets, p)
             embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
             gens.append(DecompositionGenerator(embedded, *code.space.support(embedded), order, p))
-            rows = _peel_complement(rows, parts, word, order)
-            size, expected = math.prod(_pivot_orders(rows, parts[::-1])), size // order
-            if size != expected:
-                raise DecompositionError(f"peel left a complement of order {size}, not {expected}")
+            expected = record[2][-1] // order
+            record = _entry(_peel_complement(record[0], parts, word, order), parts[::-1])
+            if record[2][-1] != expected:
+                raise DecompositionError(
+                    f"peel left a complement of order {record[2][-1]}, not {expected}"
+                )
     return _verified(code, gens)
 
 

@@ -37,6 +37,11 @@
   read off one long window j* symbols longer, the code and strong-index
   windows built tap-local and forward, and one cut window kept per code
   and rebuilt by a longer read; ``direct_window`` is its builder.
+* ``reduce_vector``: the reducer before the pivot record, which rescans
+  each row's pivot column on every call (``linalg._reduce_vector`` reads
+  the columns its caller holds), and ``pivot_record``: a Howell form's
+  pivot columns and running pivot-order products by a scan of its own,
+  as ``BlockCode`` found them before ``linalg._entry``.
 * ``spans_equal``: span equality by Howell forms, which no analysis asks.
 * ``solve_congruence_system``: one solution of y · A = b with the kernel,
   which no analysis asks either.
@@ -46,7 +51,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from groupcodes import linalg, structure
@@ -71,7 +78,6 @@ from groupcodes.linalg import (
     ResidueMatrix,
     Vector,
     _first_nonzero,
-    _reduce_vector,
     _trusted,
     annihilator_rows,
     contains_vector,
@@ -329,7 +335,7 @@ def code_peel_complement(current: BlockCode, word: Sequence[int], order: int) ->
         chi_head = head_solve(graph, 1, (L // order,))
         if chi_head is None:
             continue
-        chi = _reduce_vector(head_kernel(graph, 1), chi_head)
+        chi = reduce_vector(head_kernel(graph, 1), chi_head)
         weights = [c * (L // m) for c, m in zip(chi, moduli)]
         rows = tuple(
             (sum(e * w for e, w in zip(row, weights)) % L,) + row for row in current.basis.rows
@@ -554,3 +560,32 @@ def solve_congruence_system(
     if particular is None:
         return None
     return CongruenceSolution(particular, head_kernel(graph, matrix.width))
+
+
+def reduce_vector(
+    canon: ResidueMatrix, vector: Sequence[int], stop: Optional[int] = None
+) -> Vector:
+    """Clear the pivot-column entries of reduced ``vector`` by the Howell
+    rows of ``canon`` (up to column ``stop``), each row's pivot column
+    found by scanning it, each step from that column on."""
+    moduli = canon.moduli
+    v = list(vector)
+    limit = len(moduli) if stop is None else stop
+    for row in canon.rows:
+        j = _first_nonzero(row)
+        if j >= limit:
+            break
+        q = v[j] // row[j]
+        if q:
+            v[j:] = [(x - q * y) % m for x, y, m in zip(v[j:], row[j:], moduli[j:])]
+    return tuple(v)
+
+
+def pivot_record(
+    rows: Sequence[Vector], moduli: Sequence[int]
+) -> tuple[tuple[Vector, ...], tuple[int, ...], tuple[int, ...]]:
+    """Howell ``rows`` with their pivot columns, each the first nonzero
+    entry, and the running products from 1 of their pivot orders."""
+    columns = tuple(next(j for j, e in enumerate(row) if e) for row in rows)
+    orders = (moduli[j] // row[j] for j, row in zip(columns, rows))
+    return tuple(rows), columns, tuple(accumulate(orders, mul, initial=1))

@@ -8,7 +8,8 @@ The pool of workload W and the seed (the specs a 36 s run of
 ``groupcodes.cli.main`` under every command ``tests/report_digest.py``
 runs on it, with the Howell cache cleared first.  Every input that reaches
 the Howell kernel (every cache miss of ``linalg._howell_cached``), every
-invariant-factor count (``linalg._counted_invariants``, on a Howell form),
+invariant-factor count (``linalg._counted_invariants``, on a Howell form
+and its order),
 every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
 (``codes._PrefixTable``, with the last end it filled), every code whose
@@ -39,9 +40,9 @@ recorded inputs it takes, bucketed by matrix width:
   (``codes._annihilator``);
 * ``smith``: invariant factors by the integer Smith form
   (``kernel_references.smith_quotient_invariants``) on every
-  ``_counted_invariants`` input;
+  ``_counted_invariants`` input, its numerator and denominator;
 * ``counted``: ``_counted_invariants``, which counts them on the Howell
-  form it is given;
+  form and the order it is given;
 * ``pair-loop``: the residue-by-residue pairing test
   (``kernel_references.loop_pairs_to_zero``) on every ``pairs_to_zero``
   input;
@@ -212,7 +213,7 @@ def prefix_per_end(space, reversed_rows, last) -> list:
         head = offsets[-1] - offsets[b]
         rows = tuple(row[::-1] for row in reversed_rows if not any(row[:head]))
         canon = linalg.howell_form(linalg._trusted(moduli, rows)).rows
-        entries.append(codes._entry(canon, moduli))
+        entries.append(kernel_references.pivot_record(canon, moduli))
     return entries
 
 
@@ -221,6 +222,12 @@ def prefix_sweep(space, reversed_rows, last) -> list:
     table = codes._PrefixTable(space, reversed_rows)
     table.entry(last)
     return table.entries[1:]
+
+
+def smith_factors(numerator, denominator_rows, order) -> tuple:
+    """Invariant factors by the integer Smith form on one
+    ``_counted_invariants`` input, whose order the Smith form does not read."""
+    return kernel_references.smith_quotient_invariants(numerator, denominator_rows)
 
 
 def annihilator_per_end(code, last) -> list:
@@ -359,7 +366,7 @@ def main(argv=None) -> int:
     two_power_expected = [expected[i] for i in packable]
     per_end = [prefix_per_end(*call) for call in prefixes]
     kernel_per_end = [annihilator_per_end(*call) for call in annihilators]
-    smith = [kernel_references.smith_quotient_invariants(*call) for call in quotients]
+    smith = [smith_factors(*call) for call in quotients]
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
     graph = [split_graph(*call) for call in splits]
     by_codes = [peel_code(*call) for call in peels]
@@ -375,7 +382,7 @@ def main(argv=None) -> int:
         ("prefix-sweep", prefix_sweep, prefixes, per_end, prefixes),
         ("annihilator-per-end", annihilator_per_end, annihilators, kernel_per_end, annihilators),
         ("annihilator-table", annihilator_table, annihilators, kernel_per_end, annihilators),
-        ("smith", kernel_references.smith_quotient_invariants, quotients, smith, quotients),
+        ("smith", smith_factors, quotients, smith, quotients),
         ("counted", linalg._counted_invariants, quotients, smith, quotients),
         ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),
         ("pair-map", duality.pairs_to_zero, pairs, loop, pairs),

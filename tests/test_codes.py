@@ -35,6 +35,7 @@ from groupcodes.linalg import (
 )
 
 from .conftest import BAND_SPEC_PATHS, band_code
+from .kernel_references import pivot_record
 
 
 def space(*symbol_moduli):
@@ -474,7 +475,7 @@ def per_end_prefix(code, b):
     head = code.basis.width - code.space.offsets()[b]
     rows = [row[::-1] for row in code._reversed_howell if not any(row[:head])]
     prefix = BlockCode(code.space, ResidueMatrix(code.basis.moduli, tuple(rows)))
-    return prefix.basis.rows, prefix._pivot_columns, prefix._pivot_products
+    return pivot_record(prefix.basis.rows, prefix.basis.moduli)
 
 
 def assert_sweep_matches_per_end_forms(code):
@@ -654,6 +655,49 @@ class TestWindowTableBuilds:
         assert calls["howell_form"] <= N - 1
 
 
+    def test_one_pivot_record_per_basis(self, mixed_corpus, monkeypatch):
+        # A fresh code's pivot record is found once, by ``linalg._entry``,
+        # and read by its order, pivots, membership, invariant factors and
+        # every window read; every other record is of another form.
+        import sys
+
+        import groupcodes.linalg as linalg_module
+
+        calls = Counter()
+        entry = linalg_module._entry
+
+        def counted(rows, moduli):
+            calls[rows, tuple(moduli)] += 1
+            return entry(rows, moduli)
+
+        for name, bound in list(sys.modules.items()):
+            if name.startswith("groupcodes") and getattr(bound, "_entry", None) is entry:
+                monkeypatch.setattr(bound, "_entry", counted)
+        # Codes with a word on their last symbol: no prefix C ∩ [0, b),
+        # b < N, is C, so no prefix table entry holds C's rows.
+        sources = [
+            code
+            for code in mixed_corpus + [band_code("z4_band10_code.spec")]
+            if window_order(code, 0, code.space.horizon - 1) < code.cardinality
+        ]
+        assert len(sources) > 10
+        rng = random.Random(3001)
+        for source in sources:
+            code = BlockCode.from_howell(source.space, source.basis.rows)
+            N, moduli = code.space.horizon, code.basis.moduli
+            calls.clear()
+            code.cardinality, code.pivots(), invariant_factors_of_code(code)
+            for _ in range(3):
+                code.contains(tuple(rng.randrange(m) for m in moduli))
+            for a in range(N + 1):
+                for b in range(a, N + 1):
+                    window_order(code, a, b), annihilator_order(code, a, b)
+                    window_internal(code, a, b), window_annihilator(code, a, b)
+                    if a < b:
+                        window_projection(code, a, b)
+            assert calls[code.basis.rows, moduli] == 1
+
+
 class TestCachedDescriptor:
     """``codes._cached``: computed once per instance into ``__dict__``."""
 
@@ -673,18 +717,18 @@ class TestCachedDescriptor:
         assert first.__dict__ == {"value": 1}
 
     def test_class_access_returns_the_descriptor(self):
-        descriptor = BlockCode.__dict__["_pivots"]
+        descriptor = BlockCode.__dict__["_record"]
         assert isinstance(descriptor, codes_module._cached)
-        assert BlockCode._pivots is descriptor
-        assert descriptor.name == "_pivots"
+        assert BlockCode._record is descriptor
+        assert descriptor.name == "_record"
         assert not hasattr(descriptor, "__set__")
 
     def test_preseeded_entry_is_returned_untouched(self):
         code = code_from_generators(space((4,), (4,)), [(1, 2)])
         seeded = ((7, 7),)
-        code.__dict__["_pivots"] = seeded
-        assert code._pivots is seeded
-        assert code.__dict__["_pivots"] is seeded
+        code.__dict__["_record"] = seeded
+        assert code._record is seeded
+        assert code.__dict__["_record"] is seeded
 
     def test_dataclass_equality_and_hash_unchanged(self):
         sp = space((2,), (4,), (2, 2))

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 from groupcodes.linalg import (
     _PACKED_MODULI,
     ResidueMatrix,
+    _entry,
     _HowellPacked,
     _HowellSingle,
+    _primes,
+    _reduce_vector,
     annihilator_rows,
     contains_vector,
     coset_reduce,
@@ -39,7 +42,12 @@ from groupcodes.oracle import EnumeratedCode, brute_annihilator, brute_smith_inv
 
 from .kernel_references import solve_congruence_system
 
-from .kernel_references import integer_smith_diagonal, smith_quotient_invariants, spans_equal
+from .kernel_references import (
+    integer_smith_diagonal,
+    reduce_vector,
+    smith_quotient_invariants,
+    spans_equal,
+)
 from .test_api_surface import package_modules
 
 
@@ -313,6 +321,53 @@ def _rows_over(data, moduli, max_rows=4):
             max_size=max_rows,
         )
     )
+
+
+class TestOneReducer:
+    """``_reduce_vector`` reads the pivot columns its caller holds."""
+
+    @given(st.data(), MIXED_MODULI_WIDE)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_zero_remainder_proves_membership_at_any_columns(self, data, moduli):
+        # Any rows, not only Howell forms, at any held columns: their first
+        # nonzero columns, shuffled, or drawn at random.  The remainder is
+        # always in the vector's coset, so a zero one is membership.
+        moduli = tuple(moduli)
+        matrix = residue_matrix(_rows_over(data, moduli), moduli)
+        rows, order = matrix.rows, span_cardinality(matrix)
+        first = [next((j for j, e in enumerate(row) if e), 0) for row in rows]
+        count = len(rows)
+        columns = data.draw(
+            st.one_of(
+                st.just(first),
+                st.permutations(first),
+                st.lists(st.integers(0, len(moduli) - 1), min_size=count, max_size=count),
+            )
+        )
+        coefficients = data.draw(st.lists(st.integers(0, 11), min_size=count, max_size=count))
+        member = tuple(
+            sum(c * row[j] for c, row in zip(coefficients, rows)) % m for j, m in enumerate(moduli)
+        )
+        stray = residue_matrix(_rows_over(data, moduli, max_rows=1) or [member], moduli).rows[0]
+        for vector in (member, stray):
+            remainder = _reduce_vector(rows, columns, moduli, vector)
+            shift = tuple((a - b) % m for a, b, m in zip(vector, remainder, moduli))
+            assert span_cardinality(residue_matrix(rows + (shift,), moduli)) == order
+            if not any(remainder):
+                assert span_cardinality(residue_matrix(rows + (vector,), moduli)) == order
+
+    @given(st.data(), MIXED_MODULI_WIDE)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_own_record_matches_the_rescanning_reducer(self, data, moduli):
+        # On a Howell form and its own record, reading the held columns is
+        # the reducer that rescanned each row's pivot on every call.
+        moduli = tuple(moduli)
+        canon = howell_form(residue_matrix(_rows_over(data, moduli), moduli))
+        rows, columns, _ = _entry(canon.rows, moduli)
+        vector = residue_matrix(_rows_over(data, moduli, max_rows=1) or [moduli], moduli).rows[0]
+        stop = data.draw(st.one_of(st.none(), st.integers(0, len(moduli))))
+        expected = reduce_vector(canon, vector, stop)
+        assert _reduce_vector(rows, columns, moduli, vector, stop) == expected
 
 
 class TestKernelGraphRewrites:

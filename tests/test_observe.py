@@ -835,10 +835,10 @@ def test_broken_dual_suffix_projection_fails_the_nesting(monkeypatch, capsys):
     suffix_projection = BlockCode.suffix_projection
     for k in range(1, N - 1):
         right = suffix_projection(dual, k)
-        columns = right._pivot_columns
+        rows, columns, products = right._record
         assert columns[0] + 1 < right.basis.width
-        broken = BlockCode.from_howell(right.space, right.basis.rows)
-        broken.__dict__["_pivot_columns"] = (columns[0] + 1,) + columns[1:]
+        broken = BlockCode.from_howell(right.space, rows)
+        broken.__dict__["_record"] = (rows, (columns[0] + 1,) + columns[1:], products)
         monkeypatch.setattr(
             BlockCode,
             "suffix_projection",

@@ -25,6 +25,7 @@ from groupcodes.groups import (
     primary_part,
 )
 from groupcodes.linalg import (
+    _entry,
     annihilator_rows,
     coset_reduce,
     head_kernel,
@@ -77,7 +78,8 @@ def peel_steps(sp, rows, p):
     column-reversed Howell ``rows`` in ``sp``, by the reversed-row helpers."""
     moduli, offsets = sp.flat_moduli, sp.offsets()
     while rows:
-        word, order = _max_order_in_smallest_window(rows, moduli, offsets, p)
+        record = _entry(rows, moduli[::-1])
+        word, order = _max_order_in_smallest_window(record, moduli, offsets, p)
         yield rows, word, order
         rows = _peel_complement(rows, moduli, word, order)
 
@@ -402,10 +404,11 @@ class TestSmallestFullPrefix:
                 moduli = tuple(q for q, _ in columns)
                 part = space(*sp.split(moduli))
                 while rows:
+                    record = _entry(rows, moduli[::-1])
                     with monkeypatch.context() as patch:
                         patch.setattr(codes_module._PrefixTable, "__init__", no_table)
-                        n, exponent = _smallest_full_prefix(rows, moduli, offsets)
-                        word, order = _max_order_in_smallest_window(rows, moduli, offsets, p)
+                        n, exponent = _smallest_full_prefix(record, moduli, offsets)
+                        word, order = _max_order_in_smallest_window(record, moduli, offsets, p)
                     current = forward_code(part, rows)
                     assert n == prefix_code_search(current)
                     assert order == exponent == exponent_of(current)
@@ -876,7 +879,8 @@ class TestPeelComplementByKernel:
         current = code_from_generators(sp, gens)
         rows = current._reversed_howell
         while rows:
-            word, order = _max_order_in_smallest_window(rows, sp.flat_moduli, sp.offsets(), p)
+            record = _entry(rows, sp.flat_moduli[::-1])
+            word, order = _max_order_in_smallest_window(record, sp.flat_moduli, sp.offsets(), p)
             complement_rows = _peel_complement(rows, sp.flat_moduli, word, order)
             complement = forward_code(sp, complement_rows)
             # The kernel's tails are the complement's reversed Howell form.
