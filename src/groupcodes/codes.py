@@ -68,11 +68,13 @@ class _cached:
 
 @dataclass(frozen=True)
 class SequenceSpace:
-    """A product of symbol groups over time indices 0..N-1."""
+    """A product of symbol groups over time indices 0..N-1, held as a
+    tuple whatever sequence is passed."""
 
     symbols: tuple[FiniteAbelianGroup, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValueError("a sequence space needs at least one index")
 
@@ -346,7 +348,7 @@ class _PrefixTable:
         return entries[b]
 
     def prefix_code(self, b: int) -> BlockCode:
-        """Entry b wrapped as a code, the entry its record."""
+        """Entry b wrapped as a code that keeps the entry as its record."""
         entry = self.entry(b)
         code = BlockCode.from_howell(self.space, entry[0])
         code.__dict__["_record"] = entry

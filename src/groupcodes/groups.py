@@ -40,11 +40,13 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """Direct sum of cyclic groups Z/m_1 + ... + Z/m_n."""
+    """Direct sum of cyclic groups Z/m_1 + ... + Z/m_n; the moduli are
+    held as a tuple of ints whatever sequence is passed."""
 
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "moduli", tuple(map(int, self.moduli)))
         if any(m < 1 for m in self.moduli):
             raise ValueError("moduli must be >= 1")
 
@@ -83,12 +85,13 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A residue vector in its parent group."""
+    """A residue vector in its parent group, held as a tuple of ints."""
 
     group: FiniteAbelianGroup
     residues: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "residues", tuple(map(int, self.residues)))
         if len(self.residues) != len(self.group.moduli):
             raise ValueError("residue vector length mismatch")
         if any(not 0 <= e < m for e, m in zip(self.residues, self.group.moduli)):

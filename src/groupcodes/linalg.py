@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import floordiv, mod, mul
 from typing import Iterable, Optional, Sequence
 
@@ -67,15 +67,18 @@ class ResidueMatrix:
     """Rows over ``Z/m_1 x ... x Z/m_n`` with per-column moduli ``m_j >= 1``.
 
     Entries satisfy ``0 <= rows[i][j] < moduli[j]``.  Instances are immutable;
-    all operations return new matrices.  A direct call checks every entry;
-    the matrices this module builds itself hold reduced entries by
-    construction and skip the checks (see ``_trusted``).
+    all operations return new matrices.  A direct call stores both fields
+    as tuples of ints, so lists may be passed, and checks every entry; the
+    matrices this module builds itself hold reduced entries by construction
+    and skip both steps (see ``_trusted``).
     """
 
     moduli: Vector
     rows: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "moduli", tuple(map(int, self.moduli)))
+        object.__setattr__(self, "rows", tuple(tuple(map(int, row)) for row in self.rows))
         if any(m < 1 for m in self.moduli):
             raise ValueError(f"moduli must be >= 1, got {self.moduli}")
         width = len(self.moduli)
@@ -133,21 +136,95 @@ def prime_factors(n: int) -> list[int]:
     return list(_primes(n))
 
 
+# Trial division takes every prime below _TRIAL; strong probable primes to
+# the 13 prime bases up to 41 are prime below _PROVEN (Sorenson & Webster,
+# Math. Comp. 2017); Pollard–Brent rho gets _RHO_STEPS steps per split.
+_TRIAL = 1 << 10
+_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL) if all(p % d for d in range(2, isqrt(p) + 1)))
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN = 3317044064679887385961981
+_RHO_STEPS = 1 << 20
+
+
 @lru_cache(maxsize=1 << 8)
 def _primes(n: int) -> tuple[int, ...]:
-    """The distinct primes of n by trial division, ascending.  Callers
-    factor moduli, so 256 entries hold every one a run meets."""
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
+    """The distinct primes of n, ascending.  Callers factor moduli, so 256
+    entries hold every one a run meets.  Raises ValueError when n has a
+    factor that rho cannot split within its budget or a prime factor of
+    _PROVEN or more, which no base set here proves prime."""
+    if n < 2:
+        return ()
+    primes: set[int] = set()
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
     if n > 1:
-        primes.append(n)
-    return tuple(primes)
+        _split(n, primes)
+    return tuple(sorted(primes))
+
+
+def _split(n: int, primes: set[int]) -> None:
+    """Add the primes of n > 1, which has none below _TRIAL, to ``primes``."""
+    if n < _TRIAL * _TRIAL or _strong_probable_prime(n):
+        if n >= _PROVEN:
+            raise ValueError(f"cannot prove {n} prime: bases up to 41 decide below {_PROVEN}")
+        primes.add(n)
+        return
+    for k in range(2, n.bit_length() // 10 + 1):
+        root = _integer_root(n, k)
+        if root**k == n:
+            _split(root, primes)
+            return
+    d = _rho_divisor(n)
+    _split(d, primes)
+    _split(n // d, primes)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller–Rabin on odd n > 41 to every base of _BASES."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, k: int) -> int:
+    """The floor of the k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of n, composite and no perfect power, by Pollard rho
+    on x -> x² + c with Brent's cycle search, for c = 1, 2, ... while the
+    _RHO_STEPS steps last; raises ValueError when they run out."""
+    c, steps = 0, _RHO_STEPS
+    while steps:
+        c, x, y, g, power, length = c + 1, 2, 2, 1, 1, 0
+        while g == 1 and steps:
+            if length == power:
+                x, power, length = y, 2 * power, 0
+            y, length, steps = (y * y + c) % n, length + 1, steps - 1
+            g = gcd(y - x, n)
+        if 1 < g < n:
+            return g
+    raise ValueError(f"cannot split {n} within {_RHO_STEPS} rho steps")
 
 
 def primary_part(m: int, p: int) -> tuple[int, int]:

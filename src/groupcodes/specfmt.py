@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 from .codes import BlockCode, SequenceSpace, code_from_generators
 from .convolutional import ConvolutionalCode
 from .groups import FiniteAbelianGroup
+from .linalg import prime_factors
 
 __all__ = [
     "CodeSpecDocument",
@@ -98,6 +99,13 @@ def _parse_bracket_group(token: str, line: int, field: str) -> tuple[int, ...]:
         raise SpecError(f"moduli must be integers: {token!r}", line, field)
     if any(m < 1 for m in moduli):
         raise SpecError(f"moduli must be >= 1: {token!r}", line, field)
+    for m in moduli:
+        # Every analysis factors the moduli; one that cannot be factored
+        # exactly is refused here, where its line is known.
+        try:
+            prime_factors(m)
+        except ValueError as exc:
+            raise SpecError(f"cannot factor modulus {m}: {exc}", line, field)
     return moduli
 
 

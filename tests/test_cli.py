@@ -14,6 +14,7 @@ from groupcodes.cli import main
 
 SPECS = Path(__file__).resolve().parents[1] / "demos" / "specs"
 HUGE_COPRIME = Path(__file__).resolve().parent / "golden" / "specs" / "huge_coprime.spec"
+M89 = 2**89 - 1  # a Mersenne prime
 
 
 def run_cli(*argv):
@@ -572,6 +573,50 @@ class TestExitContract:
             "decomposition failed: peel left a complement of order 4, not 2\n",
             "",
         )
+
+
+class TestLargeModuli:
+    """A modulus past trial division is factored, or refused at parse."""
+
+    RUNS = TestExitContract.COMMANDS + [
+        ("analyze", "--format", "json"),
+        ("check", "--property", "subdirect"),
+    ]
+
+    @pytest.mark.parametrize("argv", RUNS, ids=[" ".join(argv) for argv in RUNS])
+    def test_prime_near_10_to_18_finishes(self, tmp_path, argv):
+        # Factoring 10^18 + 3 by trial division took past 20 s under
+        # analyze; each subcommand now finishes well within 20 s (the
+        # oracle refuses the span, above its bound, with exit 2).
+        spec = tmp_path / "large_prime.spec"
+        spec.write_text(
+            "kind: block\nsymbols: [1000000000000000003]\ngenerator: 1\n", encoding="utf-8"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcodes.cli", argv[0], str(spec), *argv[1:]],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == (2 if argv[0] == "oracle" else 0), proc.stderr
+        assert (proc.stderr == "") == (argv[0] != "oracle")
+
+    @pytest.mark.parametrize("command", TestExitContract.COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (f"kind: block\nsymbols: [2] [{M89}]\ngenerator: 1 1\n", "symbols"),
+            (f"kind: convolutional\nsymbol: [{M89}]\nform: image\n", "symbol"),
+        ],
+        ids=["block", "convolutional"],
+    )
+    def test_unprovable_prime_is_a_spec_error(self, tmp_path, command, text, field):
+        # 2^89 - 1 is prime, above the bound where Miller-Rabin to the bases
+        # up to 41 decides: every subcommand refuses it at parse.
+        spec = tmp_path / "m89.spec"
+        spec.write_text(text, encoding="utf-8")
+        err = TestExitContract.assert_error([command[0], str(spec), *command[1:]])
+        assert err.startswith(f"error: line 2: field {field!r}: cannot factor modulus {M89}: ")
 
 
 class TestErrors:

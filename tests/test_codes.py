@@ -78,6 +78,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             code_from_generators(binary_space(2), [(1, 1, 0)])
 
+    def test_space_from_a_list(self):
+        # A list-built space could not be hashed, and codes over it could
+        # not be compared with those over the tuple-built one.
+        G = FiniteAbelianGroup([2, 4])
+        sp = SequenceSpace([G, G])
+        assert sp == space((2, 4), (2, 4)) and hash(sp) == hash(space((2, 4), (2, 4)))
+        code = code_from_generators(sp, [(1, 2, 0, 1)])
+        assert code == code_from_generators(space((2, 4), (2, 4)), [(1, 2, 0, 1)])
+
     def test_membership_and_equality(self):
         a = code_from_generators(binary_space(3), [(1, 1, 0), (0, 1, 1)])
         b = code_from_generators(binary_space(3), [(1, 0, 1), (1, 1, 0)])
@@ -653,7 +662,6 @@ class TestWindowTableBuilds:
             for b in range(a + 1, N + 1):
                 window_projection(code, a, b)
         assert calls["howell_form"] <= N - 1
-
 
     def test_one_pivot_record_per_basis(self, mixed_corpus, monkeypatch):
         # A fresh code's pivot record is found once, by ``linalg._entry``,

@@ -177,3 +177,20 @@ class TestWidthChecks:
     def test_element_rejects_wrong_width(self, residues):
         with pytest.raises(ValueError):
             GroupElement(FiniteAbelianGroup((2, 4)), residues)
+
+
+class TestListBuilt:
+    """Groups and elements built from lists equal, hash and add like the
+    tuple-built ones."""
+
+    def test_group_from_a_list(self):
+        G = FiniteAbelianGroup([2, 4])
+        assert G == FiniteAbelianGroup((2, 4))
+        assert hash(G) == hash(FiniteAbelianGroup((2, 4)))
+        assert G.moduli == (2, 4)
+
+    def test_element_from_a_list(self):
+        G, H = FiniteAbelianGroup([2, 4]), FiniteAbelianGroup((2, 4))
+        g = GroupElement(G, [1, 3])
+        assert g == H.element((1, 3)) and hash(g) == hash(H.element((1, 3)))
+        assert g + H.element((1, 1)) == H.zero()

@@ -327,7 +327,7 @@ class TestOneReducer:
     """``_reduce_vector`` reads the pivot columns its caller holds."""
 
     @given(st.data(), MIXED_MODULI_WIDE)
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_zero_remainder_proves_membership_at_any_columns(self, data, moduli):
         # Any rows, not only Howell forms, at any held columns: their first
         # nonzero columns, shuffled, or drawn at random.  The remainder is
@@ -357,7 +357,7 @@ class TestOneReducer:
                 assert span_cardinality(residue_matrix(rows + (vector,), moduli)) == order
 
     @given(st.data(), MIXED_MODULI_WIDE)
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_own_record_matches_the_rescanning_reducer(self, data, moduli):
         # On a Howell form and its own record, reading the held columns is
         # the reducer that rescanned each row's pivot on every call.
@@ -1035,3 +1035,67 @@ def test_each_integer_is_factored_once(monkeypatch, tmp_path):
             assert report_digest.report((command,), str(path)).startswith(b"(0, ")
     assert {1000000007, 998244353} <= set(factored)
     assert set(factored.values()) == {1}
+
+
+def trial_division_primes(n):
+    """The distinct primes of n by trial division by every d, ascending."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return tuple(primes + [n] if n > 1 else primes)
+
+
+class TestFactorization:
+    """``_primes`` factors every modulus a spec can give, or refuses it."""
+
+    factor = staticmethod(_primes.__wrapped__)
+
+    def test_matches_trial_division(self):
+        rng = random.Random(3002)
+        # Products of two primes above the trial bound, 2^10, go to rho.
+        numbers = list(range(1, 3000)) + [rng.randrange(1, 10**8) for _ in range(300)]
+        numbers += [rng.randrange(1025, 10**4) * rng.randrange(1025, 10**4) for _ in range(100)]
+        for n in numbers:
+            assert self.factor(n) == trial_division_primes(n), n
+
+    @pytest.mark.parametrize(
+        "n, primes",
+        [
+            (10**18 + 3, (10**18 + 3,)),  # prime: Miller–Rabin
+            (1000000007 * 998244353, (998244353, 1000000007)),  # rho
+            (7 * 1000003**2, (7, 1000003)),  # perfect square
+            (1031**5, (1031,)),  # fifth power
+            (2**64 + 1, (274177, 67280421310721)),
+            (3215031751, (151, 751, 28351)),  # strong pseudoprime to 2, 3, 5, 7
+            (3825123056546413051, (149491, 747451, 34233211)),  # to bases up to 23
+            (2**61 - 1, (2**61 - 1,)),
+        ],
+    )
+    def test_large_moduli(self, n, primes):
+        assert self.factor(n) == primes
+
+    def test_unprovable_prime_raises(self):
+        # 2^89 - 1 is prime, above the bound where bases up to 41 decide.
+        with pytest.raises(ValueError, match="cannot prove"):
+            self.factor(2**89 - 1)
+
+    def test_rho_budget_raises(self, monkeypatch):
+        import groupcodes.linalg as module
+
+        monkeypatch.setattr(module, "_RHO_STEPS", 1 << 8)
+        with pytest.raises(ValueError, match="cannot split"):
+            self.factor(1000000007 * 998244353)
+
+
+class TestListBuiltMatrix:
+    def test_lists_are_stored_as_tuples(self):
+        # A list-built matrix used to pass its checks and then make the
+        # Howell cache raise TypeError: unhashable type: 'list'.
+        matrix = ResidueMatrix([2, 2], ([1, 0],))
+        assert matrix == ResidueMatrix((2, 2), ((1, 0),))
+        assert hash(matrix) == hash(ResidueMatrix((2, 2), ((1, 0),)))
+        assert howell_form(matrix).rows == ((1, 0),)

@@ -1,5 +1,6 @@
 """Smoke test of `tests/report_digest.py`, the report identity tool."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -32,6 +33,20 @@ def test_two_specs_per_workload():
     # The same reports hash the same, whichever workloads are run with them.
     again = run_tool("--limit", "2", "--seeds", "7", "--workload", "convolutional")
     assert again == [line for line in lines if line.startswith("convolutional\t")]
+
+
+def test_report_identity_is_pinned():
+    # Every report of the first 16 specs of each seed-7 pool, byte for
+    # byte.  A change that alters reports on purpose updates this digest
+    # and quotes the old and the new one in CHANGES.md.
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--seeds", "7", "--limit", "16"],
+        cwd=ROOT, capture_output=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "ec7f4fbbd9eaf7d71642d418cb3674e9e5c3d1356a33b64fbc3aa263f264f837"
+    )
 
 
 def test_refuses_an_empty_pool():
