@@ -179,7 +179,7 @@ class BlockCode:
 
     @_cached
     def _prefixes(self) -> "_PrefixTable":
-        return _PrefixTable(self.space, self._reversed_howell)
+        return _PrefixTable(self.space, self._reversed_howell, self._record)
 
     @_cached
     def _suffix_projections(self) -> dict[int, "BlockCode"]:
@@ -187,8 +187,20 @@ class BlockCode:
 
     @_cached
     def _local_dual(self) -> "BlockCode":
-        """T = C-perp in the code's own space: one kernel of its Howell rows."""
-        return BlockCode.from_howell(self.space, annihilator_rows(self.basis).rows)
+        """T = C-perp in the code's own space: one kernel of its Howell rows.
+
+        T keeps the code it came from.  The kernel of T's own rows is taken
+        and compared with that code's rows, in the same space; when they
+        agree (C-perp-perp = C), T's local dual is that code object, so the
+        bidual shares its tables and its own local dual.  Rows that differ
+        make a code of their own."""
+        rows = annihilator_rows(self.basis).rows
+        source = self.__dict__.get("_dual_source")
+        if source is not None and source.basis.rows == rows:
+            return source
+        dual = BlockCode.from_howell(self.space, rows)
+        dual.__dict__["_dual_source"] = self
+        return dual
 
     @_cached
     def _record(self) -> Entry:
@@ -307,14 +319,20 @@ class _PrefixTable:
       pivot-order products of C ∩ [0, b).  One Howell kernel state takes
       the rows end by end and finishes a copy after each end, so the table
       is filled by one sweep; an end that takes in no row shares the entry
-      before it.  The Howell form is canonical, so each entry is
-      ``howell_form`` of the same rows.
+      before it, and the first end that takes in every row (C ∩ [0, b) = C)
+      is the owner's record ``whole`` when the table has one.  The Howell
+      form is canonical, so each entry is ``howell_form`` of the same rows.
 
     Callers pass ends within the horizon; ``BlockCode.prefix_code`` checks.
     """
 
-    def __init__(self, space: SequenceSpace, reversed_rows: tuple[Vector, ...]) -> None:
-        self.space, self.reversed_rows = space, reversed_rows
+    def __init__(
+        self,
+        space: SequenceSpace,
+        reversed_rows: tuple[Vector, ...],
+        whole: Entry | None = None,
+    ) -> None:
+        self.space, self.reversed_rows, self.whole = space, reversed_rows, whole
         moduli = space.flat_moduli[::-1]
         _, self.columns, self.products = _entry(reversed_rows, moduli)
         self.entries: list[Entry] = [((), (), (1,))]  # entries[b], filled in order
@@ -339,12 +357,15 @@ class _PrefixTable:
         entries = self.entries
         while len(entries) <= b:
             i = bisect_left(self.columns, self._head(len(entries)))
-            if i < self.pushed:
+            if i >= self.pushed:
+                entries.append(entries[-1])
+            elif i == 0 and self.whole is not None:
+                self.pushed = 0
+                entries.append(self.whole)
+            else:
                 self.state.push(row[::-1] for row in self.reversed_rows[i : self.pushed])
                 self.pushed = i
                 entries.append(_entry(tuple(self.state.finish()), self.space.flat_moduli))
-            else:
-                entries.append(entries[-1])
         return entries[b]
 
     def prefix_code(self, b: int) -> BlockCode:

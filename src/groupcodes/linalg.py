@@ -559,29 +559,57 @@ def stack(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
 # ---------------------------------------------------------------------------
 
 
-def head_kernel(matrix: ResidueMatrix, head: int) -> ResidueMatrix:
-    """Howell basis of {t : (0 | t) in span(matrix)}, the head ``head`` wide.
-
-    The tails of the vanishing-head Howell rows already form the canonical
-    basis: pivots, their normalization and the reduction above them and the
-    Howell property all carry over to the tail columns.
-    """
+def _head_rows(matrix: ResidueMatrix, head: int) -> tuple[ResidueMatrix, int]:
+    """The Howell form of ``matrix`` and the number of its rows with pivot
+    before column ``head``; pivot columns increase, so the other rows are
+    a suffix, the rows whose head vanishes."""
     canon = howell_form(matrix)
-    rows = tuple(row[head:] for row in canon.rows if not any(row[:head]))
-    return _trusted(canon.moduli[head:], rows)
+    rows, i = canon.rows, 0
+    while i < len(rows) and any(rows[i][:head]):
+        i += 1
+    return canon, i
+
+
+def _head_tails(canon: ResidueMatrix, i: int, head: int) -> ResidueMatrix:
+    """The tails of the vanishing-head rows ``canon.rows[i:]``: the
+    canonical basis of {t : (0 | t) in the span}, since pivots, their
+    normalization and the reduction above them and the Howell property all
+    carry over to the tail columns."""
+    return _trusted(canon.moduli[head:], tuple(row[head:] for row in canon.rows[i:]))
+
+
+def _head_solution(
+    canon: ResidueMatrix, i: int, head: int, target: Sequence[int]
+) -> Optional[Vector]:
+    """A tail t with (target | t) in the span of the Howell form ``canon``,
+    or None: (target | 0) reduced by its first ``i`` rows, the rows with
+    pivot in the head, whose pivot columns alone are found."""
+    rows = canon.rows[:i]
+    augmented = _reduced(target, canon.moduli[:head]) + (0,) * (canon.width - head)
+    remainder = _reduce_vector(rows, tuple(map(_first_nonzero, rows)), canon.moduli, augmented)
+    if any(remainder[:head]):
+        return None
+    return tuple((-e) % m for e, m in zip(remainder[head:], canon.moduli[head:]))
+
+
+def head_kernel(matrix: ResidueMatrix, head: int) -> ResidueMatrix:
+    """Howell basis of {t : (0 | t) in span(matrix)}, the head ``head`` wide."""
+    return _head_tails(*_head_rows(matrix, head), head)
 
 
 def head_solve(
     matrix: ResidueMatrix, head: int, target: Sequence[int]
 ) -> Optional[Vector]:
     """A tail t with (target | t) in span(matrix), or None."""
-    canon = howell_form(matrix)
-    rows, columns, _ = _entry(canon.rows, canon.moduli)
-    augmented = _reduced(target, canon.moduli[:head]) + (0,) * (canon.width - head)
-    remainder = _reduce_vector(rows, columns, canon.moduli, augmented, stop=head)
-    if any(remainder[:head]):
-        return None
-    return tuple((-e) % m for e, m in zip(remainder[head:], canon.moduli[head:]))
+    return _head_solution(*_head_rows(matrix, head), head, target)
+
+
+def _head_solve_kernel(
+    matrix: ResidueMatrix, head: int, target: Sequence[int]
+) -> tuple[Optional[Vector], ResidueMatrix]:
+    """``head_solve`` and ``head_kernel`` read off one Howell form."""
+    canon, i = _head_rows(matrix, head)
+    return _head_solution(canon, i, head, target), _head_tails(canon, i, head)
 
 
 def homomorphism_graph(

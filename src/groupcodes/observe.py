@@ -236,6 +236,37 @@ class DualityReport:
         return "\n".join(lines)
 
 
+def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
+    """The duals of the two matched sides of the duality report at each
+    gap L = 0..N-1: of cs_L = ``controllable_subcode(code, L)`` and of
+    S_L = ``_annihilator_sum(dual, [L] * N)``, ``dual`` being C-perp.  Each
+    side is built until its Howell rows are those of its top, C for the
+    subcodes and T = ``dual.prefix_annihilator(N)`` for the sums, and then
+    repeats (``check_control_observe_duality`` gives the proof).  Each
+    distinct subgroup is dualized once, by its rows (the dual is a function
+    of them), and C's dual is ``dual``."""
+    N = code.space.horizon
+    dualized = {code.basis.rows: dual}
+
+    def duals_to_top(side, top: BlockCode) -> list:
+        duals = []
+        for L in range(N):
+            x = side(L)
+            rows = x.basis.rows
+            if rows not in dualized:
+                dualized[rows] = dual_block_code(x)
+            duals.append(dualized[rows])
+            if rows == top.basis.rows:
+                return duals + duals[-1:] * (N - L - 1)
+        return duals
+
+    sub_duals = duals_to_top(lambda L: controllable_subcode(code, L), code)
+    supercodes = duals_to_top(
+        lambda L: _annihilator_sum(dual, [L] * N), dual.prefix_annihilator(N)
+    )
+    return sub_duals, supercodes
+
+
 def check_control_observe_duality(code: BlockCode) -> DualityReport:
     """Window-by-window duality evidence for a block code.
 
@@ -276,34 +307,46 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     code and no space, and each order is a lookup of running pivot-order
     products.  Only D's suffix projections, O(N) of them, are codes.
 
-    Each matched side is built only until it reaches its top.  The
-    subcodes cs_L = ``controllable_subcode(code, L)`` are sums of the
-    windows C ∩ [k, k+L+1), which grow with L, so cs_L ⊆ cs_{L+1} ⊆ C.
-    The annihilator sums S_L = ``_annihilator_sum(dual, [L] * N)`` grow
-    too: a character on [k, b) annihilating proj_[k,b) D, extended by
-    zero, annihilates proj_[k,b+1) D.  So S_L ⊆ S_{L+1} ⊆ T, where
+    Each matched side is built only until it reaches its top
+    (``_matched_duals``).  The subcodes cs_L = ``controllable_subcode(code,
+    L)`` are sums of the windows C ∩ [k, k+L+1), which grow with L, so
+    cs_L ⊆ cs_{L+1} ⊆ C.  The annihilator sums
+    S_L = ``_annihilator_sum(dual, [L] * N)`` grow too: a character on
+    [k, b) annihilating proj_[k,b) D, extended by zero, annihilates
+    proj_[k,b+1) D.  So S_L ⊆ S_{L+1} ⊆ T, where
     T = ``dual.prefix_annihilator(N)`` = D-perp, the dual's local dual, is
     the term of S_{N-1} at k = 0, and S_{N-1} = T.  A nondecreasing chain
     under its top that meets the top stays there: once the Howell rows of
     cs_L equal those of C (or those of S_L equal T's) the side is the same
     subgroup for every larger L, and its dual and invariant factors are
-    reused.  T is built from the dual alone and the test compares rows, so
-    stopping does not assume that the dual of the dual is C.
+    reused.  A dual is a function of the Howell rows, so each distinct
+    subgroup of either side is dualized once, and C's dual is D.
 
-    The code's side of each identity is read off its window table (internal
-    parts, ``controllable_subcode``, ``control_profile``); the dual's side
-    is read off the dual's suffix projections and annihilator windows
-    (``_projection``, ``_annihilator_sum``), not off its prefix table.  The
-    annihilator windows D-perp ∩ [k, b) are read off the prefix table of
-    T alone.  T is one kernel of D's rows and its table is its own, so
-    although T equals C as a set, the supercode side reads none of C's
-    tables and each matched line stays an independent check.  The control
-    indices come from ``control_profile`` of the code and of the dual (the
-    dual's own prefix table).  The observe index of the code is counted on
-    the code's own suffix projections (``_observe_index``), with no kernel,
-    and that of the dual is the first matched supercode equal to the dual.
-    So each side of ``indices_match`` is a separate computation, and it
-    stays evidence.
+    T is one kernel of D's rows.  When they are C's rows (C-perp-perp = C),
+    T is the code object itself (``BlockCode._local_dual``): the sums S_L
+    read C's own prefix table, and T's dual is D.  The kernel is still
+    taken and its rows compared, so neither the stop at T nor the shared
+    table assumes biduality: a kernel that is not C makes a code with
+    tables of its own, and the supercode side then climbs to it.  So the
+    matched lines check three things: biduality, through the kernel rows
+    of D; that ``controllable_subcode`` and ``_annihilator_sum``, two
+    routines that sum windows, agree at every gap (cs_L = S_L exactly
+    when their duals are equal); and the invariant factors, counted once
+    per distinct subgroup.  With T = C both sides read C's prefix table,
+    so a wrong entry of it reaches both alike.  That table is checked
+    independently by the window lines: each counts and pairs the internal
+    part C ∩ [a, b), off C's prefix table, against proj_[a,b) D, off the
+    dual's suffix projections.
+
+    The control indices come from ``control_profile`` of the code and of
+    the dual (the dual's own prefix table).  The observe index of the code
+    is counted on the code's own suffix projections (``_observe_index``),
+    with no kernel, and that of the dual is the first matched supercode
+    equal to the dual.  So each side of ``indices_match`` is a separate
+    computation, and it stays evidence: the code's control index counts
+    orders on C's prefix table where the dual's observe index sums its
+    rows, and the code's observe index reads no table of D, where the
+    dual's control index reads D's prefix table alone.
     """
     N = code.space.horizon
     dual = code.prefix_annihilator(N)
@@ -343,21 +386,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         nested(k, b) for k in range(N) for b in range(k + 1, N)
     )
 
-    def duals_to_top(side, top: BlockCode, top_dual: BlockCode | None = None) -> list:
-        # The duals of side(L), L = 0..N-1, built until side(L) is top (whose
-        # dual is top_dual when it is already known).
-        duals = []
-        for L in range(N):
-            x = side(L)
-            if x.basis.rows == top.basis.rows:
-                return duals + [dual_block_code(x) if top_dual is None else top_dual] * (N - L)
-            duals.append(dual_block_code(x))
-        return duals
-
-    sub_duals = duals_to_top(lambda L: controllable_subcode(code, L), code, dual)
-    supercodes = duals_to_top(
-        lambda L: _annihilator_sum(dual, [L] * N), dual.prefix_annihilator(N)
-    )
+    sub_duals, supercodes = _matched_duals(code, dual)
     factors = {}
 
     def factors_of(c: BlockCode) -> tuple[int, ...]:

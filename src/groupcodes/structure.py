@@ -22,11 +22,11 @@ from .linalg import (
     Entry,
     Vector,
     _entry,
+    _head_solve_kernel,
     _howell_state,
     _reduce_vector,
     _trusted,
     head_kernel,
-    head_solve,
     homomorphism_graph,
     howell_form,
     vector_order,
@@ -298,12 +298,14 @@ def _peel_complement(
     Existence needs the generator order to equal the exponent of C.  The
     character is made canonical by restricting its support to the shortest
     prefix on which the generator already realizes its full order and
-    reducing within the solution coset; pinning early coordinates pushes
-    the complement rightward, matching the left-to-right peeling of the
-    construction.  The complement is the vanishing-head read of the rows
-    [chi(r) | r] over the reversed rows r, with chi's weights reversed.
-    The Howell form is canonical in any fixed column order, so its tails
-    are the complement's reversed Howell form: no second kernel.
+    reducing within the solution coset, both read off one Howell form of
+    the character graph (``linalg._head_solve_kernel``); pinning early
+    coordinates pushes the complement rightward, matching the
+    left-to-right peeling of the construction.  The complement is the
+    vanishing-head read of the rows [chi(r) | r] over the reversed rows r,
+    with chi's weights reversed.  The Howell form is canonical in any
+    fixed column order, so its tails are the complement's reversed Howell
+    form: no second kernel.
     """
     L = lcm(*moduli)
     for prefix in range(1, len(moduli) + 1):
@@ -311,10 +313,9 @@ def _peel_complement(
             continue
         images = [[(e * (L // m)) % L] for e, m in zip(word[:prefix], moduli[:prefix])]
         graph = homomorphism_graph(images, moduli[:prefix], (L,))
-        chi_head = head_solve(graph, 1, (L // order,))
+        chi_head, kernel = _head_solve_kernel(graph, 1, (L // order,))
         if chi_head is None:
             continue
-        kernel = head_kernel(graph, 1)
         basis, pivots, _ = _entry(kernel.rows, kernel.moduli)
         chi = _reduce_vector(basis, pivots, kernel.moduli, chi_head)
         # chi vanishes beyond the prefix, so on the first reversed columns.

@@ -30,6 +30,11 @@
   prefix projection, padded with zeros, one kernel per end b, the route
   ``BlockCode.prefix_annihilator`` took before it read the prefix table
   of the code's one local dual.
+* ``own_table_matched_duals``: the duals of the duality report's matched
+  sides with T = D-perp a code of its own, which reads its own prefix
+  table, and each side dualized at every gap, the route
+  ``observe._matched_duals`` took before the local dual's local dual was
+  the code and each distinct side was dualized once.
 * ``ReferenceWindows``: the windows, settle steps and weak and strong
   verdicts of a convolutional code by the route
   ``groupcodes.convolutional`` took before its one window engine: each
@@ -56,7 +61,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from groupcodes import linalg, structure
+from groupcodes import linalg, observe, structure
 from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
@@ -65,14 +70,14 @@ from groupcodes.codes import (
     code_from_generators,
     window_internal,
 )
-from groupcodes.control import control_profile
+from groupcodes.control import control_profile, controllable_subcode
 from groupcodes.convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
     StrongControllabilityVerdict,
     WeakControllabilityVerdict,
 )
-from groupcodes.duality import is_annihilator
+from groupcodes.duality import dual_block_code, is_annihilator
 from groupcodes.groups import FiniteAbelianGroup, primary_part
 from groupcodes.linalg import (
     ResidueMatrix,
@@ -372,6 +377,31 @@ def per_end_prefix_annihilator(code: BlockCode, b: int) -> tuple[Vector, ...]:
     prefix = _trusted(code.basis.moduli[:cut], _projection(code, 0, b)[0])
     after = (0,) * (code.basis.width - cut)
     return tuple(row + after for row in annihilator_rows(prefix).rows)
+
+
+def own_table_matched_duals(code: BlockCode) -> tuple[list[BlockCode], list[BlockCode]]:
+    """The duals of cs_L = ``controllable_subcode(code, L)`` and of
+    S_L = ``_annihilator_sum(D, [L] * N)`` at each gap, each side built up
+    to its top and then repeated.  T = D-perp is one kernel of D's rows
+    made a code of its own and seeded as D's local dual, so the sums read
+    T's prefix table; every side is dualized at each gap, and T too."""
+    N = code.space.horizon
+    dual = code.prefix_annihilator(N)
+    top = BlockCode.from_howell(code.space, annihilator_rows(dual.basis).rows)
+    dual.__dict__["_local_dual"] = top
+
+    def duals_to_top(side, top: BlockCode, top_dual: Optional[BlockCode] = None) -> list:
+        duals = []
+        for L in range(N):
+            x = side(L)
+            if x.basis.rows == top.basis.rows:
+                return duals + [dual_block_code(x) if top_dual is None else top_dual] * (N - L)
+            duals.append(dual_block_code(x))
+        return duals
+
+    subcodes = duals_to_top(lambda L: controllable_subcode(code, L), code, dual)
+    sums = duals_to_top(lambda L: observe._annihilator_sum(dual, [L] * N), top)
+    return subcodes, sums
 
 
 def _all_shift_rows(conv: ConvolutionalCode, n: int, cut: bool) -> tuple[Vector, ...]:

@@ -14,7 +14,8 @@ every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
 (``codes._PrefixTable``, with the last end it filled), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
-the last end filled), every code that
+the last end filled), every code whose duality report the commands
+run (``observe.check_control_observe_duality``), every code that
 ``structure.cyclic_product_decomposition`` decomposes and every distinct
 convolutional code the commands make (duals included) is recorded.  Each kernel is then timed on the
 recorded inputs it takes, bucketed by matrix width:
@@ -38,6 +39,14 @@ recorded inputs it takes, bucketed by matrix width:
 * ``annihilator-table``: the same entries by one kernel of the code's
   rows, the local dual T = C-perp, and one sweep of T's prefix table
   (``codes._annihilator``);
+* ``matched-own-table``: the duals of the matched sides of each recorded
+  duality report, on a fresh copy of its code, with T = D-perp a code of
+  its own that reads its own prefix table and every side dualized at
+  each gap (``kernel_references.own_table_matched_duals``), the route
+  before the local dual's local dual was the code;
+* ``matched-shared-table``: the same by ``observe._matched_duals``, where
+  T is the code, whose prefix table both sides read, and each distinct
+  side is dualized once;
 * ``smith``: invariant factors by the integer Smith form
   (``kernel_references.smith_quotient_invariants``) on every
   ``_counted_invariants`` input, its numerator and denominator;
@@ -71,7 +80,8 @@ recorded inputs it takes, bucketed by matrix width:
 
 A line gives the kernel, the width bucket, the input count, the number of
 outputs that differ from the reference's (``_HowellSingle``,
-``prefix-per-end``, ``annihilator-per-end``, ``smith``, ``pair-loop``,
+``prefix-per-end``, ``annihilator-per-end``, ``matched-own-table``,
+``smith``, ``pair-loop``,
 ``order-graph``, ``peel-code`` or ``conv-windows-reference``) and the
 best of ``--repeat`` timed passes, in seconds of CPU time (a shared machine's other load then shows less than in wall
 time).  The Howell cache is cleared before each pass, so a kernel that
@@ -92,7 +102,16 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import kernel_references  # noqa: E402  (the Smith route, the pairing loop)
 import report_digest  # noqa: E402  (the pools, the commands, one report)
 
-from groupcodes import cli, codes, control, convolutional, duality, linalg, structure  # noqa: E402
+from groupcodes import (  # noqa: E402
+    cli,
+    codes,
+    control,
+    convolutional,
+    duality,
+    linalg,
+    observe,
+    structure,
+)
 from groupcodes.codes import BlockCode, SequenceSpace, window_internal  # noqa: E402
 from groupcodes.convolutional import ConvolutionalCode  # noqa: E402
 
@@ -115,10 +134,11 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     levels) and the memoized forms ``order_profile`` passed), and the
     number of specs run.  "prefix" holds (space, reversed rows, last end)
     of every prefix table that filled an entry, "annihilator" (code, last
-    end) of every code whose local dual's prefix table filled one, "peel"
-    (code,) of every decomposed code, "conv" (code,) of every distinct
-    convolutional code."""
-    inputs = {"howell": [], "quotient": [], "pairs": [], "order": [], "peel": []}
+    end) of every code whose local dual's prefix table filled one,
+    "matched" (code,) of every duality report, "peel" (code,) of every
+    decomposed code, "conv" (code,) of every distinct convolutional
+    code."""
+    inputs = {"howell": [], "quotient": [], "pairs": [], "order": [], "matched": [], "peel": []}
     tables, dualized, convs = [], [], []
     table_init = codes._PrefixTable.__init__
     conv_init = ConvolutionalCode.__post_init__
@@ -145,6 +165,8 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         (codes, "_counted_invariants", inputs["quotient"]),
         (duality, "pairs_to_zero", inputs["pairs"]),
         (control, "_order_splits", inputs["order"]),
+        (observe, "check_control_observe_duality", inputs["matched"]),
+        (cli, "check_control_observe_duality", inputs["matched"]),
         (structure, "cyclic_product_decomposition", inputs["peel"]),
         (cli, "cyclic_product_decomposition", inputs["peel"]),
     )
@@ -241,6 +263,23 @@ def annihilator_table(code, last) -> list:
     sweep."""
     fresh = BlockCode.from_howell(code.space, code.basis.rows)
     return [codes._annihilator(fresh, 0, b) for b in range(1, last + 1)]
+
+
+def _fresh_matched_rows(matched_duals, code) -> tuple:
+    """The rows of the matched sides' duals that ``matched_duals`` gives on
+    a fresh copy of ``code`` (no dual or table kept)."""
+    fresh = BlockCode.from_howell(code.space, code.basis.rows)
+    return tuple(tuple(c.basis.rows for c in side) for side in matched_duals(fresh))
+
+
+def matched_own_table(code) -> tuple:
+    return _fresh_matched_rows(kernel_references.own_table_matched_duals, code)
+
+
+def matched_shared_table(code) -> tuple:
+    return _fresh_matched_rows(
+        lambda c: observe._matched_duals(c, c.prefix_annihilator(c.space.horizon)), code
+    )
 
 
 def peel_code(code) -> tuple:
@@ -351,13 +390,14 @@ def main(argv=None) -> int:
     quotients, pairs = inputs["quotient"], inputs["pairs"]
     splits = [call[:4] for call in inputs["order"]]
     prefixes, annihilators, peels = inputs["prefix"], inputs["annihilator"], inputs["peel"]
-    convs = inputs["conv"]
+    matched, convs = inputs["matched"], inputs["conv"]
     print(
         f"{args.workload} seed {args.seed}: {len(howell)} Howell inputs from "
         f"{specs} specs, {len(packable)} on the packed path, "
         f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs, "
         f"{len(splits)} order split inputs, {len(prefixes)} prefix tables, "
-        f"{len(annihilators)} annihilator tables, {len(peels)} decompositions, "
+        f"{len(annihilators)} annihilator tables, {len(matched)} duality reports, "
+        f"{len(peels)} decompositions, "
         f"{len(convs)} convolutional codes"
     )
     print(f"{'kernel':<23}{'width':>7}{'inputs':>8}{'mismatches':>12}{'seconds':>10}")
@@ -366,6 +406,7 @@ def main(argv=None) -> int:
     two_power_expected = [expected[i] for i in packable]
     per_end = [prefix_per_end(*call) for call in prefixes]
     kernel_per_end = [annihilator_per_end(*call) for call in annihilators]
+    own_table = [matched_own_table(*call) for call in matched]
     smith = [smith_factors(*call) for call in quotients]
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
     graph = [split_graph(*call) for call in splits]
@@ -382,6 +423,8 @@ def main(argv=None) -> int:
         ("prefix-sweep", prefix_sweep, prefixes, per_end, prefixes),
         ("annihilator-per-end", annihilator_per_end, annihilators, kernel_per_end, annihilators),
         ("annihilator-table", annihilator_table, annihilators, kernel_per_end, annihilators),
+        ("matched-own-table", matched_own_table, matched, own_table, matched),
+        ("matched-shared-table", matched_shared_table, matched, own_table, matched),
         ("smith", smith_factors, quotients, smith, quotients),
         ("counted", linalg._counted_invariants, quotients, smith, quotients),
         ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),

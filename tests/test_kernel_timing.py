@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "kernel_timing.py"
 KERNELS = (
     "reference", "reference-2^k", "packed", "dispatch", "prefix-per-end", "prefix-sweep",
-    "annihilator-per-end", "annihilator-table",
+    "annihilator-per-end", "annihilator-table", "matched-own-table", "matched-shared-table",
     "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
     "peel-code", "peel-reversed", "conv-windows-reference", "conv-windows-engine",
 )
@@ -48,6 +48,10 @@ def test_two_specs_no_mismatch(workload):
     assert (totals["counted"] > 0) == (workload != "convolutional")
     assert (totals["order-counted"] > 0) == (workload != "convolutional")
     assert (totals["annihilator-table"] > 0) == (workload != "convolutional")
+    # Duality reports run on block codes only: both matched-side routes
+    # rebuild each one, and their duals agree.
+    assert totals["matched-own-table"] == totals["matched-shared-table"]
+    assert (totals["matched-shared-table"] > 0) == (workload != "convolutional")
     # Block reports decompose (``decompose`` and ``check --property
     # subdirect``); a convolutional ``decompose`` is an exit-2 error.
     assert totals["peel-code"] == totals["peel-reversed"]
@@ -61,6 +65,7 @@ def test_two_specs_no_mismatch(workload):
         f"{totals['order-counted']} order split inputs, "
         f"{totals['prefix-sweep']} prefix tables, "
         f"{totals['annihilator-table']} annihilator tables, "
+        f"{totals['matched-shared-table']} duality reports, "
         f"{totals['peel-reversed']} decompositions, "
         f"{totals['conv-windows-engine']} convolutional codes"
     )

@@ -260,10 +260,12 @@ def test_block_analyze_builds_no_annihilator(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["z4_band10_code.spec", "mixed_band8.spec"])
-def test_duality_check_makes_two_kernels_of_the_code(spec, monkeypatch):
-    # The dual is the code's prefix annihilator at the horizon; the other
-    # kernel of C's rows is the dual of the supercode side's top.  The
-    # observe index builds none: it reads the code's suffix projections.
+def test_duality_check_makes_one_kernel_of_the_code(spec, monkeypatch):
+    # The dual is the code's prefix annihilator at the horizon, the one
+    # kernel of C's rows.  The supercode side's top T, the kernel of the
+    # dual's rows, has C's rows and is the code itself, so its dual is the
+    # report's dual.  The observe index builds none: it reads the code's
+    # suffix projections.
     import groupcodes.codes as codes_module
     import groupcodes.duality as duality_module
 
@@ -278,7 +280,36 @@ def test_duality_check_makes_two_kernels_of_the_code(spec, monkeypatch):
     monkeypatch.setattr(codes_module, "annihilator_rows", counted)
     monkeypatch.setattr(duality_module, "annihilator_rows", counted)
     assert check_control_observe_duality(code).ok
-    assert kernels[code.basis.rows] == 2
+    assert kernels[code.basis.rows] == 1
+
+
+def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
+    # T = D-perp is one kernel of the dual's rows; they equal C's, so T is
+    # the code object and the annihilator sums read C's prefix table.  The
+    # report builds two prefix tables, C's and D's, and none for T; each of
+    # C and D is kernelled once.
+    import groupcodes.codes as codes_module
+
+    code = band_code("z4_band10_code.spec")
+    N = code.space.horizon
+    tables, kernels = Counter(), Counter()
+    table_init, kernel = codes_module._PrefixTable.__init__, codes_module.annihilator_rows
+
+    def counted_table(self, space, reversed_rows, *args):
+        tables[reversed_rows] += 1
+        table_init(self, space, reversed_rows, *args)
+
+    def counted_kernel(matrix):
+        kernels[matrix.rows] += 1
+        return kernel(matrix)
+
+    monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
+    monkeypatch.setattr(codes_module, "annihilator_rows", counted_kernel)
+    assert check_control_observe_duality(code).ok
+    dual = code.prefix_annihilator(N)
+    assert dual.prefix_annihilator(N) is code
+    assert kernels[code.basis.rows] == kernels[dual.basis.rows] == 1
+    assert tables == Counter({code._reversed_howell: 1, dual._reversed_howell: 1})
 
 
 class TestDualityReport:
@@ -475,9 +506,12 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # Howell forms are those of the tables and the matched sides; each
     # prefix table, the local duals' included, is one reversed Howell form
     # and one sweep, with no Howell form per end, and the invariant factors
-    # of the matched sides are counted on their own Howell rows: 37 (39
-    # with a second Howell form of each side's basis, 47 with a kernel per
-    # end of the annihilator windows, 66 with a Howell form per prefix).
+    # of the matched sides are counted on their own Howell rows.  T, the
+    # local dual of the dual, is the code itself, and each distinct side
+    # is dualized once: 32 (37 with T's own reversed Howell form and
+    # kernel and a kernel per gap of each side, 39 with a second Howell
+    # form of each side's basis too, 47 with a kernel per end of the
+    # annihilator windows, 66 with a Howell form per prefix).
     import groupcodes.linalg as linalg_module
     from groupcodes.cli import main
 
@@ -508,7 +542,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
         assert main(["duality-check", str(path)]) == 0
     N = 10
     assert calls["codes"] <= 8 * N
-    assert calls["howell_form"] == 37
+    assert calls["howell_form"] == 32
 
 
 def _first_top(side, top, N):
@@ -885,3 +919,49 @@ def test_dropped_row_of_the_dual_local_dual_mismatches(monkeypatch, capsys):
     assert main(["duality-check", str(path)]) == 1
     out = capsys.readouterr().out
     assert "MISMATCH" in out and "verdict: FAIL" in out
+
+
+def test_wrong_entry_of_the_shared_prefix_table_fails_its_windows(monkeypatch, capsys):
+    # T is the code itself, so the annihilator sums read C's own prefix
+    # table and a wrong entry of it reaches both matched sides alike.
+    # Serving entry b as another subgroup of the same order (the last
+    # column of [0, b) negated) still fails the report, through the window
+    # checks that end at b, which pair the entry with the dual's own
+    # projections.
+    from groupcodes.cli import main
+    from groupcodes.codes import _PrefixTable
+    from groupcodes.linalg import _entry, _trusted, howell_form
+
+    path = BAND_SPECS / "z4_band8_code.spec"
+    code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
+    N, moduli, offsets = code.space.horizon, code.space.flat_moduli, code.space.offsets()
+    table, entry = code._prefixes, _PrefixTable.entry
+    served = 0
+    for b in range(1, N):
+        rows, _, products = entry(table, b)
+        j = offsets[b] - 1
+        flipped = tuple(row[:j] + ((-row[j]) % moduli[j],) + row[j + 1 :] for row in rows)
+        wrong = _entry(howell_form(_trusted(moduli, flipped)).rows, moduli)
+        if wrong[0] == rows:
+            continue
+        assert wrong[2][-1] == products[-1]
+        served += 1
+        monkeypatch.setattr(
+            _PrefixTable,
+            "entry",
+            lambda self, i, b=b, wrong=wrong: wrong
+            if i == b and self.reversed_rows == table.reversed_rows
+            else entry(self, i),
+        )
+        report = check_control_observe_duality(code)
+        assert code.prefix_annihilator(N).prefix_annihilator(N) is code
+        verdicts = {(w.start, w.stop): w.ok for w in report.window_checks}
+        assert not verdicts[0, b]
+        assert not report.ok
+        capsys.readouterr()
+        assert main(["duality-check", str(path)]) == 1
+        out = capsys.readouterr().out
+        line = f"window [0,{b}) (1-based closed [1,{b}]): dual of internal part"
+        assert f"{line} equals dual-code consistency set: NO" in out
+        assert "verdict: FAIL" in out
+    assert served > N // 2

@@ -423,13 +423,17 @@ class TestSmallestFullPrefix:
         # Over banded 2- and 3-groups of horizon 6 the searched window sits
         # anywhere.  Each peel step pushes the window's rows into one Howell
         # state and finishes it once, and reads its complement off one
-        # vanishing-head kernel of [chi(r) | r]; no prefix table and no
-        # code is built before the verification.
+        # vanishing-head kernel of [chi(r) | r]; each character graph's
+        # solution and kernel come from one Howell form of it; no prefix
+        # table and no code is built before the verification.
         import groupcodes.codes as codes_module
+        import groupcodes.linalg as linalg_module
         import groupcodes.structure as module
 
         rng = random.Random(1709)
-        counts = {"steps": 0, "pushes": 0, "finishes": 0, "complements": 0, "codes": 0}
+        counts = {
+            "steps": 0, "pushes": 0, "finishes": 0, "complements": 0, "codes": 0, "graph forms": 0
+        }
         graphs = {}  # id -> graph, kept alive so that no id is reused
         phase = {"verify": False}
 
@@ -458,6 +462,10 @@ class TestSmallestFullPrefix:
                 counts["complements"] += 1
             return _kernel(matrix, head)
 
+        def counted_howell(matrix, _howell=linalg_module.howell_form):
+            counts["graph forms"] += id(matrix) in graphs
+            return _howell(matrix)
+
         def counted_search(*args, _search=module._max_order_in_smallest_window):
             counts["steps"] += 1
             return _search(*args)
@@ -483,6 +491,7 @@ class TestSmallestFullPrefix:
         monkeypatch.setattr(module, "_howell_state", counted_state)
         monkeypatch.setattr(module, "homomorphism_graph", counted_graph)
         monkeypatch.setattr(module, "head_kernel", counted_kernel)
+        monkeypatch.setattr(linalg_module, "howell_form", counted_howell)
         monkeypatch.setattr(module, "_max_order_in_smallest_window", counted_search)
         monkeypatch.setattr(module, "verify_decomposition", marked_verify)
         monkeypatch.setattr(codes_module._PrefixTable, "__init__", no_table)
@@ -508,6 +517,7 @@ class TestSmallestFullPrefix:
         assert counts["steps"] == generators > 30
         assert counts["pushes"] == counts["finishes"] == counts["steps"]
         assert counts["complements"] == counts["steps"]
+        assert counts["graph forms"] == len(graphs) >= counts["steps"]
         assert counts["codes"] == 0
 
 
