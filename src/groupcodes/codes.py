@@ -167,8 +167,9 @@ class BlockCode:
         sweep of their prefix table, kept on the code, ends in its forward
         Howell rows, so no second Howell form is taken."""
         table = _PrefixTable(space, rows)
-        code = table.prefix_code(space.horizon)
-        code.__dict__.update(_reversed_howell=rows, _prefixes=table)
+        record = table.entry(space.horizon)
+        code = BlockCode.from_howell(space, record[0])
+        code.__dict__.update(_record=record, _reversed_howell=rows, _prefixes=table)
         return code
 
     @_cached
@@ -182,7 +183,7 @@ class BlockCode:
         return _PrefixTable(self.space, self._reversed_howell, self._record)
 
     @_cached
-    def _suffix_projections(self) -> dict[int, "BlockCode"]:
+    def _suffixes(self) -> dict[int, Entry]:
         return {}
 
     @_cached
@@ -216,35 +217,19 @@ class BlockCode:
             return self._record
         return self._prefixes.entry(b)
 
-    def prefix_code(self, b: int) -> "BlockCode":
-        """C ∩ [0, b) as a code, b checked: the code itself for b = N, else
-        entry b of the prefix table wrapped as a code, with no Howell form
-        of its own."""
-        if b == self.space.horizon:
-            return self
-        self.space.check_window(0, b)
-        return self._prefixes.prefix_code(b)
-
-    def suffix_projection(self, a: int) -> "BlockCode":
-        """proj_[a,N) C in the space of [a, N), built on first use for each
-        a (which is checked then) and kept on the code: one Howell form of
-        the cut rows per start."""
+    def _suffix(self, a: int) -> Entry:
+        """The record of proj_[a,N) C in the coordinates of [a, N): the
+        code's own for a = 0, else one Howell form of the rows cut at
+        offset(a), taken on first use of each start and kept."""
         if a == 0:
-            return self
-        table = self._suffix_projections
+            return self._record
+        table = self._suffixes
         if a not in table:
-            sub = self.space.window(a, self.space.horizon)
             start = self.space.offsets()[a]
-            rows = tuple(row[start:] for row in self.basis.rows)
-            table[a] = BlockCode(sub, _trusted(sub.flat_moduli, rows))
+            moduli = self.basis.moduli[start:]
+            cut = _trusted(moduli, tuple(row[start:] for row in self.basis.rows))
+            table[a] = _entry(howell_form(cut).rows, moduli)
         return table[a]
-
-    def prefix_annihilator(self, b: int) -> "BlockCode":
-        """C-perp ∩ [0, b), b checked: entry b of the prefix table of the
-        local dual T = C-perp (T itself for b = N).  A character supported
-        in [0, b) that annihilates C is a word of T vanishing from b on, so
-        C-perp ∩ [0, b) = T ∩ [0, b); one kernel serves every end."""
-        return self._local_dual.prefix_code(b)
 
     @property
     def cardinality(self) -> int:
@@ -269,10 +254,6 @@ class BlockCode:
         """
         _, columns, products = self._record
         return tuple(zip(columns, map(operator.floordiv, products[1:], products)))
-
-    def _rows_before(self, column: int) -> int:
-        """The number of basis rows with pivot before ``column``."""
-        return bisect_left(self._record[1], column)
 
     def words(self) -> Iterator[tuple[int, ...]]:
         """All codewords, deterministically ordered by basis coefficients."""
@@ -323,7 +304,7 @@ class _PrefixTable:
       is the owner's record ``whole`` when the table has one.  The Howell
       form is canonical, so each entry is ``howell_form`` of the same rows.
 
-    Callers pass ends within the horizon; ``BlockCode.prefix_code`` checks.
+    Callers pass ends within the horizon; the window functions check.
     """
 
     def __init__(
@@ -368,13 +349,6 @@ class _PrefixTable:
                 entries.append(_entry(tuple(self.state.finish()), self.space.flat_moduli))
         return entries[b]
 
-    def prefix_code(self, b: int) -> BlockCode:
-        """Entry b wrapped as a code that keeps the entry as its record."""
-        entry = self.entry(b)
-        code = BlockCode.from_howell(self.space, entry[0])
-        code.__dict__["_record"] = entry
-        return code
-
 
 def code_from_generators(
     space: SequenceSpace, generators: Iterable[Sequence[int]]
@@ -408,11 +382,14 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
 
 
 # The window readers.  Each reads the rows and order of one window off a
-# table entry of the code, with no code built and no window checked: their
-# callers pass windows of the code's horizon.  A Howell form's pivot
-# columns strictly increase, so the rows with pivot at or after a column
-# are a suffix of its rows and, by the Howell property, the canonical
-# basis of the words vanishing before that column.
+# record of one of the code's two tables, C ∩ [0, b) (``_prefix``) and
+# proj_[a,N) C (``_suffix``), with no code built and no window checked:
+# their callers pass windows of the code's horizon.  The five public
+# window functions below check the window and wrap these reads; they are
+# the only window API.  A Howell form's pivot columns strictly increase,
+# so the rows with pivot at or after a column are a suffix of its rows
+# and, by the Howell property, the canonical basis of the words vanishing
+# before that column.
 
 
 def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
@@ -426,16 +403,16 @@ def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]
 
 def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
     """Howell rows and order of proj_[a,b) C, in the coordinates of [a, b):
-    the rows of the suffix projection proj_[a,N) C (C itself for a = 0)
+    the rows of the suffix record of proj_[a,N) C (C's own for a = 0)
     with pivot before the cut, cut to [a, b).  The other rows vanish on
     the window.  The cut rows are a Howell form again, as a word of the
     window vanishing before a column lifts to a word of the suffix
     projection that does; each keeps its pivot and pivot order."""
     offsets = code.space.offsets()
     cut = offsets[b] - offsets[a]
-    suffix = code.suffix_projection(a)
-    i = suffix._rows_before(cut)
-    return tuple(row[:cut] for row in suffix.basis.rows[:i]), suffix._record[2][i]
+    rows, columns, products = code._suffix(a)
+    i = bisect_left(columns, cut)
+    return tuple(row[:cut] for row in rows[:i]), products[i]
 
 
 def _annihilator(code: BlockCode, a: int, b: int) -> tuple[Vector, ...]:
@@ -450,20 +427,16 @@ def _annihilator_order(code: BlockCode, a: int, b: int) -> int:
     |X-perp| = |G| / |X|); 1 if a = b."""
     if a == b:
         return 1
-    offsets = code.space.offsets()
-    suffix = code.suffix_projection(a)
-    kept = suffix._record[2][suffix._rows_before(offsets[b] - offsets[a])]
-    products = code.space._moduli_products
-    return products[offsets[b]] // products[offsets[a]] // kept
+    offsets, products = code.space.offsets(), code.space._moduli_products
+    _, columns, kept = code._suffix(a)
+    i = bisect_left(columns, offsets[b] - offsets[a])
+    return products[offsets[b]] // products[offsets[a]] // kept[i]
 
 
 def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
     """Image of the code under deleting all coordinates outside [a, b): the
     rows of ``_projection``, so each start costs one Howell form, shared by
-    all its ends.  For b = N it is the suffix projection itself (the code
-    itself for a = 0), with nothing copied."""
-    if b == code.space.horizon:
-        return code.suffix_projection(a)
+    all its ends."""
     sub = code.space.window(a, b)
     return BlockCode.from_howell(sub, _projection(code, a, b)[0])
 
@@ -494,8 +467,8 @@ def window_order(code: BlockCode, a: int, b: int) -> int:
 
 
 def annihilator_order(code: BlockCode, a: int, b: int) -> int:
-    """|C-perp ∩ [a, b)|, looked up in the suffix projections with no
-    kernel built (``_annihilator_order``)."""
+    """|C-perp ∩ [a, b)|, looked up in the suffix records with no kernel
+    built (``_annihilator_order``)."""
     code.space.check_window(a, b)
     return _annihilator_order(code, a, b)
 

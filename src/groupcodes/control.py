@@ -166,25 +166,29 @@ class Chunk:
 
 
 def _window_solution(
-    code: BlockCode, inner: BlockCode, position: int, target_symbol: Sequence[int]
+    code: BlockCode, stop: int, position: int, target_symbol: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
-    """A word of ``inner`` matching ``target_symbol`` at ``position``.
+    """A word of C ∩ [position, stop) matching ``target_symbol`` at
+    ``position``.
 
-    ``inner`` vanishes before the position, so its Howell rows without
-    those columns are a Howell form still: ``head_solve`` on them gives a
-    particular word.  Its rows with pivot after the position span the words
-    vanishing there; reducing by them picks the canonical representative.
+    The window's Howell rows are those of the prefix record C ∩ [0, stop)
+    with pivot at or after the position (``codes._internal``).  They vanish
+    before it, so without those columns they are a Howell form still:
+    ``head_solve`` on them gives a particular word.  The rows with pivot
+    after the position span the words vanishing there; reducing by them
+    picks the canonical representative.
     """
     sl = code.space.flat_slice(position, position + 1)
     moduli = code.space.flat_moduli
-    rows = inner.basis.rows
-    tail = _trusted(moduli[sl.start :], tuple(row[sl.start :] for row in rows))
+    rows, columns, _ = code._prefix(stop)
+    i = bisect_left(columns, sl.start)
+    tail = _trusted(moduli[sl.start :], tuple(row[sl.start :] for row in rows[i:]))
     rest = head_solve(tail, sl.stop - sl.start, target_symbol)
     if rest is None:
         return None
     word = (0,) * sl.start + tuple(target_symbol) + rest
-    i = inner._rows_before(sl.stop)
-    return _reduce_vector(rows[i:], inner._record[1][i:], moduli, word)
+    j = bisect_left(columns, sl.stop)
+    return _reduce_vector(rows[j:], columns[j:], moduli, word)
 
 
 def chunk_decompose(
@@ -217,7 +221,7 @@ def chunk_decompose(
         sl = code.space.flat_slice(k, k + 1)
         target = residual[sl]
         for stop in range(k + 1, bound + 1):
-            chunk_word = _window_solution(code, window_internal(code, k, stop), k, target)
+            chunk_word = _window_solution(code, stop, k, target)
             if chunk_word is not None:
                 break
         else:

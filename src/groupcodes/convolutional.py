@@ -74,6 +74,8 @@ class ConvolutionalCode:
     def __post_init__(self) -> None:
         if self.form not in ("image", "kernel"):
             raise ValueError("form must be 'image' or 'kernel'")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
         taps = (_normalize_tap(tap, self.symbol) for tap in self.taps)
         object.__setattr__(self, "taps", tuple(sorted(t for t in taps if t)))
 

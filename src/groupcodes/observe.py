@@ -112,7 +112,7 @@ def _observe_index(code: BlockCode) -> int:
     L >= L_k(D) at every k: the index is the control index of D.  It is
     counted as ``control_profile`` counts it (``_gap_lengths``), on the
     orders |D ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| read off the code's
-    suffix projections (``codes._annihilator_order``); no sum, dual or
+    suffix records (``codes._annihilator_order``); no sum, dual or
     kernel is built.
     """
     return max(_gap_lengths(code.space.horizon, functools.partial(_annihilator_order, code)))
@@ -134,7 +134,7 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     tried, the later positions sit at the index, where their conditions
     already hold, so the least length at k is the least L whose end
     max(B_{k-1}, min(k + L + 1, N)) meets the condition at k.  Each order
-    is read once, off the suffix projections; no sum or kernel is built.
+    is read once, off the suffix records; no sum or kernel is built.
     """
     N = code.space.horizon
     index = _observe_index(code)
@@ -241,7 +241,7 @@ def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
     gap L = 0..N-1: of cs_L = ``controllable_subcode(code, L)`` and of
     S_L = ``_annihilator_sum(dual, [L] * N)``, ``dual`` being C-perp.  Each
     side is built until its Howell rows are those of its top, C for the
-    subcodes and T = ``dual.prefix_annihilator(N)`` for the sums, and then
+    subcodes and T = ``dual._local_dual`` for the sums, and then
     repeats (``check_control_observe_duality`` gives the proof).  Each
     distinct subgroup is dualized once, by its rows (the dual is a function
     of them), and C's dual is ``dual``."""
@@ -261,9 +261,7 @@ def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
         return duals
 
     sub_duals = duals_to_top(lambda L: controllable_subcode(code, L), code)
-    supercodes = duals_to_top(
-        lambda L: _annihilator_sum(dual, [L] * N), dual.prefix_annihilator(N)
-    )
+    supercodes = duals_to_top(lambda L: _annihilator_sum(dual, [L] * N), dual._local_dual)
     return sub_duals, supercodes
 
 
@@ -293,19 +291,20 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     Both containments read alike: each Howell row of the smaller side is
     zero, is a Howell row of the larger or reduces to zero against them,
     at the pivot columns the tables already hold (the prefix entry's, and
-    the first ones of ``suffix_projection(k)``, whose cut rows are those of
-    proj_[k,b) D), with no row rescanned.  Once the window reaches the
-    horizon the sets repeat, so there is nothing more to test.  Both chains
-    hold by construction: the prefix table's entries are one sweep over one
-    reversed Howell form, and every projection proj_[k,b) D is a cut of the
-    one suffix Howell form proj_[k,N) D.  The checks stay, as evidence on
-    those tables and their pivot columns.
+    the first ones of D's suffix record ``_suffix(k)``, whose cut rows are
+    those of proj_[k,b) D), with no row rescanned.  Once the window
+    reaches the horizon the sets repeat, so there is nothing more to test.
+    Both chains hold by construction: the prefix table's entries are one
+    sweep over one reversed Howell form, and every projection proj_[k,b) D
+    is a cut of the one suffix Howell form proj_[k,N) D.  The checks stay,
+    as evidence on those tables and their pivot columns.
 
     Every window is read as rows and an order straight off a table entry
     (``codes._internal`` off C's prefix table, ``codes._projection`` off
-    D's suffix projections), so the O(N^2) window and chain checks build no
+    D's suffix records), so the O(N^2) window and chain checks build no
     code and no space, and each order is a lookup of running pivot-order
-    products.  Only D's suffix projections, O(N) of them, are codes.
+    products.  Each of D's O(N) suffix records is one Howell form of its
+    cut rows.
 
     Each matched side is built only until it reaches its top
     (``_matched_duals``).  The subcodes cs_L = ``controllable_subcode(code,
@@ -314,7 +313,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     S_L = ``_annihilator_sum(dual, [L] * N)`` grow too: a character on
     [k, b) annihilating proj_[k,b) D, extended by zero, annihilates
     proj_[k,b+1) D.  So S_L ⊆ S_{L+1} ⊆ T, where
-    T = ``dual.prefix_annihilator(N)`` = D-perp, the dual's local dual, is
+    T = ``dual._local_dual`` = D-perp, the dual's local dual, is
     the term of S_{N-1} at k = 0, and S_{N-1} = T.  A nondecreasing chain
     under its top that meets the top stays there: once the Howell rows of
     cs_L equal those of C (or those of S_L equal T's) the side is the same
@@ -336,11 +335,11 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     so a wrong entry of it reaches both alike.  That table is checked
     independently by the window lines: each counts and pairs the internal
     part C ∩ [a, b), off C's prefix table, against proj_[a,b) D, off the
-    dual's suffix projections.
+    dual's suffix records.
 
     The control indices come from ``control_profile`` of the code and of
     the dual (the dual's own prefix table).  The observe index of the code
-    is counted on the code's own suffix projections (``_observe_index``),
+    is counted on the code's own suffix records (``_observe_index``),
     with no kernel, and that of the dual is the first matched supercode
     equal to the dual.  So each side of ``indices_match`` is a separate
     computation, and it stays evidence: the code's control index counts
@@ -349,7 +348,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     dual's control index reads D's prefix table alone.
     """
     N = code.space.horizon
-    dual = code.prefix_annihilator(N)
+    dual = code._local_dual
     moduli = code.space.flat_moduli
     offsets = code.space.offsets()
     proj = {(a, b): _projection(dual, a, b) for a in range(N) for b in range(a + 1, N + 1)}
@@ -378,9 +377,8 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         # are the first rows of proj_[k,N) D, cut, with their pivot columns.
         width = offsets[b] - offsets[k]
         cuts = [row[:width] for row in proj[k, b + 1][0]]
-        suffix = dual.suffix_projection(k)
-        columns = suffix._record[1][: suffix._rows_before(width)]
-        return within(cuts, proj[k, b][0], columns, offsets[k], offsets[b])
+        rows = proj[k, b][0]
+        return within(cuts, rows, dual._suffix(k)[1][: len(rows)], offsets[k], offsets[b])
 
     chain_ok = all(prefix_nested(b) for b in range(N)) and all(
         nested(k, b) for k in range(N) for b in range(k + 1, N)

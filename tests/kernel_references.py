@@ -28,8 +28,11 @@
   (``code_peel_complement``).
 * ``per_end_prefix_annihilator``: C-perp ∩ [0, b) as the kernel of the
   prefix projection, padded with zeros, one kernel per end b, the route
-  ``BlockCode.prefix_annihilator`` took before it read the prefix table
-  of the code's one local dual.
+  ``window_annihilator(code, 0, b)`` took before it read the prefix
+  table of the code's one local dual.
+* ``suffix_projection_code``: proj_[a,N) C as a code of its own, with its
+  own space and Howell form, the route the window readers took before
+  each suffix projection was a pivot record (``BlockCode._suffix``).
 * ``own_table_matched_duals``: the duals of the duality report's matched
   sides with T = D-perp a code of its own, which reads its own prefix
   table, and each side dualized at every gap, the route
@@ -379,6 +382,14 @@ def per_end_prefix_annihilator(code: BlockCode, b: int) -> tuple[Vector, ...]:
     return tuple(row + after for row in annihilator_rows(prefix).rows)
 
 
+def suffix_projection_code(code: BlockCode, a: int) -> BlockCode:
+    """proj_[a,N) C in the space of [a, N), a code of its own: one Howell
+    form of C's rows cut at offset(a)."""
+    sub = code.space.window(a, code.space.horizon)
+    start = code.space.offsets()[a]
+    return BlockCode(sub, _trusted(sub.flat_moduli, tuple(row[start:] for row in code.basis.rows)))
+
+
 def own_table_matched_duals(code: BlockCode) -> tuple[list[BlockCode], list[BlockCode]]:
     """The duals of cs_L = ``controllable_subcode(code, L)`` and of
     S_L = ``_annihilator_sum(D, [L] * N)`` at each gap, each side built up
@@ -386,7 +397,7 @@ def own_table_matched_duals(code: BlockCode) -> tuple[list[BlockCode], list[Bloc
     made a code of its own and seeded as D's local dual, so the sums read
     T's prefix table; every side is dualized at each gap, and T too."""
     N = code.space.horizon
-    dual = code.prefix_annihilator(N)
+    dual = code._local_dual
     top = BlockCode.from_howell(code.space, annihilator_rows(dual.basis).rows)
     dual.__dict__["_local_dual"] = top
 
@@ -474,7 +485,9 @@ class ReferenceWindows:
         """A code whose windows [0, n), n <= ``length``, are those of the
         cut window of ``length``."""
         kept = self.cut_kept(length)
-        return kept if self.conv.form == "image" else kept.prefix_code(length)
+        if self.conv.form == "image":
+            return kept
+        return BlockCode.from_howell(kept.space, kept.entry(length)[0])
 
     def cut_window(self, n: int):
         kept = self.cut_kept(n)

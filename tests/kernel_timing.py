@@ -14,8 +14,10 @@ every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
 (``codes._PrefixTable``, with the last end it filled), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
-the last end filled), every code whose duality report the commands
-run (``observe.check_control_observe_duality``), every code that
+the last end filled), every code whose suffix projections proj_[a,N) C
+the reports read (``BlockCode._suffix``, with the starts read), every
+code whose duality report the commands run
+(``observe.check_control_observe_duality``), every code that
 ``structure.cyclic_product_decomposition`` decomposes and every distinct
 convolutional code the commands make (duals included) is recorded.  Each kernel is then timed on the
 recorded inputs it takes, bucketed by matrix width:
@@ -29,16 +31,23 @@ recorded inputs it takes, bucketed by matrix width:
   Howell input;
 * ``prefix-per-end``: every entry of a recorded prefix table by one Howell
   form per end of the reversed rows vanishing from that end on, the route
-  ``BlockCode.prefix_code`` took before the sweep;
+  the prefix table took before the sweep;
 * ``prefix-sweep``: the same entries filled by one sweep of one Howell
   state (``_PrefixTable.entry``);
 * ``annihilator-per-end``: entries 1..last of a recorded annihilator
   table, C-perp ∩ [0, b) for each end b, by one kernel per end
   (``kernel_references.per_end_prefix_annihilator``), the route
-  ``BlockCode.prefix_annihilator`` took before it read the local dual;
+  ``window_annihilator(code, 0, b)`` took before it read the local dual;
 * ``annihilator-table``: the same entries by one kernel of the code's
   rows, the local dual T = C-perp, and one sweep of T's prefix table
   (``codes._annihilator``);
+* ``suffix-codes``: the pivot record of proj_[a,N) C for every recorded
+  start a, each built as a code of its own with its own space and Howell
+  form (``kernel_references.suffix_projection_code``), the route before
+  the suffix projections were records;
+* ``suffix-records``: the same records by ``BlockCode._suffix`` on a
+  fresh copy of the code: one Howell form of the cut rows per start and
+  no code or space;
 * ``matched-own-table``: the duals of the matched sides of each recorded
   duality report, on a fresh copy of its code, with T = D-perp a code of
   its own that reads its own prefix table and every side dualized at
@@ -80,8 +89,8 @@ recorded inputs it takes, bucketed by matrix width:
 
 A line gives the kernel, the width bucket, the input count, the number of
 outputs that differ from the reference's (``_HowellSingle``,
-``prefix-per-end``, ``annihilator-per-end``, ``matched-own-table``,
-``smith``, ``pair-loop``,
+``prefix-per-end``, ``annihilator-per-end``, ``suffix-codes``,
+``matched-own-table``, ``smith``, ``pair-loop``,
 ``order-graph``, ``peel-code`` or ``conv-windows-reference``) and the
 best of ``--repeat`` timed passes, in seconds of CPU time (a shared machine's other load then shows less than in wall
 time).  The Howell cache is cleared before each pass, so a kernel that
@@ -135,7 +144,8 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     number of specs run.  "prefix" holds (space, reversed rows, last end)
     of every prefix table that filled an entry, "annihilator" (code, last
     end) of every code whose local dual's prefix table filled one,
-    "matched" (code,) of every duality report, "peel" (code,) of every
+    "suffix" (code, starts) of every code whose suffix projections were
+    read, "matched" (code,) of every duality report, "peel" (code,) of every
     decomposed code, "conv" (code,) of every distinct convolutional
     code."""
     inputs = {"howell": [], "quotient": [], "pairs": [], "order": [], "matched": [], "peel": []}
@@ -144,6 +154,8 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     conv_init = ConvolutionalCode.__post_init__
     local_dual = codes.BlockCode.__dict__["_local_dual"]
     dualize = local_dual.fn
+    suffix = codes.BlockCode._suffix
+    suffixed = {}  # id -> code, in first-read order
 
     def record_table(table, *args):
         tables.append(table)
@@ -152,6 +164,10 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     def record_dual(code):
         dualized.append(code)
         return dualize(code)
+
+    def record_suffix(code, a):
+        suffixed.setdefault(id(code), code)
+        return suffix(code, a)
 
     def record_conv(conv):
         conv_init(conv)
@@ -185,6 +201,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         setattr(module, name, recording(kernel, record))
     codes._PrefixTable.__init__ = record_table
     local_dual.fn = record_dual
+    codes.BlockCode._suffix = record_suffix
     ConvolutionalCode.__post_init__ = record_conv
     try:
         with tempfile.TemporaryDirectory() as work:
@@ -199,6 +216,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
             setattr(module, name, kernel)
         codes._PrefixTable.__init__ = table_init
         local_dual.fn = dualize
+        codes.BlockCode._suffix = suffix
         ConvolutionalCode.__post_init__ = conv_init
     inputs["prefix"] = [
         (table.space, table.reversed_rows, len(table.entries) - 1)
@@ -208,6 +226,11 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     filled = ((code, code._local_dual.__dict__.get("_prefixes")) for code in dualized)
     inputs["annihilator"] = [
         (code, len(table.entries) - 1) for code, table in filled if table and len(table.entries) > 1
+    ]
+    inputs["suffix"] = [
+        (code, tuple(sorted(code._suffixes)))
+        for code in suffixed.values()
+        if code.__dict__.get("_suffixes")
     ]
     inputs["conv"] = [(conv,) for conv in dict.fromkeys(convs)]
     return inputs, len(specs)
@@ -265,6 +288,22 @@ def annihilator_table(code, last) -> list:
     return [codes._annihilator(fresh, 0, b) for b in range(1, last + 1)]
 
 
+def suffix_codes(code, starts) -> list:
+    """The record of proj_[a,N) C for each start, each built as a code of
+    its own."""
+    return [
+        kernel_references.pivot_record(proj.basis.rows, proj.basis.moduli)
+        for proj in (kernel_references.suffix_projection_code(code, a) for a in starts)
+    ]
+
+
+def suffix_records(code, starts) -> list:
+    """The same records by ``BlockCode._suffix`` on a fresh copy of the
+    code."""
+    fresh = BlockCode.from_howell(code.space, code.basis.rows)
+    return [fresh._suffix(a) for a in starts]
+
+
 def _fresh_matched_rows(matched_duals, code) -> tuple:
     """The rows of the matched sides' duals that ``matched_duals`` gives on
     a fresh copy of ``code`` (no dual or table kept)."""
@@ -277,9 +316,7 @@ def matched_own_table(code) -> tuple:
 
 
 def matched_shared_table(code) -> tuple:
-    return _fresh_matched_rows(
-        lambda c: observe._matched_duals(c, c.prefix_annihilator(c.space.horizon)), code
-    )
+    return _fresh_matched_rows(lambda c: observe._matched_duals(c, c._local_dual), code)
 
 
 def peel_code(code) -> tuple:
@@ -390,13 +427,14 @@ def main(argv=None) -> int:
     quotients, pairs = inputs["quotient"], inputs["pairs"]
     splits = [call[:4] for call in inputs["order"]]
     prefixes, annihilators, peels = inputs["prefix"], inputs["annihilator"], inputs["peel"]
-    matched, convs = inputs["matched"], inputs["conv"]
+    suffixes, matched, convs = inputs["suffix"], inputs["matched"], inputs["conv"]
     print(
         f"{args.workload} seed {args.seed}: {len(howell)} Howell inputs from "
         f"{specs} specs, {len(packable)} on the packed path, "
         f"{len(quotients)} quotient inputs, {len(pairs)} pairing inputs, "
         f"{len(splits)} order split inputs, {len(prefixes)} prefix tables, "
-        f"{len(annihilators)} annihilator tables, {len(matched)} duality reports, "
+        f"{len(annihilators)} annihilator tables, {len(suffixes)} suffix tables, "
+        f"{len(matched)} duality reports, "
         f"{len(peels)} decompositions, "
         f"{len(convs)} convolutional codes"
     )
@@ -406,6 +444,7 @@ def main(argv=None) -> int:
     two_power_expected = [expected[i] for i in packable]
     per_end = [prefix_per_end(*call) for call in prefixes]
     kernel_per_end = [annihilator_per_end(*call) for call in annihilators]
+    by_suffix_codes = [suffix_codes(*call) for call in suffixes]
     own_table = [matched_own_table(*call) for call in matched]
     smith = [smith_factors(*call) for call in quotients]
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
@@ -423,6 +462,8 @@ def main(argv=None) -> int:
         ("prefix-sweep", prefix_sweep, prefixes, per_end, prefixes),
         ("annihilator-per-end", annihilator_per_end, annihilators, kernel_per_end, annihilators),
         ("annihilator-table", annihilator_table, annihilators, kernel_per_end, annihilators),
+        ("suffix-codes", suffix_codes, suffixes, by_suffix_codes, suffixes),
+        ("suffix-records", suffix_records, suffixes, by_suffix_codes, suffixes),
         ("matched-own-table", matched_own_table, matched, own_table, matched),
         ("matched-shared-table", matched_shared_table, matched, own_table, matched),
         ("smith", smith_factors, quotients, smith, quotients),

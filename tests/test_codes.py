@@ -334,7 +334,7 @@ class TestWindowTable:
         entries = code._prefixes.entries
         assert len(entries) == 4
         got[0, 3] = window_internal(code, 0, 3)
-        assert code.prefix_code(3).basis.rows is code.prefix_code(3).basis.rows
+        assert window_internal(code, 0, 3).basis.rows is window_internal(code, 0, 3).basis.rows
         got[2, 3] = window_internal(code, 2, 3)
         got[0, 2] = window_internal(code, 0, 2)
         assert len(calls) == 1 and len(entries) == 4
@@ -430,7 +430,7 @@ def assert_window_tables_match_reference(code):
 
 
 def assert_prefix_annihilators_match_reference(code):
-    """Every ``prefix_annihilator(b)``, read in a shuffled order on a fresh
+    """Every ``window_annihilator(code, 0, b)``, read in a shuffled order on a fresh
     code, against the local dual of the window [0, b)'s own projection,
     one kernel per window; an entry read late was filled by a sweep past
     it."""
@@ -440,7 +440,20 @@ def assert_prefix_annihilators_match_reference(code):
     random.Random(N).shuffle(ends)
     for b in ends:
         expected = reference_window_annihilator(code, 0, b) if b else zero_code(code.space)
-        assert code.prefix_annihilator(b).basis.rows == expected.basis.rows, b
+        assert window_annihilator(code, 0, b).basis.rows == expected.basis.rows, b
+
+
+def assert_suffix_records_match_reference(code):
+    """Every suffix record ``_suffix(a)``, read in a shuffled order on a
+    fresh code, against the pivot record of proj_[a,N) C built as a code
+    of its own."""
+    code = BlockCode.from_howell(code.space, code.basis.rows)
+    N = code.space.horizon
+    starts = list(range(N))
+    random.Random(N).shuffle(starts)
+    for a in starts:
+        proj = reference_window_projection(code, a, N)
+        assert code._suffix(a) == pivot_record(proj.basis.rows, proj.basis.moduli), a
 
 
 class TestWindowTablesTwin:
@@ -476,9 +489,13 @@ class TestWindowTablesTwin:
         for code in mixed_corpus + [band_code(p.name) for p in BAND_SPEC_PATHS]:
             assert_prefix_annihilators_match_reference(code)
 
+    def test_suffix_records_in_shuffled_order(self, mixed_corpus):
+        for code in mixed_corpus + [band_code(p.name) for p in BAND_SPEC_PATHS]:
+            assert_suffix_records_match_reference(code)
+
 
 def per_end_prefix(code, b):
-    """C ∩ [0, b) as ``prefix_code`` built it before the sweep: one Howell
+    """C ∩ [0, b) as the prefix table built it before the sweep: one Howell
     form per end of the reversed Howell rows that vanish from offset(b) on,
     with its pivot columns and running pivot-order products."""
     head = code.basis.width - code.space.offsets()[b]
@@ -499,7 +516,7 @@ def assert_sweep_matches_per_end_forms(code):
     for b in ends:
         rows, columns, products = per_end_prefix(code, b)
         assert code._prefix(b) == (rows, columns, products), b
-        assert code.prefix_code(b).basis.rows == rows
+        assert window_internal(code, 0, b).basis.rows == rows
         cut = code.space.offsets()[b]
         one_sided, order = table.vanishing(b)
         assert order == products[-1]
@@ -569,8 +586,8 @@ class TestPrefixSweep:
 
 
 class TestWindowBoundary:
-    """Windows are checked where they enter the library: the public window
-    functions and the table methods; the readers behind them check none."""
+    """Windows are checked where they enter the library, the five public
+    window functions; the readers behind them check none."""
 
     WINDOW_FUNCTIONS = (
         window_projection,
@@ -593,14 +610,14 @@ class TestWindowBoundary:
     def test_bad_table_indices_raise(self):
         code = band_code("mixed_band8.spec")
         N = code.space.horizon
-        for method, bad in [
-            (code.prefix_code, (-1, N + 1)),
-            (code.prefix_annihilator, (-1, N + 1)),
-            (code.suffix_projection, (-1, N, N + 1)),
+        for read, bad in [
+            (lambda b: window_internal(code, 0, b), (-1, N + 1)),
+            (lambda b: window_annihilator(code, 0, b), (-1, N + 1)),
+            (lambda a: window_projection(code, a, N), (-1, N, N + 1)),
         ]:
             for index in bad + bad:
                 with pytest.raises(ValueError):
-                    method(index)
+                    read(index)
 
     def test_empty_window_annihilator_is_the_zero_code(self, mixed_corpus):
         for code in mixed_corpus + [band_code("z4_band10_code.spec")]:
@@ -748,7 +765,7 @@ class TestCachedDescriptor:
         a = code_from_generators(sp, [(1, 2, 1, 0), (0, 1, 0, 1)])
         b = code_from_generators(sp, [(1, 2, 1, 0), (0, 1, 0, 1)])
         before = hash(a)
-        a.pivots(), a.prefix_code(1), a.suffix_projection(1), sp.flat_moduli
+        a.pivots(), window_internal(a, 0, 1), window_projection(a, 1, 3), sp.flat_moduli
         assert set(a.__dict__) > {"space", "basis"}
         assert a == b and hash(a) == hash(b) == before
         assert SequenceSpace(sp.symbols) == sp

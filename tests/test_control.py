@@ -721,7 +721,7 @@ class TestTableReads:
                     for stop in range(k + 1, N + 1):
                         inner = window_internal(code, k, stop)
                         expected = reference_window_solution(code, inner, k, target)
-                        assert _window_solution(code, inner, k, target) == expected
+                        assert _window_solution(code, stop, k, target) == expected
 
     def test_controllable_subcode_rejects_negative_gap(self, mixed_corpus):
         with pytest.raises(ValueError):

@@ -105,6 +105,13 @@ class TestWindowCode:
             )
             assert zero_extension_window(conv, n) == expected
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_is_rejected(self, horizon):
+        # As the spec format rejects it: no window ends at a horizon below 1.
+        for build in (image, kernel):
+            with pytest.raises(ValueError, match="horizon must be positive"):
+                build(Z4, ((1,), (2,)), horizon=horizon)
+
 
 class TestZeroExtensionWindow:
     def test_kernel_constant_has_no_finite_words(self):

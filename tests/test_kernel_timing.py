@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "kernel_timing.py"
 KERNELS = (
     "reference", "reference-2^k", "packed", "dispatch", "prefix-per-end", "prefix-sweep",
-    "annihilator-per-end", "annihilator-table", "matched-own-table", "matched-shared-table",
+    "annihilator-per-end", "annihilator-table", "suffix-codes", "suffix-records",
+    "matched-own-table", "matched-shared-table",
     "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
     "peel-code", "peel-reversed", "conv-windows-reference", "conv-windows-engine",
 )
@@ -48,6 +49,11 @@ def test_two_specs_no_mismatch(workload):
     assert (totals["counted"] > 0) == (workload != "convolutional")
     assert (totals["order-counted"] > 0) == (workload != "convolutional")
     assert (totals["annihilator-table"] > 0) == (workload != "convolutional")
+    # Block reports read projections proj_[a,b) C with a > 0 (duality and
+    # observe reports); a convolutional window reads only a = 0, the
+    # code's own record.  Both suffix routes give the same records.
+    assert totals["suffix-codes"] == totals["suffix-records"]
+    assert (totals["suffix-records"] > 0) == (workload != "convolutional")
     # Duality reports run on block codes only: both matched-side routes
     # rebuild each one, and their duals agree.
     assert totals["matched-own-table"] == totals["matched-shared-table"]
@@ -65,6 +71,7 @@ def test_two_specs_no_mismatch(workload):
         f"{totals['order-counted']} order split inputs, "
         f"{totals['prefix-sweep']} prefix tables, "
         f"{totals['annihilator-table']} annihilator tables, "
+        f"{totals['suffix-records']} suffix tables, "
         f"{totals['matched-shared-table']} duality reports, "
         f"{totals['peel-reversed']} decompositions, "
         f"{totals['conv-windows-engine']} convolutional codes"

@@ -306,8 +306,8 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
     monkeypatch.setattr(codes_module, "annihilator_rows", counted_kernel)
     assert check_control_observe_duality(code).ok
-    dual = code.prefix_annihilator(N)
-    assert dual.prefix_annihilator(N) is code
+    dual = dual_block_code(code)
+    assert dual_block_code(dual) is code
     assert kernels[code.basis.rows] == kernels[dual.basis.rows] == 1
     assert tables == Counter({code._reversed_howell: 1, dual._reversed_howell: 1})
 
@@ -377,7 +377,8 @@ def reference_duality_report(code):
             )
             windows.append(WindowDualityCheck(a, b, ok))
     chain_ok = all(
-        code.prefix_code(b).is_subcode_of(code.prefix_code(b + 1)) for b in range(N)
+        window_internal(code, 0, b).is_subcode_of(window_internal(code, 0, b + 1))
+        for b in range(N)
     ) and all(cons[k][L + 1].is_subcode_of(cons[k][L]) for k in range(N) for L in range(N))
     matched, supercodes = [], []
     for L in range(N):
@@ -471,7 +472,7 @@ def assert_report_matches_per_window_reference(code):
     windows, chain_ok, subcodes, sums = per_window_reference(code)
     assert report.window_checks == windows
     assert report.chain_ok == chain_ok
-    dual = code.prefix_annihilator(code.space.horizon)
+    dual = dual_block_code(code)
     for L, (subcode, total) in enumerate(zip(subcodes, sums)):
         assert controllable_subcode(code, L) == subcode
         assert observe_module._annihilator_sum(dual, [L] * code.space.horizon) == total
@@ -502,7 +503,7 @@ class TestRowReadsTwin:
 
 def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # Windows are read as rows: one report builds the table entries, the
-    # matched sides and their duals, O(N) codes, and none per window.  The
+    # matched sides and their duals, and no code per window.  The
     # Howell forms are those of the tables and the matched sides; each
     # prefix table, the local duals' included, is one reversed Howell form
     # and one sweep, with no Howell form per end, and the invariant factors
@@ -517,11 +518,16 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
 
     calls = Counter()
     post_init, from_howell = BlockCode.__post_init__, BlockCode.from_howell.__func__
+    space_init = SequenceSpace.__post_init__
     canonical = linalg_module.howell_form
 
     def counted_init(self):
         calls["codes"] += 1
         post_init(self)
+
+    def counted_space(self):
+        calls["spaces"] += 1
+        space_init(self)
 
     def counted_from_howell(cls, space, rows):
         calls["codes"] += 1
@@ -533,6 +539,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
 
     monkeypatch.setattr(BlockCode, "__post_init__", counted_init)
     monkeypatch.setattr(BlockCode, "from_howell", classmethod(counted_from_howell))
+    monkeypatch.setattr(SequenceSpace, "__post_init__", counted_space)
     for module in list(sys.modules.values()):
         name = getattr(module, "__name__", "")
         if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:
@@ -540,8 +547,12 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     path = BAND_SPECS / "z4_band10_code.spec"
     with redirect_stdout(io.StringIO()):
         assert main(["duality-check", str(path)]) == 0
-    N = 10
-    assert calls["codes"] <= 8 * N
+    # The parsed code, its dual and the matched sides and their duals are
+    # the only codes (27 when every suffix projection and the accessor
+    # reads were codes); every window table is a record, so the spec's
+    # space is the only space (19 with one per suffix projection).
+    assert calls["codes"] == 9
+    assert calls["spaces"] == 1
     assert calls["howell_form"] == 32
 
 
@@ -760,21 +771,21 @@ class TestObserveIndexIdentity:
 
 def test_wrong_suffix_projection_breaks_indices_match(monkeypatch):
     # The observe index of the code is counted on the code's own suffix
-    # projections and the control index of the dual on the dual's prefix
-    # codes: serving a wrong proj_[3,N) C moves the first and not the second.
-    from groupcodes.codes import BlockCode, zero_code
+    # records and the control index of the dual on the dual's prefix
+    # table: serving the zero projection as proj_[3,N) C moves the first
+    # and not the second.
+    from groupcodes.codes import BlockCode
 
     code = band_code("z4_band10_code.spec")
+    zero = ((), (), (1,))
     right = check_control_observe_duality(code)
     assert right.indices_match
-    assert code.suffix_projection(3) != zero_code(code.suffix_projection(3).space)
-    suffix_projection = BlockCode.suffix_projection
+    assert code._suffix(3) != zero
+    suffix = BlockCode._suffix
     monkeypatch.setattr(
         BlockCode,
-        "suffix_projection",
-        lambda self, a: zero_code(self.space.window(3, self.space.horizon))
-        if (self, a) == (code, 3)
-        else suffix_projection(self, a),
+        "_suffix",
+        lambda self, a: zero if (self, a) == (code, 3) else suffix(self, a),
     )
     wrong = check_control_observe_duality(code)
     assert wrong.observe_index != right.observe_index
@@ -841,7 +852,7 @@ def test_broken_prefix_nesting_fails_the_chain(monkeypatch, capsys):
     path = BAND_SPECS / "z4_band8_code.spec"
     code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
     assert check_control_observe_duality(code).chain_ok
-    assert not code.is_subcode_of(code.prefix_code(2))
+    assert not code.is_subcode_of(window_internal(code, 0, 2))
     entry = _PrefixTable.entry
 
     def broken(self, b):
@@ -866,19 +877,17 @@ def test_broken_dual_suffix_projection_fails_the_nesting(monkeypatch, capsys):
     code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
     dual = dual_block_code(code)
     N = code.space.horizon
-    suffix_projection = BlockCode.suffix_projection
+    suffix = BlockCode._suffix
     for k in range(1, N - 1):
-        right = suffix_projection(dual, k)
-        rows, columns, products = right._record
-        assert columns[0] + 1 < right.basis.width
-        broken = BlockCode.from_howell(right.space, rows)
-        broken.__dict__["_record"] = (rows, (columns[0] + 1,) + columns[1:], products)
+        rows, columns, products = suffix(dual, k)
+        assert columns[0] + 1 < dual.basis.width - dual.space.offsets()[k]
+        broken = (rows, (columns[0] + 1,) + columns[1:], products)
         monkeypatch.setattr(
             BlockCode,
-            "suffix_projection",
+            "_suffix",
             lambda self, a, k=k, broken=broken: broken
             if a == k and self.basis.rows == dual.basis.rows
-            else suffix_projection(self, a),
+            else suffix(self, a),
         )
         report = check_control_observe_duality(code)
         assert not report.chain_ok
@@ -954,7 +963,7 @@ def test_wrong_entry_of_the_shared_prefix_table_fails_its_windows(monkeypatch, c
             else entry(self, i),
         )
         report = check_control_observe_duality(code)
-        assert code.prefix_annihilator(N).prefix_annihilator(N) is code
+        assert dual_block_code(dual_block_code(code)) is code
         verdicts = {(w.start, w.stop): w.ok for w in report.window_checks}
         assert not verdicts[0, b]
         assert not report.ok
