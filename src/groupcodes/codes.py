@@ -415,12 +415,6 @@ def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], in
     return tuple(row[:cut] for row in rows[:i]), products[i]
 
 
-def _annihilator(code: BlockCode, a: int, b: int) -> tuple[Vector, ...]:
-    """Howell rows of C-perp ∩ [a, b) = T ∩ [a, b), T = C-perp the local
-    dual: ``_internal`` of T, off T's prefix table."""
-    return _internal(code._local_dual, a, b)[0]
-
-
 def _annihilator_order(code: BlockCode, a: int, b: int) -> int:
     """|C-perp ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| with no kernel built
     (a character on [a, b) kills C iff it kills the projection, and
@@ -446,10 +440,10 @@ def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:
     outside [a, b) and annihilate C, equivalently the local dual of
     ``window_projection(code, a, b)`` padded with zeros.  They are the
     words of the local dual T = C-perp supported in [a, b), so the rows
-    are those of ``window_internal(T, a, b)`` (``_annihilator``): one
-    kernel per code, and every window a read of T's prefix table."""
+    are those of ``window_internal(T, a, b)``: one kernel per code, and
+    every window a read of T's prefix table."""
     code.space.check_window(a, b)
-    return BlockCode.from_howell(code.space, _annihilator(code, a, b))
+    return BlockCode.from_howell(code.space, _internal(code._local_dual, a, b)[0])
 
 
 def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:

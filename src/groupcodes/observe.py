@@ -6,8 +6,11 @@ print both conventions to avoid misreading.
 
 The observable supercode is the intersection of the consistency sets: the
 union with the code collapses to that intersection at block scale because
-the code is contained in every consistency set.  It is built as the dual of
-the sum of their annihilators, so "the supercode is the code" reads
+the code is contained in every consistency set.  The annihilator of the
+consistency set on [k, k+L] is C-perp ∩ [k, k+L+1), so the sum of the
+annihilators is ``controllable_subcode(C-perp, L)``, and the supercode is
+its dual: observability of a code is controllability of its dual, summed
+by the one window-sum routine.  "The supercode is the code" reads
 |sum| = |C-perp|; no intersection is computed.
 """
 
@@ -15,11 +18,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .codes import (
     BlockCode,
-    _annihilator,
     _annihilator_order,
     _internal,
     _projection,
@@ -27,7 +28,7 @@ from .codes import (
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import dual_block_code, is_annihilator
-from .linalg import _reduce_vector, _trusted
+from .linalg import _reduce_vector
 
 __all__ = [
     "ObserveProfile",
@@ -77,27 +78,19 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     return BlockCode.from_howell(code.space, rows)
 
 
-def _annihilator_sum(code: BlockCode, lengths: Sequence[int]) -> BlockCode:
-    """The annihilator of the meet of the consistency sets on [k, k+L_k]:
-    the sum of their annihilators C-perp ∩ [k, k+L_k+1), clipped to the
-    horizon (a character kills the preimage of a window projection exactly
-    when it vanishes outside the window and annihilates the projection).
-    One Howell form of their rows, each window read off the prefix table
-    of the code's local dual C-perp (``codes._annihilator``); no window
-    code is built."""
-    N = code.space.horizon
-    rows = tuple(
-        row for k, L in enumerate(lengths) for row in _annihilator(code, k, min(k + L + 1, N))
-    )
-    return BlockCode(code.space, _trusted(code.basis.moduli, rows))
-
-
 def observable_supercode(code: BlockCode, L: int) -> BlockCode:
     """Intersection over all positions of the window-L consistency sets,
-    built as the dual of the sum of their annihilators."""
+    built as the dual of the sum of their annihilators.
+
+    A character kills the preimage of a window projection exactly when it
+    vanishes outside the window and annihilates the projection, so the
+    annihilator of the set on [k, k+L] is T ∩ [k, k+L+1), clipped to the
+    horizon, T = C-perp the local dual.  Their sum is
+    ``controllable_subcode(T, L)``, read off T's prefix table.
+    """
     if L < 0:
         raise ValueError("window length must be nonnegative")
-    return dual_block_code(_annihilator_sum(code, [L] * code.space.horizon))
+    return dual_block_code(controllable_subcode(code._local_dual, L))
 
 
 def _observe_index(code: BlockCode) -> int:
@@ -238,20 +231,23 @@ class DualityReport:
 
 def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
     """The duals of the two matched sides of the duality report at each
-    gap L = 0..N-1: of cs_L = ``controllable_subcode(code, L)`` and of
-    S_L = ``_annihilator_sum(dual, [L] * N)``, ``dual`` being C-perp.  Each
-    side is built until its Howell rows are those of its top, C for the
-    subcodes and T = ``dual._local_dual`` for the sums, and then
-    repeats (``check_control_observe_duality`` gives the proof).  Each
+    gap L = 0..N-1, ``dual`` being D = C-perp: of cs_L =
+    ``controllable_subcode(code, L)`` and of S_L =
+    ``controllable_subcode(T, L)``, T = ``dual._local_dual`` = D-perp, whose
+    dual is ``observable_supercode(dual, L)``.  One routine climbs both:
+    the side of a top is built until its Howell rows are the top's, and
+    then repeats (``check_control_observe_duality`` gives the proof).  It
+    runs once per distinct top object: with T = C both sides are one list,
+    and only a T that is a code of its own climbs on its own tables.  Each
     distinct subgroup is dualized once, by its rows (the dual is a function
     of them), and C's dual is ``dual``."""
     N = code.space.horizon
     dualized = {code.basis.rows: dual}
 
-    def duals_to_top(side, top: BlockCode) -> list:
+    def duals_to_top(top: BlockCode) -> list:
         duals = []
         for L in range(N):
-            x = side(L)
+            x = controllable_subcode(top, L)
             rows = x.basis.rows
             if rows not in dualized:
                 dualized[rows] = dual_block_code(x)
@@ -260,9 +256,8 @@ def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
                 return duals + duals[-1:] * (N - L - 1)
         return duals
 
-    sub_duals = duals_to_top(lambda L: controllable_subcode(code, L), code)
-    supercodes = duals_to_top(lambda L: _annihilator_sum(dual, [L] * N), dual._local_dual)
-    return sub_duals, supercodes
+    sub_duals, top = duals_to_top(code), dual._local_dual
+    return sub_duals, sub_duals if top is code else duals_to_top(top)
 
 
 def check_control_observe_duality(code: BlockCode) -> DualityReport:
@@ -276,7 +271,8 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     - the reachable sets grow with L while the dual consistency sets shrink;
     - for every gap L, the dual of the gap-L controllable subcode equals the
       window-L observable supercode of the dual code, and their invariant
-      factors agree (computed once per distinct subgroup).
+      factors agree (computed once per distinct subgroup); with
+      C-perp-perp = C this is a check of biduality (see below).
 
     The consistency set of the dual D on [a, b) is the preimage of
     P = proj_[a,b) D, so its order is |G| · |P| / |G_[a,b)| and its Howell
@@ -307,35 +303,31 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     cut rows.
 
     Each matched side is built only until it reaches its top
-    (``_matched_duals``).  The subcodes cs_L = ``controllable_subcode(code,
-    L)`` are sums of the windows C ∩ [k, k+L+1), which grow with L, so
-    cs_L ⊆ cs_{L+1} ⊆ C.  The annihilator sums
-    S_L = ``_annihilator_sum(dual, [L] * N)`` grow too: a character on
-    [k, b) annihilating proj_[k,b) D, extended by zero, annihilates
-    proj_[k,b+1) D.  So S_L ⊆ S_{L+1} ⊆ T, where
-    T = ``dual._local_dual`` = D-perp, the dual's local dual, is
-    the term of S_{N-1} at k = 0, and S_{N-1} = T.  A nondecreasing chain
-    under its top that meets the top stays there: once the Howell rows of
-    cs_L equal those of C (or those of S_L equal T's) the side is the same
-    subgroup for every larger L, and its dual and invariant factors are
-    reused.  A dual is a function of the Howell rows, so each distinct
-    subgroup of either side is dualized once, and C's dual is D.
+    (``_matched_duals``).  The supercode of D at window L is the dual of
+    the sum S_L of the annihilators T ∩ [k, k+L+1) of its consistency sets,
+    T = ``dual._local_dual`` = D-perp (``observable_supercode``), and S_L
+    is ``controllable_subcode(T, L)``.  So both sides are controllable
+    subcodes of a top, C or T: sums of the windows top ∩ [k, k+L+1), which
+    grow with L, so each side is a nondecreasing chain under its top, and
+    at L = N - 1 its term at k = 0 is the top itself.  A nondecreasing
+    chain under its top that meets the top stays there: once the Howell
+    rows of a side equal its top's, the side is the same subgroup for
+    every larger L, and its dual and invariant factors are reused.  A dual
+    is a function of the Howell rows, so each distinct subgroup of either
+    side is dualized once, and C's dual is D.
 
     T is one kernel of D's rows.  When they are C's rows (C-perp-perp = C),
-    T is the code object itself (``BlockCode._local_dual``): the sums S_L
-    read C's own prefix table, and T's dual is D.  The kernel is still
-    taken and its rows compared, so neither the stop at T nor the shared
-    table assumes biduality: a kernel that is not C makes a code with
-    tables of its own, and the supercode side then climbs to it.  So the
-    matched lines check three things: biduality, through the kernel rows
-    of D; that ``controllable_subcode`` and ``_annihilator_sum``, two
-    routines that sum windows, agree at every gap (cs_L = S_L exactly
-    when their duals are equal); and the invariant factors, counted once
-    per distinct subgroup.  With T = C both sides read C's prefix table,
-    so a wrong entry of it reaches both alike.  That table is checked
-    independently by the window lines: each counts and pairs the internal
-    part C ∩ [a, b), off C's prefix table, against proj_[a,b) D, off the
-    dual's suffix records.
+    T is the code object itself (``BlockCode._local_dual``): the two sides
+    are one list, climbed once on C's prefix table, and T's dual is D.
+    The kernel is still taken and its rows compared, so sharing the side
+    does not assume biduality: a kernel that is not C makes a code with
+    tables of its own, and the supercode side then climbs to it.  So with
+    T = C the matched lines check biduality only: the kernel rows of D
+    are compared with C's.  Their invariant factors are counted once per
+    distinct subgroup and printed.  A wrong entry of C's prefix table
+    reaches both sides alike; that table is checked by the window lines:
+    each counts and pairs the internal part C ∩ [a, b), off C's prefix
+    table, against proj_[a,b) D, off the dual's suffix records.
 
     The control indices come from ``control_profile`` of the code and of
     the dual (the dual's own prefix table).  The observe index of the code

@@ -37,7 +37,8 @@
   sides with T = D-perp a code of its own, which reads its own prefix
   table, and each side dualized at every gap, the route
   ``observe._matched_duals`` took before the local dual's local dual was
-  the code and each distinct side was dualized once.
+  the code, the two sides one climb, and each distinct side dualized
+  once.
 * ``ReferenceWindows``: the windows, settle steps and weak and strong
   verdicts of a convolutional code by the route
   ``groupcodes.convolutional`` took before its one window engine: each
@@ -64,7 +65,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from groupcodes import linalg, observe, structure
+from groupcodes import linalg, structure
 from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
@@ -392,7 +393,7 @@ def suffix_projection_code(code: BlockCode, a: int) -> BlockCode:
 
 def own_table_matched_duals(code: BlockCode) -> tuple[list[BlockCode], list[BlockCode]]:
     """The duals of cs_L = ``controllable_subcode(code, L)`` and of
-    S_L = ``_annihilator_sum(D, [L] * N)`` at each gap, each side built up
+    S_L = ``controllable_subcode(T, L)`` at each gap, each side built up
     to its top and then repeated.  T = D-perp is one kernel of D's rows
     made a code of its own and seeded as D's local dual, so the sums read
     T's prefix table; every side is dualized at each gap, and T too."""
@@ -411,7 +412,7 @@ def own_table_matched_duals(code: BlockCode) -> tuple[list[BlockCode], list[Bloc
         return duals
 
     subcodes = duals_to_top(lambda L: controllable_subcode(code, L), code, dual)
-    sums = duals_to_top(lambda L: observe._annihilator_sum(dual, [L] * N), top)
+    sums = duals_to_top(lambda L: controllable_subcode(top, L), top)
     return subcodes, sums
 
 

@@ -40,7 +40,7 @@ recorded inputs it takes, bucketed by matrix width:
   ``window_annihilator(code, 0, b)`` took before it read the local dual;
 * ``annihilator-table``: the same entries by one kernel of the code's
   rows, the local dual T = C-perp, and one sweep of T's prefix table
-  (``codes._annihilator``);
+  (``codes._internal`` of the local dual);
 * ``suffix-codes``: the pivot record of proj_[a,N) C for every recorded
   start a, each built as a code of its own with its own space and Howell
   form (``kernel_references.suffix_projection_code``), the route before
@@ -285,7 +285,7 @@ def annihilator_table(code, last) -> list:
     fresh copy of the code: one kernel, one reversed Howell form, one
     sweep."""
     fresh = BlockCode.from_howell(code.space, code.basis.rows)
-    return [codes._annihilator(fresh, 0, b) for b in range(1, last + 1)]
+    return [codes._internal(fresh._local_dual, 0, b)[0] for b in range(1, last + 1)]
 
 
 def suffix_codes(code, starts) -> list:

@@ -149,6 +149,12 @@ class TestObservableSupercode:
                 assert cur.is_subcode_of(prev)
             prev = cur
 
+    def test_negative_window_is_rejected(self, even_weight):
+        # Checked before the sum, so the message is the supercode's own
+        # (``controllable_subcode``'s is tested in test_control.py).
+        with pytest.raises(ValueError, match="window length must be nonnegative"):
+            observable_supercode(even_weight, -1)
+
 
 class TestObserveProfile:
     def test_repetition_index(self, repetition):
@@ -465,7 +471,6 @@ def per_window_reference(code):
 
 
 def assert_report_matches_per_window_reference(code):
-    import groupcodes.observe as observe_module
     from groupcodes.control import controllable_subcode
 
     report = check_control_observe_duality(code)
@@ -475,7 +480,7 @@ def assert_report_matches_per_window_reference(code):
     dual = dual_block_code(code)
     for L, (subcode, total) in enumerate(zip(subcodes, sums)):
         assert controllable_subcode(code, L) == subcode
-        assert observe_module._annihilator_sum(dual, [L] * code.space.horizon) == total
+        assert controllable_subcode(dual._local_dual, L) == total
 
 
 class TestRowReadsTwin:
@@ -508,11 +513,12 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # prefix table, the local duals' included, is one reversed Howell form
     # and one sweep, with no Howell form per end, and the invariant factors
     # of the matched sides are counted on their own Howell rows.  T, the
-    # local dual of the dual, is the code itself, and each distinct side
-    # is dualized once: 32 (37 with T's own reversed Howell form and
-    # kernel and a kernel per gap of each side, 39 with a second Howell
-    # form of each side's basis too, 47 with a kernel per end of the
-    # annihilator windows, 66 with a Howell form per prefix).
+    # local dual of the dual, is the code itself, so the two matched sides
+    # are one climb, and each distinct side is dualized once: 29 (32 with
+    # the supercode side summed a second time, 37 with T's own reversed
+    # Howell form and kernel and a kernel per gap of each side, 39 with a
+    # second Howell form of each side's basis too, 47 with a kernel per
+    # end of the annihilator windows, 66 with a Howell form per prefix).
     import groupcodes.linalg as linalg_module
     from groupcodes.cli import main
 
@@ -547,13 +553,14 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     path = BAND_SPECS / "z4_band10_code.spec"
     with redirect_stdout(io.StringIO()):
         assert main(["duality-check", str(path)]) == 0
-    # The parsed code, its dual and the matched sides and their duals are
-    # the only codes (27 when every suffix projection and the accessor
-    # reads were codes); every window table is a record, so the spec's
-    # space is the only space (19 with one per suffix projection).
-    assert calls["codes"] == 9
+    # The parsed code, its dual and the one climb of matched sides and
+    # their duals are the only codes (9 with the supercode side built
+    # apart, 27 when every suffix projection and the accessor reads were
+    # codes); every window table is a record, so the spec's space is the
+    # only space (19 with one per suffix projection).
+    assert calls["codes"] == 6
     assert calls["spaces"] == 1
-    assert calls["howell_form"] == 32
+    assert calls["howell_form"] == 29
 
 
 def _first_top(side, top, N):
@@ -564,35 +571,50 @@ def _first_top(side, top, N):
 def test_duality_check_stops_each_matched_side_at_its_top(spec, monkeypatch):
     # The window and chain checks read the dual's window projections and
     # build no consistency set; each matched side is built up to the first
-    # gap where it reaches its top and no further.
+    # gap where it reaches its top and no further.  With T = D-perp the
+    # code itself, the two sides are one climb to C, so every
+    # ``controllable_subcode`` call of the report is one of its steps.
     import groupcodes.observe as observe_module
     from groupcodes.control import controllable_subcode
 
     code = band_code(spec)
     dual = dual_block_code(code)
     assert dual != code
+    assert dual._local_dual is code
     N = code.space.horizon
-    sums = observe_module._annihilator_sum
     sub_top = _first_top(lambda L: controllable_subcode(code, L), code, N)
-    sum_top = _first_top(lambda L: sums(dual, [L] * N), window_annihilator(dual, 0, N), N)
-    assert max(sub_top, sum_top) < N - 1
+    sum_top = _first_top(
+        lambda L: controllable_subcode(dual._local_dual, L), window_annihilator(dual, 0, N), N
+    )
+    assert sum_top == sub_top < N - 1
     calls = Counter()
 
-    def count(name, original, key=lambda *args: True):
+    def count(name, original):
         def counted(*args):
-            if key(*args):
-                calls[name] += 1
+            calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(observe_module, name, counted)
 
     count("consistency_set", observe_module.consistency_set)
     count("controllable_subcode", observe_module.controllable_subcode)
-    count("_annihilator_sum", sums, key=lambda c, lengths: c == dual)
     assert check_control_observe_duality(code).ok
     assert calls["consistency_set"] == 0
     assert calls["controllable_subcode"] <= sub_top + 1
-    assert calls["_annihilator_sum"] <= sum_top + 1
+
+
+def test_matched_sides_are_one_list_when_the_bidual_is_the_code():
+    # T = D-perp is the code object, so the supercode side is the subcode
+    # side itself and nothing is built for it.
+    import groupcodes.observe as observe_module
+
+    for spec in ("z4_band8_code.spec", "z4_band10_dual.spec", "mixed_band8.spec"):
+        code = band_code(spec)
+        dual = code._local_dual
+        assert dual._local_dual is code
+        sub_duals, supercodes = observe_module._matched_duals(code, dual)
+        assert supercodes is sub_duals
+        assert len(sub_duals) == code.space.horizon
 
 
 def test_wrong_dual_projection_fails_its_window(monkeypatch):
@@ -669,24 +691,28 @@ def test_dropped_internal_row_fails_exactly_its_window(monkeypatch):
 
 
 def test_wrong_annihilator_sum_before_the_stop_mismatches(monkeypatch):
-    # A wrong sum at a gap before the supercode side reaches its top, the
-    # zero sum or the top itself served early, shows as a mismatch there.
+    # The dual's local dual T is seeded as a code of its own with C's rows,
+    # so the supercode side climbs controllable_subcode(T, L) on T's own
+    # tables.  A wrong sum at a gap before it reaches T, the zero sum or T
+    # itself served early, shows as a mismatch there.
     import groupcodes.observe as observe_module
     from groupcodes.codes import zero_code
+    from groupcodes.control import controllable_subcode
 
     code = band_code("z4_band8_dual.spec")
     dual = dual_block_code(code)
     N = code.space.horizon
-    sums = observe_module._annihilator_sum
-    top = window_annihilator(dual, 0, N)
-    stop = _first_top(lambda L: sums(dual, [L] * N), top, N)
+    top = BlockCode.from_howell(code.space, code.basis.rows)
+    dual.__dict__["_local_dual"] = top
+    assert top == code and top is not code
+    stop = _first_top(lambda L: controllable_subcode(top, L), top, N)
     assert stop > 1
     for gap in range(stop):
         for wrong in (zero_code(code.space), top):
             monkeypatch.setattr(
                 observe_module,
-                "_annihilator_sum",
-                lambda c, lengths: wrong if c == dual and lengths[0] == gap else sums(c, lengths),
+                "controllable_subcode",
+                lambda c, L: wrong if c is top and L == gap else controllable_subcode(c, L),
             )
             report = check_control_observe_duality(code)
             assert not report.matched_checks[gap].ok
