@@ -161,17 +161,6 @@ class BlockCode:
         object.__setattr__(code, "basis", _trusted(space.flat_moduli, tuple(rows)))
         return code
 
-    @classmethod
-    def from_reversed_howell(cls, space: SequenceSpace, rows: tuple[Vector, ...]) -> "BlockCode":
-        """The code whose column-reversed Howell rows are ``rows``: the
-        sweep of their prefix table, kept on the code, ends in its forward
-        Howell rows, so no second Howell form is taken."""
-        table = _PrefixTable(space, rows)
-        record = table.entry(space.horizon)
-        code = BlockCode.from_howell(space, record[0])
-        code.__dict__.update(_record=record, _reversed_howell=rows, _prefixes=table)
-        return code
-
     @_cached
     def _reversed_howell(self) -> tuple[Vector, ...]:
         """Howell rows of the code with its columns in reverse order."""
@@ -206,8 +195,7 @@ class BlockCode:
     @_cached
     def _record(self) -> Entry:
         """The basis rows, pivot columns and running pivot-order products
-        (``linalg._entry``), found once per code or seeded by the prefix
-        table that built it."""
+        (``linalg._entry``), found once per code."""
         return _entry(self.basis.rows, self.basis.moduli)
 
     def _prefix(self, b: int) -> Entry:
@@ -298,11 +286,13 @@ class _PrefixTable:
       built.
     * ``entry(b)`` (two-sided): the Howell rows, pivot columns and running
       pivot-order products of C ∩ [0, b).  One Howell kernel state takes
-      the rows end by end and finishes a copy after each end, so the table
-      is filled by one sweep; an end that takes in no row shares the entry
-      before it, and the first end that takes in every row (C ∩ [0, b) = C)
-      is the owner's record ``whole`` when the table has one.  The Howell
-      form is canonical, so each entry is ``howell_form`` of the same rows.
+      the rows end by end (``_end_batches``) and finishes a copy after each
+      end, so the table is filled by one sweep; an end that takes in no row
+      shares the entry before it, and the first end that takes in every
+      row (C ∩ [0, b) = C) is the owner's record ``whole`` when the table
+      has one.  The Howell form is canonical, so each entry is
+      ``howell_form`` of the same rows.  ``_prefix_orders`` is the same
+      sweep read for orders only, with no finish.
 
     Callers pass ends within the horizon; the window functions check.
     """
@@ -318,17 +308,13 @@ class _PrefixTable:
         _, self.columns, self.products = _entry(reversed_rows, moduli)
         self.entries: list[Entry] = [((), (), (1,))]  # entries[b], filled in order
         self.state = _howell_state(space.flat_moduli)
-        self.pushed = len(reversed_rows)  # the rows from here on are in the state
-
-    def _head(self, b: int) -> int:
-        """The reversed columns that a word vanishing from offset(b) on
-        vanishes on: width - offset(b)."""
-        offsets = self.space.offsets()
-        return offsets[-1] - offsets[b]
+        self.batches = _end_batches(space.offsets(), self.columns)
 
     def vanishing(self, b: int) -> tuple[tuple[Vector, ...], int]:
-        """Spanning rows and order of C ∩ [0, b), cut to [0, b)."""
-        head = self._head(b)
+        """Spanning rows and order of C ∩ [0, b), cut to [0, b): the rows
+        from i on, the end rule's i at b (``_end_batches``)."""
+        offsets = self.space.offsets()
+        head = offsets[-1] - offsets[b]
         i = bisect_left(self.columns, head)
         rows = tuple(row[head:][::-1] for row in self.reversed_rows[i:])
         return rows, self.products[-1] // self.products[i]
@@ -337,17 +323,49 @@ class _PrefixTable:
         """C ∩ [0, b) as an ``Entry``, filling the table up to b."""
         entries = self.entries
         while len(entries) <= b:
-            i = bisect_left(self.columns, self._head(len(entries)))
-            if i >= self.pushed:
+            i, j = next(self.batches)
+            if i == j:
                 entries.append(entries[-1])
             elif i == 0 and self.whole is not None:
-                self.pushed = 0
                 entries.append(self.whole)
             else:
-                self.state.push(row[::-1] for row in self.reversed_rows[i : self.pushed])
-                self.pushed = i
+                self.state.push(row[::-1] for row in self.reversed_rows[i:j])
                 entries.append(_entry(tuple(self.state.finish()), self.space.flat_moduli))
         return entries[b]
+
+
+def _end_batches(offsets: Sequence[int], columns: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The end rule of a prefix sweep over the column-reversed Howell rows
+    of C, with pivot columns ``columns``, in a space with flat offsets
+    ``offsets``: for each end b = 1..N, the slice [i, j) of the reversed
+    rows that C ∩ [0, b) takes in beyond C ∩ [0, b - 1).  C ∩ [0, b) is
+    spanned by the rows from i = bisect_left(columns, width - offset(b))
+    on (``_PrefixTable``); i falls as b grows, and j is the i of the end
+    before, or the row count at b = 1."""
+    taken = len(columns)
+    for offset in offsets[1:]:
+        i = bisect_left(columns, offsets[-1] - offset)
+        yield i, taken
+        taken = i
+
+
+def _prefix_orders(
+    moduli: Vector, offsets: Sequence[int], reversed_rows: tuple[Vector, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pivot columns and running pivot-order products (``Entry[1:]``)
+    of C ∩ [0, b) for each end b = 1..N, C the subgroup of the space with
+    flat moduli ``moduli`` and offsets ``offsets`` whose column-reversed
+    Howell rows are ``reversed_rows``.  The sweep of ``_PrefixTable.entry``
+    (``_end_batches``), each end read off the unfinished Howell state
+    (``orders``): no finish, record or code.  An end that takes in no row
+    shares the read before it."""
+    _, columns, _ = _entry(reversed_rows, moduli[::-1])
+    state, read = _howell_state(moduli), ((), (1,))
+    for i, j in _end_batches(offsets, columns):
+        if i < j:
+            state.push(row[::-1] for row in reversed_rows[i:j])
+            read = state.orders()
+        yield read
 
 
 def code_from_generators(

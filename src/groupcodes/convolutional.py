@@ -25,11 +25,12 @@ justifies gating the strong index by the weak verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .codes import BlockCode, SequenceSpace, _cached, _PrefixTable, _projection
-from .control import control_profile
+from .codes import BlockCode, SequenceSpace, _cached, _prefix_orders, _PrefixTable, _projection
+from .control import ControlProfile, _gap_lengths
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
 from .linalg import Vector, _trusted, annihilator_rows, howell_form
@@ -168,6 +169,27 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     terminal rows (``_window``).
     """
     return BlockCode.from_howell(SequenceSpace((conv.symbol,) * n), _window(conv, n, ()))
+
+
+def _local_orders(conv: ConvolutionalCode, n: int) -> Callable[[int, int], int]:
+    """The window orders |C ∩ [a, b)| of the local window C = [0, n), as
+    ``control._gap_lengths`` reads them: the window built reversed
+    (``_window``), its rows pushed end by end into one forward Howell
+    state, and the pivot columns and orders of each prefix C ∩ [0, b) read
+    off that state unfinished (``codes._prefix_orders``).  No space, code,
+    table or finished form is made.  By the Howell property the words of
+    C ∩ [0, b) vanishing before a are spanned by its rows with pivot at or
+    after offset(a), so |C ∩ [a, b)| is the product of their pivot orders.
+    """
+    moduli, width = conv.symbol.moduli * n, len(conv.symbol.moduli)
+    offsets = range(0, len(moduli) + 1, width)
+    prefixes = ((), (1,)), *_prefix_orders(moduli, offsets, _window(conv, n, (), reverse=True))
+
+    def order(a: int, b: int) -> int:
+        columns, products = prefixes[b]
+        return products[-1] // products[bisect_left(columns, offsets[a])]
+
+    return order
 
 
 # Reports (``cli``) read n = 1..min(horizon, REPORT_WINDOWS); kept windows cover them.
@@ -391,8 +413,9 @@ def strong_controllability_index(
     the tap-local window system is computed for growing window lengths and
     accepted once it agrees twice in a row; running out of horizon yields
     an honest unknown verdict rather than a claim.  Each window is built in
-    reversed form (``_window``); the sweep of its prefix table ends in its
-    forward Howell rows, so it takes one Howell form.
+    reversed form (``_window``), its one Howell form, and its index is
+    counted on the orders of one unfinished forward sweep of those rows
+    (``_local_orders``).
     """
     weak = weak_controllability(conv)
     N = conv.analysis_horizon
@@ -402,8 +425,7 @@ def strong_controllability_index(
         )
     index = previous = None  # "agree twice": the first repeated index
     for n in range(min(max(2 * conv.memory, 2), N), N + 1):
-        space, rows = SequenceSpace((conv.symbol,) * n), _window(conv, n, (), reverse=True)
-        current = control_profile(BlockCode.from_reversed_howell(space, rows)).index
+        current = ControlProfile(_gap_lengths(n, _local_orders(conv, n))).index
         if current == previous:
             index = current
             break

@@ -13,9 +13,10 @@ is reduced modulo its own ``m_j``, and every row operation is an integer
 combination, so no column is mapped into a common ring.
 
 The Howell kernel is a state that takes rows in batches (``push``) and
-gives the Howell form of all rows so far (``finish``), so a caller that
-grows a span row batch by row batch reads each form without starting
-over; ``howell_form`` pushes all rows at once and finishes, under the one
+gives the Howell form of all rows so far (``finish``), or only its pivot
+columns and orders (``orders``, with no finish), so a caller that grows a
+span row batch by row batch reads each form without starting over;
+``howell_form`` pushes all rows at once and finishes, under the one
 Howell cache ``_howell_cached``.  ``_howell_state`` picks the state from
 the moduli alone.  When every modulus is a power of 2 up to 8 (1
 included), ``_HowellPacked`` holds each row as one int with one byte per
@@ -330,6 +331,23 @@ class _HowellSingle:
                     row[j:] = [(x - q * y) % m for x, y, m in zip(row[j:], tail, moduli[j:])]
         return [tuple(row) for row in basis]
 
+    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The pivot columns and running pivot-order products of the Howell
+        form of the rows pushed so far (``Entry[1:]``), read off the pivot
+        rows with no ``finish``.
+
+        The read is exact.  ``push`` keeps the Howell property between
+        pushes (each new pivot pushes its annihilator row), so ``finish``
+        only scales each pivot row, its pivot p_j to d = gcd(p_j, m_j), and
+        reduces the rows above each pivot at its column, after their own
+        pivots.  The finished form keeps the pivot columns, and ``_entry``
+        reads its pivot order at j as m_j / d = m_j / gcd(p_j, m_j).
+        """
+        moduli, pivots = self.moduli, self.pivots
+        columns = tuple(sorted(pivots))
+        orders = (moduli[j] // gcd(pivots[j][j], moduli[j]) for j in columns)
+        return columns, tuple(accumulate(orders, mul, initial=1))
+
 
 # The moduli of the packed kernel: powers of 2 up to 2^K = 8, so a field
 # of 2K + 1 = 7 bits fits in one byte.
@@ -434,6 +452,19 @@ class _HowellPacked:
                     basis[above] = (prior + (top - q) * row) & mask
             basis.append(row)
         return [tuple(row.to_bytes(self.width, "big")) for row in basis]
+
+    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``_HowellSingle.orders`` on packed rows: the pivot of the row kept
+        at k is its byte ``row >> 8(k - 1)``, in column width - k, and
+        gcd(p, m_j) is its 2-adic part p & -p, as p < m_j | 2^K."""
+        mask, pivots = self.mask, self.pivots
+        keys = sorted(pivots, reverse=True)
+        orders = []
+        for k in keys:
+            shift = 8 * k - 8
+            p = pivots[k] >> shift
+            orders.append((((mask >> shift) & 0xFF) + 1) // (p & -p))
+        return tuple(self.width - k for k in keys), tuple(accumulate(orders, mul, initial=1))
 
 
 def _howell_state(moduli: Vector) -> _HowellSingle | _HowellPacked:

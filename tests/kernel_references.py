@@ -46,6 +46,11 @@
   read off one long window j* symbols longer, the code and strong-index
   windows built tap-local and forward, and one cut window kept per code
   and rebuilt by a longer read; ``direct_window`` is its builder.
+* ``reversed_howell_code``: a code built from its column-reversed Howell
+  rows by finishing every end of their prefix table's sweep, the route
+  ``convolutional.strong_controllability_index`` took to each tap-local
+  window (with ``control_profile`` of that code) before it counted on the
+  orders of one unfinished sweep (``convolutional._local_orders``).
 * ``reduce_vector``: the reducer before the pivot record, which rescans
   each row's pivot column on every call (``linalg._reduce_vector`` reads
   the columns its caller holds), and ``pivot_record``: a Howell form's
@@ -446,6 +451,17 @@ def _reversed_window(conv: ConvolutionalCode, n: int, cut: bool) -> _PrefixTable
     rows = _trusted(space.flat_moduli[::-1], shifts)
     canon = howell_form(rows) if conv.form == "image" else annihilator_rows(rows)
     return _PrefixTable(space, canon.rows)
+
+
+def reversed_howell_code(space: SequenceSpace, rows: tuple[Vector, ...]) -> BlockCode:
+    """The code whose column-reversed Howell rows are ``rows``: the sweep
+    of their prefix table, kept on the code, ends in its forward Howell
+    rows and their record, so no second Howell form is taken."""
+    table = _PrefixTable(space, rows)
+    record = table.entry(space.horizon)
+    code = BlockCode.from_howell(space, record[0])
+    code.__dict__.update(_record=record, _reversed_howell=rows, _prefixes=table)
+    return code
 
 
 class ReferenceWindows:

@@ -12,7 +12,9 @@ invariant-factor count (``linalg._counted_invariants``, on a Howell form
 and its order),
 every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
-(``codes._PrefixTable``, with the last end it filled), every code whose
+(``codes._PrefixTable``, with the last end it filled) and every
+strong-index sweep (``codes._prefix_orders`` as ``convolutional`` calls
+it, with its space and the last end N), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
 the last end filled), every code whose suffix projections proj_[a,N) C
 the reports read (``BlockCode._suffix``, with the starts read), every
@@ -34,6 +36,10 @@ recorded inputs it takes, bucketed by matrix width:
   the prefix table took before the sweep;
 * ``prefix-sweep``: the same entries filled by one sweep of one Howell
   state (``_PrefixTable.entry``);
+* ``order-sweep``: the pivot columns and running pivot-order products of
+  the same entries, read off the same sweep unfinished
+  (``codes._prefix_orders``), as the strong index reads them; checked
+  against ``prefix-sweep``'s;
 * ``annihilator-per-end``: entries 1..last of a recorded annihilator
   table, C-perp ∩ [0, b) for each end b, by one kernel per end
   (``kernel_references.per_end_prefix_annihilator``), the route
@@ -89,7 +95,7 @@ recorded inputs it takes, bucketed by matrix width:
 
 A line gives the kernel, the width bucket, the input count, the number of
 outputs that differ from the reference's (``_HowellSingle``,
-``prefix-per-end``, ``annihilator-per-end``, ``suffix-codes``,
+``prefix-per-end``, ``prefix-sweep``, ``annihilator-per-end``, ``suffix-codes``,
 ``matched-own-table``, ``smith``, ``pair-loop``,
 ``order-graph``, ``peel-code`` or ``conv-windows-reference``) and the
 best of ``--repeat`` timed passes, in seconds of CPU time (a shared machine's other load then shows less than in wall
@@ -100,6 +106,7 @@ reads Howell forms pays for them in every pass.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -123,6 +130,7 @@ from groupcodes import (  # noqa: E402
 )
 from groupcodes.codes import BlockCode, SequenceSpace, window_internal  # noqa: E402
 from groupcodes.convolutional import ConvolutionalCode  # noqa: E402
+from groupcodes.groups import FiniteAbelianGroup  # noqa: E402
 
 # (label, least width, largest width) of each bucket, then of all inputs.
 BUCKETS = (
@@ -142,15 +150,17 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     denominator rows), "pairs": (xs, ys, moduli), "order": (code, l, n,
     levels) and the memoized forms ``order_profile`` passed), and the
     number of specs run.  "prefix" holds (space, reversed rows, last end)
-    of every prefix table that filled an entry, "annihilator" (code, last
+    of every prefix table that filled an entry and of every strong-index
+    sweep, "annihilator" (code, last
     end) of every code whose local dual's prefix table filled one,
     "suffix" (code, starts) of every code whose suffix projections were
     read, "matched" (code,) of every duality report, "peel" (code,) of every
     decomposed code, "conv" (code,) of every distinct convolutional
     code."""
     inputs = {"howell": [], "quotient": [], "pairs": [], "order": [], "matched": [], "peel": []}
-    tables, dualized, convs = [], [], []
+    tables, sweeps, dualized, convs = [], [], [], []
     table_init = codes._PrefixTable.__init__
+    sweep = convolutional._prefix_orders
     conv_init = ConvolutionalCode.__post_init__
     local_dual = codes.BlockCode.__dict__["_local_dual"]
     dualize = local_dual.fn
@@ -160,6 +170,10 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     def record_table(table, *args):
         tables.append(table)
         table_init(table, *args)
+
+    def record_sweep(moduli, offsets, reversed_rows):
+        sweeps.append((moduli, offsets, reversed_rows))
+        return sweep(moduli, offsets, reversed_rows)
 
     def record_dual(code):
         dualized.append(code)
@@ -200,6 +214,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     for (module, name, record), kernel in zip(wrapped, originals):
         setattr(module, name, recording(kernel, record))
     codes._PrefixTable.__init__ = record_table
+    convolutional._prefix_orders = record_sweep
     local_dual.fn = record_dual
     codes.BlockCode._suffix = record_suffix
     ConvolutionalCode.__post_init__ = record_conv
@@ -215,6 +230,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         for (module, name, _), kernel in zip(wrapped, originals):
             setattr(module, name, kernel)
         codes._PrefixTable.__init__ = table_init
+        convolutional._prefix_orders = sweep
         local_dual.fn = dualize
         codes.BlockCode._suffix = suffix
         ConvolutionalCode.__post_init__ = conv_init
@@ -222,6 +238,9 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         (table.space, table.reversed_rows, len(table.entries) - 1)
         for table in tables
         if len(table.entries) > 1
+    ] + [
+        (sweep_space(moduli, offsets), reversed_rows, len(offsets) - 1)
+        for moduli, offsets, reversed_rows in sweeps
     ]
     filled = ((code, code._local_dual.__dict__.get("_prefixes")) for code in dualized)
     inputs["annihilator"] = [
@@ -267,6 +286,19 @@ def prefix_sweep(space, reversed_rows, last) -> list:
     table = codes._PrefixTable(space, reversed_rows)
     table.entry(last)
     return table.entries[1:]
+
+
+def order_sweep(space, reversed_rows, last) -> list:
+    """The pivot columns and orders of entries 1..``last``, read off the
+    unfinished sweep."""
+    sweep = codes._prefix_orders(space.flat_moduli, space.offsets(), reversed_rows)
+    return list(itertools.islice(sweep, last))
+
+
+def sweep_space(moduli, offsets) -> SequenceSpace:
+    """The space with flat ``moduli`` split at the flat ``offsets``."""
+    symbols = (FiniteAbelianGroup(moduli[a:b]) for a, b in zip(offsets, offsets[1:]))
+    return SequenceSpace(tuple(symbols))
 
 
 def smith_factors(numerator, denominator_rows, order) -> tuple:
@@ -443,6 +475,7 @@ def main(argv=None) -> int:
     two_power = [howell[i] for i in packable]
     two_power_expected = [expected[i] for i in packable]
     per_end = [prefix_per_end(*call) for call in prefixes]
+    swept = [[entry[1:] for entry in prefix_sweep(*call)] for call in prefixes]
     kernel_per_end = [annihilator_per_end(*call) for call in annihilators]
     by_suffix_codes = [suffix_codes(*call) for call in suffixes]
     own_table = [matched_own_table(*call) for call in matched]
@@ -460,6 +493,7 @@ def main(argv=None) -> int:
         ("dispatch", linalg._howell_kernel, howell, expected, howell),
         ("prefix-per-end", prefix_per_end, prefixes, per_end, prefixes),
         ("prefix-sweep", prefix_sweep, prefixes, per_end, prefixes),
+        ("order-sweep", order_sweep, prefixes, swept, prefixes),
         ("annihilator-per-end", annihilator_per_end, annihilators, kernel_per_end, annihilators),
         ("annihilator-table", annihilator_table, annihilators, kernel_per_end, annihilators),
         ("suffix-codes", suffix_codes, suffixes, by_suffix_codes, suffixes),

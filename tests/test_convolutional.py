@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcodes.codes import BlockCode, SequenceSpace, window_internal, window_projection
-from groupcodes.control import control_profile, reachable_set
+from groupcodes.control import ControlProfile, _gap_lengths, control_profile, reachable_set
 from groupcodes.convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
     WeakControllabilityVerdict,
     _code_window,
     _finite_support_window,
+    _local_orders,
     _settled,
     _window,
     _zero_extension_window,
@@ -34,7 +35,7 @@ from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import ResidueMatrix, howell_form
 from groupcodes.specfmt import parse_spec
 
-from .kernel_references import ReferenceWindows, direct_window
+from .kernel_references import ReferenceWindows, direct_window, reversed_howell_code
 
 Z2 = FiniteAbelianGroup((2,))
 Z4 = FiniteAbelianGroup((4,))
@@ -1044,29 +1045,43 @@ class TestEngineTwin:
 
 
 class TestStrongIndexWindows:
-    """The strong-index windows are built in reversed form and read
-    forward off the last entry of their prefix table's sweep."""
+    """The strong-index windows are built in reversed form, and their
+    window orders are read off one unfinished forward sweep of those rows
+    (``_local_orders``)."""
 
     def test_reversed_build_is_the_local_window(self):
-        for conv in ONE_TAP_CORPUS[::2]:
+        # The swept index on every code, the reference route on every other.
+        for i, conv in enumerate(ONE_TAP_CORPUS):
             for n in range(1, 10):
-                space = SequenceSpace((conv.symbol,) * n)
-                built = BlockCode.from_reversed_howell(space, _window(conv, n, (), reverse=True))
                 local = local_window(conv, n)
+                index = control_profile(local).index
+                swept = ControlProfile(_gap_lengths(n, _local_orders(conv, n))).index
+                assert swept == index, (conv, n)
+                if i % 2:
+                    continue
+                space = SequenceSpace((conv.symbol,) * n)
+                built = reversed_howell_code(space, _window(conv, n, (), reverse=True))
                 assert built == local, (conv, n)
-                assert control_profile(built).index == control_profile(local).index
+                assert control_profile(built).index == index
 
     def test_one_howell_form_per_window(self, monkeypatch):
         import sys
 
         import groupcodes.convolutional as module
+        from groupcodes.codes import _PrefixTable
 
-        profiles, forms = [], []
-        control, canonical = module.control_profile, howell_form
-        monkeypatch.setattr(module, "control_profile", lambda c: profiles.append(c) or control(c))
+        windows, forms, built = [], [], []
+        orders, canonical, entry = module._local_orders, howell_form, _PrefixTable.entry
+        post_init, from_howell = BlockCode.__post_init__, BlockCode.from_howell.__func__
+        monkeypatch.setattr(module, "_local_orders", lambda *a: windows.append(a) or orders(*a))
         for name, owner in list(sys.modules.items()):
             if name.startswith("groupcodes") and getattr(owner, "howell_form", None) is canonical:
                 monkeypatch.setattr(owner, "howell_form", lambda m: forms.append(m) or canonical(m))
+        monkeypatch.setattr(_PrefixTable, "entry", lambda t, b: built.append(t) or entry(t, b))
+        monkeypatch.setattr(BlockCode, "__post_init__", lambda c: built.append(c) or post_init(c))
+        monkeypatch.setattr(
+            BlockCode, "from_howell", classmethod(lambda *a: built.append(a) or from_howell(*a))
+        )
         for conv in (
             ACCUMULATOR,
             image(Z4, ((1,), (2,))),
@@ -1075,9 +1090,10 @@ class TestStrongIndexWindows:
             kernel(V4, ((0, 0), (1, 0), (0, 1))),
         ):
             weak_controllability(conv)  # its windows are kept on the code
-            profiles.clear(), forms.clear()
+            windows.clear(), forms.clear(), built.clear()
             assert strong_controllability_index(conv).is_finite
-            assert len(forms) == len(profiles) > 0
+            assert len(forms) == len(windows) > 0
+            assert built == []
 
 
 class TestReadBuilds:
@@ -1144,7 +1160,9 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
     # no Howell form.  Every kept window is built at its read length and
     # never regrown (80 of 1,166 cut windows regrew with the kept cut
     # window), and every prefix end filled is read (1,592 of 5,778 were
-    # not).
+    # not).  The strong index counts its windows' orders on an unfinished
+    # sweep with no prefix table, so at most 432 tables are made (1,144
+    # with one table per strong-index window).
     import sys
 
     import groupcodes.convolutional as module
@@ -1200,4 +1218,5 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
     assert counts["codes"] <= 2100
     assert counts["howell_while_filling"] == 0
     assert counts["regrown"] == 0
+    assert len(tables) <= 432
     assert tables and all(set(range(1, len(t.entries))) <= ends for t, ends in tables.items())

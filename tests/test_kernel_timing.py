@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "kernel_timing.py"
 KERNELS = (
     "reference", "reference-2^k", "packed", "dispatch", "prefix-per-end", "prefix-sweep",
+    "order-sweep",
     "annihilator-per-end", "annihilator-table", "suffix-codes", "suffix-records",
     "matched-own-table", "matched-shared-table",
     "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
@@ -40,9 +41,11 @@ def test_two_specs_no_mismatch(workload):
     assert totals["smith"] == totals["counted"]
     assert totals["pair-loop"] == totals["pair-map"] > 0
     assert totals["order-graph"] == totals["order-counted"]
-    # Every workload's reports read windows of block codes or kernel cut
-    # windows off filled prefix tables.
+    # Every workload's reports read windows of block codes off filled
+    # prefix tables, or count strong-index windows on prefix sweeps; the
+    # unfinished sweep reads the same orders as the finished one.
     assert totals["prefix-per-end"] == totals["prefix-sweep"] > 0
+    assert totals["order-sweep"] == totals["prefix-sweep"]
     # Block reports read invariant factors, order profiles and the
     # duality report's annihilator windows; convolutional ones do none.
     assert totals["annihilator-per-end"] == totals["annihilator-table"]

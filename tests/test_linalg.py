@@ -934,7 +934,8 @@ class TestPackedKernel:
 class TestPushFinish:
     """A Howell state pushed rows in batches and finished after each batch
     gives ``howell_form`` of the rows pushed so far, on both kernels, and
-    finishing leaves the state as it was."""
+    finishing leaves the state as it was.  Its unfinished order read is the
+    finished form's pivot record, less the rows."""
 
     @staticmethod
     def check(state, rows, moduli, cuts):
@@ -946,6 +947,7 @@ class TestPushFinish:
             assert state.pivots == before
             assert got == list(howell_form(residue_matrix(rows[:hi], moduli)).rows)
             assert state.finish() == got
+            assert state.orders() == _entry(tuple(got), moduli)[1:]
 
     @given(two_power_matrices(), st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)
