@@ -13,7 +13,7 @@ import itertools
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
 from .linalg import (
@@ -353,12 +353,11 @@ def _prefix_orders(
     moduli: Vector, offsets: Sequence[int], reversed_rows: tuple[Vector, ...]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The pivot columns and running pivot-order products (``Entry[1:]``)
-    of C ∩ [0, b) for each end b = 1..N, C the subgroup of the space with
-    flat moduli ``moduli`` and offsets ``offsets`` whose column-reversed
-    Howell rows are ``reversed_rows``.  The sweep of ``_PrefixTable.entry``
-    (``_end_batches``), each end read off the unfinished Howell state
-    (``orders``): no finish, record or code.  An end that takes in no row
-    shares the read before it."""
+    of C ∩ [0, b) for each end b = 1..N, C the subgroup with flat
+    ``moduli`` and ``offsets`` whose column-reversed Howell rows are
+    ``reversed_rows``: the sweep of ``_PrefixTable.entry``, each end read
+    off the unfinished Howell state (``orders``) with no finish, record
+    or code, or shared with the end before when it takes in no row."""
     _, columns, _ = _entry(reversed_rows, moduli[::-1])
     state, read = _howell_state(moduli), ((), (1,))
     for i, j in _end_batches(offsets, columns):
@@ -366,6 +365,21 @@ def _prefix_orders(
             state.push(row[::-1] for row in reversed_rows[i:j])
             read = state.orders()
         yield read
+
+
+def _swept_orders(
+    moduli: Vector, offsets: Sequence[int], reversed_rows: tuple[Vector, ...]
+) -> Callable[[int, int], int]:
+    """|C ∩ [a, b)| as ``control._gap_lengths`` reads it, off one sweep
+    (``_prefix_orders``): the product of the pivot orders of the rows of
+    C ∩ [0, b) with pivot at or after offset(a) (the Howell property)."""
+    prefixes = ((), (1,)), *_prefix_orders(moduli, offsets, reversed_rows)
+
+    def order(a: int, b: int) -> int:
+        columns, products = prefixes[b]
+        return products[-1] // products[bisect_left(columns, offsets[a])]
+
+    return order
 
 
 def code_from_generators(
@@ -419,18 +433,26 @@ def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]
     return rows[i:], products[-1] // products[i]
 
 
+def _rows_before(record: Entry, cut: int) -> tuple[tuple[Vector, ...], int]:
+    """The rows of a pivot record with pivot before column ``cut``, uncut
+    (a slice of its rows), and their span's order: of proj_[a,N) C at
+    offset(b) - offset(a), proj_[a,b) C before the cut (``_projection``)."""
+    rows, columns, products = record
+    i = bisect_left(columns, cut)
+    return rows[:i], products[i]
+
+
 def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
     """Howell rows and order of proj_[a,b) C, in the coordinates of [a, b):
     the rows of the suffix record of proj_[a,N) C (C's own for a = 0)
-    with pivot before the cut, cut to [a, b).  The other rows vanish on
-    the window.  The cut rows are a Howell form again, as a word of the
-    window vanishing before a column lifts to a word of the suffix
+    with pivot before the cut (``_rows_before``), cut to [a, b); the other
+    rows vanish on it.  The cut rows are a Howell form again, as a word of
+    the window vanishing before a column lifts to a word of the suffix
     projection that does; each keeps its pivot and pivot order."""
     offsets = code.space.offsets()
     cut = offsets[b] - offsets[a]
-    rows, columns, products = code._suffix(a)
-    i = bisect_left(columns, cut)
-    return tuple(row[:cut] for row in rows[:i]), products[i]
+    rows, order = _rows_before(code._suffix(a), cut)
+    return tuple(row[:cut] for row in rows), order
 
 
 def _annihilator_order(code: BlockCode, a: int, b: int) -> int:

@@ -25,11 +25,10 @@ justifies gating the strong index by the weak verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .codes import BlockCode, SequenceSpace, _cached, _prefix_orders, _PrefixTable, _projection
+from .codes import BlockCode, SequenceSpace, _cached, _PrefixTable, _projection, _swept_orders
 from .control import ControlProfile, _gap_lengths
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
@@ -172,24 +171,12 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
 
 
 def _local_orders(conv: ConvolutionalCode, n: int) -> Callable[[int, int], int]:
-    """The window orders |C ∩ [a, b)| of the local window C = [0, n), as
-    ``control._gap_lengths`` reads them: the window built reversed
-    (``_window``), its rows pushed end by end into one forward Howell
-    state, and the pivot columns and orders of each prefix C ∩ [0, b) read
-    off that state unfinished (``codes._prefix_orders``).  No space, code,
-    table or finished form is made.  By the Howell property the words of
-    C ∩ [0, b) vanishing before a are spanned by its rows with pivot at or
-    after offset(a), so |C ∩ [a, b)| is the product of their pivot orders.
-    """
+    """The window orders |C ∩ [a, b)| of the local window C = [0, n), off
+    one unfinished forward sweep of its reversed build (``_window``,
+    ``codes._swept_orders``): no space, code, table or finished form."""
     moduli, width = conv.symbol.moduli * n, len(conv.symbol.moduli)
     offsets = range(0, len(moduli) + 1, width)
-    prefixes = ((), (1,)), *_prefix_orders(moduli, offsets, _window(conv, n, (), reverse=True))
-
-    def order(a: int, b: int) -> int:
-        columns, products = prefixes[b]
-        return products[-1] // products[bisect_left(columns, offsets[a])]
-
-    return order
+    return _swept_orders(moduli, offsets, _window(conv, n, (), reverse=True))
 
 
 # Reports (``cli``) read n = 1..min(horizon, REPORT_WINDOWS); kept windows cover them.

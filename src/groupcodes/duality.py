@@ -110,7 +110,7 @@ def pairs_to_zero(
 
     The weights L/m_j are folded into the x rows once per call, and not at
     all when every m_j is L; each pair is then one ``map`` of products
-    summed in C.
+    summed in C, over the columns of x, so a y row may run past them.
     """
     if not xs or not ys:
         return True

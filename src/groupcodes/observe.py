@@ -24,6 +24,8 @@ from .codes import (
     _annihilator_order,
     _internal,
     _projection,
+    _rows_before,
+    _swept_orders,
     invariant_factors_of_code,
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
@@ -234,13 +236,11 @@ def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
     gap L = 0..N-1, ``dual`` being D = C-perp: of cs_L =
     ``controllable_subcode(code, L)`` and of S_L =
     ``controllable_subcode(T, L)``, T = ``dual._local_dual`` = D-perp, whose
-    dual is ``observable_supercode(dual, L)``.  One routine climbs both:
-    the side of a top is built until its Howell rows are the top's, and
-    then repeats (``check_control_observe_duality`` gives the proof).  It
-    runs once per distinct top object: with T = C both sides are one list,
-    and only a T that is a code of its own climbs on its own tables.  Each
-    distinct subgroup is dualized once, by its rows (the dual is a function
-    of them), and C's dual is ``dual``."""
+    dual is ``observable_supercode(dual, L)``.  Each side is built until its
+    Howell rows are its top's, then repeats (``check_control_observe_duality``
+    gives the proof), once per distinct top object: with T = C both sides
+    are one list.  Each distinct subgroup is dualized once, by its rows,
+    and C's dual is ``dual``."""
     N = code.space.horizon
     dualized = {code.basis.rows: dual}
 
@@ -260,6 +260,62 @@ def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
     return sub_duals, sub_duals if top is code else duals_to_top(top)
 
 
+def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityCheck, ...], bool]:
+    """The window checks and the chain verdict of the duality report of
+    ``code``, ``dual`` being D = C-perp, by one walk per start k over D's
+    suffix record proj_[k,N) D, read once.
+
+    The consistency set of D on [a, b) is the preimage of P = proj_[a,b) D:
+    its order is |G| · |P| / |G_[a,b)| and its Howell rows restricted to
+    [a, b) are P's, so the window check reads |C ∩ [a, b)| · |P| = |G_[a,b)|
+    and pairs the internal part's window columns with P's rows: the rows
+    of the record before the cut (``codes._rows_before``), uncut, as
+    ``pairs_to_zero`` stops at the window's width.  The reach chain is the
+    nesting C ∩ [0, b) ⊆ C ∩ [0, b+1) of the prefix entries, as
+    C_k(L) = Z_k + C ∩ [0, k+L); the consistency set on [k, b+1) lies in
+    the one on [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in
+    proj_[k,b) D.  Each row of the smaller side is zero, a Howell row of
+    the larger or reduces to zero at the pivot columns held.  The rows at
+    end b are the first rows at b + 1, the same tuple objects, so only the
+    rows end b + 1 adds are tested, which decides every row whatever the
+    table holds.  Both chains hold by construction: the nested chain checks
+    the records' cut bookkeeping (the rows an end adds vanish before it),
+    not duality, which the window checks test.
+    """
+    N, moduli, offsets = code.space.horizon, code.space.flat_moduli, code.space.offsets()
+
+    def within(words, rows, columns, lo: int, hi: int) -> bool:
+        # A zero reduction proves membership even at wrong ``columns``.
+        window, known = moduli[lo:hi], {*rows, (0,) * (hi - lo)}
+        return all(w in known or not any(_reduce_vector(rows, columns, window, w)) for w in words)
+
+    def prefix_nested(b: int) -> bool:
+        # C ∩ [0, b) ⊆ C ∩ [0, b+1); an end that takes in no row shares.
+        inner, outer = code._prefix(b), code._prefix(b + 1)
+        return inner is outer or within(inner[0], outer[0], outer[1], 0, len(moduli))
+
+    def nested(rows, outer, columns, lo: int, hi: int) -> bool:
+        # proj_[k,b+1) D, cut to [lo, hi) = [k, b), in proj_[k,b) D: first rows
+        # of ``outer`` that are ``rows`` (by identity first) and zero cuts pass.
+        n, width = len(rows), hi - lo
+        added = outer[n:] if outer[:n] == rows else outer
+        cuts = [cut for cut in (row[:width] for row in added) if any(cut)]
+        return not cuts or within(cuts, [row[:width] for row in rows], columns[:n], lo, hi)
+
+    checks, chain_ok = [], all(prefix_nested(b) for b in range(N))
+    for k in range(N):
+        record, lo = dual._suffix(k), offsets[k]
+        for b in range(k + 1, N + 1):
+            hi = offsets[b]
+            outer, order = _rows_before(record, hi - lo)
+            inner, inner_order = _internal(code, k, b)
+            ok = is_annihilator([r[lo:hi] for r in inner], inner_order, outer, order, moduli[lo:hi])
+            checks.append(WindowDualityCheck(k, b, ok))
+            chain_ok = chain_ok and (b == k + 1 or nested(rows, outer, record[1], lo, last))
+            rows, last = outer, hi
+    return tuple(checks), chain_ok
+
+
 def check_control_observe_duality(code: BlockCode) -> DualityReport:
     """Window-by-window duality evidence for a block code.
 
@@ -274,108 +330,42 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
       factors agree (computed once per distinct subgroup); with
       C-perp-perp = C this is a check of biduality (see below).
 
-    The consistency set of the dual D on [a, b) is the preimage of
-    P = proj_[a,b) D, so its order is |G| · |P| / |G_[a,b)| and its Howell
-    rows restricted to [a, b) are those of P (the unit rows outside the
-    window vanish on it).  The window check therefore reads
-    |C ∩ [a, b)| · |P| = |G_[a,b)| and pairs the internal part's window
-    columns with P's rows; no consistency set is built.  Of the two
-    chains, the reach chain is the nesting of the prefix entries:
-    C_k(L) = Z_k + C ∩ [0, k+L), so C ∩ [0, b) ⊆ C ∩ [0, b+1) gives
-    C_k(L) ⊆ C_k(L+1).  The consistency set on [k, b+1) lies in the one on
-    [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D.
-    Both containments read alike: each Howell row of the smaller side is
-    zero, is a Howell row of the larger or reduces to zero against them,
-    at the pivot columns the tables already hold (the prefix entry's, and
-    the first ones of D's suffix record ``_suffix(k)``, whose cut rows are
-    those of proj_[k,b) D), with no row rescanned.  Once the window
-    reaches the horizon the sets repeat, so there is nothing more to test.
-    Both chains hold by construction: the prefix table's entries are one
-    sweep over one reversed Howell form, and every projection proj_[k,b) D
-    is a cut of the one suffix Howell form proj_[k,N) D.  The checks stay,
-    as evidence on those tables and their pivot columns.
-
-    Every window is read as rows and an order straight off a table entry
-    (``codes._internal`` off C's prefix table, ``codes._projection`` off
-    D's suffix records), so the O(N^2) window and chain checks build no
-    code and no space, and each order is a lookup of running pivot-order
-    products.  Each of D's O(N) suffix records is one Howell form of its
-    cut rows.
+    The window and chain checks read rows and orders off C's prefix table
+    and D's suffix records, one walk per start (``_window_walk``, with the
+    proofs); the nested chain checks the records' cut bookkeeping.
 
     Each matched side is built only until it reaches its top
     (``_matched_duals``).  The supercode of D at window L is the dual of
     the sum S_L of the annihilators T ∩ [k, k+L+1) of its consistency sets,
     T = ``dual._local_dual`` = D-perp (``observable_supercode``), and S_L
-    is ``controllable_subcode(T, L)``.  So both sides are controllable
-    subcodes of a top, C or T: sums of the windows top ∩ [k, k+L+1), which
-    grow with L, so each side is a nondecreasing chain under its top, and
-    at L = N - 1 its term at k = 0 is the top itself.  A nondecreasing
-    chain under its top that meets the top stays there: once the Howell
-    rows of a side equal its top's, the side is the same subgroup for
-    every larger L, and its dual and invariant factors are reused.  A dual
-    is a function of the Howell rows, so each distinct subgroup of either
-    side is dualized once, and C's dual is D.
+    is ``controllable_subcode(T, L)``.  So each side sums the windows
+    top ∩ [k, k+L+1) of a top, C or T, which grow with L, and at L = N - 1
+    it is the top: a nondecreasing chain under its top that stays there
+    once its Howell rows are the top's, its dual and invariant factors
+    then reused.  Each distinct subgroup is dualized once, C's dual is D.
 
     T is one kernel of D's rows.  When they are C's rows (C-perp-perp = C),
     T is the code object itself (``BlockCode._local_dual``): the two sides
     are one list, climbed once on C's prefix table, and T's dual is D.
-    The kernel is still taken and its rows compared, so sharing the side
-    does not assume biduality: a kernel that is not C makes a code with
-    tables of its own, and the supercode side then climbs to it.  So with
-    T = C the matched lines check biduality only: the kernel rows of D
-    are compared with C's.  Their invariant factors are counted once per
-    distinct subgroup and printed.  A wrong entry of C's prefix table
-    reaches both sides alike; that table is checked by the window lines:
-    each counts and pairs the internal part C ∩ [a, b), off C's prefix
-    table, against proj_[a,b) D, off the dual's suffix records.
+    The kernel is still taken and its rows compared; one that is not C
+    makes a code with tables of its own, which the supercode side climbs
+    to.  So with T = C the matched lines check biduality only (the kernel
+    rows of D against C's) and print the invariant factors.  A wrong entry
+    of C's prefix table reaches both sides alike; the window lines check
+    that table against the dual's suffix records.
 
-    The control indices come from ``control_profile`` of the code and of
-    the dual (the dual's own prefix table).  The observe index of the code
-    is counted on the code's own suffix records (``_observe_index``),
-    with no kernel, and that of the dual is the first matched supercode
-    equal to the dual.  So each side of ``indices_match`` is a separate
-    computation, and it stays evidence: the code's control index counts
-    orders on C's prefix table where the dual's observe index sums its
-    rows, and the code's observe index reads no table of D, where the
-    dual's control index reads D's prefix table alone.
+    The code's control index comes from ``control_profile`` (C's prefix
+    table); the dual's is counted on one unfinished sweep of D's reversed
+    rows (``codes._swept_orders``), with no prefix table of D.  The code's
+    observe index is counted on its own suffix records (``_observe_index``)
+    and the dual's is the first matched supercode equal to the dual.  So
+    each side of ``indices_match`` is a separate computation: C's control
+    index counts orders where D's observe index sums rows, and C's observe
+    index reads no table of D, where D's control index reads D's rows.
     """
     N = code.space.horizon
     dual = code._local_dual
-    moduli = code.space.flat_moduli
-    offsets = code.space.offsets()
-    proj = {(a, b): _projection(dual, a, b) for a in range(N) for b in range(a + 1, N + 1)}
-    window_checks = []
-    for (a, b), (rows, order) in proj.items():
-        inner, inner_order = _internal(code, a, b)
-        lo, hi = offsets[a], offsets[b]
-        ok = is_annihilator([row[lo:hi] for row in inner], inner_order, rows, order, moduli[lo:hi])
-        window_checks.append(WindowDualityCheck(a, b, ok))
-
-    def within(words, rows, columns, lo: int, hi: int) -> bool:
-        # Each word over [lo, hi) is zero, is one of the Howell ``rows`` or
-        # reduces to zero at ``columns``, their pivot columns as a table
-        # holds them; zero proves membership even at wrong columns.
-        window, known = moduli[lo:hi], {*rows, (0,) * (hi - lo)}
-        return all(w in known or not any(_reduce_vector(rows, columns, window, w)) for w in words)
-
-    def prefix_nested(b: int) -> bool:
-        # C ∩ [0, b) ⊆ C ∩ [0, b+1), on the prefix entries (shared when
-        # the end takes in no row).
-        inner, outer = code._prefix(b), code._prefix(b + 1)
-        return inner is outer or within(inner[0], outer[0], outer[1], 0, len(moduli))
-
-    def nested(k: int, b: int) -> bool:
-        # proj_[k,b+1) D, cut to [k, b), lies in proj_[k,b) D, whose rows
-        # are the first rows of proj_[k,N) D, cut, with their pivot columns.
-        width = offsets[b] - offsets[k]
-        cuts = [row[:width] for row in proj[k, b + 1][0]]
-        rows = proj[k, b][0]
-        return within(cuts, rows, dual._suffix(k)[1][: len(rows)], offsets[k], offsets[b])
-
-    chain_ok = all(prefix_nested(b) for b in range(N)) and all(
-        nested(k, b) for k in range(N) for b in range(k + 1, N)
-    )
-
+    window_checks, chain_ok = _window_walk(code, dual)
     sub_duals, supercodes = _matched_duals(code, dual)
     factors = {}
 
@@ -393,8 +383,9 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         )
         for L, (sub_dual, sup) in enumerate(zip(sub_duals, supercodes))
     )
+    dual_orders = _swept_orders(code.space.flat_moduli, code.space.offsets(), dual._reversed_howell)
     return DualityReport(
-        window_checks=tuple(window_checks),
+        window_checks=window_checks,
         chain_ok=chain_ok,
         matched_checks=matched,
         control_index=control_profile(code).index,
@@ -402,5 +393,5 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         # cause: the line of gap N - 1 then reads MISMATCH.
         dual_observe_index=next((L for L, c in enumerate(supercodes) if c == dual), N),
         observe_index=_observe_index(code),
-        dual_control_index=control_profile(dual).index,
+        dual_control_index=max(_gap_lengths(N, dual_orders)),
     )

@@ -39,6 +39,13 @@
   ``observe._matched_duals`` took before the local dual's local dual was
   the code, the two sides one climb, and each distinct side dualized
   once.
+* ``cut_duality_windows``: the window checks and chain verdict of the
+  duality report with every projection of the dual a cut copy of its
+  rows, kept in one dict, and every nested containment tested on every
+  row, cut and hashed again, the route
+  ``observe.check_control_observe_duality`` took before one walk per
+  start paired the rows of the dual's suffix record uncut and tested only
+  the rows each end adds.
 * ``ReferenceWindows``: the windows, settle steps and weak and strong
   verdicts of a convolutional code by the route
   ``groupcodes.convolutional`` took before its one window engine: each
@@ -74,6 +81,7 @@ from groupcodes import linalg, structure
 from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
+    _internal,
     _PrefixTable,
     _projection,
     code_from_generators,
@@ -92,6 +100,7 @@ from groupcodes.linalg import (
     ResidueMatrix,
     Vector,
     _first_nonzero,
+    _reduce_vector,
     _trusted,
     annihilator_rows,
     contains_vector,
@@ -102,6 +111,7 @@ from groupcodes.linalg import (
     residue_matrix,
     vector_order,
 )
+from groupcodes.observe import WindowDualityCheck
 from groupcodes.structure import Decomposition, DecompositionGenerator
 
 
@@ -419,6 +429,46 @@ def own_table_matched_duals(code: BlockCode) -> tuple[list[BlockCode], list[Bloc
     subcodes = duals_to_top(lambda L: controllable_subcode(code, L), code, dual)
     sums = duals_to_top(lambda L: controllable_subcode(top, L), top)
     return subcodes, sums
+
+
+def cut_duality_windows(code: BlockCode) -> tuple[tuple[WindowDualityCheck, ...], bool]:
+    """The window checks and the chain verdict of the duality report of
+    ``code``: every projection proj_[a,b) D of the dual read as a cut copy
+    of its rows (``codes._projection``) into one dict, and each nested
+    containment proj_[k,b+1) D, cut to [k, b), in proj_[k,b) D tested on
+    every row, cut and hashed again.  The route
+    ``observe.check_control_observe_duality`` took before one walk per
+    start read the rows of D's suffix record uncut
+    (``observe._window_walk``)."""
+    N = code.space.horizon
+    dual = code._local_dual
+    moduli, offsets = code.space.flat_moduli, code.space.offsets()
+    proj = {(a, b): _projection(dual, a, b) for a in range(N) for b in range(a + 1, N + 1)}
+    window_checks = []
+    for (a, b), (rows, order) in proj.items():
+        inner, inner_order = _internal(code, a, b)
+        lo, hi = offsets[a], offsets[b]
+        ok = is_annihilator([row[lo:hi] for row in inner], inner_order, rows, order, moduli[lo:hi])
+        window_checks.append(WindowDualityCheck(a, b, ok))
+
+    def within(words, rows, columns, lo: int, hi: int) -> bool:
+        window, known = moduli[lo:hi], {*rows, (0,) * (hi - lo)}
+        return all(w in known or not any(_reduce_vector(rows, columns, window, w)) for w in words)
+
+    def prefix_nested(b: int) -> bool:
+        inner, outer = code._prefix(b), code._prefix(b + 1)
+        return inner is outer or within(inner[0], outer[0], outer[1], 0, len(moduli))
+
+    def nested(k: int, b: int) -> bool:
+        width = offsets[b] - offsets[k]
+        cuts = [row[:width] for row in proj[k, b + 1][0]]
+        rows = proj[k, b][0]
+        return within(cuts, rows, dual._suffix(k)[1][: len(rows)], offsets[k], offsets[b])
+
+    chain_ok = all(prefix_nested(b) for b in range(N)) and all(
+        nested(k, b) for k in range(N) for b in range(k + 1, N)
+    )
+    return tuple(window_checks), chain_ok
 
 
 def _all_shift_rows(conv: ConvolutionalCode, n: int, cut: bool) -> tuple[Vector, ...]:

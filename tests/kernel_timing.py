@@ -12,9 +12,10 @@ invariant-factor count (``linalg._counted_invariants``, on a Howell form
 and its order),
 every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
-(``codes._PrefixTable``, with the last end it filled) and every
-strong-index sweep (``codes._prefix_orders`` as ``convolutional`` calls
-it, with its space and the last end N), every code whose
+(``codes._PrefixTable``, with the last end it filled) and every order
+sweep (``codes._prefix_orders``, as the strong index and the duality
+report's dual control index call it, with its space and the last end
+N), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
 the last end filled), every code whose suffix projections proj_[a,N) C
 the reports read (``BlockCode._suffix``, with the starts read), every
@@ -38,8 +39,8 @@ recorded inputs it takes, bucketed by matrix width:
   state (``_PrefixTable.entry``);
 * ``order-sweep``: the pivot columns and running pivot-order products of
   the same entries, read off the same sweep unfinished
-  (``codes._prefix_orders``), as the strong index reads them; checked
-  against ``prefix-sweep``'s;
+  (``codes._prefix_orders``), as the strong index and the dual control
+  index read them; checked against ``prefix-sweep``'s;
 * ``annihilator-per-end``: entries 1..last of a recorded annihilator
   table, C-perp ∩ [0, b) for each end b, by one kernel per end
   (``kernel_references.per_end_prefix_annihilator``), the route
@@ -62,6 +63,14 @@ recorded inputs it takes, bucketed by matrix width:
 * ``matched-shared-table``: the same by ``observe._matched_duals``, where
   T is the code, whose prefix table both sides read, and each distinct
   side is dualized once;
+* ``duality-windows-cut``: the window checks and chain verdict of each
+  recorded duality report, every projection of the dual a cut copy of
+  its rows and every nested containment tested on every row
+  (``kernel_references.cut_duality_windows``), the route before the walk;
+* ``duality-windows-walk``: the same by ``observe._window_walk``, one
+  walk per start over the dual's suffix record, its rows paired uncut and
+  only the rows each end adds tested.  Both run on the recorded code,
+  whose tables its report filled, so they time the reads only;
 * ``smith``: invariant factors by the integer Smith form
   (``kernel_references.smith_quotient_invariants``) on every
   ``_counted_invariants`` input, its numerator and denominator;
@@ -96,7 +105,7 @@ recorded inputs it takes, bucketed by matrix width:
 A line gives the kernel, the width bucket, the input count, the number of
 outputs that differ from the reference's (``_HowellSingle``,
 ``prefix-per-end``, ``prefix-sweep``, ``annihilator-per-end``, ``suffix-codes``,
-``matched-own-table``, ``smith``, ``pair-loop``,
+``matched-own-table``, ``duality-windows-cut``, ``smith``, ``pair-loop``,
 ``order-graph``, ``peel-code`` or ``conv-windows-reference``) and the
 best of ``--repeat`` timed passes, in seconds of CPU time (a shared machine's other load then shows less than in wall
 time).  The Howell cache is cleared before each pass, so a kernel that
@@ -150,8 +159,8 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     denominator rows), "pairs": (xs, ys, moduli), "order": (code, l, n,
     levels) and the memoized forms ``order_profile`` passed), and the
     number of specs run.  "prefix" holds (space, reversed rows, last end)
-    of every prefix table that filled an entry and of every strong-index
-    sweep, "annihilator" (code, last
+    of every prefix table that filled an entry and of every order sweep,
+    "annihilator" (code, last
     end) of every code whose local dual's prefix table filled one,
     "suffix" (code, starts) of every code whose suffix projections were
     read, "matched" (code,) of every duality report, "peel" (code,) of every
@@ -160,7 +169,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     inputs = {"howell": [], "quotient": [], "pairs": [], "order": [], "matched": [], "peel": []}
     tables, sweeps, dualized, convs = [], [], [], []
     table_init = codes._PrefixTable.__init__
-    sweep = convolutional._prefix_orders
+    sweep = codes._prefix_orders
     conv_init = ConvolutionalCode.__post_init__
     local_dual = codes.BlockCode.__dict__["_local_dual"]
     dualize = local_dual.fn
@@ -214,7 +223,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     for (module, name, record), kernel in zip(wrapped, originals):
         setattr(module, name, recording(kernel, record))
     codes._PrefixTable.__init__ = record_table
-    convolutional._prefix_orders = record_sweep
+    codes._prefix_orders = record_sweep
     local_dual.fn = record_dual
     codes.BlockCode._suffix = record_suffix
     ConvolutionalCode.__post_init__ = record_conv
@@ -230,7 +239,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         for (module, name, _), kernel in zip(wrapped, originals):
             setattr(module, name, kernel)
         codes._PrefixTable.__init__ = table_init
-        convolutional._prefix_orders = sweep
+        codes._prefix_orders = sweep
         local_dual.fn = dualize
         codes.BlockCode._suffix = suffix
         ConvolutionalCode.__post_init__ = conv_init
@@ -299,6 +308,12 @@ def sweep_space(moduli, offsets) -> SequenceSpace:
     """The space with flat ``moduli`` split at the flat ``offsets``."""
     symbols = (FiniteAbelianGroup(moduli[a:b]) for a, b in zip(offsets, offsets[1:]))
     return SequenceSpace(tuple(symbols))
+
+
+def duality_windows_walk(code) -> tuple:
+    """The window checks and chain verdict of ``code``'s duality report
+    by the walk, on the tables its report filled."""
+    return observe._window_walk(code, code._local_dual)
 
 
 def smith_factors(numerator, denominator_rows, order) -> tuple:
@@ -479,6 +494,7 @@ def main(argv=None) -> int:
     kernel_per_end = [annihilator_per_end(*call) for call in annihilators]
     by_suffix_codes = [suffix_codes(*call) for call in suffixes]
     own_table = [matched_own_table(*call) for call in matched]
+    cut_windows = [kernel_references.cut_duality_windows(*call) for call in matched]
     smith = [smith_factors(*call) for call in quotients]
     loop = [kernel_references.loop_pairs_to_zero(*call) for call in pairs]
     graph = [split_graph(*call) for call in splits]
@@ -500,6 +516,8 @@ def main(argv=None) -> int:
         ("suffix-records", suffix_records, suffixes, by_suffix_codes, suffixes),
         ("matched-own-table", matched_own_table, matched, own_table, matched),
         ("matched-shared-table", matched_shared_table, matched, own_table, matched),
+        ("duality-windows-cut", kernel_references.cut_duality_windows, matched, cut_windows, matched),
+        ("duality-windows-walk", duality_windows_walk, matched, cut_windows, matched),
         ("smith", smith_factors, quotients, smith, quotients),
         ("counted", linalg._counted_invariants, quotients, smith, quotients),
         ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -381,6 +382,39 @@ class TestDualityCheck:
         code, out, _ = run_cli("duality-check", constant_spec)
         assert code == 0
         assert "zero-extension" in out
+
+
+def z8_band_spec(n, tap=(7, 1, 6)):
+    """The Z/8 band spec at horizon n: every in-window shift of ``tap``."""
+    lines = ["kind: block", "symbols: " + " ".join(["[8]"] * n)]
+    for k in range(n - len(tap) + 1):
+        row = [0] * k + list(tap) + [0] * (n - len(tap) - k)
+        lines.append("generator: " + " ".join(map(str, row)))
+    return "\n".join(lines) + "\n"
+
+
+class TestBandBudget:
+    # The wall budget the README states for each command on the N = 128
+    # Z/8 band spec, run as a fresh process (about 0.3, 0.4 and 1.1 s on a
+    # 2-core machine).  Never raised to make a slow change pass.
+    BUDGET_S = 10.0
+
+    @pytest.mark.parametrize("command", ["analyze", "decompose", "duality-check"])
+    def test_n128_band_within_budget(self, command, tmp_path):
+        spec = tmp_path / "z8_band128.spec"
+        spec.write_text(z8_band_spec(128), encoding="utf-8")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcodes.cli", command, str(spec)],
+            capture_output=True,
+            text=True,
+            timeout=3 * self.BUDGET_S,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed <= self.BUDGET_S, (command, elapsed)
+        if command == "duality-check":
+            assert "verdict: pass" in proc.stdout
 
 
 class TestOracle:

@@ -12,7 +12,7 @@ KERNELS = (
     "reference", "reference-2^k", "packed", "dispatch", "prefix-per-end", "prefix-sweep",
     "order-sweep",
     "annihilator-per-end", "annihilator-table", "suffix-codes", "suffix-records",
-    "matched-own-table", "matched-shared-table",
+    "matched-own-table", "matched-shared-table", "duality-windows-cut", "duality-windows-walk",
     "smith", "counted", "pair-loop", "pair-map", "order-graph", "order-counted",
     "peel-code", "peel-reversed", "conv-windows-reference", "conv-windows-engine",
 )
@@ -61,6 +61,11 @@ def test_two_specs_no_mismatch(workload):
     # rebuild each one, and their duals agree.
     assert totals["matched-own-table"] == totals["matched-shared-table"]
     assert (totals["matched-shared-table"] > 0) == (workload != "convolutional")
+    # Both window routes run every recorded report, and every row reads
+    # 0 mismatches: the walk gives the cut route's window verdicts and
+    # chain verdict on each.
+    assert totals["duality-windows-cut"] == totals["duality-windows-walk"]
+    assert totals["duality-windows-walk"] == totals["matched-shared-table"]
     # Block reports decompose (``decompose`` and ``check --property
     # subdirect``); a convolutional ``decompose`` is an exit-2 error.
     assert totals["peel-code"] == totals["peel-reversed"]

@@ -292,30 +292,91 @@ def test_duality_check_makes_one_kernel_of_the_code(spec, monkeypatch):
 def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     # T = D-perp is one kernel of the dual's rows; they equal C's, so T is
     # the code object and the annihilator sums read C's prefix table.  The
-    # report builds two prefix tables, C's and D's, and none for T; each of
-    # C and D is kernelled once.
+    # report builds one prefix table, C's, and none for D or T: the dual's
+    # control index is counted on one sweep of D's reversed rows, which
+    # finishes no Howell state.  Each of C and D is kernelled once.
     import groupcodes.codes as codes_module
 
     code = band_code("z4_band10_code.spec")
-    N = code.space.horizon
-    tables, kernels = Counter(), Counter()
+    tables, kernels, sweeps, states = [], Counter(), Counter(), []
     table_init, kernel = codes_module._PrefixTable.__init__, codes_module.annihilator_rows
+    sweep, make_state = codes_module._prefix_orders, codes_module._howell_state
+
+    class CountedState:
+        def __init__(self, moduli):
+            self.state, self.finished = make_state(moduli), 0
+            states.append(self)
+
+        def push(self, rows):
+            self.state.push(rows)
+
+        def orders(self):
+            return self.state.orders()
+
+        def finish(self):
+            self.finished += 1
+            return self.state.finish()
 
     def counted_table(self, space, reversed_rows, *args):
-        tables[reversed_rows] += 1
+        tables.append(self)
         table_init(self, space, reversed_rows, *args)
 
     def counted_kernel(matrix):
         kernels[matrix.rows] += 1
         return kernel(matrix)
 
+    def counted_sweep(moduli, offsets, reversed_rows):
+        sweeps[reversed_rows] += 1
+        return sweep(moduli, offsets, reversed_rows)
+
     monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
     monkeypatch.setattr(codes_module, "annihilator_rows", counted_kernel)
+    monkeypatch.setattr(codes_module, "_prefix_orders", counted_sweep)
+    monkeypatch.setattr(codes_module, "_howell_state", CountedState)
     assert check_control_observe_duality(code).ok
     dual = dual_block_code(code)
     assert dual_block_code(dual) is code
     assert kernels[code.basis.rows] == kernels[dual.basis.rows] == 1
-    assert tables == Counter({code._reversed_howell: 1, dual._reversed_howell: 1})
+    assert [table.reversed_rows for table in tables] == [code._reversed_howell]
+    assert "_prefixes" not in dual.__dict__
+    assert sweeps == Counter({dual._reversed_howell: 1})
+    swept = [state for state in states if state is not tables[0].state]
+    assert len(swept) == 1 and swept[0].finished == 0
+
+
+def test_duality_walk_reads_each_suffix_record_once_and_copies_no_dual_row(monkeypatch):
+    # One walk per start k reads D's suffix record proj_[k,N) D once, and
+    # each window check pairs the record's own rows, uncut: every row
+    # paired on the dual's side is a row object of that record.
+    import groupcodes.observe as observe_module
+
+    for spec in ("z4_band10_code.spec", "mixed_band8.spec"):
+        code = band_code(spec)
+        dual = dual_block_code(code)
+        N = code.space.horizon
+        reads, paired = Counter(), []
+        suffix, annihilator = BlockCode._suffix, observe_module.is_annihilator
+
+        def counted_suffix(self, a):
+            if self is dual:
+                reads[a] += 1
+            return suffix(self, a)
+
+        def counted_pairing(x_rows, x_order, y_rows, y_order, moduli):
+            paired.append(y_rows)
+            return annihilator(x_rows, x_order, y_rows, y_order, moduli)
+
+        monkeypatch.setattr(BlockCode, "_suffix", counted_suffix)
+        monkeypatch.setattr(observe_module, "is_annihilator", counted_pairing)
+        report = check_control_observe_duality(code)
+        assert report.ok
+        assert reads == Counter(range(N))
+        starts = [w.start for w in report.window_checks]
+        assert len(paired) == len(starts) == N * (N + 1) // 2
+        for a, rows in zip(starts, paired):
+            record = {id(row) for row in suffix(dual, a)[0]}
+            assert all(id(row) in record for row in rows)
+        monkeypatch.undo()
 
 
 class TestDualityReport:
@@ -620,31 +681,38 @@ def test_matched_sides_are_one_list_when_the_bidual_is_the_code():
 def test_wrong_dual_projection_fails_its_window(monkeypatch):
     # Serving a proper subgroup or a proper supergroup of one window
     # projection of the dual breaks that window's check or the chain; a
-    # proper subgroup with a longer window after it breaks the chain too.
-    # The wrong rows and order enter through the per-window reader.
+    # proper subgroup with a longer window after it breaks the chain too,
+    # and so does the whole window group with a shorter window before it
+    # that is not the whole group there.  The wrong rows and order enter
+    # through the walk's per-window reader, once, at the cut of that window
+    # in the suffix record of its start.
     import groupcodes.observe as observe_module
+    from groupcodes.codes import _projection
 
     code = band_code("mixed_band8.spec")
     dual = dual_block_code(code)
-    N = code.space.horizon
-    project = observe_module._projection
+    N, offsets = code.space.horizon, code.space.offsets()
+    read = observe_module._rows_before
     served = 0
     for a in range(N):
+        record, shorter_whole = dual._suffix(a), True
         for b in range(a + 1, N + 1):
-            right = code_from_generators(code.space.window(a, b), project(dual, a, b)[0])
+            cut = offsets[b] - offsets[a]
+            right = code_from_generators(code.space.window(a, b), _projection(dual, a, b)[0])
             smaller = code_from_generators(right.space, right.basis.rows[:-1])
             for wrong in (smaller, ambient_code(right.space)):
                 if wrong == right:
                     continue
-                served += 1
+                served, hits = served + 1, []
                 monkeypatch.setattr(
                     observe_module,
-                    "_projection",
-                    lambda c, i, j: (wrong.basis.rows, wrong.cardinality)
-                    if (c, i, j) == (dual, a, b)
-                    else project(c, i, j),
+                    "_rows_before",
+                    lambda r, c: hits.append(c) or (wrong.basis.rows, wrong.cardinality)
+                    if r is record and c == cut
+                    else read(r, c),
                 )
                 report = check_control_observe_duality(code)
+                assert hits == [cut]
                 verdicts = {(w.start, w.stop): w.ok for w in report.window_checks}
                 assert not verdicts.pop((a, b)) or not report.chain_ok
                 assert all(verdicts.values())
@@ -653,6 +721,11 @@ def test_wrong_dual_projection_fails_its_window(monkeypatch):
                     # The projection on [a, b + 1), cut to [a, b), is the
                     # right one, which the smaller one does not contain.
                     assert not report.chain_ok
+                if wrong is not smaller and b > a + 1 and not shorter_whole:
+                    # The whole group on [a, b), cut to [a, b - 1), is the
+                    # whole group there, which the right projection is not.
+                    assert not report.chain_ok
+            shorter_whole = right == ambient_code(right.space)
     assert served > N * (N + 1) // 2
 
 
@@ -921,6 +994,60 @@ def test_broken_dual_suffix_projection_fails_the_nesting(monkeypatch, capsys):
         capsys.readouterr()
         assert main(["duality-check", str(path)]) == 1
         assert "reachability chains monotone: NO" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["z4_band8_code.spec", "z4_band10_code.spec", "mixed_band8.spec"])
+def test_wrong_dual_suffix_record_fails_a_window_of_its_start(spec, monkeypatch):
+    # The dual's suffix record proj_[k,N) D is served with its first row
+    # dropped or its first two rows swapped, with the pivot columns and
+    # orders of the served rows.  Where that changes the rows or the order
+    # some window of start k reads, a window check of start k fails; the
+    # nested chain checks the records' cut bookkeeping (the rows an end
+    # adds vanish before it), not duality, so it need not notice.  Two
+    # rows swapped within one symbol change no read, and the report stays
+    # right.
+    from groupcodes.codes import _rows_before
+    from groupcodes.linalg import _entry
+
+    code = band_code(spec)
+    dual = dual_block_code(code)
+    N, offsets = code.space.horizon, code.space.offsets()
+    right = check_control_observe_duality(code)
+    suffix = BlockCode._suffix
+    failed = set()
+    for k in range(N):
+        rows = suffix(dual, k)[0]
+        moduli = dual.basis.moduli[offsets[k] :]
+
+        def windows(record):
+            # The subgroup each window reads and the order it is read with.
+            reads = []
+            for b in range(k + 1, N + 1):
+                cut = offsets[b] - offsets[k]
+                rows_read, order = _rows_before(record, cut)
+                span = code_from_generators(code.space.window(k, b), [r[:cut] for r in rows_read])
+                reads.append((span, order))
+            return reads
+
+        for wrong in (rows[1:], rows[1:2] + rows[:1] + rows[2:]):
+            if wrong == rows:
+                continue
+            record = _entry(wrong, moduli)
+            monkeypatch.setattr(
+                BlockCode,
+                "_suffix",
+                lambda self, a: record if self is dual and a == k else suffix(self, a),
+            )
+            report = check_control_observe_duality(code)
+            if windows(record) == windows(suffix(dual, k)):
+                assert report == right, (k, wrong)
+                continue
+            failed.add(k)
+            assert not all(w.ok for w in report.window_checks if w.start == k), (k, wrong)
+            assert all(w.ok for w in report.window_checks if w.start != k)
+            assert not report.ok
+    # Every start whose record has a row to drop is served a wrong one.
+    assert failed == {k for k in range(N) if suffix(dual, k)[0]}
 
 
 def test_dropped_row_of_the_dual_local_dual_mismatches(monkeypatch, capsys):
