@@ -284,11 +284,11 @@ def _scaled_form(
 
 
 def _order_splits(
-    code: BlockCode, l: int, n: int, levels: Sequence[int], form: Optional[Callable] = None
+    code: BlockCode, l: int, n: int, levels: Sequence[int], form: Callable
 ) -> bool:
     """Whether every codeword order-splits at (l, n), l <= n <= N, decided
     by counting at ``levels``; ``form`` is ``_scaled_form`` on the code,
-    which ``order_profile`` passes memoized.
+    memoized by ``order_profile``.
 
     Let P = C ∩ [0, n), S = C ∩ [l, N), M = P ∩ S = C ∩ [l, n) and π the
     projection onto [0, n).  P + S ⊆ C has order |P|·|S| / |M|, so the
@@ -330,7 +330,6 @@ def _order_splits(
     prefix, suffix, meet = (_internal(code, a, b)[1] for a, b in ((0, n), (l, N), (l, n)))
     if prefix * suffix != code.cardinality * meet:
         return False
-    form = form or functools.partial(_scaled_form, code)
     offsets = code.space.offsets()
 
     def projected(a: int, t: int) -> int:

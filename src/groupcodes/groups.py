@@ -181,30 +181,25 @@ def height(g: GroupElement, p: int) -> int | float:
 
     Solvability of ``p^h x = g_j (mod m_j)`` per coordinate amounts to
     ``gcd(p^h, m_j)`` dividing ``g_j``, so the height is the minimum of
-    ``v_p(g_j)`` over coordinates where that valuation is below ``v_p(m_j)``.
+    ``v_p(g_j)`` over coordinates where that valuation is below ``v_p(m_j)``,
+    that is where ``g_j`` is nonzero modulo the p-part ``q`` of ``m_j``
+    (``primary_part``).
     The height is infinite exactly when the p-primary part of g vanishes;
     inside a p-group that means g = 0.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    bound = None
+    bound = math.inf
     for e, m in zip(g.residues, g.group.moduli):
-        vm = 0
-        while m % p == 0:
-            vm += 1
-            m //= p
-        if vm == 0:
+        q, _ = primary_part(m, p)
+        if e % q == 0:
             continue
         ve = 0
-        x = e
-        while x and x % p == 0 and ve < vm:
+        while e % p == 0:
             ve += 1
-            x //= p
-        if x == 0:
-            ve = vm
-        if ve < vm and (bound is None or ve < bound):
-            bound = ve
-    return math.inf if bound is None else bound
+            e //= p
+        bound = min(bound, ve)
+    return bound
 
 
 def socle(G: FiniteAbelianGroup, p: int) -> tuple[ResidueMatrix, int]:

@@ -536,19 +536,17 @@ def _reduce_vector(
     columns: Sequence[int],
     moduli: Sequence[int],
     vector: Sequence[int],
-    stop: Optional[int] = None,
 ) -> Vector:
     """Reduce ``vector`` by ``rows`` at their held pivot ``columns``, in
-    order, before column ``stop``.  Each step subtracts a whole row, so the
+    order, stopping at the first column past ``moduli`` (a wrong record's
+    pivot beyond a window).  Each step subtracts a whole row, so the
     result is ``vector`` minus a combination of the rows whatever
     ``columns`` holds, and zero proves membership.  For a Howell form and
     its own columns each pivot entry ends in ``[0, pivot)``: by the Howell
-    property, the canonical coset representative once ``stop`` is past
-    every column."""
-    v = list(vector)
-    limit = len(moduli) if stop is None else stop
+    property, the canonical coset representative."""
+    v, width = list(vector), len(moduli)
     for row, j in zip(rows, columns):
-        if j >= limit:
+        if j >= width:
             break
         q = v[j] // row[j] if row[j] else 0
         if q:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 from operator import mod, mul
 from typing import Optional, Sequence
 
-from .codes import BlockCode, SequenceSpace, code_from_generators, window_projection
+from .codes import BlockCode, SequenceSpace, code_from_generators
 from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
     Entry,
@@ -176,30 +176,22 @@ def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
 
     Returns the per-coordinate decomposition, verified (so its factors
     recombine to the code), or None when the coprimality hypothesis fails.
-    The factors of coordinate i are those ``cyclic_product_decomposition``
-    gives its one-symbol projection, padded to the whole horizon, on
-    [i, i + 1) and with no prime, in coordinate order.  So they are primary
-    cyclic factors, as ``decompose`` prints: Z/12 ⊇ <2> gives orders 2 and
-    3, not one factor of order 6.
+    Under the hypothesis each prime divides one symbol order, so each
+    p-part of the code lies in one coordinate and every factor of the
+    code's own peel (``_peel``) is supported on one [i, i + 1).  The
+    factors are that peel's, stably sorted by coordinate and with no
+    prime.  So they are primary cyclic factors, as ``decompose`` prints:
+    Z/12 ⊇ <2> gives orders 2 and 3, not one factor of order 6.
     The verification is unconditional: a failure under the hypothesis would
     be a bug, not a soft failure.
     """
-    sp = code.space
-    orders = [g.cardinality for g in sp.symbols]
+    orders = [g.cardinality for g in code.space.symbols]
     for i in range(len(orders)):
         for j in range(i + 1, len(orders)):
             if gcd(orders[i], orders[j]) != 1:
                 return None
-    gens: list[DecompositionGenerator] = []
-    width = len(sp.flat_moduli)
-    for i in range(sp.horizon):
-        proj = window_projection(code, i, i + 1)
-        sl = sp.flat_slice(i, i + 1)
-        for factor in cyclic_product_decomposition(proj).generators:
-            padded = [0] * width
-            padded[sl] = factor.word
-            gens.append(DecompositionGenerator(tuple(padded), i, i + 1, factor.order, None))
-    return _verified(code, gens)
+    gens = sorted(_peel(code), key=lambda g: g.start)
+    return _verified(code, [replace(g, prime=None) for g in gens])
 
 
 def _verified(code: BlockCode, gens: list[DecompositionGenerator]) -> Decomposition:
@@ -327,7 +319,14 @@ def _peel_complement(
 
 
 def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
-    """Weakly rectangular decomposition through the primary parts.
+    """Weakly rectangular decomposition through the primary parts: the
+    generators of ``_peel``, checked by ``verify_decomposition`` and
+    carrying its certificate; a failure raises DecompositionError."""
+    return _verified(code, _peel(code))
+
+
+def _peel(code: BlockCode) -> list[DecompositionGenerator]:
+    """The primary cyclic generators of the code, prime by prime.
 
     The code splits into primary parts column by column (``_primary_rows``);
     inside each p-part, generators of maximal order realizable in the
@@ -339,9 +338,7 @@ def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
     Groups* I, §27), and the splitting character of ``_peel_complement``
     exhibits the complement.  Each generator is the lexicographically least
     word of maximal order in its window, found by descent over the Howell
-    rows of the window, so no codeword is enumerated.  The result is
-    checked by ``verify_decomposition`` and carries its certificate; a
-    failure raises DecompositionError.
+    rows of the window, so no codeword is enumerated.
 
     Each peel must leave a complement of order |part| / ord(word), the
     last running product of its record (``linalg._entry``, one per form,
@@ -364,7 +361,7 @@ def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
                 raise DecompositionError(
                     f"peel left a complement of order {record[2][-1]}, not {expected}"
                 )
-    return _verified(code, gens)
+    return gens
 
 
 def is_subdirect_product(code: BlockCode, decomposition: Decomposition) -> bool:

@@ -3,7 +3,7 @@
 * ``integer_smith_diagonal``: the Smith diagonal of an integer matrix,
   with no transform; the library computes no Smith form, and
   ``structure.coprime_rectangular`` takes its cyclic factors from the
-  peeling decomposition instead.
+  code's own peel (``structure._peel``) instead.
 * ``smith_quotient_invariants``: invariant factors of a quotient by the
   integer Smith normal form of its relation lattice
   (``relation_lattice``), the route ``linalg.quotient_invariants`` took
@@ -672,19 +672,14 @@ def solve_congruence_system(
     return CongruenceSolution(particular, head_kernel(graph, matrix.width))
 
 
-def reduce_vector(
-    canon: ResidueMatrix, vector: Sequence[int], stop: Optional[int] = None
-) -> Vector:
+def reduce_vector(canon: ResidueMatrix, vector: Sequence[int]) -> Vector:
     """Clear the pivot-column entries of reduced ``vector`` by the Howell
-    rows of ``canon`` (up to column ``stop``), each row's pivot column
-    found by scanning it, each step from that column on."""
+    rows of ``canon``, each row's pivot column found by scanning it, each
+    step from that column on."""
     moduli = canon.moduli
     v = list(vector)
-    limit = len(moduli) if stop is None else stop
     for row in canon.rows:
         j = _first_nonzero(row)
-        if j >= limit:
-            break
         q = v[j] // row[j]
         if q:
             v[j:] = [(x - q * y) % m for x, y, m in zip(v[j:], row[j:], moduli[j:])]

@@ -84,8 +84,9 @@ recorded inputs it takes, bucketed by matrix width:
   (``kernel_references.order_split_everywhere``, given the prefix and
   suffix window codes) on every order split input;
 * ``order-counted``: ``control._order_splits``, which compares span
-  orders; each call builds its own scaled Howell forms, where
-  ``order_profile`` shares them between the (l, n) of one code;
+  orders; each call builds its own scaled Howell forms (an unmemoized
+  ``control._scaled_form``), where ``order_profile`` shares them between
+  the (l, n) of one code;
 * ``peel-code``: the decomposition with every primary part and peel
   complement built as a code (``kernel_references.code_peel_decomposition``),
   on a fresh copy of every decomposed code;
@@ -115,6 +116,7 @@ reads Howell forms pays for them in every pass.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -443,6 +445,11 @@ def split_graph(code, l, n, levels) -> bool:
     )
 
 
+def order_counted(code, l, n, levels) -> bool:
+    """``control._order_splits`` at (l, n), with scaled forms of its own."""
+    return control._order_splits(code, l, n, levels, functools.partial(control._scaled_form, code))
+
+
 def print_lines(name, kernel, calls, expected, widths, repeat) -> None:
     """One line per nonempty width bucket, then one for all ``calls``."""
     for label, low, high in BUCKETS + (EVERY,):
@@ -523,7 +530,7 @@ def main(argv=None) -> int:
         ("pair-loop", kernel_references.loop_pairs_to_zero, pairs, loop, pairs),
         ("pair-map", duality.pairs_to_zero, pairs, loop, pairs),
         ("order-graph", split_graph, splits, graph, splits),
-        ("order-counted", control._order_splits, splits, graph, splits),
+        ("order-counted", order_counted, splits, graph, splits),
         ("peel-code", peel_code, peels, by_codes, peels),
         ("peel-reversed", peel_reversed, peels, by_codes, peels),
         ("conv-windows-reference", conv_windows_reference, convs, by_reference, convs),

@@ -266,6 +266,24 @@ class TestCheck:
         )
         assert code == 1
 
+    def test_observable_at_a_level(self, even_weight_spec, monkeypatch):
+        # The observe index of the even-weight code is 2: level 2 holds and
+        # level 1 fails.  The verdict reads the index alone, with no
+        # per-position lengths.
+        import groupcodes.cli
+
+        monkeypatch.setattr(groupcodes.cli, "observe_profile", None)
+        code, out, err = run_cli(
+            "check", even_weight_spec, "--property", "observable", "--level", "2"
+        )
+        assert (code, err) == (0, "")
+        assert out == "property observable: holds\nobserve index 2 vs requested level 2\n"
+        code, out, err = run_cli(
+            "check", even_weight_spec, "--property", "observable", "--level", "1"
+        )
+        assert (code, err) == (1, "")
+        assert out == "property observable: fails\nobserve index 2 vs requested level 1\n"
+
     def test_rectangular(self):
         code, _, _ = run_cli(
             "check", str(SPECS / "coprime_z6.spec"), "--property", "rectangular"

@@ -4,6 +4,7 @@ Brute-force references below transcribe the definitions as loops over
 enumerated codewords, independently of the Howell machinery.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -29,6 +30,7 @@ from groupcodes.control import (
     ProfileInsufficientError,
     _gap_lengths,
     _order_splits,
+    _scaled_form,
     _window_solution,
     chunk_decompose,
     control_profile,
@@ -485,7 +487,7 @@ class TestOrderProfile:
         calls, failed = [], 0
         original = control._order_splits
 
-        def counted(code, l, n, levels, form=None):
+        def counted(code, l, n, levels, form):
             suffix = window_internal(code, l, code.space.horizon)
             calls.append(join(window_internal(code, 0, n), suffix) == code)
             return original(code, l, n, levels, form)
@@ -509,7 +511,7 @@ class TestOrderProfile:
         seen = []
         original = control._order_splits
 
-        def recorded(code, l, n, levels, form=None):
+        def recorded(code, l, n, levels, form):
             seen.append(tuple(levels))
             return original(code, l, n, levels, form)
 
@@ -527,9 +529,10 @@ class TestOrderProfile:
         assert order_split_everywhere(code, prefix, suffix, 3, [2])
         assert not order_split_everywhere(code, prefix, suffix, 3, [4])
         assert not order_split_everywhere(code, prefix, suffix, 3, [8])
-        assert _order_splits(code, 1, 3, [2])
-        assert not _order_splits(code, 1, 3, [4])
-        assert not _order_splits(code, 1, 3, [8])
+        form = functools.partial(_scaled_form, code)
+        assert _order_splits(code, 1, 3, [2], form)
+        assert not _order_splits(code, 1, 3, [4], form)
+        assert not _order_splits(code, 1, 3, [8], form)
         assert order_profile(code).bounds == brute("order_profile", code) == (0, 4, 4, 4, 4)
 
     def test_squarefree_exponent_builds_no_level_kernel(self, monkeypatch):
@@ -601,7 +604,7 @@ def split_decisions(code):
     N = code.space.horizon
     exponent = lcm(*code.space.flat_moduli)
     levels = [None] + [t for t in range(2, exponent) if exponent % t == 0]
-    out = []
+    form, out = functools.partial(_scaled_form, code), []
     for l in range(N + 1):
         suffix = window_internal(code, l, N)
         for n in range(l, N):
@@ -610,7 +613,7 @@ def split_decisions(code):
                 tested = [] if t is None else [t]
                 out.append((
                     l, n, t,
-                    _order_splits(code, l, n, tested),
+                    _order_splits(code, l, n, tested, form),
                     order_split_everywhere(code, prefix, suffix, n, tested),
                 ))
     return out
@@ -627,9 +630,10 @@ class TestCountedOrderSplit:
     def test_matches_split_graph_on_corpora(self, exhaustive_corpus, mixed_corpus):
         outcomes = Counter()
         for code in exhaustive_corpus + mixed_corpus:
+            form = functools.partial(_scaled_form, code)
             for l, n, t, counted, reference in split_decisions(code):
                 assert counted == reference, (code.basis, l, n, t)
-                plain = _order_splits(code, l, n, [])
+                plain = _order_splits(code, l, n, [], form)
                 outcomes[t is None, plain, counted] += 1
         # Both outcomes of the plain split, and levels tested on it.
         assert outcomes[True, True, True] and outcomes[True, False, False]

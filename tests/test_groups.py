@@ -96,9 +96,11 @@ class TestHeight:
         G = FiniteAbelianGroup((2, 4))
         assert height(G.element((0, 2)), 2) == 1
 
-    def test_matches_enumeration(self):
-        G = FiniteAbelianGroup((2, 4, 8))
-        p = 2
+    @pytest.mark.parametrize(
+        "moduli, p", [((2, 4, 8), 2), ((6, 4, 9), 2), ((6, 4, 9), 3)]
+    )
+    def test_matches_enumeration(self, moduli, p):
+        G = FiniteAbelianGroup(moduli)
         for g in G.elements():
             pow_p = 1
             h = 0

@@ -224,6 +224,32 @@ class TestCoprimeRouteTwin:
                 regrouped += len(orders) > len(invariants)
         assert regrouped > 10
 
+    def test_one_peel_and_no_projection_code(self, monkeypatch):
+        # The factors come from the code's own peel, run once per call;
+        # no one-symbol projection is built.
+        import groupcodes.codes as codes
+        import groupcodes.structure as structure
+
+        peels = []
+        original = structure._peel
+
+        def counted(code):
+            peels.append(code)
+            return original(code)
+
+        def refused(*args):
+            raise AssertionError("coprime_rectangular built a projection code")
+
+        monkeypatch.setattr(structure, "_peel", counted)
+        monkeypatch.setattr(codes, "window_projection", refused)
+        monkeypatch.setattr(structure, "window_projection", refused, raising=False)
+        corpus = coprime_codes(40, 3701)
+        for code in corpus:
+            decomposition = coprime_rectangular(code)
+            assert decomposition.certificate.ok
+            assert peels[-1] is code
+        assert len(peels) == len(corpus)
+
     def test_mixed_prime_coordinates_give_primary_factors(self):
         code = code_from_generators(space((12,), (35,)), [(2, 5)])
         decomposition = coprime_rectangular(code)
@@ -555,6 +581,30 @@ class TestVerifyDecomposition:
         )
         ok, cert = verify_decomposition(even_weight, bad)
         assert not ok
+
+    def test_wrong_declared_order_fails(self, even_weight):
+        bad = Decomposition(
+            even_weight.space,
+            (
+                DecompositionGenerator((1, 1, 0), 0, 2, 4, 2),
+                DecompositionGenerator((0, 1, 1), 1, 3, 2, 2),
+            ),
+        )
+        ok, cert = verify_decomposition(even_weight, bad)
+        assert not ok and cert.membership_ok and not cert.support_ok
+        assert cert.failed_condition == "support windows or declared orders"
+
+    def test_word_outside_the_code_fails_membership(self, even_weight):
+        bad = Decomposition(
+            even_weight.space,
+            (
+                DecompositionGenerator((1, 0, 0), 0, 1, 2, 2),
+                DecompositionGenerator((0, 1, 1), 1, 3, 2, 2),
+            ),
+        )
+        ok, cert = verify_decomposition(even_weight, bad)
+        assert not ok and not cert.membership_ok
+        assert cert.failed_condition == "membership"
 
     def test_cardinality_mismatch_fails(self, even_weight):
         partial = Decomposition(
