@@ -284,15 +284,13 @@ class _PrefixTable:
       Howell form in its own order; they are one in reversed order, so two
       reads are equal exactly when the windows are.  No forward form is
       built.
-    * ``entry(b)`` (two-sided): the Howell rows, pivot columns and running
-      pivot-order products of C ∩ [0, b).  One Howell kernel state takes
-      the rows end by end (``_end_batches``) and finishes a copy after each
-      end, so the table is filled by one sweep; an end that takes in no row
-      shares the entry before it, and the first end that takes in every
-      row (C ∩ [0, b) = C) is the owner's record ``whole`` when the table
-      has one.  The Howell form is canonical, so each entry is
-      ``howell_form`` of the same rows.  ``_prefix_orders`` is the same
-      sweep read for orders only, with no finish.
+    * ``entry(b)`` (two-sided): a weak Howell form of C ∩ [0, b) with its
+      pivot columns and running pivot-order products, the unfinished
+      ``record`` of one Howell kernel state that takes the rows end by end
+      (``_end_batches``), so the table is filled by one sweep and no entry
+      is finished.  An end that takes in no row shares the entry before
+      it, and the first end that takes in every row (C ∩ [0, b) = C) is
+      the owner's record ``whole`` when the table has one.
 
     Callers pass ends within the horizon; the window functions check.
     """
@@ -330,7 +328,7 @@ class _PrefixTable:
                 entries.append(self.whole)
             else:
                 self.state.push(row[::-1] for row in self.reversed_rows[i:j])
-                entries.append(_entry(tuple(self.state.finish()), self.space.flat_moduli))
+                entries.append(self.state.record())
         return entries[b]
 
 
@@ -349,37 +347,14 @@ def _end_batches(offsets: Sequence[int], columns: Sequence[int]) -> Iterator[tup
         taken = i
 
 
-def _prefix_orders(
-    moduli: Vector, offsets: Sequence[int], reversed_rows: tuple[Vector, ...]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The pivot columns and running pivot-order products (``Entry[1:]``)
-    of C ∩ [0, b) for each end b = 1..N, C the subgroup with flat
-    ``moduli`` and ``offsets`` whose column-reversed Howell rows are
-    ``reversed_rows``: the sweep of ``_PrefixTable.entry``, each end read
-    off the unfinished Howell state (``orders``) with no finish, record
-    or code, or shared with the end before when it takes in no row."""
-    _, columns, _ = _entry(reversed_rows, moduli[::-1])
-    state, read = _howell_state(moduli), ((), (1,))
-    for i, j in _end_batches(offsets, columns):
-        if i < j:
-            state.push(row[::-1] for row in reversed_rows[i:j])
-            read = state.orders()
-        yield read
-
-
 def _swept_orders(
-    moduli: Vector, offsets: Sequence[int], reversed_rows: tuple[Vector, ...]
+    space: SequenceSpace, reversed_rows: tuple[Vector, ...]
 ) -> Callable[[int, int], int]:
-    """|C ∩ [a, b)| as ``control._gap_lengths`` reads it, off one sweep
-    (``_prefix_orders``): the product of the pivot orders of the rows of
-    C ∩ [0, b) with pivot at or after offset(a) (the Howell property)."""
-    prefixes = ((), (1,)), *_prefix_orders(moduli, offsets, reversed_rows)
-
-    def order(a: int, b: int) -> int:
-        columns, products = prefixes[b]
-        return products[-1] // products[bisect_left(columns, offsets[a])]
-
-    return order
+    """|C ∩ [a, b)| as ``control._gap_lengths`` reads it, C the subgroup of
+    ``space`` with column-reversed Howell rows ``reversed_rows``: read as
+    ``_internal`` reads a code's, off a prefix table with no owner."""
+    table, offsets = _PrefixTable(space, reversed_rows), space.offsets()
+    return lambda a, b: _rows_from(table.entry(b), offsets[a])[1]
 
 
 def code_from_generators(
@@ -418,19 +393,25 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
 # proj_[a,N) C (``_suffix``), with no code built and no window checked:
 # their callers pass windows of the code's horizon.  The five public
 # window functions below check the window and wrap these reads; they are
-# the only window API.  A Howell form's pivot columns strictly increase,
-# so the rows with pivot at or after a column are a suffix of its rows
-# and, by the Howell property, the canonical basis of the words vanishing
-# before that column.
+# the only window API.  The pivot columns of a Howell form, weak (a prefix
+# entry) or not, strictly increase, so the rows with pivot at or after a
+# column are a suffix of its rows and, by the Howell property, span the
+# words vanishing before that column.
+
+
+def _rows_from(record: Entry, cut: int) -> tuple[tuple[Vector, ...], int]:
+    """The rows of a pivot record with pivot at or after column ``cut``
+    (a slice of its rows) and their span's order."""
+    rows, columns, products = record
+    i = bisect_left(columns, cut)
+    return rows[i:], products[-1] // products[i]
 
 
 def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
-    """Howell rows and order of C ∩ [a, b): the words of the prefix
-    C ∩ [0, b) that vanish before a, spanned by its rows with pivot at or
-    after ``offset(a)``; the order is the product of their pivot orders."""
-    rows, columns, products = code._prefix(b)
-    i = bisect_left(columns, code.space.offsets()[a])
-    return rows[i:], products[-1] // products[i]
+    """Rows and order of C ∩ [a, b): the words of the prefix C ∩ [0, b)
+    that vanish before a, spanned by the rows of its entry, a weak Howell
+    form, with pivot at or after ``offset(a)`` (``_rows_from``)."""
+    return _rows_from(code._prefix(b), code.space.offsets()[a])
 
 
 def _rows_before(record: Entry, cut: int) -> tuple[tuple[Vector, ...], int]:
@@ -479,19 +460,19 @@ def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:
     """C-perp ∩ [a, b): the characters of the code's space that vanish
     outside [a, b) and annihilate C, equivalently the local dual of
     ``window_projection(code, a, b)`` padded with zeros.  They are the
-    words of the local dual T = C-perp supported in [a, b), so the rows
-    are those of ``window_internal(T, a, b)``: one kernel per code, and
-    every window a read of T's prefix table."""
+    words of the local dual T = C-perp supported in [a, b), so the code
+    is ``window_internal(T, a, b)``: one kernel per code, and every
+    window a read of T's prefix table."""
     code.space.check_window(a, b)
-    return BlockCode.from_howell(code.space, _internal(code._local_dual, a, b)[0])
+    rows = _internal(code._local_dual, a, b)[0]
+    return BlockCode(code.space, _trusted(code.basis.moduli, rows))
 
 
 def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
     """Subgroup of codewords supported inside [a, b), in the same space:
-    the rows of ``_internal``; for b = N they are C's own rows, and no
-    Howell form is computed."""
+    one Howell form of the rows of ``_internal``."""
     code.space.check_window(a, b)
-    return BlockCode.from_howell(code.space, _internal(code, a, b)[0])
+    return BlockCode(code.space, _trusted(code.basis.moduli, _internal(code, a, b)[0]))
 
 
 def window_order(code: BlockCode, a: int, b: int) -> int:

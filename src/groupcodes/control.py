@@ -145,7 +145,7 @@ def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
     Equals the sum of the window-supported subgroups of width L+1; the
     containment of each window subgroup in every C_k(L) gives one direction
     and greedy peeling of leading coordinates gives the other.  Built as
-    that sum: one Howell form of the stacked Howell rows of the windows
+    that sum: one Howell form of the stacked rows of the windows
     C ∩ [k, k+L+1), each read off the prefix-table entry of its end
     (``codes._internal``); no window code is built.
     """
@@ -171,12 +171,13 @@ def _window_solution(
     """A word of C ∩ [position, stop) matching ``target_symbol`` at
     ``position``.
 
-    The window's Howell rows are those of the prefix record C ∩ [0, stop)
-    with pivot at or after the position (``codes._internal``).  They vanish
-    before it, so without those columns they are a Howell form still:
-    ``head_solve`` on them gives a particular word.  The rows with pivot
-    after the position span the words vanishing there; reducing by them
-    picks the canonical representative.
+    The window's rows are those of the prefix entry C ∩ [0, stop) with
+    pivot at or after the position (``codes._internal``), a weak Howell
+    form.  They vanish before it, so ``head_solve`` on them without those
+    columns gives a particular word.  The rows with pivot after the
+    position span the words vanishing there; reducing by them leaves each
+    pivot entry below its pivot d, so two results differ by a span
+    element led by a multiple of d below d: the canonical representative.
     """
     sl = code.space.flat_slice(position, position + 1)
     moduli = code.space.flat_moduli

@@ -172,11 +172,9 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
 
 def _local_orders(conv: ConvolutionalCode, n: int) -> Callable[[int, int], int]:
     """The window orders |C ∩ [a, b)| of the local window C = [0, n), off
-    one unfinished forward sweep of its reversed build (``_window``,
-    ``codes._swept_orders``): no space, code, table or finished form."""
-    moduli, width = conv.symbol.moduli * n, len(conv.symbol.moduli)
-    offsets = range(0, len(moduli) + 1, width)
-    return _swept_orders(moduli, offsets, _window(conv, n, (), reverse=True))
+    the unfinished prefix sweep of its reversed build (``_window``,
+    ``codes._swept_orders``): no code is built and no form finished."""
+    return _swept_orders(SequenceSpace((conv.symbol,) * n), _window(conv, n, (), reverse=True))
 
 
 # Reports (``cli``) read n = 1..min(horizon, REPORT_WINDOWS); kept windows cover them.

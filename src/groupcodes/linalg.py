@@ -13,20 +13,23 @@ is reduced modulo its own ``m_j``, and every row operation is an integer
 combination, so no column is mapped into a common ring.
 
 The Howell kernel is a state that takes rows in batches (``push``) and
-gives the Howell form of all rows so far (``finish``), or only its pivot
-columns and orders (``orders``, with no finish), so a caller that grows a
-span row batch by row batch reads each form without starting over;
-``howell_form`` pushes all rows at once and finishes, under the one
-Howell cache ``_howell_cached``.  ``_howell_state`` picks the state from
-the moduli alone.  When every modulus is a power of 2 up to 8 (1
-included), ``_HowellPacked`` holds each row as one int with one byte per
-column, column 0 most significant, and eliminates with shifts, one
-multiply and a mask per row operation.  A byte holds the 2K + 1 = 7 bits
-that x + c·y needs for x, y < 2^K = 8 and c <= 2^K, so no field carries
-into the next.  Every other moduli tuple, odd, mixed-prime or a power of 2
-above 8, goes through ``_HowellSingle``, which is also the reference the
-packed state is tested against.  The Howell form is unique, so both give
-the same rows.
+gives the Howell form of all rows so far (``finish``) or, unfinished,
+their weak Howell form (``record``; Storjohann & Mulders, ESA 1998):
+each pivot scaled to gcd(p, m_j), nothing reduced above it.  That form
+keeps the Howell property and pivot orders, so it answers every order
+and membership read, and a caller that grows a span batch by batch reads
+it after each batch; only rows compared or printed are finished, by
+``howell_form``, which pushes all rows at once and finishes, under the
+one Howell cache ``_howell_cached``.  ``_howell_state`` picks the state
+from the moduli alone.  When every modulus is a power of 2 up to 8 (1 included),
+``_HowellPacked`` holds each row as one int with one byte per column,
+column 0 most significant, and eliminates with shifts, one multiply and
+a mask per row operation.  A byte holds the 2K + 1 = 7 bits that x + c·y
+needs for x, y < 2^K = 8 and c <= 2^K, so no field carries into the
+next.  Every other moduli tuple, odd, mixed-prime or a power of 2 above
+8, goes through ``_HowellSingle``, which is also the reference the packed
+state is tested against.  The Howell form is unique, so both finish
+with the same rows.
 """
 
 from __future__ import annotations
@@ -249,7 +252,8 @@ def _first_nonzero(row: Sequence[int], start: int = 0) -> int:
 class _HowellSingle:
     """A Howell kernel state over ``moduli``, in residue coordinates: rows
     are pushed in any number of batches, and ``finish`` gives the Howell
-    canonical basis of the span of every row pushed so far.
+    canonical basis of the span of every row pushed so far (``record``
+    its weak Howell form).
 
     Every row operation is reduced modulo each column's own modulus.  Rows
     that share a pivot column j vanish before j, so each operation touches
@@ -302,15 +306,13 @@ class _HowellSingle:
                     push_annihilator(new_r, j)
                 j = _first_nonzero(v, j)
 
-    def finish(self) -> list[Vector]:
-        """The Howell form of the rows pushed so far, from copies of the
-        pivot rows: the state is left as it was, for further pushes.
-
-        Scale each pivot p to the divisor d = gcd(p, m_j) by u = (p/d)^-1
-        modulo c = m_j/d, then reduce above each pivot.  u need not be a unit
-        of the other columns: it is prime to c, and c·row (its pivot cleared)
-        lies in the span of the later rows, so u·row and c·row span row.
-        """
+    def _scaled(self) -> tuple[list[int], list[list[int]]]:
+        """The pivot columns in order and copies of their rows, each pivot
+        p scaled to the divisor d = gcd(p, m_j) by u = (p/d)^-1 modulo
+        c = m_j/d.  u need not be a unit of the other columns: it is prime
+        to c, and c·row (its pivot cleared) lies in the span of the later
+        rows, so u·row and c·row span row, and the rows from each pivot on
+        keep their span."""
         moduli, pivots = self.moduli, self.pivots
         order = sorted(pivots)
         basis = []
@@ -321,6 +323,21 @@ class _HowellSingle:
             if u != 1:
                 row[j:] = [(u * e) % mm for e, mm in zip(row[j:], moduli[j:])]
             basis.append(row)
+        return order, basis
+
+    def record(self) -> Entry:
+        """The weak Howell form of the rows pushed so far as an ``Entry``:
+        the scaled rows (``_scaled``), nothing reduced above a pivot; the
+        state is left as it was."""
+        order, basis = self._scaled()
+        orders = (self.moduli[j] // row[j] for j, row in zip(order, basis))
+        return tuple(map(tuple, basis)), tuple(order), tuple(accumulate(orders, mul, initial=1))
+
+    def finish(self) -> list[Vector]:
+        """The Howell form of the rows pushed so far: the scaled rows
+        (``_scaled``), each entry above a pivot d reduced into [0, d)."""
+        moduli = self.moduli
+        order, basis = self._scaled()
         for idx, j in enumerate(order):
             pivot_row = basis[idx]
             d, tail = pivot_row[j], pivot_row[j:]
@@ -330,23 +347,6 @@ class _HowellSingle:
                     row = basis[above]
                     row[j:] = [(x - q * y) % m for x, y, m in zip(row[j:], tail, moduli[j:])]
         return [tuple(row) for row in basis]
-
-    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The pivot columns and running pivot-order products of the Howell
-        form of the rows pushed so far (``Entry[1:]``), read off the pivot
-        rows with no ``finish``.
-
-        The read is exact.  ``push`` keeps the Howell property between
-        pushes (each new pivot pushes its annihilator row), so ``finish``
-        only scales each pivot row, its pivot p_j to d = gcd(p_j, m_j), and
-        reduces the rows above each pivot at its column, after their own
-        pivots.  The finished form keeps the pivot columns, and ``_entry``
-        reads its pivot order at j as m_j / d = m_j / gcd(p_j, m_j).
-        """
-        moduli, pivots = self.moduli, self.pivots
-        columns = tuple(sorted(pivots))
-        orders = (moduli[j] // gcd(pivots[j][j], moduli[j]) for j in columns)
-        return columns, tuple(accumulate(orders, mul, initial=1))
 
 
 # The moduli of the packed kernel: powers of 2 up to 2^K = 8, so a field
@@ -367,7 +367,8 @@ def _packed_layout(moduli: Vector) -> tuple[int, int, int]:
 
 class _HowellPacked:
     """``_HowellSingle`` for moduli that are all powers of 2 up to 8, on
-    rows packed into one int each (``_packed_layout``).
+    rows packed into one int each (``_packed_layout``), with the same
+    ``push``, ``record`` and ``finish``.
 
     Column j is the byte 8(n - 1 - j) bits up, so a row's pivot column is
     read off its ``bit_length``, and a row vanishing before column j holds
@@ -376,7 +377,7 @@ class _HowellPacked:
     so ``(x + c*y) & mask`` is a row operation with each column reduced
     modulo its own m_j | 2^K, and no field carries into the next.  Every
     odd x has x·x = 1 modulo 8, hence modulo every m_j: each odd unit is
-    its own inverse.  The result is the unique Howell form, so it equals
+    its own inverse.  ``finish`` gives the unique Howell form, so it equals
     ``_HowellSingle``'s output row for row.
     """
 
@@ -436,8 +437,9 @@ class _HowellPacked:
     def finish(self) -> list[Vector]:
         """The Howell form of the rows pushed so far; the pivot rows are
         ints, so the state is left as it was.  Scale each pivot p = 2^v·u
-        to 2^v by u (its own inverse), then reduce the entries above each
-        pivot into [0, pivot), as ``_HowellSingle.finish`` does."""
+        to 2^v by u (its own inverse), as ``record`` does, and reduce the
+        entries above each pivot into [0, pivot) in the same pass, as
+        ``_HowellSingle.finish`` does."""
         mask, top, pivots = self.mask, self.top, self.pivots
         basis: list[int] = []
         for k in sorted(pivots, reverse=True):
@@ -453,24 +455,31 @@ class _HowellPacked:
             basis.append(row)
         return [tuple(row.to_bytes(self.width, "big")) for row in basis]
 
-    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``_HowellSingle.orders`` on packed rows: the pivot of the row kept
-        at k is its byte ``row >> 8(k - 1)``, in column width - k, and
-        gcd(p, m_j) is its 2-adic part p & -p, as p < m_j | 2^K."""
-        mask, pivots = self.mask, self.pivots
+    def record(self) -> Entry:
+        """``_HowellSingle.record`` on packed rows: the pivot of the row kept
+        at k is its byte ``row >> 8(k - 1)``, in column width - k, scaled
+        to its 2-adic part p & -p = gcd(p, m_j), as p < m_j | 2^K, by the
+        odd p / (p & -p), its own inverse."""
+        width, mask, pivots = self.width, self.mask, self.pivots
         keys = sorted(pivots, reverse=True)
-        orders = []
+        rows, orders = [], []
         for k in keys:
-            shift = 8 * k - 8
-            p = pivots[k] >> shift
-            orders.append((((mask >> shift) & 0xFF) + 1) // (p & -p))
-        return tuple(self.width - k for k in keys), tuple(accumulate(orders, mul, initial=1))
+            row, shift = pivots[k], 8 * k - 8
+            p = row >> shift
+            low = p & -p
+            if p != low:
+                row = ((p // low) * row) & mask
+            rows.append(tuple(row.to_bytes(width, "big")))
+            orders.append((((mask >> shift) & 0xFF) + 1) // low)
+        products = tuple(accumulate(orders, mul, initial=1))
+        return tuple(rows), tuple(width - k for k in keys), products
 
 
 def _howell_state(moduli: Vector) -> _HowellSingle | _HowellPacked:
     """An empty Howell kernel state over ``moduli``: the packed kernel when
     every modulus is a power of 2 up to 8, the residue-coordinate kernel
-    otherwise; both finish with the same Howell form."""
+    otherwise; both finish with the same Howell form.  The finish is taken
+    only by ``_howell_kernel``; a prefix sweep reads each end's ``record``."""
     if _PACKED_MODULI.issuperset(moduli):
         return _HowellPacked(moduli)
     return _HowellSingle(moduli)
@@ -511,16 +520,18 @@ def vector_order(vector: Sequence[int], moduli: Sequence[int]) -> int:
     return lcm(*map(floordiv, moduli, map(gcd, moduli, vector)))
 
 
-# A Howell form with its pivot columns and the running products of its
-# pivot orders from 1: the rows from i on span a subgroup of order
-# products[-1] // products[i].
+# A Howell form, or a weak one (a state's ``record``: the Howell property
+# and normalized pivots, nothing reduced above a pivot), with its pivot
+# columns and the running products of its pivot orders from 1: the rows
+# from i on span a subgroup of order products[-1] // products[i].
 Entry = tuple[tuple[Vector, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _entry(rows: tuple[Vector, ...], moduli: Sequence[int]) -> Entry:
     """``rows``, a Howell form over ``moduli``, with its pivot columns and
     running pivot-order products (a normalized pivot divides its modulus).
-    The one place a form's pivots are found: its owner keeps the result."""
+    The one place a finished form's pivots are found: its owner keeps the
+    result.  A state's ``record`` gives the same for its weak form."""
     columns = tuple(map(_first_nonzero, rows))
     orders = (moduli[j] // row[j] for j, row in zip(columns, rows))
     return rows, columns, tuple(accumulate(orders, mul, initial=1))

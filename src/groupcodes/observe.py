@@ -49,9 +49,6 @@ class ObserveProfile:
     lengths: tuple[int, ...]
     index: int
 
-    def is_l_observable(self, L: int) -> bool:
-        return L >= self.index
-
 
 def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     """Sequences agreeing with some codeword on the window [k, k+L].
@@ -274,8 +271,9 @@ def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityC
     nesting C ∩ [0, b) ⊆ C ∩ [0, b+1) of the prefix entries, as
     C_k(L) = Z_k + C ∩ [0, k+L); the consistency set on [k, b+1) lies in
     the one on [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in
-    proj_[k,b) D.  Each row of the smaller side is zero, a Howell row of
-    the larger or reduces to zero at the pivot columns held.  The rows at
+    proj_[k,b) D.  Each row of the smaller side is zero, a row of the
+    larger or reduces to zero at the pivot columns held; on a weak Howell
+    form (a prefix entry) every member reduces to zero too.  The rows at
     end b are the first rows at b + 1, the same tuple objects, so only the
     rows end b + 1 adds are tested, which decides every row whatever the
     table holds.  Both chains hold by construction: the nested chain checks
@@ -331,8 +329,9 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
       C-perp-perp = C this is a check of biduality (see below).
 
     The window and chain checks read rows and orders off C's prefix table
-    and D's suffix records, one walk per start (``_window_walk``, with the
-    proofs); the nested chain checks the records' cut bookkeeping.
+    (weak Howell forms, never finished) and D's suffix records, one walk
+    per start (``_window_walk``, with the proofs); the nested chain checks
+    the records' cut bookkeeping.
 
     Each matched side is built only until it reaches its top
     (``_matched_duals``).  The supercode of D at window L is the dual of
@@ -356,7 +355,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
 
     The code's control index comes from ``control_profile`` (C's prefix
     table); the dual's is counted on one unfinished sweep of D's reversed
-    rows (``codes._swept_orders``), with no prefix table of D.  The code's
+    rows (``codes._swept_orders``), a table that D does not keep.  The code's
     observe index is counted on its own suffix records (``_observe_index``)
     and the dual's is the first matched supercode equal to the dual.  So
     each side of ``indices_match`` is a separate computation: C's control
@@ -383,7 +382,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         )
         for L, (sub_dual, sup) in enumerate(zip(sub_duals, supercodes))
     )
-    dual_orders = _swept_orders(code.space.flat_moduli, code.space.offsets(), dual._reversed_howell)
+    dual_orders = _swept_orders(code.space, dual._reversed_howell)
     return DualityReport(
         window_checks=window_checks,
         chain_ok=chain_ok,

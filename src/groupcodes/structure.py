@@ -249,19 +249,22 @@ def _max_order_in_smallest_window(
     prefix window (``_smallest_full_prefix``), lexicographically least
     among candidates.
 
-    The window's forward Howell rows are one push and one finish of the
-    rows that vanish from offset(n) on, re-reversed.  Its words are the
-    combinations of those rows with coefficients below the pivot orders,
-    and a column that is no row's pivot is fixed by earlier rows.  So
-    descend: at each pivot take the least value that keeps a word of
-    order p^e reachable, i.e. p^(e-1)·y nonzero or some later row not
-    killed by p^(e-1).
+    The window's forward rows are one push of the rows that vanish from
+    offset(n) on, re-reversed, read unfinished (``record``).  Its words
+    are the combinations of those rows with coefficients below the pivot
+    orders; by the Howell property a column that is no row's pivot is
+    fixed by the earlier ones, and the values at pivot j range over
+    word[j] + d_j·Z, whatever lies above the pivots.  So descend: at each
+    pivot take the least value that keeps a word of order p^e reachable,
+    i.e. p^(e-1)·y nonzero or some later row not killed by p^(e-1) (the
+    later rows span the same words on any basis, and a p^(e-1) that
+    kills them kills every change of basis in y).
     """
     n, exponent = _smallest_full_prefix(record, moduli, offsets)
     head = offsets[-1] - offsets[n]
     state = _howell_state(moduli)
     state.push(row[::-1] for row in record[0] if not any(row[:head]))
-    inner, columns, products = _entry(tuple(state.finish()), moduli)
+    inner, columns, products = state.record()
     below = exponent // p
     word = (0,) * len(moduli)
     for i, (row, j) in enumerate(zip(inner, columns)):

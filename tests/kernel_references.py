@@ -53,6 +53,9 @@
   read off one long window j* symbols longer, the code and strong-index
   windows built tap-local and forward, and one cut window kept per code
   and rebuilt by a longer read; ``direct_window`` is its builder.
+* ``FinishedPrefixTable``: the prefix table with every end of its sweep
+  finished, the route ``codes._PrefixTable`` took before its entries
+  were the state's unfinished ``record``.
 * ``reversed_howell_code``: a code built from its column-reversed Howell
   rows by finishing every end of their prefix table's sweep, the route
   ``convolutional.strong_controllability_index`` took to each tap-local
@@ -493,21 +496,39 @@ def direct_window(conv: ConvolutionalCode, n: int, cut: bool) -> BlockCode:
     return BlockCode.from_howell(space, annihilator_rows(rows).rows)
 
 
-def _reversed_window(conv: ConvolutionalCode, n: int, cut: bool) -> _PrefixTable:
+class FinishedPrefixTable(_PrefixTable):
+    """The prefix table as it was filled before its entries were weak
+    Howell forms: the same sweep of one Howell state, finished after each
+    end that takes in rows, so every entry is the Howell form of
+    C ∩ [0, b) with its pivot record."""
+
+    def entry(self, b: int):
+        entries, moduli = self.entries, self.space.flat_moduli
+        while len(entries) <= b:
+            i, j = next(self.batches)
+            if i < j:
+                self.state.push(row[::-1] for row in self.reversed_rows[i:j])
+                entries.append(pivot_record(self.state.finish(), moduli))
+            else:
+                entries.append(entries[-1])
+        return entries[b]
+
+
+def _reversed_window(conv: ConvolutionalCode, n: int, cut: bool) -> FinishedPrefixTable:
     """``direct_window(conv, n, cut)`` built straight into reversed form,
-    as the prefix table of its column-reversed Howell rows."""
+    as the finished prefix table of its column-reversed Howell rows."""
     space = SequenceSpace((conv.symbol,) * n)
     shifts = tuple(row[::-1] for row in _all_shift_rows(conv, n, cut))
     rows = _trusted(space.flat_moduli[::-1], shifts)
     canon = howell_form(rows) if conv.form == "image" else annihilator_rows(rows)
-    return _PrefixTable(space, canon.rows)
+    return FinishedPrefixTable(space, canon.rows)
 
 
 def reversed_howell_code(space: SequenceSpace, rows: tuple[Vector, ...]) -> BlockCode:
     """The code whose column-reversed Howell rows are ``rows``: the sweep
-    of their prefix table, kept on the code, ends in its forward Howell
-    rows and their record, so no second Howell form is taken."""
-    table = _PrefixTable(space, rows)
+    of their finished prefix table, kept on the code, ends in its forward
+    Howell rows and their record, so no second Howell form is taken."""
+    table = FinishedPrefixTable(space, rows)
     record = table.entry(space.horizon)
     code = BlockCode.from_howell(space, record[0])
     code.__dict__.update(_record=record, _reversed_howell=rows, _prefixes=table)

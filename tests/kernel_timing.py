@@ -12,10 +12,9 @@ invariant-factor count (``linalg._counted_invariants``, on a Howell form
 and its order),
 every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
-(``codes._PrefixTable``, with the last end it filled) and every order
-sweep (``codes._prefix_orders``, as the strong index and the duality
-report's dual control index call it, with its space and the last end
-N), every code whose
+(``codes._PrefixTable``, with the last end it filled: a code's own, or
+one with no owner behind ``codes._swept_orders``, as the strong index and
+the duality report's dual control index read it), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
 the last end filled), every code whose suffix projections proj_[a,N) C
 the reports read (``BlockCode._suffix``, with the starts read), every
@@ -35,19 +34,20 @@ recorded inputs it takes, bucketed by matrix width:
 * ``prefix-per-end``: every entry of a recorded prefix table by one Howell
   form per end of the reversed rows vanishing from that end on, the route
   the prefix table took before the sweep;
-* ``prefix-sweep``: the same entries filled by one sweep of one Howell
-  state (``_PrefixTable.entry``);
-* ``order-sweep``: the pivot columns and running pivot-order products of
-  the same entries, read off the same sweep unfinished
-  (``codes._prefix_orders``), as the strong index and the dual control
-  index read them; checked against ``prefix-sweep``'s;
+* ``prefix-sweep``: the same entries filled by one unfinished sweep of
+  one Howell state (``_PrefixTable.entry``), weak Howell forms; each is
+  checked by its own Howell form and its pivot columns and products;
+* ``order-sweep``: every window order |C ∩ [a, b)|, b up to the last end,
+  read through ``codes._swept_orders`` (a table with no owner) as the
+  strong index and the dual control index read them; checked against the
+  orders of ``prefix-per-end``'s forms;
 * ``annihilator-per-end``: entries 1..last of a recorded annihilator
   table, C-perp ∩ [0, b) for each end b, by one kernel per end
   (``kernel_references.per_end_prefix_annihilator``), the route
   ``window_annihilator(code, 0, b)`` took before it read the local dual;
-* ``annihilator-table``: the same entries by one kernel of the code's
-  rows, the local dual T = C-perp, and one sweep of T's prefix table
-  (``codes._internal`` of the local dual);
+* ``annihilator-table``: the same entries by ``window_annihilator``: one
+  kernel of the code's rows, the local dual T = C-perp, one unfinished
+  sweep of T's prefix table, and the Howell form of each entry's rows;
 * ``suffix-codes``: the pivot record of proj_[a,N) C for every recorded
   start a, each built as a code of its own with its own space and Howell
   form (``kernel_references.suffix_projection_code``), the route before
@@ -105,7 +105,7 @@ recorded inputs it takes, bucketed by matrix width:
 
 A line gives the kernel, the width bucket, the input count, the number of
 outputs that differ from the reference's (``_HowellSingle``,
-``prefix-per-end``, ``prefix-sweep``, ``annihilator-per-end``, ``suffix-codes``,
+``prefix-per-end``, ``annihilator-per-end``, ``suffix-codes``,
 ``matched-own-table``, ``duality-windows-cut``, ``smith``, ``pair-loop``,
 ``order-graph``, ``peel-code`` or ``conv-windows-reference``) and the
 best of ``--repeat`` timed passes, in seconds of CPU time (a shared machine's other load then shows less than in wall
@@ -116,8 +116,8 @@ reads Howell forms pays for them in every pass.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
-import itertools
 import math
 import os
 import sys
@@ -141,7 +141,6 @@ from groupcodes import (  # noqa: E402
 )
 from groupcodes.codes import BlockCode, SequenceSpace, window_internal  # noqa: E402
 from groupcodes.convolutional import ConvolutionalCode  # noqa: E402
-from groupcodes.groups import FiniteAbelianGroup  # noqa: E402
 
 # (label, least width, largest width) of each bucket, then of all inputs.
 BUCKETS = (
@@ -161,17 +160,15 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     denominator rows), "pairs": (xs, ys, moduli), "order": (code, l, n,
     levels) and the memoized forms ``order_profile`` passed), and the
     number of specs run.  "prefix" holds (space, reversed rows, last end)
-    of every prefix table that filled an entry and of every order sweep,
-    "annihilator" (code, last
+    of every prefix table that filled an entry, "annihilator" (code, last
     end) of every code whose local dual's prefix table filled one,
     "suffix" (code, starts) of every code whose suffix projections were
     read, "matched" (code,) of every duality report, "peel" (code,) of every
     decomposed code, "conv" (code,) of every distinct convolutional
     code."""
     inputs = {"howell": [], "quotient": [], "pairs": [], "order": [], "matched": [], "peel": []}
-    tables, sweeps, dualized, convs = [], [], [], []
+    tables, dualized, convs = [], [], []
     table_init = codes._PrefixTable.__init__
-    sweep = codes._prefix_orders
     conv_init = ConvolutionalCode.__post_init__
     local_dual = codes.BlockCode.__dict__["_local_dual"]
     dualize = local_dual.fn
@@ -181,10 +178,6 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     def record_table(table, *args):
         tables.append(table)
         table_init(table, *args)
-
-    def record_sweep(moduli, offsets, reversed_rows):
-        sweeps.append((moduli, offsets, reversed_rows))
-        return sweep(moduli, offsets, reversed_rows)
 
     def record_dual(code):
         dualized.append(code)
@@ -225,7 +218,6 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     for (module, name, record), kernel in zip(wrapped, originals):
         setattr(module, name, recording(kernel, record))
     codes._PrefixTable.__init__ = record_table
-    codes._prefix_orders = record_sweep
     local_dual.fn = record_dual
     codes.BlockCode._suffix = record_suffix
     ConvolutionalCode.__post_init__ = record_conv
@@ -241,7 +233,6 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         for (module, name, _), kernel in zip(wrapped, originals):
             setattr(module, name, kernel)
         codes._PrefixTable.__init__ = table_init
-        codes._prefix_orders = sweep
         local_dual.fn = dualize
         codes.BlockCode._suffix = suffix
         ConvolutionalCode.__post_init__ = conv_init
@@ -249,9 +240,6 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         (table.space, table.reversed_rows, len(table.entries) - 1)
         for table in tables
         if len(table.entries) > 1
-    ] + [
-        (sweep_space(moduli, offsets), reversed_rows, len(offsets) - 1)
-        for moduli, offsets, reversed_rows in sweeps
     ]
     filled = ((code, code._local_dual.__dict__.get("_prefixes")) for code in dualized)
     inputs["annihilator"] = [
@@ -293,23 +281,39 @@ def prefix_per_end(space, reversed_rows, last) -> list:
 
 
 def prefix_sweep(space, reversed_rows, last) -> list:
-    """Entries 1..``last`` of a prefix table, by its sweep."""
+    """Entries 1..``last`` of a prefix table, by its unfinished sweep."""
     table = codes._PrefixTable(space, reversed_rows)
     table.entry(last)
     return table.entries[1:]
 
 
+def finished(entries, space) -> list:
+    """Each entry's rows replaced by their Howell form, so a weak Howell
+    form with the right pivot columns and products reads as the per-end
+    form's entry."""
+    moduli = space.flat_moduli
+    return [
+        (linalg.howell_form(linalg._trusted(moduli, rows)).rows, columns, products)
+        for rows, columns, products in entries
+    ]
+
+
+def window_orders(entries, space) -> list:
+    """|C ∩ [a, b)| for b = 1..len(entries) and a = 0..b, off the entries
+    C ∩ [0, b)."""
+    offsets = space.offsets()
+    return [
+        products[-1] // products[bisect.bisect_left(columns, offsets[a])]
+        for b, (_, columns, products) in enumerate(entries, 1)
+        for a in range(b + 1)
+    ]
+
+
 def order_sweep(space, reversed_rows, last) -> list:
-    """The pivot columns and orders of entries 1..``last``, read off the
-    unfinished sweep."""
-    sweep = codes._prefix_orders(space.flat_moduli, space.offsets(), reversed_rows)
-    return list(itertools.islice(sweep, last))
-
-
-def sweep_space(moduli, offsets) -> SequenceSpace:
-    """The space with flat ``moduli`` split at the flat ``offsets``."""
-    symbols = (FiniteAbelianGroup(moduli[a:b]) for a, b in zip(offsets, offsets[1:]))
-    return SequenceSpace(tuple(symbols))
+    """The window orders of entries 1..``last``, read through
+    ``codes._swept_orders``."""
+    order = codes._swept_orders(space, reversed_rows)
+    return [order(a, b) for b in range(1, last + 1) for a in range(b + 1)]
 
 
 def duality_windows_walk(code) -> tuple:
@@ -330,11 +334,11 @@ def annihilator_per_end(code, last) -> list:
 
 
 def annihilator_table(code, last) -> list:
-    """The same windows read off the prefix table of the local dual of a
-    fresh copy of the code: one kernel, one reversed Howell form, one
-    sweep."""
+    """The same windows by ``window_annihilator`` on a fresh copy of the
+    code: one kernel, one reversed Howell form, one unfinished sweep of
+    the local dual's prefix table, and one Howell form per window."""
     fresh = BlockCode.from_howell(code.space, code.basis.rows)
-    return [codes._internal(fresh._local_dual, 0, b)[0] for b in range(1, last + 1)]
+    return [codes.window_annihilator(fresh, 0, b).basis.rows for b in range(1, last + 1)]
 
 
 def suffix_codes(code, starts) -> list:
@@ -411,6 +415,10 @@ def conv_windows_engine(conv) -> tuple:
     return reads, engine.weak_controllability(fresh), engine.weak_observability(fresh)
 
 
+def as_is(output, call):
+    return output
+
+
 def best_time(kernel, inputs: list, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -450,14 +458,16 @@ def order_counted(code, l, n, levels) -> bool:
     return control._order_splits(code, l, n, levels, functools.partial(control._scaled_form, code))
 
 
-def print_lines(name, kernel, calls, expected, widths, repeat) -> None:
-    """One line per nonempty width bucket, then one for all ``calls``."""
+def print_lines(name, kernel, calls, expected, widths, repeat, read) -> None:
+    """One line per nonempty width bucket, then one for all ``calls``; an
+    output is compared with its expected one as ``read`` reads it, given
+    the output and the call."""
     for label, low, high in BUCKETS + (EVERY,):
         picked = [i for i, w in enumerate(widths) if low <= w <= high]
         if not picked and label != "all":
             continue
         chosen = [calls[i] for i in picked]
-        mismatches = sum(kernel(*calls[i]) != expected[i] for i in picked)
+        mismatches = sum(read(kernel(*calls[i]), calls[i]) != expected[i] for i in picked)
         seconds = best_time(kernel, chosen, repeat)
         print(f"{name:<23}{label:>7}{len(picked):>8}{mismatches:>12}{seconds:>10.4f}")
 
@@ -497,7 +507,7 @@ def main(argv=None) -> int:
     two_power = [howell[i] for i in packable]
     two_power_expected = [expected[i] for i in packable]
     per_end = [prefix_per_end(*call) for call in prefixes]
-    swept = [[entry[1:] for entry in prefix_sweep(*call)] for call in prefixes]
+    per_end_orders = [window_orders(entries, call[0]) for entries, call in zip(per_end, prefixes)]
     kernel_per_end = [annihilator_per_end(*call) for call in annihilators]
     by_suffix_codes = [suffix_codes(*call) for call in suffixes]
     own_table = [matched_own_table(*call) for call in matched]
@@ -516,7 +526,7 @@ def main(argv=None) -> int:
         ("dispatch", linalg._howell_kernel, howell, expected, howell),
         ("prefix-per-end", prefix_per_end, prefixes, per_end, prefixes),
         ("prefix-sweep", prefix_sweep, prefixes, per_end, prefixes),
-        ("order-sweep", order_sweep, prefixes, swept, prefixes),
+        ("order-sweep", order_sweep, prefixes, per_end_orders, prefixes),
         ("annihilator-per-end", annihilator_per_end, annihilators, kernel_per_end, annihilators),
         ("annihilator-table", annihilator_table, annihilators, kernel_per_end, annihilators),
         ("suffix-codes", suffix_codes, suffixes, by_suffix_codes, suffixes),
@@ -538,7 +548,8 @@ def main(argv=None) -> int:
     )
     for name, kernel, calls, outputs, recorded in kernels:
         widths = [width(args) for args in recorded]
-        print_lines(name, kernel, calls, outputs, widths, args.repeat)
+        read = (lambda out, call: finished(out, call[0])) if name == "prefix-sweep" else as_is
+        print_lines(name, kernel, calls, outputs, widths, args.repeat, read)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Tests for sequence spaces and block code lattice operations."""
 
+import itertools
 import operator
 import random
 from collections import Counter
@@ -24,9 +25,12 @@ from groupcodes.codes import (
     zero_code,
 )
 import groupcodes.codes as codes_module
+from groupcodes.codes import _internal
+from groupcodes.control import _window_solution
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import (
     ResidueMatrix,
+    _reduce_vector,
     annihilator_rows,
     head_kernel,
     howell_form,
@@ -35,7 +39,8 @@ from groupcodes.linalg import (
 )
 
 from .conftest import BAND_SPEC_PATHS, band_code
-from .kernel_references import pivot_record
+from .kernel_references import FinishedPrefixTable, pivot_record
+from .test_linalg import assert_weak_howell
 
 
 def space(*symbol_moduli):
@@ -323,21 +328,23 @@ class TestWindowTable:
             return canonical(matrix)
 
         monkeypatch.setattr(codes_module, "howell_form", counted)
-        got = {}
         # [a, N) reads the rows of the code itself.
-        got[2, 4] = window_internal(code, 2, 4)
+        assert window_order(code, 2, 4) == expected[2, 4].cardinality
         assert not calls and "_prefixes" not in code.__dict__
         # One reversed Howell form; the sweep fills the ends up to 3 and
         # takes no Howell form per end.
-        got[1, 3] = window_internal(code, 1, 3)
+        window_order(code, 1, 3)
         assert len(calls) == 1
         entries = code._prefixes.entries
         assert len(entries) == 4
-        got[0, 3] = window_internal(code, 0, 3)
-        assert window_internal(code, 0, 3).basis.rows is window_internal(code, 0, 3).basis.rows
-        got[2, 3] = window_internal(code, 2, 3)
-        got[0, 2] = window_internal(code, 0, 2)
+        for a, b in windows:
+            assert window_order(code, a, b) == expected[a, b].cardinality
         assert len(calls) == 1 and len(entries) == 4
+        # Each window code is one Howell form of its entry's rows, the
+        # same rows object on a second read, and no entry is filled again.
+        got = {w: window_internal(code, *w) for w in windows}
+        assert len(calls) == 1 + len(windows) and len(entries) == 4
+        assert window_internal(code, 0, 3).basis.rows is window_internal(code, 0, 3).basis.rows
         assert got == expected
 
     @given(st.data())
@@ -507,15 +514,18 @@ def per_end_prefix(code, b):
 def assert_sweep_matches_per_end_forms(code):
     """Every entry of the prefix table, and every one-sided read, against
     the per-end Howell form; the ends are read in a shuffled order on a
-    fresh code, so an entry read late was filled by a sweep past it."""
+    fresh code, so an entry read late was filled by a sweep past it.  An
+    entry is the sweep's unfinished record, a weak Howell form of the
+    per-end form's span (``assert_weak_howell``); the window code of
+    ``window_internal`` is the per-end form itself."""
     code = BlockCode.from_howell(code.space, code.basis.rows)
-    N = code.space.horizon
+    N, moduli = code.space.horizon, code.basis.moduli
     ends = list(range(N + 1))
     random.Random(N).shuffle(ends)
     table = code._prefixes
     for b in ends:
         rows, columns, products = per_end_prefix(code, b)
-        assert code._prefix(b) == (rows, columns, products), b
+        assert_weak_howell(code._prefix(b), rows, moduli)
         assert window_internal(code, 0, b).basis.rows == rows
         cut = code.space.offsets()[b]
         one_sided, order = table.vanishing(b)
@@ -523,19 +533,19 @@ def assert_sweep_matches_per_end_forms(code):
         if b:
             # Spanning rows of the window: their Howell form is the entry's
             # rows cut to [0, b), and reversed they are a Howell form.
-            moduli = code.basis.moduli[:cut]
-            assert howell_form(ResidueMatrix(moduli, one_sided)).rows == tuple(
+            assert howell_form(ResidueMatrix(moduli[:cut], one_sided)).rows == tuple(
                 row[:cut] for row in rows
             )
-            reverse = ResidueMatrix(moduli[::-1], tuple(row[::-1] for row in one_sided))
+            reverse = ResidueMatrix(moduli[:cut][::-1], tuple(row[::-1] for row in one_sided))
             assert howell_form(reverse).rows == reverse.rows
         else:
             assert one_sided == ()
 
 
 class TestPrefixSweep:
-    """The prefix table, filled by one Howell sweep, against the per-end
-    Howell forms it replaced: rows, pivot columns and products."""
+    """The prefix table, filled by one unfinished Howell sweep, against the
+    per-end Howell forms it replaced: pivot columns, products, and the
+    span of the rows from each pivot on."""
 
     def test_exhaustive_corpus(self, exhaustive_corpus):
         for code in exhaustive_corpus:
@@ -583,6 +593,71 @@ class TestPrefixSweep:
         assert calls["howell_form"] == 1
         assert entries[:6] == filled and len(entries) == N
         assert all(map(operator.is_, entries[:6], filled))
+
+
+def assert_weak_entries_read_as_howell_forms(code):
+    """The weak-form twin: every read the engine makes of a prefix entry,
+    on a fresh code, against the same read of a finished table
+    (``kernel_references.FinishedPrefixTable``, the per-end Howell forms).
+    Each entry is a weak Howell form of its window (``assert_weak_howell``);
+    every window order |C ∩ [a, b)| is equal; reducing a member of the
+    window by the entry gives zero; reducing any word gives the canonical
+    coset representative, the Howell form's; and ``_window_solution``
+    gives the same word for every position, end and target symbol."""
+    code = BlockCode.from_howell(code.space, code.basis.rows)
+    finished = BlockCode.from_howell(code.space, code.basis.rows)
+    finished.__dict__["_prefixes"] = FinishedPrefixTable(code.space, code._reversed_howell)
+    N, moduli, offsets = code.space.horizon, code.basis.moduli, code.space.offsets()
+    rng = random.Random(N)
+    for b in range(N + 1):
+        entry, canon = code._prefix(b), finished._prefix(b)
+        assert_weak_howell(entry, canon[0], moduli)
+        for a in range(b + 1):
+            assert _internal(code, a, b)[1] == _internal(finished, a, b)[1]
+        for _ in range(4):
+            member = [0] * len(moduli)
+            for row in canon[0]:
+                c = rng.randrange(max(moduli))
+                member = [(x + c * y) % m for x, y, m in zip(member, row, moduli)]
+            assert not any(_reduce_vector(entry[0], entry[1], moduli, member))
+            word = tuple(rng.randrange(m) for m in moduli)
+            assert _reduce_vector(entry[0], entry[1], moduli, word) == _reduce_vector(
+                canon[0], canon[1], moduli, word
+            )
+        for k in range(b):
+            symbol = code.space.symbols[k].moduli
+            targets = list(itertools.product(*map(range, symbol)))
+            for target in targets if len(targets) <= 16 else rng.sample(targets, 16):
+                got = _window_solution(code, b, k, target)
+                assert got == _window_solution(finished, b, k, target), (k, b, target)
+                if got is not None:
+                    assert not any(got[: offsets[k]]) and not any(got[offsets[b] :])
+                    assert got[offsets[k] : offsets[k + 1]] == target
+
+
+class TestWeakEntriesTwin:
+    """Prefix entries are unfinished records, weak Howell forms: every read
+    of one gives what the finished per-end Howell form gives."""
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            assert_weak_entries_read_as_howell_forms(code)
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for code in mixed_corpus:
+            assert_weak_entries_read_as_howell_forms(code)
+
+    @pytest.mark.parametrize("path", BAND_SPEC_PATHS, ids=lambda p: p.stem)
+    def test_band_specs(self, path):
+        assert_weak_entries_read_as_howell_forms(band_code(path.name))
+
+    @pytest.mark.parametrize(
+        "menu", [(8,), (9,), (27,), (2, 3, 4, 6, 9, 12)], ids=["Z8", "Z9", "Z27", "mixed"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_menus(self, menu, data):
+        assert_weak_entries_read_as_howell_forms(data.draw(mixed_codes(menu)))
 
 
 class TestWindowBoundary:
@@ -726,6 +801,59 @@ class TestWindowTableBuilds:
                     if a < b:
                         window_projection(code, a, b)
             assert calls[code.basis.rows, moduli] == 1
+
+
+def test_no_finish_inside_a_prefix_sweep(monkeypatch):
+    # Every entry of a prefix table, a code's or the one behind a
+    # ``_swept_orders`` read (the duality report's dual control index), is
+    # the sweep's unfinished record: no Howell state is finished while an
+    # entry is filled.  From a cold Howell cache, one command on the N = 10
+    # band code finishes only the canonical forms its codes keep, compare
+    # or print: 18 for ``analyze``, 19 for ``decompose`` and 28 for
+    # ``duality-check`` (25, 27 and 35 when every prefix end and every
+    # peel step's window was finished).
+    import io
+    from contextlib import redirect_stdout
+
+    import groupcodes.linalg as linalg_module
+    from groupcodes.cli import main
+
+    from .conftest import BAND_SPECS
+
+    counts = Counter()
+    filling = []
+    entry, table_init = codes_module._PrefixTable.entry, codes_module._PrefixTable.__init__
+
+    def counted_entry(table, b):
+        filling.append(table)
+        try:
+            return entry(table, b)
+        finally:
+            filling.pop()
+
+    def counted_table(table, space, reversed_rows, whole=None):
+        counts["tables without owner"] += whole is None
+        table_init(table, space, reversed_rows, whole)
+
+    for state in (linalg_module._HowellSingle, linalg_module._HowellPacked):
+
+        def counted_finish(self, _finish=state.finish):
+            counts["finish in a sweep" if filling else "finish"] += 1
+            return _finish(self)
+
+        monkeypatch.setattr(state, "finish", counted_finish)
+    monkeypatch.setattr(codes_module._PrefixTable, "entry", counted_entry)
+    monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
+    finishes = {}
+    for command in ("analyze", "decompose", "duality-check"):
+        counts["finish"] = 0
+        linalg_module._howell_cached.cache_clear()
+        with redirect_stdout(io.StringIO()):
+            assert main([command, str(BAND_SPECS / "z4_band10_code.spec")]) == 0
+        finishes[command] = counts["finish"]
+    assert finishes == {"analyze": 18, "decompose": 19, "duality-check": 28}
+    assert counts["tables without owner"] == 1
+    assert counts["finish in a sweep"] == 0
 
 
 class TestCachedDescriptor:

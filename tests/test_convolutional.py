@@ -1065,19 +1065,39 @@ class TestStrongIndexWindows:
                 assert control_profile(built).index == index
 
     def test_one_howell_form_per_window(self, monkeypatch):
+        # One Howell form and one prefix table with no owner per window;
+        # no code is built, and no Howell state is finished while the
+        # table's entries are filled.
         import sys
 
         import groupcodes.convolutional as module
+        import groupcodes.linalg as linalg_module
         from groupcodes.codes import _PrefixTable
 
-        windows, forms, built = [], [], []
+        windows, forms, built, tables, finished = [], [], [], [], []
         orders, canonical, entry = module._local_orders, howell_form, _PrefixTable.entry
         post_init, from_howell = BlockCode.__post_init__, BlockCode.from_howell.__func__
+        table_init, filling = _PrefixTable.__init__, []
         monkeypatch.setattr(module, "_local_orders", lambda *a: windows.append(a) or orders(*a))
         for name, owner in list(sys.modules.items()):
             if name.startswith("groupcodes") and getattr(owner, "howell_form", None) is canonical:
                 monkeypatch.setattr(owner, "howell_form", lambda m: forms.append(m) or canonical(m))
-        monkeypatch.setattr(_PrefixTable, "entry", lambda t, b: built.append(t) or entry(t, b))
+
+        def filled(table, b):
+            filling.append(b)
+            try:
+                return entry(table, b)
+            finally:
+                filling.pop()
+
+        for state in (linalg_module._HowellSingle, linalg_module._HowellPacked):
+            monkeypatch.setattr(
+                state, "finish", lambda s, _f=state.finish: finished.append(filling[:]) or _f(s)
+            )
+        monkeypatch.setattr(_PrefixTable, "entry", filled)
+        monkeypatch.setattr(
+            _PrefixTable, "__init__", lambda t, *a: tables.append(a) or table_init(t, *a)
+        )
         monkeypatch.setattr(BlockCode, "__post_init__", lambda c: built.append(c) or post_init(c))
         monkeypatch.setattr(
             BlockCode, "from_howell", classmethod(lambda *a: built.append(a) or from_howell(*a))
@@ -1090,10 +1110,12 @@ class TestStrongIndexWindows:
             kernel(V4, ((0, 0), (1, 0), (0, 1))),
         ):
             weak_controllability(conv)  # its windows are kept on the code
-            windows.clear(), forms.clear(), built.clear()
+            windows.clear(), forms.clear(), built.clear(), tables.clear(), finished.clear()
             assert strong_controllability_index(conv).is_finite
-            assert len(forms) == len(windows) > 0
+            assert len(forms) == len(windows) == len(tables) > 0
+            assert all(len(args) == 2 for args in tables)  # no owner record
             assert built == []
+            assert not any(finished)
 
 
 class TestReadBuilds:
@@ -1154,37 +1176,52 @@ class TestReadBuilds:
 def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path):
     # analyze and duality-check over the seed-7 convolutional benchmark
     # pool, as one pass of the benchmark loop: windows are read as rows off
-    # kept windows and prefix tables, so at most 2,100 codes are
-    # canonicalized (7,992 when each prefix end was a code and one-sided
-    # reads went through forward windows), and filling a prefix table takes
-    # no Howell form.  Every kept window is built at its read length and
-    # never regrown (80 of 1,166 cut windows regrew with the kept cut
-    # window), and every prefix end filled is read (1,592 of 5,778 were
-    # not).  The strong index counts its windows' orders on an unfinished
-    # sweep with no prefix table, so at most 432 tables are made (1,144
-    # with one table per strong-index window).
+    # kept windows and prefix tables, so no code is canonicalized (7,992
+    # when each prefix end was a code and one-sided reads went through
+    # forward windows), and filling a prefix table takes no Howell form and
+    # finishes no Howell state.  Every kept window is built at its read
+    # length and never regrown (80 of 1,166 cut windows regrew with the
+    # kept cut window), and every prefix end filled is read (1,592 of 5,778
+    # were not).  The strong index counts its windows'
+    # orders on a table of their own with no owner (``_swept_orders``), so
+    # at most 432 other tables are made (1,144 with one code and table per
+    # strong-index window).
     import sys
 
     import groupcodes.convolutional as module
+    import groupcodes.linalg as linalg_module
     from groupcodes.codes import _PrefixTable
     from groupcodes.linalg import howell_form as canonical
 
     from . import report_digest
 
-    counts = {"codes": 0, "filling": 0, "howell_while_filling": 0, "regrown": 0}
+    counts = {
+        "codes": 0, "filling": 0, "howell_while_filling": 0, "finish_while_filling": 0,
+        "regrown": 0, "sweeping": 0,
+    }
     post_init, entry, table_init = BlockCode.__post_init__, _PrefixTable.entry, _PrefixTable.__init__
-    read, tables = module._read, {}
+    read, swept_orders, tables, swept = module._read, module._swept_orders, {}, []
 
     def counted_init(self):
         counts["codes"] += 1
         post_init(self)
 
     def recorded_table(self, *args):
-        tables[self] = set()
+        if counts["sweeping"]:
+            swept.append(self)
+        else:
+            tables[self] = set()
         table_init(self, *args)
 
+    def sweep(*args):
+        counts["sweeping"] += 1
+        try:
+            return swept_orders(*args)
+        finally:
+            counts["sweeping"] -= 1
+
     def filling(self, b):
-        tables[self].add(b)
+        tables.get(self, set()).add(b)
         counts["filling"] += 1
         try:
             return entry(self, b)
@@ -1200,10 +1237,18 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
         counts["howell_while_filling"] += counts["filling"] > 0
         return canonical(matrix)
 
+    for state in (linalg_module._HowellSingle, linalg_module._HowellPacked):
+
+        def spied_finish(self, _finish=state.finish):
+            counts["finish_while_filling"] += counts["filling"] > 0
+            return _finish(self)
+
+        monkeypatch.setattr(state, "finish", spied_finish)
     monkeypatch.setattr(BlockCode, "__post_init__", counted_init)
     monkeypatch.setattr(_PrefixTable, "entry", filling)
     monkeypatch.setattr(_PrefixTable, "__init__", recorded_table)
     monkeypatch.setattr(module, "_read", kept_at_reads)
+    monkeypatch.setattr(module, "_swept_orders", sweep)
     for module in list(sys.modules.values()):
         name = getattr(module, "__name__", "")
         if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:
@@ -1215,8 +1260,9 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
         for command in ("analyze", "duality-check"):
             assert report_digest.report((command,), str(path)).startswith(b"(0, ")
     assert len(specs) == 432
-    assert counts["codes"] <= 2100
-    assert counts["howell_while_filling"] == 0
+    assert counts["codes"] == 0
+    assert counts["howell_while_filling"] == counts["finish_while_filling"] == 0
     assert counts["regrown"] == 0
-    assert len(tables) <= 432
+    assert len(tables) <= 432 < len(swept)
+    assert all(table.whole is None and len(table.entries) > 1 for table in swept)
     assert tables and all(set(range(1, len(t.entries))) <= ends for t, ends in tables.items())

@@ -17,10 +17,12 @@ from groupcodes.linalg import (
     _PACKED_MODULI,
     ResidueMatrix,
     _entry,
+    _first_nonzero,
     _HowellPacked,
     _HowellSingle,
     _primes,
     _reduce_vector,
+    _trusted,
     annihilator_rows,
     contains_vector,
     coset_reduce,
@@ -929,11 +931,26 @@ class TestPackedKernel:
         assert (info.hits, info.misses, info.maxsize) == (2, 2, 1 << 12)
 
 
+def assert_weak_howell(record, canon, moduli):
+    """``record``, a state's ``record``, is a weak Howell form of the span
+    whose Howell rows are ``canon``: echelon at its own pivot columns, each
+    pivot normalized (it divides its modulus), the pivot columns and
+    running pivot-order products of ``canon``'s record, and the Howell
+    property, as its rows from each pivot on span what ``canon``'s do."""
+    rows, columns, products = record
+    assert (columns, products) == _entry(tuple(canon), moduli)[1:]
+    assert tuple(map(_first_nonzero, rows)) == columns
+    assert all(moduli[j] % row[j] == 0 for row, j in zip(rows, columns))
+    for i in range(len(rows)):
+        assert howell_form(_trusted(moduli, rows[i:])).rows == tuple(canon[i:])
+
+
 class TestPushFinish:
     """A Howell state pushed rows in batches and finished after each batch
     gives ``howell_form`` of the rows pushed so far, on both kernels, and
-    finishing leaves the state as it was.  Its unfinished order read is the
-    finished form's pivot record, less the rows."""
+    finishing leaves the state as it was.  Its unfinished ``record`` is a
+    weak Howell form with the finished form's pivot columns and products,
+    and reading it leaves the state as it was too."""
 
     @staticmethod
     def check(state, rows, moduli, cuts):
@@ -945,7 +962,10 @@ class TestPushFinish:
             assert state.pivots == before
             assert got == list(howell_form(residue_matrix(rows[:hi], moduli)).rows)
             assert state.finish() == got
-            assert state.orders() == _entry(tuple(got), moduli)[1:]
+            record = state.record()
+            assert state.pivots == before
+            assert state.record() == record
+            assert_weak_howell(record, got, moduli)
 
     @given(two_power_matrices(), st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -292,15 +292,16 @@ def test_duality_check_makes_one_kernel_of_the_code(spec, monkeypatch):
 def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     # T = D-perp is one kernel of the dual's rows; they equal C's, so T is
     # the code object and the annihilator sums read C's prefix table.  The
-    # report builds one prefix table, C's, and none for D or T: the dual's
-    # control index is counted on one sweep of D's reversed rows, which
-    # finishes no Howell state.  Each of C and D is kernelled once.
+    # report keeps one prefix table, C's, and none for D or T: the dual's
+    # control index is counted on one table of D's reversed rows with no
+    # owner (``_swept_orders``).  Neither table's Howell state is ever
+    # finished.  Each of C and D is kernelled once.
     import groupcodes.codes as codes_module
 
     code = band_code("z4_band10_code.spec")
-    tables, kernels, sweeps, states = [], Counter(), Counter(), []
+    tables, kernels, states = [], Counter(), []
     table_init, kernel = codes_module._PrefixTable.__init__, codes_module.annihilator_rows
-    sweep, make_state = codes_module._prefix_orders, codes_module._howell_state
+    make_state = codes_module._howell_state
 
     class CountedState:
         def __init__(self, moduli):
@@ -310,8 +311,8 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
         def push(self, rows):
             self.state.push(rows)
 
-        def orders(self):
-            return self.state.orders()
+        def record(self):
+            return self.state.record()
 
         def finish(self):
             self.finished += 1
@@ -325,23 +326,20 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
         kernels[matrix.rows] += 1
         return kernel(matrix)
 
-    def counted_sweep(moduli, offsets, reversed_rows):
-        sweeps[reversed_rows] += 1
-        return sweep(moduli, offsets, reversed_rows)
-
     monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
     monkeypatch.setattr(codes_module, "annihilator_rows", counted_kernel)
-    monkeypatch.setattr(codes_module, "_prefix_orders", counted_sweep)
     monkeypatch.setattr(codes_module, "_howell_state", CountedState)
     assert check_control_observe_duality(code).ok
     dual = dual_block_code(code)
     assert dual_block_code(dual) is code
     assert kernels[code.basis.rows] == kernels[dual.basis.rows] == 1
-    assert [table.reversed_rows for table in tables] == [code._reversed_howell]
-    assert "_prefixes" not in dual.__dict__
-    assert sweeps == Counter({dual._reversed_howell: 1})
-    swept = [state for state in states if state is not tables[0].state]
-    assert len(swept) == 1 and swept[0].finished == 0
+    assert [(table.reversed_rows, table.whole) for table in tables] == [
+        (code._reversed_howell, code._record),
+        (dual._reversed_howell, None),
+    ]
+    assert code._prefixes is tables[0] and "_prefixes" not in dual.__dict__
+    assert [table.state for table in tables] == states
+    assert not any(state.finished for state in states)
 
 
 def test_duality_walk_reads_each_suffix_record_once_and_copies_no_dual_row(monkeypatch):

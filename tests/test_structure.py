@@ -443,12 +443,13 @@ class TestSmallestFullPrefix:
                     rows = _peel_complement(rows, moduli, word, order)
         assert visits["inside"] > 100 and visits["whole"] > 100
 
-    def test_each_peel_step_makes_one_complement_kernel_and_one_window_finish(
+    def test_each_peel_step_makes_one_complement_kernel_and_one_window_record(
         self, monkeypatch
     ):
         # Over banded 2- and 3-groups of horizon 6 the searched window sits
         # anywhere.  Each peel step pushes the window's rows into one Howell
-        # state and finishes it once, and reads its complement off one
+        # state and reads its record once, finishing none, and reads its
+        # complement off one
         # vanishing-head kernel of [chi(r) | r]; each character graph's
         # solution and kernel come from one Howell form of it; no prefix
         # table and no code is built before the verification.
@@ -458,7 +459,8 @@ class TestSmallestFullPrefix:
 
         rng = random.Random(1709)
         counts = {
-            "steps": 0, "pushes": 0, "finishes": 0, "complements": 0, "codes": 0, "graph forms": 0
+            "steps": 0, "pushes": 0, "records": 0, "finishes": 0, "complements": 0, "codes": 0,
+            "graph forms": 0,
         }
         graphs = {}  # id -> graph, kept alive so that no id is reused
         phase = {"verify": False}
@@ -470,6 +472,10 @@ class TestSmallestFullPrefix:
             def push(self, rows):
                 counts["pushes"] += 1
                 self.state.push(rows)
+
+            def record(self):
+                counts["records"] += 1
+                return self.state.record()
 
             def finish(self):
                 counts["finishes"] += 1
@@ -541,7 +547,8 @@ class TestSmallestFullPrefix:
             assert decomposition.order_product == code.cardinality
             generators += len(decomposition.generators)
         assert counts["steps"] == generators > 30
-        assert counts["pushes"] == counts["finishes"] == counts["steps"]
+        assert counts["pushes"] == counts["records"] == counts["steps"]
+        assert counts["finishes"] == 0
         assert counts["complements"] == counts["steps"]
         assert counts["graph forms"] == len(graphs) >= counts["steps"]
         assert counts["codes"] == 0
