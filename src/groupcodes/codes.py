@@ -169,7 +169,7 @@ class BlockCode:
 
     @_cached
     def _prefixes(self) -> "_PrefixTable":
-        return _PrefixTable(self.space, self._reversed_howell, self._record)
+        return _PrefixTable(self.space, self._reversed_howell)
 
     @_cached
     def _suffixes(self) -> dict[int, Entry]:
@@ -199,8 +199,10 @@ class BlockCode:
         return _entry(self.basis.rows, self.basis.moduli)
 
     def _prefix(self, b: int) -> Entry:
-        """The record of C ∩ [0, b): the code's own for b = N, else entry
-        b of the prefix table (``_PrefixTable.entry``)."""
+        """The record of C ∩ [0, b): the code's own for b = N, with no
+        sweep, else entry b of the prefix table (``_PrefixTable.entry``).
+        The duality walk reads the table's entry N instead, whose rows
+        keep their identity from entry N - 1."""
         if b == self.space.horizon:
             return self._record
         return self._prefixes.entry(b)
@@ -289,19 +291,14 @@ class _PrefixTable:
       ``record`` of one Howell kernel state that takes the rows end by end
       (``_end_batches``), so the table is filled by one sweep and no entry
       is finished.  An end that takes in no row shares the entry before
-      it, and the first end that takes in every row (C ∩ [0, b) = C) is
-      the owner's record ``whole`` when the table has one.
+      it, and a row that an end leaves alone is the same tuple object in
+      the next entry (``record``), up to b = N.
 
     Callers pass ends within the horizon; the window functions check.
     """
 
-    def __init__(
-        self,
-        space: SequenceSpace,
-        reversed_rows: tuple[Vector, ...],
-        whole: Entry | None = None,
-    ) -> None:
-        self.space, self.reversed_rows, self.whole = space, reversed_rows, whole
+    def __init__(self, space: SequenceSpace, reversed_rows: tuple[Vector, ...]) -> None:
+        self.space, self.reversed_rows = space, reversed_rows
         moduli = space.flat_moduli[::-1]
         _, self.columns, self.products = _entry(reversed_rows, moduli)
         self.entries: list[Entry] = [((), (), (1,))]  # entries[b], filled in order
@@ -324,8 +321,6 @@ class _PrefixTable:
             i, j = next(self.batches)
             if i == j:
                 entries.append(entries[-1])
-            elif i == 0 and self.whole is not None:
-                entries.append(self.whole)
             else:
                 self.state.push(row[::-1] for row in self.reversed_rows[i:j])
                 entries.append(self.state.record())

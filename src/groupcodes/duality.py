@@ -118,7 +118,20 @@ def pairs_to_zero(
     if any(m != L for m in moduli):
         weights = [L // m for m in moduli]
         xs = [list(map(mul, x, weights)) for x in xs]
-    return not any(sum(map(mul, x, y)) % L for y in ys for x in xs)
+    return _folded_pairs_to_zero(xs, ys, L)
+
+
+def _folded_pairs_to_zero(
+    xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]], top: int
+) -> bool:
+    """``pairs_to_zero`` on rows x with the weights top/m_j folded in:
+    whether sum_j x_j y_j = 0 modulo ``top`` for every x and y, over the
+    columns of x."""
+    for y in ys:
+        for x in xs:
+            if sum(map(mul, x, y)) % top:
+                return False
+    return True
 
 
 def is_annihilator(

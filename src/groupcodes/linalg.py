@@ -262,12 +262,13 @@ class _HowellSingle:
     pushes, and a later push goes on from them.
     """
 
-    __slots__ = ("moduli", "top", "pivots")
+    __slots__ = ("moduli", "top", "pivots", "kept")
 
     def __init__(self, moduli: Vector) -> None:
         self.moduli = moduli
         self.top = lcm(*moduli) if moduli else 1
         self.pivots: dict[int, list[int]] = {}
+        self.kept: dict[int, tuple[list[int], Vector, int]] = {}  # j -> (row, record row, order)
 
     def push(self, rows: Iterable[Vector]) -> None:
         """Eliminate reduced ``rows`` into the pivot rows."""
@@ -306,38 +307,46 @@ class _HowellSingle:
                     push_annihilator(new_r, j)
                 j = _first_nonzero(v, j)
 
-    def _scaled(self) -> tuple[list[int], list[list[int]]]:
-        """The pivot columns in order and copies of their rows, each pivot
-        p scaled to the divisor d = gcd(p, m_j) by u = (p/d)^-1 modulo
-        c = m_j/d.  u need not be a unit of the other columns: it is prime
-        to c, and c·row (its pivot cleared) lies in the span of the later
-        rows, so u·row and c·row span row, and the rows from each pivot on
-        keep their span."""
-        moduli, pivots = self.moduli, self.pivots
-        order = sorted(pivots)
-        basis = []
-        for j in order:
-            row, m = pivots[j][:], moduli[j]
-            d = gcd(row[j], m)
-            u = pow(row[j] // d, -1, m // d)
-            if u != 1:
-                row[j:] = [(u * e) % mm for e, mm in zip(row[j:], moduli[j:])]
-            basis.append(row)
-        return order, basis
+    def _scaled(self, j: int) -> list[int]:
+        """A copy of the pivot row at column j, its pivot p scaled to the
+        divisor d = gcd(p, m_j) by u = (p/d)^-1 modulo c = m_j/d.  u need
+        not be a unit of the other columns: it is prime to c, and c·row
+        (its pivot cleared) lies in the span of the later rows, so u·row
+        and c·row span row, and the rows from each pivot on keep their
+        span."""
+        moduli, row = self.moduli, self.pivots[j]
+        d = gcd(row[j], moduli[j])
+        u = pow(row[j] // d, -1, moduli[j] // d)
+        if u == 1:
+            return row[:]
+        return row[:j] + [(u * e) % m for e, m in zip(row[j:], moduli[j:])]
 
     def record(self) -> Entry:
         """The weak Howell form of the rows pushed so far as an ``Entry``:
-        the scaled rows (``_scaled``), nothing reduced above a pivot; the
-        state is left as it was."""
-        order, basis = self._scaled()
-        orders = (self.moduli[j] // row[j] for j, row in zip(order, basis))
-        return tuple(map(tuple, basis)), tuple(order), tuple(accumulate(orders, mul, initial=1))
+        the scaled pivot rows (``_scaled``), nothing reduced above a pivot;
+        the state is left as it was.  A pivot row is replaced, never
+        changed in place, so a row that the pushes since the last record
+        left alone is the same list object, and its record row is the
+        same tuple object as in that record: only replaced rows are
+        scaled again."""
+        moduli, pivots, kept = self.moduli, self.pivots, self.kept
+        columns = sorted(pivots)
+        rows, orders = [], []
+        for j in columns:
+            seen = kept.get(j)
+            if seen is None or seen[0] is not pivots[j]:
+                scaled = tuple(self._scaled(j))
+                seen = kept[j] = (pivots[j], scaled, moduli[j] // scaled[j])
+            rows.append(seen[1])
+            orders.append(seen[2])
+        return tuple(rows), tuple(columns), tuple(accumulate(orders, mul, initial=1))
 
     def finish(self) -> list[Vector]:
         """The Howell form of the rows pushed so far: the scaled rows
         (``_scaled``), each entry above a pivot d reduced into [0, d)."""
         moduli = self.moduli
-        order, basis = self._scaled()
+        order = sorted(self.pivots)
+        basis = [self._scaled(j) for j in order]
         for idx, j in enumerate(order):
             pivot_row = basis[idx]
             d, tail = pivot_row[j], pivot_row[j:]
@@ -381,11 +390,12 @@ class _HowellPacked:
     ``_HowellSingle``'s output row for row.
     """
 
-    __slots__ = ("width", "mask", "top", "pivots")
+    __slots__ = ("width", "mask", "top", "pivots", "kept")
 
     def __init__(self, moduli: Vector) -> None:
         self.width, self.mask, self.top = _packed_layout(moduli)
         self.pivots: dict[int, int] = {}  # bytes from the pivot column on -> row
+        self.kept: dict[int, tuple[int, Vector, int]] = {}  # k -> (row, record row, order)
 
     def push(self, rows: Iterable[Vector]) -> None:
         """Eliminate reduced ``rows`` into the pivot rows."""
@@ -459,18 +469,23 @@ class _HowellPacked:
         """``_HowellSingle.record`` on packed rows: the pivot of the row kept
         at k is its byte ``row >> 8(k - 1)``, in column width - k, scaled
         to its 2-adic part p & -p = gcd(p, m_j), as p < m_j | 2^K, by the
-        odd p / (p & -p), its own inverse."""
-        width, mask, pivots = self.width, self.mask, self.pivots
+        odd p / (p & -p), its own inverse.  A row that the pushes since the
+        last record left alone is the same int, and its record row the
+        same tuple object: only replaced rows are unpacked again."""
+        width, mask, pivots, kept = self.width, self.mask, self.pivots, self.kept
         keys = sorted(pivots, reverse=True)
         rows, orders = [], []
         for k in keys:
-            row, shift = pivots[k], 8 * k - 8
-            p = row >> shift
-            low = p & -p
-            if p != low:
-                row = ((p // low) * row) & mask
-            rows.append(tuple(row.to_bytes(width, "big")))
-            orders.append((((mask >> shift) & 0xFF) + 1) // low)
+            row, seen = pivots[k], kept.get(k)
+            if seen is None or seen[0] is not row:
+                shift = 8 * k - 8
+                p = row >> shift
+                low = p & -p
+                scaled = ((p // low) * row) & mask if p != low else row
+                order = (((mask >> shift) & 0xFF) + 1) // low
+                seen = kept[k] = (row, tuple(scaled.to_bytes(width, "big")), order)
+            rows.append(seen[1])
+            orders.append(seen[2])
         products = tuple(accumulate(orders, mul, initial=1))
         return tuple(rows), tuple(width - k for k in keys), products
 

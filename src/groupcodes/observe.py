@@ -17,20 +17,21 @@ by the one window-sum routine.  "The supercode is the code" reads
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 from .codes import (
     BlockCode,
     _annihilator_order,
-    _internal,
     _projection,
-    _rows_before,
     _swept_orders,
     invariant_factors_of_code,
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
-from .duality import dual_block_code, is_annihilator
-from .linalg import _reduce_vector
+from .duality import _folded_pairs_to_zero, dual_block_code
+from .linalg import Entry, Vector, _reduce_vector
 
 __all__ = [
     "ObserveProfile",
@@ -257,30 +258,87 @@ def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
     return sub_duals, sub_duals if top is code else duals_to_top(top)
 
 
+def _start_windows(
+    entries: list[Entry], record: Entry, offsets: tuple[int, ...], k: int
+) -> list[tuple[tuple[Vector, ...], int, int, tuple[Vector, ...], int, int]]:
+    """The windows [k, b), b = k+1..N, of start k as ``_window_walk`` reads
+    them, one tuple per end: ``(xs, i, x_order, ys, j, y_order)``, where
+    C ∩ [k, b) is spanned by ``xs[i:]``, the rows of prefix entry b with
+    pivot at or after offset(k) (``codes._internal``'s read), and
+    proj_[k,b) D by ``ys[:j]``, the rows of ``record`` = proj_[k,N) D with
+    pivot before the cut (``codes._rows_before``'s read), uncut.  Nothing
+    is sliced: each window is two index bounds on rows of the tables."""
+    lo = offsets[k]
+    ys, y_columns, y_products = record
+    reads = []
+    for b in range(k + 1, len(offsets)):
+        xs, x_columns, x_products = entries[b]
+        i = bisect_left(x_columns, lo)
+        j = bisect_left(y_columns, offsets[b] - lo)
+        reads.append((xs, i, x_products[-1] // x_products[i], ys, j, y_products[j]))
+    return reads
+
+
 def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityCheck, ...], bool]:
     """The window checks and the chain verdict of the duality report of
     ``code``, ``dual`` being D = C-perp, by one walk per start k over D's
-    suffix record proj_[k,N) D, read once.
+    suffix record proj_[k,N) D, read once, and each end's prefix entry,
+    read once (``_start_windows``).
 
     The consistency set of D on [a, b) is the preimage of P = proj_[a,b) D:
     its order is |G| · |P| / |G_[a,b)| and its Howell rows restricted to
     [a, b) are P's, so the window check reads |C ∩ [a, b)| · |P| = |G_[a,b)|
-    and pairs the internal part's window columns with P's rows: the rows
-    of the record before the cut (``codes._rows_before``), uncut, as
-    ``pairs_to_zero`` stops at the window's width.  The reach chain is the
-    nesting C ∩ [0, b) ⊆ C ∩ [0, b+1) of the prefix entries, as
-    C_k(L) = Z_k + C ∩ [0, k+L); the consistency set on [k, b+1) lies in
-    the one on [k, b) exactly when proj_[k,b+1) D, cut to [k, b), lies in
-    proj_[k,b) D.  Each row of the smaller side is zero, a row of the
-    larger or reduces to zero at the pivot columns held; on a weak Howell
-    form (a prefix entry) every member reduces to zero too.  The rows at
-    end b are the first rows at b + 1, the same tuple objects, so only the
-    rows end b + 1 adds are tested, which decides every row whatever the
-    table holds.  Both chains hold by construction: the nested chain checks
-    the records' cut bookkeeping (the rows an end adds vanish before it),
-    not duality, which the window checks test.
+    and pairs the rows of C ∩ [a, b) with P's rows: the rows of the record
+    before the cut, uncut, as a pairing runs over the columns of the C row.
+
+    Each (C row, D row) pair is paired at most once per start.  A row x of
+    C ∩ [k, b) vanishes outside [k, b), so its pairing with a D row y is
+    the same at every later end of start k.  Rows are told apart by
+    identity: a prefix entry's ``record`` keeps every row that the end
+    left alone as the same tuple object, with the same pivot, so a row of
+    entry b that is a row of entry b - 1 lies in C ∩ [k, b - 1) too.  Per
+    start, the weights top/m_j are folded into each C row once, over its
+    columns from offset(k) to the end where it first appears
+    (``duality._folded_pairs_to_zero``).  A window that passed leaves
+    every pair of its rows paired, so the next window pairs the C rows new
+    to it (one diff of the two entries, shared by every start) with the D
+    rows before its cut, and every C row with the D rows its end adds.  A
+    window that failed, or a D side that is not the same record grown,
+    makes the next window pair all of its rows afresh, so every window
+    keeps the verdict of pairing its own rows.
+
+    The reach chain is the nesting C ∩ [0, b) ⊆ C ∩ [0, b+1) of the
+    prefix entries, as C_k(L) = Z_k + C ∩ [0, k+L); the consistency set
+    on [k, b+1) lies in the one on [k, b) exactly when proj_[k,b+1) D, cut
+    to [k, b), lies in proj_[k,b) D.  Each row of the smaller side that is
+    not a row of the larger reduces to zero at the pivot columns held;
+    on a weak Howell form (a prefix entry) every member does.  So both
+    chains reduce only the rows an end adds or changes: a row that is the
+    same object in the next entry passes, and the rows of proj_[k,b) D
+    are the first rows of proj_[k,b+1) D.  Both chains hold by
+    construction: the nested chain checks the records' cut bookkeeping
+    (the rows an end adds vanish before it), not duality, which the window
+    checks test.
     """
     N, moduli, offsets = code.space.horizon, code.space.flat_moduli, code.space.offsets()
+    products, top = code.space._moduli_products, lcm(*moduli)
+    weights = [top // m for m in moduli]
+    entries = [code._prefixes.entry(b) for b in range(N + 1)]
+
+    def new_rows(older, newer) -> list[int]:
+        # Indices of the rows of ``newer`` that are not rows of ``older``.
+        held = set(map(id, older))
+        return [t for t, row in enumerate(newer) if id(row) not in held]
+
+    fresh_at = {}
+
+    def fresh_rows(b: int) -> list[int]:
+        # The rows end b adds or changes, found once for every start.
+        if b not in fresh_at:
+            older, newer = entries[b - 1][0], entries[b][0]
+            n = len(older)
+            fresh_at[b] = range(n, len(newer)) if newer[:n] == older else new_rows(older, newer)
+        return fresh_at[b]
 
     def within(words, rows, columns, lo: int, hi: int) -> bool:
         # A zero reduction proves membership even at wrong ``columns``.
@@ -288,29 +346,57 @@ def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityC
         return all(w in known or not any(_reduce_vector(rows, columns, window, w)) for w in words)
 
     def prefix_nested(b: int) -> bool:
-        # C ∩ [0, b) ⊆ C ∩ [0, b+1); an end that takes in no row shares.
-        inner, outer = code._prefix(b), code._prefix(b + 1)
-        return inner is outer or within(inner[0], outer[0], outer[1], 0, len(moduli))
+        # C ∩ [0, b) ⊆ C ∩ [0, b+1): the rows of entry b that entry b + 1
+        # does not hold reduce to zero against it.
+        inner, outer = entries[b], entries[b + 1]
+        if inner is outer or outer[0][: len(inner[0])] == inner[0]:
+            return True
+        changed = (inner[0][t] for t in new_rows(outer[0], inner[0]))
+        return not any(any(_reduce_vector(outer[0], outer[1], moduli, w)) for w in changed)
 
-    def nested(rows, outer, columns, lo: int, hi: int) -> bool:
-        # proj_[k,b+1) D, cut to [lo, hi) = [k, b), in proj_[k,b) D: first rows
-        # of ``outer`` that are ``rows`` (by identity first) and zero cuts pass.
-        n, width = len(rows), hi - lo
-        added = outer[n:] if outer[:n] == rows else outer
+    def nested(rows, n: int, outer, j: int, columns, lo: int, hi: int) -> bool:
+        # proj_[k,b+1) D = outer[:j], cut to [lo, hi) = [k, b), in
+        # proj_[k,b) D = rows[:n]: its first rows that are rows[:n] (the
+        # same record grown, or equal rows) and zero cuts pass.
+        if outer is rows and n <= j:
+            added = outer[n:j]
+        else:
+            added = outer[n:j] if outer[:j][:n] == rows[:n] else outer[:j]
+        width = hi - lo
         cuts = [cut for cut in (row[:width] for row in added) if any(cut)]
-        return not cuts or within(cuts, [row[:width] for row in rows], columns[:n], lo, hi)
+        return not cuts or within(cuts, [row[:width] for row in rows[:n]], columns[:n], lo, hi)
 
     checks, chain_ok = [], all(prefix_nested(b) for b in range(N))
     for k in range(N):
         record, lo = dual._suffix(k), offsets[k]
-        for b in range(k + 1, N + 1):
+        tail, folded = weights[lo:], {}
+
+        def fold(x, hi: int) -> list[int]:
+            # x with the weights folded in, over [lo, hi): once per start.
+            if id(x) not in folded:
+                folded[id(x)] = list(map(mul, x[lo:hi], tail))
+            return folded[id(x)]
+
+        last_xs, last_ys, last_j, last_hi, paired = (), (), 0, lo, False
+        reads = _start_windows(entries, record, offsets, k)
+        for b, (xs, i, x_order, ys, j, y_order) in enumerate(reads, k + 1):
             hi = offsets[b]
-            outer, order = _rows_before(record, hi - lo)
-            inner, inner_order = _internal(code, k, b)
-            ok = is_annihilator([r[lo:hi] for r in inner], inner_order, outer, order, moduli[lo:hi])
+            ok = x_order * y_order == products[hi] // products[lo]
+            grown = ys is last_ys and last_j <= j
+            if ok and j and i < len(xs):
+                old, fresh = 0, range(i, len(xs))
+                if paired and grown:
+                    same = xs is entries[b][0] and last_xs is entries[b - 1][0]
+                    fresh = fresh_rows(b) if same else new_rows(last_xs, xs)
+                    old, fresh = last_j, fresh[bisect_left(fresh, i) :]
+                if old < j:
+                    ok = _folded_pairs_to_zero([fold(x, hi) for x in xs[i:]], ys[old:j], top)
+                if ok and old and fresh:
+                    ok = _folded_pairs_to_zero([fold(xs[t], hi) for t in fresh], ys[:old], top)
             checks.append(WindowDualityCheck(k, b, ok))
-            chain_ok = chain_ok and (b == k + 1 or nested(rows, outer, record[1], lo, last))
-            rows, last = outer, hi
+            if b > k + 1 and not (grown and last_j == j):
+                chain_ok = chain_ok and nested(last_ys, last_j, ys, j, record[1], lo, last_hi)
+            last_xs, last_ys, last_j, last_hi, paired = xs, ys, j, hi, ok
     return tuple(checks), chain_ok
 
 
@@ -329,9 +415,12 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
       C-perp-perp = C this is a check of biduality (see below).
 
     The window and chain checks read rows and orders off C's prefix table
-    (weak Howell forms, never finished) and D's suffix records, one walk
-    per start (``_window_walk``, with the proofs); the nested chain checks
-    the records' cut bookkeeping.
+    (weak Howell forms, never finished, whose rows keep their identity
+    from end to end) and D's suffix records, one walk per start that pairs
+    each (C row, D row) pair once and reduces only the rows an end adds
+    or changes (``_window_walk``, with the proofs); every window keeps the
+    verdict of counting and pairing its own rows, and the nested chain
+    checks the records' cut bookkeeping.
 
     Each matched side is built only until it reaches its top
     (``_matched_duals``).  The supercode of D at window L is the dual of

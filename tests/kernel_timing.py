@@ -10,7 +10,9 @@ runs on it, with the Howell cache cleared first.  Every input that reaches
 the Howell kernel (every cache miss of ``linalg._howell_cached``), every
 invariant-factor count (``linalg._counted_invariants``, on a Howell form
 and its order),
-every call of ``duality.pairs_to_zero``, every (code, l, n, levels) that
+every call of ``duality.pairs_to_zero`` and every pairing of the duality
+walk (``observe._folded_pairs_to_zero``, its rows weighted, over moduli
+all equal to their lcm), every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
 (``codes._PrefixTable``, with the last end it filled: a code's own, or
 one with no owner behind ``codes._swept_orders``, as the strong index and
@@ -68,9 +70,10 @@ recorded inputs it takes, bucketed by matrix width:
   its rows and every nested containment tested on every row
   (``kernel_references.cut_duality_windows``), the route before the walk;
 * ``duality-windows-walk``: the same by ``observe._window_walk``, one
-  walk per start over the dual's suffix record, its rows paired uncut and
-  only the rows each end adds tested.  Both run on the recorded code,
-  whose tables its report filled, so they time the reads only;
+  walk per start over the dual's suffix record and the prefix entries,
+  each (C row, D row) pair paired once per start and only the rows each
+  end adds or changes tested.  Both run on the recorded code, whose
+  tables its report filled, so they time the reads only;
 * ``smith``: invariant factors by the integer Smith form
   (``kernel_references.smith_quotient_invariants``) on every
   ``_counted_invariants`` input, its numerator and denominator;
@@ -78,8 +81,8 @@ recorded inputs it takes, bucketed by matrix width:
   form and the order it is given;
 * ``pair-loop``: the residue-by-residue pairing test
   (``kernel_references.loop_pairs_to_zero``) on every ``pairs_to_zero``
-  input;
-* ``pair-map``: ``pairs_to_zero``;
+  input and every pairing of the duality walk;
+* ``pair-map``: ``pairs_to_zero`` on the same inputs;
 * ``order-graph``: the order split by a split graph
   (``kernel_references.order_split_everywhere``, given the prefix and
   suffix window codes) on every order split input;
@@ -205,6 +208,13 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         (cli, "cyclic_product_decomposition", inputs["peel"]),
     )
     originals = [getattr(module, name) for module, name, _ in wrapped]
+    walk_pairing = observe._folded_pairs_to_zero
+
+    def record_walk_pairing(xs, ys, top):
+        # The walk's rows carry the weights top/m_j folded in, so as an
+        # input of ``pairs_to_zero`` they are rows over moduli all top.
+        inputs["pairs"].append((xs, ys, (top,) * max(map(len, xs))))
+        return walk_pairing(xs, ys, top)
 
     def recording(kernel, record):
         def record_call(*args):
@@ -217,6 +227,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     linalg._howell_cached.cache_clear()
     for (module, name, record), kernel in zip(wrapped, originals):
         setattr(module, name, recording(kernel, record))
+    observe._folded_pairs_to_zero = record_walk_pairing
     codes._PrefixTable.__init__ = record_table
     local_dual.fn = record_dual
     codes.BlockCode._suffix = record_suffix
@@ -232,6 +243,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     finally:
         for (module, name, _), kernel in zip(wrapped, originals):
             setattr(module, name, kernel)
+        observe._folded_pairs_to_zero = walk_pairing
         codes._PrefixTable.__init__ = table_init
         local_dual.fn = dualize
         codes.BlockCode._suffix = suffix

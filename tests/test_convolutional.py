@@ -1264,5 +1264,5 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
     assert counts["howell_while_filling"] == counts["finish_while_filling"] == 0
     assert counts["regrown"] == 0
     assert len(tables) <= 432 < len(swept)
-    assert all(table.whole is None and len(table.entries) > 1 for table in swept)
+    assert all(len(table.entries) > 1 for table in swept)
     assert tables and all(set(range(1, len(t.entries))) <= ends for t, ends in tables.items())

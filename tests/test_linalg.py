@@ -6,6 +6,7 @@ Expected values were computed with the brute-force span enumerator below
 
 import copy
 import itertools
+import operator
 import random
 from math import gcd, lcm
 
@@ -950,13 +951,20 @@ class TestPushFinish:
     gives ``howell_form`` of the rows pushed so far, on both kernels, and
     finishing leaves the state as it was.  Its unfinished ``record`` is a
     weak Howell form with the finished form's pivot columns and products,
-    and reading it leaves the state as it was too."""
+    and reading it leaves the state as it was too.  A row that the pushes
+    since the last record left alone (the same pivot object) is the same
+    tuple object in the next record, and the rows a record keeps are the
+    ones a state with nothing kept builds."""
 
     @staticmethod
     def check(state, rows, moduli, cuts):
         bounds = [0, *sorted(cuts), len(rows)]
+        single = isinstance(state, _HowellSingle)
+        last = {}
         for lo, hi in zip(bounds, bounds[1:]):
+            kept = dict(state.pivots)
             state.push(rows[lo:hi])
+            alone = {key for key, row in state.pivots.items() if kept.get(key) is row}
             before = copy.deepcopy(state.pivots)
             got = state.finish()
             assert state.pivots == before
@@ -964,8 +972,17 @@ class TestPushFinish:
             assert state.finish() == got
             record = state.record()
             assert state.pivots == before
-            assert state.record() == record
+            again = state.record()
+            assert again == record and all(map(operator.is_, again[0], record[0]))
             assert_weak_howell(record, got, moduli)
+            cold = type(state)(moduli)
+            cold.pivots = dict(state.pivots)
+            assert cold.record() == record
+            rows_at = dict(zip(record[1], record[0]))
+            for key in alone:
+                column = key if single else state.width - key
+                assert rows_at[column] is last[column]
+            last = rows_at
 
     @given(two_power_matrices(), st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -3,11 +3,13 @@
 import io
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcodes.codes import (
     BlockCode,
@@ -32,6 +34,8 @@ from groupcodes.observe import (
 from groupcodes.specfmt import parse_spec
 
 from .conftest import BAND_SPEC_PATHS, BAND_SPECS, band_code
+from .kernel_references import cut_duality_windows
+from .test_cli import z8_band_spec
 from .test_codes import (
     mixed_codes,
     reference_window_annihilator,
@@ -318,9 +322,9 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
             self.finished += 1
             return self.state.finish()
 
-    def counted_table(self, space, reversed_rows, *args):
+    def counted_table(self, space, reversed_rows):
         tables.append(self)
-        table_init(self, space, reversed_rows, *args)
+        table_init(self, space, reversed_rows)
 
     def counted_kernel(matrix):
         kernels[matrix.rows] += 1
@@ -333,48 +337,212 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     dual = dual_block_code(code)
     assert dual_block_code(dual) is code
     assert kernels[code.basis.rows] == kernels[dual.basis.rows] == 1
-    assert [(table.reversed_rows, table.whole) for table in tables] == [
-        (code._reversed_howell, code._record),
-        (dual._reversed_howell, None),
+    assert [table.reversed_rows for table in tables] == [
+        code._reversed_howell,
+        dual._reversed_howell,
     ]
     assert code._prefixes is tables[0] and "_prefixes" not in dual.__dict__
     assert [table.state for table in tables] == states
     assert not any(state.finished for state in states)
 
 
-def test_duality_walk_reads_each_suffix_record_once_and_copies_no_dual_row(monkeypatch):
-    # One walk per start k reads D's suffix record proj_[k,N) D once, and
-    # each window check pairs the record's own rows, uncut: every row
-    # paired on the dual's side is a row object of that record.
+def walk_pairs_per_start(code):
+    """The (C row, D row) pairs the windows of each start k hold, by row
+    identity, read off the tables: C ∩ [k, b) as the rows of prefix entry
+    b with pivot at or after offset(k), proj_[k,b) D as the rows of D's
+    suffix record at k with pivot before the cut; and the number of pairs
+    the windows hold one by one."""
+    dual = dual_block_code(code)
+    N, offsets = code.space.horizon, code.space.offsets()
+    per_start, per_window = [], 0
+    for k in range(N):
+        ys, y_columns, _ = dual._suffix(k)
+        pairs = set()
+        for b in range(k + 1, N + 1):
+            xs, x_columns, _ = code._prefixes.entry(b)
+            inner = xs[bisect_left(x_columns, offsets[k]) :]
+            outer = ys[: bisect_left(y_columns, offsets[b] - offsets[k])]
+            pairs.update((id(x), id(y)) for x in inner for y in outer)
+            per_window += len(inner) * len(outer)
+        per_start.append(pairs)
+    return per_start, per_window
+
+
+def recorded_walk(code, monkeypatch):
+    """Run the duality report of ``code`` and record, per start k (the
+    walk reads D's suffix record at k once, before its windows), every
+    folded C row and D row the walk pairs (``_folded_pairs_to_zero``)."""
     import groupcodes.observe as observe_module
 
+    dual = dual_block_code(code)
+    reads, starts = Counter(), []
+    suffix, pairing = BlockCode._suffix, observe_module._folded_pairs_to_zero
+
+    def counted_suffix(self, a):
+        if self is dual:
+            reads[a] += 1
+            starts.append((a, []))
+        return suffix(self, a)
+
+    def counted_pairing(xs, ys, top):
+        starts[-1][1].append((xs, ys))
+        return pairing(xs, ys, top)
+
+    monkeypatch.setattr(BlockCode, "_suffix", counted_suffix)
+    monkeypatch.setattr(observe_module, "_folded_pairs_to_zero", counted_pairing)
+    report = check_control_observe_duality(code)
+    monkeypatch.undo()
+    return report, reads, starts
+
+
+def test_duality_walk_reads_each_suffix_record_once_and_copies_no_dual_row(monkeypatch):
+    # One walk per start k reads D's suffix record proj_[k,N) D once.  Every
+    # row paired on the dual's side is a row object of that record, uncut;
+    # each C row of the start is folded once, so the folded rows of a start
+    # are as many as its C rows; and no (C row, D row) pair is paired twice
+    # in one start.
     for spec in ("z4_band10_code.spec", "mixed_band8.spec"):
         code = band_code(spec)
         dual = dual_block_code(code)
         N = code.space.horizon
-        reads, paired = Counter(), []
-        suffix, annihilator = BlockCode._suffix, observe_module.is_annihilator
-
-        def counted_suffix(self, a):
-            if self is dual:
-                reads[a] += 1
-            return suffix(self, a)
-
-        def counted_pairing(x_rows, x_order, y_rows, y_order, moduli):
-            paired.append(y_rows)
-            return annihilator(x_rows, x_order, y_rows, y_order, moduli)
-
-        monkeypatch.setattr(BlockCode, "_suffix", counted_suffix)
-        monkeypatch.setattr(observe_module, "is_annihilator", counted_pairing)
-        report = check_control_observe_duality(code)
+        report, reads, starts = recorded_walk(code, monkeypatch)
         assert report.ok
         assert reads == Counter(range(N))
-        starts = [w.start for w in report.window_checks]
-        assert len(paired) == len(starts) == N * (N + 1) // 2
-        for a, rows in zip(starts, paired):
-            record = {id(row) for row in suffix(dual, a)[0]}
-            assert all(id(row) in record for row in rows)
-        monkeypatch.undo()
+        assert [w.start for w in report.window_checks] == [k for k in range(N) for _ in range(k, N)]
+        per_start, _ = walk_pairs_per_start(code)
+        for (k, calls), held in zip(starts, per_start):
+            record = {id(row) for row in BlockCode._suffix(dual, k)[0]}
+            assert all(id(y) in record for _, ys in calls for y in ys)
+            pairs = [(id(x), id(y)) for xs, ys in calls for y in ys for x in xs]
+            assert len(pairs) == len(set(pairs)) == len(held)
+            folded = {id(x) for xs, _ in calls for x in xs}
+            assert len(folded) == len({x for x, _ in held})
+
+
+class TestWalkPairingCounts:
+    """Exact pairing counts of one duality report on the Z/8 band code that
+    ``TestBandBudget`` runs, at N = 32 and N = 64: every (C row, D row)
+    pair the windows of a start hold is paired once in that start, where
+    pairing window by window pairs 8,183 and 55,271.  The README quotes
+    the counts and their ratio beside the wall budget."""
+
+    COUNTS = {32: 2006, 64: 8118}
+
+    @pytest.mark.parametrize("n", sorted(COUNTS))
+    def test_pairs_each_pair_once_per_start(self, n, monkeypatch):
+        code = parse_spec(z8_band_spec(n)).to_block_code()
+        report, _, starts = recorded_walk(code, monkeypatch)
+        assert report.ok
+        count = sum(len(xs) * len(ys) for _, calls in starts for xs, ys in calls)
+        per_start, per_window = walk_pairs_per_start(code)
+        assert count == sum(map(len, per_start)) == self.COUNTS[n]
+        assert count < per_window
+
+
+@st.composite
+def band_codes(draw, menu, max_horizon=24):
+    """Band codes: every in-window shift of one or two taps, over N <= 24
+    symbols of one component each, its modulus drawn from ``menu``; a
+    tap's entries are reduced modulo each symbol's own modulus."""
+    N = draw(st.integers(2, max_horizon))
+    moduli = draw(st.lists(st.sampled_from(menu), min_size=N, max_size=N))
+    entry = st.integers(0, max(menu) - 1)
+    taps = draw(st.lists(st.lists(entry, min_size=1, max_size=4), min_size=1, max_size=2))
+    return shifted_taps(moduli, taps)
+
+
+def shifted_taps(moduli, taps):
+    N = len(moduli)
+    gens = []
+    for tap in taps:
+        for t in range(N - len(tap) + 1):
+            word = [0] * t + list(tap) + [0] * (N - len(tap) - t)
+            gens.append([e % m for e, m in zip(word, moduli)])
+    return code_from_generators(space(*[(m,) for m in moduli]), gens)
+
+
+def changed_rows(code):
+    """How many rows of a prefix entry the next end replaces (the rows of
+    entry b - 1 that are not row objects of entry b)."""
+    N = code.space.horizon
+    entries = [code._prefixes.entry(b)[0] for b in range(N + 1)]
+    return sum(
+        not any(row is new for new in entries[b])
+        for b in range(1, N + 1)
+        for row in entries[b - 1]
+    )
+
+
+def assert_walk_matches_cut_windows(code):
+    from groupcodes.observe import _window_walk
+
+    assert _window_walk(code, dual_block_code(code)) == cut_duality_windows(code)
+
+
+@pytest.mark.parametrize("spec", ["z4_band8_code.spec", "z4_band8_dual.spec"])
+def test_walk_matches_cut_windows_on_wrong_dual_records(spec, monkeypatch):
+    # D's suffix record at start k is served as its image under negating
+    # one column, an automorphism that keeps the order of every window
+    # projection, so every count passes while pairings with C fail from
+    # the first window that holds the column on.  The walk must give every
+    # window the cut route's verdict: a window after a failed one pairs
+    # all of its rows again, as the failed one left pairs unpaired.
+    from groupcodes.linalg import _entry, _trusted, howell_form
+    from groupcodes.observe import _window_walk
+
+    code = band_code(spec)
+    dual = dual_block_code(code)
+    N, offsets, moduli = code.space.horizon, code.space.offsets(), code.space.flat_moduli
+    suffix = BlockCode._suffix
+    failed = 0
+    for k in range(N):
+        rows = suffix(dual, k)[0]
+        window = moduli[offsets[k] :]
+        for c in range(len(window)):
+            if window[c] <= 2 or not any(row[c] for row in rows):
+                continue
+            negated = tuple(row[:c] + ((-row[c]) % window[c],) + row[c + 1 :] for row in rows)
+            record = _entry(howell_form(_trusted(window, negated)).rows, window)
+            monkeypatch.setattr(
+                BlockCode,
+                "_suffix",
+                lambda self, a: record if self is dual and a == k else suffix(self, a),
+            )
+            walked, cut = _window_walk(code, dual), cut_duality_windows(code)
+            monkeypatch.undo()
+            assert walked == cut, (k, c)
+            failed += sum(not w.ok for w in cut[0])
+    assert failed > N
+
+
+class TestWalkTwin:
+    """The walk's window verdicts and chain verdict against the cut route
+    (``kernel_references.cut_duality_windows``: every projection of the
+    dual a cut copy, every window paired whole), on band codes up to
+    N = 24, whose prefix entries keep some rows by identity and, for
+    taps with a non-unit lead, replace others between ends."""
+
+    @pytest.mark.parametrize(
+        "moduli, taps",
+        [
+            ((8,) * 12, [(2, 1)]),
+            ((8,) * 16, [(7, 1, 6)]),
+            ((27,) * 12, [(3, 9, 1)]),
+            ((4, 6, 9, 12) * 3, [(2, 3, 1)]),
+        ],
+    )
+    def test_entries_that_replace_rows(self, moduli, taps):
+        code = shifted_taps(moduli, taps)
+        assert changed_rows(code) > 0
+        assert_walk_matches_cut_windows(code)
+
+    @pytest.mark.parametrize(
+        "menu", [(8,), (9,), (27,), (2, 3, 4, 6, 9, 12)], ids=["Z8", "Z9", "Z27", "mixed"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_band_codes(self, menu, data):
+        assert_walk_matches_cut_windows(data.draw(band_codes(menu)))
 
 
 class TestDualityReport:
@@ -676,41 +844,57 @@ def test_matched_sides_are_one_list_when_the_bidual_is_the_code():
         assert len(sub_duals) == code.space.horizon
 
 
+def serve_one_window(monkeypatch, start, stop, serve):
+    """Patch the walk's per-start read (``observe._start_windows``) so that
+    the read of ``start`` hands the window [start, stop) through
+    ``serve``, which takes the window's read tuple and returns the one to
+    serve; every other window is read as the walk reads it.  Returns the
+    list of windows served."""
+    import groupcodes.observe as observe_module
+
+    read, served = observe_module._start_windows, []
+
+    def reading(entries, record, offsets, k):
+        reads = read(entries, record, offsets, k)
+        if k == start:
+            reads[stop - start - 1] = serve(reads[stop - start - 1])
+            served.append((start, stop))
+        return reads
+
+    monkeypatch.setattr(observe_module, "_start_windows", reading)
+    return served
+
+
 def test_wrong_dual_projection_fails_its_window(monkeypatch):
     # Serving a proper subgroup or a proper supergroup of one window
     # projection of the dual breaks that window's check or the chain; a
     # proper subgroup with a longer window after it breaks the chain too,
     # and so does the whole window group with a shorter window before it
     # that is not the whole group there.  The wrong rows and order enter
-    # through the walk's per-window reader, once, at the cut of that window
-    # in the suffix record of its start.
-    import groupcodes.observe as observe_module
+    # through the walk's per-start read, once, as the dual's side of that
+    # window.
     from groupcodes.codes import _projection
 
     code = band_code("mixed_band8.spec")
     dual = dual_block_code(code)
-    N, offsets = code.space.horizon, code.space.offsets()
-    read = observe_module._rows_before
+    N = code.space.horizon
     served = 0
     for a in range(N):
-        record, shorter_whole = dual._suffix(a), True
+        shorter_whole = True
         for b in range(a + 1, N + 1):
-            cut = offsets[b] - offsets[a]
             right = code_from_generators(code.space.window(a, b), _projection(dual, a, b)[0])
             smaller = code_from_generators(right.space, right.basis.rows[:-1])
             for wrong in (smaller, ambient_code(right.space)):
                 if wrong == right:
                     continue
-                served, hits = served + 1, []
-                monkeypatch.setattr(
-                    observe_module,
-                    "_rows_before",
-                    lambda r, c: hits.append(c) or (wrong.basis.rows, wrong.cardinality)
-                    if r is record and c == cut
-                    else read(r, c),
+                served += 1
+                rows = wrong.basis.rows
+                hits = serve_one_window(
+                    monkeypatch, a, b, lambda read: read[:3] + (rows, len(rows), wrong.cardinality)
                 )
                 report = check_control_observe_duality(code)
-                assert hits == [cut]
+                monkeypatch.undo()
+                assert hits == [(a, b)]
                 verdicts = {(w.start, w.stop): w.ok for w in report.window_checks}
                 assert not verdicts.pop((a, b)) or not report.chain_ok
                 assert all(verdicts.values())
@@ -728,30 +912,31 @@ def test_wrong_dual_projection_fails_its_window(monkeypatch):
 
 
 def test_dropped_internal_row_fails_exactly_its_window(monkeypatch):
-    # Serving C ∩ [a, b) without its first Howell row, whose pivot column
-    # no other row has, shrinks the internal part: that window's count
-    # fails, and no other window, chain or matched check notices.
+    # Serving C ∩ [a, b) without its first row, whose pivot column no other
+    # row has, shrinks the internal part: that window's count fails, and no
+    # other window, chain or matched check notices.  The rows are the ones
+    # the walk reads, the rows of prefix entry b from offset(a) on; the
+    # wrong window enters through the walk's per-start read, once.
     import groupcodes.observe as observe_module
 
     code = band_code("z4_band8_code.spec")
-    N = code.space.horizon
-    internal = observe_module._internal
+    dual = dual_block_code(code)
+    N, offsets = code.space.horizon, code.space.offsets()
+    entries = [code._prefixes.entry(b) for b in range(N + 1)]
     served = 0
     for a in range(N):
-        for b in range(a + 1, N + 1):
-            rows, order = internal(code, a, b)
-            if not rows:
+        reads = observe_module._start_windows(entries, dual._suffix(a), offsets, a)
+        for b, (xs, i, order, *_) in enumerate(reads, a + 1):
+            if i == len(xs):
                 continue
-            kept = rows[1:]
+            kept = xs[i + 1 :]
             smaller = code_from_generators(code.space, kept).cardinality
             assert smaller < order
             served += 1
-            monkeypatch.setattr(
-                observe_module,
-                "_internal",
-                lambda c, i, j: (kept, smaller) if (c, i, j) == (code, a, b) else internal(c, i, j),
-            )
+            hits = serve_one_window(monkeypatch, a, b, lambda read: (kept, 0, smaller) + read[3:])
             report = check_control_observe_duality(code)
+            monkeypatch.undo()
+            assert hits == [(a, b)]
             verdicts = {(w.start, w.stop): w.ok for w in report.window_checks}
             assert not verdicts.pop((a, b))
             assert all(verdicts.values())
