@@ -52,7 +52,8 @@ from .specfmt import (
 from .structure import DecompositionError, cyclic_product_decomposition
 
 # A subcommand's report: its JSON form (None for a text-only report), its
-# text, and whether it holds (exit 0, else 1).
+# text, and whether it holds (exit 0, else 1).  A subcommand may build only
+# the form its --format prints (``_emit``).
 Report = tuple[Optional[dict], str, bool]
 
 PROPERTIES = (
@@ -291,11 +292,18 @@ def _cmd_check(args) -> Report:
 
 
 def _cmd_duality_check(args) -> Report:
+    """The duality report of a block or convolutional spec.  ``_emit``
+    prints one form of it, so the JSON form is built only under
+    ``--format json`` and the text only otherwise."""
     doc = _load(args.spec)
+    as_json = args.format == "json"
     if doc.kind == "block":
         report = check_control_observe_duality(doc.to_block_code())
+        ok = report.ok
+        if not as_json:
+            return None, report.render() + "\n", ok
         data = {
-            "ok": report.ok,
+            "ok": ok,
             "control_index": report.control_index,
             "dual_observe_index": report.dual_observe_index,
             "observe_index": report.observe_index,
@@ -315,7 +323,7 @@ def _cmd_duality_check(args) -> Report:
                 for m in report.matched_checks
             ],
         }
-        return data, report.render() + "\n", report.ok
+        return data, "", ok
     conv = doc.to_convolutional()
     results = []
     for n in range(1, min(conv.analysis_horizon, REPORT_WINDOWS) + 1):
@@ -324,11 +332,13 @@ def _cmd_duality_check(args) -> Report:
     obs = weak_observability(dual_convolutional(conv))
     verdict_match = ctrl.holds == obs.holds
     ok = verdict_match and all(good for _, good in results)
-    data = {
-        "ok": ok,
-        "verdict_match": verdict_match,
-        "windows": [{"n": n, "ok": good} for n, good in results],
-    }
+    if as_json:
+        data = {
+            "ok": ok,
+            "verdict_match": verdict_match,
+            "windows": [{"n": n, "ok": good} for n, good in results],
+        }
+        return data, "", ok
     lines = ["convolutional duality report"]
     for n, good in results:
         lines.append(
@@ -340,7 +350,7 @@ def _cmd_duality_check(args) -> Report:
         f"{'match' if verdict_match else 'MISMATCH'}"
     )
     lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
-    return data, "\n".join(lines) + "\n", ok
+    return None, "\n".join(lines) + "\n", ok
 
 
 def _cmd_oracle(args) -> Report:

@@ -172,8 +172,12 @@ class BlockCode:
         return _PrefixTable(self.space, self._reversed_howell)
 
     @_cached
-    def _suffixes(self) -> dict[int, Entry]:
-        return {}
+    def _suffixes(self) -> "_SuffixTable":
+        return _SuffixTable(self.space, self.basis.rows, self._record)
+
+    @_cached
+    def _suffix_orders(self) -> "_SuffixOrders":
+        return _SuffixOrders(self.space, self.basis.rows, self._record[1:])
 
     @_cached
     def _local_dual(self) -> "BlockCode":
@@ -208,18 +212,20 @@ class BlockCode:
         return self._prefixes.entry(b)
 
     def _suffix(self, a: int) -> Entry:
-        """The record of proj_[a,N) C in the coordinates of [a, N): the
-        code's own for a = 0, else one Howell form of the rows cut at
-        offset(a), taken on first use of each start and kept."""
+        """The record of proj_[a,N) C, in the space's own coordinates (its
+        rows vanish before offset(a), its pivot columns are the space's):
+        the code's own for a = 0, with no sweep, else entry a of the suffix
+        table (``_SuffixTable``), a weak Howell form."""
         if a == 0:
             return self._record
-        table = self._suffixes
-        if a not in table:
-            start = self.space.offsets()[a]
-            moduli = self.basis.moduli[start:]
-            cut = _trusted(moduli, tuple(row[start:] for row in self.basis.rows))
-            table[a] = _entry(howell_form(cut).rows, moduli)
-        return table[a]
+        return self._suffixes.entry(a)
+
+    def _suffix_order(self, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The pivot columns and running products of ``_suffix(a)``, off a
+        sweep of their own that builds no row (``_SuffixOrders``)."""
+        if a == 0:
+            return self._record[1:]
+        return self._suffix_orders.entry(a)
 
     @property
     def cardinality(self) -> int:
@@ -269,7 +275,27 @@ class BlockCode:
         return f"code of order {self.cardinality} in {self.space}"
 
 
-class _PrefixTable:
+class _Sweep:
+    """A table whose entries 0, 1, ... are filled in order by one Howell
+    kernel state (``linalg._howell_state``), never finished: each step
+    (``_step``) changes the state, or leaves it alone and shares the entry
+    before it.  An entry is the state's ``read``: its ``record``, a weak
+    Howell form with its pivot columns and running pivot-order products,
+    or, where a reader wants orders alone, its ``orders``, the columns
+    and products with no row built.  A row that a step leaves alone is the
+    same tuple object in the next record."""
+
+    read = "record"
+
+    def entry(self, n: int) -> tuple:
+        """Entry n, filling the table up to n."""
+        entries, state = self.entries, self.state
+        while len(entries) <= n:
+            entries.append(getattr(state, self.read)() if self._step(len(entries)) else entries[-1])
+        return entries[n]
+
+
+class _PrefixTable(_Sweep):
     """The windows C ∩ [0, b) of a subgroup C of ``space``, read off the
     Howell rows of C with its columns reversed.
 
@@ -289,19 +315,19 @@ class _PrefixTable:
     * ``entry(b)`` (two-sided): a weak Howell form of C ∩ [0, b) with its
       pivot columns and running pivot-order products, the unfinished
       ``record`` of one Howell kernel state that takes the rows end by end
-      (``_end_batches``), so the table is filled by one sweep and no entry
-      is finished.  An end that takes in no row shares the entry before
-      it, and a row that an end leaves alone is the same tuple object in
-      the next entry (``record``), up to b = N.
+      (``_end_batches``), so the table is filled by one sweep (``_Sweep``)
+      and no entry is finished, up to b = N.
 
     Callers pass ends within the horizon; the window functions check.
     """
+
+    empty = ((), (), (1,))  # entry 0, C ∩ [0, 0)
 
     def __init__(self, space: SequenceSpace, reversed_rows: tuple[Vector, ...]) -> None:
         self.space, self.reversed_rows = space, reversed_rows
         moduli = space.flat_moduli[::-1]
         _, self.columns, self.products = _entry(reversed_rows, moduli)
-        self.entries: list[Entry] = [((), (), (1,))]  # entries[b], filled in order
+        self.entries: list = [self.empty]  # entries[b], filled in order
         self.state = _howell_state(space.flat_moduli)
         self.batches = _end_batches(space.offsets(), self.columns)
 
@@ -314,17 +340,56 @@ class _PrefixTable:
         rows = tuple(row[head:][::-1] for row in self.reversed_rows[i:])
         return rows, self.products[-1] // self.products[i]
 
-    def entry(self, b: int) -> Entry:
-        """C ∩ [0, b) as an ``Entry``, filling the table up to b."""
-        entries = self.entries
-        while len(entries) <= b:
-            i, j = next(self.batches)
-            if i == j:
-                entries.append(entries[-1])
-            else:
-                self.state.push(row[::-1] for row in self.reversed_rows[i:j])
-                entries.append(self.state.record())
-        return entries[b]
+    def _step(self, b: int) -> bool:
+        # End b takes in the reversed rows [i, j) (``_end_batches``).
+        i, j = next(self.batches)
+        if i == j:
+            return False
+        self.state.push(row[::-1] for row in self.reversed_rows[i:j])
+        return True
+
+
+class _PrefixOrders(_PrefixTable):
+    """A prefix table whose entry b is the pivot columns and running
+    products of C ∩ [0, b) alone (``orders``)."""
+
+    read, empty = "orders", ((), (1,))
+
+
+class _SuffixTable(_Sweep):
+    """The projections proj_[a,N) C of a subgroup C of ``space``, in the
+    space's own coordinates: entry a is a weak Howell form of the words of
+    C with their entries before offset(a) zeroed.
+
+    One Howell kernel state is seeded with C's Howell rows ``rows``, whose
+    record ``whole`` is entry 0.  Going on from start a to a + 1 (the
+    state's ``trim``) drops each pivot row with pivot before offset(a + 1)
+    and pushes it again with those entries zeroed.  The rows kept span the
+    words of proj_[a,N) C that vanish before offset(a + 1) and keep the
+    Howell property, and every word of proj_[a+1,N) C is one of them plus
+    a combination of the zeroed rows, so the push restores the Howell
+    property for the new span.  So one sweep fills the table and no start
+    takes a Howell form of its own; a start whose symbol holds no pivot
+    shares the entry before it, and a row that a step leaves alone keeps
+    its pivot column and its tuple object.
+
+    Callers pass starts within the horizon; the window functions check.
+    """
+
+    def __init__(self, space: SequenceSpace, rows: tuple[Vector, ...], whole: tuple) -> None:
+        self.offsets, self.entries = space.offsets(), [whole]
+        self.state = _howell_state(space.flat_moduli)
+        self.state.push(rows)
+
+    def _step(self, a: int) -> bool:
+        return self.state.trim(self.offsets[a])
+
+
+class _SuffixOrders(_SuffixTable):
+    """A suffix table whose entry a is the pivot columns and running
+    products of proj_[a,N) C alone (``orders``)."""
+
+    read = "orders"
 
 
 def _end_batches(offsets: Sequence[int], columns: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -347,9 +412,15 @@ def _swept_orders(
 ) -> Callable[[int, int], int]:
     """|C ∩ [a, b)| as ``control._gap_lengths`` reads it, C the subgroup of
     ``space`` with column-reversed Howell rows ``reversed_rows``: read as
-    ``_internal`` reads a code's, off a prefix table with no owner."""
-    table, offsets = _PrefixTable(space, reversed_rows), space.offsets()
-    return lambda a, b: _rows_from(table.entry(b), offsets[a])[1]
+    ``_internal`` reads a code's, off a prefix table with no owner that
+    builds no row (``_PrefixOrders``)."""
+    table, offsets = _PrefixOrders(space, reversed_rows), space.offsets()
+
+    def order(a: int, b: int) -> int:
+        columns, products = table.entry(b)
+        return products[-1] // products[bisect_left(columns, offsets[a])]
+
+    return order
 
 
 def code_from_generators(
@@ -389,9 +460,10 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
 # their callers pass windows of the code's horizon.  The five public
 # window functions below check the window and wrap these reads; they are
 # the only window API.  The pivot columns of a Howell form, weak (a prefix
-# entry) or not, strictly increase, so the rows with pivot at or after a
-# column are a suffix of its rows and, by the Howell property, span the
-# words vanishing before that column.
+# entry or a suffix record) or not, strictly increase, so the rows with
+# pivot at or after a column are a suffix of its rows and, by the Howell
+# property, span the words vanishing before that column.  Both tables
+# hold their rows and pivot columns in the space's own coordinates.
 
 
 def _rows_from(record: Entry, cut: int) -> tuple[tuple[Vector, ...], int]:
@@ -412,43 +484,45 @@ def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]
 def _rows_before(record: Entry, cut: int) -> tuple[tuple[Vector, ...], int]:
     """The rows of a pivot record with pivot before column ``cut``, uncut
     (a slice of its rows), and their span's order: of proj_[a,N) C at
-    offset(b) - offset(a), proj_[a,b) C before the cut (``_projection``)."""
+    offset(b), proj_[a,b) C before the cut (``_projection``)."""
     rows, columns, products = record
     i = bisect_left(columns, cut)
     return rows[:i], products[i]
 
 
 def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
-    """Howell rows and order of proj_[a,b) C, in the coordinates of [a, b):
-    the rows of the suffix record of proj_[a,N) C (C's own for a = 0)
-    with pivot before the cut (``_rows_before``), cut to [a, b); the other
-    rows vanish on it.  The cut rows are a Howell form again, as a word of
-    the window vanishing before a column lifts to a word of the suffix
-    projection that does; each keeps its pivot and pivot order."""
+    """Rows and order of proj_[a,b) C, in the coordinates of [a, b): the
+    rows of the suffix record of proj_[a,N) C (C's own for a = 0) with
+    pivot before offset(b) (``_rows_before``), cut to [a, b); the other
+    rows vanish on it.  The cut rows are a weak Howell form again, a
+    Howell form for a = 0, as a word of the window vanishing before a
+    column lifts to a word of the suffix projection that does; each keeps
+    its pivot and pivot order."""
     offsets = code.space.offsets()
-    cut = offsets[b] - offsets[a]
-    rows, order = _rows_before(code._suffix(a), cut)
-    return tuple(row[:cut] for row in rows), order
+    lo, hi = offsets[a], offsets[b]
+    rows, order = _rows_before(code._suffix(a), hi)
+    return tuple(row[lo:hi] for row in rows), order
 
 
 def _annihilator_order(code: BlockCode, a: int, b: int) -> int:
     """|C-perp ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| with no kernel built
     (a character on [a, b) kills C iff it kills the projection, and
-    |X-perp| = |G| / |X|); 1 if a = b."""
+    |X-perp| = |G| / |X|), read off the pivot orders of proj_[a,N) C
+    alone (``BlockCode._suffix_order``); 1 if a = b."""
     if a == b:
         return 1
     offsets, products = code.space.offsets(), code.space._moduli_products
-    _, columns, kept = code._suffix(a)
-    i = bisect_left(columns, offsets[b] - offsets[a])
+    columns, kept = code._suffix_order(a)
+    i = bisect_left(columns, offsets[b])
     return products[offsets[b]] // products[offsets[a]] // kept[i]
 
 
 def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
-    """Image of the code under deleting all coordinates outside [a, b): the
-    rows of ``_projection``, so each start costs one Howell form, shared by
-    all its ends."""
+    """Image of the code under deleting all coordinates outside [a, b):
+    one Howell form of the rows of ``_projection``, as ``window_internal``
+    takes one, since the code hands out its canonical basis."""
     sub = code.space.window(a, b)
-    return BlockCode.from_howell(sub, _projection(code, a, b)[0])
+    return BlockCode(sub, _trusted(sub.flat_moduli, _projection(code, a, b)[0]))
 
 
 def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -122,14 +123,15 @@ def pairs_to_zero(
 
 
 def _folded_pairs_to_zero(
-    xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]], top: int
+    xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]], top: int, start: int = 0
 ) -> bool:
     """``pairs_to_zero`` on rows x with the weights top/m_j folded in:
     whether sum_j x_j y_j = 0 modulo ``top`` for every x and y, over the
-    columns of x."""
+    columns of x, which are the columns of y from ``start`` on (y is read
+    in place, not copied)."""
     for y in ys:
         for x in xs:
-            if sum(map(mul, x, y)) % top:
+            if sum(map(mul, x, islice(y, start, None) if start else y)) % top:
                 return False
     return True
 

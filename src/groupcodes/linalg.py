@@ -18,18 +18,21 @@ their weak Howell form (``record``; Storjohann & Mulders, ESA 1998):
 each pivot scaled to gcd(p, m_j), nothing reduced above it.  That form
 keeps the Howell property and pivot orders, so it answers every order
 and membership read, and a caller that grows a span batch by batch reads
-it after each batch; only rows compared or printed are finished, by
-``howell_form``, which pushes all rows at once and finishes, under the
-one Howell cache ``_howell_cached``.  ``_howell_state`` picks the state
-from the moduli alone.  When every modulus is a power of 2 up to 8 (1 included),
-``_HowellPacked`` holds each row as one int with one byte per column,
-column 0 most significant, and eliminates with shifts, one multiply and
-a mask per row operation.  A byte holds the 2K + 1 = 7 bits that x + c·y
-needs for x, y < 2^K = 8 and c <= 2^K, so no field carries into the
-next.  Every other moduli tuple, odd, mixed-prime or a power of 2 above
-8, goes through ``_HowellSingle``, which is also the reference the packed
-state is tested against.  The Howell form is unique, so both finish
-with the same rows.
+it after each batch (``orders`` reads its pivot columns and orders
+alone); ``trim`` projects the span onto the columns from a cut on, so a
+caller can also shrink a span start by start.  Only rows compared or
+printed are finished, by ``howell_form``, which pushes all rows at once
+and finishes, under the one Howell cache ``_howell_cached``.
+``_howell_state`` picks the state from the moduli alone.  When every
+modulus is a power of 2 up to 8 (1 included), ``_HowellPacked`` holds
+each row as one int with one byte per column, column 0 most significant,
+and eliminates with shifts, one multiply and a mask per row operation.
+A byte holds the 2K + 1 = 7 bits that x + c·y needs for x, y < 2^K = 8
+and c <= 2^K, so no field carries into the next.  Every other moduli
+tuple, odd, mixed-prime or a power of 2 above 8, goes through
+``_HowellSingle``, which is also the reference the packed state is
+tested against.  The Howell form is unique, so both finish with the
+same rows.
 """
 
 from __future__ import annotations
@@ -341,6 +344,29 @@ class _HowellSingle:
             orders.append(seen[2])
         return tuple(rows), tuple(columns), tuple(accumulate(orders, mul, initial=1))
 
+    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The pivot columns and running pivot-order products of ``record``,
+        with no row built."""
+        moduli, pivots = self.moduli, self.pivots
+        columns = sorted(pivots)
+        orders = (moduli[j] // gcd(pivots[j][j], moduli[j]) for j in columns)
+        return tuple(columns), tuple(accumulate(orders, mul, initial=1))
+
+    def trim(self, cut: int) -> bool:
+        """Project the span onto the columns from ``cut`` on: drop each
+        pivot row with pivot before ``cut`` and push it again with those
+        entries zeroed; whether any row was dropped.  The rows kept span
+        the words of the span that vanish before ``cut`` and keep the
+        Howell property among themselves, so the push restores it for the
+        projection; a kept row that the push leaves alone is the same list
+        object as before, and keeps its record row."""
+        pivots, kept = self.pivots, self.kept
+        head, dropped = [0] * cut, [j for j in pivots if j < cut]
+        for j in dropped:
+            kept.pop(j, None)
+        self.push([head + pivots.pop(j)[cut:] for j in dropped])
+        return bool(dropped)
+
     def finish(self) -> list[Vector]:
         """The Howell form of the rows pushed so far: the scaled rows
         (``_scaled``), each entry above a pivot d reduced into [0, d)."""
@@ -387,7 +413,8 @@ class _HowellPacked:
     modulo its own m_j | 2^K, and no field carries into the next.  Every
     odd x has x·x = 1 modulo 8, hence modulo every m_j: each odd unit is
     its own inverse.  ``finish`` gives the unique Howell form, so it equals
-    ``_HowellSingle``'s output row for row.
+    ``_HowellSingle``'s output row for row, and ``record``, ``orders`` and
+    ``trim`` read and change the same span.
     """
 
     __slots__ = ("width", "mask", "top", "pivots", "kept")
@@ -489,12 +516,37 @@ class _HowellPacked:
         products = tuple(accumulate(orders, mul, initial=1))
         return tuple(rows), tuple(width - k for k in keys), products
 
+    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``_HowellSingle.orders`` on packed rows: the pivot byte p of the
+        row kept at k has order (m_j) / (p & -p), with no row unpacked."""
+        width, mask, pivots = self.width, self.mask, self.pivots
+        keys = sorted(pivots, reverse=True)
+        orders = []
+        for k in keys:
+            shift = 8 * k - 8
+            p = pivots[k] >> shift
+            orders.append((((mask >> shift) & 0xFF) + 1) // (p & -p))
+        return tuple(width - k for k in keys), tuple(accumulate(orders, mul, initial=1))
+
+    def trim(self, cut: int) -> bool:
+        """``_HowellSingle.trim`` on packed rows: the rows with pivot before
+        column ``cut`` are the keys above width - cut, and a mask keeps
+        their bytes from ``cut`` on.  They go back through ``push`` as
+        bytes, so its loop is the one every push runs."""
+        width, pivots, kept = self.width, self.pivots, self.kept
+        low, dropped = (1 << 8 * (width - cut)) - 1, [k for k in pivots if k > width - cut]
+        for k in dropped:
+            kept.pop(k, None)
+        self.push([(pivots.pop(k) & low).to_bytes(width, "big") for k in dropped])
+        return bool(dropped)
+
 
 def _howell_state(moduli: Vector) -> _HowellSingle | _HowellPacked:
     """An empty Howell kernel state over ``moduli``: the packed kernel when
     every modulus is a power of 2 up to 8, the residue-coordinate kernel
     otherwise; both finish with the same Howell form.  The finish is taken
-    only by ``_howell_kernel``; a prefix sweep reads each end's ``record``."""
+    only by ``_howell_kernel``; a prefix sweep reads each end's ``record``
+    and a suffix sweep each start's, after a ``trim``."""
     if _PACKED_MODULI.issuperset(moduli):
         return _HowellPacked(moduli)
     return _HowellSingle(moduli)

@@ -24,6 +24,7 @@ from operator import mul
 
 from .codes import (
     BlockCode,
+    _cached,
     _annihilator_order,
     _projection,
     _swept_orders,
@@ -31,7 +32,7 @@ from .codes import (
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import _folded_pairs_to_zero, dual_block_code
-from .linalg import Entry, Vector, _reduce_vector
+from .linalg import Entry, Vector, _reduce_vector, _trusted, howell_form
 
 __all__ = [
     "ObserveProfile",
@@ -57,8 +58,10 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     The preimage of the window projection of the code; a supergroup of the
     code in the same ambient space.  The closed window is clipped to the
     horizon.  Its Howell basis is written directly: the projection's Howell
-    rows padded with zeros between unit rows for the coordinates outside the
-    window (modulus above 1); the blocks share no column.
+    rows (one Howell form of the rows ``codes._projection`` reads off the
+    suffix record, as ``window_projection`` takes) padded with zeros
+    between unit rows for the coordinates outside the window (modulus
+    above 1); the blocks share no column.
     """
     N = code.space.horizon
     if not 0 <= k < N or L < 0:
@@ -73,7 +76,8 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
 
     before, after = (0,) * sl.start, (0,) * (width - sl.stop)
     rows = units(range(sl.start))
-    rows += [before + row + after for row in _projection(code, k, b)[0]]
+    window = howell_form(_trusted(moduli[sl], _projection(code, k, b)[0])).rows
+    rows += [before + row + after for row in window]
     rows += units(range(sl.stop, width))
     return BlockCode.from_howell(code.space, rows)
 
@@ -104,9 +108,10 @@ def _observe_index(code: BlockCode) -> int:
     ``check_control_observe_duality``), so the meet is D exactly when
     L >= L_k(D) at every k: the index is the control index of D.  It is
     counted as ``control_profile`` counts it (``_gap_lengths``), on the
-    orders |D ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| read off the code's
-    suffix records (``codes._annihilator_order``); no sum, dual or
-    kernel is built.
+    orders |D ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| read off the pivot
+    orders of the code's suffix projections (``codes._annihilator_order``
+    over ``BlockCode._suffix_order``, one trimming sweep that builds no
+    row); no sum, dual or kernel is built.
     """
     return max(_gap_lengths(code.space.horizon, functools.partial(_annihilator_order, code)))
 
@@ -127,7 +132,8 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     tried, the later positions sit at the index, where their conditions
     already hold, so the least length at k is the least L whose end
     max(B_{k-1}, min(k + L + 1, N)) meets the condition at k.  Each order
-    is read once, off the suffix records; no sum or kernel is built.
+    is read once, off the orders-only suffix sweep; no sum or kernel is
+    built.
     """
     N = code.space.horizon
     index = _observe_index(code)
@@ -184,8 +190,10 @@ class DualityReport:
     observe_index: int
     dual_control_index: int
 
-    @property
+    @_cached
     def ok(self) -> bool:
+        """The verdict, read once per report: the chain and every window
+        and matched check."""
         return (
             self.chain_ok
             and all(w.ok for w in self.window_checks)
@@ -266,15 +274,16 @@ def _start_windows(
     C ∩ [k, b) is spanned by ``xs[i:]``, the rows of prefix entry b with
     pivot at or after offset(k) (``codes._internal``'s read), and
     proj_[k,b) D by ``ys[:j]``, the rows of ``record`` = proj_[k,N) D with
-    pivot before the cut (``codes._rows_before``'s read), uncut.  Nothing
-    is sliced: each window is two index bounds on rows of the tables."""
+    pivot before offset(b) (``codes._rows_before``'s read), uncut.  Both
+    tables keep the space's own columns, so nothing is sliced: each window
+    is two index bounds on rows of the tables."""
     lo = offsets[k]
     ys, y_columns, y_products = record
     reads = []
     for b in range(k + 1, len(offsets)):
         xs, x_columns, x_products = entries[b]
         i = bisect_left(x_columns, lo)
-        j = bisect_left(y_columns, offsets[b] - lo)
+        j = bisect_left(y_columns, offsets[b])
         reads.append((xs, i, x_products[-1] // x_products[i], ys, j, y_products[j]))
     return reads
 
@@ -283,13 +292,17 @@ def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityC
     """The window checks and the chain verdict of the duality report of
     ``code``, ``dual`` being D = C-perp, by one walk per start k over D's
     suffix record proj_[k,N) D, read once, and each end's prefix entry,
-    read once (``_start_windows``).
+    read once (``_start_windows``).  Both tables are unfinished sweeps
+    that keep the space's own columns.
 
     The consistency set of D on [a, b) is the preimage of P = proj_[a,b) D:
-    its order is |G| · |P| / |G_[a,b)| and its Howell rows restricted to
-    [a, b) are P's, so the window check reads |C ∩ [a, b)| · |P| = |G_[a,b)|
-    and pairs the rows of C ∩ [a, b) with P's rows: the rows of the record
-    before the cut, uncut, as a pairing runs over the columns of the C row.
+    its order is |G| · |P| / |G_[a,b)| and the rows of a weak Howell form
+    of it restricted to [a, b) span P, so the window check reads
+    |C ∩ [a, b)| · |P| = |G_[a,b)| and pairs the rows of C ∩ [a, b) with
+    P's rows: the rows of the record with pivot before offset(b), uncut,
+    as a pairing runs over the columns of the C row, folded from offset(a)
+    on, and reads each D row in place from offset(a)
+    (``duality._folded_pairs_to_zero``'s ``start``).
 
     Each (C row, D row) pair is paired at most once per start.  A row x of
     C ∩ [k, b) vanishes outside [k, b), so its pairing with a D row y is
@@ -310,9 +323,10 @@ def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityC
     The reach chain is the nesting C ∩ [0, b) ⊆ C ∩ [0, b+1) of the
     prefix entries, as C_k(L) = Z_k + C ∩ [0, k+L); the consistency set
     on [k, b+1) lies in the one on [k, b) exactly when proj_[k,b+1) D, cut
-    to [k, b), lies in proj_[k,b) D.  Each row of the smaller side that is
-    not a row of the larger reduces to zero at the pivot columns held;
-    on a weak Howell form (a prefix entry) every member does.  So both
+    before offset(b) (its rows vanish before offset(k)), lies in
+    proj_[k,b) D.  Each row of the smaller side that is not a row of the
+    larger reduces to zero at the pivot columns held; on a weak Howell
+    form (a prefix entry or a suffix record) every member does.  So both
     chains reduce only the rows an end adds or changes: a row that is the
     same object in the next entry passes, and the rows of proj_[k,b) D
     are the first rows of proj_[k,b+1) D.  Both chains hold by
@@ -340,9 +354,9 @@ def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityC
             fresh_at[b] = range(n, len(newer)) if newer[:n] == older else new_rows(older, newer)
         return fresh_at[b]
 
-    def within(words, rows, columns, lo: int, hi: int) -> bool:
+    def within(words, rows, columns, hi: int) -> bool:
         # A zero reduction proves membership even at wrong ``columns``.
-        window, known = moduli[lo:hi], {*rows, (0,) * (hi - lo)}
+        window, known = moduli[:hi], {*rows, (0,) * hi}
         return all(w in known or not any(_reduce_vector(rows, columns, window, w)) for w in words)
 
     def prefix_nested(b: int) -> bool:
@@ -354,17 +368,17 @@ def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityC
         changed = (inner[0][t] for t in new_rows(outer[0], inner[0]))
         return not any(any(_reduce_vector(outer[0], outer[1], moduli, w)) for w in changed)
 
-    def nested(rows, n: int, outer, j: int, columns, lo: int, hi: int) -> bool:
-        # proj_[k,b+1) D = outer[:j], cut to [lo, hi) = [k, b), in
-        # proj_[k,b) D = rows[:n]: its first rows that are rows[:n] (the
-        # same record grown, or equal rows) and zero cuts pass.
+    def nested(rows, n: int, outer, j: int, columns, hi: int) -> bool:
+        # proj_[k,b+1) D = outer[:j], cut before hi = offset(b) (its rows
+        # vanish before offset(k)), in proj_[k,b) D = rows[:n]: its first
+        # rows that are rows[:n] (the same record grown, or equal rows) and
+        # zero cuts pass.
         if outer is rows and n <= j:
             added = outer[n:j]
         else:
             added = outer[n:j] if outer[:j][:n] == rows[:n] else outer[:j]
-        width = hi - lo
-        cuts = [cut for cut in (row[:width] for row in added) if any(cut)]
-        return not cuts or within(cuts, [row[:width] for row in rows[:n]], columns[:n], lo, hi)
+        cuts = [cut for cut in (row[:hi] for row in added) if any(cut)]
+        return not cuts or within(cuts, [row[:hi] for row in rows[:n]], columns[:n], hi)
 
     checks, chain_ok = [], all(prefix_nested(b) for b in range(N))
     for k in range(N):
@@ -390,12 +404,12 @@ def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityC
                     fresh = fresh_rows(b) if same else new_rows(last_xs, xs)
                     old, fresh = last_j, fresh[bisect_left(fresh, i) :]
                 if old < j:
-                    ok = _folded_pairs_to_zero([fold(x, hi) for x in xs[i:]], ys[old:j], top)
+                    ok = _folded_pairs_to_zero([fold(x, hi) for x in xs[i:]], ys[old:j], top, lo)
                 if ok and old and fresh:
-                    ok = _folded_pairs_to_zero([fold(xs[t], hi) for t in fresh], ys[:old], top)
+                    ok = _folded_pairs_to_zero([fold(xs[t], hi) for t in fresh], ys[:old], top, lo)
             checks.append(WindowDualityCheck(k, b, ok))
             if b > k + 1 and not (grown and last_j == j):
-                chain_ok = chain_ok and nested(last_ys, last_j, ys, j, record[1], lo, last_hi)
+                chain_ok = chain_ok and nested(last_ys, last_j, ys, j, record[1], last_hi)
             last_xs, last_ys, last_j, last_hi, paired = xs, ys, j, hi, ok
     return tuple(checks), chain_ok
 
@@ -415,8 +429,9 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
       C-perp-perp = C this is a check of biduality (see below).
 
     The window and chain checks read rows and orders off C's prefix table
-    (weak Howell forms, never finished, whose rows keep their identity
-    from end to end) and D's suffix records, one walk per start that pairs
+    and D's suffix records (weak Howell forms, never finished, whose rows
+    keep their identity from end to end and from start to start), one
+    walk per start that pairs
     each (C row, D row) pair once and reduces only the rows an end adds
     or changes (``_window_walk``, with the proofs); every window keeps the
     verdict of counting and pairing its own rows, and the nested chain
@@ -445,8 +460,9 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     The code's control index comes from ``control_profile`` (C's prefix
     table); the dual's is counted on one unfinished sweep of D's reversed
     rows (``codes._swept_orders``), a table that D does not keep.  The code's
-    observe index is counted on its own suffix records (``_observe_index``)
-    and the dual's is the first matched supercode equal to the dual.  So
+    observe index is counted on the pivot orders of its own suffix
+    projections (``_observe_index``) and the dual's is the first matched
+    supercode equal to the dual.  So
     each side of ``indices_match`` is a separate computation: C's control
     index counts orders where D's observe index sums rows, and C's observe
     index reads no table of D, where D's control index reads D's rows.

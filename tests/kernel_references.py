@@ -32,7 +32,9 @@
   table of the code's one local dual.
 * ``suffix_projection_code``: proj_[a,N) C as a code of its own, with its
   own space and Howell form, the route the window readers took before
-  each suffix projection was a pivot record (``BlockCode._suffix``).
+  each suffix projection was a pivot record (``BlockCode._suffix``), and,
+  as a pivot record, before the records were filled by one trimming
+  sweep: one Howell form per start.
 * ``own_table_matched_duals``: the duals of the duality report's matched
   sides with T = D-perp a code of its own, which reads its own prefix
   table, and each side dualized at every gap, the route
@@ -463,10 +465,13 @@ def cut_duality_windows(code: BlockCode) -> tuple[tuple[WindowDualityCheck, ...]
         return inner is outer or within(inner[0], outer[0], outer[1], 0, len(moduli))
 
     def nested(k: int, b: int) -> bool:
-        width = offsets[b] - offsets[k]
-        cuts = [row[:width] for row in proj[k, b + 1][0]]
+        # The suffix record keeps the space's columns; the cut rows are in
+        # the window's, so its pivot columns are shifted by offset(k).
+        lo, hi = offsets[k], offsets[b]
+        cuts = [row[: hi - lo] for row in proj[k, b + 1][0]]
         rows = proj[k, b][0]
-        return within(cuts, rows, dual._suffix(k)[1][: len(rows)], offsets[k], offsets[b])
+        columns = tuple(j - lo for j in dual._suffix(k)[1][: len(rows)])
+        return within(cuts, rows, columns, lo, hi)
 
     chain_ok = all(prefix_nested(b) for b in range(N)) and all(
         nested(k, b) for k in range(N) for b in range(k + 1, N)

@@ -19,7 +19,8 @@ one with no owner behind ``codes._swept_orders``, as the strong index and
 the duality report's dual control index read it), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
 the last end filled), every code whose suffix projections proj_[a,N) C
-the reports read (``BlockCode._suffix``, with the starts read), every
+the reports read (``BlockCode._suffix`` and ``_suffix_order``, with the
+starts read), every
 code whose duality report the commands run
 (``observe.check_control_observe_duality``), every code that
 ``structure.cyclic_product_decomposition`` decomposes and every distinct
@@ -55,8 +56,11 @@ recorded inputs it takes, bucketed by matrix width:
   form (``kernel_references.suffix_projection_code``), the route before
   the suffix projections were records;
 * ``suffix-records``: the same records by ``BlockCode._suffix`` on a
-  fresh copy of the code: one Howell form of the cut rows per start and
-  no code or space;
+  fresh copy of the code: one unfinished trimming sweep of one Howell
+  state (``codes._SuffixTable``), weak Howell forms in the space's own
+  columns and no code or space; each is checked by the Howell form of its
+  rows cut to [a, N) and its pivot columns, shifted by offset(a), and
+  products;
 * ``matched-own-table``: the duals of the matched sides of each recorded
   duality report, on a fresh copy of its code, with T = D-perp a code of
   its own that reads its own prefix table and every side dualized at
@@ -175,8 +179,8 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     conv_init = ConvolutionalCode.__post_init__
     local_dual = codes.BlockCode.__dict__["_local_dual"]
     dualize = local_dual.fn
-    suffix = codes.BlockCode._suffix
-    suffixed = {}  # id -> code, in first-read order
+    suffix, suffix_order = codes.BlockCode._suffix, codes.BlockCode._suffix_order
+    suffixed = {}  # id -> (code, starts read), in first-read order
 
     def record_table(table, *args):
         tables.append(table)
@@ -187,8 +191,12 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         return dualize(code)
 
     def record_suffix(code, a):
-        suffixed.setdefault(id(code), code)
+        suffixed.setdefault(id(code), (code, set()))[1].add(a)
         return suffix(code, a)
+
+    def record_suffix_order(code, a):
+        suffixed.setdefault(id(code), (code, set()))[1].add(a)
+        return suffix_order(code, a)
 
     def record_conv(conv):
         conv_init(conv)
@@ -210,11 +218,13 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     originals = [getattr(module, name) for module, name, _ in wrapped]
     walk_pairing = observe._folded_pairs_to_zero
 
-    def record_walk_pairing(xs, ys, top):
+    def record_walk_pairing(xs, ys, top, start=0):
         # The walk's rows carry the weights top/m_j folded in, so as an
-        # input of ``pairs_to_zero`` they are rows over moduli all top.
-        inputs["pairs"].append((xs, ys, (top,) * max(map(len, xs))))
-        return walk_pairing(xs, ys, top)
+        # input of ``pairs_to_zero`` they are rows over moduli all top;
+        # the D rows are read from ``start``, the C rows' first column.
+        ys_read = [y[start:] for y in ys]
+        inputs["pairs"].append((xs, ys_read, (top,) * max(map(len, xs))))
+        return walk_pairing(xs, ys, top, start)
 
     def recording(kernel, record):
         def record_call(*args):
@@ -231,6 +241,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     codes._PrefixTable.__init__ = record_table
     local_dual.fn = record_dual
     codes.BlockCode._suffix = record_suffix
+    codes.BlockCode._suffix_order = record_suffix_order
     ConvolutionalCode.__post_init__ = record_conv
     try:
         with tempfile.TemporaryDirectory() as work:
@@ -247,6 +258,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         codes._PrefixTable.__init__ = table_init
         local_dual.fn = dualize
         codes.BlockCode._suffix = suffix
+        codes.BlockCode._suffix_order = suffix_order
         ConvolutionalCode.__post_init__ = conv_init
     inputs["prefix"] = [
         (table.space, table.reversed_rows, len(table.entries) - 1)
@@ -258,9 +270,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         (code, len(table.entries) - 1) for code, table in filled if table and len(table.entries) > 1
     ]
     inputs["suffix"] = [
-        (code, tuple(sorted(code._suffixes)))
-        for code in suffixed.values()
-        if code.__dict__.get("_suffixes")
+        (code, tuple(sorted(starts - {0}))) for code, starts in suffixed.values() if starts - {0}
     ]
     inputs["conv"] = [(conv,) for conv in dict.fromkeys(convs)]
     return inputs, len(specs)
@@ -364,9 +374,24 @@ def suffix_codes(code, starts) -> list:
 
 def suffix_records(code, starts) -> list:
     """The same records by ``BlockCode._suffix`` on a fresh copy of the
-    code."""
+    code: entries of its suffix table, one trimming sweep."""
     fresh = BlockCode.from_howell(code.space, code.basis.rows)
     return [fresh._suffix(a) for a in starts]
+
+
+def finished_suffixes(records, call) -> list:
+    """Each suffix record in the coordinates of [a, N): its rows cut at
+    offset(a) and replaced by their Howell form, its pivot columns shifted
+    by offset(a), so a weak Howell form of proj_[a,N) C with the right
+    pivot columns and products reads as the per-start form's record."""
+    code, starts = call
+    offsets, moduli = code.space.offsets(), code.basis.moduli
+    reads = []
+    for a, (rows, columns, products) in zip(starts, records):
+        lo = offsets[a]
+        canon = linalg.howell_form(linalg._trusted(moduli[lo:], tuple(row[lo:] for row in rows)))
+        reads.append((canon.rows, tuple(j - lo for j in columns), products))
+    return reads
 
 
 def _fresh_matched_rows(matched_duals, code) -> tuple:
@@ -560,7 +585,10 @@ def main(argv=None) -> int:
     )
     for name, kernel, calls, outputs, recorded in kernels:
         widths = [width(args) for args in recorded]
-        read = (lambda out, call: finished(out, call[0])) if name == "prefix-sweep" else as_is
+        read = {
+            "prefix-sweep": lambda out, call: finished(out, call[0]),
+            "suffix-records": finished_suffixes,
+        }.get(name, as_is)
         print_lines(name, kernel, calls, outputs, widths, args.repeat, read)
     return 0
 

@@ -413,7 +413,7 @@ def z8_band_spec(n, tap=(7, 1, 6)):
 
 class TestBandBudget:
     # The wall budget the README states for each command on the N = 128
-    # Z/8 band spec, run as a fresh process (about 0.18, 0.39 and 0.26 s on
+    # Z/8 band spec, run as a fresh process (about 0.12, 0.39 and 0.20 s on
     # a 2-core machine).  Never raised to make a slow change pass.
     BUDGET_S = 10.0
 

@@ -452,15 +452,27 @@ def assert_prefix_annihilators_match_reference(code):
 
 def assert_suffix_records_match_reference(code):
     """Every suffix record ``_suffix(a)``, read in a shuffled order on a
-    fresh code, against the pivot record of proj_[a,N) C built as a code
-    of its own."""
+    fresh code, so a record read late was filled by a sweep past it,
+    against proj_[a,N) C built as a code of its own, one Howell form per
+    start.  The record keeps the space's columns: its rows vanish before
+    offset(a), and cut to [a, N) they are a weak Howell form of the
+    projection (``assert_weak_howell``: the reference's pivot columns,
+    shifted by offset(a), and products exactly, and its Howell rows as the
+    one Howell form of the record's rows from each pivot on).  The sweep
+    that builds no row (``_suffix_order``) reads the same columns and
+    products."""
     code = BlockCode.from_howell(code.space, code.basis.rows)
-    N = code.space.horizon
+    N, offsets = code.space.horizon, code.space.offsets()
     starts = list(range(N))
     random.Random(N).shuffle(starts)
     for a in starts:
+        lo = offsets[a]
         proj = reference_window_projection(code, a, N)
-        assert code._suffix(a) == pivot_record(proj.basis.rows, proj.basis.moduli), a
+        rows, columns, products = code._suffix(a)
+        assert not any(any(row[:lo]) for row in rows), a
+        cut = (tuple(row[lo:] for row in rows), tuple(j - lo for j in columns), products)
+        assert_weak_howell(cut, proj.basis.rows, proj.basis.moduli)
+        assert code._suffix_order(a) == (columns, products), a
 
 
 class TestWindowTablesTwin:
@@ -499,6 +511,40 @@ class TestWindowTablesTwin:
     def test_suffix_records_in_shuffled_order(self, mixed_corpus):
         for code in mixed_corpus + [band_code(p.name) for p in BAND_SPEC_PATHS]:
             assert_suffix_records_match_reference(code)
+
+
+class TestSuffixSweep:
+    """The suffix records, filled by one trimming sweep, against one Howell
+    form of each suffix projection (``assert_suffix_records_match_reference``)."""
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            assert_suffix_records_match_reference(code)
+
+    @pytest.mark.parametrize(
+        "menu", [(8,), (9,), (27,), (1, 2, 3, 4, 6, 8, 9)], ids=["Z8", "Z9", "Z27", "mixed"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_menus(self, menu, data):
+        assert_suffix_records_match_reference(data.draw(mixed_codes(menu)))
+
+    @pytest.mark.parametrize(
+        "moduli, tap",
+        [
+            ((8,) * 24, (7, 1, 6)),
+            ((9,) * 16, (3, 1)),
+            ((27,) * 12, (3, 9, 1)),
+            ((4, 6, 9, 12) * 3, (2, 3, 1)),
+        ],
+    )
+    def test_long_band_codes(self, moduli, tap):
+        # Many starts, on both kernels: Z/8 (packed), Z/9, Z/27 and mixed
+        # moduli (single); every in-window shift of the tap.
+        N = len(moduli)
+        gens = [[0] * t + list(tap) + [0] * (N - len(tap) - t) for t in range(N - len(tap) + 1)]
+        code = code_from_generators(space(*[(m,) for m in moduli]), gens)
+        assert_suffix_records_match_reference(code)
 
 
 def per_end_prefix(code, b):
@@ -719,7 +765,7 @@ class TestWindowBoundary:
 
 class TestWindowTableBuilds:
     """Reading every window of an N = 10 band code builds one kernel in all
-    and one projection Howell form per start after the first."""
+    and takes no Howell form for any start's suffix record."""
 
     def test_one_kernel_per_code(self, monkeypatch):
         code = band_code("z4_band10_code.spec")
@@ -738,7 +784,11 @@ class TestWindowTableBuilds:
                 window_annihilator(code, a, b)
         assert calls["annihilator_rows"] == 1
 
-    def test_one_howell_form_per_start(self, monkeypatch):
+    def test_no_howell_form_per_start(self, monkeypatch):
+        # The suffix records are one sweep's unfinished records: reading
+        # the rows and order of every window projection takes no Howell
+        # form, and each ``window_projection`` code takes one, of its own
+        # rows, as ``window_internal`` does.
         code = band_code("z4_band10_code.spec")
         N = code.space.horizon
         assert N == 10
@@ -750,10 +800,13 @@ class TestWindowTableBuilds:
             return canonical(matrix)
 
         monkeypatch.setattr(codes_module, "howell_form", counted)
-        for a in range(1, N):
-            for b in range(a + 1, N + 1):
-                window_projection(code, a, b)
-        assert calls["howell_form"] <= N - 1
+        windows = [(a, b) for a in range(1, N) for b in range(a + 1, N + 1)]
+        for a, b in windows:
+            codes_module._projection(code, a, b), annihilator_order(code, a, b)
+        assert calls["howell_form"] == 0
+        for a, b in windows:
+            window_projection(code, a, b)
+        assert calls["howell_form"] == len(windows)
 
     def test_one_pivot_record_per_basis(self, mixed_corpus, monkeypatch):
         # A fresh code's pivot record is found once, by ``linalg._entry``,
@@ -805,13 +858,14 @@ class TestWindowTableBuilds:
 
 def test_no_finish_inside_a_prefix_sweep(monkeypatch):
     # Every entry of a prefix table, a code's or the one behind a
-    # ``_swept_orders`` read (the duality report's dual control index), is
-    # the sweep's unfinished record: no Howell state is finished while an
-    # entry is filled.  From a cold Howell cache, one command on the N = 10
-    # band code finishes only the canonical forms its codes keep, compare
-    # or print: 18 for ``analyze``, 19 for ``decompose`` and 28 for
-    # ``duality-check`` (25, 27 and 35 when every prefix end and every
-    # peel step's window was finished).
+    # ``_swept_orders`` read (the duality report's dual control index), and
+    # every suffix record is a sweep's unfinished read: no Howell state is
+    # finished while an entry is filled.  From a cold Howell cache, one
+    # command on the N = 10 band code finishes only the canonical forms its
+    # codes keep, compare or print: 9 for ``analyze``, 19 for
+    # ``decompose`` and 10 for ``duality-check`` (25, 27 and 35 when every
+    # prefix end and every peel step's window was finished, and 18, 19 and
+    # 28 when each suffix record was a Howell form of its own).
     import io
     from contextlib import redirect_stdout
 
@@ -822,7 +876,7 @@ def test_no_finish_inside_a_prefix_sweep(monkeypatch):
 
     counts = Counter()
     filling = []
-    entry, table_init = codes_module._PrefixTable.entry, codes_module._PrefixTable.__init__
+    entry, table_init = codes_module._Sweep.entry, codes_module._PrefixTable.__init__
 
     def counted_entry(table, b):
         filling.append(table)
@@ -849,7 +903,7 @@ def test_no_finish_inside_a_prefix_sweep(monkeypatch):
             return _finish(self)
 
         monkeypatch.setattr(state, "finish", counted_finish)
-    monkeypatch.setattr(codes_module._PrefixTable, "entry", counted_entry)
+    monkeypatch.setattr(codes_module._Sweep, "entry", counted_entry)
     monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
     monkeypatch.setattr(owned, "fn", counted_own_table)
     finishes = {}
@@ -859,7 +913,7 @@ def test_no_finish_inside_a_prefix_sweep(monkeypatch):
         with redirect_stdout(io.StringIO()):
             assert main([command, str(BAND_SPECS / "z4_band10_code.spec")]) == 0
         finishes[command] = counts["finish"]
-    assert finishes == {"analyze": 18, "decompose": 19, "duality-check": 28}
+    assert finishes == {"analyze": 9, "decompose": 19, "duality-check": 10}
     assert counts["tables"] - counts["tables with owner"] == 1
     assert counts["finish in a sweep"] == 0
 

@@ -35,6 +35,9 @@ def test_four_specs_add_up(workload):
     assert [label.split()[:2] for label, _ in ops] == [["op", str(i)] for i in range(4)]
     for part in (sites, ops):
         assert tuple(map(sum, zip(*(c for _, c in part)))) == every
+    # The suffix records are one trimming sweep per code: no Howell form
+    # is requested while one is read.
+    assert not any(label.startswith("codes.BlockCode._suffix") for label, _ in sites)
     requests, runs, repeats = every
     # The cache starts empty, so each distinct input runs the kernel at
     # least once; a repeat may run it again only after an eviction.

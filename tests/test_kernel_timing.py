@@ -56,7 +56,8 @@ def test_two_specs_no_mismatch(workload):
     assert (totals["annihilator-table"] > 0) == (workload != "convolutional")
     # Block reports read projections proj_[a,b) C with a > 0 (duality and
     # observe reports); a convolutional window reads only a = 0, the
-    # code's own record.  Both suffix routes give the same records.
+    # code's own record.  Each record of the trimming sweep, after one
+    # Howell form of its rows cut to [a, N), is the per-start form's.
     assert totals["suffix-codes"] == totals["suffix-records"]
     assert (totals["suffix-records"] > 0) == (workload != "convolutional")
     # Duality reports run on block codes only: both matched-side routes

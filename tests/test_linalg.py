@@ -1011,6 +1011,53 @@ class TestPushFinish:
             self.check(state, rows, moduli, range(len(rows)))
 
 
+class TestTrim:
+    """``trim`` projects a state's span onto the columns from a cut on, on
+    both kernels: after the rows are pushed and trimmed at rising cuts,
+    the record is a weak Howell form of the rows with their entries before
+    the cut zeroed, ``orders`` reads the record's pivot columns and
+    products, a pivot row at or after the cut that the trim's push leaves
+    alone keeps its record row (the same tuple object), and ``trim`` says
+    whether it dropped a row."""
+
+    @staticmethod
+    def check(state, rows, moduli, cuts):
+        single = isinstance(state, _HowellSingle)
+        state.push(rows)
+        for cut in sorted(cuts):
+            before = state.record()
+            column = {key: key if single else state.width - key for key in state.pivots}
+            kept = {key: row for key, row in state.pivots.items() if column[key] >= cut}
+            assert state.trim(cut) == (len(kept) < len(column))
+            zeroed = [(0,) * cut + row[cut:] for row in rows]
+            record = state.record()
+            assert_weak_howell(record, howell_form(residue_matrix(zeroed, moduli)).rows, moduli)
+            assert state.orders() == record[1:]
+            earlier, later = dict(zip(before[1], before[0])), dict(zip(record[1], record[0]))
+            for key, row in kept.items():
+                if state.pivots.get(key) is row:
+                    assert later[column[key]] is earlier[column[key]]
+
+    @given(two_power_matrices(max_width=12, max_rows=12), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_packed_moduli_on_both_kernels(self, case, data):
+        rows, moduli = case
+        cuts = data.draw(st.lists(st.integers(0, len(moduli)), max_size=4))
+        self.check(_HowellPacked(moduli), rows, moduli, cuts)
+        self.check(_HowellSingle(moduli), rows, moduli, cuts)
+
+    @given(
+        st.lists(st.sampled_from([1, 3, 5, 6, 9, 12, 27]), max_size=8).map(tuple),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_other_moduli_on_the_single_kernel(self, moduli, data):
+        row = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+        rows = data.draw(st.lists(row, max_size=10))
+        cuts = data.draw(st.lists(st.integers(0, len(moduli)), max_size=4))
+        self.check(_HowellSingle(moduli), rows, moduli, cuts)
+
+
 @pytest.mark.parametrize("workload", ["block-codes", "long-horizon"])
 def test_block_reports_compute_no_smith_form(workload, monkeypatch, tmp_path):
     # analyze, dual and duality-check over a whole benchmark pool read every

@@ -298,14 +298,15 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     # the code object and the annihilator sums read C's prefix table.  The
     # report keeps one prefix table, C's, and none for D or T: the dual's
     # control index is counted on one table of D's reversed rows with no
-    # owner (``_swept_orders``).  Neither table's Howell state is ever
-    # finished.  Each of C and D is kernelled once.
+    # owner (``_swept_orders``).  It sweeps two suffix tables: D's records
+    # for the walk and C's orders for the observe index.  No table's Howell
+    # state is ever finished.  Each of C and D is kernelled once.
     import groupcodes.codes as codes_module
 
     code = band_code("z4_band10_code.spec")
-    tables, kernels, states = [], Counter(), []
+    tables, suffix_tables, kernels, states = [], [], Counter(), []
     table_init, kernel = codes_module._PrefixTable.__init__, codes_module.annihilator_rows
-    make_state = codes_module._howell_state
+    suffix_init, make_state = codes_module._SuffixTable.__init__, codes_module._howell_state
 
     class CountedState:
         def __init__(self, moduli):
@@ -318,6 +319,12 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
         def record(self):
             return self.state.record()
 
+        def orders(self):
+            return self.state.orders()
+
+        def trim(self, cut):
+            return self.state.trim(cut)
+
         def finish(self):
             self.finished += 1
             return self.state.finish()
@@ -326,11 +333,16 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
         tables.append(self)
         table_init(self, space, reversed_rows)
 
+    def counted_suffix_table(self, space, rows, whole):
+        suffix_tables.append((self, rows))
+        suffix_init(self, space, rows, whole)
+
     def counted_kernel(matrix):
         kernels[matrix.rows] += 1
         return kernel(matrix)
 
     monkeypatch.setattr(codes_module._PrefixTable, "__init__", counted_table)
+    monkeypatch.setattr(codes_module._SuffixTable, "__init__", counted_suffix_table)
     monkeypatch.setattr(codes_module, "annihilator_rows", counted_kernel)
     monkeypatch.setattr(codes_module, "_howell_state", CountedState)
     assert check_control_observe_duality(code).ok
@@ -342,7 +354,13 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
         dual._reversed_howell,
     ]
     assert code._prefixes is tables[0] and "_prefixes" not in dual.__dict__
-    assert [table.state for table in tables] == states
+    assert [(table, rows) for table, rows in suffix_tables] == [
+        (dual._suffixes, dual.basis.rows),
+        (code._suffix_orders, code.basis.rows),
+    ]
+    assert "_suffixes" not in code.__dict__ and "_suffix_orders" not in dual.__dict__
+    swept = tables + [table for table, _ in suffix_tables]
+    assert sorted(map(id, (table.state for table in swept))) == sorted(map(id, states))
     assert not any(state.finished for state in states)
 
 
@@ -350,8 +368,9 @@ def walk_pairs_per_start(code):
     """The (C row, D row) pairs the windows of each start k hold, by row
     identity, read off the tables: C ∩ [k, b) as the rows of prefix entry
     b with pivot at or after offset(k), proj_[k,b) D as the rows of D's
-    suffix record at k with pivot before the cut; and the number of pairs
-    the windows hold one by one."""
+    suffix record at k with pivot before offset(b) (both tables keep the
+    space's columns); and the number of pairs the windows hold one by
+    one."""
     dual = dual_block_code(code)
     N, offsets = code.space.horizon, code.space.offsets()
     per_start, per_window = [], 0
@@ -361,7 +380,7 @@ def walk_pairs_per_start(code):
         for b in range(k + 1, N + 1):
             xs, x_columns, _ = code._prefixes.entry(b)
             inner = xs[bisect_left(x_columns, offsets[k]) :]
-            outer = ys[: bisect_left(y_columns, offsets[b] - offsets[k])]
+            outer = ys[: bisect_left(y_columns, offsets[b])]
             pairs.update((id(x), id(y)) for x in inner for y in outer)
             per_window += len(inner) * len(outer)
         per_start.append(pairs)
@@ -384,9 +403,9 @@ def recorded_walk(code, monkeypatch):
             starts.append((a, []))
         return suffix(self, a)
 
-    def counted_pairing(xs, ys, top):
+    def counted_pairing(xs, ys, top, start=0):
         starts[-1][1].append((xs, ys))
-        return pairing(xs, ys, top)
+        return pairing(xs, ys, top, start)
 
     monkeypatch.setattr(BlockCode, "_suffix", counted_suffix)
     monkeypatch.setattr(observe_module, "_folded_pairs_to_zero", counted_pairing)
@@ -437,6 +456,93 @@ class TestWalkPairingCounts:
         per_start, per_window = walk_pairs_per_start(code)
         assert count == sum(map(len, per_start)) == self.COUNTS[n]
         assert count < per_window
+
+
+def suffix_sweep_work(run, monkeypatch):
+    """The rows the suffix sweeps push while ``run()`` runs (each table's
+    seed rows and every row a trim pushes again) and the Howell forms
+    taken inside a read of a suffix record or its orders
+    (``BlockCode._suffix``, ``BlockCode._suffix_order``)."""
+    import groupcodes.linalg as linalg_module
+
+    counts, depth = Counter(), [0]
+
+    def inside(read):
+        def counted(self, a):
+            depth[0] += 1
+            try:
+                return read(self, a)
+            finally:
+                depth[0] -= 1
+
+        return counted
+
+    for name in ("_suffix", "_suffix_order"):
+        monkeypatch.setattr(BlockCode, name, inside(getattr(BlockCode, name)))
+    for state in (linalg_module._HowellSingle, linalg_module._HowellPacked):
+
+        def counted_push(self, rows, _push=state.push):
+            rows = list(rows)
+            counts["rows"] += len(rows) if depth[0] else 0
+            return _push(self, rows)
+
+        monkeypatch.setattr(state, "push", counted_push)
+    canonical = linalg_module.howell_form
+
+    def counted_howell(matrix):
+        counts["howell"] += depth[0] > 0
+        return canonical(matrix)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:
+            monkeypatch.setattr(module, "howell_form", counted_howell)
+    run()
+    monkeypatch.undo()
+    return counts["rows"], counts["howell"]
+
+
+class TestSuffixSweepGrowth:
+    """A growth gate on the suffix sweeps, on the Z/8 band code that
+    ``TestBandBudget`` runs, at N = 32 and N = 64.  ``duality-check``
+    (D's suffix records for the walk, C's orders for the observe index)
+    and ``observe_profile`` (C's orders) take no Howell form inside a
+    suffix read, and the rows their sweeps push are pinned exactly: the
+    seed rows of each table and each row a trim pushes again, about one
+    per start.  From N = 32 to 64 they must grow less than ×2.5, where
+    a state seeded afresh at every start pushes about N rows per start,
+    ×4.  The README states the bound."""
+
+    PUSHED = {
+        32: {"duality-check": 96, "observe_profile": 61},
+        64: {"duality-check": 192, "observe_profile": 125},
+    }
+
+    @staticmethod
+    def pushed(n, command, tmp_path, monkeypatch):
+        from groupcodes.cli import main
+
+        text = z8_band_spec(n)
+        if command == "observe_profile":
+            code = parse_spec(text).to_block_code()
+            return suffix_sweep_work(lambda: observe_profile(code), monkeypatch)
+        spec = tmp_path / f"z8_band{n}.spec"
+        spec.write_text(text, encoding="utf-8")
+
+        def run():
+            with redirect_stdout(io.StringIO()):
+                assert main(["duality-check", str(spec)]) == 0
+
+        return suffix_sweep_work(run, monkeypatch)
+
+    @pytest.mark.parametrize("command", ["duality-check", "observe_profile"])
+    def test_rows_pushed_grow_linearly(self, command, tmp_path, monkeypatch):
+        rows = {}
+        for n in sorted(self.PUSHED):
+            rows[n], howell = self.pushed(n, command, tmp_path, monkeypatch)
+            assert howell == 0
+        assert rows == {n: pinned[command] for n, pinned in self.PUSHED.items()}
+        assert rows[64] < 2.5 * rows[32]
 
 
 @st.composite
@@ -497,12 +603,11 @@ def test_walk_matches_cut_windows_on_wrong_dual_records(spec, monkeypatch):
     failed = 0
     for k in range(N):
         rows = suffix(dual, k)[0]
-        window = moduli[offsets[k] :]
-        for c in range(len(window)):
-            if window[c] <= 2 or not any(row[c] for row in rows):
+        for c in range(offsets[k], len(moduli)):
+            if moduli[c] <= 2 or not any(row[c] for row in rows):
                 continue
-            negated = tuple(row[:c] + ((-row[c]) % window[c],) + row[c + 1 :] for row in rows)
-            record = _entry(howell_form(_trusted(window, negated)).rows, window)
+            negated = tuple(row[:c] + ((-row[c]) % moduli[c],) + row[c + 1 :] for row in rows)
+            record = _entry(howell_form(_trusted(moduli, negated)).rows, moduli)
             monkeypatch.setattr(
                 BlockCode,
                 "_suffix",
@@ -741,8 +846,9 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # and one sweep, with no Howell form per end, and the invariant factors
     # of the matched sides are counted on their own Howell rows.  T, the
     # local dual of the dual, is the code itself, so the two matched sides
-    # are one climb, and each distinct side is dualized once: 29 (32 with
-    # the supercode side summed a second time, 37 with T's own reversed
+    # are one climb, and each distinct side is dualized once; every suffix
+    # record is read off one trimming sweep: 11 (29 with a Howell form per
+    # suffix record, 32 with the supercode side summed a second time, 37 with T's own reversed
     # Howell form and kernel and a kernel per gap of each side, 39 with a
     # second Howell form of each side's basis too, 47 with a kernel per
     # end of the annihilator windows, 66 with a Howell form per prefix).
@@ -787,7 +893,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # only space (19 with one per suffix projection).
     assert calls["codes"] == 6
     assert calls["spaces"] == 1
-    assert calls["howell_form"] == 29
+    assert calls["howell_form"] == 11
 
 
 def _first_top(side, top, N):
@@ -872,15 +978,15 @@ def test_wrong_dual_projection_fails_its_window(monkeypatch):
     # and so does the whole window group with a shorter window before it
     # that is not the whole group there.  The wrong rows and order enter
     # through the walk's per-start read, once, as the dual's side of that
-    # window.
+    # window, in the space's columns as the suffix records hold them.
     from groupcodes.codes import _projection
 
     code = band_code("mixed_band8.spec")
     dual = dual_block_code(code)
-    N = code.space.horizon
+    N, offsets = code.space.horizon, code.space.offsets()
     served = 0
     for a in range(N):
-        shorter_whole = True
+        shorter_whole, pad = True, (0,) * offsets[a]
         for b in range(a + 1, N + 1):
             right = code_from_generators(code.space.window(a, b), _projection(dual, a, b)[0])
             smaller = code_from_generators(right.space, right.basis.rows[:-1])
@@ -888,7 +994,7 @@ def test_wrong_dual_projection_fails_its_window(monkeypatch):
                 if wrong == right:
                     continue
                 served += 1
-                rows = wrong.basis.rows
+                rows = tuple(pad + row for row in wrong.basis.rows)
                 hits = serve_one_window(
                     monkeypatch, a, b, lambda read: read[:3] + (rows, len(rows), wrong.cardinality)
                 )
@@ -1052,21 +1158,21 @@ class TestObserveIndexIdentity:
 
 
 def test_wrong_suffix_projection_breaks_indices_match(monkeypatch):
-    # The observe index of the code is counted on the code's own suffix
-    # records and the control index of the dual on the dual's prefix
-    # table: serving the zero projection as proj_[3,N) C moves the first
-    # and not the second.
+    # The observe index of the code is counted on the pivot orders of the
+    # code's own suffix projections (``_suffix_order``) and the control
+    # index of the dual on the dual's prefix table: serving the zero
+    # projection as proj_[3,N) C moves the first and not the second.
     from groupcodes.codes import BlockCode
 
     code = band_code("z4_band10_code.spec")
-    zero = ((), (), (1,))
+    zero = ((), (1,))
     right = check_control_observe_duality(code)
     assert right.indices_match
-    assert code._suffix(3) != zero
-    suffix = BlockCode._suffix
+    assert code._suffix_order(3) != zero
+    suffix = BlockCode._suffix_order
     monkeypatch.setattr(
         BlockCode,
-        "_suffix",
+        "_suffix_order",
         lambda self, a: zero if (self, a) == (code, 3) else suffix(self, a),
     )
     wrong = check_control_observe_duality(code)
@@ -1162,7 +1268,7 @@ def test_broken_dual_suffix_projection_fails_the_nesting(monkeypatch, capsys):
     suffix = BlockCode._suffix
     for k in range(1, N - 1):
         rows, columns, products = suffix(dual, k)
-        assert columns[0] + 1 < dual.basis.width - dual.space.offsets()[k]
+        assert columns[0] + 1 < dual.basis.width
         broken = (rows, (columns[0] + 1,) + columns[1:], products)
         monkeypatch.setattr(
             BlockCode,
@@ -1183,7 +1289,8 @@ def test_broken_dual_suffix_projection_fails_the_nesting(monkeypatch, capsys):
 def test_wrong_dual_suffix_record_fails_a_window_of_its_start(spec, monkeypatch):
     # The dual's suffix record proj_[k,N) D is served with its first row
     # dropped or its first two rows swapped, with the pivot columns and
-    # orders of the served rows.  Where that changes the rows or the order
+    # orders of the served rows, in the space's columns as the suffix
+    # table holds them.  Where that changes the rows or the order
     # some window of start k reads, a window check of start k fails; the
     # nested chain checks the records' cut bookkeeping (the rows an end
     # adds vanish before it), not duality, so it need not notice.  Two
@@ -1199,16 +1306,15 @@ def test_wrong_dual_suffix_record_fails_a_window_of_its_start(spec, monkeypatch)
     suffix = BlockCode._suffix
     failed = set()
     for k in range(N):
-        rows = suffix(dual, k)[0]
-        moduli = dual.basis.moduli[offsets[k] :]
+        rows, moduli, lo = suffix(dual, k)[0], dual.basis.moduli, offsets[k]
 
         def windows(record):
             # The subgroup each window reads and the order it is read with.
             reads = []
             for b in range(k + 1, N + 1):
-                cut = offsets[b] - offsets[k]
-                rows_read, order = _rows_before(record, cut)
-                span = code_from_generators(code.space.window(k, b), [r[:cut] for r in rows_read])
+                hi = offsets[b]
+                rows_read, order = _rows_before(record, hi)
+                span = code_from_generators(code.space.window(k, b), [r[lo:hi] for r in rows_read])
                 reads.append((span, order))
             return reads
 
