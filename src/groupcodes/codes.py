@@ -176,8 +176,8 @@ class BlockCode:
         return _SuffixTable(self.space, self.basis.rows, self._record)
 
     @_cached
-    def _suffix_orders(self) -> "_SuffixOrders":
-        return _SuffixOrders(self.space, self.basis.rows, self._record[1:])
+    def _finished_suffixes(self) -> dict[int, Entry]:
+        return {}
 
     @_cached
     def _local_dual(self) -> "BlockCode":
@@ -220,12 +220,22 @@ class BlockCode:
             return self._record
         return self._suffixes.entry(a)
 
-    def _suffix_order(self, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The pivot columns and running products of ``_suffix(a)``, off a
-        sweep of their own that builds no row (``_SuffixOrders``)."""
+    def _finished_suffix(self, a: int) -> Entry:
+        """The record of the Howell form of proj_[a,N) C in the coordinates
+        of [a, N), for the readers that hand out a canonical basis
+        (``_canonical_projection``): the code's own for a = 0, else one
+        Howell form of the rows of ``_suffix(a)`` cut at offset(a), taken
+        on first use of each start and kept, so all ends of a start share
+        it."""
         if a == 0:
-            return self._record[1:]
-        return self._suffix_orders.entry(a)
+            return self._record
+        table = self._finished_suffixes
+        if a not in table:
+            start = self.space.offsets()[a]
+            moduli = self.basis.moduli[start:]
+            cut = _trusted(moduli, tuple(row[start:] for row in self._suffix(a)[0]))
+            table[a] = _entry(howell_form(cut).rows, moduli)
+        return table[a]
 
     @property
     def cardinality(self) -> int:
@@ -279,19 +289,15 @@ class _Sweep:
     """A table whose entries 0, 1, ... are filled in order by one Howell
     kernel state (``linalg._howell_state``), never finished: each step
     (``_step``) changes the state, or leaves it alone and shares the entry
-    before it.  An entry is the state's ``read``: its ``record``, a weak
-    Howell form with its pivot columns and running pivot-order products,
-    or, where a reader wants orders alone, its ``orders``, the columns
-    and products with no row built.  A row that a step leaves alone is the
-    same tuple object in the next record."""
+    before it.  An entry is the state's ``record``, a weak Howell form
+    with its pivot columns and running pivot-order products.  A row that a
+    step leaves alone is the same tuple object in the next record."""
 
-    read = "record"
-
-    def entry(self, n: int) -> tuple:
+    def entry(self, n: int) -> Entry:
         """Entry n, filling the table up to n."""
         entries, state = self.entries, self.state
         while len(entries) <= n:
-            entries.append(getattr(state, self.read)() if self._step(len(entries)) else entries[-1])
+            entries.append(state.record() if self._step(len(entries)) else entries[-1])
         return entries[n]
 
 
@@ -321,13 +327,11 @@ class _PrefixTable(_Sweep):
     Callers pass ends within the horizon; the window functions check.
     """
 
-    empty = ((), (), (1,))  # entry 0, C ∩ [0, 0)
-
     def __init__(self, space: SequenceSpace, reversed_rows: tuple[Vector, ...]) -> None:
         self.space, self.reversed_rows = space, reversed_rows
         moduli = space.flat_moduli[::-1]
         _, self.columns, self.products = _entry(reversed_rows, moduli)
-        self.entries: list = [self.empty]  # entries[b], filled in order
+        self.entries: list[Entry] = [((), (), (1,))]  # entries[b], filled in order
         self.state = _howell_state(space.flat_moduli)
         self.batches = _end_batches(space.offsets(), self.columns)
 
@@ -347,13 +351,6 @@ class _PrefixTable(_Sweep):
             return False
         self.state.push(row[::-1] for row in self.reversed_rows[i:j])
         return True
-
-
-class _PrefixOrders(_PrefixTable):
-    """A prefix table whose entry b is the pivot columns and running
-    products of C ∩ [0, b) alone (``orders``)."""
-
-    read, empty = "orders", ((), (1,))
 
 
 class _SuffixTable(_Sweep):
@@ -385,13 +382,6 @@ class _SuffixTable(_Sweep):
         return self.state.trim(self.offsets[a])
 
 
-class _SuffixOrders(_SuffixTable):
-    """A suffix table whose entry a is the pivot columns and running
-    products of proj_[a,N) C alone (``orders``)."""
-
-    read = "orders"
-
-
 def _end_batches(offsets: Sequence[int], columns: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The end rule of a prefix sweep over the column-reversed Howell rows
     of C, with pivot columns ``columns``, in a space with flat offsets
@@ -412,12 +402,12 @@ def _swept_orders(
 ) -> Callable[[int, int], int]:
     """|C ∩ [a, b)| as ``control._gap_lengths`` reads it, C the subgroup of
     ``space`` with column-reversed Howell rows ``reversed_rows``: read as
-    ``_internal`` reads a code's, off a prefix table with no owner that
-    builds no row (``_PrefixOrders``)."""
-    table, offsets = _PrefixOrders(space, reversed_rows), space.offsets()
+    ``_internal`` reads a code's, off a prefix table with no owner; only
+    the entry's pivot columns and products are read, no row is sliced."""
+    table, offsets = _PrefixTable(space, reversed_rows), space.offsets()
 
     def order(a: int, b: int) -> int:
-        columns, products = table.entry(b)
+        _, columns, products = table.entry(b)
         return products[-1] // products[bisect_left(columns, offsets[a])]
 
     return order
@@ -484,7 +474,8 @@ def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]
 def _rows_before(record: Entry, cut: int) -> tuple[tuple[Vector, ...], int]:
     """The rows of a pivot record with pivot before column ``cut``, uncut
     (a slice of its rows), and their span's order: of proj_[a,N) C at
-    offset(b), proj_[a,b) C before the cut (``_projection``)."""
+    offset(b) (``_projection``), or of its finished record at offset(b) -
+    offset(a) (``_canonical_projection``), proj_[a,b) C before the cut."""
     rows, columns, products = record
     i = bisect_left(columns, cut)
     return rows[:i], products[i]
@@ -507,22 +498,36 @@ def _projection(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], in
 def _annihilator_order(code: BlockCode, a: int, b: int) -> int:
     """|C-perp ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| with no kernel built
     (a character on [a, b) kills C iff it kills the projection, and
-    |X-perp| = |G| / |X|), read off the pivot orders of proj_[a,N) C
-    alone (``BlockCode._suffix_order``); 1 if a = b."""
+    |X-perp| = |G| / |X|), read off the pivot orders of the suffix record
+    of proj_[a,N) C (``BlockCode._suffix``); 1 if a = b."""
     if a == b:
         return 1
     offsets, products = code.space.offsets(), code.space._moduli_products
-    columns, kept = code._suffix_order(a)
+    _, columns, kept = code._suffix(a)
     i = bisect_left(columns, offsets[b])
     return products[offsets[b]] // products[offsets[a]] // kept[i]
 
 
+def _canonical_projection(code: BlockCode, a: int, b: int) -> tuple[Vector, ...]:
+    """Howell rows of proj_[a,b) C, in the coordinates of [a, b): the rows
+    of the finished suffix record (``BlockCode._finished_suffix``) with
+    pivot before the cut, cut to [a, b).  They are a Howell form again,
+    as a word of the window vanishing before a column lifts to a word of
+    the suffix projection that does, and each entry above a pivot is
+    already reduced; so a start costs one Howell form, shared by all its
+    ends."""
+    offsets = code.space.offsets()
+    cut = offsets[b] - offsets[a]
+    rows, _ = _rows_before(code._finished_suffix(a), cut)
+    return tuple(row[:cut] for row in rows)
+
+
 def window_projection(code: BlockCode, a: int, b: int) -> BlockCode:
     """Image of the code under deleting all coordinates outside [a, b):
-    one Howell form of the rows of ``_projection``, as ``window_internal``
-    takes one, since the code hands out its canonical basis."""
+    the rows of ``_canonical_projection``, so each start costs one Howell
+    form, shared by all its ends."""
     sub = code.space.window(a, b)
-    return BlockCode(sub, _trusted(sub.flat_moduli, _projection(code, a, b)[0]))
+    return BlockCode.from_howell(sub, _canonical_projection(code, a, b))
 
 
 def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:

@@ -18,11 +18,10 @@ their weak Howell form (``record``; Storjohann & Mulders, ESA 1998):
 each pivot scaled to gcd(p, m_j), nothing reduced above it.  That form
 keeps the Howell property and pivot orders, so it answers every order
 and membership read, and a caller that grows a span batch by batch reads
-it after each batch (``orders`` reads its pivot columns and orders
-alone); ``trim`` projects the span onto the columns from a cut on, so a
-caller can also shrink a span start by start.  Only rows compared or
-printed are finished, by ``howell_form``, which pushes all rows at once
-and finishes, under the one Howell cache ``_howell_cached``.
+it after each batch; ``trim`` projects the span onto the columns from
+a cut on, so a caller can also shrink a span start by start.  Only rows
+compared or printed are finished, by ``howell_form``, which pushes all
+rows at once and finishes, under the one Howell cache ``_howell_cached``.
 ``_howell_state`` picks the state from the moduli alone.  When every
 modulus is a power of 2 up to 8 (1 included), ``_HowellPacked`` holds
 each row as one int with one byte per column, column 0 most significant,
@@ -344,14 +343,6 @@ class _HowellSingle:
             orders.append(seen[2])
         return tuple(rows), tuple(columns), tuple(accumulate(orders, mul, initial=1))
 
-    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The pivot columns and running pivot-order products of ``record``,
-        with no row built."""
-        moduli, pivots = self.moduli, self.pivots
-        columns = sorted(pivots)
-        orders = (moduli[j] // gcd(pivots[j][j], moduli[j]) for j in columns)
-        return tuple(columns), tuple(accumulate(orders, mul, initial=1))
-
     def trim(self, cut: int) -> bool:
         """Project the span onto the columns from ``cut`` on: drop each
         pivot row with pivot before ``cut`` and push it again with those
@@ -413,8 +404,8 @@ class _HowellPacked:
     modulo its own m_j | 2^K, and no field carries into the next.  Every
     odd x has x·x = 1 modulo 8, hence modulo every m_j: each odd unit is
     its own inverse.  ``finish`` gives the unique Howell form, so it equals
-    ``_HowellSingle``'s output row for row, and ``record``, ``orders`` and
-    ``trim`` read and change the same span.
+    ``_HowellSingle``'s output row for row, and ``record`` and ``trim``
+    read and change the same span.
     """
 
     __slots__ = ("width", "mask", "top", "pivots", "kept")
@@ -515,18 +506,6 @@ class _HowellPacked:
             orders.append(seen[2])
         products = tuple(accumulate(orders, mul, initial=1))
         return tuple(rows), tuple(width - k for k in keys), products
-
-    def orders(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``_HowellSingle.orders`` on packed rows: the pivot byte p of the
-        row kept at k has order (m_j) / (p & -p), with no row unpacked."""
-        width, mask, pivots = self.width, self.mask, self.pivots
-        keys = sorted(pivots, reverse=True)
-        orders = []
-        for k in keys:
-            shift = 8 * k - 8
-            p = pivots[k] >> shift
-            orders.append((((mask >> shift) & 0xFF) + 1) // (p & -p))
-        return tuple(width - k for k in keys), tuple(accumulate(orders, mul, initial=1))
 
     def trim(self, cut: int) -> bool:
         """``_HowellSingle.trim`` on packed rows: the rows with pivot before

@@ -26,13 +26,13 @@ from .codes import (
     BlockCode,
     _cached,
     _annihilator_order,
-    _projection,
+    _canonical_projection,
     _swept_orders,
     invariant_factors_of_code,
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
 from .duality import _folded_pairs_to_zero, dual_block_code
-from .linalg import Entry, Vector, _reduce_vector, _trusted, howell_form
+from .linalg import Entry, Vector, _reduce_vector
 
 __all__ = [
     "ObserveProfile",
@@ -58,10 +58,10 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     The preimage of the window projection of the code; a supergroup of the
     code in the same ambient space.  The closed window is clipped to the
     horizon.  Its Howell basis is written directly: the projection's Howell
-    rows (one Howell form of the rows ``codes._projection`` reads off the
-    suffix record, as ``window_projection`` takes) padded with zeros
-    between unit rows for the coordinates outside the window (modulus
-    above 1); the blocks share no column.
+    rows (``codes._canonical_projection``, as ``window_projection`` reads
+    them: one Howell form per start) padded with zeros between unit rows
+    for the coordinates outside the window (modulus above 1); the blocks
+    share no column.
     """
     N = code.space.horizon
     if not 0 <= k < N or L < 0:
@@ -76,8 +76,7 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
 
     before, after = (0,) * sl.start, (0,) * (width - sl.stop)
     rows = units(range(sl.start))
-    window = howell_form(_trusted(moduli[sl], _projection(code, k, b)[0])).rows
-    rows += [before + row + after for row in window]
+    rows += [before + row + after for row in _canonical_projection(code, k, b)]
     rows += units(range(sl.stop, width))
     return BlockCode.from_howell(code.space, rows)
 
@@ -109,9 +108,9 @@ def _observe_index(code: BlockCode) -> int:
     L >= L_k(D) at every k: the index is the control index of D.  It is
     counted as ``control_profile`` counts it (``_gap_lengths``), on the
     orders |D ∩ [a, b)| = |G_[a,b)| / |proj_[a,b) C| read off the pivot
-    orders of the code's suffix projections (``codes._annihilator_order``
-    over ``BlockCode._suffix_order``, one trimming sweep that builds no
-    row); no sum, dual or kernel is built.
+    orders of the code's suffix records (``codes._annihilator_order``,
+    one trimming sweep, ``BlockCode._suffix``); no sum, dual or kernel is
+    built.
     """
     return max(_gap_lengths(code.space.horizon, functools.partial(_annihilator_order, code)))
 
@@ -132,8 +131,7 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     tried, the later positions sit at the index, where their conditions
     already hold, so the least length at k is the least L whose end
     max(B_{k-1}, min(k + L + 1, N)) meets the condition at k.  Each order
-    is read once, off the orders-only suffix sweep; no sum or kernel is
-    built.
+    is read once, off the suffix records; no sum or kernel is built.
     """
     N = code.space.horizon
     index = _observe_index(code)
@@ -431,11 +429,10 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     The window and chain checks read rows and orders off C's prefix table
     and D's suffix records (weak Howell forms, never finished, whose rows
     keep their identity from end to end and from start to start), one
-    walk per start that pairs
-    each (C row, D row) pair once and reduces only the rows an end adds
-    or changes (``_window_walk``, with the proofs); every window keeps the
-    verdict of counting and pairing its own rows, and the nested chain
-    checks the records' cut bookkeeping.
+    walk per start that pairs each (C row, D row) pair once and reduces
+    only the rows an end adds or changes (``_window_walk``, with the
+    proofs); every window keeps the verdict of counting and pairing its
+    own rows, and the nested chain checks the records' cut bookkeeping.
 
     Each matched side is built only until it reaches its top
     (``_matched_duals``).  The supercode of D at window L is the dual of
@@ -460,9 +457,8 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     The code's control index comes from ``control_profile`` (C's prefix
     table); the dual's is counted on one unfinished sweep of D's reversed
     rows (``codes._swept_orders``), a table that D does not keep.  The code's
-    observe index is counted on the pivot orders of its own suffix
-    projections (``_observe_index``) and the dual's is the first matched
-    supercode equal to the dual.  So
+    observe index is counted on its own suffix records (``_observe_index``)
+    and the dual's is the first matched supercode equal to the dual.  So
     each side of ``indices_match`` is a separate computation: C's control
     index counts orders where D's observe index sums rows, and C's observe
     index reads no table of D, where D's control index reads D's rows.

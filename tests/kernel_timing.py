@@ -19,8 +19,7 @@ one with no owner behind ``codes._swept_orders``, as the strong index and
 the duality report's dual control index read it), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
 the last end filled), every code whose suffix projections proj_[a,N) C
-the reports read (``BlockCode._suffix`` and ``_suffix_order``, with the
-starts read), every
+the reports read (``BlockCode._suffix``, with the starts read), every
 code whose duality report the commands run
 (``observe.check_control_observe_duality``), every code that
 ``structure.cyclic_product_decomposition`` decomposes and every distinct
@@ -179,7 +178,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     conv_init = ConvolutionalCode.__post_init__
     local_dual = codes.BlockCode.__dict__["_local_dual"]
     dualize = local_dual.fn
-    suffix, suffix_order = codes.BlockCode._suffix, codes.BlockCode._suffix_order
+    suffix = codes.BlockCode._suffix
     suffixed = {}  # id -> (code, starts read), in first-read order
 
     def record_table(table, *args):
@@ -193,10 +192,6 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     def record_suffix(code, a):
         suffixed.setdefault(id(code), (code, set()))[1].add(a)
         return suffix(code, a)
-
-    def record_suffix_order(code, a):
-        suffixed.setdefault(id(code), (code, set()))[1].add(a)
-        return suffix_order(code, a)
 
     def record_conv(conv):
         conv_init(conv)
@@ -241,7 +236,6 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     codes._PrefixTable.__init__ = record_table
     local_dual.fn = record_dual
     codes.BlockCode._suffix = record_suffix
-    codes.BlockCode._suffix_order = record_suffix_order
     ConvolutionalCode.__post_init__ = record_conv
     try:
         with tempfile.TemporaryDirectory() as work:
@@ -258,7 +252,6 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         codes._PrefixTable.__init__ = table_init
         local_dual.fn = dualize
         codes.BlockCode._suffix = suffix
-        codes.BlockCode._suffix_order = suffix_order
         ConvolutionalCode.__post_init__ = conv_init
     inputs["prefix"] = [
         (table.space, table.reversed_rows, len(table.entries) - 1)

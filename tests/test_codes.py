@@ -458,9 +458,9 @@ def assert_suffix_records_match_reference(code):
     offset(a), and cut to [a, N) they are a weak Howell form of the
     projection (``assert_weak_howell``: the reference's pivot columns,
     shifted by offset(a), and products exactly, and its Howell rows as the
-    one Howell form of the record's rows from each pivot on).  The sweep
-    that builds no row (``_suffix_order``) reads the same columns and
-    products."""
+    one Howell form of the record's rows from each pivot on).  The
+    finished record (``_finished_suffix``) is the reference's pivot record
+    exactly."""
     code = BlockCode.from_howell(code.space, code.basis.rows)
     N, offsets = code.space.horizon, code.space.offsets()
     starts = list(range(N))
@@ -472,7 +472,7 @@ def assert_suffix_records_match_reference(code):
         assert not any(any(row[:lo]) for row in rows), a
         cut = (tuple(row[lo:] for row in rows), tuple(j - lo for j in columns), products)
         assert_weak_howell(cut, proj.basis.rows, proj.basis.moduli)
-        assert code._suffix_order(a) == (columns, products), a
+        assert code._finished_suffix(a) == pivot_record(proj.basis.rows, proj.basis.moduli), a
 
 
 class TestWindowTablesTwin:
@@ -784,11 +784,11 @@ class TestWindowTableBuilds:
                 window_annihilator(code, a, b)
         assert calls["annihilator_rows"] == 1
 
-    def test_no_howell_form_per_start(self, monkeypatch):
+    def test_one_howell_form_per_start(self, monkeypatch):
         # The suffix records are one sweep's unfinished records: reading
         # the rows and order of every window projection takes no Howell
-        # form, and each ``window_projection`` code takes one, of its own
-        # rows, as ``window_internal`` does.
+        # form, and the ``window_projection`` codes take one per start,
+        # shared by all its ends (``_finished_suffix``).
         code = band_code("z4_band10_code.spec")
         N = code.space.horizon
         assert N == 10
@@ -806,7 +806,7 @@ class TestWindowTableBuilds:
         assert calls["howell_form"] == 0
         for a, b in windows:
             window_projection(code, a, b)
-        assert calls["howell_form"] == len(windows)
+        assert calls["howell_form"] == N - 1
 
     def test_one_pivot_record_per_basis(self, mixed_corpus, monkeypatch):
         # A fresh code's pivot record is found once, by ``linalg._entry``,

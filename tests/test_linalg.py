@@ -1015,10 +1015,9 @@ class TestTrim:
     """``trim`` projects a state's span onto the columns from a cut on, on
     both kernels: after the rows are pushed and trimmed at rising cuts,
     the record is a weak Howell form of the rows with their entries before
-    the cut zeroed, ``orders`` reads the record's pivot columns and
-    products, a pivot row at or after the cut that the trim's push leaves
-    alone keeps its record row (the same tuple object), and ``trim`` says
-    whether it dropped a row."""
+    the cut zeroed, a pivot row at or after the cut that the trim's push
+    leaves alone keeps its record row (the same tuple object), and
+    ``trim`` says whether it dropped a row."""
 
     @staticmethod
     def check(state, rows, moduli, cuts):
@@ -1032,7 +1031,6 @@ class TestTrim:
             zeroed = [(0,) * cut + row[cut:] for row in rows]
             record = state.record()
             assert_weak_howell(record, howell_form(residue_matrix(zeroed, moduli)).rows, moduli)
-            assert state.orders() == record[1:]
             earlier, later = dict(zip(before[1], before[0])), dict(zip(record[1], record[0]))
             for key, row in kept.items():
                 if state.pivots.get(key) is row:

@@ -299,7 +299,7 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     # report keeps one prefix table, C's, and none for D or T: the dual's
     # control index is counted on one table of D's reversed rows with no
     # owner (``_swept_orders``).  It sweeps two suffix tables: D's records
-    # for the walk and C's orders for the observe index.  No table's Howell
+    # for the walk and C's for the observe index.  No table's Howell
     # state is ever finished.  Each of C and D is kernelled once.
     import groupcodes.codes as codes_module
 
@@ -318,9 +318,6 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
 
         def record(self):
             return self.state.record()
-
-        def orders(self):
-            return self.state.orders()
 
         def trim(self, cut):
             return self.state.trim(cut)
@@ -356,9 +353,8 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     assert code._prefixes is tables[0] and "_prefixes" not in dual.__dict__
     assert [(table, rows) for table, rows in suffix_tables] == [
         (dual._suffixes, dual.basis.rows),
-        (code._suffix_orders, code.basis.rows),
+        (code._suffixes, code.basis.rows),
     ]
-    assert "_suffixes" not in code.__dict__ and "_suffix_orders" not in dual.__dict__
     swept = tables + [table for table, _ in suffix_tables]
     assert sorted(map(id, (table.state for table in swept))) == sorted(map(id, states))
     assert not any(state.finished for state in states)
@@ -461,8 +457,7 @@ class TestWalkPairingCounts:
 def suffix_sweep_work(run, monkeypatch):
     """The rows the suffix sweeps push while ``run()`` runs (each table's
     seed rows and every row a trim pushes again) and the Howell forms
-    taken inside a read of a suffix record or its orders
-    (``BlockCode._suffix``, ``BlockCode._suffix_order``)."""
+    taken inside a read of a suffix record (``BlockCode._suffix``)."""
     import groupcodes.linalg as linalg_module
 
     counts, depth = Counter(), [0]
@@ -477,8 +472,7 @@ def suffix_sweep_work(run, monkeypatch):
 
         return counted
 
-    for name in ("_suffix", "_suffix_order"):
-        monkeypatch.setattr(BlockCode, name, inside(getattr(BlockCode, name)))
+    monkeypatch.setattr(BlockCode, "_suffix", inside(BlockCode._suffix))
     for state in (linalg_module._HowellSingle, linalg_module._HowellPacked):
 
         def counted_push(self, rows, _push=state.push):
@@ -505,8 +499,8 @@ def suffix_sweep_work(run, monkeypatch):
 class TestSuffixSweepGrowth:
     """A growth gate on the suffix sweeps, on the Z/8 band code that
     ``TestBandBudget`` runs, at N = 32 and N = 64.  ``duality-check``
-    (D's suffix records for the walk, C's orders for the observe index)
-    and ``observe_profile`` (C's orders) take no Howell form inside a
+    (D's suffix records for the walk, C's for the observe index) and
+    ``observe_profile`` (C's) take no Howell form inside a
     suffix read, and the rows their sweeps push are pinned exactly: the
     seed rows of each table and each row a trim pushes again, about one
     per start.  From N = 32 to 64 they must grow less than ×2.5, where
@@ -1158,21 +1152,21 @@ class TestObserveIndexIdentity:
 
 
 def test_wrong_suffix_projection_breaks_indices_match(monkeypatch):
-    # The observe index of the code is counted on the pivot orders of the
-    # code's own suffix projections (``_suffix_order``) and the control
-    # index of the dual on the dual's prefix table: serving the zero
-    # projection as proj_[3,N) C moves the first and not the second.
+    # The observe index of the code is counted on the code's own suffix
+    # records and the control index of the dual on the dual's prefix
+    # table: serving the zero projection as proj_[3,N) C moves the first
+    # and not the second.
     from groupcodes.codes import BlockCode
 
     code = band_code("z4_band10_code.spec")
-    zero = ((), (1,))
+    zero = ((), (), (1,))
     right = check_control_observe_duality(code)
     assert right.indices_match
-    assert code._suffix_order(3) != zero
-    suffix = BlockCode._suffix_order
+    assert code._suffix(3) != zero
+    suffix = BlockCode._suffix
     monkeypatch.setattr(
         BlockCode,
-        "_suffix_order",
+        "_suffix",
         lambda self, a: zero if (self, a) == (code, 3) else suffix(self, a),
     )
     wrong = check_control_observe_duality(code)
