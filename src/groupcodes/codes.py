@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -120,9 +120,13 @@ class SequenceSpace:
 
     def support(self, word: Sequence[int]) -> tuple[int, int]:
         """The least window [lo, hi) outside which a flat word vanishes;
-        (0, 0) for the zero word."""
-        touched = [i for i, piece in enumerate(self.split(word)) if any(piece)]
-        return (touched[0], touched[-1] + 1) if touched else (0, 0)
+        (0, 0) for the zero word.  The symbols of its first and last
+        nonzero entries, found on the offsets."""
+        nonzero = [i for i, e in enumerate(word) if e]
+        if not nonzero:
+            return (0, 0)
+        offsets = self.offsets()
+        return bisect_right(offsets, nonzero[0]) - 1, bisect_right(offsets, nonzero[-1])
 
     def split(self, word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """Per-index residue vectors of a flat word."""

@@ -19,7 +19,9 @@ each pivot scaled to gcd(p, m_j), nothing reduced above it.  That form
 keeps the Howell property and pivot orders, so it answers every order
 and membership read, and a caller that grows a span batch by batch reads
 it after each batch; ``trim`` projects the span onto the columns from
-a cut on, so a caller can also shrink a span start by start.  Only rows
+a cut on, so a caller can also shrink a span start by start, and
+``replace`` swaps chosen pivot rows for new rows, for a caller that
+proves the Howell property kept (the peel's complement).  Only rows
 compared or printed are finished, by ``howell_form``, which pushes all
 rows at once and finishes, under the one Howell cache ``_howell_cached``.
 ``_howell_state`` picks the state from the moduli alone.  When every
@@ -358,6 +360,19 @@ class _HowellSingle:
         self.push([head + pivots.pop(j)[cut:] for j in dropped])
         return bool(dropped)
 
+    def replace(self, columns: Iterable[int], rows: Iterable[Vector]) -> None:
+        """Drop the pivot rows at ``columns`` and push ``rows``.  The caller
+        proves the Howell property of the result, as
+        ``structure._peel_complement`` does: the state keeps it when the
+        rows kept after the dropped ones keep it among themselves, the
+        pushed rows vanish before the first column dropped, and each kept
+        row before it has the multiple that clears its pivot in the new
+        span of the rows after it."""
+        for j in columns:
+            del self.pivots[j]
+            self.kept.pop(j, None)
+        self.push(rows)
+
     def finish(self) -> list[Vector]:
         """The Howell form of the rows pushed so far: the scaled rows
         (``_scaled``), each entry above a pivot d reduced into [0, d)."""
@@ -519,13 +534,22 @@ class _HowellPacked:
         self.push([(pivots.pop(k) & low).to_bytes(width, "big") for k in dropped])
         return bool(dropped)
 
+    def replace(self, columns: Iterable[int], rows: Iterable[Vector]) -> None:
+        """``_HowellSingle.replace`` on packed rows: column j is key
+        width - j."""
+        for j in columns:
+            del self.pivots[self.width - j]
+            self.kept.pop(self.width - j, None)
+        self.push(rows)
+
 
 def _howell_state(moduli: Vector) -> _HowellSingle | _HowellPacked:
     """An empty Howell kernel state over ``moduli``: the packed kernel when
     every modulus is a power of 2 up to 8, the residue-coordinate kernel
     otherwise; both finish with the same Howell form.  The finish is taken
-    only by ``_howell_kernel``; a prefix sweep reads each end's ``record``
-    and a suffix sweep each start's, after a ``trim``."""
+    only by ``_howell_kernel``; a prefix sweep reads each end's ``record``,
+    a suffix sweep each start's, after a ``trim``, and the peel each
+    step's, after a ``replace``."""
     if _PACKED_MODULI.issuperset(moduli):
         return _HowellPacked(moduli)
     return _HowellSingle(moduli)
@@ -688,14 +712,6 @@ def head_solve(
 ) -> Optional[Vector]:
     """A tail t with (target | t) in span(matrix), or None."""
     return _head_solution(*_head_rows(matrix, head), head, target)
-
-
-def _head_solve_kernel(
-    matrix: ResidueMatrix, head: int, target: Sequence[int]
-) -> tuple[Optional[Vector], ResidueMatrix]:
-    """``head_solve`` and ``head_kernel`` read off one Howell form."""
-    canon, i = _head_rows(matrix, head)
-    return _head_solution(canon, i, head, target), _head_tails(canon, i, head)
 
 
 def homomorphism_graph(

@@ -10,10 +10,10 @@ verification is not.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from math import gcd, lcm
-from operator import mod, mul
+from operator import mod
 from typing import Optional, Sequence
 
 from .codes import BlockCode, SequenceSpace, code_from_generators
@@ -21,14 +21,9 @@ from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
     Entry,
     Vector,
-    _entry,
-    _head_solve_kernel,
+    _HowellPacked,
+    _HowellSingle,
     _howell_state,
-    _reduce_vector,
-    _trusted,
-    head_kernel,
-    homomorphism_graph,
-    howell_form,
     vector_order,
 )
 
@@ -127,16 +122,17 @@ def verify_decomposition(
     moduli = code.space.flat_moduli
     gens = decomposition.generators
     membership_ok = all(code.contains(g.word) for g in gens)
+    orders = [vector_order(g.word, moduli) for g in gens]
     support_ok = True
-    for g in gens:
+    for g, order in zip(gens, orders):
         lo, hi = code.space.support(g.word)
         if lo == hi:
             support_ok = False  # zero generators carry no information
         elif not (g.start <= lo and hi <= g.stop):
             support_ok = False
-        if vector_order(g.word, moduli) != g.order:
+        if order != g.order:
             support_ok = False
-    directness = _directness(code.space, [g.word for g in gens])
+    directness = _directness(code.space, [g.word for g in gens], orders)
     cardinality_ok = decomposition.order_product == code.cardinality
     failed = None
     if not membership_ok:
@@ -157,10 +153,12 @@ def verify_decomposition(
     return cert.ok, cert
 
 
-def _directness(space: SequenceSpace, words: list[tuple[int, ...]]) -> tuple[bool, ...]:
-    """The directness steps j = 1..k-1: all true when the span of all k
-    words has order ∏ ord(y_i), else read off the span of each prefix."""
-    orders = [vector_order(word, space.flat_moduli) for word in words]
+def _directness(
+    space: SequenceSpace, words: list[tuple[int, ...]], orders: list[int]
+) -> tuple[bool, ...]:
+    """The directness steps j = 1..k-1 of ``words`` with ``orders``: all
+    true when the span of all k words has order ∏ ord(y_i), else read
+    off the span of each prefix."""
     steps, rows, before = [], (), 1
     if len(words) < 2 or code_from_generators(space, words).cardinality == math.prod(orders):
         return (True,) * (len(words) - 1)
@@ -203,54 +201,74 @@ def _verified(code: BlockCode, gens: list[DecompositionGenerator]) -> Decomposit
     return Decomposition(code.space, tuple(gens), cert)
 
 
-def _primary_rows(code: BlockCode, p: int) -> tuple[tuple[Vector, ...], list[tuple[int, int]]]:
-    """The column-reversed Howell rows of the code's p-primary part, over
-    the reversed p-parts of its moduli, with the ``primary_part`` pair
-    (q, u) of each column: a row enters as e mod q and a component word
-    leaves as e·u mod m, column by column.  When every modulus is a power
-    of p (1 included), the part is the code itself and its rows are the
-    code's own ``_reversed_howell``."""
-    moduli = code.space.flat_moduli
-    columns = [primary_part(m, p) for m in moduli]
-    if all(q == m for (q, _), m in zip(columns, moduli)):
-        return code._reversed_howell, columns  # every column a power of p: u = 1 (or Z/1)
+def _primary_state(
+    code: BlockCode, p: int
+) -> tuple[_HowellSingle | _HowellPacked, list[tuple[int, int]]]:
+    """A Howell kernel state holding the column-reversed rows of the
+    code's p-primary part, over the reversed p-parts of its moduli, with
+    the ``primary_part`` pair (q, u) of each column: a row enters as
+    e mod q and a component word leaves as e·u mod m, column by column.
+    The code's Howell rows go in reversed and reduced modulo the p-parts,
+    in one push, and the peel reads the state's unfinished ``record``, so
+    no Howell form is taken.  When every modulus is a power of p (1
+    included), the part is the code itself."""
+    columns = [primary_part(m, p) for m in code.space.flat_moduli]
     parts = tuple(q for q, _ in reversed(columns))
-    rows = tuple(tuple(map(mod, row[::-1], parts)) for row in code.basis.rows)
-    return howell_form(_trusted(parts, rows)).rows, columns
+    state = _howell_state(parts)
+    state.push(tuple(map(mod, row[::-1], parts)) for row in code.basis.rows)
+    return state, columns
+
+
+def _row_orders(
+    record: Entry, moduli: Vector, kept: dict[int, tuple[Vector, int]]
+) -> tuple[int, ...]:
+    """The order of each row of ``record``, a record of column-reversed
+    rows over the reversed ``moduli``.  ``kept`` holds each pivot
+    column's record row and its order: a state's record keeps every row
+    that the pushes since the last record left alone as the same tuple
+    object, so only the orders of new rows are computed."""
+    reversed_moduli, orders = moduli[::-1], []
+    for row, j in zip(record[0], record[1]):
+        seen = kept.get(j)
+        if seen is None or seen[0] is not row:
+            seen = kept[j] = (row, vector_order(row, reversed_moduli))
+        orders.append(seen[1])
+    return tuple(orders)
 
 
 def _smallest_full_prefix(
-    record: Entry, moduli: Vector, offsets: Sequence[int]
+    record: Entry, orders: Sequence[int], moduli: Vector, offsets: Sequence[int]
 ) -> tuple[int, int]:
     """(n, exponent): the least n with C ∩ [0, n) of the exponent of C, a
-    p-group given by the record of its column-reversed Howell rows
-    (``moduli`` and ``offsets`` are those of its space, in their own
-    order).
+    p-group given by a weak Howell form of its column-reversed rows
+    (``record``) and the order of each of its rows (``orders``, read off
+    ``_row_orders``); ``moduli`` and ``offsets`` are those of its space,
+    in their own order.
 
-    C ∩ [0, n) is spanned by the rows that vanish from offset(n) on.  In
-    a p-group a span's exponent is the largest order of its generators, so
-    the window reaches the exponent once it takes in a row of maximal
-    order.  The reversed pivots strictly increase, so the last such row
-    has the least last nonzero column, and n is the block after it.
+    By the Howell property, C ∩ [0, n) is spanned by the rows that vanish
+    from offset(n) on.  In a p-group a span's exponent is the largest
+    order of its generators, so the window reaches the exponent once it
+    takes in a row of maximal order.  The reversed pivots strictly
+    increase, so the last such row has the least last nonzero column, and
+    n is the block after it.  Neither step reads more than the Howell
+    property, so any basis that has it gives the same n.
     """
-    rows, columns, _ = record
-    reversed_moduli = moduli[::-1]
-    orders = [vector_order(row, reversed_moduli) for row in rows]
     exponent = max(orders)
-    last = columns[len(orders) - 1 - orders[::-1].index(exponent)]
+    last = record[1][len(orders) - 1 - orders[::-1].index(exponent)]
     return bisect_right(offsets, len(moduli) - 1 - last), exponent
 
 
 def _max_order_in_smallest_window(
-    record: Entry, moduli: Vector, offsets: Sequence[int], p: int
+    record: Entry, orders: Sequence[int], moduli: Vector, offsets: Sequence[int], p: int
 ) -> tuple[tuple[int, ...], int]:
-    """The target generator of the p-group C given by the record of its
-    column-reversed Howell rows: maximal order, realizable in the smallest
-    prefix window (``_smallest_full_prefix``), lexicographically least
-    among candidates.
+    """The target generator of the p-group C given by a weak Howell form
+    of its column-reversed rows (``record``, with the row ``orders``):
+    maximal order, realizable in the smallest prefix window
+    (``_smallest_full_prefix``), lexicographically least among candidates.
 
     The window's forward rows are one push of the rows that vanish from
-    offset(n) on, re-reversed, read unfinished (``record``).  Its words
+    offset(n) on, the rows with reversed pivot at or after the head,
+    re-reversed, read unfinished (``record``).  Its words
     are the combinations of those rows with coefficients below the pivot
     orders; by the Howell property a column that is no row's pivot is
     fixed by the earlier ones, and the values at pivot j range over
@@ -260,16 +278,17 @@ def _max_order_in_smallest_window(
     later rows span the same words on any basis, and a p^(e-1) that
     kills them kills every change of basis in y).
     """
-    n, exponent = _smallest_full_prefix(record, moduli, offsets)
-    head = offsets[-1] - offsets[n]
+    n, exponent = _smallest_full_prefix(record, orders, moduli, offsets)
+    rows, columns, _ = record
     state = _howell_state(moduli)
-    state.push(row[::-1] for row in record[0] if not any(row[:head]))
+    state.push(row[::-1] for row in rows[bisect_left(columns, offsets[-1] - offsets[n]) :])
     inner, columns, products = state.record()
     below = exponent // p
+    killed = [not any((below * e) % m for e, m in zip(r, moduli)) for r in inner]
     word = (0,) * len(moduli)
     for i, (row, j) in enumerate(zip(inner, columns)):
         order = products[i + 1] // products[i]
-        later = any((below * e) % m for r in inner[i + 1 :] for e, m in zip(r, moduli))
+        later = not all(killed[i + 1 :])
         # Pivot values ascend through word[j] + row[j]·Z; at most every p-th
         # value leaves no word of order p^e, so the first or second is kept.
         for value in range(word[j] % row[j], moduli[j], row[j]):
@@ -281,44 +300,121 @@ def _max_order_in_smallest_window(
     return word, exponent
 
 
+def _splitting_character(word: Sequence[int], moduli: Vector, order: int) -> Vector:
+    """The canonical splitting character of <word>, ``word`` of order
+    ``order``, the exponent of the group: the lexicographically least
+    chi on the shortest prefix of P columns with
+    sum_{j<P} chi_j·w_j = L/order (mod L), w_j = word_j·(L/m_j), L the
+    lcm of ``moduli``.  chi has length P, and it pairs ``word`` to
+    1/order, so it splits <word> off (``_peel_complement``).
+
+    The sums over Z/m_0 x ... x Z/m_(P-1) form the subgroup g_0·Z/L,
+    g_j = gcd(w_j, ..., w_(P-1), L), so P is the least prefix with g_0
+    dividing L/order.  As w_j has the order of word_j in Z/m_j, that
+    subgroup has the order of word[:P], and P is the shortest prefix on
+    which the word has its full order.  The least chi is greedy: a
+    choice of chi_0..chi_j leaves a solvable rest exactly when the rest t
+    of the target lies in g_(j+1)·Z, so chi_j is the least residue with
+    chi_j·w_j = t (mod g_(j+1)); one exists, t lying in g_j·Z, and the
+    least lies below m_j, where some solution does.  Where word_j = 0,
+    g_j = g_(j+1) divides t, so chi_j = 0: chi lives on the word's support.
+
+    This is the chi of the graph route, a particular solution reduced by
+    the Howell form H of the solution kernel (``kernel_references``):
+    that reduction gives the least element of the coset.  If u in the
+    coset differed from the reduced v first at column j, u - v would lie
+    in the kernel and vanish before j, so by the Howell property it would
+    lie in the span of the rows of H with pivot at or after j: it would
+    be 0 at j if no row has pivot j, and a multiple of the pivot d there
+    otherwise.  So u_j = v_j (mod d), v_j < d and u_j != v_j give
+    u_j > v_j.
+    """
+    L = lcm(*moduli)
+    target, g, weights = L // order, L, []
+    for e, m in zip(word, moduli):
+        weights.append(e * (L // m) % L)
+        g = gcd(g, weights[-1])
+        if target % g == 0:
+            break
+    else:
+        raise DecompositionError("no splitting character; order below exponent")
+    tails = [L] * (len(weights) + 1)  # tails[j] = gcd(w_j, ..., w_(P-1), L)
+    for j in range(len(weights) - 1, -1, -1):
+        tails[j] = gcd(tails[j + 1], weights[j])
+    chi = []
+    for w, g in zip(weights, tails[1:]):
+        d = gcd(w, g)
+        x = target // d * pow(w // d, -1, g // d) % (g // d)
+        chi.append(x)
+        target = (target - x * w) % L
+    return tuple(chi)
+
+
 def _peel_complement(
-    rows: tuple[Vector, ...], moduli: Vector, word: Sequence[int], order: int
-) -> tuple[Vector, ...]:
-    """The column-reversed Howell rows of an internal complement of <word>
-    in the group C with column-reversed Howell ``rows`` over ``moduli``.
+    state: _HowellSingle | _HowellPacked,
+    record: Entry,
+    moduli: Vector,
+    word: Sequence[int],
+    order: int,
+) -> None:
+    """Make ``state``, which holds the column-reversed rows of the p-group
+    C over the reversed ``moduli`` and whose record is ``record``, hold an
+    internal complement of <word> instead.
 
     A character valued in the order-torsion of the circle with value
     1/order on the generator splits the group: the kernel of its
     restriction meets <word> trivially and joins with it to everything.
     Existence needs the generator order to equal the exponent of C.  The
-    character is made canonical by restricting its support to the shortest
-    prefix on which the generator already realizes its full order and
-    reducing within the solution coset, both read off one Howell form of
-    the character graph (``linalg._head_solve_kernel``); pinning early
-    coordinates pushes the complement rightward, matching the
-    left-to-right peeling of the construction.  The complement is the
-    vanishing-head read of the rows [chi(r) | r] over the reversed rows r,
-    with chi's weights reversed.  The Howell form is canonical in any
-    fixed column order, so its tails are the complement's reversed Howell
-    form: no second kernel.
+    character is the canonical one of ``_splitting_character``: it lives
+    on the shortest prefix on which the word has its full order, so
+    pinning early coordinates pushes the complement rightward, matching
+    the left-to-right peeling of the construction.  In reversed columns
+    it meets the last P columns only.
+
+    The record's rows r split into A, those with chi(r) = 0, and B, the
+    rest, and ker(chi|C) = span(A) + ker(chi|span B): a kernel element
+    minus its A part is a B combination with chi 0.  In a p-group the
+    values chi(b) lie in the cyclic Z/L, so the value v* of least
+    valuation, at a row b*, divides every other: v_b = q_b·v*.  Then
+    ker(chi|span B) is spanned by ord(v*)·b* and the b - q_b·b*, as
+    sum a_b·b has chi (sum a_b·q_b)·v*.  With j0 and j1 the first and
+    last pivot of B, the state drops its pivot rows from j0 to j1 and
+    pushes those rows of ker(chi|span B) and the A rows it dropped
+    (``replace``); a record row is a unit multiple of its pivot row (its
+    scale is prime to p), so either spans the same.
+
+    The state keeps the Howell property.  The rows after j1 are a suffix
+    of its pivot rows, so they keep it among themselves.  The pushed rows
+    vanish before j0, so the push runs on them as on a state of its own,
+    and the rows T it leaves from j0 on have the Howell property for
+    ker(chi|span S), S the old rows from j0 on: those of S outside B lie
+    in A.  A row a before j0 lies in A, and the multiple of a that clears
+    its pivot lies in the span of the rows after it; minus its part before
+    j0, in A too, it lies in span S with chi 0, so in span T, whose pivots
+    come after a's.  So every row before j0 keeps the property, and it is
+    the same tuple object in the next record.  Dropping the B rows alone
+    is not enough: an A row between j0 and j1 may need a B row to clear
+    its pivot.
     """
-    L = lcm(*moduli)
-    for prefix in range(1, len(moduli) + 1):
-        if vector_order(word[:prefix], moduli[:prefix]) != order:
-            continue
-        images = [[(e * (L // m)) % L] for e, m in zip(word[:prefix], moduli[:prefix])]
-        graph = homomorphism_graph(images, moduli[:prefix], (L,))
-        chi_head, kernel = _head_solve_kernel(graph, 1, (L // order,))
-        if chi_head is None:
-            continue
-        basis, pivots, _ = _entry(kernel.rows, kernel.moduli)
-        chi = _reduce_vector(basis, pivots, kernel.moduli, chi_head)
-        # chi vanishes beyond the prefix, so on the first reversed columns.
-        weights = [c * (L // m) for c, m in zip(chi[::-1], moduli[prefix - 1 :: -1])]
-        cut = len(moduli) - prefix
-        reads = tuple((sum(map(mul, row[cut:], weights)) % L,) + row for row in rows)
-        return head_kernel(_trusted((L,) + moduli[::-1], reads), 1).rows
-    raise DecompositionError("no splitting character; order below exponent")
+    chi, L, n = _splitting_character(word, moduli, order), lcm(*moduli), len(moduli)
+    # chi_j, in reversed column n - 1 - j, is 0 wherever word_j is.
+    weights = [(n - 1 - j, c * (L // moduli[j])) for j, c in enumerate(chi) if c]
+    rows, columns, _ = record
+    values = [sum(row[i] * w for i, w in weights) % L for row in rows]
+    split = [i for i, v in enumerate(values) if v]
+    if not split:
+        return  # no row reaches chi: the caller's order check fails
+    star = min(split, key=lambda i: gcd(values[i], L))
+    g = gcd(values[star], L)
+    unit = pow(values[star] // g, -1, L // g)
+    reversed_moduli, b = moduli[::-1], rows[star]
+    pushed = [rows[i] for i in range(split[0], split[-1] + 1) if not values[i]]
+    pushed.append(tuple(L // g * e % m for e, m in zip(b, reversed_moduli)))
+    for i in split:
+        if i != star:
+            q = values[i] // g * unit % (L // g)
+            pushed.append(tuple((e - q * f) % m for e, f, m in zip(rows[i], b, reversed_moduli)))
+    state.replace(columns[split[0] : split[-1] + 1], pushed)
 
 
 def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
@@ -331,35 +427,40 @@ def cyclic_product_decomposition(code: BlockCode) -> Decomposition:
 def _peel(code: BlockCode) -> list[DecompositionGenerator]:
     """The primary cyclic generators of the code, prime by prime.
 
-    The code splits into primary parts column by column (``_primary_rows``);
-    inside each p-part, generators of maximal order realizable in the
-    smallest prefix window are peeled off as direct factors via splitting
-    characters, and each is embedded back as e·u mod m per column.  Each
-    part is held as column-reversed Howell rows, with no code built.
-    The peel always succeeds: in a finite abelian p-group an element of
-    maximal order generates a direct summand (Fuchs, *Infinite Abelian
-    Groups* I, §27), and the splitting character of ``_peel_complement``
-    exhibits the complement.  Each generator is the lexicographically least
-    word of maximal order in its window, found by descent over the Howell
-    rows of the window, so no codeword is enumerated.
+    The code splits into primary parts column by column
+    (``_primary_state``); inside each p-part, generators of maximal order
+    realizable in the smallest prefix window are peeled off as direct
+    factors via splitting characters, and each is embedded back as
+    e·u mod m per column.  Each part is one Howell kernel state on its
+    column-reversed rows, read as its unfinished ``record``, and each
+    peel step replaces the few rows its splitting character meets
+    (``_peel_complement``), with no Howell form, no finish and no code
+    built.  The peel always succeeds: in a finite abelian p-group an
+    element of maximal order generates a direct summand (Fuchs, *Infinite
+    Abelian Groups* I, §27), and the splitting character exhibits the
+    complement.  Each generator is the lexicographically least word of
+    maximal order in its window, found by descent over the Howell rows of
+    the window, so no codeword is enumerated, and the window and the word
+    depend on the part's span only, not on the basis the state holds.
 
     Each peel must leave a complement of order |part| / ord(word), the
-    last running product of its record (``linalg._entry``, one per form,
-    which the next peel reads too); one that does not raises
+    last running product of the next record; one that does not raises
     DecompositionError, so the loop ends within log2 |C| peels.
     """
     gens: list[DecompositionGenerator] = []
     moduli, offsets = code.space.flat_moduli, code.space.offsets()
     for p in FiniteAbelianGroup(moduli).primes():
-        rows, columns = _primary_rows(code, p)
+        state, columns = _primary_state(code, p)
         parts = tuple(q for q, _ in columns)
-        record = _entry(rows, parts[::-1])
+        record, kept = state.record(), {}
         while record[0]:
-            word, order = _max_order_in_smallest_window(record, parts, offsets, p)
+            orders = _row_orders(record, parts, kept)
+            word, order = _max_order_in_smallest_window(record, orders, parts, offsets, p)
             embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
             gens.append(DecompositionGenerator(embedded, *code.space.support(embedded), order, p))
             expected = record[2][-1] // order
-            record = _entry(_peel_complement(record[0], parts, word, order), parts[::-1])
+            _peel_complement(state, record, parts, word, order)
+            record = state.record()
             if record[2][-1] != expected:
                 raise DecompositionError(
                     f"peel left a complement of order {record[2][-1]}, not {expected}"

@@ -26,6 +26,13 @@
   reversed Howell form and fills its prefix table up to the window
   (``code_max_order_word``), and each complement is a new code
   (``code_peel_complement``).
+* ``graph_splitting_character``: the peel's splitting character as a
+  particular solution of its character graph reduced in the solution
+  coset by the kernel's Howell form, the route ``structure._peel`` took
+  (through ``linalg._head_solve_kernel``, one Howell form for both)
+  before ``structure._splitting_character`` solved it greedily in closed
+  form; ``meet_peel_complement`` is the complement it gives, as the meet
+  of the code with the character's annihilator.
 * ``per_end_prefix_annihilator``: C-perp ∩ [0, b) as the kernel of the
   prefix projection, padded with zeros, one kernel per end b, the route
   ``window_annihilator(code, 0, b)`` took before it read the prefix
@@ -90,6 +97,7 @@ from groupcodes.codes import (
     _PrefixTable,
     _projection,
     code_from_generators,
+    intersect,
     window_internal,
 )
 from groupcodes.control import control_profile, controllable_subcode
@@ -109,6 +117,7 @@ from groupcodes.linalg import (
     _trusted,
     annihilator_rows,
     contains_vector,
+    coset_reduce,
     head_kernel,
     head_solve,
     homomorphism_graph,
@@ -350,28 +359,47 @@ def code_max_order_word(current: BlockCode, p: int) -> tuple[tuple[int, ...], in
     return word, exponent
 
 
-def code_peel_complement(current: BlockCode, word: Sequence[int], order: int) -> BlockCode:
-    """The complement of <word> in ``current`` as a new code: the
-    vanishing-head read of [chi(r) | r] over the code's forward Howell
-    rows, for the canonical splitting character chi."""
-    moduli = current.space.flat_moduli
+def graph_splitting_character(word: Sequence[int], moduli: Vector, order: int) -> Vector:
+    """The splitting character of <word>, of order ``order``, on the
+    shortest prefix of ``moduli`` on which the word has its full order:
+    one particular solution of sum_j chi_j·word_j·(L/m_j) = L/order
+    (mod L) off the character graph (``head_solve``), reduced in its
+    solution coset by the Howell form of the graph's kernel
+    (``coset_reduce``)."""
     L = lcm(*moduli)
     for prefix in range(1, len(moduli) + 1):
         if vector_order(word[:prefix], moduli[:prefix]) != order:
             continue
         images = [[(e * (L // m)) % L] for e, m in zip(word[:prefix], moduli[:prefix])]
         graph = homomorphism_graph(images, moduli[:prefix], (L,))
-        chi_head = head_solve(graph, 1, (L // order,))
-        if chi_head is None:
-            continue
-        chi = reduce_vector(head_kernel(graph, 1), chi_head)
-        weights = [c * (L // m) for c, m in zip(chi, moduli)]
-        rows = tuple(
-            (sum(e * w for e, w in zip(row, weights)) % L,) + row for row in current.basis.rows
-        )
-        kernel = head_kernel(_trusted((L,) + moduli, rows), 1)
-        return BlockCode.from_howell(current.space, kernel.rows)
+        chi = head_solve(graph, 1, (L // order,))
+        if chi is not None:
+            return coset_reduce(head_kernel(graph, 1), chi)
     raise AssertionError("no splitting character; order below exponent")
+
+
+def meet_peel_complement(current: BlockCode, word: Sequence[int], order: int) -> BlockCode:
+    """The complement of <word> in ``current`` as the meet of ``current``
+    with the annihilator of its splitting character."""
+    moduli = current.space.flat_moduli
+    chi = graph_splitting_character(word, moduli, order)
+    chi_perp = annihilator_rows(residue_matrix([chi + (0,) * (len(moduli) - len(chi))], moduli))
+    return intersect(current, BlockCode.from_howell(current.space, chi_perp.rows))
+
+
+def code_peel_complement(current: BlockCode, word: Sequence[int], order: int) -> BlockCode:
+    """The complement of <word> in ``current`` as a new code: the
+    vanishing-head read of [chi(r) | r] over the code's forward Howell
+    rows, for the splitting character chi of the graph route."""
+    moduli = current.space.flat_moduli
+    L = lcm(*moduli)
+    chi = graph_splitting_character(word, moduli, order)
+    weights = [c * (L // m) for c, m in zip(chi, moduli)]
+    rows = tuple(
+        (sum(e * w for e, w in zip(row, weights)) % L,) + row for row in current.basis.rows
+    )
+    kernel = head_kernel(_trusted((L,) + moduli, rows), 1)
+    return BlockCode.from_howell(current.space, kernel.rows)
 
 
 def code_peel_decomposition(code: BlockCode) -> Decomposition:

@@ -96,9 +96,9 @@ recorded inputs it takes, bucketed by matrix width:
 * ``peel-code``: the decomposition with every primary part and peel
   complement built as a code (``kernel_references.code_peel_decomposition``),
   on a fresh copy of every decomposed code;
-* ``peel-reversed``: ``cyclic_product_decomposition``, which peels on
-  column-reversed Howell rows, on the same copies; the generators and the
-  certificate are compared;
+* ``peel-reversed``: ``cyclic_product_decomposition``, which peels each
+  primary part in one Howell state on its column-reversed rows, on the
+  same copies; the generators and the certificate are compared;
 * ``conv-windows-reference``: the code, zero-extension and finite-support
   windows [0, n), n <= min(N, 6), as rows and order, and the weak
   controllability and observability verdicts of a fresh copy of every

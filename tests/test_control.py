@@ -666,11 +666,14 @@ class TestCountedOrderSplit:
 def reference_control_lengths(code):
     """The control profile by its definition: grow L until the reachable
     set C_k(L) is the whole code."""
-    lengths = []
-    for k in range(code.space.horizon):
+    N, lengths = code.space.horizon, []
+    for k in range(N):
         L = 0
         while reachable_set(code, k, L) != code:
             L += 1
+            # The reachable set clips at N: a wrong one fails here
+            # instead of searching forever.
+            assert L <= N, f"no length up to the horizon reaches the code at {k}"
         lengths.append(L)
     return tuple(lengths)
 

@@ -35,9 +35,12 @@ def test_four_specs_add_up(workload):
     assert [label.split()[:2] for label, _ in ops] == [["op", str(i)] for i in range(4)]
     for part in (sites, ops):
         assert tuple(map(sum, zip(*(c for _, c in part)))) == every
-    # The suffix records are one trimming sweep per code: no Howell form
-    # is requested while one is read.
-    assert not any(label.startswith("codes.BlockCode._suffix") for label, _ in sites)
+    # The suffix records are one trimming sweep per code, and each primary
+    # part of a decomposition is one Howell state that every peel step
+    # changes in place: no Howell form is requested while a suffix record
+    # is read, a part is entered or a peel step runs.
+    for site in ("codes.BlockCode._suffix", "structure._primary", "structure._peel"):
+        assert not any(label.startswith(site) for label, _ in sites), site
     requests, runs, repeats = every
     # The cache starts empty, so each distinct input runs the kernel at
     # least once; a repeat may run it again only after an eviction.

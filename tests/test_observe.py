@@ -1088,9 +1088,12 @@ class TestCountedObservability:
 
     def test_observe_profile_matches_meets(self, mixed_corpus):
         for code in mixed_corpus:
-            index = 0
-            while reference_meet(code, [index] * code.space.horizon) != code:
+            N, index = code.space.horizon, 0
+            while reference_meet(code, [index] * N) != code:
                 index += 1
+                # The meet at length N is the code; wrong consistency sets
+                # fail here instead of searching forever.
+                assert index <= N, "no length up to the horizon gives the code"
             profile = observe_profile(code)
             assert profile.index == index
             assert profile.lengths == reference_observe_lengths(code, index)

@@ -1,6 +1,7 @@
 """Tests for rectangularity and cyclic product decompositions."""
 
 import random
+from collections import Counter
 from math import lcm, prod
 
 import pytest
@@ -25,12 +26,8 @@ from groupcodes.groups import (
     primary_part,
 )
 from groupcodes.linalg import (
-    _entry,
-    annihilator_rows,
-    coset_reduce,
-    head_kernel,
-    head_solve,
-    homomorphism_graph,
+    _reduce_vector,
+    howell_form,
     residue_matrix,
     smith_invariants,
     vector_order,
@@ -41,7 +38,8 @@ from groupcodes.structure import (
     DecompositionGenerator,
     _max_order_in_smallest_window,
     _peel_complement,
-    _primary_rows,
+    _primary_state,
+    _row_orders,
     _smallest_full_prefix,
     coprime_rectangular,
     cyclic_product_decomposition,
@@ -52,12 +50,15 @@ from groupcodes.structure import (
 from .conftest import BAND_SPEC_PATHS, band_code
 from .kernel_references import (
     code_peel_decomposition,
+    graph_splitting_character,
     integer_smith_diagonal,
+    meet_peel_complement,
     stepwise_directness,
 )
 from .test_codes import mixed_codes
 from .test_golden_cli import SPECS
 from .test_linalg import enumerate_span
+from .test_observe import shifted_taps
 
 
 def space(*symbol_moduli):
@@ -73,15 +74,37 @@ def forward_code(sp, reversed_rows):
     return code_from_generators(sp, [row[::-1] for row in reversed_rows])
 
 
-def peel_steps(sp, rows, p):
-    """(reversed rows, word, order) of every peel step of the p-group with
-    column-reversed Howell ``rows`` in ``sp``, by the reversed-row helpers."""
-    moduli, offsets = sp.flat_moduli, sp.offsets()
-    while rows:
-        record = _entry(rows, moduli[::-1])
-        word, order = _max_order_in_smallest_window(record, moduli, offsets, p)
-        yield rows, word, order
-        rows = _peel_complement(rows, moduli, word, order)
+def peel_steps(sp, state, p):
+    """(record, word, order) of every peel step of the p-group held in
+    ``state`` as column-reversed rows over ``sp``, by the peel's helpers;
+    each record is checked to be a weak Howell form."""
+    moduli, offsets, kept = sp.flat_moduli, sp.offsets(), {}
+    record = state.record()
+    while record[0]:
+        assert_weak_howell(record, moduli[::-1])
+        word, order = _max_order_in_smallest_window(
+            record, _row_orders(record, moduli, kept), moduli, offsets, p
+        )
+        yield record, word, order
+        _peel_complement(state, record, moduli, word, order)
+        record = state.record()
+
+
+def assert_weak_howell(record, moduli):
+    """``record`` is a weak Howell form over ``moduli``: each row vanishes
+    before its pivot column, the columns increase, each pivot divides its
+    modulus, the products are the running pivot orders, and the multiple
+    of each row that clears its pivot reduces to zero by the rows after
+    it (the Howell property)."""
+    rows, columns, products = record
+    assert list(columns) == sorted(set(columns)) and len(columns) == len(rows)
+    assert products[0] == 1 and len(products) == len(rows) + 1
+    for i, (row, j) in enumerate(zip(rows, columns)):
+        assert not any(row[:j]) and row[j] and moduli[j] % row[j] == 0
+        c = moduli[j] // row[j]
+        assert products[i + 1] == products[i] * c
+        cleared = tuple(c * e % m for e, m in zip(row, moduli))
+        assert not any(_reduce_vector(rows[i + 1 :], columns[i + 1 :], moduli, cleared))
 
 
 @pytest.fixture
@@ -313,11 +336,10 @@ class TestCyclicProductDecomposition:
 
         calls = []
 
-        def stuck(rows, moduli, word, order):
+        def stuck(state, record, moduli, word, order):
             calls.append(order)
             if len(calls) > 50:
                 raise AssertionError("the peel loop kept going")
-            return rows
 
         monkeypatch.setattr(module, "_peel_complement", stuck)
         code = code_from_generators(space((4,), (2,), (9,)), [(1, 1, 3), (2, 0, 1)])
@@ -375,9 +397,11 @@ class TestGeneratorChoice:
                 for _ in range(rng.randint(1, 3))
             ]
             start = code_from_generators(sp, gens)
-            for rows, word, order in peel_steps(sp, start._reversed_howell, p):
-                current = forward_code(sp, rows)
-                assert rows == current._reversed_howell
+            for record, word, order in peel_steps(sp, _primary_state(start, p)[0], p):
+                current = forward_code(sp, record[0])
+                assert howell_form(residue_matrix(record[0], sp.flat_moduli[::-1])).rows == (
+                    current._reversed_howell
+                )
                 assert (word, order) == least_max_order_word(current)
                 windows += 1
         assert windows >= 100
@@ -426,107 +450,100 @@ class TestSmallestFullPrefix:
         for code in exhaustive_corpus:
             sp, offsets = code.space, code.space.offsets()
             for p in FiniteAbelianGroup(sp.flat_moduli).primes():
-                rows, columns = _primary_rows(code, p)
+                state, columns = _primary_state(code, p)
                 moduli = tuple(q for q, _ in columns)
                 part = space(*sp.split(moduli))
-                while rows:
-                    record = _entry(rows, moduli[::-1])
+                record, kept = state.record(), {}
+                while record[0]:
                     with monkeypatch.context() as patch:
                         patch.setattr(codes_module._PrefixTable, "__init__", no_table)
-                        n, exponent = _smallest_full_prefix(record, moduli, offsets)
-                        word, order = _max_order_in_smallest_window(record, moduli, offsets, p)
-                    current = forward_code(part, rows)
+                        orders = _row_orders(record, moduli, kept)
+                        n, exponent = _smallest_full_prefix(record, orders, moduli, offsets)
+                        word, order = _max_order_in_smallest_window(
+                            record, orders, moduli, offsets, p
+                        )
+                    current = forward_code(part, record[0])
+                    assert orders == tuple(vector_order(row, moduli[::-1]) for row in record[0])
                     assert n == prefix_code_search(current)
                     assert order == exponent == exponent_of(current)
                     assert current.space.support(word)[1] <= n
                     visits["whole" if n == current.space.horizon else "inside"] += 1
-                    rows = _peel_complement(rows, moduli, word, order)
+                    _peel_complement(state, record, moduli, word, order)
+                    record = state.record()
         assert visits["inside"] > 100 and visits["whole"] > 100
 
-    def test_each_peel_step_makes_one_complement_kernel_and_one_window_record(
-        self, monkeypatch
-    ):
+    def test_each_peel_step_takes_no_howell_form_and_one_window_record(self, monkeypatch):
         # Over banded 2- and 3-groups of horizon 6 the searched window sits
-        # anywhere.  Each peel step pushes the window's rows into one Howell
-        # state and reads its record once, finishing none, and reads its
-        # complement off one
-        # vanishing-head kernel of [chi(r) | r]; each character graph's
-        # solution and kernel come from one Howell form of it; no prefix
-        # table and no code is built before the verification.
+        # anywhere.  Each p-part is one Howell state, seeded by one push
+        # and read by one record per step; each peel step replaces the
+        # rows its character meets in that state (one push) and pushes the
+        # window's rows into one state of its own, read once.  No Howell
+        # form and no finish is taken inside the peel, and no prefix table
+        # and no code is built before the verification.
+        import sys
+
         import groupcodes.codes as codes_module
         import groupcodes.linalg as linalg_module
         import groupcodes.structure as module
 
         rng = random.Random(1709)
-        counts = {
-            "steps": 0, "pushes": 0, "records": 0, "finishes": 0, "complements": 0, "codes": 0,
-            "graph forms": 0,
-        }
-        graphs = {}  # id -> graph, kept alive so that no id is reused
-        phase = {"verify": False}
+        counts = Counter()
+        phase = {"peel": False, "search": False}
 
         class CountedState:
-            def __init__(self, state):
-                self.state = state
+            def __init__(self, state, kind):
+                self.state, self.kind = state, kind
+                counts[kind + " states"] += 1
 
             def push(self, rows):
-                counts["pushes"] += 1
+                counts[self.kind + " pushes"] += 1
                 self.state.push(rows)
 
+            def replace(self, columns, rows):
+                counts[self.kind + " pushes"] += 1
+                self.state.replace(columns, rows)
+
             def record(self):
-                counts["records"] += 1
+                counts[self.kind + " records"] += 1
                 return self.state.record()
 
-            def finish(self):
-                counts["finishes"] += 1
-                return self.state.finish()
-
         def counted_state(moduli, _state=module._howell_state):
-            return CountedState(_state(moduli))
-
-        def counted_graph(*args, _graph=module.homomorphism_graph):
-            graph = _graph(*args)
-            graphs[id(graph)] = graph
-            return graph
-
-        def counted_kernel(matrix, head, _kernel=module.head_kernel):
-            if id(matrix) not in graphs:
-                counts["complements"] += 1
-            return _kernel(matrix, head)
-
-        def counted_howell(matrix, _howell=linalg_module.howell_form):
-            counts["graph forms"] += id(matrix) in graphs
-            return _howell(matrix)
+            return CountedState(_state(moduli), "window" if phase["search"] else "part")
 
         def counted_search(*args, _search=module._max_order_in_smallest_window):
             counts["steps"] += 1
-            return _search(*args)
+            phase["search"] = True
+            try:
+                return _search(*args)
+            finally:
+                phase["search"] = False
+
+        def counted_peel(code, _peel=module._peel):
+            counts["parts"] += len(FiniteAbelianGroup(code.space.flat_moduli).primes())
+            phase["peel"] = True
+            try:
+                return _peel(code)
+            finally:
+                phase["peel"] = False
+
+        def counted_howell(matrix, _howell=linalg_module.howell_form):
+            counts["howell forms"] += phase["peel"]
+            return _howell(matrix)
 
         def no_table(self, *args):
             raise AssertionError("a prefix table in the decomposition")
 
-        def counted_code(*args, _init=BlockCode.__post_init__):
-            counts["codes"] += not phase["verify"]
-            _init(*args)
-
-        def counted_from_howell(cls, *args, _build=BlockCode.from_howell.__func__):
-            counts["codes"] += not phase["verify"]
-            return _build(cls, *args)
-
-        def marked_verify(*args, _verify=module.verify_decomposition):
-            phase["verify"] = True
-            try:
-                return _verify(*args)
-            finally:
-                phase["verify"] = False
+        def no_code(*args):
+            raise AssertionError("a code built in the peel")
 
         monkeypatch.setattr(module, "_howell_state", counted_state)
-        monkeypatch.setattr(module, "homomorphism_graph", counted_graph)
-        monkeypatch.setattr(module, "head_kernel", counted_kernel)
-        monkeypatch.setattr(linalg_module, "howell_form", counted_howell)
         monkeypatch.setattr(module, "_max_order_in_smallest_window", counted_search)
-        monkeypatch.setattr(module, "verify_decomposition", marked_verify)
-        monkeypatch.setattr(codes_module._PrefixTable, "__init__", no_table)
+        monkeypatch.setattr(module, "_peel", counted_peel)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("groupcodes") and getattr(mod, "howell_form", None) is (
+                linalg_module.howell_form
+            ):
+                monkeypatch.setattr(mod, "howell_form", counted_howell)
         codes = []
         for _ in range(30):
             p = rng.choice([2, 3])
@@ -539,19 +556,28 @@ class TestSmallestFullPrefix:
                      for i, m in enumerate(sp.flat_moduli)]
                 )
             codes.append(code_from_generators(sp, gens))
-        monkeypatch.setattr(BlockCode, "__post_init__", counted_code)
-        monkeypatch.setattr(BlockCode, "from_howell", classmethod(counted_from_howell))
+        for state in (linalg_module._HowellSingle, linalg_module._HowellPacked):
+
+            def counted_finish(self, _finish=state.finish):
+                counts["finishes"] += phase["peel"]
+                return _finish(self)
+
+            monkeypatch.setattr(state, "finish", counted_finish)
+        monkeypatch.setattr(codes_module._PrefixTable, "__init__", no_table)
         generators = 0
         for code in codes:
-            decomposition = cyclic_product_decomposition(code)
-            assert decomposition.order_product == code.cardinality
-            generators += len(decomposition.generators)
+            with monkeypatch.context() as patch:
+                patch.setattr(BlockCode, "__post_init__", no_code)
+                patch.setattr(BlockCode, "from_howell", no_code)
+                gens = module._peel(code)
+            assert module._verified(code, gens).order_product == code.cardinality
+            generators += len(gens)
         assert counts["steps"] == generators > 30
-        assert counts["pushes"] == counts["records"] == counts["steps"]
-        assert counts["finishes"] == 0
-        assert counts["complements"] == counts["steps"]
-        assert counts["graph forms"] == len(graphs) >= counts["steps"]
-        assert counts["codes"] == 0
+        assert counts["howell forms"] == counts["finishes"] == 0
+        assert counts["part states"] == counts["parts"] == len(codes)
+        assert counts["part pushes"] == counts["part records"] == counts["parts"] + counts["steps"]
+        assert counts["window states"] == counts["steps"]
+        assert counts["window pushes"] == counts["window records"] == counts["steps"]
 
 
 class TestVerifyDecomposition:
@@ -691,26 +717,6 @@ def meet_directness(code, words):
     return tuple(out)
 
 
-def meet_peel_complement(current, word, order):
-    """The complement as the meet of ``current`` with the annihilator of
-    the same canonical splitting character."""
-    moduli = current.space.flat_moduli
-    L = lcm(*moduli)
-    for prefix in range(1, len(moduli) + 1):
-        if vector_order(word[:prefix], moduli[:prefix]) != order:
-            continue
-        images = [[(e * (L // m)) % L] for e, m in zip(word[:prefix], moduli[:prefix])]
-        graph = homomorphism_graph(images, moduli[:prefix], (L,))
-        chi_head = head_solve(graph, 1, (L // order,))
-        if chi_head is None:
-            continue
-        chi_head = coset_reduce(head_kernel(graph, 1), chi_head)
-        chi = tuple(chi_head) + tuple(0 for _ in moduli[prefix:])
-        chi_perp = annihilator_rows(residue_matrix([chi], moduli))
-        return intersect(current, BlockCode.from_howell(current.space, chi_perp.rows))
-    raise AssertionError("no splitting character")
-
-
 def decomposition_of(space, words):
     moduli = space.flat_moduli
     return Decomposition(
@@ -755,8 +761,11 @@ def stepwise_certificate(code, decomposition, monkeypatch):
     step read off the span of its own generator prefix."""
     import groupcodes.structure as module
 
+    def stepwise(space, words, orders):
+        return stepwise_directness(space, words)
+
     with monkeypatch.context() as patch:
-        patch.setattr(module, "_directness", stepwise_directness)
+        patch.setattr(module, "_directness", stepwise)
         return verify_decomposition(code, decomposition)[1]
 
 
@@ -929,6 +938,152 @@ class TestCodePeelTwin:
         assert_peels_like_codes(data.draw(mixed_codes(menu=menu)))
 
 
+def band_block_code(n, modulus, tap):
+    """The band code of every in-window shift of ``tap`` over n symbols
+    Z/``modulus``."""
+    return shifted_taps([modulus] * n, [tap])
+
+
+BAND_TAPS = {8: (7, 1, 6), 9: (8, 1, 5), 6: (5, 1, 4)}
+
+
+def peel_characters(code):
+    """(word, moduli, order, chi) of every splitting character the peel of
+    ``code`` solves for."""
+    import groupcodes.structure as module
+
+    original, seen = module._splitting_character, []
+
+    def recorded(word, moduli, order):
+        chi = original(word, moduli, order)
+        seen.append((tuple(word), moduli, order, chi))
+        return chi
+
+    module._splitting_character = recorded
+    try:
+        cyclic_product_decomposition(code)
+    finally:
+        module._splitting_character = original
+    return seen
+
+
+class TestSplittingCharacterTwin:
+    """``structure._splitting_character``, the greedy closed form, against
+    ``kernel_references.graph_splitting_character``, the graph route: a
+    ``head_solve`` of the character graph reduced by ``coset_reduce``."""
+
+    @staticmethod
+    def assert_peel_characters(code):
+        steps = peel_characters(code)
+        for word, moduli, order, chi in steps:
+            assert chi == graph_splitting_character(word, moduli, order)
+        return len(steps)
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        assert sum(map(self.assert_peel_characters, exhaustive_corpus)) > 100
+
+    def test_mixed_corpus(self, mixed_corpus):
+        assert sum(map(self.assert_peel_characters, mixed_corpus)) > 40
+
+    @pytest.mark.parametrize(
+        "menu", [(8,), (9,), (27,), (6, 12, 36)], ids=["Z8", "Z9", "Z27", "mixed"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_peels_over_menus(self, menu, data):
+        self.assert_peel_characters(data.draw(mixed_codes(menu=menu)))
+
+    @pytest.mark.parametrize(
+        "menu",
+        [(1, 2, 4, 8), (1, 3, 9), (1, 3, 9, 27), (1, 6, 12, 36)],
+        ids=["Z8", "Z9", "Z27", "mixed"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_any_word(self, menu, data):
+        # Every nonzero word with its own order, in or out of a peel: the
+        # shortest full-order prefix and the least character on it.
+        from groupcodes.structure import _splitting_character
+
+        moduli = tuple(data.draw(st.lists(st.sampled_from(menu), min_size=1, max_size=6)))
+        word = tuple(data.draw(st.integers(0, m - 1)) for m in moduli)
+        order = vector_order(word, moduli)
+        chi = _splitting_character(word, moduli, order)
+        assert chi == graph_splitting_character(word, moduli, order)
+        L = lcm(*moduli)
+        assert sum(c * e * (L // m) for c, e, m in zip(chi, word, moduli)) % L == L // order % L
+        # A claimed order above the word's leaves no character.
+        for p in (2, 3):
+            if L % (order * p) == 0:
+                with pytest.raises(DecompositionError, match="no splitting character"):
+                    _splitting_character(word, moduli, order * p)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("modulus", sorted(BAND_TAPS))
+    def test_band_codes_peel_like_codes(self, modulus, n):
+        code = band_block_code(n, modulus, BAND_TAPS[modulus])
+        steps = self.assert_peel_characters(code)
+        assert steps == len(cyclic_product_decomposition(code).generators) >= n - 2
+        assert_peels_like_codes(code)
+
+
+def peel_pushes(code, monkeypatch):
+    """(steps, rows): the peel steps of ``code`` and the rows they push
+    into the states of its primary parts."""
+    import groupcodes.linalg as linalg_module
+    import groupcodes.structure as module
+
+    counts, depth = Counter(), [0]
+
+    def counted_step(*args, _step=module._peel_complement):
+        counts["steps"] += 1
+        depth[0] += 1
+        try:
+            return _step(*args)
+        finally:
+            depth[0] -= 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_peel_complement", counted_step)
+        for state in (linalg_module._HowellSingle, linalg_module._HowellPacked):
+
+            def counted_push(self, rows, _push=state.push):
+                rows = list(rows)
+                counts["rows"] += len(rows) if depth[0] else 0
+                return _push(self, rows)
+
+            patch.setattr(state, "push", counted_push)
+        cyclic_product_decomposition(code)
+    return counts["steps"], counts["rows"]
+
+
+class TestPeelGrowth:
+    """A growth gate on the peel: the rows each step pushes into its
+    part's state (the rows its splitting character meets, their kernel and
+    the rows between them), pinned exactly on the Z/8, Z/9 and Z/6 band
+    codes at N = 16, 32 and 64.  Per doubling of N they must grow less
+    than ×2.5, so the work per step stays about constant, where a step
+    that re-forms the whole complement pushes every remaining row, about
+    ×4.  The README states the bound."""
+
+    PUSHED = {
+        8: {16: (14, 16), 32: (30, 32), 64: (62, 64)},
+        9: {16: (14, 67), 32: (30, 119), 64: (62, 287)},
+        6: {16: (28, 53), 32: (60, 117), 64: (124, 245)},
+    }
+
+    @pytest.mark.parametrize("modulus", sorted(PUSHED))
+    def test_rows_pushed_grow_linearly(self, modulus, monkeypatch):
+        pinned = self.PUSHED[modulus]
+        pushed = {
+            n: peel_pushes(band_block_code(n, modulus, BAND_TAPS[modulus]), monkeypatch)
+            for n in pinned
+        }
+        assert pushed == pinned
+        for n in (16, 32):
+            assert pushed[2 * n][1] < 2.5 * pushed[n][1]
+
+
 class TestPeelComplementByKernel:
     @given(st.data())
     @settings(max_examples=120, deadline=None, derandomize=True)
@@ -944,19 +1099,44 @@ class TestPeelComplementByKernel:
             )
         )
         current = code_from_generators(sp, gens)
-        rows = current._reversed_howell
-        while rows:
-            record = _entry(rows, sp.flat_moduli[::-1])
-            word, order = _max_order_in_smallest_window(record, sp.flat_moduli, sp.offsets(), p)
-            complement_rows = _peel_complement(rows, sp.flat_moduli, word, order)
-            complement = forward_code(sp, complement_rows)
-            # The kernel's tails are the complement's reversed Howell form.
-            assert complement_rows == complement._reversed_howell
+        state, moduli = _primary_state(current, p)[0], sp.flat_moduli
+        record, kept = state.record(), {}
+        while record[0]:
+            assert forward_code(sp, record[0]) == current
+            orders = _row_orders(record, moduli, kept)
+            word, order = _max_order_in_smallest_window(record, orders, moduli, sp.offsets(), p)
+            _peel_complement(state, record, moduli, word, order)
+            record = complement_record = state.record()
+            complement = forward_code(sp, complement_record[0])
+            # The state holds a weak Howell form of the complement, whose
+            # finished form is the complement's reversed Howell form.
+            assert_weak_howell(complement_record, sp.flat_moduli[::-1])
+            assert howell_form(
+                residue_matrix(complement_record[0], sp.flat_moduli[::-1])
+            ).rows == complement._reversed_howell
             assert complement.basis == meet_peel_complement(current, word, order).basis
             cyclic = code_from_generators(sp, [word])
             assert complement.cardinality * order == current.cardinality
+            assert complement_record[2][-1] * order == current.cardinality
             assert join(complement, cyclic) == current
-            current, rows = complement, complement_rows
+            current = complement
+
+
+    @pytest.mark.parametrize(
+        "moduli, gens",
+        [
+            ((8, 8, 4, 2, 2, 8), [(0, 0, 2, 1, 0, 6), (6, 6, 0, 0, 0, 0), (3, 6, 1, 0, 1, 0)]),
+            ((8, 4, 4, 8, 4, 4), [(7, 0, 0, 0, 3, 2), (6, 1, 0, 0, 0, 0), (0, 0, 1, 5, 0, 0)]),
+        ],
+    )
+    def test_rows_between_the_split_rows_are_pushed_again(self, moduli, gens):
+        # On these codes a step that drops only the rows its character
+        # meets, and keeps the rows between them, leaves a record without
+        # the Howell property; every record here must have it.
+        sp = space(*[(m,) for m in moduli])
+        code = code_from_generators(sp, gens)
+        steps = [word for _, word, _ in peel_steps(sp, _primary_state(code, 2)[0], 2)]
+        assert tuple(steps) == tuple(g.word for g in cyclic_product_decomposition(code).generators)
 
 
 BLOCK_SPECS = sorted(
@@ -1046,16 +1226,17 @@ class TestPrimaryColumns:
             moduli_seen.update(moduli)
             words = iter(g.word for g in cyclic_product_decomposition(code).generators)
             for p in FiniteAbelianGroup(moduli).primes():
-                rows, columns = _primary_rows(code, p)
+                state, columns = _primary_state(code, p)
                 reference, comps = reference_primary_code(code, p)
-                part = forward_code(reference.space, rows)
+                record = state.record()
+                part = forward_code(reference.space, record[0])
                 assert part == reference
-                assert rows == reference._reversed_howell
+                assert_weak_howell(record, reference.space.flat_moduli[::-1])
                 for word in part.words():
                     embedded = tuple(e * u % m for e, (_, u), m in zip(word, columns, moduli))
                     assert embedded == reference_embed(word, part.space, comps, code.space)
                 # The peeled generators, embedded the old way.
-                for _, word, _ in peel_steps(reference.space, rows, p):
+                for _, word, _ in peel_steps(reference.space, state, p):
                     assert next(words) == reference_embed(word, part.space, comps, code.space)
             assert next(words, None) is None
         assert {1, 6, 9, 12} <= moduli_seen
