@@ -24,16 +24,16 @@ a cut on, so a caller can also shrink a span start by start, and
 proves the Howell property kept (the peel's complement).  Only rows
 compared or printed are finished, by ``howell_form``, which pushes all
 rows at once and finishes, under the one Howell cache ``_howell_cached``.
-``_howell_state`` picks the state from the moduli alone.  When every
-modulus is a power of 2 up to 8 (1 included), ``_HowellPacked`` holds
-each row as one int with one byte per column, column 0 most significant,
-and eliminates with shifts, one multiply and a mask per row operation.
-A byte holds the 2K + 1 = 7 bits that x + c·y needs for x, y < 2^K = 8
-and c <= 2^K, so no field carries into the next.  Every other moduli
-tuple, odd, mixed-prime or a power of 2 above 8, goes through
-``_HowellSingle``, which is also the reference the packed state is
-tested against.  The Howell form is unique, so both finish with the
-same rows.
+``_HowellState`` holds ``record``, ``trim`` and ``replace`` once; a
+kernel adds its elimination loop, its ``finish`` and a row codec, and
+``_howell_state`` picks it from the moduli.  When every modulus is a
+power of 2 up to 8 (1 included), ``_HowellPacked`` holds each row as one
+int, one byte per column, and eliminates with shifts, one multiply and a
+mask per row operation: a byte holds the 2K + 1 = 7 bits that x + c·y
+needs for x, y < 2^K = 8 and c <= 2^K, so no field carries into the
+next.  Every other moduli tuple goes through ``_HowellSingle``, the
+reference the packed kernel is tested against; the Howell form is
+unique, so both finish with the same rows.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isqrt, lcm
 from operator import floordiv, mod, mul
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
 
@@ -253,11 +253,72 @@ def _first_nonzero(row: Sequence[int], start: int = 0) -> int:
     return -1
 
 
-class _HowellSingle:
-    """A Howell kernel state over ``moduli``, in residue coordinates: rows
-    are pushed in any number of batches, and ``finish`` gives the Howell
-    canonical basis of the span of every row pushed so far (``record``
-    its weak Howell form).
+class _HowellState:
+    """A Howell kernel state: rows are pushed in any number of batches,
+    and ``finish`` gives the Howell form of every row pushed so far,
+    ``record`` its weak Howell form.  ``pivots`` maps each pivot column j
+    to its pivot row, in the subclass's representation, and ``kept`` maps
+    j to that row, its record row and its order.  A pivot row is
+    replaced, never changed in place, so ``kept`` holds for every row
+    that the pushes since the last record left alone.
+
+    A subclass supplies its elimination loop (``push``), ``finish`` and
+    a row codec: ``_scaled(j, row)``, the record row and order of the
+    pivot row at j, and ``_cut(row, cut)``, the row zeroed before
+    ``cut``, as ``push`` takes it.
+    """
+
+    __slots__ = ("pivots", "kept")
+    pivots: dict[int, Any]  # j -> pivot row
+    kept: dict[int, tuple[Any, Vector, int]]  # j -> (row, record row, order)
+
+    def record(self) -> Entry:
+        """The weak Howell form of the rows pushed so far as an ``Entry``:
+        the scaled pivot rows (``_scaled``), nothing reduced above a pivot;
+        the state is left as it was.  A row that the pushes since the last
+        record left alone is the same object in ``pivots``, and its record
+        row is the same tuple object as in that record: only replaced rows
+        are scaled again."""
+        pivots, kept = self.pivots, self.kept
+        columns = sorted(pivots)
+        rows, orders = [], []
+        for j in columns:
+            row, seen = pivots[j], kept.get(j)
+            if seen is None or seen[0] is not row:
+                seen = kept[j] = (row, *self._scaled(j, row))
+            rows.append(seen[1])
+            orders.append(seen[2])
+        return tuple(rows), tuple(columns), tuple(accumulate(orders, mul, initial=1))
+
+    def trim(self, cut: int) -> bool:
+        """Project the span onto the columns from ``cut`` on: drop each
+        pivot row with pivot before ``cut`` and push it again with those
+        entries zeroed; whether any row was dropped.  The rows kept span
+        the words of the span that vanish before ``cut`` and keep the
+        Howell property among themselves, so the push restores it for the
+        projection; a kept row that the push leaves alone is the same
+        object as before, and keeps its record row."""
+        dropped = [j for j in self.pivots if j < cut]
+        self.replace(dropped, [self._cut(self.pivots[j], cut) for j in dropped])
+        return bool(dropped)
+
+    def replace(self, columns: Iterable[int], rows: Iterable[Vector]) -> None:
+        """Drop the pivot rows at ``columns`` and push ``rows``.  The caller
+        proves the Howell property of the result, as
+        ``structure._peel_complement`` does: the state keeps it when the
+        rows kept after the dropped ones keep it among themselves, the
+        pushed rows vanish before the first column dropped, and each kept
+        row before it has the multiple that clears its pivot in the new
+        span of the rows after it."""
+        for j in columns:
+            del self.pivots[j]
+            self.kept.pop(j, None)
+        self.push(rows)
+
+
+class _HowellSingle(_HowellState):
+    """The Howell kernel state over any ``moduli``, in residue
+    coordinates, each pivot row a list.
 
     Every row operation is reduced modulo each column's own modulus.  Rows
     that share a pivot column j vanish before j, so each operation touches
@@ -266,13 +327,11 @@ class _HowellSingle:
     pushes, and a later push goes on from them.
     """
 
-    __slots__ = ("moduli", "top", "pivots", "kept")
+    __slots__ = ("moduli", "top")
 
     def __init__(self, moduli: Vector) -> None:
-        self.moduli = moduli
+        self.pivots, self.kept, self.moduli = {}, {}, moduli
         self.top = lcm(*moduli) if moduli else 1
-        self.pivots: dict[int, list[int]] = {}
-        self.kept: dict[int, tuple[list[int], Vector, int]] = {}  # j -> (row, record row, order)
 
     def push(self, rows: Iterable[Vector]) -> None:
         """Eliminate reduced ``rows`` into the pivot rows."""
@@ -311,83 +370,40 @@ class _HowellSingle:
                     push_annihilator(new_r, j)
                 j = _first_nonzero(v, j)
 
-    def _scaled(self, j: int) -> list[int]:
-        """A copy of the pivot row at column j, its pivot p scaled to the
-        divisor d = gcd(p, m_j) by u = (p/d)^-1 modulo c = m_j/d.  u need
-        not be a unit of the other columns: it is prime to c, and c·row
-        (its pivot cleared) lies in the span of the later rows, so u·row
-        and c·row span row, and the rows from each pivot on keep their
-        span."""
-        moduli, row = self.moduli, self.pivots[j]
+    def _scaled(self, j: int, row: list[int]) -> tuple[Vector, int]:
+        """``row``, the pivot row at column j, with its pivot p scaled to
+        the divisor d = gcd(p, m_j) by u = (p/d)^-1 modulo c = m_j/d, and
+        its order c.  u need not be a unit of the other columns: it is
+        prime to c, and c·row (its pivot cleared) lies in the span of the
+        later rows, so u·row and c·row span row, and the rows from each
+        pivot on keep their span."""
+        moduli = self.moduli
         d = gcd(row[j], moduli[j])
-        u = pow(row[j] // d, -1, moduli[j] // d)
-        if u == 1:
-            return row[:]
-        return row[:j] + [(u * e) % m for e, m in zip(row[j:], moduli[j:])]
+        c = moduli[j] // d
+        u = pow(row[j] // d, -1, c)
+        if u != 1:
+            row = row[:j] + [(u * e) % m for e, m in zip(row[j:], moduli[j:])]
+        return tuple(row), c
 
-    def record(self) -> Entry:
-        """The weak Howell form of the rows pushed so far as an ``Entry``:
-        the scaled pivot rows (``_scaled``), nothing reduced above a pivot;
-        the state is left as it was.  A pivot row is replaced, never
-        changed in place, so a row that the pushes since the last record
-        left alone is the same list object, and its record row is the
-        same tuple object as in that record: only replaced rows are
-        scaled again."""
-        moduli, pivots, kept = self.moduli, self.pivots, self.kept
-        columns = sorted(pivots)
-        rows, orders = [], []
-        for j in columns:
-            seen = kept.get(j)
-            if seen is None or seen[0] is not pivots[j]:
-                scaled = tuple(self._scaled(j))
-                seen = kept[j] = (pivots[j], scaled, moduli[j] // scaled[j])
-            rows.append(seen[1])
-            orders.append(seen[2])
-        return tuple(rows), tuple(columns), tuple(accumulate(orders, mul, initial=1))
-
-    def trim(self, cut: int) -> bool:
-        """Project the span onto the columns from ``cut`` on: drop each
-        pivot row with pivot before ``cut`` and push it again with those
-        entries zeroed; whether any row was dropped.  The rows kept span
-        the words of the span that vanish before ``cut`` and keep the
-        Howell property among themselves, so the push restores it for the
-        projection; a kept row that the push leaves alone is the same list
-        object as before, and keeps its record row."""
-        pivots, kept = self.pivots, self.kept
-        head, dropped = [0] * cut, [j for j in pivots if j < cut]
-        for j in dropped:
-            kept.pop(j, None)
-        self.push([head + pivots.pop(j)[cut:] for j in dropped])
-        return bool(dropped)
-
-    def replace(self, columns: Iterable[int], rows: Iterable[Vector]) -> None:
-        """Drop the pivot rows at ``columns`` and push ``rows``.  The caller
-        proves the Howell property of the result, as
-        ``structure._peel_complement`` does: the state keeps it when the
-        rows kept after the dropped ones keep it among themselves, the
-        pushed rows vanish before the first column dropped, and each kept
-        row before it has the multiple that clears its pivot in the new
-        span of the rows after it."""
-        for j in columns:
-            del self.pivots[j]
-            self.kept.pop(j, None)
-        self.push(rows)
+    @staticmethod
+    def _cut(row: list[int], cut: int) -> list[int]:
+        return [0] * cut + row[cut:]
 
     def finish(self) -> list[Vector]:
         """The Howell form of the rows pushed so far: the scaled rows
         (``_scaled``), each entry above a pivot d reduced into [0, d)."""
-        moduli = self.moduli
-        order = sorted(self.pivots)
-        basis = [self._scaled(j) for j in order]
+        moduli, pivots = self.moduli, self.pivots
+        order = sorted(pivots)
+        basis = [self._scaled(j, pivots[j])[0] for j in order]
         for idx, j in enumerate(order):
-            pivot_row = basis[idx]
-            d, tail = pivot_row[j], pivot_row[j:]
+            d, tail = basis[idx][j], basis[idx][j:]
             for above in range(idx):
-                q = basis[above][j] // d
+                row = basis[above]
+                q = row[j] // d
                 if q:
-                    row = basis[above]
-                    row[j:] = [(x - q * y) % m for x, y, m in zip(row[j:], tail, moduli[j:])]
-        return [tuple(row) for row in basis]
+                    tail_above = [(x - q * y) % m for x, y, m in zip(row[j:], tail, moduli[j:])]
+                    basis[above] = row[:j] + tuple(tail_above)
+        return basis
 
 
 # The moduli of the packed kernel: powers of 2 up to 2^K = 8, so a field
@@ -406,52 +422,39 @@ def _packed_layout(moduli: Vector) -> tuple[int, int, int]:
     return len(moduli), mask, max(moduli, default=1)
 
 
-class _HowellPacked:
-    """``_HowellSingle`` for moduli that are all powers of 2 up to 8, on
-    rows packed into one int each (``_packed_layout``), with the same
-    ``push``, ``record`` and ``finish``.
+class _HowellPacked(_HowellState):
+    """The Howell kernel state for moduli that are all powers of 2 up to
+    8, each pivot row packed into one int (``_packed_layout``).
 
     Column j is the byte 8(n - 1 - j) bits up, so a row's pivot column is
     read off its ``bit_length``, and a row vanishing before column j holds
     its entry there as ``row >> shift``.  Every field stays reduced between
     steps, and x + c·y with x, y < 2^K and c <= 2^K is below 2^(2K) < 2^8,
     so ``(x + c*y) & mask`` is a row operation with each column reduced
-    modulo its own m_j | 2^K, and no field carries into the next.  Every
-    odd x has x·x = 1 modulo 8, hence modulo every m_j: each odd unit is
-    its own inverse.  ``finish`` gives the unique Howell form, so it equals
-    ``_HowellSingle``'s output row for row, and ``record`` and ``trim``
-    read and change the same span.
+    modulo its own m_j | 2^K, and no field carries into the next; over
+    GF(2) it is an xor.  Every odd x has x·x = 1 modulo 8, hence modulo
+    every m_j: each odd unit is its own inverse.  ``finish`` gives the
+    unique Howell form, so it equals ``_HowellSingle``'s output row for
+    row.
     """
 
-    __slots__ = ("width", "mask", "top", "pivots", "kept")
+    __slots__ = ("moduli", "width", "mask", "top")
 
     def __init__(self, moduli: Vector) -> None:
+        self.pivots, self.kept, self.moduli = {}, {}, moduli
         self.width, self.mask, self.top = _packed_layout(moduli)
-        self.pivots: dict[int, int] = {}  # bytes from the pivot column on -> row
-        self.kept: dict[int, tuple[int, Vector, int]] = {}  # k -> (row, record row, order)
 
     def push(self, rows: Iterable[Vector]) -> None:
         """Eliminate reduced ``rows`` into the pivot rows."""
-        mask, top, pivots = self.mask, self.top, self.pivots
+        moduli, width, mask, top = self.moduli, self.width, self.mask, self.top
+        pivots = self.pivots
         stack = [v for v in (int.from_bytes(bytes(row), "big") for row in rows) if v]
-        if top == 2:
-            # Over GF(2) (and Z/1 columns) a step is an xor, every pivot is 1
-            # and 2·row vanishes, so no annihilator row is pushed.
-            for v in stack:
-                while v:
-                    k = (v.bit_length() + 7) >> 3
-                    r = pivots.get(k)
-                    if r is None:
-                        pivots[k] = v
-                        break
-                    v ^= r
-            return
         while stack:
             v = stack.pop()
             while v:
                 k = (v.bit_length() + 7) >> 3
-                shift = 8 * k - 8
-                r = pivots.get(k)
+                shift, j = 8 * k - 8, width - k
+                r = pivots.get(j)
                 b = v >> shift
                 low_b = b & -b
                 if r is not None:
@@ -464,9 +467,10 @@ class _HowellPacked:
                         continue
                 # v becomes the pivot: a new column, or an entry of lower
                 # 2-adic valuation, which divides the other's.  Its
-                # annihilator row (m_j / 2^v(b))·v clears the pivot.
-                pivots[k] = v
-                c = (((mask >> shift) & 0xFF) + 1) // low_b
+                # annihilator row (m_j / 2^v(b))·v clears the pivot; over
+                # GF(2), c = 2 = top and none is pushed.
+                pivots[j] = v
+                c = moduli[j] // low_b
                 if c != top:
                     w = (c * v) & mask
                     if w:
@@ -477,16 +481,30 @@ class _HowellPacked:
                 q = (a // low_b) * (b // low_b) & (top - 1)
                 v = (r + (top - q) * v) & mask
 
+    def _scaled(self, j: int, row: int) -> tuple[Vector, int]:
+        """``row``, the pivot row at column j, with its pivot p (its byte
+        there) scaled to its 2-adic part p & -p = gcd(p, m_j), as
+        p < m_j | 2^K, by the odd p / (p & -p), its own inverse, unpacked;
+        and its order m_j / (p & -p)."""
+        shift = 8 * (self.width - j) - 8
+        p = row >> shift
+        low = p & -p
+        scaled = ((p // low) * row) & self.mask if p != low else row
+        return tuple(scaled.to_bytes(self.width, "big")), self.moduli[j] // low
+
+    def _cut(self, row: int, cut: int) -> bytes:
+        return (row & ((1 << 8 * (self.width - cut)) - 1)).to_bytes(self.width, "big")
+
     def finish(self) -> list[Vector]:
         """The Howell form of the rows pushed so far; the pivot rows are
         ints, so the state is left as it was.  Scale each pivot p = 2^v·u
-        to 2^v by u (its own inverse), as ``record`` does, and reduce the
+        to 2^v by u (its own inverse), as ``_scaled`` does, and reduce the
         entries above each pivot into [0, pivot) in the same pass, as
         ``_HowellSingle.finish`` does."""
-        mask, top, pivots = self.mask, self.top, self.pivots
+        width, mask, top, pivots = self.width, self.mask, self.top, self.pivots
         basis: list[int] = []
-        for k in sorted(pivots, reverse=True):
-            row, shift = pivots[k], 8 * k - 8
+        for j in sorted(pivots):
+            row, shift = pivots[j], 8 * (width - j) - 8
             p = row >> shift
             low = p & -p
             if p != low:
@@ -496,54 +514,10 @@ class _HowellPacked:
                 if q:
                     basis[above] = (prior + (top - q) * row) & mask
             basis.append(row)
-        return [tuple(row.to_bytes(self.width, "big")) for row in basis]
-
-    def record(self) -> Entry:
-        """``_HowellSingle.record`` on packed rows: the pivot of the row kept
-        at k is its byte ``row >> 8(k - 1)``, in column width - k, scaled
-        to its 2-adic part p & -p = gcd(p, m_j), as p < m_j | 2^K, by the
-        odd p / (p & -p), its own inverse.  A row that the pushes since the
-        last record left alone is the same int, and its record row the
-        same tuple object: only replaced rows are unpacked again."""
-        width, mask, pivots, kept = self.width, self.mask, self.pivots, self.kept
-        keys = sorted(pivots, reverse=True)
-        rows, orders = [], []
-        for k in keys:
-            row, seen = pivots[k], kept.get(k)
-            if seen is None or seen[0] is not row:
-                shift = 8 * k - 8
-                p = row >> shift
-                low = p & -p
-                scaled = ((p // low) * row) & mask if p != low else row
-                order = (((mask >> shift) & 0xFF) + 1) // low
-                seen = kept[k] = (row, tuple(scaled.to_bytes(width, "big")), order)
-            rows.append(seen[1])
-            orders.append(seen[2])
-        products = tuple(accumulate(orders, mul, initial=1))
-        return tuple(rows), tuple(width - k for k in keys), products
-
-    def trim(self, cut: int) -> bool:
-        """``_HowellSingle.trim`` on packed rows: the rows with pivot before
-        column ``cut`` are the keys above width - cut, and a mask keeps
-        their bytes from ``cut`` on.  They go back through ``push`` as
-        bytes, so its loop is the one every push runs."""
-        width, pivots, kept = self.width, self.pivots, self.kept
-        low, dropped = (1 << 8 * (width - cut)) - 1, [k for k in pivots if k > width - cut]
-        for k in dropped:
-            kept.pop(k, None)
-        self.push([(pivots.pop(k) & low).to_bytes(width, "big") for k in dropped])
-        return bool(dropped)
-
-    def replace(self, columns: Iterable[int], rows: Iterable[Vector]) -> None:
-        """``_HowellSingle.replace`` on packed rows: column j is key
-        width - j."""
-        for j in columns:
-            del self.pivots[self.width - j]
-            self.kept.pop(self.width - j, None)
-        self.push(rows)
+        return [tuple(row.to_bytes(width, "big")) for row in basis]
 
 
-def _howell_state(moduli: Vector) -> _HowellSingle | _HowellPacked:
+def _howell_state(moduli: Vector) -> _HowellState:
     """An empty Howell kernel state over ``moduli``: the packed kernel when
     every modulus is a power of 2 up to 8, the residue-coordinate kernel
     otherwise; both finish with the same Howell form.  The finish is taken
@@ -680,38 +654,28 @@ def _head_rows(matrix: ResidueMatrix, head: int) -> tuple[ResidueMatrix, int]:
     return canon, i
 
 
-def _head_tails(canon: ResidueMatrix, i: int, head: int) -> ResidueMatrix:
-    """The tails of the vanishing-head rows ``canon.rows[i:]``: the
-    canonical basis of {t : (0 | t) in the span}, since pivots, their
-    normalization and the reduction above them and the Howell property all
-    carry over to the tail columns."""
+def head_kernel(matrix: ResidueMatrix, head: int) -> ResidueMatrix:
+    """Howell basis of {t : (0 | t) in span(matrix)}, the head ``head``
+    wide: the tails of the Howell rows whose head vanishes, since pivots,
+    their normalization and the reduction above them and the Howell
+    property all carry over to the tail columns."""
+    canon, i = _head_rows(matrix, head)
     return _trusted(canon.moduli[head:], tuple(row[head:] for row in canon.rows[i:]))
 
 
-def _head_solution(
-    canon: ResidueMatrix, i: int, head: int, target: Sequence[int]
+def head_solve(
+    matrix: ResidueMatrix, head: int, target: Sequence[int]
 ) -> Optional[Vector]:
-    """A tail t with (target | t) in the span of the Howell form ``canon``,
-    or None: (target | 0) reduced by its first ``i`` rows, the rows with
-    pivot in the head, whose pivot columns alone are found."""
+    """A tail t with (target | t) in span(matrix), or None: (target | 0)
+    reduced by the Howell rows with pivot in the head, whose pivot
+    columns alone are found."""
+    canon, i = _head_rows(matrix, head)
     rows = canon.rows[:i]
     augmented = _reduced(target, canon.moduli[:head]) + (0,) * (canon.width - head)
     remainder = _reduce_vector(rows, tuple(map(_first_nonzero, rows)), canon.moduli, augmented)
     if any(remainder[:head]):
         return None
     return tuple((-e) % m for e, m in zip(remainder[head:], canon.moduli[head:]))
-
-
-def head_kernel(matrix: ResidueMatrix, head: int) -> ResidueMatrix:
-    """Howell basis of {t : (0 | t) in span(matrix)}, the head ``head`` wide."""
-    return _head_tails(*_head_rows(matrix, head), head)
-
-
-def head_solve(
-    matrix: ResidueMatrix, head: int, target: Sequence[int]
-) -> Optional[Vector]:
-    """A tail t with (target | t) in span(matrix), or None."""
-    return _head_solution(*_head_rows(matrix, head), head, target)
 
 
 def homomorphism_graph(

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable
 
@@ -37,8 +38,13 @@ class EnumeratedCode:
     words: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
 
+    @cached_property
+    def _members(self) -> frozenset[tuple[int, ...]]:
+        """The words as a set, built once per enumeration."""
+        return frozenset(self.words)
+
     def __contains__(self, word) -> bool:
-        return tuple(word) in set(self.words)
+        return tuple(word) in self._members
 
 
 def _closure(generators, moduli, bound):
@@ -142,7 +148,7 @@ def brute_order_profile(enum: EnumeratedCode):
     """Minimal order-split bounds by the triple loop."""
     horizon = len(enum.offsets) - 1
     moduli = enum.moduli
-    words = set(enum.words)
+    words = enum._members
 
     def truncated_order(word, n):
         sl = slice(0, enum.offsets[n])
@@ -182,7 +188,7 @@ def brute_control_profile(enum: EnumeratedCode):
     lengths = []
     for k in range(horizon):
         L = 0
-        while set(brute_reachable_set(enum, k, L)) != set(enum.words):
+        while set(brute_reachable_set(enum, k, L)) != enum._members:
             L += 1
         lengths.append(L)
     return tuple(lengths)
@@ -192,7 +198,7 @@ def brute_verify_decomposition(enum: EnumeratedCode, generators) -> bool:
     """Directness and cardinality by counting the closure of the factors."""
     moduli = enum.moduli
     for word, order in generators:
-        if tuple(word) not in set(enum.words):
+        if word not in enum:
             return False
         if _word_order(word, moduli) != order:
             return False

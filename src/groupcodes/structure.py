@@ -21,8 +21,7 @@ from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
     Entry,
     Vector,
-    _HowellPacked,
-    _HowellSingle,
+    _HowellState,
     _howell_state,
     vector_order,
 )
@@ -201,9 +200,7 @@ def _verified(code: BlockCode, gens: list[DecompositionGenerator]) -> Decomposit
     return Decomposition(code.space, tuple(gens), cert)
 
 
-def _primary_state(
-    code: BlockCode, p: int
-) -> tuple[_HowellSingle | _HowellPacked, list[tuple[int, int]]]:
+def _primary_state(code: BlockCode, p: int) -> tuple[_HowellState, list[tuple[int, int]]]:
     """A Howell kernel state holding the column-reversed rows of the
     code's p-primary part, over the reversed p-parts of its moduli, with
     the ``primary_part`` pair (q, u) of each column: a row enters as
@@ -351,7 +348,7 @@ def _splitting_character(word: Sequence[int], moduli: Vector, order: int) -> Vec
 
 
 def _peel_complement(
-    state: _HowellSingle | _HowellPacked,
+    state: _HowellState,
     record: Entry,
     moduli: Vector,
     word: Sequence[int],

@@ -21,6 +21,7 @@ from groupcodes.linalg import (
     _first_nonzero,
     _HowellPacked,
     _HowellSingle,
+    _howell_state,
     _primes,
     _reduce_vector,
     _trusted,
@@ -959,7 +960,6 @@ class TestPushFinish:
     @staticmethod
     def check(state, rows, moduli, cuts):
         bounds = [0, *sorted(cuts), len(rows)]
-        single = isinstance(state, _HowellSingle)
         last = {}
         for lo, hi in zip(bounds, bounds[1:]):
             kept = dict(state.pivots)
@@ -979,8 +979,7 @@ class TestPushFinish:
             cold.pivots = dict(state.pivots)
             assert cold.record() == record
             rows_at = dict(zip(record[1], record[0]))
-            for key in alone:
-                column = key if single else state.width - key
+            for column in alone:
                 assert rows_at[column] is last[column]
             last = rows_at
 
@@ -1007,8 +1006,7 @@ class TestPushFinish:
         rng = random.Random(2503)
         for moduli in ((4, 2, 8, 4), (8, 8, 8), (2, 2, 2, 2, 2), (9, 3, 6), (4, 6, 12)):
             rows = [tuple(rng.randrange(m) for m in moduli) for _ in range(8)]
-            state = (_HowellPacked if _PACKED_MODULI.issuperset(moduli) else _HowellSingle)(moduli)
-            self.check(state, rows, moduli, range(len(rows)))
+            self.check(_howell_state(moduli), rows, moduli, range(len(rows)))
 
 
 class TestTrim:
@@ -1021,20 +1019,18 @@ class TestTrim:
 
     @staticmethod
     def check(state, rows, moduli, cuts):
-        single = isinstance(state, _HowellSingle)
         state.push(rows)
         for cut in sorted(cuts):
             before = state.record()
-            column = {key: key if single else state.width - key for key in state.pivots}
-            kept = {key: row for key, row in state.pivots.items() if column[key] >= cut}
-            assert state.trim(cut) == (len(kept) < len(column))
+            kept = {column: row for column, row in state.pivots.items() if column >= cut}
+            assert state.trim(cut) == (len(kept) < len(before[1]))
             zeroed = [(0,) * cut + row[cut:] for row in rows]
             record = state.record()
             assert_weak_howell(record, howell_form(residue_matrix(zeroed, moduli)).rows, moduli)
             earlier, later = dict(zip(before[1], before[0])), dict(zip(record[1], record[0]))
-            for key, row in kept.items():
-                if state.pivots.get(key) is row:
-                    assert later[column[key]] is earlier[column[key]]
+            for column, row in kept.items():
+                if state.pivots.get(column) is row:
+                    assert later[column] is earlier[column]
 
     @given(two_power_matrices(max_width=12, max_rows=12), st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1069,7 +1069,7 @@ class TestPeelGrowth:
     PUSHED = {
         8: {16: (14, 16), 32: (30, 32), 64: (62, 64)},
         9: {16: (14, 67), 32: (30, 119), 64: (62, 287)},
-        6: {16: (28, 53), 32: (60, 117), 64: (124, 245)},
+        6: {16: (28, 40), 32: (60, 88), 64: (124, 184)},
     }
 
     @pytest.mark.parametrize("modulus", sorted(PUSHED))
