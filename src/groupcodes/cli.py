@@ -366,6 +366,9 @@ def _cmd_oracle(args) -> Report:
             (f"window [0,{n})", window_code(conv, n))
             for n in range(1, min(conv.analysis_horizon, 4) + 1)
         ]
+    # One code above the bound refuses the report before any check runs.
+    for _, code in codes:
+        oracle.check_bound(code, args.bound)
     all_ok = True
     lines = ["oracle cross-check report"]
     for label, code in codes:
@@ -382,12 +385,11 @@ def _cmd_oracle(args) -> Report:
 
 
 def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool | None]]:
-    """(name, agrees) per check, after refusing a code above the bound;
-    None for a check over the whole ambient space, skipped above it.  The
-    code is enumerated once, and every brute-force twin reads that list.
-    An engine subgroup agrees with a brute list of distinct words when it
-    has as many words and contains each, so no engine side is listed."""
-    oracle.check_bound(code, bound)
+    """(name, agrees) per check of a code within the bound; None for a
+    check over the whole ambient space, skipped above it.  The code is
+    enumerated once, and every brute-force twin reads that list.  An engine
+    subgroup agrees with a brute list of distinct words when it has as many
+    words and contains each, so no engine side is listed."""
     enum = oracle.enumerate_code(code, bound)
     N = code.space.horizon
 

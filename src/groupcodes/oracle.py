@@ -1,9 +1,17 @@
 """Brute-force ground truth by exhaustive enumeration.
 
-Every predicate here is a direct transcription of its definition as loops
-over enumerated elements.  The only machinery shared with the main path is
-element arithmetic; no canonical forms are used, so agreement between the
-two implementations is meaningful evidence.
+Every predicate here is a direct transcription of its definition over
+enumerated elements, in integer arithmetic.  The only machinery shared with
+the main path is element arithmetic; no canonical or Howell form is built,
+so agreement between the two implementations is meaningful evidence.
+
+Each twin reads its definition in one pass over the words: a reachable set
+hashes the tails of the words vanishing before its start, an order split
+(l, n) keeps the least order per head of the words on [0, n), and the
+annihilator pairs each character with every word, the weights L/m_j
+folded into the words once.  The order profile relies on the enumeration
+being closed under subtraction: for any codewords c and c1, c - c1 is a
+codeword, so it is never looked up.
 
 The enumeration bound defaults to ``DEFAULT_BOUND`` = 2**20; every entry
 point takes ``bound=`` to change it.
@@ -12,11 +20,10 @@ point takes ``bound=`` to change it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable
 
 from .codes import BlockCode
@@ -79,49 +86,35 @@ def enumerate_code(code: BlockCode, bound: int = DEFAULT_BOUND) -> EnumeratedCod
     return EnumeratedCode(moduli, words, code.space.offsets())
 
 
-def _supported_in(word, offsets, a, b):
-    horizon = len(offsets) - 1
-    return all(
-        not any(word[offsets[i] : offsets[i + 1]])
-        for i in range(horizon)
-        if i < a or i >= b
-    )
-
-
 def _word_order(word, moduli):
-    orders = [m // gcd(m, e) for e, m in zip(word, moduli)]
-    return lcm(*orders) if orders else 1
-
-
-def _pairs_to_zero(x, chi, moduli):
-    total = Fraction(0)
-    for a, b, m in zip(x, chi, moduli):
-        total += Fraction(a * b, m)
-    return total % 1 == 0
+    return lcm(*(m // gcd(m, e) for e, m in zip(word, moduli)))
 
 
 def _ambient_words(moduli, bound):
-    total = 1
-    for m in moduli:
-        total *= m
+    total = prod(moduli)
     if total > bound:
         raise OracleBoundExceeded(f"ambient of {total} exceeds bound {bound}")
     return itertools.product(*[range(m) for m in moduli])
 
 
+def _first(holds, candidates, what):
+    """The first candidate that holds.  Each search below ends at a
+    candidate that holds by definition, so running out is a fault."""
+    for candidate in candidates:
+        if holds(candidate):
+            return candidate
+    raise AssertionError(f"no {what} holds up to the horizon")
+
+
 def brute_reachable_set(enum: EnumeratedCode, k: int, L: int):
-    """C_k(L) by the double loop over (c, w)."""
+    """C_k(L): the words whose tail from offset(min(k+L, N)) is the tail of
+    a word vanishing before offset(k); one pass to hash those tails, one to
+    keep the words."""
     horizon = len(enum.offsets) - 1
-    out = []
-    for c in enum.words:
-        for w in enum.words:
-            if not _supported_in(w, enum.offsets, k, horizon):
-                continue
-            sl = slice(enum.offsets[min(k + L, horizon)], None)
-            if w[sl] == c[sl]:
-                out.append(c)
-                break
-    return tuple(out)
+    head = enum.offsets[k]
+    tail = enum.offsets[min(k + L, horizon)]
+    tails = {w[tail:] for w in enum.words if not any(w[:head])}
+    return tuple(c for c in enum.words if c[tail:] in tails)
 
 
 def brute_consistency_set(enum: EnumeratedCode, k: int, L: int, bound: int):
@@ -136,62 +129,68 @@ def brute_consistency_set(enum: EnumeratedCode, k: int, L: int, bound: int):
 
 
 def brute_annihilator(enum: EnumeratedCode, bound: int):
-    """All characters orthogonal to every codeword."""
+    """All characters chi that pair to zero with every codeword x:
+    sum_j x_j chi_j / m_j is 0 in Q/Z, that is sum_j x_j chi_j (L/m_j) = 0
+    mod L with L = lcm(m_j).  The weights L/m_j are folded into the words
+    once."""
+    L = lcm(*enum.moduli)
+    weighted = [[e * (L // m) for e, m in zip(x, enum.moduli)] for x in enum.words]
     return tuple(
         chi
         for chi in _ambient_words(enum.moduli, bound)
-        if all(_pairs_to_zero(x, chi, enum.moduli) for x in enum.words)
+        if all(sum(map(mul, x, chi)) % L == 0 for x in weighted)
     )
 
 
 def brute_order_profile(enum: EnumeratedCode):
-    """Minimal order-split bounds by the triple loop."""
-    horizon = len(enum.offsets) - 1
-    moduli = enum.moduli
-    words = enum._members
+    """The least n(l) >= l such that every c is c1 + c2 with c1 on [0, n),
+    c2 on [l, N) and order(c1) at most the order of c on [0, n).
 
-    def truncated_order(word, n):
-        sl = slice(0, enum.offsets[n])
-        orders = [m // gcd(m, e) for e, m in zip(word[sl], moduli[sl])]
-        return lcm(*orders) if orders else 1
+    c2 = c - c1 is a codeword for every c1, since the enumeration is closed
+    under subtraction, and it lies on [l, N) exactly when c1 agrees with c
+    before offset(l).  So (l, n) splits every c when, per head (the entries
+    before offset(l)), the least order of a word vanishing from offset(n)
+    on is at most the order of c on [0, n): one pass over the words keeps
+    those least orders, and one compares them with each c."""
+    offsets, moduli, words = enum.offsets, enum.moduli, enum.words
+    horizon = len(offsets) - 1
+    symbols = [slice(offsets[i], offsets[i + 1]) for i in range(horizon)]
+    # orders[w][n] is the order of w on [0, offset(n)); w lies on
+    # [0, ends[w]) and on no shorter prefix.
+    orders = [
+        list(itertools.accumulate((_word_order(w[s], moduli[s]) for s in symbols), lcm, initial=1))
+        for w in words
+    ]
+    ends = [max((i + 1 for i, s in enumerate(symbols) if any(w[s])), default=0) for w in words]
 
-    bounds = []
-    for l in range(horizon + 1):
-        n = l
-        while True:
-            good = True
-            for c in enum.words:
-                found = False
-                for c1 in enum.words:
-                    if not _supported_in(c1, enum.offsets, 0, n):
-                        continue
-                    c2 = tuple((a - b) % m for a, b, m in zip(c, c1, moduli))
-                    if c2 not in words:
-                        continue
-                    if not _supported_in(c2, enum.offsets, l, horizon):
-                        continue
-                    if _word_order(c1, moduli) <= truncated_order(c, n):
-                        found = True
-                        break
-                if not found:
-                    good = False
-                    break
-            if good:
-                bounds.append(n)
-                break
-            n += 1
-    return tuple(bounds)
+    def splits(l, n):
+        cut = offsets[l]
+        least = {}
+        for c1, end, order in zip(words, ends, orders):
+            if end <= n:
+                head = c1[:cut]
+                least[head] = min(order[n], least.get(head, order[n]))
+        return all(
+            c[:cut] in least and least[c[:cut]] <= order[n] for c, order in zip(words, orders)
+        )
+
+    return tuple(
+        _first(lambda n: splits(l, n), range(l, horizon + 1), "order split")
+        for l in range(horizon + 1)
+    )
 
 
 def brute_control_profile(enum: EnumeratedCode):
+    """The least L with C_k(L) = C, per k; C_k(N - k) = C, so L <= N - k."""
     horizon = len(enum.offsets) - 1
-    lengths = []
-    for k in range(horizon):
-        L = 0
-        while set(brute_reachable_set(enum, k, L)) != enum._members:
-            L += 1
-        lengths.append(L)
-    return tuple(lengths)
+    return tuple(
+        _first(
+            lambda L: set(brute_reachable_set(enum, k, L)) == enum._members,
+            range(horizon - k + 1),
+            "control length",
+        )
+        for k in range(horizon)
+    )
 
 
 def brute_verify_decomposition(enum: EnumeratedCode, generators) -> bool:
@@ -202,74 +201,55 @@ def brute_verify_decomposition(enum: EnumeratedCode, generators) -> bool:
             return False
         if _word_order(word, moduli) != order:
             return False
-    total = 1
-    for _, order in generators:
-        total *= order
+    total = prod(order for _, order in generators)
     span = _closure([w for w, _ in generators], moduli, len(enum.words) + 1)
     return len(span) == total == len(enum.words)
+
+
+def _exact_log(x, p):
+    """The e with x = p**e, by exact division."""
+    e, rest = 0, x
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    if rest != 1:
+        raise AssertionError(f"{x} is not a power of {p}")
+    return e
 
 
 def brute_smith_invariants(enum: EnumeratedCode):
     """Isomorphism type from the order statistics of the element list.
 
-    The count of elements killed by d equals the product of gcd(d, d_i), so
-    the per-prime layer sizes determine the invariant factors.
+    For a prime p, log_p of the count of words killed by p^i rises by the
+    number of cyclic p-factors of order at least p^i, and stops rising at
+    the p-part's exponent; those rises are the conjugate of the p-part's
+    partition.
     """
-    moduli = enum.moduli
-    size = len(enum.words)
-    if size == 1:
-        return ()
-    exponent = 1
-    for w in enum.words:
-        o = _word_order(w, moduli)
-        exponent = lcm(exponent, o)
-    primes = []
-    n = size
-    d = 2
-    while d * d <= n:
+    moduli, words = enum.moduli, enum.words
+    primes, n, d = [], len(words), 2
+    while n > 1:
+        if d * d > n:
+            d = n
         if n % d == 0:
             primes.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        primes.append(n)
     partitions = {}
     for p in primes:
-        p_exponent = 1
-        while exponent % (p_exponent * p) == 0:
-            p_exponent *= p
-        layers = []
-        power = 1
-        while True:
-            power *= p
-            killed = sum(
-                1
-                for w in enum.words
-                if all((power * e) % m == 0 for e, m in zip(w, moduli))
-            )
-            layers.append(killed)
-            if power % p_exponent == 0:
+        logs = [0]
+        for power in (p**i for i in itertools.count(1)):
+            killed = sum(all(power * e % m == 0 for e, m in zip(w, moduli)) for w in words)
+            logs.append(_exact_log(killed, p))
+            if logs[-1] == logs[-2]:
                 break
-        # layers[i] = p ** sum(min(i+1, lam_k)); recover the partition.
-        logs = [round(math.log(x, p)) for x in layers]
-        logs = [0] + logs
-        counts = [logs[i + 1] - logs[i] for i in range(len(logs) - 1)]
-        parts = []
-        for i, c in enumerate(counts):
-            nxt = counts[i + 1] if i + 1 < len(counts) else 0
-            for _ in range(c - nxt):
-                parts.append(i + 1)
-        partitions[p] = sorted(parts, reverse=True)
-    depth = max(len(v) for v in partitions.values())
-    factors = []
-    for i in range(depth):
-        f = 1
-        for p, parts in partitions.items():
-            if i < len(parts):
-                f *= p ** parts[i]
-        factors.append(f)
-    return tuple(sorted(factors))
+        rises = [b - a for a, b in zip(logs, logs[1:])]
+        partitions[p] = [sum(r > j for r in rises) for j in range(rises[0])]
+    depth = max((len(parts) for parts in partitions.values()), default=0)
+    return tuple(sorted(
+        prod(p ** parts[j] for p, parts in partitions.items() if j < len(parts))
+        for j in range(depth)
+    ))
 
 
 _PREDICATES: dict[str, Callable] = {

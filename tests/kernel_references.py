@@ -75,6 +75,14 @@
   the columns its caller holds), and ``pivot_record``: a Howell form's
   pivot columns and running pivot-order products by a scan of its own,
   as ``BlockCode`` found them before ``linalg._entry``.
+* ``pairwise_reachable_set``, ``fraction_annihilator`` and
+  ``triple_loop_order_profile``: the oracle's reachable set, annihilator
+  and order profile by the routes ``groupcodes.oracle`` took before each
+  was one pass over the words: the reachable set by the double loop over
+  (c, w), the annihilator pairing each character with the words until one
+  fails, summing ``Fraction``s, and the order profile by the triple loop
+  over (n, c, c1), each c2 = c - c1 looked up in the word set (its search
+  over n is bounded by N here).
 * ``spans_equal``: span equality by Howell forms, which no analysis asks.
 * ``solve_congruence_system``: one solution of y · A = b with the kernel,
   which no analysis asks either.
@@ -84,8 +92,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -126,6 +135,7 @@ from groupcodes.linalg import (
     vector_order,
 )
 from groupcodes.observe import WindowDualityCheck
+from groupcodes.oracle import EnumeratedCode, _ambient_words, _word_order
 from groupcodes.structure import Decomposition, DecompositionGenerator
 
 
@@ -691,6 +701,85 @@ class ReferenceWindows:
             previous = current
         status = "unknown-beyond-horizon" if index is None else "stabilized"
         return StrongControllabilityVerdict(status, index, N)
+
+
+def _supported_in(word, offsets, a, b):
+    horizon = len(offsets) - 1
+    return all(
+        not any(word[offsets[i] : offsets[i + 1]])
+        for i in range(horizon)
+        if i < a or i >= b
+    )
+
+
+def pairwise_reachable_set(enum: EnumeratedCode, k: int, L: int):
+    """C_k(L) by the double loop over (c, w)."""
+    horizon = len(enum.offsets) - 1
+    out = []
+    for c in enum.words:
+        for w in enum.words:
+            if not _supported_in(w, enum.offsets, k, horizon):
+                continue
+            sl = slice(enum.offsets[min(k + L, horizon)], None)
+            if w[sl] == c[sl]:
+                out.append(c)
+                break
+    return tuple(out)
+
+
+def _fraction_pairs_to_zero(x, chi, moduli):
+    total = Fraction(0)
+    for a, b, m in zip(x, chi, moduli):
+        total += Fraction(a * b, m)
+    return total % 1 == 0
+
+
+def fraction_annihilator(enum: EnumeratedCode, bound: int):
+    """All characters orthogonal to every codeword."""
+    return tuple(
+        chi
+        for chi in _ambient_words(enum.moduli, bound)
+        if all(_fraction_pairs_to_zero(x, chi, enum.moduli) for x in enum.words)
+    )
+
+
+def triple_loop_order_profile(enum: EnumeratedCode):
+    """Minimal order-split bounds by the triple loop."""
+    horizon = len(enum.offsets) - 1
+    moduli = enum.moduli
+    words = enum._members
+
+    def truncated_order(word, n):
+        sl = slice(0, enum.offsets[n])
+        orders = [m // gcd(m, e) for e, m in zip(word[sl], moduli[sl])]
+        return lcm(*orders) if orders else 1
+
+    bounds = []
+    for l in range(horizon + 1):
+        for n in range(l, horizon + 1):
+            good = True
+            for c in enum.words:
+                found = False
+                for c1 in enum.words:
+                    if not _supported_in(c1, enum.offsets, 0, n):
+                        continue
+                    c2 = tuple((a - b) % m for a, b, m in zip(c, c1, moduli))
+                    if c2 not in words:
+                        continue
+                    if not _supported_in(c2, enum.offsets, l, horizon):
+                        continue
+                    if _word_order(c1, moduli) <= truncated_order(c, n):
+                        found = True
+                        break
+                if not found:
+                    good = False
+                    break
+            if good:
+                bounds.append(n)
+                break
+        else:
+            raise AssertionError(f"no order split at l = {l}")
+    return tuple(bounds)
 
 
 def spans_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:

@@ -473,6 +473,23 @@ class TestOracle:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: span exceeds the oracle bound 1048576\n"
 
+    def test_every_window_is_bounded_before_any_is_checked(self, tmp_path, monkeypatch):
+        # Window [0,2) has exactly 2**20 words and [0,3) has 2**30: the
+        # spec exits 2 before the first window is enumerated.
+        import groupcodes.oracle
+
+        spec = tmp_path / "wide_image.spec"
+        spec.write_text(
+            "kind: convolutional\nsymbol: [1024,512]\nform: image\n"
+            "tap: 3,1 2,0 1,1 0,2 5,3 7,1\n",
+            encoding="utf-8",
+        )
+        calls = []
+        monkeypatch.setattr(groupcodes.oracle, "enumerate_code", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli("oracle", str(spec))
+        assert (code, out, calls) == (2, "", [])
+        assert err == "error: span exceeds the oracle bound 1048576\n"
+
     def test_checks_above_the_bound_are_reported_skipped(self, even_weight_spec):
         # The ambient space has 8 words; the checks that enumerate it say
         # so instead of vanishing, and a skip does not change the verdict.
