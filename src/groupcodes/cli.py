@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import oracle
@@ -25,7 +26,7 @@ from .control import control_profile, order_profile, reachable_set
 from .convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
-    _code_window,
+    _read,
     dual_convolutional,
     strong_controllability_index,
     verify_window_duality,
@@ -106,7 +107,7 @@ def _analyze_convolutional(conv: ConvolutionalCode) -> dict:
     strong = strong_controllability_index(conv)
     windows = {}
     for n in range(1, min(conv.analysis_horizon, REPORT_WINDOWS) + 1):
-        windows[str(n)] = _code_window(conv, n)[1]
+        windows[str(n)] = _read(conv, "code", n)[1]
     return {
         "kind": "convolutional",
         "symbol": list(conv.symbol.moduli),
@@ -389,7 +390,8 @@ def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool | None]]
     check over the whole ambient space, skipped above it.  The code is
     enumerated once, and every brute-force twin reads that list.  An engine
     subgroup agrees with a brute list of distinct words when it has as many
-    words and contains each, so no engine side is listed."""
+    words and contains each, so no engine side is listed; a consistency set
+    is tested through its window (``_consistency_agrees``)."""
     enum = oracle.enumerate_code(code, bound)
     N = code.space.horizon
 
@@ -404,7 +406,11 @@ def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool | None]]
     checks = [("reachable sets", reachable)]
     if code.space.cardinality <= bound:
         consistent = all(
-            agrees(consistency_set(code, k, L), oracle.brute_consistency_set(enum, k, L, bound))
+            _consistency_agrees(
+                consistency_set(code, k, L),
+                oracle.brute_consistency_set(enum, k, L, bound),
+                code.space.flat_slice(k, min(k + L + 1, N)),
+            )
             for k in range(N)
             for L in range(N + 1)
         )
@@ -424,6 +430,22 @@ def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool | None]]
     except DecompositionError:
         checks.append(("decomposition verification", False))
     return checks
+
+
+def _consistency_agrees(engine: BlockCode, brute: Sequence, window: slice) -> bool:
+    """Whether a consistency set E, free outside the flat columns
+    ``window``, is the brute list B of distinct words: |E| = |B|, and E
+    holds every unit word outside the window (modulus above 1) and each
+    word of B with its entries there zeroed, tested once per distinct
+    window part.  With those units in E, a word lies in E exactly when its
+    zeroed form does, and B holds them (the zero codeword's window part is
+    allowed), so this is B ⊆ E, the verdict of testing every word of B."""
+    moduli = engine.basis.moduli
+    width, lo, hi = len(moduli), window.start, window.stop
+    outside = (j for j, m in enumerate(moduli) if m > 1 and not lo <= j < hi)
+    units = ((0,) * j + (1,) + (0,) * (width - 1 - j) for j in outside)
+    zeroed = ((0,) * lo + part + (0,) * (width - hi) for part in {w[window] for w in brute})
+    return engine.cardinality == len(brute) and all(map(engine.contains, chain(units, zeroed)))
 
 
 # name: (handler, help, --format choices with the default first)

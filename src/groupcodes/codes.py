@@ -13,7 +13,7 @@ import itertools
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
 from .linalg import (
@@ -314,7 +314,8 @@ class _PrefixTable(_Sweep):
     words are spanned by a suffix of the reversed rows: the rows whose last
     nonzero column (in the space's own order) lies before offset(b).  As b
     grows, C ∩ [0, b) takes in the rows whose last nonzero lies in block
-    b - 1.  There are two reads:
+    b - 1, a slice of the reversed rows between the suffixes of ends b and
+    b - 1 (``_step``).  There are three reads:
 
     * ``vanishing(b)`` (one-sided): those rows re-reversed and cut to
       [0, b), with their span's order, a quotient of running products of
@@ -325,10 +326,14 @@ class _PrefixTable(_Sweep):
     * ``entry(b)`` (two-sided): a weak Howell form of C ∩ [0, b) with its
       pivot columns and running pivot-order products, the unfinished
       ``record`` of one Howell kernel state that takes the rows end by end
-      (``_end_batches``), so the table is filled by one sweep (``_Sweep``)
-      and no entry is finished, up to b = N.
+      (``_step``), so the table is filled by one sweep (``_Sweep``) and no
+      entry is finished, up to b = N.
+    * ``order(a, b)``: |C ∩ [a, b)| off entry b's pivot columns and
+      products, with no row sliced: the words of C ∩ [0, b) that vanish
+      before a are spanned by the entry's rows with pivot at or after
+      offset(a).
 
-    Callers pass ends within the horizon; the window functions check.
+    Callers pass windows within the horizon; the window functions check.
     """
 
     def __init__(self, space: SequenceSpace, reversed_rows: tuple[Vector, ...]) -> None:
@@ -337,20 +342,26 @@ class _PrefixTable(_Sweep):
         _, self.columns, self.products = _entry(reversed_rows, moduli)
         self.entries: list[Entry] = [((), (), (1,))]  # entries[b], filled in order
         self.state = _howell_state(space.flat_moduli)
-        self.batches = _end_batches(space.offsets(), self.columns)
 
     def vanishing(self, b: int) -> tuple[tuple[Vector, ...], int]:
-        """Spanning rows and order of C ∩ [0, b), cut to [0, b): the rows
-        from i on, the end rule's i at b (``_end_batches``)."""
+        """Spanning rows and order of C ∩ [0, b), cut to [0, b): the
+        reversed rows from the first with pivot at or after
+        width - offset(b)."""
         offsets = self.space.offsets()
         head = offsets[-1] - offsets[b]
         i = bisect_left(self.columns, head)
         rows = tuple(row[head:][::-1] for row in self.reversed_rows[i:])
         return rows, self.products[-1] // self.products[i]
 
+    def order(self, a: int, b: int) -> int:
+        """|C ∩ [a, b)|, off entry b (``_order``)."""
+        return _order(self.entry(b), self.space.offsets()[a])
+
     def _step(self, b: int) -> bool:
-        # End b takes in the reversed rows [i, j) (``_end_batches``).
-        i, j = next(self.batches)
+        # End b takes in the reversed rows [i, j): those spanning C ∩ [0, b)
+        # (as ``vanishing`` bisects them) that C ∩ [0, b - 1) leaves out.
+        offsets = self.space.offsets()
+        i, j = (bisect_left(self.columns, offsets[-1] - offsets[e]) for e in (b, b - 1))
         if i == j:
             return False
         self.state.push(row[::-1] for row in self.reversed_rows[i:j])
@@ -386,37 +397,6 @@ class _SuffixTable(_Sweep):
         return self.state.trim(self.offsets[a])
 
 
-def _end_batches(offsets: Sequence[int], columns: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The end rule of a prefix sweep over the column-reversed Howell rows
-    of C, with pivot columns ``columns``, in a space with flat offsets
-    ``offsets``: for each end b = 1..N, the slice [i, j) of the reversed
-    rows that C ∩ [0, b) takes in beyond C ∩ [0, b - 1).  C ∩ [0, b) is
-    spanned by the rows from i = bisect_left(columns, width - offset(b))
-    on (``_PrefixTable``); i falls as b grows, and j is the i of the end
-    before, or the row count at b = 1."""
-    taken = len(columns)
-    for offset in offsets[1:]:
-        i = bisect_left(columns, offsets[-1] - offset)
-        yield i, taken
-        taken = i
-
-
-def _swept_orders(
-    space: SequenceSpace, reversed_rows: tuple[Vector, ...]
-) -> Callable[[int, int], int]:
-    """|C ∩ [a, b)| as ``control._gap_lengths`` reads it, C the subgroup of
-    ``space`` with column-reversed Howell rows ``reversed_rows``: read as
-    ``_internal`` reads a code's, off a prefix table with no owner; only
-    the entry's pivot columns and products are read, no row is sliced."""
-    table, offsets = _PrefixTable(space, reversed_rows), space.offsets()
-
-    def order(a: int, b: int) -> int:
-        _, columns, products = table.entry(b)
-        return products[-1] // products[bisect_left(columns, offsets[a])]
-
-    return order
-
-
 def code_from_generators(
     space: SequenceSpace, generators: Iterable[Sequence[int]]
 ) -> BlockCode:
@@ -448,7 +428,7 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
     return BlockCode.from_howell(a.space, stack(a.basis, b.basis).rows)
 
 
-# The window readers.  Each reads the rows and order of one window off a
+# The window readers.  Each reads the rows or order of one window off a
 # record of one of the code's two tables, C ∩ [0, b) (``_prefix``) and
 # proj_[a,N) C (``_suffix``), with no code built and no window checked:
 # their callers pass windows of the code's horizon.  The five public
@@ -460,19 +440,19 @@ def join(a: BlockCode, b: BlockCode) -> BlockCode:
 # hold their rows and pivot columns in the space's own coordinates.
 
 
-def _rows_from(record: Entry, cut: int) -> tuple[tuple[Vector, ...], int]:
-    """The rows of a pivot record with pivot at or after column ``cut``
-    (a slice of its rows) and their span's order."""
-    rows, columns, products = record
-    i = bisect_left(columns, cut)
-    return rows[i:], products[-1] // products[i]
+def _order(record: Entry, cut: int) -> int:
+    """The order of the span of a pivot record's rows with pivot at or
+    after column ``cut``, off its pivot columns and products alone."""
+    _, columns, products = record
+    return products[-1] // products[bisect_left(columns, cut)]
 
 
-def _internal(code: BlockCode, a: int, b: int) -> tuple[tuple[Vector, ...], int]:
-    """Rows and order of C ∩ [a, b): the words of the prefix C ∩ [0, b)
-    that vanish before a, spanned by the rows of its entry, a weak Howell
-    form, with pivot at or after ``offset(a)`` (``_rows_from``)."""
-    return _rows_from(code._prefix(b), code.space.offsets()[a])
+def _internal(code: BlockCode, a: int, b: int) -> tuple[Vector, ...]:
+    """Rows of C ∩ [a, b): the words of the prefix C ∩ [0, b) that vanish
+    before a, spanned by the rows of its entry, a weak Howell form, with
+    pivot at or after ``offset(a)``; ``_order`` reads their span's order."""
+    rows, columns, _ = code._prefix(b)
+    return rows[bisect_left(columns, code.space.offsets()[a]) :]
 
 
 def _rows_before(record: Entry, cut: int) -> tuple[tuple[Vector, ...], int]:
@@ -542,7 +522,7 @@ def window_annihilator(code: BlockCode, a: int, b: int) -> BlockCode:
     is ``window_internal(T, a, b)``: one kernel per code, and every
     window a read of T's prefix table."""
     code.space.check_window(a, b)
-    rows = _internal(code._local_dual, a, b)[0]
+    rows = _internal(code._local_dual, a, b)
     return BlockCode(code.space, _trusted(code.basis.moduli, rows))
 
 
@@ -550,13 +530,15 @@ def window_internal(code: BlockCode, a: int, b: int) -> BlockCode:
     """Subgroup of codewords supported inside [a, b), in the same space:
     one Howell form of the rows of ``_internal``."""
     code.space.check_window(a, b)
-    return BlockCode(code.space, _trusted(code.basis.moduli, _internal(code, a, b)[0]))
+    return BlockCode(code.space, _trusted(code.basis.moduli, _internal(code, a, b)))
 
 
 def window_order(code: BlockCode, a: int, b: int) -> int:
-    """|C ∩ [a, b)|, looked up in the window table with no code built."""
+    """|C ∩ [a, b)|, read off the record of C ∩ [0, b) (``_order``): the
+    code's own for b = N, with no prefix table, else the table's entry
+    b, as ``_PrefixTable.order`` reads it.  No code is built."""
     code.space.check_window(a, b)
-    return _internal(code, a, b)[1]
+    return _order(code._prefix(b), code.space.offsets()[a])
 
 
 def annihilator_order(code: BlockCode, a: int, b: int) -> int:

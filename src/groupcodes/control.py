@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .codes import BlockCode, _internal, join, window_internal
+from .codes import BlockCode, _internal
 from .groups import FiniteAbelianGroup
 from .linalg import _entry, _reduce_vector, _trusted, head_solve, howell_form
 
@@ -82,14 +82,17 @@ def reachable_set(code: BlockCode, k: int, L: int) -> BlockCode:
 
     Equals Z_k + {codewords supported in [0, k+L)} where Z_k is the subgroup
     of codewords vanishing on [0, k): for c = z + u the witness is z itself,
-    and conversely c minus its witness is supported inside [0, k+L).
+    and conversely c minus its witness is supported inside [0, k+L).  Built
+    as that sum, as ``controllable_subcode`` builds its own: one Howell
+    form of the rows of C ∩ [k, N) and C ∩ [0, k+L), each read off the
+    record of the prefix at its end (``codes._internal``); no window code
+    is built.
     """
     N = code.space.horizon
     if not 0 <= k < N or L < 0:
         raise ValueError(f"bad reachability parameters k={k}, L={L}")
-    suffix_supported = window_internal(code, k, N)
-    prefix_supported = window_internal(code, 0, min(k + L, N))
-    return join(suffix_supported, prefix_supported)
+    rows = _internal(code, k, N) + _internal(code, 0, min(k + L, N))
+    return BlockCode(code.space, _trusted(code.basis.moduli, rows))
 
 
 def _gap_lengths(horizon: int, order: Callable[[int, int], int]) -> tuple[int, ...]:
@@ -133,10 +136,11 @@ def _gap_lengths(horizon: int, order: Callable[[int, int], int]) -> tuple[int, .
 def control_profile(code: BlockCode) -> ControlProfile:
     """Minimal L at each position with reachable_set(code, k, L) = code.
 
-    Decided by counting (``_gap_lengths``): every order is looked up in
-    the window table (``codes._internal``); no reachable set is built.
+    Decided by counting (``_gap_lengths``): every order is read off the
+    code's prefix table (``codes._PrefixTable.order``); no reachable set is
+    built.
     """
-    return ControlProfile(_gap_lengths(code.space.horizon, lambda a, b: _internal(code, a, b)[1]))
+    return ControlProfile(_gap_lengths(code.space.horizon, code._prefixes.order))
 
 
 def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
@@ -152,7 +156,7 @@ def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
     if L < 0:
         raise ValueError(f"bad gap length L={L}")
     N = code.space.horizon
-    rows = tuple(row for k in range(N) for row in _internal(code, k, min(k + L + 1, N))[0])
+    rows = tuple(row for k in range(N) for row in _internal(code, k, min(k + L + 1, N)))
     return BlockCode(code.space, _trusted(code.basis.moduli, rows))
 
 
@@ -279,7 +283,7 @@ def _scaled_form(
     (``codes._internal``) are cut to [offset(a), offset(b)) first."""
     lo, hi = code.space.offsets()[a], code.space.offsets()[b]
     moduli = code.space.flat_moduli[lo:hi]
-    scaled = (tuple(t * e % m for e, m in zip(r[lo:hi], moduli)) for r in _internal(code, a, b)[0])
+    scaled = (tuple(t * e % m for e, m in zip(r[lo:hi], moduli)) for r in _internal(code, a, b))
     rows = tuple(row for row in scaled if any(row))
     return _entry(howell_form(_trusted(moduli, rows)).rows if rows else (), moduli)[1:]
 
@@ -328,7 +332,8 @@ def _order_splits(
     exponent needs no level.
     """
     N = code.space.horizon
-    prefix, suffix, meet = (_internal(code, a, b)[1] for a, b in ((0, n), (l, N), (l, n)))
+    order = code._prefixes.order
+    prefix, suffix, meet = order(0, n), order(l, N), order(l, n)
     if prefix * suffix != code.cardinality * meet:
         return False
     offsets = code.space.offsets()

@@ -26,10 +26,10 @@ justifies gating the strong index by the weak verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .codes import BlockCode, SequenceSpace, _cached, _PrefixTable, _projection, _swept_orders
-from .control import ControlProfile, _gap_lengths
+from .codes import BlockCode, SequenceSpace, _cached, _PrefixTable, _projection
+from .control import _gap_lengths
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
 from .linalg import Vector, _trusted, annihilator_rows, howell_form
@@ -170,13 +170,6 @@ def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     return BlockCode.from_howell(SequenceSpace((conv.symbol,) * n), _window(conv, n, ()))
 
 
-def _local_orders(conv: ConvolutionalCode, n: int) -> Callable[[int, int], int]:
-    """The window orders |C ∩ [a, b)| of the local window C = [0, n), off
-    the unfinished prefix sweep of its reversed build (``_window``,
-    ``codes._swept_orders``): no code is built and no form finished."""
-    return _swept_orders(SequenceSpace((conv.symbol,) * n), _window(conv, n, (), reverse=True))
-
-
 # Reports (``cli``) read n = 1..min(horizon, REPORT_WINDOWS); kept windows cover them.
 REPORT_WINDOWS = 6
 
@@ -255,7 +248,10 @@ _KINDS = {
 
 
 def _read(conv: ConvolutionalCode, kind: str, n: int) -> Window:
-    """The window [0, n) of a read kind, as rows and order, read off the
+    """The window [0, n) of a read kind, as rows and order: ``"code"``,
+    the window of the code; ``"finite support"``, the projection onto
+    [0, n) of its finite-support words; ``"zero extension"``, the words on
+    [0, n) whose zero extension is a finite-support codeword.  Read off the
     one window the code keeps for its terminal rows (``_settled`` gives
     them; kinds with equal ones, such as the code and finite-support
     windows of a weakly controllable kernel code, share it): a
@@ -275,27 +271,11 @@ def _read(conv: ConvolutionalCode, kind: str, n: int) -> Window:
     return window.vanishing(n) if one_sided else _projection(window, 0, n)
 
 
-def _code_window(conv: ConvolutionalCode, n: int) -> Window:
-    """The window [0, n) of the code."""
-    return _read(conv, "code", n)
-
-
-def _finite_support_window(conv: ConvolutionalCode, n: int) -> Window:
-    """The projection onto [0, n) of the code's finite-support words."""
-    return _read(conv, "finite support", n)
-
-
-def _zero_extension_window(conv: ConvolutionalCode, n: int) -> Window:
-    """The words on [0, n) whose zero extension is a finite-support
-    codeword."""
-    return _read(conv, "zero extension", n)
-
-
-def _block_window(conv: ConvolutionalCode, n: int, read) -> BlockCode:
-    """The rows a reader gives for [0, n), canonicalized as a code on
-    [0, n); the space refuses n < 1 before anything is read."""
+def _block_window(conv: ConvolutionalCode, kind: str, n: int) -> BlockCode:
+    """The rows ``_read`` gives for [0, n) in a read kind, canonicalized as
+    a code on [0, n); the space refuses n < 1 before anything is read."""
     space = SequenceSpace((conv.symbol,) * n)
-    return BlockCode(space, _trusted(space.flat_moduli, read(conv, n)[0]))
+    return BlockCode(space, _trusted(space.flat_moduli, _read(conv, kind, n)[0]))
 
 
 def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
@@ -303,19 +283,19 @@ def window_code(conv: ConvolutionalCode, n: int) -> BlockCode:
 
     Image form: span of all shift restrictions, boundary cuts included.
     Kernel form: the words on [0, n) that extend to codewords.  A thin
-    wrapper: the rows are those the analyses read (``_code_window``),
-    canonicalized as a code on [0, n).
+    wrapper: the rows are those the analyses read (``_read`` of kind
+    ``"code"``), canonicalized as a code on [0, n).
     """
-    return _block_window(conv, n, _code_window)
+    return _block_window(conv, "code", n)
 
 
 def zero_extension_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     """Words on [0, n) whose zero extension is a finite-support codeword.
 
-    A thin wrapper: the rows are those the analyses read
-    (``_zero_extension_window``), canonicalized as a code on [0, n).
+    A thin wrapper: the rows are those the analyses read (``_read`` of
+    kind ``"zero extension"``), canonicalized as a code on [0, n).
     """
-    return _block_window(conv, n, _zero_extension_window)
+    return _block_window(conv, "zero extension", n)
 
 
 @dataclass(frozen=True)
@@ -357,8 +337,8 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     if conv.form == "image":
         return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, min(N, conv.state_length) + 1):
-        full = _code_window(conv, n)[1]
-        inner = _finite_support_window(conv, n)[1]
+        full = _read(conv, "code", n)[1]
+        inner = _read(conv, "finite support", n)[1]
         if full != inner:
             return WeakControllabilityVerdict(False, N, n, full, inner)
     return WeakControllabilityVerdict(holds=True, horizon=N)
@@ -398,9 +378,10 @@ def strong_controllability_index(
     the tap-local window system is computed for growing window lengths and
     accepted once it agrees twice in a row; running out of horizon yields
     an honest unknown verdict rather than a claim.  Each window is built in
-    reversed form (``_window``), its one Howell form, and its index is
-    counted on the orders of one unfinished forward sweep of those rows
-    (``_local_orders``).
+    reversed form (``_window``), its one Howell form, and its index is the
+    largest gap length (``control._gap_lengths``) counted on the orders of
+    a prefix table of those rows (``codes._PrefixTable.order``), one
+    unfinished forward sweep: no code is built and no form finished.
     """
     weak = weak_controllability(conv)
     N = conv.analysis_horizon
@@ -410,7 +391,8 @@ def strong_controllability_index(
         )
     index = previous = None  # "agree twice": the first repeated index
     for n in range(min(max(2 * conv.memory, 2), N), N + 1):
-        current = ControlProfile(_gap_lengths(n, _local_orders(conv, n))).index
+        table = _PrefixTable(SequenceSpace((conv.symbol,) * n), _window(conv, n, (), reverse=True))
+        current = max(_gap_lengths(n, table.order))
         if current == previous:
             index = current
             break
@@ -434,9 +416,9 @@ def dual_convolutional(conv: ConvolutionalCode) -> ConvolutionalCode:
 def verify_window_duality(conv: ConvolutionalCode, n: int) -> bool:
     """Exact per-window duality, by pairing and counting: the annihilator of
     the window of the code equals the zero-extension window of the dual.
-    Both are read as rows and orders (``_code_window``,
-    ``_zero_extension_window``) and paired over the moduli of G^n."""
-    (x, x_order), (y, y_order) = _code_window(conv, n), _zero_extension_window(conv._dual, n)
+    Both are read as rows and orders (``_read``) and paired over the
+    moduli of G^n."""
+    (x, x_order), (y, y_order) = _read(conv, "code", n), _read(conv._dual, "zero extension", n)
     return is_annihilator(x, x_order, y, y_order, conv.symbol.moduli * n)
 
 
@@ -455,8 +437,8 @@ def weak_observability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     if conv.form == "kernel":
         return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, min(N, conv.state_length) + 1):
-        finite, finite_order = _zero_extension_window(conv, n)
-        dual_part, dual_order = _finite_support_window(conv._dual, n)
+        finite, finite_order = _read(conv, "zero extension", n)
+        dual_part, dual_order = _read(conv._dual, "finite support", n)
         if not is_annihilator(
             finite, finite_order, dual_part, dual_order, conv.symbol.moduli * n
         ):

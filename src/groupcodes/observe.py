@@ -27,7 +27,7 @@ from .codes import (
     _cached,
     _annihilator_order,
     _canonical_projection,
-    _swept_orders,
+    _PrefixTable,
     invariant_factors_of_code,
 )
 from .control import _gap_lengths, control_profile, controllable_subcode
@@ -131,11 +131,11 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     tried, the later positions sit at the index, where their conditions
     already hold, so the least length at k is the least L whose end
     max(B_{k-1}, min(k + L + 1, N)) meets the condition at k.  Each order
-    is read once, off the suffix records; no sum or kernel is built.
+    is a lookup in the suffix records; no sum or kernel is built.
     """
     N = code.space.horizon
     index = _observe_index(code)
-    order = functools.cache(functools.partial(_annihilator_order, code))
+    order = functools.partial(_annihilator_order, code)
 
     def holds(k: int, end: int) -> bool:
         return order(k, end) * order(k + 1, N) == order(k, N) * order(k + 1, end)
@@ -455,13 +455,14 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     that table against the dual's suffix records.
 
     The code's control index comes from ``control_profile`` (C's prefix
-    table); the dual's is counted on one unfinished sweep of D's reversed
-    rows (``codes._swept_orders``), a table that D does not keep.  The code's
-    observe index is counted on its own suffix records (``_observe_index``)
-    and the dual's is the first matched supercode equal to the dual.  So
-    each side of ``indices_match`` is a separate computation: C's control
-    index counts orders where D's observe index sums rows, and C's observe
-    index reads no table of D, where D's control index reads D's rows.
+    table); the dual's is counted on the orders of a prefix table of D's
+    reversed rows that D does not keep (``codes._PrefixTable.order``).  The
+    code's observe index is counted on its own suffix records
+    (``_observe_index``) and the dual's is the first matched supercode
+    equal to the dual.  So each side of ``indices_match`` is a separate
+    computation: C's control index counts orders where D's observe index
+    sums rows, and C's observe index reads no table of D, where D's
+    control index reads D's rows.
     """
     N = code.space.horizon
     dual = code._local_dual
@@ -483,7 +484,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         )
         for L, (sub_dual, sup) in enumerate(zip(sub_duals, supercodes))
     )
-    dual_orders = _swept_orders(code.space, dual._reversed_howell)
+    dual_orders = _PrefixTable(code.space, dual._reversed_howell).order
     return DualityReport(
         window_checks=window_checks,
         chain_ok=chain_ok,

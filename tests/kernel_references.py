@@ -69,7 +69,7 @@
   rows by finishing every end of their prefix table's sweep, the route
   ``convolutional.strong_controllability_index`` took to each tap-local
   window (with ``control_profile`` of that code) before it counted on the
-  orders of one unfinished sweep (``convolutional._local_orders``).
+  orders of one unfinished sweep (``codes._PrefixTable.order``).
 * ``reduce_vector``: the reducer before the pivot record, which rescans
   each row's pivot column on every call (``linalg._reduce_vector`` reads
   the columns its caller holds), and ``pivot_record``: a Howell form's
@@ -489,7 +489,7 @@ def cut_duality_windows(code: BlockCode) -> tuple[tuple[WindowDualityCheck, ...]
     proj = {(a, b): _projection(dual, a, b) for a in range(N) for b in range(a + 1, N + 1)}
     window_checks = []
     for (a, b), (rows, order) in proj.items():
-        inner, inner_order = _internal(code, a, b)
+        inner, inner_order = _internal(code, a, b), code._prefixes.order(a, b)
         lo, hi = offsets[a], offsets[b]
         ok = is_annihilator([row[lo:hi] for row in inner], inner_order, rows, order, moduli[lo:hi])
         window_checks.append(WindowDualityCheck(a, b, ok))
@@ -548,12 +548,8 @@ class FinishedPrefixTable(_PrefixTable):
     def entry(self, b: int):
         entries, moduli = self.entries, self.space.flat_moduli
         while len(entries) <= b:
-            i, j = next(self.batches)
-            if i < j:
-                self.state.push(row[::-1] for row in self.reversed_rows[i:j])
-                entries.append(pivot_record(self.state.finish(), moduli))
-            else:
-                entries.append(entries[-1])
+            stepped = self._step(len(entries))
+            entries.append(pivot_record(self.state.finish(), moduli) if stepped else entries[-1])
         return entries[b]
 
 

@@ -15,8 +15,8 @@ walk (``observe._folded_pairs_to_zero``, its rows weighted, over moduli
 all equal to their lcm), every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
 (``codes._PrefixTable``, with the last end it filled: a code's own, or
-one with no owner behind ``codes._swept_orders``, as the strong index and
-the duality report's dual control index read it), every code whose
+one with no owner whose orders the strong index and the duality report's
+dual control index read), every code whose
 annihilator windows fill entries of its local dual's prefix table (with
 the last end filled), every code whose suffix projections proj_[a,N) C
 the reports read (``BlockCode._suffix``, with the starts read), every
@@ -40,7 +40,7 @@ recorded inputs it takes, bucketed by matrix width:
   one Howell state (``_PrefixTable.entry``), weak Howell forms; each is
   checked by its own Howell form and its pivot columns and products;
 * ``order-sweep``: every window order |C ∩ [a, b)|, b up to the last end,
-  read through ``codes._swept_orders`` (a table with no owner) as the
+  read through ``_PrefixTable.order`` on a table with no owner, as the
   strong index and the dual control index read them; checked against the
   orders of ``prefix-per-end``'s forms;
 * ``annihilator-per-end``: entries 1..last of a recorded annihilator
@@ -326,8 +326,8 @@ def window_orders(entries, space) -> list:
 
 def order_sweep(space, reversed_rows, last) -> list:
     """The window orders of entries 1..``last``, read through
-    ``codes._swept_orders``."""
-    order = codes._swept_orders(space, reversed_rows)
+    ``_PrefixTable.order`` on a table with no owner."""
+    order = codes._PrefixTable(space, reversed_rows).order
     return [order(a, b) for b in range(1, last + 1) for a in range(b + 1)]
 
 
@@ -436,9 +436,9 @@ def conv_windows_engine(conv) -> tuple:
     last = min(conv.analysis_horizon, engine.REPORT_WINDOWS)
     reads = [
         (
-            engine._code_window(fresh, n),
-            engine._zero_extension_window(fresh, n),
-            engine._finite_support_window(fresh, n),
+            engine._read(fresh, "code", n),
+            engine._read(fresh, "zero extension", n),
+            engine._read(fresh, "finite support", n),
         )
         for n in range(1, last + 1)
     ]

@@ -508,6 +508,57 @@ class TestOracle:
         ]
 
 
+    def test_consistency_agreement_tests_each_window_part_once(self, monkeypatch):
+        # One window of the N = 8 band code: B has 4**8 words, but E is
+        # asked only about the units outside the window and one zeroed word
+        # per distinct window part (testing every word of B took 66 s for
+        # the whole report).
+        import groupcodes.cli as cli
+        import groupcodes.oracle as oracle
+        from groupcodes.codes import BlockCode
+        from groupcodes.observe import consistency_set
+
+        from .conftest import band_code
+
+        code = band_code("z4_band8_code.spec")
+        enum = oracle.enumerate_code(code)
+        k, L = 2, 1
+        sl = code.space.flat_slice(k, k + L + 1)
+        brute = oracle.brute_consistency_set(enum, k, L, oracle.DEFAULT_BOUND)
+        parts = {word[sl] for word in brute}
+        engine = consistency_set(code, k, L)
+        contains, calls = BlockCode.contains, []
+        monkeypatch.setattr(
+            BlockCode, "contains", lambda self, word: calls.append(word) or contains(self, word)
+        )
+        assert cli._consistency_agrees(engine, brute, sl)
+        assert 0 < len(calls) <= len(parts) + len(code.space.flat_moduli) < len(brute)
+
+    def test_consistency_set_missing_an_outside_unit_disagrees(self, tmp_path, monkeypatch):
+        # C = <(2, 0, 0)> over (Z/4)^3 and the window [0, 1).  The fake set
+        # swaps the unit (0, 1, 0) for (1, 1, 0): it has as many words as
+        # B and holds every zeroed word of B, but not the unit.
+        import groupcodes.cli as cli
+        from groupcodes.codes import code_from_generators
+
+        spec = tmp_path / "z4_double.spec"
+        spec.write_text("kind: block\nsymbols: [4] [4] [4]\ngenerator: 2 0 0\n", encoding="utf-8")
+        real = cli.consistency_set
+
+        def missing_unit(code, k, L):
+            if (k, L) != (0, 0):
+                return real(code, k, L)
+            fake = code_from_generators(code.space, [(2, 0, 0), (1, 1, 0), (0, 0, 1)])
+            assert fake.cardinality == real(code, k, L).cardinality
+            assert fake.contains((2, 0, 0)) and not fake.contains((0, 1, 0))
+            return fake
+
+        monkeypatch.setattr(cli, "consistency_set", missing_unit)
+        code, out, err = run_cli("oracle", str(spec))
+        assert (code, err) == (1, "")
+        assert "code :: consistency sets: DISAGREE" in out.splitlines()
+        assert "code :: reachable sets: agree" in out.splitlines()
+
     @pytest.mark.parametrize("spec, codes", [("even_weight.spec", 1), ("constant_kernel.spec", 4)])
     def test_each_code_is_enumerated_once(self, spec, codes, monkeypatch):
         # One generator closure per code, shared by every brute-force check,

@@ -25,7 +25,6 @@ from groupcodes.codes import (
     zero_code,
 )
 import groupcodes.codes as codes_module
-from groupcodes.codes import _internal
 from groupcodes.control import _window_solution
 from groupcodes.groups import FiniteAbelianGroup
 from groupcodes.linalg import (
@@ -659,7 +658,7 @@ def assert_weak_entries_read_as_howell_forms(code):
         entry, canon = code._prefix(b), finished._prefix(b)
         assert_weak_howell(entry, canon[0], moduli)
         for a in range(b + 1):
-            assert _internal(code, a, b)[1] == _internal(finished, a, b)[1]
+            assert code._prefixes.order(a, b) == finished._prefixes.order(a, b)
         for _ in range(4):
             member = [0] * len(moduli)
             for row in canon[0]:
@@ -857,8 +856,8 @@ class TestWindowTableBuilds:
 
 
 def test_no_finish_inside_a_prefix_sweep(monkeypatch):
-    # Every entry of a prefix table, a code's or the one behind a
-    # ``_swept_orders`` read (the duality report's dual control index), and
+    # Every entry of a prefix table, a code's or the one with no owner whose
+    # orders the duality report's dual control index reads, and
     # every suffix record is a sweep's unfinished read: no Howell state is
     # finished while an entry is filled.  From a cold Howell cache, one
     # command on the N = 10 band code finishes only the canonical forms its

@@ -8,7 +8,7 @@ import functools
 import itertools
 import random
 from collections import Counter
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,6 @@ from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
     _annihilator_order,
-    _internal,
     code_from_generators,
     intersect,
     join,
@@ -48,10 +47,15 @@ from groupcodes.linalg import (
     homomorphism_graph,
     vector_order,
 )
-from groupcodes.oracle import brute
+from groupcodes.oracle import brute, enumerate_code
 
 from .conftest import BAND_SPEC_PATHS, band_code
-from .kernel_references import order_split_everywhere, scale_rows
+from .kernel_references import (
+    order_split_everywhere,
+    pairwise_reachable_set,
+    scale_rows,
+    triple_loop_order_profile,
+)
 from .test_codes import mixed_codes
 
 
@@ -71,28 +75,6 @@ def even_weight():
 @pytest.fixture
 def repetition():
     return code_from_generators(binary_space(3), [(1, 1, 1)])
-
-
-def brute_reachable(code, k, L):
-    """Double loop over (c, w) pairs, straight from the definition."""
-    sp = code.space
-    words = list(code.words())
-    offs = sp.offsets()
-
-    def coords(w, idx):
-        return w[offs[idx] : offs[idx + 1]]
-
-    out = set()
-    for c in words:
-        for w in words:
-            if any(any(coords(w, i)) for i in range(k)):
-                continue
-            if all(
-                coords(w, i) == coords(c, i) for i in range(k + L, sp.horizon)
-            ):
-                out.add(c)
-                break
-    return out
 
 
 class TestReachableSet:
@@ -125,10 +107,11 @@ class TestReachableSet:
             code = code_from_generators(
                 sp, [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
             )
+            enum = enumerate_code(code)
             for k in range(sp.horizon):
                 for L in range(sp.horizon - k + 1):
                     got = set(reachable_set(code, k, L).words())
-                    assert got == brute_reachable(code, k, L)
+                    assert got == set(pairwise_reachable_set(enum, k, L))
 
 
 class TestControlProfile:
@@ -227,57 +210,6 @@ class TestChunkDecompose:
         with pytest.raises(ProfileInsufficientError) as info:
             chunk_decompose(repetition, (1, 1, 1), (0, 0, 0))
         assert info.value.position == 0
-
-
-def brute_order_profile(code):
-    """Triple loop over (c, c1, c2), straight from the definition."""
-    sp = code.space
-    N = sp.horizon
-    words = list(code.words())
-    offs = sp.offsets()
-    moduli = sp.flat_moduli
-
-    def supported_in(w, a, b):
-        return all(
-            not any(w[offs[i] : offs[i + 1]])
-            for i in range(N)
-            if i < a or i >= b
-        )
-
-    def order_of(w, upto):
-        sl = slice(0, offs[upto])
-        orders = [m // gcd(m, e) for e, m in zip(w[sl], moduli[sl])]
-        return lcm(*orders) if orders else 1
-
-    def order(w):
-        return order_of(w, N)
-
-    bounds = []
-    for l in range(N + 1):
-        n = l
-        while True:
-            good = True
-            for c in words:
-                found = False
-                for c1 in words:
-                    if not supported_in(c1, 0, n):
-                        continue
-                    c2 = tuple((a - b) % m for a, b, m in zip(c, c1, moduli))
-                    if c2 not in set(words):
-                        continue
-                    if not supported_in(c2, l, N):
-                        continue
-                    if order(c1) <= order_of(c, n):
-                        found = True
-                        break
-                if not found:
-                    good = False
-                    break
-            if good:
-                bounds.append(n)
-                break
-            n += 1
-    return tuple(bounds)
 
 
 def transversal_order_profile(code):
@@ -413,7 +345,7 @@ class TestOrderProfile:
             code = code_from_generators(
                 sp, [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
             )
-            assert order_profile(code).bounds == brute_order_profile(code)
+            assert order_profile(code).bounds == triple_loop_order_profile(enumerate_code(code))
 
     def test_mixed_moduli_without_enumeration(self, monkeypatch):
         # Symbols Z/2+Z/4, Z/6 and Z/12; every code has some cut n whose
@@ -431,7 +363,7 @@ class TestOrderProfile:
                 for n in range(1, sp.horizon)
             ]
             if code.cardinality <= 48 and any(1 < t < code.cardinality for t in tails):
-                codes.append((code, brute_order_profile(code)))
+                codes.append((code, triple_loop_order_profile(enumerate_code(code))))
 
         def no_enumeration(self):
             raise AssertionError("order_profile enumerated the code")
@@ -779,7 +711,7 @@ def banded_codes(draw):
 def _both_orders(code):
     """The window orders of C and of C-perp, as the counts read them."""
     return (
-        lambda a, b: _internal(code, a, b)[1],
+        code._prefixes.order,
         lambda a, b: _annihilator_order(code, a, b),
     )
 

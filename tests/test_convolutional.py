@@ -9,18 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcodes.codes import BlockCode, SequenceSpace, window_internal, window_projection
-from groupcodes.control import ControlProfile, _gap_lengths, control_profile, reachable_set
+from groupcodes.codes import BlockCode, SequenceSpace, _PrefixTable, window_internal, window_projection
+from groupcodes.control import _gap_lengths, control_profile, reachable_set
 from groupcodes.convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
     WeakControllabilityVerdict,
-    _code_window,
-    _finite_support_window,
-    _local_orders,
+    _read,
     _settled,
     _window,
-    _zero_extension_window,
     dual_convolutional,
     local_window,
     strong_controllability_index,
@@ -56,7 +53,7 @@ CONSTANT = kernel(Z2, ((1,), (1,)))  # single binary check (1, 1)
 
 def finite_support_window(conv, n):
     """The finite-support window [0, n) the weak verdicts read, as a code."""
-    rows, _ = _finite_support_window(conv, n)
+    rows, _ = _read(conv, "finite support", n)
     return BlockCode.from_howell(SequenceSpace((conv.symbol,) * n), rows)
 
 
@@ -284,7 +281,7 @@ def _count_window_calls(monkeypatch):
     import groupcodes.convolutional as module
 
     calls = {}
-    for name in ("_code_window", "_zero_extension_window", "_finite_support_window", "_window"):
+    for name in ("_read", "_window"):
         original = getattr(module, name)
         calls[name] = 0
 
@@ -699,7 +696,7 @@ class TestWeakVerdictTwin:
         import groupcodes.duality as duality
 
         reads, duals = [], []
-        for name in ("_code_window", "_zero_extension_window", "_finite_support_window", "_read"):
+        for name in ("_read",):
             original = getattr(module, name)
 
             def counted(conv, *args, _original=original):
@@ -758,7 +755,7 @@ class TestCutWindowReads:
                 assert window_code(conv, n) == direct
             else:
                 assert zero_extension_window(conv, n) == direct
-            finite = _finite_support_window(conv, n)
+            finite = _read(conv, "finite support", n)
             assert finite == reference.settled_window("direct finite support", n)
 
     def test_every_read_kind_builds_one_window(self, monkeypatch):
@@ -770,14 +767,14 @@ class TestCutWindowReads:
             kernel(FiniteAbelianGroup((8,)), ((2,), (0,), (1,))),  # j* = 4
             kernel(Z2, ((1,), (0,), (0,), (0,), (1,)), horizon=2),
         ]
-        readers = (_code_window, _zero_extension_window, _finite_support_window)
+        kinds = ("code", "zero extension", "finite support")
         for conv in codes:
             s, N = conv.state_length, conv.analysis_horizon
             reads = max(s, min(N, REPORT_WINDOWS))
             built.clear()
             for n in range(1, reads + 1):
-                for read in readers:
-                    read(conv, n)
+                for kind in kinds:
+                    _read(conv, kind, n)
             # No window is built twice: each settle step ends in a new
             # state, and the read kinds build one window each at ``reads``,
             # shared by kinds that end in the same terminal rows (an image
@@ -970,9 +967,9 @@ class TestReaderTwin:
         assert codes
         for conv in codes:
             for n, (code, zero_extension, finite) in _parent_style_windows(conv, self.LONGEST):
-                assert _code_window(conv, n) == code, (conv, n)
-                assert _zero_extension_window(conv, n) == zero_extension, (conv, n)
-                assert _finite_support_window(conv, n) == finite, (conv, n)
+                assert _read(conv, "code", n) == code, (conv, n)
+                assert _read(conv, "zero extension", n) == zero_extension, (conv, n)
+                assert _read(conv, "finite support", n) == finite, (conv, n)
 
 
 # Old chain names (``ReferenceWindows``) of the engine's chains by form:
@@ -990,9 +987,9 @@ def _assert_engine_matches_reference(conv, longest=9):
     fresh codes, against the route before it."""
     engine, reference = _fresh(conv), ReferenceWindows(_fresh(conv))
     for n in range(1, longest + 1):
-        assert _code_window(engine, n) == reference.code(n), (conv, n)
-        assert _zero_extension_window(engine, n) == reference.zero_extension(n), (conv, n)
-        assert _finite_support_window(engine, n) == reference.finite_support(n), (conv, n)
+        assert _read(engine, "code", n) == reference.code(n), (conv, n)
+        assert _read(engine, "zero extension", n) == reference.zero_extension(n), (conv, n)
+        assert _read(engine, "finite support", n) == reference.finite_support(n), (conv, n)
     for chain, name in _REFERENCE_CHAINS[conv.form].items():
         assert _settled(engine, chain)[0] == reference.step(name), (conv, chain)
     fresh = _fresh(conv)
@@ -1044,10 +1041,17 @@ class TestEngineTwin:
         _assert_engine_matches_reference(conv)
 
 
+def _swept_index(conv, n):
+    """The strong index's read of window n: the largest gap length on the
+    orders of a prefix table of the window's reversed build."""
+    table = _PrefixTable(SequenceSpace((conv.symbol,) * n), _window(conv, n, (), reverse=True))
+    return max(_gap_lengths(n, table.order))
+
+
 class TestStrongIndexWindows:
     """The strong-index windows are built in reversed form, and their
     window orders are read off one unfinished forward sweep of those rows
-    (``_local_orders``)."""
+    (``codes._PrefixTable.order``)."""
 
     def test_reversed_build_is_the_local_window(self):
         # The swept index on every code, the reference route on every other.
@@ -1055,7 +1059,7 @@ class TestStrongIndexWindows:
             for n in range(1, 10):
                 local = local_window(conv, n)
                 index = control_profile(local).index
-                swept = ControlProfile(_gap_lengths(n, _local_orders(conv, n))).index
+                swept = _swept_index(conv, n)
                 assert swept == index, (conv, n)
                 if i % 2:
                     continue
@@ -1072,13 +1076,13 @@ class TestStrongIndexWindows:
 
         import groupcodes.convolutional as module
         import groupcodes.linalg as linalg_module
-        from groupcodes.codes import _PrefixTable
-
         windows, forms, built, tables, finished = [], [], [], [], []
-        orders, canonical, entry = module._local_orders, howell_form, _PrefixTable.entry
+        window, canonical, entry = module._window, howell_form, _PrefixTable.entry
         post_init, from_howell = BlockCode.__post_init__, BlockCode.from_howell.__func__
         table_init, filling = _PrefixTable.__init__, []
-        monkeypatch.setattr(module, "_local_orders", lambda *a: windows.append(a) or orders(*a))
+        monkeypatch.setattr(
+            module, "_window", lambda *a, **k: windows.append(k) or window(*a, **k)
+        )
         for name, owner in list(sys.modules.items()):
             if name.startswith("groupcodes") and getattr(owner, "howell_form", None) is canonical:
                 monkeypatch.setattr(owner, "howell_form", lambda m: forms.append(m) or canonical(m))
@@ -1113,6 +1117,7 @@ class TestStrongIndexWindows:
             windows.clear(), forms.clear(), built.clear(), tables.clear(), finished.clear()
             assert strong_controllability_index(conv).is_finite
             assert len(forms) == len(windows) == len(tables) > 0
+            assert all(k == {"reverse": True} for k in windows)  # reversed builds only
             assert all(len(args) == 2 for args in tables)  # no owner record
             assert built == []
             assert not any(finished)
@@ -1159,8 +1164,11 @@ class TestReadBuilds:
                     if hasattr(owner, target):
                         patched = counting(getattr(owner, target), target)
                         monkeypatch.setattr(owner, target, patched)
-        for reader in ("_read",):
-            monkeypatch.setattr(module, reader, counting(getattr(module, reader), "reads"))
+        import groupcodes.cli as cli_module
+
+        reader = counting(module._read, "reads")
+        for owner in (module, cli_module):
+            monkeypatch.setattr(owner, "_read", reader)
         monkeypatch.setattr(
             SequenceSpace, "__post_init__", counting(SequenceSpace.__post_init__, "spaces")
         )
@@ -1183,42 +1191,35 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
     # length and never regrown (80 of 1,166 cut windows regrew with the
     # kept cut window), and every prefix end filled is read (1,592 of 5,778
     # were not).  The strong index counts its windows'
-    # orders on a table of their own with no owner (``_swept_orders``), so
-    # at most 432 other tables are made (1,144 with one code and table per
-    # strong-index window).
+    # orders on a table of their own with no owner, made outside ``_read``,
+    # so at most 432 other tables are made (1,144 with one code and table
+    # per strong-index window).
     import sys
 
     import groupcodes.convolutional as module
     import groupcodes.linalg as linalg_module
-    from groupcodes.codes import _PrefixTable
+    import groupcodes.cli as cli_module
     from groupcodes.linalg import howell_form as canonical
 
     from . import report_digest
 
     counts = {
         "codes": 0, "filling": 0, "howell_while_filling": 0, "finish_while_filling": 0,
-        "regrown": 0, "sweeping": 0,
+        "regrown": 0, "reading": 0,
     }
     post_init, entry, table_init = BlockCode.__post_init__, _PrefixTable.entry, _PrefixTable.__init__
-    read, swept_orders, tables, swept = module._read, module._swept_orders, {}, []
+    read, tables, swept = module._read, {}, []
 
     def counted_init(self):
         counts["codes"] += 1
         post_init(self)
 
     def recorded_table(self, *args):
-        if counts["sweeping"]:
-            swept.append(self)
-        else:
+        if counts["reading"]:
             tables[self] = set()
+        else:
+            swept.append(self)
         table_init(self, *args)
-
-    def sweep(*args):
-        counts["sweeping"] += 1
-        try:
-            return swept_orders(*args)
-        finally:
-            counts["sweeping"] -= 1
 
     def filling(self, b):
         tables.get(self, set()).add(b)
@@ -1229,7 +1230,11 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
             counts["filling"] -= 1
 
     def kept_at_reads(conv, kind, n):
-        rows = read(conv, kind, n)
+        counts["reading"] += 1
+        try:
+            rows = read(conv, kind, n)
+        finally:
+            counts["reading"] -= 1
         counts["regrown"] += any(w.space.horizon != conv._reads for w in conv._windows.values())
         return rows
 
@@ -1248,7 +1253,7 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
     monkeypatch.setattr(_PrefixTable, "entry", filling)
     monkeypatch.setattr(_PrefixTable, "__init__", recorded_table)
     monkeypatch.setattr(module, "_read", kept_at_reads)
-    monkeypatch.setattr(module, "_swept_orders", sweep)
+    monkeypatch.setattr(cli_module, "_read", kept_at_reads)
     for module in list(sys.modules.values()):
         name = getattr(module, "__name__", "")
         if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:

@@ -45,7 +45,7 @@ def test_two_specs_no_mismatch(workload):
     # prefix tables, or count strong-index windows on tables with no
     # owner; every table's unfinished entries have the per-end Howell
     # forms as their Howell forms, and every window order read through
-    # ``_swept_orders`` is the per-end forms'.
+    # ``_PrefixTable.order`` is the per-end forms'.
     assert totals["prefix-per-end"] == totals["prefix-sweep"] > 0
     assert totals["order-sweep"] == totals["prefix-sweep"]
     # Block reports read invariant factors, order profiles and the

@@ -31,6 +31,7 @@ from groupcodes.observe import (
     observable_supercode,
     observe_profile,
 )
+from groupcodes.oracle import DEFAULT_BOUND, brute_consistency_set, enumerate_code
 from groupcodes.specfmt import parse_spec
 
 from .conftest import BAND_SPEC_PATHS, BAND_SPECS, band_code
@@ -62,21 +63,6 @@ def repetition():
     return code_from_generators(binary_space(3), [(1, 1, 1)])
 
 
-def brute_consistency(code, k, L):
-    """Enumerate the ambient and test windows against projected codewords."""
-    sp = code.space
-    b = min(k + L + 1, sp.horizon)
-    sl = sp.flat_slice(k, b)
-    allowed = {w[sl] for w in code.words()}
-    out = set()
-    import itertools
-
-    for x in itertools.product(*[range(m) for m in sp.flat_moduli]):
-        if x[sl] in allowed:
-            out.add(x)
-    return out
-
-
 class TestConsistencySet:
     def test_repetition_prefix_window(self, repetition):
         got = set(consistency_set(repetition, 0, 1).words())
@@ -101,10 +87,11 @@ class TestConsistencySet:
             code = code_from_generators(
                 sp, [[rng.randrange(m) for m in sp.flat_moduli] for _ in range(2)]
             )
+            enum = enumerate_code(code)
             for k in range(sp.horizon):
                 for L in range(sp.horizon + 1):
                     got = set(consistency_set(code, k, L).words())
-                    assert got == brute_consistency(code, k, L)
+                    assert got == set(brute_consistency_set(enum, k, L, DEFAULT_BOUND))
 
 
 def test_consistency_set_matches_howell_form_of_generators(mixed_corpus):
@@ -298,7 +285,7 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     # the code object and the annihilator sums read C's prefix table.  The
     # report keeps one prefix table, C's, and none for D or T: the dual's
     # control index is counted on one table of D's reversed rows with no
-    # owner (``_swept_orders``).  It sweeps two suffix tables: D's records
+    # owner (``_PrefixTable.order``).  It sweeps two suffix tables: D's records
     # for the walk and C's for the observe index.  No table's Howell
     # state is ever finished.  Each of C and D is kernelled once.
     import groupcodes.codes as codes_module
