@@ -95,52 +95,15 @@ def reachable_set(code: BlockCode, k: int, L: int) -> BlockCode:
     return BlockCode(code.space, _trusted(code.basis.moduli, rows))
 
 
-def _gap_lengths(horizon: int, order: Callable[[int, int], int]) -> tuple[int, ...]:
-    """Minimal L at each position k with C_k(L) = C, for the code whose
-    window orders |C ∩ [a, b)| ``order`` reads.
-
-    C_k(L) = Z_k + (C ∩ [0, k+L)) lies in C, and the two summands meet in
-    C ∩ [k, k+L), so C_k(L) = C exactly when
-    |Z_k| · |C ∩ [0, k+L)| = |C| · |C ∩ [k, k+L)|.  At k + L = N both
-    sides are |Z_k| · |C|, so the search stops there.
-
-    The search at k + 1 starts at max(L_k - 1, 0), not at 0.  This is
-    exact: Z_{k+1} lies in Z_k, so
-    C_{k+1}(L') = Z_{k+1} + C ∩ [0, k+1+L') ⊆ Z_k + C ∩ [0, k+L'+1) = C_k(L'+1),
-    and C_{k+1}(L') = C forces C_k(L'+1) = C, that is L_{k+1} >= L_k - 1;
-    as C_k(L) grows with L, the first L passing from there is the least.
-    So the window end e = k + L never moves back, and each prefix order
-    |C ∩ [0, e)| is read once.  |C ∩ [k, k)| = 1 and |C ∩ [0, 0)| = 1,
-    and at e = N the orders are |C| and |Z_k|: none of these is read.
-    L_0 = 0 (Z_0 = C), so one call reads at most 4N - 3 orders: |C|, the
-    N - 1 suffixes |Z_k|, at most N - 1 prefixes, and one window per try
-    at k >= 1, of which N - 1 pass and at most N - 1 fail (a failure moves
-    e up by one; e jumps from 0 to 1 at k = 1 and stops at N).
-    """
-    total = order(0, horizon)
-    lengths, end, prefix = [], 0, 1  # prefix = |C ∩ [0, end)|
-    for k in range(horizon):
-        suffix = order(k, horizon) if k else total
-        if end < k:
-            end, prefix = k, order(0, k)
-        while True:
-            inner = 1 if end == k else suffix if end == horizon else order(k, end)
-            if suffix * prefix == total * inner:
-                break
-            end += 1
-            prefix = total if end == horizon else order(0, end)
-        lengths.append(end - k)
-    return tuple(lengths)
-
-
 def control_profile(code: BlockCode) -> ControlProfile:
     """Minimal L at each position with reachable_set(code, k, L) = code.
 
-    Decided by counting (``_gap_lengths``): every order is read off the
-    code's prefix table (``codes._PrefixTable.order``); no reachable set is
-    built.
+    Decided by counting (``codes._gap_lengths``): every order is read off
+    the code's prefix table (``codes._PrefixTable.order``); no reachable set
+    is built.  The lengths are counted once per code
+    (``BlockCode._control_lengths``).
     """
-    return ControlProfile(_gap_lengths(code.space.horizon, code._prefixes.order))
+    return ControlProfile(code._control_lengths)
 
 
 def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
@@ -263,7 +226,7 @@ def order_profile(code: BlockCode) -> OrderProfile:
         while exponent % (q * p) == 0:
             levels.append(q)
             q *= p
-    lengths = control_profile(code).lengths
+    lengths = code._control_lengths
     form = functools.cache(functools.partial(_scaled_form, code))
     bounds = []
     for l in range(N + 1):

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .codes import BlockCode, SequenceSpace, _cached, _PrefixTable, _projection
-from .control import _gap_lengths
+from .codes import BlockCode, SequenceSpace, _cached, _gap_lengths, _PrefixTable, _projection
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
 from .linalg import Vector, _trusted, annihilator_rows, howell_form
@@ -379,7 +378,7 @@ def strong_controllability_index(
     accepted once it agrees twice in a row; running out of horizon yields
     an honest unknown verdict rather than a claim.  Each window is built in
     reversed form (``_window``), its one Howell form, and its index is the
-    largest gap length (``control._gap_lengths``) counted on the orders of
+    largest gap length (``codes._gap_lengths``) counted on the orders of
     a prefix table of those rows (``codes._PrefixTable.order``), one
     unfinished forward sweep: no code is built and no form finished.
     """

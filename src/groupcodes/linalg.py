@@ -117,7 +117,7 @@ def _reduced(vector: Sequence[int], moduli: Vector) -> Vector:
     """``vector`` reduced modulo ``moduli``; the widths must agree."""
     if len(vector) != len(moduli):
         raise ValueError(f"width {len(vector)} != {len(moduli)} columns")
-    return tuple(int(e) % m for e, m in zip(vector, moduli))
+    return tuple(map(mod, map(int, vector), moduli))
 
 
 def residue_matrix(rows: Iterable[Sequence[int]], moduli: Sequence[int]) -> ResidueMatrix:

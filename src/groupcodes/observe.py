@@ -27,10 +27,11 @@ from .codes import (
     _cached,
     _annihilator_order,
     _canonical_projection,
+    _gap_lengths,
     _PrefixTable,
     invariant_factors_of_code,
 )
-from .control import _gap_lengths, control_profile, controllable_subcode
+from .control import control_profile, controllable_subcode
 from .duality import _folded_pairs_to_zero, dual_block_code
 from .linalg import Entry, Vector, _reduce_vector
 

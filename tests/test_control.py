@@ -18,6 +18,7 @@ from groupcodes.codes import (
     BlockCode,
     SequenceSpace,
     _annihilator_order,
+    _gap_lengths,
     code_from_generators,
     intersect,
     join,
@@ -27,7 +28,6 @@ from groupcodes.codes import (
 )
 from groupcodes.control import (
     ProfileInsufficientError,
-    _gap_lengths,
     _order_splits,
     _scaled_form,
     _window_solution,
@@ -761,6 +761,38 @@ class TestGapLengthsTwoPointer:
                 _gap_lengths(code.space.horizon, read)
                 prefixes = [b for a, b in reads if a == 0]
                 assert len(prefixes) == len(set(prefixes))
+
+    def test_block_analyze_counts_twice(self, monkeypatch, capsys):
+        # Once on the code's prefix table for the control lengths, which
+        # control_profile and order_profile both read, and once on the
+        # annihilator orders for the observe index.  Every module that
+        # binds the count is patched.
+        import sys
+
+        from groupcodes.cli import main
+        from groupcodes.codes import _PrefixTable
+
+        calls = []
+
+        def counted(horizon, order):
+            calls.append(order)
+            return _gap_lengths(horizon, order)
+
+        binders = [
+            module for name, module in sys.modules.items()
+            if name.startswith("groupcodes.") and vars(module).get("_gap_lengths") is _gap_lengths
+        ]
+        assert len(binders) >= 3  # codes, observe, convolutional
+        for module in binders:
+            monkeypatch.setattr(module, "_gap_lengths", counted)
+        for path in BAND_SPEC_PATHS:
+            calls.clear()
+            assert main(["analyze", str(path)]) == 0
+            assert len(calls) == 2, path.name
+            table, annihilator = calls
+            assert isinstance(table.__self__, _PrefixTable)
+            assert annihilator.func is _annihilator_order
+        capsys.readouterr()
 
 
 class TestPlainSplitFromGapLengths:

@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcodes.codes import BlockCode, SequenceSpace, _PrefixTable, window_internal, window_projection
-from groupcodes.control import _gap_lengths, control_profile, reachable_set
+from groupcodes.codes import (
+    BlockCode,
+    SequenceSpace,
+    _gap_lengths,
+    _PrefixTable,
+    window_internal,
+    window_projection,
+)
+from groupcodes.control import control_profile, reachable_set
 from groupcodes.convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,

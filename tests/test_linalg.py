@@ -24,6 +24,7 @@ from groupcodes.linalg import (
     _howell_state,
     _primes,
     _reduce_vector,
+    _reduced,
     _trusted,
     annihilator_rows,
     contains_vector,
@@ -806,6 +807,41 @@ class TestWidthChecks:
         m = residue_matrix([(1, 0), (0, 1)], (4, 4))
         with pytest.raises(ValueError):
             quotient_invariants(m, [(2, 0, 1)])
+
+
+def generator_reduced(vector, moduli):
+    """``_reduced`` as one generator expression over the zipped row."""
+    if len(vector) != len(moduli):
+        raise ValueError(f"width {len(vector)} != {len(moduli)} columns")
+    return tuple(int(e) % m for e, m in zip(vector, moduli))
+
+
+class TestReducedRow:
+    """``_reduced``, the row reduction of ``residue_matrix``, against the
+    generator expression it replaced."""
+
+    MODULI = (2, 4, 9, 2**61 - 1, 1)
+
+    def test_negative_bool_float_and_large_entries(self):
+        rng = random.Random(5)
+        rows = [
+            (-1, -5, -18, -(2**70) - 3, -3),
+            (True, False, True, True, False),
+            (3.0, -1.0, 10.0, 2.0**62, 0.0),
+            (2**80 + 3, 3**50, -(3**40), 2**65, 7),
+            (0, 0, 0, 0, 0),
+        ] + [tuple(rng.randrange(-(2**70), 2**70) for _ in self.MODULI) for _ in range(50)]
+        for row in rows:
+            got = _reduced(row, self.MODULI)
+            assert got == generator_reduced(row, self.MODULI)
+            assert all(type(e) is int for e in got)
+
+    def test_width_mismatch(self):
+        for row in [(1, 2), (1, 2, 3, 4, 5, 6)]:
+            with pytest.raises(ValueError) as twin:
+                generator_reduced(row, self.MODULI)
+            with pytest.raises(ValueError, match=str(twin.value)):
+                _reduced(row, self.MODULI)
 
 
 class TestVectorOrder:
