@@ -176,6 +176,10 @@ class BlockCode:
         return _PrefixTable(self.space, self._reversed_howell)
 
     @_cached
+    def _subcodes(self) -> "_SubcodeChain":
+        return _SubcodeChain(self)
+
+    @_cached
     def _control_lengths(self) -> tuple[int, ...]:
         """The control profile's gap lengths, counted once per code on the
         prefix table's orders (``_gap_lengths``): ``control_profile`` and
@@ -402,6 +406,56 @@ class _SuffixTable(_Sweep):
 
     def _step(self, a: int) -> bool:
         return self.state.trim(self.offsets[a])
+
+
+class _SubcodeChain:
+    """The controllable subcodes cs_0 ⊆ cs_1 ⊆ ... of a code C, cs_L the
+    sum of the windows C ∩ [k, k+L+1), clipped to the horizon, over all k,
+    climbed on one Howell kernel state (``linalg._howell_state``).
+
+    The windows of gap L lie in those of gap L + 1, so cs_L is the span of
+    every window row of the gaps up to L.  Going up to gap L pushes the
+    rows of its windows (``_internal``, a slice of a prefix entry) that
+    no earlier gap pushed, so each distinct row goes in once per climb,
+    and the state is finished only at the gap read (``at``), to give its
+    Howell rows; a gap that pushes nothing shares the code read before
+    it.  The climb stops at the top: from the first gap whose Howell rows
+    are C's, and from L = N - 1 on (the window [0, N) is C), ``at`` is the
+    code itself.  A read below the gap climbed to starts the climb again
+    on a fresh state.
+    """
+
+    def __init__(self, code: BlockCode) -> None:
+        self.code, self.top = code, code.space.horizon - 1
+        self._restart()
+
+    def _restart(self) -> None:
+        self.state = _howell_state(self.code.basis.moduli)
+        self.pushed: set[Vector] = set()
+        self.gap, self.last = -1, None
+
+    def at(self, L: int) -> BlockCode:
+        """cs_L, a code over C's space."""
+        code = self.code
+        if L >= self.top:
+            return code
+        if L < self.gap:
+            self._restart()
+        N, pushed, new = code.space.horizon, self.pushed, []
+        for k in range(N):
+            for row in _internal(code, k, min(k + L + 1, N)):
+                if row not in pushed:
+                    pushed.add(row)
+                    new.append(row)
+        self.gap = L
+        if new or self.last is None:
+            self.state.push(new)
+            rows = tuple(self.state.finish())
+            if rows == code.basis.rows:
+                self.top = L
+                return code
+            self.last = BlockCode.from_howell(code.space, rows)
+        return self.last
 
 
 def code_from_generators(

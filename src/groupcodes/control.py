@@ -83,10 +83,9 @@ def reachable_set(code: BlockCode, k: int, L: int) -> BlockCode:
     Equals Z_k + {codewords supported in [0, k+L)} where Z_k is the subgroup
     of codewords vanishing on [0, k): for c = z + u the witness is z itself,
     and conversely c minus its witness is supported inside [0, k+L).  Built
-    as that sum, as ``controllable_subcode`` builds its own: one Howell
-    form of the rows of C ∩ [k, N) and C ∩ [0, k+L), each read off the
-    record of the prefix at its end (``codes._internal``); no window code
-    is built.
+    as that sum: one Howell form of the rows of C ∩ [k, N) and
+    C ∩ [0, k+L), each read off the record of the prefix at its end
+    (``codes._internal``); no window code is built.
     """
     N = code.space.horizon
     if not 0 <= k < N or L < 0:
@@ -111,16 +110,17 @@ def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
 
     Equals the sum of the window-supported subgroups of width L+1; the
     containment of each window subgroup in every C_k(L) gives one direction
-    and greedy peeling of leading coordinates gives the other.  Built as
-    that sum: one Howell form of the stacked rows of the windows
-    C ∩ [k, k+L+1), each read off the prefix-table entry of its end
-    (``codes._internal``); no window code is built.
+    and greedy peeling of leading coordinates gives the other.  Read off
+    the code's one chain of these sums (``codes._SubcodeChain``, kept on
+    the code): the rows of the windows C ∩ [k, k+L+1), each read off the
+    prefix-table entry of its end (``codes._internal``), go into one
+    Howell kernel state gap by gap, each distinct row once, and the state
+    is finished at L; from the gap where the sum is the code on, it is
+    the code itself.  No window code is built.
     """
     if L < 0:
         raise ValueError(f"bad gap length L={L}")
-    N = code.space.horizon
-    rows = tuple(row for k in range(N) for row in _internal(code, k, min(k + L + 1, N)))
-    return BlockCode(code.space, _trusted(code.basis.moduli, rows))
+    return code._subcodes.at(L)
 
 
 @dataclass(frozen=True)

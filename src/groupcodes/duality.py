@@ -1,7 +1,9 @@
 """Characters, pairings, annihilators and quotient duality.
 
 The circle group is modeled additively by its rational torsion Q/Z with
-exact arithmetic, so orthogonality of x and chi reads pairing(x, chi) = 0.
+exact integer arithmetic (each value a reduced numerator and denominator,
+with no ``Fraction``), so orthogonality of x and chi reads
+pairing(x, chi) = 0.
 The dual of Z/m_1 + ... + Z/m_n is identified with the same group via the
 standard pairing sum_j x_j chi_j / m_j; finite abelian groups are self-dual
 and nothing downstream depends on the choice of identification.
@@ -10,11 +12,10 @@ and nothing downstream depends on the choice of identification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .codes import BlockCode
 from .groups import FiniteAbelianGroup, GroupElement
@@ -24,6 +25,9 @@ from .linalg import (
     contains_vector,
     quotient_invariants,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "QmodZ",
@@ -52,24 +56,30 @@ class QmodZ:
 
     @classmethod
     def of(cls, value: Fraction | int) -> "QmodZ":
-        frac = Fraction(value) % 1
-        return cls(frac.numerator, frac.denominator)
+        """The residue of an ``int`` or a ``Fraction``, read through its
+        ``numerator`` and ``denominator``."""
+        return cls._reduced(value.numerator, value.denominator)
+
+    @classmethod
+    def _reduced(cls, numerator: int, denominator: int) -> "QmodZ":
+        """numerator / denominator modulo 1, denominator > 0, in lowest terms."""
+        numerator %= denominator
+        g = gcd(numerator, denominator)
+        return cls(numerator // g, denominator // g)
 
     @classmethod
     def zero(cls) -> "QmodZ":
         return cls(0, 1)
 
     def __add__(self, other: "QmodZ") -> "QmodZ":
-        return QmodZ.of(
-            Fraction(self.numerator, self.denominator)
-            + Fraction(other.numerator, other.denominator)
-        )
+        a, b, c, d = self.numerator, self.denominator, other.numerator, other.denominator
+        return QmodZ._reduced(a * d + c * b, b * d)
 
     def __neg__(self) -> "QmodZ":
-        return QmodZ.of(-Fraction(self.numerator, self.denominator))
+        return QmodZ._reduced(-self.numerator, self.denominator)
 
     def __mul__(self, scalar: int) -> "QmodZ":
-        return QmodZ.of(scalar * Fraction(self.numerator, self.denominator))
+        return QmodZ._reduced(scalar * self.numerator, self.denominator)
 
     __rmul__ = __mul__
 
@@ -92,14 +102,15 @@ class Character:
 
 
 def pairing(x: GroupElement, chi: Character | GroupElement) -> QmodZ:
-    """The standard pairing sum_j x_j chi_j / m_j taken modulo 1."""
+    """The standard pairing sum_j x_j chi_j / m_j taken modulo 1, summed
+    over the common denominator L = lcm(m_j) as sum_j x_j chi_j (L/m_j)."""
     coeffs = chi.coefficients if isinstance(chi, Character) else chi
-    if coeffs.group.moduli != x.group.moduli:
+    moduli = x.group.moduli
+    if coeffs.group.moduli != moduli:
         raise ValueError("element and character moduli mismatch")
-    total = Fraction(0)
-    for a, b, m in zip(x.residues, coeffs.residues, x.group.moduli):
-        total += Fraction(a * b, m)
-    return QmodZ.of(total)
+    L = lcm(*moduli)
+    total = sum(a * b * (L // m) for a, b, m in zip(x.residues, coeffs.residues, moduli))
+    return QmodZ._reduced(total, L)
 
 
 def pairs_to_zero(

@@ -148,7 +148,19 @@ def prime_factors(n: int) -> list[int]:
 # the 13 prime bases up to 41 are prime below _PROVEN (Sorenson & Webster,
 # Math. Comp. 2017); Pollard–Brent rho gets _RHO_STEPS steps per split.
 _TRIAL = 1 << 10
-_SMALL_PRIMES = tuple(p for p in range(2, _TRIAL) if all(p % d for d in range(2, isqrt(p) + 1)))
+
+
+def _sieve(n: int) -> tuple[int, ...]:
+    """The primes below n, by a sieve of Eratosthenes on a bytearray."""
+    flags = bytearray([1]) * n
+    flags[:2] = bytes(min(n, 2))
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p, flag in enumerate(flags) if flag)
+
+
+_SMALL_PRIMES = _sieve(_TRIAL)
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PROVEN = 3317044064679887385961981
 _RHO_STEPS = 1 << 20

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
+from typing import NamedTuple, Sequence
 
 from .codes import (
     BlockCode,
@@ -90,7 +91,7 @@ def observable_supercode(code: BlockCode, L: int) -> BlockCode:
     vanishes outside the window and annihilates the projection, so the
     annihilator of the set on [k, k+L] is T ∩ [k, k+L+1), clipped to the
     horizon, T = C-perp the local dual.  Their sum is
-    ``controllable_subcode(T, L)``, read off T's prefix table.
+    ``controllable_subcode(T, L)``, read off T's chain of sums.
     """
     if L < 0:
         raise ValueError("window length must be nonnegative")
@@ -149,17 +150,17 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     return ObserveProfile(tuple(lengths), index)
 
 
-@dataclass(frozen=True)
-class WindowDualityCheck:
-    """Annihilator identity for one internal window [a, b)."""
+class WindowDualityCheck(NamedTuple):
+    """Annihilator identity for one internal window [a, b).  A named
+    tuple, as a report holds N(N+1)/2 of them (``_duality_report`` builds
+    them)."""
 
     start: int
     stop: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class MatchedParameterCheck:
+class MatchedParameterCheck(NamedTuple):
     """Dual of the gap-L controllable subcode against the window-L
     observable supercode of the dual code."""
 
@@ -218,13 +219,11 @@ class DualityReport:
             f"  control index of dual code:   {self.dual_control_index}",
             f"  reachability chains monotone: {'yes' if self.chain_ok else 'NO'}",
         ]
-        for w in self.window_checks:
-            one_based = f"[{w.start + 1},{w.stop}]"
-            lines.append(
-                f"  window [{w.start},{w.stop}) (1-based closed {one_based}): "
-                f"dual of internal part equals dual-code consistency set: "
-                f"{'yes' if w.ok else 'NO'}"
-            )
+        lines += [
+            f"  window [{a},{b}) (1-based closed [{a + 1},{b}]): dual of internal part "
+            f"equals dual-code consistency set: {'yes' if ok else 'NO'}"
+            for a, b, ok in self.window_checks
+        ]
         for m in self.matched_checks:
             lines.append(
                 f"  gap {m.gap}: dual of controllable subcode vs observable "
@@ -236,16 +235,43 @@ class DualityReport:
         return "\n".join(lines)
 
 
+# A report's values are built from plain tuples by ``tuple.__new__``, with
+# no Python-level ``__new__`` or ``__init__`` run per value.
+_window_check = functools.partial(tuple.__new__, WindowDualityCheck)
+_matched_check = functools.partial(tuple.__new__, MatchedParameterCheck)
+
+
+def _duality_report(
+    windows: Sequence[tuple[int, int, bool]],
+    chain_ok: bool,
+    matched: Sequence[tuple[int, tuple[int, ...], tuple[int, ...], bool]],
+    **indices: int,
+) -> DualityReport:
+    """The duality report's values: a ``WindowDualityCheck`` per (start,
+    stop, ok), a ``MatchedParameterCheck`` per (gap, factors of the dual of
+    the subcode, factors of the supercode, equal as sets), and the four
+    indices by name."""
+    return DualityReport(
+        window_checks=tuple(map(_window_check, windows)),
+        chain_ok=chain_ok,
+        matched_checks=tuple(map(_matched_check, matched)),
+        **indices,
+    )
+
+
 def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
     """The duals of the two matched sides of the duality report at each
     gap L = 0..N-1, ``dual`` being D = C-perp: of cs_L =
     ``controllable_subcode(code, L)`` and of S_L =
     ``controllable_subcode(T, L)``, T = ``dual._local_dual`` = D-perp, whose
-    dual is ``observable_supercode(dual, L)``.  Each side is built until its
-    Howell rows are its top's, then repeats (``check_control_observe_duality``
-    gives the proof), once per distinct top object: with T = C both sides
-    are one list.  Each distinct subgroup is dualized once, by its rows,
-    and C's dual is ``dual``."""
+    dual is ``observable_supercode(dual, L)``.  Each side is read gap by
+    gap off its top's one chain of sums (``codes._SubcodeChain``: one
+    Howell kernel state that takes each distinct window row once and is
+    finished at each gap read) until its Howell rows are its top's, where
+    the chain hands out the top itself, and then repeats
+    (``check_control_observe_duality`` gives the proof), once per distinct
+    top object: with T = C both sides are one list.  Each distinct
+    subgroup is dualized once, by its rows, and C's dual is ``dual``."""
     N = code.space.horizon
     dualized = {code.basis.rows: dual}
 
@@ -287,8 +313,11 @@ def _start_windows(
     return reads
 
 
-def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityCheck, ...], bool]:
-    """The window checks and the chain verdict of the duality report of
+def _window_walk(
+    code: BlockCode, dual: BlockCode
+) -> tuple[tuple[tuple[int, int, bool], ...], bool]:
+    """The window checks, as (start, stop, ok) tuples in the order of the
+    report's lines, and the chain verdict of the duality report of
     ``code``, ``dual`` being D = C-perp, by one walk per start k over D's
     suffix record proj_[k,N) D, read once, and each end's prefix entry,
     read once (``_start_windows``).  Both tables are unfinished sweeps
@@ -406,7 +435,7 @@ def _window_walk(code: BlockCode, dual: BlockCode) -> tuple[tuple[WindowDualityC
                     ok = _folded_pairs_to_zero([fold(x, hi) for x in xs[i:]], ys[old:j], top, lo)
                 if ok and old and fresh:
                     ok = _folded_pairs_to_zero([fold(xs[t], hi) for t in fresh], ys[:old], top, lo)
-            checks.append(WindowDualityCheck(k, b, ok))
+            checks.append((k, b, ok))
             if b > k + 1 and not (grown and last_j == j):
                 chain_ok = chain_ok and nested(last_ys, last_j, ys, j, record[1], last_hi)
             last_xs, last_ys, last_j, last_hi, paired = xs, ys, j, hi, ok
@@ -476,20 +505,15 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
             factors[c.basis.rows] = invariant_factors_of_code(c)
         return factors[c.basis.rows]
 
-    matched = tuple(
-        MatchedParameterCheck(
-            gap=L,
-            subcode_dual_factors=factors_of(sub_dual),
-            supercode_factors=factors_of(sup),
-            equal_as_sets=sub_dual == sup,
-        )
+    matched = [
+        (L, factors_of(sub_dual), factors_of(sup), sub_dual == sup)
         for L, (sub_dual, sup) in enumerate(zip(sub_duals, supercodes))
-    )
+    ]
     dual_orders = _PrefixTable(code.space, dual._reversed_howell).order
-    return DualityReport(
-        window_checks=window_checks,
-        chain_ok=chain_ok,
-        matched_checks=matched,
+    return _duality_report(
+        window_checks,
+        chain_ok,
+        matched,
         control_index=control_profile(code).index,
         # N if no supercode is the dual, which only a broken table can
         # cause: the line of gap N - 1 then reads MISMATCH.

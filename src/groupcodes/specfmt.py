@@ -26,6 +26,8 @@ for schema errors, and the exact position for residues out of range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import mod
 from typing import Optional, Sequence
 
 from .codes import BlockCode, SequenceSpace, code_from_generators
@@ -72,8 +74,9 @@ class CodeSpecDocument:
     def to_block_code(self) -> BlockCode:
         if self.kind != "block":
             raise SpecError("not a block code document", field="kind")
-        space = SequenceSpace(tuple(FiniteAbelianGroup(m) for m in self.symbols))
-        flat = [tuple(e for part in gen for e in part) for gen in self.generators]
+        groups = {m: FiniteAbelianGroup(m) for m in set(self.symbols)}
+        space = SequenceSpace(tuple(map(groups.__getitem__, self.symbols)))
+        flat = [tuple(chain.from_iterable(gen)) for gen in self.generators]
         return code_from_generators(space, flat)
 
     def to_convolutional(self) -> ConvolutionalCode:
@@ -140,6 +143,53 @@ def _parse_vector_groups(
     return tuple(groups)
 
 
+def _line_layout(symbols: Sequence[tuple[int, ...]]) -> tuple[list, list, Optional[list]]:
+    """Each symbol's comma count and the flat moduli of a line over
+    ``symbols``, and the slices that cut its flat entries into symbols
+    (None when every symbol has one modulus: each entry is one)."""
+    commas = [len(moduli) - 1 for moduli in symbols]
+    flat = list(chain.from_iterable(symbols))
+    if not any(commas):
+        return commas, flat, None
+    cuts = list(accumulate(map(len, symbols), initial=0))
+    return commas, flat, list(map(slice, cuts, cuts[1:]))
+
+
+def _vector_lines(
+    given: Sequence[tuple[int, str]], symbols: tuple[tuple[int, ...], ...], field: str
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The per-index residue vectors of each ``generator`` line over
+    ``symbols``, or of each ``tap`` line, ``symbols`` then the one symbol
+    every step takes.  A line is accepted by one check over the whole
+    line: each token's comma count against its symbol's width, ``int``
+    over all its entries, and each entry against its flat modulus, by one
+    ``map`` of ``mod`` (0 <= e < m exactly when e % m == e).  A line that
+    fails it goes to the positioned checker (``_parse_vector_groups``),
+    which accepts exactly the lines this check accepts: it raises the
+    error it gives that line, and the lines are read in order, so the
+    first error reported is the same."""
+    tap, layouts, out = field == "tap", {}, []
+    for lineno, value in given:
+        tokens = value.split()
+        line = symbols * len(tokens) if tap else symbols
+        if len(line) not in layouts:
+            layouts[len(line)] = _line_layout(line)
+        commas, flat, slices = layouts[len(line)]
+        if list(map(str.count, tokens, repeat(","))) == commas:
+            try:
+                entries = list(map(int, ",".join(tokens).split(",")))
+            except ValueError:
+                entries = None
+            if entries is not None and list(map(mod, entries, flat)) == entries:
+                if slices is None:
+                    out.append(tuple(zip(entries)))
+                else:
+                    out.append(tuple(map(tuple(entries).__getitem__, slices)))
+                continue
+        out.append(_parse_vector_groups(value, line, lineno, field))
+    return tuple(out)
+
+
 def parse_spec(text: str) -> CodeSpecDocument:
     """Parse and validate a code specification document."""
     entries: list[tuple[int, str, str]] = []
@@ -177,15 +227,14 @@ def parse_spec(text: str) -> CodeSpecDocument:
         if "symbols" not in fields:
             raise SpecError("missing 'symbols'", field="symbols")
         sym_line, sym_value = fields["symbols"][0]
-        symbols = tuple(
-            _parse_bracket_group(tok, sym_line, "symbols") for tok in sym_value.split()
-        )
+        parsed: dict[str, tuple[int, ...]] = {}
+        for tok in sym_value.split():
+            if tok not in parsed:
+                parsed[tok] = _parse_bracket_group(tok, sym_line, "symbols")
+        symbols = tuple(map(parsed.__getitem__, sym_value.split()))
         if not symbols:
             raise SpecError("at least one symbol group required", sym_line, "symbols")
-        generators = tuple(
-            _parse_vector_groups(value, symbols, lineno, "generator")
-            for lineno, value in fields.get("generator", [])
-        )
+        generators = _vector_lines(fields.get("generator", []), symbols, "generator")
         return CodeSpecDocument(kind="block", symbols=symbols, generators=generators)
 
     for forbidden in ("symbols", "generator"):
@@ -207,13 +256,7 @@ def parse_spec(text: str) -> CodeSpecDocument:
     form_line, form = fields["form"][0]
     if form not in ("image", "kernel"):
         raise SpecError(f"form must be image or kernel, got {form!r}", form_line, "form")
-    taps = []
-    for lineno, value in fields.get("tap", []):
-        steps = value.split()
-        parsed = _parse_vector_groups(
-            " ".join(steps), [symbol] * len(steps), lineno, "tap"
-        )
-        taps.append(parsed)
+    taps = _vector_lines(fields.get("tap", []), (symbol,), "tap")
     horizon = None
     if "horizon" in fields:
         h_line, h_value = fields["horizon"][0]
@@ -227,7 +270,7 @@ def parse_spec(text: str) -> CodeSpecDocument:
         kind="convolutional",
         symbol=symbol,
         form=form,
-        taps=tuple(taps),
+        taps=taps,
         horizon=horizon,
     )
 

@@ -83,6 +83,16 @@
   fails, summing ``Fraction``s, and the order profile by the triple loop
   over (n, c, c1), each c2 = c - c1 looked up in the word set (its search
   over n is bounded by N here).
+* ``stacked_controllable_subcode``: the gap-L controllable subcode as one
+  Howell form of the stacked rows of its windows, every window row
+  stacked again at every gap, the route ``control.controllable_subcode``
+  took before it read the code's one chain of sums
+  (``codes._SubcodeChain``).
+* ``line_by_line_parse_spec``: the spec parser with every ``symbols:``
+  token parsed and factored where it stands and every ``generator`` and
+  ``tap`` line read token by token by the positioned checker, the route
+  ``specfmt.parse_spec`` took before one check over each line accepted
+  it and only a failed line went to that checker.
 * ``spans_equal``: span equality by Howell forms, which no analysis asks.
 * ``solve_congruence_system``: one solution of y · A = b with the kernel,
   which no analysis asks either.
@@ -109,7 +119,7 @@ from groupcodes.codes import (
     intersect,
     window_internal,
 )
-from groupcodes.control import control_profile, controllable_subcode
+from groupcodes.control import control_profile
 from groupcodes.convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
@@ -136,6 +146,12 @@ from groupcodes.linalg import (
 )
 from groupcodes.observe import WindowDualityCheck
 from groupcodes.oracle import EnumeratedCode, _ambient_words, _word_order
+from groupcodes.specfmt import (
+    CodeSpecDocument,
+    SpecError,
+    _parse_bracket_group,
+    _parse_vector_groups,
+)
 from groupcodes.structure import Decomposition, DecompositionGenerator
 
 
@@ -449,12 +465,23 @@ def suffix_projection_code(code: BlockCode, a: int) -> BlockCode:
     return BlockCode(sub, _trusted(sub.flat_moduli, tuple(row[start:] for row in code.basis.rows)))
 
 
+def stacked_controllable_subcode(code: BlockCode, L: int) -> BlockCode:
+    """cs_L: one Howell form of the stacked rows of the windows
+    C ∩ [k, k+L+1), clipped to the horizon, each read off the prefix-table
+    entry of its end (``codes._internal``)."""
+    N = code.space.horizon
+    rows = tuple(row for k in range(N) for row in _internal(code, k, min(k + L + 1, N)))
+    return BlockCode(code.space, _trusted(code.basis.moduli, rows))
+
+
 def own_table_matched_duals(code: BlockCode) -> tuple[list[BlockCode], list[BlockCode]]:
     """The duals of cs_L = ``controllable_subcode(code, L)`` and of
     S_L = ``controllable_subcode(T, L)`` at each gap, each side built up
     to its top and then repeated.  T = D-perp is one kernel of D's rows
     made a code of its own and seeded as D's local dual, so the sums read
-    T's prefix table; every side is dualized at each gap, and T too."""
+    T's prefix table; each gap is one Howell form of its stacked window
+    rows (``stacked_controllable_subcode``), and every side is dualized at
+    each gap, and T too."""
     N = code.space.horizon
     dual = code._local_dual
     top = BlockCode.from_howell(code.space, annihilator_rows(dual.basis).rows)
@@ -469,8 +496,8 @@ def own_table_matched_duals(code: BlockCode) -> tuple[list[BlockCode], list[Bloc
             duals.append(dual_block_code(x))
         return duals
 
-    subcodes = duals_to_top(lambda L: controllable_subcode(code, L), code, dual)
-    sums = duals_to_top(lambda L: controllable_subcode(top, L), top)
+    subcodes = duals_to_top(lambda L: stacked_controllable_subcode(code, L), code, dual)
+    sums = duals_to_top(lambda L: stacked_controllable_subcode(top, L), top)
     return subcodes, sums
 
 
@@ -833,3 +860,97 @@ def pivot_record(
     columns = tuple(next(j for j, e in enumerate(row) if e) for row in rows)
     orders = (moduli[j] // row[j] for j, row in zip(columns, rows))
     return tuple(rows), columns, tuple(accumulate(orders, mul, initial=1))
+
+
+def line_by_line_parse_spec(text: str) -> CodeSpecDocument:
+    """``specfmt.parse_spec`` with every ``symbols:`` token parsed where it
+    stands and every ``generator`` and ``tap`` line read by the positioned
+    checker (``specfmt._parse_vector_groups``)."""
+    entries: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise SpecError("expected 'key: value'", lineno)
+        key, value = line.split(":", 1)
+        entries.append((lineno, key.strip(), value.strip()))
+    if not entries:
+        raise SpecError("empty document")
+    fields = {}
+    for lineno, key, value in entries:
+        fields.setdefault(key, []).append((lineno, value))
+    single = {"kind", "symbols", "symbol", "form", "horizon"}
+    for key, given in fields.items():
+        if key not in single | {"generator", "tap"}:
+            raise SpecError("unknown key", given[0][0], key)
+        if key in single and len(given) > 1:
+            raise SpecError(f"repeated; first given on line {given[0][0]}", given[1][0], key)
+    if "kind" not in fields:
+        raise SpecError("missing 'kind'", field="kind")
+    kind_line, kind = fields["kind"][0]
+    if kind not in ("block", "convolutional"):
+        raise SpecError(f"kind must be block or convolutional, got {kind!r}", kind_line, "kind")
+
+    if kind == "block":
+        for forbidden in ("symbol", "form", "tap", "horizon"):
+            if forbidden in fields:
+                raise SpecError(
+                    "not valid in a block document", fields[forbidden][0][0], forbidden
+                )
+        if "symbols" not in fields:
+            raise SpecError("missing 'symbols'", field="symbols")
+        sym_line, sym_value = fields["symbols"][0]
+        symbols = tuple(
+            _parse_bracket_group(tok, sym_line, "symbols") for tok in sym_value.split()
+        )
+        if not symbols:
+            raise SpecError("at least one symbol group required", sym_line, "symbols")
+        generators = tuple(
+            _parse_vector_groups(value, symbols, lineno, "generator")
+            for lineno, value in fields.get("generator", [])
+        )
+        return CodeSpecDocument(kind="block", symbols=symbols, generators=generators)
+
+    for forbidden in ("symbols", "generator"):
+        if forbidden in fields:
+            raise SpecError(
+                "not valid in a convolutional document",
+                fields[forbidden][0][0],
+                forbidden,
+            )
+    if "symbol" not in fields:
+        raise SpecError("missing 'symbol'", field="symbol")
+    sym_line, sym_value = fields["symbol"][0]
+    tokens = sym_value.split()
+    if len(tokens) != 1:
+        raise SpecError("exactly one symbol group expected", sym_line, "symbol")
+    symbol = _parse_bracket_group(tokens[0], sym_line, "symbol")
+    if "form" not in fields:
+        raise SpecError("missing 'form'", field="form")
+    form_line, form = fields["form"][0]
+    if form not in ("image", "kernel"):
+        raise SpecError(f"form must be image or kernel, got {form!r}", form_line, "form")
+    taps = []
+    for lineno, value in fields.get("tap", []):
+        steps = value.split()
+        parsed = _parse_vector_groups(
+            " ".join(steps), [symbol] * len(steps), lineno, "tap"
+        )
+        taps.append(parsed)
+    horizon = None
+    if "horizon" in fields:
+        h_line, h_value = fields["horizon"][0]
+        try:
+            horizon = int(h_value)
+        except ValueError:
+            raise SpecError(f"horizon must be an integer, got {h_value!r}", h_line, "horizon")
+        if horizon < 1:
+            raise SpecError("horizon must be positive", h_line, "horizon")
+    return CodeSpecDocument(
+        kind="convolutional",
+        symbol=symbol,
+        form=form,
+        taps=tuple(taps),
+        horizon=horizon,
+    )

@@ -62,12 +62,13 @@ recorded inputs it takes, bucketed by matrix width:
   products;
 * ``matched-own-table``: the duals of the matched sides of each recorded
   duality report, on a fresh copy of its code, with T = D-perp a code of
-  its own that reads its own prefix table and every side dualized at
-  each gap (``kernel_references.own_table_matched_duals``), the route
-  before the local dual's local dual was the code;
+  its own that reads its own prefix table, each gap one Howell form of
+  its stacked window rows, and every side dualized at each gap
+  (``kernel_references.own_table_matched_duals``), the route before the
+  local dual's local dual was the code;
 * ``matched-shared-table``: the same by ``observe._matched_duals``, where
-  T is the code, whose prefix table both sides read, and each distinct
-  side is dualized once;
+  T is the code, whose one chain of sums (``codes._SubcodeChain``) both
+  sides read, and each distinct side is dualized once;
 * ``duality-windows-cut``: the window checks and chain verdict of each
   recorded duality report, every projection of the dual a cut copy of
   its rows and every nested containment tested on every row

@@ -19,6 +19,7 @@ from groupcodes.codes import (
     SequenceSpace,
     _annihilator_order,
     _gap_lengths,
+    _internal,
     code_from_generators,
     intersect,
     join,
@@ -54,6 +55,7 @@ from .kernel_references import (
     order_split_everywhere,
     pairwise_reachable_set,
     scale_rows,
+    stacked_controllable_subcode,
     triple_loop_order_profile,
 )
 from .test_codes import mixed_codes
@@ -809,3 +811,105 @@ class TestPlainSplitFromGapLengths:
             for n in range(l, N + 1):
                 splits = join(window_internal(code, 0, n), suffix) == code
                 assert splits == (n >= l + lengths[l]), (l, n)
+
+
+class _CountedChainState:
+    """A Howell kernel state that records every row pushed into it."""
+
+    def __init__(self, state):
+        self.state, self.rows, self.finished = state, [], 0
+
+    def push(self, rows):
+        rows = list(rows)
+        self.rows += rows
+        self.state.push(rows)
+
+    def finish(self):
+        self.finished += 1
+        return self.state.finish()
+
+
+def climb_counted(code):
+    """Read cs_0, ..., cs_{N-1} off a fresh chain of a fresh copy of
+    ``code`` whose state counts its pushes; (the copy, the chain, the
+    counted state, the codes read)."""
+    import groupcodes.codes as codes_module
+
+    fresh = BlockCode.from_howell(code.space, code.basis.rows)
+    chain = fresh._subcodes
+    chain.state = _CountedChainState(chain.state)
+    read = [controllable_subcode(fresh, L) for L in range(fresh.space.horizon)]
+    assert fresh.__dict__["_subcodes"] is chain and isinstance(chain, codes_module._SubcodeChain)
+    return fresh, chain, chain.state, read
+
+
+class TestCountedChain:
+    """The controllable subcodes cs_0 ⊆ cs_1 ⊆ ... read off one Howell
+    state per code (``codes._SubcodeChain``) against one Howell form of
+    each gap's stacked window rows
+    (``kernel_references.stacked_controllable_subcode``): equal codes at
+    every gap, each distinct window row pushed once, and the number of
+    rows pushed pinned on the band codes."""
+
+    # (rows pushed, gap of the top) per modulus and horizon; the top is
+    # the tap's length minus one.  One Howell form per gap stacks 41, 89
+    # and 185 window rows over gaps 0..2 on the Z/8 and Z/6 codes, and 14,
+    # 30 and 62 on Z/9, whose windows below gap 2 hold no row.
+    PUSHED = {
+        8: {16: (16, 2), 32: (32, 2), 64: (64, 2)},
+        9: {16: (14, 2), 32: (30, 2), 64: (62, 2)},
+        6: {16: (28, 2), 32: (60, 2), 64: (124, 2)},
+    }
+
+    def assert_chain_matches_stacked_rows(self, code):
+        fresh, chain, state, read = climb_counted(code)
+        N = code.space.horizon
+        for L, subcode in enumerate(read):
+            if L <= chain.top + 1 or L == N - 1:
+                assert subcode.basis.rows == stacked_controllable_subcode(code, L).basis.rows
+            if L >= chain.top:
+                assert subcode is fresh
+        assert len(state.rows) == len(set(state.rows))
+        # The last gap climbed is the top, or N - 2 if only the whole
+        # window [0, N) makes the code, which is not climbed to.
+        assert chain.gap == min(chain.top, N - 2)
+        windows = {
+            row
+            for L in range(chain.gap + 1)
+            for k in range(N)
+            for row in _internal(fresh, k, min(k + L + 1, N))
+        }
+        assert set(state.rows) == windows
+        assert state.finished <= chain.gap + 1
+        return len(state.rows), chain.top
+
+    @pytest.mark.parametrize("modulus", sorted(PUSHED))
+    def test_band_codes(self, modulus):
+        from .test_structure import BAND_TAPS, band_block_code
+
+        pushed = {
+            n: self.assert_chain_matches_stacked_rows(
+                band_block_code(n, modulus, BAND_TAPS[modulus])
+            )
+            for n in self.PUSHED[modulus]
+        }
+        assert pushed == self.PUSHED[modulus]
+
+    def test_exhaustive_corpus(self, exhaustive_corpus):
+        for code in exhaustive_corpus:
+            self.assert_chain_matches_stacked_rows(code)
+
+    def test_mixed_corpus(self, mixed_corpus):
+        for code in mixed_corpus:
+            self.assert_chain_matches_stacked_rows(code)
+
+    def test_reads_out_of_order_restart_the_climb(self, mixed_corpus):
+        # A gap below the one climbed to is climbed to again on a fresh
+        # state; a gap read twice in a row pushes nothing the second time.
+        for code in mixed_corpus:
+            N = code.space.horizon
+            fresh = BlockCode.from_howell(code.space, code.basis.rows)
+            order = list(range(N - 1, -1, -1)) + [L for L in range(N) for _ in range(2)]
+            for L in order:
+                expected = stacked_controllable_subcode(code, L)
+                assert controllable_subcode(fresh, L).basis.rows == expected.basis.rows

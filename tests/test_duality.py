@@ -2,8 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcodes.codes import SequenceSpace, code_from_generators
 from groupcodes.duality import (
@@ -33,6 +36,61 @@ def random_subgroup(rng, moduli, max_gens=3):
         for _ in range(rng.randint(0, max_gens))
     ]
     return howell_form(residue_matrix(rows, moduli))
+
+
+def fraction_pairing(x, chi):
+    """The pairing as a sum of ``Fraction``s taken modulo 1."""
+    total = sum(
+        (Fraction(a * b, m) for a, b, m in zip(x.residues, chi.residues, x.group.moduli)),
+        Fraction(0),
+    )
+    return total % 1
+
+
+def as_fraction(value):
+    return Fraction(value.numerator, value.denominator)
+
+
+moduli_lists = st.lists(st.integers(1, 60), max_size=6)
+fractions = st.fractions(max_denominator=10**6) | st.integers(-(10**9), 10**9)
+
+
+class TestIntegerQmodZ:
+    """``QmodZ`` and ``pairing`` in integer arithmetic against ``Fraction``."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_pairing_matches_fraction_sum(self, data):
+        G = FiniteAbelianGroup(tuple(data.draw(moduli_lists)))
+        x, chi = (
+            G.element([data.draw(st.integers(0, m - 1)) for m in G.moduli]) for _ in range(2)
+        )
+        value = pairing(x, Character(chi))
+        assert as_fraction(value) == fraction_pairing(x, chi)
+        assert value == QmodZ.of(fraction_pairing(x, chi))
+
+    @given(fractions, fractions, st.integers(-50, 50))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_arithmetic_matches_fraction(self, a, b, scalar):
+        p, q = QmodZ.of(a), QmodZ.of(b)
+        for value, expected in (
+            (p, Fraction(a) % 1),
+            (p + q, (Fraction(a) + Fraction(b)) % 1),
+            (-p, -Fraction(a) % 1),
+            (p * scalar, scalar * Fraction(a) % 1),
+            (scalar * p, scalar * Fraction(a) % 1),
+        ):
+            assert (value.numerator, value.denominator) == (
+                expected.numerator,
+                expected.denominator,
+            )
+            assert value.is_zero() == (expected == 0)
+
+    def test_of_takes_int_and_fraction(self):
+        assert QmodZ.of(3) == QmodZ.of(Fraction(-2)) == QmodZ.zero()
+        assert QmodZ.of(Fraction(7, 4)) == -QmodZ.of(Fraction(-3, 4)) == QmodZ(3, 4)
+        with pytest.raises(ValueError):
+            QmodZ(2, 4)
 
 
 class TestPairing:

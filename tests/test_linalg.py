@@ -22,8 +22,11 @@ from groupcodes.linalg import (
     _HowellPacked,
     _HowellSingle,
     _howell_state,
+    _SMALL_PRIMES,
+    _TRIAL,
     _primes,
     _reduce_vector,
+    _sieve,
     _reduced,
     _trusted,
     annihilator_rows,
@@ -1161,6 +1164,24 @@ def trial_division_primes(n):
                 n //= d
         d += 1
     return tuple(primes + [n] if n > 1 else primes)
+
+
+class TestSmallPrimeSieve:
+    """``_sieve`` gives the primes trial division gives, below every bound."""
+
+    @staticmethod
+    def trial_division(n):
+        return tuple(p for p in range(2, n) if trial_division_primes(p) == (p,))
+
+    def test_trial_bound(self):
+        assert _SMALL_PRIMES == self.trial_division(_TRIAL) == _sieve(_TRIAL)
+        assert len(_SMALL_PRIMES) == 172 and _SMALL_PRIMES[-1] == 1021
+
+    def test_every_bound_up_to_200(self):
+        # Bounds 0, 1 and 2 hold no prime; squares of primes and their
+        # neighbours cross the sieve's last step.
+        for n in range(201):
+            assert _sieve(n) == self.trial_division(n), n
 
 
 class TestFactorization:

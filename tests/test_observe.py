@@ -287,7 +287,10 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     # control index is counted on one table of D's reversed rows with no
     # owner (``_PrefixTable.order``).  It sweeps two suffix tables: D's records
     # for the walk and C's for the observe index.  No table's Howell
-    # state is ever finished.  Each of C and D is kernelled once.
+    # state is ever finished.  The one other state is C's chain of
+    # controllable subcodes (``codes._SubcodeChain``), finished at each gap
+    # it climbs to that takes new window rows: gaps 0 and 2, where it
+    # reaches its top; gap 1 takes none.  Each of C and D is kernelled once.
     import groupcodes.codes as codes_module
 
     code = band_code("z4_band10_code.spec")
@@ -342,9 +345,11 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
         (dual._suffixes, dual.basis.rows),
         (code._suffixes, code.basis.rows),
     ]
-    swept = tables + [table for table, _ in suffix_tables]
+    swept = tables + [table for table, _ in suffix_tables] + [code._subcodes]
     assert sorted(map(id, (table.state for table in swept))) == sorted(map(id, states))
-    assert not any(state.finished for state in states)
+    assert "_subcodes" not in dual.__dict__
+    assert not any(state.finished for state in states if state is not code._subcodes.state)
+    assert (code._subcodes.state.finished, code._subcodes.top) == (2, 2)
 
 
 def walk_pairs_per_start(code):
@@ -828,8 +833,11 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # of the matched sides are counted on their own Howell rows.  T, the
     # local dual of the dual, is the code itself, so the two matched sides
     # are one climb, and each distinct side is dualized once; every suffix
-    # record is read off one trimming sweep: 11 (29 with a Howell form per
-    # suffix record, 32 with the supercode side summed a second time, 37 with T's own reversed
+    # record is read off one trimming sweep; the climb is one Howell state
+    # finished at each gap it reads (``codes._SubcodeChain``), with no
+    # Howell form: 8 (11 with a Howell form per gap of the climb, 29 with
+    # that and a Howell form per suffix record, 32 with the supercode side
+    # summed a second time, 37 with T's own reversed
     # Howell form and kernel and a kernel per gap of each side, 39 with a
     # second Howell form of each side's basis too, 47 with a kernel per
     # end of the annihilator windows, 66 with a Howell form per prefix).
@@ -868,13 +876,15 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(["duality-check", str(path)]) == 0
     # The parsed code, its dual and the one climb of matched sides and
-    # their duals are the only codes (9 with the supercode side built
+    # their duals are the only codes: the climb shares a code between gaps
+    # that take no new rows and hands out the code itself at its top (6
+    # with a code per gap up to the top, 9 with the supercode side built
     # apart, 27 when every suffix projection and the accessor reads were
     # codes); every window table is a record, so the spec's space is the
     # only space (19 with one per suffix projection).
-    assert calls["codes"] == 6
+    assert calls["codes"] == 4
     assert calls["spaces"] == 1
-    assert calls["howell_form"] == 11
+    assert calls["howell_form"] == 8
 
 
 def _first_top(side, top, N):
