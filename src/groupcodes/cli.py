@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from . import oracle
-from .codes import BlockCode, invariant_factors_of_code, window_order
+from .codes import BlockCode, _unit_rows, invariant_factors_of_code, window_order
 from .control import control_profile, order_profile, reachable_set
 from .convolutional import (
     REPORT_WINDOWS,
@@ -442,8 +442,7 @@ def _consistency_agrees(engine: BlockCode, brute: Sequence, window: slice) -> bo
     allowed), so this is B ⊆ E, the verdict of testing every word of B."""
     moduli = engine.basis.moduli
     width, lo, hi = len(moduli), window.start, window.stop
-    outside = (j for j, m in enumerate(moduli) if m > 1 and not lo <= j < hi)
-    units = ((0,) * j + (1,) + (0,) * (width - 1 - j) for j in outside)
+    units = _unit_rows(moduli, (j for j in range(width) if not lo <= j < hi))
     zeroed = ((0,) * lo + part + (0,) * (width - hi) for part in {w[window] for w in brute})
     return engine.cardinality == len(brute) and all(map(engine.contains, chain(units, zeroed)))
 

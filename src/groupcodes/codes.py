@@ -176,8 +176,8 @@ class BlockCode:
         return _PrefixTable(self.space, self._reversed_howell)
 
     @_cached
-    def _subcodes(self) -> "_SubcodeChain":
-        return _SubcodeChain(self)
+    def _subcodes(self) -> tuple["BlockCode", ...]:
+        return _subcode_chain(self)
 
     @_cached
     def _control_lengths(self) -> tuple[int, ...]:
@@ -210,6 +210,12 @@ class BlockCode:
         dual = BlockCode.from_howell(self.space, rows)
         dual.__dict__["_dual_source"] = self
         return dual
+
+    @_cached
+    def _invariant_factors(self) -> tuple[int, ...]:
+        """Invariant factors d_1 | d_2 | ..., counted once per code on its
+        Howell rows and order (``linalg._counted_invariants``)."""
+        return _counted_invariants(self.basis, (), self.cardinality)
 
     @_cached
     def _record(self) -> Entry:
@@ -408,54 +414,42 @@ class _SuffixTable(_Sweep):
         return self.state.trim(self.offsets[a])
 
 
-class _SubcodeChain:
-    """The controllable subcodes cs_0 ⊆ cs_1 ⊆ ... of a code C, cs_L the
-    sum of the windows C ∩ [k, k+L+1), clipped to the horizon, over all k,
-    climbed on one Howell kernel state (``linalg._howell_state``).
+def _subcode_chain(code: BlockCode) -> tuple[BlockCode, ...]:
+    """The controllable subcodes cs_0 ⊆ cs_1 ⊆ ... ⊆ cs_t = C of a code C,
+    cs_L the sum of the windows C ∩ [k, k+L+1), clipped to the horizon,
+    over all k, climbed once on one Howell kernel state
+    (``linalg._howell_state``) up to the top t.
 
     The windows of gap L lie in those of gap L + 1, so cs_L is the span of
     every window row of the gaps up to L.  Going up to gap L pushes the
     rows of its windows (``_internal``, a slice of a prefix entry) that
-    no earlier gap pushed, so each distinct row goes in once per climb,
-    and the state is finished only at the gap read (``at``), to give its
-    Howell rows; a gap that pushes nothing shares the code read before
-    it.  The climb stops at the top: from the first gap whose Howell rows
-    are C's, and from L = N - 1 on (the window [0, N) is C), ``at`` is the
-    code itself.  A read below the gap climbed to starts the climb again
-    on a fresh state.
+    no earlier gap pushed, so each distinct row goes in once, and the
+    state is finished only at a gap that pushed a row, to give its Howell
+    rows.  A gap whose Howell rows are those of the gap before shares its
+    code object, so the distinct objects are the distinct subgroups.  The
+    climb stops at the first gap whose Howell rows are C's, and at
+    L = N - 1 (the window [0, N) is C): there the chain ends with the code
+    itself, which every gap from t on reads (``controllable_subcode``).
     """
-
-    def __init__(self, code: BlockCode) -> None:
-        self.code, self.top = code, code.space.horizon - 1
-        self._restart()
-
-    def _restart(self) -> None:
-        self.state = _howell_state(self.code.basis.moduli)
-        self.pushed: set[Vector] = set()
-        self.gap, self.last = -1, None
-
-    def at(self, L: int) -> BlockCode:
-        """cs_L, a code over C's space."""
-        code = self.code
-        if L >= self.top:
-            return code
-        if L < self.gap:
-            self._restart()
-        N, pushed, new = code.space.horizon, self.pushed, []
+    N, space = code.space.horizon, code.space
+    state, pushed, chain, rows = _howell_state(code.basis.moduli), set(), [], None
+    for L in range(N - 1):
+        new = []
         for k in range(N):
             for row in _internal(code, k, min(k + L + 1, N)):
                 if row not in pushed:
                     pushed.add(row)
                     new.append(row)
-        self.gap = L
-        if new or self.last is None:
-            self.state.push(new)
-            rows = tuple(self.state.finish())
-            if rows == code.basis.rows:
-                self.top = L
-                return code
-            self.last = BlockCode.from_howell(code.space, rows)
-        return self.last
+        if new or rows is None:
+            state.push(new)
+            rows = tuple(state.finish())
+        if rows == code.basis.rows:
+            break
+        if chain and rows == chain[-1].basis.rows:
+            chain.append(chain[-1])
+        else:
+            chain.append(BlockCode.from_howell(space, rows))
+    return (*chain, code)
 
 
 def code_from_generators(
@@ -469,10 +463,19 @@ def zero_code(space: SequenceSpace) -> BlockCode:
     return code_from_generators(space, [])
 
 
+def _unit_rows(moduli: Sequence[int], columns: Iterable[int]) -> list[Vector]:
+    """The unit words at ``columns`` of a space with flat ``moduli``, one
+    per column of modulus above 1 (a unit of Z/1 is zero).  They are a
+    Howell form of their span: one normalized pivot per row, in the order
+    of ``columns``, with nothing above it."""
+    width = len(moduli)
+    return [(0,) * j + (1,) + (0,) * (width - 1 - j) for j in columns if moduli[j] > 1]
+
+
 def ambient_code(space: SequenceSpace) -> BlockCode:
-    n = len(space.flat_moduli)
-    units = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-    return code_from_generators(space, units)
+    """The whole space: the Howell form of its unit words (``_unit_rows``)."""
+    moduli = space.flat_moduli
+    return BlockCode.from_howell(space, _unit_rows(moduli, range(len(moduli))))
 
 
 def intersect(a: BlockCode, b: BlockCode) -> BlockCode:
@@ -649,6 +652,6 @@ def annihilator_order(code: BlockCode, a: int, b: int) -> int:
 
 def invariant_factors_of_code(code: BlockCode) -> tuple[int, ...]:
     """Isomorphism type of the code as invariant factors d_1 | d_2 | ...,
-    counted on its Howell rows and order (``linalg.smith_invariants`` on
-    its basis)."""
-    return _counted_invariants(code.basis, (), code.cardinality)
+    kept on the code (``BlockCode._invariant_factors``): ``smith_invariants``
+    of its basis, counted on its Howell rows and order."""
+    return code._invariant_factors

@@ -111,16 +111,18 @@ def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
     Equals the sum of the window-supported subgroups of width L+1; the
     containment of each window subgroup in every C_k(L) gives one direction
     and greedy peeling of leading coordinates gives the other.  Read off
-    the code's one chain of these sums (``codes._SubcodeChain``, kept on
-    the code): the rows of the windows C ∩ [k, k+L+1), each read off the
-    prefix-table entry of its end (``codes._internal``), go into one
-    Howell kernel state gap by gap, each distinct row once, and the state
-    is finished at L; from the gap where the sum is the code on, it is
-    the code itself.  No window code is built.
+    the code's chain of these sums, a tuple cs_0 ⊆ ... ⊆ cs_t = C kept on
+    the code and climbed once (``codes._subcode_chain``): the rows of the
+    windows C ∩ [k, k+L+1), each read off the prefix-table entry of its
+    end (``codes._internal``), go into one Howell kernel state gap by gap,
+    each distinct row once, up to the first gap whose sum is the code.
+    Gap L reads entry min(L, t), so from t on it is the code itself, and
+    equal sums are one object.  No window code is built.
     """
     if L < 0:
         raise ValueError(f"bad gap length L={L}")
-    return code._subcodes.at(L)
+    chain = code._subcodes
+    return chain[min(L, len(chain) - 1)]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .codes import (
     _annihilator_order,
     _canonical_projection,
     _gap_lengths,
-    _PrefixTable,
+    _unit_rows,
     invariant_factors_of_code,
 )
 from .control import control_profile, controllable_subcode
@@ -61,9 +61,9 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     code in the same ambient space.  The closed window is clipped to the
     horizon.  Its Howell basis is written directly: the projection's Howell
     rows (``codes._canonical_projection``, as ``window_projection`` reads
-    them: one Howell form per start) padded with zeros between unit rows
-    for the coordinates outside the window (modulus above 1); the blocks
-    share no column.
+    them: one Howell form per start) padded with zeros between the unit
+    rows of the coordinates outside the window (``codes._unit_rows``); the
+    blocks share no column.
     """
     N = code.space.horizon
     if not 0 <= k < N or L < 0:
@@ -72,14 +72,10 @@ def consistency_set(code: BlockCode, k: int, L: int) -> BlockCode:
     sl = code.space.flat_slice(k, b)
     moduli = code.space.flat_moduli
     width = len(moduli)
-
-    def units(columns):
-        return [(0,) * j + (1,) + (0,) * (width - 1 - j) for j in columns if moduli[j] > 1]
-
     before, after = (0,) * sl.start, (0,) * (width - sl.stop)
-    rows = units(range(sl.start))
+    rows = _unit_rows(moduli, range(sl.start))
     rows += [before + row + after for row in _canonical_projection(code, k, b)]
-    rows += units(range(sl.stop, width))
+    rows += _unit_rows(moduli, range(sl.stop, width))
     return BlockCode.from_howell(code.space, rows)
 
 
@@ -265,27 +261,23 @@ def _matched_duals(code: BlockCode, dual: BlockCode) -> tuple[list, list]:
     ``controllable_subcode(code, L)`` and of S_L =
     ``controllable_subcode(T, L)``, T = ``dual._local_dual`` = D-perp, whose
     dual is ``observable_supercode(dual, L)``.  Each side is read gap by
-    gap off its top's one chain of sums (``codes._SubcodeChain``: one
-    Howell kernel state that takes each distinct window row once and is
-    finished at each gap read) until its Howell rows are its top's, where
-    the chain hands out the top itself, and then repeats
+    gap off its top's kept chain of sums (``codes._subcode_chain``) until
+    it is the top object itself, and then repeats
     (``check_control_observe_duality`` gives the proof), once per distinct
-    top object: with T = C both sides are one list.  Each distinct
-    subgroup is dualized once, by its rows, and C's dual is ``dual``."""
+    top object: with T = C both sides are one list.  Each object is
+    dualized by ``dual_block_code``, which keeps the dual on it, and the
+    chain holds one object per distinct subgroup, so each distinct
+    subgroup is dualized once; C's dual is ``dual``."""
     N = code.space.horizon
-    dualized = {code.basis.rows: dual}
 
     def duals_to_top(top: BlockCode) -> list:
         duals = []
         for L in range(N):
             x = controllable_subcode(top, L)
-            rows = x.basis.rows
-            if rows not in dualized:
-                dualized[rows] = dual_block_code(x)
-            duals.append(dualized[rows])
-            if rows == top.basis.rows:
-                return duals + duals[-1:] * (N - L - 1)
-        return duals
+            duals.append(dual_block_code(x))
+            if x is top:
+                break
+        return duals + duals[-1:] * (N - len(duals))
 
     sub_duals, top = duals_to_top(code), dual._local_dual
     return sub_duals, sub_duals if top is code else duals_to_top(top)
@@ -419,7 +411,7 @@ def _window_walk(
                 folded[id(x)] = list(map(mul, x[lo:hi], tail))
             return folded[id(x)]
 
-        last_xs, last_ys, last_j, last_hi, paired = (), (), 0, lo, False
+        last_ys, last_j, last_hi, paired = (), 0, lo, False
         reads = _start_windows(entries, record, offsets, k)
         for b, (xs, i, x_order, ys, j, y_order) in enumerate(reads, k + 1):
             hi = offsets[b]
@@ -428,8 +420,7 @@ def _window_walk(
             if ok and j and i < len(xs):
                 old, fresh = 0, range(i, len(xs))
                 if paired and grown:
-                    same = xs is entries[b][0] and last_xs is entries[b - 1][0]
-                    fresh = fresh_rows(b) if same else new_rows(last_xs, xs)
+                    fresh = fresh_rows(b)
                     old, fresh = last_j, fresh[bisect_left(fresh, i) :]
                 if old < j:
                     ok = _folded_pairs_to_zero([fold(x, hi) for x in xs[i:]], ys[old:j], top, lo)
@@ -438,7 +429,7 @@ def _window_walk(
             checks.append((k, b, ok))
             if b > k + 1 and not (grown and last_j == j):
                 chain_ok = chain_ok and nested(last_ys, last_j, ys, j, record[1], last_hi)
-            last_xs, last_ys, last_j, last_hi, paired = xs, ys, j, hi, ok
+            last_ys, last_j, last_hi, paired = ys, j, hi, ok
     return tuple(checks), chain_ok
 
 
@@ -453,7 +444,7 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     - the reachable sets grow with L while the dual consistency sets shrink;
     - for every gap L, the dual of the gap-L controllable subcode equals the
       window-L observable supercode of the dual code, and their invariant
-      factors agree (computed once per distinct subgroup); with
+      factors agree (counted once per code object, kept on it); with
       C-perp-perp = C this is a check of biduality (see below).
 
     The window and chain checks read rows and orders off C's prefix table
@@ -464,15 +455,18 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     proofs); every window keeps the verdict of counting and pairing its
     own rows, and the nested chain checks the records' cut bookkeeping.
 
-    Each matched side is built only until it reaches its top
+    Each matched side is read only until it reaches its top
     (``_matched_duals``).  The supercode of D at window L is the dual of
     the sum S_L of the annihilators T ∩ [k, k+L+1) of its consistency sets,
     T = ``dual._local_dual`` = D-perp (``observable_supercode``), and S_L
     is ``controllable_subcode(T, L)``.  So each side sums the windows
     top ∩ [k, k+L+1) of a top, C or T, which grow with L, and at L = N - 1
-    it is the top: a nondecreasing chain under its top that stays there
-    once its Howell rows are the top's, its dual and invariant factors
-    then reused.  Each distinct subgroup is dualized once, C's dual is D.
+    it is the top: a nondecreasing chain under its top, kept on the top
+    as one object per distinct sum, that is the top object once its
+    Howell rows are the top's.  Each distinct subgroup is dualized once
+    and its invariant factors counted once, both kept on its code object
+    (``BlockCode._local_dual``, ``BlockCode._invariant_factors``); C's
+    dual is D.
 
     T is one kernel of D's rows.  When they are C's rows (C-perp-perp = C),
     T is the code object itself (``BlockCode._local_dual``): the two sides
@@ -484,32 +478,23 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
     of C's prefix table reaches both sides alike; the window lines check
     that table against the dual's suffix records.
 
-    The code's control index comes from ``control_profile`` (C's prefix
-    table); the dual's is counted on the orders of a prefix table of D's
-    reversed rows that D does not keep (``codes._PrefixTable.order``).  The
-    code's observe index is counted on its own suffix records
-    (``_observe_index``) and the dual's is the first matched supercode
-    equal to the dual.  So each side of ``indices_match`` is a separate
-    computation: C's control index counts orders where D's observe index
-    sums rows, and C's observe index reads no table of D, where D's
-    control index reads D's rows.
+    The code's control index comes from ``control_profile`` on C's prefix
+    table, and the dual's from ``control_profile`` on D's own prefix
+    table, of D's reversed rows.  The code's observe index is counted on
+    its own suffix records (``_observe_index``) and the dual's is the
+    first matched supercode equal to the dual.  So each side of
+    ``indices_match`` is a separate computation: C's control index counts
+    orders where D's observe index sums rows, and C's observe index reads
+    no table of D, where D's control index reads D's rows.
     """
     N = code.space.horizon
     dual = code._local_dual
     window_checks, chain_ok = _window_walk(code, dual)
     sub_duals, supercodes = _matched_duals(code, dual)
-    factors = {}
-
-    def factors_of(c: BlockCode) -> tuple[int, ...]:
-        if c.basis.rows not in factors:
-            factors[c.basis.rows] = invariant_factors_of_code(c)
-        return factors[c.basis.rows]
-
     matched = [
-        (L, factors_of(sub_dual), factors_of(sup), sub_dual == sup)
+        (L, invariant_factors_of_code(sub_dual), invariant_factors_of_code(sup), sub_dual == sup)
         for L, (sub_dual, sup) in enumerate(zip(sub_duals, supercodes))
     ]
-    dual_orders = _PrefixTable(code.space, dual._reversed_howell).order
     return _duality_report(
         window_checks,
         chain_ok,
@@ -519,5 +504,5 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
         # cause: the line of gap N - 1 then reads MISMATCH.
         dual_observe_index=next((L for L, c in enumerate(supercodes) if c == dual), N),
         observe_index=_observe_index(code),
-        dual_control_index=max(_gap_lengths(N, dual_orders)),
+        dual_control_index=control_profile(dual).index,
     )

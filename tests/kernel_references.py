@@ -46,8 +46,8 @@
   sides with T = D-perp a code of its own, which reads its own prefix
   table, and each side dualized at every gap, the route
   ``observe._matched_duals`` took before the local dual's local dual was
-  the code, the two sides one climb, and each distinct side dualized
-  once.
+  the code, the two sides one kept chain, and each distinct side one
+  object, dualized once.
 * ``cut_duality_windows``: the window checks and chain verdict of the
   duality report with every projection of the dual a cut copy of its
   rows, kept in one dict, and every nested containment tested on every
@@ -86,8 +86,8 @@
 * ``stacked_controllable_subcode``: the gap-L controllable subcode as one
   Howell form of the stacked rows of its windows, every window row
   stacked again at every gap, the route ``control.controllable_subcode``
-  took before it read the code's one chain of sums
-  (``codes._SubcodeChain``).
+  took before it read the code's one chain of sums, climbed once and
+  kept as a tuple (``codes._subcode_chain``).
 * ``line_by_line_parse_spec``: the spec parser with every ``symbols:``
   token parsed and factored where it stands and every ``generator`` and
   ``tap`` line read token by token by the positioned checker, the route

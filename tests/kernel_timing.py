@@ -14,11 +14,11 @@ every call of ``duality.pairs_to_zero`` and every pairing of the duality
 walk (``observe._folded_pairs_to_zero``, its rows weighted, over moduli
 all equal to their lcm), every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
-(``codes._PrefixTable``, with the last end it filled: a code's own, or
-one with no owner whose orders the strong index and the duality report's
-dual control index read), every code whose
-annihilator windows fill entries of its local dual's prefix table (with
-the last end filled), every code whose suffix projections proj_[a,N) C
+(``codes._PrefixTable``, with the last end it filled: a code's own, the
+dual's included, whose orders the duality report's dual control index
+reads, or one with no owner whose orders the strong index reads), every
+code whose annihilator windows fill entries of its local dual's prefix
+table (with the last end filled), every code whose suffix projections proj_[a,N) C
 the reports read (``BlockCode._suffix``, with the starts read), every
 code whose duality report the commands run
 (``observe.check_control_observe_duality``), every code that
@@ -41,8 +41,8 @@ recorded inputs it takes, bucketed by matrix width:
   checked by its own Howell form and its pivot columns and products;
 * ``order-sweep``: every window order |C ∩ [a, b)|, b up to the last end,
   read through ``_PrefixTable.order`` on a table with no owner, as the
-  strong index and the dual control index read them; checked against the
-  orders of ``prefix-per-end``'s forms;
+  strong index reads them; checked against the orders of
+  ``prefix-per-end``'s forms;
 * ``annihilator-per-end``: entries 1..last of a recorded annihilator
   table, C-perp ∩ [0, b) for each end b, by one kernel per end
   (``kernel_references.per_end_prefix_annihilator``), the route
@@ -67,8 +67,9 @@ recorded inputs it takes, bucketed by matrix width:
   (``kernel_references.own_table_matched_duals``), the route before the
   local dual's local dual was the code;
 * ``matched-shared-table``: the same by ``observe._matched_duals``, where
-  T is the code, whose one chain of sums (``codes._SubcodeChain``) both
-  sides read, and each distinct side is dualized once;
+  T is the code, whose chain of sums, climbed once and kept as a tuple
+  (``codes._subcode_chain``), both sides read, and each distinct side is
+  one object, dualized once;
 * ``duality-windows-cut``: the window checks and chain verdict of each
   recorded duality report, every projection of the dual a cut copy of
   its rows and every nested containment tested on every row

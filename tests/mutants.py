@@ -1,0 +1,230 @@
+"""Named mutants of ``src/groupcodes`` and the tests expected to kill them.
+
+    python tests/mutants.py [--only NAME ...] [--budget SECONDS]
+
+Each mutant names a file under ``src/groupcodes``, an exact snippet of it
+that occurs there once, and the snippet's replacement, with either the
+tests that must fail on the mutated source (pytest node ids, from the
+repository root) or the reason the mutant is equivalent.
+
+The replay first runs the union of the named tests once on an unmutated
+copy of ``src/``; they must pass, so that a kill is the mutant's.  Then,
+per mutant, it copies ``src/`` into a temporary directory, applies the
+replacement there, and runs the mutant's tests in a child ``pytest``
+process that imports ``groupcodes`` from the copy (``PYTHONPATH``), under
+a wall budget.  It prints one line per mutant: ``killed`` with the tests
+that failed, ``SURVIVED``, ``TIMEOUT`` or ``equivalent`` (not run).  The
+exit status is 0 exactly when the unmutated run passes and every mutant
+expected to be killed is killed.  Mutants run one at a time, each in one
+child process.  A named test that starts a program of its own must take
+``groupcodes`` from ``PYTHONPATH``: ``tests/test_api_surface.py`` and
+``tests/test_bench_trace.py`` put the repository's ``src/`` first, so
+they never see a mutant and are named by none.
+
+Tier-1 (``tests/test_mutants.py``) checks only that each snippet occurs
+exactly once; the replay is opt-in.  A change that rewrites the code under
+a snippet updates the snippet and replays the mutant.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/groupcodes
+    snippet: str
+    replacement: str
+    killers: tuple[str, ...] = ()
+    equivalent: Optional[str] = None
+
+
+MUTANTS = (
+    Mutant(
+        "chain-without-row-dedup",
+        "codes.py",
+        "                if row not in pushed:\n"
+        "                    pushed.add(row)\n"
+        "                    new.append(row)\n",
+        "                new.append(row)\n",
+        ("tests/test_control.py::TestCountedChain::test_band_codes",),
+    ),
+    Mutant(
+        "chain-equal-spans-separate-objects",
+        "codes.py",
+        "        if chain and rows == chain[-1].basis.rows:\n"
+        "            chain.append(chain[-1])\n"
+        "        else:\n"
+        "            chain.append(BlockCode.from_howell(space, rows))\n",
+        "        chain.append(BlockCode.from_howell(space, rows))\n",
+        (
+            "tests/test_observe.py::TestOwnerGate",
+            "tests/test_control.py::TestCountedChain::test_band_codes",
+        ),
+    ),
+    Mutant(
+        "matched-side-padded-with-wrong-top",
+        "observe.py",
+        "        return duals + duals[-1:] * (N - len(duals))\n",
+        "        return duals + duals[:1] * (N - len(duals))\n",
+        ("tests/test_observe.py::TestDualityReportTwin::test_band_specs",),
+    ),
+    Mutant(
+        "walk-skips-fresh-rows-against-held-dual-rows",
+        "observe.py",
+        "                if ok and old and fresh:\n",
+        "                if False:\n",
+        ("tests/test_observe.py::test_walk_matches_cut_windows_on_wrong_dual_records",),
+    ),
+    Mutant(
+        "prefix-step-pushes-one-row-short",
+        "codes.py",
+        "        self.state.push(row[::-1] for row in self.reversed_rows[i:j])\n",
+        "        self.state.push(row[::-1] for row in self.reversed_rows[i + 1 : j])\n",
+        ("tests/test_codes.py::TestPrefixSweep",),
+    ),
+    Mutant(
+        "no-annihilator-push-in-single-kernel",
+        "linalg.py",
+        "                w = [0] * (j + 1) + [(c * e) % m for e, m in zip(row[j + 1 :], moduli[j + 1 :])]\n"
+        "                if any(w):\n"
+        "                    stack.append(w)\n",
+        "                pass\n",
+        ("tests/test_linalg.py::TestPackedKernel",),
+    ),
+    Mutant(
+        "trim-drops-rows-without-pushing-them-again",
+        "linalg.py",
+        "        self.replace(dropped, [self._cut(self.pivots[j], cut) for j in dropped])\n",
+        "        self.replace(dropped, [])\n",
+        ("tests/test_codes.py::TestSuffixSweep",),
+    ),
+    Mutant(
+        "settle-loop-skipped",
+        "convolutional.py",
+        "        while current not in fixed and (following := states(s + 1, current, width)) != current:\n"
+        "            step, current = step + 1, following\n",
+        "",
+        ("tests/test_convolutional.py::TestSettleStep",),
+    ),
+    Mutant(
+        "spec-comma-count-check-removed",
+        "specfmt.py",
+        '        if list(map(str.count, tokens, repeat(","))) == commas:\n',
+        "        if True:\n",
+        ("tests/test_specfmt.py::TestOnePassParserTwin",),
+    ),
+    Mutant(
+        "spec-range-check-removed",
+        "specfmt.py",
+        "            if entries is not None and list(map(mod, entries, flat)) == entries:\n",
+        "            if entries is not None:\n",
+        ("tests/test_specfmt.py::TestParse::test_out_of_range_residue",),
+    ),
+    Mutant(
+        "sieve-stops-one-prime-early",
+        "linalg.py",
+        "    for p in range(2, isqrt(n) + 1):\n",
+        "    for p in range(2, isqrt(n) - 1):\n",
+        ("tests/test_linalg.py::TestSmallPrimeSieve",),
+    ),
+    Mutant(
+        "pairing-without-weights",
+        "duality.py",
+        "    total = sum(a * b * (L // m) for a, b, m in zip(x.residues, coeffs.residues, moduli))\n",
+        "    total = sum(a * b for a, b, m in zip(x.residues, coeffs.residues, moduli))\n",
+        ("tests/test_duality.py::TestPairing",),
+    ),
+    Mutant(
+        "oracle-reachable-tail-one-symbol-late",
+        "oracle.py",
+        "    tail = enum.offsets[min(k + L, horizon)]\n",
+        "    tail = enum.offsets[min(k + L + 1, horizon)]\n",
+        ("tests/test_oracle.py::TestOnePassTwins",),
+    ),
+)
+
+
+def source_of(mutant: Mutant) -> str:
+    return (SOURCE / "groupcodes" / mutant.path).read_text(encoding="utf-8")
+
+
+def run_tests(source: Path, tests: list[str], budget: float) -> tuple[str, list[str], float]:
+    """(outcome, failed node ids, seconds) of one child ``pytest`` run of
+    ``tests`` importing ``groupcodes`` from ``source``: outcome "passed",
+    "failed" or "timeout"."""
+    env = dict(os.environ, PYTHONPATH=str(source), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    start = time.monotonic()
+    try:
+        done = subprocess.run(
+            command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=budget
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", [], time.monotonic() - start
+    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+    outcome = "passed" if done.returncode == 0 else "failed"
+    if outcome == "failed" and not failed:  # a collection error, or pytest itself failed
+        failed = [done.stdout.strip().splitlines()[-1] if done.stdout.strip() else "no output"]
+    return outcome, failed, time.monotonic() - start
+
+
+def replay(mutants: list[Mutant], budget: float) -> bool:
+    """Replay ``mutants`` as the module docstring says; whether all hold."""
+    for mutant in mutants:
+        count = source_of(mutant).count(mutant.snippet)
+        if count != 1:
+            raise SystemExit(f"{mutant.name}: snippet occurs {count} times in {mutant.path}")
+    killers = list(dict.fromkeys(t for m in mutants for t in m.killers))
+    holds = True
+    with tempfile.TemporaryDirectory() as work:
+        copy = Path(work) / "src"
+        shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        if killers:
+            outcome, failed, seconds = run_tests(copy, killers, budget)
+            print(f"{'unmutated':45} {outcome:10} {seconds:7.1f}s {' '.join(failed)}", flush=True)
+            holds = outcome == "passed"
+        for mutant in mutants:
+            if mutant.equivalent is not None:
+                print(f"{mutant.name:45} {'equivalent':10} {'':8} {mutant.equivalent}")
+                continue
+            target = copy / "groupcodes" / mutant.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+            try:
+                outcome, failed, seconds = run_tests(copy, list(mutant.killers), budget)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            verdict = {"failed": "killed", "passed": "SURVIVED", "timeout": "TIMEOUT"}[outcome]
+            print(f"{mutant.name:45} {verdict:10} {seconds:7.1f}s {' '.join(failed)}", flush=True)
+            holds = holds and verdict == "killed"
+    return holds
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="replay these mutants only")
+    parser.add_argument("--budget", type=float, default=600.0, help="wall seconds per child run")
+    args = parser.parse_args(argv)
+    names = {m.name for m in MUTANTS}
+    unknown = set(args.only or ()) - names
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
+    return 0 if replay(chosen, args.budget) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,6 +6,7 @@ enumerated codewords, independently of the Howell machinery.
 
 import functools
 import itertools
+import operator
 import random
 from collections import Counter
 from math import lcm
@@ -830,26 +831,39 @@ class _CountedChainState:
 
 
 def climb_counted(code):
-    """Read cs_0, ..., cs_{N-1} off a fresh chain of a fresh copy of
-    ``code`` whose state counts its pushes; (the copy, the chain, the
-    counted state, the codes read)."""
+    """Read cs_0, ..., cs_{N-1} off the chain of a fresh copy of ``code``
+    whose one climb (``codes._subcode_chain``) runs on a state that counts
+    its pushes, its prefix table filled before; (the copy, the kept
+    chain, the counted state, the codes read)."""
     import groupcodes.codes as codes_module
 
     fresh = BlockCode.from_howell(code.space, code.basis.rows)
-    chain = fresh._subcodes
-    chain.state = _CountedChainState(chain.state)
-    read = [controllable_subcode(fresh, L) for L in range(fresh.space.horizon)]
-    assert fresh.__dict__["_subcodes"] is chain and isinstance(chain, codes_module._SubcodeChain)
-    return fresh, chain, chain.state, read
+    fresh._prefixes.entry(fresh.space.horizon)
+    make_state, states = codes_module._howell_state, []
+
+    def counted_state(moduli):
+        states.append(_CountedChainState(make_state(moduli)))
+        return states[-1]
+
+    codes_module._howell_state = counted_state
+    try:
+        read = [controllable_subcode(fresh, L) for L in range(fresh.space.horizon)]
+        read += [controllable_subcode(fresh, L) for L in range(fresh.space.horizon)]
+    finally:
+        codes_module._howell_state = make_state
+    chain = fresh.__dict__["_subcodes"]
+    assert isinstance(chain, tuple) and len(states) == 1
+    return fresh, chain, states[0], read
 
 
 class TestCountedChain:
     """The controllable subcodes cs_0 ⊆ cs_1 ⊆ ... read off one Howell
-    state per code (``codes._SubcodeChain``) against one Howell form of
-    each gap's stacked window rows
-    (``kernel_references.stacked_controllable_subcode``): equal codes at
-    every gap, each distinct window row pushed once, and the number of
-    rows pushed pinned on the band codes."""
+    state per code, climbed once and kept as a tuple
+    (``codes._subcode_chain``), against one Howell form of each gap's
+    stacked window rows (``kernel_references.stacked_controllable_subcode``):
+    equal codes at every gap, equal sums one object, each distinct window
+    row pushed once, and the number of rows pushed pinned on the band
+    codes."""
 
     # (rows pushed, gap of the top) per modulus and horizon; the top is
     # the tap's length minus one.  One Howell form per gap stacks 41, 89
@@ -863,25 +877,28 @@ class TestCountedChain:
 
     def assert_chain_matches_stacked_rows(self, code):
         fresh, chain, state, read = climb_counted(code)
-        N = code.space.horizon
-        for L, subcode in enumerate(read):
-            if L <= chain.top + 1 or L == N - 1:
+        N, top = code.space.horizon, len(chain) - 1
+        assert read[N:] == read[:N] and all(map(operator.is_, read[N:], read[:N]))
+        assert chain[top] is fresh and fresh not in chain[:top]
+        for L, subcode in enumerate(read[:N]):
+            assert subcode is chain[min(L, top)]
+            if L <= top + 1 or L == N - 1:
                 assert subcode.basis.rows == stacked_controllable_subcode(code, L).basis.rows
-            if L >= chain.top:
-                assert subcode is fresh
+            if L and subcode.basis.rows == read[L - 1].basis.rows:
+                assert subcode is read[L - 1]
         assert len(state.rows) == len(set(state.rows))
         # The last gap climbed is the top, or N - 2 if only the whole
         # window [0, N) makes the code, which is not climbed to.
-        assert chain.gap == min(chain.top, N - 2)
+        climbed = min(top, N - 2)
         windows = {
             row
-            for L in range(chain.gap + 1)
+            for L in range(climbed + 1)
             for k in range(N)
             for row in _internal(fresh, k, min(k + L + 1, N))
         }
         assert set(state.rows) == windows
-        assert state.finished <= chain.gap + 1
-        return len(state.rows), chain.top
+        assert state.finished <= climbed + 1
+        return len(state.rows), top
 
     @pytest.mark.parametrize("modulus", sorted(PUSHED))
     def test_band_codes(self, modulus):
@@ -903,13 +920,19 @@ class TestCountedChain:
         for code in mixed_corpus:
             self.assert_chain_matches_stacked_rows(code)
 
-    def test_reads_out_of_order_restart_the_climb(self, mixed_corpus):
-        # A gap below the one climbed to is climbed to again on a fresh
-        # state; a gap read twice in a row pushes nothing the second time.
+    def test_reads_out_of_order_share_one_climb(self, mixed_corpus):
+        # The chain is climbed once, at the first read, and kept: reads in
+        # any order, a gap read twice in a row included, are the stacked
+        # rows' codes and the same objects as the reads in order.
         for code in mixed_corpus:
             N = code.space.horizon
             fresh = BlockCode.from_howell(code.space, code.basis.rows)
             order = list(range(N - 1, -1, -1)) + [L for L in range(N) for _ in range(2)]
+            read = {}
             for L in order:
                 expected = stacked_controllable_subcode(code, L)
-                assert controllable_subcode(fresh, L).basis.rows == expected.basis.rows
+                subcode = controllable_subcode(fresh, L)
+                assert subcode.basis.rows == expected.basis.rows
+                assert read.setdefault(L, subcode) is subcode
+            chain = fresh.__dict__["_subcodes"]
+            assert all(read[L] is chain[min(L, len(chain) - 1)] for L in range(N))

@@ -283,14 +283,16 @@ def test_duality_check_makes_one_kernel_of_the_code(spec, monkeypatch):
 def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
     # T = D-perp is one kernel of the dual's rows; they equal C's, so T is
     # the code object and the annihilator sums read C's prefix table.  The
-    # report keeps one prefix table, C's, and none for D or T: the dual's
-    # control index is counted on one table of D's reversed rows with no
-    # owner (``_PrefixTable.order``).  It sweeps two suffix tables: D's records
-    # for the walk and C's for the observe index.  No table's Howell
-    # state is ever finished.  The one other state is C's chain of
-    # controllable subcodes (``codes._SubcodeChain``), finished at each gap
-    # it climbs to that takes new window rows: gaps 0 and 2, where it
-    # reaches its top; gap 1 takes none.  Each of C and D is kernelled once.
+    # report keeps two prefix tables, C's and D's, each on its code, and
+    # none for T: the dual's control index is counted on D's own table
+    # (``control_profile``).  It sweeps two suffix tables: D's records for
+    # the walk and C's for the observe index.  No table's Howell state is
+    # ever finished.  The one other state is the one climb of C's chain of
+    # controllable subcodes (``codes._subcode_chain``), finished at each
+    # gap that takes new window rows: gaps 0 and 2, where it reaches its
+    # top; gap 1 takes none and shares the object of gap 0.  The chain is
+    # kept on C as the tuple (cs_0, cs_0, C), and D keeps none.  Each of
+    # C and D is kernelled once.
     import groupcodes.codes as codes_module
 
     code = band_code("z4_band10_code.spec")
@@ -340,16 +342,69 @@ def test_duality_check_reads_the_bidual_off_the_code_tables(monkeypatch):
         code._reversed_howell,
         dual._reversed_howell,
     ]
-    assert code._prefixes is tables[0] and "_prefixes" not in dual.__dict__
+    assert code._prefixes is tables[0] and dual._prefixes is tables[1]
     assert [(table, rows) for table, rows in suffix_tables] == [
         (dual._suffixes, dual.basis.rows),
         (code._suffixes, code.basis.rows),
     ]
-    swept = tables + [table for table, _ in suffix_tables] + [code._subcodes]
-    assert sorted(map(id, (table.state for table in swept))) == sorted(map(id, states))
+    swept = {id(table.state) for table in tables + [table for table, _ in suffix_tables]}
+    (climb,) = [state for state in states if id(state) not in swept]
+    assert len(states) == len(swept) + 1
+    assert not any(state.finished for state in states if state is not climb)
+    chain = code.__dict__["_subcodes"]
     assert "_subcodes" not in dual.__dict__
-    assert not any(state.finished for state in states if state is not code._subcodes.state)
-    assert (code._subcodes.state.finished, code._subcodes.top) == (2, 2)
+    assert (climb.finished, len(chain) - 1) == (2, 2)
+    assert chain[1] is chain[0] and chain[2] is code
+
+
+class TestOwnerGate:
+    """One owner per subgroup on the duality path, counted per
+    ``duality-check`` on three band specs.  Each distinct subgroup the
+    report dualizes (C, D and each distinct controllable subcode of C;
+    T = D-perp is C) takes one kernel (``linalg.annihilator_rows``), kept
+    on its code object (``BlockCode._local_dual``), and each distinct dual
+    object, one per distinct subcode, has its invariant factors counted
+    once (``linalg._counted_invariants``, kept as
+    ``BlockCode._invariant_factors``).  The counts are pinned too."""
+
+    # (kernels, invariant-factor counts) per spec.  On the N = 10 code the
+    # chain is (cs_0, cs_0, C): gap 1 takes no new row, and a second
+    # object there would take a fourth kernel and a third count.
+    COUNTS = {
+        "z4_band8_code.spec": (4, 3),
+        "z4_band10_code.spec": (3, 2),
+        "mixed_band8.spec": (4, 3),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(COUNTS))
+    def test_one_kernel_and_one_count_per_owner(self, spec, monkeypatch, capsys):
+        import groupcodes.codes as codes_module
+        from groupcodes.cli import main
+        from groupcodes.control import controllable_subcode
+
+        kernels, invariants = Counter(), Counter()
+        kernel, count = codes_module.annihilator_rows, codes_module._counted_invariants
+
+        def counted_kernel(matrix):
+            kernels[matrix.rows] += 1
+            return kernel(matrix)
+
+        def counted_invariants(canon, denominator_rows, order):
+            invariants[canon.rows] += 1
+            return count(canon, denominator_rows, order)
+
+        monkeypatch.setattr(codes_module, "annihilator_rows", counted_kernel)
+        monkeypatch.setattr(codes_module, "_counted_invariants", counted_invariants)
+        assert main(["duality-check", str(BAND_SPECS / spec)]) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        code = band_code(spec)
+        subcodes = [controllable_subcode(code, L) for L in range(code.space.horizon)]
+        dualized = {c.basis.rows for c in subcodes} | {dual_block_code(code).basis.rows}
+        duals = {dual_block_code(c).basis.rows for c in subcodes}
+        assert kernels == Counter(dict.fromkeys(dualized, 1))
+        assert invariants == Counter(dict.fromkeys(duals, 1))
+        assert (kernels.total(), invariants.total()) == self.COUNTS[spec]
 
 
 def walk_pairs_per_start(code):
@@ -834,9 +889,10 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # local dual of the dual, is the code itself, so the two matched sides
     # are one climb, and each distinct side is dualized once; every suffix
     # record is read off one trimming sweep; the climb is one Howell state
-    # finished at each gap it reads (``codes._SubcodeChain``), with no
-    # Howell form: 8 (11 with a Howell form per gap of the climb, 29 with
-    # that and a Howell form per suffix record, 32 with the supercode side
+    # finished at each gap that takes new rows, kept as one chain
+    # (``codes._subcode_chain``), with no Howell form: 8 (11 with a Howell
+    # form per gap of the climb, 29 with that and a Howell form per suffix
+    # record, 32 with the supercode side
     # summed a second time, 37 with T's own reversed
     # Howell form and kernel and a kernel per gap of each side, 39 with a
     # second Howell form of each side's basis too, 47 with a kernel per
