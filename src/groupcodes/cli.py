@@ -72,13 +72,22 @@ def _closed_interval(start: int, stop: int) -> str:
 
 
 def _load(path: str) -> CodeSpecDocument:
+    """Read a spec's bytes once and parse them as UTF-8, a leading
+    byte-order mark skipped.  A byte that is not UTF-8 is a SpecError on
+    its line, counted as ``parse_spec`` counts lines."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_spec(handle.read())
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         raise SpecError(f"no such file: {path}")
     except OSError as exc:  # a directory, no permission, a read failure
         raise SpecError(f"cannot read {path}: {exc.strerror or exc}")
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise SpecError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} cannot be decoded", line)
+    return parse_spec(text)
 
 
 def _analyze_block(code: BlockCode) -> dict:
@@ -500,8 +509,38 @@ def _emit(args, data: Optional[dict], text: str, ok: bool) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
+def _plain_namespaces() -> dict[str, dict]:
+    """Per command without a required option, the namespace argparse
+    builds for ``COMMAND SPEC``, as a dict with an empty spec."""
+    return {
+        name: vars(build_parser().parse_args([name, ""]))
+        for name in COMMANDS
+        if not any(options.get("required") for _, options in EXTRAS.get(name, ()))
+    }
+
+
+def _arguments(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """The parsed command line (``sys.argv[1:]`` when None).  A line that
+    is exactly ``COMMAND SPEC``, with a spec not starting with ``-``,
+    takes argparse's namespace for that command (``_plain_namespaces``)
+    with no parse; every other line, ``-h`` and every usage error go
+    through ``build_parser().parse_args``."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if len(argv) == 2 and all(isinstance(arg, str) for arg in argv):
+        name, spec = argv
+        template = _plain_namespaces().get(name)
+        if template is not None and not spec.startswith("-"):
+            return argparse.Namespace(**{**template, "spec": spec})
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line: ``_arguments`` reads it, the command's
+    handler builds its report, ``_emit`` prints it and gives exit 0 or 1,
+    and an input error exits 2 with one ``error:`` line."""
+    args = _arguments(argv)
     try:
         return _emit(args, *args.fn(args))
     except (ValueError, OracleBoundExceeded) as exc:  # SpecError included

@@ -10,10 +10,12 @@ the workload names in ``bench/workloads.py`` on it, in text form, by the
 steps of ``groupcodes.cli.main``.  Each step's CPU time is charged to one
 phase:
 
-* ``argparse``: ``cli.build_parser().parse_args`` on the op's argv (the
-  parser itself is built once, before any pass, as in the benchmark's
-  loop);
-* ``read``: ``cli._load`` less its parse: opening and reading the spec;
+* ``argv``: ``cli._arguments`` on the op's argv, the step ``main`` runs
+  first (the parser and the plain-line namespaces are built once, before
+  any pass, as in the benchmark's loop; a checkout without ``_arguments``
+  is timed on ``cli.build_parser().parse_args``);
+* ``read``: ``cli._load`` less its parse: opening, reading and decoding the
+  spec;
 * ``parse``: ``specfmt.parse_spec``;
 * ``build``: ``CodeSpecDocument.to_block_code`` or ``to_convolutional``;
 * ``analysis``: the rest of the command's handler;
@@ -51,7 +53,7 @@ import report_digest  # noqa: E402  (the pools; bench/workloads.py, read-only)
 
 from groupcodes import cli, linalg, observe, specfmt  # noqa: E402
 
-PHASES = ("argparse", "read", "parse", "build", "analysis", "values", "render/emit")
+PHASES = ("argv", "read", "parse", "build", "analysis", "values", "render/emit")
 
 
 class PhaseClock:
@@ -91,13 +93,13 @@ TIMED = (
 
 def run_pass(clock: PhaseClock, paths: list[str], commands: tuple[str, ...]) -> None:
     """One op per path, every command on it, as ``cli.main`` runs it."""
-    parse_args = clock.wrap("argparse", cli.build_parser().parse_args)
+    arguments = clock.wrap("argv", getattr(cli, "_arguments", None) or cli.build_parser().parse_args)
     emit = clock.wrap("render/emit", cli._emit)
     linalg._howell_cached.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for path in paths:
             for command in commands:
-                args = parse_args([command, path])
+                args = arguments([command, path])
                 try:
                     emit(args, *clock.wrap("analysis", args.fn)(args))
                 except (ValueError, cli.OracleBoundExceeded):
@@ -115,6 +117,7 @@ def phase_times(workload: str, seed: int, limit: int | None, repeat: int) -> tup
             with open(paths[-1], "w", encoding="utf-8") as handle:
                 handle.write(spec.text)
         timed = [(owner, name, phase) for owner, name, phase in TIMED if name in vars(owner)]
+        getattr(cli, "_plain_namespaces", cli.build_parser)()
         for _ in range(repeat):
             clock = PhaseClock()
             originals = [(owner, name, vars(owner)[name]) for owner, name, _ in timed]

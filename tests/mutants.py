@@ -154,6 +154,51 @@ MUTANTS = (
         "    tail = enum.offsets[min(k + L + 1, horizon)]\n",
         ("tests/test_oracle.py::TestOnePassTwins",),
     ),
+    Mutant(
+        "plain-dispatch-without-the-dash-check",
+        "cli.py",
+        '        if template is not None and not spec.startswith("-"):\n',
+        "        if template is not None:\n",
+        ("tests/test_cli.py::TestPlainDispatch::test_every_other_shape_is_argparse",),
+    ),
+    Mutant(
+        "plain-template-without-its-format-default",
+        "cli.py",
+        '        name: vars(build_parser().parse_args([name, ""]))\n',
+        '        name: {k: v for k, v in vars(build_parser().parse_args([name, ""])).items() if k != "format"}\n',
+        ("tests/test_cli.py::TestPlainDispatch::test_plain_line_twins_argparse",),
+    ),
+    Mutant(
+        "control-profile-window-off-by-one",
+        "codes.py",
+        "            inner = 1 if end == k else suffix if end == horizon else order(k, end)\n",
+        "            inner = 1 if end == k else suffix if end == horizon else order(k, end + 1)\n",
+        (
+            "tests/test_control.py::TestControlProfile::test_even_weight",
+            "tests/test_control.py::TestTableReads::test_control_profile_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "peel-drops-only-the-b-rows",
+        "structure.py",
+        "    pushed = [rows[i] for i in range(split[0], split[-1] + 1) if not values[i]]\n"
+        "    pushed.append(tuple(L // g * e % m for e, m in zip(b, reversed_moduli)))\n"
+        "    for i in split:\n"
+        "        if i != star:\n"
+        "            q = values[i] // g * unit % (L // g)\n"
+        "            pushed.append(tuple((e - q * f) % m for e, f, m in zip(rows[i], b, reversed_moduli)))\n"
+        "    state.replace(columns[split[0] : split[-1] + 1], pushed)\n",
+        "    pushed = [tuple(L // g * e % m for e, m in zip(b, reversed_moduli))]\n"
+        "    for i in split:\n"
+        "        if i != star:\n"
+        "            q = values[i] // g * unit % (L // g)\n"
+        "            pushed.append(tuple((e - q * f) % m for e, f, m in zip(rows[i], b, reversed_moduli)))\n"
+        "    state.replace([columns[i] for i in split], pushed)\n",
+        (
+            "tests/test_structure.py::TestPeelComplementByKernel::test_rows_between_the_split_rows_are_pushed_again",
+            "tests/test_structure.py::TestPeelGrowth::test_rows_pushed_grow_linearly",
+        ),
+    ),
 )
 
 

@@ -10,8 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from groupcodes.cli import main
+from groupcodes import cli
+from groupcodes.cli import build_parser, main
 
 SPECS = Path(__file__).resolve().parents[1] / "demos" / "specs"
 HUGE_COPRIME = Path(__file__).resolve().parent / "golden" / "specs" / "huge_coprime.spec"
@@ -608,7 +611,7 @@ class TestExitContract:
 
         assert [c[0] for c in self.COMMANDS] == list(groupcodes.cli.COMMANDS)
 
-    @pytest.mark.parametrize("source", ["missing", "directory", "malformed"])
+    @pytest.mark.parametrize("source", ["missing", "directory", "malformed", "not-utf8"])
     @pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
     def test_unreadable_input(self, command, source, tmp_path):
         # A directory raises IsADirectoryError, an OSError other than
@@ -617,6 +620,11 @@ class TestExitContract:
             path, message = tmp_path / "no_such.spec", "error: no such file: "
         elif source == "directory":
             path, message = tmp_path, "error: cannot read "
+        elif source == "not-utf8":
+            # The first bad byte sits on line 3, after a \r\n and a lone \r,
+            # each one line break for parse_spec.
+            path, message = tmp_path / "latin1.spec", "error: line 3: not UTF-8: byte 0xe9 "
+            path.write_bytes("kind: block\r\nsymbols: [2]\r# café\n".encode("latin-1"))
         else:
             path, message = tmp_path / "bad.spec", "error: line 3: "
             path.write_text("kind: block\nsymbols: [2]\ngenerator: 7\n", encoding="utf-8")
@@ -816,3 +824,88 @@ class TestParserReuse:
         for argv in cases * 2 + cases[::-1]:
             assert run_caught(argv) == alone[argv]
         assert groupcodes.cli.build_parser() is parser
+
+
+def parsed_or_exit(parse, argv):
+    """(namespace dict or SystemExit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestPlainDispatch:
+    """``cli._arguments`` against ``build_parser().parse_args``: a plain
+    ``COMMAND SPEC`` line reads argparse's namespace with no parse, and
+    every other line is argparse's own."""
+
+    PLAIN = [name for name in cli.COMMANDS if name != "check"]
+
+    def test_templates_are_the_commands_without_a_required_option(self):
+        assert list(cli._plain_namespaces()) == self.PLAIN
+
+    @pytest.mark.parametrize("command", PLAIN)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=st.text().filter(lambda text: not text.startswith("-")))
+    @example(spec="")
+    @example(spec=" -x")
+    @example(spec="a b\tc")
+    @example(spec="ℤ/4 ü.spec")
+    def test_plain_line_twins_argparse(self, command, spec):
+        argv = [command, spec]
+        assert vars(cli._arguments(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "a.spec", "--format", "json"],
+            ["dual", "a.spec", "--format", "json"],
+            ["oracle", "a.spec", "--bound", "7"],
+            ["-h"],
+            ["analyze", "-h"],
+            ["check", "a.spec"],
+            ["check", "a.spec", "--property", "observable"],
+            ["bogus", "a.spec"],
+            ["analyze", "-x"],
+            ["oracle", "-"],
+            ["analyze", "--format"],
+            ["analyze"],
+            ["a.spec"],
+            [],
+            ["analyze", "a.spec", "b.spec"],
+            ["duality-check", "a.spec", "--format"],
+        ],
+        ids=lambda argv: "_".join(argv) or "empty",
+    )
+    def test_every_other_shape_is_argparse(self, argv):
+        twin = parsed_or_exit(cli._arguments, argv)
+        assert twin == parsed_or_exit(build_parser().parse_args, argv)
+        if isinstance(twin[0], tuple):
+            assert twin[0][1] in (0, 2)
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["groupcodes", "dual", "a.spec"])
+        assert vars(cli._arguments()) == vars(build_parser().parse_args(["dual", "a.spec"]))
+        monkeypatch.setattr(sys, "argv", ["groupcodes", "dual", "a.spec", "--format", "json"])
+        assert cli._arguments().format == "json"
+
+    @pytest.mark.parametrize("command", PLAIN)
+    def test_plain_main_runs_no_parse(self, command, even_weight_spec, monkeypatch):
+        import argparse
+
+        cli._plain_namespaces()  # the templates are taken once, by parses
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        code, out, err = run_cli(command, even_weight_spec)
+        assert (calls, code, err) == ([], 0, "") and out
+        build_parser().parse_args([command, even_weight_spec])  # the counter sees a parse
+        assert calls

@@ -8,7 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "command_phases.py"
-PHASES = ["argparse", "read", "parse", "build", "analysis", "values", "render/emit", "all"]
+PHASES = ["argv", "read", "parse", "build", "analysis", "values", "render/emit", "all"]
 
 
 @pytest.mark.parametrize("workload", ["block-codes", "long-horizon", "convolutional"])

@@ -92,9 +92,18 @@ def test_golden_index_covers_every_case():
     assert sorted(_index()) == sorted(name for name, _ in CASES)
 
 
+# Specs whose every case is also run on a copy saved with a UTF-8
+# byte-order mark: a block spec and two convolutional ones, with reports
+# that exit 0 and 1.
+BOM_SPECS = ("even_weight.spec", "constant_kernel.spec", "z4_102_margin_error.spec")
+BOM_CASES = [(name, argv) for name, argv in CASES if argv[1:2] and argv[1] in BOM_SPECS]
+
+
 def pytest_generate_tests(metafunc):
     if metafunc.function is test_golden_report:
         metafunc.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+    if metafunc.function is test_byte_order_mark_prints_the_golden:
+        metafunc.parametrize("name,argv", BOM_CASES, ids=[name for name, _ in BOM_CASES])
 
 
 def test_golden_report(name, argv):
@@ -103,6 +112,17 @@ def test_golden_report(name, argv):
     code, out, err = run_case(argv)
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
     assert (code, err) == (expected["exit"], expected["stderr"])
+
+
+def test_byte_order_mark_prints_the_golden(name, argv, tmp_path):
+    copy = tmp_path / argv[1]
+    copy.write_bytes(b"\xef\xbb\xbf" + SPECS[argv[1]].read_bytes())
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([argv[0], str(copy), *argv[2:]])
+    expected = _index()[name]
+    assert out.getvalue().encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+    assert (code, err.getvalue()) == (expected["exit"], expected["stderr"])
 
 
 def _fresh_reports():
