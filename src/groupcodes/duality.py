@@ -12,7 +12,6 @@ and nothing downstream depends on the choice of identification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd, lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
@@ -130,19 +129,9 @@ def pairs_to_zero(
     if any(m != L for m in moduli):
         weights = [L // m for m in moduli]
         xs = [list(map(mul, x, weights)) for x in xs]
-    return _folded_pairs_to_zero(xs, ys, L)
-
-
-def _folded_pairs_to_zero(
-    xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]], top: int, start: int = 0
-) -> bool:
-    """``pairs_to_zero`` on rows x with the weights top/m_j folded in:
-    whether sum_j x_j y_j = 0 modulo ``top`` for every x and y, over the
-    columns of x, which are the columns of y from ``start`` on (y is read
-    in place, not copied)."""
     for y in ys:
         for x in xs:
-            if sum(map(mul, x, islice(y, start, None) if start else y)) % top:
+            if sum(map(mul, x, y)) % L:
                 return False
     return True
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count
 from math import lcm
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .codes import (
@@ -33,7 +33,7 @@ from .codes import (
     invariant_factors_of_code,
 )
 from .control import control_profile, controllable_subcode
-from .duality import _folded_pairs_to_zero, dual_block_code
+from .duality import dual_block_code
 from .linalg import Entry, Vector, _reduce_vector
 
 __all__ = [
@@ -305,40 +305,79 @@ def _start_windows(
     return reads
 
 
+def _failing_pairs(
+    entries: list[Entry], records: list[Entry], offsets: Sequence[int], moduli: Sequence[int]
+) -> set[tuple[int, int]]:
+    """The (C row, D row) pairs, by row identity, among those some window
+    of ``_window_walk`` may hold, that do not pair to zero: each distinct
+    row of D's suffix ``records`` indexed by its nonzero columns, in the
+    order of its first start k, tagged offset(k), and each distinct C row
+    of the prefix ``entries`` paired once at its pivot (``_row_pairings``)."""
+    top = lcm(*moduli)
+    weights = [top // m for m in moduli]
+    column_rows, seen = {}, set()
+    for k, (ys, _, _) in enumerate(records):
+        for y in ys:
+            if id(y) not in seen:
+                seen.add(id(y))
+                for c in compress(count(), y):
+                    column_rows.setdefault(c, []).append((offsets[k], id(y), y[c]))
+    failing, paired = set(), set()
+    for xs, columns, _ in entries:
+        for x, pivot in zip(xs, columns):
+            if id(x) not in paired:
+                paired.add(id(x))
+                sums = _row_pairings(x, pivot, column_rows, weights)
+                failing.update((id(x), y) for y, total in sums.items() if total % top)
+    return failing
+
+
+def _row_pairings(
+    x: Vector, reach: int, column_rows: dict[int, list[tuple[int, int, int]]], weights: list[int]
+) -> dict[int, int]:
+    """sum_j x_j (top/m_j) y_j, keyed by id(y), for each D row y of
+    ``column_rows`` that meets the C row x and has first start at or before
+    ``reach``: one product per shared nonzero column, where no term vanishes."""
+    sums: dict[int, int] = {}
+    for c in compress(count(), x):
+        v = x[c] * weights[c]
+        for first, y, e in column_rows.get(c, ()):
+            if first > reach:
+                break
+            sums[y] = sums.get(y, 0) + v * e
+    return sums
+
+
 def _window_walk(
     code: BlockCode, dual: BlockCode
 ) -> tuple[tuple[tuple[int, int, bool], ...], bool]:
     """The window checks, as (start, stop, ok) tuples in the order of the
     report's lines, and the chain verdict of the duality report of
     ``code``, ``dual`` being D = C-perp, by one walk per start k over D's
-    suffix record proj_[k,N) D, read once, and each end's prefix entry,
-    read once (``_start_windows``).  Both tables are unfinished sweeps
-    that keep the space's own columns.
+    suffix record proj_[k,N) D and each end's prefix entry, each read
+    once (``_start_windows``).  Both tables are unfinished sweeps that
+    keep the space's own columns.
 
     The consistency set of D on [a, b) is the preimage of P = proj_[a,b) D:
     its order is |G| · |P| / |G_[a,b)| and the rows of a weak Howell form
     of it restricted to [a, b) span P, so the window check reads
     |C ∩ [a, b)| · |P| = |G_[a,b)| and pairs the rows of C ∩ [a, b) with
-    P's rows: the rows of the record with pivot before offset(b), uncut,
-    as a pairing runs over the columns of the C row, folded from offset(a)
-    on, and reads each D row in place from offset(a)
-    (``duality._folded_pairs_to_zero``'s ``start``).
+    P's rows, the rows of the record with pivot before offset(b).
 
-    Each (C row, D row) pair is paired at most once per start.  A row x of
-    C ∩ [k, b) vanishes outside [k, b), so its pairing with a D row y is
-    the same at every later end of start k.  Rows are told apart by
-    identity: a prefix entry's ``record`` keeps every row that the end
-    left alone as the same tuple object, with the same pivot, so a row of
-    entry b that is a row of entry b - 1 lies in C ∩ [k, b - 1) too.  Per
-    start, the weights top/m_j are folded into each C row once, over its
-    columns from offset(k) to the end where it first appears
-    (``duality._folded_pairs_to_zero``).  A window that passed leaves
-    every pair of its rows paired, so the next window pairs the C rows new
-    to it (one diff of the two entries, shared by every start) with the D
-    rows before its cut, and every C row with the D rows its end adds.  A
-    window that failed, or a D side that is not the same record grown,
-    makes the next window pair all of its rows afresh, so every window
-    keeps the verdict of pairing its own rows.
+    The pairing is one pass per report (``_failing_pairs``), and a
+    window's verdict is its order check and, only when that pass found a
+    failing pair, that it holds none.  This is the verdict of pairing the
+    window's own rows:
+    - a pair's value does not depend on the window: a row of C ∩ [a, b)
+      vanishes outside [a, b), so its pairing with a D row over the
+      space's columns is its pairing over the window's;
+    - every pair that some window [k, b) holds is paired: its C row has
+      pivot at or after offset(k), and its D row is in the record of
+      start k, so its first start is at or before k;
+    - on a correct table every paired pair vanishes: the C row vanishes
+      before the D row's first start s, and the D row is the projection
+      on [s, N) of a word of C-perp, so the pairing is that of a word of
+      C with a word of C-perp.  So the set is empty on every real report.
 
     The reach chain is the nesting C ∩ [0, b) ⊆ C ∩ [0, b+1) of the
     prefix entries, as C_k(L) = Z_k + C ∩ [0, k+L); the consistency set
@@ -355,24 +394,10 @@ def _window_walk(
     checks test.
     """
     N, moduli, offsets = code.space.horizon, code.space.flat_moduli, code.space.offsets()
-    products, top = code.space._moduli_products, lcm(*moduli)
-    weights = [top // m for m in moduli]
+    products = code.space._moduli_products
     entries = [code._prefixes.entry(b) for b in range(N + 1)]
-
-    def new_rows(older, newer) -> list[int]:
-        # Indices of the rows of ``newer`` that are not rows of ``older``.
-        held = set(map(id, older))
-        return [t for t, row in enumerate(newer) if id(row) not in held]
-
-    fresh_at = {}
-
-    def fresh_rows(b: int) -> list[int]:
-        # The rows end b adds or changes, found once for every start.
-        if b not in fresh_at:
-            older, newer = entries[b - 1][0], entries[b][0]
-            n = len(older)
-            fresh_at[b] = range(n, len(newer)) if newer[:n] == older else new_rows(older, newer)
-        return fresh_at[b]
+    records = [dual._suffix(k) for k in range(N)]
+    failing = _failing_pairs(entries, records, offsets, moduli)
 
     def within(words, rows, columns, hi: int) -> bool:
         # A zero reduction proves membership even at wrong ``columns``.
@@ -385,7 +410,8 @@ def _window_walk(
         inner, outer = entries[b], entries[b + 1]
         if inner is outer or outer[0][: len(inner[0])] == inner[0]:
             return True
-        changed = (inner[0][t] for t in new_rows(outer[0], inner[0]))
+        held = set(map(id, outer[0]))
+        changed = (row for row in inner[0] if id(row) not in held)
         return not any(any(_reduce_vector(outer[0], outer[1], moduli, w)) for w in changed)
 
     def nested(rows, n: int, outer, j: int, columns, hi: int) -> bool:
@@ -401,35 +427,19 @@ def _window_walk(
         return not cuts or within(cuts, [row[:hi] for row in rows[:n]], columns[:n], hi)
 
     checks, chain_ok = [], all(prefix_nested(b) for b in range(N))
-    for k in range(N):
-        record, lo = dual._suffix(k), offsets[k]
-        tail, folded = weights[lo:], {}
-
-        def fold(x, hi: int) -> list[int]:
-            # x with the weights folded in, over [lo, hi): once per start.
-            if id(x) not in folded:
-                folded[id(x)] = list(map(mul, x[lo:hi], tail))
-            return folded[id(x)]
-
-        last_ys, last_j, last_hi, paired = (), 0, lo, False
+    for k, record in enumerate(records):
+        lo = last_hi = offsets[k]
+        last_ys, last_j = (), 0
         reads = _start_windows(entries, record, offsets, k)
         for b, (xs, i, x_order, ys, j, y_order) in enumerate(reads, k + 1):
             hi = offsets[b]
             ok = x_order * y_order == products[hi] // products[lo]
-            grown = ys is last_ys and last_j <= j
-            if ok and j and i < len(xs):
-                old, fresh = 0, range(i, len(xs))
-                if paired and grown:
-                    fresh = fresh_rows(b)
-                    old, fresh = last_j, fresh[bisect_left(fresh, i) :]
-                if old < j:
-                    ok = _folded_pairs_to_zero([fold(x, hi) for x in xs[i:]], ys[old:j], top, lo)
-                if ok and old and fresh:
-                    ok = _folded_pairs_to_zero([fold(xs[t], hi) for t in fresh], ys[:old], top, lo)
+            if ok and failing:
+                ok = not any((id(x), id(y)) in failing for x in xs[i:] for y in ys[:j])
             checks.append((k, b, ok))
-            if b > k + 1 and not (grown and last_j == j):
+            if b > k + 1 and not (ys is last_ys and last_j == j):
                 chain_ok = chain_ok and nested(last_ys, last_j, ys, j, record[1], last_hi)
-            last_ys, last_j, last_hi, paired = ys, j, hi, ok
+            last_ys, last_j, last_hi = ys, j, hi
     return tuple(checks), chain_ok
 
 
@@ -449,11 +459,11 @@ def check_control_observe_duality(code: BlockCode) -> DualityReport:
 
     The window and chain checks read rows and orders off C's prefix table
     and D's suffix records (weak Howell forms, never finished, whose rows
-    keep their identity from end to end and from start to start), one
-    walk per start that pairs each (C row, D row) pair once and reduces
-    only the rows an end adds or changes (``_window_walk``, with the
-    proofs); every window keeps the verdict of counting and pairing its
-    own rows, and the nested chain checks the records' cut bookkeeping.
+    keep their identity from end to end and from start to start): one
+    pairing pass per report pairs each meeting (C row, D row) pair once,
+    and one walk per start counts each window and reduces only the rows
+    an end adds or changes (``_window_walk``, with the proofs); every
+    window keeps the verdict of counting and pairing its own rows.
 
     Each matched side is read only until it reaches its top
     (``_matched_duals``).  The supercode of D at window L is the dual of

@@ -11,8 +11,9 @@ the Howell kernel (every cache miss of ``linalg._howell_cached``), every
 invariant-factor count (``linalg._counted_invariants``, on a Howell form
 and its order),
 every call of ``duality.pairs_to_zero`` and every pairing of the duality
-walk (``observe._folded_pairs_to_zero``, its rows weighted, over moduli
-all equal to their lcm), every (code, l, n, levels) that
+report's pairing pass (``observe._row_pairings``: one C row, its weights
+folded in, and the D rows it is paired with, over moduli all equal to
+their lcm), every (code, l, n, levels) that
 ``control.order_profile`` tests, every prefix table that fills entries
 (``codes._PrefixTable``, with the last end it filled: a code's own, the
 dual's included, whose orders the duality report's dual control index
@@ -76,8 +77,9 @@ recorded inputs it takes, bucketed by matrix width:
   (``kernel_references.cut_duality_windows``), the route before the walk;
 * ``duality-windows-walk``: the same by ``observe._window_walk``, one
   walk per start over the dual's suffix record and the prefix entries,
-  each (C row, D row) pair paired once per start and only the rows each
-  end adds or changes tested.  Both run on the recorded code, whose
+  after one pairing pass per report that pairs each (C row, D row) pair
+  whose rows meet once, and only the rows each end adds or changes
+  tested.  Both run on the recorded code, whose
   tables its report filled, so they time the reads only;
 * ``smith``: invariant factors by the integer Smith form
   (``kernel_references.smith_quotient_invariants``) on every
@@ -86,7 +88,7 @@ recorded inputs it takes, bucketed by matrix width:
   form and the order it is given;
 * ``pair-loop``: the residue-by-residue pairing test
   (``kernel_references.loop_pairs_to_zero``) on every ``pairs_to_zero``
-  input and every pairing of the duality walk;
+  input and every pairing of the duality report's pairing pass;
 * ``pair-map``: ``pairs_to_zero`` on the same inputs;
 * ``order-graph``: the order split by a split graph
   (``kernel_references.order_split_everywhere``, given the prefix and
@@ -127,6 +129,7 @@ import argparse
 import bisect
 import functools
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -213,15 +216,23 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
         (cli, "cyclic_product_decomposition", inputs["peel"]),
     )
     originals = [getattr(module, name) for module, name, _ in wrapped]
-    walk_pairing = observe._folded_pairs_to_zero
+    walk_pass, walk_pairing = observe._failing_pairs, observe._row_pairings
+    walk = {}  # the D rows by id and ``top`` of the pass running
 
-    def record_walk_pairing(xs, ys, top, start=0):
-        # The walk's rows carry the weights top/m_j folded in, so as an
-        # input of ``pairs_to_zero`` they are rows over moduli all top;
-        # the D rows are read from ``start``, the C rows' first column.
-        ys_read = [y[start:] for y in ys]
-        inputs["pairs"].append((xs, ys_read, (top,) * max(map(len, xs))))
-        return walk_pairing(xs, ys, top, start)
+    def record_walk_pass(entries, records, offsets, moduli):
+        walk.update(rows={id(y): y for ys, _, _ in records for y in ys}, top=math.lcm(*moduli))
+        return walk_pass(entries, records, offsets, moduli)
+
+    def record_walk_pairing(x, reach, column_rows, weights):
+        # The C row with the weights top/m_j folded in and the D rows it
+        # is paired with, as an input of ``pairs_to_zero`` over moduli
+        # all top.
+        sums = walk_pairing(x, reach, column_rows, weights)
+        if sums:
+            ys = [walk["rows"][y] for y in sums]
+            folded = list(map(operator.mul, x, weights))
+            inputs["pairs"].append(([folded], ys, (walk["top"],) * len(x)))
+        return sums
 
     def recording(kernel, record):
         def record_call(*args):
@@ -234,7 +245,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     linalg._howell_cached.cache_clear()
     for (module, name, record), kernel in zip(wrapped, originals):
         setattr(module, name, recording(kernel, record))
-    observe._folded_pairs_to_zero = record_walk_pairing
+    observe._failing_pairs, observe._row_pairings = record_walk_pass, record_walk_pairing
     codes._PrefixTable.__init__ = record_table
     local_dual.fn = record_dual
     codes.BlockCode._suffix = record_suffix
@@ -250,7 +261,7 @@ def recorded_inputs(workload: str, seed: int, limit: int | None) -> tuple[dict, 
     finally:
         for (module, name, _), kernel in zip(wrapped, originals):
             setattr(module, name, kernel)
-        observe._folded_pairs_to_zero = walk_pairing
+        observe._failing_pairs, observe._row_pairings = walk_pass, walk_pairing
         codes._PrefixTable.__init__ = table_init
         local_dual.fn = dualize
         codes.BlockCode._suffix = suffix

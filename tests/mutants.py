@@ -22,14 +22,16 @@ child process.  A named test that starts a program of its own must take
 they never see a mutant and are named by none.
 
 Tier-1 (``tests/test_mutants.py``) checks only that each snippet occurs
-exactly once; the replay is opt-in.  A change that rewrites the code under
-a snippet updates the snippet and replays the mutant.
+exactly once and that a failed test's node id is read whole; the replay
+is opt-in.  A change that rewrites the code under a snippet updates the
+snippet and replays the mutant.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -82,11 +84,15 @@ MUTANTS = (
         ("tests/test_observe.py::TestDualityReportTwin::test_band_specs",),
     ),
     Mutant(
-        "walk-skips-fresh-rows-against-held-dual-rows",
+        "pairing-pass-first-start-one-symbol-late",
         "observe.py",
-        "                if ok and old and fresh:\n",
-        "                if False:\n",
-        ("tests/test_observe.py::test_walk_matches_cut_windows_on_wrong_dual_records",),
+        "                    column_rows.setdefault(c, []).append((offsets[k], id(y), y[c]))\n",
+        "                    column_rows.setdefault(c, []).append((offsets[k + 1], id(y), y[c]))\n",
+        (
+            "tests/test_observe.py::test_walk_matches_cut_windows_on_wrong_dual_records",
+            "tests/test_observe.py::test_duality_walk_reads_each_suffix_record_once_and_copies_no_dual_row",
+            "tests/test_observe.py::test_wrong_entry_of_the_shared_prefix_table_fails_its_windows",
+        ),
     ),
     Mutant(
         "prefix-step-pushes-one-row-short",
@@ -199,11 +205,87 @@ MUTANTS = (
             "tests/test_structure.py::TestPeelGrowth::test_rows_pushed_grow_linearly",
         ),
     ),
+    # The injections of the duality mutation tests of
+    # ``tests/test_observe.py``, each made in the source.
+    Mutant(
+        "walk-reads-the-whole-code-as-prefix-entry-one",
+        "observe.py",
+        "    entries = [code._prefixes.entry(b) for b in range(N + 1)]\n",
+        "    entries = [code._prefixes.entry(N if b == 1 else b) for b in range(N + 1)]\n",
+        ("tests/test_observe.py::test_broken_prefix_nesting_fails_the_chain",),
+    ),
+    Mutant(
+        "walk-dual-records-first-pivot-one-column-late",
+        "observe.py",
+        "    records = [dual._suffix(k) for k in range(N)]\n",
+        "    records = [dual._suffix(k) for k in range(N)]\n"
+        "    records = [(r[0], r[1][:1] and (r[1][0] + 1,) + r[1][1:], r[2]) for r in records]\n",
+        ("tests/test_observe.py::test_broken_dual_suffix_projection_fails_the_nesting",),
+    ),
+    Mutant(
+        "walk-dual-records-without-their-first-row",
+        "observe.py",
+        "    records = [dual._suffix(k) for k in range(N)]\n",
+        "    records = [dual._suffix(k) for k in range(N)]\n"
+        "    records = [\n"
+        "        (r[0][1:], r[1][1:], tuple(p // r[2][1] for p in r[2][1:])) if r[0] else r\n"
+        "        for r in records\n"
+        "    ]\n",
+        ("tests/test_observe.py::test_wrong_dual_suffix_record_fails_a_window_of_its_start",),
+    ),
+    Mutant(
+        "dual-local-dual-without-its-first-row",
+        "codes.py",
+        "        source = self.__dict__.get(\"_dual_source\")\n",
+        "        source = self.__dict__.get(\"_dual_source\")\n"
+        "        rows = rows[1:] if source is not None else rows\n",
+        ("tests/test_observe.py::test_dropped_row_of_the_dual_local_dual_mismatches",),
+    ),
+    Mutant(
+        "walk-prefix-entries-last-column-negated",
+        "observe.py",
+        "    entries = [code._prefixes.entry(b) for b in range(N + 1)]\n",
+        "    entries = [code._prefixes.entry(b) for b in range(N + 1)]\n"
+        "    entries = [\n"
+        "        (tuple(x[: o - 1] + (-x[o - 1] % moduli[o - 1],) + x[o:] for x in e[0]), *e[1:]) if o else e\n"
+        "        for o, e in zip(offsets, entries)\n"
+        "    ]\n",
+        ("tests/test_observe.py::test_wrong_entry_of_the_shared_prefix_table_fails_its_windows",),
+    ),
+    Mutant(
+        "window-read-drops-the-last-dual-row",
+        "observe.py",
+        "        reads.append((xs, i, x_products[-1] // x_products[i], ys, j, y_products[j]))\n",
+        "        j = max(j - 1, 0)\n"
+        "        reads.append((xs, i, x_products[-1] // x_products[i], ys, j, y_products[j]))\n",
+        ("tests/test_observe.py::test_wrong_dual_projection_fails_its_window",),
+    ),
+    Mutant(
+        "walk-dual-records-first-column-negated",
+        "observe.py",
+        "    records = [dual._suffix(k) for k in range(N)]\n",
+        "    records = [dual._suffix(k) for k in range(N)]\n"
+        "    records = [\n"
+        "        (tuple(y[:c] + (-y[c] % moduli[c],) + y[c + 1 :] for y in r[0]), *r[1:])\n"
+        "        for c, r in zip(offsets, records)\n"
+        "    ]\n",
+        ("tests/test_observe.py::test_walk_matches_cut_windows_on_wrong_dual_records",),
+    ),
 )
 
 
 def source_of(mutant: Mutant) -> str:
     return (SOURCE / "groupcodes" / mutant.path).read_text(encoding="utf-8")
+
+
+# A ``FAILED`` line of ``pytest -rf``: the node id, whose parameters in
+# brackets may hold spaces, then pytest's `` - `` and the message, if any.
+FAILED_LINE = re.compile(r"FAILED (\S*?(?:\[.*?\])?)(?: - .*)?$")
+
+
+def failed_id(line: str) -> str:
+    """The node id of a ``FAILED`` line of ``pytest -rf``."""
+    return FAILED_LINE.match(line).group(1)
 
 
 def run_tests(source: Path, tests: list[str], budget: float) -> tuple[str, list[str], float]:
@@ -219,7 +301,7 @@ def run_tests(source: Path, tests: list[str], budget: float) -> tuple[str, list[
         )
     except subprocess.TimeoutExpired:
         return "timeout", [], time.monotonic() - start
-    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+    failed = [failed_id(line) for line in done.stdout.splitlines() if line.startswith("FAILED ")]
     outcome = "passed" if done.returncode == 0 else "failed"
     if outcome == "failed" and not failed:  # a collection error, or pytest itself failed
         failed = [done.stdout.strip().splitlines()[-1] if done.stdout.strip() else "no output"]

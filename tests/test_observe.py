@@ -407,98 +407,119 @@ class TestOwnerGate:
         assert (kernels.total(), invariants.total()) == self.COUNTS[spec]
 
 
-def walk_pairs_per_start(code):
-    """The (C row, D row) pairs the windows of each start k hold, by row
-    identity, read off the tables: C ∩ [k, b) as the rows of prefix entry
-    b with pivot at or after offset(k), proj_[k,b) D as the rows of D's
-    suffix record at k with pivot before offset(b) (both tables keep the
-    space's columns); and the number of pairs the windows hold one by
-    one."""
+def walk_pairs_held(code):
+    """The (C row, D row) pairs, by row identity, that some window of the
+    duality report holds, read off the tables: C ∩ [k, b) as the rows of
+    prefix entry b with pivot at or after offset(k), proj_[k,b) D as the
+    rows of D's suffix record at k with pivot before offset(b) (both
+    tables keep the space's columns); and the number of pairs the windows
+    hold one by one."""
     dual = dual_block_code(code)
     N, offsets = code.space.horizon, code.space.offsets()
-    per_start, per_window = [], 0
+    held, per_window = set(), 0
     for k in range(N):
         ys, y_columns, _ = dual._suffix(k)
-        pairs = set()
         for b in range(k + 1, N + 1):
             xs, x_columns, _ = code._prefixes.entry(b)
             inner = xs[bisect_left(x_columns, offsets[k]) :]
             outer = ys[: bisect_left(y_columns, offsets[b])]
-            pairs.update((id(x), id(y)) for x in inner for y in outer)
+            held.update((id(x), id(y)) for x in inner for y in outer)
             per_window += len(inner) * len(outer)
-        per_start.append(pairs)
-    return per_start, per_window
+    return held, per_window
+
+
+def support(row):
+    return {c for c, e in enumerate(row) if e}
 
 
 def recorded_walk(code, monkeypatch):
-    """Run the duality report of ``code`` and record, per start k (the
-    walk reads D's suffix record at k once, before its windows), every
-    folded C row and D row the walk pairs (``_folded_pairs_to_zero``)."""
+    """Run the duality report of ``code`` and record the starts k whose
+    suffix record of D it reads, the rows of those records by identity,
+    and each pairing of the one pairing pass (``observe._row_pairings``):
+    the C row and the ids of the D rows it is paired with."""
     import groupcodes.observe as observe_module
 
     dual = dual_block_code(code)
-    reads, starts = Counter(), []
-    suffix, pairing = BlockCode._suffix, observe_module._folded_pairs_to_zero
+    reads, rows, calls = Counter(), {}, []
+    suffix, pairing = BlockCode._suffix, observe_module._row_pairings
 
     def counted_suffix(self, a):
+        record = suffix(self, a)
         if self is dual:
             reads[a] += 1
-            starts.append((a, []))
-        return suffix(self, a)
+            rows.update((id(y), y) for y in record[0])
+        return record
 
-    def counted_pairing(xs, ys, top, start=0):
-        starts[-1][1].append((xs, ys))
-        return pairing(xs, ys, top, start)
+    def counted_pairing(x, reach, column_rows, weights):
+        sums = pairing(x, reach, column_rows, weights)
+        calls.append((x, list(sums)))
+        return sums
 
     monkeypatch.setattr(BlockCode, "_suffix", counted_suffix)
-    monkeypatch.setattr(observe_module, "_folded_pairs_to_zero", counted_pairing)
+    monkeypatch.setattr(observe_module, "_row_pairings", counted_pairing)
     report = check_control_observe_duality(code)
     monkeypatch.undo()
-    return report, reads, starts
+    return report, reads, rows, calls
 
 
 def test_duality_walk_reads_each_suffix_record_once_and_copies_no_dual_row(monkeypatch):
-    # One walk per start k reads D's suffix record proj_[k,N) D once.  Every
-    # row paired on the dual's side is a row object of that record, uncut;
-    # each C row of the start is folded once, so the folded rows of a start
-    # are as many as its C rows; and no (C row, D row) pair is paired twice
-    # in one start.
+    # The walk reads D's suffix record proj_[k,N) D once per start k.
+    # Every D row the pairing pass pairs is a row object of those records,
+    # uncut; each C row is paired in one call, and no (C row, D row) pair
+    # is paired twice in one report.  Every pair some window holds whose
+    # rows share a nonzero column is among the pairs paired (the others
+    # pair to zero term by term).
     for spec in ("z4_band10_code.spec", "mixed_band8.spec"):
         code = band_code(spec)
-        dual = dual_block_code(code)
         N = code.space.horizon
-        report, reads, starts = recorded_walk(code, monkeypatch)
+        report, reads, rows, calls = recorded_walk(code, monkeypatch)
         assert report.ok
         assert reads == Counter(range(N))
         assert [w.start for w in report.window_checks] == [k for k in range(N) for _ in range(k, N)]
-        per_start, _ = walk_pairs_per_start(code)
-        for (k, calls), held in zip(starts, per_start):
-            record = {id(row) for row in BlockCode._suffix(dual, k)[0]}
-            assert all(id(y) in record for _, ys in calls for y in ys)
-            pairs = [(id(x), id(y)) for xs, ys in calls for y in ys for x in xs]
-            assert len(pairs) == len(set(pairs)) == len(held)
-            folded = {id(x) for xs, _ in calls for x in xs}
-            assert len(folded) == len({x for x, _ in held})
+        assert all(y in rows for _, ys in calls for y in ys)
+        assert len({id(x) for x, _ in calls}) == len(calls)
+        pairs = [(id(x), y) for x, ys in calls for y in ys]
+        assert len(pairs) == len(set(pairs))
+        held, _ = walk_pairs_held(code)
+        x_rows = {id(x): x for x, _ in calls}
+        assert {x for x, _ in held} <= set(x_rows)
+        meeting = {(x, y) for x, y in held if support(x_rows[x]) & support(rows[y])}
+        assert meeting <= set(pairs)
 
 
 class TestWalkPairingCounts:
     """Exact pairing counts of one duality report on the Z/8 band code that
-    ``TestBandBudget`` runs, at N = 32 and N = 64: every (C row, D row)
-    pair the windows of a start hold is paired once in that start, where
-    pairing window by window pairs 8,183 and 55,271.  The README quotes
-    the counts and their ratio beside the wall budget."""
+    ``TestBandBudget`` runs, at N = 32 and N = 64: the (C row, D row)
+    pairs the one pairing pass pairs, and the products it takes, one per
+    nonzero column the two rows share.  Pairing each pair once per start
+    paired 2,006 and 8,118 pairs of whole rows, kept as upper bounds, and
+    pairing window by window 8,183 and 55,271.  Per doubling of N, pairs
+    and products must grow less than ×4.2.  The README quotes the counts,
+    their ratio and the bound beside the wall budget."""
 
-    COUNTS = {32: 2006, 64: 8118}
+    COUNTS = {32: (542, 1136), 64: (2094, 4304)}
+    PER_START = {32: 2006, 64: 8118}
+
+    @staticmethod
+    def counts(n, monkeypatch):
+        code = parse_spec(z8_band_spec(n)).to_block_code()
+        report, _, rows, calls = recorded_walk(code, monkeypatch)
+        assert report.ok
+        pairs = sum(len(ys) for _, ys in calls)
+        products = sum(len(support(x) & support(rows[y])) for x, ys in calls for y in ys)
+        _, per_window = walk_pairs_held(code)
+        assert pairs < per_window
+        return pairs, products
 
     @pytest.mark.parametrize("n", sorted(COUNTS))
-    def test_pairs_each_pair_once_per_start(self, n, monkeypatch):
-        code = parse_spec(z8_band_spec(n)).to_block_code()
-        report, _, starts = recorded_walk(code, monkeypatch)
-        assert report.ok
-        count = sum(len(xs) * len(ys) for _, calls in starts for xs, ys in calls)
-        per_start, per_window = walk_pairs_per_start(code)
-        assert count == sum(map(len, per_start)) == self.COUNTS[n]
-        assert count < per_window
+    def test_pairs_and_products_per_report(self, n, monkeypatch):
+        pairs, products = self.counts(n, monkeypatch)
+        assert (pairs, products) == self.COUNTS[n]
+        assert pairs <= self.PER_START[n]
+
+    def test_growth_per_doubling(self, monkeypatch):
+        small, large = (self.counts(n, monkeypatch) for n in sorted(self.COUNTS))
+        assert all(later < 4.2 * earlier for later, earlier in zip(large, small))
 
 
 def suffix_sweep_work(run, monkeypatch):
@@ -1315,6 +1336,7 @@ def test_broken_dual_suffix_projection_fails_the_nesting(monkeypatch, capsys):
     code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
     dual = dual_block_code(code)
     N = code.space.horizon
+    assert check_control_observe_duality(code).ok
     suffix = BlockCode._suffix
     for k in range(1, N - 1):
         rows, columns, products = suffix(dual, k)
@@ -1401,6 +1423,9 @@ def test_dropped_row_of_the_dual_local_dual_mismatches(monkeypatch, capsys):
     code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
     dual = dual_block_code(code)
     assert dual != code
+    # The unbroken report, on a copy whose dual keeps no local dual yet.
+    copy = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
+    assert check_control_observe_duality(copy).ok
     local_dual = BlockCode.__dict__["_local_dual"].fn
 
     def broken(self):
@@ -1436,6 +1461,7 @@ def test_wrong_entry_of_the_shared_prefix_table_fails_its_windows(monkeypatch, c
     path = BAND_SPECS / "z4_band8_code.spec"
     code = parse_spec(path.read_text(encoding="utf-8")).to_block_code()
     N, moduli, offsets = code.space.horizon, code.space.flat_moduli, code.space.offsets()
+    assert check_control_observe_duality(code).ok
     table, entry = code._prefixes, _PrefixTable.entry
     served = 0
     for b in range(1, N):
