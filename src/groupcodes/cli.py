@@ -17,11 +17,10 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
 from typing import Optional, Sequence
 
 from . import oracle
-from .codes import BlockCode, _unit_rows, invariant_factors_of_code, window_order
+from .codes import BlockCode, invariant_factors_of_code, window_order
 from .control import control_profile, order_profile, reachable_set
 from .convolutional import (
     REPORT_WINDOWS,
@@ -397,33 +396,32 @@ def _cmd_oracle(args) -> Report:
 def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool | None]]:
     """(name, agrees) per check of a code within the bound; None for a
     check over the whole ambient space, skipped above it.  The code is
-    enumerated once, and every brute-force twin reads that list.  An engine
-    subgroup agrees with a brute list of distinct words when it has as many
-    words and contains each, so no engine side is listed; a consistency set
-    is tested through its window (``_consistency_agrees``)."""
+    enumerated once, and every brute-force twin reads that list.
+
+    Every subgroup twin is decided by one rule: an engine code E agrees
+    with a brute list B of distinct words when |E| = |B| and each row of
+    E's Howell basis is a word of B.  Each B lists a subgroup: a reachable
+    set and the annihilator by their definitions over the closed
+    enumeration, a consistency set as the preimage of a window projection.
+    So B holds the span of those rows, which is E, and the verdict is that
+    of testing every word of B in E; no word of B goes through the engine's
+    reducer.  Each consistency window [k, min(k + L + 1, N)) is checked
+    once: L runs up to N - k - 1, where the window reaches the horizon."""
     enum = oracle.enumerate_code(code, bound)
     N = code.space.horizon
-
-    def agrees(engine: BlockCode, brute: Sequence) -> bool:
-        return engine.cardinality == len(brute) and all(map(engine.contains, brute))
-
     reachable = all(
-        agrees(reachable_set(code, k, L), oracle.brute_reachable_set(enum, k, L))
+        _agrees(reachable_set(code, k, L), oracle.brute_reachable_set(enum, k, L))
         for k in range(N)
         for L in range(N - k + 1)
     )
     checks = [("reachable sets", reachable)]
     if code.space.cardinality <= bound:
         consistent = all(
-            _consistency_agrees(
-                consistency_set(code, k, L),
-                oracle.brute_consistency_set(enum, k, L, bound),
-                code.space.flat_slice(k, min(k + L + 1, N)),
-            )
+            _agrees(consistency_set(code, k, L), oracle.brute_consistency_set(enum, k, L, bound))
             for k in range(N)
-            for L in range(N + 1)
+            for L in range(N - k)
         )
-        annihilator = agrees(dual_block_code(code), oracle.brute_annihilator(enum, bound))
+        annihilator = _agrees(dual_block_code(code), oracle.brute_annihilator(enum, bound))
         checks += [("consistency sets", consistent), ("annihilator", annihilator)]
     else:
         checks += [("consistency sets", None), ("annihilator", None)]
@@ -441,19 +439,11 @@ def _oracle_checks(code: BlockCode, bound: int) -> list[tuple[str, bool | None]]
     return checks
 
 
-def _consistency_agrees(engine: BlockCode, brute: Sequence, window: slice) -> bool:
-    """Whether a consistency set E, free outside the flat columns
-    ``window``, is the brute list B of distinct words: |E| = |B|, and E
-    holds every unit word outside the window (modulus above 1) and each
-    word of B with its entries there zeroed, tested once per distinct
-    window part.  With those units in E, a word lies in E exactly when its
-    zeroed form does, and B holds them (the zero codeword's window part is
-    allowed), so this is B ⊆ E, the verdict of testing every word of B."""
-    moduli = engine.basis.moduli
-    width, lo, hi = len(moduli), window.start, window.stop
-    units = _unit_rows(moduli, (j for j in range(width) if not lo <= j < hi))
-    zeroed = ((0,) * lo + part + (0,) * (width - hi) for part in {w[window] for w in brute})
-    return engine.cardinality == len(brute) and all(map(engine.contains, chain(units, zeroed)))
+def _agrees(engine: BlockCode, brute: Sequence) -> bool:
+    """Whether an engine code is the subgroup a brute list of distinct
+    words lists (``_oracle_checks``): as many words, and each Howell row
+    among them."""
+    return engine.cardinality == len(brute) and not set(engine.basis.rows).difference(brute)
 
 
 # name: (handler, help, --format choices with the default first)

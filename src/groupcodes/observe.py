@@ -117,22 +117,25 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
     """Minimal uniform window with supercode equal to the code, plus
     per-position minima.
 
-    The lengths start from the uniform index and are shrunk greedily left
-    to right while the meet of the consistency sets is still the code,
-    that is while the windows W_j = D ∩ [j, b_j), b_j = min(j + L_j + 1, N),
-    sum to D = C-perp (``_observe_index``).  With B_k = max_{j<=k} b_j, a
-    window with b_j < B_j lies in an earlier one, so raising each end to
-    B_j keeps the sum; peeling the raised windows from the left (their
-    ends never decrease) shows they sum to D exactly when, at every k,
+    The windows W_j = D ∩ [j, b_j), b_j = min(j + L_j + 1, N), sum to
+    D = C-perp exactly when the meet of the consistency sets on
+    [j, j + L_j] is the code (``_observe_index``).  With
+    B_k = max_{j<=k} b_j, a window with b_j < B_j lies in an earlier one,
+    so raising each end to B_j keeps the sum; peeling the raised windows
+    from the left (their ends never decrease) shows they sum to D exactly
+    when, at every k,
     |D ∩ [k, B_k)| · |D ∩ [k+1, N)| = |D ∩ [k, N)| · |D ∩ [k+1, B_k)|.
-    That condition grows with B_k and reads no other end.  While k is
-    tried, the later positions sit at the index, where their conditions
-    already hold, so the least length at k is the least L whose end
-    max(B_{k-1}, min(k + L + 1, N)) meets the condition at k.  Each order
-    is a lookup in the suffix records; no sum or kernel is built.
+    That condition grows with B_k, reads no other end and holds at
+    B_k = N, so the lengths are taken greedily left to right: the least
+    length at k is the least L whose end max(B_{k-1}, min(k + L + 1, N))
+    meets the condition at k.  The index is the largest length.  The
+    greedy windows sum to D, so the uniform windows of that length, which
+    hold them, do too; and the uniform windows of the index sum to D, so
+    the condition at k holds at the end min(k + index + 1, N) and no
+    greedy length exceeds the index.  Each order is a lookup in
+    the suffix records; no sum or kernel is built.
     """
     N = code.space.horizon
-    index = _observe_index(code)
     order = functools.partial(_annihilator_order, code)
 
     def holds(k: int, end: int) -> bool:
@@ -140,10 +143,10 @@ def observe_profile(code: BlockCode) -> ObserveProfile:
 
     lengths, end = [], 0
     for k in range(N):
-        L = next(L for L in range(index + 1) if holds(k, max(end, min(k + L + 1, N))))
+        L = next(L for L in count() if holds(k, max(end, min(k + L + 1, N))))
         lengths.append(L)
         end = max(end, min(k + L + 1, N))
-    return ObserveProfile(tuple(lengths), index)
+    return ObserveProfile(tuple(lengths), max(lengths))
 
 
 class WindowDualityCheck(NamedTuple):

@@ -161,6 +161,23 @@ MUTANTS = (
         ("tests/test_oracle.py::TestOnePassTwins",),
     ),
     Mutant(
+        "oracle-agreement-by-count-only",
+        "cli.py",
+        "    return engine.cardinality == len(brute) and not set(engine.basis.rows).difference(brute)\n",
+        "    return engine.cardinality == len(brute)\n",
+        (
+            "tests/test_cli.py::TestOracle::test_consistency_set_missing_an_outside_unit_disagrees",
+            "tests/test_cli.py::TestOracle::test_a_basis_row_outside_the_list_disagrees",
+        ),
+    ),
+    Mutant(
+        "oracle-consistency-windows-one-short",
+        "cli.py",
+        "            for L in range(N - k)\n",
+        "            for L in range(N - k - 1)\n",
+        ("tests/test_cli.py::TestOracle::test_wrong_consistency_set_on_the_whole_tail_disagrees",),
+    ),
+    Mutant(
         "plain-dispatch-without-the-dash-check",
         "cli.py",
         '        if template is not None and not spec.startswith("-"):\n',

@@ -438,7 +438,45 @@ class TestBandBudget:
             assert "verdict: pass" in proc.stdout
 
 
+def oracle_set_checks(code):
+    """(check, engine set, brute list) for every set check ``oracle`` makes
+    on a block code whose ambient is within the bound."""
+    from groupcodes import oracle
+    from groupcodes.control import reachable_set
+    from groupcodes.duality import dual_block_code
+    from groupcodes.observe import consistency_set
+
+    enum, N = oracle.enumerate_code(code), code.space.horizon
+    for k in range(N):
+        for L in range(N - k + 1):
+            brute = oracle.brute_reachable_set(enum, k, L)
+            yield "reachable sets", reachable_set(code, k, L), brute
+        for L in range(N - k):
+            brute = oracle.brute_consistency_set(enum, k, L, oracle.DEFAULT_BOUND)
+            yield "consistency sets", consistency_set(code, k, L), brute
+    yield "annihilator", dual_block_code(code), oracle.brute_annihilator(enum, oracle.DEFAULT_BOUND)
+
+
 class TestOracle:
+    # The wall budget the README states for ``oracle`` on the N = 8 Z/4
+    # band spec, run as a fresh process (about 2.3 s on a 2-core shared
+    # machine, every check run).  Never raised to make a slow change pass.
+    BUDGET_S = 10.0
+
+    def test_band8_code_within_budget(self):
+        spec = Path(__file__).resolve().parent / "golden" / "specs" / "z4_band8_code.spec"
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcodes.cli", "oracle", str(spec)],
+            capture_output=True,
+            text=True,
+            timeout=3 * self.BUDGET_S,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("verdict: pass\n")
+        assert elapsed <= self.BUDGET_S, elapsed
+
     def test_block_oracle_agrees(self, even_weight_spec):
         code, out, _ = run_cli("oracle", even_weight_spec)
         assert code == 0
@@ -511,12 +549,13 @@ class TestOracle:
         ]
 
 
-    def test_consistency_agreement_tests_each_window_part_once(self, monkeypatch):
-        # One window of the N = 8 band code: B has 4**8 words, but E is
-        # asked only about the units outside the window and one zeroed word
-        # per distinct window part (testing every word of B took 66 s for
-        # the whole report).
-        import groupcodes.cli as cli
+    def test_consistency_check_reads_only_the_engine_basis_rows(self, monkeypatch):
+        # One window of the N = 8 band code: B has 4**8 words, and the
+        # engine set is asked for its order and its Howell rows only.  A
+        # stand-in holding just those agrees, and no word goes through
+        # ``BlockCode.contains``.
+        from types import SimpleNamespace
+
         import groupcodes.oracle as oracle
         from groupcodes.codes import BlockCode
         from groupcodes.observe import consistency_set
@@ -525,17 +564,37 @@ class TestOracle:
 
         code = band_code("z4_band8_code.spec")
         enum = oracle.enumerate_code(code)
-        k, L = 2, 1
-        sl = code.space.flat_slice(k, k + L + 1)
-        brute = oracle.brute_consistency_set(enum, k, L, oracle.DEFAULT_BOUND)
-        parts = {word[sl] for word in brute}
-        engine = consistency_set(code, k, L)
-        contains, calls = BlockCode.contains, []
-        monkeypatch.setattr(
-            BlockCode, "contains", lambda self, word: calls.append(word) or contains(self, word)
-        )
-        assert cli._consistency_agrees(engine, brute, sl)
-        assert 0 < len(calls) <= len(parts) + len(code.space.flat_moduli) < len(brute)
+        brute = oracle.brute_consistency_set(enum, 2, 1, oracle.DEFAULT_BOUND)
+        engine = consistency_set(code, 2, 1)
+        calls = []
+        monkeypatch.setattr(BlockCode, "contains", lambda self, word: calls.append(word))
+        rows = SimpleNamespace(rows=engine.basis.rows)
+        assert cli._agrees(SimpleNamespace(cardinality=engine.cardinality, basis=rows), brute)
+        assert cli._agrees(engine, brute)
+        assert calls == []
+
+    def test_set_checks_make_no_membership_test(self, monkeypatch):
+        # The whole report on a block spec, every check run: no membership
+        # test is made from ``cli``, so no word of a brute list goes
+        # through the engine reducer (the decomposition's own certificate
+        # may still test its generators).
+        from groupcodes.codes import BlockCode
+
+        contains, callers = BlockCode.contains, []
+
+        def spy(self, word):
+            callers.append(Path(sys._getframe(1).f_code.co_filename).name)
+            return contains(self, word)
+
+        monkeypatch.setattr(BlockCode, "contains", spy)
+        code, out, err = run_cli("oracle", str(SPECS / "even_weight.spec"))
+        assert (code, err) == (0, "")
+        assert "cli.py" not in callers
+        assert out.splitlines()[1:4] == [
+            "code :: reachable sets: agree",
+            "code :: consistency sets: agree",
+            "code :: annihilator: agree",
+        ]
 
     def test_consistency_set_missing_an_outside_unit_disagrees(self, tmp_path, monkeypatch):
         # C = <(2, 0, 0)> over (Z/4)^3 and the window [0, 1).  The fake set
@@ -561,6 +620,73 @@ class TestOracle:
         assert (code, err) == (1, "")
         assert "code :: consistency sets: DISAGREE" in out.splitlines()
         assert "code :: reachable sets: agree" in out.splitlines()
+
+    def test_wrong_consistency_set_on_the_whole_tail_disagrees(self, tmp_path, monkeypatch):
+        # C = <(2, 0, 0)> over (Z/4)^3.  Only the window [0, 3), which
+        # reaches the horizon, is served a wrong set: <(0, 2, 0)> has as
+        # many words as C, its consistency set there, but is not C.
+        from groupcodes.codes import code_from_generators
+
+        spec = tmp_path / "z4_double.spec"
+        spec.write_text("kind: block\nsymbols: [4] [4] [4]\ngenerator: 2 0 0\n", encoding="utf-8")
+        real, served = cli.consistency_set, []
+
+        def wrong_tail(code, k, L):
+            if k > 0 or k + L + 1 < code.space.horizon:
+                return real(code, k, L)
+            served.append(L)
+            return code_from_generators(code.space, [(0, 2, 0)])
+
+        monkeypatch.setattr(cli, "consistency_set", wrong_tail)
+        code, out, err = run_cli("oracle", str(spec))
+        assert (code, err, served) == (1, "", [2])
+        assert "code :: consistency sets: DISAGREE" in out.splitlines()
+
+    @pytest.mark.parametrize("corpus", ["exhaustive_corpus", "mixed_corpus"])
+    def test_every_brute_set_is_a_subgroup(self, corpus, request):
+        # The premise of the one agreement rule: each list a set check
+        # compares with is a subgroup, so it holds the span of any rows it
+        # holds.  The span of the list's words is grown one word at a time
+        # by that word's multiples; the list is a subgroup exactly when the
+        # span ends equal to it.
+        for code in request.getfixturevalue(corpus):
+            moduli = code.space.flat_moduli
+            for _, _, brute in oracle_set_checks(code):
+                span = {(0,) * len(moduli)}
+                for word in brute:
+                    if word not in span:
+                        multiples, step = [], word
+                        while step not in span:
+                            multiples.append(step)
+                            step = tuple((a + b) % m for a, b, m in zip(step, word, moduli))
+                        span |= {
+                            tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+                            for x in span
+                            for y in multiples
+                        }
+                assert span == set(brute), code.basis
+
+    @pytest.mark.parametrize("corpus", ["exhaustive_corpus", "mixed_corpus"])
+    def test_a_basis_row_outside_the_list_disagrees(self, corpus, request):
+        # Each engine set agrees with its list; a stand-in with as many
+        # words whose Howell rows gain one word outside the list does not.
+        from itertools import product
+        from types import SimpleNamespace
+
+        checked = set()
+        for code in request.getfixturevalue(corpus):
+            ambient = list(product(*map(range, code.space.flat_moduli)))
+            for name, engine, brute in oracle_set_checks(code):
+                assert cli._agrees(engine, brute), (name, code.basis)
+                members = set(brute)
+                outside = next((w for w in ambient if w not in members), None)
+                if outside is None:
+                    continue
+                rows = SimpleNamespace(rows=engine.basis.rows + (outside,))
+                fake = SimpleNamespace(cardinality=len(brute), basis=rows)
+                assert not cli._agrees(fake, brute), (name, code.basis)
+                checked.add(name)
+        assert checked == {"reachable sets", "consistency sets", "annihilator"}
 
     @pytest.mark.parametrize("spec, codes", [("even_weight.spec", 1), ("constant_kernel.spec", 4)])
     def test_each_code_is_enumerated_once(self, spec, codes, monkeypatch):

@@ -765,11 +765,11 @@ class TestGapLengthsTwoPointer:
                 prefixes = [b for a, b in reads if a == 0]
                 assert len(prefixes) == len(set(prefixes))
 
-    def test_block_analyze_counts_twice(self, monkeypatch, capsys):
-        # Once on the code's prefix table for the control lengths, which
-        # control_profile and order_profile both read, and once on the
-        # annihilator orders for the observe index.  Every module that
-        # binds the count is patched.
+    def test_block_analyze_counts_once(self, monkeypatch, capsys):
+        # Once, on the code's prefix table for the control lengths, which
+        # control_profile and order_profile both read.  The observe index
+        # is read off the observe lengths, with no count on the annihilator
+        # orders.  Every module that binds the count is patched.
         import sys
 
         from groupcodes.cli import main
@@ -791,10 +791,8 @@ class TestGapLengthsTwoPointer:
         for path in BAND_SPEC_PATHS:
             calls.clear()
             assert main(["analyze", str(path)]) == 0
-            assert len(calls) == 2, path.name
-            table, annihilator = calls
-            assert isinstance(table.__self__, _PrefixTable)
-            assert annihilator.func is _annihilator_order
+            assert len(calls) == 1, path.name
+            assert isinstance(calls[0].__self__, _PrefixTable)
         capsys.readouterr()
 
 

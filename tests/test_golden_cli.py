@@ -1,6 +1,7 @@
 """Golden CLI reports: every report on the demo specs and on the extra
 convolutional and Z/4 band specs in `tests/golden/specs`, byte for byte,
-and the output of each `demos/*.py` script.
+and the output of each `demos/*.py` script.  `oracle` runs on every
+convolutional spec and on the two N = 8 Z/4 band specs.
 
 `tests/golden/index.json` maps each case name to its argument list (the
 spec is named by file name, looked up in `demos/specs` and then in
@@ -45,6 +46,9 @@ CONVOLUTIONAL_PROPERTIES = (
     ("l-controllable", "--level", "1"),
     ("observable",),
 )
+# Block specs with an ``oracle`` golden besides every convolutional spec:
+# the N = 8 Z/4 band code and its dual, each seconds long.
+ORACLE_BLOCK_SPECS = ("z4_band8_code.spec", "z4_band8_dual.spec")
 
 
 def golden_cases():
@@ -63,7 +67,7 @@ def golden_cases():
         yield f"{stem}.duality-check-json", ["duality-check", name, "--format", "json"]
         for prop in BLOCK_PROPERTIES if block else CONVOLUTIONAL_PROPERTIES:
             yield f"{stem}.check-{prop[0]}", ["check", name, "--property", *prop]
-        if not block:
+        if not block or name in ORACLE_BLOCK_SPECS:
             yield f"{stem}.oracle", ["oracle", name]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         yield f"demo.{demo.stem}", [f"demos/{demo.name}"]

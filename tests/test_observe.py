@@ -1228,6 +1228,17 @@ class TestObserveIndexIdentity:
         assert_observe_index_identity(code)
 
 
+def test_profile_index_is_the_counted_observe_index(
+    exhaustive_corpus, mixed_corpus, random_corpus
+):
+    # ``observe_profile`` reads its index off its own lengths, the largest
+    # greedy length; ``_observe_index`` counts it on the gap lengths.
+    codes = exhaustive_corpus + mixed_corpus + random_corpus
+    codes += [band_code(path.name) for path in BAND_SPEC_PATHS]
+    for code in codes:
+        assert observe_profile(code).index == _observe_index(code), code.basis
+
+
 def test_wrong_suffix_projection_breaks_indices_match(monkeypatch):
     # The observe index of the code is counted on the code's own suffix
     # records and the control index of the dual on the dual's prefix
