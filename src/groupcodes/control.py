@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .codes import BlockCode, _internal
 from .groups import FiniteAbelianGroup
-from .linalg import _entry, _reduce_vector, _trusted, head_solve, howell_form
+from .linalg import _howell_record, _reduce_vector, _trusted, head_solve
 
 __all__ = [
     "ControlProfile",
@@ -244,13 +244,13 @@ def _scaled_form(
     code: BlockCode, a: int, b: int, t: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Pivot columns, counted from offset(a), and running pivot-order
-    products from 1 of the Howell form of t·(C ∩ [a, b)), whose rows
-    (``codes._internal``) are cut to [offset(a), offset(b)) first."""
+    products from 1 of t·(C ∩ [a, b)), whose rows (``codes._internal``)
+    are cut to [offset(a), offset(b)) first, off one record
+    (``linalg._howell_record``): only they leave it."""
     lo, hi = code.space.offsets()[a], code.space.offsets()[b]
     moduli = code.space.flat_moduli[lo:hi]
-    scaled = (tuple(t * e % m for e, m in zip(r[lo:hi], moduli)) for r in _internal(code, a, b))
-    rows = tuple(row for row in scaled if any(row))
-    return _entry(howell_form(_trusted(moduli, rows)).rows if rows else (), moduli)[1:]
+    rows = (tuple(t * e % m for e, m in zip(r[lo:hi], moduli)) for r in _internal(code, a, b))
+    return _howell_record(_trusted(moduli, tuple(rows)))[1:]
 
 
 def _order_splits(

@@ -31,7 +31,9 @@ from typing import Optional, Sequence, Union
 from .codes import BlockCode, SequenceSpace, _cached, _gap_lengths, _PrefixTable, _projection
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
-from .linalg import Vector, _trusted, annihilator_rows, howell_form
+from .linalg import (
+    Vector, _annihilator_graph, _howell_record, _trusted, annihilator_rows, howell_form
+)
 
 __all__ = [
     "ConvolutionalCode",
@@ -131,14 +133,17 @@ def _shift_rows(conv: ConvolutionalCode, n: int, cut: bool = False) -> tuple[Vec
 
 
 def _window(
-    conv: ConvolutionalCode, n: int, terminal: tuple[Vector, ...], reverse: bool = False
+    conv: ConvolutionalCode, n: int, terminal: tuple[Vector, ...],
+    reverse: bool = False, record: bool = False,
 ) -> tuple[Vector, ...]:
     """The window [0, n) with terminal rows ``terminal``, as Howell rows:
     the span (image form) or the annihilator (kernel form) of the taps'
     shifts inside [0, n) and of the rows ``terminal`` over G^s placed on
     its last s symbols (n >= s when there are any).  With ``reverse`` the
     rows are those of the window with its columns reversed, as a prefix
-    table takes them for one-sided reads.
+    table takes them for one-sided reads; with ``record``, unfinished: one
+    owned record (``linalg._howell_record``), in kernel form that of the
+    annihilator graph with its head-vanishing rows cut to their tails.
 
     A word meets the check h at shift k exactly when it pairs to zero with
     the row of h shifted by k, so a kernel window is the annihilator of the
@@ -156,7 +161,13 @@ def _window(
     if reverse:
         rows, moduli = tuple(row[::-1] for row in rows), moduli[::-1]
     matrix = _trusted(moduli, rows)
-    return (howell_form(matrix) if conv.form == "image" else annihilator_rows(matrix)).rows
+    if not record:
+        return (howell_form(matrix) if conv.form == "image" else annihilator_rows(matrix)).rows
+    if conv.form == "image":
+        return _howell_record(matrix)[0]
+    head = len(rows)  # the graph's head: one column per row of the matrix
+    graph = _howell_record(_annihilator_graph(matrix))[0]
+    return tuple(row[head:] for row in graph if not any(row[:head]))
 
 
 def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
@@ -377,10 +388,12 @@ def strong_controllability_index(
     the tap-local window system is computed for growing window lengths and
     accepted once it agrees twice in a row; running out of horizon yields
     an honest unknown verdict rather than a claim.  Each window is built in
-    reversed form (``_window``), its one Howell form, and its index is the
+    reversed form as one owned record (``_window``), and its index is the
     largest gap length (``codes._gap_lengths``) counted on the orders of
     a prefix table of those rows (``codes._PrefixTable.order``), one
-    unfinished forward sweep: no code is built and no form finished.
+    unfinished forward sweep: no code is built and no form finished or
+    cached.  A record suffices: the table reads only pivot orders, and a
+    record's are the Howell form's.
     """
     weak = weak_controllability(conv)
     N = conv.analysis_horizon
@@ -390,7 +403,8 @@ def strong_controllability_index(
         )
     index = previous = None  # "agree twice": the first repeated index
     for n in range(min(max(2 * conv.memory, 2), N), N + 1):
-        table = _PrefixTable(SequenceSpace((conv.symbol,) * n), _window(conv, n, (), reverse=True))
+        rows = _window(conv, n, (), reverse=True, record=True)
+        table = _PrefixTable(SequenceSpace((conv.symbol,) * n), rows)
         current = max(_gap_lengths(n, table.order))
         if current == previous:
             index = current

@@ -23,7 +23,10 @@ a cut on, so a caller can also shrink a span start by start, and
 ``replace`` swaps chosen pivot rows for new rows, for a caller that
 proves the Howell property kept (the peel's complement).  Only rows
 compared or printed are finished, by ``howell_form``, which pushes all
-rows at once and finishes, under the one Howell cache ``_howell_cached``.
+rows at once and finishes, under the one Howell cache ``_howell_cached``;
+a reader of pivots and orders alone owns one ``_howell_record``: the
+strong-index windows, the order split's scaled windows, the directness
+span.
 ``_HowellState`` holds ``record``, ``trim`` and ``replace`` once; a
 kernel adds its elimination loop, its ``finish`` and a row codec, and
 ``_howell_state`` picks it from the moduli.  When every modulus is a
@@ -556,6 +559,15 @@ def _howell_cached(rows: tuple[Vector, ...], moduli: Vector) -> tuple[Vector, ..
     return rows if canon == rows else canon
 
 
+def _howell_record(matrix: ResidueMatrix) -> Entry:
+    """The weak Howell form of ``matrix`` off one owned state, not finished
+    nor cached: its pivot columns and orders are the Howell form's, and
+    a sweep that pushes its rows again spans the same words."""
+    state = _howell_state(matrix.moduli)
+    state.push(matrix.rows)
+    return state.record()
+
+
 def howell_form(matrix: ResidueMatrix) -> ResidueMatrix:
     """Canonical Howell basis of the row span.  Idempotent.
 
@@ -742,14 +754,18 @@ def solve_homomorphism(
 
 
 def annihilator_rows(matrix: ResidueMatrix) -> ResidueMatrix:
-    """Annihilator of the row span under the standard pairing.
+    """Annihilator of the row span under the standard pairing: the tails
+    of the graph rows (``_annihilator_graph``) whose head vanishes."""
+    return head_kernel(_annihilator_graph(matrix), len(matrix.rows))
 
-    The pairing of x and chi over moduli m is ``sum_j x_j chi_j / m_j`` taken
-    modulo 1; chi annihilates the span iff every generator pairs to zero,
-    which over the common denominator ``L`` reads
-    ``sum_j g_j (L/m_j) chi_j = 0 (mod L)`` per generator ``g``: the kernel
-    of the map sending the j-th unit to the column ``(g_j (L/m_j))_g``.
-    """
+
+def _annihilator_graph(matrix: ResidueMatrix) -> ResidueMatrix:
+    """Graph rows, the head one column per row of ``matrix``, whose
+    head-vanishing tails span the annihilator of its rows: x and chi over
+    moduli m pair to ``sum_j x_j chi_j / m_j`` modulo 1, so chi annihilates
+    the span iff ``sum_j g_j (L/m_j) chi_j = 0 (mod L)`` for every
+    generator ``g``, with ``L`` the common denominator: the kernel of the
+    map sending the j-th unit to the column ``(g_j (L/m_j))_g``."""
     moduli = matrix.moduli
     L = lcm(*moduli)
     columns = zip(*matrix.rows) if matrix.rows else [()] * len(moduli)
@@ -757,8 +773,7 @@ def annihilator_rows(matrix: ResidueMatrix) -> ResidueMatrix:
     images = [
         col if m == L else tuple(g * (L // m) for g in col) for col, m in zip(columns, moduli)
     ]
-    graph = homomorphism_graph(images, moduli, tuple(L for _ in matrix.rows))
-    return head_kernel(graph, len(matrix.rows))
+    return homomorphism_graph(images, moduli, tuple(L for _ in matrix.rows))
 
 
 def intersect_rows(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:

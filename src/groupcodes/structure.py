@@ -19,11 +19,7 @@ from typing import Optional, Sequence
 from .codes import BlockCode, SequenceSpace, code_from_generators
 from .groups import FiniteAbelianGroup, primary_part
 from .linalg import (
-    Entry,
-    Vector,
-    _HowellState,
-    _howell_state,
-    vector_order,
+    Entry, Vector, _HowellState, _howell_record, _howell_state, residue_matrix, vector_order
 )
 
 __all__ = [
@@ -157,10 +153,13 @@ def _directness(
 ) -> tuple[bool, ...]:
     """The directness steps j = 1..k-1 of ``words`` with ``orders``: all
     true when the span of all k words has order ∏ ord(y_i), else read
-    off the span of each prefix."""
-    steps, rows, before = [], (), 1
-    if len(words) < 2 or code_from_generators(space, words).cardinality == math.prod(orders):
+    off the span of each prefix.  One record (``linalg._howell_record``)
+    gives that order: only its pivot orders are read."""
+    if len(words) < 2:
+        return ()
+    if _howell_record(residue_matrix(words, space.flat_moduli))[2][-1] == math.prod(orders):
         return (True,) * (len(words) - 1)
+    steps, rows, before = [], (), 1
     for word, order in zip(words, orders):
         spanned = code_from_generators(space, rows + (word,))
         steps.append(spanned.cardinality == before * order)

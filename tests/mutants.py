@@ -288,6 +288,26 @@ MUTANTS = (
         "    ]\n",
         ("tests/test_observe.py::test_walk_matches_cut_windows_on_wrong_dual_records",),
     ),
+    Mutant(
+        "strong-index-kernel-record-keeps-head-rows",
+        "convolutional.py",
+        "    return tuple(row[head:] for row in graph if not any(row[:head]))\n",
+        "    return tuple(row[head:] for row in graph)\n",
+        (
+            "tests/test_convolutional.py::TestStrongIndexWindows"
+            "::test_reversed_build_is_the_local_window",
+        ),
+    ),
+    Mutant(
+        "scaled-form-records-unscaled-rows",
+        "control.py",
+        "    rows = (tuple(t * e % m for e, m in zip(r[lo:hi], moduli)) for r in _internal(code, a, b))\n",
+        "    rows = (r[lo:hi] for r in _internal(code, a, b))\n",
+        (
+            "tests/test_control.py::TestOrderProfile::test_higher_prime_power_level_binds",
+            "tests/test_control.py::TestCountedOrderSplit::test_higher_levels_over_z16",
+        ),
+    ),
 )
 
 

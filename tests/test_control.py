@@ -472,11 +472,12 @@ class TestOrderProfile:
 
     def test_squarefree_exponent_builds_no_level_kernel(self, monkeypatch):
         # With no level to test the counted plain split is the answer: no
-        # split test, no Howell form, same bounds as the all-divisor route.
+        # split test, no scaled window record, same bounds as the
+        # all-divisor route.
         import groupcodes.control as control
 
         calls = Counter()
-        for name in ("howell_form", "head_solve", "_order_splits", "_scaled_form"):
+        for name in ("_howell_record", "head_solve", "_order_splits", "_scaled_form"):
             original = getattr(control, name)
 
             def counted(*args, _name=name, _original=original):

@@ -36,7 +36,7 @@ from groupcodes.convolutional import (
 )
 from groupcodes.duality import dual_block_code, is_annihilator
 from groupcodes.groups import FiniteAbelianGroup
-from groupcodes.linalg import ResidueMatrix, howell_form
+from groupcodes.linalg import ResidueMatrix, _entry, howell_form, residue_matrix
 from groupcodes.specfmt import parse_spec
 
 from .kernel_references import ReferenceWindows, direct_window, reversed_howell_code
@@ -1050,18 +1050,21 @@ class TestEngineTwin:
 
 def _swept_index(conv, n):
     """The strong index's read of window n: the largest gap length on the
-    orders of a prefix table of the window's reversed build."""
-    table = _PrefixTable(SequenceSpace((conv.symbol,) * n), _window(conv, n, (), reverse=True))
+    orders of a prefix table of the window's reversed record."""
+    rows = _window(conv, n, (), reverse=True, record=True)
+    table = _PrefixTable(SequenceSpace((conv.symbol,) * n), rows)
     return max(_gap_lengths(n, table.order))
 
 
 class TestStrongIndexWindows:
-    """The strong-index windows are built in reversed form, and their
-    window orders are read off one unfinished forward sweep of those rows
-    (``codes._PrefixTable.order``)."""
+    """The strong-index windows are built in reversed form as unfinished
+    records, and their window orders are read off one unfinished forward
+    sweep of those rows (``codes._PrefixTable.order``)."""
 
     def test_reversed_build_is_the_local_window(self):
-        # The swept index on every code, the reference route on every other.
+        # The swept index on every code, the reference route on every
+        # other: the record spans the finished build's window, with the
+        # same pivot columns and orders.
         for i, conv in enumerate(ONE_TAP_CORPUS):
             for n in range(1, 10):
                 local = local_window(conv, n)
@@ -1071,25 +1074,38 @@ class TestStrongIndexWindows:
                 if i % 2:
                     continue
                 space = SequenceSpace((conv.symbol,) * n)
-                built = reversed_howell_code(space, _window(conv, n, (), reverse=True))
+                finished = _window(conv, n, (), reverse=True)
+                built = reversed_howell_code(space, finished)
                 assert built == local, (conv, n)
                 assert control_profile(built).index == index
+                record = _window(conv, n, (), reverse=True, record=True)
+                moduli = space.flat_moduli
+                spanned = residue_matrix([row[::-1] for row in record], moduli)
+                assert BlockCode(space, spanned) == local, (conv, n)
+                assert _entry(record, moduli[::-1])[1:] == _entry(finished, moduli[::-1])[1:]
 
-    def test_one_howell_form_per_window(self, monkeypatch):
-        # One Howell form and one prefix table with no owner per window;
-        # no code is built, and no Howell state is finished while the
-        # table's entries are filled.
+    def test_one_owned_record_per_window(self, monkeypatch):
+        # One Howell state, one record and one prefix table with no owner
+        # per window (one Howell form per window when the windows were
+        # finished); no Howell form is requested, no code is built and no
+        # Howell state is finished.
         import sys
 
         import groupcodes.convolutional as module
         import groupcodes.linalg as linalg_module
         windows, forms, built, tables, finished = [], [], [], [], []
+        states, records = [], []
         window, canonical, entry = module._window, howell_form, _PrefixTable.entry
         post_init, from_howell = BlockCode.__post_init__, BlockCode.from_howell.__func__
         table_init, filling = _PrefixTable.__init__, []
+        new_state, record = linalg_module._howell_state, module._howell_record
         monkeypatch.setattr(
             module, "_window", lambda *a, **k: windows.append(k) or window(*a, **k)
         )
+        monkeypatch.setattr(
+            linalg_module, "_howell_state", lambda m: states.append(m) or new_state(m)
+        )
+        monkeypatch.setattr(module, "_howell_record", lambda m: records.append(m) or record(m))
         for name, owner in list(sys.modules.items()):
             if name.startswith("groupcodes") and getattr(owner, "howell_form", None) is canonical:
                 monkeypatch.setattr(owner, "howell_form", lambda m: forms.append(m) or canonical(m))
@@ -1121,28 +1137,29 @@ class TestStrongIndexWindows:
             kernel(V4, ((0, 0), (1, 0), (0, 1))),
         ):
             weak_controllability(conv)  # its windows are kept on the code
-            windows.clear(), forms.clear(), built.clear(), tables.clear(), finished.clear()
+            for counted in (windows, forms, built, tables, finished, states, records):
+                counted.clear()
             assert strong_controllability_index(conv).is_finite
-            assert len(forms) == len(windows) == len(tables) > 0
-            assert all(k == {"reverse": True} for k in windows)  # reversed builds only
+            assert len(windows) == len(tables) == len(records) == len(states) > 0
+            assert all(k == {"reverse": True, "record": True} for k in windows)
             assert all(len(args) == 2 for args in tables)  # no owner record
-            assert built == []
-            assert not any(finished)
+            assert forms == built == finished == []
 
 
 class TestReadBuilds:
     """The analyses read windows as rows: no window code per read."""
 
     # howell_form calls of one ``analyze`` and one ``duality-check``, from a
-    # cold Howell cache: one per settle step and window built, and one per
-    # strong-index window.  The readers add none, and the prefix tables
-    # take none per end (47 and 26 with one Howell form per prefix end; 21
-    # and 11 with full-window settle steps, long windows and forward
-    # strong-index windows).  The weakly controllable Z/4 kernel settles
-    # both chains at one state and reads both kinds off one window; the
-    # two-tap kernel, which is not weakly controllable, builds a
-    # finite-support window of its own.
-    HOWELL = {"z4_12_kernel.spec": 15, "two_tap_kernel.spec": 13}
+    # cold Howell cache: one per settle step and window built.  The
+    # strong-index windows are unfinished records and take none (15 for
+    # the Z/4 kernel when each was a Howell form), the readers add none,
+    # and the prefix tables take none per end (47 and 26 with one Howell
+    # form per prefix end; 21 and 11 with full-window settle steps, long
+    # windows and forward strong-index windows).  The weakly controllable
+    # Z/4 kernel settles both chains at one state and reads both kinds off
+    # one window; the two-tap kernel, which is not weakly controllable,
+    # runs no strong index and builds a finite-support window of its own.
+    HOWELL = {"z4_12_kernel.spec": 13, "two_tap_kernel.spec": 13}
 
     @pytest.mark.parametrize("spec", sorted(HOWELL))
     def test_reports_build_no_window_code_per_read(self, spec, monkeypatch):

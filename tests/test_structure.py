@@ -479,7 +479,10 @@ class TestSmallestFullPrefix:
         # rows its character meets in that state (one push) and pushes the
         # window's rows into one state of its own, read once.  No Howell
         # form and no finish is taken inside the peel, and no prefix table
-        # and no code is built before the verification.
+        # and no code is built before the verification.  The verification
+        # reads the directness span as one record of its own, apart from
+        # the peel's part states, once per code of two or more generators;
+        # it finishes no state and builds no code.
         import sys
 
         import groupcodes.codes as codes_module
@@ -488,7 +491,7 @@ class TestSmallestFullPrefix:
 
         rng = random.Random(1709)
         counts = Counter()
-        phase = {"peel": False, "search": False}
+        phase = {"peel": False, "search": False, "span": False}
 
         class CountedState:
             def __init__(self, state, kind):
@@ -559,20 +562,32 @@ class TestSmallestFullPrefix:
         for state in (linalg_module._HowellSingle, linalg_module._HowellPacked):
 
             def counted_finish(self, _finish=state.finish):
-                counts["finishes"] += phase["peel"]
+                counts["finishes"] += phase["peel"] or phase["span"]
                 return _finish(self)
 
             monkeypatch.setattr(state, "finish", counted_finish)
+
+        def counted_record(matrix, _record=module._howell_record):
+            counts["span records"] += 1
+            phase["span"] = True
+            try:
+                return _record(matrix)
+            finally:
+                phase["span"] = False
+
+        monkeypatch.setattr(module, "_howell_record", counted_record)
         monkeypatch.setattr(codes_module._PrefixTable, "__init__", no_table)
-        generators = 0
+        generators = spans = 0
         for code in codes:
             with monkeypatch.context() as patch:
                 patch.setattr(BlockCode, "__post_init__", no_code)
                 patch.setattr(BlockCode, "from_howell", no_code)
                 gens = module._peel(code)
-            assert module._verified(code, gens).order_product == code.cardinality
+                assert module._verified(code, gens).order_product == code.cardinality
             generators += len(gens)
+            spans += len(gens) > 1
         assert counts["steps"] == generators > 30
+        assert counts["span records"] == spans > 0
         assert counts["howell forms"] == counts["finishes"] == 0
         assert counts["part states"] == counts["parts"] == len(codes)
         assert counts["part pushes"] == counts["part records"] == counts["parts"] + counts["steps"]
@@ -837,8 +852,9 @@ class TestDirectnessOnOneSpan:
 def test_block_pool_splits_by_counting_and_verifies_on_one_span(monkeypatch, tmp_path):
     # analyze and decompose over the whole seed-7 block-codes pool: the
     # order profile solves and takes kernels nowhere, and each valid
-    # decomposition builds one span of its generators (none with fewer
-    # than two).
+    # decomposition reads one record of the span of its generators (none
+    # with fewer than two) and builds no code (one code of that span when
+    # it was a Howell form).
     import sys
 
     import groupcodes.control as control
@@ -872,17 +888,22 @@ def test_block_pool_splits_by_counting_and_verifies_on_one_span(monkeypatch, tmp
     monkeypatch.setattr(control, "order_profile", traced_profile)
     monkeypatch.setattr(sys.modules["groupcodes.cli"], "order_profile", traced_profile)
     spans, verified = [], []
-    build = structure.code_from_generators
+    build, record = structure.code_from_generators, structure._howell_record
 
     def counted_build(space, generators):
         if inside["verify"] is not None:
-            inside["verify"] += 1
+            inside["verify"]["codes"] += 1
         return build(space, generators)
+
+    def counted_record(matrix):
+        if inside["verify"] is not None:
+            inside["verify"]["records"] += 1
+        return record(matrix)
 
     verify = structure.verify_decomposition
 
     def counted_verify(code, decomposition):
-        inside["verify"] = 0
+        inside["verify"] = Counter()
         try:
             ok, cert = verify(code, decomposition)
         finally:
@@ -893,6 +914,7 @@ def test_block_pool_splits_by_counting_and_verifies_on_one_span(monkeypatch, tmp
         return ok, cert
 
     monkeypatch.setattr(structure, "code_from_generators", counted_build)
+    monkeypatch.setattr(structure, "_howell_record", counted_record)
     monkeypatch.setattr(structure, "verify_decomposition", counted_verify)
     specs = report_digest.pool("block-codes", 7, None)
     for spec in specs:
@@ -902,7 +924,7 @@ def test_block_pool_splits_by_counting_and_verifies_on_one_span(monkeypatch, tmp
             assert report_digest.report((command,), str(path)).startswith(b"(0, ")
     assert len(specs) > 100 and all(verified) and len(verified) == len(specs)
     assert solved == []
-    assert all(built == (1 if k > 1 else 0) for built, k in spans)
+    assert all(built == Counter(records=1 if k > 1 else 0) for built, k in spans)
     assert any(k > 1 for _, k in spans)
 
 
