@@ -25,7 +25,7 @@ from .control import control_profile, order_profile, reachable_set
 from .convolutional import (
     REPORT_WINDOWS,
     ConvolutionalCode,
-    _read,
+    _order,
     dual_convolutional,
     strong_controllability_index,
     verify_window_duality,
@@ -115,7 +115,7 @@ def _analyze_convolutional(conv: ConvolutionalCode) -> dict:
     strong = strong_controllability_index(conv)
     windows = {}
     for n in range(1, min(conv.analysis_horizon, REPORT_WINDOWS) + 1):
-        windows[str(n)] = _read(conv, "code", n)[1]
+        windows[str(n)] = _order(conv, "code", n)
     return {
         "kind": "convolutional",
         "symbol": list(conv.symbol.moduli),

@@ -25,6 +25,7 @@ justifies gating the strong index by the weak verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -32,7 +33,7 @@ from .codes import BlockCode, SequenceSpace, _cached, _gap_lengths, _PrefixTable
 from .duality import is_annihilator
 from .groups import FiniteAbelianGroup
 from .linalg import (
-    Vector, _annihilator_graph, _howell_record, _trusted, annihilator_rows, howell_form
+    Vector, _annihilator_graph, _howell_record, _tails, _trusted, annihilator_rows, howell_form
 )
 
 __all__ = [
@@ -143,7 +144,7 @@ def _window(
     rows are those of the window with its columns reversed, as a prefix
     table takes them for one-sided reads; with ``record``, unfinished: one
     owned record (``linalg._howell_record``), in kernel form that of the
-    annihilator graph with its head-vanishing rows cut to their tails.
+    annihilator graph with its head-vanishing rows cut to their tails (``_tails``).
 
     A word meets the check h at shift k exactly when it pairs to zero with
     the row of h shifted by k, so a kernel window is the annihilator of the
@@ -165,9 +166,8 @@ def _window(
         return (howell_form(matrix) if conv.form == "image" else annihilator_rows(matrix)).rows
     if conv.form == "image":
         return _howell_record(matrix)[0]
-    head = len(rows)  # the graph's head: one column per row of the matrix
-    graph = _howell_record(_annihilator_graph(matrix))[0]
-    return tuple(row[head:] for row in graph if not any(row[:head]))
+    # The graph's head: one column per row of the matrix.
+    return _tails(_howell_record(_annihilator_graph(matrix))[0], len(rows))
 
 
 def local_window(conv: ConvolutionalCode, n: int) -> BlockCode:
@@ -236,8 +236,7 @@ def _settled(conv: ConvolutionalCode, chain: str) -> tuple[int, tuple[Vector, ..
         s, width = conv.state_length, len(conv.symbol.moduli)
 
         def states(n: int, terminal: tuple[Vector, ...], head: int) -> tuple[Vector, ...]:
-            rows = _window(image, n, terminal, reverse=True)
-            return tuple(row[head:][::-1] for row in rows if not any(row[:head]))
+            return tuple(row[::-1] for row in _tails(_window(image, n, terminal, True), head))
 
         fixed = {rows for _, rows in chains.values()}  # F fixes the other chain's Y*
         step, current = 0, states(s, () if chain == "local" else conv._cut_rows, 0)
@@ -270,6 +269,21 @@ def _read(conv: ConvolutionalCode, kind: str, n: int) -> Window:
     REPORT_WINDOWS)), so it serves every read n <= R; only a longer read
     (through the public wrappers) builds it again, at its own length.  No
     code is built for a read."""
+    window = _kept(conv, kind, n)
+    return window.vanishing(n) if isinstance(window, _PrefixTable) else _projection(window, 0, n)
+
+
+def _order(conv: ConvolutionalCode, kind: str, n: int) -> int:
+    """The order ``_read`` gives in a two-sided kind (the only ones read
+    for an order alone), with no row cut: the product of the pivot orders
+    of the kept window's rows with pivot before offset(n)."""
+    _, columns, products = _kept(conv, kind, n)._record
+    return products[bisect_left(columns, n * len(conv.symbol.moduli))]
+
+
+def _kept(conv: ConvolutionalCode, kind: str, n: int) -> Union[BlockCode, _PrefixTable]:
+    """The window a read kind keeps for reads up to n (``_read``): a prefix
+    table in one-sided kinds, a code in the others."""
     chain, one_sided = _KINDS[kind][conv.form]
     terminal = conv._cut_rows if chain is None else _settled(conv, chain)[1]
     window = conv._windows.get((terminal, one_sided))
@@ -278,7 +292,7 @@ def _read(conv: ConvolutionalCode, kind: str, n: int) -> Window:
         rows = _window(conv, space.horizon, terminal, one_sided)
         window = _PrefixTable(space, rows) if one_sided else BlockCode.from_howell(space, rows)
         conv._windows[terminal, one_sided] = window
-    return window.vanishing(n) if one_sided else _projection(window, 0, n)
+    return window
 
 
 def _block_window(conv: ConvolutionalCode, kind: str, n: int) -> BlockCode:
@@ -347,8 +361,7 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     if conv.form == "image":
         return WeakControllabilityVerdict(holds=True, horizon=N)
     for n in range(1, min(N, conv.state_length) + 1):
-        full = _read(conv, "code", n)[1]
-        inner = _read(conv, "finite support", n)[1]
+        full, inner = _order(conv, "code", n), _order(conv, "finite support", n)
         if full != inner:
             return WeakControllabilityVerdict(False, N, n, full, inner)
     return WeakControllabilityVerdict(holds=True, horizon=N)

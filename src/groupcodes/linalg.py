@@ -23,10 +23,11 @@ a cut on, so a caller can also shrink a span start by start, and
 ``replace`` swaps chosen pivot rows for new rows, for a caller that
 proves the Howell property kept (the peel's complement).  Only rows
 compared or printed are finished, by ``howell_form``, which pushes all
-rows at once and finishes, under the one Howell cache ``_howell_cached``;
-a reader of pivots and orders alone owns one ``_howell_record``: the
-strong-index windows, the order split's scaled windows, the directness
-span.
+rows at once and finishes, under the one Howell cache ``_howell_cached``.
+It keeps answers keyed by the generators asked about, never graphs: a
+miss of ``annihilator_rows`` alone builds its graph.  A reader of pivots
+and orders alone owns one ``_howell_record``: the strong-index windows,
+the order split's scaled windows, the directness span.
 ``_HowellState`` holds ``record``, ``trim`` and ``replace`` once; a
 kernel adds its elimination loop, its ``finish`` and a row codec, and
 ``_howell_state`` picks it from the moduli.  When every modulus is a
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from math import gcd, isqrt, lcm
 from operator import floordiv, mod, mul
 from typing import Any, Iterable, Optional, Sequence
@@ -552,7 +553,12 @@ def _howell_kernel(rows: tuple[Vector, ...], moduli: Vector) -> list[Vector]:
 
 
 @lru_cache(maxsize=1 << 12)
-def _howell_cached(rows: tuple[Vector, ...], moduli: Vector) -> tuple[Vector, ...]:
+def _howell_cached(rows: tuple[Vector, ...], moduli: Vector, perp=False) -> tuple[Vector, ...]:
+    """The Howell form of ``rows`` or, with ``perp``, of their annihilator
+    (``annihilator_rows``): only a miss builds the graph, never kept."""
+    if perp:
+        graph = _annihilator_graph(_trusted(moduli, rows))
+        return _tails(_howell_kernel(graph.rows, graph.moduli), len(rows))
     canon = tuple(_howell_kernel(rows, moduli))
     # Most calls re-canonicalize a Howell form; handing back the input tuple
     # keeps one copy of those rows in the cache instead of two.
@@ -667,34 +673,31 @@ def stack(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _head_rows(matrix: ResidueMatrix, head: int) -> tuple[ResidueMatrix, int]:
-    """The Howell form of ``matrix`` and the number of its rows with pivot
-    before column ``head``; pivot columns increase, so the other rows are
-    a suffix, the rows whose head vanishes."""
-    canon = howell_form(matrix)
-    rows, i = canon.rows, 0
-    while i < len(rows) and any(rows[i][:head]):
-        i += 1
-    return canon, i
+def _tails(rows: Sequence[Vector], head: int) -> tuple[Vector, ...]:
+    """The tails past column ``head`` of ``rows`` whose head vanishes: of a
+    Howell form, a Howell basis of {t : (0 | t) in the span}, since pivots,
+    their normalization and the reduction above them and the Howell
+    property all carry over to the tail columns; of a record, a record."""
+    return tuple(row[head:] for row in rows if not any(row[:head]))
 
 
 def head_kernel(matrix: ResidueMatrix, head: int) -> ResidueMatrix:
     """Howell basis of {t : (0 | t) in span(matrix)}, the head ``head``
-    wide: the tails of the Howell rows whose head vanishes, since pivots,
-    their normalization and the reduction above them and the Howell
-    property all carry over to the tail columns."""
-    canon, i = _head_rows(matrix, head)
-    return _trusted(canon.moduli[head:], tuple(row[head:] for row in canon.rows[i:]))
+    wide: the tails of the Howell rows whose head vanishes (``_tails``).
+    The Howell form of ``matrix`` is a cache entry; the annihilator reads
+    its graph's form without one (``annihilator_rows``)."""
+    canon = howell_form(matrix)
+    return _trusted(canon.moduli[head:], _tails(canon.rows, head))
 
 
 def head_solve(
     matrix: ResidueMatrix, head: int, target: Sequence[int]
 ) -> Optional[Vector]:
     """A tail t with (target | t) in span(matrix), or None: (target | 0)
-    reduced by the Howell rows with pivot in the head, whose pivot
-    columns alone are found."""
-    canon, i = _head_rows(matrix, head)
-    rows = canon.rows[:i]
+    reduced by the Howell rows with pivot in the head, a prefix as pivot
+    columns increase, whose pivot columns alone are found."""
+    canon = howell_form(matrix)
+    rows = tuple(takewhile(lambda row: any(row[:head]), canon.rows))
     augmented = _reduced(target, canon.moduli[:head]) + (0,) * (canon.width - head)
     remainder = _reduce_vector(rows, tuple(map(_first_nonzero, rows)), canon.moduli, augmented)
     if any(remainder[:head]):
@@ -754,9 +757,12 @@ def solve_homomorphism(
 
 
 def annihilator_rows(matrix: ResidueMatrix) -> ResidueMatrix:
-    """Annihilator of the row span under the standard pairing: the tails
-    of the graph rows (``_annihilator_graph``) whose head vanishes."""
-    return head_kernel(_annihilator_graph(matrix), len(matrix.rows))
+    """Annihilator of the row span under the standard pairing, as Howell
+    rows: the tails of the graph rows (``_annihilator_graph``) whose head
+    vanishes.  One request of the Howell cache keyed by the rows and
+    moduli of ``matrix``: a hit builds nothing, and the graph and its
+    form are never kept."""
+    return _trusted(matrix.moduli, _howell_cached(matrix.rows, matrix.moduli, True))
 
 
 def _annihilator_graph(matrix: ResidueMatrix) -> ResidueMatrix:

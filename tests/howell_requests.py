@@ -13,8 +13,14 @@ every op (``op``) or before every command (``command``).  Every call of
 ``linalg.howell_form`` is a request.  It is counted at its call site: the
 innermost calling function outside ``groupcodes.linalg`` and the
 dataclass checks (``__post_init__``), with the outermost of those it came
-through, if any, after "via".  A request is a kernel run when it misses
-``linalg._howell_cached``, and a repeat when the same rows and moduli
+through, if any, after "via".  Every call of ``linalg.annihilator_rows``
+is a request too, for the annihilator of its rows, counted at the site
+that calls it, "via linalg.annihilator_rows"; a request made inside
+another request (a Howell form the annihilator asked for on its way)
+counts as part of the outer one.  A request's kernel runs are its
+misses of the one cache ``linalg._howell_cached``, and its bytes the
+deep size of the entries those misses leave in it (``deep_size``).  A
+request is a repeat when the same rows and moduli, of the same kind,
 were requested before in the pass, at any site.  A repeat is
 within-command when they were requested before in the same command,
 else cross-command when before in the same op, else cross-op.  So,
@@ -43,7 +49,9 @@ import report_digest  # noqa: E402  (the pools; bench/workloads.py, read-only)
 
 from groupcodes import linalg  # noqa: E402
 
-FIELDS = ("requests", "kernel runs", "repeats", "cross-op", "cross-command", "within-command")
+FIELDS = (
+    "requests", "kernel runs", "repeats", "cross-op", "cross-command", "within-command", "bytes"
+)
 SCOPES = ("pass", "op", "command")  # the cache is cleared once per scope
 
 
@@ -63,48 +71,94 @@ def call_site(frame) -> str:
     return via
 
 
+def deep_size(*objects) -> int:
+    """Bytes of ``objects`` and of every tuple and int inside them, each
+    object once; the small ints CPython preallocates (-5 to 256) and the
+    bools are shared, and count nothing."""
+    seen, total, stack = set(), 0, list(objects)
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or type(item) is bool or (type(item) is int and -5 <= item <= 256):
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        if type(item) is tuple:
+            stack.extend(item)
+    return total
+
+
 def count_requests(
     workload: str, seed: int, limit: int | None, scope: str = "pass"
 ) -> tuple[dict, list]:
     """(counts per call site, (spec name, counts) per op) of one pass, the
     cache cleared once per ``scope``; the counts are a ``Counter`` over
     ``FIELDS``."""
-    canonical, cached = linalg.howell_form, linalg._howell_cached
+    cached = linalg._howell_cached
+    requesters = {"howell_form": False, "annihilator_rows": True}  # name -> annihilator
+    originals = {name: getattr(linalg, name) for name in requesters}
     sites: dict[str, Counter] = {}
     ops: list[tuple[str, Counter]] = []
     # The keys requested before in the pass, in the op and in the command.
     seen: dict[str, set] = {kind: set() for kind in SCOPES}
+    # The bytes of each new cache entry, while a request is open.
+    entries: list[int] = []
+    inside = [False]
 
-    def counted(matrix):
-        key = (matrix.rows, matrix.moduli)
+    def caching(*args):
         misses = cached.cache_info().misses
-        result = canonical(matrix)
-        repeat = next((kind for kind in reversed(SCOPES) if key in seen[kind]), None)
-        counts = Counter(
-            {
-                "requests": 1,
-                "kernel runs": cached.cache_info().misses - misses,
-                "repeats": repeat is not None,
-                "cross-op": repeat == "pass",
-                "cross-command": repeat == "op",
-                "within-command": repeat == "command",
-            }
-        )
-        for keys in seen.values():
-            keys.add(key)
-        sites.setdefault(call_site(sys._getframe(1)), Counter()).update(counts)
-        ops[-1][1].update(counts)
+        result = cached(*args)
+        if cached.cache_info().misses > misses:
+            entries.append(deep_size(args, result))
         return result
 
+    def counting(name, perp):
+        request = originals[name]
+
+        def counted(matrix):
+            if inside[0]:
+                return request(matrix)
+            key = (matrix.rows, matrix.moduli, perp)
+            misses = cached.cache_info().misses
+            inside[0], entries[:] = True, []
+            try:
+                result = request(matrix)
+            finally:
+                inside[0] = False
+            repeat = next((kind for kind in reversed(SCOPES) if key in seen[kind]), None)
+            counts = Counter(
+                {
+                    "requests": 1,
+                    "kernel runs": cached.cache_info().misses - misses,
+                    "repeats": repeat is not None,
+                    "cross-op": repeat == "pass",
+                    "cross-command": repeat == "op",
+                    "within-command": repeat == "command",
+                    "bytes": sum(entries),
+                }
+            )
+            for keys in seen.values():
+                keys.add(key)
+            site = call_site(sys._getframe(1))
+            if perp:
+                site += " via linalg.annihilator_rows"
+            sites.setdefault(site, Counter()).update(counts)
+            ops[-1][1].update(counts)
+            return result
+
+        return counted
+
     bound = [
-        module
-        for name, module in list(sys.modules.items())
-        if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical
+        (module, name, counting(name, perp))
+        for module in list(sys.modules.values())
+        if getattr(module, "__name__", "").startswith("groupcodes")
+        for name, perp in requesters.items()
+        if getattr(module, name, None) is originals[name]
     ]
     specs = report_digest.pool(workload, seed, limit)
     cached.cache_clear()
-    for module in bound:
-        module.howell_form = counted
+    linalg._howell_cached = caching
+    for module, name, counted in bound:
+        setattr(module, name, counted)
     try:
         with tempfile.TemporaryDirectory() as work:
             for spec in specs:
@@ -121,8 +175,9 @@ def count_requests(
                         cached.cache_clear()
                     report_digest.report((command,), path)
     finally:
-        for module in bound:
-            module.howell_form = canonical
+        linalg._howell_cached = cached
+        for module, name, _ in bound:
+            setattr(module, name, originals[name])
     return sites, ops
 
 

@@ -33,6 +33,11 @@
   before ``structure._splitting_character`` solved it greedily in closed
   form; ``meet_peel_complement`` is the complement it gives, as the meet
   of the code with the character's annihilator.
+* ``graph_annihilator``: the annihilator of a row span as the head
+  kernel of its graph (``linalg._annihilator_graph``), whose Howell form
+  is a cache entry of its own, the route ``linalg.annihilator_rows`` took
+  before it asked the Howell cache for the annihilator of the rows
+  themselves and kept only the graph's head-vanishing tails.
 * ``per_end_prefix_annihilator``: C-perp ∩ [0, b) as the kernel of the
   prefix projection, padded with zeros, one kernel per end b, the route
   ``window_annihilator(code, 0, b)`` took before it read the prefix
@@ -131,6 +136,7 @@ from groupcodes.groups import FiniteAbelianGroup, primary_part
 from groupcodes.linalg import (
     ResidueMatrix,
     Vector,
+    _annihilator_graph,
     _first_nonzero,
     _reduce_vector,
     _trusted,
@@ -442,6 +448,12 @@ def code_peel_decomposition(code: BlockCode) -> Decomposition:
             gens.append(DecompositionGenerator(embedded, start, stop, order, p))
             current = code_peel_complement(current, word, order)
     return structure._verified(code, gens)
+
+
+def graph_annihilator(matrix: ResidueMatrix) -> ResidueMatrix:
+    """Howell rows of the annihilator of span(matrix): the head kernel of
+    its graph, one head column per row of ``matrix``."""
+    return head_kernel(_annihilator_graph(matrix), len(matrix.rows))
 
 
 def per_end_prefix_annihilator(code: BlockCode, b: int) -> tuple[Vector, ...]:

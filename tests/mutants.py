@@ -291,11 +291,21 @@ MUTANTS = (
     Mutant(
         "strong-index-kernel-record-keeps-head-rows",
         "convolutional.py",
-        "    return tuple(row[head:] for row in graph if not any(row[:head]))\n",
-        "    return tuple(row[head:] for row in graph)\n",
+        "    return _tails(_howell_record(_annihilator_graph(matrix))[0], len(rows))\n",
+        "    return tuple(row[len(rows):] for row in _howell_record(_annihilator_graph(matrix))[0])\n",
         (
             "tests/test_convolutional.py::TestStrongIndexWindows"
             "::test_reversed_build_is_the_local_window",
+        ),
+    ),
+    Mutant(
+        "annihilator-request-keeps-head-rows",
+        "linalg.py",
+        "        return _tails(_howell_kernel(graph.rows, graph.moduli), len(rows))\n",
+        "        return tuple(row[len(rows):] for row in _howell_kernel(graph.rows, graph.moduli))\n",
+        (
+            "tests/test_linalg.py::TestAnnihilator::test_annihilator_by_enumeration",
+            "tests/test_linalg.py::TestAnnihilatorRequest::test_corpora",
         ),
     ),
     Mutant(

@@ -288,7 +288,7 @@ def _count_window_calls(monkeypatch):
     import groupcodes.convolutional as module
 
     calls = {}
-    for name in ("_read", "_window"):
+    for name in ("_read", "_order", "_window"):
         original = getattr(module, name)
         calls[name] = 0
 
@@ -811,31 +811,29 @@ class TestCutWindowReads:
         "spec", ["two_tap_kernel.spec", "z2x2_kernel.spec", "z4_12_kernel.spec"]
     )
     def test_kernel_analyze_makes_no_whole_horizon_copy(self, spec, monkeypatch):
-        # A read onto a window's whole horizon hands back the window's own
-        # rows, with no code built and no row copied.
+        # ``analyze`` reads every window order off the pivot products of a
+        # kept window (``_order``): it cuts no row, by a projection or a
+        # one-sided read, so it copies none onto a window's whole horizon
+        # either (it cut every window it read, handing back the kept
+        # window's own rows at the whole horizon).
         import io
         from contextlib import redirect_stdout
 
+        import groupcodes.cli as cli_module
         import groupcodes.convolutional as module
         from groupcodes.cli import main
 
         from .conftest import BAND_SPECS
 
-        project = module._projection
-        whole = []
-
-        def recorded(code, a, b):
-            rows, order = project(code, a, b)
-            if (a, b) == (0, code.space.horizon):
-                own = code.basis.rows
-                whole.append(len(rows) == len(own) and all(map(operator.is_, rows, own)))
-                whole.append(order == code.cardinality)
-            return rows, order
-
-        monkeypatch.setattr(module, "_projection", recorded)
+        cuts, orders = [], []
+        project, vanishing, order = module._projection, _PrefixTable.vanishing, module._order
+        monkeypatch.setattr(module, "_projection", lambda *a: cuts.append(a) or project(*a))
+        monkeypatch.setattr(_PrefixTable, "vanishing", lambda *a: cuts.append(a) or vanishing(*a))
+        for owner in (module, cli_module):
+            monkeypatch.setattr(owner, "_order", lambda *a: orders.append(a) or order(*a))
         with redirect_stdout(io.StringIO()):
             assert main(["analyze", str(BAND_SPECS / spec)]) == 0
-        assert whole and all(whole)
+        assert orders and not cuts
 
 
 def _residue_matrix_window(conv, n, cut):
@@ -1149,8 +1147,11 @@ class TestStrongIndexWindows:
 class TestReadBuilds:
     """The analyses read windows as rows: no window code per read."""
 
-    # howell_form calls of one ``analyze`` and one ``duality-check``, from a
-    # cold Howell cache: one per settle step and window built.  The
+    # howell_form and annihilator_rows calls of one ``analyze`` and one
+    # ``duality-check``, from a cold Howell cache: one per settle step and
+    # window built, a kernel-form window an annihilator request that
+    # takes no Howell form (13 and 13 Howell forms when each annihilator
+    # was the head kernel of its graph's Howell form).  The
     # strong-index windows are unfinished records and take none (15 for
     # the Z/4 kernel when each was a Howell form), the readers add none,
     # and the prefix tables take none per end (47 and 26 with one Howell
@@ -1159,7 +1160,7 @@ class TestReadBuilds:
     # Z/4 kernel settles both chains at one state and reads both kinds off
     # one window; the two-tap kernel, which is not weakly controllable,
     # runs no strong index and builds a finite-support window of its own.
-    HOWELL = {"z4_12_kernel.spec": 13, "two_tap_kernel.spec": 13}
+    HOWELL = {"z4_12_kernel.spec": (11, 2), "two_tap_kernel.spec": (9, 4)}
 
     @pytest.mark.parametrize("spec", sorted(HOWELL))
     def test_reports_build_no_window_code_per_read(self, spec, monkeypatch):
@@ -1173,7 +1174,9 @@ class TestReadBuilds:
 
         from .conftest import BAND_SPECS
 
-        counts = dict.fromkeys(("window_projection", "howell_form", "reads", "spaces"), 0)
+        counts = dict.fromkeys(
+            ("window_projection", "howell_form", "annihilator_rows", "reads", "spaces"), 0
+        )
 
         def counting(original, key):
             def counted(*args, **kwargs):
@@ -1184,15 +1187,16 @@ class TestReadBuilds:
 
         for name, owner in list(sys.modules.items()):
             if name.startswith("groupcodes"):
-                for target in ("window_projection", "howell_form"):
+                for target in ("window_projection", "howell_form", "annihilator_rows"):
                     if hasattr(owner, target):
                         patched = counting(getattr(owner, target), target)
                         monkeypatch.setattr(owner, target, patched)
         import groupcodes.cli as cli_module
 
-        reader = counting(module._read, "reads")
+        monkeypatch.setattr(module, "_read", counting(module._read, "reads"))
+        order = counting(module._order, "reads")
         for owner in (module, cli_module):
-            monkeypatch.setattr(owner, "_read", reader)
+            monkeypatch.setattr(owner, "_order", order)
         monkeypatch.setattr(
             SequenceSpace, "__post_init__", counting(SequenceSpace.__post_init__, "spaces")
         )
@@ -1202,7 +1206,7 @@ class TestReadBuilds:
                 assert main([command, str(BAND_SPECS / spec)]) == 0
         assert counts["window_projection"] == 0
         assert 0 < counts["spaces"] < counts["reads"]
-        assert counts["howell_form"] == self.HOWELL[spec]
+        assert (counts["howell_form"], counts["annihilator_rows"]) == self.HOWELL[spec]
 
 
 def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path):
@@ -1253,14 +1257,18 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
         finally:
             counts["filling"] -= 1
 
-    def kept_at_reads(conv, kind, n):
-        counts["reading"] += 1
-        try:
-            rows = read(conv, kind, n)
-        finally:
-            counts["reading"] -= 1
-        counts["regrown"] += any(w.space.horizon != conv._reads for w in conv._windows.values())
-        return rows
+    def kept_at_reads(reader):
+        def kept(conv, kind, n):
+            counts["reading"] += 1
+            try:
+                value = reader(conv, kind, n)
+            finally:
+                counts["reading"] -= 1
+            windows = conv._windows.values()
+            counts["regrown"] += any(w.space.horizon != conv._reads for w in windows)
+            return value
+
+        return kept
 
     def spied_howell(matrix):
         counts["howell_while_filling"] += counts["filling"] > 0
@@ -1276,8 +1284,9 @@ def test_pool_builds_few_codes_and_no_per_end_howell_form(monkeypatch, tmp_path)
     monkeypatch.setattr(BlockCode, "__post_init__", counted_init)
     monkeypatch.setattr(_PrefixTable, "entry", filling)
     monkeypatch.setattr(_PrefixTable, "__init__", recorded_table)
-    monkeypatch.setattr(module, "_read", kept_at_reads)
-    monkeypatch.setattr(cli_module, "_read", kept_at_reads)
+    monkeypatch.setattr(module, "_read", kept_at_reads(read))
+    for owner in (module, cli_module):
+        monkeypatch.setattr(owner, "_order", kept_at_reads(module._order))
     for module in list(sys.modules.values()):
         name = getattr(module, "__name__", "")
         if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:

@@ -10,7 +10,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tests" / "howell_requests.py"
-FIELDS = ("requests", "kernel runs", "repeats", "cross-op", "cross-command", "within-command")
+FIELDS = (
+    "requests", "kernel runs", "repeats", "cross-op", "cross-command", "within-command", "bytes"
+)
 
 
 def counts(row: str) -> tuple[str, tuple[int, ...]]:
@@ -56,11 +58,16 @@ def test_four_specs_add_up(workload):
     # is read, a part is entered or a peel step runs.
     for site in ("codes.BlockCode._suffix", "structure._primary", "structure._peel"):
         assert not any(label.startswith(site) for label, _ in sites), site
-    requests, runs, repeats, *split = every
+    # Every pool dualizes: annihilator requests are counted at their sites.
+    assert any(label.endswith(" via linalg.annihilator_rows") for label, _ in sites)
+    requests, runs, repeats, *split, size = every
     # The cache starts empty, so each distinct input runs the kernel at
     # least once; a repeat may run it again only after an eviction.
     assert 0 < requests - repeats <= runs <= requests
     assert sum(split) == repeats
+    # Each kernel run leaves one entry, of positive size, in the cache.
+    assert size > 0
+    assert all((c[1] > 0) == (c[6] > 0) for _, c in sites + ops)
 
 
 def test_each_scope_runs_the_kernel_on_what_its_cache_misses():
@@ -73,9 +80,9 @@ def test_each_scope_runs_the_kernel_on_what_its_cache_misses():
     for workload in ("block-codes", "long-horizon"):
         scoped = {scope: run_tool(workload, scope, 12) for scope in ("pass", "op", "command")}
         sites, _, every = scoped["pass"]
-        requests, runs, repeats, cross_op, cross_command, within = every
+        requests, runs, repeats, cross_op, cross_command, within, _ = every
         assert cross_op + cross_command + within == repeats > 0
-        kinds.update(kind for kind, n in zip(FIELDS[3:], every[3:]) if n)
+        kinds.update(kind for kind, n in zip(FIELDS[3:6], every[3:6]) if n)
         expected = {
             "pass": requests - repeats,
             "op": requests - cross_command - within,
@@ -83,11 +90,11 @@ def test_each_scope_runs_the_kernel_on_what_its_cache_misses():
         }
         for scope, (scope_sites, _, scope_every) in scoped.items():
             # The same requests and repeats at the same sites, in every scope.
-            assert [(label, c[:1] + c[2:]) for label, c in scope_sites] == [
-                (label, c[:1] + c[2:]) for label, c in sites
+            assert [(label, c[:1] + c[2:6]) for label, c in scope_sites] == [
+                (label, c[:1] + c[2:6]) for label, c in sites
             ]
             assert scope_every[1] == expected[scope], (workload, scope)
-    assert kinds == set(FIELDS[3:])
+    assert kinds == set(FIELDS[3:6])
 
 
 def run_pool(workload, limit=None):
@@ -163,3 +170,47 @@ def test_fresh_cache_holds_only_finished_forms():
     linalg._howell_cached.cache_clear()
     run_pool("convolutional", 24)
     assert linalg._howell_cached.cache_info().currsize == 88
+
+
+def test_cache_keeps_no_entry_wider_than_its_request(monkeypatch):
+    # Over one seed-7 convolutional pass every answer of ``_howell_cached``
+    # is as wide as the moduli of the request it answers, the outermost
+    # ``howell_form`` or ``annihilator_rows`` call open: no annihilator
+    # graph is cached, nor its Howell form (508 graph-wide entries when
+    # the annihilator was the head kernel of its graph's cached form).
+    import sys
+
+    import groupcodes.linalg as linalg
+
+    open_widths, answers, kinds = [], [], Counter()
+
+    def request(name, original):
+        def counted(matrix):
+            kinds[name] += not open_widths
+            open_widths.append(matrix.width)
+            try:
+                return original(matrix)
+            finally:
+                open_widths.pop()
+
+        return counted
+
+    for name in ("howell_form", "annihilator_rows"):
+        original = getattr(linalg, name)
+        patched = request(name, original)
+        for module in list(sys.modules.values()):
+            owner = getattr(module, "__name__", "")
+            if owner.startswith("groupcodes") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, patched)
+    cached = linalg._howell_cached
+
+    def answered(*args):
+        rows = cached(*args)
+        answers.append((open_widths[:1], {len(row) for row in rows}))
+        return rows
+
+    monkeypatch.setattr(linalg, "_howell_cached", answered)
+    cached.cache_clear()
+    run_pool("convolutional")
+    assert kinds["howell_form"] and kinds["annihilator_rows"]
+    assert answers and all(outer and widths <= set(outer) for outer, widths in answers)

@@ -51,6 +51,7 @@ from groupcodes.oracle import EnumeratedCode, brute_annihilator, brute_smith_inv
 from .kernel_references import solve_congruence_system
 
 from .kernel_references import (
+    graph_annihilator,
     integer_smith_diagonal,
     reduce_vector,
     smith_quotient_invariants,
@@ -315,6 +316,61 @@ class TestAnnihilator:
         moduli = (4, 6, 2)
         mat = howell_form(residue_matrix([(2, 3, 1), (0, 2, 0)], moduli))
         assert annihilator_rows(annihilator_rows(mat)) == mat
+
+
+class TestAnnihilatorRequest:
+    """``annihilator_rows`` is one request of the Howell cache keyed by the
+    rows asked about, twinned against the head kernel of the graph's own
+    Howell form (``kernel_references.graph_annihilator``)."""
+
+    @staticmethod
+    def assert_twin(matrix):
+        assert annihilator_rows(matrix) == graph_annihilator(matrix)
+
+    def test_corpora(self, exhaustive_corpus, mixed_corpus):
+        import groupcodes.linalg as module
+
+        module._howell_cached.cache_clear()
+        for code in exhaustive_corpus + mixed_corpus:
+            self.assert_twin(code.basis)
+            self.assert_twin(_trusted(code.basis.moduli, ()))
+
+    @pytest.mark.parametrize(
+        "moduli, rows",
+        [
+            ((1,), ()),
+            ((1,), ((0,),)),
+            ((1, 1), ((0, 0), (0, 0))),
+            ((1, 4, 1), ()),
+            ((1, 4, 1), ((0, 2, 0),)),
+            ((2, 1, 9), ((1, 0, 3), (0, 0, 6))),
+            ((8, 1), ((4, 0),)),
+            ((), ()),
+        ],
+    )
+    def test_empty_rows_and_z1_columns(self, moduli, rows):
+        self.assert_twin(residue_matrix(rows, moduli))
+
+    @given(st.data(), st.sampled_from([(8,), (9,), (27,), (6, 12, 36)]))
+    @settings(max_examples=160, deadline=None, derandomize=True)
+    def test_menus(self, data, menu):
+        moduli = data.draw(st.lists(st.sampled_from(menu), min_size=1, max_size=5))
+        self.assert_twin(residue_matrix(_rows_over(data, moduli, max_rows=5), moduli))
+
+    def test_a_repeated_request_builds_no_graph(self, monkeypatch):
+        import groupcodes.linalg as module
+
+        built, graph = [], module._annihilator_graph
+        monkeypatch.setattr(module, "_annihilator_graph", lambda m: built.append(m) or graph(m))
+        module._howell_cached.cache_clear()
+        rows, moduli = [(2, 3, 1), (0, 2, 0)], (4, 6, 2)
+        first = annihilator_rows(residue_matrix(rows, moduli))
+        assert len(built) == 1
+        # An equal matrix, a new object: a hit, with no graph built.
+        assert annihilator_rows(residue_matrix(rows, moduli)) == first
+        assert len(built) == 1
+        info = module._howell_cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 MIXED_MODULI = st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]), min_size=1, max_size=4)

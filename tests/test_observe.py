@@ -911,7 +911,10 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # are one climb, and each distinct side is dualized once; every suffix
     # record is read off one trimming sweep; the climb is one Howell state
     # finished at each gap that takes new rows, kept as one chain
-    # (``codes._subcode_chain``), with no Howell form: 8 (11 with a Howell
+    # (``codes._subcode_chain``), with no Howell form.  The kernels are
+    # annihilator requests, which take no Howell form of their graphs: 5
+    # Howell forms and 3 annihilator requests (8 Howell forms when each
+    # kernel was the head kernel of its graph's Howell form, 11 with a Howell
     # form per gap of the climb, 29 with that and a Howell form per suffix
     # record, 32 with the supercode side
     # summed a second time, 37 with T's own reversed
@@ -924,7 +927,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     calls = Counter()
     post_init, from_howell = BlockCode.__post_init__, BlockCode.from_howell.__func__
     space_init = SequenceSpace.__post_init__
-    canonical = linalg_module.howell_form
+    canonical, kernel = linalg_module.howell_form, linalg_module.annihilator_rows
 
     def counted_init(self):
         calls["codes"] += 1
@@ -942,6 +945,10 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
         calls["howell_form"] += 1
         return canonical(matrix)
 
+    def counted_annihilator(matrix):
+        calls["annihilator_rows"] += 1
+        return kernel(matrix)
+
     monkeypatch.setattr(BlockCode, "__post_init__", counted_init)
     monkeypatch.setattr(BlockCode, "from_howell", classmethod(counted_from_howell))
     monkeypatch.setattr(SequenceSpace, "__post_init__", counted_space)
@@ -949,6 +956,8 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
         name = getattr(module, "__name__", "")
         if name.startswith("groupcodes") and getattr(module, "howell_form", None) is canonical:
             monkeypatch.setattr(module, "howell_form", counted_howell)
+        if name.startswith("groupcodes") and getattr(module, "annihilator_rows", None) is kernel:
+            monkeypatch.setattr(module, "annihilator_rows", counted_annihilator)
     path = BAND_SPECS / "z4_band10_code.spec"
     with redirect_stdout(io.StringIO()):
         assert main(["duality-check", str(path)]) == 0
@@ -961,7 +970,7 @@ def test_duality_check_builds_linearly_many_codes(monkeypatch):
     # only space (19 with one per suffix projection).
     assert calls["codes"] == 4
     assert calls["spaces"] == 1
-    assert calls["howell_form"] == 8
+    assert (calls["howell_form"], calls["annihilator_rows"]) == (5, 3)
 
 
 def _first_top(side, top, N):
