@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import Optional, Sequence
@@ -490,9 +489,12 @@ def _emit(args, data: Optional[dict], text: str, ok: bool) -> int:
 
     ``data`` is the JSON form, printed under ``--format json``; a report
     without one (``check``, ``oracle``, a failed decomposition) prints its
-    text under every format.
+    text under every format.  ``json`` is imported here, on the first
+    JSON report, so a text command never loads it.
     """
     if data is not None and args.format == "json":
+        import json
+
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
         sys.stdout.write(text)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
@@ -66,17 +65,29 @@ class _cached:
         return obj.__dict__.setdefault(self.name, self.fn(obj))
 
 
-@dataclass(frozen=True)
 class SequenceSpace:
     """A product of symbol groups over time indices 0..N-1, held as a
     tuple whatever sequence is passed."""
 
-    symbols: tuple[FiniteAbelianGroup, ...]
+    def __init__(self, symbols: Iterable[FiniteAbelianGroup]) -> None:
+        self.symbols = symbols
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+        self.symbols = tuple(self.symbols)
         if not self.symbols:
             raise ValueError("a sequence space needs at least one index")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash((self.symbols,))
+
+    def __repr__(self) -> str:
+        return f"SequenceSpace(symbols={self.symbols!r})"
 
     @_cached
     def horizon(self) -> int:
@@ -139,7 +150,6 @@ class SequenceSpace:
         return " x ".join(f"({g})" for g in self.symbols)
 
 
-@dataclass(frozen=True)
 class BlockCode:
     """A subgroup of a sequence space with a canonical generator matrix.
 
@@ -148,21 +158,32 @@ class BlockCode:
     are Howell forms by construction come in through ``from_howell``.
     """
 
-    space: SequenceSpace
-    basis: ResidueMatrix
+    def __init__(self, space: SequenceSpace, basis: ResidueMatrix) -> None:
+        self.space, self.basis = space, basis
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.basis.moduli != self.space.flat_moduli:
             raise ValueError("basis moduli do not match the space")
-        object.__setattr__(self, "basis", howell_form(self.basis))
+        self.basis = howell_form(self.basis)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.basis))
+
+    def __repr__(self) -> str:
+        return f"BlockCode(space={self.space!r}, basis={self.basis!r})"
 
     @classmethod
     def from_howell(cls, space: SequenceSpace, rows: Iterable[Vector]) -> "BlockCode":
         """The code whose basis is ``rows``, already a Howell form over the
         moduli of ``space``; stored as given, with no second Howell call."""
         code = object.__new__(cls)
-        object.__setattr__(code, "space", space)
-        object.__setattr__(code, "basis", _trusted(space.flat_moduli, tuple(rows)))
+        code.space, code.basis = space, _trusted(space.flat_moduli, tuple(rows))
         return code
 
     @_cached

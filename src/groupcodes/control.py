@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codes import BlockCode, _internal
 from .groups import FiniteAbelianGroup
@@ -46,8 +45,7 @@ class ProfileInsufficientError(ValueError):
         super().__init__(f"control profile insufficient at position {position}")
 
 
-@dataclass(frozen=True)
-class ControlProfile:
+class ControlProfile(NamedTuple):
     """Per-position minimal gap lengths L_k with C_k(L_k) = C."""
 
     lengths: tuple[int, ...]
@@ -61,8 +59,7 @@ class ControlProfile:
         return L >= self.index
 
 
-@dataclass(frozen=True)
-class OrderProfile:
+class OrderProfile(NamedTuple):
     """Per-prefix minimal order-split bounds n(l) for l = 0..N."""
 
     bounds: tuple[int, ...]
@@ -125,8 +122,7 @@ def controllable_subcode(code: BlockCode, L: int) -> BlockCode:
     return chain[min(L, len(chain) - 1)]
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """A finitely supported codeword with its declared support window."""
 
     word: tuple[int, ...]

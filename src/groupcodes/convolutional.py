@@ -26,8 +26,7 @@ justifies gating the strong index by the weak verdict.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .codes import BlockCode, SequenceSpace, _cached, _gap_lengths, _PrefixTable, _projection
 from .duality import is_annihilator
@@ -60,7 +59,6 @@ def _normalize_tap(tap: Sequence[Sequence[int]], symbol: FiniteAbelianGroup):
     return tuple(steps)
 
 
-@dataclass(frozen=True)
 class ConvolutionalCode:
     """A time-invariant code over one symbol group, in image or kernel form.
 
@@ -68,10 +66,12 @@ class ConvolutionalCode:
     suppress the earliest shift), so only trailing zero steps are stripped.
     """
 
-    symbol: FiniteAbelianGroup
-    form: str
-    taps: tuple[tuple[tuple[int, ...], ...], ...]
-    horizon: Optional[int] = None
+    def __init__(
+        self, symbol: FiniteAbelianGroup, form: str, taps: Sequence[Sequence[Sequence[int]]],
+        horizon: Optional[int] = None,
+    ) -> None:
+        self.symbol, self.form, self.taps, self.horizon = symbol, form, taps, horizon
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.form not in ("image", "kernel"):
@@ -79,7 +79,24 @@ class ConvolutionalCode:
         if self.horizon is not None and self.horizon < 1:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         taps = (_normalize_tap(tap, self.symbol) for tap in self.taps)
-        object.__setattr__(self, "taps", tuple(sorted(t for t in taps if t)))
+        self.taps = tuple(sorted(t for t in taps if t))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.symbol == other.symbol and self.form == other.form
+            and self.taps == other.taps and self.horizon == other.horizon
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.form, self.taps, self.horizon))
+
+    def __repr__(self) -> str:
+        return (
+            f"ConvolutionalCode(symbol={self.symbol!r}, form={self.form!r}, "
+            f"taps={self.taps!r}, horizon={self.horizon!r})"
+        )
 
     @_cached
     def memory(self) -> int:
@@ -322,8 +339,7 @@ def zero_extension_window(conv: ConvolutionalCode, n: int) -> BlockCode:
     return _block_window(conv, "zero extension", n)
 
 
-@dataclass(frozen=True)
-class WeakControllabilityVerdict:
+class WeakControllabilityVerdict(NamedTuple):
     """Density of finite-support codewords, checked window by window."""
 
     holds: bool
@@ -367,8 +383,7 @@ def weak_controllability(conv: ConvolutionalCode) -> WeakControllabilityVerdict:
     return WeakControllabilityVerdict(holds=True, horizon=N)
 
 
-@dataclass(frozen=True)
-class StrongControllabilityVerdict:
+class StrongControllabilityVerdict(NamedTuple):
     """Outcome of the bounded search for a controllability index."""
 
     status: str  # "stabilized" | "not-controllable" | "unknown-beyond-horizon"

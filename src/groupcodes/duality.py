@@ -11,10 +11,9 @@ and nothing downstream depends on the choice of identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .codes import BlockCode
 from .groups import FiniteAbelianGroup, GroupElement
@@ -39,12 +38,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class QmodZ:
     """A rational residue modulo 1, kept reduced with 0 <= num < den."""
 
-    numerator: int
-    denominator: int
+    def __init__(self, numerator: int, denominator: int) -> None:
+        self.numerator, self.denominator = numerator, denominator
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.denominator < 1:
@@ -52,6 +51,17 @@ class QmodZ:
         g = gcd(self.numerator, self.denominator)
         if g != 1 or not 0 <= self.numerator < self.denominator:
             raise ValueError("not in canonical form; use QmodZ.of")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.numerator == other.numerator and self.denominator == other.denominator
+
+    def __hash__(self) -> int:
+        return hash((self.numerator, self.denominator))
+
+    def __repr__(self) -> str:
+        return f"QmodZ(numerator={self.numerator!r}, denominator={self.denominator!r})"
 
     @classmethod
     def of(cls, value: Fraction | int) -> "QmodZ":
@@ -89,8 +99,7 @@ class QmodZ:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """A character of a finite abelian group, as a dual-group element."""
 
     coefficients: GroupElement
@@ -158,8 +167,7 @@ def annihilator(subgroup: ResidueMatrix) -> ResidueMatrix:
     return annihilator_rows(subgroup)
 
 
-@dataclass(frozen=True)
-class QuotientDualityReport:
+class QuotientDualityReport(NamedTuple):
     """Comparison of the invariant factors of R/S and of S-perp/R-perp."""
 
     quotient_factors: tuple[int, ...]

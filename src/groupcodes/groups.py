@@ -8,9 +8,8 @@ coordinates, which keeps index arithmetic uniform across sequence spaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .linalg import (
     ResidueMatrix,
@@ -38,17 +37,29 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and prime_factors(p) == [p]
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Direct sum of cyclic groups Z/m_1 + ... + Z/m_n; the moduli are
     held as a tuple of ints whatever sequence is passed."""
 
-    moduli: tuple[int, ...]
+    def __init__(self, moduli: Sequence[int]) -> None:
+        self.moduli = moduli
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(map(int, self.moduli)))
+        self.moduli = tuple(map(int, self.moduli))
         if any(m < 1 for m in self.moduli):
             raise ValueError("moduli must be >= 1")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.moduli == other.moduli
+
+    def __hash__(self) -> int:
+        return hash((self.moduli,))
+
+    def __repr__(self) -> str:
+        return f"FiniteAbelianGroup(moduli={self.moduli!r})"
 
     @property
     def cardinality(self) -> int:
@@ -83,15 +94,15 @@ class FiniteAbelianGroup:
         return " + ".join(f"Z/{m}" for m in self.moduli)
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """A residue vector in its parent group, held as a tuple of ints."""
 
-    group: FiniteAbelianGroup
-    residues: tuple[int, ...]
+    def __init__(self, group: FiniteAbelianGroup, residues: Sequence[int]) -> None:
+        self.group, self.residues = group, residues
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", tuple(map(int, self.residues)))
+        self.residues = tuple(map(int, self.residues))
         if len(self.residues) != len(self.group.moduli):
             raise ValueError("residue vector length mismatch")
         if any(not 0 <= e < m for e, m in zip(self.residues, self.group.moduli)):
@@ -131,31 +142,41 @@ class GroupElement:
         if other.group.moduli != self.group.moduli:
             raise ValueError("elements from different groups")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group and self.residues == other.residues
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.residues))
+
+    def __repr__(self) -> str:
+        return f"GroupElement(group={self.group!r}, residues={self.residues!r})"
+
 
 def element_order(g: GroupElement) -> int:
     """Least n >= 1 with n*g = 0; equals lcm_j(m_j / gcd(m_j, g_j))."""
     return vector_order(g.residues, g.group.moduli)
 
 
-@dataclass(frozen=True)
-class PrimaryComponent:
+class PrimaryComponent(NamedTuple):
     """One primary part (G)_p with its projection and embedding maps."""
 
     prime: int
     group: FiniteAbelianGroup
     parent: FiniteAbelianGroup
     # Per coordinate: the ``primary_part`` pair (q, u).
-    _crt: tuple[tuple[int, int], ...] = field(repr=False)
+    crt: tuple[tuple[int, int], ...]
 
     def project(self, g: GroupElement) -> GroupElement:
         if g.group != self.parent:
             raise ValueError("element not in the parent group")
-        return self.group.element([e % q for e, (q, _) in zip(g.residues, self._crt)])
+        return self.group.element([e % q for e, (q, _) in zip(g.residues, self.crt)])
 
     def embed(self, c: GroupElement) -> GroupElement:
         if c.group != self.group:
             raise ValueError("element not in the component group")
-        return self.parent.element([e * u for e, (_, u) in zip(c.residues, self._crt)])
+        return self.parent.element([e * u for e, (_, u) in zip(c.residues, self.crt)])
 
 
 def primary_decomposition(G: FiniteAbelianGroup) -> dict[int, PrimaryComponent]:
@@ -171,7 +192,7 @@ def primary_decomposition(G: FiniteAbelianGroup) -> dict[int, PrimaryComponent]:
             prime=p,
             group=FiniteAbelianGroup(tuple(q for q, _ in crt)),
             parent=G,
-            _crt=crt,
+            crt=crt,
         )
     return components
 

@@ -42,7 +42,6 @@ unique, so both finish with the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, takewhile
 from math import gcd, isqrt, lcm
@@ -74,23 +73,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ResidueMatrix:
     """Rows over ``Z/m_1 x ... x Z/m_n`` with per-column moduli ``m_j >= 1``.
 
-    Entries satisfy ``0 <= rows[i][j] < moduli[j]``.  Instances are immutable;
-    all operations return new matrices.  A direct call stores both fields
+    Entries satisfy ``0 <= rows[i][j] < moduli[j]``.  No instance is changed
+    once built; all operations return new matrices.  A direct call stores both fields
     as tuples of ints, so lists may be passed, and checks every entry; the
     matrices this module builds itself hold reduced entries by construction
     and skip both steps (see ``_trusted``).
     """
 
-    moduli: Vector
-    rows: tuple[Vector, ...]
+    def __init__(self, moduli: Sequence[int], rows: Iterable[Sequence[int]]) -> None:
+        self.moduli, self.rows = moduli, rows
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(map(int, self.moduli)))
-        object.__setattr__(self, "rows", tuple(tuple(map(int, row)) for row in self.rows))
+        self.moduli = tuple(map(int, self.moduli))
+        self.rows = tuple(tuple(map(int, row)) for row in self.rows)
         if any(m < 1 for m in self.moduli):
             raise ValueError(f"moduli must be >= 1, got {self.moduli}")
         width = len(self.moduli)
@@ -104,6 +103,17 @@ class ResidueMatrix:
     def width(self) -> int:
         return len(self.moduli)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.moduli == other.moduli and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.moduli, self.rows))
+
+    def __repr__(self) -> str:
+        return f"ResidueMatrix(moduli={self.moduli!r}, rows={self.rows!r})"
+
 
 def _trusted(moduli: Vector, rows: tuple[Vector, ...]) -> ResidueMatrix:
     """A ResidueMatrix whose entries are reduced by construction.
@@ -112,8 +122,7 @@ def _trusted(moduli: Vector, rows: tuple[Vector, ...]) -> ResidueMatrix:
     ``[0, moduli[j])`` already, so the checks would only repeat that work.
     """
     matrix = object.__new__(ResidueMatrix)
-    object.__setattr__(matrix, "moduli", moduli)
-    object.__setattr__(matrix, "rows", rows)
+    matrix.moduli, matrix.rows = moduli, rows
     return matrix
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress, count
 from math import lcm
 from typing import NamedTuple, Sequence
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObserveProfile:
+class ObserveProfile(NamedTuple):
     """Per-position minimal closed-window lengths and the uniform index."""
 
     lengths: tuple[int, ...]
@@ -176,18 +174,42 @@ class MatchedParameterCheck(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
 class DualityReport:
     """Evidence that controllability of a code and observability of its dual
     are two views of one structure."""
 
-    window_checks: tuple[WindowDualityCheck, ...]
-    chain_ok: bool
-    matched_checks: tuple[MatchedParameterCheck, ...]
-    control_index: int
-    dual_observe_index: int
-    observe_index: int
-    dual_control_index: int
+    def __init__(
+        self, window_checks: tuple[WindowDualityCheck, ...], chain_ok: bool,
+        matched_checks: tuple[MatchedParameterCheck, ...], control_index: int,
+        dual_observe_index: int, observe_index: int, dual_control_index: int,
+    ) -> None:
+        self.window_checks, self.matched_checks = window_checks, matched_checks
+        self.chain_ok, self.control_index = chain_ok, control_index
+        self.dual_observe_index, self.observe_index = dual_observe_index, observe_index
+        self.dual_control_index = dual_control_index
+
+    def _key(self) -> tuple:
+        return (
+            self.window_checks, self.chain_ok, self.matched_checks, self.control_index,
+            self.dual_observe_index, self.observe_index, self.dual_control_index,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"DualityReport(window_checks={self.window_checks!r}, chain_ok={self.chain_ok!r},"
+            f" matched_checks={self.matched_checks!r}, control_index={self.control_index!r},"
+            f" dual_observe_index={self.dual_observe_index!r},"
+            f" observe_index={self.observe_index!r},"
+            f" dual_control_index={self.dual_control_index!r})"
+        )
 
     @_cached
     def ok(self) -> bool:

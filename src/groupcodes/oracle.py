@@ -20,7 +20,6 @@ point takes ``bound=`` to change it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
@@ -37,13 +36,30 @@ class OracleBoundExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class EnumeratedCode:
     """An explicit element list, closed under addition and negation."""
 
-    moduli: tuple[int, ...]
-    words: tuple[tuple[int, ...], ...]
-    offsets: tuple[int, ...]
+    def __init__(
+        self, moduli: tuple[int, ...], words: tuple[tuple[int, ...], ...], offsets: tuple[int, ...]
+    ) -> None:
+        self.moduli, self.words, self.offsets = moduli, words, offsets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.moduli == other.moduli and self.words == other.words
+            and self.offsets == other.offsets
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.moduli, self.words, self.offsets))
+
+    def __repr__(self) -> str:
+        return (
+            f"EnumeratedCode(moduli={self.moduli!r}, words={self.words!r}, "
+            f"offsets={self.offsets!r})"
+        )
 
     @cached_property
     def _members(self) -> frozenset[tuple[int, ...]]:

@@ -25,10 +25,9 @@ for schema errors, and the exact position for residues out of range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import mod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .codes import BlockCode, SequenceSpace, code_from_generators
 from .convolutional import ConvolutionalCode
@@ -59,8 +58,7 @@ class SpecError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class CodeSpecDocument:
+class CodeSpecDocument(NamedTuple):
     """A validated code description, either block or convolutional."""
 
     kind: str

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 from operator import mod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .codes import BlockCode, SequenceSpace, code_from_generators
 from .groups import FiniteAbelianGroup, primary_part
@@ -38,8 +37,7 @@ class DecompositionError(ValueError):
     """Raised when a decomposition cannot be constructed or verified."""
 
 
-@dataclass(frozen=True)
-class DecompositionGenerator:
+class DecompositionGenerator(NamedTuple):
     """One cyclic factor: a codeword, its support window, order and prime."""
 
     word: tuple[int, ...]
@@ -49,25 +47,40 @@ class DecompositionGenerator:
     prime: Optional[int]
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """A list of cyclic generators certifying weak rectangularity.
 
     Decompositions built by this module carry the certificate of the
-    ``verify_decomposition`` run that accepted them.
+    ``verify_decomposition`` run that accepted them; it takes no part in
+    equality or the hash.
     """
 
-    space: SequenceSpace
-    generators: tuple[DecompositionGenerator, ...]
-    certificate: Optional[VerificationCertificate] = field(default=None, compare=False)
+    def __init__(
+        self, space: SequenceSpace, generators: tuple[DecompositionGenerator, ...],
+        certificate: Optional[VerificationCertificate] = None,
+    ) -> None:
+        self.space, self.generators, self.certificate = space, generators, certificate
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.generators))
+
+    def __repr__(self) -> str:
+        return (
+            f"Decomposition(space={self.space!r}, generators={self.generators!r}, "
+            f"certificate={self.certificate!r})"
+        )
 
     @property
     def order_product(self) -> int:
         return math.prod(g.order for g in self.generators)
 
 
-@dataclass(frozen=True)
-class VerificationCertificate:
+class VerificationCertificate(NamedTuple):
     """Machine-checkable record of every verified condition."""
 
     membership_ok: bool
@@ -187,7 +200,7 @@ def coprime_rectangular(code: BlockCode) -> Optional[Decomposition]:
             if gcd(orders[i], orders[j]) != 1:
                 return None
     gens = sorted(_peel(code), key=lambda g: g.start)
-    return _verified(code, [replace(g, prime=None) for g in gens])
+    return _verified(code, [g._replace(prime=None) for g in gens])
 
 
 def _verified(code: BlockCode, gens: list[DecompositionGenerator]) -> Decomposition:

@@ -11,13 +11,14 @@ the workload names in ``bench/workloads.py`` on it through
 first op (``--scope pass``, the default and the benchmark's loop), before
 every op (``op``) or before every command (``command``).  Every call of
 ``linalg.howell_form`` is a request.  It is counted at its call site: the
-innermost calling function outside ``groupcodes.linalg`` and the
-dataclass checks (``__post_init__``), with the outermost of those it came
-through, if any, after "via".  Every call of ``linalg.annihilator_rows``
-is a request too, for the annihilator of its rows, counted at the site
-that calls it, "via linalg.annihilator_rows"; a request made inside
-another request (a Howell form the annihilator asked for on its way)
-counts as part of the outer one.  A request's kernel runs are its
+innermost calling function outside ``groupcodes.linalg`` and the value
+classes' checks (``__post_init__``), with the outermost of those it came
+through, if any, after "via".  A value class's own ``__init__``, which
+stores the fields and calls the check, is passed over.  Every call of
+``linalg.annihilator_rows`` is a request too, for the annihilator of its
+rows, counted at the site that calls it, "via linalg.annihilator_rows"; a
+request made inside another request (a Howell form the annihilator asked
+for on its way) counts as part of the outer one.  A request's kernel runs are its
 misses of the one cache ``linalg._howell_cached``, and its bytes the
 deep size of the entries those misses leave in it (``deep_size``).  A
 request is a repeat when the same rows and moduli, of the same kind,
@@ -56,14 +57,15 @@ SCOPES = ("pass", "op", "command")  # the cache is cleared once per scope
 
 
 def call_site(frame) -> str:
-    """The innermost caller outside ``linalg`` and the dataclass checks,
-    and the outermost of those it called on the way, if any."""
+    """The innermost caller outside ``linalg`` and the value classes'
+    checks, and the outermost of those it called on the way, if any.  The
+    ``__init__`` that calls a ``__post_init__`` check is skipped."""
     via = None
     while frame is not None:
         code = frame.f_code
         module = frame.f_globals.get("__name__", "").removeprefix("groupcodes.")
         name = f"{module}.{code.co_qualname}"
-        if code.co_filename != "<string>":  # not a dataclass's generated __init__
+        if code.co_name != "__init__" or "__post_init__" not in code.co_names:
             if module != "linalg" and code.co_name != "__post_init__":
                 return name if via is None else f"{name} via {via}"
             via = name

@@ -318,6 +318,23 @@ MUTANTS = (
             "tests/test_control.py::TestCountedOrderSplit::test_higher_levels_over_z16",
         ),
     ),
+    Mutant(
+        "block-code-equality-by-space-only",
+        "codes.py",
+        "        return self.space == other.space and self.basis == other.basis\n",
+        "        return self.space == other.space\n",
+        ("tests/test_value_classes.py::test_a_field_that_differs_breaks_equality",),
+    ),
+    Mutant(
+        "sequence-space-hash-without-symbols",
+        "codes.py",
+        "        return hash((self.symbols,))\n",
+        "        return hash(())\n",
+        (
+            "tests/test_value_classes.py::"
+            "test_equal_fields_give_equal_objects_and_hashes[SequenceSpace]",
+        ),
+    ),
 )
 
 

@@ -102,6 +102,32 @@ class TestLazyNamespace:
         for name in ("observe", "oracle", "specfmt", "structure", "cli"):
             assert f"groupcodes.{name}" not in loaded
 
+    def test_command_line_loads_no_class_builder(self):
+        # The value classes are plain classes and named tuples: neither
+        # ``dataclasses`` nor the ``inspect`` it imports is loaded.
+        assert fresh(
+            "import sys, groupcodes.cli\n"
+            "[n for n in ('dataclasses', 'inspect') if n in sys.modules]"
+        ) == []
+
+    def test_benchmark_setup_modules_load_no_class_builder(self):
+        assert fresh(
+            "import sys\n"
+            "import groupcodes.codes, groupcodes.convolutional, groupcodes.duality\n"
+            "import groupcodes.groups\n"
+            "[n for n in ('dataclasses', 'inspect') if n in sys.modules]"
+        ) == []
+
+    def test_text_command_loads_no_json(self):
+        # ``cli._emit`` imports ``json`` only for a ``--format json`` report.
+        spec = str(ROOT / "demos" / "specs" / "even_weight.spec")
+        assert fresh(
+            "import contextlib, io, sys\n"
+            "from groupcodes.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()): code = main(['analyze', %r])\n"
+            "(code, 'json' in sys.modules)" % spec
+        ) == (0, False)
+
     def test_submodule_and_name_resolve(self):
         assert fresh(
             "import sys, groupcodes\n"
